@@ -32,14 +32,15 @@ var Analyzer = &analysis.Analyzer{
 // protected names the crypto-bearing package path segments. A package is
 // checked when any segment of its import path matches.
 var protected = map[string]bool{
-	"core":     true,
-	"sharing":  true,
-	"pke":      true,
-	"paillier": true,
-	"tte":      true,
-	"nizk":     true,
-	"field":    true,
-	"yoso":     true,
+	"core":      true,
+	"committee": true,
+	"sharing":   true,
+	"pke":       true,
+	"paillier":  true,
+	"tte":       true,
+	"nizk":      true,
+	"field":     true,
+	"yoso":      true,
 }
 
 // mathRand matches the forbidden import paths.

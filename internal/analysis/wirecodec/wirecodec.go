@@ -23,9 +23,9 @@
 // []byte(string) conversion or fmt.Append* result as an argument is a
 // codec-less payload and is reported at the call.
 //
-// Core's in-process payloads go through the sized/encodeWire interface,
-// whose length cross-check runs at runtime in encodePost — they never
-// implement the quartet and are out of scope here. A type that is wire-
+// The protocol drivers' step payloads implement committee.Payload, whose
+// single Encode result is both what is posted and what is metered — they
+// never implement the quartet and are out of scope here. A type that is wire-
 // adjacent but deliberately outside the discipline is acknowledged with
 // `//yosolint:wireok <why>` on its declaration (or the offending call);
 // the justification is mandatory and audited via cmd/yosolint -json.

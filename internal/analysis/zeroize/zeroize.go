@@ -35,9 +35,9 @@
 // documents who wipes it. A source call whose result is never bound
 // (`use(sk.Bytes())`) is reported too — an unnamed copy cannot be wiped.
 //
-// The analyzer runs on the crypto-bearing packages (core, sharing, pke,
-// paillier, tte, nizk, field, yoso); test files are exempt. Out of scope,
-// documented: big.Int values (no reliable wipe exists — math/big
+// The analyzer runs on the crypto-bearing packages (core, committee,
+// sharing, pke, paillier, tte, nizk, field, yoso); test files are exempt.
+// Out of scope, documented: big.Int values (no reliable wipe exists — math/big
 // reallocates internally), aliasing through plain assignment, and buffers
 // captured by closures that outlive the function.
 package zeroize
@@ -65,7 +65,7 @@ var Analyzer = &analysis.Analyzer{
 
 // gatedSegments are the crypto-bearing package path segments the
 // obligation model applies to.
-var gatedSegments = []string{"core", "sharing", "pke", "paillier", "tte", "nizk", "field", "yoso"}
+var gatedSegments = []string{"core", "committee", "sharing", "pke", "paillier", "tte", "nizk", "field", "yoso"}
 
 func gated(path string) bool {
 	if strings.HasSuffix(path, "_test") {

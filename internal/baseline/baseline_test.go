@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"yosompc/internal/circuit"
@@ -120,6 +122,44 @@ func TestMaliciousExcluded(t *testing.T) {
 	res := runAndCompare(t, simParams(6, 2, adv), circ, in)
 	if len(res.Excluded) == 0 {
 		t.Error("no roles excluded despite adversary")
+	}
+}
+
+// The baseline runs on the shared committee runtime's worker pool, and the
+// pool's contract holds for it too: the worker count changes wall clock
+// only. Outputs, the metered report and the excluded list are identical
+// between the serial path and one worker per CPU, adversary included.
+func TestWorkersSerialEquivalence(t *testing.T) {
+	circ, err := circuit.WideMul(8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := inputsOf(map[int][]uint64{0: {2, 3, 4, 5}, 1: {6, 7, 2, 3}})
+	runWith := func(workers int) *Result {
+		t.Helper()
+		proto, err := New(simParams(9, 2, yoso.NewAdversary(1, 1, 31)), circ, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proto.rt.Workers = workers
+		res, err := proto.Run(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	serial, pooled := runWith(1), runWith(runtime.NumCPU())
+	if !reflect.DeepEqual(serial.Report, pooled.Report) {
+		t.Errorf("report diverged from serial:\nserial: %+v\npooled: %+v", serial.Report, pooled.Report)
+	}
+	if !reflect.DeepEqual(serial.Outputs, pooled.Outputs) {
+		t.Errorf("outputs %v, serial %v", pooled.Outputs, serial.Outputs)
+	}
+	if !reflect.DeepEqual(serial.Excluded, pooled.Excluded) {
+		t.Errorf("excluded %v, serial %v", pooled.Excluded, serial.Excluded)
+	}
+	if len(serial.Excluded) == 0 {
+		t.Error("adversarial run excluded nobody")
 	}
 }
 

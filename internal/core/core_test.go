@@ -637,17 +637,21 @@ func TestDeepFermatCircuitSim(t *testing.T) {
 
 func TestLeakyRolesParticipate(t *testing.T) {
 	// Honest-but-curious roles follow the protocol: outputs stay correct
-	// and no leaky role is excluded.
+	// and no leaky role is excluded — with proofs or with robust decoding.
 	circ, err := circuit.InnerProduct(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := inputsOf(map[int][]uint64{0: {1, 2, 3}, 1: {4, 5, 6}})
-	adv := &yoso.Adversary{Malicious: 1, Leaky: 2, Seed: 67}
-	res := runAndCompare(t, simParams(10, 3, 2, adv), circ, in)
-	for _, ex := range res.Excluded {
-		if strings.Contains(ex, "leaky") {
-			t.Errorf("leaky role excluded: %s", ex)
+	for _, robust := range []bool{false, true} {
+		adv := &yoso.Adversary{Malicious: 1, Leaky: 2, Seed: 67}
+		params := simParams(12, 3, 2, adv)
+		params.Robust = robust
+		res := runAndCompare(t, params, circ, in)
+		for _, ex := range res.Excluded {
+			if strings.Contains(ex, "leaky") {
+				t.Errorf("robust=%v: leaky role excluded: %s", robust, ex)
+			}
 		}
 	}
 }

@@ -2,27 +2,16 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"yosompc/internal/circuit"
 	"yosompc/internal/comm"
+	"yosompc/internal/committee"
 	"yosompc/internal/field"
 	"yosompc/internal/pke"
 	"yosompc/internal/sharing"
 	"yosompc/internal/tte"
 	"yosompc/internal/yoso"
 )
-
-// sortedKeys returns an int-keyed map's keys in ascending order: map-shaped
-// payloads must encode deterministically.
-func sortedKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
 
 // online executes the offline/online boundary (OffRe's speak: Steps 5–6 +
 // tsk hand-off) and Π_YOSO-Online: future key distribution, inputs, layer
@@ -87,560 +76,113 @@ func (r *run) online(inputs map[int][]field.Element) (map[int][]field.Element, e
 	return r.onlineOutput()
 }
 
-// envBundle is a broadcast bundle of addressed envelopes (the YOSO
-// "point-to-point over the board" pattern).
-type envBundle struct{ envs []envelope }
-
-func (b envBundle) wireSize() int {
-	s := 0
-	for _, e := range b.envs {
-		s += e.Ct.Size()
-	}
-	return s
-}
-
-func (b envBundle) encodeWire(p *Params) ([]byte, error) {
-	return appendEnvelopes(p, make([]byte, 0, b.wireSize()), b.envs)
-}
-
-// reencPayload is the OffRe committee's single broadcast: Re-encrypt
-// envelopes for input-wire λ's (Step 5), packed shares (Step 6), and the
-// tsk resharing for OnC1.
-type reencPayload struct {
-	inputs  map[int]envelope   // input gate index → envelope to client KFF
-	left    map[int][]envelope // batch → per-target-index envelope
-	right   map[int][]envelope
-	gamma   map[int][]envelope
-	reshare []envelope
-}
-
-func (p reencPayload) wireSize() int {
-	s := 0
-	for _, e := range p.inputs {
-		s += e.Ct.Size()
-	}
-	for _, envs := range p.left {
-		for _, e := range envs {
-			s += e.Ct.Size()
+// reencrypt runs offline Steps 5–6 on committee c: Re-encrypt every
+// input-wire λ to its client (Step 5) and every packed left/right/Γ share to
+// the layer member that will use it (Step 6), then reshare tsk to next.
+// Which keys receive them is the only difference between the KFF protocol
+// (the recipients' keys-for-future, so OffRe speaks before any online role
+// key exists) and the §3.2 naive ablation (their role keys, so OnC1 pays the
+// Θ(n²·batches) communication online).
+func (r *run) reencrypt(c *yoso.Committee, sp committee.Spec, next *yoso.Committee,
+	clientKey func(client int) pke.PublicKey, layerKey func(layer, i int) pke.PublicKey) error {
+	n := r.p.params.N
+	gates := r.p.circ.Gates()
+	var open []committee.Opening
+	var inGates []int
+	for _, client := range r.p.circ.Clients() {
+		for _, gi := range r.p.circ.InputGates(client) {
+			open = append(open, committee.Opening{Ct: r.wireCt[gates[gi].Out], Key: clientKey(client)})
+			inGates = append(inGates, gi)
 		}
 	}
-	for _, envs := range p.right {
-		for _, e := range envs {
-			s += e.Ct.Size()
-		}
-	}
-	for _, envs := range p.gamma {
-		for _, e := range envs {
-			s += e.Ct.Size()
-		}
-	}
-	for _, e := range p.reshare {
-		s += e.Ct.Size()
-	}
-	return s
-}
-
-func (p reencPayload) encodeWire(pp *Params) ([]byte, error) {
-	out := make([]byte, 0, p.wireSize())
-	var err error
-	for _, gi := range sortedKeys(p.inputs) {
-		if out, err = appendEnvelopes(pp, out, []envelope{p.inputs[gi]}); err != nil {
-			return nil, err
-		}
-	}
-	for _, m := range []map[int][]envelope{p.left, p.right, p.gamma} {
-		for _, bi := range sortedKeys(m) {
-			if out, err = appendEnvelopes(pp, out, m[bi]); err != nil {
-				return nil, err
+	for _, b := range r.batches {
+		for _, packed := range [][]tte.Ciphertext{b.packedLeft, b.packedRight, b.packedGamma} {
+			for i, ct := range packed {
+				open = append(open, committee.Opening{Ct: ct, Key: layerKey(b.Layer, i+1)})
 			}
 		}
 	}
-	return appendEnvelopes(pp, out, p.reshare)
+	res, err := r.rt.TskStep(r.tsk, c, sp, open, next)
+	if err != nil {
+		return err
+	}
+	for j, gi := range inGates {
+		r.inputEnv[gi] = res.Sealed[j]
+	}
+	rest := res.Sealed[len(inGates):]
+	for _, b := range r.batches {
+		b.envLeft, b.envRight, b.envGamma = rest[:n], rest[n:2*n], rest[2*n:3*n]
+		rest = rest[3*n:]
+	}
+	return nil
 }
 
-// offReSpeak runs the OffRe committee (offline Steps 5 and 6): each
-// member reconstructs its tsk share, posts partial decryptions of every
-// value being re-encrypted — each encrypted under the recipient's KFF
-// public key — and reshares tsk to the bridging committee. Every target
+// offReSpeak runs the OffRe committee (offline Steps 5 and 6). Every target
 // key is known during the offline phase, so this speak happens entirely
 // before inputs exist (it is called from offline()).
 func (r *run) offReSpeak() error {
-	p := r.p.params
-	te := p.TE
-	shares, err := r.recoverShares(r.offRe, comm.PhaseOffline)
-	if err != nil {
+	if r.p.params.NoKFF {
+		// §3.2 naive ablation: nothing to re-encrypt yet (the online role
+		// keys do not exist and there are no KFFs) — OffRe only passes tsk
+		// onward; OnC1 will pay the re-encryption online.
+		_, err := r.rt.TskStep(r.tsk, r.offRe,
+			committee.Spec{Phase: comm.PhaseOffline, Cat: comm.CatPartial, Label: "steps-5-6-nokff"}, nil, r.offBridge)
 		return err
 	}
-	if p.NoKFF {
-		// §3.2 naive ablation: nothing to re-encrypt yet (the online
-		// role keys do not exist and there are no KFFs) — OffRe only
-		// passes tsk onward; OnC1 will pay the re-encryption online.
-		posts, err := r.tskCommitteeSpeak(r.offRe, shares, comm.PhaseOffline,
-			"steps-5-6-nokff", nil, r.offBridge,
-			func(i int) pke.PublicKey { return r.offBridge.Role(i).PublicKey() })
-		if err != nil {
-			return err
-		}
-		r.storeHandoff("offBridge", posts)
-		return nil
-	}
-	gates := r.p.circ.Gates()
-
-	// Per-member work item list: (ciphertext, target KFF key).
-	type item struct {
-		ct  tte.Ciphertext
-		key pke.PublicKey
-	}
-	var inputItems []item
-	var inputGateIdx []int
-	for _, client := range r.p.circ.Clients() {
-		for _, gi := range r.p.circ.InputGates(client) {
-			kff := r.kffClient[client]
-			inputItems = append(inputItems, item{ct: r.wireCt[gates[gi].Out], key: kff.pub})
-			inputGateIdx = append(inputGateIdx, gi)
-		}
-	}
-
-	nEnvs := len(inputItems) + 3*len(r.batches)*p.N + p.N
-	garbSize := nEnvs * (r.tpk.CiphertextSize() + 60)
-
-	posts, err := r.committeeStep(r.offRe, comm.PhaseOffline, comm.CatReencrypt, "steps-5-6",
-		func(i int) (sized, error) {
-			sh := shares[i-1]
-			if sh == nil {
-				return nil, fmt.Errorf("role %d has no tsk share", i)
-			}
-			payload := reencPayload{
-				inputs: map[int]envelope{},
-				left:   map[int][]envelope{},
-				right:  map[int][]envelope{},
-				gamma:  map[int][]envelope{},
-			}
-			from := r.offRe.Role(i).Name()
-			encPartial := func(ct tte.Ciphertext, key pke.PublicKey, to string) (envelope, error) {
-				part, err := te.PartialDecrypt(r.tpk, sh, ct)
-				if err != nil {
-					return envelope{}, err
-				}
-				data, err := te.EncodePartial(part)
-				if err != nil {
-					return envelope{}, err
-				}
-				env, err := key.Encrypt(data)
-				if err != nil {
-					return envelope{}, err
-				}
-				return envelope{From: from, To: to, Ct: env}, nil
-			}
-			// Step 5: input-wire λ's to client KFFs.
-			for j, it := range inputItems {
-				env, err := encPartial(it.ct, it.key, fmt.Sprintf("client-kff/%d", j))
-				if err != nil {
-					return nil, err
-				}
-				payload.inputs[inputGateIdx[j]] = env
-			}
-			// Step 6: packed shares to the layer roles' KFFs.
-			for bi, b := range r.batches {
-				kffs := r.kffLayer[b.Layer-1]
-				for target := 0; target < p.N; target++ {
-					le, err := encPartial(b.packedLeft[target], kffs[target].pub, "layer-kff")
-					if err != nil {
-						return nil, err
-					}
-					re, err := encPartial(b.packedRight[target], kffs[target].pub, "layer-kff")
-					if err != nil {
-						return nil, err
-					}
-					ge, err := encPartial(b.packedGamma[target], kffs[target].pub, "layer-kff")
-					if err != nil {
-						return nil, err
-					}
-					payload.left[bi] = append(payload.left[bi], le)
-					payload.right[bi] = append(payload.right[bi], re)
-					payload.gamma[bi] = append(payload.gamma[bi], ge)
-				}
-			}
-			// Reshare tsk to the bridging committee's role keys.
-			subs, err := te.Reshare(r.tpk, sh)
-			if err != nil {
-				return nil, err
-			}
-			for _, sub := range subs {
-				data, err := te.EncodeSubShare(sub)
-				if err != nil {
-					return nil, err
-				}
-				env, err := r.offBridge.Role(sub.To()).PublicKey().Encrypt(data)
-				if err != nil {
-					return nil, err
-				}
-				payload.reshare = append(payload.reshare, envelope{
-					From: from, To: fmt.Sprintf("offBridge/%d", sub.To()), Ct: env,
-				})
-			}
-			return payload, nil
-		},
-		func(i int) sized { return garbage{size: garbSize} })
-	if err != nil {
-		return err
-	}
-
-	// File the verified envelopes for their recipients.
-	byTarget := map[int][]envelope{}
-	for _, raw := range posts {
-		payload, ok := raw.(reencPayload)
-		if !ok {
-			continue
-		}
-		for gi, env := range payload.inputs {
-			r.inputEnv[gi] = append(r.inputEnv[gi], env)
-		}
-		for bi, envs := range payload.left {
-			b := r.batches[bi]
-			if b.envLeft == nil {
-				b.envLeft = make([][]envelope, p.N)
-				b.envRight = make([][]envelope, p.N)
-				b.envGamma = make([][]envelope, p.N)
-			}
-			for target, env := range envs {
-				b.envLeft[target] = append(b.envLeft[target], env)
-			}
-			for target, env := range payload.right[bi] {
-				b.envRight[target] = append(b.envRight[target], env)
-			}
-			for target, env := range payload.gamma[bi] {
-				b.envGamma[target] = append(b.envGamma[target], env)
-			}
-		}
-		for _, env := range payload.reshare {
-			var idx int
-			if _, err := fmt.Sscanf(env.To, "offBridge/%d", &idx); err == nil {
-				byTarget[idx] = append(byTarget[idx], env)
-			}
-		}
-	}
-	r.handoffs["offBridge"] = byTarget
-	return nil
+	return r.reencrypt(r.offRe,
+		committee.Spec{Phase: comm.PhaseOffline, Cat: comm.CatReencrypt, Label: "steps-5-6"}, r.offBridge,
+		func(client int) pke.PublicKey { return r.kffClient[client].pub },
+		func(layer, i int) pke.PublicKey { return r.kffLayer[layer-1][i-1].pub })
 }
 
-// offBridgeSpeak has the bridging committee reconstruct its tsk shares
-// and reshare them to OnC1 — the only offline work that must wait for the
-// online role keys. It is metered as offline communication.
+// offBridgeSpeak has the bridging committee reshare tsk to OnC1 — the only
+// offline work that must wait for the online role keys. It is metered as
+// offline communication.
 func (r *run) offBridgeSpeak() error {
-	shares, err := r.recoverShares(r.offBridge, comm.PhaseOffline)
-	if err != nil {
-		return err
-	}
-	posts, err := r.tskCommitteeSpeak(r.offBridge, shares, comm.PhaseOffline,
-		"tsk-bridge", nil, r.onC1, func(i int) pke.PublicKey { return r.onC1.Role(i).PublicKey() })
-	if err != nil {
-		return err
-	}
-	r.storeHandoff("onC1", posts)
-	return nil
-}
-
-// kffDelivery is OnC1's broadcast: for every KFF owner, the partial
-// decryptions of its KFF secret, re-encrypted under the owner's role key,
-// plus the tsk resharing for the output committee.
-type kffDelivery struct {
-	layer   map[[2]int]envelope // {layer, index-1} → envelope
-	client  map[int]envelope
-	reshare []envelope
-}
-
-func (d kffDelivery) wireSize() int {
-	s := 0
-	for _, e := range d.layer {
-		s += e.Ct.Size()
-	}
-	for _, e := range d.client {
-		s += e.Ct.Size()
-	}
-	for _, e := range d.reshare {
-		s += e.Ct.Size()
-	}
-	return s
-}
-
-func (d kffDelivery) encodeWire(p *Params) ([]byte, error) {
-	lkeys := make([][2]int, 0, len(d.layer))
-	for k := range d.layer {
-		lkeys = append(lkeys, k)
-	}
-	sort.Slice(lkeys, func(i, j int) bool {
-		if lkeys[i][0] != lkeys[j][0] {
-			return lkeys[i][0] < lkeys[j][0]
-		}
-		return lkeys[i][1] < lkeys[j][1]
-	})
-	out := make([]byte, 0, d.wireSize())
-	var err error
-	for _, k := range lkeys {
-		if out, err = appendEnvelopes(p, out, []envelope{d.layer[k]}); err != nil {
-			return nil, err
-		}
-	}
-	for _, id := range sortedKeys(d.client) {
-		if out, err = appendEnvelopes(p, out, []envelope{d.client[id]}); err != nil {
-			return nil, err
-		}
-	}
-	return appendEnvelopes(p, out, d.reshare)
+	_, err := r.rt.TskStep(r.tsk, r.offBridge,
+		committee.Spec{Phase: comm.PhaseOffline, Cat: comm.CatPartial, Label: "tsk-bridge"}, nil, r.onC1)
+	return err
 }
 
 // onC1Speak is the online "future key distribution": OnC1 re-encrypts each
 // KFF secret key towards the owner's role-assignment key, and reshares tsk
 // to OnOut (needed for output delivery).
 func (r *run) onC1Speak() error {
-	p := r.p.params
-	te := p.TE
-	shares, err := r.recoverShares(r.onC1, comm.PhaseOnline)
+	if r.p.params.NoKFF {
+		return r.reencrypt(r.onC1,
+			committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatReencrypt, Label: "online-reencrypt-nokff"}, r.onOut,
+			func(client int) pke.PublicKey { return r.clients[client].PublicKey() },
+			func(layer, i int) pke.PublicKey { return r.layers[layer-1].Role(i).PublicKey() })
+	}
+	var open []committee.Opening
+	var owners []*kffEntry
+	for l, kl := range r.kffLayer {
+		for j := range kl {
+			open = append(open, committee.Opening{Ct: kl[j].secretCt, Key: r.layers[l].Role(j + 1).PublicKey()})
+			owners = append(owners, &kl[j])
+		}
+	}
+	for _, id := range r.p.circ.Clients() {
+		if kff := r.kffClient[id]; kff != nil {
+			open = append(open, committee.Opening{Ct: kff.secretCt, Key: r.clients[id].PublicKey()})
+			owners = append(owners, kff)
+		}
+	}
+	res, err := r.rt.TskStep(r.tsk, r.onC1,
+		committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatKFF, Label: "future-key-distribution"}, open, r.onOut)
 	if err != nil {
 		return err
 	}
-	if p.NoKFF {
-		return r.onC1SpeakNoKFF(shares)
+	for j, kff := range owners {
+		kff.delivered = res.Sealed[j]
 	}
-	nKff := len(r.kffClient)
-	for _, kl := range r.kffLayer {
-		nKff += len(kl)
-	}
-	garbSize := (nKff + p.N) * (r.tpk.CiphertextSize() + 60)
-
-	posts, err := r.committeeStep(r.onC1, comm.PhaseOnline, comm.CatKFF, "future-key-distribution",
-		func(i int) (sized, error) {
-			sh := shares[i-1]
-			if sh == nil {
-				return nil, fmt.Errorf("role %d has no tsk share", i)
-			}
-			from := r.onC1.Role(i).Name()
-			payload := kffDelivery{layer: map[[2]int]envelope{}, client: map[int]envelope{}}
-			encTo := func(ct tte.Ciphertext, key pke.PublicKey, to string) (envelope, error) {
-				part, err := te.PartialDecrypt(r.tpk, sh, ct)
-				if err != nil {
-					return envelope{}, err
-				}
-				data, err := te.EncodePartial(part)
-				if err != nil {
-					return envelope{}, err
-				}
-				env, err := key.Encrypt(data)
-				if err != nil {
-					return envelope{}, err
-				}
-				return envelope{From: from, To: to, Ct: env}, nil
-			}
-			for l, kl := range r.kffLayer {
-				for j := range kl {
-					owner := r.layers[l].Role(j + 1)
-					env, err := encTo(kl[j].secretCt, owner.PublicKey(), owner.Name())
-					if err != nil {
-						return nil, err
-					}
-					payload.layer[[2]int{l, j}] = env
-				}
-			}
-			for id, kff := range r.kffClient {
-				env, err := encTo(kff.secretCt, r.clients[id].role.PublicKey(), fmt.Sprintf("client/%d", id))
-				if err != nil {
-					return nil, err
-				}
-				payload.client[id] = env
-			}
-			subs, err := te.Reshare(r.tpk, sh)
-			if err != nil {
-				return nil, err
-			}
-			for _, sub := range subs {
-				data, err := te.EncodeSubShare(sub)
-				if err != nil {
-					return nil, err
-				}
-				env, err := r.onOut.Role(sub.To()).PublicKey().Encrypt(data)
-				if err != nil {
-					return nil, err
-				}
-				payload.reshare = append(payload.reshare, envelope{
-					From: from, To: fmt.Sprintf("onOut/%d", sub.To()), Ct: env,
-				})
-			}
-			return payload, nil
-		},
-		func(i int) sized { return garbage{size: garbSize} })
-	if err != nil {
-		return err
-	}
-
-	byTarget := map[int][]envelope{}
-	for _, raw := range posts {
-		payload, ok := raw.(kffDelivery)
-		if !ok {
-			continue
-		}
-		for key, env := range payload.layer {
-			r.kffLayer[key[0]][key[1]].delivered = append(r.kffLayer[key[0]][key[1]].delivered, env)
-		}
-		for id, env := range payload.client {
-			r.kffClient[id].delivered = append(r.kffClient[id].delivered, env)
-		}
-		for _, env := range payload.reshare {
-			var idx int
-			if _, err := fmt.Sscanf(env.To, "onOut/%d", &idx); err == nil {
-				byTarget[idx] = append(byTarget[idx], env)
-			}
-		}
-	}
-	r.handoffs["onOut"] = byTarget
-	return nil
-}
-
-// onC1SpeakNoKFF is the §3.2 naive ablation's online step: OnC1 uses its
-// tsk shares to re-encrypt every packed share to the layer roles' role
-// keys and every input-wire λ to the client keys — the Θ(n²·batches)
-// communication the KFF machinery moves offline — then reshares tsk to
-// the output committee.
-func (r *run) onC1SpeakNoKFF(shares []tte.KeyShare) error {
-	p := r.p.params
-	te := p.TE
-	gates := r.p.circ.Gates()
-	type item struct {
-		ct  tte.Ciphertext
-		key pke.PublicKey
-	}
-	var inputItems []item
-	var inputGateIdx []int
-	for _, client := range r.p.circ.Clients() {
-		for _, gi := range r.p.circ.InputGates(client) {
-			inputItems = append(inputItems, item{ct: r.wireCt[gates[gi].Out], key: r.clients[client].role.PublicKey()})
-			inputGateIdx = append(inputGateIdx, gi)
-		}
-	}
-	nEnvs := len(inputItems) + 3*len(r.batches)*p.N + p.N
-	garbSize := nEnvs * (r.tpk.CiphertextSize() + 60)
-
-	posts, err := r.committeeStep(r.onC1, comm.PhaseOnline, comm.CatReencrypt, "online-reencrypt-nokff",
-		func(i int) (sized, error) {
-			sh := shares[i-1]
-			if sh == nil {
-				return nil, fmt.Errorf("role %d has no tsk share", i)
-			}
-			payload := reencPayload{
-				inputs: map[int]envelope{},
-				left:   map[int][]envelope{},
-				right:  map[int][]envelope{},
-				gamma:  map[int][]envelope{},
-			}
-			from := r.onC1.Role(i).Name()
-			encPartial := func(ct tte.Ciphertext, key pke.PublicKey, to string) (envelope, error) {
-				part, err := te.PartialDecrypt(r.tpk, sh, ct)
-				if err != nil {
-					return envelope{}, err
-				}
-				data, err := te.EncodePartial(part)
-				if err != nil {
-					return envelope{}, err
-				}
-				env, err := key.Encrypt(data)
-				if err != nil {
-					return envelope{}, err
-				}
-				return envelope{From: from, To: to, Ct: env}, nil
-			}
-			for j, it := range inputItems {
-				env, err := encPartial(it.ct, it.key, "client")
-				if err != nil {
-					return nil, err
-				}
-				payload.inputs[inputGateIdx[j]] = env
-			}
-			for bi, b := range r.batches {
-				layer := r.layers[b.Layer-1]
-				for target := 0; target < p.N; target++ {
-					key := layer.Role(target + 1).PublicKey()
-					le, err := encPartial(b.packedLeft[target], key, "layer-role")
-					if err != nil {
-						return nil, err
-					}
-					re, err := encPartial(b.packedRight[target], key, "layer-role")
-					if err != nil {
-						return nil, err
-					}
-					ge, err := encPartial(b.packedGamma[target], key, "layer-role")
-					if err != nil {
-						return nil, err
-					}
-					payload.left[bi] = append(payload.left[bi], le)
-					payload.right[bi] = append(payload.right[bi], re)
-					payload.gamma[bi] = append(payload.gamma[bi], ge)
-				}
-			}
-			subs, err := te.Reshare(r.tpk, sh)
-			if err != nil {
-				return nil, err
-			}
-			for _, sub := range subs {
-				data, err := te.EncodeSubShare(sub)
-				if err != nil {
-					return nil, err
-				}
-				env, err := r.onOut.Role(sub.To()).PublicKey().Encrypt(data)
-				if err != nil {
-					return nil, err
-				}
-				payload.reshare = append(payload.reshare, envelope{
-					From: from, To: fmt.Sprintf("onOut/%d", sub.To()), Ct: env,
-				})
-			}
-			return payload, nil
-		},
-		func(i int) sized { return garbage{size: garbSize} })
-	if err != nil {
-		return err
-	}
-
-	byTarget := map[int][]envelope{}
-	for _, raw := range posts {
-		payload, ok := raw.(reencPayload)
-		if !ok {
-			continue
-		}
-		for gi, env := range payload.inputs {
-			r.inputEnv[gi] = append(r.inputEnv[gi], env)
-		}
-		for bi, envs := range payload.left {
-			b := r.batches[bi]
-			if b.envLeft == nil {
-				b.envLeft = make([][]envelope, p.N)
-				b.envRight = make([][]envelope, p.N)
-				b.envGamma = make([][]envelope, p.N)
-			}
-			for target, env := range envs {
-				b.envLeft[target] = append(b.envLeft[target], env)
-			}
-			for target, env := range payload.right[bi] {
-				b.envRight[target] = append(b.envRight[target], env)
-			}
-			for target, env := range payload.gamma[bi] {
-				b.envGamma[target] = append(b.envGamma[target], env)
-			}
-		}
-		for _, env := range payload.reshare {
-			var idx int
-			if _, err := fmt.Sscanf(env.To, "onOut/%d", &idx); err == nil {
-				byTarget[idx] = append(byTarget[idx], env)
-			}
-		}
-	}
-	r.handoffs["onOut"] = byTarget
 	return nil
 }
 
 // openKFF recovers a KFF secret key from its delivered envelopes using the
 // owner's role secret key.
 func (r *run) openKFF(entry *kffEntry, ownerSK pke.SecretKey, phase comm.Phase) (pke.SecretKey, error) {
-	v, err := r.combineEnvelopes(ownerSK, entry.delivered, entry.secretCt)
+	v, err := r.rt.CombineSealed(ownerSK, entry.delivered, entry.secretCt)
 	if err != nil {
 		return nil, err
 	}
@@ -653,10 +195,9 @@ func (r *run) openKFF(entry *kffEntry, ownerSK pke.SecretKey, phase comm.Phase) 
 // muBundle is a client's or layer role's broadcast of μ openings/shares.
 type muBundle struct{ vals []field.Element }
 
-func (m muBundle) wireSize() int { return len(m.vals) * field.ElementSize }
-
-func (m muBundle) encodeWire(*Params) ([]byte, error) {
-	return field.AppendVecBytes(make([]byte, 0, m.wireSize()), m.vals), nil
+// Encode implements committee.Payload.
+func (m muBundle) Encode(*committee.Runner) ([]byte, error) {
+	return field.AppendVecBytes(make([]byte, 0, len(m.vals)*field.ElementSize), m.vals), nil
 }
 
 // onlineInput has every client open λ^α for each of its input wires (via
@@ -668,12 +209,11 @@ func (r *run) onlineInput(inputs map[int][]field.Element) error {
 		if len(inGates) == 0 {
 			continue
 		}
-		cs := r.clients[client]
-		inputKey := cs.role.SecretKey()
+		role := r.clients[client]
+		inputKey := role.SecretKey()
 		keyClass := KeyClient
 		if !r.p.params.NoKFF {
-			kff := r.kffClient[client]
-			kffSK, err := r.openKFF(kff, cs.role.SecretKey(), comm.PhaseOnline)
+			kffSK, err := r.openKFF(r.kffClient[client], role.SecretKey(), comm.PhaseOnline)
 			if err != nil {
 				return fmt.Errorf("client %d KFF: %w", client, err)
 			}
@@ -682,21 +222,20 @@ func (r *run) onlineInput(inputs map[int][]field.Element) error {
 		}
 		mus := make([]field.Element, len(inGates))
 		for j, gi := range inGates {
-			lambdaInt, err := r.combineEnvelopes(inputKey, r.inputEnv[gi], r.wireCt[gates[gi].Out])
+			lambda, err := r.rt.CombineSealed(inputKey, r.inputEnv[gi], r.wireCt[gates[gi].Out])
 			if err != nil {
 				return fmt.Errorf("client %d input %d: %w", client, j, err)
 			}
 			r.p.audit.Record(comm.PhaseOnline, ValWireLambda, keyClass)
-			lambda := reduceToField(lambdaInt)
-			mus[j] = inputs[client][j].Sub(lambda)
+			mus[j] = inputs[client][j].Sub(field.FromBig(lambda))
 		}
-		post, err := r.speak(cs.role, comm.PhaseOnline, comm.CatInput, "client-input",
-			func() (sized, error) { return muBundle{vals: mus}, nil },
-			func() sized { return garbage{size: len(mus) * field.ElementSize} })
+		_, ok, err := committee.Speak(r.rt, role,
+			committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatInput, Label: "client-input"},
+			func() (muBundle, error) { return muBundle{vals: mus}, nil }, len(mus)*field.ElementSize)
 		if err != nil {
 			return err
 		}
-		if !r.valid(cs.role, "client-input", post) {
+		if !ok {
 			// A silent/cheating client falls back to the default input 0
 			// (the ideal functionality's default); μ = −λ would require
 			// opening λ publicly, which the driver models by excluding
@@ -790,42 +329,41 @@ func (r *run) onlineLayer(l int) error {
 		constDoms[bi] = cd
 	}
 
-	computeShares := func(i int) (sized, error) {
+	computeShares := func(i int) (muBundle, error) {
 		role := c.Role(i)
 		shareKey := role.SecretKey()
 		keyClass := KeyRole
 		if !p.NoKFF {
-			kff := &r.kffLayer[l][i-1]
-			kffSK, err := r.openKFF(kff, role.SecretKey(), comm.PhaseOnline)
+			kffSK, err := r.openKFF(&r.kffLayer[l][i-1], role.SecretKey(), comm.PhaseOnline)
 			if err != nil {
-				return nil, err
+				return muBundle{}, err
 			}
 			shareKey = kffSK
 			keyClass = KeyKFF
 		}
 		vals := make([]field.Element, len(layerBatches))
 		for bi, b := range layerBatches {
-			lamA, err := r.combineEnvelopes(shareKey, b.envLeft[i-1], b.packedLeft[i-1])
+			lamA, err := r.rt.CombineSealed(shareKey, b.envLeft[i-1], b.packedLeft[i-1])
 			if err != nil {
-				return nil, err
+				return muBundle{}, err
 			}
-			lamB, err := r.combineEnvelopes(shareKey, b.envRight[i-1], b.packedRight[i-1])
+			lamB, err := r.rt.CombineSealed(shareKey, b.envRight[i-1], b.packedRight[i-1])
 			if err != nil {
-				return nil, err
+				return muBundle{}, err
 			}
-			lamG, err := r.combineEnvelopes(shareKey, b.envGamma[i-1], b.packedGamma[i-1])
+			lamG, err := r.rt.CombineSealed(shareKey, b.envGamma[i-1], b.packedGamma[i-1])
 			if err != nil {
-				return nil, err
+				return muBundle{}, err
 			}
 			r.p.audit.Record(comm.PhaseOnline, ValPackedShare, keyClass)
-			la, lb, lg := reduceToField(lamA), reduceToField(lamB), reduceToField(lamG)
+			la, lb, lg := field.FromBig(lamA), field.FromBig(lamB), field.FromBig(lamG)
 			sa, err := constDoms[bi].Share(muLeft[bi], i)
 			if err != nil {
-				return nil, err
+				return muBundle{}, err
 			}
 			sb, err := constDoms[bi].Share(muRight[bi], i)
 			if err != nil {
-				return nil, err
+				return muBundle{}, err
 			}
 			// μ_i^γ = μ_i^α·μ_i^β + μ_i^α·λ_i^β + μ_i^β·λ_i^α + λ_i^Γ.
 			vals[bi] = sa.Value.Mul(sb.Value).
@@ -836,55 +374,41 @@ func (r *run) onlineLayer(l int) error {
 		return muBundle{vals: vals}, nil
 	}
 
+	var posts []committee.Post[muBundle]
 	if p.Robust {
 		// IT-GOD path (§5.3 alternative): bare shares, no proofs;
 		// Berlekamp–Welch decodes up to t lies out.
-		posts := r.layerStepRobust(c, l, computeShares, len(layerBatches))
-		for bi, b := range layerBatches {
-			var shares []sharing.Share
-			for i := 1; i <= c.N(); i++ {
-				raw, ok := posts[i]
-				if !ok {
-					continue
-				}
-				shares = append(shares, sharing.Share{Index: i, Value: raw.(muBundle).vals[bi]})
-			}
-			degree := p.T + 2*(b.k-1)
-			muGamma, err := sharing.ReconstructRobust(shares, degree, b.k, p.T)
-			if err != nil {
-				return fmt.Errorf("batch %d (robust): %w", bi, err)
-			}
-			for j, gi := range b.Gates {
-				w := gates[gi].Out
-				r.mu[w] = muGamma[j]
-				r.muKnown[w] = true
-			}
+		posts = r.layerStepRobust(c, l, computeShares, len(layerBatches))
+	} else {
+		var err error
+		posts, err = committee.Step(r.rt, c,
+			committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatMu, Label: fmt.Sprintf("mu-layer%d", l+1)},
+			computeShares, len(layerBatches)*field.ElementSize)
+		if err != nil {
+			return err
 		}
-		return nil
 	}
 
-	posts, err := r.committeeStep(c, comm.PhaseOnline, comm.CatMu, fmt.Sprintf("mu-layer%d", l+1),
-		computeShares,
-		func(i int) sized { return garbage{size: len(layerBatches) * field.ElementSize} })
-	if err != nil {
-		return err
-	}
-
-	// Reconstruct μ^γ per batch from verified shares.
+	// Reconstruct μ^γ per batch from the posted shares.
 	for bi, b := range layerBatches {
 		bsp := r.stepSpan("reconstruct-batch")
 		bsp.SetInt("batch", int64(bi))
 		bsp.SetInt("gates", int64(b.k))
-		var shares []sharing.Share
-		for i := 1; i <= c.N(); i++ {
-			raw, ok := posts[i]
-			if !ok {
-				continue
-			}
-			shares = append(shares, sharing.Share{Index: i, Value: raw.(muBundle).vals[bi]})
+		shares := make([]sharing.Share, len(posts))
+		for m, post := range posts {
+			shares[m] = sharing.Share{Index: post.Index, Value: post.Payload.vals[bi]}
 		}
 		degree := p.T + 2*(b.k-1)
-		muGamma, err := reconstructShares(shares, degree, b.k)
+		var muGamma []field.Element
+		var err error
+		switch {
+		case p.Robust:
+			muGamma, err = sharing.ReconstructRobust(shares, degree, b.k, p.T)
+		case len(shares) <= degree:
+			err = fmt.Errorf("%w: have %d shares, need %d", ErrNotEnough, len(shares), degree+1)
+		default:
+			muGamma, err = sharing.ReconstructPacked(shares[:degree+1], degree, b.k)
+		}
 		bsp.End()
 		if err != nil {
 			return fmt.Errorf("batch %d: %w", bi, err)
@@ -898,176 +422,87 @@ func (r *run) onlineLayer(l int) error {
 	return nil
 }
 
-// layerStepRobust runs a μ layer without proofs: honest roles post their
-// shares, malicious roles post uniformly random lies (type-correct —
-// anything else would be trivially discardable), fail-stop roles post
-// nothing. All posted bundles are returned; decoding sorts them out.
+// layerStepRobust runs a μ layer without proofs: protocol-following roles
+// post their shares, malicious roles post uniformly random lies
+// (type-correct — anything else would be trivially discardable), fail-stop
+// roles post nothing. All posted bundles are returned; decoding sorts them
+// out.
 func (r *run) layerStepRobust(c *yoso.Committee, l int,
-	honest func(i int) (sized, error), nBatches int) map[int]any {
-	type outcome struct {
-		payload sized
-		ok      bool
-	}
-	results := make([]outcome, c.N())
+	honest func(i int) (muBundle, error), nBatches int) []committee.Post[muBundle] {
+	posted := make([]*muBundle, c.N())
 	// Members run on the worker pool; results stay slot-indexed. Honest
-	// errors are swallowed (treated as crashes), so the fan-out itself
-	// never fails.
-	_ = r.pfor(c.N(), func(idx0 int) error {
-		idx := idx0 + 1
-		role := c.Role(idx)
+	// errors are swallowed (treated as crashes, which decoding tolerates),
+	// so the fan-out itself never fails.
+	_ = r.rt.Pfor(c.N(), func(idx0 int) error {
+		role := c.Roles[idx0]
+		var payload muBundle
 		switch role.Behavior {
 		case yoso.FailStop:
 			return nil
 		case yoso.Malicious:
-			lies := make([]field.Element, nBatches)
-			for j := range lies {
-				lies[j] = field.MustRandom()
+			payload.vals = make([]field.Element, nBatches)
+			for j := range payload.vals {
+				payload.vals[j] = field.MustRandom()
 			}
-			payload := muBundle{vals: lies}
-			enc, err := encodePost(&r.p.params, payload)
-			if err != nil {
-				return nil // treated as a crash; decoding tolerates it
-			}
-			role.Post(comm.PhaseOnline, comm.CatMu, enc, payload)
-			results[idx-1] = outcome{payload: payload, ok: true}
 		default:
-			payload, err := honest(idx)
-			if err != nil {
-				return nil // treated as a crash; decoding tolerates it
-			}
-			enc, err := encodePost(&r.p.params, payload)
-			if err != nil {
+			var err error
+			if payload, err = honest(idx0 + 1); err != nil {
 				return nil
 			}
-			role.Post(comm.PhaseOnline, comm.CatMu, enc, payload)
-			results[idx-1] = outcome{payload: payload, ok: true}
 		}
+		enc, _ := payload.Encode(r.rt)
+		role.Post(comm.PhaseOnline, comm.CatMu, enc, payload)
+		posted[idx0] = &payload
 		return nil
 	})
-	posts := make(map[int]any, c.N())
-	for idx1, res := range results {
-		if res.ok {
-			posts[idx1+1] = res.payload
+	posts := make([]committee.Post[muBundle], 0, c.N())
+	for idx0, role := range c.Roles {
+		if posted[idx0] != nil {
+			posts = append(posts, committee.Post[muBundle]{Index: idx0 + 1, Payload: *posted[idx0]})
 		}
-	}
-	for i := 1; i <= c.N(); i++ {
-		role := c.Role(i)
-		if role.Behavior != yoso.Honest {
-			r.excluded = append(r.excluded, fmt.Sprintf("%s@mu-layer%d (%s)", role.Name(), l+1, role.Behavior))
+		if !role.Behavior.FollowsProtocol() {
+			r.rt.Excluded = append(r.rt.Excluded, fmt.Sprintf("%s@mu-layer%d (%s)", role.Name(), l+1, role.Behavior))
 		}
 	}
 	c.SpeakAll()
 	return posts
 }
 
-// outputPayload is OnOut's broadcast: Re-encrypt* envelopes of output-wire
-// λ's under the receiving clients' keys (no further tsk resharing).
-type outputPayload struct {
-	envs map[int]envelope // output gate index → envelope
-}
-
-func (o outputPayload) wireSize() int {
-	s := 0
-	for _, e := range o.envs {
-		s += e.Ct.Size()
-	}
-	return s
-}
-
-func (o outputPayload) encodeWire(p *Params) ([]byte, error) {
-	out := make([]byte, 0, o.wireSize())
-	var err error
-	for _, gi := range sortedKeys(o.envs) {
-		if out, err = appendEnvelopes(p, out, []envelope{o.envs[gi]}); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // onlineOutput re-encrypts each output wire's λ to its client, who opens
 // v = μ + λ.
 func (r *run) onlineOutput() (map[int][]field.Element, error) {
-	p := r.p.params
-	te := p.TE
 	gates := r.p.circ.Gates()
-	shares, err := r.recoverShares(r.onOut, comm.PhaseOnline)
-	if err != nil {
-		return nil, err
-	}
 	type outGate struct {
-		gi     int
-		client int
-		wire   circuit.WireID
+		gi, client int
+		wire       circuit.WireID
 	}
 	var outs []outGate
+	var open []committee.Opening
 	for _, client := range r.p.circ.Clients() {
 		for _, gi := range r.p.circ.OutputGates(client) {
-			outs = append(outs, outGate{gi: gi, client: client, wire: gates[gi].A})
+			wire := gates[gi].A
+			if !r.muKnown[wire] {
+				return nil, fmt.Errorf("core: output wire %d has no public μ", wire)
+			}
+			outs = append(outs, outGate{gi: gi, client: client, wire: wire})
+			open = append(open, committee.Opening{Ct: r.wireCt[wire], Key: r.clients[client].PublicKey()})
 		}
 	}
-	garbSize := len(outs) * (r.tpk.CiphertextSize() + 60)
-
-	posts, err := r.committeeStep(r.onOut, comm.PhaseOnline, comm.CatOutput, "output",
-		func(i int) (sized, error) {
-			sh := shares[i-1]
-			if sh == nil {
-				return nil, fmt.Errorf("role %d has no tsk share", i)
-			}
-			from := r.onOut.Role(i).Name()
-			payload := outputPayload{envs: map[int]envelope{}}
-			for _, og := range outs {
-				part, err := te.PartialDecrypt(r.tpk, sh, r.wireCt[og.wire])
-				if err != nil {
-					return nil, err
-				}
-				data, err := te.EncodePartial(part)
-				if err != nil {
-					return nil, err
-				}
-				env, err := r.clients[og.client].role.PublicKey().Encrypt(data)
-				if err != nil {
-					return nil, err
-				}
-				payload.envs[og.gi] = envelope{From: from, To: fmt.Sprintf("client/%d", og.client), Ct: env}
-			}
-			return payload, nil
-		},
-		func(i int) sized { return garbage{size: garbSize} })
+	res, err := r.rt.TskStep(r.tsk, r.onOut,
+		committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatOutput, Label: "output"}, open, nil)
 	if err != nil {
 		return nil, err
 	}
-
-	byGate := map[int][]envelope{}
-	for _, raw := range posts {
-		payload, ok := raw.(outputPayload)
-		if !ok {
-			continue
-		}
-		for gi, env := range payload.envs {
-			byGate[gi] = append(byGate[gi], env)
-		}
-	}
-
 	outputs := map[int][]field.Element{}
-	for _, og := range outs {
-		if !r.muKnown[og.wire] {
-			return nil, fmt.Errorf("core: output wire %d has no public μ", og.wire)
-		}
-		cs := r.clients[og.client]
-		lamInt, err := r.combineEnvelopes(clientSecret(cs), byGate[og.gi], r.wireCt[og.wire])
+	for j, og := range outs {
+		// Clients are known machines: their keys outlive their single
+		// input-role broadcast.
+		lambda, err := r.rt.CombineSealed(r.clients[og.client].SecretKey(), res.Sealed[j], r.wireCt[og.wire])
 		if err != nil {
 			return nil, fmt.Errorf("output gate %d: %w", og.gi, err)
 		}
 		r.p.audit.Record(comm.PhaseOnline, ValOutput, KeyClient)
-		v := r.mu[og.wire].Add(reduceToField(lamInt))
-		outputs[og.client] = append(outputs[og.client], v)
+		outputs[og.client] = append(outputs[og.client], r.mu[og.wire].Add(field.FromBig(lambda)))
 	}
 	return outputs, nil
-}
-
-// clientSecret returns the client's long-term secret key. Clients are
-// known machines: their keys outlive their single input-role broadcast.
-func clientSecret(cs *clientState) pke.SecretKey {
-	return cs.role.SecretKey()
 }

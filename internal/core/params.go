@@ -29,19 +29,16 @@ import (
 	"fmt"
 	"log/slog"
 
+	"yosompc/internal/committee"
 	"yosompc/internal/parallel"
 	"yosompc/internal/pke"
 	"yosompc/internal/telemetry"
-	"yosompc/internal/tte"
 	"yosompc/internal/yoso"
 )
 
 // TE is the threshold-encryption surface the protocol needs: the paper's
 // eight-algorithm API plus wire serialization.
-type TE interface {
-	tte.Scheme
-	tte.Codec
-}
+type TE = committee.TE
 
 // Params configures a protocol run.
 type Params struct {
@@ -105,7 +102,7 @@ type Params struct {
 // Errors reported by parameter validation and the run driver.
 var (
 	ErrBadParams   = errors.New("core: invalid parameters")
-	ErrNotEnough   = errors.New("core: not enough honest contributions for guaranteed output delivery")
+	ErrNotEnough   = committee.ErrNotEnough
 	ErrWrongInputs = errors.New("core: client inputs do not match the circuit")
 )
 

@@ -40,7 +40,7 @@ func (p *Protocol) Prepare() (*Prepared, error) {
 // committee steps once ctx is done (a partially preprocessed run is
 // discarded — correlations are never reused).
 func (p *Protocol) PrepareContext(ctx context.Context) (*Prepared, error) {
-	r := &run{p: p, ctx: ctx}
+	r := p.newRun(ctx)
 	r.initTelemetry()
 	r.beginPhase("setup")
 	r.logStep("setup phase starting", "n", p.params.N, "t", p.params.T, "k", p.params.K)
@@ -58,7 +58,7 @@ func (p *Protocol) PrepareContext(ctx context.Context) (*Prepared, error) {
 		return nil, fmt.Errorf("core: offline: %w", err)
 	}
 	r.endPhase()
-	r.logSpan(r.rootSp, "preprocessing complete",
+	r.rt.LogSpan(r.rootSp, "preprocessing complete",
 		"offline-bytes", p.board.Report().Phase(comm.PhaseOffline))
 	return &Prepared{r: r}, nil
 }
@@ -92,11 +92,11 @@ func (pp *Prepared) Execute(inputs map[int][]field.Element) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: online: %w", err)
 	}
-	pp.r.logSpan(nil, "online phase complete", "online-bytes", p.board.Report().Phase(comm.PhaseOnline))
+	pp.r.rt.LogSpan(nil, "online phase complete", "online-bytes", p.board.Report().Phase(comm.PhaseOnline))
 	return &Result{
 		Outputs:  outputs,
 		Report:   p.board.Report(),
-		Excluded: pp.r.excluded,
+		Excluded: pp.r.rt.Excluded,
 		Audit:    p.audit.Events(),
 		Rounds:   9 + p.circ.Depth(),
 	}, nil

@@ -3,14 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/big"
 
 	"yosompc/internal/circuit"
 	"yosompc/internal/comm"
+	"yosompc/internal/committee"
 	"yosompc/internal/field"
 	"yosompc/internal/modexp"
 	"yosompc/internal/nizk"
-	"yosompc/internal/parallel"
 	"yosompc/internal/pke"
 	"yosompc/internal/sharing"
 	"yosompc/internal/telemetry"
@@ -95,13 +94,6 @@ func (p *Protocol) Run(inputs map[int][]field.Element) (*Result, error) {
 	return prepared.Execute(inputs)
 }
 
-// envelope is an addressed (PKE-encrypted) message on the board.
-type envelope struct {
-	From string
-	To   string
-	Ct   pke.Ciphertext
-}
-
 // beaverTriple holds the tpk-encrypted triple of one multiplication gate.
 type beaverTriple struct {
 	a, b, c tte.Ciphertext
@@ -123,14 +115,15 @@ type batchState struct {
 	// envLeft/envRight/envGamma[i] are the Re-encrypt envelope sets
 	// addressed to online role i+1's KFF (offline Step 6): one envelope
 	// per OffRe member carrying a partial decryption.
-	envLeft, envRight, envGamma [][]envelope
+	envLeft, envRight, envGamma [][]pke.Ciphertext
 }
 
 // run is the mutable state of one protocol execution.
 type run struct {
 	p *Protocol
-	// ctx cancels the run between committee steps.
-	ctx context.Context
+	// rt is the committee-step runtime: board, backends, tpk, worker pool,
+	// cancellation, the open phase span and the excluded-role list.
+	rt *committee.Runner
 
 	// committees (see the schedule in the package comment)
 	offB1, offB2, offR, offDec, offRe *yoso.Committee
@@ -143,17 +136,13 @@ type run struct {
 	layers      []*yoso.Committee
 
 	// clients
-	clients map[int]*clientState
+	clients map[int]*yoso.Role
 
-	// threshold encryption state
-	tpk tte.PublicKey
-	// tskShares holds the current committee's reconstructed shares while
-	// the driver executes that committee's step; the dealer's epoch-0
-	// shares go to offDec.
-	offDecShares []tte.KeyShare
-	// handoffs[committee name][target index] collects encrypted tsk
-	// subshares addressed to that committee's members.
-	handoffs map[string]map[int][]envelope
+	// dealt holds the dealer's epoch-0 tsk shares from setup until the
+	// offline phase forms offDec to receive them; from then on tsk tracks
+	// the key from committee to committee.
+	dealt []tte.KeyShare
+	tsk   *committee.Tsk
 
 	// keys-for-future: one per online mul-layer role and one per client
 	kffLayer  [][]kffEntry // [layer][index-1]
@@ -173,26 +162,15 @@ type run struct {
 
 	// input-wire λ envelopes: for each input gate index, the Re-encrypt
 	// envelopes addressed to the owning client's KFF.
-	inputEnv map[int][]envelope
+	inputEnv map[int][]pke.Ciphertext
 
 	// public μ values per wire
 	mu      []field.Element
 	muKnown []bool
 
-	// bookkeeping
-	excluded []string
-
-	// telemetry (all nil when disabled — every use is a nil-receiver
-	// no-op, so the hot paths stay allocation-free without branching)
-	rootSp  *telemetry.Span // whole-run span
-	phaseSp *telemetry.Span // currently open phase span
-	obs     parallel.Observer
-}
-
-// clientState is the driver's view of one client (an input/output role).
-type clientState struct {
-	id   int
-	role *yoso.Role
+	// rootSp is the whole-run span (nil when tracing is disabled — every
+	// use is a nil-receiver no-op).
+	rootSp *telemetry.Span
 }
 
 // kffEntry is one key-for-future: the public key, the TEnc of the secret,
@@ -201,110 +179,30 @@ type clientState struct {
 type kffEntry struct {
 	pub       pke.PublicKey
 	secretCt  tte.Ciphertext
-	delivered []envelope // partial-decryption envelopes under the owner's role key
+	delivered []pke.Ciphertext // partial-decryption envelopes under the owner's role key
 }
 
 // --- shared helpers ---------------------------------------------------
 
-// rolePost is one role's step contribution as read back from the board:
-// the payload and the attached proof. Fail-stop roles never produce one.
-type rolePost struct {
-	payload any
-	proof   nizk.Proof
+// newRun binds a fresh execution to the committee runtime.
+func (p *Protocol) newRun(ctx context.Context) *run {
+	return &run{p: p, rt: &committee.Runner{
+		Board:   p.board,
+		Auth:    p.auth,
+		TE:      p.params.TE,
+		PKE:     p.params.PKE,
+		Ctx:     ctx,
+		Workers: p.params.EffectiveWorkers(),
+		Logger:  p.params.Logger,
+		ShareRecovered: func(phase comm.Phase) {
+			p.audit.Record(phase, ValTskShare, KeyRole)
+		},
+	}}
 }
 
-// sized is implemented by step payloads: wireSize is the modelled encoded
-// length (the costmodel anchor) and encodeWire produces the actual bytes
-// that go on the board. speak cross-checks the two per message, so the
-// self-reported accounting can never drift from what really travels.
-type sized interface {
-	wireSize() int
-	encodeWire(p *Params) ([]byte, error)
-}
-
-// encodePost produces a payload's wire bytes and verifies them against the
-// modelled wireSize. A mismatch is a codec/costmodel bug, surfaced as an
-// error rather than silently mis-metered. It deliberately takes only the
-// codec-bearing Params, never run state: everything a payload encodes is
-// already public (ciphertexts, proofs, masked openings).
-func encodePost(p *Params, payload sized) ([]byte, error) {
-	enc, err := payload.encodeWire(p)
-	if err != nil {
-		return nil, fmt.Errorf("encoding %T: %w", payload, err)
-	}
-	if len(enc) != payload.wireSize() {
-		return nil, fmt.Errorf("core: %T encodes to %d bytes but models wireSize %d",
-			payload, len(enc), payload.wireSize())
-	}
-	return enc, nil
-}
-
-// appendEnvelopes appends each envelope's sealed-ciphertext encoding to dst.
-// The From/To routing is driver bookkeeping kept in memory; only the PKE
-// ciphertext travels on the board.
-func appendEnvelopes(p *Params, dst []byte, envs []envelope) ([]byte, error) {
-	for _, e := range envs {
-		enc, err := p.PKE.EncodeCiphertext(e.Ct)
-		if err != nil {
-			return nil, err
-		}
-		dst = append(dst, enc...)
-	}
-	return dst, nil
-}
-
-// speak executes one role's speaking step. Honest roles compute their
-// payload with `honest` and attach an attested proof; malicious roles post
-// the payload from `malicious` (type-correct garbage) with a forged proof;
-// fail-stop roles post nothing. The returned pointer is nil when nothing
-// reached the board.
-func (r *run) speak(role *yoso.Role, phase comm.Phase, cat comm.Category, label string,
-	honest func() (sized, error), malicious func() sized) (*rolePost, error) {
-	switch role.Behavior {
-	case yoso.FailStop:
-		return nil, nil
-	case yoso.Malicious:
-		payload := malicious()
-		enc, err := encodePost(&r.p.params, payload)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s at %s: %w", role.Name(), label, err)
-		}
-		proof := r.p.auth.Forge()
-		role.Post(phase, cat, enc, payload)
-		role.Post(phase, comm.CatProof, proof.Bytes(), proof)
-		return &rolePost{payload: payload, proof: proof}, nil
-	default:
-		payload, err := honest()
-		if err != nil {
-			return nil, fmt.Errorf("core: %s at %s: %w", role.Name(), label, err)
-		}
-		enc, err := encodePost(&r.p.params, payload)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s at %s: %w", role.Name(), label, err)
-		}
-		proof := r.p.auth.Attest(r.statement(label, role.Name()))
-		role.Post(phase, cat, enc, payload)
-		role.Post(phase, comm.CatProof, proof.Bytes(), proof)
-		return &rolePost{payload: payload, proof: proof}, nil
-	}
-}
-
-// logStep emits a structured progress event when a logger is configured.
-// Events under an open phase span carry its ID, so log lines and trace
-// files cross-reference.
+// logStep emits a structured progress event under the open phase span.
 func (r *run) logStep(label string, attrs ...any) {
-	r.logSpan(r.phaseSp, label, attrs...)
-}
-
-// logSpan is logStep against an explicit span (phase transitions log
-// against the span they open, not the one they close).
-func (r *run) logSpan(sp *telemetry.Span, label string, attrs ...any) {
-	if lg := r.p.params.Logger; lg != nil {
-		if id := sp.ID(); id != 0 {
-			attrs = append([]any{"span", id}, attrs...)
-		}
-		lg.Info("yosompc: "+label, attrs...)
-	}
+	r.rt.LogSpan(r.rt.Span, label, attrs...)
 }
 
 // initTelemetry opens the run's root span, bridges the tracer to the
@@ -320,13 +218,14 @@ func (r *run) initTelemetry() {
 		pr.Trace.SetProc(pr.Proc)
 	}
 	r.rootSp = pr.Trace.Start("protocol")
+	r.rt.Span = r.rootSp
 	r.p.board.SetTraceSpan(r.rootSp.ID())
 	r.rootSp.SetInt("n", int64(pr.N))
 	r.rootSp.SetInt("t", int64(pr.T))
 	r.rootSp.SetInt("k", int64(pr.K))
 	r.rootSp.SetInt("workers", int64(pr.EffectiveWorkers()))
 	if pr.Metrics != nil {
-		r.obs = telemetry.NewPoolStats(pr.Metrics, "core.pool", pr.EffectiveWorkers())
+		r.rt.Obs = telemetry.NewPoolStats(pr.Metrics, "core.pool", pr.EffectiveWorkers())
 		// Mirror the share-algebra domain-cache and modexp table-cache
 		// counters into this run's registry (process-global caches: last
 		// instrumented run wins).
@@ -337,174 +236,21 @@ func (r *run) initTelemetry() {
 
 // beginPhase opens a phase span (setup/offline/online) under the run
 // root; step spans child from it until endPhase.
-func (r *run) beginPhase(name string) *telemetry.Span {
-	r.phaseSp = r.rootSp.Child("phase:" + name)
+func (r *run) beginPhase(name string) {
+	r.rt.Span = r.rootSp.Child("phase:" + name)
 	// Postings made during the phase carry the phase span's ID in their
 	// trace context, linking board entries back to this trace.
-	r.p.board.SetTraceSpan(r.phaseSp.ID())
-	return r.phaseSp
+	r.p.board.SetTraceSpan(r.rt.Span.ID())
 }
 
-// endPhase closes the current phase span.
+// endPhase closes the current phase span; steps outside any phase child
+// from the run root.
 func (r *run) endPhase() {
-	r.phaseSp.End()
-	r.phaseSp = nil
+	r.rt.Span.End()
+	r.rt.Span = r.rootSp
 	r.p.board.SetTraceSpan(r.rootSp.ID())
 }
 
-// stepSpan opens a span under the current phase (or the run root outside
-// any phase). Nil — and allocation-free — when tracing is disabled.
-func (r *run) stepSpan(name string) *telemetry.Span {
-	if r.phaseSp != nil {
-		return r.phaseSp.Child(name)
-	}
-	return r.rootSp.Child(name)
-}
-
-// pfor fans fn over the run's worker pool, feeding per-task events to
-// the pool observer when metrics are enabled.
-func (r *run) pfor(n int, fn func(i int) error) error {
-	return parallel.ForObserved(r.ctx, r.workers(), n, fn, r.obs)
-}
-
-func (r *run) statement(label, roleName string) []byte {
-	return nizk.NewStatement(label).AddString(roleName).Bytes()
-}
-
-// valid reports whether a role's posted proof verifies for the step.
-func (r *run) valid(role *yoso.Role, label string, post *rolePost) bool {
-	if post == nil {
-		return false
-	}
-	return r.p.auth.Verify(r.statement(label, role.Name()), post.proof)
-}
-
-// workers resolves the run's worker-pool size (see Params.Workers).
-func (r *run) workers() int { return r.p.params.EffectiveWorkers() }
-
-// committeeStep runs `speak` for every member of a committee and returns
-// the map of verified posts (index → payload). Members whose proofs fail or
-// who never spoke are recorded in r.excluded. After the step the committee
-// receives the Spoke token.
-//
-// Members execute on the run's worker pool — they are independent machines,
-// and the per-role work (threshold exponentiations, envelope encryptions)
-// dominates real-backend wall clock. The first member error cancels the
-// remaining members and aborts the step. The board serializes postings
-// internally; results stay slot-indexed, so the verified/excluded
-// bookkeeping (joined after all members finish, in member order) and the
-// metered byte counts are independent of the worker count.
-func (r *run) committeeStep(c *yoso.Committee, phase comm.Phase, cat comm.Category, label string,
-	honest func(i int) (sized, error), malicious func(i int) sized) (map[int]any, error) {
-	if r.ctx != nil {
-		if err := r.ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: %s: %w", label, err)
-		}
-	}
-	sp := r.stepSpan("committee:" + label)
-	sp.SetStr("committee", c.Name)
-	sp.SetInt("members", int64(c.N()))
-	// Committee steps run sequentially, so stamping the step span for the
-	// duration attributes every member posting to it; the phase span
-	// resumes when the step ends.
-	r.p.board.SetTraceSpan(sp.ID())
-	defer func() { r.p.board.SetTraceSpan(r.phaseSp.ID()) }()
-	results := make([]*rolePost, c.N())
-	err := parallel.ForWorker(r.ctx, r.workers(), c.N(), func(worker, idx0 int) error {
-		msp := sp.Child("member")
-		msp.SetInt("index", int64(idx0+1))
-		msp.SetWorker(worker)
-		idx := idx0 + 1
-		post, err := r.speak(c.Role(idx), phase, cat, label,
-			func() (sized, error) { return honest(idx) },
-			func() sized { return malicious(idx) })
-		msp.End()
-		if err != nil {
-			return err
-		}
-		results[idx0] = post
-		return nil
-	}, r.obs)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	verified := make(map[int]any, c.N())
-	for idx1, post := range results {
-		idx := idx1 + 1
-		role := c.Role(idx)
-		if r.valid(role, label, post) {
-			verified[idx] = post.payload
-		} else {
-			r.excluded = append(r.excluded, fmt.Sprintf("%s@%s (%s)", role.Name(), label, role.Behavior))
-			r.logSpan(sp, "role excluded", "role", role.Name(), "step", label, "behavior", role.Behavior.String())
-		}
-	}
-	c.SpeakAll()
-	sp.SetInt("verified", int64(len(verified)))
-	sp.End()
-	r.logSpan(sp, "committee spoke", "committee", c.Name, "step", label,
-		"verified", len(verified), "of", c.N())
-	return verified, nil
-}
-
-// onesVec returns a slice of m big.Int ones — the (1)^|S| coefficient
-// vector of TEval sums.
-func onesVec(m int) []*big.Int {
-	out := make([]*big.Int, m)
-	for i := range out {
-		out[i] = big.NewInt(1)
-	}
-	return out
-}
-
-// fieldCoeff lifts a field element to the non-negative integer coefficient
-// TEval expects.
-func fieldCoeff(e field.Element) *big.Int { return new(big.Int).SetUint64(e.Uint64()) }
-
-// boundP is the public bound on a single field-element plaintext.
-var boundP = new(big.Int).SetUint64(field.Modulus)
-
-// reduceToField maps a decrypted integer to the MPC field.
-func reduceToField(v *big.Int) field.Element { return field.FromBig(v) }
-
-// combineEnvelopes decrypts the partial-decryption envelopes addressed to
-// `who`, decodes them, and combines them into the integer plaintext.
-func (r *run) combineEnvelopes(sk pke.SecretKey, envs []envelope, ct tte.Ciphertext) (*big.Int, error) {
-	te := r.p.params.TE
-	var parts []tte.PartialDec
-	for _, env := range envs {
-		part, err := r.decryptPartial(sk, env.Ct)
-		if err != nil {
-			// Envelope not for us or corrupted — skip; GOD relies on
-			// the honest majority of envelopes.
-			continue
-		}
-		parts = append(parts, part)
-	}
-	v, err := te.Combine(r.tpk, ct, parts)
-	if err != nil {
-		return nil, fmt.Errorf("%w: combining %d envelopes: %v", ErrNotEnough, len(envs), err)
-	}
-	return v, nil
-}
-
-// decryptPartial opens one partial-decryption envelope and decodes it,
-// wiping the decrypted plaintext before returning — the raw bytes carry
-// the partial decryption and must not outlive the decode.
-func (r *run) decryptPartial(sk pke.SecretKey, ct pke.Ciphertext) (tte.PartialDec, error) {
-	data, err := sk.Decrypt(ct)
-	if err != nil {
-		return nil, err
-	}
-	defer clear(data)
-	return r.p.params.TE.DecodePartial(r.tpk, data)
-}
-
-// reconstructShares interpolates packed secrets from μ-shares.
-func reconstructShares(shares []sharing.Share, degree, k int) ([]field.Element, error) {
-	if len(shares) < degree+1 {
-		return nil, fmt.Errorf("%w: have %d shares, need %d", ErrNotEnough, len(shares), degree+1)
-	}
-	return sharing.ReconstructPacked(shares[:degree+1], degree, k)
-}
+// stepSpan opens a span under the current phase. Nil — and
+// allocation-free — when tracing is disabled.
+func (r *run) stepSpan(name string) *telemetry.Span { return r.rt.Span.Child(name) }

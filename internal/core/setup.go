@@ -7,6 +7,7 @@ import (
 
 	"yosompc/internal/comm"
 	"yosompc/internal/pke"
+	"yosompc/internal/yoso"
 )
 
 // kffSecretBound bounds the integer encoding of a KFF secret key
@@ -30,8 +31,8 @@ func (r *run) setup() error {
 	if err != nil {
 		return fmt.Errorf("TKGen: %w", err)
 	}
-	r.tpk = tpk
-	r.offDecShares = shares
+	r.rt.TPK = tpk
+	r.dealt = shares
 	// Publishing tpk: the public key's real board announcement bytes.
 	tpkEnc, err := te.EncodePublicKey(tpk)
 	if err != nil {
@@ -47,13 +48,13 @@ func (r *run) setup() error {
 	// Known parties (clients). They are long-lived machines: their single
 	// *input-role* broadcast is still enforced, but their keys survive to
 	// receive outputs.
-	r.clients = map[int]*clientState{}
+	r.clients = map[int]*yoso.Role{}
 	for _, id := range r.p.circ.Clients() {
 		role, err := r.p.assign.NewKnownParty("client", id, comm.PhaseSetup)
 		if err != nil {
 			return err
 		}
-		r.clients[id] = &clientState{id: id, role: role}
+		r.clients[id] = role
 	}
 
 	// Keys for future: one per online mul-layer role, one per client.
@@ -99,7 +100,7 @@ func (r *run) newKFF(owner string) (*kffEntry, error) {
 	skBytes := sec.Bytes()
 	skInt := new(big.Int).SetBytes(skBytes)
 	clear(skBytes)
-	ct, err := p.TE.Encrypt(r.tpk, skInt, kffSecretBound)
+	ct, err := p.TE.Encrypt(r.rt.TPK, skInt, kffSecretBound)
 	if err != nil {
 		return nil, fmt.Errorf("TEnc of KFF secret for %s: %w", owner, err)
 	}

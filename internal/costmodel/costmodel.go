@@ -45,7 +45,7 @@ func SimSizes(bits int) Sizes {
 		Partial:     bits / 4,
 		SubShare:    bits/4 + 10, // statSecurity/8 slack
 		KeyShare:    bits / 4,
-		PKEOverhead: 32 + 12 + 16,
+		PKEOverhead: pke.EnvelopeOverhead,
 		RoleKey:     32,
 		Proof:       nizk.AttestedProofSize,
 		Element:     8,
@@ -253,6 +253,3 @@ func perLayerMuls(shape Shape) []int {
 	}
 	return out
 }
-
-// sanity: PKE overhead must match the real/ideal backends.
-var _ = pke.SecretKeySize

@@ -22,6 +22,11 @@ import (
 // SecretKeySize is the size of an encoded secret key in bytes.
 const SecretKeySize = 32
 
+// EnvelopeOverhead is what sealing adds to a message, in bytes: a 32-byte
+// ephemeral X25519 key, a 12-byte GCM nonce and a 16-byte GCM tag. Sim
+// envelopes are padded to the same size, so it holds for both backends.
+const EnvelopeOverhead = 32 + 12 + 16
+
 // Errors returned by the backends.
 var (
 	ErrDecrypt   = errors.New("pke: decryption failed")

@@ -16,9 +16,6 @@ import (
 // identical byte counts.
 type Sim struct{}
 
-// simOverhead mirrors the ECIES envelope overhead in bytes.
-const simOverhead = 32 + 12 + 16
-
 // NewSim returns the ideal backend.
 func NewSim() *Sim { return &Sim{} }
 
@@ -40,7 +37,7 @@ type simCT struct {
 	msg   []byte
 }
 
-func (c *simCT) Size() int { return simOverhead + len(c.msg) }
+func (c *simCT) Size() int { return EnvelopeOverhead + len(c.msg) }
 
 // GenerateKey implements Scheme. The "secret" is a random 32-byte seed; the
 // key id is derived from it so that SecretKeyFromBytes can re-associate.

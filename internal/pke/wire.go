@@ -17,10 +17,6 @@ import (
 // The sim header (12 bytes) always fits inside the modelled 60-byte ECIES
 // overhead, so the padded encoding is byte-for-byte the modelled size.
 
-// eciesMinCT is the smallest well-formed ECIES envelope: ephemeral key,
-// GCM nonce, GCM tag.
-const eciesMinCT = 32 + 12 + 16
-
 // EncodeCiphertext implements Scheme.
 func (e *ECIES) EncodeCiphertext(ct Ciphertext) ([]byte, error) {
 	ec, ok := ct.(*eciesCT)
@@ -34,8 +30,8 @@ func (e *ECIES) EncodeCiphertext(ct Ciphertext) ([]byte, error) {
 
 // DecodeCiphertext implements Scheme.
 func (e *ECIES) DecodeCiphertext(data []byte) (Ciphertext, error) {
-	if len(data) < eciesMinCT {
-		return nil, fmt.Errorf("%w: envelope needs ≥ %d bytes, have %d", ErrShortData, eciesMinCT, len(data))
+	if len(data) < EnvelopeOverhead {
+		return nil, fmt.Errorf("%w: envelope needs ≥ %d bytes, have %d", ErrShortData, EnvelopeOverhead, len(data))
 	}
 	ct := &eciesCT{ephemeral: make([]byte, 32), sealed: make([]byte, len(data)-32)}
 	copy(ct.ephemeral, data[:32])
@@ -60,11 +56,11 @@ func (s *Sim) EncodeCiphertext(ct Ciphertext) ([]byte, error) {
 // DecodeCiphertext implements Scheme; it insists on the exact padded length
 // so encode∘decode is the identity on bytes.
 func (s *Sim) DecodeCiphertext(data []byte) (Ciphertext, error) {
-	if len(data) < simOverhead {
-		return nil, fmt.Errorf("%w: envelope needs ≥ %d bytes, have %d", ErrShortData, simOverhead, len(data))
+	if len(data) < EnvelopeOverhead {
+		return nil, fmt.Errorf("%w: envelope needs ≥ %d bytes, have %d", ErrShortData, EnvelopeOverhead, len(data))
 	}
 	msgLen := binary.BigEndian.Uint32(data[8:])
-	if msgLen > wire.MaxLen || int(msgLen) != len(data)-simOverhead {
+	if msgLen > wire.MaxLen || int(msgLen) != len(data)-EnvelopeOverhead {
 		return nil, fmt.Errorf("%w: message length %d in a %d-byte envelope", ErrShortData, msgLen, len(data))
 	}
 	ct := &simCT{keyID: binary.BigEndian.Uint64(data), msg: make([]byte, msgLen)}
