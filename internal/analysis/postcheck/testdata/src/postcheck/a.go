@@ -31,5 +31,5 @@ func Good(c *transport.Client) error {
 
 // Unrelated: Board.Post returns no error, so a bare call is fine.
 func Unrelated(b *transport.Board) {
-	b.Post("r", comm.PhaseOnline, comm.CatInput, nil, nil)
+	b.Post("r", comm.PhaseOnline, comm.CatInput, nil)
 }

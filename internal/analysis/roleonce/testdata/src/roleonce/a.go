@@ -10,11 +10,11 @@ import (
 
 // Bad keeps acting through a role that already spoke.
 func Bad(r *yoso.Role) {
-	r.Post(comm.PhaseOnline, comm.CatInput, []byte("p"), "payload")
+	r.Post(comm.PhaseOnline, comm.CatInput, []byte("p"))
 	r.Spoke()
-	r.Post(comm.PhaseOnline, comm.CatInput, []byte("l"), "late") // want `r\.Post called after the role spoke`
-	_ = r.SecretKey()                                            // want `r\.SecretKey called after the role spoke`
-	r.Spoke()                                                    // want `r\.Spoke called after the role spoke`
+	r.Post(comm.PhaseOnline, comm.CatInput, []byte("l")) // want `r\.Post called after the role spoke`
+	_ = r.SecretKey()                                    // want `r\.SecretKey called after the role spoke`
+	r.Spoke()                                            // want `r\.Spoke called after the role spoke`
 }
 
 // BadCommittee double-kills a committee.
@@ -25,7 +25,7 @@ func BadCommittee(c *yoso.Committee) {
 
 // Good reads only public, erased-state-free accessors after death.
 func Good(r *yoso.Role) {
-	r.Post(comm.PhaseOnline, comm.CatInput, []byte("p"), "payload")
+	r.Post(comm.PhaseOnline, comm.CatInput, []byte("p"))
 	r.Spoke()
 	_ = r.HasSpoken()
 	_ = r.Name()
@@ -35,5 +35,5 @@ func Good(r *yoso.Role) {
 // Fresh roles are unconstrained: no kill, no findings.
 func Fresh(r *yoso.Role) {
 	_ = r.SecretKey()
-	r.Post(comm.PhaseOnline, comm.CatInput, []byte("p"), "payload")
+	r.Post(comm.PhaseOnline, comm.CatInput, []byte("p"))
 }

@@ -280,7 +280,9 @@ func sanitizer(fn *types.Func) bool {
 	if path == "crypto" || strings.HasPrefix(path, "crypto/") {
 		return true
 	}
-	if strings.HasPrefix(name, "Encrypt") &&
+	// AppendEncrypt is pke's sealing in its append form: what it adds to
+	// the destination is the envelope, as clean as Encrypt's result.
+	if (strings.HasPrefix(name, "Encrypt") || name == "AppendEncrypt") &&
 		(taint.PathHasSegment(path, "pke") || taint.PathHasSegment(path, "tte") || taint.PathHasSegment(path, "paillier")) {
 		return true
 	}

@@ -6,6 +6,8 @@
 package transport
 
 import (
+	"fmt"
+
 	"yosompc/internal/analysis/secretflow/testdata/src/pke"
 	"yosompc/internal/sharing"
 )
@@ -29,4 +31,13 @@ func PublishEncrypted(b *Board, sh sharing.Share) {
 	ct := pke.Encrypt(raw[:])
 	b.Post(ct)
 	b.Post(sh.Index)
+}
+
+// PublishSealedInPlace is the clean path in its append form: seal into the
+// posting, then post it.
+func PublishSealedInPlace(b *Board, sh sharing.Share) {
+	raw := []byte(fmt.Sprint(sh))
+	b.Post(raw) // want `secret value raw is posted to the board in plaintext by .*Post`
+	posting := pke.AppendEncrypt(make([]byte, 0, 64), raw)
+	b.Post(posting)
 }

@@ -2,12 +2,14 @@
 // (direct, builtin clear, method, defer'd — including a defer that does
 // not cover every exit path), ownership transfers (returns, captures,
 // channel sends) with and without //yosolint:owner, local-container
-// transfers, aborted-creation error paths, terminators, and unbound
-// source calls on secret-typed receivers.
+// transfers, aborted-creation error paths, terminators, unbound source
+// calls on secret-typed receivers, and the plaintext scratch of the
+// append-style secret codecs.
 package sharing
 
 import (
 	"yosompc/internal/analysis/zeroize/testdata/src/field"
+	"yosompc/internal/tte"
 )
 
 type vault struct {
@@ -199,4 +201,76 @@ func OpenWiped(k *secretKey, env []byte) (uint32, error) {
 	s := checksum(pt)
 	clear(pt)
 	return s, nil
+}
+
+// The append-style secret codecs (BuiltinSourceFuncs) extend a caller's
+// buffer with a plaintext encoding: the extended scratch is an obligation
+// like any other secret buffer.
+
+func seal(dst, plain []byte) []byte { return append(dst, plain...) }
+
+func ScratchDropped(c tte.Codec, p tte.PartialDec) ([]byte, error) {
+	plain, err := c.AppendPartial(nil, p) // want `secret buffer plain \(from c\.AppendPartial\) is not zeroized on every path`
+	if err != nil {
+		return nil, err
+	}
+	return seal(nil, plain), nil
+}
+
+func ScratchWiped(c tte.Codec, p tte.PartialDec) ([]byte, error) {
+	plain, err := c.AppendPartial(nil, p)
+	var out []byte
+	if err == nil {
+		out = seal(nil, plain)
+	}
+	clear(plain)
+	return out, err
+}
+
+// One scratch reused across a loop is wiped after every use, not once at
+// the end: an iteration that re-encodes over an unwiped scratch is a drop
+// on the path that leaves the loop.
+func ScratchReused(c tte.Codec, subs []tte.SubShare, wipe bool) ([]byte, error) {
+	var out, plain []byte
+	for _, sub := range subs {
+		var err error
+		plain, err = c.AppendSubShare(plain[:0], sub) // want `secret buffer plain \(from c\.AppendSubShare\) is not zeroized on every path`
+		if err == nil {
+			out = seal(out, plain)
+		}
+		if wipe {
+			clear(plain)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+func ScratchReusedWiped(c tte.Codec, subs []tte.SubShare) ([]byte, error) {
+	var out, plain []byte
+	for _, sub := range subs {
+		var err error
+		plain, err = c.AppendSubShare(plain[:0], sub)
+		if err == nil {
+			out = seal(out, plain)
+		}
+		clear(plain)
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// Encoding a public opening straight into the posting has no local to
+// wipe; the posting's owner is documented in place.
+func PublicPosting(c tte.Codec, p tte.PartialDec, post *struct{ buf []byte }) (err error) {
+	post.buf, err = c.AppendPartial(post.buf, p) // want `secret buffer from c\.AppendPartial is discarded without a wipeable binding`
+	if err != nil {
+		return err
+	}
+	post.buf, err = c.AppendPartial(post.buf, p) //yosolint:owner fixture: a public opening, the partial is the posting
+	return err
 }

@@ -13,7 +13,10 @@
 //     sampler (callee in a `field` package, name Random*/MustRandom*,
 //     slice result), or
 //   - the byte buffer returned by calling Bytes or Decrypt on a value of
-//     secret type (secretflow's builtin set plus //yosolint:secret marks),
+//     secret type (secretflow's builtin set plus //yosolint:secret marks), or
+//   - the buffer an append-style secret codec extends (BuiltinSourceFuncs:
+//     the plaintext scratch a partial decryption or key sub-share is
+//     encoded into before it is sealed),
 //
 // bound to a local variable, becomes an obligation. Walking the
 // function's CFG, every path from the creation to an exit must hit a
@@ -61,6 +64,16 @@ var Analyzer = &analysis.Analyzer{
 	Directives: []string{"owner", "ignore"},
 	Markers:    []string{"secret"},
 	RunModule:  run,
+}
+
+// BuiltinSourceFuncs are the append-style codecs whose result holds the
+// plaintext encoding of secret material, keyed by taint.FuncKey
+// (pkgpath.RecvType.Method). Protocol code reaches them through the
+// tte.Codec interface. A sync test asserts each key still resolves to a real
+// method.
+var BuiltinSourceFuncs = map[string]bool{
+	"yosompc/internal/tte.Codec.AppendPartial":  true,
+	"yosompc/internal/tte.Codec.AppendSubShare": true,
 }
 
 // gatedSegments are the crypto-bearing package path segments the
@@ -464,8 +477,8 @@ func terminates(pkg *analysis.Package, n ast.Node) bool {
 }
 
 // isSource reports whether a call creates a secret buffer: a field
-// randomness sampler, or Bytes/Decrypt on a secret-typed receiver, in
-// both cases returning a slice.
+// randomness sampler, Bytes/Decrypt on a secret-typed receiver, or a
+// builtin append-style secret codec, in every case returning a slice.
 func (c *checker) isSource(call *ast.CallExpr) bool {
 	fn := resolveCallee(c.pkg, call)
 	if fn == nil || fn.Pkg() == nil {
@@ -479,6 +492,9 @@ func (c *checker) isSource(call *ast.CallExpr) bool {
 	if sig.Recv() == nil {
 		return taint.PathHasSegment(fn.Pkg().Path(), "field") &&
 			(strings.HasPrefix(name, "Random") || strings.HasPrefix(name, "MustRandom"))
+	}
+	if BuiltinSourceFuncs[taint.FuncKey(fn)] {
+		return true
 	}
 	if name != "Bytes" && name != "Decrypt" {
 		return false

@@ -105,7 +105,7 @@ func New(params Params, circ *circuit.Circuit, meter *comm.Meter) (*Protocol, er
 		params: params,
 		circ:   circ,
 		assign: assign,
-		rt:     &committee.Runner{Board: board, Auth: auth, TE: params.TE, PKE: params.PKE, Prefix: "baseline/"},
+		rt:     &committee.Runner{Board: board, Auth: auth, TE: params.TE, Prefix: "baseline/"},
 	}, nil
 }
 
@@ -144,7 +144,7 @@ func (p *Protocol) Run(inputs map[int][]field.Element) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("baseline: encoding tpk announcement: %w", err)
 	}
-	r.rt.Board.Post("setup", comm.PhaseSetup, comm.CatCRS, tpkEnc, tpk)
+	r.rt.Board.Post("setup", comm.PhaseSetup, comm.CatCRS, tpkEnc)
 	for _, id := range p.circ.Clients() {
 		role, err := p.assign.NewKnownParty("client", id, comm.PhaseSetup)
 		if err != nil {

@@ -13,7 +13,9 @@
 // Three payload shapes cross the board (docs/WIRE.md): CtBundle, TskPost
 // and core's μ bundle. Their encodings carry no header and no addressing —
 // routing is positional, and what the board meters is len() of the one
-// encoding.
+// encoding. The board holds that encoding and nothing else: a step hands its
+// verified payloads to its caller, and a TskPost is its posting, which the
+// readers open through sub-slice views.
 package committee
 
 import (
@@ -27,7 +29,6 @@ import (
 	"yosompc/internal/field"
 	"yosompc/internal/nizk"
 	"yosompc/internal/parallel"
-	"yosompc/internal/pke"
 	"yosompc/internal/telemetry"
 	"yosompc/internal/transport"
 	"yosompc/internal/tte"
@@ -52,7 +53,6 @@ type Runner struct {
 	Board *transport.Board
 	Auth  *nizk.Authority
 	TE    TE
-	PKE   pke.Scheme
 	// TPK is the threshold public key of the run.
 	TPK tte.PublicKey
 	// Ctx cancels the run between committee steps; nil never cancels.
@@ -77,7 +77,8 @@ type Runner struct {
 }
 
 // Payload is a step message; Encode produces the bytes that go on the
-// board, whose length is what the board meters.
+// board, whose length is what the board meters. The board keeps the returned
+// slice, so it must not be modified afterwards.
 type Payload interface {
 	Encode(r *Runner) ([]byte, error)
 }
@@ -108,11 +109,10 @@ func (b CtBundle) Encode(r *Runner) ([]byte, error) {
 	}
 	out := make([]byte, 0, size)
 	for _, ct := range b {
-		enc, err := r.TE.EncodeCiphertext(ct)
-		if err != nil {
+		var err error
+		if out, err = r.TE.AppendCiphertext(out, ct); err != nil {
 			return nil, err
 		}
-		out = append(out, enc...)
 	}
 	return out, nil
 }
@@ -160,8 +160,8 @@ func Speak[T Payload](r *Runner, role *yoso.Role, sp Spec, honest func() (T, err
 		}
 		proof = r.Auth.Attest(r.statement(sp.Label, role.Name()))
 	}
-	role.Post(sp.Phase, sp.Cat, enc, payload)
-	role.Post(sp.Phase, comm.CatProof, proof.Bytes(), proof)
+	role.Post(sp.Phase, sp.Cat, enc)
+	role.Post(sp.Phase, comm.CatProof, proof.Bytes())
 	return payload, r.Auth.Verify(r.statement(sp.Label, role.Name()), proof), nil
 }
 

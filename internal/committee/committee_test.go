@@ -1,6 +1,8 @@
 package committee
 
 import (
+	"bytes"
+	"fmt"
 	"math/big"
 	"reflect"
 	"strings"
@@ -23,6 +25,7 @@ const (
 // committees each carry one malicious and one fail-stop member.
 type fixture struct {
 	*Runner
+	PKE    pke.Scheme
 	assign *yoso.Assignment
 }
 
@@ -34,13 +37,14 @@ func newFixture(t *testing.T) (*fixture, []tte.KeyShare) {
 		t.Fatal(err)
 	}
 	board := transport.NewBoard(nil)
-	rt := &Runner{Board: board, Auth: auth, TE: tte.NewSim(512), PKE: pke.NewSim(), Prefix: "test/"}
+	rt := &Runner{Board: board, Auth: auth, TE: tte.NewSim(512), Prefix: "test/"}
+	scheme := pke.NewSim()
 	tpk, shares, err := rt.TE.KeyGen(testN, testT)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt.TPK = tpk
-	return &fixture{Runner: rt, assign: yoso.NewAssignment(board, rt.PKE, yoso.NewAdversary(1, 1, 7))}, shares
+	return &fixture{Runner: rt, PKE: scheme, assign: yoso.NewAssignment(board, scheme, yoso.NewAdversary(1, 1, 7))}, shares
 }
 
 func (f *fixture) form(t *testing.T, name string) *yoso.Committee {
@@ -115,46 +119,128 @@ func TestTskStep(t *testing.T) {
 				t.Errorf("excluded %v, want %v", f.Excluded, wantExcluded)
 			}
 
-			// An honest posting is exactly the sum of its encoded parts, and
-			// a malicious one occupies the same shape in ciphertext-sized
-			// garbage.
-			nSealed := strings.Count(tc.kinds, "r")
+			// An honest posting is its parts in docs/WIRE.md order — the
+			// Decrypt partials, the Re-encrypt envelopes, the resharing —
+			// each the encoding of that member's own partial decryption or
+			// sub-share, and a malicious one occupies the same shape in
+			// ciphertext-sized garbage.
+			// On Sim every part has its modelled size (pinned to the
+			// encodings by costmodel's TestSimSizesMatchEncodings).
 			ctSize := f.TPK.CiphertextSize()
+			subs, err := f.TE.Reshare(f.TPK, dealt[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			partSize, subSize := ctSize, subs[0].Size()
+			nSealed := strings.Count(tc.kinds, "r")
 			garbSize := (len(open)-nSealed)*ctSize + nSealed*(ctSize+pke.EnvelopeOverhead)
 			if next != nil {
 				garbSize += testN * (ctSize + pke.EnvelopeOverhead)
 			}
-			posted := 0
+			// sealedAt[j] and handoffAt[j] collect, in verified-member order,
+			// where in the postings the envelopes of opening j and of hand-off
+			// slot j lie.
+			sealedAt := make([][][]byte, len(open))
+			handoffAt := make([][][]byte, testN)
+			postings := map[string][]byte{}
 			for _, p := range f.Board.All()[before:] {
-				if p.Category != sp.Cat {
+				if p.Category == sp.Cat {
+					postings[p.From] = p.Bytes
+				}
+			}
+			if len(postings) != testN-1 {
+				t.Errorf("%d members posted, want %d", len(postings), testN-1)
+			}
+			for i, role := range c.Roles {
+				rest, posted := postings[role.Name()]
+				switch role.Behavior {
+				case yoso.FailStop:
+					if posted {
+						t.Errorf("%s crashed but posted", role.Name())
+					}
+					continue
+				case yoso.Malicious:
+					if len(rest) != garbSize {
+						t.Errorf("%s posted %d bytes of garbage, want %d", role.Name(), len(rest), garbSize)
+					}
 					continue
 				}
-				posted++
-				post := p.Payload.(TskPost)
-				want := 0
-				for _, part := range post.Clear {
+				take := func(n int) []byte {
+					if len(rest) < n {
+						t.Fatalf("%s: posting ends %d bytes early", role.Name(), n-len(rest))
+					}
+					var head []byte
+					head, rest = rest[:n], rest[n:]
+					return head
+				}
+				partial := func(j int) []byte {
+					part, err := f.TE.PartialDecrypt(f.TPK, dealt[i], open[j].Ct)
+					if err != nil {
+						t.Fatal(err)
+					}
 					enc, err := f.TE.EncodePartial(part)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want += len(enc)
+					return enc
 				}
-				for _, env := range append(post.Sealed[:len(post.Sealed):len(post.Sealed)], post.Reshare...) {
-					enc, err := f.PKE.EncodeCiphertext(env)
-					if err != nil {
-						t.Fatal(err)
+				for j, kind := range tc.kinds {
+					if kind == 'd' && !bytes.Equal(take(partSize), partial(j)) {
+						t.Errorf("%s: clear part for opening %d is not its partial decryption", role.Name(), j)
 					}
-					want += len(enc)
 				}
-				if len(post.Clear)+len(post.Sealed)+len(post.Reshare) == 0 {
-					want = garbSize // the forged-proof poster's (or an empty step's) payload
+				for j, kind := range tc.kinds {
+					if kind != 'r' {
+						continue
+					}
+					env := take(partSize + pke.EnvelopeOverhead)
+					sealedAt[j] = append(sealedAt[j], env)
+					got, err := recipients[j].Decrypt(env)
+					if err != nil || !bytes.Equal(got, partial(j)) {
+						t.Errorf("%s: sealed part for opening %d does not open to its partial decryption: %v", role.Name(), j, err)
+					}
 				}
-				if p.Size != want {
-					t.Errorf("%s posted %d bytes, want %d", p.From, p.Size, want)
+				if next != nil {
+					for j, to := range next.Roles {
+						env := take(subSize + pke.EnvelopeOverhead)
+						handoffAt[j] = append(handoffAt[j], env)
+						if to.Behavior == yoso.FailStop {
+							continue // its key is gone with it
+						}
+						sub, err := f.openSubShare(to.SecretKey(), env)
+						if err != nil || sub.From() != i+1 || sub.To() != j+1 {
+							t.Errorf("%s: resharing slot %d opens to %v, %v", role.Name(), j, sub, err)
+						}
+					}
+				}
+				if len(rest) != 0 {
+					t.Errorf("%s: %d bytes after the last part", role.Name(), len(rest))
 				}
 			}
-			if posted != testN-1 {
-				t.Errorf("%d members posted, want %d", posted, testN-1)
+
+			// What the readers hold are views of those postings — not copies
+			// — and no view can be grown into its neighbour.
+			areViews := func(what string, views, at [][]byte) {
+				t.Helper()
+				if len(views) != len(at) {
+					t.Fatalf("%s: %d views, want %d", what, len(views), len(at))
+				}
+				for m, v := range views {
+					if len(v) != len(at[m]) || &v[0] != &at[m][0] {
+						t.Errorf("%s: view %d is not that part of its member's posting", what, m)
+					}
+					if cap(v) != len(v) {
+						t.Errorf("%s: view %d has %d spare bytes of its neighbour", what, m, cap(v)-len(v))
+					}
+				}
+			}
+			for j := range open {
+				areViews(fmt.Sprintf("opening %d", j), res.Sealed[j], sealedAt[j])
+			}
+			if tc.reshare {
+				for j, slot := range tsk.handoff {
+					areViews(fmt.Sprintf("hand-off slot %d", j), slot, handoffAt[j])
+				}
 			}
 
 			// Each opening carries exactly the verified members'
@@ -265,5 +351,32 @@ func TestBeaverTriples(t *testing.T) {
 		if vals[g].Mul(vals[count+g]) != vals[2*count+g] {
 			t.Errorf("triple %d: %v · %v ≠ %v", g, vals[g], vals[count+g], vals[2*count+g])
 		}
+	}
+}
+
+// One member's posting costs a bounded number of allocations per sealed
+// opening: the partial decryption itself (three on the Sim backend), and
+// nothing for encoding it, sealing it or placing it in the posting.
+func TestTskPostAllocations(t *testing.T) {
+	f, dealt := newFixture(t)
+	next := f.form(t, "next")
+	const m = 64
+	open := make([]Opening, m)
+	for j := range open {
+		pub, _, err := f.PKE.GenerateKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		open[j] = Opening{Ct: f.encrypt(t, int64(j)), Key: pub}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := f.tskPost(dealt[0], open, next); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The constant covers the posting, its offsets, the scratch and the
+	// resharing's testN sub-shares.
+	if budget := float64(3*m + 16); allocs > budget {
+		t.Errorf("tskPost with %d sealed openings: %.0f allocations, budget %.0f", m, allocs, budget)
 	}
 }

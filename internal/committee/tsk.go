@@ -3,7 +3,6 @@ package committee
 import (
 	"fmt"
 	"math/big"
-	"slices"
 
 	"yosompc/internal/comm"
 	"yosompc/internal/field"
@@ -20,51 +19,39 @@ type Opening struct {
 	Key pke.PublicKey
 }
 
-// TskPost is the single message a tsk-holding member posts. Routing is
-// positional: Clear and Sealed answer the step's Decrypt and Re-encrypt
-// openings in list order, and Reshare[j] is sealed to member j+1 of the next
-// committee.
+// TskPost is the single message a tsk-holding member posts, held as the
+// posting itself. Routing is positional: the step's Decrypt partials, then
+// its Re-encrypt envelopes, both in list order, then the resharing envelopes,
+// slot j sealed to member j+1 of the next committee.
 type TskPost struct {
-	Clear   []tte.PartialDec
-	Sealed  []pke.Ciphertext
-	Reshare []pke.Ciphertext
+	buf []byte
+	// ends[j] is where part j of buf ends (part j+1 starts there). The
+	// offsets are the writer's in-memory bookkeeping and never cross the
+	// wire.
+	ends []int
 }
 
-// Encode implements Payload: partials, then envelopes, then the resharing.
-func (p TskPost) Encode(r *Runner) ([]byte, error) {
-	envs := slices.Concat(p.Sealed, p.Reshare)
-	size := 0 // capacity hint only; what is metered is len(out)
-	for _, part := range p.Clear {
-		size += part.Size()
+// Encode implements Payload: the member wrote its posting in place.
+func (p TskPost) Encode(*Runner) ([]byte, error) { return p.buf, nil }
+
+// part returns a view of part j of the posting. Its capacity is clipped, so
+// appending to a view can never write into the neighbouring part.
+func (p TskPost) part(j int) []byte {
+	start := 0
+	if j > 0 {
+		start = p.ends[j-1]
 	}
-	for _, env := range envs {
-		size += env.Size()
-	}
-	out := make([]byte, 0, size)
-	for _, part := range p.Clear {
-		enc, err := r.TE.EncodePartial(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, enc...)
-	}
-	for _, env := range envs {
-		enc, err := r.PKE.EncodeCiphertext(env)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, enc...)
-	}
-	return out, nil
+	return p.buf[start:p.ends[j]:p.ends[j]]
 }
 
 // Tsk is the threshold secret key in flight between committees.
 type Tsk struct {
 	// shares are the current tsk committee's key shares while its TskStep
 	// runs (the dealer's epoch-0 shares for the first), and handoff[j] the
-	// resharing envelopes that step left for member j+1 of the next.
+	// resharing envelopes that step left for member j+1 of the next — views
+	// of the verified postings.
 	shares  []tte.KeyShare
-	handoff [][]pke.Ciphertext
+	handoff [][][]byte
 }
 
 // Opened is what a tsk step's verified members left on the board, transposed
@@ -72,9 +59,9 @@ type Tsk struct {
 type Opened struct {
 	// Partials[j] holds the partial decryptions of opening j when it was a
 	// Decrypt, Sealed[j] the envelopes answering it when it was a
-	// Re-encrypt; the other one is nil.
+	// Re-encrypt — views of the verified postings; the other one is nil.
 	Partials [][]tte.PartialDec
-	Sealed   [][]pke.Ciphertext
+	Sealed   [][][]byte
 }
 
 // TskStep is the one thing a tsk-holding committee ever does: every member
@@ -93,90 +80,152 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 	if len(shares) != c.N() {
 		return nil, fmt.Errorf("%s: committee %s was handed no tsk shares", sp.Label, c.Name)
 	}
-	nSealed, nNext := 0, 0
+	nClear, nNext := 0, 0
 	for _, o := range open {
-		if o.Key != nil {
-			nSealed++
+		if o.Key == nil {
+			nClear++
 		}
 	}
+	nSealed := len(open) - nClear
 	if next != nil {
 		nNext = next.N()
+	}
+	// slot[j] is the part of every posting that answers opening j: the
+	// Decrypts come first, then the Re-encrypts.
+	slot := make([]int, len(open))
+	clearSlot, sealedSlot := 0, nClear
+	for j, o := range open {
+		if o.Key == nil {
+			slot[j], clearSlot = clearSlot, clearSlot+1
+		} else {
+			slot[j], sealedSlot = sealedSlot, sealedSlot+1
+		}
 	}
 	// A malicious member's garbage occupies one ciphertext per partial and
 	// one sealed ciphertext per envelope.
 	ctSize := r.TPK.CiphertextSize()
-	garbSize := (len(open)-nSealed)*ctSize + (nSealed+nNext)*(ctSize+pke.EnvelopeOverhead)
+	garbSize := nClear*ctSize + (nSealed+nNext)*(ctSize+pke.EnvelopeOverhead)
 
 	posts, err := Step(r, c, sp, func(i int) (TskPost, error) {
-		var post TskPost
-		sh := shares[i-1]
-		if sh == nil {
-			return post, fmt.Errorf("role %d has no tsk share", i)
+		if shares[i-1] == nil {
+			return TskPost{}, fmt.Errorf("role %d has no tsk share", i)
 		}
-		for _, o := range open {
-			part, err := r.TE.PartialDecrypt(r.TPK, sh, o.Ct)
-			if err != nil {
-				return post, err
-			}
-			if o.Key == nil {
-				post.Clear = append(post.Clear, part)
-				continue
-			}
-			data, err := r.TE.EncodePartial(part)
-			if err != nil {
-				return post, err
-			}
-			env, err := o.Key.Encrypt(data)
-			if err != nil {
-				return post, err
-			}
-			post.Sealed = append(post.Sealed, env)
-		}
-		if next == nil {
-			return post, nil
-		}
-		subs, err := r.TE.Reshare(r.TPK, sh)
-		if err != nil {
-			return post, err
-		}
-		post.Reshare = make([]pke.Ciphertext, nNext)
-		for _, sub := range subs {
-			data, err := r.TE.EncodeSubShare(sub)
-			if err != nil {
-				return post, err
-			}
-			if post.Reshare[sub.To()-1], err = next.Role(sub.To()).PublicKey().Encrypt(data); err != nil {
-				return post, err
-			}
-		}
-		return post, nil
+		return r.tskPost(shares[i-1], open, next)
 	}, garbSize)
 	if err != nil {
 		return nil, err
 	}
 
+	// Transpose the verified postings into per-opening and per-recipient
+	// views; one backing array serves all of them.
+	views := make([][]byte, (nSealed+nNext)*len(posts))
+	column := func(part int) [][]byte {
+		col := views[:len(posts):len(posts)]
+		views = views[len(posts):]
+		for m, p := range posts {
+			col[m] = p.Payload.part(part)
+		}
+		return col
+	}
 	res := &Opened{
 		Partials: make([][]tte.PartialDec, len(open)),
-		Sealed:   make([][]pke.Ciphertext, len(open)),
+		Sealed:   make([][][]byte, len(open)),
 	}
-	ci, si := 0, 0 // next slot in the posts' Clear and Sealed lists
 	for j, o := range open {
-		if o.Key == nil {
-			res.Partials[j] = column(posts, func(p TskPost) []tte.PartialDec { return p.Clear }, ci)
-			ci++
-		} else {
-			res.Sealed[j] = column(posts, func(p TskPost) []pke.Ciphertext { return p.Sealed }, si)
-			si++
+		if o.Key != nil {
+			res.Sealed[j] = column(slot[j])
+			continue
+		}
+		res.Partials[j] = make([]tte.PartialDec, len(posts))
+		for m, p := range posts {
+			if res.Partials[j][m], err = r.TE.DecodePartial(r.TPK, p.Payload.part(slot[j])); err != nil {
+				return nil, fmt.Errorf("%s: verified partial %d of member %d: %w", sp.Label, j, p.Index, err)
+			}
 		}
 	}
 	tsk.shares, tsk.handoff = nil, nil
 	if next != nil {
-		tsk.handoff = make([][]pke.Ciphertext, nNext)
+		tsk.handoff = make([][][]byte, nNext)
 		for j := range tsk.handoff {
-			tsk.handoff[j] = column(posts, func(p TskPost) []pke.Ciphertext { return p.Reshare }, j)
+			tsk.handoff[j] = column(len(open) + j)
 		}
 	}
 	return res, nil
+}
+
+// tskPost writes one member's whole posting into a single buffer sized up
+// front: the partial decryptions of open — encoded in place when in the
+// clear, sealed in place to the opening's key otherwise — followed by the
+// resharing of sh to next's role keys. What gets sealed is encoded into one
+// plaintext scratch that is wiped after every use: the raw bytes carry the
+// same secret as what they encode.
+func (r *Runner) tskPost(sh tte.KeyShare, open []Opening, next *yoso.Committee) (TskPost, error) {
+	ctSize := r.TPK.CiphertextSize()
+	var subs []tte.SubShare
+	size, plainSize := 0, ctSize
+	for _, o := range open {
+		size += ctSize
+		if o.Key != nil {
+			size += pke.EnvelopeOverhead
+		}
+	}
+	if next != nil {
+		var err error
+		if subs, err = r.TE.Reshare(r.TPK, sh); err != nil {
+			return TskPost{}, err
+		}
+		if len(subs) != next.N() {
+			return TskPost{}, fmt.Errorf("resharing has %d sub-shares for %d next members", len(subs), next.N())
+		}
+		for _, sub := range subs {
+			size += sub.Size() + pke.EnvelopeOverhead
+			plainSize = max(plainSize, sub.Size())
+		}
+	}
+	post := TskPost{buf: make([]byte, 0, size), ends: make([]int, 0, len(open)+len(subs))}
+	plain := make([]byte, 0, plainSize)
+
+	// Parts are written in wire order, so the Decrypts go first.
+	for _, sealed := range []bool{false, true} {
+		for _, o := range open {
+			if (o.Key != nil) != sealed {
+				continue
+			}
+			part, err := r.TE.PartialDecrypt(r.TPK, sh, o.Ct)
+			if err != nil {
+				return TskPost{}, err
+			}
+			if sealed {
+				plain, err = r.TE.AppendPartial(plain[:0], part)
+				if err == nil {
+					post.buf, err = o.Key.AppendEncrypt(post.buf, plain)
+				}
+				clear(plain)
+			} else {
+				post.buf, err = r.TE.AppendPartial(post.buf, part) //yosolint:owner a Decrypt opens to everyone: the partial is the public posting
+			}
+			if err != nil {
+				return TskPost{}, err
+			}
+			post.ends = append(post.ends, len(post.buf))
+		}
+	}
+	for j, sub := range subs {
+		if sub.To() != j+1 {
+			return TskPost{}, fmt.Errorf("sub-share %d is addressed to member %d", j+1, sub.To())
+		}
+		var err error
+		plain, err = r.TE.AppendSubShare(plain[:0], sub)
+		if err == nil {
+			post.buf, err = next.Role(j+1).PublicKey().AppendEncrypt(post.buf, plain)
+		}
+		clear(plain)
+		if err != nil {
+			return TskPost{}, err
+		}
+		post.ends = append(post.ends, len(post.buf))
+	}
+	return post, nil
 }
 
 // DecryptStep is TskStep for a list that is all Decrypts: everyone combines
@@ -205,15 +254,6 @@ func (r *Runner) DecryptStep(tsk *Tsk, c *yoso.Committee, sp Spec, cts []tte.Cip
 	return out, err
 }
 
-// column collects slot j of one TskPost part across the verified posts.
-func column[T any](posts []Post[TskPost], part func(TskPost) []T, j int) []T {
-	out := make([]T, len(posts))
-	for m, p := range posts {
-		out[m] = part(p.Payload)[j]
-	}
-	return out
-}
-
 // DealShares is the trusted dealer's delivery of the epoch-0 tsk shares to
 // the first tsk-holding committee (the paper's "give tsk_i to C_{1,i}"):
 // each share travels as a PKE envelope sealed under the receiving role's
@@ -225,29 +265,29 @@ func (r *Runner) DealShares(c *yoso.Committee, shares []tte.KeyShare) (*Tsk, err
 		if err != nil {
 			return nil, fmt.Errorf("encoding dealer tsk share %d: %w", i+1, err)
 		}
-		ct, err := c.Role(i + 1).PublicKey().Encrypt(data)
+		env, err := c.Role(i + 1).PublicKey().Encrypt(data)
 		if err != nil {
 			return nil, fmt.Errorf("sealing dealer tsk share %d: %w", i+1, err)
 		}
-		enc, err := r.PKE.EncodeCiphertext(ct)
-		if err != nil {
-			return nil, fmt.Errorf("encoding dealer envelope %d: %w", i+1, err)
-		}
-		r.Board.Post("setup-dealer", comm.PhaseSetup, comm.CatReshare, enc, ct)
+		r.Board.Post("setup-dealer", comm.PhaseSetup, comm.CatReshare, env)
 	}
 	return &Tsk{shares: shares}, nil
 }
 
 // recoverShares lets each member of c rebuild its tsk share from the
 // envelopes the previous TskStep handed off (TKRec after decrypting with the
-// role secret key). Crashed members recover nothing.
+// role secret key). Crashed members recover nothing. Members are independent,
+// so they run on the worker pool, slot-indexed; the error reported is the
+// lowest-index member's whatever the worker count.
 func (r *Runner) recoverShares(tsk *Tsk, c *yoso.Committee, phase comm.Phase) error {
 	tsk.shares = make([]tte.KeyShare, c.N())
-	for i, role := range c.Roles {
+	errs := make([]error, c.N())
+	if err := r.Pfor(c.N(), func(i int) error {
+		role := c.Roles[i]
 		if role.Behavior == yoso.FailStop {
-			continue // crashed before reading
+			return nil // crashed before reading
 		}
-		var subs []tte.SubShare
+		subs := make([]tte.SubShare, 0, len(tsk.handoff[i]))
 		for _, env := range tsk.handoff[i] {
 			// Undecryptable envelopes are skipped; GOD relies on the
 			// honest majority of them.
@@ -257,11 +297,20 @@ func (r *Runner) recoverShares(tsk *Tsk, c *yoso.Committee, phase comm.Phase) er
 		}
 		sh, err := r.TE.RecoverShare(r.TPK, i+1, subs)
 		if err != nil {
-			return fmt.Errorf("%w: recovering tsk share for %s: %v", ErrNotEnough, role.Name(), err)
+			errs[i] = fmt.Errorf("%w: recovering tsk share for %s: %v", ErrNotEnough, role.Name(), err)
+			return nil
 		}
 		tsk.shares[i] = sh
 		if r.ShareRecovered != nil {
 			r.ShareRecovered(phase)
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -270,7 +319,7 @@ func (r *Runner) recoverShares(tsk *Tsk, c *yoso.Committee, phase comm.Phase) er
 // openSubShare opens one hand-off envelope and decodes the key sub-share,
 // wiping the decrypted plaintext before returning — the raw bytes carry the
 // same secret as the sub-share and must not outlive the decode.
-func (r *Runner) openSubShare(sk pke.SecretKey, env pke.Ciphertext) (tte.SubShare, error) {
+func (r *Runner) openSubShare(sk pke.SecretKey, env []byte) (tte.SubShare, error) {
 	data, err := sk.Decrypt(env)
 	if err != nil {
 		return nil, err
@@ -281,7 +330,7 @@ func (r *Runner) openSubShare(sk pke.SecretKey, env pke.Ciphertext) (tte.SubShar
 
 // CombineSealed is the recipient's side of Re-encrypt: decrypt the partial
 // decryptions sealed to sk and combine them into ct's integer plaintext.
-func (r *Runner) CombineSealed(sk pke.SecretKey, envs []pke.Ciphertext, ct tte.Ciphertext) (*big.Int, error) {
+func (r *Runner) CombineSealed(sk pke.SecretKey, envs [][]byte, ct tte.Ciphertext) (*big.Int, error) {
 	parts := make([]tte.PartialDec, 0, len(envs))
 	for _, env := range envs {
 		if part, err := r.openPartial(sk, env); err == nil {
@@ -296,7 +345,7 @@ func (r *Runner) CombineSealed(sk pke.SecretKey, envs []pke.Ciphertext, ct tte.C
 }
 
 // openPartial is openSubShare for a sealed partial decryption.
-func (r *Runner) openPartial(sk pke.SecretKey, env pke.Ciphertext) (tte.PartialDec, error) {
+func (r *Runner) openPartial(sk pke.SecretKey, env []byte) (tte.PartialDec, error) {
 	data, err := sk.Decrypt(env)
 	if err != nil {
 		return nil, err

@@ -675,9 +675,12 @@ func TestFreshMasksAcrossRuns(t *testing.T) {
 		var mus []field.Element
 		for _, p := range proto.Board().All() {
 			if p.Category == comm.CatInput {
-				if mb, ok := p.Payload.(muBundle); ok {
-					mus = append(mus, mb.vals...)
+				// A client's posting is its μ bundle: one element per input.
+				vals, err := field.VecFromBytes(p.Bytes, len(p.Bytes)/field.ElementSize)
+				if err != nil || len(p.Bytes)%field.ElementSize != 0 {
+					t.Fatalf("posting %d is not a μ bundle: %d bytes, %v", p.Seq, len(p.Bytes), err)
 				}
+				mus = append(mus, vals...)
 			}
 		}
 		return mus

@@ -8,7 +8,6 @@ import (
 	"yosompc/internal/comm"
 	"yosompc/internal/committee"
 	"yosompc/internal/field"
-	"yosompc/internal/pke"
 	"yosompc/internal/sharing"
 	"yosompc/internal/tte"
 )
@@ -20,7 +19,7 @@ func (r *run) initWireState() {
 	r.mu = make([]field.Element, n)
 	r.muKnown = make([]bool, n)
 	r.beaver = map[int]*beaverTriple{}
-	r.inputEnv = map[int][]pke.Ciphertext{}
+	r.inputEnv = map[int][][]byte{}
 }
 
 // offline executes the whole of Π_YOSO-Offline: Steps 1–4, the OffDec

@@ -451,7 +451,7 @@ func (r *run) layerStepRobust(c *yoso.Committee, l int,
 			}
 		}
 		enc, _ := payload.Encode(r.rt)
-		role.Post(comm.PhaseOnline, comm.CatMu, enc, payload)
+		role.Post(comm.PhaseOnline, comm.CatMu, enc)
 		posted[idx0] = &payload
 		return nil
 	})

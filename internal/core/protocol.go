@@ -114,8 +114,9 @@ type batchState struct {
 	packedLeft, packedRight, packedGamma []tte.Ciphertext
 	// envLeft/envRight/envGamma[i] are the Re-encrypt envelope sets
 	// addressed to online role i+1's KFF (offline Step 6): one envelope
-	// per OffRe member carrying a partial decryption.
-	envLeft, envRight, envGamma [][]pke.Ciphertext
+	// per OffRe member carrying a partial decryption, each a view of that
+	// member's posting.
+	envLeft, envRight, envGamma [][][]byte
 }
 
 // run is the mutable state of one protocol execution.
@@ -161,8 +162,9 @@ type run struct {
 	batches []*batchState
 
 	// input-wire λ envelopes: for each input gate index, the Re-encrypt
-	// envelopes addressed to the owning client's KFF.
-	inputEnv map[int][]pke.Ciphertext
+	// envelopes addressed to the owning client's KFF (views of the OffRe
+	// postings).
+	inputEnv map[int][][]byte
 
 	// public μ values per wire
 	mu      []field.Element
@@ -179,7 +181,7 @@ type run struct {
 type kffEntry struct {
 	pub       pke.PublicKey
 	secretCt  tte.Ciphertext
-	delivered []pke.Ciphertext // partial-decryption envelopes under the owner's role key
+	delivered [][]byte // partial-decryption envelopes under the owner's role key (views of the OnC1 postings)
 }
 
 // --- shared helpers ---------------------------------------------------
@@ -190,7 +192,6 @@ func (p *Protocol) newRun(ctx context.Context) *run {
 		Board:   p.board,
 		Auth:    p.auth,
 		TE:      p.params.TE,
-		PKE:     p.params.PKE,
 		Ctx:     ctx,
 		Workers: p.params.EffectiveWorkers(),
 		Logger:  p.params.Logger,

@@ -38,12 +38,12 @@ func (r *run) setup() error {
 	if err != nil {
 		return fmt.Errorf("encoding tpk announcement: %w", err)
 	}
-	r.p.board.Post("setup", comm.PhaseSetup, comm.CatCRS, tpkEnc, tpk)
+	r.p.board.Post("setup", comm.PhaseSetup, comm.CatCRS, tpkEnc)
 
 	// NIZK CRS: the authority key takes the place of the Groth–Maller crs;
 	// a 32-byte digest of the label stands in for the crs bytes.
 	crs := sha256.Sum256([]byte("nizkaok-crs"))
-	r.p.board.Post("setup", comm.PhaseSetup, comm.CatCRS, crs[:], "nizkaok-crs")
+	r.p.board.Post("setup", comm.PhaseSetup, comm.CatCRS, crs[:])
 
 	// Known parties (clients). They are long-lived machines: their single
 	// *input-role* broadcast is still enforced, but their keys survive to
@@ -104,10 +104,10 @@ func (r *run) newKFF(owner string) (*kffEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("TEnc of KFF secret for %s: %w", owner, err)
 	}
-	ctEnc, err := p.TE.EncodeCiphertext(ct)
+	enc, err := p.TE.AppendCiphertext(pub.Bytes(), ct)
 	if err != nil {
 		return nil, fmt.Errorf("encoding KFF ciphertext for %s: %w", owner, err)
 	}
-	r.p.board.Post("setup", comm.PhaseSetup, comm.CatKFF, append(pub.Bytes(), ctEnc...), pub)
+	r.p.board.Post("setup", comm.PhaseSetup, comm.CatKFF, enc)
 	return &kffEntry{pub: pub, secretCt: ct}, nil
 }

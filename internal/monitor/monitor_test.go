@@ -193,8 +193,8 @@ func TestAttachBoardDerivesProgress(t *testing.T) {
 	m := New()
 	m.AttachBoard(b)
 	man, _ := transport.Manifest{Committee: "onOut", Phase: "online", N: 2, Quorum: 1}.MarshalBinary()
-	b.Post("role-assignment", comm.PhaseSystem, comm.CatManifest, man, nil)
-	b.Post("onOut/1", comm.PhaseOnline, comm.CatOutput, []byte{1, 2, 3}, nil)
+	b.Post("role-assignment", comm.PhaseSystem, comm.CatManifest, man)
+	b.Post("onOut/1", comm.PhaseOnline, comm.CatOutput, []byte{1, 2, 3})
 	s := m.Snapshot()
 	if s.Posted != 1 || s.Expected != 2 || s.Committees[0].Proc != "run" {
 		t.Fatalf("snapshot = %+v", s)

@@ -17,27 +17,50 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // SecretKeySize is the size of an encoded secret key in bytes.
 const SecretKeySize = 32
 
+// An envelope is its wire bytes: sealing writes them, opening parses them,
+// and nothing in between holds an envelope object. Both backends produce
+// exactly EnvelopeOverhead + len(msg) bytes, so metered board traffic equals
+// sealed traffic. Layouts (big-endian, see docs/WIRE.md):
+//
+//	ecies-x25519: 32-byte ephemeral X25519 key | 12-byte nonce | AES-GCM body‖tag
+//	sim:          u64 key id | u32 msg len | msg | zero pad to 60+len(msg)
+//
+// The sim header (12 bytes) always fits inside the modelled 60-byte ECIES
+// overhead, so the padded envelope is byte-for-byte the modelled size.
+
 // EnvelopeOverhead is what sealing adds to a message, in bytes: a 32-byte
 // ephemeral X25519 key, a 12-byte GCM nonce and a 16-byte GCM tag. Sim
 // envelopes are padded to the same size, so it holds for both backends.
-const EnvelopeOverhead = 32 + 12 + 16
+const EnvelopeOverhead = ephemeralSize + nonceSize + tagSize
+
+const (
+	ephemeralSize = 32
+	nonceSize     = 12
+	tagSize       = 16
+)
 
 // Errors returned by the backends.
 var (
 	ErrDecrypt   = errors.New("pke: decryption failed")
-	ErrWrongKey  = errors.New("pke: object belongs to a different backend")
 	ErrShortData = errors.New("pke: malformed ciphertext")
 )
 
 // PublicKey is an encryption key.
 type PublicKey interface {
-	// Encrypt produces an envelope carrying msg.
-	Encrypt(msg []byte) (Ciphertext, error)
+	// Encrypt seals msg into a fresh envelope of EnvelopeOverhead +
+	// len(msg) bytes: AppendEncrypt(nil, msg).
+	Encrypt(msg []byte) ([]byte, error)
+	// AppendEncrypt appends the envelope sealing msg to dst and returns
+	// the extended slice, writing the envelope in place — a poster seals
+	// straight into its posting. On error dst is returned unchanged. msg
+	// must not overlap dst's spare capacity.
+	AppendEncrypt(dst, msg []byte) ([]byte, error)
 	// Bytes returns the serialized public key.
 	Bytes() []byte
 	// Fingerprint returns a short stable identifier for logging/auditing.
@@ -46,19 +69,15 @@ type PublicKey interface {
 
 // SecretKey is a decryption key.
 type SecretKey interface {
-	// Decrypt opens an envelope.
-	Decrypt(ct Ciphertext) ([]byte, error)
+	// Decrypt opens an encoded envelope. env is untrusted board bytes: it
+	// is validated, never modified, and the plaintext is a fresh buffer
+	// the caller owns (and wipes).
+	Decrypt(env []byte) ([]byte, error)
 	// Bytes returns the fixed-size secret encoding (SecretKeySize bytes),
 	// suitable for encryption under the threshold key.
 	Bytes() []byte
 	// Public returns the matching public key.
 	Public() PublicKey
-}
-
-// Ciphertext is a sealed envelope.
-type Ciphertext interface {
-	// Size returns the wire size in bytes.
-	Size() int
 }
 
 // Scheme generates and rehydrates keys.
@@ -70,11 +89,6 @@ type Scheme interface {
 	// SecretKeyFromBytes reconstructs a secret key from its encoding —
 	// the receiving role's step after a KFF hand-off.
 	SecretKeyFromBytes(data []byte) (SecretKey, error)
-	// EncodeCiphertext serializes an envelope; the encoding is exactly
-	// Ciphertext.Size() bytes (docs/WIRE.md).
-	EncodeCiphertext(ct Ciphertext) ([]byte, error)
-	// DecodeCiphertext parses an envelope serialized by EncodeCiphertext.
-	DecodeCiphertext(data []byte) (Ciphertext, error)
 }
 
 // ECIES is the real backend.
@@ -93,13 +107,6 @@ type eciesPub struct {
 type eciesSecret struct {
 	sk *ecdh.PrivateKey
 }
-
-type eciesCT struct {
-	ephemeral []byte // 32-byte ephemeral public key
-	sealed    []byte // nonce || AES-GCM ciphertext+tag
-}
-
-func (c *eciesCT) Size() int { return len(c.ephemeral) + len(c.sealed) }
 
 // GenerateKey implements Scheme.
 func (e *ECIES) GenerateKey() (PublicKey, SecretKey, error) {
@@ -122,27 +129,32 @@ func (e *ECIES) SecretKeyFromBytes(data []byte) (SecretKey, error) {
 	return &eciesSecret{sk: sk}, nil
 }
 
-// Encrypt implements PublicKey: ECDH with an ephemeral key, key derivation
-// via SHA-256 over the shared secret and both public keys, AES-256-GCM.
-func (p *eciesPub) Encrypt(msg []byte) (Ciphertext, error) {
+// Encrypt implements PublicKey.
+func (p *eciesPub) Encrypt(msg []byte) ([]byte, error) { return p.AppendEncrypt(nil, msg) }
+
+// AppendEncrypt implements PublicKey: ECDH with an ephemeral key, key
+// derivation via SHA-256 over the shared secret and both public keys,
+// AES-256-GCM sealing in place behind the ephemeral key and the nonce.
+func (p *eciesPub) AppendEncrypt(dst, msg []byte) ([]byte, error) {
 	eph, err := ecdh.X25519().GenerateKey(rand.Reader)
 	if err != nil {
-		return nil, fmt.Errorf("pke: ephemeral key: %w", err)
+		return dst, fmt.Errorf("pke: ephemeral key: %w", err)
 	}
 	shared, err := eph.ECDH(p.pk)
 	if err != nil {
-		return nil, fmt.Errorf("pke: ECDH: %w", err)
+		return dst, fmt.Errorf("pke: ECDH: %w", err)
 	}
-	aead, err := deriveAEAD(shared, eph.PublicKey().Bytes(), p.pk.Bytes())
+	ephPub := eph.PublicKey().Bytes()
+	aead, err := deriveAEAD(shared, ephPub, p.pk.Bytes())
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	nonce := make([]byte, aead.NonceSize())
+	out := append(slices.Grow(dst, EnvelopeOverhead+len(msg)), ephPub...)
+	nonce := out[len(out) : len(out)+nonceSize]
 	if _, err := rand.Read(nonce); err != nil {
-		return nil, fmt.Errorf("pke: nonce: %w", err)
+		return dst, fmt.Errorf("pke: nonce: %w", err)
 	}
-	sealed := aead.Seal(nonce, nonce, msg, nil)
-	return &eciesCT{ephemeral: eph.PublicKey().Bytes(), sealed: sealed}, nil
+	return aead.Seal(out[:len(out)+nonceSize], nonce, msg, nil), nil
 }
 
 // Bytes implements PublicKey.
@@ -154,13 +166,14 @@ func (p *eciesPub) Fingerprint() string {
 	return fmt.Sprintf("%x", sum[:6])
 }
 
-// Decrypt implements SecretKey.
-func (s *eciesSecret) Decrypt(ct Ciphertext) ([]byte, error) {
-	ec, ok := ct.(*eciesCT)
-	if !ok {
-		return nil, ErrWrongKey
+// Decrypt implements SecretKey: the envelope must hold at least the
+// ephemeral key, the nonce and the tag, and GCM authenticates the rest.
+func (s *eciesSecret) Decrypt(env []byte) ([]byte, error) {
+	if len(env) < EnvelopeOverhead {
+		return nil, fmt.Errorf("%w: envelope needs ≥ %d bytes, have %d", ErrShortData, EnvelopeOverhead, len(env))
 	}
-	ephPK, err := ecdh.X25519().NewPublicKey(ec.ephemeral)
+	ephemeral, nonce, body := env[:ephemeralSize], env[ephemeralSize:ephemeralSize+nonceSize], env[ephemeralSize+nonceSize:]
+	ephPK, err := ecdh.X25519().NewPublicKey(ephemeral)
 	if err != nil {
 		return nil, fmt.Errorf("%w: bad ephemeral key", ErrDecrypt)
 	}
@@ -168,14 +181,10 @@ func (s *eciesSecret) Decrypt(ct Ciphertext) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: ECDH", ErrDecrypt)
 	}
-	aead, err := deriveAEAD(shared, ec.ephemeral, s.sk.PublicKey().Bytes())
+	aead, err := deriveAEAD(shared, ephemeral, s.sk.PublicKey().Bytes())
 	if err != nil {
 		return nil, err
 	}
-	if len(ec.sealed) < aead.NonceSize() {
-		return nil, ErrShortData
-	}
-	nonce, body := ec.sealed[:aead.NonceSize()], ec.sealed[aead.NonceSize():]
 	msg, err := aead.Open(nil, nonce, body, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrDecrypt, err)

@@ -2,6 +2,7 @@ package pke
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -181,8 +182,8 @@ func TestCiphertextSizeModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rct.Size() != sct.Size() {
-		t.Errorf("size mismatch: real %d vs sim %d", rct.Size(), sct.Size())
+	if len(rct) != len(sct) {
+		t.Errorf("size mismatch: real %d vs sim %d", len(rct), len(sct))
 	}
 }
 
@@ -196,21 +197,25 @@ func TestECIESTamperDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ec := ct.(*eciesCT)
-	ec.sealed[len(ec.sealed)-1] ^= 1
-	if _, err := sk.Decrypt(ec); !errors.Is(err, ErrDecrypt) {
-		t.Errorf("tampered envelope: err = %v, want ErrDecrypt", err)
+	// Every byte is covered: the ephemeral key and the nonce feed the key
+	// derivation and the AEAD, the body and the tag are authenticated.
+	for _, at := range []int{0, ephemeralSize, ephemeralSize + nonceSize, len(ct) - 1} {
+		bad := bytes.Clone(ct)
+		bad[at] ^= 1
+		if _, err := sk.Decrypt(bad); !errors.Is(err, ErrDecrypt) {
+			t.Errorf("envelope tampered at byte %d: err = %v, want ErrDecrypt", at, err)
+		}
 	}
 }
 
+// An envelope is bytes, so nothing but its content tells the backends apart:
+// each must reject the other's envelopes as malformed or undecryptable.
 func TestSimDecryptWrongBackend(t *testing.T) {
-	real := NewECIES()
-	sim := NewSim()
-	rpk, _, err := real.GenerateKey()
+	rpk, rsk, err := NewECIES().GenerateKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ssk, err := sim.GenerateKey()
+	spk, ssk, err := NewSim().GenerateKey()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,9 +223,173 @@ func TestSimDecryptWrongBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ssk.Decrypt(ct); !errors.Is(err, ErrWrongKey) {
-		t.Errorf("err = %v, want ErrWrongKey", err)
+	if _, err := ssk.Decrypt(ct); !errors.Is(err, ErrShortData) && !errors.Is(err, ErrDecrypt) {
+		t.Errorf("sim key on an ECIES envelope: err = %v, want ErrShortData or ErrDecrypt", err)
 	}
+	if ct, err = spk.Encrypt([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rsk.Decrypt(ct); !errors.Is(err, ErrDecrypt) {
+		t.Errorf("ECIES key on a sim envelope: err = %v, want ErrDecrypt", err)
+	}
+}
+
+// TestEnvelopeSize pins the wire contract both sealing forms share: the
+// envelope is exactly EnvelopeOverhead + len(msg) bytes, the append form
+// writes it behind dst without touching what was there, and both open to msg.
+func TestEnvelopeSize(t *testing.T) {
+	for name, s := range backends() {
+		t.Run(name, func(t *testing.T) {
+			pk, sk, err := s.GenerateKey()
+			if err != nil {
+				t.Fatal(err)
+			}
+			prefix := []byte("already posted")
+			for _, n := range []int{0, 1, 31, 256, 5000} {
+				msg := bytes.Repeat([]byte{byte(n)}, n)
+				env, err := pk.Encrypt(msg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Spare capacity too small and large enough: the envelope
+				// lands behind the prefix either way.
+				for _, spare := range []int{0, 2 * (EnvelopeOverhead + n)} {
+					dst := append(make([]byte, 0, len(prefix)+spare), prefix...)
+					out, err := pk.AppendEncrypt(dst, msg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(out[:len(prefix)], prefix) {
+						t.Fatalf("AppendEncrypt clobbered dst: %q", out[:len(prefix)])
+					}
+					if spare > 0 && &out[0] != &dst[0] {
+						t.Errorf("%d-byte message: AppendEncrypt reallocated despite %d spare bytes", n, spare)
+					}
+					for form, e := range map[string][]byte{"Encrypt": env, "AppendEncrypt": out[len(prefix):]} {
+						if len(e) != EnvelopeOverhead+n {
+							t.Errorf("%s of %d bytes is %d bytes, want %d", form, n, len(e), EnvelopeOverhead+n)
+						}
+						got, err := sk.Decrypt(e)
+						if err != nil || !bytes.Equal(got, msg) {
+							t.Errorf("%s of %d bytes opens to %d bytes, err %v", form, n, len(got), err)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// Decrypt parses untrusted board bytes: whatever is wrong with an envelope,
+// it errors — with the right class — and never panics or yields plaintext.
+func TestDecryptMalformedEnvelope(t *testing.T) {
+	for name, s := range backends() {
+		t.Run(name, func(t *testing.T) {
+			pk, sk, err := s.GenerateKey()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, other, err := s.GenerateKey()
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg := []byte("partial decryption bytes")
+			env, err := pk.Encrypt(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lengthField := func(delta int) []byte {
+				bad := bytes.Clone(env)
+				binary.BigEndian.PutUint32(bad[8:], uint32(len(msg)+delta))
+				return bad
+			}
+			// The sim backend checks its framing (ErrShortData) before the
+			// key; ECIES has no framing beyond the minimum length, so a
+			// wrong length is an authentication failure.
+			framing := ErrShortData
+			if name != "sim" {
+				framing = ErrDecrypt
+			}
+			cases := []struct {
+				name string
+				key  SecretKey
+				env  []byte
+				want error
+			}{
+				{"nil", sk, nil, ErrShortData},
+				{"empty", sk, []byte{}, ErrShortData},
+				{"one byte short of the overhead", sk, env[:EnvelopeOverhead-1], ErrShortData},
+				{"truncated to the overhead", sk, env[:EnvelopeOverhead], framing},
+				{"truncated by one byte", sk, env[:len(env)-1], framing},
+				{"over-long by one byte", sk, append(bytes.Clone(env), 0), framing},
+				{"over-long by an envelope", sk, append(bytes.Clone(env), env...), framing},
+				{"length field too small", sk, lengthField(-1), framing},
+				{"length field too large", sk, lengthField(+1), framing},
+				{"length field huge", sk, lengthField(1 << 31), framing},
+				{"wrong key", other, env, ErrDecrypt},
+			}
+			for _, tc := range cases {
+				in := bytes.Clone(tc.env)
+				got, err := tc.key.Decrypt(tc.env)
+				if !errors.Is(err, tc.want) || got != nil {
+					t.Errorf("%s: plaintext %x, err = %v; want none, %v", tc.name, got, err, tc.want)
+				}
+				if !bytes.Equal(in, tc.env) {
+					t.Errorf("%s: Decrypt modified the envelope", tc.name)
+				}
+			}
+			if got, err := sk.Decrypt(env); err != nil || !bytes.Equal(got, msg) {
+				t.Errorf("intact envelope: %q, %v", got, err)
+			}
+		})
+	}
+}
+
+// FuzzDecryptEnvelope feeds both backends arbitrary envelope bytes: Decrypt
+// must never panic, must leave the input alone, and may only succeed on the
+// sim backend — where the plaintext is then exactly the framed message.
+func FuzzDecryptEnvelope(f *testing.F) {
+	seed := bytes.Repeat([]byte{7}, SecretKeySize)
+	keys := map[string]SecretKey{}
+	for name, s := range backends() {
+		sk, err := s.SecretKeyFromBytes(seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		keys[name] = sk
+		env, err := sk.Public().Encrypt([]byte("seed corpus message"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(env)
+		f.Add(env[:len(env)-1])
+		f.Add(env[:EnvelopeOverhead])
+	}
+	f.Add([]byte{})
+	f.Add(make([]byte, EnvelopeOverhead))
+	f.Fuzz(func(t *testing.T, env []byte) {
+		for name, sk := range keys {
+			in := bytes.Clone(env)
+			got, err := sk.Decrypt(env)
+			if !bytes.Equal(in, env) {
+				t.Fatalf("%s: Decrypt modified the envelope", name)
+			}
+			if err != nil {
+				if got != nil {
+					t.Fatalf("%s: plaintext alongside error %v", name, err)
+				}
+				continue
+			}
+			if len(got) != len(env)-EnvelopeOverhead {
+				t.Fatalf("%s: %d-byte plaintext from a %d-byte envelope", name, len(got), len(env))
+			}
+			// Only a correctly re-sealed message can authenticate on
+			// ECIES; on sim the framing pins the plaintext.
+			if name == "sim" && !bytes.Equal(got, env[simHeaderSize:simHeaderSize+len(got)]) {
+				t.Fatalf("sim: plaintext is not the framed message")
+			}
+		}
+	})
 }
 
 // TestCTEqualID pins the constant-time comparison the sim backend's key

@@ -1,11 +1,15 @@
 package pke
 
 import (
+	"bytes"
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
+	"slices"
+
+	"yosompc/internal/wire"
 )
 
 // Sim is the ideal PKE backend: payloads are stored in the clear inside the
@@ -32,12 +36,8 @@ type simSecret struct {
 	seed [SecretKeySize]byte
 }
 
-type simCT struct {
-	keyID uint64
-	msg   []byte
-}
-
-func (c *simCT) Size() int { return EnvelopeOverhead + len(c.msg) }
+// simHeaderSize is the u64 key id plus the u32 message length.
+const simHeaderSize = 8 + 4
 
 // GenerateKey implements Scheme. The "secret" is a random 32-byte seed; the
 // key id is derived from it so that SecretKeyFromBytes can re-associate.
@@ -77,10 +77,17 @@ func ctEqualID(a, b uint64) bool {
 }
 
 // Encrypt implements PublicKey.
-func (p *simPub) Encrypt(msg []byte) (Ciphertext, error) {
-	cp := make([]byte, len(msg))
-	copy(cp, msg)
-	return &simCT{keyID: p.id, msg: cp}, nil
+func (p *simPub) Encrypt(msg []byte) ([]byte, error) { return p.AppendEncrypt(nil, msg) }
+
+// AppendEncrypt implements PublicKey: header, message, and zero padding up
+// to the modelled ECIES size so measured bytes match modelled bytes.
+func (p *simPub) AppendEncrypt(dst, msg []byte) ([]byte, error) {
+	dst = slices.Grow(dst, EnvelopeOverhead+len(msg))
+	dst = binary.BigEndian.AppendUint64(dst, p.id)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(msg)))
+	dst = append(dst, msg...)
+	var pad [EnvelopeOverhead - simHeaderSize]byte
+	return append(dst, pad[:]...), nil
 }
 
 // Bytes implements PublicKey.
@@ -93,19 +100,22 @@ func (p *simPub) Bytes() []byte {
 // Fingerprint implements PublicKey.
 func (p *simPub) Fingerprint() string { return fmt.Sprintf("sim-%012x", p.id) }
 
-// Decrypt implements SecretKey; it enforces that only the matching key
-// opens the envelope, so key-routing bugs in the protocol fail loudly.
-func (k *simSecret) Decrypt(ct Ciphertext) ([]byte, error) {
-	sc, ok := ct.(*simCT)
-	if !ok {
-		return nil, ErrWrongKey
+// Decrypt implements SecretKey. It insists on the exact padded length, so
+// sealing and opening agree on every byte, and enforces that only the
+// matching key opens the envelope, so key-routing bugs in the protocol fail
+// loudly.
+func (k *simSecret) Decrypt(env []byte) ([]byte, error) {
+	if len(env) < EnvelopeOverhead {
+		return nil, fmt.Errorf("%w: envelope needs ≥ %d bytes, have %d", ErrShortData, EnvelopeOverhead, len(env))
 	}
-	if !ctEqualID(sc.keyID, k.id) {
-		return nil, fmt.Errorf("%w: envelope for key %012x, have %012x", ErrDecrypt, sc.keyID, k.id)
+	msgLen := binary.BigEndian.Uint32(env[8:])
+	if msgLen > wire.MaxLen || int(msgLen) != len(env)-EnvelopeOverhead {
+		return nil, fmt.Errorf("%w: message length %d in a %d-byte envelope", ErrShortData, msgLen, len(env))
 	}
-	out := make([]byte, len(sc.msg))
-	copy(out, sc.msg)
-	return out, nil
+	if keyID := binary.BigEndian.Uint64(env); !ctEqualID(keyID, k.id) {
+		return nil, fmt.Errorf("%w: envelope for key %012x, have %012x", ErrDecrypt, keyID, k.id)
+	}
+	return bytes.Clone(env[simHeaderSize : simHeaderSize+int(msgLen)]), nil
 }
 
 // Bytes implements SecretKey.

@@ -34,12 +34,10 @@ type Posting struct {
 	Trace TraceContext
 	// Size is the metered wire size in bytes — always len(Bytes).
 	Size int
-	// Bytes is the message's binary encoding, the authoritative wire
-	// artifact (docs/WIRE.md). Consumers must treat it as immutable.
+	// Bytes is the message's binary encoding — the only form in which the
+	// board holds a posted value (docs/WIRE.md). Readers take sub-slice
+	// views of it, so consumers must treat it as immutable.
 	Bytes []byte
-	// Payload is the in-process representation of the posted message.
-	// Consumers must treat it as immutable.
-	Payload any
 }
 
 // Board is the append-only bulletin board. It is safe for concurrent use.
@@ -98,9 +96,8 @@ func (b *Board) SetTraceSpan(id uint64) { b.span.Store(id) }
 // Post appends a posting carrying the message's binary encoding and meters
 // the measured encoded length — the posting's Size is len(wire) by
 // construction, never a caller claim. The caller must not modify wire
-// after posting. payload is the optional in-process form consumed by the
-// protocol drivers. Post returns the assigned sequence number.
-func (b *Board) Post(from string, phase comm.Phase, cat comm.Category, wire []byte, payload any) int {
+// after posting. Post returns the assigned sequence number.
+func (b *Board) Post(from string, phase comm.Phase, cat comm.Category, wire []byte) int {
 	size := len(wire)
 	b.meter.Add(phase, cat, size)
 	b.postCount.Inc()
@@ -113,7 +110,7 @@ func (b *Board) Post(from string, phase comm.Phase, cat comm.Category, wire []by
 	tc.PostUS, tc.RecvUS = now, now
 	tc.Proc = b.proc
 	seq := len(b.postings)
-	p := Posting{Seq: seq, From: from, Phase: phase, Category: cat, Trace: tc, Size: size, Bytes: wire, Payload: payload}
+	p := Posting{Seq: seq, From: from, Phase: phase, Category: cat, Trace: tc, Size: size, Bytes: wire}
 	b.postings = append(b.postings, p)
 	observers := b.observers
 	b.mu.Unlock()

@@ -12,7 +12,7 @@ import (
 func TestBoardAppendOnly(t *testing.T) {
 	b := NewBoard(nil)
 	for i := 0; i < 10; i++ {
-		seq := b.Post(fmt.Sprintf("r%d", i), comm.PhaseOffline, comm.CatLambda, make([]byte, i), i)
+		seq := b.Post(fmt.Sprintf("r%d", i), comm.PhaseOffline, comm.CatLambda, bytes.Repeat([]byte{byte(i)}, i))
 		if seq != i {
 			t.Fatalf("seq = %d, want %d", seq, i)
 		}
@@ -25,7 +25,7 @@ func TestBoardAppendOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Payload != i || p.Size != i || len(p.Bytes) != i {
+		if p.Size != i || !bytes.Equal(p.Bytes, bytes.Repeat([]byte{byte(i)}, i)) {
 			t.Errorf("posting %d = %+v", i, p)
 		}
 	}
@@ -45,8 +45,8 @@ func TestBoardSharedMeter(t *testing.T) {
 	m := &comm.Meter{}
 	b1 := NewBoard(m)
 	b2 := NewBoard(m)
-	b1.Post("a", comm.PhaseOnline, comm.CatMu, make([]byte, 10), nil)
-	b2.Post("b", comm.PhaseOnline, comm.CatMu, make([]byte, 20), nil)
+	b1.Post("a", comm.PhaseOnline, comm.CatMu, make([]byte, 10))
+	b2.Post("b", comm.PhaseOnline, comm.CatMu, make([]byte, 20))
 	if m.Report().Total != 30 {
 		t.Errorf("shared meter total = %d, want 30", m.Report().Total)
 	}
@@ -63,7 +63,7 @@ func TestBoardConcurrentPosts(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				b.Post(fmt.Sprintf("g%d", g), comm.PhaseOffline, comm.CatBeaver, []byte{0}, nil)
+				b.Post(fmt.Sprintf("g%d", g), comm.PhaseOffline, comm.CatBeaver, []byte{0})
 			}
 		}(g)
 	}
@@ -86,9 +86,9 @@ func TestBoardConcurrentPosts(t *testing.T) {
 
 func TestBoardAllIsSnapshot(t *testing.T) {
 	b := NewBoard(nil)
-	b.Post("a", comm.PhaseSetup, comm.CatCRS, []byte{1}, "x")
+	b.Post("a", comm.PhaseSetup, comm.CatCRS, []byte{1})
 	all := b.All()
-	b.Post("b", comm.PhaseSetup, comm.CatCRS, []byte{2}, "y")
+	b.Post("b", comm.PhaseSetup, comm.CatCRS, []byte{2})
 	if len(all) != 1 {
 		t.Error("All() snapshot grew")
 	}
@@ -98,9 +98,9 @@ func TestBoardAllIsSnapshot(t *testing.T) {
 // payload encoding meters zero, and the stored bytes round-trip unchanged.
 func TestBoardSizeIsMeasured(t *testing.T) {
 	b := NewBoard(nil)
-	b.Post("a", comm.PhaseSetup, comm.CatCRS, nil, "empty")
+	b.Post("a", comm.PhaseSetup, comm.CatCRS, nil)
 	wire := []byte{0xde, 0xad, 0xbe, 0xef}
-	b.Post("b", comm.PhaseOnline, comm.CatMu, wire, "four")
+	b.Post("b", comm.PhaseOnline, comm.CatMu, wire)
 	p0, _ := b.Get(0)
 	if p0.Size != 0 || len(p0.Bytes) != 0 {
 		t.Errorf("nil-encoding post: size %d bytes %d, want 0/0", p0.Size, len(p0.Bytes))

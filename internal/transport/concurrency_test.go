@@ -79,7 +79,7 @@ func TestBoardConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				board.Post("w", comm.PhaseOnline, comm.CatMu, []byte{0, 1}, nil)
+				board.Post("w", comm.PhaseOnline, comm.CatMu, []byte{0, 1})
 			}
 		}()
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/big"
+	"slices"
 )
 
 // Wire encodings for the TE messages that travel inside PKE envelopes:
@@ -17,6 +18,10 @@ import (
 //
 // The sim backend appends zero padding up to its modelled size so that byte
 // counts on the wire match the modelled deployment.
+//
+// The codecs are append-style: Append* writes the encoding behind dst (a
+// member's one posting buffer, or its wiped plaintext scratch) and returns
+// the extended slice, dst unchanged on error; Encode* is Append*(nil, …).
 
 const (
 	tagPartial  = 0x01
@@ -24,12 +29,15 @@ const (
 )
 
 // EncodePartial serializes a partial decryption produced by this scheme.
-func (s *Threshold) EncodePartial(p PartialDec) ([]byte, error) {
+func (s *Threshold) EncodePartial(p PartialDec) ([]byte, error) { return s.AppendPartial(nil, p) }
+
+// AppendPartial appends p's encoding to dst.
+func (s *Threshold) AppendPartial(dst []byte, p PartialDec) ([]byte, error) {
 	tp, ok := p.(*thresholdPartial)
 	if !ok {
-		return nil, fmt.Errorf("%w: partial", ErrWrongKey)
+		return dst, fmt.Errorf("%w: partial", ErrWrongKey)
 	}
-	return encodeBig(tagPartial, []uint32{uint32(tp.index), uint32(tp.epoch)}, tp.v), nil //yosolint:vartime length-prefixed encoding is value-length dependent by construction; the envelope ciphertext size on the board reveals the same length
+	return appendBig(dst, tagPartial, []uint32{uint32(tp.index), uint32(tp.epoch)}, tp.v), nil //yosolint:vartime length-prefixed encoding is value-length dependent by construction; the envelope ciphertext size on the board reveals the same length
 }
 
 // DecodePartial parses a partial decryption serialized by EncodePartial.
@@ -51,12 +59,15 @@ func (s *Threshold) DecodePartial(pk PublicKey, data []byte) (PartialDec, error)
 }
 
 // EncodeSubShare serializes a resharing subshare produced by this scheme.
-func (s *Threshold) EncodeSubShare(sub SubShare) ([]byte, error) {
+func (s *Threshold) EncodeSubShare(sub SubShare) ([]byte, error) { return s.AppendSubShare(nil, sub) }
+
+// AppendSubShare appends sub's encoding to dst.
+func (s *Threshold) AppendSubShare(dst []byte, sub SubShare) ([]byte, error) {
 	ts, ok := sub.(*thresholdSub)
 	if !ok {
-		return nil, fmt.Errorf("%w: subshare", ErrWrongKey)
+		return dst, fmt.Errorf("%w: subshare", ErrWrongKey)
 	}
-	return encodeBig(tagSubShare, []uint32{uint32(ts.from), uint32(ts.to), uint32(ts.epoch)}, ts.v), nil //yosolint:vartime length-prefixed encoding is value-length dependent by construction; the envelope ciphertext size on the board reveals the same length
+	return appendBig(dst, tagSubShare, []uint32{uint32(ts.from), uint32(ts.to), uint32(ts.epoch)}, ts.v), nil //yosolint:vartime length-prefixed encoding is value-length dependent by construction; the envelope ciphertext size on the board reveals the same length
 }
 
 // DecodeSubShare parses a subshare serialized by EncodeSubShare.
@@ -69,13 +80,17 @@ func (s *Threshold) DecodeSubShare(_ PublicKey, data []byte) (SubShare, error) {
 }
 
 // EncodePartial serializes a sim partial, padded to the modelled size.
-func (s *Sim) EncodePartial(p PartialDec) ([]byte, error) {
+func (s *Sim) EncodePartial(p PartialDec) ([]byte, error) { return s.AppendPartial(nil, p) }
+
+// AppendPartial appends p's padded encoding to dst.
+func (s *Sim) AppendPartial(dst []byte, p PartialDec) ([]byte, error) {
 	sp, ok := p.(*simPartial)
 	if !ok {
-		return nil, fmt.Errorf("%w: partial", ErrWrongKey)
+		return dst, fmt.Errorf("%w: partial", ErrWrongKey)
 	}
-	buf := encodeBig(tagPartial, []uint32{uint32(sp.index), uint32(sp.epoch)}, sp.value) //yosolint:vartime sim backend encoding; the output is padded to the fixed partial size immediately below
-	return padTo(buf, s.partSize()), nil
+	end := len(dst) + s.partSize()
+	dst = appendBig(slices.Grow(dst, s.partSize()), tagPartial, []uint32{uint32(sp.index), uint32(sp.epoch)}, sp.value) //yosolint:vartime sim backend encoding; the output is padded to the fixed partial size immediately below
+	return padTo(dst, end), nil
 }
 
 // DecodePartial parses a sim partial.
@@ -88,13 +103,17 @@ func (s *Sim) DecodePartial(_ PublicKey, data []byte) (PartialDec, error) {
 }
 
 // EncodeSubShare serializes a sim subshare, padded to the modelled size.
-func (s *Sim) EncodeSubShare(sub SubShare) ([]byte, error) {
+func (s *Sim) EncodeSubShare(sub SubShare) ([]byte, error) { return s.AppendSubShare(nil, sub) }
+
+// AppendSubShare appends sub's padded encoding to dst.
+func (s *Sim) AppendSubShare(dst []byte, sub SubShare) ([]byte, error) {
 	ss, ok := sub.(*simSub)
 	if !ok {
-		return nil, fmt.Errorf("%w: subshare", ErrWrongKey)
+		return dst, fmt.Errorf("%w: subshare", ErrWrongKey)
 	}
-	buf := encodeBig(tagSubShare, []uint32{uint32(ss.from), uint32(ss.to), uint32(ss.epoch)}, big.NewInt(0))
-	return padTo(buf, s.subSize()), nil
+	end := len(dst) + s.subSize()
+	dst = appendBig(slices.Grow(dst, s.subSize()), tagSubShare, []uint32{uint32(ss.from), uint32(ss.to), uint32(ss.epoch)}, new(big.Int))
+	return padTo(dst, end), nil
 }
 
 // DecodeSubShare parses a sim subshare.
@@ -112,13 +131,16 @@ func (s *Sim) DecodeSubShare(_ PublicKey, data []byte) (SubShare, error) {
 // and public-key codecs).
 type Codec interface {
 	EncodePartial(p PartialDec) ([]byte, error)
+	AppendPartial(dst []byte, p PartialDec) ([]byte, error)
 	DecodePartial(pk PublicKey, data []byte) (PartialDec, error)
 	EncodeSubShare(s SubShare) ([]byte, error)
+	AppendSubShare(dst []byte, s SubShare) ([]byte, error)
 	DecodeSubShare(pk PublicKey, data []byte) (SubShare, error)
 	// EncodeCiphertext serializes a ciphertext as exactly Size() bytes;
 	// DecodeCiphertext re-attaches the public plaintext bound (nil means
 	// pk.MaxPlaintext()).
 	EncodeCiphertext(ct Ciphertext) ([]byte, error)
+	AppendCiphertext(dst []byte, ct Ciphertext) ([]byte, error)
 	DecodeCiphertext(pk PublicKey, bound *big.Int, data []byte) (Ciphertext, error)
 	// EncodeKeyShare/DecodeKeyShare serialize key shares for hand-off
 	// inside PKE envelopes.
@@ -138,21 +160,30 @@ var (
 	_ Codec     = (*Sim)(nil)
 )
 
-func encodeBig(tag byte, fields []uint32, v *big.Int) []byte {
-	vb := v.Bytes()
-	out := make([]byte, 0, 1+4*len(fields)+1+4+len(vb))
-	out = append(out, tag)
+// appendBig appends tag | fields | sign | u32 len | value, writing the value
+// in place so no intermediate copy of it exists.
+func appendBig(dst []byte, tag byte, fields []uint32, v *big.Int) []byte {
+	vlen := (v.BitLen() + 7) / 8
+	dst = slices.Grow(dst, 1+4*len(fields)+1+4+vlen)
+	dst = append(dst, tag)
 	for _, f := range fields {
-		out = binary.BigEndian.AppendUint32(out, f)
+		dst = binary.BigEndian.AppendUint32(dst, f)
 	}
 	sign := byte(0)
 	if v.Sign() < 0 {
 		sign = 1
 	}
-	out = append(out, sign)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(vb)))
-	out = append(out, vb...)
-	return out
+	dst = append(dst, sign)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(vlen))
+	return appendAbs(dst, v, vlen)
+}
+
+// appendAbs appends |v| as exactly n big-endian bytes; n must cover v.
+func appendAbs(dst []byte, v *big.Int, n int) []byte {
+	off := len(dst)
+	dst = slices.Grow(dst, n)[:off+n]
+	v.FillBytes(dst[off:])
+	return dst
 }
 
 func decodeBig(tag byte, nFields int, data []byte) ([]uint32, *big.Int, error) {
@@ -183,11 +214,15 @@ func decodeBig(tag byte, nFields int, data []byte) ([]uint32, *big.Int, error) {
 	return fields, v, nil
 }
 
+// padTo zero-extends buf to size bytes; a buf already that long is returned
+// as is. The padding is written explicitly: buf's spare capacity may be a
+// reused scratch.
 func padTo(buf []byte, size int) []byte {
 	if len(buf) >= size {
 		return buf
 	}
-	out := make([]byte, size)
-	copy(out, buf)
-	return out
+	n := len(buf)
+	buf = slices.Grow(buf, size-n)[:size]
+	clear(buf[n:])
+	return buf
 }

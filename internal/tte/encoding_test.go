@@ -133,7 +133,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 				}
 			}
 			// Truncated value length.
-			trunc := encodeBig(tagPartial, []uint32{1, 0}, big.NewInt(1))
+			trunc := appendBig(nil, tagPartial, []uint32{1, 0}, big.NewInt(1))
 			if _, err := s.DecodePartial(pk, trunc[:len(trunc)-1]); err == nil {
 				t.Error("DecodePartial accepted truncated value")
 			}
@@ -166,7 +166,7 @@ func TestSimEncodingPadsToModelledSize(t *testing.T) {
 
 func TestEncodeBigNegative(t *testing.T) {
 	v := big.NewInt(-123456)
-	buf := encodeBig(tagSubShare, []uint32{1, 2, 3}, v)
+	buf := appendBig(nil, tagSubShare, []uint32{1, 2, 3}, v)
 	fields, got, err := decodeBig(tagSubShare, 3, buf)
 	if err != nil {
 		t.Fatal(err)

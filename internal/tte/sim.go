@@ -190,7 +190,14 @@ func (s *Sim) Combine(pk PublicKey, _ Ciphertext, parts []PartialDec) (*big.Int,
 	}
 	seen := map[int]bool{}
 	epoch := -1
-	counts := map[string]int{}
+	// The vote runs on the integers themselves: one tally per distinct
+	// value, so an honest run compares every partial against a single
+	// candidate.
+	type tally struct {
+		value *big.Int
+		count int
+	}
+	var tallies []tally
 	var best *big.Int
 	bestCount := 0
 	for _, p := range parts {
@@ -210,10 +217,16 @@ func (s *Sim) Combine(pk PublicKey, _ Ciphertext, parts []PartialDec) (*big.Int,
 			return nil, fmt.Errorf("%w: partial from %d", ErrDuplicateIndex, sp.index)
 		}
 		seen[sp.index] = true
-		k := sp.value.String()     //yosolint:vartime sim backend models the TDec functionality for sweeps, not its leakage profile
-		counts[k]++                //yosolint:vartime sim backend majority vote; not a protocol execution path
-		if counts[k] > bestCount { //yosolint:vartime sim backend majority vote; not a protocol execution path
-			bestCount = counts[k] //yosolint:vartime sim backend majority vote; not a protocol execution path
+		k := 0
+		for k < len(tallies) && tallies[k].value.Cmp(sp.value) != 0 { //yosolint:vartime sim backend models the TDec functionality for sweeps, not its leakage profile
+			k++
+		}
+		if k == len(tallies) {
+			tallies = append(tallies, tally{value: sp.value})
+		}
+		tallies[k].count++
+		if tallies[k].count > bestCount { //yosolint:vartime sim backend majority vote; not a protocol execution path
+			bestCount = tallies[k].count
 			best = sp.value
 		}
 	}

@@ -26,14 +26,16 @@ const (
 
 // EncodeCiphertext serializes a ciphertext as Size() fixed-width bytes.
 func (s *Threshold) EncodeCiphertext(ct Ciphertext) ([]byte, error) {
+	return s.AppendCiphertext(nil, ct)
+}
+
+// AppendCiphertext appends ct's Size() fixed-width bytes to dst.
+func (s *Threshold) AppendCiphertext(dst []byte, ct Ciphertext) ([]byte, error) {
 	tc, ok := ct.(*thresholdCT)
 	if !ok {
-		return nil, fmt.Errorf("%w: ciphertext", ErrWrongKey)
+		return dst, fmt.Errorf("%w: ciphertext", ErrWrongKey)
 	}
-	if tc.ct.C.Sign() < 0 || tc.ct.C.BitLen() > 8*tc.size {
-		return nil, fmt.Errorf("%w: ciphertext value exceeds %d bytes", ErrMalformedMessage, tc.size)
-	}
-	return tc.ct.C.FillBytes(make([]byte, tc.size)), nil
+	return appendFixed(dst, tc.ct.C, tc.size)
 }
 
 // DecodeCiphertext parses a fixed-width ciphertext. bound is the public
@@ -58,15 +60,23 @@ func (s *Threshold) DecodeCiphertext(pk PublicKey, bound *big.Int, data []byte) 
 }
 
 // EncodeCiphertext serializes a sim ciphertext as Size() fixed-width bytes.
-func (s *Sim) EncodeCiphertext(ct Ciphertext) ([]byte, error) {
+func (s *Sim) EncodeCiphertext(ct Ciphertext) ([]byte, error) { return s.AppendCiphertext(nil, ct) }
+
+// AppendCiphertext appends ct's Size() fixed-width bytes to dst.
+func (s *Sim) AppendCiphertext(dst []byte, ct Ciphertext) ([]byte, error) {
 	sc, ok := ct.(*simCT)
 	if !ok {
-		return nil, fmt.Errorf("%w: ciphertext", ErrWrongKey)
+		return dst, fmt.Errorf("%w: ciphertext", ErrWrongKey)
 	}
-	if sc.value.Sign() < 0 || sc.value.BitLen() > 8*sc.size {
-		return nil, fmt.Errorf("%w: ciphertext value exceeds %d bytes", ErrMalformedMessage, sc.size)
+	return appendFixed(dst, sc.value, sc.size)
+}
+
+// appendFixed appends v as exactly size big-endian bytes.
+func appendFixed(dst []byte, v *big.Int, size int) ([]byte, error) {
+	if v.Sign() < 0 || v.BitLen() > 8*size {
+		return dst, fmt.Errorf("%w: ciphertext value exceeds %d bytes", ErrMalformedMessage, size)
 	}
-	return sc.value.FillBytes(make([]byte, sc.size)), nil
+	return appendAbs(dst, v, size), nil
 }
 
 // DecodeCiphertext parses a fixed-width sim ciphertext; bound defaults to
@@ -96,7 +106,7 @@ func (s *Threshold) EncodeKeyShare(sh KeyShare) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: key share", ErrWrongKey)
 	}
-	return encodeBig(tagKeyShare, []uint32{uint32(tsh.index), uint32(tsh.epoch)}, tsh.d), nil //yosolint:vartime length-prefixed encoding is value-length dependent by construction; the PKE envelope size reveals the same length
+	return appendBig(nil, tagKeyShare, []uint32{uint32(tsh.index), uint32(tsh.epoch)}, tsh.d), nil //yosolint:vartime length-prefixed encoding is value-length dependent by construction; the PKE envelope size reveals the same length
 }
 
 // DecodeKeyShare parses a key share serialized by EncodeKeyShare.
@@ -114,7 +124,7 @@ func (s *Sim) EncodeKeyShare(sh KeyShare) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: key share", ErrWrongKey)
 	}
-	buf := encodeBig(tagKeyShare, []uint32{uint32(ssh.index), uint32(ssh.epoch)}, big.NewInt(0))
+	buf := appendBig(nil, tagKeyShare, []uint32{uint32(ssh.index), uint32(ssh.epoch)}, big.NewInt(0))
 	return padTo(buf, s.shareSize()), nil
 }
 

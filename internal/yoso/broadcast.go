@@ -94,7 +94,7 @@ func (b *Broadcast) Send(role *Role, wire []byte, msg any) error {
 	if role.Behavior != FailStop {
 		b.rows[b.round][role.Name()] = msg
 		//yosolint:blocking the row write and the board post must commit atomically under b.mu or readers observe rows the board never saw
-		b.board.Post(role.Name(), b.phase, comm.CatMu, wire, msg)
+		b.board.Post(role.Name(), b.phase, comm.CatMu, wire)
 		if b.leak != nil {
 			b.leak(role.Name(), msg)
 		}

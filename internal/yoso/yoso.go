@@ -103,7 +103,7 @@ func (r *Role) SecretKey() pke.SecretKey {
 // message's binary encoding (the board meters len(wire)). A role may Post
 // several board entries within its speaking window (they form one logical
 // message), but any Post after Spoke is a protocol violation.
-func (r *Role) Post(phase comm.Phase, cat comm.Category, wire []byte, payload any) {
+func (r *Role) Post(phase comm.Phase, cat comm.Category, wire []byte) {
 	r.mu.Lock()
 	if r.spoke {
 		r.mu.Unlock()
@@ -118,7 +118,7 @@ func (r *Role) Post(phase comm.Phase, cat comm.Category, wire []byte, payload an
 	// The speak-once decision is now recorded; release the lock before
 	// the board call, which may block on a remote transport.
 	r.mu.Unlock()
-	r.board.Post(r.Name(), phase, cat, wire, payload)
+	r.board.Post(r.Name(), phase, cat, wire)
 }
 
 // Spoke delivers the Spoke token: the role is killed and its state erased.

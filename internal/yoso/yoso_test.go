@@ -1,6 +1,7 @@
 package yoso
 
 import (
+	"bytes"
 	"testing"
 
 	"yosompc/internal/comm"
@@ -90,7 +91,7 @@ func TestSpokeEnforcement(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := c.Role(1)
-	r.Post(comm.PhaseOffline, comm.CatLambda, make([]byte, 10), "msg")
+	r.Post(comm.PhaseOffline, comm.CatLambda, make([]byte, 10))
 	if board.Len() != 4 { // 1 manifest + 2 role keys + 1 message
 		t.Errorf("board has %d postings", board.Len())
 	}
@@ -103,7 +104,7 @@ func TestSpokeEnforcement(t *testing.T) {
 			t.Error("no panic when posting after Spoke")
 		}
 	}()
-	r.Post(comm.PhaseOffline, comm.CatLambda, make([]byte, 10), "again")
+	r.Post(comm.PhaseOffline, comm.CatLambda, make([]byte, 10))
 }
 
 func TestSecretErasedAfterSpoke(t *testing.T) {
@@ -130,7 +131,7 @@ func TestFailStopPostsNothing(t *testing.T) {
 	}
 	before := board.Len()
 	for i := 1; i <= 3; i++ {
-		c.Role(i).Post(comm.PhaseOnline, comm.CatMu, make([]byte, 100), "x")
+		c.Role(i).Post(comm.PhaseOnline, comm.CatMu, make([]byte, 100))
 	}
 	if board.Len() != before {
 		t.Errorf("fail-stop roles posted %d messages", board.Len()-before)
@@ -237,8 +238,8 @@ func TestBehaviorString(t *testing.T) {
 
 func TestBoardPostingOrder(t *testing.T) {
 	board := transport.NewBoard(nil)
-	s1 := board.Post("a", comm.PhaseSetup, comm.CatCRS, []byte{1}, "one")
-	s2 := board.Post("b", comm.PhaseSetup, comm.CatCRS, []byte{2, 2}, "two")
+	s1 := board.Post("a", comm.PhaseSetup, comm.CatCRS, []byte{1})
+	s2 := board.Post("b", comm.PhaseSetup, comm.CatCRS, []byte{2, 2})
 	if s1 != 0 || s2 != 1 {
 		t.Errorf("sequence numbers %d, %d", s1, s2)
 	}
@@ -246,7 +247,7 @@ func TestBoardPostingOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Payload != "two" || p.From != "b" {
+	if !bytes.Equal(p.Bytes, []byte{2, 2}) || p.From != "b" {
 		t.Errorf("posting = %+v", p)
 	}
 	if _, err := board.Get(5); err == nil {
