@@ -15,7 +15,8 @@
 // routing is positional, and what the board meters is len() of the one
 // encoding. The board holds that encoding and nothing else: a step hands its
 // verified payloads to its caller, and a TskPost is its posting, which the
-// readers open through sub-slice views.
+// readers open through sub-slice views, a quorum of t+1 contributions at a
+// time (quorum in tsk.go).
 package committee
 
 import (

@@ -32,19 +32,25 @@ type fixture struct {
 // newFixture also returns the dealer's epoch-0 tsk shares.
 func newFixture(t *testing.T) (*fixture, []tte.KeyShare) {
 	t.Helper()
+	return newFixtureOn(t, tte.NewSim(512), pke.NewSim(), yoso.NewAdversary(1, 1, 7))
+}
+
+// newFixtureOn is newFixture on the given backends and adversary (nil: every
+// member is honest until a test says otherwise).
+func newFixtureOn(t *testing.T, te TE, scheme pke.Scheme, adv *yoso.Adversary) (*fixture, []tte.KeyShare) {
+	t.Helper()
 	auth, err := nizk.NewAuthority()
 	if err != nil {
 		t.Fatal(err)
 	}
 	board := transport.NewBoard(nil)
-	rt := &Runner{Board: board, Auth: auth, TE: tte.NewSim(512), Prefix: "test/"}
-	scheme := pke.NewSim()
+	rt := &Runner{Board: board, Auth: auth, TE: te, Prefix: "test/"}
 	tpk, shares, err := rt.TE.KeyGen(testN, testT)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt.TPK = tpk
-	return &fixture{Runner: rt, PKE: scheme, assign: yoso.NewAssignment(board, scheme, yoso.NewAdversary(1, 1, 7))}, shares
+	return &fixture{Runner: rt, PKE: scheme, assign: yoso.NewAssignment(board, scheme, adv)}, shares
 }
 
 func (f *fixture) form(t *testing.T, name string) *yoso.Committee {
@@ -137,9 +143,10 @@ func TestTskStep(t *testing.T) {
 			if next != nil {
 				garbSize += testN * (ctSize + pke.EnvelopeOverhead)
 			}
-			// sealedAt[j] and handoffAt[j] collect, in verified-member order,
-			// where in the postings the envelopes of opening j and of hand-off
-			// slot j lie.
+			// clearAt[j], sealedAt[j] and handoffAt[j] collect, in
+			// verified-member order, where in the postings the partials or
+			// envelopes of opening j and the envelopes of hand-off slot j lie.
+			clearAt := make([][][]byte, len(open))
 			sealedAt := make([][][]byte, len(open))
 			handoffAt := make([][][]byte, testN)
 			postings := map[string][]byte{}
@@ -185,7 +192,12 @@ func TestTskStep(t *testing.T) {
 					return enc
 				}
 				for j, kind := range tc.kinds {
-					if kind == 'd' && !bytes.Equal(take(partSize), partial(j)) {
+					if kind != 'd' {
+						continue
+					}
+					enc := take(partSize)
+					clearAt[j] = append(clearAt[j], enc)
+					if !bytes.Equal(enc, partial(j)) {
 						t.Errorf("%s: clear part for opening %d is not its partial decryption", role.Name(), j)
 					}
 				}
@@ -207,7 +219,7 @@ func TestTskStep(t *testing.T) {
 						if to.Behavior == yoso.FailStop {
 							continue // its key is gone with it
 						}
-						sub, err := f.openSubShare(to.SecretKey(), env)
+						sub, err := openSealed(f.Runner, to.SecretKey(), env, f.TE.DecodeSubShare)
 						if err != nil || sub.From() != i+1 || sub.To() != j+1 {
 							t.Errorf("%s: resharing slot %d opens to %v, %v", role.Name(), j, sub, err)
 						}
@@ -235,7 +247,8 @@ func TestTskStep(t *testing.T) {
 				}
 			}
 			for j := range open {
-				areViews(fmt.Sprintf("opening %d", j), res.Sealed[j], sealedAt[j])
+				areViews(fmt.Sprintf("opening %d, clear", j), res.Partials[j], clearAt[j])
+				areViews(fmt.Sprintf("opening %d, sealed", j), res.Sealed[j], sealedAt[j])
 			}
 			if tc.reshare {
 				for j, slot := range tsk.handoff {
@@ -256,12 +269,17 @@ func TestTskStep(t *testing.T) {
 						t.Fatalf("opening %d: %d partials, %d envelopes; want %d, 0",
 							j, len(res.Partials[j]), len(res.Sealed[j]), len(verified))
 					}
-					for m, part := range res.Partials[j] {
-						if part.Index() != verified[m] {
-							t.Errorf("opening %d: partial %d from member %d, want %d", j, m, part.Index(), verified[m])
+					parts := make([]tte.PartialDec, len(verified))
+					for m, view := range res.Partials[j] {
+						if parts[m], err = f.TE.DecodePartial(f.TPK, view); err != nil {
+							t.Fatalf("opening %d: partial %d: %v", j, m, err)
+						}
+						if parts[m].Index() != verified[m] || res.members[m] != verified[m] {
+							t.Errorf("opening %d: partial %d from member %d (listed as %d), want %d",
+								j, m, parts[m].Index(), res.members[m], verified[m])
 						}
 					}
-					got, err = f.TE.Combine(f.TPK, open[j].Ct, res.Partials[j])
+					got, err = f.TE.Combine(f.TPK, open[j].Ct, parts)
 				} else {
 					if res.Partials[j] != nil || len(res.Sealed[j]) != len(verified) {
 						t.Fatalf("opening %d: %d partials, %d envelopes; want 0, %d",
@@ -292,7 +310,7 @@ func TestTskStep(t *testing.T) {
 						if role.Behavior == yoso.FailStop {
 							continue
 						}
-						_, err := f.openSubShare(role.SecretKey(), slot[0])
+						_, err := openSealed(f.Runner, role.SecretKey(), slot[0], f.TE.DecodeSubShare)
 						if (err == nil) != (i == j) {
 							t.Errorf("member %d opening slot %d: err = %v", i+1, j, err)
 						}

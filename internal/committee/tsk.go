@@ -57,11 +57,15 @@ type Tsk struct {
 // Opened is what a tsk step's verified members left on the board, transposed
 // for its readers.
 type Opened struct {
-	// Partials[j] holds the partial decryptions of opening j when it was a
-	// Decrypt, Sealed[j] the envelopes answering it when it was a
-	// Re-encrypt — views of the verified postings; the other one is nil.
-	Partials [][]tte.PartialDec
+	// Partials[j] holds the encoded partial decryptions of opening j when it
+	// was a Decrypt, Sealed[j] the envelopes answering it when it was a
+	// Re-encrypt — views of the verified postings, in member order; the
+	// other one is nil.
+	Partials [][][]byte
 	Sealed   [][][]byte
+	// members[m] is the committee slot of the member whose posting view m of
+	// every opening lies in.
+	members []int
 }
 
 // TskStep is the one thing a tsk-holding committee ever does: every member
@@ -118,7 +122,7 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 
 	// Transpose the verified postings into per-opening and per-recipient
 	// views; one backing array serves all of them.
-	views := make([][]byte, (nSealed+nNext)*len(posts))
+	views := make([][]byte, (len(open)+nNext)*len(posts))
 	column := func(part int) [][]byte {
 		col := views[:len(posts):len(posts)]
 		views = views[len(posts):]
@@ -128,19 +132,18 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 		return col
 	}
 	res := &Opened{
-		Partials: make([][]tte.PartialDec, len(open)),
+		Partials: make([][][]byte, len(open)),
 		Sealed:   make([][][]byte, len(open)),
+		members:  make([]int, len(posts)),
+	}
+	for m, p := range posts {
+		res.members[m] = p.Index
 	}
 	for j, o := range open {
-		if o.Key != nil {
+		if o.Key == nil {
+			res.Partials[j] = column(slot[j])
+		} else {
 			res.Sealed[j] = column(slot[j])
-			continue
-		}
-		res.Partials[j] = make([]tte.PartialDec, len(posts))
-		for m, p := range posts {
-			if res.Partials[j][m], err = r.TE.DecodePartial(r.TPK, p.Payload.part(slot[j])); err != nil {
-				return nil, fmt.Errorf("%s: verified partial %d of member %d: %w", sp.Label, j, p.Index, err)
-			}
 		}
 	}
 	tsk.shares, tsk.handoff = nil, nil
@@ -229,8 +232,8 @@ func (r *Runner) tskPost(sh tte.KeyShare, open []Opening, next *yoso.Committee) 
 }
 
 // DecryptStep is TskStep for a list that is all Decrypts: everyone combines
-// each ciphertext's verified partial decryptions, and it returns the
-// plaintexts reduced into the field.
+// a quorum of each ciphertext's verified partial decryptions, and it returns
+// the plaintexts reduced into the field.
 func (r *Runner) DecryptStep(tsk *Tsk, c *yoso.Committee, sp Spec, cts []tte.Ciphertext, next *yoso.Committee) ([]field.Element, error) {
 	open := make([]Opening, len(cts))
 	for j, ct := range cts {
@@ -241,10 +244,16 @@ func (r *Runner) DecryptStep(tsk *Tsk, c *yoso.Committee, sp Spec, cts []tte.Cip
 		return nil, err
 	}
 	// Positions are independent, so the TDec fan-in runs on the worker
-	// pool, slot-indexed.
+	// pool, slot-indexed. The workers only read the shared postings.
 	out := make([]field.Element, len(cts))
 	err = r.Pfor(len(cts), func(j int) error {
-		v, err := r.TE.Combine(r.TPK, cts[j], res.Partials[j])
+		parts, err := quorum(r, nil, res.Partials[j], r.TE.DecodePartial)
+		if err != nil {
+			// Nothing is skipped in the clear, so the partial that failed
+			// is the one after those that decoded.
+			return fmt.Errorf("%s: verified partial %d of member %d: %w", sp.Label, j, res.members[len(parts)], err)
+		}
+		v, err := r.TE.Combine(r.TPK, cts[j], parts)
 		if err != nil {
 			return fmt.Errorf("%w: opening %d: %v", ErrNotEnough, j, err)
 		}
@@ -274,11 +283,11 @@ func (r *Runner) DealShares(c *yoso.Committee, shares []tte.KeyShare) (*Tsk, err
 	return &Tsk{shares: shares}, nil
 }
 
-// recoverShares lets each member of c rebuild its tsk share from the
-// envelopes the previous TskStep handed off (TKRec after decrypting with the
-// role secret key). Crashed members recover nothing. Members are independent,
-// so they run on the worker pool, slot-indexed; the error reported is the
-// lowest-index member's whatever the worker count.
+// recoverShares lets each member of c rebuild its tsk share from a quorum of
+// the envelopes the previous TskStep handed off (TKRec after decrypting with
+// the role secret key). Crashed members recover nothing. Members are
+// independent, so they run on the worker pool, slot-indexed; the error
+// reported is the lowest-index member's whatever the worker count.
 func (r *Runner) recoverShares(tsk *Tsk, c *yoso.Committee, phase comm.Phase) error {
 	tsk.shares = make([]tte.KeyShare, c.N())
 	errs := make([]error, c.N())
@@ -287,14 +296,7 @@ func (r *Runner) recoverShares(tsk *Tsk, c *yoso.Committee, phase comm.Phase) er
 		if role.Behavior == yoso.FailStop {
 			return nil // crashed before reading
 		}
-		subs := make([]tte.SubShare, 0, len(tsk.handoff[i]))
-		for _, env := range tsk.handoff[i] {
-			// Undecryptable envelopes are skipped; GOD relies on the
-			// honest majority of them.
-			if sub, err := r.openSubShare(role.SecretKey(), env); err == nil {
-				subs = append(subs, sub)
-			}
-		}
+		subs, _ := quorum(r, role.SecretKey(), tsk.handoff[i], r.TE.DecodeSubShare) // a sealed walk skips, it never fails
 		sh, err := r.TE.RecoverShare(r.TPK, i+1, subs)
 		if err != nil {
 			errs[i] = fmt.Errorf("%w: recovering tsk share for %s: %v", ErrNotEnough, role.Name(), err)
@@ -316,40 +318,66 @@ func (r *Runner) recoverShares(tsk *Tsk, c *yoso.Committee, phase comm.Phase) er
 	return nil
 }
 
-// openSubShare opens one hand-off envelope and decodes the key sub-share,
-// wiping the decrypted plaintext before returning — the raw bytes carry the
-// same secret as the sub-share and must not outlive the decode.
-func (r *Runner) openSubShare(sk pke.SecretKey, env []byte) (tte.SubShare, error) {
-	data, err := sk.Decrypt(env)
-	if err != nil {
-		return nil, err
-	}
-	defer clear(data)
-	return r.TE.DecodeSubShare(r.TPK, data)
-}
-
-// CombineSealed is the recipient's side of Re-encrypt: decrypt the partial
-// decryptions sealed to sk and combine them into ct's integer plaintext.
-func (r *Runner) CombineSealed(sk pke.SecretKey, envs [][]byte, ct tte.Ciphertext) (*big.Int, error) {
-	parts := make([]tte.PartialDec, 0, len(envs))
-	for _, env := range envs {
-		if part, err := r.openPartial(sk, env); err == nil {
-			parts = append(parts, part)
+// quorum is how every reader takes a committee's contributions off the
+// board: it walks views — one verified posting's part each, in member order
+// — opens them one by one and stops as soon as t+1 have opened. The paper's
+// Decrypt, Re-encrypt and TKRec run on t+1 valid contributions, and the proof
+// each poster attached is what makes any t+1 sufficient; the first t+1 in
+// member order are also the ones TE.Combine and TE.RecoverShare would keep
+// out of all n. Contributions beyond the quorum are never decrypted or
+// parsed.
+//
+// With sk non-nil the views are envelopes sealed to sk. One that does not
+// open — wrong key, truncated, failed tag, undecodable plaintext — is
+// skipped and the walk goes on: the proof cannot vouch for what only the
+// recipient reads. With sk nil the views are public encodings under a
+// verified proof, so one that fails to decode before the quorum is full is
+// the error returned, beside the contributions that decoded before it; a
+// sealed walk never fails. Fewer than t+1 opened is not an error here: the
+// caller's Combine or RecoverShare reports ErrTooFewPartials, which the
+// caller wraps in ErrNotEnough.
+func quorum[T any](r *Runner, sk pke.SecretKey, views [][]byte, decode func(tte.PublicKey, []byte) (T, error)) ([]T, error) {
+	need := r.TPK.T() + 1
+	got := make([]T, 0, need)
+	for _, view := range views {
+		if len(got) == need {
+			break
+		}
+		if sk == nil {
+			v, err := decode(r.TPK, view)
+			if err != nil {
+				return got, err
+			}
+			got = append(got, v)
+		} else if v, err := openSealed(r, sk, view, decode); err == nil {
+			got = append(got, v)
 		}
 	}
+	return got, nil
+}
+
+// openSealed opens one envelope and decodes what was sealed in it, wiping the
+// decrypted plaintext before returning — the raw bytes carry the same secret
+// as the partial decryption or key sub-share they encode and must not outlive
+// the decode.
+func openSealed[T any](r *Runner, sk pke.SecretKey, env []byte, decode func(tte.PublicKey, []byte) (T, error)) (T, error) {
+	data, err := sk.Decrypt(env)
+	if err != nil {
+		var none T
+		return none, err
+	}
+	defer clear(data)
+	return decode(r.TPK, data)
+}
+
+// CombineSealed is the recipient's side of Re-encrypt: decrypt a quorum of
+// the partial decryptions sealed to sk and combine them into ct's integer
+// plaintext.
+func (r *Runner) CombineSealed(sk pke.SecretKey, envs [][]byte, ct tte.Ciphertext) (*big.Int, error) {
+	parts, _ := quorum(r, sk, envs, r.TE.DecodePartial) // a sealed walk skips, it never fails
 	v, err := r.TE.Combine(r.TPK, ct, parts)
 	if err != nil {
 		return nil, fmt.Errorf("%w: combining %d envelopes: %v", ErrNotEnough, len(envs), err)
 	}
 	return v, nil
-}
-
-// openPartial is openSubShare for a sealed partial decryption.
-func (r *Runner) openPartial(sk pke.SecretKey, env []byte) (tte.PartialDec, error) {
-	data, err := sk.Decrypt(env)
-	if err != nil {
-		return nil, err
-	}
-	defer clear(data)
-	return r.TE.DecodePartial(r.TPK, data)
 }

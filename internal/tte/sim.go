@@ -150,9 +150,7 @@ func (s *Sim) Eval(pk PublicKey, cts []Ciphertext, coeffs []*big.Int) (Ciphertex
 			return nil, fmt.Errorf("%w: coefficient %d", ErrNegativeCoeff, i)
 		}
 		val.Add(val, term.Mul(coeffs[i], sc.value))
-		term = new(big.Int)
 		bound.Add(bound, term.Mul(coeffs[i], sc.bound))
-		term = new(big.Int)
 	}
 	if bound.Cmp(spk.maxPlain) > 0 {
 		return nil, fmt.Errorf("%w: combined bound %v", ErrPlaintextTooBig, bound)

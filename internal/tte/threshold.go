@@ -237,7 +237,6 @@ func (s *Threshold) Eval(pk PublicKey, cts []Ciphertext, coeffs []*big.Int) (Cip
 		}
 		acc = s.dj.Add(acc, s.dj.ScalarMul(tc.ct, coeffs[i]))
 		bound.Add(bound, term.Mul(coeffs[i], tc.bound))
-		term = new(big.Int)
 	}
 	if bound.Cmp(tpk.maxPlain) > 0 {
 		return nil, fmt.Errorf("%w: combined bound %v", ErrPlaintextTooBig, bound)
@@ -509,7 +508,6 @@ func (s *Threshold) RecoverShare(pk PublicKey, index int, subs []SubShare) (KeyS
 	term := new(big.Int)
 	for i, f := range froms {
 		d.Add(d, term.Mul(lambdas[i], seen[f].v))
-		term = new(big.Int)
 	}
 	return &thresholdShare{index: index, epoch: epoch + 1, d: d}, nil
 }
@@ -603,7 +601,6 @@ func (s *Threshold) SimPartialDecrypt(pk PublicKey, ct Ciphertext, target *big.I
 			term := new(big.Int)
 			for i := range points {
 				w.Add(w, term.Mul(lambdas[i], values[i]))
-				term = new(big.Int)
 			}
 			exp = w.Lsh(w, 1)
 		}
