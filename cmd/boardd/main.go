@@ -68,7 +68,7 @@ func serve(addr, debugAddr string) {
 		// accepts, and /progress serves its snapshot.
 		mon := monitor.New()
 		mon.Instrument(reg)
-		mon.AttachServer(s)
+		mon.AttachBoard(s.Board)
 		h := telemetry.HandlerWithProgress(reg, nil, func() any { return mon.Snapshot() })
 		debugSrv, err = telemetry.ListenAndServe(debugAddr, h)
 		if err != nil {

@@ -37,9 +37,9 @@ func main() {
 		log.Fatal(err)
 	}
 	defer stopTail()
-	observed := make(chan map[string]int64)
+	observed := make(chan map[comm.Phase]int64)
 	go func() {
-		perPhase := map[string]int64{}
+		perPhase := map[comm.Phase]int64{}
 		for e := range entries {
 			mon.Ingest(e)
 			perPhase[e.Phase] += int64(e.Size)
@@ -75,9 +75,9 @@ func main() {
 	stopTail()
 	perPhase := <-observed
 	fmt.Println("auditor's view (via boardd):")
-	for _, phase := range []string{"setup", "offline", "online"} {
+	for _, phase := range []comm.Phase{comm.PhaseSetup, comm.PhaseOffline, comm.PhaseOnline} {
 		fmt.Printf("  %-8s %10d B (local: %d B)\n",
-			phase, perPhase[phase], res.Report.ByPhase[comm.Phase(phase)])
+			phase, perPhase[phase], res.Report.ByPhase[phase])
 	}
 
 	// The remote monitor derived the run's progress purely from mirrored

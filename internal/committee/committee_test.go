@@ -150,9 +150,9 @@ func TestTskStep(t *testing.T) {
 			sealedAt := make([][][]byte, len(open))
 			handoffAt := make([][][]byte, testN)
 			postings := map[string][]byte{}
-			for _, p := range f.Board.All()[before:] {
+			for _, p := range f.Board.Entries(before) {
 				if p.Category == sp.Cat {
-					postings[p.From] = p.Bytes
+					postings[p.From] = p.Payload
 				}
 			}
 			if len(postings) != testN-1 {

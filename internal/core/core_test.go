@@ -277,6 +277,11 @@ func TestParamsValidation(t *testing.T) {
 		{"reconstruction impossible", simParams(5, 2, 3, nil)}, // 2+4+1 = 7 > 5
 		{"nil TE", Params{N: 4, T: 1, K: 1, PKE: pke.NewSim()}},
 		{"nil PKE", Params{N: 4, T: 1, K: 1, TE: tte.NewSim(512)}},
+		{"proc over the wire format's 255 bytes", func() Params {
+			p := simParams(4, 1, 1, nil)
+			p.Proc = strings.Repeat("p", 256)
+			return p
+		}()},
 	}
 	circ, err := circuit.InnerProduct(2)
 	if err != nil {
@@ -284,10 +289,24 @@ func TestParamsValidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := New(c.p, circ, nil); err == nil {
-				t.Error("invalid params accepted")
+			if _, err := New(c.p, circ, nil); !errors.Is(err, ErrBadParams) {
+				t.Errorf("invalid params: err = %v, want ErrBadParams", err)
 			}
 		})
+	}
+	// The longest process name the trace context can carry is accepted and
+	// encodes: the entry a mirror would forward marshals without panicking.
+	longest := simParams(4, 1, 1, nil)
+	longest.Proc = strings.Repeat("p", 255)
+	proto, err := New(longest, circ, nil)
+	if err != nil {
+		t.Fatalf("255-byte proc rejected: %v", err)
+	}
+	proto.Board().Post("setup", comm.PhaseSetup, comm.CatCRS, nil)
+	if e, _ := proto.Board().Get(0); e.Trace.Proc != longest.Proc {
+		t.Error("board did not stamp the process name")
+	} else if _, err := e.MarshalBinary(); err != nil {
+		t.Error(err)
 	}
 	if _, err := New(simParams(4, 1, 1, nil), nil, nil); err == nil {
 		t.Error("nil circuit accepted")
@@ -673,12 +692,12 @@ func TestFreshMasksAcrossRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		var mus []field.Element
-		for _, p := range proto.Board().All() {
+		for _, p := range proto.Board().Entries(0) {
 			if p.Category == comm.CatInput {
 				// A client's posting is its μ bundle: one element per input.
-				vals, err := field.VecFromBytes(p.Bytes, len(p.Bytes)/field.ElementSize)
-				if err != nil || len(p.Bytes)%field.ElementSize != 0 {
-					t.Fatalf("posting %d is not a μ bundle: %d bytes, %v", p.Seq, len(p.Bytes), err)
+				vals, err := field.VecFromBytes(p.Payload, len(p.Payload)/field.ElementSize)
+				if err != nil || len(p.Payload)%field.ElementSize != 0 {
+					t.Fatalf("posting %d is not a μ bundle: %d bytes, %v", p.Seq, len(p.Payload), err)
 				}
 				mus = append(mus, vals...)
 			}

@@ -73,7 +73,7 @@ type Params struct {
 	// carry it in their trace context (so a shared boardd can attribute
 	// entries) and Chrome trace exports embed it (so monitor.MergeTraces
 	// can align this process's spans onto the board timeline). Empty for
-	// single-process runs.
+	// single-process runs; at most 255 bytes.
 	Proc string
 	// NoKFF disables the keys-for-future machinery — the paper's §3.2
 	// "naive" ablation: packed shares stay under tpk through the offline
@@ -123,6 +123,11 @@ func (p *Params) Validate() error {
 			ErrBadParams, 3*p.T+2*(p.K-1)+1, p.N)
 	case p.Workers < 0:
 		return fmt.Errorf("%w: workers=%d", ErrBadParams, p.Workers)
+	case len(p.Proc) > 255:
+		// Proc travels in every entry's trace context as a u8-length-
+		// prefixed string (docs/WIRE.md); past that the codec panics.
+		return fmt.Errorf("%w: process name is %d bytes, the wire format carries at most 255",
+			ErrBadParams, len(p.Proc))
 	case p.TE == nil:
 		return fmt.Errorf("%w: missing TE backend", ErrBadParams)
 	case p.PKE == nil:

@@ -157,7 +157,7 @@ func MergeTraces(entries []transport.Entry, procs []ProcessTrace) (*MergedTrace,
 			args["span"] = e.Trace.Span
 		}
 		mt.Events = append(mt.Events, Event{
-			Name: e.Category, Ph: "i", Ts: e.Trace.RecvUS - base, Pid: 0, Tid: 0, S: "t", Args: args,
+			Name: string(e.Category), Ph: "i", Ts: e.Trace.RecvUS - base, Pid: 0, Tid: 0, S: "t", Args: args,
 		})
 	}
 	for i, p := range procs {

@@ -8,10 +8,10 @@
 // margin (missing speakers vs the n−quorum the reconstruction tolerates)
 // are all readable off the board, with no in-process hooks.
 //
-// A Monitor ingests transport entries from any source: an in-process
-// transport.Board (AttachBoard), a remote boardd stream (RunTail), a
-// one-shot dump (transport.Fetch + Ingest), or a server-side observer
-// (transport.Server.Observe). All timing is board time — the receive
+// A Monitor ingests transport entries from any source: a transport.Board
+// in the same process — a run's own or the one a boardd serves —
+// (AttachBoard), a remote boardd stream (RunTail), or a one-shot dump
+// (transport.Fetch + Ingest). All timing is board time — the receive
 // stamps entries carry — so a monitor tailing a remote board needs no
 // clock of its own.
 package monitor
@@ -165,7 +165,7 @@ func (m *Monitor) Ingest(e transport.Entry) {
 	}
 	proc := e.Trace.Proc
 
-	if e.Category == string(comm.CatManifest) {
+	if e.Category == comm.CatManifest {
 		var man transport.Manifest
 		if err := man.UnmarshalBinary(e.Payload); err == nil {
 			k := key(proc, man.Committee)
@@ -275,32 +275,14 @@ func (m *Monitor) export() {
 	}
 }
 
-// AttachBoard subscribes the monitor to an in-process board: every posting
-// is converted to its entry form and ingested synchronously.
+// AttachBoard subscribes the monitor to a board in this process — a run's
+// own or the one a transport.Server serves: every entry is ingested
+// synchronously as it is appended.
 func (m *Monitor) AttachBoard(b *transport.Board) {
 	if m == nil || b == nil {
 		return
 	}
-	b.Observe(func(p transport.Posting) {
-		m.Ingest(transport.Entry{
-			Seq:      p.Seq,
-			From:     p.From,
-			Phase:    string(p.Phase),
-			Category: string(p.Category),
-			Trace:    p.Trace,
-			Size:     p.Size,
-			Payload:  p.Bytes,
-		})
-	})
-}
-
-// AttachServer subscribes the monitor to a board server's accepted posts —
-// the hook boardd's own /progress endpoint uses.
-func (m *Monitor) AttachServer(s *transport.Server) {
-	if m == nil || s == nil {
-		return
-	}
-	s.Observe(func(e transport.Entry) { m.Ingest(e) })
+	b.Observe(m.Ingest)
 }
 
 // RunTail streams a remote board into the monitor from sequence `since`.

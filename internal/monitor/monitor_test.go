@@ -21,8 +21,8 @@ func manifestEntry(t *testing.T, proc, name, phase string, n, quorum int, recvUS
 	}
 	return transport.Entry{
 		From:     "role-assignment",
-		Phase:    string(comm.PhaseSystem),
-		Category: string(comm.CatManifest),
+		Phase:    comm.PhaseSystem,
+		Category: comm.CatManifest,
 		Trace:    transport.TraceContext{Proc: proc, RecvUS: recvUS},
 		Size:     len(payload),
 		Payload:  payload,
@@ -32,8 +32,8 @@ func manifestEntry(t *testing.T, proc, name, phase string, n, quorum int, recvUS
 func speechEntry(proc, from, phase string, size int, recvUS int64) transport.Entry {
 	return transport.Entry{
 		From:     from,
-		Phase:    phase,
-		Category: string(comm.CatBeaver),
+		Phase:    comm.Phase(phase),
+		Category: comm.CatBeaver,
 		Trace:    transport.TraceContext{Proc: proc, PostUS: recvUS - 10, RecvUS: recvUS},
 		Size:     size,
 		Payload:  make([]byte, size),

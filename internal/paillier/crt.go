@@ -3,7 +3,6 @@ package paillier
 import (
 	"fmt"
 	"math/big"
-	"sync"
 )
 
 // CRT-accelerated decryption: instead of one exponentiation modulo N², the
@@ -12,7 +11,8 @@ import (
 // — roughly a 3–4× speedup, which matters in the offline phase where
 // committees open two ciphertexts per multiplication gate.
 
-// crtState caches the per-key precomputation.
+// crtState is the per-key precomputation, held on the key itself
+// (PrivateKey.crtPre) so it lives exactly as long as the key does.
 type crtState struct {
 	p2, q2 *big.Int // p², q²
 	pm1    *big.Int // p−1
@@ -22,23 +22,13 @@ type crtState struct {
 	qInvP  *big.Int // q^{-1} mod p
 }
 
-var (
-	crtMu    sync.Mutex
-	crtCache = map[*PrivateKey]*crtState{}
-)
-
 func (sk *PrivateKey) crt() (*crtState, error) {
-	crtMu.Lock()
-	if st, ok := crtCache[sk]; ok {
-		crtMu.Unlock()
+	if st := sk.crtPre.Load(); st != nil {
 		return st, nil
 	}
-	crtMu.Unlock()
-
-	// Precompute outside the lock: the two exponentiations cost real time
-	// at production moduli, and holding crtMu across them would stall
-	// decryptors of unrelated keys. Concurrent first callers may duplicate
-	// the work; the re-check below keeps one winner.
+	// Precompute outside any lock: the two exponentiations cost real time
+	// at production moduli. Concurrent first callers may duplicate the
+	// work; the compare-and-swap below keeps one winner.
 	one := big.NewInt(1)
 	st := &crtState{
 		p2:  new(big.Int).Mul(sk.P, sk.P),
@@ -60,12 +50,9 @@ func (sk *PrivateKey) crt() (*crtState, error) {
 		return nil, fmt.Errorf("paillier: CRT precomputation failed")
 	}
 
-	crtMu.Lock()
-	defer crtMu.Unlock()
-	if prev, ok := crtCache[sk]; ok {
-		return prev, nil
+	if !sk.crtPre.CompareAndSwap(nil, st) {
+		return sk.crtPre.Load(), nil
 	}
-	crtCache[sk] = st
 	return st, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sync/atomic"
 )
 
 // Damgård–Jurik generalization (the paper's reference [19]): plaintexts in
@@ -27,6 +28,10 @@ type DJKey struct {
 	Ns, Ns1 *big.Int
 	// kFactInv caches k!^{-1} mod N^S for the dLog extraction.
 	kFactInv []*big.Int
+
+	// crtPre is the lazily built degree-S CRT precompute (engine.go). It
+	// makes the key non-copyable; keys are only ever handled by pointer.
+	crtPre atomic.Pointer[djState] //yosolint:secret derived from the prime factors: prime powers, group orders and the decryption exponent
 }
 
 // ErrDJDegree rejects invalid generalization degrees.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"sync"
 
 	"yosompc/internal/modexp"
 	"yosompc/internal/parallel"
@@ -28,7 +27,8 @@ import (
 // returns the unique residue mod N^{s+1}, which is exactly the value
 // the naive path computes, so the speedup is bit-invisible.
 
-// djState caches the degree-s CRT precomputation per DJKey.
+// djState is the degree-s CRT precomputation of one DJKey, held on the
+// key itself (DJKey.crtPre).
 type djState struct {
 	ps1, qs1  *big.Int // p^{s+1}, q^{s+1}
 	ordP      *big.Int // |Z*_{p^{s+1}}| = p^s·(p−1)
@@ -41,24 +41,15 @@ type djState struct {
 	kFactInvNs1 []*big.Int
 }
 
-var (
-	djMu    sync.Mutex
-	djCache = map[*DJKey]*djState{}
-)
-
-// djCRT returns the cached CRT state for k, building it on first use.
-// The build runs outside djMu (it contains modular inversions that cost
-// real time at production moduli); concurrent first callers may
-// duplicate the work and the re-check keeps one winner — the crtState
-// pattern above.
+// djCRT returns the CRT state of k, building it on first use. The build
+// runs outside any lock (it contains modular inversions that cost real
+// time at production moduli); concurrent first callers may duplicate the
+// work and the compare-and-swap keeps one winner — the crtState pattern
+// in crt.go.
 func (k *DJKey) djCRT() (*djState, error) {
-	djMu.Lock()
-	if st, ok := djCache[k]; ok {
-		djMu.Unlock()
+	if st := k.crtPre.Load(); st != nil {
 		return st, nil
 	}
-	djMu.Unlock()
-
 	sk := k.Base
 	st := &djState{}
 	st.ps1 = powTo(sk.P, k.S+1)
@@ -86,12 +77,9 @@ func (k *DJKey) djCRT() (*djState, error) {
 		st.kFactInvNs1[i] = inv
 	}
 
-	djMu.Lock()
-	defer djMu.Unlock()
-	if prev, ok := djCache[k]; ok {
-		return prev, nil
+	if !k.crtPre.CompareAndSwap(nil, st) {
+		return k.crtPre.Load(), nil
 	}
-	djCache[k] = st
 	return st, nil
 }
 

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sync/atomic"
 )
 
 var (
@@ -47,6 +48,10 @@ type PrivateKey struct {
 	Mu *big.Int
 	// M is p'·q' for safe-prime keys, nil otherwise.
 	M *big.Int
+
+	// crtPre is the lazily built CRT decryption precompute (crt.go). It
+	// makes the key non-copyable; keys are only ever handled by pointer.
+	crtPre atomic.Pointer[crtState] //yosolint:secret derived from the prime factors: p², q², p−1, q−1 and their inverses
 }
 
 // Ciphertext is a Paillier ciphertext, an element of Z*_{N²}.

@@ -15,58 +15,21 @@ import (
 	"time"
 
 	"yosompc/internal/comm"
-	"yosompc/internal/telemetry"
 )
 
-// Posting is one board entry.
-type Posting struct {
-	// Seq is the global sequence number, assigned by the board.
-	Seq int
-	// From identifies the posting role (free-form, e.g. "off1/3").
-	From string
-	// Phase and Category attribute the bytes for reporting.
-	Phase    comm.Phase
-	Category comm.Category
-	// Trace is the correlation record stamped at Post time: the board's
-	// process name and current span (SetProc / SetTraceSpan) plus the
-	// posting timestamp. For the in-process board the post and receive
-	// clocks coincide, so PostUS == RecvUS.
-	Trace TraceContext
-	// Size is the metered wire size in bytes — always len(Bytes).
-	Size int
-	// Bytes is the message's binary encoding — the only form in which the
-	// board holds a posted value (docs/WIRE.md). Readers take sub-slice
-	// views of it, so consumers must treat it as immutable.
-	Bytes []byte
-}
-
-// Board is the append-only bulletin board. It is safe for concurrent use.
+// Board is the append-only bulletin board: the one log of Entry records,
+// whether posts arrive in process (Post) or over TCP (a Server is a board
+// behind a listener). It is safe for concurrent use.
 type Board struct {
 	mu        sync.Mutex
-	postings  []Posting
+	entries   []Entry
 	meter     *comm.Meter
-	observers []func(Posting)
+	observers []func(Entry)
 
-	// Trace-context state stamped onto postings. proc is set once before
+	// Trace-context state stamped onto local posts. proc is set once before
 	// traffic; span follows the protocol's open phase/step span.
 	proc string
 	span atomic.Uint64
-
-	// Telemetry instruments; nil (no-op, zero cost) until Instrument is
-	// called.
-	postCount *telemetry.Counter   // board.posts
-	postBytes *telemetry.Histogram // board.post_bytes
-}
-
-// Instrument registers the in-process board's posting metrics on reg
-// (board.posts counter, board.post_bytes size histogram). Call it before
-// the board takes traffic; a nil registry is a no-op.
-func (b *Board) Instrument(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	b.postCount = reg.Counter("board.posts")
-	b.postBytes = reg.Histogram("board.post_bytes", telemetry.SizeBuckets)
 }
 
 // NewBoard creates a board writing byte counts to meter. A nil meter
@@ -94,69 +57,86 @@ func (b *Board) SetProc(proc string) {
 func (b *Board) SetTraceSpan(id uint64) { b.span.Store(id) }
 
 // Post appends a posting carrying the message's binary encoding and meters
-// the measured encoded length — the posting's Size is len(wire) by
+// the measured encoded length — the entry's Size is len(wire) by
 // construction, never a caller claim. The caller must not modify wire
 // after posting. Post returns the assigned sequence number.
 func (b *Board) Post(from string, phase comm.Phase, cat comm.Category, wire []byte) int {
-	size := len(wire)
-	b.meter.Add(phase, cat, size)
-	b.postCount.Inc()
-	b.postBytes.Observe(float64(size))
-	tc := TraceContext{Span: b.span.Load()}
+	return b.append(Entry{From: from, Phase: phase, Category: cat, Payload: wire}, true)
+}
+
+// append is the one way onto the log, whichever door a post came through:
+// it meters the measured payload length, stamps the trace context, assigns
+// Seq and runs the observers. A local post is attributed to the board's
+// own process and open span and has one clock (PostUS == RecvUS); a remote
+// post keeps the poster's process, span and PostUS, and only its RecvUS —
+// a poster's claim, never trusted — is overwritten with the board's clock,
+// the shared timeline every poster's trace aligns against.
+func (b *Board) append(e Entry, local bool) int {
+	e.Size = len(e.Payload)
+	b.meter.Add(e.Phase, e.Category, e.Size)
 	b.mu.Lock()
-	// Stamped under the append lock so timestamps are monotone with Seq;
-	// the in-process board's post and receive clocks coincide.
+	// Stamped under the append lock so receive times are monotone with Seq.
 	now := time.Now().UnixMicro()
-	tc.PostUS, tc.RecvUS = now, now
-	tc.Proc = b.proc
-	seq := len(b.postings)
-	p := Posting{Seq: seq, From: from, Phase: phase, Category: cat, Trace: tc, Size: size, Bytes: wire}
-	b.postings = append(b.postings, p)
+	if local {
+		e.Trace = TraceContext{Proc: b.proc, Span: b.span.Load(), PostUS: now}
+	}
+	e.Trace.RecvUS = now
+	e.Seq = len(b.entries)
+	b.entries = append(b.entries, e)
 	observers := b.observers
 	b.mu.Unlock()
 	for _, fn := range observers {
-		fn(p)
+		fn(e)
 	}
-	return seq
+	return e.Seq
 }
 
 // Observe registers a callback invoked synchronously after every posting —
-// the hook mirrors and monitors attach to. Callbacks must be fast and must
-// not post back to the board.
-func (b *Board) Observe(fn func(Posting)) {
+// the hook mirrors, monitors and a server's live tails attach to. Callbacks
+// run outside the append lock, so under concurrent posters they may see
+// neighbouring Seqs out of order; they must be fast and must not post back
+// to the board.
+func (b *Board) Observe(fn func(Entry)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.observers = append(b.observers, fn)
 }
 
-// Len returns the number of postings.
+// Len returns the number of entries.
 func (b *Board) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.postings)
+	return len(b.entries)
 }
 
-// Get returns posting seq.
-func (b *Board) Get(seq int) (Posting, error) {
+// Get returns entry seq.
+func (b *Board) Get(seq int) (Entry, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if seq < 0 || seq >= len(b.postings) {
-		return Posting{}, fmt.Errorf("transport: no posting %d (board has %d)", seq, len(b.postings))
+	if seq < 0 || seq >= len(b.entries) {
+		return Entry{}, fmt.Errorf("transport: no posting %d (board has %d)", seq, len(b.entries))
 	}
-	return b.postings[seq], nil
+	return b.entries[seq], nil
 }
 
-// All returns a snapshot of all postings.
-func (b *Board) All() []Posting {
+// Entries returns a snapshot of the entries from sequence `since`.
+func (b *Board) Entries(since int) []Entry {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make([]Posting, len(b.postings))
-	copy(out, b.postings)
+	if since < 0 {
+		since = 0
+	}
+	if since >= len(b.entries) {
+		return nil
+	}
+	out := make([]Entry, len(b.entries)-since)
+	copy(out, b.entries[since:])
 	return out
 }
 
 // Meter returns the board's meter.
 func (b *Board) Meter() *comm.Meter { return b.meter }
 
-// Report returns the current communication report.
+// Report returns the byte accounting of everything posted so far — every
+// size in it was measured from real payload bytes.
 func (b *Board) Report() comm.Report { return b.meter.Report() }

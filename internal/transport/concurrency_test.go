@@ -67,12 +67,12 @@ func TestServerConcurrentPostTailClose(t *testing.T) {
 	}
 }
 
-// The in-process Board under concurrent Post, Observe, Len, Get and All.
+// The in-process Board under concurrent Post, Observe, Len, Get and Entries.
 func TestBoardConcurrentUse(t *testing.T) {
 	board := NewBoard(nil)
 	const posters, each = 8, 200
 	var observed sync.Map
-	board.Observe(func(p Posting) { observed.Store(p.Seq, p.From) })
+	board.Observe(func(e Entry) { observed.Store(e.Seq, e.From) })
 	var wg sync.WaitGroup
 	for p := 0; p < posters; p++ {
 		wg.Add(1)
@@ -87,7 +87,7 @@ func TestBoardConcurrentUse(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for board.Len() < posters*each {
-			all := board.All()
+			all := board.Entries(0)
 			for i, p := range all {
 				if p.Seq != i {
 					t.Errorf("snapshot posting %d has seq %d", i, p.Seq)

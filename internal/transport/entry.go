@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"io"
 
+	"yosompc/internal/comm"
 	"yosompc/internal/wire"
 )
 
-// Entry is the wire form of one posting: the public board record carrying
-// the real encoded payload bytes. Layout (big-endian, docs/WIRE.md):
+// Entry is the one board record — what a Board stores, what observers see
+// and what travels on the wire — carrying the real encoded payload bytes.
+// Layout (big-endian, docs/WIRE.md):
 //
 //	u8 version | u32 seq | str8 from | str8 phase | str8 category |
 //	trace context | u32 payload len | payload
@@ -17,16 +19,21 @@ import (
 // Size is derived — always len(Payload) — and is therefore measured, not
 // claimed; it is kept as a field so auditors and the CLI read one number.
 type Entry struct {
-	Seq      int
-	From     string
-	Phase    string
-	Category string
+	// Seq is the global sequence number, assigned by the board.
+	Seq int
+	// From identifies the posting role (free-form, e.g. "off1/3").
+	From string
+	// Phase and Category attribute the bytes for reporting.
+	Phase    comm.Phase
+	Category comm.Category
 	// Trace is the cross-process correlation record: posting process,
 	// open span, and the post/receive timestamps (see TraceContext).
 	Trace TraceContext
 	// Size is the measured payload length in bytes, len(Payload).
 	Size int
-	// Payload is the message's binary encoding.
+	// Payload is the message's binary encoding — the only form in which the
+	// board holds a posted value. Readers take sub-slice views of it, so
+	// consumers must treat it as immutable.
 	Payload []byte
 }
 
@@ -42,8 +49,8 @@ func (e Entry) MarshalBinary() ([]byte, error) {
 	out = append(out, wire.Version)
 	out = wire.AppendUint32(out, uint32(e.Seq))
 	out = wire.AppendString8(out, e.From)
-	out = wire.AppendString8(out, e.Phase)
-	out = wire.AppendString8(out, e.Category)
+	out = wire.AppendString8(out, string(e.Phase))
+	out = wire.AppendString8(out, string(e.Category))
 	out = e.Trace.appendTo(out)
 	return wire.AppendBytes32(out, e.Payload), nil
 }
@@ -85,7 +92,7 @@ func (e *Entry) UnmarshalBinary(data []byte) error {
 	if len(rest) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes after entry", wire.ErrMalformed, len(rest))
 	}
-	*e = Entry{Seq: int(seq), From: from, Phase: phase, Category: cat, Trace: tc, Size: len(payload), Payload: payload}
+	*e = Entry{Seq: int(seq), From: from, Phase: comm.Phase(phase), Category: comm.Category(cat), Trace: tc, Size: len(payload), Payload: payload}
 	return nil
 }
 
@@ -143,7 +150,7 @@ func (e *Entry) ReadFrom(r io.Reader) (int64, error) {
 	if err != nil {
 		return fail(0, err)
 	}
-	*e = Entry{Seq: int(seq), From: from, Phase: phase, Category: cat, Trace: tc, Size: len(payload), Payload: payload}
+	*e = Entry{Seq: int(seq), From: from, Phase: comm.Phase(phase), Category: comm.Category(cat), Trace: tc, Size: len(payload), Payload: payload}
 	return int64(n), nil
 }
 

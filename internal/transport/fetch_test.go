@@ -76,29 +76,6 @@ func TestFetchSnapshot(t *testing.T) {
 	}
 }
 
-// Server.Observe delivers every accepted post to in-server monitors.
-func TestServerObserve(t *testing.T) {
-	s := startServer(t)
-	seen := make(chan Entry, 4)
-	s.Observe(func(e Entry) { seen <- e })
-	c, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Post("offR/2", comm.PhaseOffline, comm.CatLambda, []byte{7}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case e := <-seen:
-		if e.From != "offR/2" || e.Seq != 0 || e.Trace.RecvUS == 0 {
-			t.Errorf("observed entry = %+v", e)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("observer not called")
-	}
-}
-
 // The in-process board stamps postings with its configured process name,
 // the current trace span, and a post==recv timestamp pair.
 func TestBoardTraceStamping(t *testing.T) {
@@ -110,7 +87,7 @@ func TestBoardTraceStamping(t *testing.T) {
 	b.SetTraceSpan(12)
 	b.Post("offB1/2", comm.PhaseOffline, comm.CatBeaver, []byte{2})
 	after := time.Now().UnixMicro()
-	ps := b.All()
+	ps := b.Entries(0)
 	if ps[0].Trace.Proc != "local-run" || ps[0].Trace.Span != 11 || ps[1].Trace.Span != 12 {
 		t.Errorf("stamped contexts = %+v, %+v", ps[0].Trace, ps[1].Trace)
 	}

@@ -16,10 +16,11 @@ import (
 	"yosompc/internal/wire"
 )
 
-// A networked bulletin-board service: the deployment-shaped counterpart of
-// the in-process Board. A Server accepts TCP connections speaking the
-// binary protocol of docs/WIRE.md. Every frame starts with the wire
-// version byte and an opcode:
+// A networked bulletin-board service: a Board behind a TCP listener. A
+// Server accepts connections speaking the binary protocol of docs/WIRE.md
+// and appends accepted posts to its board through the same path as an
+// in-process Post. Every frame starts with the wire version byte and an
+// opcode:
 //
 //	post: ver | 0x01 | str8 from | str8 phase | str8 category |
 //	      trace context | u32 claimed size | u32 payload len | payload
@@ -56,26 +57,26 @@ const (
 const tailBuffer = 256
 
 // subscriber is one live tail subscription. `gapped` is guarded by the
-// Server mutex: post sets it instead of blocking when the channel is full,
-// and the tail loop re-syncs from the entry log before delivering anything
-// further, so a slow tailer still observes every Seq exactly once.
+// Server mutex: fanOut sets it instead of blocking when the channel is
+// full, and the tail loop re-syncs from the board's log before delivering
+// anything further, so a slow tailer still observes every Seq exactly once.
 type subscriber struct {
 	ch     chan Entry
 	conn   net.Conn
 	gapped bool
 }
 
-// Server is a bulletin-board service instance.
+// Server is a bulletin-board service instance: the embedded Board is the
+// log (Len, Entries, Report, Observe and an in-process Post are the
+// board's own), and the server adds only the networking around it.
 type Server struct {
-	ln    net.Listener
-	meter *comm.Meter
+	*Board
+	ln net.Listener
 
-	mu        sync.Mutex
-	entries   []Entry
-	subs      map[*subscriber]struct{}
-	conns     map[net.Conn]struct{}
-	observers []func(Entry)
-	closed    bool
+	mu     sync.Mutex
+	subs   map[*subscriber]struct{}
+	conns  map[net.Conn]struct{}
+	closed bool
 
 	// Telemetry instruments, nil (no-op, zero cost) until Instrument is
 	// called. Time is only read when the corresponding histogram is set.
@@ -119,15 +120,24 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 	s.rejects = reg.Counter("transport.post_rejects")
 }
 
-// Serve starts a server on the listener and returns immediately; Close
-// shuts it down and waits for the connection handlers.
-func Serve(ln net.Listener) *Server {
+// newServer builds a server around a fresh board, with the live-tail
+// fan-out hung off the board's observer hook so every append reaches the
+// tailers, whichever door the post came through.
+func newServer(ln net.Listener) *Server {
 	s := &Server{
+		Board: NewBoard(nil),
 		ln:    ln,
-		meter: &comm.Meter{},
 		subs:  map[*subscriber]struct{}{},
 		conns: map[net.Conn]struct{}{},
 	}
+	s.Observe(s.fanOut)
+	return s
+}
+
+// Serve starts a server on the listener and returns immediately; Close
+// shuts it down and waits for the connection handlers.
+func Serve(ln net.Listener) *Server {
+	s := newServer(ln)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -159,41 +169,6 @@ func Serve(ln net.Listener) *Server {
 
 // Addr returns the server's listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Len returns the number of stored entries.
-func (s *Server) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
-// Entries returns a snapshot of the stored entries from sequence `since`.
-func (s *Server) Entries(since int) []Entry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if since < 0 {
-		since = 0
-	}
-	if since >= len(s.entries) {
-		return nil
-	}
-	out := make([]Entry, len(s.entries)-since)
-	copy(out, s.entries[since:])
-	return out
-}
-
-// Report returns the byte accounting of everything posted so far — every
-// size in it was measured from real payload bytes.
-func (s *Server) Report() comm.Report { return s.meter.Report() }
-
-// Observe registers a callback invoked synchronously after every accepted
-// post — the hook an in-server monitor attaches to (boardd's /progress).
-// Callbacks must be fast and must not post back to the server.
-func (s *Server) Observe(fn func(Entry)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.observers = append(s.observers, fn)
-}
 
 // Close stops accepting connections, terminates tailers and waits for all
 // handlers to exit.
@@ -357,64 +332,54 @@ func (s *Server) post(req postRequest) (int, error) {
 	if s.postNS != nil {
 		start = time.Now()
 	}
-	size := len(req.payload)
-	s.meter.Add(comm.Phase(req.phase), comm.Category(req.category), size)
-	s.mu.Lock()
-	// The server's receive clock is the shared timeline every poster's
-	// trace aligns against; the client-stamped RecvUS (if any) is
-	// overwritten, never trusted. Stamping under the append lock keeps
-	// receive times monotone with sequence numbers.
-	req.trace.RecvUS = time.Now().UnixMicro()
-	e := Entry{
-		Seq:      len(s.entries),
+	seq := s.append(Entry{
 		From:     req.from,
-		Phase:    req.phase,
-		Category: req.category,
+		Phase:    comm.Phase(req.phase),
+		Category: comm.Category(req.category),
 		Trace:    req.trace,
-		Size:     size,
 		Payload:  req.payload,
+	}, false)
+	s.postCount.Inc()
+	s.postBytes.Observe(float64(len(req.payload)))
+	if s.postNS != nil {
+		s.postNS.Observe(float64(time.Since(start)))
 	}
-	s.entries = append(s.entries, e)
+	return seq, nil
+}
+
+// fanOut is the board observer that feeds the live tails.
+func (s *Server) fanOut(e Entry) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for sub := range s.subs {
 		select {
 		case sub.ch <- e:
 		default:
 			// Slow tailer: never block the board, but never silently lose
 			// the entry either — mark the subscription gapped so its tail
-			// loop re-syncs from the entry log before delivering more.
+			// loop re-syncs from the board's log before delivering more.
 			sub.gapped = true
 		}
 	}
-	observers := s.observers
-	s.mu.Unlock()
-	for _, fn := range observers {
-		fn(e)
-	}
-	s.postCount.Inc()
-	s.postBytes.Observe(float64(size))
-	if s.postNS != nil {
-		s.postNS.Observe(float64(time.Since(start)))
-	}
-	return e.Seq, nil
 }
 
 func (s *Server) tail(conn net.Conn, bw *bufio.Writer, since int) {
+	if since < 0 {
+		since = 0
+	}
+	next := since // next sequence number owed to this tailer
+	sub := &subscriber{ch: make(chan Entry, tailBuffer), conn: conn}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return
 	}
-	if since < 0 {
-		since = 0
-	}
-	next := since // next sequence number owed to this tailer
-	backlog := make([]Entry, 0)
-	if since < len(s.entries) {
-		backlog = append(backlog, s.entries[since:]...)
-	}
-	sub := &subscriber{ch: make(chan Entry, tailBuffer), conn: conn}
 	s.subs[sub] = struct{}{}
 	s.mu.Unlock()
+	// Snapshot the backlog only after subscribing: an entry appended in
+	// between is then in the backlog, on the channel, or both — never in
+	// neither — and send dedupes by Seq.
+	backlog := s.Entries(since)
 	defer func() {
 		s.mu.Lock()
 		delete(s.subs, sub)
@@ -471,22 +436,25 @@ func (s *Server) tail(conn net.Conn, bw *bufio.Writer, since int) {
 		}
 	}
 	for e := range sub.ch {
-		// If post ever found the channel full it set gapped: re-read the
-		// authoritative log from `next` so the client still sees every
-		// entry exactly once, in order. A drop implies the channel was
-		// full, so there is always a later receive to reach this check.
+		// If fanOut ever found the channel full it set gapped, and board
+		// observers run outside the append lock so concurrent posts can
+		// reach the channel out of order (e.Seq > next): either way re-read
+		// the authoritative log from `next` so the client still sees every
+		// entry exactly once, in order. An entry is in the log before its
+		// fan-out, and a drop implies the channel was full, so there is
+		// always a later receive to reach this check.
 		s.mu.Lock()
-		var resync []Entry
-		if sub.gapped || e.Seq > next {
-			resync = append(resync, s.entries[next:]...)
-			sub.gapped = false
+		gapped := sub.gapped
+		sub.gapped = false
+		s.mu.Unlock()
+		if gapped || e.Seq > next {
+			resync := s.Entries(next)
 			s.resyncs.Inc()
 			s.tailLag.Max(int64(len(resync)))
-		}
-		s.mu.Unlock()
-		for _, re := range resync {
-			if !send(re) {
-				return
+			for _, re := range resync {
+				if !send(re) {
+					return
+				}
 			}
 		}
 		if !send(e) {
@@ -719,11 +687,11 @@ func AttachMirror(board *Board, addr string) (*Mirror, error) {
 		return nil, err
 	}
 	m := &Mirror{client: client}
-	board.Observe(func(p Posting) {
+	board.Observe(func(e Entry) {
 		// Forward the local board's trace stamp so the remote entry keeps
 		// the poster's process, span and send time; the server replaces
 		// RecvUS with its own clock.
-		if _, err := m.client.PostCtx(p.From, p.Phase, p.Category, p.Bytes, p.Trace); err != nil {
+		if _, err := m.client.PostCtx(e.From, e.Phase, e.Category, e.Payload, e.Trace); err != nil {
 			m.errs.Add(1)
 			m.errCount.Inc()
 			m.logOnce.Do(func() {

@@ -187,6 +187,20 @@ func TestRemoteTailBacklogAndLive(t *testing.T) {
 	if e.Seq != 3 || !bytes.Equal(e.Payload, live) {
 		t.Errorf("live entry = %+v", e)
 	}
+	// One append path: an in-process Post on the served board reaches the
+	// live tailer exactly like a post that came in over TCP.
+	local := []byte("local-payload")
+	s.SetProc("boardd")
+	if seq := s.Post("r", comm.PhaseOnline, comm.CatMu, local); seq != 4 {
+		t.Errorf("in-process post seq = %d, want 4", seq)
+	}
+	e = recvEntry(t, entries)
+	if e.Seq != 4 || !bytes.Equal(e.Payload, local) || e.Trace.Proc != "boardd" || e.Trace.PostUS != e.Trace.RecvUS {
+		t.Errorf("in-process entry as tailed = %+v", e)
+	}
+	if rep := s.Report(); rep.Postings != 5 || rep.Total != 3*8+int64(len(live)+len(local)) {
+		t.Errorf("served board report = %+v", rep)
+	}
 }
 
 func recvEntry(t *testing.T, ch <-chan Entry) Entry {

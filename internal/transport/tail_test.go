@@ -65,7 +65,7 @@ func TestSlowTailerSeesEverySeq(t *testing.T) {
 	// A synchronous pipe (no socket buffering) makes the tail loop block
 	// on its first write, so posts deterministically overflow the
 	// subscription channel and exercise the gapped/re-sync path.
-	s := &Server{meter: &comm.Meter{}, subs: map[*subscriber]struct{}{}}
+	s := newServer(nil)
 	reg := telemetry.NewRegistry()
 	s.Instrument(reg)
 	srv, cli := net.Pipe()

@@ -24,14 +24,15 @@ import (
 type Broadcast struct {
 	mu    sync.Mutex
 	round int
-	// rows[r][roleName] is y(r, roleName).
-	rows []map[string]any
-	// board receives a metered copy of every send.
+	// rows[r][roleName] is y(r, roleName): the posted bytes, the same
+	// slice the board entry holds.
+	rows []map[string][]byte
+	// board meters and logs every send.
 	board *transport.Board
 	phase comm.Phase
-	// leak receives (role, message) in send order — the rushing
+	// leak receives (role, message bytes) in send order — the rushing
 	// adversary's view. Nil disables leakage recording.
-	leak func(role string, msg any)
+	leak func(role string, wire []byte)
 }
 
 // Errors returned by the functionality.
@@ -40,22 +41,22 @@ var (
 	ErrDoubleSend  = errors.New("yoso: role already sent in this protocol")
 )
 
-// NewBroadcast creates the functionality at round 1, posting metered
-// copies to board (nil allocates a private board).
+// NewBroadcast creates the functionality at round 1, posting every send
+// to board (nil allocates a private board).
 func NewBroadcast(board *transport.Board, phase comm.Phase) *Broadcast {
 	if board == nil {
 		board = transport.NewBoard(nil)
 	}
 	return &Broadcast{
 		round: 1,
-		rows:  []map[string]any{nil, {}}, // rows[0] unused; rows[1] = round 1
+		rows:  []map[string][]byte{nil, {}}, // rows[0] unused; rows[1] = round 1
 		board: board,
 		phase: phase,
 	}
 }
 
 // SetLeak installs the adversary's rushing view.
-func (b *Broadcast) SetLeak(leak func(role string, msg any)) {
+func (b *Broadcast) SetLeak(leak func(role string, wire []byte)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.leak = leak
@@ -73,14 +74,15 @@ func (b *Broadcast) NextRound() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.round++
-	b.rows = append(b.rows, map[string]any{})
+	b.rows = append(b.rows, map[string][]byte{})
 }
 
-// Send stores role's message for the current round, leaks it, meters its
-// encoded bytes, and kills the role (Spoke). A role may send exactly once
+// Send stores role's encoded message for the current round, posts it to
+// the metered board, leaks it, and kills the role (Spoke). The caller must
+// not modify wire afterwards. A role may send exactly once
 // across the whole execution — the YOSO constraint, enforced here
 // independently of the Role.Post guard.
-func (b *Broadcast) Send(role *Role, wire []byte, msg any) error {
+func (b *Broadcast) Send(role *Role, wire []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if role.HasSpoken() {
@@ -92,11 +94,11 @@ func (b *Broadcast) Send(role *Role, wire []byte, msg any) error {
 		}
 	}
 	if role.Behavior != FailStop {
-		b.rows[b.round][role.Name()] = msg
+		b.rows[b.round][role.Name()] = wire
 		//yosolint:blocking the row write and the board post must commit atomically under b.mu or readers observe rows the board never saw
 		b.board.Post(role.Name(), b.phase, comm.CatMu, wire)
 		if b.leak != nil {
-			b.leak(role.Name(), msg)
+			b.leak(role.Name(), wire)
 		}
 	}
 	// Spoke is delivered even to crashing roles: the machine is done.
@@ -105,14 +107,15 @@ func (b *Broadcast) Send(role *Role, wire []byte, msg any) error {
 }
 
 // Read returns the row y(r, ·) for a past round r < current round. The
-// returned map is a copy.
-func (b *Broadcast) Read(r int) (map[string]any, error) {
+// returned map is a copy; the message bytes are the board's and must be
+// treated as immutable.
+func (b *Broadcast) Read(r int) (map[string][]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if r < 1 || r >= b.round {
 		return nil, fmt.Errorf("%w: round %d (current %d)", ErrFutureRound, r, b.round)
 	}
-	out := make(map[string]any, len(b.rows[r]))
+	out := make(map[string][]byte, len(b.rows[r]))
 	for k, v := range b.rows[r] {
 		out[k] = v
 	}

@@ -1,6 +1,7 @@
 package yoso
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -21,9 +22,9 @@ func newBCWithCommittee(t *testing.T, n int, adv *Adversary) (*Broadcast, *Commi
 }
 
 func TestBroadcastSendRead(t *testing.T) {
-	bc, c, _ := newBCWithCommittee(t, 3, nil)
+	bc, c, board := newBCWithCommittee(t, 3, nil)
 	for i := 1; i <= 3; i++ {
-		if err := bc.Send(c.Role(i), make([]byte, 8), i*100); err != nil {
+		if err := bc.Send(c.Role(i), bytes.Repeat([]byte{byte(i)}, 8)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -32,14 +33,20 @@ func TestBroadcastSendRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(row) != 3 || row["bc/2"] != 200 {
+	if len(row) != 3 || !bytes.Equal(row["bc/2"], bytes.Repeat([]byte{2}, 8)) {
 		t.Errorf("round 1 row = %v", row)
+	}
+	// A row holds exactly the bytes the board holds for that role.
+	for _, e := range board.Entries(board.Len() - 3) {
+		if !bytes.Equal(row[e.From], e.Payload) {
+			t.Errorf("row[%s] = %x, board posting = %x", e.From, row[e.From], e.Payload)
+		}
 	}
 }
 
 func TestBroadcastCannotReadCurrentRound(t *testing.T) {
 	bc, c, _ := newBCWithCommittee(t, 1, nil)
-	if err := bc.Send(c.Role(1), []byte{1}, "x"); err != nil {
+	if err := bc.Send(c.Role(1), []byte{1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := bc.Read(1); !errors.Is(err, ErrFutureRound) {
@@ -53,20 +60,20 @@ func TestBroadcastCannotReadCurrentRound(t *testing.T) {
 func TestBroadcastSpokeOnSend(t *testing.T) {
 	bc, c, _ := newBCWithCommittee(t, 1, nil)
 	r := c.Role(1)
-	if err := bc.Send(r, []byte{1}, "once"); err != nil {
+	if err := bc.Send(r, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
 	if !r.HasSpoken() {
 		t.Error("role alive after Send")
 	}
-	if err := bc.Send(r, []byte{1}, "twice"); !errors.Is(err, ErrDoubleSend) {
+	if err := bc.Send(r, []byte{1}); !errors.Is(err, ErrDoubleSend) {
 		t.Errorf("second send: err = %v", err)
 	}
 }
 
 func TestBroadcastFailStopSilent(t *testing.T) {
 	bc, c, _ := newBCWithCommittee(t, 2, NewAdversary(0, 2, 31))
-	if err := bc.Send(c.Role(1), make([]byte, 8), "lost"); err != nil {
+	if err := bc.Send(c.Role(1), make([]byte, 8)); err != nil {
 		t.Fatal(err)
 	}
 	bc.NextRound()
@@ -86,18 +93,18 @@ func TestBroadcastFailStopSilent(t *testing.T) {
 func TestBroadcastRushingLeak(t *testing.T) {
 	bc, c, _ := newBCWithCommittee(t, 2, nil)
 	var leaked []string
-	bc.SetLeak(func(role string, msg any) {
-		leaked = append(leaked, role)
+	bc.SetLeak(func(role string, wire []byte) {
+		leaked = append(leaked, role+":"+string(wire))
 	})
-	if err := bc.Send(c.Role(1), []byte{1}, "a"); err != nil {
+	if err := bc.Send(c.Role(1), []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	if err := bc.Send(c.Role(2), []byte{2}, "b"); err != nil {
+	if err := bc.Send(c.Role(2), []byte("b")); err != nil {
 		t.Fatal(err)
 	}
-	// The adversary sees honest messages as they are sent, within the
-	// round (rushing), before any NextRound.
-	if len(leaked) != 2 || leaked[0] != "bc/1" {
+	// The adversary sees honest messages — the posted bytes — as they are
+	// sent, within the round (rushing), before any NextRound.
+	if len(leaked) != 2 || leaked[0] != "bc/1:a" || leaked[1] != "bc/2:b" {
 		t.Errorf("leak order = %v", leaked)
 	}
 }
@@ -105,7 +112,7 @@ func TestBroadcastRushingLeak(t *testing.T) {
 func TestBroadcastMetersBytes(t *testing.T) {
 	bc, c, board := newBCWithCommittee(t, 1, nil)
 	before := board.Report().Total
-	if err := bc.Send(c.Role(1), make([]byte, 123), "payload"); err != nil {
+	if err := bc.Send(c.Role(1), make([]byte, 123)); err != nil {
 		t.Fatal(err)
 	}
 	if got := board.Report().Total - before; got != 123 {
@@ -115,11 +122,11 @@ func TestBroadcastMetersBytes(t *testing.T) {
 
 func TestBroadcastRowsIsolated(t *testing.T) {
 	bc, c, _ := newBCWithCommittee(t, 2, nil)
-	if err := bc.Send(c.Role(1), []byte{1}, "r1"); err != nil {
+	if err := bc.Send(c.Role(1), []byte("r1")); err != nil {
 		t.Fatal(err)
 	}
 	bc.NextRound()
-	if err := bc.Send(c.Role(2), []byte{2}, "r2"); err != nil {
+	if err := bc.Send(c.Role(2), []byte("r2")); err != nil {
 		t.Fatal(err)
 	}
 	bc.NextRound()
@@ -131,16 +138,16 @@ func TestBroadcastRowsIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(row1) != 1 || len(row2) != 1 || row1["bc/1"] != "r1" || row2["bc/2"] != "r2" {
+	if len(row1) != 1 || len(row2) != 1 || string(row1["bc/1"]) != "r1" || string(row2["bc/2"]) != "r2" {
 		t.Errorf("rows = %v / %v", row1, row2)
 	}
 	// Mutating a returned row must not affect the functionality.
-	row1["bc/1"] = "tampered"
+	row1["bc/1"] = []byte("tampered")
 	again, err := bc.Read(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again["bc/1"] != "r1" {
+	if string(again["bc/1"]) != "r1" {
 		t.Error("Read returns aliased state")
 	}
 	if bc.Round() != 3 {

@@ -72,10 +72,9 @@ type Role struct {
 	// Behavior is the role's corruption status.
 	Behavior Behavior
 
-	mu     sync.Mutex
-	spoke  bool
-	posted bool
-	board  *transport.Board
+	mu    sync.Mutex
+	spoke bool
+	board *transport.Board
 
 	// keys minted by the role assignment; nil until assigned.
 	pub pke.PublicKey
@@ -114,9 +113,8 @@ func (r *Role) Post(phase comm.Phase, cat comm.Category, wire []byte) {
 		r.mu.Unlock()
 		return
 	}
-	r.posted = true
-	// The speak-once decision is now recorded; release the lock before
-	// the board call, which may block on a remote transport.
+	// The speak-once check is done; release the lock before the board
+	// call, which may block on a remote transport.
 	r.mu.Unlock()
 	r.board.Post(r.Name(), phase, cat, wire)
 }

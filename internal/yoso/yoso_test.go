@@ -58,7 +58,7 @@ func TestFormCommitteePublishesManifest(t *testing.T) {
 		t.Fatalf("first posting = %+v, want system-phase manifest", first)
 	}
 	var man transport.Manifest
-	if err := man.UnmarshalBinary(first.Bytes); err != nil {
+	if err := man.UnmarshalBinary(first.Payload); err != nil {
 		t.Fatal(err)
 	}
 	if man.Committee != "offB1" || man.Phase != "offline" || man.N != 5 || man.Quorum != 3 {
@@ -76,7 +76,7 @@ func TestFormCommitteePublishesManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	entry, _ := board.Get(board.Len() - 3) // manifest precedes the 2 role keys
-	if err := man.UnmarshalBinary(entry.Bytes); err != nil {
+	if err := man.UnmarshalBinary(entry.Payload); err != nil {
 		t.Fatal(err)
 	}
 	if man.Committee != "tiny" || man.Quorum != 2 {
@@ -247,14 +247,14 @@ func TestBoardPostingOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(p.Bytes, []byte{2, 2}) || p.From != "b" {
+	if !bytes.Equal(p.Payload, []byte{2, 2}) || p.From != "b" {
 		t.Errorf("posting = %+v", p)
 	}
 	if _, err := board.Get(5); err == nil {
 		t.Error("Get(5) succeeded on 2-entry board")
 	}
-	if len(board.All()) != 2 {
-		t.Error("All() wrong length")
+	if len(board.Entries(0)) != 2 {
+		t.Error("Entries(0) wrong length")
 	}
 }
 

@@ -134,9 +134,10 @@ type Config struct {
 	// the μ-opening path: no per-layer proofs, cheating shares decoded
 	// out by Berlekamp–Welch. Requires 3T + 2(K−1) + 1 ≤ N.
 	Robust bool
-	// MirrorAddr, when set, live-mirrors every bulletin-board posting
-	// (metadata + sizes) to a boardd server at this address, so remote
-	// observers can audit the run (`boardd -watch`).
+	// MirrorAddr, when set, live-mirrors every bulletin-board entry — the
+	// real payload bytes and the trace context, not just sizes — to a
+	// boardd server at this address, so remote observers can audit the
+	// run (`boardd -watch`, `yosowatch`).
 	MirrorAddr string
 	// Workers bounds the worker-pool parallelism of the execution engine
 	// (committee-member fan-out and the driver's homomorphic-evaluation
@@ -161,7 +162,8 @@ type Config struct {
 	// postings (and their mirror, when MirrorAddr is set) carry it in
 	// their trace context, and trace exports embed it so MergeTraces can
 	// align this process's spans onto the shared board timeline. Empty is
-	// fine for single-process runs.
+	// fine for single-process runs; more than 255 bytes is rejected (the
+	// wire format's limit).
 	Proc string
 }
 
