@@ -1,13 +1,12 @@
-// Command benchcomm regenerates the paper's evaluation series (DESIGN.md
-// experiment index): per-gate online communication versus committee size
-// (E1), the Table-1 improvement factors (E2), offline scaling (E3), the
-// fail-stop trade-off (E4), and the packing ablation.
+// Command benchcomm reproduces the paper's quantitative content: Table 1
+// and the communication claims derived from it (EXPERIMENTS.md), one table
+// per entry of bench.Experiments. The output is deterministic;
+// wall-clock questions belong to benchmark/run.sh.
 //
 // Usage:
 //
-//	benchcomm                      # all experiments
+//	benchcomm                      # every experiment
 //	benchcomm -experiment online   # just E1
-//	benchcomm -experiment improvement -widthmult 32
 package main
 
 import (
@@ -16,274 +15,23 @@ import (
 	"os"
 
 	"yosompc/internal/bench"
-	"yosompc/internal/paillier"
-	"yosompc/internal/sortition"
-	"yosompc/internal/telemetry"
 )
 
 func main() {
-	var (
-		experiment = flag.String("experiment", "all", "all | table1 | online | improvement | offline | failstop | robust | amortization | totalcost | ablation | sharing | wire | speedup | paillier")
-		sharingN   = flag.Int("sharing-nmax", 1024, "E12 largest committee size (powers of 4 from 64 up to this)")
-		sharingR   = flag.Int("sharing-reps", 3, "E12 timed repetitions per figure")
-		widthMult  = flag.Int("widthmult", 16, "E2 workload width multiplier (width = widthmult·n·k)")
-		eps        = flag.Float64("eps", 0.25, "gap ε for measured sweeps")
-		workers    = flag.Int("workers", 0, "worker-pool size for all measured runs (0 = one per CPU, 1 = serial)")
-		speedupW   = flag.Int("speedup-width", 1024, "E11 workload width (mul gates) for -experiment speedup")
-		paillierB  = flag.Int("paillier-bits", 2048, "E14 Paillier modulus size: 512, 768, or 2048")
-		paillierR  = flag.Int("paillier-reps", 3, "E14 timed repetitions per figure")
-		paillierN  = flag.Int("paillier-n", 1024, "E14b opening-kernel committee size (Δ = n!)")
-		paillierT  = flag.Int("paillier-t", 16, "E14b opening-kernel threshold (t+1 partials combined)")
-		traceOut   = flag.String("trace", "", "trace all measured runs and write the spans here (Chrome trace_event JSON; .jsonl for span lines)")
-		metricsOut = flag.String("metrics-out", "", "collect engine metrics across all measured runs and write the JSON snapshot here")
-		stampDir   = flag.String("stamp", "", "also write each experiment's result as BENCH_<name>.json (telemetry-stamped) into this directory")
-	)
+	usage := "all"
+	for _, e := range bench.Experiments {
+		usage += " | " + e.Name
+	}
+	experiment := flag.String("experiment", "all", usage)
 	flag.Parse()
-	bench.Workers = *workers
-	if *traceOut != "" {
-		bench.Trace = telemetry.NewTracer()
+
+	exps, err := bench.Select(*experiment)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchcomm: %v\n", err)
+		os.Exit(2)
 	}
-	if *metricsOut != "" || *stampDir != "" {
-		bench.Metrics = telemetry.NewRegistry()
+	if err := bench.Write(os.Stdout, exps); err != nil {
+		fmt.Fprintf(os.Stderr, "benchcomm: %v\n", err)
+		os.Exit(1)
 	}
-
-	// stamp persists an experiment's rows next to the telemetry collected
-	// so far; exporters below flush the accumulated trace/metrics at exit.
-	stamp := func(name string, result any) error {
-		if *stampDir == "" {
-			return nil
-		}
-		path, err := bench.WriteStamped(*stampDir, name, result)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("stamped: %s\n\n", path)
-		return nil
-	}
-	defer func() {
-		if *traceOut != "" {
-			if err := telemetry.WriteTraceFile(*traceOut, bench.Trace); err != nil {
-				fmt.Fprintf(os.Stderr, "benchcomm: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("trace: %d spans written to %s\n", len(bench.Trace.Spans()), *traceOut)
-		}
-		if *metricsOut != "" {
-			if err := telemetry.WriteMetricsFile(*metricsOut, bench.Metrics); err != nil {
-				fmt.Fprintf(os.Stderr, "benchcomm: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("metrics: snapshot written to %s\n", *metricsOut)
-		}
-	}()
-
-	run := func(name string, f func() error) {
-		if *experiment != "all" && *experiment != name {
-			return
-		}
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchcomm: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-	}
-
-	run("table1", func() error {
-		fmt.Println("=== T1: Table 1 (sortition parameters with gap) ===")
-		fmt.Print(sortition.FormatTable(sortition.Table1()))
-		fmt.Println()
-		return nil
-	})
-
-	run("online", func() error {
-		pts, err := bench.OnlineVsN([]int{8, 16, 32, 64}, 256, 1, *eps)
-		if err != nil {
-			return err
-		}
-		fmt.Println("=== E1: online bytes/gate vs committee size (measured) ===")
-		fmt.Print(bench.FormatOnlineVsN(pts))
-		fmt.Println()
-		return stamp("online", pts)
-	})
-
-	run("improvement", func() error {
-		rows, err := bench.ImprovementFactors(*widthMult)
-		if err != nil {
-			return err
-		}
-		fmt.Println("=== E2: online improvement factors at Table-1 parameters ===")
-		fmt.Print(bench.FormatImprovement(rows))
-		fmt.Println()
-		return stamp("improvement", rows)
-	})
-
-	run("offline", func() error {
-		byGates, err := bench.OfflineVsGates(16, 4, 4, []int{8, 16, 32, 64})
-		if err != nil {
-			return err
-		}
-		fmt.Println("=== E3a: offline bytes vs circuit size (n=16) ===")
-		fmt.Print(bench.FormatOfflineScaling(byGates))
-		byN, err := bench.OfflineVsN([]int{8, 16, 32, 64}, 16, *eps)
-		if err != nil {
-			return err
-		}
-		fmt.Println("=== E3b: offline bytes vs committee size (16-mul circuit) ===")
-		fmt.Print(bench.FormatOfflineScaling(byN))
-		fmt.Println()
-		return stamp("offline", map[string]any{"byGates": byGates, "byN": byN})
-	})
-
-	run("failstop", func() error {
-		res, err := bench.FailStop(24, *eps, 16)
-		if err != nil {
-			return err
-		}
-		fmt.Println("=== E4: fail-stop tolerance (§5.4) ===")
-		fmt.Printf("n=%d t=%d: packing %d → %d tolerates %d crashed roles per committee\n",
-			res.N, res.T, res.KFull, res.KHalf, res.Dropped)
-		fmt.Printf("completed with crashes: %v; μ-opening overhead %.2f×\n\n", res.Completed, res.Overhead)
-		return stamp("failstop", res)
-	})
-
-	run("robust", func() error {
-		row, err := bench.RobustComparison(14, 3, 2, 16)
-		if err != nil {
-			return err
-		}
-		fmt.Println("=== E9: IT-GOD (robust) vs proof-filtered mode ===")
-		fmt.Printf("n=%d t=%d k=%d: online %d B (proofs) vs %d B (robust); per-run proof saving %d B\n",
-			row.N, row.T, row.K, row.ProofOnline, row.RobustOnline, row.ProofBytesSaved)
-		fmt.Printf("packing budget: k ≤ %d (proofs) vs k ≤ %d (robust decoding)\n\n",
-			row.MaxKProof, row.MaxKRobust)
-		return stamp("robust", row)
-	})
-
-	run("amortization", func() error {
-		pts, err := bench.AmortizationCurve(16, 3, 4, []int{8, 16, 32, 64, 128, 256})
-		if err != nil {
-			return err
-		}
-		fmt.Println("=== E10: online amortization curve (n=16, k=4) ===")
-		fmt.Print(bench.FormatAmortization(pts))
-		fmt.Println()
-		return stamp("amortization", pts)
-	})
-
-	run("totalcost", func() error {
-		pts, err := bench.TotalCost([]int{8, 16, 32}, 16, *eps)
-		if err != nil {
-			return err
-		}
-		fmt.Println("=== Limitation: total (setup+offline+online) cost vs baseline ===")
-		fmt.Print(bench.FormatTotalCost(pts))
-		fmt.Println()
-		return stamp("totalcost", pts)
-	})
-
-	run("sharing", func() error {
-		var ns []int
-		for n := 64; n <= *sharingN; n *= 4 {
-			ns = append(ns, n)
-		}
-		rows, err := bench.SharingHotpath(ns, *sharingR)
-		if err != nil {
-			return err
-		}
-		fmt.Println("=== E12: packed share algebra, cached domain vs naive (measured) ===")
-		fmt.Print(bench.FormatSharingHotpath(rows))
-		fmt.Println()
-		return stamp("sharing_hotpath", rows)
-	})
-
-	run("wire", func() error {
-		res, err := bench.WireExperiment(8, 2, 2, 16)
-		if err != nil {
-			return err
-		}
-		fmt.Println("=== E13: mirrored run vs server-measured bytes + codec throughput ===")
-		fmt.Print(bench.FormatWire(res))
-		fmt.Println()
-		if !res.ReportsMatch {
-			return fmt.Errorf("server-measured report diverges from the in-process meter")
-		}
-		return stamp("wire", res)
-	})
-
-	// E14 is wall-clock heavy at its production-representative defaults
-	// (2048-bit modulus, Δ = 1024!), so like E11 it only runs when named
-	// explicitly, never under -experiment all.
-	if *experiment == "paillier" {
-		var sk *paillier.PrivateKey
-		switch *paillierB {
-		case 512:
-			sk = paillier.FixedTestKey(0)
-		case 768:
-			sk = paillier.FixedTestKey768(0)
-		case 2048:
-			sk = paillier.FixedTestKey2048()
-		default:
-			fmt.Fprintf(os.Stderr, "benchcomm: paillier: no fixed key at %d bits (use 512, 768, or 2048)\n", *paillierB)
-			os.Exit(1)
-		}
-		fail := func(err error) {
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchcomm: paillier: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		hot, err := bench.PaillierHotpath(sk, *paillierR, 8, *paillierN)
-		fail(err)
-		fmt.Println("=== E14a: Paillier hot paths, modexp engine vs naive (measured) ===")
-		fmt.Print(bench.FormatPaillierHotpath(hot))
-		fmt.Println()
-		opening, err := bench.PaillierOpeningKernel(sk, *paillierN, *paillierT, *paillierR)
-		fail(err)
-		fmt.Println("=== E14b: offline opening-round kernel, engine vs naive (measured) ===")
-		fmt.Print(bench.FormatPaillierOpening(opening))
-		fmt.Println()
-		fail(stamp("paillier_hotpath", map[string]any{"hotpath": hot, "opening": opening}))
-		return
-	}
-
-	// E11 is wall-clock heavy (two full offline phases at n=64), so it
-	// only runs when named explicitly, never under -experiment all.
-	if *experiment == "speedup" {
-		res, err := bench.OfflineSpeedup(64, 15, 8, *speedupW, *workers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchcomm: speedup: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("=== E11: offline wall clock, serial vs worker pool ===")
-		fmt.Print(bench.FormatOfflineSpeedup(res))
-		fmt.Println()
-		if err := stamp("speedup", res); err != nil {
-			fmt.Fprintf(os.Stderr, "benchcomm: speedup: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	run("ablation", func() error {
-		rows, err := bench.PackingAblation(16, 3, 4, 16)
-		if err != nil {
-			return err
-		}
-		fmt.Println("=== Ablation: packing on/off ===")
-		for _, r := range rows {
-			fmt.Printf("%-16s μ-online %6d B  (%.1f B/gate, %.2f× packed)\n",
-				r.Name, r.OnlineBytes, r.OnlinePerGate, r.RelativeToFull)
-		}
-		fmt.Println()
-		rows, err = bench.KFFAblation(16, 3, 4, 16)
-		if err != nil {
-			return err
-		}
-		fmt.Println("=== Ablation: keys-for-future on/off (§3.2 naive) ===")
-		for _, r := range rows {
-			fmt.Printf("%-16s online %8d B  (%.1f B/gate, %.2f× of KFF)\n",
-				r.Name, r.OnlineBytes, r.OnlinePerGate, r.RelativeToFull)
-		}
-		fmt.Println()
-		return stamp("ablation", rows)
-	})
 }

@@ -1,16 +1,19 @@
-// Package bench implements the experiment harness: each function
-// regenerates one table or figure-style series from the paper's
-// evaluation (see DESIGN.md's experiment index). Small and medium
-// committees are *measured* by executing the instrumented protocols;
-// Table-1-scale committees (up to ~41k roles) use the costmodel formulas,
-// which the test suite validates byte-for-byte against measured runs.
+// Package bench is the experiment registry: Experiments lists every
+// reproduction of the paper's quantitative content — Table 1 and the
+// derived communication claims (EXPERIMENTS.md) — and each entry writes
+// its table. All of them are deterministic byte tables (pinned by
+// testdata/experiments.golden); wall clock is benchmark/'s question. Small
+// and medium committees are *measured* by executing the instrumented
+// protocols; Table-1-scale committees (up to ~41k roles) use the costmodel
+// formulas, which the test suite validates byte-for-byte against measured
+// runs.
 package bench
 
 import (
+	"errors"
 	"fmt"
-	"reflect"
+	"io"
 	"strings"
-	"time"
 
 	"yosompc/internal/baseline"
 	"yosompc/internal/circuit"
@@ -18,7 +21,6 @@ import (
 	"yosompc/internal/core"
 	"yosompc/internal/costmodel"
 	"yosompc/internal/field"
-	"yosompc/internal/parallel"
 	"yosompc/internal/pke"
 	"yosompc/internal/sortition"
 	"yosompc/internal/tte"
@@ -28,11 +30,167 @@ import (
 // ModelBits is the modelled Paillier modulus for communication accounting.
 const ModelBits = 2048
 
-// Workers configures the core engine's worker-pool size for every measured
-// run (0 = one per CPU, 1 = serial). Byte reports are identical for any
-// value — the knob only changes wall clock, so the communication
-// experiments are unaffected by it.
-var Workers int
+// The parameters EXPERIMENTS.md quotes: the gap of the measured sweeps
+// (k = ⌊n·eps⌋, t = ⌊n(1/2−eps)⌋−1) and E2's width multiplier.
+const (
+	eps       = 0.25
+	widthMult = 16
+)
+
+// Experiment is one entry of the registry.
+type Experiment struct {
+	// ID is the experiment's id in DESIGN.md §4 and EXPERIMENTS.md.
+	ID string
+	// Name is what `benchcomm -experiment` takes.
+	Name string
+	// Title follows the ID in the table's heading.
+	Title string
+	// Run writes the table body (and, for E3 and the ablations, the
+	// companion table with its own heading).
+	Run func(io.Writer) error
+}
+
+// Experiments is the one list of the paper's reproductions, in output order.
+var Experiments = []Experiment{
+	{"T1", "table1", "Table 1 (sortition parameters with gap)", func(w io.Writer) error {
+		_, err := io.WriteString(w, sortition.FormatTable(sortition.Table1()))
+		return err
+	}},
+	{"E1", "online", "online bytes/gate vs committee size (measured)", func(w io.Writer) error {
+		pts, err := OnlineVsN([]int{8, 16, 32, 64}, 256, 1, eps)
+		if err != nil {
+			return err
+		}
+		_, err = io.WriteString(w, FormatOnlineVsN(pts))
+		return err
+	}},
+	{"E2", "improvement", "online improvement factors at Table-1 parameters", func(w io.Writer) error {
+		rows, err := ImprovementFactors(widthMult)
+		if err != nil {
+			return err
+		}
+		_, err = io.WriteString(w, FormatImprovement(rows))
+		return err
+	}},
+	{"E3a", "offline", "offline bytes vs circuit size (n=16)", func(w io.Writer) error {
+		byGates, err := OfflineVsGates(16, 4, 4, []int{8, 16, 32, 64})
+		if err != nil {
+			return err
+		}
+		byN, err := OfflineVsN([]int{8, 16, 32, 64}, 16, eps)
+		if err != nil {
+			return err
+		}
+		_, err = fmt.Fprintf(w, "%s=== E3b: offline bytes vs committee size (16-mul circuit) ===\n%s",
+			FormatOfflineScaling(byGates), FormatOfflineScaling(byN))
+		return err
+	}},
+	{"E4", "failstop", "fail-stop tolerance (§5.4)", func(w io.Writer) error {
+		res, err := FailStop(24, eps, 16)
+		if err != nil {
+			return err
+		}
+		_, err = fmt.Fprintf(w, "n=%d t=%d: packing %d → %d tolerates %d crashed roles per committee\n"+
+			"completed with crashes: %v; μ-opening overhead %.2f×\n",
+			res.N, res.T, res.KFull, res.KHalf, res.Dropped, res.Completed, res.Overhead)
+		return err
+	}},
+	{"E8", "montecarlo", "Monte Carlo sortition validation (C=20000, f=0.20)", func(w io.Writer) error {
+		res, err := sortition.Analyze(20000, 0.20)
+		if err != nil {
+			return err
+		}
+		st := res.Simulate(10000, 42)
+		if st.ViolationsT != 0 || st.ViolationsGap != 0 || st.ViolationsRecon != 0 {
+			return fmt.Errorf("bench: sortition guarantee violated: %s", st)
+		}
+		_, err = fmt.Fprintln(w, st)
+		return err
+	}},
+	{"E9", "robust", "IT-GOD (robust) vs proof-filtered mode", func(w io.Writer) error {
+		row, err := RobustComparison(14, 3, 2, 16)
+		if err != nil {
+			return err
+		}
+		_, err = fmt.Fprintf(w, "n=%d t=%d k=%d: online %d B (proofs) vs %d B (robust); per-run proof saving %d B\n"+
+			"packing budget: k ≤ %d (proofs) vs k ≤ %d (robust decoding)\n",
+			row.N, row.T, row.K, row.ProofOnline, row.RobustOnline, row.ProofBytesSaved,
+			row.MaxKProof, row.MaxKRobust)
+		return err
+	}},
+	{"E10", "amortization", "online amortization curve (n=16, k=4)", func(w io.Writer) error {
+		pts, err := AmortizationCurve(16, 3, 4, []int{8, 16, 32, 64, 128, 256})
+		if err != nil {
+			return err
+		}
+		_, err = io.WriteString(w, FormatAmortization(pts))
+		return err
+	}},
+	{"Limitation", "totalcost", "total (setup+offline+online) cost vs baseline", func(w io.Writer) error {
+		pts, err := TotalCost([]int{8, 16, 32}, 16, eps)
+		if err != nil {
+			return err
+		}
+		_, err = io.WriteString(w, FormatTotalCost(pts))
+		return err
+	}},
+	{"Ablation", "ablation", "packing on/off", func(w io.Writer) error {
+		packing, err := PackingAblation(16, 3, 4, 16)
+		if err != nil {
+			return err
+		}
+		kff, err := KFFAblation(16, 3, 4, 16)
+		if err != nil {
+			return err
+		}
+		var b strings.Builder
+		for _, r := range packing {
+			fmt.Fprintf(&b, "%-16s μ-online %6d B  (%.1f B/gate, %.2f× packed)\n",
+				r.Name, r.OnlineBytes, r.OnlinePerGate, r.RelativeToFull)
+		}
+		b.WriteString("\n=== Ablation: keys-for-future on/off (§3.2 naive) ===\n")
+		for _, r := range kff {
+			fmt.Fprintf(&b, "%-16s online %8d B  (%.1f B/gate, %.2f× of KFF)\n",
+				r.Name, r.OnlineBytes, r.OnlinePerGate, r.RelativeToFull)
+		}
+		_, err = io.WriteString(w, b.String())
+		return err
+	}},
+}
+
+// Select resolves a `benchcomm -experiment` value: "all" is the whole
+// registry, a registered Name is that one entry, anything else an error
+// naming the valid values.
+func Select(name string) ([]Experiment, error) {
+	if name == "all" {
+		return Experiments, nil
+	}
+	names := []string{"all"}
+	for i, e := range Experiments {
+		if e.Name == name {
+			return Experiments[i : i+1], nil
+		}
+		names = append(names, e.Name)
+	}
+	return nil, fmt.Errorf("bench: unknown experiment %q (valid: %s)", name, strings.Join(names, ", "))
+}
+
+// Write runs the experiments in order, each as a heading, its table and a
+// blank line.
+func Write(w io.Writer, exps []Experiment) error {
+	for _, e := range exps {
+		if _, err := fmt.Fprintf(w, "=== %s: %s ===\n", e.ID, e.Title); err != nil {
+			return err
+		}
+		if err := e.Run(w); err != nil {
+			return fmt.Errorf("%s: %w", e.Name, err)
+		}
+		if _, err := fmt.Fprintln(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // defaultInputs builds deterministic inputs for a circuit.
 func defaultInputs(c *circuit.Circuit) map[int][]field.Element {
@@ -47,12 +205,40 @@ func defaultInputs(c *circuit.Circuit) map[int][]field.Element {
 	return in
 }
 
-// runCore executes the packed protocol with ideal backends and returns its
-// communication report.
-func runCore(n, t, k int, circ *circuit.Circuit, adv *yoso.Adversary) (comm.Report, error) {
-	params := core.Params{N: n, T: t, K: k, TE: tte.NewSim(ModelBits), PKE: pke.NewSim(),
-		Adversary: adv, Workers: Workers, Trace: Trace, Metrics: Metrics}
-	proto, err := core.New(params, circ, nil)
+// errWrongOutputs marks a run that completed with outputs other than the
+// circuit's: a table must never be built from one.
+var errWrongOutputs = errors.New("bench: run outputs differ from circuit.Eval")
+
+// checkOutputs compares a run's outputs on defaultInputs with the plain
+// evaluation of the circuit.
+func checkOutputs(circ *circuit.Circuit, got map[int][]field.Element) error {
+	want, err := circ.Eval(defaultInputs(circ))
+	if err != nil {
+		return err
+	}
+	if len(got) != len(want) {
+		return errWrongOutputs
+	}
+	for client, w := range want {
+		if !field.EqualVec(got[client], w) {
+			return errWrongOutputs
+		}
+	}
+	return nil
+}
+
+// gapParams is the measured sweeps' committee geometry at gap eps:
+// t = ⌊n(1/2−eps)⌋−1 corruptions and packing k = ⌊n·eps⌋.
+func gapParams(n int, eps float64) (t, k int) {
+	return max(int(float64(n)*(0.5-eps))-1, 0), max(int(float64(n)*eps), 1)
+}
+
+// runCore executes the packed protocol with ideal backends on
+// defaultInputs and returns its communication report, after checking the
+// outputs. The caller sets the committee geometry and mode in p.
+func runCore(p core.Params, circ *circuit.Circuit) (comm.Report, error) {
+	p.TE, p.PKE = tte.NewSim(ModelBits), pke.NewSim()
+	proto, err := core.New(p, circ, nil)
 	if err != nil {
 		return comm.Report{}, err
 	}
@@ -60,12 +246,12 @@ func runCore(n, t, k int, circ *circuit.Circuit, adv *yoso.Adversary) (comm.Repo
 	if err != nil {
 		return comm.Report{}, err
 	}
-	return res.Report, nil
+	return res.Report, checkOutputs(circ, res.Outputs)
 }
 
-// runBaseline executes the CDN baseline with ideal backends.
-func runBaseline(n, t int, circ *circuit.Circuit, adv *yoso.Adversary) (comm.Report, error) {
-	params := baseline.Params{N: n, T: t, TE: tte.NewSim(ModelBits), PKE: pke.NewSim(), Adversary: adv}
+// runBaseline executes the CDN baseline the same way.
+func runBaseline(n, t int, circ *circuit.Circuit) (comm.Report, error) {
+	params := baseline.Params{N: n, T: t, TE: tte.NewSim(ModelBits), PKE: pke.NewSim()}
 	proto, err := baseline.New(params, circ, nil)
 	if err != nil {
 		return comm.Report{}, err
@@ -74,7 +260,7 @@ func runBaseline(n, t int, circ *circuit.Circuit, adv *yoso.Adversary) (comm.Rep
 	if err != nil {
 		return comm.Report{}, err
 	}
-	return res.Report, nil
+	return res.Report, checkOutputs(circ, res.Outputs)
 }
 
 // --- E1: online communication vs committee size ------------------------
@@ -97,24 +283,17 @@ type OnlineVsNPoint struct {
 func OnlineVsN(ns []int, width, depth int, eps float64) ([]OnlineVsNPoint, error) {
 	var out []OnlineVsNPoint
 	for _, n := range ns {
-		k := int(float64(n) * eps)
-		if k < 1 {
-			k = 1
-		}
-		t := int(float64(n)*(0.5-eps)) - 1
-		if t < 0 {
-			t = 0
-		}
+		t, k := gapParams(n, eps)
 		circ, err := circuit.WideMul(width, depth)
 		if err != nil {
 			return nil, err
 		}
 		gates := float64(circ.NumMul())
-		coreRep, err := runCore(n, t, k, circ, nil)
+		coreRep, err := runCore(core.Params{N: n, T: t, K: k}, circ)
 		if err != nil {
 			return nil, fmt.Errorf("bench: core n=%d: %w", n, err)
 		}
-		baseRep, err := runBaseline(n, (n-1)/2, circ, nil)
+		baseRep, err := runBaseline(n, (n-1)/2, circ)
 		if err != nil {
 			return nil, fmt.Errorf("bench: baseline n=%d: %w", n, err)
 		}
@@ -163,9 +342,6 @@ type ImprovementRow struct {
 // O(n)-per-role KFF delivery amortizes. Costs come from the validated
 // costmodel.
 func ImprovementFactors(widthMult int) ([]ImprovementRow, error) {
-	if widthMult < 1 {
-		widthMult = 16
-	}
 	z := costmodel.SimSizes(ModelBits)
 	var rows []ImprovementRow
 	for _, row := range sortition.Table1() {
@@ -223,6 +399,15 @@ type OfflineScalingPoint struct {
 	PerGate float64
 }
 
+// offlinePoint is one E3 point: the run's offline bytes, total and per gate.
+func offlinePoint(n int, circ *circuit.Circuit, rep comm.Report) OfflineScalingPoint {
+	off := rep.Phase(comm.PhaseOffline)
+	return OfflineScalingPoint{
+		N: n, Muls: circ.NumMul(), Offline: off,
+		PerGate: float64(off) / float64(circ.NumMul()),
+	}
+}
+
 // OfflineVsGates measures offline bytes against circuit size at fixed n —
 // the O(n·|C|) claim's |C| axis.
 func OfflineVsGates(n, t, k int, widths []int) ([]OfflineScalingPoint, error) {
@@ -232,15 +417,11 @@ func OfflineVsGates(n, t, k int, widths []int) ([]OfflineScalingPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := runCore(n, t, k, circ, nil)
+		rep, err := runCore(core.Params{N: n, T: t, K: k}, circ)
 		if err != nil {
 			return nil, err
 		}
-		off := rep.Phase(comm.PhaseOffline)
-		out = append(out, OfflineScalingPoint{
-			N: n, Muls: circ.NumMul(), Offline: off,
-			PerGate: float64(off) / float64(circ.NumMul()),
-		})
+		out = append(out, offlinePoint(n, circ, rep))
 	}
 	return out, nil
 }
@@ -254,23 +435,12 @@ func OfflineVsN(ns []int, width int, eps float64) ([]OfflineScalingPoint, error)
 	}
 	var out []OfflineScalingPoint
 	for _, n := range ns {
-		k := int(float64(n) * eps)
-		if k < 1 {
-			k = 1
-		}
-		t := int(float64(n)*(0.5-eps)) - 1
-		if t < 0 {
-			t = 0
-		}
-		rep, err := runCore(n, t, k, circ, nil)
+		t, k := gapParams(n, eps)
+		rep, err := runCore(core.Params{N: n, T: t, K: k}, circ)
 		if err != nil {
 			return nil, err
 		}
-		off := rep.Phase(comm.PhaseOffline)
-		out = append(out, OfflineScalingPoint{
-			N: n, Muls: circ.NumMul(), Offline: off,
-			PerGate: float64(off) / float64(circ.NumMul()),
-		})
+		out = append(out, offlinePoint(n, circ, rep))
 	}
 	return out, nil
 }
@@ -293,7 +463,7 @@ type FailStopResult struct {
 	KFull, KHalf int
 	Dropped      int
 	// Completed reports whether the half-packing run with dropped roles
-	// delivered correct outputs.
+	// ran to the end and delivered the circuit's outputs.
 	Completed bool
 	// OnlineFull / OnlineHalf are the per-run online μ-opening bytes of
 	// the all-honest full-k and half-k runs.
@@ -311,29 +481,29 @@ func FailStop(n int, eps float64, width int) (*FailStopResult, error) {
 		return nil, fmt.Errorf("bench: n·eps = %d too small to halve", kFull)
 	}
 	kHalf := kFull / 2
-	t := int(float64(n)*(0.5-eps)) - 1
-	if t < 0 {
-		t = 0
-	}
-	drop := int(float64(n) * eps)
+	t, _ := gapParams(n, eps)
+	drop := kFull
 	circ, err := circuit.WideMul(width, 1)
 	if err != nil {
 		return nil, err
 	}
-	full, err := runCore(n, t, kFull, circ, nil)
+	full, err := runCore(core.Params{N: n, T: t, K: kFull}, circ)
 	if err != nil {
 		return nil, err
 	}
 	// The §5.4 price: the same computation with k′ = k/2, all honest —
 	// "cutting by a factor of two the gains in communication".
-	halfHonest, err := runCore(n, t, kHalf, circ, nil)
+	halfHonest, err := runCore(core.Params{N: n, T: t, K: kHalf}, circ)
 	if err != nil {
 		return nil, err
 	}
 	// The §5.4 benefit: with k′, the run survives ⌊nε⌋ crashed honest
 	// roles in every committee.
 	adv := yoso.NewAdversary(0, drop, 424242)
-	_, dropErr := runCore(n, t, kHalf, circ, adv)
+	_, dropErr := runCore(core.Params{N: n, T: t, K: kHalf, Adversary: adv}, circ)
+	if errors.Is(dropErr, errWrongOutputs) {
+		return nil, dropErr
+	}
 	res := &FailStopResult{
 		N: n, T: t, KFull: kFull, KHalf: kHalf, Dropped: drop,
 		Completed:  dropErr == nil,
@@ -364,32 +534,35 @@ func PackingAblation(n, t, k, width int) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	gates := float64(circ.NumMul())
-	full, err := runCore(n, t, k, circ, nil)
-	if err != nil {
-		return nil, err
-	}
-	unpacked, err := runCore(n, t, 1, circ, nil)
-	if err != nil {
-		return nil, err
-	}
 	// Compare the μ-opening stream — the per-gate online cost packing
 	// targets; the KFF-delivery component is identical in both runs.
-	fullOn := full.ByCat[comm.PhaseOnline][comm.CatMu]
-	unpOn := unpacked.ByCat[comm.PhaseOnline][comm.CatMu]
-	return []AblationRow{
-		{
-			Name: fmt.Sprintf("packed k=%d", k), OnlineBytes: fullOn,
-			OnlinePerGate: float64(fullOn) / gates,
-			OfflineBytes:  full.Phase(comm.PhaseOffline), RelativeToFull: 1,
-		},
-		{
-			Name: "unpacked k=1", OnlineBytes: unpOn,
-			OnlinePerGate:  float64(unpOn) / gates,
-			OfflineBytes:   unpacked.Phase(comm.PhaseOffline),
-			RelativeToFull: float64(unpOn) / float64(fullOn),
-		},
-	}, nil
+	mu := func(r comm.Report) int64 { return r.ByCat[comm.PhaseOnline][comm.CatMu] }
+	return ablation(circ, mu, fmt.Sprintf("packed k=%d", k), core.Params{N: n, T: t, K: k},
+		"unpacked k=1", core.Params{N: n, T: t, K: 1})
+}
+
+// ablation runs the protocol as designed (full) and with one design
+// element disabled, and compares the online bytes that `online` picks.
+func ablation(circ *circuit.Circuit, online func(comm.Report) int64,
+	fullName string, full core.Params, offName string, off core.Params) ([]AblationRow, error) {
+	var rows []AblationRow
+	for _, v := range []struct {
+		name string
+		p    core.Params
+	}{{fullName, full}, {offName, off}} {
+		rep, err := runCore(v.p, circ)
+		if err != nil {
+			return nil, err
+		}
+		on := online(rep)
+		rows = append(rows, AblationRow{
+			Name: v.name, OnlineBytes: on,
+			OnlinePerGate: float64(on) / float64(circ.NumMul()),
+			OfflineBytes:  rep.Phase(comm.PhaseOffline),
+		})
+		rows[len(rows)-1].RelativeToFull = float64(on) / float64(rows[0].OnlineBytes)
+	}
+	return rows, nil
 }
 
 // --- Total-cost comparison (limitation figure) ---------------------------
@@ -416,19 +589,12 @@ func TotalCost(ns []int, width int, eps float64) ([]TotalCostPoint, error) {
 	}
 	var out []TotalCostPoint
 	for _, n := range ns {
-		k := int(float64(n) * eps)
-		if k < 1 {
-			k = 1
-		}
-		t := int(float64(n)*(0.5-eps)) - 1
-		if t < 0 {
-			t = 0
-		}
-		coreRep, err := runCore(n, t, k, circ, nil)
+		t, k := gapParams(n, eps)
+		coreRep, err := runCore(core.Params{N: n, T: t, K: k}, circ)
 		if err != nil {
 			return nil, err
 		}
-		baseRep, err := runBaseline(n, (n-1)/2, circ, nil)
+		baseRep, err := runBaseline(n, (n-1)/2, circ)
 		if err != nil {
 			return nil, err
 		}
@@ -470,28 +636,11 @@ func RobustComparison(n, t, k, width int) (*RobustRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	in := defaultInputs(circ)
-	runMode := func(robust bool) (comm.Report, error) {
-		params := core.Params{
-			N: n, T: t, K: k,
-			TE: tte.NewSim(ModelBits), PKE: pke.NewSim(),
-			Robust: robust,
-		}
-		proto, err := core.New(params, circ, nil)
-		if err != nil {
-			return comm.Report{}, err
-		}
-		res, err := proto.Run(in)
-		if err != nil {
-			return comm.Report{}, err
-		}
-		return res.Report, nil
-	}
-	proofRep, err := runMode(false)
+	proofRep, err := runCore(core.Params{N: n, T: t, K: k}, circ)
 	if err != nil {
 		return nil, err
 	}
-	robustRep, err := runMode(true)
+	robustRep, err := runCore(core.Params{N: n, T: t, K: k, Robust: true}, circ)
 	if err != nil {
 		return nil, err
 	}
@@ -499,17 +648,11 @@ func RobustComparison(n, t, k, width int) (*RobustRow, error) {
 		N: n, T: t, K: k,
 		ProofOnline:  proofRep.Phase(comm.PhaseOnline),
 		RobustOnline: robustRep.Phase(comm.PhaseOnline),
-		MaxKProof:    (n - t - 1) / 2,
-		MaxKRobust:   (n - 3*t - 1) / 2,
+		MaxKProof:    max((n-t-1)/2, 1),
+		MaxKRobust:   max((n-3*t-1)/2, 1),
 	}
 	row.ProofBytesSaved = proofRep.ByCat[comm.PhaseOnline][comm.CatProof] -
 		robustRep.ByCat[comm.PhaseOnline][comm.CatProof]
-	if row.MaxKProof < 1 {
-		row.MaxKProof = 1
-	}
-	if row.MaxKRobust < 1 {
-		row.MaxKRobust = 1
-	}
 	return row, nil
 }
 
@@ -521,46 +664,9 @@ func KFFAblation(n, t, k, width int) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	gates := float64(circ.NumMul())
-	runMode := func(noKFF bool) (comm.Report, error) {
-		params := core.Params{
-			N: n, T: t, K: k,
-			TE: tte.NewSim(ModelBits), PKE: pke.NewSim(),
-			NoKFF: noKFF,
-		}
-		proto, err := core.New(params, circ, nil)
-		if err != nil {
-			return comm.Report{}, err
-		}
-		res, err := proto.Run(defaultInputs(circ))
-		if err != nil {
-			return comm.Report{}, err
-		}
-		return res.Report, nil
-	}
-	withKFF, err := runMode(false)
-	if err != nil {
-		return nil, err
-	}
-	naive, err := runMode(true)
-	if err != nil {
-		return nil, err
-	}
-	kffOn := withKFF.Phase(comm.PhaseOnline)
-	naiveOn := naive.Phase(comm.PhaseOnline)
-	return []AblationRow{
-		{
-			Name: "with KFF", OnlineBytes: kffOn,
-			OnlinePerGate: float64(kffOn) / gates,
-			OfflineBytes:  withKFF.Phase(comm.PhaseOffline), RelativeToFull: 1,
-		},
-		{
-			Name: "naive (no KFF)", OnlineBytes: naiveOn,
-			OnlinePerGate:  float64(naiveOn) / gates,
-			OfflineBytes:   naive.Phase(comm.PhaseOffline),
-			RelativeToFull: float64(naiveOn) / float64(kffOn),
-		},
-	}, nil
+	online := func(r comm.Report) int64 { return r.Phase(comm.PhaseOnline) }
+	return ablation(circ, online, "with KFF", core.Params{N: n, T: t, K: k},
+		"naive (no KFF)", core.Params{N: n, T: t, K: k, NoKFF: true})
 }
 
 // --- Amortization curve ---------------------------------------------------
@@ -577,16 +683,16 @@ type AmortizationPoint struct {
 // AmortizationCurve measures how the fixed online costs (KFF delivery, tsk
 // hand-off, output delivery) amortize as circuit width grows — the
 // convergence to the paper's O(1)-per-gate asymptote. Fixed (n, t, k);
-// one-layer product circuits reduced to a single output so the per-output
-// cost does not mask the floor.
+// inner products — one layer of products summed into a single output — so
+// the per-output cost does not mask the floor.
 func AmortizationCurve(n, t, k int, widths []int) ([]AmortizationPoint, error) {
 	var out []AmortizationPoint
 	for _, w := range widths {
-		circ, err := wideSum(w)
+		circ, err := circuit.InnerProduct(w)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := runCore(n, t, k, circ, nil)
+		rep, err := runCore(core.Params{N: n, T: t, K: k}, circ)
 		if err != nil {
 			return nil, err
 		}
@@ -600,25 +706,6 @@ func AmortizationCurve(n, t, k int, widths []int) ([]AmortizationPoint, error) {
 	return out, nil
 }
 
-// wideSum builds `width` independent products summed into one output.
-func wideSum(width int) (*circuit.Circuit, error) {
-	b := circuit.NewBuilder()
-	xs := make([]circuit.WireID, width)
-	ys := make([]circuit.WireID, width)
-	for i := range xs {
-		xs[i] = b.Input(0)
-	}
-	for i := range ys {
-		ys[i] = b.Input(1)
-	}
-	acc := b.Mul(xs[0], ys[0])
-	for i := 1; i < width; i++ {
-		acc = b.Add(acc, b.Mul(xs[i], ys[i]))
-	}
-	b.Output(acc, 0)
-	return b.Build()
-}
-
 // FormatAmortization renders the curve.
 func FormatAmortization(pts []AmortizationPoint) string {
 	var b strings.Builder
@@ -626,85 +713,5 @@ func FormatAmortization(pts []AmortizationPoint) string {
 	for _, p := range pts {
 		fmt.Fprintf(&b, "%-8d %-20.1f %-16.1f\n", p.Width, p.OnlinePerGate, p.MuPerGate)
 	}
-	return b.String()
-}
-
-// --- E11: offline-phase wall clock, serial vs worker pool ----------------
-
-// OfflineSpeedupResult compares the offline-phase wall clock of the serial
-// engine (Workers=1) against the worker pool, and cross-checks the
-// serial-equivalence guarantee: both runs must produce the same
-// communication report, byte for byte.
-type OfflineSpeedupResult struct {
-	N, T, K int
-	// Muls is the number of multiplication gates preprocessed.
-	Muls int
-	// Workers is the pool size of the parallel run (resolved from 0).
-	Workers int
-	// Serial and Parallel are the setup+offline wall-clock times.
-	Serial, Parallel time.Duration
-	// Speedup is Serial/Parallel (> 1 means the pool is faster).
-	Speedup float64
-	// ReportsEqual confirms the two runs metered identical bytes in every
-	// phase and category — the engine's serial-equivalence guarantee.
-	ReportsEqual bool
-	// SerialReport and ParallelReport are the two runs' full breakdowns.
-	SerialReport, ParallelReport comm.Report
-}
-
-// OfflineSpeedup measures E11: wall-clock time of the offline phase
-// (setup + Steps 1–6) at a representative size, serial vs pooled, with the
-// ideal backends. `workers` ≤ 0 resolves to one worker per CPU. Note the
-// speedup is bounded by the machine's CPU count — on a single-core host
-// the two runs tie (modulo scheduling noise), which is itself evidence the
-// pool adds no metering or bookkeeping cost.
-func OfflineSpeedup(n, t, k, width, workers int) (*OfflineSpeedupResult, error) {
-	circ, err := circuit.WideMul(width, 1)
-	if err != nil {
-		return nil, err
-	}
-	runOffline := func(w int) (time.Duration, comm.Report, error) {
-		params := core.Params{N: n, T: t, K: k, TE: tte.NewSim(ModelBits), PKE: pke.NewSim(), Workers: w}
-		proto, err := core.New(params, circ, nil)
-		if err != nil {
-			return 0, comm.Report{}, err
-		}
-		start := time.Now()
-		prepared, err := proto.Prepare()
-		if err != nil {
-			return 0, comm.Report{}, err
-		}
-		return time.Since(start), prepared.OfflineReport(), nil
-	}
-	serial, serialRep, err := runOffline(1)
-	if err != nil {
-		return nil, fmt.Errorf("bench: serial offline: %w", err)
-	}
-	workers = parallel.Normalize(workers)
-	par, parRep, err := runOffline(workers)
-	if err != nil {
-		return nil, fmt.Errorf("bench: parallel offline (workers=%d): %w", workers, err)
-	}
-	res := &OfflineSpeedupResult{
-		N: n, T: t, K: k, Muls: circ.NumMul(), Workers: workers,
-		Serial: serial, Parallel: par,
-		ReportsEqual:   reflect.DeepEqual(serialRep, parRep),
-		SerialReport:   serialRep,
-		ParallelReport: parRep,
-	}
-	if par > 0 {
-		res.Speedup = float64(serial) / float64(par)
-	}
-	return res, nil
-}
-
-// FormatOfflineSpeedup renders E11.
-func FormatOfflineSpeedup(r *OfflineSpeedupResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d t=%d k=%d, %d mul gates\n", r.N, r.T, r.K, r.Muls)
-	fmt.Fprintf(&b, "%-22s %v\n", "serial (workers=1):", r.Serial.Round(time.Millisecond))
-	fmt.Fprintf(&b, "%-22s %v\n", fmt.Sprintf("pooled (workers=%d):", r.Workers), r.Parallel.Round(time.Millisecond))
-	fmt.Fprintf(&b, "%-22s %.2f×\n", "speedup:", r.Speedup)
-	fmt.Fprintf(&b, "%-22s %v\n", "reports identical:", r.ReportsEqual)
 	return b.String()
 }

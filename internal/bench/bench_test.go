@@ -1,9 +1,94 @@
 package bench
 
 import (
+	"bytes"
+	"errors"
+	"os"
 	"strings"
 	"testing"
+
+	"yosompc/internal/circuit"
+	"yosompc/internal/field"
 )
+
+// TestExperimentsGolden pins the whole of `go run ./cmd/benchcomm`: every
+// table is a deterministic byte report, so EXPERIMENTS.md cannot move
+// unnoticed. After an intended change, regenerate with
+//
+//	go run ./cmd/benchcomm > internal/bench/testdata/experiments.golden
+func TestExperimentsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	want, err := os.ReadFile("testdata/experiments.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := Write(&got, Experiments); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("line %d differs from testdata/experiments.golden:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("output has %d lines, testdata/experiments.golden %d", len(gl), len(wl))
+	}
+}
+
+func TestSelect(t *testing.T) {
+	all, err := Select("all")
+	if err != nil || len(all) != len(Experiments) {
+		t.Fatalf("Select(all) = %d experiments, %v", len(all), err)
+	}
+	seen := map[string]bool{}
+	for _, e := range Experiments {
+		if seen[e.Name] || e.Name == "all" {
+			t.Errorf("experiment name %q is not unique", e.Name)
+		}
+		seen[e.Name] = true
+		got, err := Select(e.Name)
+		if err != nil || len(got) != 1 || got[0].ID != e.ID {
+			t.Errorf("Select(%q) = %v, %v", e.Name, got, err)
+		}
+	}
+	_, err = Select("onlin")
+	if err == nil {
+		t.Fatal("Select accepted a typo")
+	}
+	for name := range seen {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error does not name %q: %v", name, err)
+		}
+	}
+}
+
+func TestCheckOutputs(t *testing.T) {
+	circ, err := circuit.WideMul(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := circ.Eval(defaultInputs(circ))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkOutputs(circ, out); err != nil {
+		t.Errorf("circuit.Eval's own outputs rejected: %v", err)
+	}
+	for client := range out {
+		out[client][0] = out[client][0].Add(field.One)
+		break
+	}
+	if err := checkOutputs(circ, out); !errors.Is(err, errWrongOutputs) {
+		t.Errorf("one wrong output value: err = %v", err)
+	}
+	if err := checkOutputs(circ, nil); !errors.Is(err, errWrongOutputs) {
+		t.Errorf("no outputs at all: err = %v", err)
+	}
+}
 
 func TestOnlineVsNShape(t *testing.T) {
 	pts, err := OnlineVsN([]int{8, 16, 32}, 16, 1, 0.25)
@@ -100,6 +185,8 @@ func TestFailStopExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Completed means checked: every run behind the result, the crashed
+	// one included, delivered circuit.Eval's outputs (runCore).
 	if !res.Completed {
 		t.Fatal("half-packing run with nε dropped roles did not complete")
 	}
@@ -188,44 +275,6 @@ func TestKFFAblation(t *testing.T) {
 	}
 }
 
-func TestOfflineSpeedupEquivalence(t *testing.T) {
-	// Small instance of E11. The assertion of record is ReportsEqual: the
-	// byte report must be identical for every worker count — wall clock is
-	// the only thing the pool may change (and on a single-CPU host it may
-	// not even change that, so no speedup floor is asserted here).
-	res, err := OfflineSpeedup(12, 2, 3, 32, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.ReportsEqual {
-		t.Errorf("serial and parallel offline reports diverged:\nserial: %+v\nparallel: %+v",
-			res.SerialReport, res.ParallelReport)
-	}
-	if res.Muls != 32 || res.Workers != 4 {
-		t.Errorf("result shape: %+v", res)
-	}
-	if res.Serial <= 0 || res.Parallel <= 0 || res.Speedup <= 0 {
-		t.Errorf("non-positive timings: %+v", res)
-	}
-	if s := FormatOfflineSpeedup(res); !strings.Contains(s, "serial") || !strings.Contains(s, "reports identical") {
-		t.Errorf("format output missing fields:\n%s", s)
-	}
-}
-
-func TestOfflineSpeedupDefaultWorkers(t *testing.T) {
-	// workers ≤ 0 resolves to one per CPU — never 0, never negative.
-	res, err := OfflineSpeedup(8, 1, 2, 8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Workers < 1 {
-		t.Errorf("workers resolved to %d", res.Workers)
-	}
-	if !res.ReportsEqual {
-		t.Error("reports diverged at default worker count")
-	}
-}
-
 func TestAmortizationCurve(t *testing.T) {
 	pts, err := AmortizationCurve(12, 2, 3, []int{6, 24, 96})
 	if err != nil {
@@ -243,28 +292,5 @@ func TestAmortizationCurve(t *testing.T) {
 		if p.MuPerGate != pts[0].MuPerGate {
 			t.Errorf("μ floor not flat: %+v", pts)
 		}
-	}
-}
-
-func TestSharingHotpath(t *testing.T) {
-	rows, err := SharingHotpath([]int{64}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("got %d rows, want 1", len(rows))
-	}
-	r := rows[0]
-	if r.N != 64 || r.K != 16 || r.D != 32 {
-		t.Errorf("geometry = (n=%d k=%d d=%d), want (64, 16, 32)", r.N, r.K, r.D)
-	}
-	if !r.Identical {
-		t.Error("domain and naive reconstruction diverged")
-	}
-	if r.ShareNaive <= 0 || r.ShareDomain <= 0 {
-		t.Errorf("non-positive timings: %+v", r)
-	}
-	if _, err := SharingHotpath([]int{2}, 1); err == nil {
-		t.Error("n=2 (k=0) accepted")
 	}
 }

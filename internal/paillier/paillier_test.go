@@ -279,15 +279,31 @@ func TestPublicKeyEqual(t *testing.T) {
 	}
 }
 
+// BenchmarkEncrypt and BenchmarkDecrypt time the engine paths against the
+// retained naive references on the same input (E14a's per-operation
+// ratios); the differential tests pin the two bit-for-bit.
 func BenchmarkEncrypt(b *testing.B) {
-	sk := FixedTestKey(0)
-	m := big.NewInt(123456)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sk.Encrypt(rand.Reader, m); err != nil {
-			b.Fatal(err)
-		}
+	dj, err := NewDJKey(FixedTestKey(0), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := new(big.Int).Rsh(dj.Ns, 1)
+	r, err := dj.Base.PublicKey.RandomUnit(rand.Reader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, v := range []struct {
+		name string
+		enc  func(m, r *big.Int) (*Ciphertext, error)
+	}{{"engine", dj.EncryptWithNonce}, {"naive", dj.EncryptWithNonceNaive}} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := v.enc(m, r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -297,12 +313,18 @@ func BenchmarkDecrypt(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sk.Decrypt(c); err != nil {
-			b.Fatal(err)
-		}
+	for _, v := range []struct {
+		name string
+		dec  func(*Ciphertext) (*big.Int, error)
+	}{{"engine", sk.Decrypt}, {"naive", sk.DecryptNaive}} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := v.dec(c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -317,6 +317,7 @@ func TestSlotPoints(t *testing.T) {
 	}
 }
 
-// BenchmarkSharePacked / BenchmarkReconstructPacked live in bench_test.go,
-// where the cached domain engine and the seed naive path are measured
-// side by side at n ∈ {64, 256, 1024}.
+// BenchmarkSharePacked / BenchmarkReconstructPacked live in this package's
+// bench_test.go, where the cached domain engine and the seed naive path
+// are measured side by side at n ∈ {64, 256, 1024}: they are E12's
+// generator (EXPERIMENTS.md).

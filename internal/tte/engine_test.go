@@ -87,6 +87,45 @@ func TestCombineEngineMatchesNaive(t *testing.T) {
 	}
 }
 
+// BenchmarkOpeningRound times the offline phase's opening-round kernel —
+// t+1 partial decryptions and one Combine at n = 64, t = 4 (Δ = 64!) —
+// engine against the naive references (E14b's ratio).
+func BenchmarkOpeningRound(b *testing.B) {
+	const n, t = 64, 4
+	s, err := NewThreshold(paillier.FixedTestKey(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pk, shares, err := s.KeyGen(n, t)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ct, err := s.Encrypt(pk, big.NewInt(123456789), big.NewInt(1<<30))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []struct {
+		name    string
+		partial func(PublicKey, KeyShare, Ciphertext) (PartialDec, error)
+		combine func(PublicKey, Ciphertext, []PartialDec) (*big.Int, error)
+	}{{"engine", s.PartialDecrypt, s.Combine}, {"naive", s.PartialDecryptNaive, s.CombineNaive}} {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			parts := make([]PartialDec, t+1)
+			for i := 0; i < b.N; i++ {
+				for j, sh := range shares[:t+1] {
+					if parts[j], err = k.partial(pk, sh, ct); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := k.combine(pk, ct, parts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func TestDeltaPowerEngineMatchesNaive(t *testing.T) {
 	s, pk, _ := engineScheme(t)
 	tpk := pk.(*thresholdPK)

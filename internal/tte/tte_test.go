@@ -545,33 +545,3 @@ func TestScaledLagrangeDuplicate(t *testing.T) {
 		t.Errorf("err = %v, want ErrDuplicateIndex", err)
 	}
 }
-
-func BenchmarkThresholdDecrypt5of2(b *testing.B) {
-	s, err := NewThreshold(paillier.FixedTestKey(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	pk, shares, err := s.KeyGen(5, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ct, err := s.Encrypt(pk, big.NewInt(42), big.NewInt(100))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		parts := make([]PartialDec, 3)
-		for j := 0; j < 3; j++ {
-			p, err := s.PartialDecrypt(pk, shares[j], ct)
-			if err != nil {
-				b.Fatal(err)
-			}
-			parts[j] = p
-		}
-		if _, err := s.Combine(pk, ct, parts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
