@@ -299,22 +299,12 @@ func (r *run) offlinePack() error {
 		sp.SetInt("layer", int64(b.Layer))
 		// The l_j(i) coefficient rows come straight from the cached
 		// evaluation domain — shared across batches of the same width and
-		// across runs, with no per-batch clone. Shapes outside the domain
-		// envelope (never produced by valid Params) fall back to the
-		// general helper.
-		var (
-			rowAt func(i int) []field.Element
-			err   error
-		)
-		if dom, derr := sharing.GetDomain(b.k, p.T+b.k-1, p.N); derr == nil {
-			rowAt = func(i int) []field.Element { return dom.ShareRow(i + 1) }
-		} else {
-			var rows [][]field.Element
-			if rows, err = sharing.PackingLagrangeCoeffs(b.k, p.T, p.N); err != nil {
-				sp.End()
-				return err
-			}
-			rowAt = func(i int) []field.Element { return rows[i] }
+		// across runs, with no per-batch clone. Validate guarantees
+		// t + 2(k−1) + 1 ≤ n, so the packed degree t + b.k − 1 fits.
+		dom, err := sharing.GetDomain(b.k, p.T+b.k-1, p.N)
+		if err != nil {
+			sp.End()
+			return err
 		}
 		left := make([]tte.Ciphertext, b.k)
 		right := make([]tte.Ciphertext, b.k)
@@ -331,7 +321,7 @@ func (r *run) offlinePack() error {
 			// One homomorphic interpolation per share index — the
 			// packing-helper hot loop, fanned out slot-indexed per index.
 			err := r.rt.Pfor(p.N, func(i int) error {
-				row := rowAt(i)
+				row := dom.ShareRow(i + 1)
 				coeffs := make([]*big.Int, len(points))
 				for j := range coeffs {
 					coeffs[j] = committee.FieldCoeff(row[j])

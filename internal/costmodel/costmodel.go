@@ -12,8 +12,10 @@ package costmodel
 
 import (
 	"yosompc/internal/circuit"
+	"yosompc/internal/field"
 	"yosompc/internal/nizk"
 	"yosompc/internal/pke"
+	"yosompc/internal/tte"
 )
 
 // Sizes are the wire sizes (bytes) of one backend configuration.
@@ -40,15 +42,16 @@ type Sizes struct {
 // threshold-Paillier modulus of the given bit length, matching
 // tte.NewSim(bits) + pke.NewSim().
 func SimSizes(bits int) Sizes {
+	te := tte.NewSim(bits)
 	return Sizes{
-		Ciphertext:  bits / 4,
-		Partial:     bits / 4,
-		SubShare:    bits/4 + 10, // statSecurity/8 slack
-		KeyShare:    bits / 4,
+		Ciphertext:  te.CiphertextSize(),
+		Partial:     te.PartialSize(),
+		SubShare:    te.SubShareSize(),
+		KeyShare:    te.KeyShareSize(),
 		PKEOverhead: pke.EnvelopeOverhead,
-		RoleKey:     32,
+		RoleKey:     pke.PublicKeySize,
 		Proof:       nizk.AttestedProofSize,
-		Element:     8,
+		Element:     field.ElementSize,
 	}
 }
 

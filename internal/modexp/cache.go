@@ -5,13 +5,13 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"yosompc/internal/cowcache"
 	"yosompc/internal/telemetry"
 )
 
-// The engine's process-global caches, in the internal/sharing domain-cache
-// style: copy-on-write maps behind atomic pointers, lock-free reads,
-// writers clone under a mutex, all heavy arithmetic (table builds, ladder
-// extension) done OUTSIDE the lock with double-checked re-lookup.
+// The engine's caches are three internal/cowcache maps keyed by (base,
+// modulus): fixed-base tables, the sightings that gate their promotion,
+// and power ladders.
 //
 // A fixed-base table costs roughly 2^w/w naive exponentiations to build,
 // so caching every base seen once would lose money on one-shot bases
@@ -23,153 +23,62 @@ import (
 // table from their second or third use on, while one-shot bases never pay
 // the build.
 
-// tableKey identifies a cached fixed-base table. Bytes() is the canonical
-// minimal big-endian encoding, so equal residues share an entry.
+// tableKey identifies a base by its canonical residue in [0, modulus), as
+// minimal big-endian bytes, so g, g + N and −(N − g) share one entry and
+// g and −g do not.
 type tableKey struct{ base, modulus string }
 
 func keyOf(base, modulus *big.Int) tableKey {
+	if base.Sign() < 0 || base.CmpAbs(modulus) >= 0 {
+		base = new(big.Int).Mod(base, modulus)
+	}
 	return tableKey{string(base.Bytes()), string(modulus.Bytes())}
 }
 
-// Cache bounds, following the lagrange-cache pattern: wholesale clear on
-// overflow. Long-running many-epoch processes cycle verification keys, so
-// an unbounded map would grow without limit.
+// Cache bounds. Long-running many-epoch processes cycle verification
+// keys, so an unbounded map would grow without limit.
 const (
 	maxCachedTables = 64
 	maxSeenBases    = 1024
 )
 
 var (
-	cacheMu    sync.Mutex
-	tableCache atomic.Pointer[map[tableKey]*FixedBase]
-	seenCache  atomic.Pointer[map[tableKey]struct{}]
-	ladderMu   sync.Mutex
-	ladders    atomic.Pointer[map[tableKey]*PowerLadder]
+	tableCache = cowcache.Map[tableKey, *tableSlot]{Max: maxCachedTables}
+	seenCache  = cowcache.Map[tableKey, struct{}]{Max: maxSeenBases}
+	ladders    = cowcache.Map[tableKey, *PowerLadder]{Max: maxCachedTables}
 
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-	// instruments mirrors hits/misses into a telemetry registry when one
-	// is installed via Instrument; Counter methods are nil-safe, so the
-	// unset state costs one atomic load per cache access.
-	instruments atomic.Pointer[engineCounters]
+	// tableStats counts ExpCachedSigned calls: a miss is any call served
+	// without a prebuilt table, the sighting and build calls included.
+	tableStats cowcache.Stats
 )
 
-type engineCounters struct{ hits, misses *telemetry.Counter }
-
 // Instrument mirrors the engine's table-cache hit/miss counters into reg
-// as "modexp.table_cache_hits" / "modexp.table_cache_misses". A nil reg
-// detaches the previous registry. The caches are process-global, so when
-// several instrumented runs overlap the last-installed registry wins;
-// CacheStats always reports the process-lifetime totals.
+// as "modexp.table_cache_hits" / "modexp.table_cache_misses"; see
+// cowcache.Stats.Instrument.
 func Instrument(reg *telemetry.Registry) {
-	if reg == nil {
-		instruments.Store(nil)
-		return
-	}
-	instruments.Store(&engineCounters{
-		hits:   reg.Counter("modexp.table_cache_hits"),
-		misses: reg.Counter("modexp.table_cache_misses"),
-	})
+	tableStats.Instrument(reg, "modexp.table_cache")
 }
 
-// CacheStats returns the process-lifetime fixed-base table cache hit and
-// miss counts. A miss is any ExpCachedSigned call served without a
-// prebuilt table (including the sighting and build calls themselves).
-func CacheStats() (hits, misses int64) {
-	return cacheHits.Load(), cacheMisses.Load()
-}
+// tableSlot is one base's cached table. The slot is what the map stores
+// (first writer wins, like every cowcache entry); the table inside it is
+// replaced when a longer exponent needs one covering more bits.
+type tableSlot struct{ t atomic.Pointer[FixedBase] }
 
-func recordHit() {
-	cacheHits.Add(1)
-	if c := instruments.Load(); c != nil {
-		c.hits.Inc()
-	}
-}
+func newTableSlot(tableKey) (*tableSlot, error) { return new(tableSlot), nil }
 
-func recordMiss() {
-	cacheMisses.Add(1)
-	if c := instruments.Load(); c != nil {
-		c.misses.Inc()
-	}
-}
-
-// resetCaches drops every cached table, sighting, and ladder, and zeroes
-// the stats. Test seam: the caches are process-global, so differential
-// tests and race hammers reset them to get deterministic hit/miss counts.
-func resetCaches() {
-	cacheMu.Lock()
-	tableCache.Store(nil)
-	seenCache.Store(nil)
-	cacheMu.Unlock()
-	ladderMu.Lock()
-	ladders.Store(nil)
-	ladderMu.Unlock()
-	cacheHits.Store(0)
-	cacheMisses.Store(0)
-}
-
-// lookupTable returns the cached table for key if one exists and covers
-// at least bits exponent bits.
-func lookupTable(key tableKey, bits int) *FixedBase {
-	m := tableCache.Load()
-	if m == nil {
-		return nil
-	}
-	t := (*m)[key]
-	if t == nil || t.bits < bits {
-		return nil
-	}
-	return t
-}
-
-// noteSeen records a first sighting of key and reports whether the key
-// had been seen before (i.e. this is at least the second use).
-func noteSeen(key tableKey) bool {
-	if m := seenCache.Load(); m != nil {
-		if _, ok := (*m)[key]; ok {
-			return true
-		}
-	}
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	old := seenCache.Load()
-	if old != nil {
-		if _, ok := (*old)[key]; ok {
-			return true
-		}
-	}
-	next := make(map[tableKey]struct{}, 1)
-	if old != nil && len(*old) < maxSeenBases {
-		for k := range *old {
-			next[k] = struct{}{}
-		}
-	}
-	next[key] = struct{}{}
-	seenCache.Store(&next)
-	return false
-}
-
-// storeTable publishes a freshly built table, keeping whichever of the
-// old and new entries covers more exponent bits. The build itself ran
-// outside the lock; losing a race just wastes one build.
-func storeTable(key tableKey, t *FixedBase) {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	old := tableCache.Load()
-	if old != nil {
-		if prev := (*old)[key]; prev != nil && prev.bits >= t.bits {
+// offer installs t unless the slot already covers as many bits. The
+// build ran outside any lock; losing a race just wastes one build.
+func (s *tableSlot) offer(t *FixedBase) {
+	for {
+		cur := s.t.Load()
+		if (cur != nil && cur.bits >= t.bits) || s.t.CompareAndSwap(cur, t) {
 			return
 		}
 	}
-	next := make(map[tableKey]*FixedBase, 1)
-	if old != nil && len(*old) < maxCachedTables {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	next[key] = t
-	tableCache.Store(&next)
 }
+
+// sighting is the seenCache build: the entry's presence is the record.
+func sighting(tableKey) (struct{}, error) { return struct{}{}, nil }
 
 // minCachedExpBits is the smallest exponent size worth a table: below
 // this the plain path is already a handful of multiplications.
@@ -186,25 +95,28 @@ func ExpCachedSigned(base, exp, modulus *big.Int) (*big.Int, error) {
 		return ExpSigned(base, exp, modulus)
 	}
 	key := keyOf(base, modulus)
-	if t := lookupTable(key, bits); t != nil {
-		recordHit()
-		return t.ExpSigned(exp)
-	}
-	recordMiss()
-	if noteSeen(key) {
-		// Second sighting (or a cached table too small for this
-		// exponent): build outside any lock, sized with headroom so
-		// nearby exponent sizes reuse it, then serve from the table so
-		// the build call itself is pinned by the differential tests too.
-		maxBits := bits + bits/8
-		if mb := modulus.BitLen(); mb > maxBits {
-			maxBits = mb
+	if slot, ok := tableCache.Load(key); ok {
+		if t := slot.t.Load(); t != nil && t.bits >= bits {
+			tableStats.Hit()
+			return t.ExpSigned(exp)
 		}
-		t := NewFixedBase(base, modulus, maxBits)
-		storeTable(key, t)
-		return t.ExpSigned(exp)
 	}
-	return ExpSigned(base, exp, modulus)
+	tableStats.Miss()
+	if _, seen, _ := seenCache.LoadOrBuild(key, sighting); !seen {
+		return ExpSigned(base, exp, modulus)
+	}
+	// Second sighting (or a cached table too small for this exponent):
+	// build outside any lock, sized with headroom so nearby exponent
+	// sizes reuse it, then serve from the table so the build call itself
+	// is pinned by the differential tests too.
+	maxBits := bits + bits/8
+	if mb := modulus.BitLen(); mb > maxBits {
+		maxBits = mb
+	}
+	t := NewFixedBase(base, modulus, maxBits)
+	slot, _, _ := tableCache.LoadOrBuild(key, newTableSlot)
+	slot.offer(t)
+	return t.ExpSigned(exp)
 }
 
 // PowerLadder caches consecutive powers base^0, base^1, ... mod modulus
@@ -219,36 +131,20 @@ type PowerLadder struct {
 	powers  atomic.Pointer[[]*big.Int]
 }
 
-// Ladder returns the process-global power ladder for (base, modulus),
+// Ladder returns the process-wide power ladder for (base, modulus),
 // creating it on first use.
 func Ladder(base, modulus *big.Int) *PowerLadder {
-	key := keyOf(base, modulus)
-	if m := ladders.Load(); m != nil {
-		if l := (*m)[key]; l != nil {
-			return l
-		}
-	}
-	ladderMu.Lock()
-	defer ladderMu.Unlock()
-	old := ladders.Load()
-	if old != nil {
-		if l := (*old)[key]; l != nil {
-			return l
-		}
-	}
-	l := &PowerLadder{
-		base:    new(big.Int).Set(base),
-		modulus: new(big.Int).Set(modulus),
-	}
-	next := make(map[tableKey]*PowerLadder, 1)
-	if old != nil && len(*old) < maxCachedTables {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	next[key] = l
-	ladders.Store(&next)
+	l, _, _ := ladders.LoadOrBuild(keyOf(base, modulus), newLadder)
 	return l
+}
+
+// newLadder builds the ladder from its key, so it multiplies by the
+// canonical residue whichever representative asked first.
+func newLadder(key tableKey) (*PowerLadder, error) {
+	return &PowerLadder{
+		base:    new(big.Int).SetBytes([]byte(key.base)),
+		modulus: new(big.Int).SetBytes([]byte(key.modulus)),
+	}, nil
 }
 
 // Pow returns base^k mod modulus for k ≥ 0, extending the cached ladder

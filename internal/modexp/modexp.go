@@ -3,15 +3,13 @@
 // tables for recurring bases (the Shoup verification base V, per-round
 // squared ciphertexts, the 1+N encryption base's algebraic shortcuts in
 // package paillier), Straus interleaved multi-exponentiation for proof
-// verification and threshold combination, and cached Δ-power ladders —
-// all behind process-global copy-on-write caches with lock-free reads
-// and hit/miss counters mirrored into telemetry, exactly the pattern of
-// the packed-sharing domain engine in internal/sharing.
+// verification and threshold combination, and cached Δ-power ladders.
+// Tables and ladders are cached process-wide in internal/cowcache maps
+// (cache.go), with hit/miss counters mirrored into telemetry.
 //
-// The naive paths (plain math/big square-and-multiply via ExpSigned and
-// big.Int.Exp) are retained throughout the callers as differential
-// references; the tests and FuzzEngineVsNaive pin every engine path to
-// them bit-for-bit. Engine outputs are canonical residues, so "equal as
+// ExpSigned — plain math/big square-and-multiply — is the reference:
+// the tests and FuzzEngineVsNaive pin every engine path to it
+// bit-for-bit. Engine outputs are canonical residues, so "equal as
 // group elements" and "bit-identical" coincide.
 //
 // Side-channel posture: everything here is variable-time by

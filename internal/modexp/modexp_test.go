@@ -9,6 +9,24 @@ import (
 	"yosompc/internal/telemetry"
 )
 
+// resetCaches drops every cached table, sighting and ladder and zeroes
+// the stats: the caches are process-wide, so tests that count hits and
+// misses start from empty.
+func resetCaches() {
+	tableCache.Reset()
+	seenCache.Reset()
+	ladders.Reset()
+	tableStats.Reset()
+}
+
+// cachedTable returns the table cached for (base, m), or nil.
+func cachedTable(base, m *big.Int) *FixedBase {
+	if slot, ok := tableCache.Load(keyOf(base, m)); ok {
+		return slot.t.Load()
+	}
+	return nil
+}
+
 func testRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 func randBig(r *rand.Rand, bits int) *big.Int {
@@ -129,10 +147,10 @@ func TestExpCachedSignedPromotion(t *testing.T) {
 	if err != nil || got.Cmp(want) != 0 {
 		t.Fatalf("first use: got %v err %v", got, err)
 	}
-	if h, _ := CacheStats(); h != 0 {
+	if h, _ := tableStats.Load(); h != 0 {
 		t.Fatalf("hits after first use = %d, want 0", h)
 	}
-	if lookupTable(keyOf(base, m), 1) != nil {
+	if cachedTable(base, m) != nil {
 		t.Fatal("table built on first sighting; want promotion on second use")
 	}
 	// Second use: table built and used.
@@ -140,7 +158,7 @@ func TestExpCachedSignedPromotion(t *testing.T) {
 	if err != nil || got.Cmp(want) != 0 {
 		t.Fatalf("second use: got %v err %v", got, err)
 	}
-	if lookupTable(keyOf(base, m), exp.BitLen()) == nil {
+	if tab := cachedTable(base, m); tab == nil || tab.Bits() < exp.BitLen() {
 		t.Fatal("no table after second use")
 	}
 	// Third use: cache hit, still bit-identical.
@@ -148,7 +166,7 @@ func TestExpCachedSignedPromotion(t *testing.T) {
 	if err != nil || got.Cmp(want) != 0 {
 		t.Fatalf("third use: got %v err %v", got, err)
 	}
-	if h, _ := CacheStats(); h != 1 {
+	if h, _ := tableStats.Load(); h != 1 {
 		t.Fatalf("hits after third use = %d, want 1", h)
 	}
 	// Different exponents over the cached base, including negative.
@@ -169,6 +187,67 @@ func TestExpCachedSignedPromotion(t *testing.T) {
 	resetCaches()
 }
 
+// TestExpCachedSignedNegativeBase: the caches key on the residue, not on
+// the absolute value. Once g is promoted, −g must not be served from g's
+// table (wrong for odd exponents), while the unreduced g + N is the same
+// residue and must be.
+func TestExpCachedSignedNegativeBase(t *testing.T) {
+	resetCaches()
+	defer resetCaches()
+	r := testRNG(9)
+	n := oddModulus(r, 512)
+	g := randBig(r, 500)
+	e := randBig(r, 300)
+	e.SetBit(e, 0, 1) // odd, so (−g)^e = −(g^e)
+	e.SetBit(e, 299, 1)
+	for i := 0; i < 3; i++ {
+		if _, err := ExpCachedSigned(g, e, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cachedTable(g, n) == nil {
+		t.Fatal("g not promoted after three calls")
+	}
+
+	negG := new(big.Int).Neg(g)
+	want, err := ExpSigned(negG, e, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for call := 0; call < 3; call++ { // sighting, promotion, table hit
+		got, err := ExpCachedSigned(negG, e, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cmp(want) != 0 {
+			t.Fatalf("call %d: ExpCachedSigned(−g) = %v, ExpSigned(−g) = %v", call, got, want)
+		}
+	}
+
+	hits, _ := tableStats.Load()
+	gPlusN := new(big.Int).Add(g, n)
+	want, _ = ExpSigned(g, e, n)
+	got, err := ExpCachedSigned(gPlusN, e, n)
+	if err != nil || got.Cmp(want) != 0 {
+		t.Fatalf("ExpCachedSigned(g+N) = %v (err %v), want %v", got, err, want)
+	}
+	if after, _ := tableStats.Load(); after != hits+1 {
+		t.Fatalf("g+N missed g's table: hits %d -> %d", hits, after)
+	}
+
+	Ladder(g, n)
+	cube, err := Ladder(negG, n).Pow(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := new(big.Int).Exp(negG, big.NewInt(3), n); cube.Cmp(want) != 0 {
+		t.Fatalf("Ladder(−g).Pow(3) = %v, want %v", cube, want)
+	}
+	if Ladder(gPlusN, n) != Ladder(g, n) {
+		t.Fatal("Ladder(g+N) is not Ladder(g)")
+	}
+}
+
 func TestExpCachedSignedSmallExponentBypass(t *testing.T) {
 	resetCaches()
 	m := big.NewInt(1000003)
@@ -182,7 +261,7 @@ func TestExpCachedSignedSmallExponentBypass(t *testing.T) {
 			t.Fatalf("got %v want %v", got, want)
 		}
 	}
-	if h, ms := CacheStats(); h != 0 || ms != 0 {
+	if h, ms := tableStats.Load(); h != 0 || ms != 0 {
 		t.Fatalf("small exponents touched the cache: hits=%d misses=%d", h, ms)
 	}
 	resetCaches()
@@ -328,9 +407,10 @@ func TestInstrumentMirrorsCounters(t *testing.T) {
 	resetCaches()
 }
 
-// TestCacheHammer drives the table cache, seen set, and ladders from
-// many goroutines at once; run under -race it is the engine's
-// concurrency witness.
+// TestCacheHammer drives what modexp adds on top of its cowcache maps
+// (hammered in internal/cowcache) from many goroutines at once —
+// sighting-then-promotion, table replacement inside a slot, ladder
+// growth; run under -race it is the engine's concurrency witness.
 func TestCacheHammer(t *testing.T) {
 	resetCaches()
 	r := testRNG(8)
@@ -374,7 +454,7 @@ func TestCacheHammer(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if h, ms := CacheStats(); h == 0 || ms == 0 {
+	if h, ms := tableStats.Load(); h == 0 || ms == 0 {
 		t.Fatalf("hammer saw hits=%d misses=%d; want both non-zero", h, ms)
 	}
 	resetCaches()
@@ -384,10 +464,16 @@ func TestCacheHammer(t *testing.T) {
 // fixed-base tables, and multi-exp — bit-for-bit against plain
 // big.Int.Exp references.
 func FuzzEngineVsNaive(f *testing.F) {
-	f.Add([]byte{7}, []byte{3}, []byte{5}, []byte{11}, []byte{97}, false, false)
-	f.Add([]byte{2}, []byte{0xff, 0x01}, []byte{9}, []byte{0x80}, []byte{0xc1}, true, false)
-	f.Add([]byte{0}, []byte{0}, []byte{1}, []byte{1}, []byte{3}, false, true)
-	f.Fuzz(func(t *testing.T, baseB, expB, base2B, exp2B, modB []byte, neg1, neg2 bool) {
+	f.Add([]byte{7}, []byte{3}, []byte{5}, []byte{11}, []byte{97}, false, false, false)
+	f.Add([]byte{2}, []byte{0xff, 0x01}, []byte{9}, []byte{0x80}, []byte{0xc1}, true, false, false)
+	f.Add([]byte{0}, []byte{0}, []byte{1}, []byte{1}, []byte{3}, false, true, false)
+	// Negative and unreduced bases under exponents long enough (≥ 64 bits,
+	// odd) to go through table promotion.
+	long := []byte{0x81, 2, 3, 4, 5, 6, 7, 8, 9}
+	f.Add([]byte{7}, long, []byte{5}, []byte{11}, []byte{0x01, 0x01}, false, false, true)
+	f.Add([]byte{0x03, 0x08}, long, []byte{0x02, 0x09}, long, []byte{0x01, 0x01}, false, true, false)
+	f.Add([]byte{0x03, 0x08}, long, []byte{0x02, 0x09}, long, []byte{0x01, 0x01}, true, false, true)
+	f.Fuzz(func(t *testing.T, baseB, expB, base2B, exp2B, modB []byte, neg1, neg2, negBase bool) {
 		mod := new(big.Int).SetBytes(modB)
 		if mod.BitLen() < 2 || mod.BitLen() > 1024 {
 			t.Skip()
@@ -398,6 +484,10 @@ func FuzzEngineVsNaive(f *testing.F) {
 		exp2 := new(big.Int).SetBytes(exp2B)
 		if exp.BitLen() > 4096 || exp2.BitLen() > 4096 {
 			t.Skip()
+		}
+		if negBase {
+			base.Neg(base)
+			base2.Neg(base2)
 		}
 		if neg1 {
 			exp.Neg(exp)

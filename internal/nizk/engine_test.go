@@ -9,6 +9,28 @@ import (
 	"yosompc/internal/paillier"
 )
 
+// VerifyEqExpNaive is the reference for VerifyEqExp: two independent
+// exponentiations per pair, no tables. Both sides compare canonical
+// residues, so the verdicts — and the intermediate values — are
+// identical to the engine's.
+func VerifyEqExpNaive(modulus, g1, g2, h1, h2 *big.Int, proof *EqExpProof) bool {
+	if proof == nil || proof.A1 == nil || proof.A2 == nil || proof.Z == nil {
+		return false
+	}
+	e := eqExpChallenge(modulus, g1, g2, h1, h2, proof.A1, proof.A2)
+	check := func(g, h, a *big.Int) bool {
+		lhs, err := modexp.ExpSigned(g, proof.Z, modulus)
+		if err != nil {
+			return false
+		}
+		rhs := new(big.Int).Exp(h, e, modulus)
+		rhs.Mul(rhs, a)
+		rhs.Mod(rhs, modulus)
+		return lhs.Cmp(rhs) == 0
+	}
+	return check(g1, h1, proof.A1) && check(g2, h2, proof.A2)
+}
+
 // eqExpInstance builds an honest EqExp statement over Z*_{N²} with the
 // given (possibly negative) witness.
 func eqExpInstance(t *testing.T, modulus, w *big.Int) (g1, g2, h1, h2 *big.Int) {

@@ -144,47 +144,21 @@ func ProveEqExp(modulus, g1, g2, h1, h2, w, wBound *big.Int) (*EqExpProof, error
 
 // VerifyEqExp checks an EqExpProof: g^Z ≡ A · h^e (mod modulus) for both
 // base/public pairs, with signed Z supported via modular inversion. The
-// engine path serves the long g^Z exponentiation from the fixed-base
-// table cache (the bases recur exactly as in ProveEqExp) and folds
-// A·h^e into one Straus pass; VerifyEqExpNaive keeps the plain
-// reference, and both sides compare the same canonical residues, so the
-// verdicts — and the intermediate values — are identical.
+// long g^Z exponentiation is served from the fixed-base table cache (the
+// bases recur exactly as in ProveEqExp) and A·h^e is one Straus pass.
 func VerifyEqExp(modulus, g1, g2, h1, h2 *big.Int, proof *EqExpProof) bool {
-	return verifyEqExp(modulus, g1, g2, h1, h2, proof, true)
-}
-
-// VerifyEqExpNaive is the retained naive reference for VerifyEqExp: two
-// independent exponentiations per pair, no tables. The differential
-// tests and the paillier hot-path benchmark pin the engine path to it.
-func VerifyEqExpNaive(modulus, g1, g2, h1, h2 *big.Int, proof *EqExpProof) bool {
-	return verifyEqExp(modulus, g1, g2, h1, h2, proof, false)
-}
-
-func verifyEqExp(modulus, g1, g2, h1, h2 *big.Int, proof *EqExpProof, engine bool) bool {
 	if proof == nil || proof.A1 == nil || proof.A2 == nil || proof.Z == nil {
 		return false
 	}
 	e := eqExpChallenge(modulus, g1, g2, h1, h2, proof.A1, proof.A2)
 	check := func(g, h, a *big.Int) bool {
-		var lhs, rhs *big.Int
-		var err error
-		if engine {
-			lhs, err = modexp.ExpCachedSigned(g, proof.Z, modulus)
-			if err != nil {
-				return false
-			}
-			rhs, err = modexp.MultiExp(modulus, []*big.Int{h, a}, []*big.Int{e, bigOne})
-			if err != nil {
-				return false
-			}
-		} else {
-			lhs, err = modexp.ExpSigned(g, proof.Z, modulus)
-			if err != nil {
-				return false
-			}
-			rhs = new(big.Int).Exp(h, e, modulus)
-			rhs.Mul(rhs, a)
-			rhs.Mod(rhs, modulus)
+		lhs, err := modexp.ExpCachedSigned(g, proof.Z, modulus)
+		if err != nil {
+			return false
+		}
+		rhs, err := modexp.MultiExp(modulus, []*big.Int{h, a}, []*big.Int{e, bigOne})
+		if err != nil {
+			return false
 		}
 		return lhs.Cmp(rhs) == 0
 	}

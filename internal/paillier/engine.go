@@ -14,9 +14,10 @@ import (
 // power factorization of N^{s+1} with exponent reduction modulo the
 // per-prime group orders, the closed-form binomial expansion of
 // (1+N)^m, and batched encryption over the shared worker pool. Every
-// path here has a retained naive reference (DecryptNaive,
-// EncryptWithNonceNaive, plain modexp.ExpSigned) that the differential
-// tests and FuzzPaillierEngineVsNaive pin bit-for-bit.
+// path here is pinned bit-for-bit, by the differential tests and
+// FuzzPaillierEngineVsNaive, to a naive reference: plain
+// modexp.ExpSigned, and the DecryptNaive / EncryptWithNonceNaive of this
+// package's test files.
 //
 // Why CRT wins: Z*_{N^{s+1}} ≅ Z*_{p^{s+1}} × Z*_{q^{s+1}}, so an
 // exponentiation splits into two at half the modulus size (≈4× cheaper
@@ -151,9 +152,10 @@ func (k *DJKey) onePlusNToM(st *djState, m *big.Int) *big.Int {
 }
 
 // DecryptCRT recovers the plaintext of c with per-prime exponentiations
-// and the cached decryption exponent. Bit-identical to DecryptNaive for
-// every unit ciphertext (non-units fall back to the naive path inside
-// ExpSignedCRT) and ≈4× faster, before counting the cached inversions.
+// and the cached decryption exponent: the same plaintext as one
+// exponentiation by d modulo N^{s+1} for every unit ciphertext
+// (non-units take exactly that exponentiation) and ≈4× faster, before
+// counting the cached inversions.
 func (k *DJKey) DecryptCRT(c *Ciphertext) (*big.Int, error) {
 	if c == nil || c.C == nil || c.C.Sign() <= 0 || c.C.Cmp(k.Ns1) >= 0 {
 		return nil, fmt.Errorf("%w: malformed ciphertext", ErrDecryption)
@@ -177,7 +179,7 @@ func (k *DJKey) DecryptCRT(c *Ciphertext) (*big.Int, error) {
 
 // EncryptWithNonce encrypts m with caller-supplied randomness r ∈ Z*_N
 // through the engine paths: closed-form (1+N)^m plus one r^{N^s}
-// exponentiation. Bit-identical to EncryptWithNonceNaive.
+// exponentiation — the ciphertext a full-width (1+N)^m would give.
 func (k *DJKey) EncryptWithNonce(m, r *big.Int) (*Ciphertext, error) {
 	if m.Sign() < 0 || m.Cmp(k.Ns) >= 0 {
 		// The message itself stays out of the error: callers wrap errors

@@ -212,25 +212,9 @@ func (pk *PublicKey) EncryptWithNonce(m, r *big.Int) (*Ciphertext, error) {
 }
 
 // Decrypt recovers the plaintext of c: m = L(c^λ mod N²)·μ mod N, where
-// L(x) = (x-1)/N. It runs on the CRT engine path (crt.go), which is
-// bit-identical for every unit ciphertext; DecryptNaive keeps the
-// single-exponentiation reference.
+// L(x) = (x-1)/N. It runs on the CRT engine path (crt.go).
 func (sk *PrivateKey) Decrypt(c *Ciphertext) (*big.Int, error) {
 	return sk.DecryptCRT(c)
-}
-
-// DecryptNaive is the retained naive reference for Decrypt: one
-// exponentiation by λ modulo N². The differential tests pin DecryptCRT
-// to it bit-for-bit on unit ciphertexts.
-func (sk *PrivateKey) DecryptNaive(c *Ciphertext) (*big.Int, error) {
-	if err := sk.checkCiphertext(c); err != nil {
-		return nil, err
-	}
-	u := new(big.Int).Exp(c.C, sk.Lambda, sk.N2)
-	m := sk.lFunc(u)
-	m.Mul(m, sk.Mu)
-	m.Mod(m, sk.N)
-	return m, nil
 }
 
 // lFunc computes L(x) = (x-1)/N, valid for x ≡ 1 (mod N).

@@ -20,8 +20,12 @@ import (
 	"slices"
 )
 
-// SecretKeySize is the size of an encoded secret key in bytes.
-const SecretKeySize = 32
+// SecretKeySize and PublicKeySize are the sizes of an encoded secret and
+// public key in bytes, on both backends.
+const (
+	SecretKeySize = 32
+	PublicKeySize = 32
+)
 
 // An envelope is its wire bytes: sealing writes them, opening parses them,
 // and nothing in between holds an envelope object. Both backends produce

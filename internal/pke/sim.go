@@ -92,7 +92,7 @@ func (p *simPub) AppendEncrypt(dst, msg []byte) ([]byte, error) {
 
 // Bytes implements PublicKey.
 func (p *simPub) Bytes() []byte {
-	out := make([]byte, 32)
+	out := make([]byte, PublicKeySize)
 	binary.BigEndian.PutUint64(out, p.id)
 	return out
 }

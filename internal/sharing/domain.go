@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"yosompc/internal/cowcache"
 	"yosompc/internal/field"
 	"yosompc/internal/poly"
 	"yosompc/internal/telemetry"
@@ -14,20 +15,12 @@ import (
 // works over the same point geometry — secrets at the slot points
 // 0, -1, ..., -(k-1), auxiliary randomness at 1..d+1-k, shares at 1..n —
 // so the Lagrange algebra for a given (k, d, n) never changes between
-// calls. A Domain precomputes that algebra once (barycentric weights plus
-// the dense coefficient matrices for share generation, slot evaluation,
-// and consistency checking) and every subsequent sharing or
-// reconstruction is a cached-row inner product: one amortized O(n²)
-// setup, then O(n·d) per sharing instead of the O(n³) per-call
-// interpolation of the naive path.
-//
-// Domains live in a global copy-on-write cache with lock-free reads:
-// writers clone the map under a mutex and atomically swap the pointer, so
-// the worker-pool hot paths never contend on a lock once a domain is
-// built. SharePackedNaive / ReconstructPackedNaive keep the original
-// interpolation path alive as the reference implementation; the
-// differential tests and FuzzDomainVsNaive pin the engine to it
-// bit-for-bit.
+// calls. A Domain precomputes that algebra once and every subsequent
+// sharing or reconstruction is a cached-row inner product: one amortized
+// O(n²) setup, then O(n·d) per sharing instead of the O(n³) per-call
+// interpolation of the seed algorithm. The differential tests and
+// FuzzDomainVsNaive pin the engine bit-for-bit to that algorithm, which
+// lives on in this package's test files.
 
 // Domain is the precomputed share algebra of one packed-sharing shape:
 // packing factor K, polynomial degree D, committee size N. All fields are
@@ -38,123 +31,42 @@ type Domain struct {
 	// shared to parties 1..n.
 	K, D, N int
 
-	// basis is the share-generation point set: the k slot points followed
-	// by the d+1-k auxiliary randomness points 1..d+1-k (the geometry of
-	// randomPolynomialThrough). basisWeights are its barycentric weights.
-	basis        []field.Element
-	basisWeights []field.Element
-
 	// genRows[i] is the coefficient row mapping the basis values
-	// (secrets ‖ randomness) to party i+1's share — the n×(d+1)
-	// share-generation matrix, exactly the l_j(i) vectors of
-	// PackingLagrangeCoeffs.
+	// (secrets at the k slot points ‖ randomness at 1..d+1-k) to party
+	// i+1's share — the n×(d+1) share-generation matrix, exactly the
+	// l_j(i) vectors of PackingLagrangeCoeffs.
 	genRows [][]field.Element
-
-	// prefix is the canonical reconstruction point set 1..d+1 (the share
-	// indices ReconstructPacked sees when the first d+1 shares come from
-	// parties 1..d+1 in order), with its barycentric weights.
-	prefix        []field.Element
-	prefixWeights []field.Element
-
-	// slotRows[j] maps canonical-prefix share values to packed secret j;
-	// checkRows[i] maps them to the redundant share of party d+2+i, the
-	// consistency probe for extra shares.
-	slotRows  [][]field.Element
-	checkRows [][]field.Element
 }
 
-// domainKey identifies a Domain in the global cache.
+// domainKey identifies a Domain in the cache.
 type domainKey struct{ k, d, n int }
 
 // reconKey identifies a reconstruction-only domain: the canonical-prefix
 // weights and slot rows depend on (d, k) but not on any committee size.
 type reconKey struct{ d, k int }
 
-// reconDomain is the reconstruction slice of the algebra, cached
-// separately because reconstruction never needs to know n.
+// reconDomain is the reconstruction slice of the algebra for the
+// canonical share prefix 1..d+1, cached separately because
+// reconstruction never needs to know n.
 type reconDomain struct {
-	prefix        []field.Element
 	prefixWeights []field.Element
 	slotRows      [][]field.Element
 }
 
-// Global caches: copy-on-write maps behind atomic pointers. Readers are
-// lock-free (one atomic load + map lookup); writers clone under domainMu.
+// The three domain caches (internal/cowcache) and their shared hit/miss
+// counters.
 var (
-	domainMu    sync.Mutex
-	domainCache atomic.Pointer[map[domainKey]*Domain]
-	reconCache  atomic.Pointer[map[reconKey]*reconDomain]
-	constCache  atomic.Pointer[map[int]*ConstDomain]
-
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-	// instruments mirrors hits/misses into a telemetry registry when one
-	// is installed via Instrument. Counters are nil-safe, so the unset
-	// state costs one atomic load per cache access.
-	instruments atomic.Pointer[domainCounters]
+	domainStats cowcache.Stats
+	domainCache = cowcache.Map[domainKey, *Domain]{Stats: &domainStats}
+	reconCache  = cowcache.Map[reconKey, *reconDomain]{Stats: &domainStats}
+	constCache  = cowcache.Map[int, *ConstDomain]{Stats: &domainStats}
 )
 
-type domainCounters struct{ hits, misses *telemetry.Counter }
-
 // Instrument mirrors the domain-cache hit/miss counters into reg as
-// "sharing.domain_cache_hits" / "sharing.domain_cache_misses". A nil reg
-// detaches the previous registry. The cache is process-global, so when
-// several instrumented runs overlap the last-installed registry wins;
-// DomainCacheStats always reports the process-lifetime totals.
+// "sharing.domain_cache_hits" / "sharing.domain_cache_misses"; see
+// cowcache.Stats.Instrument.
 func Instrument(reg *telemetry.Registry) {
-	if reg == nil {
-		instruments.Store(nil)
-		return
-	}
-	instruments.Store(&domainCounters{
-		hits:   reg.Counter("sharing.domain_cache_hits"),
-		misses: reg.Counter("sharing.domain_cache_misses"),
-	})
-}
-
-// DomainCacheStats returns the process-lifetime domain-cache hit and miss
-// counts (all three caches: full domains, reconstruction domains, and
-// constant-packing domains).
-func DomainCacheStats() (hits, misses int64) {
-	return cacheHits.Load(), cacheMisses.Load()
-}
-
-func recordHit() {
-	cacheHits.Add(1)
-	instruments.Load().hitCounter().Inc()
-}
-
-func recordMiss() {
-	cacheMisses.Add(1)
-	instruments.Load().missCounter().Inc()
-}
-
-// hitCounter / missCounter are nil-receiver-safe accessors so the
-// uninstrumented path never branches on the struct fields.
-func (d *domainCounters) hitCounter() *telemetry.Counter {
-	if d == nil {
-		return nil
-	}
-	return d.hits
-}
-
-func (d *domainCounters) missCounter() *telemetry.Counter {
-	if d == nil {
-		return nil
-	}
-	return d.misses
-}
-
-// resetDomainCaches drops every cached domain and zeroes the counters —
-// test seam only, so cache-statistics tests start deterministic.
-func resetDomainCaches() {
-	domainMu.Lock()
-	defer domainMu.Unlock()
-	domainCache.Store(nil)
-	reconCache.Store(nil)
-	constCache.Store(nil)
-	cacheHits.Store(0)
-	cacheMisses.Store(0)
+	domainStats.Instrument(reg, "sharing.domain_cache")
 }
 
 // GetDomain returns the cached evaluation domain for a degree-d packed
@@ -164,65 +76,26 @@ func GetDomain(k, d, n int) (*Domain, error) {
 	if err := validateParams(n, d, k); err != nil {
 		return nil, err
 	}
-	key := domainKey{k, d, n}
-	if m := domainCache.Load(); m != nil {
-		if dom, ok := (*m)[key]; ok {
-			recordHit()
-			return dom, nil
-		}
-	}
-	domainMu.Lock()
-	defer domainMu.Unlock()
-	old := domainCache.Load()
-	if old != nil {
-		if dom, ok := (*old)[key]; ok {
-			recordHit()
-			return dom, nil
-		}
-	}
-	recordMiss()
-	dom, err := buildDomain(k, d, n)
-	if err != nil {
-		return nil, err
-	}
-	next := make(map[domainKey]*Domain, 1)
-	if old != nil {
-		for kk, vv := range *old {
-			next[kk] = vv
-		}
-	}
-	next[key] = dom
-	domainCache.Store(&next)
-	return dom, nil
+	dom, _, err := domainCache.LoadOrBuild(domainKey{k, d, n}, buildDomain)
+	return dom, err
 }
 
 // buildDomain performs the one-time O(n²) precomputation.
-func buildDomain(k, d, n int) (*Domain, error) {
+func buildDomain(key domainKey) (*Domain, error) {
+	k, d, n := key.k, key.d, key.n
 	basis := SlotPoints(k)
 	for i := 1; i <= d+1-k; i++ {
 		basis = append(basis, field.New(uint64(i)))
 	}
-	basisWeights, err := poly.BarycentricWeights(basis)
+	weights, err := poly.BarycentricWeights(basis)
 	if err != nil {
 		// Unreachable for the structurally distinct slot/aux geometry at
 		// supported committee sizes; fail closed anyway.
 		return nil, fmt.Errorf("sharing: domain (k=%d d=%d n=%d) basis: %w", k, d, n, err)
 	}
-	shareXs := ShareIndexPoints(n)
-	prefix := shareXs[:d+1]
-	prefixWeights, err := poly.BarycentricWeights(prefix)
-	if err != nil {
-		return nil, fmt.Errorf("sharing: domain (k=%d d=%d n=%d) prefix: %w", k, d, n, err)
-	}
 	return &Domain{
 		K: k, D: d, N: n,
-		basis:         basis,
-		basisWeights:  basisWeights,
-		genRows:       poly.EvalRowsFromWeights(basis, basisWeights, shareXs),
-		prefix:        prefix,
-		prefixWeights: prefixWeights,
-		slotRows:      poly.EvalRowsFromWeights(prefix, prefixWeights, SlotPoints(k)),
-		checkRows:     poly.EvalRowsFromWeights(prefix, prefixWeights, shareXs[d+1:]),
+		genRows: poly.EvalRowsFromWeights(basis, weights, ShareIndexPoints(n)),
 	}, nil
 }
 
@@ -251,44 +124,25 @@ func (dom *Domain) shareWith(secrets, rnd []field.Element) []Share {
 // getReconDomain returns the cached reconstruction algebra for canonical
 // share prefixes (indices exactly 1..d+1).
 func getReconDomain(d, k int) *reconDomain {
-	key := reconKey{d, k}
-	if m := reconCache.Load(); m != nil {
-		if rd, ok := (*m)[key]; ok {
-			recordHit()
-			return rd
-		}
-	}
-	domainMu.Lock()
-	defer domainMu.Unlock()
-	old := reconCache.Load()
-	if old != nil {
-		if rd, ok := (*old)[key]; ok {
-			recordHit()
-			return rd
-		}
-	}
-	recordMiss()
-	prefix := ShareIndexPoints(d + 1)
-	// Points 1..d+1 are distinct by construction, so the weights cannot
-	// fail.
-	weights, err := poly.BarycentricWeights(prefix)
+	rd, _, err := reconCache.LoadOrBuild(reconKey{d, k}, buildReconDomain)
 	if err != nil {
+		// Points 1..d+1 are distinct by construction, so the weights
+		// cannot fail.
 		panic(fmt.Sprintf("sharing: canonical prefix weights (d=%d): %v", d, err))
 	}
-	rd := &reconDomain{
-		prefix:        prefix,
-		prefixWeights: weights,
-		slotRows:      poly.EvalRowsFromWeights(prefix, weights, SlotPoints(k)),
-	}
-	next := make(map[reconKey]*reconDomain, 1)
-	if old != nil {
-		for kk, vv := range *old {
-			next[kk] = vv
-		}
-	}
-	next[key] = rd
-	reconCache.Store(&next)
 	return rd
+}
+
+func buildReconDomain(key reconKey) (*reconDomain, error) {
+	prefix := ShareIndexPoints(key.d + 1)
+	weights, err := poly.BarycentricWeights(prefix)
+	if err != nil {
+		return nil, err
+	}
+	return &reconDomain{
+		prefixWeights: weights,
+		slotRows:      poly.EvalRowsFromWeights(prefix, weights, SlotPoints(key.k)),
+	}, nil
 }
 
 // ConstDomain is the cached algebra of ConstantPacked sharings for one
@@ -301,7 +155,8 @@ type ConstDomain struct {
 	slots   []field.Element
 	weights []field.Element
 	// rows holds coefficient rows for indices 1..len(rows); grown
-	// geometrically under domainMu, snapshotted atomically.
+	// geometrically under mu, snapshotted atomically.
+	mu   sync.Mutex
 	rows atomic.Pointer[[][]field.Element]
 }
 
@@ -311,37 +166,17 @@ func GetConstDomain(k int) (*ConstDomain, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("sharing: constant domain: packing width k=%d < 1", k)
 	}
-	if m := constCache.Load(); m != nil {
-		if cd, ok := (*m)[k]; ok {
-			recordHit()
-			return cd, nil
-		}
-	}
-	domainMu.Lock()
-	defer domainMu.Unlock()
-	old := constCache.Load()
-	if old != nil {
-		if cd, ok := (*old)[k]; ok {
-			recordHit()
-			return cd, nil
-		}
-	}
-	recordMiss()
+	cd, _, err := constCache.LoadOrBuild(k, buildConstDomain)
+	return cd, err
+}
+
+func buildConstDomain(k int) (*ConstDomain, error) {
 	slots := SlotPoints(k)
 	weights, err := poly.BarycentricWeights(slots)
 	if err != nil {
 		return nil, fmt.Errorf("sharing: constant domain (k=%d): %w", k, err)
 	}
-	cd := &ConstDomain{k: k, slots: slots, weights: weights}
-	next := make(map[int]*ConstDomain, 1)
-	if old != nil {
-		for kk, vv := range *old {
-			next[kk] = vv
-		}
-	}
-	next[k] = cd
-	constCache.Store(&next)
-	return cd, nil
+	return &ConstDomain{k: k, slots: slots, weights: weights}, nil
 }
 
 // Row returns the coefficient row of party `index` (1-based): k
@@ -356,8 +191,8 @@ func (cd *ConstDomain) Row(index int) []field.Element {
 	if rp := cd.rows.Load(); rp != nil && index <= len(*rp) {
 		return (*rp)[index-1]
 	}
-	domainMu.Lock()
-	defer domainMu.Unlock()
+	cd.mu.Lock()
+	defer cd.mu.Unlock()
 	rp := cd.rows.Load()
 	have := 0
 	if rp != nil {

@@ -1,9 +1,7 @@
 package sharing
 
 import (
-	"context"
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 
@@ -53,6 +51,17 @@ func TestSharePackedMatchesNaive(t *testing.T) {
 			t.Fatalf("naive(%+v): %v", s, err)
 		}
 		assertSharesEqual(t, dom.shareWith(secrets, rnd), naive, "k/d/n shape")
+
+		// Above the randomness seam the two paths cannot be compared share
+		// for share; the reference's sharing must still open to the secrets
+		// on the engine's reconstruction.
+		if naive, err = SharePackedNaive(secrets, s.d, s.n); err != nil {
+			t.Fatalf("SharePackedNaive(%+v): %v", s, err)
+		}
+		got, err := ReconstructPacked(naive, s.d, s.k)
+		if err != nil || !field.EqualVec(got, secrets) {
+			t.Fatalf("SharePackedNaive(%+v) opens to %v (err %v), want %v", s, got, err, secrets)
+		}
 	}
 }
 
@@ -229,6 +238,15 @@ func TestPackingLagrangeCoeffsMatchesReference(t *testing.T) {
 	}
 }
 
+// resetDomainCaches drops every cached domain and zeroes the counters,
+// so cache-statistics tests start deterministic.
+func resetDomainCaches() {
+	domainCache.Reset()
+	reconCache.Reset()
+	constCache.Reset()
+	domainStats.Reset()
+}
+
 // TestDomainCacheStatsAndInstrument checks miss-then-hit accounting and
 // the mirroring of the counters into a telemetry registry.
 func TestDomainCacheStatsAndInstrument(t *testing.T) {
@@ -252,7 +270,7 @@ func TestDomainCacheStatsAndInstrument(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hits, misses := DomainCacheStats()
+	hits, misses := domainStats.Load()
 	if hits != 3 || misses != 3 {
 		t.Fatalf("stats = (%d hits, %d misses), want (3, 3)", hits, misses)
 	}
@@ -264,9 +282,27 @@ func TestDomainCacheStatsAndInstrument(t *testing.T) {
 	}
 }
 
-// TestDomainCacheConcurrent hammers every cache — full domains,
-// reconstruction domains, constant rows (growth path) — from many
+// TestDomainCacheHitPathDoesNotAllocate pins the generic cache layer's
+// cost on the μ-reconstruction loop: a warm GetDomain / getReconDomain is
+// a lookup, with no closure or key boxed per call.
+func TestDomainCacheHitPathDoesNotAllocate(t *testing.T) {
+	if _, err := GetDomain(4, 7, 16); err != nil {
+		t.Fatal(err)
+	}
+	getReconDomain(7, 4)
+	if a := testing.AllocsPerRun(100, func() { GetDomain(4, 7, 16) }); a != 0 {
+		t.Errorf("warm GetDomain allocates %v times per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { getReconDomain(7, 4) }); a != 0 {
+		t.Errorf("warm getReconDomain allocates %v times per call, want 0", a)
+	}
+}
+
+// TestDomainCacheConcurrent hammers the package's use of its caches —
+// sharing and reconstructing through full and reconstruction domains,
+// constant rows (the growth path cowcache does not own) — from many
 // goroutines, with cache resets interleaved, under the race detector.
+// The maps themselves are hammered in internal/cowcache.
 func TestDomainCacheConcurrent(t *testing.T) {
 	resetDomainCaches()
 	secretsByShape := make([][]field.Element, len(domainShapes))
@@ -309,78 +345,4 @@ func TestDomainCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestShareManyPacked checks the batch sharing API: every entry
-// reconstructs to its secrets (via the independent naive path), for the
-// serial and parallel worker configurations, and parameter errors carry
-// the batch index.
-func TestShareManyPacked(t *testing.T) {
-	batch := [][]field.Element{
-		field.MustRandomVec(2),
-		field.MustRandomVec(4),
-		field.MustRandomVec(1),
-		field.MustRandomVec(4),
-	}
-	for _, workers := range []int{1, 4} {
-		out, err := ShareManyPacked(context.Background(), batch, 7, 16, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(out) != len(batch) {
-			t.Fatalf("workers=%d: %d sharings, want %d", workers, len(out), len(batch))
-		}
-		for b, shares := range out {
-			got, err := ReconstructPackedNaive(shares, 7, len(batch[b]))
-			if err != nil {
-				t.Fatalf("workers=%d entry %d: %v", workers, b, err)
-			}
-			if !field.EqualVec(got, batch[b]) {
-				t.Fatalf("workers=%d entry %d: round trip mismatch", workers, b)
-			}
-		}
-	}
-	if out, err := ShareManyPacked(context.Background(), nil, 7, 16, 4); err != nil || out != nil {
-		t.Fatalf("empty batch: (%v, %v)", out, err)
-	}
-	_, err := ShareManyPacked(context.Background(), [][]field.Element{field.MustRandomVec(1), field.MustRandomVec(9)}, 7, 16, 4)
-	if err == nil || !strings.Contains(err.Error(), "entry 1") {
-		t.Fatalf("oversized entry: %v, want batch-indexed parameter error", err)
-	}
-}
-
-// TestReconstructManyPacked checks the batch reconstruction API against
-// per-entry ReconstructPacked and batch-indexed error propagation.
-func TestReconstructManyPacked(t *testing.T) {
-	const d, k, n = 5, 3, 8
-	batch := make([][]Share, 6)
-	secrets := make([][]field.Element, len(batch))
-	for b := range batch {
-		secrets[b] = field.MustRandomVec(k)
-		shares, err := SharePacked(secrets[b], d, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch[b] = shares
-	}
-	for _, workers := range []int{1, 3} {
-		out, err := ReconstructManyPacked(context.Background(), batch, d, k, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for b := range batch {
-			if !field.EqualVec(out[b], secrets[b]) {
-				t.Fatalf("workers=%d entry %d: got %v, want %v", workers, b, out[b], secrets[b])
-			}
-		}
-	}
-	// Corrupt one entry: the error must identify it and wrap the sentinel.
-	batch[4][n-1].Value = batch[4][n-1].Value.Add(field.One)
-	_, err := ReconstructManyPacked(context.Background(), batch, d, k, 1)
-	if !errors.Is(err, ErrInconsistentShares) || !strings.Contains(err.Error(), "entry 4") {
-		t.Fatalf("corrupted batch entry: %v", err)
-	}
-	if out, err := ReconstructManyPacked(context.Background(), nil, d, k, 2); err != nil || out != nil {
-		t.Fatalf("empty batch: (%v, %v)", out, err)
-	}
 }

@@ -66,12 +66,6 @@ func ShareIndexPoints(n int) []field.Element {
 	return out
 }
 
-// MaxPackingCapacity returns the largest number of secrets a degree-d sharing
-// can pack while keeping the share points 1..n distinct from the slot points.
-// Slot points are 0, -1, ... which never collide with 1..n in F_p for the
-// committee sizes this library supports, so the only bound is d+1.
-func MaxPackingCapacity(d int) int { return d + 1 }
-
 // Validate checks structural parameters shared by Share and Reconstruct.
 func validateParams(n, d, k int) error {
 	switch {
@@ -95,8 +89,8 @@ func validateParams(n, d, k int) error {
 //
 // The shares are computed by the cached evaluation-domain engine (see
 // domain.go): one precomputed n×(d+1) coefficient matrix per (k, d, n),
-// applied to (secrets ‖ randomness) — bit-identical to SharePackedNaive
-// for the same randomness, amortized O(n·d) instead of O(n³) per call.
+// applied to (secrets ‖ randomness), amortized O(n·d) instead of O(n³)
+// per call.
 func SharePacked(secrets []field.Element, d, n int) ([]Share, error) {
 	k := len(secrets)
 	if err := validateParams(n, d, k); err != nil {
@@ -114,90 +108,10 @@ func SharePacked(secrets []field.Element, d, n int) ([]Share, error) {
 	return dom.shareWith(secrets, rnd), nil
 }
 
-// SharePackedNaive is the reference implementation of SharePacked:
-// interpolate the sharing polynomial through (slots ‖ auxiliary
-// randomness) by the original sum-of-scaled-Lagrange-basis construction,
-// then evaluate it at every share index. It consumes randomness
-// identically to SharePacked and produces identically distributed shares;
-// the differential tests and FuzzDomainVsNaive pin the cached engine
-// against it bit-for-bit. Use it for cross-checking and benchmarking
-// only — it is the O(n³)-per-call path the domain engine exists to
-// avoid, kept deliberately independent of the Newton and barycentric
-// code the fast paths are built on.
-func SharePackedNaive(secrets []field.Element, d, n int) ([]Share, error) {
-	k := len(secrets)
-	if err := validateParams(n, d, k); err != nil {
-		return nil, err
-	}
-	rnd, err := field.RandomVec(d + 1 - k)
-	if err != nil {
-		return nil, err
-	}
-	defer field.Zeroize(rnd)
-	return sharePackedNaiveWith(secrets, rnd, d, n)
-}
-
-// sharePackedNaiveWith is SharePackedNaive below the randomness seam.
-func sharePackedNaiveWith(secrets, rnd []field.Element, d, n int) ([]Share, error) {
-	f, err := randomPolynomialThrough(secrets, rnd, d)
-	if err != nil {
-		return nil, err
-	}
-	// The sharing polynomial's coefficients determine every secret slot;
-	// wipe them once the share evaluations are done.
-	defer f.Zeroize()
-	shares := make([]Share, n)
-	for i := 0; i < n; i++ {
-		shares[i] = Share{Index: i + 1, Value: f.Eval(ShareIndexPoint(i + 1))}
-	}
-	return shares, nil
-}
-
 // ShareStandard produces a degree-d standard Shamir sharing of one secret
 // (stored at x = 0) for parties 1..n.
 func ShareStandard(secret field.Element, d, n int) ([]Share, error) {
 	return SharePacked([]field.Element{secret}, d, n)
-}
-
-// randomPolynomialThrough returns the unique polynomial of degree ≤ d
-// passing through (SlotPoint(j), secrets[j]) for each j and through the
-// injected randomness rnd at the auxiliary points x = 1, 2, ... (which
-// are disjoint from the slot points). Uniform rnd makes the polynomial
-// uniformly random subject to the secret constraints. Reference path
-// only: the construction is the original O(n³) Lagrange-basis sum.
-func randomPolynomialThrough(secrets, rnd []field.Element, d int) (poly.Polynomial, error) {
-	k := len(secrets)
-	xs := SlotPoints(k)
-	ys := field.CloneVec(secrets)
-	extra := d + 1 - k
-	if len(rnd) != extra {
-		return poly.Polynomial{}, fmt.Errorf("sharing: %d randomness values for %d auxiliary points", len(rnd), extra)
-	}
-	for i := 0; i < extra; i++ {
-		xs = append(xs, field.New(uint64(i+1)))
-		ys = append(ys, rnd[i])
-	}
-	return interpolateLagrangeBasis(xs, ys)
-}
-
-// interpolateLagrangeBasis interpolates by summing scaled Lagrange basis
-// polynomials — the seed algorithm every fast path in this package is
-// differentially pinned against. Interpolation is unique and field
-// arithmetic exact, so it agrees bit-for-bit with the Newton and
-// barycentric routes while sharing no code with them.
-func interpolateLagrangeBasis(xs, ys []field.Element) (poly.Polynomial, error) {
-	if len(xs) != len(ys) {
-		return poly.Polynomial{}, fmt.Errorf("sharing: interpolate: %d points vs %d values", len(xs), len(ys))
-	}
-	basis, err := poly.LagrangeBasis(xs)
-	if err != nil {
-		return poly.Polynomial{}, err
-	}
-	acc := poly.Zero()
-	for i := range ys {
-		acc = acc.Add(basis[i].ScalarMul(ys[i]))
-	}
-	return acc, nil
 }
 
 // ReconstructPacked recovers the k packed secrets from at least d+1 shares of
@@ -208,8 +122,8 @@ func interpolateLagrangeBasis(xs, ys []field.Element) (poly.Polynomial, error) {
 // When the first d+1 shares carry the canonical indices 1..d+1 (the
 // committee fast path), the slot evaluations are cached coefficient rows
 // from the domain engine; arbitrary index sets fall back to a one-off
-// barycentric weight computation — still O(d²) instead of the naive
-// O(d³). Both routes are bit-identical to ReconstructPackedNaive.
+// barycentric weight computation — still O(d²) instead of the seed
+// algorithm's O(d³).
 func ReconstructPacked(shares []Share, d, k int) ([]field.Element, error) {
 	if len(shares) < d+1 {
 		return nil, fmt.Errorf("%w: have %d, need %d", ErrNotEnoughShares, len(shares), d+1)
@@ -251,37 +165,6 @@ func ReconstructPacked(shares []Share, d, k int) ([]field.Element, error) {
 			row := poly.EvalCoeffsFromWeights(xs, weights, SlotPoint(j))
 			secrets[j] = field.InnerProductLazy(row, ys)
 		}
-	}
-	return secrets, nil
-}
-
-// ReconstructPackedNaive is the reference implementation of
-// ReconstructPacked: interpolate the sharing polynomial in coefficient
-// form (seed O(d³) Lagrange-basis construction) and evaluate it at the
-// slot points. Kept for differential testing and benchmarking of the
-// cached engine.
-func ReconstructPackedNaive(shares []Share, d, k int) ([]field.Element, error) {
-	if len(shares) < d+1 {
-		return nil, fmt.Errorf("%w: have %d, need %d", ErrNotEnoughShares, len(shares), d+1)
-	}
-	xs := make([]field.Element, d+1)
-	ys := make([]field.Element, d+1)
-	for i := 0; i < d+1; i++ {
-		xs[i] = ShareIndexPoint(shares[i].Index)
-		ys[i] = shares[i].Value
-	}
-	f, err := interpolateLagrangeBasis(xs, ys) //yosolint:vartime reconstruction-side interpolation: the caller holds the shares it interpolates
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range shares[d+1:] {
-		if f.Eval(ShareIndexPoint(s.Index)) != s.Value { //yosolint:vartime reconstruction-side consistency check on the naive reference path
-			return nil, fmt.Errorf("%w: share %d deviates", ErrInconsistentShares, s.Index)
-		}
-	}
-	secrets := make([]field.Element, k)
-	for j := 0; j < k; j++ {
-		secrets[j] = f.Eval(SlotPoint(j))
 	}
 	return secrets, nil
 }
@@ -332,17 +215,6 @@ func ConstantPackedShare(c []field.Element, index int) (Share, error) {
 		return Share{}, err
 	}
 	return cd.Share(c, index)
-}
-
-// constantPackedShareNaive is the reference path of ConstantPackedShare
-// (direct Lagrange evaluation), pinned against the domain row by the
-// differential tests.
-func constantPackedShareNaive(c []field.Element, index int) (Share, error) {
-	v, err := poly.EvalAt(SlotPoints(len(c)), c, ShareIndexPoint(index))
-	if err != nil {
-		return Share{}, err
-	}
-	return Share{Index: index, Value: v}, nil
 }
 
 // AddShares returns the share-wise sum of two sharings held by the same
@@ -418,12 +290,4 @@ func PackingLagrangeCoeffs(k, t, n int) ([][]field.Element, error) {
 		return nil, err
 	}
 	return poly.EvalRowsFromWeights(xs, ws, ShareIndexPoints(n)), nil
-}
-
-// ReconstructAtSlots interpolates the sharing polynomial from the given
-// shares (claimed degree d) and returns its evaluations at the k slot points.
-// Unlike ReconstructPacked it accepts shares at arbitrary distinct indices
-// and does not require them sorted.
-func ReconstructAtSlots(shares []Share, d, k int) ([]field.Element, error) {
-	return ReconstructPacked(shares, d, k)
 }

@@ -88,8 +88,8 @@ func (s *Sim) AppendPartial(dst []byte, p PartialDec) ([]byte, error) {
 	if !ok {
 		return dst, fmt.Errorf("%w: partial", ErrWrongKey)
 	}
-	end := len(dst) + s.partSize()
-	dst = appendBig(slices.Grow(dst, s.partSize()), tagPartial, []uint32{uint32(sp.index), uint32(sp.epoch)}, sp.value) //yosolint:vartime sim backend encoding; the output is padded to the fixed partial size immediately below
+	end := len(dst) + s.PartialSize()
+	dst = appendBig(slices.Grow(dst, s.PartialSize()), tagPartial, []uint32{uint32(sp.index), uint32(sp.epoch)}, sp.value) //yosolint:vartime sim backend encoding; the output is padded to the fixed partial size immediately below
 	return padTo(dst, end), nil
 }
 
@@ -99,7 +99,7 @@ func (s *Sim) DecodePartial(_ PublicKey, data []byte) (PartialDec, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &simPartial{index: int(fields[0]), epoch: int(fields[1]), value: v, size: s.partSize()}, nil
+	return &simPartial{index: int(fields[0]), epoch: int(fields[1]), value: v, size: s.PartialSize()}, nil
 }
 
 // EncodeSubShare serializes a sim subshare, padded to the modelled size.
@@ -111,8 +111,8 @@ func (s *Sim) AppendSubShare(dst []byte, sub SubShare) ([]byte, error) {
 	if !ok {
 		return dst, fmt.Errorf("%w: subshare", ErrWrongKey)
 	}
-	end := len(dst) + s.subSize()
-	dst = appendBig(slices.Grow(dst, s.subSize()), tagSubShare, []uint32{uint32(ss.from), uint32(ss.to), uint32(ss.epoch)}, new(big.Int))
+	end := len(dst) + s.SubShareSize()
+	dst = appendBig(slices.Grow(dst, s.SubShareSize()), tagSubShare, []uint32{uint32(ss.from), uint32(ss.to), uint32(ss.epoch)}, new(big.Int))
 	return padTo(dst, end), nil
 }
 
@@ -122,7 +122,7 @@ func (s *Sim) DecodeSubShare(_ PublicKey, data []byte) (SubShare, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &simSub{from: int(fields[0]), to: int(fields[1]), epoch: int(fields[2]), size: s.subSize()}, nil
+	return &simSub{from: int(fields[0]), to: int(fields[1]), epoch: int(fields[2]), size: s.SubShareSize()}, nil
 }
 
 // Codec is the serialization surface both backends provide; the protocol

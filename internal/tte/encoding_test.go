@@ -159,8 +159,8 @@ func TestSimEncodingPadsToModelledSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(buf) != s.partSize() {
-		t.Errorf("encoded sim partial is %d bytes, want modelled %d", len(buf), s.partSize())
+	if len(buf) != s.PartialSize() {
+		t.Errorf("encoded sim partial is %d bytes, want modelled %d", len(buf), s.PartialSize())
 	}
 }
 

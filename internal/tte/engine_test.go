@@ -1,17 +1,98 @@
 package tte
 
 import (
+	"errors"
+	"fmt"
 	"math/big"
 	"sync"
 	"testing"
 
+	"yosompc/internal/modexp"
 	"yosompc/internal/paillier"
 )
 
 // Differential tests pinning the modexp-engine hot paths (PartialDecrypt,
-// Combine, Δ^epoch ladders) bit-for-bit against the retained naive
-// references. "Equal" below always means big.Int.Cmp == 0 on canonical
-// residues, which for engine outputs is the same as byte equality.
+// Combine, Δ^epoch ladders) bit-for-bit against the naive references
+// below. "Equal" always means big.Int.Cmp == 0 on canonical residues,
+// which for engine outputs is the same as byte equality.
+
+// PartialDecryptNaive is the reference for PartialDecrypt: one
+// full-length exponentiation modulo N^{s+1}, no CRT.
+func (s *Threshold) PartialDecryptNaive(pk PublicKey, sh KeyShare, ct Ciphertext) (PartialDec, error) {
+	tpk, err := s.pub(pk)
+	if err != nil {
+		return nil, err
+	}
+	tsh, ok := sh.(*thresholdShare)
+	if !ok {
+		return nil, fmt.Errorf("%w: key share", ErrWrongKey)
+	}
+	tct, ok := ct.(*thresholdCT)
+	if !ok {
+		return nil, fmt.Errorf("%w: ciphertext", ErrWrongKey)
+	}
+	exp := new(big.Int).Lsh(tsh.d, 1) // 2·d_i
+	exp.Mul(exp, tpk.delta)           // 2Δ·d_i
+	v, err := modexp.ExpSigned(tct.ct.C, exp, s.dj.Ns1)
+	if err != nil {
+		return nil, err
+	}
+	return &thresholdPartial{index: tsh.index, epoch: tsh.epoch, v: v, size: tpk.ctBytes}, nil
+}
+
+// CombineNaive is the reference for Combine: one exponentiation per
+// partial and a fresh Δ^epoch exponentiation.
+func (s *Threshold) CombineNaive(pk PublicKey, ct Ciphertext, parts []PartialDec) (*big.Int, error) {
+	tpk, err := s.pub(pk)
+	if err != nil {
+		return nil, err
+	}
+	chosen, epoch, err := selectPartials(parts, tpk.t)
+	if err != nil {
+		return nil, err
+	}
+	idx := make([]int, len(chosen))
+	for i, p := range chosen {
+		idx[i] = p.Index()
+	}
+	lambdas, err := scaledLagrangeAtZero(tpk.delta, idx)
+	if err != nil {
+		return nil, err
+	}
+	acc := big.NewInt(1)
+	for i, p := range chosen {
+		tp := p.(*thresholdPartial)
+		exp := new(big.Int).Lsh(lambdas[i], 1) // 2Λ_i
+		term, err := modexp.ExpSigned(tp.v, exp, s.dj.Ns1)
+		if err != nil {
+			return nil, err
+		}
+		acc.Mul(acc, term)
+		acc.Mod(acc, s.dj.Ns1)
+	}
+	lVal, err := s.dj.DLogOnePlusN(acc)
+	if err != nil {
+		return nil, fmt.Errorf("%w: combination is not a valid decryption", ErrMalformedMessage)
+	}
+	div := new(big.Int).Mul(tpk.delta, tpk.delta)
+	div.Lsh(div, 2)
+	if epoch > 0 {
+		div.Mul(div, deltaPowerNaive(s, tpk, epoch))
+	}
+	divInv := new(big.Int).ModInverse(div, s.dj.Ns)
+	if divInv == nil {
+		return nil, errors.New("tte: combination divisor not invertible")
+	}
+	m := lVal.Mul(lVal, divInv)
+	m.Mod(m, s.dj.Ns)
+	return m, nil
+}
+
+// deltaPowerNaive is the reference for deltaPower: Δ^epoch mod N^s by
+// direct exponentiation.
+func deltaPowerNaive(s *Threshold, tpk *thresholdPK, epoch int) *big.Int {
+	return new(big.Int).Exp(tpk.delta, big.NewInt(int64(epoch)), s.dj.Ns)
+}
 
 func engineScheme(t *testing.T) (*Threshold, PublicKey, []KeyShare) {
 	t.Helper()
@@ -131,15 +212,11 @@ func TestDeltaPowerEngineMatchesNaive(t *testing.T) {
 	tpk := pk.(*thresholdPK)
 	// Non-monotone epochs: the ladder must serve arbitrary revisit order.
 	for _, epoch := range []int{0, 3, 1, 7, 2, 7} {
-		eng, err := s.deltaPower(tpk, epoch, true)
+		eng, err := s.deltaPower(tpk, epoch)
 		if err != nil {
-			t.Fatalf("deltaPower(engine, %d): %v", epoch, err)
+			t.Fatalf("deltaPower(%d): %v", epoch, err)
 		}
-		ref, err := s.deltaPower(tpk, epoch, false)
-		if err != nil {
-			t.Fatalf("deltaPower(naive, %d): %v", epoch, err)
-		}
-		if eng.Cmp(ref) != 0 {
+		if ref := deltaPowerNaive(s, tpk, epoch); eng.Cmp(ref) != 0 {
 			t.Fatalf("epoch %d: ladder Δ^e %v != naive %v", epoch, eng, ref)
 		}
 	}

@@ -5,8 +5,8 @@ import (
 	"math/big"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
+
+	"yosompc/internal/cowcache"
 )
 
 // Integer Lagrange machinery for exponent arithmetic. With evaluation
@@ -25,19 +25,12 @@ func factorial(n int) *big.Int {
 
 // The Λ vectors depend only on (Δ, xs, at) and the same qualified sets
 // recur across every share-recovery and decryption round, so computed
-// vectors live in a copy-on-write cache with lock-free reads, mirroring
-// the sharing-domain engine. Entries are bounded: adversarially many
-// distinct share subsets (e.g. during robust decoding sweeps) clear the
-// cache wholesale instead of growing it without limit.
-var (
-	lagrangeMu    sync.Mutex
-	lagrangeCache atomic.Pointer[map[string][]*big.Int]
-)
-
-// maxLagrangeCacheEntries bounds the cache; an epoch clear on overflow
-// keeps the steady-state working set (a handful of qualified sets per
-// run) hot while capping worst-case memory.
-const maxLagrangeCacheEntries = 256
+// vectors are cached (internal/cowcache). The cache is bounded:
+// adversarially many distinct share subsets (e.g. during robust decoding
+// sweeps) clear it wholesale instead of growing it without limit, while
+// the steady-state working set — a handful of qualified sets per run —
+// stays hot.
+var lagrangeCache = cowcache.Map[string, []*big.Int]{Max: 256}
 
 // lagrangeKey serializes (Δ, xs, at) into a cache key. Δ is keyed by
 // value, not identity: callers rebuild it per run.
@@ -66,20 +59,25 @@ func cloneBigs(in []*big.Int) []*big.Int {
 // scaledLagrangeAt returns the integers Λ_i = Δ·λ_i(at) for the point set
 // xs (distinct values in 1..n) evaluated at `at`, where λ_i are the
 // rational Lagrange coefficients: f(at) = Σ λ_i·f(x_i) for deg f < len(xs).
-// The division is exact by construction; this is verified and reported as
-// an error otherwise (which would indicate points outside 1..n).
 // Results are cached per (Δ, xs, at); the returned vector is the caller's
 // to mutate.
 func scaledLagrangeAt(delta *big.Int, xs []int, at int) ([]*big.Int, error) {
 	if err := checkDistinctInts(xs); err != nil {
 		return nil, err
 	}
-	key := lagrangeKey(delta, xs, at)
-	if m := lagrangeCache.Load(); m != nil {
-		if cached, ok := (*m)[key]; ok {
-			return cloneBigs(cached), nil
-		}
+	cached, _, err := lagrangeCache.LoadOrBuild(lagrangeKey(delta, xs, at), func(string) ([]*big.Int, error) {
+		return computeScaledLagrange(delta, xs, at)
+	})
+	if err != nil {
+		return nil, err
 	}
+	return cloneBigs(cached), nil
+}
+
+// computeScaledLagrange is scaledLagrangeAt below the cache. The
+// division is exact by construction; this is verified and reported as an
+// error otherwise (which would indicate points outside 1..n).
+func computeScaledLagrange(delta *big.Int, xs []int, at int) ([]*big.Int, error) {
 	out := make([]*big.Int, len(xs))
 	for i, xi := range xs {
 		num := new(big.Int).Set(delta)
@@ -97,17 +95,6 @@ func scaledLagrangeAt(delta *big.Int, xs []int, at int) ([]*big.Int, error) {
 		}
 		out[i] = q
 	}
-	lagrangeMu.Lock()
-	old := lagrangeCache.Load()
-	next := make(map[string][]*big.Int, 1)
-	if old != nil && len(*old) < maxLagrangeCacheEntries {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	next[key] = cloneBigs(out)
-	lagrangeCache.Store(&next)
-	lagrangeMu.Unlock()
 	return out, nil
 }
 

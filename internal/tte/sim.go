@@ -31,11 +31,21 @@ func NewSim(modulusBits int) *Sim {
 // Name implements Scheme.
 func (s *Sim) Name() string { return "sim" }
 
-// modelled sizes in bytes.
-func (s *Sim) ctSize() int    { return s.ModulusBits / 4 } // element of Z_{N²}
-func (s *Sim) shareSize() int { return s.ModulusBits / 4 } // ≈ |Nm|
-func (s *Sim) partSize() int  { return s.ModulusBits / 4 }
-func (s *Sim) subSize() int   { return s.ModulusBits/4 + statSecurity/8 }
+// The modelled wire sizes in bytes — the one table of them: the codec
+// pads every encoding to these and costmodel.SimSizes reads them.
+
+// CiphertextSize is an element of Z_{N²}.
+func (s *Sim) CiphertextSize() int { return s.ModulusBits / 4 }
+
+// KeyShareSize is a tsk key share, ≈ |Nm|.
+func (s *Sim) KeyShareSize() int { return s.ModulusBits / 4 }
+
+// PartialSize is a partial decryption, an element of Z_{N²}.
+func (s *Sim) PartialSize() int { return s.ModulusBits / 4 }
+
+// SubShareSize is a resharing subshare: a key share plus the
+// statistical masking slack.
+func (s *Sim) SubShareSize() int { return s.ModulusBits/4 + statSecurity/8 }
 
 type simPK struct {
 	n, t     int
@@ -93,9 +103,9 @@ func (s *Sim) KeyGen(n, t int) (PublicKey, []KeyShare, error) {
 	max := new(big.Int).Lsh(big.NewInt(1), uint(s.ModulusBits-2))
 	shares := make([]KeyShare, n)
 	for i := 1; i <= n; i++ {
-		shares[i-1] = &simShare{index: i, size: s.shareSize()}
+		shares[i-1] = &simShare{index: i, size: s.KeyShareSize()}
 	}
-	return &simPK{n: n, t: t, maxPlain: max, ctBytes: s.ctSize()}, shares, nil
+	return &simPK{n: n, t: t, maxPlain: max, ctBytes: s.CiphertextSize()}, shares, nil
 }
 
 // Encrypt implements TEnc.
@@ -175,7 +185,7 @@ func (s *Sim) PartialDecrypt(pk PublicKey, sh KeyShare, ct Ciphertext) (PartialD
 		index: ssh.index,
 		epoch: ssh.epoch,
 		value: new(big.Int).Set(sct.value),
-		size:  s.partSize(),
+		size:  s.PartialSize(),
 	}, nil
 }
 
@@ -246,7 +256,7 @@ func (s *Sim) Reshare(pk PublicKey, sh KeyShare) ([]SubShare, error) {
 	}
 	subs := make([]SubShare, spk.n)
 	for j := 1; j <= spk.n; j++ {
-		subs[j-1] = &simSub{from: ssh.index, to: j, epoch: ssh.epoch, size: s.subSize()}
+		subs[j-1] = &simSub{from: ssh.index, to: j, epoch: ssh.epoch, size: s.SubShareSize()}
 	}
 	return subs, nil
 }
@@ -280,7 +290,7 @@ func (s *Sim) RecoverShare(pk PublicKey, index int, subs []SubShare) (KeyShare, 
 	if len(froms) < spk.t+1 {
 		return nil, fmt.Errorf("%w: have %d subshares, need %d", ErrTooFewPartials, len(froms), spk.t+1)
 	}
-	return &simShare{index: index, epoch: epoch + 1, size: s.shareSize()}, nil
+	return &simShare{index: index, epoch: epoch + 1, size: s.KeyShareSize()}, nil
 }
 
 // SimPartialDecrypt implements the Simulator hook trivially: the ideal
@@ -297,7 +307,7 @@ func (s *Sim) SimPartialDecrypt(pk PublicKey, _ Ciphertext, target *big.Int,
 	sort.Ints(honest)
 	out := make([]PartialDec, len(honest))
 	for i, j := range honest {
-		out[i] = &simPartial{index: j, epoch: epoch, value: new(big.Int).Set(target), size: s.partSize()}
+		out[i] = &simPartial{index: j, epoch: epoch, value: new(big.Int).Set(target), size: s.PartialSize()}
 	}
 	return out, nil
 }

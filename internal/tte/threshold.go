@@ -250,20 +250,8 @@ func (s *Threshold) Eval(pk PublicKey, cts []Ciphertext, coeffs []*big.Int) (Cip
 // log₂(2Δ·N^s·m) ≈ n·log₂n + 2·s·log₂N bits that reduction shrinks to
 // the group order. This backend holds the dealer key (see the Threshold
 // doc comment), so the factorization is available wherever the scheme
-// runs; PartialDecryptNaive keeps the full-exponent reference.
+// runs.
 func (s *Threshold) PartialDecrypt(pk PublicKey, sh KeyShare, ct Ciphertext) (PartialDec, error) {
-	return s.partialDecrypt(pk, sh, ct, true)
-}
-
-// PartialDecryptNaive is the retained naive reference for
-// PartialDecrypt: one full-length exponentiation modulo N^{s+1}. The
-// differential tests and the paillier hot-path benchmark pin the engine
-// path to it bit-for-bit.
-func (s *Threshold) PartialDecryptNaive(pk PublicKey, sh KeyShare, ct Ciphertext) (PartialDec, error) {
-	return s.partialDecrypt(pk, sh, ct, false)
-}
-
-func (s *Threshold) partialDecrypt(pk PublicKey, sh KeyShare, ct Ciphertext, engine bool) (PartialDec, error) {
 	tpk, err := s.pub(pk)
 	if err != nil {
 		return nil, err
@@ -278,12 +266,7 @@ func (s *Threshold) partialDecrypt(pk PublicKey, sh KeyShare, ct Ciphertext, eng
 	}
 	exp := new(big.Int).Lsh(tsh.d, 1) // 2·d_i
 	exp.Mul(exp, tpk.delta)           // 2Δ·d_i
-	var v *big.Int
-	if engine {
-		v, err = s.dj.ExpSignedCRT(tct.ct.C, exp)
-	} else {
-		v, err = modexp.ExpSigned(tct.ct.C, exp, s.dj.Ns1)
-	}
+	v, err := s.dj.ExpSignedCRT(tct.ct.C, exp)
 	if err != nil {
 		return nil, err
 	}
@@ -293,21 +276,8 @@ func (s *Threshold) partialDecrypt(pk PublicKey, sh KeyShare, ct Ciphertext, eng
 // Combine implements TDec: c' = Π v_i^(2Λ_i) where Λ_i = Δ·λ_i(0), then the
 // plaintext is L(c')·(4Δ²·Δ^epoch)⁻¹ mod N. The t+1-term product runs
 // as one Straus multi-exponentiation (shared squaring chain across all
-// partials) and Δ^epoch comes from the cached power ladder;
-// CombineNaive keeps the term-by-term reference.
+// partials) and Δ^epoch comes from the cached power ladder.
 func (s *Threshold) Combine(pk PublicKey, ct Ciphertext, parts []PartialDec) (*big.Int, error) {
-	return s.combine(pk, parts, true) //yosolint:vartime partial decryptions are public board messages; the combiner is the designated plaintext recipient
-}
-
-// CombineNaive is the retained naive reference for Combine: one
-// exponentiation per partial and a fresh Δ^epoch exponentiation. The
-// differential tests and the paillier hot-path benchmark pin the
-// engine path to it bit-for-bit.
-func (s *Threshold) CombineNaive(pk PublicKey, ct Ciphertext, parts []PartialDec) (*big.Int, error) {
-	return s.combine(pk, parts, false) //yosolint:vartime partial decryptions are public board messages; the combiner is the designated plaintext recipient
-}
-
-func (s *Threshold) combine(pk PublicKey, parts []PartialDec, engine bool) (*big.Int, error) {
 	tpk, err := s.pub(pk)
 	if err != nil {
 		return nil, err
@@ -324,30 +294,15 @@ func (s *Threshold) combine(pk PublicKey, parts []PartialDec, engine bool) (*big
 	if err != nil {
 		return nil, err
 	}
-	var acc *big.Int
-	if engine {
-		bases := make([]*big.Int, len(chosen))
-		exps := make([]*big.Int, len(chosen))
-		for i, p := range chosen {
-			bases[i] = p.(*thresholdPartial).v
-			exps[i] = new(big.Int).Lsh(lambdas[i], 1) // 2Λ_i
-		}
-		acc, err = modexp.MultiExp(s.dj.Ns1, bases, exps)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		acc = big.NewInt(1)
-		for i, p := range chosen {
-			tp := p.(*thresholdPartial)
-			exp := new(big.Int).Lsh(lambdas[i], 1) // 2Λ_i
-			term, err := modexp.ExpSigned(tp.v, exp, s.dj.Ns1)
-			if err != nil {
-				return nil, err
-			}
-			acc.Mul(acc, term)
-			acc.Mod(acc, s.dj.Ns1)
-		}
+	bases := make([]*big.Int, len(chosen))
+	exps := make([]*big.Int, len(chosen))
+	for i, p := range chosen {
+		bases[i] = p.(*thresholdPartial).v
+		exps[i] = new(big.Int).Lsh(lambdas[i], 1) // 2Λ_i
+	}
+	acc, err := modexp.MultiExp(s.dj.Ns1, bases, exps)
+	if err != nil {
+		return nil, err
 	}
 	// acc = (1+N)^(4Δ²·Δ^epoch·M) mod N^{s+1} for well-formed inputs;
 	// extract the exponent with the Damgård–Jurik recursion.
@@ -359,7 +314,7 @@ func (s *Threshold) combine(pk PublicKey, parts []PartialDec, engine bool) (*big
 	div := new(big.Int).Mul(tpk.delta, tpk.delta)
 	div.Lsh(div, 2)
 	if epoch > 0 {
-		dp, err := s.deltaPower(tpk, epoch, engine)
+		dp, err := s.deltaPower(tpk, epoch)
 		if err != nil {
 			return nil, err
 		}
@@ -374,15 +329,11 @@ func (s *Threshold) combine(pk PublicKey, parts []PartialDec, engine bool) (*big
 	return m, nil
 }
 
-// deltaPower returns Δ^epoch mod N^s — from the process-global power
-// ladder on the engine path (one cached multiplication per new epoch
-// instead of a full exponentiation at every Combine), by direct Exp on
-// the naive path. Ladder entries are shared; callers must not mutate
-// the returned value.
-func (s *Threshold) deltaPower(tpk *thresholdPK, epoch int, engine bool) (*big.Int, error) {
-	if !engine {
-		return new(big.Int).Exp(tpk.delta, big.NewInt(int64(epoch)), s.dj.Ns), nil
-	}
+// deltaPower returns Δ^epoch mod N^s from the process-wide power ladder
+// (one cached multiplication per new epoch instead of a full
+// exponentiation at every Combine). Ladder entries are shared; callers
+// must not mutate the returned value.
+func (s *Threshold) deltaPower(tpk *thresholdPK, epoch int) (*big.Int, error) {
 	return modexp.Ladder(tpk.delta, s.dj.Ns).Pow(epoch)
 }
 
@@ -551,7 +502,7 @@ func (s *Threshold) SimPartialDecrypt(pk PublicKey, ct Ciphertext, target *big.I
 	// D0 ≡ 0 (mod m), D0 ≡ Δ^epoch·target·M⁻¹ (mod N^s).
 	resN := new(big.Int).Mul(target, mInv)
 	if epoch > 0 {
-		dp, err := s.deltaPower(tpk, epoch, true)
+		dp, err := s.deltaPower(tpk, epoch)
 		if err != nil {
 			return nil, err
 		}

@@ -125,7 +125,7 @@ func (s *Sim) EncodeKeyShare(sh KeyShare) ([]byte, error) {
 		return nil, fmt.Errorf("%w: key share", ErrWrongKey)
 	}
 	buf := appendBig(nil, tagKeyShare, []uint32{uint32(ssh.index), uint32(ssh.epoch)}, big.NewInt(0))
-	return padTo(buf, s.shareSize()), nil
+	return padTo(buf, s.KeyShareSize()), nil
 }
 
 // DecodeKeyShare parses a sim key share.
@@ -134,7 +134,7 @@ func (s *Sim) DecodeKeyShare(_ PublicKey, data []byte) (KeyShare, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &simShare{index: int(fields[0]), epoch: int(fields[1]), size: s.shareSize()}, nil
+	return &simShare{index: int(fields[0]), epoch: int(fields[1]), size: s.KeyShareSize()}, nil
 }
 
 // EncodePublicKey serializes the public key's board announcement: the
