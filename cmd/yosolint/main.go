@@ -8,28 +8,21 @@
 //
 // Usage:
 //
-//	go run ./cmd/yosolint [-tests=false] [-list] [-json] [-directives] [-time] [-workers=N]
-//	                      [-sarif=FILE] [-baseline=FILE] [-baseline-record] [packages]
+//	go run ./cmd/yosolint [-list] [-json] [-sarif=FILE] [packages]
 //
-// Packages default to ./... relative to the current directory. The
-// package-level passes fan out over -workers goroutines (default: one
-// per CPU) via internal/parallel; -time prints each analyzer's
-// accumulated wall time to stderr. The exit status is 0 when the tree is
-// clean, 1 when any unsuppressed diagnostic (including a malformed
-// //yosolint: directive) is reported, and 2 on load or internal errors.
+// Packages default to ./... relative to the current directory; _test.go
+// files are analyzed too. The exit status is 0 when the tree is clean, 1
+// when any unsuppressed diagnostic (including a malformed //yosolint:
+// directive) is reported, and 2 on load or internal errors.
 //
-// -json emits one JSON object per diagnostic per line, including
-// suppressed findings with the justification of the directive covering
-// them, for CI artifact upload and audit. -directives lists the active
-// suppressions — every finding currently silenced by a //yosolint:
-// directive — and exits 0.
-//
-// -sarif writes a SARIF 2.1.0 log for GitHub code scanning (suppressed
-// findings carry inSource suppressions). -baseline compares the
-// unsuppressed findings against a recorded baseline and fails only on
-// new ones; -baseline -baseline-record (re)writes the baseline from the
-// current findings and exits 0. See docs/STATIC_ANALYSIS.md for the
-// analyzer catalogue and the directive syntax.
+// -list prints the analyzers and exits. -json emits one JSON object per
+// diagnostic per line, including suppressed findings with the
+// justification of the directive covering them, for CI artifact upload
+// and audit (`-json | jq 'select(.suppressed)'` lists the active escape
+// hatches). -sarif writes a SARIF 2.1.0 log for GitHub code scanning
+// (suppressed findings carry inSource suppressions). See
+// docs/STATIC_ANALYSIS.md for the analyzer catalogue and the directive
+// syntax.
 package main
 
 import (
@@ -39,22 +32,15 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"yosompc/internal/analysis"
 	"yosompc/internal/analysis/suite"
 )
 
 func main() {
-	tests := flag.Bool("tests", true, "also analyze _test.go files")
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit one JSON diagnostic per line, including suppressed findings")
-	directives := flag.Bool("directives", false, "list the active //yosolint: suppressions and exit")
-	timing := flag.Bool("time", false, "print per-analyzer accumulated wall time to stderr")
-	workers := flag.Int("workers", 0, "package-level analysis worker count (0 = one per CPU, 1 = serial)")
 	sarifOut := flag.String("sarif", "", "write a SARIF 2.1.0 log to this file (for GitHub code scanning)")
-	baselinePath := flag.String("baseline", "", "compare unsuppressed findings against this baseline file; fail only on new ones")
-	baselineRecord := flag.Bool("baseline-record", false, "with -baseline: (re)write the baseline from the current findings and exit 0")
 	flag.Parse()
 
 	analyzers := suite.Analyzers()
@@ -65,83 +51,25 @@ func main() {
 		return
 	}
 
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	// Deps:true feeds module-level analyzers (secretflow) the summaries
-	// and secret-type annotations of in-module dependencies even when the
+	// Deps:true feeds the interprocedural analyzers the summaries and
+	// secret-type annotations of in-module dependencies even when the
 	// pattern names a single package.
-	pkgs, err := analysis.Load(analysis.LoadConfig{Tests: *tests, Deps: true}, patterns...)
+	pkgs, err := analysis.Load(analysis.LoadConfig{Tests: true, Deps: true}, flag.Args()...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "yosolint:", err)
-		os.Exit(2)
+		fatal(err)
 	}
-	diags, times, err := analysis.RunPackagesTimed(pkgs, analyzers, *workers)
+	diags, err := analysis.RunPackages(pkgs, analyzers)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "yosolint:", err)
-		os.Exit(2)
+		fatal(err)
 	}
-	if *timing {
-		for _, at := range times {
-			fmt.Fprintf(os.Stderr, "yosolint: %-12s %v\n", at.Name, at.Elapsed.Round(time.Microsecond))
-		}
-	}
-	failing := analysis.Unsuppressed(diags)
-
 	if *sarifOut != "" {
 		if err := writeSARIF(*sarifOut, diags, analyzers); err != nil {
-			fmt.Fprintln(os.Stderr, "yosolint:", err)
-			os.Exit(2)
+			fatal(err)
 		}
 	}
 
-	if *baselinePath != "" {
-		cwd, _ := os.Getwd()
-		if *baselineRecord {
-			f, err := os.Create(*baselinePath)
-			if err == nil {
-				err = analysis.WriteBaseline(f, failing, cwd)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "yosolint:", err)
-				os.Exit(2)
-			}
-			fmt.Fprintf(os.Stderr, "yosolint: recorded %d finding(s) to %s\n", len(failing), *baselinePath)
-			return
-		}
-		f, err := os.Open(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "yosolint:", err)
-			os.Exit(2)
-		}
-		base, err := analysis.ReadBaseline(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "yosolint:", err)
-			os.Exit(2)
-		}
-		if stale := base.Stale(failing, cwd); len(stale) > 0 {
-			fmt.Fprintf(os.Stderr, "yosolint: %d baselined finding(s) no longer occur; re-record to shrink the baseline\n", len(stale))
-		}
-		failing = base.Filter(failing, cwd)
-	}
-
-	switch {
-	case *directives:
-		for _, d := range diags {
-			if !d.Suppressed {
-				continue
-			}
-			fmt.Printf("%s:%d:%d: [%s] suppressed: %s — %s\n",
-				relPath(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message, d.Justification)
-		}
-		return
-
-	case *jsonOut:
+	failing := analysis.Unsuppressed(diags)
+	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		for _, d := range diags {
 			rec := jsonDiagnostic{
@@ -154,21 +82,24 @@ func main() {
 				Justification: d.Justification,
 			}
 			if err := enc.Encode(rec); err != nil {
-				fmt.Fprintln(os.Stderr, "yosolint:", err)
-				os.Exit(2)
+				fatal(err)
 			}
 		}
-
-	default:
+	} else {
 		for _, d := range failing {
 			fmt.Printf("%s:%d:%d: %s (%s)\n", relPath(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
 		}
 	}
-
 	if len(failing) > 0 {
 		fmt.Fprintf(os.Stderr, "yosolint: %d finding(s)\n", len(failing))
 		os.Exit(1)
 	}
+}
+
+// fatal reports a load or internal error and exits 2.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "yosolint:", err)
+	os.Exit(2)
 }
 
 // jsonDiagnostic is the -json line format: one diagnostic per line, with

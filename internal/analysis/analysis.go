@@ -7,11 +7,16 @@
 // type-checked from source with go/types.
 //
 // The framework exists to host yosolint, the suite of repo-specific
-// analyzers under internal/analysis/{cryptorand,roleonce,fieldops,
-// postcheck} that enforce invariants the Go compiler cannot: secret
-// randomness comes from crypto/rand, YOSO roles never act after they
-// speak, field.Element arithmetic goes through the reduction-preserving
-// API, and board/transport errors are never silently dropped.
+// analyzers listed in internal/analysis/suite that enforce invariants the
+// Go compiler cannot: secret randomness comes from crypto/rand, YOSO roles
+// never act after they speak, field.Element arithmetic goes through the
+// reduction-preserving API, board/transport errors are never silently
+// dropped, secrets neither leak nor steer the execution trace, and so on.
+//
+// There is one way through it: Load type-checks the packages, RunPackages
+// hands every analyzer the same Pass over the whole load, and the helpers
+// the analyzers share — callee resolution, expression keys, test-file and
+// package-path classification — live here (astutil.go), once.
 //
 // Diagnostics can be suppressed per line with //yosolint: directives (see
 // ParseDirectives and docs/STATIC_ANALYSIS.md).
@@ -19,13 +24,10 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
 )
 
-// Analyzer is one named check over a type-checked package (Run) or over a
-// whole load of packages at once (RunModule).
+// Analyzer is one named check over a load of type-checked packages.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics, e.g. "cryptorand".
 	Name string
@@ -43,61 +45,31 @@ type Analyzer struct {
 	// keeps the runner's unknown-directive validation in sync with what
 	// the suite actually honors.
 	Markers []string
-	// Run executes the analyzer on one package, reporting findings
-	// through the pass. Nil for module-level analyzers.
+	// Run executes the analyzer once over the whole load, reporting
+	// findings through the pass.
 	Run func(*Pass) error
-	// RunModule, if non-nil, executes the analyzer once over every package
-	// of a load (dependency order, dependencies first) instead of
-	// package-by-package. Interprocedural analyses that need bottom-up
-	// call-graph summaries (secretflow) use this hook.
-	RunModule func(*ModulePass) error
 }
 
-// Pass carries one analyzer's view of one type-checked package.
+// Pass carries one analyzer's view of one whole Load.
 type Pass struct {
 	// Analyzer is the analyzer being run.
 	Analyzer *Analyzer
-	// Fset maps positions for every file of the package.
+	// Fset maps positions for every file of every package of the load.
 	Fset *token.FileSet
-	// Files are the parsed source files, including in-package _test.go
-	// files when the load requested them.
-	Files []*ast.File
-	// Pkg is the type-checked package.
-	Pkg *types.Package
-	// TypesInfo records type and object resolution for Files.
-	TypesInfo *types.Info
+	// Packages are the loaded packages in dependency order, dependencies
+	// first, including packages loaded only as dependency context
+	// (Package.DepOnly). Interprocedural analyzers walk all of them to
+	// build bottom-up summaries and collect //yosolint:secret marks.
+	Packages []*Package
+	// Targets are the packages to report against: Packages minus the
+	// DepOnly ones. Package-at-a-time analyzers loop over these.
+	Targets []*Package
 
 	report func(Diagnostic)
 }
 
 // Reportf reports a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ModulePass carries a module-level analyzer's view of one whole Load:
-// every package, dependencies before dependents, including packages loaded
-// only as dependency context (Package.DepOnly).
-type ModulePass struct {
-	// Analyzer is the analyzer being run.
-	Analyzer *Analyzer
-	// Fset maps positions for every file of every package of the load.
-	Fset *token.FileSet
-	// Packages are the loaded packages in dependency order. Analyzers
-	// must report findings only against packages with DepOnly == false;
-	// DepOnly packages exist to source dataflow summaries and secret-type
-	// annotations.
-	Packages []*Package
-
-	report func(Diagnostic)
-}
-
-// Reportf reports a finding at pos.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{
 		Analyzer: p.Analyzer.Name,
 		Pos:      p.Fset.Position(pos),

@@ -52,7 +52,7 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
 	for _, pkg := range pkgs {
 		fixture := filepath.Join(dir, "src", pkg)
 		// Deps:true source-loads fixture helper packages (and any real
-		// module packages the fixture imports) so module-level analyzers
+		// module packages the fixture imports) so interprocedural analyzers
 		// get cross-package summaries, exactly as the cmd/yosolint driver
 		// does.
 		loaded, err := analysis.Load(analysis.LoadConfig{Dir: root, Tests: true, Deps: true}, fixture)

@@ -16,7 +16,6 @@ import (
 	"go/ast"
 	"go/types"
 	"strconv"
-	"strings"
 
 	"yosompc/internal/analysis"
 )
@@ -29,42 +28,24 @@ var Analyzer = &analysis.Analyzer{
 	Run:        run,
 }
 
-// protected names the crypto-bearing package path segments. A package is
-// checked when any segment of its import path matches.
-var protected = map[string]bool{
-	"core":      true,
-	"committee": true,
-	"sharing":   true,
-	"pke":       true,
-	"paillier":  true,
-	"tte":       true,
-	"nizk":      true,
-	"field":     true,
-	"yoso":      true,
-}
-
 // mathRand matches the forbidden import paths.
 var mathRand = map[string]bool{
 	"math/rand":    true,
 	"math/rand/v2": true,
 }
 
-func cryptoBearing(path string) bool {
-	for _, seg := range strings.Split(path, "/") {
-		if protected[seg] {
-			return true
+func run(pass *analysis.Pass) error {
+	for _, pkg := range pass.Targets {
+		if analysis.CryptoBearing(pkg.Types.Path()) {
+			checkPackage(pass, pkg)
 		}
 	}
-	return false
+	return nil
 }
 
-func run(pass *analysis.Pass) error {
-	if !cryptoBearing(pass.Pkg.Path()) {
-		return nil
-	}
-	for _, f := range pass.Files {
-		filename := pass.Fset.Position(f.Pos()).Filename
-		if strings.HasSuffix(filename, "_test.go") {
+func checkPackage(pass *analysis.Pass, pkg *analysis.Package) {
+	for _, f := range pkg.Files {
+		if pkg.IsTestFile(f.Pos()) {
 			// Tests may use deterministic randomness freely.
 			continue
 		}
@@ -73,7 +54,7 @@ func run(pass *analysis.Pass) error {
 			if err != nil || !mathRand[path] {
 				continue
 			}
-			pass.Reportf(spec.Pos(), "crypto-bearing package %s imports %s; use crypto/rand (or annotate //yosolint:simulation)", pass.Pkg.Path(), path)
+			pass.Reportf(spec.Pos(), "crypto-bearing package %s imports %s; use crypto/rand (or annotate //yosolint:simulation)", pkg.Types.Path(), path)
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -84,7 +65,7 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			pkgName, ok := pass.TypesInfo.Uses[id].(*types.PkgName)
+			pkgName, ok := pkg.Info.Uses[id].(*types.PkgName)
 			if !ok || !mathRand[pkgName.Imported().Path()] {
 				return true
 			}
@@ -92,5 +73,4 @@ func run(pass *analysis.Pass) error {
 			return true
 		})
 	}
-	return nil
 }

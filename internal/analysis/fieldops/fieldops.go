@@ -39,27 +39,29 @@ var method = map[token.Token]string{
 }
 
 func run(pass *analysis.Pass) error {
-	if exempt(pass.Pkg.Path()) {
-		return nil
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.BinaryExpr:
-				if fix, ok := method[n.Op]; ok && (isElement(pass, n.X) || isElement(pass, n.Y)) {
-					pass.Reportf(n.OpPos, "raw %s on field.Element skips modular reduction; use %s", n.Op, fix)
+	for _, pkg := range pass.Targets {
+		if exempt(pkg.Types.Path()) {
+			continue
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.BinaryExpr:
+					if fix, ok := method[n.Op]; ok && (isElement(pkg, n.X) || isElement(pkg, n.Y)) {
+						pass.Reportf(n.OpPos, "raw %s on field.Element skips modular reduction; use %s", n.Op, fix)
+					}
+				case *ast.AssignStmt:
+					if fix, ok := method[n.Tok]; ok && len(n.Lhs) == 1 && (isElement(pkg, n.Lhs[0]) || isElement(pkg, n.Rhs[0])) {
+						pass.Reportf(n.TokPos, "raw %s on field.Element skips modular reduction; use %s", n.Tok, fix)
+					}
+				case *ast.IncDecStmt:
+					if isElement(pkg, n.X) {
+						pass.Reportf(n.TokPos, "raw %s on field.Element skips modular reduction; use Add/Sub", n.Tok)
+					}
 				}
-			case *ast.AssignStmt:
-				if fix, ok := method[n.Tok]; ok && len(n.Lhs) == 1 && (isElement(pass, n.Lhs[0]) || isElement(pass, n.Rhs[0])) {
-					pass.Reportf(n.TokPos, "raw %s on field.Element skips modular reduction; use %s", n.Tok, fix)
-				}
-			case *ast.IncDecStmt:
-				if isElement(pass, n.X) {
-					pass.Reportf(n.TokPos, "raw %s on field.Element skips modular reduction; use Add/Sub", n.Tok)
-				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 	return nil
 }
@@ -72,8 +74,8 @@ func exempt(path string) bool {
 
 // isElement reports whether the expression's type is the named type
 // field.Element.
-func isElement(pass *analysis.Pass, e ast.Expr) bool {
-	t := pass.TypesInfo.TypeOf(e)
+func isElement(pkg *analysis.Package, e ast.Expr) bool {
+	t := pkg.Info.TypeOf(e)
 	if t == nil {
 		return false
 	}

@@ -34,10 +34,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"yosompc/internal/analysis"
-	"yosompc/internal/analysis/taint"
 )
 
 // Analyzer is the goroleak analyzer.
@@ -49,26 +47,14 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	pkg := &analysis.Package{
-		Path:  pass.Pkg.Path(),
-		Name:  pass.Pkg.Name(),
-		Fset:  pass.Fset,
-		Files: pass.Files,
-		Types: pass.Pkg,
-		Info:  pass.TypesInfo,
-	}
-	st := &state{pass: pass, pkg: pkg, bodies: map[*types.Func]*ast.FuncDecl{}}
-	st.collectFacts()
-	for _, f := range pass.Files {
-		if isTestFile(pass, f) {
-			continue
-		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+	for _, pkg := range pass.Targets {
+		st := &state{pass: pass, pkg: pkg, bodies: map[*types.Func]*ast.FuncDecl{}}
+		fns := pkg.Funcs()
+		st.collectFacts(fns)
+		for _, fn := range fns {
+			if !fn.Test {
+				st.walkFunc(fn.Decl.Body)
 			}
-			st.walkFunc(fd.Body)
 		}
 	}
 	return nil
@@ -90,41 +76,35 @@ type state struct {
 // Test files contribute facts too: a Wait in a test joins goroutines the
 // non-test code spawns only in exported-for-test paths — but spawns
 // themselves are only checked in non-test files.
-func (st *state) collectFacts() {
+func (st *state) collectFacts(fns []analysis.Func) {
 	st.closedKeys = map[string]bool{}
 	st.waitKeys = map[string]bool{}
-	for _, f := range st.pass.Files {
+	for _, f := range st.pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
 			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-				if b, ok := st.pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "close" && len(call.Args) == 1 {
-					if k := exprKey(st.pkg, call.Args[0]); k != "" {
+				if b, ok := st.pkg.Info.Uses[id].(*types.Builtin); ok && b.Name() == "close" && len(call.Args) == 1 {
+					if k := st.pkg.ExprKey(call.Args[0]); k != "" {
 						st.closedKeys[k] = true
 					}
 				}
 				return true
 			}
-			if fn := callee(st.pkg, call); fn != nil && fn.Name() == "Wait" && isWaitGroup(fn) {
+			if fn := st.pkg.Callee(call); fn != nil && fn.Name() == "Wait" && isWaitGroup(fn) {
 				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-					if k := exprKey(st.pkg, sel.X); k != "" {
+					if k := st.pkg.ExprKey(sel.X); k != "" {
 						st.waitKeys[k] = true
 					}
 				}
 			}
 			return true
 		})
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if obj, ok := st.pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				st.bodies[obj] = fd
-			}
-		}
+	}
+	for _, fn := range fns {
+		st.bodies[fn.Obj] = fn.Decl
 	}
 }
 
@@ -192,7 +172,7 @@ func (st *state) checkSpawn(g *ast.GoStmt, inLoop bool) {
 			"goroutine has no provable termination path (no WaitGroup join, context check, closed-channel signal, or finite body)")
 		return
 	}
-	if inLoop && !ev.wgJoin && !inParallelPkg(st.pass.Pkg.Path()) {
+	if inLoop && !ev.wgJoin && !analysis.PathHasSegment(st.pkg.Types.Path(), "parallel") {
 		st.pass.Reportf(g.Pos(),
 			"unbounded goroutine spawn in a loop without a WaitGroup join (use internal/parallel for bounded fan-out)")
 	}
@@ -205,11 +185,11 @@ func (st *state) spawnBody(call *ast.CallExpr) (*ast.BlockStmt, string) {
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		return lit.Body, "func literal"
 	}
-	if fn := callee(st.pkg, call); fn != nil {
+	if fn := st.pkg.Callee(call); fn != nil {
 		if fd, ok := st.bodies[fn]; ok {
 			return fd.Body, fn.Name()
 		}
-		return nil, shortFunc(fn)
+		return nil, analysis.ShortFunc(fn)
 	}
 	return nil, types.ExprString(call.Fun)
 }
@@ -255,14 +235,14 @@ func (st *state) evidence(body *ast.BlockStmt) spawnEvidence {
 				ev.closeSig = true
 			}
 		case *ast.CallExpr:
-			fn := callee(st.pkg, x)
+			fn := st.pkg.Callee(x)
 			if fn == nil {
 				return true
 			}
 			switch {
 			case fn.Name() == "Done" && isWaitGroup(fn):
 				if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok {
-					if k := exprKey(st.pkg, sel.X); k != "" && st.waitKeys[k] {
+					if k := st.pkg.ExprKey(sel.X); k != "" && st.waitKeys[k] {
 						ev.wgJoin = true
 					}
 				}
@@ -280,7 +260,7 @@ func (st *state) evidence(body *ast.BlockStmt) spawnEvidence {
 // boundedChannel reports whether receiving from e is bounded by a close
 // the package performs, or by producer ownership (receive-only type).
 func (st *state) boundedChannel(e ast.Expr) bool {
-	tv, ok := st.pass.TypesInfo.Types[e]
+	tv, ok := st.pkg.Info.Types[e]
 	if !ok || tv.Type == nil {
 		return false
 	}
@@ -291,22 +271,14 @@ func (st *state) boundedChannel(e ast.Expr) bool {
 	if ch.Dir() == types.RecvOnly {
 		return true
 	}
-	k := exprKey(st.pkg, e)
+	k := st.pkg.ExprKey(e)
 	return k != "" && st.closedKeys[k]
 }
 
 // --- classification helpers --------------------------------------------
 
-func isTestFile(pass *analysis.Pass, f *ast.File) bool {
-	return strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go")
-}
-
-func inParallelPkg(path string) bool {
-	return taint.PathHasSegment(path, "parallel")
-}
-
 func isWaitGroup(fn *types.Func) bool {
-	return fn.Pkg() != nil && fn.Pkg().Path() == "sync" && recvNamed(fn) == "WaitGroup"
+	return fn.Pkg() != nil && fn.Pkg().Path() == "sync" && analysis.RecvNamed(fn) == "WaitGroup"
 }
 
 func isContext(fn *types.Func) bool {
@@ -331,118 +303,4 @@ func isNetServe(fn *types.Func) bool {
 		return true
 	}
 	return false
-}
-
-// recvNamed names the receiver's (possibly pointer-to) named type.
-func recvNamed(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
-}
-
-// shortFunc renders a callee as "pkgname.Recv.Name" for messages.
-func shortFunc(fn *types.Func) string {
-	name := fn.Name()
-	if recv := recvNamed(fn); recv != "" {
-		name = recv + "." + name
-	}
-	if fn.Pkg() != nil {
-		name = fn.Pkg().Name() + "." + name
-	}
-	return name
-}
-
-// callee resolves the static callee of a call, if any.
-func callee(pkg *analysis.Package, call *ast.CallExpr) *types.Func {
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := pkg.Info.Uses[f].(*types.Func); ok {
-			return fn
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := pkg.Info.Selections[f]; ok {
-			if fn, ok := sel.Obj().(*types.Func); ok {
-				return fn
-			}
-			return nil
-		}
-		if fn, ok := pkg.Info.Uses[f.Sel].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
-}
-
-// exprKey names a channel/WaitGroup expression so the same logical object
-// matches across functions: owner named type + selector path, a
-// package-level variable, or a function-local fallback.
-func exprKey(pkg *analysis.Package, e ast.Expr) string {
-	var fields []string
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.SelectorExpr:
-			if id, ok := x.X.(*ast.Ident); ok {
-				if pn, ok := pkg.Info.Uses[id].(*types.PkgName); ok {
-					return joinKey(pn.Imported().Name()+"."+x.Sel.Name, fields)
-				}
-			}
-			fields = append([]string{x.Sel.Name}, fields...)
-			e = x.X
-		case *ast.Ident:
-			obj := pkg.Info.Uses[x]
-			if obj == nil {
-				obj = pkg.Info.Defs[x]
-			}
-			if obj == nil {
-				return ""
-			}
-			if obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
-				return joinKey(obj.Pkg().Name()+"."+obj.Name(), fields)
-			}
-			if name := namedTypeName(obj.Type()); name != "" {
-				return joinKey(name, fields)
-			}
-			return joinKey("local "+obj.Name(), fields)
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			if x.Op != token.AND {
-				return ""
-			}
-			e = x.X
-		default:
-			return ""
-		}
-	}
-}
-
-func joinKey(root string, fields []string) string {
-	if len(fields) == 0 {
-		return root
-	}
-	return root + "." + strings.Join(fields, ".")
-}
-
-// namedTypeName renders a (possibly pointer-to) named type as
-// "pkgname.TypeName".
-func namedTypeName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
-		return ""
-	}
-	return n.Obj().Pkg().Name() + "." + n.Obj().Name()
 }

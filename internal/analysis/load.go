@@ -37,7 +37,7 @@ type Package struct {
 	// Info records type and object resolution for Files.
 	Info *types.Info
 	// DepOnly marks a package loaded from source only as dependency
-	// context for module-level analyses (LoadConfig.Deps). DepOnly
+	// context for the interprocedural analyzers (LoadConfig.Deps). DepOnly
 	// packages supply call-graph summaries and //yosolint:secret
 	// annotations but are not themselves analyzed or directive-validated.
 	DepOnly bool
@@ -53,7 +53,7 @@ type LoadConfig struct {
 	// separate Package with an import path suffixed "_test".
 	Tests bool
 	// Deps additionally loads the targets' non-standard-library
-	// dependencies from source, marked Package.DepOnly, so module-level
+	// dependencies from source, marked Package.DepOnly, so interprocedural
 	// analyses can compute bottom-up summaries for helper packages that
 	// the patterns did not match (`go list -deps` emits dependencies
 	// before their importers, and Load preserves that order).

@@ -50,7 +50,7 @@ var Analyzer = &analysis.Analyzer{
 	Name:       "lockscope",
 	Doc:        "flag blocking operations under a held mutex, self-deadlocks, and lock-order inversions",
 	Directives: []string{"blocking", "ignore"},
-	RunModule:  run,
+	Run:        run,
 }
 
 // summary is one function's interprocedural locking behavior.
@@ -76,14 +76,14 @@ type edgeSite struct {
 }
 
 type engine struct {
-	mp    *analysis.ModulePass
+	pass  *analysis.Pass
 	sums  map[string]*summary
 	edges map[edgeKey]*edgeSite
 }
 
-func run(mp *analysis.ModulePass) error {
-	e := &engine{mp: mp, sums: map[string]*summary{}, edges: map[edgeKey]*edgeSite{}}
-	for _, pkg := range mp.Packages {
+func run(pass *analysis.Pass) error {
+	e := &engine{pass: pass, sums: map[string]*summary{}, edges: map[edgeKey]*edgeSite{}}
+	for _, pkg := range pass.Packages {
 		e.addPackage(pkg)
 	}
 	e.reportInversions()
@@ -92,17 +92,24 @@ func run(mp *analysis.ModulePass) error {
 
 // addPackage converges the package's function summaries (bottom-up, with
 // an intra-package fixpoint for mutual recursion), then re-walks each
-// function once for reporting.
+// function once for reporting. Test files are skipped: tests hold locks
+// across deliberate blocking tricks (barrier channels, raced posts) that
+// the -race CI job covers instead.
 func (e *engine) addPackage(pkg *analysis.Package) {
 	if pkg.Types == nil {
 		return
 	}
-	fns := collectFuncs(pkg)
+	var fns []analysis.Func
+	for _, fn := range pkg.Funcs() {
+		if !fn.Test {
+			fns = append(fns, fn)
+		}
+	}
 	for iter := 0; iter < 32; iter++ {
 		changed := false
 		for _, fn := range fns {
 			sc := &funcScope{engine: e, pkg: pkg}
-			sc.analyze(fn.obj, fn.decl.Body, false)
+			sc.analyze(fn.Obj, fn.Decl.Body, false)
 			if sc.changed {
 				changed = true
 			}
@@ -118,42 +125,8 @@ func (e *engine) addPackage(pkg *analysis.Package) {
 	}
 	for _, fn := range fns {
 		sc := &funcScope{engine: e, pkg: pkg}
-		sc.analyze(fn.obj, fn.decl.Body, true)
+		sc.analyze(fn.Obj, fn.Decl.Body, true)
 	}
-}
-
-// funcInfo pairs a declaration with its types object.
-type funcInfo struct {
-	decl *ast.FuncDecl
-	obj  *types.Func
-}
-
-// collectFuncs gathers the package's analyzable function declarations,
-// skipping test files: tests hold locks across deliberate blocking tricks
-// (barrier channels, raced posts) that the -race CI job covers instead.
-func collectFuncs(pkg *analysis.Package) []funcInfo {
-	var out []funcInfo
-	for _, f := range pkg.Files {
-		if isTestFile(pkg, f) {
-			continue
-		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			out = append(out, funcInfo{fd, obj})
-		}
-	}
-	return out
-}
-
-func isTestFile(pkg *analysis.Package, f *ast.File) bool {
-	return strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go")
 }
 
 // funcScope analyzes one function (or function literal) body.
@@ -361,7 +334,7 @@ func (sc *funcScope) transferNode(n ast.Node, ls *lockset, act bool) {
 // call handles one call site: lock-state transitions, blocking
 // classification, and callee-summary instantiation.
 func (sc *funcScope) call(call *ast.CallExpr, ls *lockset, act bool) {
-	fn := callee(sc.pkg, call)
+	fn := sc.pkg.Callee(call)
 	if fn == nil {
 		return
 	}
@@ -400,7 +373,7 @@ func (sc *funcScope) call(call *ast.CallExpr, ls *lockset, act bool) {
 		if act {
 			for acq := range sum.acquires {
 				if ls.held[acq] {
-					sc.reportf(call.Pos(), "call to %s acquires %s, which is already held (possible self-deadlock)", shortFunc(fn), acq)
+					sc.reportf(call.Pos(), "call to %s acquires %s, which is already held (possible self-deadlock)", analysis.ShortFunc(fn), acq)
 					continue
 				}
 				for held := range ls.held {
@@ -408,7 +381,7 @@ func (sc *funcScope) call(call *ast.CallExpr, ls *lockset, act bool) {
 				}
 			}
 			if sum.mayBlock && len(ls.held) > 0 {
-				sc.reportf(call.Pos(), "call to %s may block (%s) while holding %s", shortFunc(fn), sum.blockDesc, ls.keys())
+				sc.reportf(call.Pos(), "call to %s may block (%s) while holding %s", analysis.ShortFunc(fn), sum.blockDesc, ls.keys())
 			}
 		}
 		for acq := range sum.acquires {
@@ -431,7 +404,7 @@ func (sc *funcScope) blocked(pos token.Pos, desc string, ls lockset) {
 
 func (sc *funcScope) reportf(pos token.Pos, format string, args ...any) {
 	if sc.report {
-		sc.engine.mp.Reportf(pos, format, args...)
+		sc.engine.pass.Reportf(pos, format, args...)
 	}
 }
 
@@ -498,8 +471,8 @@ func (e *engine) reportPair(site *edgeSite, k edgeKey, other *edgeSite) {
 	if !site.reportable {
 		return
 	}
-	op := e.mp.Fset.Position(other.pos)
-	e.mp.Reportf(site.pos,
+	op := e.pass.Fset.Position(other.pos)
+	e.pass.Reportf(site.pos,
 		"acquires %s while holding %s, but %s acquires them in the opposite order (lock-order inversion)",
 		k.acquired, k.held, fmt.Sprintf("%s:%d", op.Filename, op.Line))
 }
@@ -520,7 +493,7 @@ func lockOp(fn *types.Func) lockOpKind {
 	if fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return opNone
 	}
-	recv := recvNamed(fn)
+	recv := analysis.RecvNamed(fn)
 	if recv != "Mutex" && recv != "RWMutex" {
 		return opNone
 	}
@@ -558,7 +531,7 @@ func blockingPrimitive(fn *types.Func) string {
 	switch path {
 	case "sync":
 		if name == "Wait" { // WaitGroup.Wait, Cond.Wait
-			return "blocking wait (sync." + recvNamed(fn) + ".Wait)"
+			return "blocking wait (sync." + analysis.RecvNamed(fn) + ".Wait)"
 		}
 	case "time":
 		if name == "Sleep" {
@@ -574,13 +547,13 @@ func blockingPrimitive(fn *types.Func) string {
 		}
 	case "net", "bufio", "io", "net/http", "os":
 		if ioFuncs[name] {
-			return "stream I/O (" + shortFunc(fn) + ")"
+			return "stream I/O (" + analysis.ShortFunc(fn) + ")"
 		}
 	}
-	if boardFuncs[name] && boardPkg(path) {
-		return "board post (" + shortFunc(fn) + ")"
+	if boardFuncs[name] && analysis.BoardPkg(path) {
+		return "board post (" + analysis.ShortFunc(fn) + ")"
 	}
-	if taint.PathHasSegment(path, "parallel") &&
+	if analysis.PathHasSegment(path, "parallel") &&
 		(name == "For" || name == "ForObserved" || name == "ForWorker") {
 		return "worker-pool wait (parallel." + name + ")"
 	}
@@ -590,18 +563,11 @@ func blockingPrimitive(fn *types.Func) string {
 		if sig, ok := fn.Type().(*types.Signature); ok && sig.Params().Len() == 1 {
 			pt := sig.Params().At(0).Type().String()
 			if pt == "io.Writer" || pt == "io.Reader" {
-				return "stream I/O (" + shortFunc(fn) + ")"
+				return "stream I/O (" + analysis.ShortFunc(fn) + ")"
 			}
 		}
 	}
 	return ""
-}
-
-func boardPkg(path string) bool {
-	return taint.PathHasSegment(path, "transport") ||
-		taint.PathHasSegment(path, "comm") ||
-		taint.PathHasSegment(path, "yoso") ||
-		taint.PathHasSegment(path, "board")
 }
 
 // --- lock identity ------------------------------------------------------
@@ -612,100 +578,7 @@ func (sc *funcScope) receiverKey(call *ast.CallExpr) string {
 	if !ok {
 		return ""
 	}
-	return exprKey(sc.pkg, sel.X)
-}
-
-// exprKey names a lock (or channel) expression so the same logical object
-// matches across functions: the owner's named type plus the selector path
-// ("transport.Server.mu"), a package-level variable ("sharing.domainMu"),
-// or a function-local fallback ("local mu", anonymous across functions).
-func exprKey(pkg *analysis.Package, e ast.Expr) string {
-	var fields []string
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.SelectorExpr:
-			if id, ok := x.X.(*ast.Ident); ok {
-				if pn, ok := pkg.Info.Uses[id].(*types.PkgName); ok {
-					return joinKey(pn.Imported().Name()+"."+x.Sel.Name, fields)
-				}
-			}
-			fields = append([]string{x.Sel.Name}, fields...)
-			e = x.X
-		case *ast.Ident:
-			obj := pkg.Info.Uses[x]
-			if obj == nil {
-				obj = pkg.Info.Defs[x]
-			}
-			if obj == nil {
-				return ""
-			}
-			if obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
-				return joinKey(obj.Pkg().Name()+"."+obj.Name(), fields)
-			}
-			if name := namedTypeName(obj.Type()); name != "" {
-				return joinKey(name, fields)
-			}
-			return joinKey("local "+obj.Name(), fields)
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			if x.Op != token.AND {
-				return ""
-			}
-			e = x.X
-		default:
-			return ""
-		}
-	}
-}
-
-func joinKey(root string, fields []string) string {
-	if len(fields) == 0 {
-		return root
-	}
-	return root + "." + strings.Join(fields, ".")
-}
-
-// namedTypeName renders a (possibly pointer-to) named type as
-// "pkgname.TypeName".
-func namedTypeName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
-		return ""
-	}
-	return n.Obj().Pkg().Name() + "." + n.Obj().Name()
-}
-
-// shortFunc renders a callee as "pkgname.Recv.Name" for messages.
-func shortFunc(fn *types.Func) string {
-	name := fn.Name()
-	if recv := recvNamed(fn); recv != "" {
-		name = recv + "." + name
-	}
-	if fn.Pkg() != nil {
-		name = fn.Pkg().Name() + "." + name
-	}
-	return name
-}
-
-func recvNamed(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
+	return sc.pkg.ExprKey(sel.X)
 }
 
 // isChanType reports whether e's static type is a channel.
@@ -716,27 +589,6 @@ func isChanType(pkg *analysis.Package, e ast.Expr) bool {
 	}
 	_, isChan := tv.Type.Underlying().(*types.Chan)
 	return isChan
-}
-
-// callee resolves the static callee of a call, if any.
-func callee(pkg *analysis.Package, call *ast.CallExpr) *types.Func {
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := pkg.Info.Uses[f].(*types.Func); ok {
-			return fn
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := pkg.Info.Selections[f]; ok {
-			if fn, ok := sel.Obj().(*types.Func); ok {
-				return fn
-			}
-			return nil
-		}
-		if fn, ok := pkg.Info.Uses[f.Sel].(*types.Func); ok {
-			return fn // qualified package function
-		}
-	}
-	return nil
 }
 
 // --- pre-passes ---------------------------------------------------------

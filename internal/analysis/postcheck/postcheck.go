@@ -34,51 +34,31 @@ var checked = map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			stmt, ok := n.(*ast.ExprStmt)
-			if !ok {
+	for _, pkg := range pass.Targets {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				stmt, ok := n.(*ast.ExprStmt)
+				if !ok {
+					return true
+				}
+				call, ok := stmt.X.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				fn := pkg.Callee(call)
+				if fn == nil || !checked[fn.Name()] {
+					return true
+				}
+				if fn.Pkg() == nil || !transportPkg(fn.Pkg().Path()) {
+					return true
+				}
+				if !returnsError(fn) {
+					return true
+				}
+				pass.Reportf(call.Pos(), "error from %s.%s dropped; a failed board operation must be handled (assign it, or discard explicitly with _)",
+					fn.Pkg().Name(), fn.Name())
 				return true
-			}
-			call, ok := stmt.X.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := callee(pass, call)
-			if fn == nil || !checked[fn.Name()] {
-				return true
-			}
-			if pkg := fn.Pkg(); pkg == nil || !transportPkg(pkg.Path()) {
-				return true
-			}
-			if !returnsError(fn) {
-				return true
-			}
-			pass.Reportf(call.Pos(), "error from %s.%s dropped; a failed board operation must be handled (assign it, or discard explicitly with _)",
-				fn.Pkg().Name(), fn.Name())
-			return true
-		})
-	}
-	return nil
-}
-
-// callee resolves the called function or method object.
-func callee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		if sel, ok := pass.TypesInfo.Selections[fun]; ok {
-			if fn, ok := sel.Obj().(*types.Func); ok {
-				return fn
-			}
-			return nil
-		}
-		// Qualified package-level function: pkg.F(...).
-		if fn, ok := pass.TypesInfo.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
-	case *ast.Ident:
-		if fn, ok := pass.TypesInfo.Uses[fun].(*types.Func); ok {
-			return fn
+			})
 		}
 	}
 	return nil

@@ -14,6 +14,12 @@ func Bad(c *transport.Client) {
 	c.Close()                                                 // want `error from transport\.Close dropped`
 }
 
+// BadParen drops the same error behind parentheses: the callee resolver
+// must look through them.
+func BadParen(c *transport.Client) {
+	(c.Close)() // want `error from transport\.Close dropped`
+}
+
 // Suppressed demonstrates the per-line escape hatch.
 func Suppressed(c *transport.Client) {
 	c.Close() //yosolint:ignore fixture demonstrates directive suppression

@@ -44,23 +44,17 @@ var deadMethods = map[string]map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		filename := pass.Fset.Position(f.Pos()).Filename
-		if strings.HasSuffix(filename, "_test.go") {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+	for _, pkg := range pass.Targets {
+		for _, fn := range pkg.Funcs() {
+			if !fn.Test {
+				checkFunc(pass, pkg, fn.Decl.Body)
 			}
-			checkFunc(pass, fn.Body)
 		}
 	}
 	return nil
 }
 
-func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
+func checkFunc(pass *analysis.Pass, pkg *analysis.Package, body *ast.BlockStmt) {
 	// First pass: record where each role/committee variable is killed.
 	kills := map[types.Object]token.Pos{}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -68,7 +62,7 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 		if !ok {
 			return true
 		}
-		obj, typeName := receiverObject(pass, call.Fun)
+		obj, typeName := receiverObject(pkg, call.Fun)
 		if obj == nil {
 			return true
 		}
@@ -90,7 +84,7 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 		if !ok {
 			return true
 		}
-		obj, typeName := receiverObject(pass, sel)
+		obj, typeName := receiverObject(pkg, sel)
 		if obj == nil {
 			return true
 		}
@@ -110,7 +104,7 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 // receiverObject resolves expr as a selector `ident.Method` whose ident is
 // a variable of type yoso.Role or yoso.Committee (or pointer to one),
 // returning the variable's object and the type name.
-func receiverObject(pass *analysis.Pass, expr ast.Expr) (types.Object, string) {
+func receiverObject(pkg *analysis.Package, expr ast.Expr) (types.Object, string) {
 	sel, ok := expr.(*ast.SelectorExpr)
 	if !ok {
 		return nil, ""
@@ -119,7 +113,7 @@ func receiverObject(pass *analysis.Pass, expr ast.Expr) (types.Object, string) {
 	if !ok {
 		return nil, ""
 	}
-	obj := pass.TypesInfo.Uses[id]
+	obj := pkg.Info.Uses[id]
 	if obj == nil {
 		return nil, ""
 	}

@@ -1,24 +1,11 @@
 package analysis
 
 import (
-	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
-	"time"
-
-	"yosompc/internal/parallel"
 )
 
-// AnalyzerTime is the accumulated wall time one analyzer spent across the
-// run: the sum of its per-package passes (which overlap in wall-clock
-// time when packages are analyzed in parallel) plus its module pass.
-type AnalyzerTime struct {
-	Name    string
-	Elapsed time.Duration
-}
-
-// RunPackages runs every analyzer over every package, applies //yosolint:
+// RunPackages runs every analyzer over the load, applies //yosolint:
 // directive suppression, and returns the diagnostics sorted by position.
 // Suppressed diagnostics are returned too, flagged Suppressed with the
 // directive's justification attached, so drivers can audit the active
@@ -27,107 +14,40 @@ type AnalyzerTime struct {
 // justification) are themselves reported, under the pseudo-analyzer name
 // "yosolint".
 //
-// Package-level analyzers (Run) see one package at a time. Module-level
-// analyzers (RunModule) run once over the whole load in dependency order;
-// packages loaded only as dependency context (Package.DepOnly) feed them
-// summaries but are neither directive-validated nor analyzed themselves.
+// Every analyzer gets one Pass over the whole load, in dependency order.
+// Packages loaded only as dependency context (Package.DepOnly) feed the
+// interprocedural analyzers summaries but are neither directive-validated
+// nor reported against (Pass.Targets excludes them).
 func RunPackages(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunPackagesTimed(pkgs, analyzers, 0)
-	return diags, err
-}
-
-// RunPackagesTimed is RunPackages with the package-level passes fanned out
-// over `workers` goroutines (0 means one per CPU, 1 the serial reference
-// path) and per-analyzer wall time reported alongside the diagnostics.
-// Packages are independent units for package-level analyzers — each pass
-// touches only its own package's ASTs and type info — so the fan-out is
-// over packages, keeping every analyzer's per-package order intact.
-// Module-level passes need the whole load at once and stay serial, after
-// the fan-out barrier. Diagnostics are sorted by position at the end, so
-// the output is byte-for-byte independent of the worker count.
-func RunPackagesTimed(pkgs []*Package, analyzers []*Analyzer, workers int) ([]Diagnostic, []AnalyzerTime, error) {
 	honored := honoredDirectives(analyzers)
-	var active []*Package
-	for _, pkg := range pkgs {
-		if !pkg.DepOnly {
-			active = append(active, pkg)
-		}
-	}
-
-	// One result slot per package: workers write only their own slot, and
-	// the merge below reads them in package order, so parallelism never
-	// reorders anything observable.
-	type pkgResult struct {
-		idx   directiveIndex
-		diags []Diagnostic
-	}
-	results := make([]pkgResult, len(active))
-	elapsed := make([]atomic.Int64, len(analyzers))
-	err := parallel.For(context.Background(), workers, len(active), func(i int) error {
-		pkg := active[i]
-		res := &results[i]
-		idx, dirDiags := indexDirectives(pkg, honored)
-		res.idx = idx
-		res.diags = append(res.diags, dirDiags...)
-		for ai, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			var found []Diagnostic
-			pass := &Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.Info,
-				report:    func(d Diagnostic) { found = append(found, d) },
-			}
-			start := time.Now()
-			runErr := a.Run(pass)
-			elapsed[ai].Add(int64(time.Since(start)))
-			if runErr != nil {
-				return fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.Path, runErr)
-			}
-			res.diags = append(res.diags, applySuppression(idx, a, found)...)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	merged := directiveIndex{}
+	pass := Pass{Packages: pkgs}
+	idx := directiveIndex{}
 	var all []Diagnostic
-	for _, res := range results {
-		all = append(all, res.diags...)
-		for file, byLine := range res.idx {
-			merged[file] = byLine
-		}
-	}
-
-	for ai, a := range analyzers {
-		if a.RunModule == nil {
+	for _, pkg := range pkgs {
+		if pkg.DepOnly {
 			continue
 		}
-		var found []Diagnostic
-		mp := &ModulePass{
-			Analyzer: a,
-			Packages: pkgs,
-			report:   func(d Diagnostic) { found = append(found, d) },
+		pass.Fset = pkg.Fset
+		pass.Targets = append(pass.Targets, pkg)
+		pkgIdx, dirDiags := indexDirectives(pkg, honored)
+		all = append(all, dirDiags...)
+		for file, byLine := range pkgIdx {
+			idx[file] = byLine
 		}
-		if len(pkgs) > 0 {
-			mp.Fset = pkgs[0].Fset
-		}
-		start := time.Now()
-		runErr := a.RunModule(mp)
-		elapsed[ai].Add(int64(time.Since(start)))
-		if runErr != nil {
-			return nil, nil, fmt.Errorf("analysis: %s (module pass): %w", a.Name, runErr)
-		}
-		all = append(all, applySuppression(merged, a, found)...)
 	}
 
-	sort.Slice(all, func(i, j int) bool {
+	for _, a := range analyzers {
+		var found []Diagnostic
+		p := pass
+		p.Analyzer = a
+		p.report = func(d Diagnostic) { found = append(found, d) }
+		if err := a.Run(&p); err != nil {
+			return nil, fmt.Errorf("analysis: %s: %w", a.Name, err)
+		}
+		all = append(all, applySuppression(idx, a, found)...)
+	}
+
+	sort.SliceStable(all, func(i, j int) bool {
 		a, b := all[i], all[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
@@ -140,12 +60,7 @@ func RunPackagesTimed(pkgs []*Package, analyzers []*Analyzer, workers int) ([]Di
 		}
 		return a.Analyzer < b.Analyzer
 	})
-
-	times := make([]AnalyzerTime, len(analyzers))
-	for ai, a := range analyzers {
-		times[ai] = AnalyzerTime{Name: a.Name, Elapsed: time.Duration(elapsed[ai].Load())}
-	}
-	return all, times, nil
+	return all, nil
 }
 
 // Unsuppressed filters diags down to the findings that should fail a run.

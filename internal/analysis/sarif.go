@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
@@ -134,7 +136,7 @@ func NewSARIF(diags []Diagnostic, analyzers []*Analyzer, baseDir string) *SARIFL
 				},
 			}},
 			PartialFingerprints: map[string]string{
-				"yosolintFingerprint/v1": Fingerprint(d, baseDir),
+				"yosolintFingerprint/v1": fingerprint(d, baseDir),
 			},
 		}
 		if d.Suppressed {
@@ -162,6 +164,16 @@ func NewSARIF(diags []Diagnostic, analyzers []*Analyzer, baseDir string) *SARIFL
 			Results: results,
 		}},
 	}
+}
+
+// fingerprint is the stable identity code scanning tracks a finding by: a
+// SHA-256 over the analyzer name, the artifact URI and the message text.
+// Line and column are excluded on purpose, so unrelated edits that shift
+// code do not reopen a dismissed alert.
+func fingerprint(d Diagnostic, baseDir string) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\x00%s\x00%s", d.Analyzer, artifactURI(d.Pos.Filename, baseDir), d.Message)
+	return hex.EncodeToString(h.Sum(nil))[:32]
 }
 
 // artifactURI renders a filename as a slash-separated path relative to

@@ -38,7 +38,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc:        "track secret material interprocedurally; flag flows into logs, errors, and plaintext board posts",
 	Directives: []string{"declassify", "ignore"},
 	Markers:    []string{"secret"},
-	RunModule:  run,
+	Run:        run,
 }
 
 // BuiltinSecretTypes are the canonical keys of the repo's well-known
@@ -65,7 +65,7 @@ var BuiltinSecretFields = map[string]bool{
 	"yosompc/internal/paillier.PrivateKey.M":      true,
 }
 
-func run(mp *analysis.ModulePass) error {
+func run(pass *analysis.Pass) error {
 	eng := taint.NewEngine(taint.Config{
 		SecretTypes:  BuiltinSecretTypes,
 		SecretFields: BuiltinSecretFields,
@@ -75,20 +75,20 @@ func run(mp *analysis.ModulePass) error {
 	// First pass: register every //yosolint:secret annotation across the
 	// whole load (including dependency-only packages) so marks are in
 	// force before any body is analyzed.
-	for _, pkg := range mp.Packages {
+	for _, pkg := range pass.Packages {
 		MarkSecrets(eng, pkg)
 	}
 	// Second pass: dependency order, dependencies first, so callee
 	// summaries exist before their call sites. Leaks found in packages
 	// loaded only as context are not reported — they belong to that
 	// package's own lint run.
-	for _, pkg := range mp.Packages {
+	for _, pkg := range pass.Packages {
 		leaks := eng.AddPackage(pkg)
 		if pkg.DepOnly {
 			continue
 		}
 		for _, l := range leaks {
-			mp.Reportf(l.Pos, "%s", message(l))
+			pass.Reportf(l.Pos, "%s", message(l))
 		}
 	}
 	return nil
@@ -229,20 +229,13 @@ func classifySink(pkg *analysis.Package, call *ast.CallExpr, fn *types.Func) *ta
 	// Bulletin-board publication: everyone-sees-everything by definition.
 	// Material must be encrypted (sanitized) before it is handed to the
 	// board or a role's posting helper.
-	if (name == "Post" || name == "Publish" || name == "Broadcast") && boardPkg(path) {
+	if (name == "Post" || name == "Publish" || name == "Broadcast") && analysis.BoardPkg(path) {
 		return &taint.Sink{Kind: "post"}
 	}
 	if kind, ok := BuiltinSinkFuncs[taint.FuncKey(fn)]; ok {
 		return &taint.Sink{Kind: kind}
 	}
 	return nil
-}
-
-func boardPkg(path string) bool {
-	return taint.PathHasSegment(path, "transport") ||
-		taint.PathHasSegment(path, "comm") ||
-		taint.PathHasSegment(path, "yoso") ||
-		taint.PathHasSegment(path, "board")
 }
 
 // isStdStream reports whether e is the selector os.Stdout or os.Stderr.
@@ -283,10 +276,10 @@ func sanitizer(fn *types.Func) bool {
 	// AppendEncrypt is pke's sealing in its append form: what it adds to
 	// the destination is the envelope, as clean as Encrypt's result.
 	if (strings.HasPrefix(name, "Encrypt") || name == "AppendEncrypt") &&
-		(taint.PathHasSegment(path, "pke") || taint.PathHasSegment(path, "tte") || taint.PathHasSegment(path, "paillier")) {
+		(analysis.PathHasSegment(path, "pke") || analysis.PathHasSegment(path, "tte") || analysis.PathHasSegment(path, "paillier")) {
 		return true
 	}
-	if taint.PathHasSegment(path, "nizk") && (strings.Contains(name, "Prove") || name == "Attest") {
+	if analysis.PathHasSegment(path, "nizk") && (strings.Contains(name, "Prove") || name == "Attest") {
 		return true
 	}
 	// Modular exponentiation is a one-way function: g^x publishes a value
@@ -297,10 +290,10 @@ func sanitizer(fn *types.Func) bool {
 	// sanctioned home for these kernels (ExpSigned, ExpCachedSigned,
 	// ExpManySigned, MultiExp, FixedBase.Exp, PowerLadder.Pow), alongside
 	// paillier's CRT variant of the same operation.
-	if taint.PathHasSegment(path, "modexp") && (strings.Contains(name, "Exp") || name == "Pow") {
+	if analysis.PathHasSegment(path, "modexp") && (strings.Contains(name, "Exp") || name == "Pow") {
 		return true
 	}
-	if name == "ExpSignedCRT" && taint.PathHasSegment(path, "paillier") {
+	if name == "ExpSignedCRT" && analysis.PathHasSegment(path, "paillier") {
 		return true
 	}
 	return false
@@ -313,38 +306,31 @@ func message(l taint.Leak) string {
 	if l.Via != "" {
 		switch l.Sink {
 		case "log":
-			return fmt.Sprintf("secret value %s reaches a logging sink inside %s", l.Expr, short(l.Callee))
+			return fmt.Sprintf("secret value %s reaches a logging sink inside %s", l.Expr, l.ShortCallee())
 		case "error":
-			return fmt.Sprintf("secret value %s is formatted into an error inside %s", l.Expr, short(l.Callee))
+			return fmt.Sprintf("secret value %s is formatted into an error inside %s", l.Expr, l.ShortCallee())
 		case "post":
-			return fmt.Sprintf("secret value %s is posted to the board in plaintext inside %s", l.Expr, short(l.Callee))
+			return fmt.Sprintf("secret value %s is posted to the board in plaintext inside %s", l.Expr, l.ShortCallee())
 		case "metric":
-			return fmt.Sprintf("secret value %s flows into a metrics sink inside %s", l.Expr, short(l.Callee))
+			return fmt.Sprintf("secret value %s flows into a metrics sink inside %s", l.Expr, l.ShortCallee())
 		case "trace":
-			return fmt.Sprintf("secret value %s is recorded as a trace attribute inside %s", l.Expr, short(l.Callee))
+			return fmt.Sprintf("secret value %s is recorded as a trace attribute inside %s", l.Expr, l.ShortCallee())
 		default:
-			return fmt.Sprintf("secret value %s reaches a %s sink inside %s", l.Expr, l.Sink, short(l.Callee))
+			return fmt.Sprintf("secret value %s reaches a %s sink inside %s", l.Expr, l.Sink, l.ShortCallee())
 		}
 	}
 	switch l.Sink {
 	case "log":
-		return fmt.Sprintf("secret value %s reaches logging sink %s", l.Expr, short(l.Callee))
+		return fmt.Sprintf("secret value %s reaches logging sink %s", l.Expr, l.ShortCallee())
 	case "error":
-		return fmt.Sprintf("secret value %s is formatted into an error by %s", l.Expr, short(l.Callee))
+		return fmt.Sprintf("secret value %s is formatted into an error by %s", l.Expr, l.ShortCallee())
 	case "post":
-		return fmt.Sprintf("secret value %s is posted to the board in plaintext by %s", l.Expr, short(l.Callee))
+		return fmt.Sprintf("secret value %s is posted to the board in plaintext by %s", l.Expr, l.ShortCallee())
 	case "metric":
-		return fmt.Sprintf("secret value %s flows into metrics sink %s", l.Expr, short(l.Callee))
+		return fmt.Sprintf("secret value %s flows into metrics sink %s", l.Expr, l.ShortCallee())
 	case "trace":
-		return fmt.Sprintf("secret value %s is recorded as a trace attribute by %s", l.Expr, short(l.Callee))
+		return fmt.Sprintf("secret value %s is recorded as a trace attribute by %s", l.Expr, l.ShortCallee())
 	default:
-		return fmt.Sprintf("secret value %s reaches %s sink %s", l.Expr, l.Sink, short(l.Callee))
+		return fmt.Sprintf("secret value %s reaches %s sink %s", l.Expr, l.Sink, l.ShortCallee())
 	}
-}
-
-// short strips module path noise from a function name for messages.
-func short(name string) string {
-	name = strings.ReplaceAll(name, "yosompc/internal/", "")
-	name = strings.ReplaceAll(name, "yosompc/", "")
-	return name
 }

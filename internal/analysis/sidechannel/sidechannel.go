@@ -60,10 +60,10 @@ var Analyzer = &analysis.Analyzer{
 	Doc:        "flag secret-dependent branches, memory indexing, and variable-time calls (timing/cache side channels)",
 	Directives: []string{"vartime", "ignore"},
 	Markers:    []string{"secret"},
-	RunModule:  run,
+	Run:        run,
 }
 
-func run(mp *analysis.ModulePass) error {
+func run(pass *analysis.Pass) error {
 	eng := taint.NewEngine(taint.Config{
 		SecretTypes:  secretflow.BuiltinSecretTypes,
 		SecretFields: secretflow.BuiltinSecretFields,
@@ -72,19 +72,19 @@ func run(mp *analysis.ModulePass) error {
 		ControlSink:  controlSink,
 		IndexSink:    indexSink,
 	})
-	for _, pkg := range mp.Packages {
+	for _, pkg := range pass.Packages {
 		secretflow.MarkSecrets(eng, pkg)
 	}
-	for _, pkg := range mp.Packages {
+	for _, pkg := range pass.Packages {
 		leaks := eng.AddPackage(pkg)
 		if pkg.DepOnly {
 			continue
 		}
 		for _, l := range leaks {
-			if strings.HasSuffix(mp.Fset.Position(l.Pos).Filename, "_test.go") {
+			if pkg.IsTestFile(l.Pos) {
 				continue
 			}
-			mp.Reportf(l.Pos, "%s", message(l))
+			pass.Reportf(l.Pos, "%s", message(l))
 		}
 	}
 	return nil
@@ -100,9 +100,9 @@ func run(mp *analysis.ModulePass) error {
 // filtering reports) also keeps trace-sink facts out of their summaries,
 // so callers are not flagged for using the sanctioned kernels.
 func sanctioned(path string) bool {
-	return taint.PathHasSegment(path, "paillier") ||
-		taint.PathHasSegment(path, "field") ||
-		taint.PathHasSegment(path, "modexp")
+	return analysis.PathHasSegment(path, "paillier") ||
+		analysis.PathHasSegment(path, "field") ||
+		analysis.PathHasSegment(path, "modexp")
 }
 
 // exempt reports positions where trace sinks are not classified at all:
@@ -115,7 +115,7 @@ func exempt(pkg *analysis.Package, pos token.Pos) bool {
 			return true
 		}
 	}
-	return strings.HasSuffix(pkg.Fset.Position(pos).Filename, "_test.go")
+	return pkg.IsTestFile(pos)
 }
 
 // bigVartime maps variable-time *big.Int methods to the operand positions
@@ -259,15 +259,15 @@ func message(l taint.Leak) string {
 	if l.Via != "" {
 		switch l.Sink {
 		case "branch":
-			return fmt.Sprintf("secret value %s decides a branch inside %s (timing side channel)", l.Expr, short(l.Callee))
+			return fmt.Sprintf("secret value %s decides a branch inside %s (timing side channel)", l.Expr, l.ShortCallee())
 		case "index":
-			return fmt.Sprintf("secret value %s indexes memory inside %s (cache side channel)", l.Expr, short(l.Callee))
+			return fmt.Sprintf("secret value %s indexes memory inside %s (cache side channel)", l.Expr, l.ShortCallee())
 		case "compare":
-			return fmt.Sprintf("secret value %s reaches a variable-time comparison inside %s", l.Expr, short(l.Callee))
+			return fmt.Sprintf("secret value %s reaches a variable-time comparison inside %s", l.Expr, l.ShortCallee())
 		case "bigint":
-			return fmt.Sprintf("secret value %s reaches a variable-time big.Int operation inside %s", l.Expr, short(l.Callee))
+			return fmt.Sprintf("secret value %s reaches a variable-time big.Int operation inside %s", l.Expr, l.ShortCallee())
 		default:
-			return fmt.Sprintf("secret value %s reaches a %s trace sink inside %s", l.Expr, l.Sink, short(l.Callee))
+			return fmt.Sprintf("secret value %s reaches a %s trace sink inside %s", l.Expr, l.Sink, l.ShortCallee())
 		}
 	}
 	switch l.Sink {
@@ -276,17 +276,10 @@ func message(l taint.Leak) string {
 	case "index":
 		return fmt.Sprintf("secret-dependent index %s (cache side channel)", l.Expr)
 	case "compare":
-		return fmt.Sprintf("secret value %s flows into variable-time %s (use crypto/subtle.ConstantTimeCompare or crypto/hmac.Equal)", l.Expr, short(l.Callee))
+		return fmt.Sprintf("secret value %s flows into variable-time %s (use crypto/subtle.ConstantTimeCompare or crypto/hmac.Equal)", l.Expr, l.ShortCallee())
 	case "bigint":
-		return fmt.Sprintf("secret value %s feeds variable-time big.Int operation %s outside the sanctioned kernels", l.Expr, short(l.Callee))
+		return fmt.Sprintf("secret value %s feeds variable-time big.Int operation %s outside the sanctioned kernels", l.Expr, l.ShortCallee())
 	default:
-		return fmt.Sprintf("secret value %s reaches %s trace sink %s", l.Expr, l.Sink, short(l.Callee))
+		return fmt.Sprintf("secret value %s reaches %s trace sink %s", l.Expr, l.Sink, l.ShortCallee())
 	}
-}
-
-// short strips module path noise from a function name for messages.
-func short(name string) string {
-	name = strings.ReplaceAll(name, "yosompc/internal/", "")
-	name = strings.ReplaceAll(name, "yosompc/", "")
-	return name
 }

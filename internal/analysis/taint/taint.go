@@ -98,6 +98,11 @@ type Leak struct {
 	Via string
 }
 
+// ShortCallee is Callee with the module path noise stripped, for messages.
+func (l Leak) ShortCallee() string {
+	return strings.ReplaceAll(strings.ReplaceAll(l.Callee, "yosompc/internal/", ""), "yosompc/", "")
+}
+
 // taintVal is the lattice value: definitely tainted, and/or tainted
 // whenever one of the marked parameters (bit i = param i, receiver first)
 // is tainted at the call site.
@@ -190,7 +195,7 @@ func (e *Engine) invalidate() {
 // (and also retained in the engine).
 func (e *Engine) AddPackage(pkg *analysis.Package) []Leak {
 	before := len(e.leaks)
-	fns := collectFuncs(pkg)
+	fns := pkg.Funcs()
 	// Intra-package fixpoint: function bodies are re-walked until no
 	// object taint, summary entry, or leak changes. The lattice is
 	// finite and unions are monotone, so this terminates; the bound is a
@@ -240,23 +245,10 @@ func FuncKey(fn *types.Func) string {
 	if fn == nil || fn.Pkg() == nil {
 		return ""
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if ok && sig.Recv() != nil {
-		if name := recvTypeName(sig.Recv().Type()); name != "" {
-			return fn.Pkg().Path() + "." + name + "." + fn.Name()
-		}
+	if name := analysis.RecvNamed(fn); name != "" {
+		return fn.Pkg().Path() + "." + name + "." + fn.Name()
 	}
 	return fn.Pkg().Path() + "." + fn.Name()
-}
-
-func recvTypeName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
 }
 
 // isDirectSecret reports whether values of t ARE secret material: a
@@ -379,30 +371,6 @@ func (e *Engine) isSecretField(baseType types.Type, f *types.Var) bool {
 
 // --- per-package analysis ---------------------------------------------
 
-// funcInfo pairs a declaration with its types object.
-type funcInfo struct {
-	decl *ast.FuncDecl
-	obj  *types.Func
-}
-
-func collectFuncs(pkg *analysis.Package) []funcInfo {
-	var out []funcInfo
-	for _, f := range pkg.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			out = append(out, funcInfo{fd, obj})
-		}
-	}
-	return out
-}
-
 // pkgState is the per-package fixpoint state: object taint shared across
 // the package's functions (covers package-level variables and closures).
 type pkgState struct {
@@ -433,10 +401,10 @@ type fnScope struct {
 	sum    *summary
 }
 
-func (st *pkgState) analyzeFunc(fn funcInfo) {
-	key := FuncKey(fn.obj)
+func (st *pkgState) analyzeFunc(fn analysis.Func) {
+	key := FuncKey(fn.Obj)
 	sum := st.engine.summaries[key]
-	sig := fn.obj.Type().(*types.Signature)
+	sig := fn.Obj.Type().(*types.Signature)
 	nparams := sig.Params().Len()
 	if sig.Recv() != nil {
 		nparams++
@@ -450,7 +418,7 @@ func (st *pkgState) analyzeFunc(fn funcInfo) {
 		}
 		st.engine.summaries[key] = sum
 	}
-	sc := &fnScope{st: st, fn: fn.obj, key: key, params: map[types.Object]int{}, sum: sum}
+	sc := &fnScope{st: st, fn: fn.Obj, key: key, params: map[types.Object]int{}, sum: sum}
 	bit := 0
 	if recv := sig.Recv(); recv != nil {
 		sc.params[recv] = bit
@@ -460,7 +428,7 @@ func (st *pkgState) analyzeFunc(fn funcInfo) {
 		sc.params[sig.Params().At(i)] = bit
 		bit++
 	}
-	sc.walkBody(fn.decl.Body, sig)
+	sc.walkBody(fn.Decl.Body, sig)
 }
 
 // walkBody runs the value-graph pass over the CFG-reachable statements of
@@ -642,7 +610,7 @@ func (sc *fnScope) assignTo(target ast.Expr, v taintVal) {
 		if t.Name == "_" {
 			return
 		}
-		if o := objOf(sc.st.pkg, t); o != nil {
+		if o := sc.st.pkg.Info.ObjectOf(t); o != nil {
 			sc.setObjOrParamWrite(o, v)
 		}
 	case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
@@ -655,7 +623,7 @@ func (sc *fnScope) writeTo(target ast.Expr, v taintVal) {
 	if v.zero() {
 		return
 	}
-	if o := baseObject(sc.st.pkg, target); o != nil {
+	if o := sc.st.pkg.BaseObject(target); o != nil {
 		sc.setObjOrParamWrite(o, v)
 	}
 }
@@ -787,7 +755,7 @@ func (sc *fnScope) evalFlow(e ast.Expr) taintVal {
 }
 
 func (sc *fnScope) identTaint(id *ast.Ident) taintVal {
-	o := objOf(sc.st.pkg, id)
+	o := sc.st.pkg.Info.ObjectOf(id)
 	if o == nil {
 		return taintVal{}
 	}
@@ -823,7 +791,7 @@ func (sc *fnScope) call(call *ast.CallExpr) []taintVal {
 			return sc.builtin(b.Name(), call)
 		}
 	}
-	fn := calleeFunc(pkg, call)
+	fn := pkg.Callee(call)
 	args := callArgs(pkg, call, fn)
 
 	// Sink check: every listed argument position with concrete taint is
@@ -1143,7 +1111,7 @@ func typeOf(pkg *analysis.Package, e ast.Expr) types.Type {
 		return tv.Type
 	}
 	if id, ok := e.(*ast.Ident); ok {
-		if o := objOf(pkg, id); o != nil {
+		if o := pkg.Info.ObjectOf(id); o != nil {
 			return o.Type()
 		}
 	}
@@ -1161,62 +1129,6 @@ func tupleAt(t types.Type, i int) types.Type {
 	}
 	if i == 0 {
 		return t
-	}
-	return nil
-}
-
-func objOf(pkg *analysis.Package, id *ast.Ident) types.Object {
-	if o := pkg.Info.Uses[id]; o != nil {
-		return o
-	}
-	return pkg.Info.Defs[id]
-}
-
-// baseObject finds the root identifier's object behind a chain of
-// selectors, indexes, derefs and parens.
-func baseObject(pkg *analysis.Package, e ast.Expr) types.Object {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return objOf(pkg, x)
-		case *ast.SelectorExpr:
-			if id, ok := x.X.(*ast.Ident); ok {
-				if _, isPkg := pkg.Info.Uses[id].(*types.PkgName); isPkg {
-					return objOf(pkg, x.Sel)
-				}
-			}
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.CallExpr:
-			return nil
-		default:
-			return nil
-		}
-	}
-}
-
-// calleeFunc resolves the static callee of a call, if any.
-func calleeFunc(pkg *analysis.Package, call *ast.CallExpr) *types.Func {
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := pkg.Info.Uses[f].(*types.Func); ok {
-			return fn
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := pkg.Info.Selections[f]; ok {
-			if fn, ok := sel.Obj().(*types.Func); ok {
-				return fn
-			}
-			return nil
-		}
-		if fn, ok := pkg.Info.Uses[f.Sel].(*types.Func); ok {
-			return fn // qualified package function
-		}
 	}
 	return nil
 }
@@ -1242,19 +1154,6 @@ func referenceType(t types.Type) bool {
 	switch t.Underlying().(type) {
 	case *types.Pointer, *types.Slice, *types.Map, *types.Chan:
 		return true
-	}
-	return false
-}
-
-// PathHasSegment reports whether an import path contains seg as a "/"
-// separated segment — the convention the suite's package classifiers use
-// (and which makes testdata fixture trees named like real packages match
-// the same rules).
-func PathHasSegment(path, seg string) bool {
-	for _, s := range strings.Split(path, "/") {
-		if s == seg {
-			return true
-		}
 	}
 	return false
 }

@@ -46,29 +46,29 @@ var Analyzer = &analysis.Analyzer{
 	Name:       "wirecodec",
 	Doc:        "require the full MarshalBinary/UnmarshalBinary/WriteTo/ReadFrom quartet, a fuzz target, and a size-model test for every board-crossing type",
 	Directives: []string{"wireok", "ignore"},
-	RunModule:  run,
+	Run:        run,
 }
 
 // quartet is the canonical method set, in report order.
 var quartet = []string{"MarshalBinary", "UnmarshalBinary", "WriteTo", "ReadFrom"}
 
-func run(mp *analysis.ModulePass) error {
+func run(pass *analysis.Pass) error {
 	// Pass 1: collect test-side facts across the whole load. Test files
 	// appear both merged into their package (in-package _test.go) and as
 	// separate external test packages (path suffixed "_test"); the
 	// filename suffix identifies them uniformly.
 	fuzzRefs := map[string]bool{} // TypeKey -> referenced from a Fuzz* target
 	sizePins := map[string]bool{} // TypeKey -> EncodedSize called in a test
-	for _, pkg := range mp.Packages {
+	for _, pkg := range pass.Packages {
 		collectTestFacts(pkg, fuzzRefs, sizePins)
 	}
 	// Pass 2: check wire types and board payloads of the target packages.
-	for _, pkg := range mp.Packages {
-		if pkg.DepOnly || strings.HasSuffix(pkg.Path, "_test") {
+	for _, pkg := range pass.Targets {
+		if strings.HasSuffix(pkg.Path, "_test") {
 			continue
 		}
-		checkWireTypes(mp, pkg, fuzzRefs, sizePins)
-		checkPayloads(mp, pkg)
+		checkWireTypes(pass, pkg, fuzzRefs, sizePins)
+		checkPayloads(pass, pkg)
 	}
 	return nil
 }
@@ -79,49 +79,43 @@ func collectTestFacts(pkg *analysis.Package, fuzzRefs, sizePins map[string]bool)
 	if pkg.Info == nil {
 		return
 	}
-	for _, f := range pkg.Files {
-		if !strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go") {
+	for _, fn := range pkg.Funcs() {
+		if !fn.Test {
 			continue
 		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			isFuzz := strings.HasPrefix(fd.Name.Name, "Fuzz")
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.Ident:
-					if !isFuzz {
-						return true
-					}
-					if tn, ok := pkg.Info.Uses[x].(*types.TypeName); ok {
-						if key := taint.TypeKey(tn); key != "" {
-							fuzzRefs[key] = true
-						}
-					}
-				case *ast.CallExpr:
-					sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr)
-					if !ok || sel.Sel.Name != "EncodedSize" {
-						return true
-					}
-					if tv, ok := pkg.Info.Types[sel.X]; ok && tv.Type != nil {
-						if key := namedKey(tv.Type); key != "" {
-							sizePins[key] = true
-						}
+		isFuzz := strings.HasPrefix(fn.Decl.Name.Name, "Fuzz")
+		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.Ident:
+				if !isFuzz {
+					return true
+				}
+				if tn, ok := pkg.Info.Uses[x].(*types.TypeName); ok {
+					if key := taint.TypeKey(tn); key != "" {
+						fuzzRefs[key] = true
 					}
 				}
-				return true
-			})
-		}
+			case *ast.CallExpr:
+				sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr)
+				if !ok || sel.Sel.Name != "EncodedSize" {
+					return true
+				}
+				if tv, ok := pkg.Info.Types[sel.X]; ok && tv.Type != nil {
+					if key := namedKey(tv.Type); key != "" {
+						sizePins[key] = true
+					}
+				}
+			}
+			return true
+		})
 	}
 }
 
 // checkWireTypes applies the quartet/fuzz/size rules to every named type
 // the package declares in non-test files.
-func checkWireTypes(mp *analysis.ModulePass, pkg *analysis.Package, fuzzRefs, sizePins map[string]bool) {
+func checkWireTypes(pass *analysis.Pass, pkg *analysis.Package, fuzzRefs, sizePins map[string]bool) {
 	for _, f := range pkg.Files {
-		if strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go") {
+		if pkg.IsTestFile(f.Pos()) {
 			continue
 		}
 		for _, d := range f.Decls {
@@ -142,13 +136,13 @@ func checkWireTypes(mp *analysis.ModulePass, pkg *analysis.Package, fuzzRefs, si
 				if !ok {
 					continue
 				}
-				checkType(mp, pkg, ts, named, fuzzRefs, sizePins)
+				checkType(pass, pkg, ts, named, fuzzRefs, sizePins)
 			}
 		}
 	}
 }
 
-func checkType(mp *analysis.ModulePass, pkg *analysis.Package, ts *ast.TypeSpec, named *types.Named, fuzzRefs, sizePins map[string]bool) {
+func checkType(pass *analysis.Pass, pkg *analysis.Package, ts *ast.TypeSpec, named *types.Named, fuzzRefs, sizePins map[string]bool) {
 	have := map[string]bool{}
 	hasSize := false
 	for i := 0; i < named.NumMethods(); i++ {
@@ -172,19 +166,19 @@ func checkType(mp *analysis.ModulePass, pkg *analysis.Package, ts *ast.TypeSpec,
 			}
 		}
 		sort.Strings(missing)
-		mp.Reportf(ts.Pos(), "wire type %s implements %s but not %s; board-crossing types implement the full MarshalBinary/UnmarshalBinary/WriteTo/ReadFrom quartet",
+		pass.Reportf(ts.Pos(), "wire type %s implements %s but not %s; board-crossing types implement the full MarshalBinary/UnmarshalBinary/WriteTo/ReadFrom quartet",
 			named.Obj().Name(), joinHave(have), strings.Join(missing, ", "))
 		return
 	}
 	key := taint.TypeKey(named.Obj())
 	if !hasSize {
-		mp.Reportf(ts.Pos(), "wire type %s has no EncodedSize method; the wire-size model must be explicit for byte accounting", named.Obj().Name())
+		pass.Reportf(ts.Pos(), "wire type %s has no EncodedSize method; the wire-size model must be explicit for byte accounting", named.Obj().Name())
 	}
 	if !fuzzRefs[key] {
-		mp.Reportf(ts.Pos(), "wire type %s has no Fuzz target exercising its codec; hostile bytes must reach UnmarshalBinary/ReadFrom", named.Obj().Name())
+		pass.Reportf(ts.Pos(), "wire type %s has no Fuzz target exercising its codec; hostile bytes must reach UnmarshalBinary/ReadFrom", named.Obj().Name())
 	}
 	if hasSize && !sizePins[key] {
-		mp.Reportf(ts.Pos(), "wire type %s: EncodedSize is not pinned by any test; the size model can drift silently", named.Obj().Name())
+		pass.Reportf(ts.Pos(), "wire type %s: EncodedSize is not pinned by any test; the size model can drift silently", named.Obj().Name())
 	}
 }
 
@@ -200,10 +194,10 @@ func joinHave(have map[string]bool) string {
 
 // checkPayloads flags codec-less payload expressions at board publication
 // calls in non-test files.
-func checkPayloads(mp *analysis.ModulePass, pkg *analysis.Package) {
+func checkPayloads(pass *analysis.Pass, pkg *analysis.Package) {
 	boardNames := map[string]bool{"Post": true, "Publish": true, "Broadcast": true}
 	for _, f := range pkg.Files {
-		if strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go") {
+		if pkg.IsTestFile(f.Pos()) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -211,13 +205,13 @@ func checkPayloads(mp *analysis.ModulePass, pkg *analysis.Package) {
 			if !ok {
 				return true
 			}
-			fn := callee(pkg, call)
-			if fn == nil || fn.Pkg() == nil || !boardNames[fn.Name()] || !boardPkg(fn.Pkg().Path()) {
+			fn := pkg.Callee(call)
+			if fn == nil || fn.Pkg() == nil || !boardNames[fn.Name()] || !analysis.BoardPkg(fn.Pkg().Path()) {
 				return true
 			}
 			for _, arg := range call.Args {
 				if reason := codecless(pkg, arg); reason != "" {
-					mp.Reportf(arg.Pos(), "codec-less board payload %s: wire bytes come from a codec (MarshalBinary/encodeWire), not from text", reason)
+					pass.Reportf(arg.Pos(), "codec-less board payload %s: wire bytes come from a codec (MarshalBinary/encodeWire), not from text", reason)
 				}
 			}
 			return true
@@ -243,7 +237,7 @@ func codecless(pkg *analysis.Package, arg ast.Expr) string {
 		}
 		return ""
 	}
-	if fn := callee(pkg, call); fn != nil && fn.Pkg() != nil &&
+	if fn := pkg.Callee(call); fn != nil && fn.Pkg() != nil &&
 		fn.Pkg().Path() == "fmt" && strings.HasPrefix(fn.Name(), "Append") {
 		return "fmt." + fn.Name() + "(…)"
 	}
@@ -269,32 +263,4 @@ func namedKey(t types.Type) string {
 		return taint.TypeKey(n.Obj())
 	}
 	return ""
-}
-
-func boardPkg(path string) bool {
-	return taint.PathHasSegment(path, "transport") ||
-		taint.PathHasSegment(path, "comm") ||
-		taint.PathHasSegment(path, "yoso") ||
-		taint.PathHasSegment(path, "board")
-}
-
-// callee resolves the static callee of a call, if any.
-func callee(pkg *analysis.Package, call *ast.CallExpr) *types.Func {
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := pkg.Info.Uses[f].(*types.Func); ok {
-			return fn
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := pkg.Info.Selections[f]; ok {
-			if fn, ok := sel.Obj().(*types.Func); ok {
-				return fn
-			}
-			return nil
-		}
-		if fn, ok := pkg.Info.Uses[f.Sel].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
 }

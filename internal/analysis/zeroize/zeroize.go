@@ -63,7 +63,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc:        "secret buffers must be wiped before leaving scope: flag unwiped drops, undocumented owner transfers, and captures",
 	Directives: []string{"owner", "ignore"},
 	Markers:    []string{"secret"},
-	RunModule:  run,
+	Run:        run,
 }
 
 // BuiltinSourceFuncs are the append-style codecs whose result holds the
@@ -76,23 +76,7 @@ var BuiltinSourceFuncs = map[string]bool{
 	"yosompc/internal/tte.Codec.AppendSubShare": true,
 }
 
-// gatedSegments are the crypto-bearing package path segments the
-// obligation model applies to.
-var gatedSegments = []string{"core", "committee", "sharing", "pke", "paillier", "tte", "nizk", "field", "yoso"}
-
-func gated(path string) bool {
-	if strings.HasSuffix(path, "_test") {
-		return false
-	}
-	for _, seg := range gatedSegments {
-		if taint.PathHasSegment(path, seg) {
-			return true
-		}
-	}
-	return false
-}
-
-func run(mp *analysis.ModulePass) error {
+func run(pass *analysis.Pass) error {
 	// The taint engine is used purely as the secret-source classifier
 	// here: builtin secret types plus //yosolint:secret marks across the
 	// whole load decide which receivers' Bytes/Decrypt results are secret
@@ -101,23 +85,18 @@ func run(mp *analysis.ModulePass) error {
 		SecretTypes:  secretflow.BuiltinSecretTypes,
 		SecretFields: secretflow.BuiltinSecretFields,
 	})
-	for _, pkg := range mp.Packages {
+	for _, pkg := range pass.Packages {
 		secretflow.MarkSecrets(eng, pkg)
 	}
-	for _, pkg := range mp.Packages {
-		if pkg.DepOnly || pkg.Types == nil || !gated(pkg.Types.Path()) {
+	for _, pkg := range pass.Targets {
+		// External test packages pass the gate but hold only test files.
+		if pkg.Types == nil || !analysis.CryptoBearing(pkg.Types.Path()) {
 			continue
 		}
-		c := &checker{mp: mp, eng: eng, pkg: pkg, reported: map[token.Pos]bool{}}
-		for _, f := range pkg.Files {
-			name := pkg.Fset.Position(f.Pos()).Filename
-			if strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-					c.funcBody(fd)
-				}
+		c := &checker{pass: pass, eng: eng, pkg: pkg, reported: map[token.Pos]bool{}}
+		for _, fn := range pkg.Funcs() {
+			if !fn.Test {
+				c.funcBody(fn.Decl)
 			}
 		}
 	}
@@ -125,7 +104,7 @@ func run(mp *analysis.ModulePass) error {
 }
 
 type checker struct {
-	mp       *analysis.ModulePass
+	pass     *analysis.Pass
 	eng      *taint.Engine
 	pkg      *analysis.Package
 	reported map[token.Pos]bool
@@ -136,7 +115,7 @@ func (c *checker) reportOnce(pos token.Pos, format string, args ...interface{}) 
 		return
 	}
 	c.reported[pos] = true
-	c.mp.Reportf(pos, format, args...)
+	c.pass.Reportf(pos, format, args...)
 }
 
 // obligation is one secret buffer bound to a local variable.
@@ -430,7 +409,7 @@ func (w *walker) longLived(target ast.Expr) bool {
 	default:
 		return false
 	}
-	base := baseObject(w.c.pkg, target)
+	base := w.c.pkg.BaseObject(target)
 	if base == nil {
 		return false
 	}
@@ -480,7 +459,7 @@ func terminates(pkg *analysis.Package, n ast.Node) bool {
 // randomness sampler, Bytes/Decrypt on a secret-typed receiver, or a
 // builtin append-style secret codec, in every case returning a slice.
 func (c *checker) isSource(call *ast.CallExpr) bool {
-	fn := resolveCallee(c.pkg, call)
+	fn := c.pkg.Callee(call)
 	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
@@ -490,7 +469,7 @@ func (c *checker) isSource(call *ast.CallExpr) bool {
 	}
 	name := fn.Name()
 	if sig.Recv() == nil {
-		return taint.PathHasSegment(fn.Pkg().Path(), "field") &&
+		return analysis.PathHasSegment(fn.Pkg().Path(), "field") &&
 			(strings.HasPrefix(name, "Random") || strings.HasPrefix(name, "MustRandom"))
 	}
 	if BuiltinSourceFuncs[taint.FuncKey(fn)] {
@@ -537,10 +516,7 @@ func localTarget(pkg *analysis.Package, decl *ast.FuncDecl, e ast.Expr) types.Ob
 	if !ok || id.Name == "_" {
 		return nil
 	}
-	o := pkg.Info.Defs[id]
-	if o == nil {
-		o = pkg.Info.Uses[id]
-	}
+	o := pkg.Info.ObjectOf(id)
 	if o == nil {
 		return nil
 	}
@@ -612,54 +588,4 @@ func mentionsObj(pkg *analysis.Package, ret *ast.ReturnStmt, obj types.Object) b
 		}
 	}
 	return false
-}
-
-// baseObject finds the root identifier's object behind a chain of
-// selectors, indexes, derefs and parens.
-func baseObject(pkg *analysis.Package, e ast.Expr) types.Object {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			if o := pkg.Info.Uses[x]; o != nil {
-				return o
-			}
-			return pkg.Info.Defs[x]
-		case *ast.SelectorExpr:
-			if id, ok := x.X.(*ast.Ident); ok {
-				if _, isPkg := pkg.Info.Uses[id].(*types.PkgName); isPkg {
-					return pkg.Info.Uses[x.Sel]
-				}
-			}
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
-// resolveCallee resolves the static callee of a call, if any.
-func resolveCallee(pkg *analysis.Package, call *ast.CallExpr) *types.Func {
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := pkg.Info.Uses[f].(*types.Func); ok {
-			return fn
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := pkg.Info.Selections[f]; ok {
-			if fn, ok := sel.Obj().(*types.Func); ok {
-				return fn
-			}
-			return nil
-		}
-		if fn, ok := pkg.Info.Uses[f.Sel].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
 }

@@ -33,8 +33,9 @@ type Domain struct {
 
 	// genRows[i] is the coefficient row mapping the basis values
 	// (secrets at the k slot points ‖ randomness at 1..d+1-k) to party
-	// i+1's share — the n×(d+1) share-generation matrix, exactly the
-	// l_j(i) vectors of PackingLagrangeCoeffs.
+	// i+1's share — the n×(d+1) share-generation matrix. With d = t+k-1
+	// its rows are exactly the l_j(i) coefficient vectors of the
+	// homomorphic packing in offline Step 4 (read through ShareRow).
 	genRows [][]field.Element
 }
 

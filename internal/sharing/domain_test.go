@@ -185,22 +185,34 @@ func TestConstantPackedMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestPackingLagrangeCoeffsMatchesReference pins both the cached-domain
-// route and the out-of-envelope fallback against per-row LagrangeCoeffs,
-// and checks that returned rows are safely mutable.
+// TestPackingLagrangeCoeffsMatchesReference pins the domain's share rows —
+// the packing coefficients core reads through ShareRow — against per-row
+// LagrangeCoeffs, and the shapes whose packed degree t+k-1 exceeds what n
+// parties could reconstruct are refused rather than served.
 func TestPackingLagrangeCoeffsMatchesReference(t *testing.T) {
-	shapes := []struct{ k, t, n int }{
-		{1, 0, 1},  // domain route, degenerate
-		{2, 3, 8},  // domain route
-		{3, 0, 5},  // domain route, d = k-1
-		{2, 5, 4},  // fallback: degree t+k-1 = 6 > n-1
-		{1, 4, 3},  // fallback
-		{4, 13, 9}, // fallback
+	shapes := []struct {
+		k, t, n int
+		valid   bool
+	}{
+		{1, 0, 1, true}, // degenerate
+		{2, 3, 8, true},
+		{3, 0, 5, true},   // d = k-1
+		{2, 5, 4, false},  // degree t+k-1 = 6 > n-1
+		{1, 4, 3, false},  // likewise
+		{4, 13, 9, false}, // likewise
+		{0, 1, 4, false},  // k = 0
+		{1, -1, 4, false}, // t = -1
 	}
 	for _, s := range shapes {
-		rows, err := PackingLagrangeCoeffs(s.k, s.t, s.n)
+		dom, err := GetDomain(s.k, s.t+s.k-1, s.n)
+		if !s.valid {
+			if err == nil {
+				t.Errorf("GetDomain accepted shape %+v", s)
+			}
+			continue
+		}
 		if err != nil {
-			t.Fatalf("PackingLagrangeCoeffs(%+v): %v", s, err)
+			t.Fatalf("GetDomain(%+v): %v", s, err)
 		}
 		xs := SlotPoints(s.k)
 		for i := 1; i <= s.t; i++ {
@@ -211,30 +223,10 @@ func TestPackingLagrangeCoeffsMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !field.EqualVec(rows[i-1], want) {
+			if !field.EqualVec(dom.ShareRow(i), want) {
 				t.Fatalf("shape %+v row %d differs from LagrangeCoeffs", s, i)
 			}
 		}
-	}
-	// Mutating a returned row must not poison the cache.
-	rows, err := PackingLagrangeCoeffs(2, 3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	saved := field.CloneVec(rows[0])
-	rows[0][0] = rows[0][0].Add(field.One)
-	again, err := PackingLagrangeCoeffs(2, 3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !field.EqualVec(again[0], saved) {
-		t.Fatal("mutating a PackingLagrangeCoeffs row corrupted the cached domain")
-	}
-	if _, err := PackingLagrangeCoeffs(0, 1, 4); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := PackingLagrangeCoeffs(1, -1, 4); err == nil {
-		t.Error("t=-1 accepted")
 	}
 }
 

@@ -248,46 +248,3 @@ func MulShares(a, b []Share) ([]Share, error) {
 	}
 	return out, nil
 }
-
-// PackingLagrangeCoeffs returns, for each target share index i in 1..n, the
-// coefficient vector applied to the points
-//
-//	(slot_1..slot_k carrying the secrets, x=1..t carrying random padding)
-//
-// to obtain the packed share f(i) — exactly the l_j(i) vectors used in the
-// homomorphic packing of offline Step 4. The returned matrix has n rows of
-// t+k coefficients.
-//
-// The rows are served from the cached evaluation domain for (k, t+k-1, n)
-// when that shape is valid, so repeated offline batches pay the O(n·(t+k))
-// matrix construction once per process instead of O(n·(t+k)²) per call.
-// Rows are cloned: callers may mutate them freely.
-func PackingLagrangeCoeffs(k, t, n int) ([][]field.Element, error) {
-	if k < 1 || t < 0 {
-		return nil, fmt.Errorf("sharing: packing coeffs: invalid k=%d t=%d", k, t)
-	}
-	d := t + k - 1
-	if validateParams(n, d, k) == nil {
-		dom, err := GetDomain(k, d, n)
-		if err != nil {
-			return nil, err
-		}
-		rows := make([][]field.Element, n)
-		for i := range rows {
-			rows[i] = field.CloneVec(dom.genRows[i])
-		}
-		return rows, nil
-	}
-	// Shapes outside the domain engine's envelope (e.g. t+k > n, where the
-	// packed degree exceeds what n parties could reconstruct) keep working
-	// as before, via a one-off barycentric weight computation.
-	xs := SlotPoints(k)
-	for i := 1; i <= t; i++ {
-		xs = append(xs, field.New(uint64(i)))
-	}
-	ws, err := poly.BarycentricWeights(xs)
-	if err != nil {
-		return nil, err
-	}
-	return poly.EvalRowsFromWeights(xs, ws, ShareIndexPoints(n)), nil
-}

@@ -262,20 +262,21 @@ func TestValidateParams(t *testing.T) {
 }
 
 func TestPackingLagrangeCoeffs(t *testing.T) {
-	// The coefficient matrix applied to (secrets, padding) must produce
-	// valid packed shares: reconstructing from them recovers the secrets.
+	// The domain's share rows — the l_j(i) packing coefficients of offline
+	// Step 4 — applied to (secrets, padding) must produce valid packed
+	// shares: reconstructing from them recovers the secrets.
 	const k, tt, n = 3, 2, 10
 	d := tt + k - 1
 	secrets := secretsOf(5, 10, 15)
 	padding := secretsOf(1234, 5678)
-	rows, err := PackingLagrangeCoeffs(k, tt, n)
+	dom, err := GetDomain(k, d, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	points := append(field.CloneVec(secrets), padding...)
 	shares := make([]Share, n)
 	for i := 0; i < n; i++ {
-		shares[i] = Share{Index: i + 1, Value: field.InnerProduct(rows[i], points)}
+		shares[i] = Share{Index: i + 1, Value: field.InnerProduct(dom.ShareRow(i+1), points)}
 	}
 	got, err := ReconstructPacked(shares[:d+1], d, k)
 	if err != nil {
@@ -287,10 +288,11 @@ func TestPackingLagrangeCoeffs(t *testing.T) {
 }
 
 func TestPackingLagrangeCoeffsInvalid(t *testing.T) {
-	if _, err := PackingLagrangeCoeffs(0, 1, 4); err == nil {
+	// k=0, t=1 and k=1, t=-1, as degrees d = t+k-1.
+	if _, err := GetDomain(0, 1+0-1, 4); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, err := PackingLagrangeCoeffs(1, -1, 4); err == nil {
+	if _, err := GetDomain(1, -1+1-1, 4); err == nil {
 		t.Error("accepted t=-1")
 	}
 }

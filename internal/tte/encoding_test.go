@@ -1,6 +1,8 @@
 package tte
 
 import (
+	"encoding/binary"
+	"errors"
 	"math/big"
 	"testing"
 
@@ -176,5 +178,58 @@ func TestEncodeBigNegative(t *testing.T) {
 	}
 	if fields[0] != 1 || fields[1] != 2 || fields[2] != 3 {
 		t.Errorf("fields = %v", fields)
+	}
+}
+
+// TestPublicKeyInfoRoundTrip decodes both backends' announcements back to
+// the parameters KeyGen was given, and checks that the untrusted-bytes
+// decoder refuses everything the encoder cannot have produced.
+func TestPublicKeyInfoRoundTrip(t *testing.T) {
+	for name, s := range codecBackends(t) {
+		t.Run(name, func(t *testing.T) {
+			pk, _, err := s.KeyGen(5, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf, err := s.EncodePublicKey(pk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, th, ctBytes, err := DecodePublicKeyInfo(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != 5 || th != 2 {
+				t.Errorf("decoded n=%d t=%d, want 5 and 2", n, th)
+			}
+			if want := max(pubInfoHeader, ctBytes/2); len(buf) != want {
+				t.Errorf("announcement is %d bytes, the decoded width %d pins %d", len(buf), ctBytes, want)
+			}
+
+			patch := func(off int, v uint32) []byte {
+				out := append([]byte(nil), buf...)
+				binary.BigEndian.PutUint32(out[off:], v)
+				return out
+			}
+			wrongTag := append([]byte(nil), buf...)
+			wrongTag[0] = tagKeyShare
+			bad := map[string][]byte{
+				"empty":       nil,
+				"truncated":   buf[:pubInfoHeader-1],
+				"one short":   buf[:len(buf)-1],
+				"over-long":   append(append([]byte(nil), buf...), 0),
+				"wrong tag":   wrongTag,
+				"n = 0":       patch(1, 0),
+				"t = n":       patch(5, 5),
+				"t > n":       patch(5, 6),
+				"wider ct":    patch(9, uint32(ctBytes)+2),
+				"narrower ct": patch(9, uint32(ctBytes)-2),
+			}
+			for what, data := range bad {
+				if _, _, _, err := DecodePublicKeyInfo(data); !errors.Is(err, ErrMalformedMessage) {
+					t.Errorf("%s: err = %v, want ErrMalformedMessage", what, err)
+				}
+			}
+		})
 	}
 }

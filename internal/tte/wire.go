@@ -158,8 +158,12 @@ func (s *Sim) EncodePublicKey(pk PublicKey) ([]byte, error) {
 	return encodePubInfo(spk.n, spk.t, spk.ctBytes), nil
 }
 
+// pubInfoHeader is the announcement's fixed part: tag, n, t, ciphertext
+// width.
+const pubInfoHeader = 13
+
 func encodePubInfo(n, t, ctBytes int) []byte {
-	buf := make([]byte, 0, 13)
+	buf := make([]byte, 0, pubInfoHeader)
 	buf = append(buf, tagPubInfo)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(t))
@@ -169,9 +173,12 @@ func encodePubInfo(n, t, ctBytes int) []byte {
 
 // DecodePublicKeyInfo parses a public-key announcement into its metadata
 // (n, t, ciphertext width). It is backend-independent: auditors use it to
-// validate board traffic without dealer state.
+// validate board traffic without dealer state. The bytes are untrusted, so
+// everything KeyGen would refuse is refused here too — an empty committee,
+// a threshold the committee cannot meet — as is any length other than the
+// one the announced ciphertext width pins, max(13, ctBytes/2).
 func DecodePublicKeyInfo(data []byte) (n, t, ctBytes int, err error) {
-	if len(data) < 13 {
+	if len(data) < pubInfoHeader {
 		return 0, 0, 0, fmt.Errorf("%w: short public key announcement", ErrMalformedMessage)
 	}
 	if data[0] != tagPubInfo {
@@ -180,5 +187,11 @@ func DecodePublicKeyInfo(data []byte) (n, t, ctBytes int, err error) {
 	n = int(binary.BigEndian.Uint32(data[1:]))
 	t = int(binary.BigEndian.Uint32(data[5:]))
 	ctBytes = int(binary.BigEndian.Uint32(data[9:]))
+	if n < 1 || t >= n {
+		return 0, 0, 0, fmt.Errorf("%w: public key announces n=%d t=%d", ErrMalformedMessage, n, t)
+	}
+	if want := max(pubInfoHeader, ctBytes/2); len(data) != want {
+		return 0, 0, 0, fmt.Errorf("%w: public key announcement must be %d bytes, got %d", ErrMalformedMessage, want, len(data))
+	}
 	return n, t, ctBytes, nil
 }

@@ -231,63 +231,64 @@ type Result struct {
 	Rounds int
 }
 
-// FromConfig builds core protocol parameters from a Config.
-func (c Config) coreParams() (core.Params, error) {
+// backends selects what a Config names for either protocol: the adversary
+// and the threshold-encryption / role-encryption pair.
+func (c Config) backends() (*yoso.Adversary, core.TE, pke.Scheme, error) {
 	var adv *yoso.Adversary
 	if c.Malicious > 0 || c.FailStops > 0 || c.Leaky > 0 {
 		adv = &yoso.Adversary{Malicious: c.Malicious, FailStops: c.FailStops, Leaky: c.Leaky, Seed: c.Seed}
 	}
-	params := core.Params{
-		N: c.N, T: c.T, K: c.K, Adversary: adv, Robust: c.Robust, Workers: c.Workers,
-		Trace: c.Trace, Metrics: c.Metrics, Proc: c.Proc,
+	if c.Backend != Real {
+		return adv, tte.NewSim(2048), pke.NewSim(), nil
 	}
-	switch c.Backend {
-	case Real:
-		te, err := tte.NewThreshold(paillier.FixedTestKey(0))
-		if err != nil {
-			return core.Params{}, err
-		}
-		params.TE = te
-		params.PKE = pke.NewECIES()
-	default:
-		params.TE = tte.NewSim(2048)
-		params.PKE = pke.NewSim()
+	te, err := tte.NewThreshold(paillier.FixedTestKey(0))
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return params, nil
+	return adv, te, pke.NewECIES(), nil
 }
 
-// attachMonitor subscribes the configured progress monitor to the run's
-// board (and its metrics to the configured registry). Nil-safe throughout.
-func attachMonitor(cfg Config, board *transport.Board) {
-	if cfg.Monitor == nil {
-		return
+// newProtocol builds the core protocol a Config describes and attaches
+// everything that observes its board — the progress monitor and, when
+// MirrorAddr is set, the live mirror — in one place, so Run and the
+// Prepare/Execute split cannot drift apart. The returned function
+// releases the mirror's connection (a no-op without one); the caller
+// invokes it once the board has taken its last posting.
+func newProtocol(cfg Config, circ *Circuit) (*core.Protocol, func(), error) {
+	adv, te, enc, err := cfg.backends()
+	if err != nil {
+		return nil, nil, err
 	}
-	cfg.Monitor.Instrument(cfg.Metrics)
-	cfg.Monitor.AttachBoard(board)
+	proto, err := core.New(core.Params{
+		N: cfg.N, T: cfg.T, K: cfg.K, TE: te, PKE: enc, Adversary: adv, Robust: cfg.Robust,
+		Workers: cfg.Workers, Trace: cfg.Trace, Metrics: cfg.Metrics, Proc: cfg.Proc,
+	}, circ, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	if cfg.Monitor != nil {
+		cfg.Monitor.Instrument(cfg.Metrics)
+		cfg.Monitor.AttachBoard(proto.Board())
+	}
+	if cfg.MirrorAddr == "" {
+		return proto, func() {}, nil
+	}
+	mirror, err := transport.AttachMirror(proto.Board(), cfg.MirrorAddr)
+	if err != nil {
+		return nil, nil, err
+	}
+	mirror.Instrument(cfg.Metrics)
+	return proto, func() { _ = mirror.Close() }, nil
 }
 
 // Run executes the paper's packed YOSO MPC protocol on the circuit with
 // the given per-client inputs.
 func Run(cfg Config, circ *Circuit, inputs map[int][]Value) (*Result, error) {
-	params, err := cfg.coreParams()
+	proto, closeMirror, err := newProtocol(cfg, circ)
 	if err != nil {
 		return nil, err
 	}
-	proto, err := core.New(params, circ, nil)
-	if err != nil {
-		return nil, err
-	}
-	attachMonitor(cfg, proto.Board())
-	if cfg.MirrorAddr != "" {
-		mirror, err := transport.AttachMirror(proto.Board(), cfg.MirrorAddr)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Metrics != nil {
-			mirror.Instrument(cfg.Metrics)
-		}
-		defer func() { _ = mirror.Close() }()
-	}
+	defer closeMirror()
 	res, err := proto.Run(inputs)
 	if err != nil {
 		return nil, err
@@ -298,27 +299,26 @@ func Run(cfg Config, circ *Circuit, inputs map[int][]Value) (*Result, error) {
 // Prepared carries the outcome of the preprocessing phases, ready for one
 // online execution.
 type Prepared struct {
-	inner *core.Prepared
+	inner       *core.Prepared
+	closeMirror func()
 }
 
 // Prepare runs the setup and offline phases ahead of time; the returned
 // value supports exactly one Execute once inputs are known. This is the
-// deployment-realistic split the offline/online paradigm is about.
+// deployment-realistic split the offline/online paradigm is about. A
+// configured monitor and mirror observe both halves; the mirror's
+// connection stays open until Execute returns.
 func Prepare(cfg Config, circ *Circuit) (*Prepared, error) {
-	params, err := cfg.coreParams()
+	proto, closeMirror, err := newProtocol(cfg, circ)
 	if err != nil {
 		return nil, err
 	}
-	proto, err := core.New(params, circ, nil)
-	if err != nil {
-		return nil, err
-	}
-	attachMonitor(cfg, proto.Board())
 	inner, err := proto.Prepare()
 	if err != nil {
+		closeMirror()
 		return nil, err
 	}
-	return &Prepared{inner: inner}, nil
+	return &Prepared{inner: inner, closeMirror: closeMirror}, nil
 }
 
 // OfflineReport returns the bytes spent by setup + offline so far.
@@ -326,6 +326,7 @@ func (p *Prepared) OfflineReport() Report { return p.inner.OfflineReport() }
 
 // Execute runs the online phase; the preprocessing is single-use.
 func (p *Prepared) Execute(inputs map[int][]Value) (*Result, error) {
+	defer p.closeMirror()
 	res, err := p.inner.Execute(inputs)
 	if err != nil {
 		return nil, err
@@ -336,24 +337,11 @@ func (p *Prepared) Execute(inputs map[int][]Value) (*Result, error) {
 // RunBaseline executes the CDN-style baseline (Gentry et al., CRYPTO 2021)
 // with committee size N and threshold T; K is ignored.
 func RunBaseline(cfg Config, circ *Circuit, inputs map[int][]Value) (*Result, error) {
-	var adv *yoso.Adversary
-	if cfg.Malicious > 0 || cfg.FailStops > 0 || cfg.Leaky > 0 {
-		adv = &yoso.Adversary{Malicious: cfg.Malicious, FailStops: cfg.FailStops, Leaky: cfg.Leaky, Seed: cfg.Seed}
+	adv, te, enc, err := cfg.backends()
+	if err != nil {
+		return nil, err
 	}
-	params := baseline.Params{N: cfg.N, T: cfg.T, Adversary: adv}
-	switch cfg.Backend {
-	case Real:
-		te, err := tte.NewThreshold(paillier.FixedTestKey(0))
-		if err != nil {
-			return nil, err
-		}
-		params.TE = te
-		params.PKE = pke.NewECIES()
-	default:
-		params.TE = tte.NewSim(2048)
-		params.PKE = pke.NewSim()
-	}
-	proto, err := baseline.New(params, circ, nil)
+	proto, err := baseline.New(baseline.Params{N: cfg.N, T: cfg.T, TE: te, PKE: enc, Adversary: adv}, circ, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -168,43 +168,59 @@ func TestFacadePrepareExecute(t *testing.T) {
 }
 
 func TestFacadeMirror(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	server := transport.Serve(ln)
-	defer server.Close()
-
 	circ, err := InnerProduct(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{N: 6, T: 1, K: 1, Backend: Sim, MirrorAddr: server.Addr()}
-	res, err := Run(cfg, circ, map[int][]Value{0: Values(1, 2), 1: Values(3, 4)})
-	if err != nil {
-		t.Fatal(err)
+	inputs := map[int][]Value{0: Values(1, 2), 1: Values(3, 4)}
+	// Both ways through the facade must reach the mirror: the one-shot Run
+	// and the deployment-realistic Prepare → Execute split.
+	paths := map[string]func(Config) (*Result, error){
+		"Run": func(cfg Config) (*Result, error) { return Run(cfg, circ, inputs) },
+		"PrepareExecute": func(cfg Config) (*Result, error) {
+			prep, err := Prepare(cfg, circ)
+			if err != nil {
+				return nil, err
+			}
+			return prep.Execute(inputs)
+		},
 	}
-	// Every local posting reached the remote board with identical byte
-	// accounting.
-	if int64(server.Len()) != res.Report.Postings {
-		t.Errorf("remote postings %d, local %d", server.Len(), res.Report.Postings)
-	}
-	// The server meters what it measures on received payloads, never a
-	// claimed size — so the full per-phase, per-category breakdown must
-	// reproduce the in-process report exactly.
-	if remote := server.Report(); !reflect.DeepEqual(remote, res.Report) {
-		t.Errorf("remote report %+v\nlocal report %+v", remote, res.Report)
-	}
-	// And the mirrored entries carry the real encoded bytes, not stubs.
-	var payloadSum int64
-	for _, e := range server.Entries(0) {
-		if e.Size != len(e.Payload) {
-			t.Fatalf("entry #%d: Size %d but %d payload bytes", e.Seq, e.Size, len(e.Payload))
-		}
-		payloadSum += int64(len(e.Payload))
-	}
-	if payloadSum != res.Report.Total {
-		t.Errorf("entry payloads sum to %d bytes, local report says %d", payloadSum, res.Report.Total)
+	for name, run := range paths {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			server := transport.Serve(ln)
+			defer server.Close()
+
+			res, err := run(Config{N: 6, T: 1, K: 1, Backend: Sim, MirrorAddr: server.Addr()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Every local posting reached the remote board with identical
+			// byte accounting.
+			if int64(server.Len()) != res.Report.Postings {
+				t.Errorf("remote postings %d, local %d", server.Len(), res.Report.Postings)
+			}
+			// The server meters what it measures on received payloads, never
+			// a claimed size — so the full per-phase, per-category breakdown
+			// must reproduce the in-process report exactly.
+			if remote := server.Report(); !reflect.DeepEqual(remote, res.Report) {
+				t.Errorf("remote report %+v\nlocal report %+v", remote, res.Report)
+			}
+			// And the mirrored entries carry the real encoded bytes, not stubs.
+			var payloadSum int64
+			for _, e := range server.Entries(0) {
+				if e.Size != len(e.Payload) {
+					t.Fatalf("entry #%d: Size %d but %d payload bytes", e.Seq, e.Size, len(e.Payload))
+				}
+				payloadSum += int64(len(e.Payload))
+			}
+			if payloadSum != res.Report.Total {
+				t.Errorf("entry payloads sum to %d bytes, local report says %d", payloadSum, res.Report.Total)
+			}
+		})
 	}
 }
 
