@@ -7,6 +7,7 @@ import (
 
 	"yosompc/internal/comm"
 	"yosompc/internal/pke"
+	"yosompc/internal/tte"
 	"yosompc/internal/yoso"
 )
 
@@ -63,26 +64,30 @@ func (r *run) setup() error {
 	depth := r.p.circ.Depth()
 	r.kffClient = map[int]*kffEntry{}
 	if !p.NoKFF {
-		r.kffLayer = make([][]kffEntry, depth)
+		var owners []string
 		for l := 0; l < depth; l++ {
-			r.kffLayer[l] = make([]kffEntry, p.N)
 			for i := 0; i < p.N; i++ {
-				entry, err := r.newKFF(fmt.Sprintf("on-layer%d/%d", l+1, i+1))
-				if err != nil {
-					return err
-				}
-				r.kffLayer[l][i] = *entry
+				owners = append(owners, fmt.Sprintf("on-layer%d/%d", l+1, i+1))
 			}
 		}
+		var kffClients []int
 		for _, id := range r.p.circ.Clients() {
 			if r.p.circ.InputCount(id) == 0 {
 				continue // only input-contributing parties get a KFF (§5.1)
 			}
-			entry, err := r.newKFF(fmt.Sprintf("client/%d", id))
-			if err != nil {
-				return err
-			}
-			r.kffClient[id] = entry
+			kffClients = append(kffClients, id)
+			owners = append(owners, fmt.Sprintf("client/%d", id))
+		}
+		entries, err := r.mintKFFs(owners)
+		if err != nil {
+			return err
+		}
+		r.kffLayer = make([][]kffEntry, depth)
+		for l := range r.kffLayer {
+			r.kffLayer[l] = entries[l*p.N : (l+1)*p.N]
+		}
+		for j, id := range kffClients {
+			r.kffClient[id] = &entries[depth*p.N+j]
 		}
 	}
 
@@ -90,24 +95,36 @@ func (r *run) setup() error {
 	return nil
 }
 
-// newKFF mints one key-for-future: publish pk, TEnc(tpk, sk).
-func (r *run) newKFF(owner string) (*kffEntry, error) {
+// mintKFFs mints one key-for-future per owner — publish pk, TEnc(tpk, sk)
+// — posting in owner order. The key pairs are generated first so that the
+// TEncs, the only big-integer work in setup, run as one batch over the
+// worker pool.
+func (r *run) mintKFFs(owners []string) ([]kffEntry, error) {
 	p := r.p.params
-	pub, sec, err := p.PKE.GenerateKey()
-	if err != nil {
-		return nil, fmt.Errorf("KFF keygen for %s: %w", owner, err)
+	entries := make([]kffEntry, len(owners))
+	secrets := make([]*big.Int, len(owners))
+	for i, owner := range owners {
+		pub, sec, err := p.PKE.GenerateKey()
+		if err != nil {
+			return nil, fmt.Errorf("KFF keygen for %s: %w", owner, err)
+		}
+		skBytes := sec.Bytes()
+		secrets[i] = new(big.Int).SetBytes(skBytes)
+		clear(skBytes)
+		entries[i].pub = pub
 	}
-	skBytes := sec.Bytes()
-	skInt := new(big.Int).SetBytes(skBytes)
-	clear(skBytes)
-	ct, err := p.TE.Encrypt(r.rt.TPK, skInt, kffSecretBound)
+	cts, err := tte.EncryptAll(p.TE, r.rt.TPK, secrets, kffSecretBound, r.rt.Workers)
+	clear(secrets)
 	if err != nil {
-		return nil, fmt.Errorf("TEnc of KFF secret for %s: %w", owner, err)
+		return nil, fmt.Errorf("TEnc of KFF secrets: %w", err)
 	}
-	enc, err := p.TE.AppendCiphertext(pub.Bytes(), ct)
-	if err != nil {
-		return nil, fmt.Errorf("encoding KFF ciphertext for %s: %w", owner, err)
+	for i, owner := range owners {
+		entries[i].secretCt = cts[i]
+		enc, err := p.TE.AppendCiphertext(entries[i].pub.Bytes(), cts[i])
+		if err != nil {
+			return nil, fmt.Errorf("encoding KFF ciphertext for %s: %w", owner, err)
+		}
+		r.p.board.Post("setup", comm.PhaseSetup, comm.CatKFF, enc)
 	}
-	r.p.board.Post("setup", comm.PhaseSetup, comm.CatKFF, enc)
-	return &kffEntry{pub: pub, secretCt: ct}, nil
+	return entries, nil
 }

@@ -224,3 +224,30 @@ func TestTelemetryDisabledRunUnchanged(t *testing.T) {
 		t.Fatalf("outputs = %v", res.Outputs)
 	}
 }
+
+// TestTelemetryTableCacheCounters: every TEnc of a real-backend run reads
+// its randomizer off a fixed-base table, so the run's registry sees table
+// hits and no miss (nothing in an honest run goes through the promoting
+// cache); a Sim run touches neither counter.
+func TestTelemetryTableCacheCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real-crypto end-to-end in -short mode")
+	}
+	circ, err := circuit.InnerProduct(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := inputsOf(map[int][]uint64{0: {3, 5}, 1: {7, 11}})
+	counters := func(params Params) (hits, misses int64) {
+		reg := telemetry.NewRegistry()
+		params.Metrics = reg
+		runAndCompare(t, params, circ, in)
+		return reg.Counter("modexp.table_cache_hits").Value(), reg.Counter("modexp.table_cache_misses").Value()
+	}
+	if hits, misses := counters(realParams(t, 5, 1, 2, nil)); hits == 0 || misses != 0 {
+		t.Errorf("real backend: %d table hits, %d misses; want hits > 0 and no miss", hits, misses)
+	}
+	if hits, misses := counters(simParams(6, 1, 2, nil)); hits != 0 || misses != 0 {
+		t.Errorf("sim backend: %d table hits, %d misses; want 0 of 0", hits, misses)
+	}
+}

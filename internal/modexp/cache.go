@@ -13,8 +13,8 @@ import (
 // modulus): fixed-base tables, the sightings that gate their promotion,
 // and power ladders.
 //
-// A fixed-base table costs roughly 2^w/w naive exponentiations to build,
-// so caching every base seen once would lose money on one-shot bases
+// A fixed-base table costs a little over one naive exponentiation to
+// build, so caching every base seen once would lose money on one-shot bases
 // (sigma-protocol commitments, fresh ciphertexts). Tables are therefore
 // promoted on second use: the first ExpCachedSigned call on a (base,
 // modulus) pair runs the plain path and records the sighting; the second
@@ -47,8 +47,10 @@ var (
 	seenCache  = cowcache.Map[tableKey, struct{}]{Max: maxSeenBases}
 	ladders    = cowcache.Map[tableKey, *PowerLadder]{Max: maxCachedTables}
 
-	// tableStats counts ExpCachedSigned calls: a miss is any call served
-	// without a prebuilt table, the sighting and build calls included.
+	// tableStats counts a hit per exponentiation a table served, recorded
+	// where it happens (FixedBase.Exp, whoever holds the table), and a
+	// miss per ExpCachedSigned call that found no prebuilt table, the
+	// sighting and build calls included.
 	tableStats cowcache.Stats
 )
 
@@ -85,8 +87,8 @@ func sighting(tableKey) (struct{}, error) { return struct{}{}, nil }
 const minCachedExpBits = 64
 
 // ExpCachedSigned computes base^exp mod modulus through the fixed-base
-// table cache: a cached table serves the call with one multiplication
-// per exponent digit; an uncached base takes the plain ExpSigned path
+// table cache: a cached table serves the call with one comb walk; an
+// uncached base takes the plain ExpSigned path
 // and is promoted to a table on its second sighting. The result is
 // bit-identical to ExpSigned in every case.
 func ExpCachedSigned(base, exp, modulus *big.Int) (*big.Int, error) {
@@ -97,7 +99,6 @@ func ExpCachedSigned(base, exp, modulus *big.Int) (*big.Int, error) {
 	key := keyOf(base, modulus)
 	if slot, ok := tableCache.Load(key); ok {
 		if t := slot.t.Load(); t != nil && t.bits >= bits {
-			tableStats.Hit()
 			return t.ExpSigned(exp)
 		}
 	}
@@ -108,7 +109,7 @@ func ExpCachedSigned(base, exp, modulus *big.Int) (*big.Int, error) {
 	// Second sighting (or a cached table too small for this exponent):
 	// build outside any lock, sized with headroom so nearby exponent
 	// sizes reuse it, then serve from the table so the build call itself
-	// is pinned by the differential tests too.
+	// is pinned by the differential tests too (uncounted: it was a miss).
 	maxBits := bits + bits/8
 	if mb := modulus.BitLen(); mb > maxBits {
 		maxBits = mb
@@ -116,7 +117,7 @@ func ExpCachedSigned(base, exp, modulus *big.Int) (*big.Int, error) {
 	t := NewFixedBase(base, modulus, maxBits)
 	slot, _, _ := tableCache.LoadOrBuild(key, newTableSlot)
 	slot.offer(t)
-	return t.ExpSigned(exp)
+	return signed(t.comb, exp, modulus)
 }
 
 // PowerLadder caches consecutive powers base^0, base^1, ... mod modulus

@@ -1,11 +1,12 @@
 // Package modexp is the big-integer exponentiation engine behind the
-// Paillier/Damgård–Jurik hot paths: fixed-base windowed-exponentiation
-// tables for recurring bases (the Shoup verification base V, per-round
-// squared ciphertexts, the 1+N encryption base's algebraic shortcuts in
-// package paillier), Straus interleaved multi-exponentiation for proof
-// verification and threshold combination, and cached Δ-power ladders.
-// Tables and ladders are cached process-wide in internal/cowcache maps
-// (cache.go), with hit/miss counters mirrored into telemetry.
+// Paillier/Damgård–Jurik hot paths: fixed-base Lim–Lee comb tables for
+// recurring bases (the encryption randomizer h_s a paillier.DJKey holds,
+// the Shoup verification base V, per-round squared ciphertexts), Straus
+// interleaved multi-exponentiation for proof verification and threshold
+// combination, and cached Δ-power ladders. Tables of bases met at run
+// time and ladders are cached process-wide in internal/cowcache maps
+// (cache.go); a hit is counted wherever a table serves an
+// exponentiation, and the counters are mirrored into telemetry.
 //
 // ExpSigned — plain math/big square-and-multiply — is the reference:
 // the tests and FuzzEngineVsNaive pin every engine path to it
@@ -53,73 +54,63 @@ func ExpSigned(base, exp, modulus *big.Int) (*big.Int, error) {
 	return new(big.Int).Exp(b, e, modulus), nil
 }
 
-// FixedBase is a precomputed windowed-exponentiation table for one
-// (base, modulus) pair: table[j][i-1] = base^(i · 2^(w·j)) mod modulus
-// for w-bit digits i and digit positions j covering maxBits exponent
-// bits. Exponentiation then costs one modular multiplication per
-// non-zero digit — no squarings at all — roughly a (w+1)× reduction in
-// multiplications over square-and-multiply at the price of
-// ⌈maxBits/w⌉·(2^w−1) stored residues. All fields are immutable after
-// construction; a FixedBase is safe for unbounded concurrent use.
+// FixedBase is a Lim–Lee comb table for one (base, modulus) pair. The
+// exponent is cut into combRows blocks of cols = ⌈maxBits/combRows⌉
+// bits, block i weighted by g_i = base^(2^(cols·i)), and table[u-1] =
+// ∏_{bit i of u} g_i for every non-empty subset u of the rows. Column j
+// of the exponent — bit j of every block, read as a combRows-bit digit —
+// then selects one entry, so an exponentiation is cols squarings and at
+// most cols multiplications over 2^combRows − 1 stored residues, whatever
+// maxBits is. All fields are immutable after construction; a FixedBase
+// is safe for unbounded concurrent use.
 type FixedBase struct {
 	base    *big.Int
 	modulus *big.Int
-	window  uint
 	bits    int
-	table   [][]*big.Int
+	cols    int
+	table   []*big.Int
 }
 
-// maxTableEntries caps one table's precomputed residues: the window
-// width shrinks until the table fits. At 2^13 entries a 4096-bit
-// modulus costs ≤ 4 MiB per table — see docs/PERFORMANCE.md for the
-// window-size trade-off.
-const maxTableEntries = 1 << 13
-
-// windowFor picks the widest window w ≤ 8 whose table for maxBits-bit
-// exponents stays under maxTableEntries.
-func windowFor(maxBits int) uint {
-	for w := uint(8); w > 1; w-- {
-		windows := (maxBits + int(w) - 1) / int(w)
-		if windows*((1<<w)-1) <= maxTableEntries {
-			return w
-		}
-	}
-	return 1
-}
+// combRows is the comb height h: 2^h − 1 = 255 residues per table (≈ 130
+// KiB at a 4096-bit modulus) for ⌈maxBits/8⌉ squarings and as many
+// multiplications. One more row would double the table and the build for
+// a ninth fewer steps — see docs/PERFORMANCE.md.
+const combRows = 8
 
 // NewFixedBase builds the table covering exponents of up to maxBits
-// bits. The base must be a canonical residue of the (positive) modulus.
+// bits: (combRows−1)·cols squarings for the row generators, then one
+// multiplication per entry. The modulus must be positive.
 func NewFixedBase(base, modulus *big.Int, maxBits int) *FixedBase {
 	if maxBits < 1 {
 		maxBits = 1
 	}
-	w := windowFor(maxBits)
-	windows := (maxBits + int(w) - 1) / int(w)
+	cols := (maxBits + combRows - 1) / combRows
 	t := &FixedBase{
-		base:    new(big.Int).Set(base),
+		base:    new(big.Int).Mod(base, modulus),
 		modulus: new(big.Int).Set(modulus),
-		window:  w,
 		bits:    maxBits,
-		table:   make([][]*big.Int, windows),
+		cols:    cols,
+		table:   make([]*big.Int, 1<<combRows-1),
 	}
-	// Row j starts from base^(2^(w·j)): w squarings of the previous
-	// row's generator, then 2^w−2 multiplications fill the row.
-	gen := new(big.Int).Set(base)
-	gen.Mod(gen, modulus)
-	for j := 0; j < windows; j++ {
-		row := make([]*big.Int, (1<<w)-1)
-		row[0] = new(big.Int).Set(gen)
-		for i := 1; i < len(row); i++ {
-			row[i] = new(big.Int).Mul(row[i-1], gen)
-			row[i].Mod(row[i], modulus)
-		}
-		t.table[j] = row
-		if j+1 < windows {
-			gen = new(big.Int).Set(row[0])
-			for s := uint(0); s < w; s++ {
-				gen.Mul(gen, gen)
-				gen.Mod(gen, modulus)
+	// Row i's generator is the previous one squared cols times. Entry u
+	// extends entry u − 2^i (i the top set bit of u) by g_i, so the table
+	// fills in index order with one multiplication each. Entries are
+	// copied out of the scratch so each holds exactly one residue.
+	var s, e combScratch
+	s.acc.Set(t.base)
+	for i := 0; i < combRows; i++ {
+		if i > 0 {
+			for c := 0; c < cols; c++ {
+				s.step(&s.acc, modulus)
 			}
+		}
+		gen := new(big.Int).Set(&s.acc)
+		top := 1 << i
+		t.table[top-1] = gen
+		for u := top + 1; u < top<<1; u++ {
+			e.acc.Set(t.table[u-top-1])
+			e.step(gen, modulus)
+			t.table[u-1] = new(big.Int).Set(&e.acc)
 		}
 	}
 	return t
@@ -128,52 +119,79 @@ func NewFixedBase(base, modulus *big.Int, maxBits int) *FixedBase {
 // Bits returns the exponent size in bits the table covers.
 func (t *FixedBase) Bits() int { return t.bits }
 
-// Exp computes base^exp mod modulus from the table. Exponents longer
-// than the table covers (or negative) fall back to the plain path, so
-// the result is always exact.
+// Exp computes base^exp mod modulus from the table and counts a
+// table-cache hit. Exponents longer than the table covers (or negative)
+// fall back to the plain path, so the result is always exact.
 func (t *FixedBase) Exp(exp *big.Int) *big.Int {
 	if exp.Sign() < 0 || exp.BitLen() > t.bits {
 		return new(big.Int).Exp(t.base, exp, t.modulus)
 	}
-	acc := big.NewInt(1)
-	w := t.window
-	mask := uint(1<<w) - 1
-	bits := exp.BitLen()
-	for j := 0; j*int(w) < bits; j++ {
-		digit := digitAt(exp, uint(j)*w, w, mask)
-		if digit == 0 {
+	tableStats.Hit()
+	return t.comb(exp)
+}
+
+// combScratch is the working set of one comb walk. The accumulator passes
+// through base^(prefix of exp) for every column prefix, so when the
+// exponent is secret so is the scratch; it never leaves comb.
+type combScratch struct { //yosolint:secret partial powers of a possibly secret exponent
+	acc, prod, quo big.Int
+}
+
+// step sets acc = acc·x mod m. Int.Mod would allocate a quotient per
+// call; QuoRem into the scratch makes the whole walk O(1) allocations.
+func (s *combScratch) step(x, m *big.Int) {
+	s.prod.Mul(&s.acc, x)
+	s.quo.QuoRem(&s.prod, m, &s.acc)
+}
+
+// comb is the table walk behind Exp for 0 ≤ exp < 2^bits: from the top
+// column down, square, then multiply by the entry the column's digit
+// selects. Which columns multiply depends on the exponent — variable
+// time like everything in this package.
+func (t *FixedBase) comb(exp *big.Int) *big.Int {
+	var s combScratch
+	started := false
+	for j := min(t.cols, exp.BitLen()) - 1; j >= 0; j-- {
+		if started {
+			s.step(&s.acc, t.modulus)
+		}
+		var u uint
+		for i := 0; i < combRows; i++ {
+			u |= exp.Bit(i*t.cols+j) << i
+		}
+		if u == 0 {
 			continue
 		}
-		acc.Mul(acc, t.table[j][digit-1])
-		acc.Mod(acc, t.modulus)
+		if started {
+			s.step(t.table[u-1], t.modulus)
+		} else {
+			s.acc.Set(t.table[u-1])
+			started = true
+		}
 	}
-	return acc
+	if !started {
+		return new(big.Int).Mod(bigOne, t.modulus)
+	}
+	return new(big.Int).Set(&s.acc)
 }
 
 // ExpSigned is Exp with negative-exponent support: base^(−e) is
 // computed as (base^e)⁻¹ mod modulus, which is the same canonical
 // residue the naive invert-the-base-first path produces.
 func (t *FixedBase) ExpSigned(exp *big.Int) (*big.Int, error) {
+	return signed(t.Exp, exp, t.modulus)
+}
+
+// signed lifts pow, an exponentiation for exponents ≥ 0, to signed ones.
+func signed(pow func(*big.Int) *big.Int, exp, modulus *big.Int) (*big.Int, error) {
 	if exp.Sign() >= 0 {
-		return t.Exp(exp), nil
+		return pow(exp), nil
 	}
-	pos := t.Exp(new(big.Int).Neg(exp))
-	inv := new(big.Int).ModInverse(pos, t.modulus)
+	inv := new(big.Int).ModInverse(pow(new(big.Int).Neg(exp)), modulus)
 	if inv == nil {
 		return nil, ErrNotInvertible
 	}
 	return inv, nil
-}
-
-// digitAt extracts the w-bit digit of exp starting at bit offset. Bit()
-// is O(1), so a digit read is O(w) — noise next to the modular
-// multiplication it selects.
-func digitAt(exp *big.Int, offset, w, mask uint) uint {
-	var d uint
-	for i := uint(0); i < w; i++ {
-		d |= exp.Bit(int(offset+i)) << i
-	}
-	return d & mask
 }
 
 // ExpManySigned computes base^exp for every exponent over one shared
@@ -188,9 +206,10 @@ func ExpManySigned(base, modulus *big.Int, exps []*big.Int) ([]*big.Int, error) 
 			maxBits = b
 		}
 	}
-	// A table build costs about windows·2^w ≈ maxBits·2^w/w modular
-	// multiplications, an exponentiation about 1.2·maxBits; the table
-	// pays for itself from roughly four exponentiations up.
+	// A comb build costs about maxBits + 2^combRows modular
+	// multiplications, a table exponentiation maxBits/4, a plain one
+	// about 1.2·maxBits in cheaper Montgomery steps; the table pays for
+	// itself from roughly four exponentiations up.
 	if len(exps) >= 4 && maxBits >= 256 {
 		t := NewFixedBase(base, modulus, maxBits)
 		for i, e := range exps {

@@ -134,6 +134,23 @@ func TestFixedBaseEdgeCases(t *testing.T) {
 	}
 }
 
+// TestFixedBaseExpCountsHits: a hit is counted where the table serves an
+// exponentiation — by Exp itself, whoever holds the table — and only
+// there: the plain fallback for an over-long exponent counts nothing.
+func TestFixedBaseExpCountsHits(t *testing.T) {
+	resetCaches()
+	defer resetCaches()
+	tab := NewFixedBase(big.NewInt(7), big.NewInt(1000003), 64)
+	tab.Exp(big.NewInt(12345))
+	if _, err := tab.ExpSigned(big.NewInt(-12345)); err != nil {
+		t.Fatal(err)
+	}
+	tab.Exp(new(big.Int).Lsh(bigOne, 64))
+	if h, ms := tableStats.Load(); h != 2 || ms != 0 {
+		t.Fatalf("hits=%d misses=%d, want 2 and 0", h, ms)
+	}
+}
+
 func TestExpCachedSignedPromotion(t *testing.T) {
 	resetCaches()
 	r := testRNG(3)
@@ -528,11 +545,22 @@ func FuzzEngineVsNaive(f *testing.F) {
 			}
 		}
 
-		// Path 2: explicit fixed-base table.
-		if exp.Sign() >= 0 {
-			tab := NewFixedBase(base, mod, exp.BitLen()+1)
-			if got := tab.Exp(exp); got.Cmp(new(big.Int).Exp(base, exp, mod)) != 0 {
-				t.Fatalf("fixed-base: %v want %v", got, new(big.Int).Exp(base, exp, mod))
+		// Path 2: explicit comb tables covering one bit more than the
+		// exponent, exactly its length, and one bit less (the plain
+		// fallback), under either sign.
+		for _, maxBits := range []int{exp.BitLen() + 1, exp.BitLen(), exp.BitLen() - 1} {
+			tab := NewFixedBase(base, mod, maxBits)
+			got, err := tab.ExpSigned(exp)
+			if (err == nil) != ok {
+				t.Fatalf("fixed-base maxBits=%d: err=%v, naive invertible=%v", maxBits, err, ok)
+			}
+			if ok && got.Cmp(want) != 0 {
+				t.Fatalf("fixed-base maxBits=%d: ExpSigned=%v want %v", maxBits, got, want)
+			}
+			if exp.Sign() >= 0 {
+				if got := tab.Exp(exp); got.Cmp(want) != 0 {
+					t.Fatalf("fixed-base maxBits=%d: Exp=%v want %v", maxBits, got, want)
+				}
 			}
 		}
 

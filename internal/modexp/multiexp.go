@@ -90,3 +90,14 @@ func MultiExp(modulus *big.Int, bases, exps []*big.Int) (*big.Int, error) {
 	}
 	return acc, nil
 }
+
+// digitAt extracts the w-bit digit of exp starting at bit offset. Bit()
+// is O(1), so a digit read is O(w) — noise next to the modular
+// multiplication it selects.
+func digitAt(exp *big.Int, offset, w, mask uint) uint {
+	var d uint
+	for i := uint(0); i < w; i++ {
+		d |= exp.Bit(int(offset+i)) << i
+	}
+	return d & mask
+}

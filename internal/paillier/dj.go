@@ -17,6 +17,11 @@ import (
 // without regenerating keys — which is how deployments of the protocol
 // gain integer headroom for deep circuits (the homomorphic bounds in
 // package tte grow with circuit depth).
+//
+// Encrypt draws r as h^ρ mod N for a short ρ and a public h derived from
+// N (the Damgård–Jurik–Nielsen randomizer, engine.go), which turns
+// r^{N^s} into a short power of a fixed base; EncryptWithNonce takes any
+// r ∈ Z*_N. Both produce the ciphertext of the formula above.
 
 // DJKey wraps a Paillier key for degree-s Damgård–Jurik operations.
 type DJKey struct {
@@ -32,6 +37,9 @@ type DJKey struct {
 	// crtPre is the lazily built degree-S CRT precompute (engine.go). It
 	// makes the key non-copyable; keys are only ever handled by pointer.
 	crtPre atomic.Pointer[djState] //yosolint:secret derived from the prime factors: prime powers, group orders and the decryption exponent
+	// rndPre is the lazily built encryption randomizer (engine.go): public,
+	// a function of N and S alone.
+	rndPre atomic.Pointer[randomizer]
 }
 
 // ErrDJDegree rejects invalid generalization degrees.
@@ -65,15 +73,16 @@ func NewDJKey(base *PrivateKey, s int) (*DJKey, error) {
 	return k, nil
 }
 
-// Encrypt encrypts m ∈ [0, N^S) with fresh randomness through the
-// engine paths (closed-form message term plus one nonce
-// exponentiation; see engine.go).
+// Encrypt encrypts m ∈ [0, N^S) with fresh randomness: the closed-form
+// message term times h_s^ρ for a short random ρ, read off the key's
+// fixed-base randomizer table (engine.go).
 func (k *DJKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) {
-	r, err := k.Base.PublicKey.RandomUnit(random)
+	rz := k.randomizer()
+	rho, err := rz.draw(random)
 	if err != nil {
 		return nil, err
 	}
-	return k.EncryptWithNonce(m, r)
+	return k.encryptRho(rz, m, rho)
 }
 
 // Decrypt recovers m: c^d ≡ (1+N)^m (mod N^{s+1}) for d ≡ 1 (mod N^s),

@@ -2,6 +2,9 @@ package paillier
 
 import (
 	"context"
+	"crypto/rand"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/big"
@@ -13,11 +16,12 @@ import (
 // The Damgård–Jurik engine paths: CRT exponentiation over the prime
 // power factorization of N^{s+1} with exponent reduction modulo the
 // per-prime group orders, the closed-form binomial expansion of
-// (1+N)^m, and batched encryption over the shared worker pool. Every
-// path here is pinned bit-for-bit, by the differential tests and
-// FuzzPaillierEngineVsNaive, to a naive reference: plain
-// modexp.ExpSigned, and the DecryptNaive / EncryptWithNonceNaive of this
-// package's test files.
+// (1+N)^m, the fixed-base encryption randomizer h_s^ρ, and batched
+// encryption over the shared worker pool. Every path here is pinned
+// bit-for-bit, by the differential tests and FuzzPaillierEngineVsNaive,
+// to a reference: plain modexp.ExpSigned, the DecryptNaive /
+// EncryptWithNonceNaive of this package's test files, and — for the
+// randomizer — EncryptWithNonce itself.
 //
 // Why CRT wins: Z*_{N^{s+1}} ≅ Z*_{p^{s+1}} × Z*_{q^{s+1}}, so an
 // exponentiation splits into two at half the modulus size (≈4× cheaper
@@ -177,10 +181,9 @@ func (k *DJKey) DecryptCRT(c *Ciphertext) (*big.Int, error) {
 	return k.DLogOnePlusN(a)
 }
 
-// EncryptWithNonce encrypts m with caller-supplied randomness r ∈ Z*_N
-// through the engine paths: closed-form (1+N)^m plus one r^{N^s}
-// exponentiation — the ciphertext a full-width (1+N)^m would give.
-func (k *DJKey) EncryptWithNonce(m, r *big.Int) (*Ciphertext, error) {
+// onePlusNTo is the range-checked message term (1+N)^m mod N^{s+1} every
+// encryption starts from.
+func (k *DJKey) onePlusNTo(m *big.Int) (*big.Int, error) {
 	if m.Sign() < 0 || m.Cmp(k.Ns) >= 0 {
 		// The message itself stays out of the error: callers wrap errors
 		// into logs and board posts, and m is plaintext.
@@ -190,11 +193,103 @@ func (k *DJKey) EncryptWithNonce(m, r *big.Int) (*Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
-	gm := k.onePlusNToM(st, m)
-	rn := new(big.Int).Exp(r, k.Ns, k.Ns1)
-	c := gm.Mul(gm, rn)
-	c.Mod(c, k.Ns1)
-	return &Ciphertext{C: c}, nil
+	return k.onePlusNToM(st, m), nil
+}
+
+// EncryptWithNonce encrypts m with caller-supplied randomness r ∈ Z*_N:
+// closed-form (1+N)^m times one full-width r^{N^s} exponentiation. It is
+// the nonce-explicit primitive the plaintext-knowledge proof needs and
+// the reference the randomizer path is pinned to: Encrypt's output is
+// EncryptWithNonce(m, h^ρ mod N) bit for bit.
+func (k *DJKey) EncryptWithNonce(m, r *big.Int) (*Ciphertext, error) {
+	gm, err := k.onePlusNTo(m)
+	if err != nil {
+		return nil, err
+	}
+	c := gm.Mul(gm, new(big.Int).Exp(r, k.Ns, k.Ns1))
+	return &Ciphertext{C: c.Mod(c, k.Ns1)}, nil
+}
+
+// randomizer is the fixed-base encryption randomizer of one DJKey, held
+// on the key (DJKey.rndPre). Following Damgård–Jurik–Nielsen, the nonce
+// of a fresh encryption is r = h^ρ mod N for a short ρ and a public
+// h = −x² mod N, so its ciphertext factor r^{N^s} = (h^{N^s})^ρ mod
+// N^{s+1} is a short power of one fixed base and comes off a comb table
+// instead of a full-width exponentiation. x is expanded from N alone, so
+// nothing is published that the key did not already publish. Hiding
+// rests on short-exponent indistinguishability for a random public base
+// in Z*_N, N a Blum integer — see DESIGN.md's substitution table.
+type randomizer struct {
+	h     *big.Int          // −x² mod N
+	hs    *modexp.FixedBase // h^{N^s} mod N^{s+1}, over exponents below bound
+	bound *big.Int          // 2^⌈|N|/2⌉, DJN's exponent length
+}
+
+// randomizerBase expands N into x ∈ Z*_N: SHA-256 in counter mode under
+// a domain label, 128 bits longer than N so the reduction is uniform to
+// within 2^−128, retried under the next counter on a non-unit.
+func randomizerBase(n *big.Int) *big.Int {
+	nb := n.Bytes()
+	need := len(nb) + 16
+	x, g := new(big.Int), new(big.Int)
+	for try := uint32(0); ; try++ {
+		buf := make([]byte, 0, need+sha256.Size)
+		for blk := uint32(0); len(buf) < need; blk++ {
+			d := sha256.New()
+			d.Write([]byte("yosompc/paillier/djn-randomizer-base"))
+			d.Write(binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, try), blk))
+			d.Write(nb)
+			buf = d.Sum(buf)
+		}
+		x.Mod(x.SetBytes(buf[:need]), n)
+		if g.GCD(nil, nil, x, n).Cmp(one) == 0 {
+			return x
+		}
+	}
+}
+
+// randomizer returns k's encryption randomizer, building it on first use
+// the way djCRT builds the CRT state: outside any lock, one
+// compare-and-swap winner. The build is one full-width exponentiation
+// and one comb table, about two naive encryptions.
+func (k *DJKey) randomizer() *randomizer {
+	if rz := k.rndPre.Load(); rz != nil {
+		return rz
+	}
+	n := k.Base.N
+	x := randomizerBase(n)
+	h := x.Mul(x, x)
+	h.Neg(h).Mod(h, n)
+	rhoBits := (n.BitLen() + 1) / 2
+	rz := &randomizer{
+		h:     h,
+		hs:    modexp.NewFixedBase(new(big.Int).Exp(h, k.Ns, k.Ns1), k.Ns1, rhoBits),
+		bound: new(big.Int).Lsh(one, uint(rhoBits)),
+	}
+	if !k.rndPre.CompareAndSwap(nil, rz) {
+		return k.rndPre.Load()
+	}
+	return rz
+}
+
+// draw samples the short exponent ρ ← [0, 2^⌈|N|/2⌉). The bound is a
+// power of two, so this reads a fixed number of bytes and never rejects.
+func (rz *randomizer) draw(random io.Reader) (*big.Int, error) {
+	rho, err := rand.Int(random, rz.bound)
+	if err != nil {
+		return nil, fmt.Errorf("paillier: sampling randomizer exponent: %w", err)
+	}
+	return rho, nil
+}
+
+// encryptRho is (1+N)^m · h_s^ρ mod N^{s+1}, h_s^ρ read off the table.
+func (k *DJKey) encryptRho(rz *randomizer, m, rho *big.Int) (*Ciphertext, error) {
+	gm, err := k.onePlusNTo(m)
+	if err != nil {
+		return nil, err
+	}
+	c := gm.Mul(gm, rz.hs.Exp(rho))
+	return &Ciphertext{C: c.Mod(c, k.Ns1)}, nil
 }
 
 // EncryptMany encrypts a batch of messages over the shared worker pool.
@@ -202,44 +297,18 @@ func (k *DJKey) EncryptWithNonce(m, r *big.Int) (*Ciphertext, error) {
 // output is bit-identical for every worker count (including the fully
 // serial workers=1 path) given the same random stream.
 func (k *DJKey) EncryptMany(random io.Reader, ms []*big.Int, workers int) ([]*Ciphertext, error) {
-	rs := make([]*big.Int, len(ms))
+	rz := k.randomizer()
+	rhos := make([]*big.Int, len(ms))
 	for i := range ms {
-		r, err := k.Base.PublicKey.RandomUnit(random)
+		rho, err := rz.draw(random)
 		if err != nil {
 			return nil, err
 		}
-		rs[i] = r
+		rhos[i] = rho
 	}
 	out := make([]*Ciphertext, len(ms))
 	err := parallel.For(context.Background(), workers, len(ms), func(i int) error {
-		ct, err := k.EncryptWithNonce(ms[i], rs[i])
-		if err != nil {
-			return err
-		}
-		out[i] = ct
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// EncryptMany encrypts a batch of plain-Paillier messages over the
-// shared worker pool, with the same serial-randomness contract as
-// DJKey.EncryptMany.
-func (pk *PublicKey) EncryptMany(random io.Reader, ms []*big.Int, workers int) ([]*Ciphertext, error) {
-	rs := make([]*big.Int, len(ms))
-	for i := range ms {
-		r, err := pk.RandomUnit(random)
-		if err != nil {
-			return nil, err
-		}
-		rs[i] = r
-	}
-	out := make([]*Ciphertext, len(ms))
-	err := parallel.For(context.Background(), workers, len(ms), func(i int) error {
-		ct, err := pk.EncryptWithNonce(ms[i], rs[i])
+		ct, err := k.encryptRho(rz, ms[i], rhos[i])
 		if err != nil {
 			return err
 		}

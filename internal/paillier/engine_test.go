@@ -3,6 +3,7 @@ package paillier
 import (
 	"bytes"
 	"crypto/rand"
+	"fmt"
 	"math/big"
 	mrand "math/rand"
 	"sync"
@@ -133,7 +134,8 @@ func TestDJEncryptClosedFormMatchesNaive(t *testing.T) {
 
 // TestEncryptManyWorkerCountIndependent pins the batched path: the same
 // deterministic random stream must yield byte-identical ciphertexts at
-// every worker count, and each must match a serial EncryptWithNonce.
+// every worker count, and each must match a serial Encrypt over that
+// stream.
 func TestEncryptManyWorkerCountIndependent(t *testing.T) {
 	k := djTestKey(t, 2)
 	msgs := make([]*big.Int, 9)
@@ -159,7 +161,15 @@ func TestEncryptManyWorkerCountIndependent(t *testing.T) {
 			}
 		}
 	}
+	serial := fixedStream(7)
 	for i, ct := range runs[0] {
+		one, err := k.Encrypt(serial, msgs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if one.C.Cmp(ct.C) != 0 {
+			t.Fatalf("message %d: batch differs from serial Encrypt", i)
+		}
 		m, err := k.Decrypt(ct)
 		if err != nil {
 			t.Fatal(err)
@@ -170,10 +180,16 @@ func TestEncryptManyWorkerCountIndependent(t *testing.T) {
 	}
 }
 
-func TestPublicKeyEncryptManyRoundTrip(t *testing.T) {
+// TestEncryptManyDegreeOneDecryptsAsPaillier: a degree-1 batch is plain
+// Paillier — the textbook key decrypts every ciphertext of it.
+func TestEncryptManyDegreeOneDecryptsAsPaillier(t *testing.T) {
 	sk := FixedTestKey(1)
+	k, err := NewDJKey(sk, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	msgs := []*big.Int{big.NewInt(0), big.NewInt(7), new(big.Int).Sub(sk.N, big.NewInt(1))}
-	cts, err := sk.PublicKey.EncryptMany(rand.Reader, msgs, 4)
+	cts, err := k.EncryptMany(rand.Reader, msgs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,6 +202,133 @@ func TestPublicKeyEncryptManyRoundTrip(t *testing.T) {
 			t.Fatalf("message %d: %v != %v", i, m, msgs[i])
 		}
 	}
+}
+
+// randomizerTestKeys are the safe-prime keys the randomizer tests run
+// on: a 512-bit one always, the production-size one outside -short.
+func randomizerTestKeys() map[string]*PrivateKey {
+	keys := map[string]*PrivateKey{"512": FixedTestKey(0)}
+	if !testing.Short() {
+		keys["2048"] = FixedTestKey2048()
+	}
+	return keys
+}
+
+// TestEncryptMatchesNonceReference is the randomizer's differential
+// test: with ρ re-drawn from the same stream, Encrypt's ciphertext is
+// EncryptWithNonce(m, h^ρ mod N) bit for bit — so everything downstream
+// of a ciphertext sees exactly what the full-width path would have
+// produced for that nonce — and it decrypts to m.
+func TestEncryptMatchesNonceReference(t *testing.T) {
+	for name, sk := range randomizerTestKeys() {
+		for _, s := range []int{1, 2} {
+			k, err := NewDJKey(sk, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rz := k.randomizer()
+			r := mrand.New(mrand.NewSource(int64(s)))
+			msgs := []*big.Int{new(big.Int), k.MaxPlaintext(), new(big.Int).Rand(r, k.Ns)}
+			for i, m := range msgs {
+				seed := int64(100*s + i)
+				got, err := k.Encrypt(fixedStream(seed), m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rho, err := rz.draw(fixedStream(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rho.BitLen() > (sk.N.BitLen()+1)/2 {
+					t.Fatalf("key %s: ρ has %d bits", name, rho.BitLen())
+				}
+				want, err := k.EncryptWithNonce(m, new(big.Int).Exp(rz.h, rho, sk.N))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.C.Cmp(want.C) != 0 {
+					t.Fatalf("key %s s=%d message %d: Encrypt differs from EncryptWithNonce(m, h^ρ)", name, s, i)
+				}
+				if dec, err := k.Decrypt(got); err != nil || dec.Cmp(m) != 0 {
+					t.Fatalf("key %s s=%d message %d: round trip %v, %v", name, s, i, dec, err)
+				}
+			}
+		}
+	}
+}
+
+// TestRandomizerBaseGeneratesJacobiGroup: on a safe-prime key the
+// Jacobi-(+1) subgroup of Z*_N is cyclic of order 2M = 2p'q', and
+// h = −x² must generate all of it — its powers are the nonces, so a
+// smaller orbit would be a smaller randomness space. h has order 2M iff
+// h^{2M} = 1 and no h^{2M/ℓ} is, ℓ ∈ {2, p', q'}. The base must also be
+// a function of N alone.
+func TestRandomizerBaseGeneratesJacobiGroup(t *testing.T) {
+	keys := randomizerTestKeys()
+	for i := 1; i < NumFixedTestKeys; i++ {
+		keys[fmt.Sprintf("512/%d", i)] = FixedTestKey(i)
+	}
+	keys["768"] = FixedTestKey768(0)
+	for name, sk := range keys {
+		k, err := NewDJKey(sk, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := k.randomizer().h
+		if x := randomizerBase(sk.N); x.Cmp(randomizerBase(sk.N)) != 0 {
+			t.Fatalf("key %s: base is not deterministic in N", name)
+		} else if want := x.Mul(x, x).Neg(x).Mod(x, sk.N); want.Cmp(h) != 0 {
+			t.Fatalf("key %s: h is not −x² mod N", name)
+		}
+		if big.Jacobi(h, sk.N) != 1 {
+			t.Fatalf("key %s: h has Jacobi symbol ≠ 1", name)
+		}
+		pow := func(e *big.Int) *big.Int { return new(big.Int).Exp(h, e, sk.N) }
+		twoM := new(big.Int).Lsh(sk.M, 1)
+		if pow(twoM).Cmp(one) != 0 {
+			t.Fatalf("key %s: h^{2M} ≠ 1", name)
+		}
+		pPrime := new(big.Int).Rsh(sk.P, 1)
+		qPrime := new(big.Int).Rsh(sk.Q, 1)
+		for what, e := range map[string]*big.Int{
+			"h^M": sk.M, "h^2": two,
+			"h^{2p'}": new(big.Int).Lsh(pPrime, 1), "h^{2q'}": new(big.Int).Lsh(qPrime, 1),
+		} {
+			if pow(e).Cmp(one) == 0 {
+				t.Fatalf("key %s: %s = 1, h does not generate the Jacobi-(+1) group", name, what)
+			}
+		}
+	}
+}
+
+// TestRandomizerConcurrentInit hammers the lazy randomizer build from
+// many goroutines; under -race it witnesses the compare-and-swap init,
+// and every caller must end up on the one winning table.
+func TestRandomizerConcurrentInit(t *testing.T) {
+	k, err := NewDJKey(FixedTestKey(3), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := big.NewInt(31337)
+	var wg sync.WaitGroup
+	for g := 0; g < 12; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := k.Encrypt(rand.Reader, m)
+			if err != nil {
+				t.Errorf("concurrent encrypt: %v", err)
+				return
+			}
+			if got, err := k.Decrypt(c); err != nil || got.Cmp(m) != 0 {
+				t.Errorf("concurrent encrypt round trip: %v, %v", got, err)
+			}
+			if k.randomizer() != k.rndPre.Load() {
+				t.Error("randomizer() returned a table that lost the swap")
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // fixedStream is a deterministic "random" source so two EncryptMany

@@ -1,6 +1,7 @@
 package tte
 
 import (
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"math/big"
@@ -200,6 +201,46 @@ func BenchmarkOpeningRound(b *testing.B) {
 					}
 				}
 				if _, err := k.combine(pk, ct, parts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEncrypt times TEnc at the production modulus: "randomizer" is
+// the scheme's Encrypt (short ρ off the key's comb table), "engine" the
+// nonce-explicit full-width r^N it is pinned to — the per-encryption ratio
+// behind real2048_wide's tte.encrypt_us.
+func BenchmarkEncrypt(b *testing.B) {
+	s, err := NewThreshold(paillier.FixedTestKey2048())
+	if err != nil {
+		b.Fatal(err)
+	}
+	pk, _, err := s.KeyGen(8, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, bound := big.NewInt(123456789), big.NewInt(1<<30)
+	r, err := s.dealer.RandomUnit(rand.Reader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// One untimed encryption builds the key's randomizer table.
+	if _, err := s.Encrypt(pk, m, bound); err != nil {
+		b.Fatal(err)
+	}
+	for _, v := range []struct {
+		name string
+		enc  func() error
+	}{
+		{"randomizer", func() error { _, err := s.Encrypt(pk, m, bound); return err }},
+		{"engine", func() error { _, err := s.dj.EncryptWithNonce(m, r); return err }},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := v.enc(); err != nil {
 					b.Fatal(err)
 				}
 			}

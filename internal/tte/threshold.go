@@ -160,7 +160,8 @@ func evalIntPoly(coeffs []*big.Int, x int, mod *big.Int) *big.Int {
 	return acc
 }
 
-// Encrypt implements TEnc.
+// Encrypt implements TEnc: a Damgård–Jurik ciphertext whose nonce is a
+// short power of the key's public randomizer base (paillier.DJKey.Encrypt).
 func (s *Threshold) Encrypt(pk PublicKey, m, bound *big.Int) (Ciphertext, error) {
 	tpk, err := s.pub(pk)
 	if err != nil {
@@ -182,8 +183,8 @@ func (s *Threshold) Encrypt(pk PublicKey, m, bound *big.Int) (Ciphertext, error)
 
 // EncryptMany implements BatchEncrypter: the per-message validation of
 // Encrypt, then the Paillier layer's batched encryption over the shared
-// worker pool. Randomness is sampled serially inside the Paillier
-// layer, so the ciphertexts are independent of the worker count.
+// worker pool. The randomizer exponents are sampled serially inside the
+// Paillier layer, so the ciphertexts are independent of the worker count.
 func (s *Threshold) EncryptMany(pk PublicKey, ms []*big.Int, bound *big.Int, workers int) ([]Ciphertext, error) {
 	tpk, err := s.pub(pk)
 	if err != nil {

@@ -122,8 +122,8 @@ type Scheme interface {
 }
 
 // BatchEncrypter is the optional batched-encryption interface: backends
-// that can amortize per-ciphertext work (nonce exponentiations over the
-// worker pool, shared key state) implement it. The contract matches n
+// that can amortize per-ciphertext work (randomizer exponentiations over
+// the worker pool, shared key state) implement it. The contract matches n
 // independent Encrypt calls exactly — same validation, same ciphertext
 // distribution — and the output must be independent of the worker
 // count. All messages share one bound.
