@@ -1,10 +1,9 @@
 // Command yosolint runs the repo's static-analysis suite: custom
 // analyzers enforcing the crypto, YOSO, and concurrency invariants the
-// compiler cannot check (crypto/rand for secret randomness, speak-once
-// role discipline, reduction-preserving field arithmetic, handled board
+// compiler cannot check (crypto/rand for secret randomness, handled board
 // errors, secretflow's interprocedural secret-taint tracking, lockscope's
 // blocking-under-lock and lock-order analysis, goroleak's goroutine
-// termination evidence, and wirecodec's codec-quartet hygiene).
+// termination evidence, and wirecodec's codec-pair hygiene).
 //
 // Usage:
 //

@@ -1,6 +1,6 @@
 // Package sharing is the end-to-end regression fixture for cmd/yosolint:
 // one compiling file violating every analyzer in the suite. The driver
-// must exit non-zero and name all ten analyzers when pointed here. The
+// must exit non-zero and name all eight analyzers when pointed here. The
 // directory is named "sharing" so the cryptorand and zeroize
 // protected-segment rules apply; testdata placement keeps it out of
 // ./... wildcard runs.
@@ -15,23 +15,11 @@ import (
 	"yosompc/internal/field"
 	realsharing "yosompc/internal/sharing"
 	"yosompc/internal/transport"
-	"yosompc/internal/yoso"
 )
 
 // BadRandom violates cryptorand: protocol randomness from math/rand.
 func BadRandom() field.Element {
 	return field.New(uint64(rand.Int63()))
-}
-
-// BadFieldOps violates fieldops: raw operator skips reduction.
-func BadFieldOps(a, b field.Element) field.Element {
-	return a + b
-}
-
-// BadRoleReuse violates roleonce: the role acts after it spoke.
-func BadRoleReuse(r *yoso.Role) {
-	r.Spoke()
-	r.Post(comm.PhaseOnline, comm.CatInput, []byte("l"))
 }
 
 // BadDroppedError violates postcheck: the board error vanishes.
@@ -70,7 +58,7 @@ func BadSpawn(ch chan int) {
 
 // BadSecretBranch violates sidechannel: a share value decides a branch.
 func BadSecretBranch(sh realsharing.Share) field.Element {
-	if sh.Value == 0 {
+	if sh.Value == field.Zero {
 		return field.One
 	}
 	return sh.Value
@@ -83,8 +71,8 @@ func BadUnwiped() field.Element {
 	return v[0].Add(v[1])
 }
 
-// BadWire violates wirecodec: half a codec with no stream halves.
+// BadWire violates wirecodec: half a codec, bytes nothing can decode.
 type BadWire struct{}
 
-// MarshalBinary is the codec half that gates the quartet rule.
+// MarshalBinary is the codec half that gates the pair rule.
 func (BadWire) MarshalBinary() ([]byte, error) { return nil, nil }

@@ -8,10 +8,10 @@
 //
 // The framework exists to host yosolint, the suite of repo-specific
 // analyzers listed in internal/analysis/suite that enforce invariants the
-// Go compiler cannot: secret randomness comes from crypto/rand, YOSO roles
-// never act after they speak, field.Element arithmetic goes through the
-// reduction-preserving API, board/transport errors are never silently
-// dropped, secrets neither leak nor steer the execution trace, and so on.
+// Go compiler cannot: secret randomness comes from crypto/rand,
+// board/transport errors are never silently dropped, secrets neither leak
+// nor steer the execution trace, and so on. (What a type can hold, a type
+// holds: field.Element is opaque, so raw arithmetic on it does not compile.)
 //
 // There is one way through it: Load type-checks the packages, RunPackages
 // hands every analyzer the same Pass over the whole load, and the helpers

@@ -557,8 +557,8 @@ func blockingPrimitive(fn *types.Func) string {
 		(name == "For" || name == "ForObserved" || name == "ForWorker") {
 		return "worker-pool wait (parallel." + name + ")"
 	}
-	// The streaming halves of the wire-codec quartet write into live
-	// connections: treat them as I/O wherever they are declared.
+	// The streaming halves of a wire codec write into live connections:
+	// treat them as I/O wherever they are declared.
 	if name == "WriteTo" || name == "ReadFrom" {
 		if sig, ok := fn.Type().(*types.Signature); ok && sig.Params().Len() == 1 {
 			pt := sig.Params().At(0).Type().String()

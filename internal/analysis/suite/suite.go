@@ -6,11 +6,9 @@ package suite
 import (
 	"yosompc/internal/analysis"
 	"yosompc/internal/analysis/cryptorand"
-	"yosompc/internal/analysis/fieldops"
 	"yosompc/internal/analysis/goroleak"
 	"yosompc/internal/analysis/lockscope"
 	"yosompc/internal/analysis/postcheck"
-	"yosompc/internal/analysis/roleonce"
 	"yosompc/internal/analysis/secretflow"
 	"yosompc/internal/analysis/sidechannel"
 	"yosompc/internal/analysis/wirecodec"
@@ -21,11 +19,9 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		cryptorand.Analyzer,
-		fieldops.Analyzer,
 		goroleak.Analyzer,
 		lockscope.Analyzer,
 		postcheck.Analyzer,
-		roleonce.Analyzer,
 		secretflow.Analyzer,
 		sidechannel.Analyzer,
 		wirecodec.Analyzer,

@@ -1,22 +1,23 @@
 // Package wirecodec is the wire-hygiene analyzer of the yosolint suite.
 // Every type that crosses the bulletin board travels as bytes; the repo's
-// discipline (docs/WIRE.md, after lattigo's uniform BinaryMarshaler
-// convention) is that such a type implements the full codec quartet —
-// MarshalBinary, UnmarshalBinary, WriteTo, ReadFrom — plus an explicit
-// EncodedSize model, and that its decoders are exercised by a fuzz target
-// and its size model pinned by a test. This analyzer enforces all of it
-// mechanically:
+// discipline (docs/WIRE.md) is that such a type implements the binary-codec
+// pair — MarshalBinary and UnmarshalBinary — plus an explicit EncodedSize
+// model, and that its decoder is exercised by a fuzz target and its size
+// model pinned by a test. This analyzer enforces all of it mechanically:
 //
 //   - a named type declaring MarshalBinary or UnmarshalBinary must
-//     declare the whole quartet (the streaming halves are what the remote
-//     transport actually calls);
-//   - a quartet type must declare EncodedSize() int — the byte-accounting
+//     declare the pair (bytes nothing can decode are write-only);
+//   - a pair type must declare EncodedSize() int — the byte-accounting
 //     contract the server-verified wire experiment audits;
-//   - a quartet type must be referenced from some Fuzz* target in its
+//   - a pair type must be referenced from some Fuzz* target in its
 //     package's tests (in-package or external), so hostile bytes reach
-//     its decoders; and
-//   - a quartet type's EncodedSize must be called somewhere in those
-//     tests, pinning the size model against silent format drift.
+//     its decoder; and
+//   - a pair type's EncodedSize must be called somewhere in those tests,
+//     pinning the size model against silent format drift.
+//
+// The stream halves (io.WriterTo/io.ReaderFrom) are required of no type:
+// the repo has one stream reader, boardd's Entry framing, so a stream
+// codec anywhere else would have no caller.
 //
 // Independently, board publication calls (Post/Publish/Broadcast in the
 // board-facing packages) must not be fed text dressed up as wire bytes: a
@@ -25,7 +26,7 @@
 //
 // The protocol drivers' step payloads implement committee.Payload, whose
 // single Encode result is both what is posted and what is metered — they
-// never implement the quartet and are out of scope here. A type that is wire-
+// never implement the pair and are out of scope here. A type that is wire-
 // adjacent but deliberately outside the discipline is acknowledged with
 // `//yosolint:wireok <why>` on its declaration (or the offending call);
 // the justification is mandatory and audited via cmd/yosolint -json.
@@ -34,7 +35,6 @@ package wirecodec
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 
 	"yosompc/internal/analysis"
@@ -44,13 +44,10 @@ import (
 // Analyzer is the wirecodec analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name:       "wirecodec",
-	Doc:        "require the full MarshalBinary/UnmarshalBinary/WriteTo/ReadFrom quartet, a fuzz target, and a size-model test for every board-crossing type",
+	Doc:        "require the MarshalBinary/UnmarshalBinary pair, a size model, a fuzz target, and a size-model test for every board-crossing type",
 	Directives: []string{"wireok", "ignore"},
 	Run:        run,
 }
-
-// quartet is the canonical method set, in report order.
-var quartet = []string{"MarshalBinary", "UnmarshalBinary", "WriteTo", "ReadFrom"}
 
 func run(pass *analysis.Pass) error {
 	// Pass 1: collect test-side facts across the whole load. Test files
@@ -111,7 +108,7 @@ func collectTestFacts(pkg *analysis.Package, fuzzRefs, sizePins map[string]bool)
 	}
 }
 
-// checkWireTypes applies the quartet/fuzz/size rules to every named type
+// checkWireTypes applies the pair/fuzz/size rules to every named type
 // the package declares in non-test files.
 func checkWireTypes(pass *analysis.Pass, pkg *analysis.Package, fuzzRefs, sizePins map[string]bool) {
 	for _, f := range pkg.Files {
@@ -143,31 +140,29 @@ func checkWireTypes(pass *analysis.Pass, pkg *analysis.Package, fuzzRefs, sizePi
 }
 
 func checkType(pass *analysis.Pass, pkg *analysis.Package, ts *ast.TypeSpec, named *types.Named, fuzzRefs, sizePins map[string]bool) {
-	have := map[string]bool{}
-	hasSize := false
+	var hasMarshal, hasUnmarshal, hasSize bool
 	for i := 0; i < named.NumMethods(); i++ {
-		switch name := named.Method(i).Name(); name {
-		case "MarshalBinary", "UnmarshalBinary", "WriteTo", "ReadFrom":
-			have[name] = true
+		switch named.Method(i).Name() {
+		case "MarshalBinary":
+			hasMarshal = true
+		case "UnmarshalBinary":
+			hasUnmarshal = true
 		case "EncodedSize":
 			hasSize = true
 		}
 	}
 	// The gate is the binary-codec pair: a type with only WriteTo (a
 	// telemetry exporter, a report renderer) is not board-bound.
-	if !have["MarshalBinary"] && !have["UnmarshalBinary"] {
+	if !hasMarshal && !hasUnmarshal {
 		return
 	}
-	if len(have) < len(quartet) {
-		var missing []string
-		for _, m := range quartet {
-			if !have[m] {
-				missing = append(missing, m)
-			}
+	if hasMarshal != hasUnmarshal {
+		have, missing := "MarshalBinary", "UnmarshalBinary"
+		if hasUnmarshal {
+			have, missing = missing, have
 		}
-		sort.Strings(missing)
-		pass.Reportf(ts.Pos(), "wire type %s implements %s but not %s; board-crossing types implement the full MarshalBinary/UnmarshalBinary/WriteTo/ReadFrom quartet",
-			named.Obj().Name(), joinHave(have), strings.Join(missing, ", "))
+		pass.Reportf(ts.Pos(), "wire type %s implements %s but not %s; board-crossing types implement the MarshalBinary/UnmarshalBinary pair",
+			named.Obj().Name(), have, missing)
 		return
 	}
 	key := taint.TypeKey(named.Obj())
@@ -175,21 +170,11 @@ func checkType(pass *analysis.Pass, pkg *analysis.Package, ts *ast.TypeSpec, nam
 		pass.Reportf(ts.Pos(), "wire type %s has no EncodedSize method; the wire-size model must be explicit for byte accounting", named.Obj().Name())
 	}
 	if !fuzzRefs[key] {
-		pass.Reportf(ts.Pos(), "wire type %s has no Fuzz target exercising its codec; hostile bytes must reach UnmarshalBinary/ReadFrom", named.Obj().Name())
+		pass.Reportf(ts.Pos(), "wire type %s has no Fuzz target exercising its codec; hostile bytes must reach UnmarshalBinary", named.Obj().Name())
 	}
 	if hasSize && !sizePins[key] {
 		pass.Reportf(ts.Pos(), "wire type %s: EncodedSize is not pinned by any test; the size model can drift silently", named.Obj().Name())
 	}
-}
-
-func joinHave(have map[string]bool) string {
-	var out []string
-	for _, m := range quartet {
-		if have[m] {
-			out = append(out, m)
-		}
-	}
-	return strings.Join(out, ", ")
 }
 
 // checkPayloads flags codec-less payload expressions at board publication

@@ -6,7 +6,7 @@ import (
 	"yosompc/internal/analysis/analysistest"
 )
 
-// TestFixtures runs the analyzer over the wire fixtures (quartet
+// TestFixtures runs the analyzer over the wire fixtures (pair
 // completeness, size model, fuzz coverage, size pins, in-package and
 // external test variants) and the board fixtures (codec-less payloads at
 // publication calls, the //yosolint:wireok escape hatch).

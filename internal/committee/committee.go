@@ -168,9 +168,11 @@ func Speak[T Payload](r *Runner, role *yoso.Role, sp Spec, honest func() (T, err
 
 // Step runs Speak for every member of a committee and returns the verified
 // posts in member order. Members whose proofs fail or who never spoke are
-// recorded in r.Excluded. After the step the committee receives the Spoke
-// token. The first member error cancels the remaining members and aborts
-// the step.
+// recorded in r.Excluded. The first member error cancels the remaining
+// members and aborts the step. Once members have run, the committee
+// receives the Spoke token whether the step succeeded or aborted: its
+// speaking window is over, and an aborted step must not leave roles that
+// could post again or still hold their secret keys.
 func Step[T Payload](r *Runner, c *yoso.Committee, sp Spec, honest func(i int) (T, error), garbSize int) ([]Post[T], error) {
 	if r.Ctx != nil {
 		if err := r.Ctx.Err(); err != nil {
@@ -198,6 +200,7 @@ func Step[T Payload](r *Runner, c *yoso.Committee, sp Spec, honest func(i int) (
 			func() (T, error) { return honest(idx0 + 1) }, garbSize)
 		return err
 	}, r.Obs)
+	c.SpeakAll()
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +213,6 @@ func Step[T Payload](r *Runner, c *yoso.Committee, sp Spec, honest func(i int) (
 		r.Excluded = append(r.Excluded, fmt.Sprintf("%s@%s (%s)", role.Name(), sp.Label, role.Behavior))
 		r.LogSpan(span, "role excluded", "role", role.Name(), "step", sp.Label, "behavior", role.Behavior.String())
 	}
-	c.SpeakAll()
 	span.SetInt("verified", int64(len(verified)))
 	r.LogSpan(span, "committee spoke", "committee", c.Name, "step", sp.Label,
 		"verified", len(verified), "of", c.N())

@@ -2,6 +2,7 @@ package committee
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/big"
 	"reflect"
@@ -332,6 +333,35 @@ func TestTskStep(t *testing.T) {
 }
 
 // A committee that was never handed tsk shares cannot run a tsk step.
+// TestStepLeavesCommitteeSpoken: a committee's window closes with its step,
+// on the success path and when a member's honest closure errors — an
+// aborted step leaves no role able to post again or holding its key.
+func TestStepLeavesCommitteeSpoken(t *testing.T) {
+	f, _ := newFixtureOn(t, tte.NewSim(512), pke.NewSim(), nil)
+	sp := Spec{Phase: comm.PhaseOnline, Cat: comm.CatLambda, Label: "spoken"}
+	for _, failAt := range []int{0, 3} {
+		c := f.form(t, fmt.Sprintf("spoken%d", failAt))
+		boom := fmt.Errorf("member %d cannot compute", failAt)
+		posts, err := Step(f.Runner, c, sp, func(i int) (CtBundle, error) {
+			if i == failAt {
+				return nil, boom
+			}
+			return CtBundle{f.encrypt(t, int64(i))}, nil
+		}, 8)
+		if failAt == 0 && (err != nil || len(posts) == 0) {
+			t.Fatalf("clean step: %d posts, err %v", len(posts), err)
+		}
+		if failAt != 0 && !errors.Is(err, boom) {
+			t.Fatalf("step with failing member %d: err = %v, want %v", failAt, err, boom)
+		}
+		for _, role := range c.Roles {
+			if !role.HasSpoken() {
+				t.Errorf("failAt=%d: %s has not spoken after the step", failAt, role.Name())
+			}
+		}
+	}
+}
+
 func TestTskStepWithoutShares(t *testing.T) {
 	f, dealt := newFixture(t)
 	c, last := f.form(t, "c"), f.form(t, "last")

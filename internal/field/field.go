@@ -8,6 +8,12 @@
 // All values of type Element are kept in canonical form, i.e. in the range
 // [0, p). The zero value of Element is the field's additive identity and is
 // ready to use.
+//
+// Element is opaque: its representation is an unexported struct field, so
+// outside this package raw + - * / %, ordering comparisons, Element(3) and
+// uint64(e) do not compile and every value is built by New, FromBytes or
+// the arithmetic methods. ==, map keys and the []Element memory layout are
+// those of a uint64.
 package field
 
 import (
@@ -26,12 +32,12 @@ const Modulus uint64 = (1 << 61) - 1
 const ElementSize = 8
 
 // Element is an element of F_p in canonical form [0, p).
-type Element uint64
+type Element struct{ v uint64 }
 
 // Common small constants.
-const (
-	Zero Element = 0
-	One  Element = 1
+var (
+	Zero = Element{}
+	One  = Element{1}
 )
 
 // ErrNotInvertible is returned when asked for the inverse of zero.
@@ -40,11 +46,11 @@ var ErrNotInvertible = errors.New("field: zero has no multiplicative inverse")
 // New reduces an arbitrary uint64 into the field.
 func New(v uint64) Element {
 	// v < 2^64 = 8·2^61, so at most two folding rounds are needed.
-	v = (v >> 61) + (v & uint64(Modulus))
+	v = (v >> 61) + (v & Modulus)
 	if v >= Modulus {
 		v -= Modulus
 	}
-	return Element(v)
+	return Element{v}
 }
 
 // NewInt64 reduces a signed integer into the field.
@@ -60,7 +66,7 @@ func NewInt64(v int64) Element {
 func FromBig(v *big.Int) Element {
 	var m big.Int
 	m.Mod(v, modulusBig)
-	return Element(m.Uint64())
+	return Element{m.Uint64()}
 }
 
 var modulusBig = new(big.Int).SetUint64(Modulus)
@@ -70,50 +76,50 @@ var modulusBig = new(big.Int).SetUint64(Modulus)
 func ModulusBig() *big.Int { return modulusBig }
 
 // Big returns the element as a big.Int.
-func (e Element) Big() *big.Int { return new(big.Int).SetUint64(uint64(e)) }
+func (e Element) Big() *big.Int { return new(big.Int).SetUint64(e.v) }
 
 // Uint64 returns the canonical representative in [0, p).
-func (e Element) Uint64() uint64 { return uint64(e) }
+func (e Element) Uint64() uint64 { return e.v }
 
 // IsZero reports whether e is the additive identity.
-func (e Element) IsZero() bool { return e == 0 }
+func (e Element) IsZero() bool { return e.v == 0 }
 
 // Add returns e + o mod p.
 func (e Element) Add(o Element) Element {
-	s := uint64(e) + uint64(o) // < 2p < 2^62, no overflow
+	s := e.v + o.v // < 2p < 2^62, no overflow
 	if s >= Modulus {
 		s -= Modulus
 	}
-	return Element(s)
+	return Element{s}
 }
 
 // Sub returns e - o mod p.
 func (e Element) Sub(o Element) Element {
-	d := uint64(e) - uint64(o)
-	if uint64(e) < uint64(o) {
+	d := e.v - o.v
+	if e.v < o.v {
 		d += Modulus
 	}
-	return Element(d)
+	return Element{d}
 }
 
 // Neg returns -e mod p.
 func (e Element) Neg() Element {
-	if e == 0 {
-		return 0
+	if e.v == 0 {
+		return Element{}
 	}
-	return Element(Modulus - uint64(e))
+	return Element{Modulus - e.v}
 }
 
 // Mul returns e · o mod p using Mersenne folding.
 func (e Element) Mul(o Element) Element {
-	hi, lo := bits.Mul64(uint64(e), uint64(o))
+	hi, lo := bits.Mul64(e.v, o.v)
 	// e·o = hi·2^64 + lo = hi·8·2^61 + lo ≡ hi·8 + (lo>>61) + (lo & p).
 	r := hi<<3 | lo>>61 // < 2^61 since hi < 2^58 for canonical inputs
-	s := r + (lo & uint64(Modulus))
+	s := r + (lo & Modulus)
 	if s >= Modulus {
 		s -= Modulus
 	}
-	return Element(s)
+	return Element{s}
 }
 
 // Square returns e² mod p.
@@ -138,8 +144,8 @@ func (e Element) Pow(exp uint64) Element {
 
 // Inv returns the multiplicative inverse of e, or ErrNotInvertible for zero.
 func (e Element) Inv() (Element, error) {
-	if e == 0 {
-		return 0, ErrNotInvertible
+	if e.v == 0 {
+		return Element{}, ErrNotInvertible
 	}
 	// Fermat: e^(p-2) mod p.
 	return e.Pow(Modulus - 2), nil
@@ -160,7 +166,7 @@ func (e Element) MustInv() Element {
 func (e Element) Div(o Element) (Element, error) {
 	inv, err := o.Inv()
 	if err != nil {
-		return 0, err
+		return Element{}, err
 	}
 	return e.Mul(inv), nil
 }
@@ -169,31 +175,31 @@ func (e Element) Div(o Element) (Element, error) {
 func (e Element) Equal(o Element) bool { return e == o }
 
 // String implements fmt.Stringer.
-func (e Element) String() string { return fmt.Sprintf("%d", uint64(e)) }
+func (e Element) String() string { return fmt.Sprintf("%d", e.v) }
 
 // Bytes returns the fixed-size big-endian encoding of e.
 func (e Element) Bytes() [ElementSize]byte {
 	var buf [ElementSize]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(e))
+	binary.BigEndian.PutUint64(buf[:], e.v)
 	return buf
 }
 
 // AppendBytes appends the fixed-size encoding of e to dst.
 func (e Element) AppendBytes(dst []byte) []byte {
-	return binary.BigEndian.AppendUint64(dst, uint64(e))
+	return binary.BigEndian.AppendUint64(dst, e.v)
 }
 
 // FromBytes decodes an element from its fixed-size encoding. It rejects
 // non-canonical encodings (values ≥ p).
 func FromBytes(buf []byte) (Element, error) {
 	if len(buf) < ElementSize {
-		return 0, fmt.Errorf("field: short encoding: %d bytes", len(buf))
+		return Element{}, fmt.Errorf("field: short encoding: %d bytes", len(buf))
 	}
 	v := binary.BigEndian.Uint64(buf[:ElementSize])
 	if v >= Modulus {
-		return 0, fmt.Errorf("field: non-canonical encoding %d", v)
+		return Element{}, fmt.Errorf("field: non-canonical encoding %d", v)
 	}
-	return Element(v), nil
+	return Element{v}, nil
 }
 
 // Random returns a uniformly random field element from crypto/rand.
@@ -201,12 +207,12 @@ func Random() (Element, error) {
 	var buf [8]byte
 	for {
 		if _, err := rand.Read(buf[:]); err != nil {
-			return 0, fmt.Errorf("field: sampling randomness: %w", err)
+			return Element{}, fmt.Errorf("field: sampling randomness: %w", err)
 		}
 		// Rejection-sample 61-bit values for exact uniformity.
 		v := binary.BigEndian.Uint64(buf[:]) >> 3 // 61 bits
 		if v < Modulus {
-			return Element(v), nil
+			return Element{v}, nil
 		}
 	}
 }

@@ -30,10 +30,10 @@ func TestNewReduces(t *testing.T) {
 }
 
 func TestNewInt64(t *testing.T) {
-	if got := NewInt64(-1); got != Element(Modulus-1) {
+	if got := NewInt64(-1); got != New(Modulus-1) {
 		t.Errorf("NewInt64(-1) = %v, want p-1", got)
 	}
-	if got := NewInt64(5); got != Element(5) {
+	if got := NewInt64(5); got != New(5) {
 		t.Errorf("NewInt64(5) = %v", got)
 	}
 	if got := NewInt64(-5).Add(NewInt64(5)); got != Zero {
@@ -105,7 +105,7 @@ func TestMulMatchesBigInt(t *testing.T) {
 }
 
 func TestMulEdgeCases(t *testing.T) {
-	maxE := Element(Modulus - 1)
+	maxE := New(Modulus - 1)
 	// (p-1)² mod p = 1.
 	if got := maxE.Mul(maxE); got != One {
 		t.Errorf("(p-1)² = %v, want 1", got)
@@ -162,7 +162,7 @@ func TestInvZero(t *testing.T) {
 }
 
 func TestDiv(t *testing.T) {
-	x, y := Element(42), Element(7919)
+	x, y := New(42), New(7919)
 	q, err := x.Div(y)
 	if err != nil {
 		t.Fatal(err)
@@ -176,14 +176,14 @@ func TestDiv(t *testing.T) {
 }
 
 func TestPow(t *testing.T) {
-	x := Element(3)
+	x := New(3)
 	if got := x.Pow(0); got != One {
 		t.Errorf("3^0 = %v", got)
 	}
 	if got := x.Pow(1); got != x {
 		t.Errorf("3^1 = %v", got)
 	}
-	if got := x.Pow(5); got != Element(243) {
+	if got := x.Pow(5); got != New(243) {
 		t.Errorf("3^5 = %v, want 243", got)
 	}
 	// Fermat's little theorem: x^(p-1) = 1 for x != 0.
@@ -205,7 +205,7 @@ func TestSerializationRoundTrip(t *testing.T) {
 }
 
 func TestFromBytesRejectsNonCanonical(t *testing.T) {
-	bad := Element(Modulus) // not canonical
+	bad := Element{Modulus} // not canonical
 	buf := bad.Bytes()
 	if _, err := FromBytes(buf[:]); err == nil {
 		t.Error("FromBytes accepted value == p")
@@ -219,11 +219,11 @@ func TestFromBig(t *testing.T) {
 	var v big.Int
 	v.SetUint64(Modulus)
 	v.Add(&v, big.NewInt(7))
-	if got := FromBig(&v); got != Element(7) {
+	if got := FromBig(&v); got != New(7) {
 		t.Errorf("FromBig(p+7) = %v, want 7", got)
 	}
 	neg := big.NewInt(-1)
-	if got := FromBig(neg); got != Element(Modulus-1) {
+	if got := FromBig(neg); got != New(Modulus-1) {
 		t.Errorf("FromBig(-1) = %v, want p-1", got)
 	}
 }
@@ -261,7 +261,7 @@ func TestRandomVec(t *testing.T) {
 }
 
 func BenchmarkMul(b *testing.B) {
-	x, y := Element(0x123456789abcdef), Element(0xfedcba987654321%Modulus)
+	x, y := New(0x123456789abcdef), New(0xfedcba987654321%Modulus)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		x = x.Mul(y)
@@ -270,7 +270,7 @@ func BenchmarkMul(b *testing.B) {
 }
 
 func BenchmarkInv(b *testing.B) {
-	x := Element(0x123456789abcdef)
+	x := New(0x123456789abcdef)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		x, _ = x.Inv()

@@ -17,14 +17,14 @@ import "math/bits"
 // round and a single conditional subtraction bring under p.
 func reduce128(hi, lo uint64) Element {
 	r := hi<<3 + lo>>61 // < 2^61 + 2^3 when hi < 2^58
-	s := r + (lo & uint64(Modulus))
+	s := r + (lo & Modulus)
 	// s < 2^62, so one more fold reaches [0, 2p) and one subtraction
 	// canonicalizes.
-	s = (s >> 61) + (s & uint64(Modulus))
+	s = (s >> 61) + (s & Modulus)
 	if s >= Modulus {
 		s -= Modulus
 	}
-	return Element(s)
+	return Element{s}
 }
 
 // InnerProductLazy returns Σ a_i·b_i, identical to InnerProduct, using
@@ -37,10 +37,10 @@ func InnerProductLazy(a, b []Element) Element {
 	var acc Element
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
-		hi, lo := bits.Mul64(uint64(a[i]), uint64(b[i]))
-		h1, l1 := bits.Mul64(uint64(a[i+1]), uint64(b[i+1]))
-		h2, l2 := bits.Mul64(uint64(a[i+2]), uint64(b[i+2]))
-		h3, l3 := bits.Mul64(uint64(a[i+3]), uint64(b[i+3]))
+		hi, lo := bits.Mul64(a[i].v, b[i].v)
+		h1, l1 := bits.Mul64(a[i+1].v, b[i+1].v)
+		h2, l2 := bits.Mul64(a[i+2].v, b[i+2].v)
+		h3, l3 := bits.Mul64(a[i+3].v, b[i+3].v)
 		var c uint64
 		lo, c = bits.Add64(lo, l1, 0)
 		hi += h1 + c

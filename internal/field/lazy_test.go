@@ -9,10 +9,10 @@ import (
 // extremes of the canonical range, the powers straddling the 61-bit fold
 // boundary, and their neighbours.
 var boundaryElems = []Element{
-	0, 1, 2, 3,
-	Element(Modulus - 1), Element(Modulus - 2), Element(Modulus - 3),
-	Element(1 << 60), Element(1<<60 - 1), Element(1<<60 + 1),
-	Element(1 << 59), Element(1<<31 - 1), Element(1 << 32),
+	New(0), New(1), New(2), New(3),
+	New(Modulus - 1), New(Modulus - 2), New(Modulus - 3),
+	New(1 << 60), New(1<<60 - 1), New(1<<60 + 1),
+	New(1 << 59), New(1<<31 - 1), New(1 << 32),
 }
 
 // TestInnerProductLazyExhaustiveBoundary drives every pair of boundary
@@ -29,7 +29,7 @@ func TestInnerProductLazyExhaustiveBoundary(t *testing.T) {
 					for i := range a {
 						// Fill the rest with the worst-case constant so the
 						// accumulator runs as hot as possible.
-						a[i], b[i] = Element(Modulus-1), Element(Modulus-1)
+						a[i], b[i] = New(Modulus-1), New(Modulus-1)
 					}
 					a[pos], b[pos] = x, y
 					want := InnerProduct(a, b)
@@ -50,7 +50,7 @@ func TestInnerProductLazyAllMax(t *testing.T) {
 	for n := 0; n <= 67; n++ {
 		a := make([]Element, n)
 		for i := range a {
-			a[i] = Element(Modulus - 1)
+			a[i] = New(Modulus - 1)
 		}
 		want := InnerProduct(a, a)
 		if got := InnerProductLazy(a, a); got != want {
@@ -85,10 +85,10 @@ func TestInnerProductLazyLengthMismatchPanics(t *testing.T) {
 
 func TestMatVecLazy(t *testing.T) {
 	rows := [][]Element{
-		{1, 2, 3},
-		{Element(Modulus - 1), 0, 7},
+		{New(1), New(2), New(3)},
+		{New(Modulus - 1), New(0), New(7)},
 	}
-	v := []Element{5, 11, Element(Modulus - 2)}
+	v := []Element{New(5), New(11), New(Modulus - 2)}
 	got := MatVecLazy(rows, v)
 	if len(got) != 2 {
 		t.Fatalf("MatVecLazy returned %d rows", len(got))

@@ -102,7 +102,7 @@ func CloneVec(a []Element) []Element {
 // dead-store-eliminate it.
 func Zeroize(v []Element) {
 	for i := range v {
-		v[i] = 0
+		v[i] = Element{}
 	}
 	zeroizeSink(v)
 }

@@ -38,7 +38,7 @@ func TestMulVec(t *testing.T) {
 
 func TestScalarMulVec(t *testing.T) {
 	a := fromUints([]uint64{1, 2, 3})
-	got := ScalarMulVec(Element(10), a)
+	got := ScalarMulVec(New(10), a)
 	want := fromUints([]uint64{10, 20, 30})
 	if !EqualVec(got, want) {
 		t.Errorf("ScalarMulVec = %v, want %v", got, want)
@@ -64,13 +64,13 @@ func TestNegVecSum(t *testing.T) {
 func TestInnerProduct(t *testing.T) {
 	a := fromUints([]uint64{1, 2, 3})
 	b := fromUints([]uint64{4, 5, 6})
-	if got := InnerProduct(a, b); got != Element(32) {
+	if got := InnerProduct(a, b); got != New(32) {
 		t.Errorf("InnerProduct = %v, want 32", got)
 	}
 }
 
 func TestSum(t *testing.T) {
-	if got := Sum(fromUints([]uint64{1, 2, 3, 4})); got != Element(10) {
+	if got := Sum(fromUints([]uint64{1, 2, 3, 4})); got != New(10) {
 		t.Errorf("Sum = %v, want 10", got)
 	}
 	if got := Sum(nil); got != Zero {
@@ -91,8 +91,8 @@ func TestEqualVec(t *testing.T) {
 func TestCloneVecIndependent(t *testing.T) {
 	a := fromUints([]uint64{1, 2, 3})
 	c := CloneVec(a)
-	c[0] = Element(99)
-	if a[0] == Element(99) {
+	c[0] = New(99)
+	if a[0] == New(99) {
 		t.Error("CloneVec aliases input")
 	}
 }

@@ -1,9 +1,6 @@
 package nizk
 
-import (
-	"encoding"
-	"io"
-)
+import "encoding"
 
 // Proof wire format: the raw 192-byte constant-size blob, no framing — the
 // enclosing message versions it. See docs/WIRE.md.
@@ -25,21 +22,7 @@ func (p *Proof) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// WriteTo implements io.WriterTo.
-func (p Proof) WriteTo(w io.Writer) (int64, error) {
-	n, err := w.Write(p.data[:])
-	return int64(n), err
-}
-
-// ReadFrom implements io.ReaderFrom: exactly AttestedProofSize bytes.
-func (p *Proof) ReadFrom(r io.Reader) (int64, error) {
-	n, err := io.ReadFull(r, p.data[:])
-	return int64(n), err
-}
-
 var (
 	_ encoding.BinaryMarshaler   = Proof{}
 	_ encoding.BinaryUnmarshaler = (*Proof)(nil)
-	_ io.WriterTo                = Proof{}
-	_ io.ReaderFrom              = (*Proof)(nil)
 )

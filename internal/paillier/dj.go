@@ -148,19 +148,5 @@ func (k *DJKey) ScalarMul(a *Ciphertext, s *big.Int) *Ciphertext {
 	return &Ciphertext{C: new(big.Int).Exp(base, exp, k.Ns1)}
 }
 
-// Rerandomize multiplies by a fresh encryption of zero.
-func (k *DJKey) Rerandomize(random io.Reader, c *Ciphertext) (*Ciphertext, error) {
-	z, err := k.Encrypt(random, big.NewInt(0))
-	if err != nil {
-		return nil, err
-	}
-	return k.Add(c, z), nil
-}
-
 // ByteLen returns the wire size of degree-S ciphertexts.
 func (k *DJKey) ByteLen() int { return (k.Ns1.BitLen() + 7) / 8 }
-
-// MaxPlaintext returns N^S − 1.
-func (k *DJKey) MaxPlaintext() *big.Int {
-	return new(big.Int).Sub(k.Ns, big.NewInt(1))
-}

@@ -49,8 +49,7 @@ type djState struct {
 // djCRT returns the CRT state of k, building it on first use. The build
 // runs outside any lock (it contains modular inversions that cost real
 // time at production moduli); concurrent first callers may duplicate the
-// work and the compare-and-swap keeps one winner — the crtState pattern
-// in crt.go.
+// work and the compare-and-swap keeps one winner.
 func (k *DJKey) djCRT() (*djState, error) {
 	if st := k.crtPre.Load(); st != nil {
 		return st, nil

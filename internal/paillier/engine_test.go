@@ -1,7 +1,6 @@
 package paillier
 
 import (
-	"bytes"
 	"crypto/rand"
 	"fmt"
 	"math/big"
@@ -156,7 +155,7 @@ func TestEncryptManyWorkerCountIndependent(t *testing.T) {
 	}
 	for w := 1; w < len(runs); w++ {
 		for i := range msgs {
-			if !bytes.Equal(runs[0][i].Bytes(), runs[w][i].Bytes()) {
+			if runs[0][i].C.Cmp(runs[w][i].C) != 0 {
 				t.Fatalf("message %d: run 0 and run %d differ", i, w)
 			}
 		}
@@ -214,6 +213,17 @@ func randomizerTestKeys() map[string]*PrivateKey {
 	return keys
 }
 
+// allTestKeys is every fixed key: randomizerTestKeys plus the remaining
+// 512-bit keys and the 768-bit one.
+func allTestKeys() map[string]*PrivateKey {
+	keys := randomizerTestKeys()
+	for i := 1; i < NumFixedTestKeys; i++ {
+		keys[fmt.Sprintf("512/%d", i)] = FixedTestKey(i)
+	}
+	keys["768"] = FixedTestKey768(0)
+	return keys
+}
+
 // TestEncryptMatchesNonceReference is the randomizer's differential
 // test: with ρ re-drawn from the same stream, Encrypt's ciphertext is
 // EncryptWithNonce(m, h^ρ mod N) bit for bit — so everything downstream
@@ -228,7 +238,7 @@ func TestEncryptMatchesNonceReference(t *testing.T) {
 			}
 			rz := k.randomizer()
 			r := mrand.New(mrand.NewSource(int64(s)))
-			msgs := []*big.Int{new(big.Int), k.MaxPlaintext(), new(big.Int).Rand(r, k.Ns)}
+			msgs := []*big.Int{new(big.Int), new(big.Int).Sub(k.Ns, one), new(big.Int).Rand(r, k.Ns)}
 			for i, m := range msgs {
 				seed := int64(100*s + i)
 				got, err := k.Encrypt(fixedStream(seed), m)
@@ -264,12 +274,7 @@ func TestEncryptMatchesNonceReference(t *testing.T) {
 // h^{2M} = 1 and no h^{2M/ℓ} is, ℓ ∈ {2, p', q'}. The base must also be
 // a function of N alone.
 func TestRandomizerBaseGeneratesJacobiGroup(t *testing.T) {
-	keys := randomizerTestKeys()
-	for i := 1; i < NumFixedTestKeys; i++ {
-		keys[fmt.Sprintf("512/%d", i)] = FixedTestKey(i)
-	}
-	keys["768"] = FixedTestKey768(0)
-	for name, sk := range keys {
+	for name, sk := range allTestKeys() {
 		k, err := NewDJKey(sk, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -291,7 +296,7 @@ func TestRandomizerBaseGeneratesJacobiGroup(t *testing.T) {
 		pPrime := new(big.Int).Rsh(sk.P, 1)
 		qPrime := new(big.Int).Rsh(sk.Q, 1)
 		for what, e := range map[string]*big.Int{
-			"h^M": sk.M, "h^2": two,
+			"h^M": sk.M, "h^2": big.NewInt(2),
 			"h^{2p'}": new(big.Int).Lsh(pPrime, 1), "h^{2q'}": new(big.Int).Lsh(qPrime, 1),
 		} {
 			if pow(e).Cmp(one) == 0 {

@@ -5,6 +5,10 @@
 // Ciphertexts encrypt messages m ∈ Z_N as c = (1+N)^m · r^N mod N².
 // The scheme is additively homomorphic: multiplying ciphertexts adds
 // plaintexts, and exponentiation by a scalar multiplies the plaintext.
+// PublicKey/PrivateKey are the s = 1 key material and the full-width-nonce
+// encryption the NIZK layer proves statements about; the homomorphic
+// operations and decryption live on DJKey (dj.go), of which plain
+// Paillier is the degree-1 case.
 package paillier
 
 import (
@@ -16,10 +20,7 @@ import (
 	"sync/atomic"
 )
 
-var (
-	one = big.NewInt(1)
-	two = big.NewInt(2)
-)
+var one = big.NewInt(1)
 
 // ErrDecryption is returned when a ciphertext fails structural checks.
 var ErrDecryption = errors.New("paillier: decryption failed")
@@ -49,9 +50,9 @@ type PrivateKey struct {
 	// M is p'·q' for safe-prime keys, nil otherwise.
 	M *big.Int
 
-	// crtPre is the lazily built CRT decryption precompute (crt.go). It
-	// makes the key non-copyable; keys are only ever handled by pointer.
-	crtPre atomic.Pointer[crtState] //yosolint:secret derived from the prime factors: p², q², p−1, q−1 and their inverses
+	// dj is the lazily built degree-1 Damgård–Jurik view Decrypt runs on.
+	// It makes the key non-copyable; keys are only ever handled by pointer.
+	dj atomic.Pointer[DJKey]
 }
 
 // Ciphertext is a Paillier ciphertext, an element of Z*_{N²}.
@@ -211,91 +212,20 @@ func (pk *PublicKey) EncryptWithNonce(m, r *big.Int) (*Ciphertext, error) {
 	return &Ciphertext{C: c}, nil
 }
 
-// Decrypt recovers the plaintext of c: m = L(c^λ mod N²)·μ mod N, where
-// L(x) = (x-1)/N. It runs on the CRT engine path (crt.go).
+// Decrypt recovers the plaintext of c. Plain Paillier is Damgård–Jurik at
+// s = 1, so this is DJKey.Decrypt on a degree-1 view of the key (the CRT
+// engine path, engine.go), built on first use. A nil, non-positive or
+// ≥ N² ciphertext is ErrDecryption.
 func (sk *PrivateKey) Decrypt(c *Ciphertext) (*big.Int, error) {
-	return sk.DecryptCRT(c)
-}
-
-// lFunc computes L(x) = (x-1)/N, valid for x ≡ 1 (mod N).
-func (sk *PrivateKey) lFunc(x *big.Int) *big.Int {
-	l := new(big.Int).Sub(x, one)
-	return l.Div(l, sk.N)
-}
-
-func (sk *PrivateKey) checkCiphertext(c *Ciphertext) error {
-	if c == nil || c.C == nil || c.C.Sign() <= 0 || c.C.Cmp(sk.N2) >= 0 {
-		return fmt.Errorf("%w: malformed ciphertext", ErrDecryption)
+	k := sk.dj.Load()
+	if k == nil {
+		var err error
+		if k, err = NewDJKey(sk, 1); err != nil {
+			return nil, err
+		}
+		if !sk.dj.CompareAndSwap(nil, k) {
+			k = sk.dj.Load()
+		}
 	}
-	return nil
-}
-
-// Add returns a ciphertext encrypting the sum of the two plaintexts.
-func (pk *PublicKey) Add(a, b *Ciphertext) *Ciphertext {
-	c := new(big.Int).Mul(a.C, b.C)
-	c.Mod(c, pk.N2)
-	return &Ciphertext{C: c}
-}
-
-// ScalarMul returns a ciphertext encrypting s·m where m is a's plaintext.
-// Negative scalars are supported via modular inversion of the ciphertext.
-func (pk *PublicKey) ScalarMul(a *Ciphertext, s *big.Int) *Ciphertext {
-	base := a.C
-	exp := s
-	if s.Sign() < 0 {
-		base = new(big.Int).ModInverse(a.C, pk.N2)
-		exp = new(big.Int).Neg(s)
-	}
-	c := new(big.Int).Exp(base, exp, pk.N2)
-	return &Ciphertext{C: c}
-}
-
-// AddPlain returns a ciphertext encrypting m_a + s for public s.
-func (pk *PublicKey) AddPlain(a *Ciphertext, s *big.Int) *Ciphertext {
-	gs := new(big.Int).Mod(s, pk.N)
-	gs.Mul(gs, pk.N)
-	gs.Add(gs, one)
-	gs.Mod(gs, pk.N2)
-	c := gs.Mul(gs, a.C)
-	c.Mod(c, pk.N2)
-	return &Ciphertext{C: c}
-}
-
-// EncryptZero returns a fresh encryption of 0, used for rerandomization.
-func (pk *PublicKey) EncryptZero(random io.Reader) (*Ciphertext, error) {
-	return pk.Encrypt(random, big.NewInt(0))
-}
-
-// Rerandomize multiplies c by a fresh encryption of zero.
-func (pk *PublicKey) Rerandomize(random io.Reader, c *Ciphertext) (*Ciphertext, error) {
-	z, err := pk.EncryptZero(random)
-	if err != nil {
-		return nil, err
-	}
-	return pk.Add(c, z), nil
-}
-
-// Clone returns a deep copy of the ciphertext.
-func (c *Ciphertext) Clone() *Ciphertext {
-	return &Ciphertext{C: new(big.Int).Set(c.C)}
-}
-
-// Bytes returns the minimal big-endian encoding of the ciphertext value.
-func (c *Ciphertext) Bytes() []byte { return c.C.Bytes() }
-
-// CiphertextFromBytes decodes a ciphertext produced by Bytes.
-func CiphertextFromBytes(buf []byte) *Ciphertext {
-	return &Ciphertext{C: new(big.Int).SetBytes(buf)}
-}
-
-// ByteLen returns the serialized length in bytes of ciphertexts under pk
-// (the size of N², since ciphertexts are uniform in Z*_{N²}).
-func (pk *PublicKey) ByteLen() int { return (pk.N2.BitLen() + 7) / 8 }
-
-// PlaintextByteLen returns the maximum plaintext payload in whole bytes.
-func (pk *PublicKey) PlaintextByteLen() int { return (pk.N.BitLen() - 1) / 8 }
-
-// Equal reports whether two public keys are the same key.
-func (pk *PublicKey) Equal(o *PublicKey) bool {
-	return o != nil && pk.N.Cmp(o.N) == 0
+	return k.Decrypt(c)
 }

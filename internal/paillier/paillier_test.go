@@ -2,6 +2,7 @@ package paillier
 
 import (
 	"crypto/rand"
+	"errors"
 	"math/big"
 	"testing"
 )
@@ -44,101 +45,6 @@ func TestEncryptRejectsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestAdditiveHomomorphism(t *testing.T) {
-	sk := testKey(t)
-	a, b := big.NewInt(1_000_003), big.NewInt(999_983)
-	ca, err := sk.Encrypt(rand.Reader, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb, err := sk.Encrypt(rand.Reader, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sk.PublicKey.Add(ca, cb)
-	got, err := sk.Decrypt(sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := new(big.Int).Add(a, b)
-	if got.Cmp(want) != 0 {
-		t.Errorf("Enc(a)+Enc(b) decrypts to %v, want %v", got, want)
-	}
-}
-
-func TestScalarMul(t *testing.T) {
-	sk := testKey(t)
-	m := big.NewInt(777)
-	c, err := sk.Encrypt(rand.Reader, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := big.NewInt(12345)
-	got, err := sk.Decrypt(sk.PublicKey.ScalarMul(c, s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := new(big.Int).Mul(m, s)
-	if got.Cmp(want) != 0 {
-		t.Errorf("s·Enc(m) decrypts to %v, want %v", got, want)
-	}
-}
-
-func TestScalarMulNegative(t *testing.T) {
-	sk := testKey(t)
-	m := big.NewInt(10)
-	c, err := sk.Encrypt(rand.Reader, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sk.Decrypt(sk.PublicKey.ScalarMul(c, big.NewInt(-3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// -30 mod N
-	want := new(big.Int).Sub(sk.N, big.NewInt(30))
-	if got.Cmp(want) != 0 {
-		t.Errorf("-3·Enc(10) decrypts to %v, want N-30", got)
-	}
-}
-
-func TestAddPlain(t *testing.T) {
-	sk := testKey(t)
-	c, err := sk.Encrypt(rand.Reader, big.NewInt(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sk.Decrypt(sk.PublicKey.AddPlain(c, big.NewInt(23)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cmp(big.NewInt(123)) != 0 {
-		t.Errorf("Enc(100)+23 = %v, want 123", got)
-	}
-}
-
-func TestRerandomizePreservesPlaintext(t *testing.T) {
-	sk := testKey(t)
-	c, err := sk.Encrypt(rand.Reader, big.NewInt(55))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := sk.PublicKey.Rerandomize(rand.Reader, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.C.Cmp(c.C) == 0 {
-		t.Error("rerandomization did not change ciphertext")
-	}
-	got, err := sk.Decrypt(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cmp(big.NewInt(55)) != 0 {
-		t.Errorf("rerandomized decrypts to %v, want 55", got)
-	}
-}
-
 func TestCiphertextsProbabilistic(t *testing.T) {
 	sk := testKey(t)
 	m := big.NewInt(42)
@@ -164,25 +70,9 @@ func TestDecryptRejectsMalformed(t *testing.T) {
 		{C: new(big.Int).Set(sk.N2)},
 	}
 	for i, c := range bad {
-		if _, err := sk.Decrypt(c); err == nil {
-			t.Errorf("case %d: malformed ciphertext accepted", i)
+		if _, err := sk.Decrypt(c); !errors.Is(err, ErrDecryption) {
+			t.Errorf("case %d: malformed ciphertext: err = %v, want ErrDecryption", i, err)
 		}
-	}
-}
-
-func TestSerializationRoundTrip(t *testing.T) {
-	sk := testKey(t)
-	c, err := sk.Encrypt(rand.Reader, big.NewInt(31337))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := CiphertextFromBytes(c.Bytes())
-	got, err := sk.Decrypt(c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cmp(big.NewInt(31337)) != 0 {
-		t.Errorf("serialized round trip = %v", got)
 	}
 }
 
@@ -256,29 +146,6 @@ func TestFixedTestKeyPanicsOutOfRange(t *testing.T) {
 	FixedTestKey(NumFixedTestKeys)
 }
 
-func TestByteLens(t *testing.T) {
-	sk := testKey(t)
-	if got := sk.PublicKey.ByteLen(); got < 120 {
-		t.Errorf("ByteLen = %d, want ~128 for 512-bit modulus", got)
-	}
-	if got := sk.PublicKey.PlaintextByteLen(); got < 60 {
-		t.Errorf("PlaintextByteLen = %d", got)
-	}
-}
-
-func TestPublicKeyEqual(t *testing.T) {
-	a, b := FixedTestKey(0), FixedTestKey(1)
-	if !a.PublicKey.Equal(&a.PublicKey) {
-		t.Error("key != itself")
-	}
-	if a.PublicKey.Equal(&b.PublicKey) {
-		t.Error("distinct keys compare equal")
-	}
-	if a.PublicKey.Equal(nil) {
-		t.Error("key equals nil")
-	}
-}
-
 // BenchmarkEncrypt and BenchmarkDecrypt time the engine paths against the
 // retained naive references on the same input (E14a's per-operation
 // ratios); the differential tests pin the two bit-for-bit.
@@ -333,32 +200,34 @@ func BenchmarkDecrypt(b *testing.B) {
 	}
 }
 
+// TestDecryptCRTMatchesDecrypt pins PrivateKey.Decrypt — the DJ s = 1 CRT
+// path — to the retained naive single-exponentiation reference on every
+// fixed key.
 func TestDecryptCRTMatchesDecrypt(t *testing.T) {
-	sk := testKey(t)
-	msgs := []*big.Int{
-		big.NewInt(0),
-		big.NewInt(1),
-		big.NewInt(999_983),
-		new(big.Int).Rsh(sk.N, 1),
-		new(big.Int).Sub(sk.N, big.NewInt(1)),
-	}
-	for _, m := range msgs {
-		c, err := sk.Encrypt(rand.Reader, m)
-		if err != nil {
-			t.Fatal(err)
+	for name, sk := range allTestKeys() {
+		msgs := []*big.Int{
+			big.NewInt(0),
+			big.NewInt(1),
+			big.NewInt(999_983),
+			new(big.Int).Rsh(sk.N, 1),
+			new(big.Int).Sub(sk.N, big.NewInt(1)),
 		}
-		// Decrypt now delegates to DecryptCRT, so the reference here is
-		// the retained naive single-exponentiation path.
-		slow, err := sk.DecryptNaive(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fast, err := sk.DecryptCRT(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if slow.Cmp(fast) != 0 || fast.Cmp(m) != 0 {
-			t.Errorf("m=%v: slow=%v fast=%v", m, slow, fast)
+		for _, m := range msgs {
+			c, err := sk.Encrypt(rand.Reader, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slow, err := sk.DecryptNaive(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fast, err := sk.Decrypt(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if slow.Cmp(fast) != 0 || fast.Cmp(m) != 0 {
+				t.Errorf("key %s m=%v: slow=%v fast=%v", name, m, slow, fast)
+			}
 		}
 	}
 }
@@ -373,34 +242,16 @@ func TestDecryptCRTAfterHomomorphics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sk.PublicKey.ScalarMul(sk.PublicKey.Add(c1, c2), big.NewInt(7))
-	got, err := sk.DecryptCRT(sum)
+	dj, err := NewDJKey(sk, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := dj.ScalarMul(dj.Add(c1, c2), big.NewInt(7))
+	got, err := sk.Decrypt(sum)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Cmp(big.NewInt(70000)) != 0 {
 		t.Errorf("CRT decrypt of 7(1234+8766) = %v", got)
-	}
-}
-
-func TestDecryptCRTRejectsMalformed(t *testing.T) {
-	sk := testKey(t)
-	if _, err := sk.DecryptCRT(&Ciphertext{C: big.NewInt(0)}); err == nil {
-		t.Error("CRT decrypt accepted zero ciphertext")
-	}
-}
-
-func BenchmarkDecryptCRT(b *testing.B) {
-	sk := FixedTestKey(0)
-	c, err := sk.Encrypt(rand.Reader, big.NewInt(123456))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sk.DecryptCRT(c); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

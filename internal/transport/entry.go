@@ -98,7 +98,12 @@ func (e *Entry) UnmarshalBinary(data []byte) error {
 
 // WriteTo implements io.WriterTo.
 func (e Entry) WriteTo(w io.Writer) (int64, error) {
-	return wire.WriteBinary(w, e)
+	buf, err := e.MarshalBinary()
+	if err != nil {
+		return 0, err
+	}
+	n, err := w.Write(buf)
+	return int64(n), err
 }
 
 // ReadFrom implements io.ReaderFrom, reading exactly one entry frame. A

@@ -3,7 +3,6 @@ package transport
 import (
 	"encoding"
 	"fmt"
-	"io"
 
 	"yosompc/internal/wire"
 )
@@ -85,56 +84,7 @@ func (m *Manifest) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// WriteTo implements io.WriterTo.
-func (m Manifest) WriteTo(w io.Writer) (int64, error) {
-	return wire.WriteBinary(w, m)
-}
-
-// ReadFrom implements io.ReaderFrom, reading exactly one manifest frame. A
-// clean EOF before the version byte returns io.EOF; an EOF mid-frame
-// returns io.ErrUnexpectedEOF.
-func (m *Manifest) ReadFrom(r io.Reader) (int64, error) {
-	var ver [1]byte
-	n, err := io.ReadFull(r, ver[:])
-	if err != nil {
-		return int64(n), err
-	}
-	if ver[0] != wire.Version {
-		return int64(n), fmt.Errorf("%w: manifest version %d, want %d", wire.ErrMalformed, ver[0], wire.Version)
-	}
-	fail := func(err error) (int64, error) {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return int64(n), err
-	}
-	committee, mm, err := wire.ReadString8(r)
-	n += mm
-	if err != nil {
-		return fail(err)
-	}
-	phase, mm, err := wire.ReadString8(r)
-	n += mm
-	if err != nil {
-		return fail(err)
-	}
-	cn, mm, err := wire.ReadUint32(r)
-	n += mm
-	if err != nil {
-		return fail(err)
-	}
-	quorum, mm, err := wire.ReadUint32(r)
-	n += mm
-	if err != nil {
-		return fail(err)
-	}
-	*m = Manifest{Committee: committee, Phase: phase, N: int(cn), Quorum: int(quorum)}
-	return int64(n), nil
-}
-
 var (
 	_ encoding.BinaryMarshaler   = Manifest{}
 	_ encoding.BinaryUnmarshaler = (*Manifest)(nil)
-	_ io.WriterTo                = Manifest{}
-	_ io.ReaderFrom              = (*Manifest)(nil)
 )

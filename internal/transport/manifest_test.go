@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"errors"
-	"io"
 	"testing"
 
 	"yosompc/internal/wire"
@@ -43,33 +42,6 @@ func TestManifestGoldenWire(t *testing.T) {
 	}
 }
 
-func TestManifestStreamRoundTrip(t *testing.T) {
-	in := []Manifest{
-		{Committee: "onC1", Phase: "online", N: 12, Quorum: 7},
-		{Committee: "on-layer2", Phase: "online", N: 64, Quorum: 33},
-		{Committee: "", Phase: "", N: 0, Quorum: 0},
-	}
-	var buf bytes.Buffer
-	for _, m := range in {
-		if _, err := m.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, want := range in {
-		var got Manifest
-		if _, err := got.ReadFrom(&buf); err != nil {
-			t.Fatalf("manifest %d: %v", i, err)
-		}
-		if got != want {
-			t.Errorf("manifest %d = %+v, want %+v", i, got, want)
-		}
-	}
-	var extra Manifest
-	if _, err := extra.ReadFrom(&buf); err != io.EOF {
-		t.Errorf("read past stream end = %v, want io.EOF", err)
-	}
-}
-
 func TestManifestDecodeRejectsMalformed(t *testing.T) {
 	good, _ := Manifest{Committee: "offR", Phase: "offline", N: 8, Quorum: 5}.MarshalBinary()
 	cases := map[string][]byte{
@@ -85,11 +57,6 @@ func TestManifestDecodeRejectsMalformed(t *testing.T) {
 		} else if name != "truncated" && !errors.Is(err, wire.ErrMalformed) {
 			t.Errorf("%s: err = %v, not wire.ErrMalformed", name, err)
 		}
-	}
-	// Mid-frame EOF on a stream is io.ErrUnexpectedEOF, never a silent stop.
-	var m Manifest
-	if _, err := m.ReadFrom(bytes.NewReader(good[:len(good)-1])); err != io.ErrUnexpectedEOF {
-		t.Errorf("mid-frame stream EOF = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 

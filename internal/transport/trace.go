@@ -91,11 +91,6 @@ func (tc *TraceContext) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// WriteTo implements io.WriterTo.
-func (tc TraceContext) WriteTo(w io.Writer) (int64, error) {
-	return wire.WriteBinary(w, tc)
-}
-
 // ReadFrom implements io.ReaderFrom, reading exactly one context. A clean
 // EOF before the first byte returns io.EOF; an EOF mid-field returns
 // io.ErrUnexpectedEOF.
@@ -132,6 +127,5 @@ func (tc *TraceContext) ReadFrom(r io.Reader) (int64, error) {
 var (
 	_ encoding.BinaryMarshaler   = TraceContext{}
 	_ encoding.BinaryUnmarshaler = (*TraceContext)(nil)
-	_ io.WriterTo                = TraceContext{}
 	_ io.ReaderFrom              = (*TraceContext)(nil)
 )

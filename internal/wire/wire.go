@@ -1,14 +1,12 @@
 // Package wire holds the shared primitives of the repo's binary message
 // encodings: the format version byte, bounds-checked append/consume helpers
-// for the length-prefixed field layouts, and adapters between the
-// encoding.BinaryMarshaler/BinaryUnmarshaler pair and io.WriterTo /
-// io.ReaderFrom streams.
+// for the length-prefixed field layouts, and their stream-reading twins
+// for the one type a stream carries (transport.Entry, boardd's framing).
 //
-// Every multiparty message type (packed share vectors, field-element
-// batches, TE ciphertexts and partial decryptions, NIZK proofs, PKE
-// envelopes, transport entries) builds its codec from these helpers so the
-// byte counts the board meters are the byte counts that actually cross a
-// wire. docs/WIRE.md documents the per-type layouts.
+// The framed types (transport entries and requests, manifests, trace
+// contexts, the Sim PKE envelope) build their codecs from these helpers so
+// the byte counts the board meters are the byte counts that actually cross
+// a wire. docs/WIRE.md documents the per-type layouts.
 package wire
 
 import (
@@ -105,24 +103,6 @@ func String8(data []byte) (string, []byte, error) {
 		return "", nil, fmt.Errorf("%w: string needs %d bytes, have %d", ErrMalformed, n, len(data)-1)
 	}
 	return string(data[1 : 1+n]), data[1+n:], nil
-}
-
-// WriteBinary writes m's binary encoding to w — the io.WriterTo body shared
-// by the codec types.
-func WriteBinary(w io.Writer, m interface{ MarshalBinary() ([]byte, error) }) (int64, error) {
-	buf, err := m.MarshalBinary()
-	if err != nil {
-		return 0, err
-	}
-	n, err := w.Write(buf)
-	return int64(n), err
-}
-
-// ReadFull reads exactly len(buf) bytes, mapping a clean EOF at offset zero
-// to io.EOF and a mid-field EOF to io.ErrUnexpectedEOF (the distinction
-// stream decoders surface to their consumers).
-func ReadFull(r io.Reader, buf []byte) (int, error) {
-	return io.ReadFull(r, buf)
 }
 
 // ReadUint32 reads a big-endian uint32 from a stream.

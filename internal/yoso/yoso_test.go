@@ -2,6 +2,9 @@ package yoso
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"yosompc/internal/comm"
@@ -84,6 +87,16 @@ func TestFormCommitteePublishesManifest(t *testing.T) {
 	}
 }
 
+// panicValue runs fn and returns what it panicked with (nil if it returned).
+func panicValue(fn func()) (v any) {
+	defer func() { v = recover() }()
+	fn()
+	return nil
+}
+
+// TestSpokeEnforcement pins the runtime speak-once rule on a single role
+// and on a whole committee: any Post after Spoke or SpeakAll panics with
+// ErrAlreadySpoke, while the read-only accessors stay legal.
 func TestSpokeEnforcement(t *testing.T) {
 	a, board := newTestAssignment(nil)
 	c, err := a.FormCommittee("c", 2, comm.PhaseOffline)
@@ -99,28 +112,49 @@ func TestSpokeEnforcement(t *testing.T) {
 	if !r.HasSpoken() {
 		t.Error("HasSpoken false after Spoke")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic when posting after Spoke")
+	if c.Role(2).HasSpoken() {
+		t.Error("Spoke on one role killed its neighbour")
+	}
+
+	c.SpeakAll()
+	c.SpeakAll() // a second delivery of the token is harmless
+	before := board.Len()
+	for _, r := range c.Roles {
+		err, _ := panicValue(func() { r.Post(comm.PhaseOffline, comm.CatLambda, make([]byte, 10)) }).(error)
+		if !errors.Is(err, ErrAlreadySpoke) {
+			t.Errorf("%s: Post after SpeakAll panicked with %v, want ErrAlreadySpoke", r.Name(), err)
 		}
-	}()
-	r.Post(comm.PhaseOffline, comm.CatLambda, make([]byte, 10))
+		if !r.HasSpoken() || r.Name() == "" || r.PublicKey() == nil {
+			t.Errorf("%s: HasSpoken/Name/PublicKey must stay usable after SpeakAll", r.Name())
+		}
+	}
+	if board.Len() != before {
+		t.Errorf("a dead role reached the board: %d postings, want %d", board.Len(), before)
+	}
 }
 
+// TestSecretErasedAfterSpoke: the secret key is gone once the role has
+// spoken, whether the token came from Spoke or from Committee.SpeakAll.
 func TestSecretErasedAfterSpoke(t *testing.T) {
 	a, _ := newTestAssignment(nil)
-	c, err := a.FormCommittee("c", 1, comm.PhaseOffline)
+	c, err := a.FormCommittee("c", 3, comm.PhaseOffline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := c.Role(1)
-	r.Spoke()
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic reading erased secret key")
+	if c.Role(1).SecretKey() == nil {
+		t.Fatal("live role has no secret key")
+	}
+	c.Role(1).Spoke()
+	if c.Role(2).SecretKey() == nil {
+		t.Error("Spoke on one role erased its neighbour's key")
+	}
+	c.SpeakAll()
+	for _, r := range c.Roles {
+		msg := fmt.Sprint(panicValue(func() { _ = r.SecretKey() }))
+		if !strings.Contains(msg, "secret state erased") {
+			t.Errorf("%s: SecretKey after Spoke panicked with %q, want \"secret state erased\"", r.Name(), msg)
 		}
-	}()
-	_ = r.SecretKey()
+	}
 }
 
 func TestFailStopPostsNothing(t *testing.T) {
