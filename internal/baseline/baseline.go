@@ -267,7 +267,7 @@ func (r *run) online(inputs map[int][]field.Element, shares []tte.KeyShare) (map
 			return nil, err
 		}
 		layerGates := byLayer[l]
-		open := make([]tte.Ciphertext, 0, 2*len(layerGates))
+		open := make([]committee.Opening, 0, 2*len(layerGates))
 		for _, gi := range layerGates {
 			g := gates[gi]
 			bt := r.beaver[gi]
@@ -279,7 +279,7 @@ func (r *run) online(inputs map[int][]field.Element, shares []tte.KeyShare) (map
 			if err != nil {
 				return nil, err
 			}
-			open = append(open, eps, del)
+			open = append(open, committee.Opening{Ct: eps}, committee.Opening{Ct: del})
 		}
 		opened, err := r.rt.DecryptStep(tsk, committees[l-1],
 			committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatPartial, Label: fmt.Sprintf("layer%d", l)},
@@ -291,7 +291,7 @@ func (r *run) online(inputs map[int][]field.Element, shares []tte.KeyShare) (map
 		for j, gi := range layerGates {
 			g := gates[gi]
 			bt := r.beaver[gi]
-			eps, del := opened[2*j], opened[2*j+1]
+			eps, del := field.FromBig(opened[2*j]), field.FromBig(opened[2*j+1])
 			out, err := te.Eval(r.rt.TPK,
 				[]tte.Ciphertext{r.wireCt[g.B], bt.a, bt.c},
 				[]*big.Int{committee.FieldCoeff(eps), committee.FieldCoeff(del.Neg()), big.NewInt(1)})

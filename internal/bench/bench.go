@@ -139,19 +139,25 @@ var Experiments = []Experiment{
 		if err != nil {
 			return err
 		}
-		kff, err := KFFAblation(16, 3, 4, 16)
-		if err != nil {
-			return err
-		}
 		var b strings.Builder
 		for _, r := range packing {
 			fmt.Fprintf(&b, "%-16s μ-online %6d B  (%.1f B/gate, %.2f× packed)\n",
 				r.Name, r.OnlineBytes, r.OnlinePerGate, r.RelativeToFull)
 		}
 		b.WriteString("\n=== Ablation: keys-for-future on/off (§3.2 naive) ===\n")
-		for _, r := range kff {
-			fmt.Fprintf(&b, "%-16s online %8d B  (%.1f B/gate, %.2f× of KFF)\n",
-				r.Name, r.OnlineBytes, r.OnlinePerGate, r.RelativeToFull)
+		// KFF moves the re-encryption of every layer member's shares offline.
+		// Slot-packed, that is ⌈3·batches·width/capacity⌉ openings per member:
+		// one at 4 batches per layer — then the naive mode costs the same
+		// online — and 15 at 64.
+		for _, width := range []int{16, 256} {
+			kff, err := KFFAblation(16, 3, 4, width)
+			if err != nil {
+				return err
+			}
+			for _, r := range kff {
+				fmt.Fprintf(&b, "width %-4d %-16s online %8d B  (%.1f B/gate, %.2f× of KFF)\n",
+					width, r.Name, r.OnlineBytes, r.OnlinePerGate, r.RelativeToFull)
+			}
 		}
 		_, err = io.WriteString(w, b.String())
 		return err
@@ -350,11 +356,8 @@ func ImprovementFactors(widthMult int) ([]ImprovementRow, error) {
 		}
 		n, t, k, _ := row.Result.CommitteeFor(false)
 		width := widthMult * n * k
-		shape := costmodel.Shape{
-			Inputs: 16, InputClients: 2, Clients: 2, Outputs: 4,
-			Muls: width, Depth: 1,
-			BatchesPerLayer: []int{(width + k - 1) / k},
-		}
+		// Two clients with 8 inputs each; the 4 outputs go to the first.
+		shape := costmodel.FreshShape(n, t, k, []int{8, 8}, []int{4, 0}, []int{width})
 		ours := costmodel.Core(n, t, k, shape, z)
 		baseShape := shape
 		baseShape.BatchesPerLayer = []int{width}

@@ -261,7 +261,10 @@ func TestRobustComparison(t *testing.T) {
 }
 
 func TestKFFAblation(t *testing.T) {
-	rows, err := KFFAblation(16, 3, 4, 16)
+	// 64 batches per layer: a layer member's 192 shares slot-pack into 15
+	// openings (at 4 batches they fit one, and the two modes cost the same
+	// online).
+	rows, err := KFFAblation(16, 3, 4, 256)
 	if err != nil {
 		t.Fatal(err)
 	}

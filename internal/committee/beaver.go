@@ -38,10 +38,10 @@ func (r *Runner) RandomStep(c *yoso.Committee, sp Spec, count int) ([]tte.Cipher
 // b-parts and homomorphically form their c-parts c_i^c = b_i · c^a, posted
 // as one bundle b‖c.
 func (r *Runner) Beaver(b1, b2 *yoso.Committee, count int) (a, b, c []tte.Ciphertext, err error) {
-	if a, err = r.RandomStep(b1, Spec{comm.PhaseOffline, comm.CatBeaver, "beaver-a"}, count); err != nil {
+	if a, err = r.RandomStep(b1, Spec{Phase: comm.PhaseOffline, Cat: comm.CatBeaver, Label: "beaver-a"}, count); err != nil {
 		return nil, nil, nil, err
 	}
-	posts, err := Step(r, b2, Spec{comm.PhaseOffline, comm.CatBeaver, "beaver-bc"}, func(int) (CtBundle, error) {
+	posts, err := Step(r, b2, Spec{Phase: comm.PhaseOffline, Cat: comm.CatBeaver, Label: "beaver-bc"}, func(int) (CtBundle, error) {
 		ms, bc, err := r.EncryptRandom(count)
 		if err != nil {
 			return nil, err

@@ -90,6 +90,9 @@ type Spec struct {
 	Phase comm.Phase
 	Cat   comm.Category
 	Label string
+	// openings and values are what TskStep reports on the step span: the
+	// partial decryptions each member computes and the values they carry.
+	openings, values int
 }
 
 // Post is one verified member contribution.
@@ -183,6 +186,8 @@ func Step[T Payload](r *Runner, c *yoso.Committee, sp Spec, honest func(i int) (
 	defer span.End()
 	span.SetStr("committee", c.Name)
 	span.SetInt("members", int64(c.N()))
+	span.SetInt("openings", int64(sp.openings))
+	span.SetInt("values", int64(sp.values))
 	// Committee steps run sequentially, so stamping the step span for the
 	// duration attributes every member posting to it; the parent span
 	// resumes when the step ends.

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"yosompc/internal/comm"
+	"yosompc/internal/field"
 	"yosompc/internal/nizk"
 	"yosompc/internal/pke"
 	"yosompc/internal/transport"
@@ -28,6 +29,24 @@ type fixture struct {
 	*Runner
 	PKE    pke.Scheme
 	assign *yoso.Assignment
+}
+
+// decryptStep is DecryptStep over plain ciphertexts, the plaintexts reduced
+// into the field.
+func (f *fixture) decryptStep(tsk *Tsk, c *yoso.Committee, sp Spec, cts []tte.Ciphertext, next *yoso.Committee) ([]field.Element, error) {
+	open := make([]Opening, len(cts))
+	for j, ct := range cts {
+		open[j].Ct = ct
+	}
+	ints, err := f.DecryptStep(tsk, c, sp, open, next)
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]field.Element, len(ints))
+	for j, v := range ints {
+		vals[j] = field.FromBig(v)
+	}
+	return vals, nil
 }
 
 // newFixture also returns the dealer's epoch-0 tsk shares.
@@ -319,7 +338,7 @@ func TestTskStep(t *testing.T) {
 				}
 				// The recovered shares are usable: next decrypts in turn.
 				ct := f.encrypt(t, 4242)
-				vals, err := f.DecryptStep(tsk, next, Spec{Phase: comm.PhaseOnline, Cat: comm.CatPartial, Label: "next"},
+				vals, err := f.decryptStep(tsk, next, Spec{Phase: comm.PhaseOnline, Cat: comm.CatPartial, Label: "next"},
 					[]tte.Ciphertext{ct}, nil)
 				if err != nil {
 					t.Fatal(err)
@@ -391,7 +410,7 @@ func TestBeaverTriples(t *testing.T) {
 		t.Fatal(err)
 	}
 	cts := append(append(append([]tte.Ciphertext{}, a...), b...), c...)
-	vals, err := f.DecryptStep(tsk, dec, Spec{Phase: comm.PhaseOffline, Cat: comm.CatPartial, Label: "open"}, cts, nil)
+	vals, err := f.decryptStep(tsk, dec, Spec{Phase: comm.PhaseOffline, Cat: comm.CatPartial, Label: "open"}, cts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

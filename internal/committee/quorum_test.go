@@ -212,7 +212,7 @@ func TestDecryptStepDecodesAQuorum(t *testing.T) {
 		for j := range cts {
 			cts[j] = f.encrypt(t, int64(10+j))
 		}
-		vals, err := f.DecryptStep(tsk, c, Spec{Phase: comm.PhaseOnline, Cat: comm.CatPartial, Label: "open"}, cts, nil)
+		vals, err := f.decryptStep(tsk, c, Spec{Phase: comm.PhaseOnline, Cat: comm.CatPartial, Label: "open"}, cts, nil)
 		if tc.wantErr != "" {
 			if err == nil || err.Error() != tc.wantErr {
 				t.Errorf("member %d undecodable: err = %v, want %q", tc.bad, err, tc.wantErr)
@@ -389,7 +389,7 @@ func TestQuorumMatchesOpeningEveryone(t *testing.T) {
 			for _, o := range open {
 				cts = append(cts, o.Ct)
 			}
-			vals, err := f.DecryptStep(tsk, next, Spec{Phase: comm.PhaseOnline, Cat: comm.CatPartial, Label: "next"}, cts, nil)
+			vals, err := f.decryptStep(tsk, next, Spec{Phase: comm.PhaseOnline, Cat: comm.CatPartial, Label: "next"}, cts, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -438,13 +438,13 @@ func TestDecryptStepWorkers(t *testing.T) {
 			cts[j] = f.encrypt(t, int64(1000+j))
 		}
 		sp := Spec{Phase: comm.PhaseOnline, Cat: comm.CatPartial, Label: "first"}
-		first, err := f.DecryptStep(tsk, c, sp, cts, next)
+		first, err := f.decryptStep(tsk, c, sp, cts, next)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The second committee also recovers its shares on the pool.
 		sp.Label = "second"
-		second, err := f.DecryptStep(tsk, next, sp, cts, nil)
+		second, err := f.decryptStep(tsk, next, sp, cts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

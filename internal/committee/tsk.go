@@ -5,7 +5,6 @@ import (
 	"math/big"
 
 	"yosompc/internal/comm"
-	"yosompc/internal/field"
 	"yosompc/internal/pke"
 	"yosompc/internal/tte"
 	"yosompc/internal/yoso"
@@ -17,6 +16,10 @@ import (
 type Opening struct {
 	Ct  tte.Ciphertext
 	Key pke.PublicKey
+	// Slots is how many values Ct carries when its caller slot-packed it
+	// (internal/slotpack), 0 for a plain ciphertext. The step does not look
+	// inside: it only reports the count on its span.
+	Slots int
 }
 
 // TskPost is the single message a tsk-holding member posts, held as the
@@ -85,10 +88,12 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 		return nil, fmt.Errorf("%s: committee %s was handed no tsk shares", sp.Label, c.Name)
 	}
 	nClear, nNext := 0, 0
+	sp.openings = len(open)
 	for _, o := range open {
 		if o.Key == nil {
 			nClear++
 		}
+		sp.values += max(o.Slots, 1)
 	}
 	nSealed := len(open) - nClear
 	if next != nil {
@@ -233,31 +238,25 @@ func (r *Runner) tskPost(sh tte.KeyShare, open []Opening, next *yoso.Committee) 
 
 // DecryptStep is TskStep for a list that is all Decrypts: everyone combines
 // a quorum of each ciphertext's verified partial decryptions, and it returns
-// the plaintexts reduced into the field.
-func (r *Runner) DecryptStep(tsk *Tsk, c *yoso.Committee, sp Spec, cts []tte.Ciphertext, next *yoso.Committee) ([]field.Element, error) {
-	open := make([]Opening, len(cts))
-	for j, ct := range cts {
-		open[j].Ct = ct
-	}
+// the integer plaintexts, which the caller reduces into the field.
+func (r *Runner) DecryptStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, next *yoso.Committee) ([]*big.Int, error) {
 	res, err := r.TskStep(tsk, c, sp, open, next)
 	if err != nil {
 		return nil, err
 	}
 	// Positions are independent, so the TDec fan-in runs on the worker
 	// pool, slot-indexed. The workers only read the shared postings.
-	out := make([]field.Element, len(cts))
-	err = r.Pfor(len(cts), func(j int) error {
+	out := make([]*big.Int, len(open))
+	err = r.Pfor(len(open), func(j int) error {
 		parts, err := quorum(r, nil, res.Partials[j], r.TE.DecodePartial)
 		if err != nil {
 			// Nothing is skipped in the clear, so the partial that failed
 			// is the one after those that decoded.
 			return fmt.Errorf("%s: verified partial %d of member %d: %w", sp.Label, j, res.members[len(parts)], err)
 		}
-		v, err := r.TE.Combine(r.TPK, cts[j], parts)
-		if err != nil {
+		if out[j], err = r.TE.Combine(r.TPK, open[j].Ct, parts); err != nil {
 			return fmt.Errorf("%w: opening %d: %v", ErrNotEnough, j, err)
 		}
-		out[j] = field.FromBig(v)
 		return nil
 	})
 	return out, err

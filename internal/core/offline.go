@@ -9,6 +9,7 @@ import (
 	"yosompc/internal/committee"
 	"yosompc/internal/field"
 	"yosompc/internal/sharing"
+	"yosompc/internal/slotpack"
 	"yosompc/internal/tte"
 )
 
@@ -19,7 +20,8 @@ func (r *run) initWireState() {
 	r.mu = make([]field.Element, n)
 	r.muKnown = make([]bool, n)
 	r.beaver = map[int]*beaverTriple{}
-	r.inputEnv = map[int][][]byte{}
+	r.inputOpen = map[int][]group{}
+	r.lists = slotpack.ListsOf(r.p.circ, r.p.params.N, r.p.params.T, r.p.params.K)
 }
 
 // offline executes the whole of Π_YOSO-Offline: Steps 1–4, the OffDec
@@ -276,12 +278,30 @@ func (r *run) offlineDependentWires() error {
 	return nil
 }
 
-// offDecSpeak runs the OffDec committee: Decrypt the `open` ciphertexts
-// (possibly none) and reshare tsk to OffRe. It returns the opened values
-// reduced into the field.
+// offDecSpeak runs the OffDec committee: Decrypt the ε/δ ciphertexts `open`
+// (none in a circuit without multiplications), slot-packed by their static
+// widths, and reshare tsk to OffRe. It returns the opened values reduced into
+// the field.
 func (r *run) offDecSpeak(open []tte.Ciphertext) ([]field.Element, error) {
-	return r.rt.DecryptStep(r.tsk, r.offDec,
-		committee.Spec{Phase: comm.PhaseOffline, Cat: comm.CatPartial, Label: "offdec-open"}, open, r.offRe)
+	sp := committee.Spec{Phase: comm.PhaseOffline, Cat: comm.CatPartial, Label: "offdec-open"}
+	packed, err := r.packGroups(sp.Label, []openList{{cts: open, widths: slotpack.Expand(r.lists.EpsDelta)}})
+	if err != nil {
+		return nil, err
+	}
+	groups := packed[0]
+	ints, err := r.rt.DecryptStep(r.tsk, r.offDec, sp, appendOpenings(nil, groups, nil), r.offRe)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]field.Element, 0, len(open))
+	for g, v := range ints {
+		vals, err := splitGroup(v, groups[g].widths) //yosolint:vartime ε and δ are opened to everyone; the branch is Split's refusal of an integer that runs past its slots
+		if err != nil {
+			return nil, fmt.Errorf("%s: group %d: %w", sp.Label, g, err)
+		}
+		out = append(out, vals...)
+	}
+	return out, nil
 }
 
 // offlinePack is Step 4: everyone locally assembles, per batch, the packed

@@ -9,6 +9,7 @@ import (
 	"yosompc/internal/field"
 	"yosompc/internal/pke"
 	"yosompc/internal/sharing"
+	"yosompc/internal/slotpack"
 	"yosompc/internal/tte"
 	"yosompc/internal/yoso"
 )
@@ -78,43 +79,75 @@ func (r *run) online(inputs map[int][]field.Element) (map[int][]field.Element, e
 
 // reencrypt runs offline Steps 5–6 on committee c: Re-encrypt every
 // input-wire λ to its client (Step 5) and every packed left/right/Γ share to
-// the layer member that will use it (Step 6), then reshare tsk to next.
-// Which keys receive them is the only difference between the KFF protocol
-// (the recipients' keys-for-future, so OffRe speaks before any online role
-// key exists) and the §3.2 naive ablation (their role keys, so OnC1 pays the
-// Θ(n²·batches) communication online).
+// the layer member that will use it (Step 6), then reshare tsk to next. What
+// one recipient gets is slot-packed first: a client's λ's, and the 3·(batches
+// of the layer) shares of one layer member. Which keys receive them is the
+// only difference between the KFF protocol (the recipients' keys-for-future,
+// so OffRe speaks before any online role key exists) and the §3.2 naive
+// ablation (their role keys, so OnC1 pays the Θ(n²·batches) communication
+// online).
 func (r *run) reencrypt(c *yoso.Committee, sp committee.Spec, next *yoso.Committee,
 	clientKey func(client int) pke.PublicKey, layerKey func(layer, i int) pke.PublicKey) error {
 	n := r.p.params.N
 	gates := r.p.circ.Gates()
-	var open []committee.Opening
-	var inGates []int
-	for _, client := range r.p.circ.Clients() {
-		for _, gi := range r.p.circ.InputGates(client) {
-			open = append(open, committee.Opening{Ct: r.wireCt[gates[gi].Out], Key: clientKey(client)})
-			inGates = append(inGates, gi)
+	// One list per recipient: the input clients, then every member of every
+	// layer that has batches.
+	var lists []openList
+	var inClients, layers []int
+	for ci, client := range r.p.circ.Clients() {
+		inGates := r.p.circ.InputGates(client)
+		if len(inGates) == 0 {
+			continue
 		}
+		cts := make([]tte.Ciphertext, len(inGates))
+		for j, gi := range inGates {
+			cts[j] = r.wireCt[gates[gi].Out]
+		}
+		lists = append(lists, openList{cts: cts, widths: slotpack.Expand(r.lists.Inputs[ci]), key: clientKey(client)})
+		inClients = append(inClients, client)
 	}
-	for _, b := range r.batches {
-		for _, packed := range [][]tte.Ciphertext{b.packedLeft, b.packedRight, b.packedGamma} {
-			for i, ct := range packed {
-				open = append(open, committee.Opening{Ct: ct, Key: layerKey(b.Layer, i+1)})
+	for l := range r.lists.Layers {
+		batches := r.layerBatches(l)
+		if len(batches) == 0 {
+			continue
+		}
+		widths := slotpack.Expand(r.lists.Layers[l])
+		for i := 0; i < n; i++ {
+			cts := make([]tte.Ciphertext, 0, 3*len(batches))
+			for _, b := range batches {
+				cts = append(cts, b.packedLeft[i], b.packedRight[i], b.packedGamma[i])
 			}
+			lists = append(lists, openList{cts: cts, widths: widths, key: layerKey(l+1, i+1)})
 		}
+		layers = append(layers, l)
 	}
-	res, err := r.rt.TskStep(r.tsk, c, sp, open, next)
+	groups, err := r.reencryptLists(c, sp, lists, next)
 	if err != nil {
 		return err
 	}
-	for j, gi := range inGates {
-		r.inputEnv[gi] = res.Sealed[j]
+	for _, client := range inClients {
+		r.inputOpen[client], groups = groups[0], groups[1:]
 	}
-	rest := res.Sealed[len(inGates):]
+	r.layerOpen = make([][][]group, len(r.lists.Layers))
+	for _, l := range layers {
+		r.layerOpen[l], groups = groups[:n], groups[n:]
+	}
+	// The per-index share ciphertexts live on in the groups only.
 	for _, b := range r.batches {
-		b.envLeft, b.envRight, b.envGamma = rest[:n], rest[n:2*n], rest[2*n:3*n]
-		rest = rest[3*n:]
+		b.packedLeft, b.packedRight, b.packedGamma = nil, nil, nil
 	}
 	return nil
+}
+
+// layerBatches returns the batches of multiplication layer l+1.
+func (r *run) layerBatches(l int) []*batchState {
+	var out []*batchState
+	for _, b := range r.batches {
+		if b.Layer == l+1 {
+			out = append(out, b)
+		}
+	}
+	return out
 }
 
 // offReSpeak runs the OffRe committee (offline Steps 5 and 6). Every target
@@ -220,14 +253,14 @@ func (r *run) onlineInput(inputs map[int][]field.Element) error {
 			inputKey = kffSK
 			keyClass = KeyKFF
 		}
+		lambdas, err := r.openGroups(inputKey, r.inputOpen[client])
+		if err != nil {
+			return fmt.Errorf("client %d inputs: %w", client, err)
+		}
 		mus := make([]field.Element, len(inGates))
-		for j, gi := range inGates {
-			lambda, err := r.rt.CombineSealed(inputKey, r.inputEnv[gi], r.wireCt[gates[gi].Out])
-			if err != nil {
-				return fmt.Errorf("client %d input %d: %w", client, j, err)
-			}
+		for j := range inGates {
 			r.p.audit.Record(comm.PhaseOnline, ValWireLambda, keyClass)
-			mus[j] = inputs[client][j].Sub(field.FromBig(lambda))
+			mus[j] = inputs[client][j].Sub(lambdas[j])
 		}
 		_, ok, err := committee.Speak(r.rt, role,
 			committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatInput, Label: "client-input"},
@@ -295,12 +328,7 @@ func (r *run) onlineLayer(l int) error {
 	gates := r.p.circ.Gates()
 
 	// The layer's batches and their public μ input vectors.
-	var layerBatches []*batchState
-	for _, b := range r.batches {
-		if b.Layer == l+1 {
-			layerBatches = append(layerBatches, b)
-		}
-	}
+	layerBatches := r.layerBatches(l)
 	if len(layerBatches) == 0 {
 		c.SpeakAll()
 		return nil
@@ -341,22 +369,15 @@ func (r *run) onlineLayer(l int) error {
 			shareKey = kffSK
 			keyClass = KeyKFF
 		}
+		// The member's left/right/Γ shares of every batch, in batch order.
+		lams, err := r.openGroups(shareKey, r.layerOpen[l][i-1])
+		if err != nil {
+			return muBundle{}, err
+		}
 		vals := make([]field.Element, len(layerBatches))
-		for bi, b := range layerBatches {
-			lamA, err := r.rt.CombineSealed(shareKey, b.envLeft[i-1], b.packedLeft[i-1])
-			if err != nil {
-				return muBundle{}, err
-			}
-			lamB, err := r.rt.CombineSealed(shareKey, b.envRight[i-1], b.packedRight[i-1])
-			if err != nil {
-				return muBundle{}, err
-			}
-			lamG, err := r.rt.CombineSealed(shareKey, b.envGamma[i-1], b.packedGamma[i-1])
-			if err != nil {
-				return muBundle{}, err
-			}
+		for bi := range layerBatches {
 			r.p.audit.Record(comm.PhaseOnline, ValPackedShare, keyClass)
-			la, lb, lg := field.FromBig(lamA), field.FromBig(lamB), field.FromBig(lamG)
+			la, lb, lg := lams[3*bi], lams[3*bi+1], lams[3*bi+2]
 			sa, err := constDoms[bi].Share(muLeft[bi], i)
 			if err != nil {
 				return muBundle{}, err
@@ -468,41 +489,48 @@ func (r *run) layerStepRobust(c *yoso.Committee, l int,
 	return posts
 }
 
-// onlineOutput re-encrypts each output wire's λ to its client, who opens
-// v = μ + λ.
+// onlineOutput re-encrypts each client's output-wire λ's, slot-packed, to
+// that client, who opens v = μ + λ.
 func (r *run) onlineOutput() (map[int][]field.Element, error) {
 	gates := r.p.circ.Gates()
-	type outGate struct {
-		gi, client int
-		wire       circuit.WireID
-	}
-	var outs []outGate
-	var open []committee.Opening
-	for _, client := range r.p.circ.Clients() {
-		for _, gi := range r.p.circ.OutputGates(client) {
-			wire := gates[gi].A
-			if !r.muKnown[wire] {
-				return nil, fmt.Errorf("core: output wire %d has no public μ", wire)
-			}
-			outs = append(outs, outGate{gi: gi, client: client, wire: wire})
-			open = append(open, committee.Opening{Ct: r.wireCt[wire], Key: r.clients[client].PublicKey()})
+	sp := committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatOutput, Label: "output"}
+	var lists []openList
+	var outClients []int
+	var outWires [][]circuit.WireID
+	for ci, client := range r.p.circ.Clients() {
+		outGates := r.p.circ.OutputGates(client)
+		if len(outGates) == 0 {
+			continue
 		}
+		wires := make([]circuit.WireID, len(outGates))
+		cts := make([]tte.Ciphertext, len(outGates))
+		for j, gi := range outGates {
+			wires[j] = gates[gi].A
+			if !r.muKnown[wires[j]] {
+				return nil, fmt.Errorf("core: output wire %d has no public μ", wires[j])
+			}
+			cts[j] = r.wireCt[wires[j]]
+		}
+		lists = append(lists, openList{cts: cts, widths: slotpack.Expand(r.lists.Outputs[ci]), key: r.clients[client].PublicKey()})
+		outClients = append(outClients, client)
+		outWires = append(outWires, wires)
 	}
-	res, err := r.rt.TskStep(r.tsk, r.onOut,
-		committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatOutput, Label: "output"}, open, nil)
+	groups, err := r.reencryptLists(r.onOut, sp, lists, nil)
 	if err != nil {
 		return nil, err
 	}
 	outputs := map[int][]field.Element{}
-	for j, og := range outs {
+	for j, client := range outClients {
 		// Clients are known machines: their keys outlive their single
 		// input-role broadcast.
-		lambda, err := r.rt.CombineSealed(r.clients[og.client].SecretKey(), res.Sealed[j], r.wireCt[og.wire])
+		lambdas, err := r.openGroups(r.clients[client].SecretKey(), groups[j])
 		if err != nil {
-			return nil, fmt.Errorf("output gate %d: %w", og.gi, err)
+			return nil, fmt.Errorf("client %d outputs: %w", client, err)
 		}
-		r.p.audit.Record(comm.PhaseOnline, ValOutput, KeyClient)
-		outputs[og.client] = append(outputs[og.client], r.mu[og.wire].Add(field.FromBig(lambda)))
+		for o, wire := range outWires[j] {
+			r.p.audit.Record(comm.PhaseOnline, ValOutput, KeyClient)
+			outputs[client] = append(outputs[client], r.mu[wire].Add(lambdas[o]))
+		}
 	}
 	return outputs, nil
 }

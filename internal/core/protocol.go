@@ -12,6 +12,7 @@ import (
 	"yosompc/internal/nizk"
 	"yosompc/internal/pke"
 	"yosompc/internal/sharing"
+	"yosompc/internal/slotpack"
 	"yosompc/internal/telemetry"
 	"yosompc/internal/transport"
 	"yosompc/internal/tte"
@@ -110,13 +111,9 @@ type batchState struct {
 	// (kind 0 = left λ, 1 = right λ, 2 = Γ), t per vector.
 	helpers [][]tte.Ciphertext
 	// packedLeft/packedRight/packedGamma are the per-index packed-share
-	// ciphertexts under tpk (offline Step 4).
+	// ciphertexts under tpk (offline Step 4), dropped once Step 6 has
+	// slot-packed them into the layer members' groups.
 	packedLeft, packedRight, packedGamma []tte.Ciphertext
-	// envLeft/envRight/envGamma[i] are the Re-encrypt envelope sets
-	// addressed to online role i+1's KFF (offline Step 6): one envelope
-	// per OffRe member carrying a partial decryption, each a view of that
-	// member's posting.
-	envLeft, envRight, envGamma [][][]byte
 }
 
 // run is the mutable state of one protocol execution.
@@ -161,10 +158,16 @@ type run struct {
 	// batches in layer order
 	batches []*batchState
 
-	// input-wire λ envelopes: for each input gate index, the Re-encrypt
-	// envelopes addressed to the owning client's KFF (views of the OffRe
-	// postings).
-	inputEnv map[int][][]byte
+	// lists are the static slot widths of everything a reader opens in one
+	// step (see openings.go) — a function of the circuit, n, t and k alone.
+	lists slotpack.Lists
+
+	// inputOpen[client] are the slot-packed Re-encrypt openings of the
+	// client's input-wire λ's, addressed to its KFF (offline Step 5), and
+	// layerOpen[l][i] those of the packed left/right/Γ shares of layer
+	// l+1's batches, addressed to the KFF of its role i+1 (Step 6).
+	inputOpen map[int][]group
+	layerOpen [][][]group
 
 	// public μ values per wire
 	mu      []field.Element

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"log/slog"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -148,6 +149,38 @@ func TestTelemetryPhaseSpansCoverWallClock(t *testing.T) {
 	}
 	if snap.Histograms["core.pool.task_ns"].Count == 0 {
 		t.Error("core.pool.task_ns histogram empty")
+	}
+}
+
+// TestTelemetryStepSpansReportOpenings pins the two ints every committee step
+// span carries beside members/verified: openings, the partial decryptions
+// each member computes in the step, and values, the slots they carry — the
+// achieved packing factor is their ratio. On 510-bit openings: 96 ε/δ of 66
+// bits go 7 to an opening; each client's 8 input λ's of 65 bits take 2 and
+// each of the 3·12 layer members' 6 batches one per batch (129 + 129 + 194
+// bits); the 16 outputs take 3. KFF secrets are never packed; committees
+// without tsk open nothing.
+func TestTelemetryStepSpansReportOpenings(t *testing.T) {
+	circ, err := circuit.WideMul(16, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := inputsOf(map[int][]uint64{
+		0: {2, 3, 4, 5, 2, 3, 4, 5},
+		1: {6, 7, 2, 3, 6, 7, 2, 3},
+	})
+	got := stepOpenings(t, simParams(12, 2, 3, nil), circ, in)
+	want := map[string][2]int64{
+		"beaver-a": {}, "beaver-bc": {}, "wire-randomness": {},
+		"offdec-open":             {14, 96},
+		"steps-5-6":               {4 + 3*12*6, 16 + 3*12*18},
+		"tsk-bridge":              {},
+		"future-key-distribution": {3*12 + 2, 3*12 + 2},
+		"mu-layer1":               {}, "mu-layer2": {}, "mu-layer3": {},
+		"output": {3, 16},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("step spans report openings/values %v, want %v", got, want)
 	}
 }
 

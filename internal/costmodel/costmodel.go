@@ -8,6 +8,10 @@
 // measured runs byte-for-byte at committee sizes up to the dozens, which
 // makes the Table-1-scale projections (experiment E2) trustworthy: the
 // formulas below are counts of the very postings the driver makes.
+//
+// The packed protocol slot-packs what one reader opens in one step, so its
+// opening counts are not closed forms: the model takes them from the planner
+// the driver runs (slotpack.Count) on the same static widths (Shape.Opened).
 package costmodel
 
 import (
@@ -15,6 +19,7 @@ import (
 	"yosompc/internal/field"
 	"yosompc/internal/nizk"
 	"yosompc/internal/pke"
+	"yosompc/internal/slotpack"
 	"yosompc/internal/tte"
 )
 
@@ -36,6 +41,9 @@ type Sizes struct {
 	Proof int
 	// Element is one field element.
 	Element int
+	// SlotBits is how many plaintext bits one slot-packed opening holds
+	// (slotpack.Capacity of the key).
+	SlotBits int
 }
 
 // SimSizes returns the sizes of the ideal backends for a modelled
@@ -52,6 +60,7 @@ func SimSizes(bits int) Sizes {
 		RoleKey:     pke.PublicKeySize,
 		Proof:       nizk.AttestedProofSize,
 		Element:     field.ElementSize,
+		SlotBits:    slotpack.Capacity(te.MaxPlaintext()),
 	}
 }
 
@@ -72,6 +81,11 @@ type Shape struct {
 	// BatchesPerLayer[l] is the number of packed batches at layer l+1
 	// for the chosen packing factor.
 	BatchesPerLayer []int
+	// Opened are the static slot widths of what each reader of the packed
+	// protocol opens in one step — what the driver plans its slot-packed
+	// openings from, for the same n, t and k the prediction is asked for.
+	// The baseline does not pack and ignores it.
+	Opened slotpack.Lists
 }
 
 // Batches returns the total number of batches.
@@ -83,11 +97,13 @@ func (s Shape) Batches() int {
 	return total
 }
 
-// ShapeOf extracts a Shape from a circuit for packing factor k.
-func ShapeOf(c *circuit.Circuit, k int) Shape {
+// ShapeOf extracts a Shape from a circuit for committee size n, corruption
+// bound t and packing factor k (the baseline's shape is ShapeOf(c, n, t, 1)).
+func ShapeOf(c *circuit.Circuit, n, t, k int) Shape {
 	s := Shape{
-		Muls:  c.NumMul(),
-		Depth: c.Depth(),
+		Muls:   c.NumMul(),
+		Depth:  c.Depth(),
+		Opened: slotpack.ListsOf(c, n, t, k),
 	}
 	for _, client := range c.Clients() {
 		s.Clients++
@@ -101,6 +117,30 @@ func ShapeOf(c *circuit.Circuit, k int) Shape {
 	s.BatchesPerLayer = make([]int, c.Depth())
 	for _, mb := range c.MulBatches(k) {
 		s.BatchesPerLayer[mb.Layer-1]++
+	}
+	return s
+}
+
+// FreshShape is the Shape of a circuit known only by its counts, every wire
+// opened taken as a fresh one: inputs[c] and outputs[c] are client c's input
+// and output gates, muls[l] the multiplication gates of layer l+1.
+func FreshShape(n, t, k int, inputs, outputs, muls []int) Shape {
+	s := Shape{
+		Clients:         len(inputs),
+		Depth:           len(muls),
+		BatchesPerLayer: make([]int, len(muls)),
+		Opened:          slotpack.FreshLists(n, t, k, inputs, outputs, muls),
+	}
+	for c, in := range inputs {
+		s.Inputs += in
+		if in > 0 {
+			s.InputClients++
+		}
+		s.Outputs += outputs[c]
+	}
+	for l, m := range muls {
+		s.Muls += m
+		s.BatchesPerLayer[l] = (m + k - 1) / k
 	}
 	return s
 }
@@ -136,6 +176,19 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 	batches := int64(shape.Batches())
 	muls := int64(shape.Muls)
 	depth := int64(shape.Depth)
+	// Slot-packed opening counts, from the driver's own planner: OffDec's
+	// ε/δ groups, the groups steps 5–6 re-encrypt (each input client's λ's,
+	// then one member's shares per layer, times n members), and the output
+	// groups.
+	groups := func(lists ...[]slotpack.Run) (total int64) {
+		for _, l := range lists {
+			total += slotpack.Count(l, z.SlotBits)
+		}
+		return total
+	}
+	decGroups := groups(shape.Opened.EpsDelta)
+	reGroups := groups(shape.Opened.Inputs...) + N*groups(shape.Opened.Layers...)
+	outGroups := groups(shape.Opened.Outputs...)
 
 	var setup int64
 	setup += int64(z.Ciphertext)/2 + 32              // tpk + crs
@@ -154,16 +207,16 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 	}
 	targets := int64(shape.Inputs) + muls
 	offline += N*(targets+3*T*batches)*int64(z.Ciphertext) + N*int64(z.Proof) // wire randomness + helpers
-	// OffDec: partials for 2 openings per mul + resharing to OffRe.
-	offline += N*(2*muls*int64(z.Partial)+N*envS) + N*int64(z.Proof)
+	// OffDec: partials for the ε/δ groups + resharing to OffRe.
+	offline += N*(decGroups*int64(z.Partial)+N*envS) + N*int64(z.Proof)
 	if opts.NoKFF {
 		// Naive mode: OffRe only passes tsk onward.
 		offline += N*N*envS + N*int64(z.Proof)
 	} else {
-		// OffRe (steps 5–6): input-wire λ envelopes + 3 packed-share
-		// envelope sets per batch per target + tsk resharing to the
+		// OffRe (steps 5–6): one envelope per input-wire λ group and per
+		// packed-share group of every layer member + tsk resharing to the
 		// bridge committee.
-		offline += N*(int64(shape.Inputs)*envP+3*batches*N*envP+N*envS) + N*int64(z.Proof)
+		offline += N*(reGroups*envP+N*envS) + N*int64(z.Proof)
 	}
 	// Bridge committee: tsk hand-off to OnC1 at the boundary.
 	offline += N*N*envS + N*int64(z.Proof)
@@ -172,7 +225,7 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 	online += (2 + depth) * N * int64(z.RoleKey) // online committees' role keys
 	if opts.NoKFF {
 		// Naive mode: OnC1 re-encrypts everything under role keys online.
-		online += N*(int64(shape.Inputs)*envP+3*batches*N*envP+N*envS) + N*int64(z.Proof)
+		online += N*(reGroups*envP+N*envS) + N*int64(z.Proof)
 	} else {
 		// OnC1 future key distribution + resharing to OnOut.
 		online += N*(kffCount*envP+N*envS) + N*int64(z.Proof)
@@ -187,8 +240,8 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 			online += N * int64(z.Proof)
 		}
 	}
-	// Output: one envelope per output gate per role.
-	online += N*int64(shape.Outputs)*envP + N*int64(z.Proof)
+	// Output: one envelope per output group per role.
+	online += N*outGroups*envP + N*int64(z.Proof)
 
 	return Phases{Setup: setup, Offline: offline, Online: online}
 }

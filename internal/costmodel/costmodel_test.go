@@ -9,14 +9,15 @@ import (
 	"yosompc/internal/core"
 	"yosompc/internal/field"
 	"yosompc/internal/pke"
+	"yosompc/internal/slotpack"
 	"yosompc/internal/tte"
 )
 
 const modelBits = 512
 
-func coreMeasured(t *testing.T, n, tt, k int, circ *circuit.Circuit, in map[int][]field.Element) comm.Report {
+func coreMeasured(t *testing.T, bits, n, tt, k int, circ *circuit.Circuit, in map[int][]field.Element) comm.Report {
 	t.Helper()
-	params := core.Params{N: n, T: tt, K: k, TE: tte.NewSim(modelBits), PKE: pke.NewSim()}
+	params := core.Params{N: n, T: tt, K: k, TE: tte.NewSim(bits), PKE: pke.NewSim()}
 	proto, err := core.New(params, circ, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -69,18 +70,35 @@ func TestCoreModelMatchesMeasured(t *testing.T) {
 		name    string
 		circ    *circuit.Circuit
 		n, t, k int
+		bits    int
+		// layerGroups[l] is how many openings one member of layer l+1 gets
+		// for its 3·(batches of the layer) shares.
+		layerGroups []int64
 	}{
-		{"inner-product", mk(func() (*circuit.Circuit, error) { return circuit.InnerProduct(4) }), 8, 2, 2},
-		{"poly-eval", mk(func() (*circuit.Circuit, error) { return circuit.PolyEval(3) }), 10, 2, 3},
-		{"wide", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(8, 2) }), 12, 3, 3},
-		{"stats", mk(func() (*circuit.Circuit, error) { return circuit.Statistics(4) }), 9, 2, 2},
-		{"k1", mk(func() (*circuit.Circuit, error) { return circuit.InnerProduct(3) }), 6, 1, 1},
+		{"inner-product", mk(func() (*circuit.Circuit, error) { return circuit.InnerProduct(4) }), 8, 2, 2, modelBits, []int64{2}},
+		{"poly-eval", mk(func() (*circuit.Circuit, error) { return circuit.PolyEval(3) }), 10, 2, 3, modelBits, []int64{1, 1, 1}},
+		{"wide", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(8, 2) }), 12, 3, 3, modelBits, []int64{3, 3}},
+		{"stats", mk(func() (*circuit.Circuit, error) { return circuit.Statistics(4) }), 9, 2, 2, modelBits, []int64{3}},
+		{"k1", mk(func() (*circuit.Circuit, error) { return circuit.InnerProduct(3) }), 6, 1, 1, modelBits, []int64{3}},
+		// A layer's shares split over several openings: 5 batches of 128 +
+		// 128 + 191 bits in 510-bit openings, one batch each.
+		{"512-bit split layer", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(10, 1) }), 9, 2, 2, modelBits, []int64{5}},
+		// ≥ 4 batches per layer, several in one opening: 6 batches of 129 +
+		// 129 + 193 bits in 2046-bit openings go 13 + 5 shares.
+		{"2048-bit wide layers", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(24, 2) }), 14, 3, 4, 2048, []int64{2, 2}},
+		{"2048-bit random", mk(func() (*circuit.Circuit, error) { return circuit.Random(6, 60, 3) }), 10, 2, 3, 2048, []int64{1, 1, 1, 1, 1}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			in := inputsFor(c.circ)
-			measured := coreMeasured(t, c.n, c.t, c.k, c.circ, in)
-			predicted := Core(c.n, c.t, c.k, ShapeOf(c.circ, c.k), SimSizes(modelBits))
+			measured := coreMeasured(t, c.bits, c.n, c.t, c.k, c.circ, in)
+			shape, z := ShapeOf(c.circ, c.n, c.t, c.k), SimSizes(c.bits)
+			for l, want := range c.layerGroups {
+				if got := slotpack.Count(shape.Opened.Layers[l], z.SlotBits); got != want {
+					t.Errorf("layer %d: %d openings per member, want %d", l+1, got, want)
+				}
+			}
+			predicted := Core(c.n, c.t, c.k, shape, z)
 			if got, want := measured.Phase(comm.PhaseSetup), predicted.Setup; got != want {
 				t.Errorf("setup: measured %d, model %d", got, want)
 			}
@@ -116,7 +134,7 @@ func TestBaselineModelMatchesMeasured(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			in := inputsFor(c.circ)
 			measured := baselineMeasured(t, c.n, c.t, c.circ, in)
-			predicted := Baseline(c.n, c.t, ShapeOf(c.circ, 1), SimSizes(modelBits))
+			predicted := Baseline(c.n, c.t, ShapeOf(c.circ, c.n, c.t, 1), SimSizes(modelBits))
 			if got, want := measured.Phase(comm.PhaseSetup), predicted.Setup; got != want {
 				t.Errorf("setup: measured %d, model %d", got, want)
 			}
@@ -135,7 +153,7 @@ func TestShapeOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := ShapeOf(c, 3)
+	s := ShapeOf(c, 12, 3, 3)
 	if s.Muls != 16 || s.Depth != 2 {
 		t.Errorf("shape = %+v", s)
 	}
@@ -171,10 +189,7 @@ func TestModelScalingShape(t *testing.T) {
 		tt := n * 2 / 5
 		k := n / 10
 		width := 8 * n * k // wide enough that per-role KFF delivery amortizes
-		shape := Shape{
-			Inputs: 2, InputClients: 2, Clients: 2, Outputs: 1,
-			Muls: width, Depth: 1, BatchesPerLayer: []int{width / k},
-		}
+		shape := FreshShape(n, tt, k, []int{1, 1}, []int{1, 0}, []int{width})
 		corePerGate = append(corePerGate,
 			float64(Core(n, tt, k, shape, z).Online)/float64(width))
 		baseShape := shape
@@ -230,7 +245,7 @@ func TestCoreVariantsModelMatchesMeasured(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pred := CoreWith(n, tt, k, ShapeOf(circ, k), SimSizes(modelBits), c.opts)
+			pred := CoreWith(n, tt, k, ShapeOf(circ, n, tt, k), SimSizes(modelBits), c.opts)
 			if got := res.Report.Phase(comm.PhaseSetup); got != pred.Setup {
 				t.Errorf("setup: measured %d, model %d", got, pred.Setup)
 			}

@@ -47,6 +47,13 @@ func (s *Sim) PartialSize() int { return s.ModulusBits / 4 }
 // statistical masking slack.
 func (s *Sim) SubShareSize() int { return s.ModulusBits/4 + statSecurity/8 }
 
+// MaxPlaintext is the largest plaintext bound of the modelled key, ≈ N/4 —
+// what its public keys report and what costmodel sizes slot-packed openings
+// by.
+func (s *Sim) MaxPlaintext() *big.Int {
+	return new(big.Int).Lsh(big.NewInt(1), uint(s.ModulusBits-2))
+}
+
 type simPK struct {
 	n, t     int
 	maxPlain *big.Int
@@ -100,12 +107,11 @@ func (s *Sim) KeyGen(n, t int) (PublicKey, []KeyShare, error) {
 	if n < 1 || t < 0 || t >= n {
 		return nil, nil, fmt.Errorf("tte: invalid committee parameters n=%d t=%d", n, t)
 	}
-	max := new(big.Int).Lsh(big.NewInt(1), uint(s.ModulusBits-2))
 	shares := make([]KeyShare, n)
 	for i := 1; i <= n; i++ {
 		shares[i-1] = &simShare{index: i, size: s.KeyShareSize()}
 	}
-	return &simPK{n: n, t: t, maxPlain: max, ctBytes: s.CiphertextSize()}, shares, nil
+	return &simPK{n: n, t: t, maxPlain: s.MaxPlaintext(), ctBytes: s.CiphertextSize()}, shares, nil
 }
 
 // Encrypt implements TEnc.
@@ -115,7 +121,7 @@ func (s *Sim) Encrypt(pk PublicKey, m, bound *big.Int) (Ciphertext, error) {
 		return nil, err
 	}
 	if m.Sign() < 0 || bound == nil || m.Cmp(bound) > 0 {
-		return nil, fmt.Errorf("tte: plaintext %v outside [0, bound]", m)
+		return nil, ErrPlaintextRange
 	}
 	if bound.Cmp(spk.maxPlain) > 0 {
 		return nil, fmt.Errorf("%w: bound %v", ErrPlaintextTooBig, bound)

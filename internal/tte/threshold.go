@@ -168,8 +168,7 @@ func (s *Threshold) Encrypt(pk PublicKey, m, bound *big.Int) (Ciphertext, error)
 		return nil, err
 	}
 	if m.Sign() < 0 || bound == nil || m.Cmp(bound) > 0 {
-		// The plaintext stays out of the error message by design.
-		return nil, fmt.Errorf("tte: plaintext outside [0, bound]")
+		return nil, ErrPlaintextRange
 	}
 	if bound.Cmp(tpk.maxPlain) > 0 {
 		return nil, fmt.Errorf("%w: bound %v", ErrPlaintextTooBig, bound)
@@ -191,15 +190,14 @@ func (s *Threshold) EncryptMany(pk PublicKey, ms []*big.Int, bound *big.Int, wor
 		return nil, err
 	}
 	if bound == nil {
-		return nil, fmt.Errorf("tte: plaintext outside [0, bound]")
+		return nil, ErrPlaintextRange
 	}
 	if bound.Cmp(tpk.maxPlain) > 0 {
 		return nil, fmt.Errorf("%w: bound %v", ErrPlaintextTooBig, bound)
 	}
 	for _, m := range ms {
 		if m.Sign() < 0 || m.Cmp(bound) > 0 {
-			// The plaintext stays out of the error message by design.
-			return nil, fmt.Errorf("tte: plaintext outside [0, bound]")
+			return nil, ErrPlaintextRange
 		}
 	}
 	cts, err := s.dj.EncryptMany(s.random, ms, workers)

@@ -164,9 +164,12 @@ type Simulator interface {
 
 // Errors shared by backends.
 var (
-	ErrTooFewPartials   = errors.New("tte: not enough partial decryptions")
-	ErrNegativeCoeff    = errors.New("tte: negative coefficient in Eval")
-	ErrPlaintextTooBig  = errors.New("tte: plaintext bound exceeds key capacity")
+	ErrTooFewPartials  = errors.New("tte: not enough partial decryptions")
+	ErrNegativeCoeff   = errors.New("tte: negative coefficient in Eval")
+	ErrPlaintextTooBig = errors.New("tte: plaintext bound exceeds key capacity")
+	// ErrPlaintextRange rejects a plaintext outside [0, bound]. The message
+	// is constant on every backend: the rejected value is a secret.
+	ErrPlaintextRange   = errors.New("tte: plaintext outside [0, bound]")
 	ErrWrongKey         = errors.New("tte: object belongs to a different key or backend")
 	ErrEpochMismatch    = errors.New("tte: mixed key epochs")
 	ErrDuplicateIndex   = errors.New("tte: duplicate party index")

@@ -3,6 +3,7 @@ package tte
 import (
 	"errors"
 	"math/big"
+	"strings"
 	"testing"
 
 	"yosompc/internal/paillier"
@@ -238,6 +239,35 @@ func TestEncryptRejectsBadInputs(t *testing.T) {
 			tooBig := new(big.Int).Lsh(pk.MaxPlaintext(), 1)
 			if _, err := s.Encrypt(pk, big.NewInt(1), tooBig); !errors.Is(err, ErrPlaintextTooBig) {
 				t.Errorf("err = %v, want ErrPlaintextTooBig", err)
+			}
+		})
+	}
+}
+
+// A rejected plaintext is a secret: on every backend, single and batched, the
+// range error is the one constant ErrPlaintextRange and the value's decimal
+// form is nowhere in its message.
+func TestEncryptRangeErrorOmitsThePlaintext(t *testing.T) {
+	const secret = 918273645546372819
+	for name, s := range testBackends(t) {
+		t.Run(name, func(t *testing.T) {
+			pk, _, err := s.KeyGen(3, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(what string, err error) {
+				t.Helper()
+				if !errors.Is(err, ErrPlaintextRange) {
+					t.Errorf("%s: err = %v, want ErrPlaintextRange", what, err)
+				} else if msg := err.Error(); strings.Contains(msg, "918273645546372819") || msg != ErrPlaintextRange.Error() {
+					t.Errorf("%s: message %q is not the constant one", what, msg)
+				}
+			}
+			for _, m := range []*big.Int{big.NewInt(secret), big.NewInt(-secret)} {
+				_, err := s.Encrypt(pk, m, big.NewInt(1000))
+				check("Encrypt", err)
+				_, err = EncryptAll(s, pk, []*big.Int{big.NewInt(1), m}, big.NewInt(1000), 1)
+				check("EncryptAll", err)
 			}
 		})
 	}
