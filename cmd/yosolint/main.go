@@ -1,7 +1,9 @@
-// Command yosolint runs the repo's static-analysis suite: custom
+// Command yosolint runs the repo's static-analysis suite: eight custom
 // analyzers enforcing the crypto, YOSO, and concurrency invariants the
 // compiler cannot check (crypto/rand for secret randomness, handled board
-// errors, secretflow's interprocedural secret-taint tracking, lockscope's
+// errors, secretflow's and sidechannel's interprocedural secret taint —
+// two policies over one taint run, flagging disclosures and
+// trace-shaping uses — zeroize's secret-buffer wiping, lockscope's
 // blocking-under-lock and lock-order analysis, goroleak's goroutine
 // termination evidence, and wirecodec's codec-pair hygiene).
 //

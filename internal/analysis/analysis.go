@@ -66,6 +66,22 @@ type Pass struct {
 	Targets []*Package
 
 	report func(Diagnostic)
+	// memo is shared by every analyzer's Pass of one RunPackages (see Memo).
+	memo map[any]any
+}
+
+// Memo returns the value build makes for key, calling build only the first
+// time any analyzer of this RunPackages asks for key, so analyzers reading
+// one expensive result over the same load — secretflow's two policies share
+// one taint fixpoint — compute it once. Key with a value of an unexported
+// type, as with context keys. build must not report.
+func Memo[T any](p *Pass, key any, build func() T) T {
+	v, ok := p.memo[key]
+	if !ok {
+		v = build()
+		p.memo[key] = v
+	}
+	return v.(T)
 }
 
 // Reportf reports a finding at pos.

@@ -145,3 +145,33 @@ var b = 2
 		t.Errorf("diagnostics missing expected messages: %+v", diags)
 	}
 }
+
+// TestMemoBuildsOncePerRun pins the per-load memo: every analyzer of one
+// RunPackages reads the value the first asker built, and the next
+// RunPackages builds afresh.
+func TestMemoBuildsOncePerRun(t *testing.T) {
+	type key struct{}
+	builds := 0
+	var seen []*int
+	reader := func(name string) *Analyzer {
+		return &Analyzer{Name: name, Run: func(p *Pass) error {
+			seen = append(seen, Memo(p, key{}, func() *int { builds++; n := builds; return &n }))
+			return nil
+		}}
+	}
+	analyzers := []*Analyzer{reader("a"), reader("b"), reader("c")}
+	for run := 1; run <= 2; run++ {
+		seen = nil
+		if _, err := RunPackages(nil, analyzers); err != nil {
+			t.Fatal(err)
+		}
+		if builds != run {
+			t.Fatalf("run %d: build called %d times in all, want %d", run, builds, run)
+		}
+		for i, v := range seen {
+			if v != seen[0] || *v != run {
+				t.Errorf("run %d: analyzer %d read build %d, want the shared build %d", run, i, *v, run)
+			}
+		}
+	}
+}

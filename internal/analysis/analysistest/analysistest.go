@@ -45,6 +45,13 @@ func TestData(t *testing.T) string {
 // and checks the reported diagnostics against the fixtures' want comments.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
+	RunTogether(t, dir, []*analysis.Analyzer{a}, pkgs...)
+}
+
+// RunTogether is Run with several analyzers in one RunPackages, so the want
+// comments of a fixture cover all of their findings.
+func RunTogether(t *testing.T, dir string, analyzers []*analysis.Analyzer, pkgs ...string) {
+	t.Helper()
 	root, err := moduleRoot()
 	if err != nil {
 		t.Fatal(err)
@@ -59,9 +66,9 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
 		if err != nil {
 			t.Fatalf("loading fixture %s: %v", fixture, err)
 		}
-		diags, err := analysis.RunPackages(loaded, []*analysis.Analyzer{a})
+		diags, err := analysis.RunPackages(loaded, analyzers)
 		if err != nil {
-			t.Fatalf("running %s on %s: %v", a.Name, fixture, err)
+			t.Fatalf("running analyzers on %s: %v", fixture, err)
 		}
 		checkWants(t, loaded, analysis.Unsuppressed(diags))
 	}

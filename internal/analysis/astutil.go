@@ -145,8 +145,9 @@ func (p *Package) Funcs() []Func {
 // (and which makes testdata fixture trees named like real packages match
 // the same rules).
 func PathHasSegment(path, seg string) bool {
-	for _, s := range strings.Split(path, "/") {
-		if s == seg {
+	for path != "" {
+		var s string
+		if s, path, _ = strings.Cut(path, "/"); s == seg {
 			return true
 		}
 	}

@@ -14,13 +14,13 @@ import (
 // justification) are themselves reported, under the pseudo-analyzer name
 // "yosolint".
 //
-// Every analyzer gets one Pass over the whole load, in dependency order.
-// Packages loaded only as dependency context (Package.DepOnly) feed the
+// Every analyzer gets one Pass over the whole load, in dependency order,
+// and all of them share one Memo. Packages loaded only as dependency context (Package.DepOnly) feed the
 // interprocedural analyzers summaries but are neither directive-validated
 // nor reported against (Pass.Targets excludes them).
 func RunPackages(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	honored := honoredDirectives(analyzers)
-	pass := Pass{Packages: pkgs}
+	pass := Pass{Packages: pkgs, memo: map[any]any{}}
 	idx := directiveIndex{}
 	var all []Diagnostic
 	for _, pkg := range pkgs {

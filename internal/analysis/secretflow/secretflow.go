@@ -1,24 +1,30 @@
-// Package secretflow is the interprocedural secret-taint analyzer of the
-// yosolint suite. It tracks cryptographic secret material — Shamir shares,
-// threshold key shares, partial decryptions, Paillier private keys — from
-// its sources through assignments, helper calls, struct fields and
-// channels, and reports every flow into a disclosure sink: logging,
-// error construction, or a plaintext bulletin-board post.
+// Package secretflow holds the yosolint suite's one secret model and the two
+// policies checked against it. Secret material — Shamir shares, threshold
+// key shares, partial decryptions, Paillier private keys — is tracked
+// interprocedurally from its sources through assignments, helper calls,
+// struct fields and channels, in one taint run per load, and each analyzer
+// reports the sinks of its own policy:
+//
+//   - Analyzer (secretflow): disclosure sinks — logging, error
+//     construction, a plaintext bulletin-board post, telemetry;
+//   - SideChannel (sidechannel, sidechannel.go): execution-trace sinks —
+//     secret-dependent branches, memory indexing, variable-time calls.
 //
 // Sources are the builtin secret set below plus any type or struct field
-// annotated `//yosolint:secret <why>`. Encryption, hashing, and
-// zero-knowledge proving are sanitizers: their results are clean, so the
-// encrypt-then-post path stays silent. A reported flow that is an
+// annotated `//yosolint:secret <why>`; zeroize reads the same model through
+// IsSecret. Encryption, hashing, zero-knowledge proving, and modular
+// exponentiation are sanitizers for both policies: their results are clean,
+// so the encrypt-then-post path stays silent. A reported flow that is an
 // intentional disclosure (the protocol's output step, a simulation
-// transcript) is acknowledged in place with
-// `//yosolint:declassify <why>` — the justification is mandatory and the
-// suppression is preserved in cmd/yosolint -json output for audit.
+// transcript) is acknowledged in place with `//yosolint:declassify <why>` —
+// the justification is mandatory and the suppression is preserved in
+// cmd/yosolint -json output for audit.
 //
 // The dataflow machinery lives in internal/analysis/taint (summaries,
 // lattice) over internal/analysis/cfg (reachable statements); this package
 // contributes only the YOSO-specific policy: what is secret, what
-// discloses, what sanitizes. docs/STATIC_ANALYSIS.md documents both the
-// model and its blind spots.
+// discloses, what shapes the trace, what sanitizes. docs/STATIC_ANALYSIS.md
+// documents both the model and its blind spots.
 package secretflow
 
 import (
@@ -38,14 +44,20 @@ var Analyzer = &analysis.Analyzer{
 	Doc:        "track secret material interprocedurally; flag flows into logs, errors, and plaintext board posts",
 	Directives: []string{"declassify", "ignore"},
 	Markers:    []string{"secret"},
-	Run:        run,
+	Run:        func(pass *analysis.Pass) error { return report(pass, disclosure) },
 }
 
-// BuiltinSecretTypes are the canonical keys of the repo's well-known
-// secret-material types, seeded without annotation so the analyzer guards
+// The engine's policies, indexing taint.Config.Policies and Leak.Policy.
+const (
+	disclosure = iota
+	trace
+)
+
+// builtinSecretTypes are the canonical keys of the repo's well-known
+// secret-material types, seeded without annotation so the analyzers guard
 // them even if a refactor drops a comment. A sync test asserts each key
 // still resolves to a real named type.
-var BuiltinSecretTypes = map[string]bool{
+var builtinSecretTypes = map[string]bool{
 	"yosompc/internal/sharing.Share":  true, // Shamir share (packed or plain)
 	"yosompc/internal/tte.KeyShare":   true, // threshold key share
 	"yosompc/internal/tte.PartialDec": true, // partial decryption (pre-threshold)
@@ -53,10 +65,10 @@ var BuiltinSecretTypes = map[string]bool{
 	"yosompc/internal/pke.SecretKey":  true, // role-addressed decryption key
 }
 
-// BuiltinSecretFields are field-granular builtin marks: the named field is
+// builtinSecretFields are field-granular builtin marks: the named field is
 // secret while its siblings (indices, evaluation points, the embedded
 // public key in paillier.PrivateKey) stay public.
-var BuiltinSecretFields = map[string]bool{
+var builtinSecretFields = map[string]bool{
 	"yosompc/internal/sharing.Share.Value":        true,
 	"yosompc/internal/paillier.PrivateKey.P":      true,
 	"yosompc/internal/paillier.PrivateKey.Q":      true,
@@ -65,42 +77,79 @@ var BuiltinSecretFields = map[string]bool{
 	"yosompc/internal/paillier.PrivateKey.M":      true,
 }
 
-func run(pass *analysis.Pass) error {
-	eng := taint.NewEngine(taint.Config{
-		SecretTypes:  BuiltinSecretTypes,
-		SecretFields: BuiltinSecretFields,
-		Sinks:        classifySink,
-		Sanitizer:    sanitizer,
+type engineKey struct{}
+
+type leaksKey struct{}
+
+// policies are the two sink sets of the secret model.
+var policies = []taint.Policy{
+	disclosure: {Sinks: classifySink},
+	trace:      {Sinks: classifyTraceCall, ControlSink: controlSink, IndexSink: indexSink},
+}
+
+// engine returns the load's secret model with both policies, built once
+// per RunPackages.
+func engine(pass *analysis.Pass) *taint.Engine {
+	return analysis.Memo(pass, engineKey{}, func() *taint.Engine {
+		return newEngine(pass.Packages, policies...)
 	})
-	// First pass: register every //yosolint:secret annotation across the
-	// whole load (including dependency-only packages) so marks are in
-	// force before any body is analyzed.
-	for _, pkg := range pass.Packages {
-		MarkSecrets(eng, pkg)
+}
+
+// newEngine seeds a taint engine with the builtin sources and every
+// //yosolint:secret annotation of the whole load (dependency-only packages
+// included), so the marks are in force before any body is analyzed.
+func newEngine(pkgs []*analysis.Package, policies ...taint.Policy) *taint.Engine {
+	eng := taint.NewEngine(taint.Config{
+		SecretTypes:  builtinSecretTypes,
+		SecretFields: builtinSecretFields,
+		Sanitizer:    sanitizer,
+		Policies:     policies,
+	})
+	for _, pkg := range pkgs {
+		markSecrets(eng, pkg)
 	}
-	// Second pass: dependency order, dependencies first, so callee
-	// summaries exist before their call sites. Leaks found in packages
-	// loaded only as context are not reported — they belong to that
-	// package's own lint run.
-	for _, pkg := range pass.Packages {
-		leaks := eng.AddPackage(pkg)
-		if pkg.DepOnly {
-			continue
+	return eng
+}
+
+// IsSecret reports whether values of t are secret material — a secret
+// named type or a container of one — under the load's secret model.
+func IsSecret(pass *analysis.Pass, t types.Type) bool {
+	return engine(pass).IsSecretType(t)
+}
+
+// leaks runs the taint fixpoint once per RunPackages and buckets the leaks
+// of the target packages by policy. Packages are added in dependency
+// order, dependencies first, so callee summaries exist before their call
+// sites; leaks found in packages loaded only as context belong to that
+// package's own lint run. Test files are exempt from the trace policy: its
+// classifiers skip them, but a helper's sink fact still reaches a call
+// site in a test.
+func leaks(pass *analysis.Pass) [taint.MaxPolicies][]taint.Leak {
+	return analysis.Memo(pass, leaksKey{}, func() (out [taint.MaxPolicies][]taint.Leak) {
+		eng := engine(pass)
+		for _, pkg := range pass.Packages {
+			for _, l := range eng.AddPackage(pkg) {
+				if !pkg.DepOnly && !(l.Policy == trace && pkg.IsTestFile(l.Pos)) {
+					out[l.Policy] = append(out[l.Policy], l)
+				}
+			}
 		}
-		for _, l := range leaks {
-			pass.Reportf(l.Pos, "%s", message(l))
-		}
+		return out
+	})
+}
+
+// report reports the load's leaks of one policy.
+func report(pass *analysis.Pass, policy int) error {
+	for _, l := range leaks(pass)[policy] {
+		pass.Reportf(l.Pos, "%s", message(l))
 	}
 	return nil
 }
 
-// MarkSecrets registers the package's //yosolint:secret annotations: on a
+// markSecrets registers the package's //yosolint:secret annotations: on a
 // type declaration line the whole type becomes secret material, on a
-// struct field line just that field does. Exported so sibling analyzers
-// (sidechannel, zeroize) can seed their engines with the same
-// secret-source model, builtin sets plus annotations, that this analyzer
-// enforces.
-func MarkSecrets(eng *taint.Engine, pkg *analysis.Package) {
+// struct field line just that field does.
+func markSecrets(eng *taint.Engine, pkg *analysis.Package) {
 	if pkg.Types == nil {
 		return
 	}
@@ -244,21 +293,9 @@ func isStdStream(pkg *analysis.Package, e ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pn, ok := pkg.Info.Uses[id].(*types.PkgName)
-	if !ok {
-		return false
-	}
-	return pn.Imported().Path() == "os" && (sel.Sel.Name == "Stdout" || sel.Sel.Name == "Stderr")
+	v, ok := pkg.Info.Uses[sel.Sel].(*types.Var)
+	return ok && v.Pkg() != nil && v.Pkg().Path() == "os" && (v.Name() == "Stdout" || v.Name() == "Stderr")
 }
-
-// IsSanitizer exposes the sanitizer predicate to sibling analyzers that
-// reuse the secret-source model (a value that went through encryption or
-// proving is no longer secret for their policies either).
-func IsSanitizer(fn *types.Func) bool { return sanitizer(fn) }
 
 // sanitizer reports callees whose results are clean regardless of input:
 // encryption in the crypto-bearing packages, the standard hash/crypto
@@ -299,38 +336,26 @@ func sanitizer(fn *types.Func) bool {
 	return false
 }
 
-// message renders one leak. The sink kinds match classifySink. When the
-// sink is inside a helper (Via set), the call into the helper is the
-// reported site.
+// messages holds each sink kind's message formats, direct and inside a
+// helper (Via set: the call into the helper is the reported site). Their
+// arguments are the secret expression and the callee; the branch and index
+// sinks have no callee, so their direct formats name argument 1 only.
+var messages = map[string][2]string{
+	"log":     {"secret value %s reaches logging sink %s", "secret value %s reaches a logging sink inside %s"},
+	"error":   {"secret value %s is formatted into an error by %s", "secret value %s is formatted into an error inside %s"},
+	"post":    {"secret value %s is posted to the board in plaintext by %s", "secret value %s is posted to the board in plaintext inside %s"},
+	"metric":  {"secret value %s flows into metrics sink %s", "secret value %s flows into a metrics sink inside %s"},
+	"trace":   {"secret value %s is recorded as a trace attribute by %s", "secret value %s is recorded as a trace attribute inside %s"},
+	"branch":  {"secret-dependent branch on %[1]s (timing side channel)", "secret value %s decides a branch inside %s (timing side channel)"},
+	"index":   {"secret-dependent index %[1]s (cache side channel)", "secret value %s indexes memory inside %s (cache side channel)"},
+	"compare": {"secret value %s flows into variable-time %s (use crypto/subtle.ConstantTimeCompare or crypto/hmac.Equal)", "secret value %s reaches a variable-time comparison inside %s"},
+	"bigint":  {"secret value %s feeds variable-time big.Int operation %s outside the sanctioned kernels", "secret value %s reaches a variable-time big.Int operation inside %s"},
+}
+
 func message(l taint.Leak) string {
+	f := messages[l.Sink][0]
 	if l.Via != "" {
-		switch l.Sink {
-		case "log":
-			return fmt.Sprintf("secret value %s reaches a logging sink inside %s", l.Expr, l.ShortCallee())
-		case "error":
-			return fmt.Sprintf("secret value %s is formatted into an error inside %s", l.Expr, l.ShortCallee())
-		case "post":
-			return fmt.Sprintf("secret value %s is posted to the board in plaintext inside %s", l.Expr, l.ShortCallee())
-		case "metric":
-			return fmt.Sprintf("secret value %s flows into a metrics sink inside %s", l.Expr, l.ShortCallee())
-		case "trace":
-			return fmt.Sprintf("secret value %s is recorded as a trace attribute inside %s", l.Expr, l.ShortCallee())
-		default:
-			return fmt.Sprintf("secret value %s reaches a %s sink inside %s", l.Expr, l.Sink, l.ShortCallee())
-		}
+		f = messages[l.Sink][1]
 	}
-	switch l.Sink {
-	case "log":
-		return fmt.Sprintf("secret value %s reaches logging sink %s", l.Expr, l.ShortCallee())
-	case "error":
-		return fmt.Sprintf("secret value %s is formatted into an error by %s", l.Expr, l.ShortCallee())
-	case "post":
-		return fmt.Sprintf("secret value %s is posted to the board in plaintext by %s", l.Expr, l.ShortCallee())
-	case "metric":
-		return fmt.Sprintf("secret value %s flows into metrics sink %s", l.Expr, l.ShortCallee())
-	case "trace":
-		return fmt.Sprintf("secret value %s is recorded as a trace attribute by %s", l.Expr, l.ShortCallee())
-	default:
-		return fmt.Sprintf("secret value %s reaches %s sink %s", l.Expr, l.Sink, l.ShortCallee())
-	}
+	return fmt.Sprintf(f, l.Expr, l.ShortCallee())
 }

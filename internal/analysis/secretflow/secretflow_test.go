@@ -1,26 +1,137 @@
 package secretflow
 
 import (
+	"fmt"
 	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"yosompc/internal/analysis"
 	"yosompc/internal/analysis/analysistest"
+	"yosompc/internal/analysis/taint"
 )
 
-// TestFixtures runs the analyzer over the seven leak-class fixtures:
-// direct sink, sink inside a helper, struct embedding + channel erasure,
-// justified declassification, the encrypt-then-post clean path,
-// telemetry emitters (span attributes, metric names and samples), and
-// the pinned modelling blind spots (closure captures caught, calls
-// through function/method values not).
+// TestFixtures runs the disclosure policy over its seven leak-class
+// fixtures: direct sink, sink inside a helper, struct embedding + channel
+// erasure, justified declassification, the encrypt-then-post clean path,
+// telemetry emitters (span attributes, metric names and samples), and the
+// pinned modelling blind spots (closure captures caught, calls through
+// function/method values not).
 func TestFixtures(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), Analyzer,
 		"direct", "helper", "chanembed", "declass", "transport", "telemetrysink", "blindspot")
+}
+
+// TestSideChannelFixtures runs the trace policy over its fixture packages:
+// the four sink classes with their clean counterparts, the sanctioned
+// kernel package, and the caller side of the kernel sanction.
+func TestSideChannelFixtures(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(t), SideChannel,
+		"sidechan", "paillier", "kernelcall")
+}
+
+// TestBothPoliciesFixture runs both analyzers over one fixture: a helper
+// parameter reaching a disclosure sink and a trace sink reports under both
+// at the call site, whichever sink the helper meets first, and neither
+// policy's directive suppresses the other's finding.
+func TestBothPoliciesFixture(t *testing.T) {
+	analysistest.RunTogether(t, analysistest.TestData(t),
+		[]*analysis.Analyzer{Analyzer, SideChannel}, "bothpolicies")
+}
+
+// TestSharedRunMatchesSeparateRuns is the differential test of the one
+// taint run per load, on every fixture of this package, the driver's e2e
+// fixtures and (outside -short) the repository itself:
+//
+//   - one RunPackages with both analyzers reports exactly the union of
+//     running each alone (directive-hygiene findings aside: which names are
+//     unknown depends on the registered analyzers by design);
+//   - the shared engine's leaks of each policy, in discovery order, are
+//     exactly those of an engine configured with that policy alone, so a
+//     sink consuming a value for one policy never hides it from the other.
+func TestSharedRunMatchesSeparateRuns(t *testing.T) {
+	root := repoRoot(t)
+	dirs, _ := filepath.Glob(filepath.Join(analysistest.TestData(t), "src", "*"))
+	e2e, _ := filepath.Glob(filepath.Join(root, "cmd", "yosolint", "testdata", "e2e", "*"))
+	dirs = append(dirs, e2e...)
+	if !testing.Short() {
+		dirs = append(dirs, "./...")
+	}
+	var total [taint.MaxPolicies]int
+	for _, dir := range dirs {
+		pkgs, err := analysis.Load(analysis.LoadConfig{Dir: root, Tests: true, Deps: true}, dir)
+		if err != nil {
+			t.Fatalf("loading %s: %v", dir, err)
+		}
+		run := func(as ...*analysis.Analyzer) []string {
+			diags, err := analysis.RunPackages(pkgs, as)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out []string
+			for _, d := range diags {
+				if d.Analyzer != analysis.DirectiveAnalyzerName {
+					out = append(out, fmt.Sprintf("%s suppressed=%t %q", d, d.Suppressed, d.Justification))
+				}
+			}
+			sort.Strings(out)
+			return out
+		}
+		together := run(Analyzer, SideChannel)
+		alone := append(run(Analyzer), run(SideChannel)...)
+		sort.Strings(alone)
+		if !reflect.DeepEqual(together, alone) {
+			t.Errorf("%s: together reports\n%s\nalone reports\n%s", dir, strings.Join(together, "\n"), strings.Join(alone, "\n"))
+		}
+
+		shared := policyLeaks(newEngine(pkgs, policies...), pkgs)
+		for p := range policies {
+			separate := policyLeaks(newEngine(pkgs, policies[p]), pkgs)[0]
+			for i := range separate {
+				separate[i].Policy = p
+			}
+			if !reflect.DeepEqual(shared[p], separate) {
+				t.Errorf("%s: policy %d leaks %v in the shared run, %v alone", dir, p, shared[p], separate)
+			}
+			total[p] += len(separate)
+		}
+	}
+	if total[disclosure] == 0 || total[trace] == 0 {
+		t.Errorf("leaks per policy %v: the differential compared nothing", total)
+	}
+}
+
+// TestMessagesRender renders every sink kind the two policies emit, direct
+// and through a helper: each kind has both formats, and neither leaves a
+// fmt error verb in the text.
+func TestMessagesRender(t *testing.T) {
+	kinds := []string{"log", "error", "post", "branch", "index", "compare", "bigint"}
+	for _, kind := range BuiltinSinkFuncs {
+		kinds = append(kinds, kind)
+	}
+	for _, kind := range kinds {
+		for _, via := range []string{"", "pkg.helper"} {
+			msg := message(taint.Leak{Sink: kind, Expr: "sh.Value", Callee: "pkg.F", Via: via})
+			if !strings.Contains(msg, "sh.Value") || strings.Contains(msg, "%!") {
+				t.Errorf("kind %q via %q renders %q", kind, via, msg)
+			}
+		}
+	}
+}
+
+// policyLeaks runs eng over pkgs and groups every leak by policy.
+func policyLeaks(eng *taint.Engine, pkgs []*analysis.Package) [taint.MaxPolicies][]taint.Leak {
+	var out [taint.MaxPolicies][]taint.Leak
+	for _, pkg := range pkgs {
+		for _, l := range eng.AddPackage(pkg) {
+			out[l.Policy] = append(out[l.Policy], l)
+		}
+	}
+	return out
 }
 
 // TestBuiltinSourceSetSync type-checks the real packages behind the
@@ -40,11 +151,11 @@ func TestBuiltinSourceSetSync(t *testing.T) {
 		field    string // empty for whole-type keys
 	}
 	wants := map[string][]want{}
-	for key := range BuiltinSecretTypes {
+	for key := range builtinSecretTypes {
 		path, name := splitKey(t, key)
 		wants[path] = append(wants[path], want{typeName: name})
 	}
-	for key := range BuiltinSecretFields {
+	for key := range builtinSecretFields {
 		typeKey, field := splitKey(t, key)
 		path, name := splitKey(t, typeKey)
 		wants[path] = append(wants[path], want{typeName: name, field: field})

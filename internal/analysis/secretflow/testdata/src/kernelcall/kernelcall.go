@@ -6,7 +6,7 @@ package kernelcall
 import (
 	"math/big"
 
-	"yosompc/internal/analysis/sidechannel/testdata/src/paillier"
+	"yosompc/internal/analysis/secretflow/testdata/src/paillier"
 )
 
 // Exp is a secret exponent share.

@@ -10,7 +10,6 @@ import (
 	"yosompc/internal/analysis/lockscope"
 	"yosompc/internal/analysis/postcheck"
 	"yosompc/internal/analysis/secretflow"
-	"yosompc/internal/analysis/sidechannel"
 	"yosompc/internal/analysis/wirecodec"
 	"yosompc/internal/analysis/zeroize"
 )
@@ -23,7 +22,7 @@ func Analyzers() []*analysis.Analyzer {
 		lockscope.Analyzer,
 		postcheck.Analyzer,
 		secretflow.Analyzer,
-		sidechannel.Analyzer,
+		secretflow.SideChannel,
 		wirecodec.Analyzer,
 		zeroize.Analyzer,
 	}

@@ -5,20 +5,23 @@
 // boundaries without whole-program iteration.
 //
 // The engine is configured with a set of secret named types and struct
-// fields (the sources), a sink classifier over resolved callees, and a
-// sanitizer predicate (encryption, hashing, zero-knowledge proving). It
+// fields (the sources), a sanitizer predicate (encryption, hashing,
+// zero-knowledge proving), and up to MaxPolicies sink sets (policies). It
 // consumes packages in dependency order — dependencies first, as
 // `go list -deps` emits them — and for every function computes a summary:
 // which results carry taint (always, or conditionally on which
-// parameters), which parameters flow into a sink inside the callee, and
-// which reference parameters are written with tainted data. Call sites
-// instantiate the callee's summary with the concrete argument taint, so a
-// secret share passed to a helper that eventually logs it is reported at
-// the call, interprocedurally.
+// parameters), which parameters flow into which policy's sink inside the
+// callee, and which reference parameters are written with tainted data.
+// Call sites instantiate the callee's summary with the concrete argument
+// taint, so a secret share passed to a helper that eventually logs it is
+// reported at the call, interprocedurally.
 //
-// Taint values form a small monotone lattice — a definite bit plus a set
-// of "tainted if parameter i is tainted" bits — so the per-package
-// fixpoint terminates. See docs/STATIC_ANALYSIS.md for the approximations
+// Taint values form a small monotone lattice — per policy, a definite bit
+// plus a set of "tainted if parameter i is tainted" bits — so the
+// per-package fixpoint terminates. The policies share every propagation
+// rule and differ only where a sink consumes a value: a sink cleans its
+// result for its own policy alone, so one run reports exactly what one run
+// per policy would. See docs/STATIC_ANALYSIS.md for the approximations
 // (field-insensitive writes, interface dispatch, reflection).
 package taint
 
@@ -26,13 +29,15 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 	"strings"
 
 	"yosompc/internal/analysis"
 	"yosompc/internal/analysis/cfg"
 )
 
-// Sink describes why a call argument position is a disclosure point.
+// Sink describes which arguments of a call a policy's sink consumes.
 type Sink struct {
 	// Kind is a short category for messages: "log", "error", "post", …
 	Kind string
@@ -54,16 +59,26 @@ type Config struct {
 	// struct fields whose values are secret even though their type is
 	// not (e.g. the field.Element payload of a Share).
 	SecretFields map[string]bool
-	// Sinks classifies a resolved callee at one call site as a
-	// disclosure point; the call and package give access to argument
-	// syntax and type information (e.g. to treat fmt.Fprintf as a sink
-	// only when writing to os.Stdout/os.Stderr). May be nil (no sinks —
-	// pure propagation).
-	Sinks func(pkg *analysis.Package, call *ast.CallExpr, fn *types.Func) *Sink
 	// Sanitizer reports callees whose results are clean regardless of
 	// argument taint: encryption, commitment hashing, ZK proving. May be
 	// nil.
 	Sanitizer func(fn *types.Func) bool
+	// Policies are the sink sets, at most MaxPolicies; Leak.Policy indexes
+	// this slice.
+	Policies []Policy
+}
+
+// MaxPolicies bounds Config.Policies: the lattice carries one value per
+// policy in a fixed-size array.
+const MaxPolicies = 2
+
+// Policy is one sink set. Every classifier may be nil.
+type Policy struct {
+	// Sinks classifies a resolved callee at one call site as a sink; the
+	// call and package give access to argument syntax and type information
+	// (e.g. to treat fmt.Fprintf as a sink only when writing to
+	// os.Stdout/os.Stderr).
+	Sinks func(pkg *analysis.Package, call *ast.CallExpr, fn *types.Func) *Sink
 	// ControlSink, when non-nil, classifies a control expression — an
 	// if/for condition, switch tag, or case expression, which the CFG
 	// records as a bare expression node — as an execution-trace sink. It
@@ -83,6 +98,8 @@ type Config struct {
 
 // Leak is one concrete secret-to-sink flow.
 type Leak struct {
+	// Policy indexes the Config.Policies entry whose sink this is.
+	Policy int
 	// Pos locates the sink call (or the call into the helper that
 	// sinks).
 	Pos token.Pos
@@ -103,27 +120,60 @@ func (l Leak) ShortCallee() string {
 	return strings.ReplaceAll(strings.ReplaceAll(l.Callee, "yosompc/internal/", ""), "yosompc/", "")
 }
 
-// taintVal is the lattice value: definitely tainted, and/or tainted
+// flow is one policy's lattice value: definitely tainted, and/or tainted
 // whenever one of the marked parameters (bit i = param i, receiver first)
 // is tainted at the call site.
-type taintVal struct {
+type flow struct {
 	always bool
 	params uint64
 }
 
+// taintVal holds one flow per policy. The flows differ only after a sink
+// consumed a value for its own policy.
+type taintVal [MaxPolicies]flow
+
+// secret is definite secret material under every policy.
+var secret = func() (v taintVal) {
+	for p := range v {
+		v[p].always = true
+	}
+	return v
+}()
+
+// policySet is a bit set of policy indices.
+type policySet uint8
+
+const allPolicies = policySet(1<<MaxPolicies - 1)
+
+func (f flow) union(g flow) flow { return flow{f.always || g.always, f.params | g.params} }
+
 func (v taintVal) union(w taintVal) taintVal {
-	return taintVal{v.always || w.always, v.params | w.params}
+	for p := range v {
+		v[p] = v[p].union(w[p])
+	}
+	return v
 }
 
-func (v taintVal) zero() bool { return !v.always && v.params == 0 }
+func (v taintVal) zero() bool { return v == taintVal{} }
+
+// only keeps the flows of the policies in keep.
+func (v taintVal) only(keep policySet) taintVal {
+	for p := range v {
+		if keep&(1<<p) == 0 {
+			v[p] = flow{}
+		}
+	}
+	return v
+}
 
 // summary is one function's interprocedural behavior.
 type summary struct {
 	// results[i] is the taint of result i.
 	results []taintVal
-	// sinks[i] is the sink kind parameter i reaches inside the callee
-	// (transitively), "" when it reaches none.
-	sinks map[int]string
+	// sinks[p][i] is the first sink kind of policy p that parameter i
+	// reaches inside the callee (transitively); absent when it reaches
+	// none.
+	sinks [MaxPolicies]map[int]string
 	// writes[i] is the taint written through reference parameter i
 	// (slices, maps, pointers) beyond its own incoming taint.
 	writes map[int]taintVal
@@ -137,37 +187,38 @@ type Engine struct {
 	secretsT  map[string]bool
 	secretsF  map[string]bool
 	summaries map[string]*summary
-	// memoDirect caches isDirectSecret, memoCarry caches carriesSecret:
-	// 0 unknown/in-progress, 1 secret, -1 clean.
-	memoDirect map[types.Type]int8
-	memoCarry  map[types.Type]int8
+	// memoDirect caches IsSecretType, memoCarry caches carriesSecret; a
+	// type in progress reads clean.
+	memoDirect map[types.Type]bool
+	memoCarry  map[types.Type]bool
 	leaks      []Leak
 	leakSeen   map[leakKey]bool
 }
 
 type leakKey struct {
-	pos  token.Pos
-	sink string
-	expr string
+	policy int
+	pos    token.Pos
+	sink   string
+	expr   string
 }
 
-// NewEngine returns an Engine for one load's worth of packages.
+// NewEngine returns an Engine for one load's worth of packages. It panics
+// on more than MaxPolicies policies.
 func NewEngine(cfg Config) *Engine {
+	if len(cfg.Policies) > MaxPolicies {
+		panic("taint: more than MaxPolicies policies")
+	}
 	e := &Engine{
 		cfg:        cfg,
 		secretsT:   map[string]bool{},
 		secretsF:   map[string]bool{},
 		summaries:  map[string]*summary{},
-		memoDirect: map[types.Type]int8{},
-		memoCarry:  map[types.Type]int8{},
+		memoDirect: map[types.Type]bool{},
+		memoCarry:  map[types.Type]bool{},
 		leakSeen:   map[leakKey]bool{},
 	}
-	for k := range cfg.SecretTypes {
-		e.secretsT[k] = true
-	}
-	for k := range cfg.SecretFields {
-		e.secretsF[k] = true
-	}
+	maps.Copy(e.secretsT, cfg.SecretTypes)
+	maps.Copy(e.secretsF, cfg.SecretFields)
 	return e
 }
 
@@ -185,14 +236,14 @@ func (e *Engine) MarkField(key string) {
 }
 
 func (e *Engine) invalidate() {
-	e.memoDirect = map[types.Type]int8{}
-	e.memoCarry = map[types.Type]int8{}
+	e.memoDirect = map[types.Type]bool{}
+	e.memoCarry = map[types.Type]bool{}
 }
 
 // AddPackage analyzes one package: computes summaries for its functions
 // and records the concrete leaks found in its bodies. Packages must be
-// added dependencies-first; the leaks found in this package are returned
-// (and also retained in the engine).
+// added dependencies-first; the leaks found in this package, of every
+// policy, are returned.
 func (e *Engine) AddPackage(pkg *analysis.Package) []Leak {
 	before := len(e.leaks)
 	fns := pkg.Funcs()
@@ -204,6 +255,7 @@ func (e *Engine) AddPackage(pkg *analysis.Package) []Leak {
 		engine: e,
 		pkg:    pkg,
 		obj:    map[types.Object]taintVal{},
+		blocks: map[*ast.BlockStmt][]*cfg.Block{},
 	}
 	for iter := 0; iter < 32; iter++ {
 		st.changed = false
@@ -216,20 +268,6 @@ func (e *Engine) AddPackage(pkg *analysis.Package) []Leak {
 	}
 	return e.leaks[before:]
 }
-
-// Leaks returns every leak recorded so far, in discovery order.
-func (e *Engine) Leaks() []Leak { return e.leaks }
-
-// IsSecretType reports whether values of t ARE secret material under the
-// engine's source configuration: a marked named type, or a container of
-// one. Exported for sibling analyzers (zeroize, sidechannel) that reuse
-// the secret-source model for their own policies.
-func (e *Engine) IsSecretType(t types.Type) bool { return e.isDirectSecret(t) }
-
-// CarriesSecret reports whether formatting or serializing a whole value
-// of t can expose secret material: direct secrets plus structs with a
-// secret (or marked) field, transitively.
-func (e *Engine) CarriesSecret(t types.Type) bool { return e.carriesSecret(t) }
 
 // TypeKey returns the canonical key of a named type or alias object.
 func TypeKey(obj types.Object) string {
@@ -251,13 +289,14 @@ func FuncKey(fn *types.Func) string {
 	return fn.Pkg().Path() + "." + fn.Name()
 }
 
-// isDirectSecret reports whether values of t ARE secret material: a
-// marked named type, or a container (pointer, slice, array, channel, map)
-// of one. Struct types are direct secrets only when marked themselves —
-// a struct that merely holds a secret field (the protocol driver's run
-// state, an envelope) is "carrying", which matters at sinks but must not
-// taint every use of the value (its public fields stay public).
-func (e *Engine) isDirectSecret(t types.Type) bool {
+// IsSecretType reports whether values of t ARE secret material under the
+// engine's sources: a marked named type, or a container (pointer, slice,
+// array, channel, map) of one. Struct types are direct secrets only when
+// marked themselves — a struct that merely holds a secret field (the
+// protocol driver's run state, an envelope) is "carrying", which matters
+// at sinks but must not taint every use of the value (its public fields
+// stay public).
+func (e *Engine) IsSecretType(t types.Type) bool {
 	return e.classify(t, e.memoDirect, false)
 }
 
@@ -268,24 +307,19 @@ func (e *Engine) carriesSecret(t types.Type) bool {
 	return e.classify(t, e.memoCarry, true)
 }
 
-func (e *Engine) classify(t types.Type, memo map[types.Type]int8, structs bool) bool {
+func (e *Engine) classify(t types.Type, memo map[types.Type]bool, structs bool) bool {
 	if t == nil {
 		return false
 	}
 	if v, ok := memo[t]; ok {
-		return v == 1
+		return v
 	}
-	memo[t] = 0 // in-progress: cycles resolve to clean
-	secret := e.classifyUncached(t, memo, structs)
-	if secret {
-		memo[t] = 1
-	} else {
-		memo[t] = -1
-	}
-	return secret
+	memo[t] = false // in progress: cycles resolve to clean
+	memo[t] = e.classifyUncached(t, memo, structs)
+	return memo[t]
 }
 
-func (e *Engine) classifyUncached(t types.Type, memo map[types.Type]int8, structs bool) bool {
+func (e *Engine) classifyUncached(t types.Type, memo map[types.Type]bool, structs bool) bool {
 	switch t := t.(type) {
 	case *types.Named:
 		if e.secretsT[TypeKey(t.Obj())] {
@@ -319,7 +353,7 @@ func (e *Engine) classifyUncached(t types.Type, memo map[types.Type]int8, struct
 	return false
 }
 
-func (e *Engine) secretStruct(named types.Object, s *types.Struct, memo map[types.Type]int8) bool {
+func (e *Engine) secretStruct(named types.Object, s *types.Struct, memo map[types.Type]bool) bool {
 	for i := 0; i < s.NumFields(); i++ {
 		f := s.Field(i)
 		if named != nil && e.secretsF[TypeKey(named)+"."+f.Name()] {
@@ -336,20 +370,13 @@ func (e *Engine) secretStruct(named types.Object, s *types.Struct, memo map[type
 // //yosolint:secret-marked field — i.e. whether its annotation is
 // field-granular (unmarked fields are then public by declaration).
 func (e *Engine) typeHasMarkedField(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	s, ok := n.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < s.NumFields(); i++ {
-		if e.secretsF[TypeKey(n.Obj())+"."+s.Field(i).Name()] {
-			return true
+	if n := namedOf(t); n != nil {
+		if s, ok := n.Underlying().(*types.Struct); ok {
+			for i := 0; i < s.NumFields(); i++ {
+				if e.isSecretField(n, s.Field(i)) {
+					return true
+				}
+			}
 		}
 	}
 	return false
@@ -358,15 +385,17 @@ func (e *Engine) typeHasMarkedField(t types.Type) bool {
 // isSecretField reports whether selecting field f of the (named) type of
 // base yields secret material because the field itself is marked.
 func (e *Engine) isSecretField(baseType types.Type, f *types.Var) bool {
-	t := baseType
+	n := namedOf(baseType)
+	return n != nil && e.secretsF[TypeKey(n.Obj())+"."+f.Name()]
+}
+
+// namedOf returns the named type behind t or a pointer to it, else nil.
+func namedOf(t types.Type) *types.Named {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	return e.secretsF[TypeKey(n.Obj())+"."+f.Name()]
+	n, _ := t.(*types.Named)
+	return n
 }
 
 // --- per-package analysis ---------------------------------------------
@@ -374,9 +403,11 @@ func (e *Engine) isSecretField(baseType types.Type, f *types.Var) bool {
 // pkgState is the per-package fixpoint state: object taint shared across
 // the package's functions (covers package-level variables and closures).
 type pkgState struct {
-	engine  *Engine
-	pkg     *analysis.Package
-	obj     map[types.Object]taintVal
+	engine *Engine
+	pkg    *analysis.Package
+	obj    map[types.Object]taintVal
+	// blocks caches each body's reachable CFG blocks across iterations.
+	blocks  map[*ast.BlockStmt][]*cfg.Block
 	changed bool
 }
 
@@ -412,9 +443,11 @@ func (st *pkgState) analyzeFunc(fn analysis.Func) {
 	if sum == nil {
 		sum = &summary{
 			results: make([]taintVal, sig.Results().Len()),
-			sinks:   map[int]string{},
 			writes:  map[int]taintVal{},
 			nparams: nparams,
+		}
+		for p := range sum.sinks {
+			sum.sinks[p] = map[int]string{}
 		}
 		st.engine.summaries[key] = sum
 	}
@@ -434,8 +467,12 @@ func (st *pkgState) analyzeFunc(fn analysis.Func) {
 // walkBody runs the value-graph pass over the CFG-reachable statements of
 // one body (and, recursively, of the function literals it contains).
 func (sc *fnScope) walkBody(body *ast.BlockStmt, sig *types.Signature) {
-	g := cfg.New(body)
-	for _, blk := range g.Reachable() {
+	blocks, ok := sc.st.blocks[body]
+	if !ok {
+		blocks = cfg.New(body).Reachable()
+		sc.st.blocks[body] = blocks
+	}
+	for _, blk := range blocks {
 		for _, n := range blk.Nodes {
 			sc.node(n, sig)
 		}
@@ -491,11 +528,16 @@ func (sc *fnScope) node(n ast.Node, sig *types.Signature) {
 		}
 	}
 	// Control expressions reach the CFG as bare expression nodes; give the
-	// policy a chance to classify them as execution-trace sinks.
-	if e, ok := n.(ast.Expr); ok && sc.st.engine.cfg.ControlSink != nil {
-		if exprs, kind := sc.st.engine.cfg.ControlSink(sc.st.pkg, e); kind != "" {
-			for _, x := range exprs {
-				sc.traceSink(x, sc.eval(x), kind)
+	// policies a chance to classify them as execution-trace sinks.
+	if e, ok := n.(ast.Expr); ok {
+		for p, pol := range sc.st.engine.cfg.Policies {
+			if pol.ControlSink == nil {
+				continue
+			}
+			if exprs, kind := pol.ControlSink(sc.st.pkg, e); kind != "" {
+				for _, x := range exprs {
+					sc.traceSink(x, sc.eval(x), p, kind)
+				}
 			}
 		}
 	}
@@ -514,10 +556,13 @@ func (sc *fnScope) node(n ast.Node, sig *types.Signature) {
 		case *ast.CallExpr:
 			sc.call(x)
 		case *ast.IndexExpr:
-			if sc.st.engine.cfg.IndexSink != nil {
-				if exprs, kind := sc.st.engine.cfg.IndexSink(sc.st.pkg, x); kind != "" {
+			for p, pol := range sc.st.engine.cfg.Policies {
+				if pol.IndexSink == nil {
+					continue
+				}
+				if exprs, kind := pol.IndexSink(sc.st.pkg, x); kind != "" {
 					for _, sub := range exprs {
-						sc.traceSink(sub, sc.eval(sub), kind)
+						sc.traceSink(sub, sc.eval(sub), p, kind)
 					}
 				}
 			}
@@ -593,8 +638,8 @@ func (sc *fnScope) store(target ast.Expr, v taintVal, rhsType types.Type) {
 // bake adds the definite-taint bit when a direct-secret-typed value lands
 // in a location whose static type is not itself direct-secret.
 func (sc *fnScope) bake(v taintVal, rhsType, lhsType types.Type) taintVal {
-	if rhsType != nil && sc.st.engine.isDirectSecret(rhsType) && !sc.st.engine.isDirectSecret(lhsType) {
-		v.always = true
+	if rhsType != nil && sc.st.engine.IsSecretType(rhsType) && !sc.st.engine.IsSecretType(lhsType) {
+		v = v.union(secret)
 	}
 	return v
 }
@@ -650,8 +695,8 @@ func (sc *fnScope) eval(e ast.Expr) taintVal {
 		return taintVal{}
 	}
 	v := sc.evalFlow(e)
-	if sc.st.engine.isDirectSecret(typeOf(sc.st.pkg, e)) {
-		v.always = true
+	if sc.st.engine.IsSecretType(typeOf(sc.st.pkg, e)) {
+		v = v.union(secret)
 	}
 	return v
 }
@@ -675,13 +720,10 @@ func (sc *fnScope) evalFlow(e ast.Expr) taintVal {
 		if sel, ok := sc.st.pkg.Info.Selections[e]; ok && sel.Kind() == types.FieldVal {
 			if f, ok := sel.Obj().(*types.Var); ok {
 				baseT := typeOf(sc.st.pkg, e.X)
-				if sc.st.engine.isSecretField(baseT, f) {
-					return taintVal{always: true}
+				if sc.st.engine.isSecretField(baseT, f) || sc.st.engine.IsSecretType(f.Type()) {
+					return secret
 				}
-				if sc.st.engine.isDirectSecret(f.Type()) {
-					return taintVal{always: true}
-				}
-				if sc.st.engine.isDirectSecret(baseT) {
+				if sc.st.engine.IsSecretType(baseT) {
 					// Selecting from a marked struct type: with
 					// field-granular marks, unmarked fields are public by
 					// declaration (Share.Index); with a whole-type mark
@@ -689,7 +731,7 @@ func (sc *fnScope) evalFlow(e ast.Expr) taintVal {
 					if sc.st.engine.typeHasMarkedField(baseT) {
 						return taintVal{}
 					}
-					return taintVal{always: true}
+					return secret
 				}
 				if sc.st.engine.carriesSecret(baseT) {
 					// The base struct carries secrets in specific other
@@ -740,10 +782,10 @@ func (sc *fnScope) evalFlow(e ast.Expr) taintVal {
 		// material (a simulation stub of indices and sizes). Without this
 		// the interface taint sticks to the concrete value's public
 		// fields field-insensitively.
-		if t := typeOf(sc.st.pkg, e); t != nil && !sc.st.engine.isDirectSecret(t) {
+		if t := typeOf(sc.st.pkg, e); t != nil && !sc.st.engine.IsSecretType(t) {
 			xt := typeOf(sc.st.pkg, e.X)
 			if sc.st.engine.carriesSecret(t) ||
-				(xt != nil && sc.st.engine.isDirectSecret(xt)) {
+				(xt != nil && sc.st.engine.IsSecretType(xt)) {
 				return taintVal{}
 			}
 		}
@@ -761,7 +803,9 @@ func (sc *fnScope) identTaint(id *ast.Ident) taintVal {
 	}
 	v := sc.st.obj[o]
 	if bit, ok := sc.params[o]; ok {
-		v = v.union(taintVal{params: paramBit(bit)})
+		for p := range v {
+			v[p].params |= paramBit(bit)
+		}
 	}
 	return v
 }
@@ -799,30 +843,40 @@ func (sc *fnScope) call(call *ast.CallExpr) []taintVal {
 	// function's parameters. A sink consumes what it receives: the leak
 	// is accounted exactly once, at the sink, so the call's results (the
 	// error fmt.Errorf built, a board sequence number) come back clean
-	// rather than re-reporting at every downstream use of the value.
-	if fn != nil && sc.st.engine.cfg.Sinks != nil {
-		if s := sc.st.engine.cfg.Sinks(pkg, call, fn); s != nil {
-			idx := s.Args
-			if idx == nil {
-				idx = make([]int, len(call.Args))
-				for i := range idx {
-					idx[i] = i
-				}
+	// rather than re-reporting at every downstream use of the value. It
+	// consumes for its own policy only; the others see the call as the
+	// plain call it is to them (keep).
+	keep := allPolicies
+	for p, pol := range sc.st.engine.cfg.Policies {
+		if fn == nil || pol.Sinks == nil {
+			continue
+		}
+		s := pol.Sinks(pkg, call, fn)
+		if s == nil {
+			continue
+		}
+		keep &^= 1 << p
+		for i, arg := range call.Args {
+			if s.Args == nil || slices.Contains(s.Args, i) {
+				sc.sinkArg(arg, sc.eval(arg), p, s.Kind, fn, "")
 			}
-			for _, i := range idx {
-				if i < 0 || i >= len(call.Args) {
-					continue
-				}
-				sc.sinkArg(call.Args[i], sc.eval(call.Args[i]), s.Kind, fn, "")
-			}
-			if s.Recv {
-				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-					sc.sinkArg(sel.X, sc.eval(sel.X), s.Kind, fn, "")
-				}
-			}
-			return make([]taintVal, resultCount(fn))
+		}
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && s.Recv {
+			sc.sinkArg(sel.X, sc.eval(sel.X), p, s.Kind, fn, "")
 		}
 	}
+	if keep == 0 {
+		return make([]taintVal, resultCount(fn))
+	}
+	return sc.plainCall(call, fn, args, keep)
+}
+
+// plainCall models a call that is not a sink for the policies in keep:
+// sanitizer, summary instantiation, or the default model of an unknown
+// callee. Its effects (writes, sink facts) and results carry the flows of
+// keep only.
+func (sc *fnScope) plainCall(call *ast.CallExpr, fn *types.Func, args []callArg, keep policySet) []taintVal {
+	pkg := sc.st.pkg
 
 	// A sanitized call (Encrypt, a hash, a ZK prover) still runs its
 	// summary — a leak on the callee's error path must surface — but its
@@ -831,7 +885,7 @@ func (sc *fnScope) call(call *ast.CallExpr) []taintVal {
 
 	if fn != nil {
 		if sum, ok := sc.st.engine.summaries[FuncKey(fn)]; ok {
-			res := sc.applySummary(call, fn, sum, args)
+			res := sc.applySummary(fn, sum, args, keep)
 			if sanitized {
 				return make([]taintVal, len(res))
 			}
@@ -866,7 +920,7 @@ func (sc *fnScope) call(call *ast.CallExpr) []taintVal {
 		if dynamic && i == 0 {
 			continue
 		}
-		argVals[i] = sc.eval(a.expr)
+		argVals[i] = sc.eval(a.expr).only(keep)
 		v = v.union(argVals[i])
 	}
 	if !v.zero() && fn != nil {
@@ -963,38 +1017,36 @@ func callArgs(pkg *analysis.Package, call *ast.CallExpr, fn *types.Func) []callA
 	return out
 }
 
-// applySummary instantiates a callee summary at a call site.
-func (sc *fnScope) applySummary(call *ast.CallExpr, fn *types.Func, sum *summary, args []callArg) []taintVal {
+// applySummary instantiates a callee summary at a call site, for the
+// policies in keep only.
+func (sc *fnScope) applySummary(fn *types.Func, sum *summary, args []callArg, keep policySet) []taintVal {
 	vals := make([]taintVal, sum.nparams)
-	for _, a := range args {
-		b := a.bit
-		if b >= len(vals) {
-			b = len(vals) - 1 // variadic tail
-		}
-		if b >= 0 {
-			vals[b] = vals[b].union(sc.eval(a.expr))
+	bits := make([]int, len(args))
+	for i, a := range args {
+		bits[i] = min(a.bit, len(vals)-1) // the variadic tail folds into the last
+		if bits[i] >= 0 {
+			vals[bits[i]] = vals[bits[i]].union(sc.eval(a.expr))
 		}
 	}
 	instantiate := func(dep taintVal) taintVal {
-		out := taintVal{always: dep.always}
-		for b := 0; b < len(vals); b++ {
-			if dep.params&paramBit(b) != 0 {
-				out = out.union(vals[b])
+		var out taintVal
+		for p, d := range dep {
+			out[p].always = d.always
+			for b := 0; b < len(vals); b++ {
+				if d.params&paramBit(b) != 0 {
+					out[p] = out[p].union(vals[b][p])
+				}
 			}
 		}
-		return out
+		return out.only(keep)
 	}
 	// Parameters that reach a sink inside the callee.
-	for _, a := range args {
-		b := a.bit
-		if b >= len(vals) {
-			b = len(vals) - 1
+	for i, a := range args {
+		for p, sinks := range sum.sinks {
+			if kind, ok := sinks[bits[i]]; ok && keep&(1<<p) != 0 {
+				sc.sinkArg(a.expr, sc.eval(a.expr), p, kind, fn, FuncKey(fn))
+			}
 		}
-		kind, ok := sum.sinks[b]
-		if !ok {
-			continue
-		}
-		sc.sinkArg(a.expr, sc.eval(a.expr), kind, fn, FuncKey(fn))
 	}
 	// Writes through reference parameters.
 	for b, w := range sum.writes {
@@ -1002,12 +1054,8 @@ func (sc *fnScope) applySummary(call *ast.CallExpr, fn *types.Func, sum *summary
 		if inst.zero() {
 			continue
 		}
-		for _, a := range args {
-			ab := a.bit
-			if ab >= len(vals) {
-				ab = len(vals) - 1
-			}
-			if ab == b && referenceType(typeOf(sc.st.pkg, a.expr)) {
+		for i, a := range args {
+			if bits[i] == b && referenceType(typeOf(sc.st.pkg, a.expr)) {
 				sc.writeTo(a.expr, inst)
 			}
 		}
@@ -1024,12 +1072,14 @@ func (sc *fnScope) applySummary(call *ast.CallExpr, fn *types.Func, sum *summary
 // function's parameters. At a direct sink, handing over a whole value
 // whose type carries secret fields (a struct holding key shares) is a
 // leak regardless of flow — formatting it prints the secret members.
-func (sc *fnScope) sinkArg(arg ast.Expr, v taintVal, kind string, fn *types.Func, via string) {
-	if via == "" && !v.always && sc.st.engine.carriesSecret(typeOf(sc.st.pkg, arg)) {
-		v.always = true
+func (sc *fnScope) sinkArg(arg ast.Expr, v taintVal, p int, kind string, fn *types.Func, via string) {
+	f := v[p]
+	if via == "" && !f.always && sc.st.engine.carriesSecret(typeOf(sc.st.pkg, arg)) {
+		f.always = true
 	}
-	if v.always {
+	if f.always {
 		sc.st.engine.recordLeak(Leak{
+			Policy: p,
 			Pos:    arg.Pos(),
 			Sink:   kind,
 			Callee: fn.FullName(),
@@ -1037,7 +1087,7 @@ func (sc *fnScope) sinkArg(arg ast.Expr, v taintVal, kind string, fn *types.Func
 			Via:    via,
 		})
 	}
-	sc.sinkParams(v, kind)
+	sc.sinkParams(f, p, kind)
 }
 
 // traceSink records a tainted value meeting a non-call sink (a branch
@@ -1045,27 +1095,29 @@ func (sc *fnScope) sinkArg(arg ast.Expr, v taintVal, kind string, fn *types.Func
 // and a sink fact on the enclosing function's parameters when conditional
 // — so a helper that branches on its argument reports interprocedurally
 // at each call site that passes a secret.
-func (sc *fnScope) traceSink(arg ast.Expr, v taintVal, kind string) {
-	if v.always {
+func (sc *fnScope) traceSink(arg ast.Expr, v taintVal, p int, kind string) {
+	if v[p].always {
 		sc.st.engine.recordLeak(Leak{
-			Pos:  arg.Pos(),
-			Sink: kind,
-			Expr: types.ExprString(arg),
+			Policy: p,
+			Pos:    arg.Pos(),
+			Sink:   kind,
+			Expr:   types.ExprString(arg),
 		})
 	}
-	sc.sinkParams(v, kind)
+	sc.sinkParams(v[p], p, kind)
 }
 
-// sinkParams registers "parameter b reaches a kind sink" facts in the
-// enclosing function's summary.
-func (sc *fnScope) sinkParams(v taintVal, kind string) {
-	if v.params == 0 {
+// sinkParams registers "parameter b reaches a kind sink of policy p" facts
+// in the enclosing function's summary. The first kind per policy wins, so a
+// fact of one policy never hides a fact of another.
+func (sc *fnScope) sinkParams(f flow, p int, kind string) {
+	if f.params == 0 {
 		return
 	}
 	for b := 0; b < sc.sum.nparams && b < 64; b++ {
-		if v.params&paramBit(b) != 0 {
-			if _, ok := sc.sum.sinks[b]; !ok {
-				sc.sum.sinks[b] = kind
+		if f.params&paramBit(b) != 0 {
+			if _, ok := sc.sum.sinks[p][b]; !ok {
+				sc.sum.sinks[p][b] = kind
 				sc.st.changed = true
 			}
 		}
@@ -1073,7 +1125,7 @@ func (sc *fnScope) sinkParams(v taintVal, kind string) {
 }
 
 func (e *Engine) recordLeak(l Leak) {
-	k := leakKey{l.Pos, l.Sink, l.Expr}
+	k := leakKey{l.Policy, l.Pos, l.Sink, l.Expr}
 	if e.leakSeen[k] {
 		return
 	}
@@ -1095,9 +1147,9 @@ func (sc *fnScope) builtin(name string, call *ast.CallExpr) []taintVal {
 			sc.writeTo(call.Args[0], sc.eval(call.Args[1]))
 		}
 		return []taintVal{{}}
-	case "len", "cap", "new", "make", "delete", "clear", "close", "panic", "print", "println", "recover":
-		return []taintVal{{}}
 	}
+	// len, cap, new, make, delete, clear, close, panic, print, println,
+	// recover.
 	return []taintVal{{}}
 }
 

@@ -13,7 +13,8 @@
 //     sampler (callee in a `field` package, name Random*/MustRandom*,
 //     slice result), or
 //   - the byte buffer returned by calling Bytes or Decrypt on a value of
-//     secret type (secretflow's builtin set plus //yosolint:secret marks), or
+//     secret type (secretflow's secret model, built once per load: the
+//     builtin set plus //yosolint:secret marks), or
 //   - the buffer an append-style secret codec extends (BuiltinSourceFuncs:
 //     the plaintext scratch a partial decryption or key sub-share is
 //     encoded into before it is sealed),
@@ -77,23 +78,12 @@ var BuiltinSourceFuncs = map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	// The taint engine is used purely as the secret-source classifier
-	// here: builtin secret types plus //yosolint:secret marks across the
-	// whole load decide which receivers' Bytes/Decrypt results are secret
-	// buffers.
-	eng := taint.NewEngine(taint.Config{
-		SecretTypes:  secretflow.BuiltinSecretTypes,
-		SecretFields: secretflow.BuiltinSecretFields,
-	})
-	for _, pkg := range pass.Packages {
-		secretflow.MarkSecrets(eng, pkg)
-	}
 	for _, pkg := range pass.Targets {
 		// External test packages pass the gate but hold only test files.
 		if pkg.Types == nil || !analysis.CryptoBearing(pkg.Types.Path()) {
 			continue
 		}
-		c := &checker{pass: pass, eng: eng, pkg: pkg, reported: map[token.Pos]bool{}}
+		c := &checker{pass: pass, pkg: pkg, reported: map[token.Pos]bool{}}
 		for _, fn := range pkg.Funcs() {
 			if !fn.Test {
 				c.funcBody(fn.Decl)
@@ -105,7 +95,6 @@ func run(pass *analysis.Pass) error {
 
 type checker struct {
 	pass     *analysis.Pass
-	eng      *taint.Engine
 	pkg      *analysis.Package
 	reported map[token.Pos]bool
 }
@@ -257,12 +246,9 @@ func (w *walker) walk(blk *cfg.Block) {
 func (w *walker) scan(nodes []ast.Node) scanResult {
 	for _, n := range nodes {
 		switch w.classify(n) {
-		case actWipe, actTransfer, actReturnErr, actTerminate:
-			return stopped
-		case actCapture:
-			// Reported at the capture site by classify; ownership moved.
-			return stopped
-		case actReturnObj:
+		case actWipe, actTransfer, actReturnErr, actTerminate, actCapture, actReturnObj:
+			// A capture or returned buffer was reported by classify;
+			// ownership moved.
 			return stopped
 		case actReturnDrop:
 			w.dropped = true
@@ -478,7 +464,7 @@ func (c *checker) isSource(call *ast.CallExpr) bool {
 	if name != "Bytes" && name != "Decrypt" {
 		return false
 	}
-	return c.eng.IsSecretType(sig.Recv().Type())
+	return secretflow.IsSecret(c.pass, sig.Recv().Type())
 }
 
 func sliceLike(t types.Type) bool {
@@ -570,22 +556,14 @@ func carriesObj(pkg *analysis.Package, e ast.Expr, obj types.Object) bool {
 	return false
 }
 
-func exprMentions(pkg *analysis.Package, e ast.Expr, obj types.Object) bool {
+// mentionsObj reports whether obj occurs anywhere in the return statement.
+func mentionsObj(pkg *analysis.Package, ret *ast.ReturnStmt, obj types.Object) bool {
 	found := false
-	ast.Inspect(e, func(x ast.Node) bool {
+	ast.Inspect(ret, func(x ast.Node) bool {
 		if id, ok := x.(*ast.Ident); ok && pkg.Info.Uses[id] == obj {
 			found = true
 		}
-		return true
+		return !found
 	})
 	return found
-}
-
-func mentionsObj(pkg *analysis.Package, ret *ast.ReturnStmt, obj types.Object) bool {
-	for _, r := range ret.Results {
-		if exprMentions(pkg, r, obj) {
-			return true
-		}
-	}
-	return false
 }

@@ -220,7 +220,7 @@ func (r *run) online(inputs map[int][]field.Element, shares []tte.KeyShare) (map
 		cts, ok, err := committee.Speak(r.rt, r.clients[client],
 			committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatInput, Label: "input"},
 			func() (committee.CtBundle, error) {
-				return tte.EncryptAll(te, r.rt.TPK, ms, committee.BoundP, r.rt.Workers)
+				return te.EncryptMany(r.rt.TPK, ms, committee.BoundP, r.rt.Workers)
 			}, len(inGates)*r.rt.TPK.CiphertextSize())
 		if err != nil {
 			return nil, err

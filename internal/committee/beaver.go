@@ -16,7 +16,7 @@ func (r *Runner) EncryptRandom(count int) ([]*big.Int, CtBundle, error) {
 	for i := range ms {
 		ms[i] = FieldCoeff(field.MustRandom())
 	}
-	cts, err := tte.EncryptAll(r.TE, r.TPK, ms, BoundP, r.Workers)
+	cts, err := r.TE.EncryptMany(r.TPK, ms, BoundP, r.Workers)
 	return ms, cts, err
 }
 

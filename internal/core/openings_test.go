@@ -75,6 +75,10 @@ func (l looseBoundTE) Encrypt(pk tte.PublicKey, m, bound *big.Int) (tte.Cipherte
 	return l.TE.Encrypt(pk, m, new(big.Int).Lsh(bound, 2))
 }
 
+func (l looseBoundTE) EncryptMany(pk tte.PublicKey, ms []*big.Int, bound *big.Int, workers int) ([]tte.Ciphertext, error) {
+	return l.TE.EncryptMany(pk, ms, new(big.Int).Lsh(bound, 2), workers)
+}
+
 // A ciphertext whose run-time bound exceeds the static width of its slot is
 // refused with an error naming the step and the slot — never wrapped into its
 // neighbour, never re-planned.

@@ -7,7 +7,6 @@ import (
 
 	"yosompc/internal/comm"
 	"yosompc/internal/pke"
-	"yosompc/internal/tte"
 	"yosompc/internal/yoso"
 )
 
@@ -113,7 +112,7 @@ func (r *run) mintKFFs(owners []string) ([]kffEntry, error) {
 		clear(skBytes)
 		entries[i].pub = pub
 	}
-	cts, err := tte.EncryptAll(p.TE, r.rt.TPK, secrets, kffSecretBound, r.rt.Workers)
+	cts, err := p.TE.EncryptMany(r.rt.TPK, secrets, kffSecretBound, r.rt.Workers)
 	clear(secrets)
 	if err != nil {
 		return nil, fmt.Errorf("TEnc of KFF secrets: %w", err)

@@ -16,9 +16,11 @@
 // Side-channel posture: everything here is variable-time by
 // construction — math/big has no constant-time path for any of these
 // operations. This package is the sanctioned home for variable-time
-// big-integer exponentiation (see internal/analysis/sidechannel): the
-// justification that used to ride on per-call-site //yosolint:vartime
-// directives for expSigned in tte and nizk lives here instead. Modular
+// big-integer exponentiation (see the sidechannel policy in
+// internal/analysis/secretflow, which exempts it and treats its Exp*/Pow
+// results as sanitized): the justification that used to ride on
+// per-call-site //yosolint:vartime directives for expSigned in tte and
+// nizk lives here instead. Modular
 // exponentiation is a one-way function — g^x publishes a value that
 // hides x by the hardness of discrete log / factoring — so results are
 // public by design even when exponents are secret; the residual

@@ -1,10 +1,14 @@
 package transport
 
 import (
+	"errors"
+	"io"
+	"net"
 	"testing"
 	"time"
 
 	"yosompc/internal/comm"
+	"yosompc/internal/wire"
 )
 
 // The server stamps every accepted post with its own receive clock — the
@@ -73,6 +77,31 @@ func TestFetchSnapshot(t *testing.T) {
 	}
 	if empty, err := Fetch(s.Addr(), 99); err != nil || len(empty) != 0 {
 		t.Fatalf("fetch past end = %v entries, err %v", len(empty), err)
+	}
+}
+
+// A peer's announced entry count is a claim, not an allocation size: a
+// 5-byte reply announcing 2^30 entries and then hanging up is a short read.
+// (Preallocating the announced count killed the process with an
+// unrecoverable runtime out-of-memory error.)
+func TestFetchHostileCountIsAShortRead(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		req := make([]byte, 6)
+		_, _ = io.ReadFull(conn, req)
+		_, _ = conn.Write(wire.AppendUint32([]byte{wire.Version}, 1<<30))
+	}()
+	if _, err := Fetch(ln.Addr().String(), 0); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("Fetch of a hostile count = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 

@@ -581,7 +581,11 @@ func Fetch(addr string, since int) ([]Entry, error) {
 	if count > wire.MaxLen {
 		return nil, fmt.Errorf("%w: dump count %d exceeds limit", wire.ErrMalformed, count)
 	}
-	entries := make([]Entry, 0, count)
+	// The count is the peer's claim, not a fact: preallocate for at most a
+	// modest dump and let append grow the slice as entries actually arrive,
+	// so a 5-byte reply announcing 2^30 entries is a short read, not an
+	// out-of-memory abort.
+	entries := make([]Entry, 0, min(count, 1<<12))
 	for i := 0; i < int(count); i++ {
 		var e Entry
 		if _, err := e.ReadFrom(br); err != nil {

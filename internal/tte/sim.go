@@ -129,7 +129,7 @@ func (s *Sim) Encrypt(pk PublicKey, m, bound *big.Int) (Ciphertext, error) {
 	return &simCT{value: new(big.Int).Set(m), bound: new(big.Int).Set(bound), size: spk.ctBytes}, nil
 }
 
-// EncryptMany implements BatchEncrypter. The sim backend has no
+// EncryptMany implements the batched TEnc. The sim backend has no
 // exponentiations to amortize, so this is exactly n Encrypt calls; it
 // exists so sweeps exercise the same batched driver paths as the real
 // backend.

@@ -180,7 +180,7 @@ func (s *Threshold) Encrypt(pk PublicKey, m, bound *big.Int) (Ciphertext, error)
 	return &thresholdCT{ct: ct, bound: new(big.Int).Set(bound), size: tpk.ctBytes}, nil
 }
 
-// EncryptMany implements BatchEncrypter: the per-message validation of
+// EncryptMany implements the batched TEnc: the per-message validation of
 // Encrypt, then the Paillier layer's batched encryption over the shared
 // worker pool. The randomizer exponents are sampled serially inside the
 // Paillier layer, so the ciphertexts are independent of the worker count.

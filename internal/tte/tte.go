@@ -101,6 +101,13 @@ type Scheme interface {
 	// The bound becomes part of the ciphertext's public metadata.
 	Encrypt(pk PublicKey, m, bound *big.Int) (Ciphertext, error)
 
+	// EncryptMany encrypts every ms[i] under the one shared bound using at
+	// most workers goroutines (values < 1 mean the default pool size). The
+	// contract matches len(ms) independent Encrypt calls exactly — same
+	// validation, same ciphertext distribution — and the output is
+	// independent of the worker count.
+	EncryptMany(pk PublicKey, ms []*big.Int, bound *big.Int, workers int) ([]Ciphertext, error)
+
 	// Eval (TEval) returns a ciphertext of Σ coeffs[i]·m_i. Coefficients
 	// must be non-negative; the result's bound is Σ coeffs[i]·bound_i.
 	Eval(pk PublicKey, cts []Ciphertext, coeffs []*big.Int) (Ciphertext, error)
@@ -119,36 +126,6 @@ type Scheme interface {
 	// RecoverShare (TKRec) assembles party index's next-epoch share from
 	// > t subshares addressed to it.
 	RecoverShare(pk PublicKey, index int, subs []SubShare) (KeyShare, error)
-}
-
-// BatchEncrypter is the optional batched-encryption interface: backends
-// that can amortize per-ciphertext work (randomizer exponentiations over
-// the worker pool, shared key state) implement it. The contract matches n
-// independent Encrypt calls exactly — same validation, same ciphertext
-// distribution — and the output must be independent of the worker
-// count. All messages share one bound.
-type BatchEncrypter interface {
-	// EncryptMany encrypts every ms[i] with the shared bound using at
-	// most workers goroutines (values < 1 mean the default pool size).
-	EncryptMany(pk PublicKey, ms []*big.Int, bound *big.Int, workers int) ([]Ciphertext, error)
-}
-
-// EncryptAll encrypts a batch through the scheme's BatchEncrypter when
-// it has one, falling back to sequential Encrypt calls otherwise.
-// Drivers call this instead of type-asserting at every site.
-func EncryptAll(s Scheme, pk PublicKey, ms []*big.Int, bound *big.Int, workers int) ([]Ciphertext, error) {
-	if be, ok := s.(BatchEncrypter); ok {
-		return be.EncryptMany(pk, ms, bound, workers)
-	}
-	out := make([]Ciphertext, len(ms))
-	for i, m := range ms {
-		ct, err := s.Encrypt(pk, m, bound)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = ct
-	}
-	return out, nil
 }
 
 // Simulator is the partial-decryption simulatability hook (SimTPDec).

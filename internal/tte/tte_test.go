@@ -266,8 +266,8 @@ func TestEncryptRangeErrorOmitsThePlaintext(t *testing.T) {
 			for _, m := range []*big.Int{big.NewInt(secret), big.NewInt(-secret)} {
 				_, err := s.Encrypt(pk, m, big.NewInt(1000))
 				check("Encrypt", err)
-				_, err = EncryptAll(s, pk, []*big.Int{big.NewInt(1), m}, big.NewInt(1000), 1)
-				check("EncryptAll", err)
+				_, err = s.EncryptMany(pk, []*big.Int{big.NewInt(1), m}, big.NewInt(1000), 1)
+				check("EncryptMany", err)
 			}
 		})
 	}
