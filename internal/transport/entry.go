@@ -43,16 +43,23 @@ func (e Entry) EncodedSize() int {
 		e.Trace.EncodedSize() + 4 + len(e.Payload)
 }
 
+// appendHeader appends the frame up to and including the payload length
+// prefix — the shared body of MarshalBinary and WriteTo, which differ only
+// in whether the payload bytes follow in the same buffer.
+func (e Entry) appendHeader(dst []byte) []byte {
+	dst = append(dst, wire.Version)
+	dst = wire.AppendUint32(dst, uint32(e.Seq))
+	dst = wire.AppendString8(dst, e.From)
+	dst = wire.AppendString8(dst, string(e.Phase))
+	dst = wire.AppendString8(dst, string(e.Category))
+	dst = e.Trace.appendTo(dst)
+	return wire.AppendUint32(dst, uint32(len(e.Payload)))
+}
+
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (e Entry) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, e.EncodedSize())
-	out = append(out, wire.Version)
-	out = wire.AppendUint32(out, uint32(e.Seq))
-	out = wire.AppendString8(out, e.From)
-	out = wire.AppendString8(out, string(e.Phase))
-	out = wire.AppendString8(out, string(e.Category))
-	out = e.Trace.appendTo(out)
-	return wire.AppendBytes32(out, e.Payload), nil
+	out := e.appendHeader(make([]byte, 0, e.EncodedSize()))
+	return append(out, e.Payload...), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The encoding must
@@ -96,14 +103,17 @@ func (e *Entry) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// WriteTo implements io.WriterTo.
+// WriteTo implements io.WriterTo. It writes the same bytes as
+// MarshalBinary in two calls, the header and then Payload itself, so a
+// posting of any size costs one header-sized allocation and no copy here.
 func (e Entry) WriteTo(w io.Writer) (int64, error) {
-	buf, err := e.MarshalBinary()
+	hdr := e.appendHeader(make([]byte, 0, e.EncodedSize()-len(e.Payload)))
+	n, err := w.Write(hdr)
 	if err != nil {
-		return 0, err
+		return int64(n), err
 	}
-	n, err := w.Write(buf)
-	return int64(n), err
+	m, err := w.Write(e.Payload)
+	return int64(n + m), err
 }
 
 // ReadFrom implements io.ReaderFrom, reading exactly one entry frame. A

@@ -99,7 +99,7 @@ type Server struct {
 //	transport.post_bytes    histogram  measured posting sizes
 //	transport.post_ns       histogram  post handling latency
 //	transport.post_rejects  counter    rejected posts (size mismatch, malformed)
-//	transport.tail_write_ns histogram  per-entry tail delivery latency
+//	transport.tail_write_ns histogram  tail delivery latency per flushed burst (writes + flush)
 //	transport.tail_resyncs  counter    gapped-subscription log re-syncs
 //	transport.tail_lag_max  gauge      largest backlog a re-sync replayed
 //	transport.conn_reaps    counter    dead tail connections reaped
@@ -407,27 +407,41 @@ func (s *Server) tail(conn net.Conn, bw *bufio.Writer, since int) {
 			}
 		}
 	}()
-	// send delivers e unless it was already delivered via a re-sync
+	// Entries go out back to back and the stream is flushed once per
+	// burst: exactly when the loop is about to block on its subscription
+	// channel, so nothing written ever sits in the buffer while the tailer
+	// waits — after the backlog, after a live burst, and after a re-sync
+	// whose remaining channel entries were all duplicates.
+	pending := false    // entries written since the last flush
+	var burst time.Time // when the pending burst began (instrumented only)
+	// send writes e unless it was already delivered via a re-sync
 	// (entries can arrive both on the live channel and in a re-sync
 	// batch; Seq ordering dedupes them).
 	send := func(e Entry) bool {
 		if e.Seq < next {
 			return true
 		}
-		var start time.Time
-		if s.tailNS != nil {
-			start = time.Now()
+		if !pending && s.tailNS != nil {
+			burst = time.Now()
 		}
+		pending = true
 		if _, err := e.WriteTo(bw); err != nil {
 			return false
 		}
+		next = e.Seq + 1
+		return true
+	}
+	flush := func() bool {
+		if !pending {
+			return true
+		}
+		pending = false
 		if err := bw.Flush(); err != nil {
 			return false
 		}
 		if s.tailNS != nil {
-			s.tailNS.Observe(float64(time.Since(start)))
+			s.tailNS.Observe(float64(time.Since(burst)))
 		}
-		next = e.Seq + 1
 		return true
 	}
 	for _, e := range backlog {
@@ -435,7 +449,20 @@ func (s *Server) tail(conn net.Conn, bw *bufio.Writer, since int) {
 			return
 		}
 	}
-	for e := range sub.ch {
+	for {
+		var e Entry
+		var ok bool
+		select {
+		case e, ok = <-sub.ch:
+		default:
+			if !flush() {
+				return
+			}
+			e, ok = <-sub.ch
+		}
+		if !ok {
+			return // Close or the reaper: the connection is gone
+		}
 		// If fanOut ever found the channel full it set gapped, and board
 		// observers run outside the append lock so concurrent posts can
 		// reach the channel out of order (e.Seq > next): either way re-read
@@ -499,16 +526,22 @@ func (c *Client) Post(from string, phase comm.Phase, cat comm.Category, payload 
 func (c *Client) PostCtx(from string, phase comm.Phase, cat comm.Category, payload []byte, tc TraceContext) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	buf := make([]byte, 0, 2+1+len(from)+1+len(phase)+1+len(cat)+tc.EncodedSize()+8+len(payload))
-	buf = append(buf, wire.Version, opPost)
-	buf = wire.AppendString8(buf, from)
-	buf = wire.AppendString8(buf, string(phase))
-	buf = wire.AppendString8(buf, string(cat))
-	buf = tc.appendTo(buf)
-	buf = wire.AppendUint32(buf, uint32(len(payload)))
-	buf = wire.AppendBytes32(buf, payload)
+	// The frame goes out as its header and then the caller's payload slice
+	// as is: the payload is never copied into a frame buffer.
+	hdr := make([]byte, 0, 2+1+len(from)+1+len(phase)+1+len(cat)+tc.EncodedSize()+8)
+	hdr = append(hdr, wire.Version, opPost)
+	hdr = wire.AppendString8(hdr, from)
+	hdr = wire.AppendString8(hdr, string(phase))
+	hdr = wire.AppendString8(hdr, string(cat))
+	hdr = tc.appendTo(hdr)
+	hdr = wire.AppendUint32(hdr, uint32(len(payload))) // claimed size
+	hdr = wire.AppendUint32(hdr, uint32(len(payload))) // payload length
 	//yosolint:blocking c.mu serializes the request/response pair on the single connection; blocking under it is the framing protocol
-	if _, err := c.bw.Write(buf); err != nil {
+	if _, err := c.bw.Write(hdr); err != nil {
+		return 0, fmt.Errorf("transport: posting: %w", err)
+	}
+	//yosolint:blocking same request/response critical section: the payload is the rest of the frame the header write began
+	if _, err := c.bw.Write(payload); err != nil {
 		return 0, fmt.Errorf("transport: posting: %w", err)
 	}
 	//yosolint:blocking same request/response critical section as the write above

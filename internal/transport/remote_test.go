@@ -2,9 +2,11 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -154,6 +156,98 @@ func TestRemotePostClaimedSizeMismatchRejected(t *testing.T) {
 	}
 }
 
+// A post frame's payload length is the poster's claim: a 47-byte frame
+// announcing 1 GiB and then hanging up is a short read that costs the
+// handler about a megabyte, not the gigabyte it announced.
+func TestHostilePostLengthIsAShortRead(t *testing.T) {
+	s := startServer(t)
+	reg := telemetry.NewRegistry()
+	s.Instrument(reg)
+	frame := rawPostFrame("r", "online", "mu", 0, nil)
+	binary.BigEndian.PutUint32(frame[len(frame)-8:], 1<<30) // claimed size
+	binary.BigEndian.PutUint32(frame[len(frame)-4:], 1<<30) // payload length
+	if len(frame) != 47 {
+		t.Fatalf("frame is %d bytes, want 47", len(frame))
+	}
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	// The handler rejects the truncated frame, then returns and drops the
+	// connection.
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		s.mu.Lock()
+		open := len(s.conns)
+		s.mu.Unlock()
+		if reg.Snapshot().Counters["transport.post_rejects"] == 1 && open == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("handler never rejected the truncated frame and returned")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+		t.Errorf("a 47-byte frame announcing 1 GiB made the server allocate %d MiB", grew>>20)
+	}
+	if s.Len() != 0 {
+		t.Errorf("truncated post was stored: len=%d", s.Len())
+	}
+}
+
+// A post costs the client its frame header, never a copy of the payload:
+// the payload slice goes to the connection as is.
+func TestClientPostAllocations(t *testing.T) {
+	payload := make([]byte, 64<<10)
+	frameLen := len(rawPostFrame("r", string(comm.PhaseOnline), string(comm.CatMu), len(payload), payload))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// A loopback server that allocates nothing per post, so the bytes
+	// measured below are the client's: it reads each frame into one reused
+	// buffer and answers with one fixed ok response.
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		frame := make([]byte, frameLen)
+		ok := wire.AppendUint32([]byte{wire.Version, statusOK}, 0)
+		for {
+			if _, err := io.ReadFull(conn, frame); err != nil {
+				return
+			}
+			if _, err := conn.Write(ok); err != nil {
+				return
+			}
+		}
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	post := func() {
+		if _, err := c.PostCtx("r", comm.PhaseOnline, comm.CatMu, payload, TraceContext{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	post() // warm the connection up outside the measurement
+	if per := allocBytesPerRun(100, post); per >= 4<<10 {
+		t.Errorf("posting %d payload bytes allocated %d bytes per post", len(payload), per)
+	}
+}
+
 func TestRemoteTailBacklogAndLive(t *testing.T) {
 	s := startServer(t)
 	c, err := Dial(s.Addr())
@@ -267,19 +361,7 @@ func TestRemoteServerCloseTerminatesTail(t *testing.T) {
 	// Wait for the subscription to register: closing the server while the
 	// tail request is still in flight is an abnormal close (TCP reset), not
 	// the clean shutdown under test.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.mu.Lock()
-		n := len(s.subs)
-		s.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("tail subscription never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitSubscribed(t, s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

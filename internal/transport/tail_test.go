@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"net"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -80,19 +81,7 @@ func TestSlowTailerSeesEverySeq(t *testing.T) {
 	// Wait until the subscription is registered, so the posts below go
 	// through the live channel (and overflow it) rather than being picked
 	// up as backlog — backlog delivery never gaps.
-	waitDeadline := time.Now().Add(5 * time.Second)
-	for {
-		s.mu.Lock()
-		n := len(s.subs)
-		s.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(waitDeadline) {
-			t.Fatal("tail subscription never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitSubscribed(t, s)
 
 	// Overflow the subscription channel (capacity tailBuffer) while the
 	// consumer reads nothing: the excess posts must mark the sub gapped.
@@ -103,6 +92,11 @@ func TestSlowTailerSeesEverySeq(t *testing.T) {
 		}
 	}
 
+	// A tail loop that leaves entries unflushed while it waits fails here
+	// in seconds instead of hanging the test binary.
+	if err := cli.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
 	br := bufio.NewReader(cli)
 	for want := 0; want < posts; want++ {
 		var e Entry
@@ -169,25 +163,12 @@ func TestDeadTailerReapCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait until the subscription is registered server-side.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.mu.Lock()
-		n := len(s.subs)
-		s.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("tail subscription never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitSubscribed(t, s)
 
 	if err := stop(); err != nil {
 		t.Fatal(err)
 	}
-	for time.Now().Before(deadline) {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
 		if reg.Snapshot().Counters["transport.conn_reaps"] == 1 {
 			break
 		}
@@ -198,5 +179,93 @@ func TestDeadTailerReapCounted(t *testing.T) {
 	}
 	// Drain whatever the closed channel held.
 	for range entries {
+	}
+}
+
+// waitSubscribed waits until the server has registered one tail
+// subscription.
+func waitSubscribed(t *testing.T, s *Server) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.mu.Lock()
+		n := len(s.subs)
+		s.mu.Unlock()
+		if n == 1 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("tail subscription never registered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// countingConn counts the Write calls that reach the connection.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// Live posts that queue while the tailer is busy go out as one burst —
+// buffered back to back and flushed once, when the loop would otherwise
+// wait — instead of one flush per entry, and still as every Seq exactly
+// once, in order.
+func TestTailCoalescesBurst(t *testing.T) {
+	s := newServer(nil)
+	reg := telemetry.NewRegistry()
+	s.Instrument(reg)
+	srv, cli := net.Pipe()
+	defer cli.Close()
+	conn := &countingConn{Conn: srv}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.tail(conn, bufio.NewWriter(conn), 0)
+	}()
+	waitSubscribed(t, s)
+
+	// Nobody reads the pipe yet, so the flush carrying the first post
+	// blocks and the rest queue on the subscription channel behind it
+	// (fewer than tailBuffer: no gap, no re-sync).
+	const posts = 64
+	for i := 0; i < posts; i++ {
+		if _, err := s.post(postRequest{from: "r", phase: "online", category: "mu", claimed: 1, payload: []byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := cli.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(cli)
+	for want := 0; want < posts; want++ {
+		var e Entry
+		if _, err := e.ReadFrom(br); err != nil {
+			t.Fatalf("decode entry %d: %v", want, err)
+		}
+		if e.Seq != want || e.Payload[0] != byte(want) {
+			t.Fatalf("entry %d has seq %d, payload %v (gap, duplicate or reorder)", want, e.Seq, e.Payload)
+		}
+	}
+	cli.Close()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("tail loop did not exit after connection close")
+	}
+
+	writes := conn.writes.Load()
+	if writes >= posts {
+		t.Errorf("%d entries took %d writes: the tail flushed per entry, not per burst", posts, writes)
+	}
+	// tail_write_ns observes each flushed burst once.
+	if bursts := reg.Snapshot().Histograms["transport.tail_write_ns"].Count; bursts < 1 || bursts > writes {
+		t.Errorf("transport.tail_write_ns count = %d, want 1..%d (one per flushed burst)", bursts, writes)
 	}
 }

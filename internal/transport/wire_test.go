@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 
 	"yosompc/internal/wire"
@@ -139,5 +140,43 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if !bytes.Equal(re, data) {
 			t.Fatalf("decode/encode not byte-identical:\n in %x\nout %x", data, re)
 		}
+		// The stream writer sends header and payload separately; the bytes
+		// must be MarshalBinary's.
+		var streamed bytes.Buffer
+		n, err := e.WriteTo(&streamed)
+		if err != nil || n != int64(len(re)) || !bytes.Equal(streamed.Bytes(), re) {
+			t.Fatalf("WriteTo (n=%d, err=%v) differs from MarshalBinary:\nstream %x\nmarshal %x", n, err, streamed.Bytes(), re)
+		}
 	})
+}
+
+// WriteTo sends the payload slice itself: streaming a 64 KiB posting
+// allocates only its header.
+func TestEntryWriteToAllocations(t *testing.T) {
+	e := Entry{Seq: 7, From: "off1/3", Phase: "offline", Category: "beaver",
+		Trace: TraceContext{Proc: "p1", Span: 9, PostUS: 1000, RecvUS: 1500},
+		Size:  64 << 10, Payload: make([]byte, 64<<10)}
+	write := func() {
+		if _, err := e.WriteTo(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, write); allocs > 1 {
+		t.Errorf("WriteTo made %.0f allocations, want at most 1 (the header)", allocs)
+	}
+	if per := allocBytesPerRun(100, write); per >= 1<<10 {
+		t.Errorf("WriteTo of a %d-byte payload allocated %d bytes", len(e.Payload), per)
+	}
+}
+
+// allocBytesPerRun returns the heap bytes f allocates per call, averaged
+// over runs calls.
+func allocBytesPerRun(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

@@ -22,10 +22,18 @@ import (
 // added the trace-context field to board entries and post frames.
 const Version byte = 2
 
-// MaxLen bounds any single length-prefixed field (1 GiB): a decoder reading
-// attacker-supplied bytes must never allocate unbounded memory from a
-// forged length prefix.
+// MaxLen bounds any single length-prefixed field (1 GiB); a longer prefix
+// is malformed. It bounds what a field may hold, not what a reader
+// allocates: Bytes32 decodes from a buffer that already holds the bytes,
+// and ReadBytes32 allocates as they arrive (see readChunk), so a forged
+// prefix costs its sender the bytes it announced.
 const MaxLen = 1 << 30
+
+// readChunk caps ReadBytes32's up-front allocation (1 MiB). A field up to
+// this size is read into one exact allocation; a longer one starts here
+// and doubles as its bytes actually arrive, so a reader never holds more
+// than max(readChunk, twice the bytes received) for one field.
+const readChunk = 1 << 20
 
 // ErrMalformed is the root error of every decode failure in this package.
 var ErrMalformed = errors.New("wire: malformed message")
@@ -144,7 +152,9 @@ func ReadString8(r io.Reader) (string, int, error) {
 	return string(buf), n, nil
 }
 
-// ReadBytes32 reads a u32-length-prefixed byte field from a stream.
+// ReadBytes32 reads a u32-length-prefixed byte field from a stream. The
+// announced length is the peer's claim: the buffer starts at
+// min(length, readChunk) and grows only as bytes arrive.
 func ReadBytes32(r io.Reader) ([]byte, int, error) {
 	v, n, err := ReadUint32(r)
 	if err != nil {
@@ -153,14 +163,23 @@ func ReadBytes32(r io.Reader) ([]byte, int, error) {
 	if v > MaxLen {
 		return nil, n, fmt.Errorf("%w: field length %d exceeds limit", ErrMalformed, v)
 	}
-	buf := make([]byte, int(v))
-	m, err := io.ReadFull(r, buf)
-	n += m
-	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	want := int(v)
+	buf := make([]byte, 0, min(want, readChunk))
+	for len(buf) < want {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(want, 2*cap(buf)))
+			copy(grown, buf)
+			buf = grown
 		}
-		return nil, n, err
+		m, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		n += m
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, n, err
+		}
 	}
 	return buf, n, nil
 }

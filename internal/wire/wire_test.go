@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -112,6 +113,37 @@ func TestStreamEOFSemantics(t *testing.T) {
 	}
 	if _, _, err := ReadBytes32(bytes.NewReader([]byte{0, 0, 0, 2, 7})); err != io.ErrUnexpectedEOF {
 		t.Errorf("partial bytes32 stream: %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// A length prefix is the peer's claim: a stream announcing MaxLen bytes
+// and delivering ten is a short read that allocates about readChunk, not
+// the 1 GiB it announced.
+func TestReadBytes32AllocatesAsBytesArrive(t *testing.T) {
+	stream := append(AppendUint32(nil, MaxLen), make([]byte, 10)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, n, err := ReadBytes32(bytes.NewReader(stream))
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Errorf("short field: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if n != len(stream) {
+		t.Errorf("read %d bytes, stream holds %d", n, len(stream))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 2*readChunk {
+		t.Errorf("a 14-byte stream announcing %d bytes allocated %d bytes", MaxLen, grew)
+	}
+
+	// Past readChunk the buffer grows, and what arrives comes back intact
+	// in a buffer of exactly the announced length.
+	want := make([]byte, 3*readChunk+5)
+	for i := range want {
+		want[i] = byte(i * 7)
+	}
+	got, n, err := ReadBytes32(bytes.NewReader(AppendBytes32(nil, want)))
+	if err != nil || n != 4+len(want) || !bytes.Equal(got, want) || cap(got) != len(want) {
+		t.Errorf("grown field: n=%d len=%d cap=%d err=%v", n, len(got), cap(got), err)
 	}
 }
 
