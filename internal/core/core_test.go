@@ -303,7 +303,7 @@ func TestParamsValidation(t *testing.T) {
 		t.Fatalf("255-byte proc rejected: %v", err)
 	}
 	proto.Board().Post("setup", comm.PhaseSetup, comm.CatCRS, nil)
-	if e, _ := proto.Board().Get(0); e.Trace.Proc != longest.Proc {
+	if e := proto.Board().Entries(0)[0]; e.Trace.Proc != longest.Proc {
 		t.Error("board did not stamp the process name")
 	} else if _, err := e.MarshalBinary(); err != nil {
 		t.Error(err)

@@ -37,10 +37,11 @@ func TestBoardViewsAgree(t *testing.T) {
 	}
 	params := simParams(8, 2, 2)
 	params.Proc = "views"
-	// One poster at a time: a mirror forwards from the board's observer
-	// hook, which runs outside the append lock, so concurrent committee
-	// members could reach the server in another order than their local Seq.
-	params.Workers = 1
+	// Concurrent posters: committee members post from parallel workers,
+	// and the mirror (attached before the first post) must still reach the
+	// server in local Seq order, because observers run under the append
+	// lock.
+	params.Workers = 8
 	proto, err := core.New(params, circ, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -147,8 +147,8 @@ func speakerOf(from string) (string, int, bool) {
 }
 
 // Ingest feeds one board entry through the state machine. Entries must
-// arrive in a consistent per-board order (sequence order); feeding the
-// same board twice double-counts.
+// arrive in sequence order, as AttachBoard and RunTail deliver them;
+// feeding the same board twice double-counts.
 func (m *Monitor) Ingest(e transport.Entry) {
 	if m == nil {
 		return
@@ -277,7 +277,7 @@ func (m *Monitor) export() {
 
 // AttachBoard subscribes the monitor to a board in this process — a run's
 // own or the one a transport.Server serves: every entry is ingested
-// synchronously as it is appended.
+// synchronously as it is appended, in Seq order.
 func (m *Monitor) AttachBoard(b *transport.Board) {
 	if m == nil || b == nil {
 		return

@@ -9,7 +9,6 @@
 package transport
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,6 +24,9 @@ type Board struct {
 	entries   []Entry
 	meter     *comm.Meter
 	observers []func(Entry)
+	// grown is closed by the next append; it is allocated only while a
+	// reader (a server's tail) waits for the log to grow.
+	grown chan struct{}
 
 	// Trace-context state stamped onto local posts. proc is set once before
 	// traffic; span follows the protocol's open phase/step span.
@@ -66,15 +68,17 @@ func (b *Board) Post(from string, phase comm.Phase, cat comm.Category, wire []by
 
 // append is the one way onto the log, whichever door a post came through:
 // it meters the measured payload length, stamps the trace context, assigns
-// Seq and runs the observers. A local post is attributed to the board's
-// own process and open span and has one clock (PostUS == RecvUS); a remote
-// post keeps the poster's process, span and PostUS, and only its RecvUS —
-// a poster's claim, never trusted — is overwritten with the board's clock,
-// the shared timeline every poster's trace aligns against.
+// Seq, wakes waiting readers and runs the observers. A local post is
+// attributed to the board's own process and open span and has one clock
+// (PostUS == RecvUS); a remote post keeps the poster's process, span and
+// PostUS, and only its RecvUS — a poster's claim, never trusted — is
+// overwritten with the board's clock, the shared timeline every poster's
+// trace aligns against.
 func (b *Board) append(e Entry, local bool) int {
 	e.Size = len(e.Payload)
 	b.meter.Add(e.Phase, e.Category, e.Size)
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	// Stamped under the append lock so receive times are monotone with Seq.
 	now := time.Now().UnixMicro()
 	if local {
@@ -83,19 +87,20 @@ func (b *Board) append(e Entry, local bool) int {
 	e.Trace.RecvUS = now
 	e.Seq = len(b.entries)
 	b.entries = append(b.entries, e)
-	observers := b.observers
-	b.mu.Unlock()
-	for _, fn := range observers {
+	if b.grown != nil {
+		close(b.grown)
+		b.grown = nil
+	}
+	for _, fn := range b.observers {
 		fn(e)
 	}
 	return e.Seq
 }
 
-// Observe registers a callback invoked synchronously after every posting —
-// the hook mirrors, monitors and a server's live tails attach to. Callbacks
-// run outside the append lock, so under concurrent posters they may see
-// neighbouring Seqs out of order; they must be fast and must not post back
-// to the board.
+// Observe registers a callback invoked synchronously for every posting, in
+// Seq order — the hook mirrors and monitors attach to. Callbacks run under
+// the append lock, so they must be fast and must not call back into the
+// board: doing so deadlocks.
 func (b *Board) Observe(fn func(Entry)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -107,16 +112,6 @@ func (b *Board) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return len(b.entries)
-}
-
-// Get returns entry seq.
-func (b *Board) Get(seq int) (Entry, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if seq < 0 || seq >= len(b.entries) {
-		return Entry{}, fmt.Errorf("transport: no posting %d (board has %d)", seq, len(b.entries))
-	}
-	return b.entries[seq], nil
 }
 
 // Entries returns a snapshot of the entries from sequence `since`.
@@ -132,6 +127,21 @@ func (b *Board) Entries(since int) []Entry {
 	out := make([]Entry, len(b.entries)-since)
 	copy(out, b.entries[since:])
 	return out
+}
+
+// since returns the log from sequence next on without copying it — entries
+// are never rewritten, so the slice stays valid while the log grows — or,
+// when there is nothing from next yet, a channel the next append closes.
+func (b *Board) since(next int) ([]Entry, <-chan struct{}) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if n := len(b.entries); next < n {
+		return b.entries[next:n:n], nil
+	}
+	if b.grown == nil {
+		b.grown = make(chan struct{})
+	}
+	return nil, b.grown
 }
 
 // Meter returns the board's meter.

@@ -21,24 +21,10 @@ func TestBoardAppendOnly(t *testing.T) {
 	if b.Len() != 10 {
 		t.Fatalf("Len = %d", b.Len())
 	}
-	for i := 0; i < 10; i++ {
-		p, err := b.Get(i)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, p := range b.Entries(0) {
 		if p.Size != i || !bytes.Equal(p.Payload, bytes.Repeat([]byte{byte(i)}, i)) {
 			t.Errorf("posting %d = %+v", i, p)
 		}
-	}
-}
-
-func TestBoardGetOutOfRange(t *testing.T) {
-	b := NewBoard(nil)
-	if _, err := b.Get(0); err == nil {
-		t.Error("Get on empty board succeeded")
-	}
-	if _, err := b.Get(-1); err == nil {
-		t.Error("Get(-1) succeeded")
 	}
 }
 
@@ -96,7 +82,7 @@ func TestBoardEntries(t *testing.T) {
 		t.Error("Entries() snapshot grew")
 	}
 	all[0].From = "tampered"
-	if e, _ := b.Get(0); e.From != "a" {
+	if b.Entries(0)[0].From != "a" {
 		t.Error("Entries() aliases the log")
 	}
 	if later := b.Entries(1); len(later) != 1 || later[0].Seq != 1 || later[0].From != "b" {
@@ -129,7 +115,7 @@ func TestBoardObserve(t *testing.T) {
 	for seq, from := range []string{"offR/2", "offR/3"} {
 		select {
 		case e := <-seen:
-			stored, _ := s.Get(seq)
+			stored := s.Entries(seq)[0]
 			if e.From != from || e.Seq != seq || e.Trace.RecvUS == 0 || e.Size != seq+1 ||
 				e.Trace != stored.Trace || !bytes.Equal(e.Payload, stored.Payload) {
 				t.Errorf("observed entry = %+v, stored %+v", e, stored)
@@ -147,11 +133,11 @@ func TestBoardSizeIsMeasured(t *testing.T) {
 	b.Post("a", comm.PhaseSetup, comm.CatCRS, nil)
 	wire := []byte{0xde, 0xad, 0xbe, 0xef}
 	b.Post("b", comm.PhaseOnline, comm.CatMu, wire)
-	p0, _ := b.Get(0)
+	all := b.Entries(0)
+	p0, p1 := all[0], all[1]
 	if p0.Size != 0 || len(p0.Payload) != 0 {
 		t.Errorf("nil-encoding post: size %d bytes %d, want 0/0", p0.Size, len(p0.Payload))
 	}
-	p1, _ := b.Get(1)
 	if p1.Size != 4 || !bytes.Equal(p1.Payload, wire) {
 		t.Errorf("post bytes = %x size %d, want %x size 4", p1.Payload, p1.Size, wire)
 	}

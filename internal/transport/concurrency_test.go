@@ -67,12 +67,14 @@ func TestServerConcurrentPostTailClose(t *testing.T) {
 	}
 }
 
-// The in-process Board under concurrent Post, Observe, Len, Get and Entries.
+// The in-process Board under concurrent Post, Observe, Len and Entries.
+// Observers run under the append lock, so even with concurrent posters
+// they see every posting exactly once, in Seq order.
 func TestBoardConcurrentUse(t *testing.T) {
 	board := NewBoard(nil)
 	const posters, each = 8, 200
-	var observed sync.Map
-	board.Observe(func(e Entry) { observed.Store(e.Seq, e.From) })
+	var observed []int // appended to only under the board's append lock
+	board.Observe(func(e Entry) { observed = append(observed, e.Seq) })
 	var wg sync.WaitGroup
 	for p := 0; p < posters; p++ {
 		wg.Add(1)
@@ -94,12 +96,6 @@ func TestBoardConcurrentUse(t *testing.T) {
 					return
 				}
 			}
-			if len(all) > 0 {
-				if _, err := board.Get(len(all) - 1); err != nil {
-					t.Error(err)
-					return
-				}
-			}
 		}
 	}()
 	wg.Wait()
@@ -109,9 +105,12 @@ func TestBoardConcurrentUse(t *testing.T) {
 	if got := board.Report().Total; got != 2*posters*each {
 		t.Fatalf("total = %d, want %d", got, 2*posters*each)
 	}
-	count := 0
-	observed.Range(func(_, _ any) bool { count++; return true })
-	if count != posters*each {
-		t.Fatalf("observer saw %d postings, want %d", count, posters*each)
+	if len(observed) != posters*each {
+		t.Fatalf("observer saw %d postings, want %d", len(observed), posters*each)
+	}
+	for i, seq := range observed {
+		if seq != i {
+			t.Fatalf("observer call %d saw seq %d: observers ran out of Seq order", i, seq)
+		}
 	}
 }

@@ -27,7 +27,8 @@ import (
 //	  → ver | status (0 ok: u32 seq; 1 err: u32 len | message)
 //	tail: ver | 0x02 | u32 since
 //	  → a stream of Entry frames, first the backlog from `since`, then
-//	    live posts, until either side closes
+//	    live posts — every Seq once and in order — until either side
+//	    closes
 //	dump: ver | 0x03 | u32 since
 //	  → ver | u32 count | count × Entry — a one-shot snapshot, then the
 //	    connection stays usable for further requests
@@ -53,19 +54,6 @@ const (
 	statusErr byte = 0x01
 )
 
-// tailBuffer is the per-subscription live-delivery channel capacity.
-const tailBuffer = 256
-
-// subscriber is one live tail subscription. `gapped` is guarded by the
-// Server mutex: fanOut sets it instead of blocking when the channel is
-// full, and the tail loop re-syncs from the board's log before delivering
-// anything further, so a slow tailer still observes every Seq exactly once.
-type subscriber struct {
-	ch     chan Entry
-	conn   net.Conn
-	gapped bool
-}
-
 // Server is a bulletin-board service instance: the embedded Board is the
 // log (Len, Entries, Report, Observe and an in-process Post are the
 // board's own), and the server adds only the networking around it.
@@ -74,9 +62,9 @@ type Server struct {
 	ln net.Listener
 
 	mu     sync.Mutex
-	subs   map[*subscriber]struct{}
 	conns  map[net.Conn]struct{}
 	closed bool
+	done   chan struct{} // closed by Close: parked tails return
 
 	// Telemetry instruments, nil (no-op, zero cost) until Instrument is
 	// called. Time is only read when the corresponding histogram is set.
@@ -84,7 +72,6 @@ type Server struct {
 	postBytes *telemetry.Histogram // transport.post_bytes
 	postNS    *telemetry.Histogram // transport.post_ns
 	tailNS    *telemetry.Histogram // transport.tail_write_ns
-	resyncs   *telemetry.Counter   // transport.tail_resyncs
 	tailLag   *telemetry.Gauge     // transport.tail_lag_max
 	reaps     *telemetry.Counter   // transport.conn_reaps
 	rejects   *telemetry.Counter   // transport.post_rejects
@@ -99,9 +86,8 @@ type Server struct {
 //	transport.post_bytes    histogram  measured posting sizes
 //	transport.post_ns       histogram  post handling latency
 //	transport.post_rejects  counter    rejected posts (size mismatch, malformed)
-//	transport.tail_write_ns histogram  tail delivery latency per flushed burst (writes + flush)
-//	transport.tail_resyncs  counter    gapped-subscription log re-syncs
-//	transport.tail_lag_max  gauge      largest backlog a re-sync replayed
+//	transport.tail_write_ns histogram  tail delivery latency per flushed batch (writes + flush)
+//	transport.tail_lag_max  gauge      largest batch one tail wake-up wrote
 //	transport.conn_reaps    counter    dead tail connections reaped
 //
 // Call it before the server takes traffic; a nil registry leaves the
@@ -114,24 +100,19 @@ func (s *Server) Instrument(reg *telemetry.Registry) {
 	s.postBytes = reg.Histogram("transport.post_bytes", telemetry.SizeBuckets)
 	s.postNS = reg.Histogram("transport.post_ns", telemetry.DurationBuckets)
 	s.tailNS = reg.Histogram("transport.tail_write_ns", telemetry.DurationBuckets)
-	s.resyncs = reg.Counter("transport.tail_resyncs")
 	s.tailLag = reg.Gauge("transport.tail_lag_max")
 	s.reaps = reg.Counter("transport.conn_reaps")
 	s.rejects = reg.Counter("transport.post_rejects")
 }
 
-// newServer builds a server around a fresh board, with the live-tail
-// fan-out hung off the board's observer hook so every append reaches the
-// tailers, whichever door the post came through.
+// newServer builds a server around a fresh board.
 func newServer(ln net.Listener) *Server {
-	s := &Server{
+	return &Server{
 		Board: NewBoard(nil),
 		ln:    ln,
-		subs:  map[*subscriber]struct{}{},
 		conns: map[net.Conn]struct{}{},
+		done:  make(chan struct{}),
 	}
-	s.Observe(s.fanOut)
-	return s
 }
 
 // Serve starts a server on the listener and returns immediately; Close
@@ -175,14 +156,12 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 func (s *Server) Close() error {
 	err := s.ln.Close()
 	s.mu.Lock()
-	s.closed = true
-	for sub := range s.subs {
-		close(sub.ch)
-		// Unblock a tail loop stuck writing to a stalled client.
-		_ = sub.conn.Close()
+	if !s.closed {
+		s.closed = true
+		close(s.done)
 	}
-	s.subs = map[*subscriber]struct{}{}
-	// Unblock handlers parked reading the next frame from idle posters.
+	// Unblock handlers parked reading the next frame from idle posters, and
+	// tail loops stuck writing to a stalled client.
 	for conn := range s.conns {
 		_ = conn.Close()
 	}
@@ -347,146 +326,62 @@ func (s *Server) post(req postRequest) (int, error) {
 	return seq, nil
 }
 
-// fanOut is the board observer that feeds the live tails.
-func (s *Server) fanOut(e Entry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for sub := range s.subs {
-		select {
-		case sub.ch <- e:
-		default:
-			// Slow tailer: never block the board, but never silently lose
-			// the entry either — mark the subscription gapped so its tail
-			// loop re-syncs from the board's log before delivering more.
-			sub.gapped = true
-		}
-	}
-}
-
+// tail streams the board's log to one tailer from sequence since: it reads
+// whatever the log holds past what it already sent, writes it back to back
+// and flushes once per batch, then parks until the log grows, the server
+// closes or the tailer goes away. Every Seq goes out exactly once, in
+// order, however far the tailer falls behind.
 func (s *Server) tail(conn net.Conn, bw *bufio.Writer, since int) {
-	if since < 0 {
-		since = 0
-	}
-	next := since // next sequence number owed to this tailer
-	sub := &subscriber{ch: make(chan Entry, tailBuffer), conn: conn}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.subs[sub] = struct{}{}
-	s.mu.Unlock()
-	// Snapshot the backlog only after subscribing: an entry appended in
-	// between is then in the backlog, on the channel, or both — never in
-	// neither — and send dedupes by Seq.
-	backlog := s.Entries(since)
-	defer func() {
-		s.mu.Lock()
-		delete(s.subs, sub)
-		s.mu.Unlock()
-	}()
+	next := max(since, 0) // next sequence number owed to this tailer
 	// Watch for the client going away. Without this, a tail loop with no
-	// incoming posts would block on the subscription channel forever,
-	// pinning the handler goroutine and the connection until server
-	// shutdown. The tailer never sends after its initial request, so any
-	// read completing means the connection is dead.
+	// incoming posts would park forever, pinning the handler goroutine and
+	// the connection until server shutdown. The tailer sends nothing after
+	// its initial request, so reading until the connection fails is
+	// waiting for it to die.
+	gone := make(chan struct{})
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		buf := make([]byte, 1)
-		for {
-			if _, err := conn.Read(buf); err != nil {
-				s.mu.Lock()
-				if _, ok := s.subs[sub]; ok {
-					delete(s.subs, sub)
-					close(sub.ch)
-					s.reaps.Inc()
-				}
-				s.mu.Unlock()
-				return
-			}
+		defer close(gone)
+		_, _ = io.Copy(io.Discard, conn)
+	}()
+	// However the loop ends, a tailer that went away is a reap; a server
+	// Close closes done before it closes any connection, so it is not.
+	defer func() {
+		select {
+		case <-s.done:
+		default:
+			s.reaps.Inc()
 		}
 	}()
-	// Entries go out back to back and the stream is flushed once per
-	// burst: exactly when the loop is about to block on its subscription
-	// channel, so nothing written ever sits in the buffer while the tailer
-	// waits — after the backlog, after a live burst, and after a re-sync
-	// whose remaining channel entries were all duplicates.
-	pending := false    // entries written since the last flush
-	var burst time.Time // when the pending burst began (instrumented only)
-	// send writes e unless it was already delivered via a re-sync
-	// (entries can arrive both on the live channel and in a re-sync
-	// batch; Seq ordering dedupes them).
-	send := func(e Entry) bool {
-		if e.Seq < next {
-			return true
-		}
-		if !pending && s.tailNS != nil {
-			burst = time.Now()
-		}
-		pending = true
-		if _, err := e.WriteTo(bw); err != nil {
-			return false
-		}
-		next = e.Seq + 1
-		return true
-	}
-	flush := func() bool {
-		if !pending {
-			return true
-		}
-		pending = false
-		if err := bw.Flush(); err != nil {
-			return false
-		}
-		if s.tailNS != nil {
-			s.tailNS.Observe(float64(time.Since(burst)))
-		}
-		return true
-	}
-	for _, e := range backlog {
-		if !send(e) {
+	for {
+		entries, grown := s.since(next)
+		if len(entries) == 0 {
+			select {
+			case <-grown:
+				continue
+			case <-s.done:
+			case <-gone:
+			}
 			return
 		}
-	}
-	for {
-		var e Entry
-		var ok bool
-		select {
-		case e, ok = <-sub.ch:
-		default:
-			if !flush() {
+		var start time.Time
+		if s.tailNS != nil {
+			start = time.Now()
+		}
+		for i := range entries {
+			if _, err := entries[i].WriteTo(bw); err != nil {
 				return
 			}
-			e, ok = <-sub.ch
 		}
-		if !ok {
-			return // Close or the reaper: the connection is gone
-		}
-		// If fanOut ever found the channel full it set gapped, and board
-		// observers run outside the append lock so concurrent posts can
-		// reach the channel out of order (e.Seq > next): either way re-read
-		// the authoritative log from `next` so the client still sees every
-		// entry exactly once, in order. An entry is in the log before its
-		// fan-out, and a drop implies the channel was full, so there is
-		// always a later receive to reach this check.
-		s.mu.Lock()
-		gapped := sub.gapped
-		sub.gapped = false
-		s.mu.Unlock()
-		if gapped || e.Seq > next {
-			resync := s.Entries(next)
-			s.resyncs.Inc()
-			s.tailLag.Max(int64(len(resync)))
-			for _, re := range resync {
-				if !send(re) {
-					return
-				}
-			}
-		}
-		if !send(e) {
+		if err := bw.Flush(); err != nil {
 			return
 		}
+		if s.tailNS != nil {
+			s.tailNS.Observe(float64(time.Since(start)))
+		}
+		s.tailLag.Max(int64(len(entries)))
+		next += len(entries)
 	}
 }
 
@@ -702,8 +597,10 @@ func Tail(addr string, since int) (<-chan Entry, func() error, error) {
 
 // Mirror forwards every posting of an in-process board — real encoded
 // payload bytes included — to a remote server as it happens. Forwarding is
-// synchronous with the posting observer, so when the mirrored run
-// finishes, the server's measured report is complete. The local board
+// synchronous with the posting observer, which runs in Seq order, so when
+// the mirrored run finishes the server's measured report is complete, and
+// the server's Seq equals the local Seq when the mirror is attached before
+// the board's first post. The local board
 // stays authoritative for the run itself: a remote failure never stalls
 // the protocol, but it is counted (and logged once) rather than silently
 // swallowed.

@@ -348,6 +348,8 @@ func TestRemoteServerCloseTerminatesTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := Serve(ln)
+	reg := telemetry.NewRegistry()
+	s.Instrument(reg)
 	entries, stop, err := Tail(s.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -358,10 +360,10 @@ func TestRemoteServerCloseTerminatesTail(t *testing.T) {
 		}
 		close(done)
 	}()
-	// Wait for the subscription to register: closing the server while the
+	// Wait for the tailer to park on the board: closing the server while the
 	// tail request is still in flight is an abnormal close (TCP reset), not
 	// the clean shutdown under test.
-	waitSubscribed(t, s)
+	waitParked(t, s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -373,6 +375,12 @@ func TestRemoteServerCloseTerminatesTail(t *testing.T) {
 	// A clean server close at a frame boundary is not an error.
 	if err := stop(); err != nil {
 		t.Errorf("stop after clean server close = %v, want nil", err)
+	}
+	// Close is idempotent, and shutting down under an open tail is not a
+	// reap: transport.conn_reaps counts only tailers that went away.
+	_ = s.Close() // the listener is already closed; only a panic fails here
+	if got := reg.Snapshot().Counters["transport.conn_reaps"]; got != 0 {
+		t.Errorf("transport.conn_reaps = %d after server Close, want 0", got)
 	}
 }
 

@@ -58,14 +58,14 @@ func TestTailStopUnblocksReader(t *testing.T) {
 	t.Fatalf("goroutines leaked after stop: %d > %d before Tail", runtime.NumGoroutine(), base)
 }
 
-// Regression: Server.post used to silently drop entries for tailers whose
-// channel was full; a slow consumer would see a gap in the sequence and
-// never learn about the lost postings. The board must instead re-sync the
-// subscription from the entry log: every Seq exactly once, in order.
+// Regression: Server.post used to silently drop entries for tailers that
+// fell behind; a slow consumer would see a gap in the sequence and never
+// learn about the lost postings. The tail reads the board's log itself, so
+// however far behind it falls it sends every Seq exactly once, in order.
 func TestSlowTailerSeesEverySeq(t *testing.T) {
 	// A synchronous pipe (no socket buffering) makes the tail loop block
-	// on its first write, so posts deterministically overflow the
-	// subscription channel and exercise the gapped/re-sync path.
+	// on its first write, so the posts below pile up in the log far ahead
+	// of what the tailer has sent.
 	s := newServer(nil)
 	reg := telemetry.NewRegistry()
 	s.Instrument(reg)
@@ -78,14 +78,12 @@ func TestSlowTailerSeesEverySeq(t *testing.T) {
 		s.tail(srv, bufio.NewWriter(srv), 0)
 	}()
 
-	// Wait until the subscription is registered, so the posts below go
-	// through the live channel (and overflow it) rather than being picked
-	// up as backlog — backlog delivery never gaps.
-	waitSubscribed(t, s)
+	// Wait until the tailer is parked on the empty log, so the posts below
+	// arrive live rather than as backlog.
+	waitParked(t, s)
 
-	// Overflow the subscription channel (capacity tailBuffer) while the
-	// consumer reads nothing: the excess posts must mark the sub gapped.
-	const posts = 3 * tailBuffer
+	// Post while the consumer reads nothing.
+	const posts = 768
 	for i := 0; i < posts; i++ {
 		if _, err := s.post(postRequest{from: "r", phase: "online", category: "mu", claimed: 1, payload: []byte{0}}); err != nil {
 			t.Fatal(err)
@@ -120,13 +118,10 @@ func TestSlowTailerSeesEverySeq(t *testing.T) {
 		t.Fatalf("post after drain has seq %d, want %d", e.Seq, posts)
 	}
 
-	// The slow tailer must be visible in the transport metrics: the
-	// overflow forced at least one gapped re-sync, the lag gauge records
-	// how much log the re-sync replayed, and every post was counted.
+	// The slow tailer must be visible in the transport metrics: the lag
+	// gauge records the largest batch one wake-up wrote, and every post
+	// was counted.
 	snap := reg.Snapshot()
-	if snap.Counters["transport.tail_resyncs"] == 0 {
-		t.Error("transport.tail_resyncs never incremented despite overflow")
-	}
 	if snap.Gauges["transport.tail_lag_max"] <= 0 {
 		t.Errorf("transport.tail_lag_max = %d, want > 0", snap.Gauges["transport.tail_lag_max"])
 	}
@@ -156,14 +151,13 @@ func TestDeadTailerReapCounted(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s.Instrument(reg)
 
-	// Open a tail subscription with no posts pending: the tail loop parks
-	// on its subscription channel, so only the conn watcher can notice the
-	// client dying.
+	// Open a tail with no posts pending: the tail loop parks on the empty
+	// log, so only the conn watcher can notice the client dying.
 	entries, stop, err := Tail(s.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitSubscribed(t, s)
+	waitParked(t, s)
 
 	if err := stop(); err != nil {
 		t.Fatal(err)
@@ -182,20 +176,20 @@ func TestDeadTailerReapCounted(t *testing.T) {
 	}
 }
 
-// waitSubscribed waits until the server has registered one tail
-// subscription.
-func waitSubscribed(t *testing.T, s *Server) {
+// waitParked waits until a tailer is parked on the server's board, waiting
+// for the log to grow.
+func waitParked(t *testing.T, s *Server) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		s.mu.Lock()
-		n := len(s.subs)
-		s.mu.Unlock()
-		if n == 1 {
+		s.Board.mu.Lock()
+		parked := s.grown != nil
+		s.Board.mu.Unlock()
+		if parked {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("tail subscription never registered")
+			t.Fatal("tailer never parked on the board")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -212,10 +206,9 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// Live posts that queue while the tailer is busy go out as one burst —
-// buffered back to back and flushed once, when the loop would otherwise
-// wait — instead of one flush per entry, and still as every Seq exactly
-// once, in order.
+// Live posts that pile up in the log while the tailer is busy go out as
+// one batch — buffered back to back and flushed once — instead of one
+// flush per entry, and still as every Seq exactly once, in order.
 func TestTailCoalescesBurst(t *testing.T) {
 	s := newServer(nil)
 	reg := telemetry.NewRegistry()
@@ -228,11 +221,10 @@ func TestTailCoalescesBurst(t *testing.T) {
 		defer close(done)
 		s.tail(conn, bufio.NewWriter(conn), 0)
 	}()
-	waitSubscribed(t, s)
+	waitParked(t, s)
 
 	// Nobody reads the pipe yet, so the flush carrying the first post
-	// blocks and the rest queue on the subscription channel behind it
-	// (fewer than tailBuffer: no gap, no re-sync).
+	// blocks and the rest pile up in the log behind it.
 	const posts = 64
 	for i := 0; i < posts; i++ {
 		if _, err := s.post(postRequest{from: "r", phase: "online", category: "mu", claimed: 1, payload: []byte{byte(i)}}); err != nil {
@@ -264,8 +256,8 @@ func TestTailCoalescesBurst(t *testing.T) {
 	if writes >= posts {
 		t.Errorf("%d entries took %d writes: the tail flushed per entry, not per burst", posts, writes)
 	}
-	// tail_write_ns observes each flushed burst once.
+	// tail_write_ns observes each flushed batch once.
 	if bursts := reg.Snapshot().Histograms["transport.tail_write_ns"].Count; bursts < 1 || bursts > writes {
-		t.Errorf("transport.tail_write_ns count = %d, want 1..%d (one per flushed burst)", bursts, writes)
+		t.Errorf("transport.tail_write_ns count = %d, want 1..%d (one per flushed batch)", bursts, writes)
 	}
 }

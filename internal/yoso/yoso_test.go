@@ -53,10 +53,7 @@ func TestFormCommitteePublishesManifest(t *testing.T) {
 	if _, err := a.FormCommittee("offB1", 5, comm.PhaseOffline); err != nil {
 		t.Fatal(err)
 	}
-	first, err := board.Get(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := board.Entries(0)[0]
 	if first.From != "role-assignment" || first.Phase != comm.PhaseSystem || first.Category != comm.CatManifest {
 		t.Fatalf("first posting = %+v, want system-phase manifest", first)
 	}
@@ -78,7 +75,7 @@ func TestFormCommitteePublishesManifest(t *testing.T) {
 	if _, err := a.FormCommittee("tiny", 2, comm.PhaseOffline); err != nil {
 		t.Fatal(err)
 	}
-	entry, _ := board.Get(board.Len() - 3) // manifest precedes the 2 role keys
+	entry := board.Entries(board.Len() - 3)[0] // manifest precedes the 2 role keys
 	if err := man.UnmarshalBinary(entry.Payload); err != nil {
 		t.Fatal(err)
 	}
@@ -277,18 +274,12 @@ func TestBoardPostingOrder(t *testing.T) {
 	if s1 != 0 || s2 != 1 {
 		t.Errorf("sequence numbers %d, %d", s1, s2)
 	}
-	p, err := board.Get(1)
-	if err != nil {
-		t.Fatal(err)
+	all := board.Entries(0)
+	if len(all) != 2 {
+		t.Fatal("Entries(0) wrong length")
 	}
-	if !bytes.Equal(p.Payload, []byte{2, 2}) || p.From != "b" {
+	if p := all[1]; !bytes.Equal(p.Payload, []byte{2, 2}) || p.From != "b" {
 		t.Errorf("posting = %+v", p)
-	}
-	if _, err := board.Get(5); err == nil {
-		t.Error("Get(5) succeeded on 2-entry board")
-	}
-	if len(board.Entries(0)) != 2 {
-		t.Error("Entries(0) wrong length")
 	}
 }
 
