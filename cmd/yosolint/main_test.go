@@ -34,13 +34,13 @@ func runYosolint(t *testing.T, args ...string) (string, int) {
 // suiteNames is the full analyzer roster the driver must run; the e2e
 // fixture violates every one of them.
 var suiteNames = []string{
-	"cryptorand", "goroleak", "lockscope", "postcheck",
+	"cryptorand", "lockscope", "postcheck",
 	"secretflow", "sidechannel", "wirecodec", "zeroize",
 }
 
 // TestDriverFlagsFixture is the end-to-end regression test for the whole
 // driver: yosolint run against a fixture package containing one violation
-// of each analyzer must exit non-zero and report all eight.
+// of each analyzer must exit non-zero and report all seven.
 func TestDriverFlagsFixture(t *testing.T) {
 	out, code := runYosolint(t, "./cmd/yosolint/testdata/e2e/sharing")
 	if code != 1 {

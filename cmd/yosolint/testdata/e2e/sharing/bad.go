@@ -1,6 +1,6 @@
 // Package sharing is the end-to-end regression fixture for cmd/yosolint:
 // one compiling file violating every analyzer in the suite. The driver
-// must exit non-zero and name all eight analyzers when pointed here. The
+// must exit non-zero and name all seven analyzers when pointed here. The
 // directory is named "sharing" so the cryptorand and zeroize
 // protected-segment rules apply; testdata placement keeps it out of
 // ./... wildcard runs.
@@ -44,16 +44,6 @@ func (p *poster) BadLockedPost(payload []byte) error {
 	defer p.mu.Unlock()
 	_, err := p.c.Post("p", comm.PhaseOnline, comm.CatInput, payload)
 	return err
-}
-
-// BadSpawn violates goroleak: a goroutine looping on a channel nobody
-// closes, with no join, context, or finite body.
-func BadSpawn(ch chan int) {
-	go func() {
-		for v := range ch {
-			_ = v
-		}
-	}()
 }
 
 // BadSecretBranch violates sidechannel: a share value decides a branch.

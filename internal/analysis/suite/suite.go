@@ -6,7 +6,6 @@ package suite
 import (
 	"yosompc/internal/analysis"
 	"yosompc/internal/analysis/cryptorand"
-	"yosompc/internal/analysis/goroleak"
 	"yosompc/internal/analysis/lockscope"
 	"yosompc/internal/analysis/postcheck"
 	"yosompc/internal/analysis/secretflow"
@@ -18,7 +17,6 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		cryptorand.Analyzer,
-		goroleak.Analyzer,
 		lockscope.Analyzer,
 		postcheck.Analyzer,
 		secretflow.Analyzer,

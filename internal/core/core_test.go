@@ -624,8 +624,47 @@ func TestExecuteValidatesInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prepared.Execute(inputsOf(map[int][]uint64{0: {1}, 1: {2, 3}})); err == nil {
-		t.Error("short inputs accepted by Execute")
+	if _, err := prepared.Execute(inputsOf(map[int][]uint64{0: {1}, 1: {2, 3}})); !errors.Is(err, ErrWrongInputs) {
+		t.Errorf("short inputs to Execute: err = %v, want ErrWrongInputs", err)
+	}
+	if _, err := proto.Run(inputsOf(map[int][]uint64{0: {1, 2}})); !errors.Is(err, ErrWrongInputs) {
+		t.Errorf("missing client to Run: err = %v, want ErrWrongInputs", err)
+	}
+}
+
+// TestExecuteWrongInputsKeepsPreprocessing pins that a refused Execute
+// consumes nothing: the corrected call runs on the same preprocessing and
+// matches the plaintext evaluator.
+func TestExecuteWrongInputsKeepsPreprocessing(t *testing.T) {
+	circ, err := circuit.InnerProduct(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := New(simParams(6, 1, 1, nil), circ, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepared, err := proto.Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prepared.Execute(inputsOf(map[int][]uint64{0: {1, 2, 3}, 1: {4, 5}})); !errors.Is(err, ErrWrongInputs) {
+		t.Fatalf("long inputs: err = %v, want ErrWrongInputs", err)
+	}
+	in := inputsOf(map[int][]uint64{0: {1, 2}, 1: {4, 5}})
+	want, err := circ.Eval(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prepared.Execute(in)
+	if err != nil {
+		t.Fatalf("corrected Execute after a refused one: %v", err)
+	}
+	if !field.EqualVec(res.Outputs[0], want[0]) {
+		t.Errorf("outputs = %v, want %v", res.Outputs[0], want[0])
+	}
+	if _, err := prepared.Execute(in); !errors.Is(err, ErrAlreadyExecuted) {
+		t.Errorf("reuse: err = %v, want ErrAlreadyExecuted", err)
 	}
 }
 

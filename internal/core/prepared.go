@@ -67,8 +67,14 @@ func (p *Protocol) PrepareContext(ctx context.Context) (*Prepared, error) {
 func (pp *Prepared) OfflineReport() comm.Report { return pp.r.p.board.Report() }
 
 // Execute runs the online phase on the prepared correlations. It consumes
-// the preprocessing: a second call returns ErrAlreadyExecuted.
+// the preprocessing: a second call returns ErrAlreadyExecuted. Inputs that
+// do not match the circuit are refused with ErrWrongInputs before anything
+// is consumed, so a corrected call can still run.
 func (pp *Prepared) Execute(inputs map[int][]field.Element) (*Result, error) {
+	p := pp.r.p
+	if err := p.checkInputs(inputs); err != nil {
+		return nil, err
+	}
 	pp.mu.Lock()
 	if pp.used {
 		pp.mu.Unlock()
@@ -77,13 +83,6 @@ func (pp *Prepared) Execute(inputs map[int][]field.Element) (*Result, error) {
 	pp.used = true
 	pp.mu.Unlock()
 
-	p := pp.r.p
-	for _, client := range p.circ.Clients() {
-		if len(inputs[client]) != p.circ.InputCount(client) {
-			return nil, fmt.Errorf("%w: client %d supplied %d of %d inputs",
-				ErrWrongInputs, client, len(inputs[client]), p.circ.InputCount(client))
-		}
-	}
 	pp.r.beginPhase("online")
 	pp.r.logStep("online phase starting")
 	outputs, err := pp.r.online(inputs)

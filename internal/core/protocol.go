@@ -82,17 +82,26 @@ func (p *Protocol) Board() *transport.Board { return p.board }
 // deployment-realistic split (preprocess ahead of time, run online when
 // inputs arrive) use those directly.
 func (p *Protocol) Run(inputs map[int][]field.Element) (*Result, error) {
-	for _, client := range p.circ.Clients() {
-		if len(inputs[client]) != p.circ.InputCount(client) {
-			return nil, fmt.Errorf("%w: client %d supplied %d of %d inputs",
-				ErrWrongInputs, client, len(inputs[client]), p.circ.InputCount(client))
-		}
+	if err := p.checkInputs(inputs); err != nil {
+		return nil, err
 	}
 	prepared, err := p.Prepare()
 	if err != nil {
 		return nil, err
 	}
 	return prepared.Execute(inputs)
+}
+
+// checkInputs returns ErrWrongInputs unless every client supplied exactly
+// the number of inputs the circuit reads from it.
+func (p *Protocol) checkInputs(inputs map[int][]field.Element) error {
+	for _, client := range p.circ.Clients() {
+		if len(inputs[client]) != p.circ.InputCount(client) {
+			return fmt.Errorf("%w: client %d supplied %d of %d inputs",
+				ErrWrongInputs, client, len(inputs[client]), p.circ.InputCount(client))
+		}
+	}
+	return nil
 }
 
 // beaverTriple holds the tpk-encrypted triple of one multiplication gate.

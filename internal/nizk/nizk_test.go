@@ -2,7 +2,6 @@ package nizk
 
 import (
 	"bytes"
-	"crypto/rand"
 	"math/big"
 	"testing"
 
@@ -84,109 +83,6 @@ func TestStatementOrderSensitive(t *testing.T) {
 	}
 }
 
-func TestPlaintextProofHonest(t *testing.T) {
-	sk := paillier.FixedTestKey(2)
-	pk := &sk.PublicKey
-	m := big.NewInt(123456789)
-	r, err := pk.RandomUnit(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := pk.EncryptWithNonce(m, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proof, err := ProvePlaintext(pk, c, m, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !VerifyPlaintext(pk, c, proof) {
-		t.Error("honest plaintext proof rejected")
-	}
-}
-
-func TestPlaintextProofWrongCiphertext(t *testing.T) {
-	sk := paillier.FixedTestKey(2)
-	pk := &sk.PublicKey
-	m := big.NewInt(42)
-	r, err := pk.RandomUnit(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := pk.EncryptWithNonce(m, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proof, err := ProvePlaintext(pk, c, m, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := pk.Encrypt(rand.Reader, big.NewInt(43))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if VerifyPlaintext(pk, other, proof) {
-		t.Error("proof verified against a different ciphertext")
-	}
-}
-
-func TestPlaintextProofTampered(t *testing.T) {
-	sk := paillier.FixedTestKey(2)
-	pk := &sk.PublicKey
-	m := big.NewInt(7)
-	r, err := pk.RandomUnit(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := pk.EncryptWithNonce(m, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proof, err := ProvePlaintext(pk, c, m, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tampered := &PlaintextProof{
-		A:  proof.A,
-		Zm: new(big.Int).Add(proof.Zm, big.NewInt(1)),
-		Zr: proof.Zr,
-	}
-	if VerifyPlaintext(pk, c, tampered) {
-		t.Error("tampered proof verified")
-	}
-	if VerifyPlaintext(pk, c, nil) {
-		t.Error("nil proof verified")
-	}
-	if VerifyPlaintext(pk, c, &PlaintextProof{A: proof.A, Zm: big.NewInt(-1), Zr: proof.Zr}) {
-		t.Error("negative Zm accepted")
-	}
-	huge := new(big.Int).Lsh(pk.N, 512)
-	if VerifyPlaintext(pk, c, &PlaintextProof{A: proof.A, Zm: huge, Zr: proof.Zr}) {
-		t.Error("out-of-range Zm accepted")
-	}
-}
-
-func TestPlaintextProofSize(t *testing.T) {
-	sk := paillier.FixedTestKey(2)
-	pk := &sk.PublicKey
-	m := big.NewInt(1)
-	r, err := pk.RandomUnit(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := pk.EncryptWithNonce(m, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proof, err := ProvePlaintext(pk, c, m, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if proof.Size() <= 0 {
-		t.Error("non-positive proof size")
-	}
-}
-
 func TestEqExpProofHonest(t *testing.T) {
 	// Shoup-style setting: modulus N², bases c^4 and v, witness Δ·d_i.
 	sk := paillier.FixedTestKey(2)
@@ -252,30 +148,5 @@ func BenchmarkAttest(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		a.Attest(st)
-	}
-}
-
-func BenchmarkVerifyPlaintext(b *testing.B) {
-	sk := paillier.FixedTestKey(2)
-	pk := &sk.PublicKey
-	m := big.NewInt(5)
-	r, err := pk.RandomUnit(rand.Reader)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := pk.EncryptWithNonce(m, r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	proof, err := ProvePlaintext(pk, c, m, r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !VerifyPlaintext(pk, c, proof) {
-			b.Fatal("proof rejected")
-		}
 	}
 }

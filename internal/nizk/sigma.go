@@ -7,7 +7,6 @@ import (
 	"math/big"
 
 	"yosompc/internal/modexp"
-	"yosompc/internal/paillier"
 )
 
 // Real Fiat–Shamir sigma protocols. Challenges are 128 bits; responses
@@ -19,87 +18,6 @@ const (
 )
 
 var bigOne = big.NewInt(1)
-
-// PlaintextProof is a proof of knowledge of (m, r) with
-// c = (1+N)^m · r^N mod N² — the relation roles prove when publishing
-// encryptions of their random contributions (offline Steps 1, 2, 4).
-type PlaintextProof struct {
-	// A is the prover's commitment (1+N)^x · s^N mod N².
-	A *big.Int
-	// Zm is the masked plaintext response x + e·m (over the integers).
-	Zm *big.Int
-	// Zr is the masked nonce response s·r^e mod N.
-	Zr *big.Int
-}
-
-// Size returns the proof's wire size in bytes.
-func (p *PlaintextProof) Size() int {
-	return (p.A.BitLen() + p.Zm.BitLen() + p.Zr.BitLen() + 23) / 8
-}
-
-// ProvePlaintext proves knowledge of the plaintext m and nonce r of c,
-// which must have been produced by pk.EncryptWithNonce(m, r).
-func ProvePlaintext(pk *paillier.PublicKey, c *paillier.Ciphertext, m, r *big.Int) (*PlaintextProof, error) {
-	// x masks e·m: m < N and e < 2^challengeBits, so x is sampled from
-	// [0, N·2^(challengeBits+maskBits)).
-	xBound := new(big.Int).Lsh(pk.N, challengeBits+maskBits)
-	x, err := rand.Int(rand.Reader, xBound)
-	if err != nil {
-		return nil, fmt.Errorf("nizk: sampling commitment: %w", err)
-	}
-	s, err := pk.RandomUnit(rand.Reader)
-	if err != nil {
-		return nil, err
-	}
-	// A = (1+N)^x · s^N mod N².
-	a := new(big.Int).Mul(new(big.Int).Mod(x, pk.N), pk.N)
-	a.Add(a, bigOne)
-	a.Mod(a, pk.N2)
-	sn := new(big.Int).Exp(s, pk.N, pk.N2)
-	a.Mul(a, sn)
-	a.Mod(a, pk.N2)
-
-	e := plaintextChallenge(pk, c, a)
-
-	zm := new(big.Int).Mul(e, m)
-	zm.Add(zm, x)
-	zr := new(big.Int).Exp(r, e, pk.N)
-	zr.Mul(zr, s)
-	zr.Mod(zr, pk.N)
-	return &PlaintextProof{A: a, Zm: zm, Zr: zr}, nil
-}
-
-// VerifyPlaintext checks a PlaintextProof: (1+N)^Zm · Zr^N ≡ A · c^e (mod N²).
-func VerifyPlaintext(pk *paillier.PublicKey, c *paillier.Ciphertext, proof *PlaintextProof) bool {
-	if proof == nil || proof.A == nil || proof.Zm == nil || proof.Zr == nil {
-		return false
-	}
-	if proof.Zm.Sign() < 0 || proof.Zr.Sign() <= 0 || proof.Zr.Cmp(pk.N) >= 0 {
-		return false
-	}
-	// Range check on Zm: at most x_max + e_max·N.
-	zmBound := new(big.Int).Lsh(pk.N, challengeBits+maskBits+1)
-	if proof.Zm.Cmp(zmBound) > 0 {
-		return false
-	}
-	e := plaintextChallenge(pk, c, proof.A)
-	// LHS = (1+N)^Zm · Zr^N.
-	lhs := new(big.Int).Mul(new(big.Int).Mod(proof.Zm, pk.N), pk.N)
-	lhs.Add(lhs, bigOne)
-	lhs.Mod(lhs, pk.N2)
-	zrn := new(big.Int).Exp(proof.Zr, pk.N, pk.N2)
-	lhs.Mul(lhs, zrn)
-	lhs.Mod(lhs, pk.N2)
-	// RHS = A · c^e.
-	rhs := new(big.Int).Exp(c.C, e, pk.N2)
-	rhs.Mul(rhs, proof.A)
-	rhs.Mod(rhs, pk.N2)
-	return lhs.Cmp(rhs) == 0
-}
-
-func plaintextChallenge(pk *paillier.PublicKey, c *paillier.Ciphertext, a *big.Int) *big.Int {
-	return challenge("paillier-plaintext", pk.N.Bytes(), c.C.Bytes(), a.Bytes())
-}
 
 // EqExpProof proves knowledge of w with h1 = g1^w and h2 = g2^w in Z*_{N²}
 // — the Shoup-style relation certifying a partial decryption against a

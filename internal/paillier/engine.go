@@ -197,7 +197,6 @@ func (k *DJKey) onePlusNTo(m *big.Int) (*big.Int, error) {
 
 // EncryptWithNonce encrypts m with caller-supplied randomness r ∈ Z*_N:
 // closed-form (1+N)^m times one full-width r^{N^s} exponentiation. It is
-// the nonce-explicit primitive the plaintext-knowledge proof needs and
 // the reference the randomizer path is pinned to: Encrypt's output is
 // EncryptWithNonce(m, h^ρ mod N) bit for bit.
 func (k *DJKey) EncryptWithNonce(m, r *big.Int) (*Ciphertext, error) {

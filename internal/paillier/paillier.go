@@ -193,9 +193,8 @@ func (pk *PublicKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) 
 	return pk.EncryptWithNonce(m, r)
 }
 
-// EncryptWithNonce encrypts m with the caller-supplied randomness r ∈ Z*_N.
-// Exposing the nonce is needed by the NIZK layer, whose sigma protocols
-// prove knowledge of (m, r).
+// EncryptWithNonce encrypts m with the caller-supplied randomness r ∈ Z*_N:
+// the textbook s = 1 encryption Encrypt draws its nonce for.
 func (pk *PublicKey) EncryptWithNonce(m, r *big.Int) (*Ciphertext, error) {
 	if m.Sign() < 0 || m.Cmp(pk.N) >= 0 {
 		// The message itself stays out of the error: callers wrap errors

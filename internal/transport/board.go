@@ -99,8 +99,11 @@ func (b *Board) append(e Entry, local bool) int {
 
 // Observe registers a callback invoked synchronously for every posting, in
 // Seq order — the hook mirrors and monitors attach to. Callbacks run under
-// the append lock, so they must be fast and must not call back into the
-// board: doing so deadlocks.
+// the append lock, so they must not call back into the board: doing so
+// deadlocks. They should be fast, with one deliberate exception: a Mirror's
+// callback does a TCP post round trip per posting while the lock is held,
+// because that is what makes the remote server's Seq equal the local one.
+// Every poster on a mirrored board waits for that round trip.
 func (b *Board) Observe(fn func(Entry)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -615,6 +615,10 @@ type Mirror struct {
 
 // AttachMirror dials addr and subscribes the mirror to the board. Call
 // Instrument before the board takes traffic to expose the error counter.
+// The forward runs as a board observer, so each posting's post round trip
+// to the server happens under the board's append lock: the one sanctioned
+// blocking call under that lock (docs/STATIC_ANALYSIS.md, concurrency
+// model), and the price of the server's Seq order equalling the board's.
 func AttachMirror(board *Board, addr string) (*Mirror, error) {
 	client, err := Dial(addr)
 	if err != nil {

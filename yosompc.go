@@ -32,6 +32,8 @@
 package yosompc
 
 import (
+	"errors"
+
 	"yosompc/internal/baseline"
 	"yosompc/internal/circuit"
 	"yosompc/internal/comm"
@@ -324,10 +326,15 @@ func Prepare(cfg Config, circ *Circuit) (*Prepared, error) {
 // OfflineReport returns the bytes spent by setup + offline so far.
 func (p *Prepared) OfflineReport() Report { return p.inner.OfflineReport() }
 
-// Execute runs the online phase; the preprocessing is single-use.
+// Execute runs the online phase; the preprocessing is single-use. Inputs
+// that do not match the circuit consume nothing: the mirror stays open for
+// the corrected call.
 func (p *Prepared) Execute(inputs map[int][]Value) (*Result, error) {
-	defer p.closeMirror()
 	res, err := p.inner.Execute(inputs)
+	if errors.Is(err, core.ErrWrongInputs) {
+		return nil, err
+	}
+	p.closeMirror()
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,14 @@
 package yosompc
 
 import (
+	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
 	"testing"
 
+	"yosompc/internal/core"
 	"yosompc/internal/transport"
 )
 
@@ -181,6 +184,18 @@ func TestFacadeMirror(t *testing.T) {
 			prep, err := Prepare(cfg, circ)
 			if err != nil {
 				return nil, err
+			}
+			return prep.Execute(inputs)
+		},
+		// A refused call consumes nothing, the mirror included: the
+		// corrected call's bytes still all reach the server.
+		"PrepareWrongInputsExecute": func(cfg Config) (*Result, error) {
+			prep, err := Prepare(cfg, circ)
+			if err != nil {
+				return nil, err
+			}
+			if _, err := prep.Execute(map[int][]Value{0: Values(1)}); !errors.Is(err, core.ErrWrongInputs) {
+				return nil, fmt.Errorf("wrong inputs: err = %v, want ErrWrongInputs", err)
 			}
 			return prep.Execute(inputs)
 		},
