@@ -2,7 +2,7 @@ package circuit
 
 import (
 	"fmt"
-	"math/rand" //yosolint:simulation seeded benchmark-circuit generator; carries no secrets
+	"math/rand"
 
 	"yosompc/internal/field"
 )
@@ -149,7 +149,7 @@ func Random(nInputs, nGates int, seed int64) (*Circuit, error) {
 	}
 	// Deliberately deterministic in seed so failing circuits reproduce;
 	// circuit topology is public data, never secret randomness.
-	rng := rand.New(rand.NewSource(seed)) //yosolint:simulation reproducible public test-circuit topology
+	rng := rand.New(rand.NewSource(seed))
 	b := NewBuilder()
 	wires := make([]WireID, 0, nInputs+nGates)
 	for i := 0; i < nInputs; i++ {

@@ -82,7 +82,10 @@ func (m *Meter) Add(phase Phase, cat Category, size int) {
 	m.byCat[phase][cat] += int64(size)
 }
 
-// Report returns an immutable snapshot.
+// Report returns an immutable snapshot of the meter's current counts.
+// Pairing two reports around a region of work and diffing them yields the
+// bytes attributable to that region even while other goroutines keep
+// calling Add.
 func (m *Meter) Report() Report {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -102,22 +105,6 @@ func (m *Meter) Report() Report {
 		}
 	}
 	return r
-}
-
-// Snapshot returns an immutable copy of the meter's current counts. It is
-// Report under a name that states its purpose: pairing two snapshots around
-// a region of work and diffing them yields the bytes attributable to that
-// region even while other goroutines keep calling Add.
-func (m *Meter) Snapshot() Report { return m.Report() }
-
-// Reset zeroes the meter.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.total = 0
-	m.postings = 0
-	m.byPhase = nil
-	m.byCat = nil
 }
 
 // Report is a snapshot of a Meter.
@@ -167,32 +154,6 @@ func (r Report) Diff(prev Report) Report {
 		}
 	}
 	return d
-}
-
-// Merge returns the sum of two reports — the inverse of Diff, used to
-// combine per-span deltas from independent meters (or disjoint intervals)
-// into one aggregate.
-func (r Report) Merge(other Report) Report {
-	s := Report{
-		Total:    r.Total + other.Total,
-		Postings: r.Postings + other.Postings,
-		ByPhase:  map[Phase]int64{},
-		ByCat:    map[Phase]map[Category]int64{},
-	}
-	for _, src := range []Report{r, other} {
-		for p, v := range src.ByPhase {
-			s.ByPhase[p] += v
-		}
-		for p, cats := range src.ByCat {
-			if s.ByCat[p] == nil {
-				s.ByCat[p] = map[Category]int64{}
-			}
-			for c, v := range cats {
-				s.ByCat[p][c] += v
-			}
-		}
-	}
-	return s
 }
 
 // PerGate returns phase bytes divided by the gate count.
@@ -264,13 +225,4 @@ func HumanBytes(n int64) string {
 	default:
 		return fmt.Sprintf("%d B", n)
 	}
-}
-
-// Ratio returns a/b as a float, 0 when b is 0 — used for improvement
-// factors between baseline and packed online phases.
-func Ratio(a, b int64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
 }

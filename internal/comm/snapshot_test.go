@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestMeterSnapshotConcurrent hammers Add and Snapshot from many
-// goroutines. Run under -race it proves Snapshot never observes the
+// TestMeterSnapshotConcurrent hammers Add and Report from many
+// goroutines. Run under -race it proves Report never observes the
 // meter mid-update; the final total check proves no Add is lost.
 func TestMeterSnapshotConcurrent(t *testing.T) {
 	m := &Meter{}
@@ -32,7 +32,7 @@ func TestMeterSnapshotConcurrent(t *testing.T) {
 			defer wg.Done()
 			var prev Report
 			for i := 0; i < adds; i++ {
-				snap := m.Snapshot()
+				snap := m.Report()
 				// Snapshots of a grow-only meter are monotone; a diff
 				// against any earlier snapshot must be non-negative.
 				d := snap.Diff(prev)
@@ -52,23 +52,23 @@ func TestMeterSnapshotConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	want := int64(writers * adds * 3)
-	if got := m.Snapshot().Total; got != want {
+	if got := m.Report().Total; got != want {
 		t.Fatalf("final total = %d, want %d", got, want)
 	}
-	if got := m.Snapshot().Postings; got != int64(writers*adds) {
+	if got := m.Report().Postings; got != int64(writers*adds) {
 		t.Fatalf("final postings = %d, want %d", got, writers*adds)
 	}
 }
 
-func TestReportDiffMerge(t *testing.T) {
+func TestReportDiff(t *testing.T) {
 	m := &Meter{}
 	m.Add(PhaseOffline, CatBeaver, 100)
 	m.Add(PhaseOffline, CatProof, 40)
-	before := m.Snapshot()
+	before := m.Report()
 
 	m.Add(PhaseOffline, CatBeaver, 25)
 	m.Add(PhaseOnline, CatMu, 7)
-	after := m.Snapshot()
+	after := m.Report()
 
 	d := after.Diff(before)
 	if d.Total != 32 || d.Postings != 2 {
@@ -82,25 +82,6 @@ func TestReportDiffMerge(t *testing.T) {
 	}
 	if d.ByCat[PhaseOffline][CatBeaver] != 25 || d.ByCat[PhaseOnline][CatMu] != 7 {
 		t.Fatalf("diff categories = %+v", d.ByCat)
-	}
-
-	// Diff then Merge reconstructs the later snapshot.
-	back := before.Merge(d)
-	if back.Total != after.Total || back.Postings != after.Postings {
-		t.Fatalf("merge total/postings = %d/%d, want %d/%d",
-			back.Total, back.Postings, after.Total, after.Postings)
-	}
-	for p, v := range after.ByPhase {
-		if back.ByPhase[p] != v {
-			t.Fatalf("merge phase %s = %d, want %d", p, back.ByPhase[p], v)
-		}
-	}
-	for p, cats := range after.ByCat {
-		for c, v := range cats {
-			if back.ByCat[p][c] != v {
-				t.Fatalf("merge %s/%s = %d, want %d", p, c, back.ByCat[p][c], v)
-			}
-		}
 	}
 
 	// Idle interval: diff of a snapshot with itself is empty.

@@ -140,9 +140,6 @@ func (p *Params) Validate() error {
 // batch: t + 2(k−1) + 1 (paper §5.3).
 func (p *Params) ReconstructionThreshold() int { return p.T + 2*(p.K-1) + 1 }
 
-// PackedDegree returns the degree t+k−1 of the packed λ/Γ sharings.
-func (p *Params) PackedDegree() int { return p.T + p.K - 1 }
-
 // EffectiveWorkers resolves the Workers knob: 0 (or any value below 1)
 // means one worker per CPU, anything else is taken literally.
 func (p *Params) EffectiveWorkers() int { return parallel.Normalize(p.Workers) }

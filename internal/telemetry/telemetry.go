@@ -112,7 +112,7 @@ func (t *Tracer) newSpan(name string, parent uint64) *Span {
 	}
 	t.mu.Lock()
 	if t.meter != nil {
-		s.startBytes = t.meter.Snapshot()
+		s.startBytes = t.meter.Report()
 		s.metered = true
 	}
 	t.mu.Unlock()
@@ -236,7 +236,7 @@ func (s *Span) End() {
 	t := s.tracer
 	t.mu.Lock()
 	if s.metered && t.meter != nil {
-		d := t.meter.Snapshot().Diff(s.startBytes)
+		d := t.meter.Report().Diff(s.startBytes)
 		rec.Bytes = d.Total
 		rec.Postings = d.Postings
 	}

@@ -89,7 +89,7 @@ func TestSubShareEncodeDecodeRoundTrip(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, sub := range subs {
-					buf, err := s.EncodeSubShare(sub)
+					buf, err := s.AppendSubShare(nil, sub)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -135,7 +135,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 				}
 			}
 			// Truncated value length.
-			trunc := appendBig(nil, tagPartial, []uint32{1, 0}, big.NewInt(1))
+			trunc := appendBig(nil, 0, tagPartial, big.NewInt(1), 1, 0)
 			if _, err := s.DecodePartial(pk, trunc[:len(trunc)-1]); err == nil {
 				t.Error("DecodePartial accepted truncated value")
 			}
@@ -168,7 +168,7 @@ func TestSimEncodingPadsToModelledSize(t *testing.T) {
 
 func TestEncodeBigNegative(t *testing.T) {
 	v := big.NewInt(-123456)
-	buf := appendBig(nil, tagSubShare, []uint32{1, 2, 3}, v)
+	buf := appendBig(nil, 0, tagSubShare, v, 1, 2, 3)
 	fields, got, err := decodeBig(tagSubShare, 3, buf)
 	if err != nil {
 		t.Fatal(err)

@@ -20,41 +20,29 @@ import (
 // PartialDecryptNaive is the reference for PartialDecrypt: one
 // full-length exponentiation modulo N^{s+1}, no CRT.
 func (s *Threshold) PartialDecryptNaive(pk PublicKey, sh KeyShare, ct Ciphertext) (PartialDec, error) {
-	tpk, err := s.pub(pk)
+	tpk, tsh, tct, err := s.operands(pk, sh, ct)
 	if err != nil {
 		return nil, err
-	}
-	tsh, ok := sh.(*thresholdShare)
-	if !ok {
-		return nil, fmt.Errorf("%w: key share", ErrWrongKey)
-	}
-	tct, ok := ct.(*thresholdCT)
-	if !ok {
-		return nil, fmt.Errorf("%w: ciphertext", ErrWrongKey)
 	}
 	exp := new(big.Int).Lsh(tsh.d, 1) // 2·d_i
 	exp.Mul(exp, tpk.delta)           // 2Δ·d_i
-	v, err := modexp.ExpSigned(tct.ct.C, exp, s.dj.Ns1)
+	v, err := modexp.ExpSigned(tct.value, exp, s.dj.Ns1)
 	if err != nil {
 		return nil, err
 	}
-	return &thresholdPartial{index: tsh.index, epoch: tsh.epoch, v: v, size: tpk.ctBytes}, nil
+	return &partial{index: tsh.index, epoch: tsh.epoch, v: v, size: tpk.ctBytes}, nil
 }
 
 // CombineNaive is the reference for Combine: one exponentiation per
 // partial and a fresh Δ^epoch exponentiation.
 func (s *Threshold) CombineNaive(pk PublicKey, ct Ciphertext, parts []PartialDec) (*big.Int, error) {
-	tpk, err := s.pub(pk)
-	if err != nil {
-		return nil, err
-	}
-	chosen, epoch, err := selectPartials(parts, tpk.t)
+	tpk, chosen, epoch, err := s.lowestPartials(pk, parts)
 	if err != nil {
 		return nil, err
 	}
 	idx := make([]int, len(chosen))
 	for i, p := range chosen {
-		idx[i] = p.Index()
+		idx[i] = p.index
 	}
 	lambdas, err := scaledLagrangeAtZero(tpk.delta, idx)
 	if err != nil {
@@ -62,9 +50,8 @@ func (s *Threshold) CombineNaive(pk PublicKey, ct Ciphertext, parts []PartialDec
 	}
 	acc := big.NewInt(1)
 	for i, p := range chosen {
-		tp := p.(*thresholdPartial)
 		exp := new(big.Int).Lsh(lambdas[i], 1) // 2Λ_i
-		term, err := modexp.ExpSigned(tp.v, exp, s.dj.Ns1)
+		term, err := modexp.ExpSigned(p.v, exp, s.dj.Ns1)
 		if err != nil {
 			return nil, err
 		}
@@ -91,7 +78,7 @@ func (s *Threshold) CombineNaive(pk PublicKey, ct Ciphertext, parts []PartialDec
 
 // deltaPowerNaive is the reference for deltaPower: Δ^epoch mod N^s by
 // direct exponentiation.
-func deltaPowerNaive(s *Threshold, tpk *thresholdPK, epoch int) *big.Int {
+func deltaPowerNaive(s *Threshold, tpk *publicKey, epoch int) *big.Int {
 	return new(big.Int).Exp(tpk.delta, big.NewInt(int64(epoch)), s.dj.Ns)
 }
 
@@ -124,7 +111,7 @@ func TestPartialDecryptEngineMatchesNaive(t *testing.T) {
 			if err != nil {
 				t.Fatalf("epoch %d PartialDecryptNaive(%d): %v", epoch, sh.Index(), err)
 			}
-			ev, rv := eng.(*thresholdPartial).v, ref.(*thresholdPartial).v
+			ev, rv := eng.(*partial).v, ref.(*partial).v
 			if ev.Cmp(rv) != 0 {
 				t.Fatalf("epoch %d share %d: engine partial %v != naive %v", epoch, sh.Index(), ev, rv)
 			}
@@ -250,7 +237,7 @@ func BenchmarkEncrypt(b *testing.B) {
 
 func TestDeltaPowerEngineMatchesNaive(t *testing.T) {
 	s, pk, _ := engineScheme(t)
-	tpk := pk.(*thresholdPK)
+	tpk := pk.(*publicKey)
 	// Non-monotone epochs: the ladder must serve arbitrary revisit order.
 	for _, epoch := range []int{0, 3, 1, 7, 2, 7} {
 		eng, err := s.deltaPower(tpk, epoch)

@@ -1,0 +1,246 @@
+package tte
+
+import (
+	"fmt"
+	"math/big"
+)
+
+// The TE messages, one type per kind for both backends: metadata, the value
+// the real scheme computes with, and the wire size. On Sim a ciphertext's
+// and a partial's value is the plaintext itself, and key shares and
+// sub-shares carry none (nil). The input checks below are the ones both
+// backends run; each backend adds only its arithmetic.
+
+// publicKey is either backend's public key; scheme names the backend that
+// dealt it, so that each refuses the other's keys.
+type publicKey struct {
+	scheme   string
+	n, t     int
+	delta    *big.Int // n!, Threshold's Lagrange scale; nil on Sim
+	maxPlain *big.Int
+	ctBytes  int
+}
+
+func (p *publicKey) N() int                 { return p.n }
+func (p *publicKey) T() int                 { return p.t }
+func (p *publicKey) CiphertextSize() int    { return p.ctBytes }
+func (p *publicKey) MaxPlaintext() *big.Int { return p.maxPlain }
+
+type ciphertext struct {
+	value *big.Int // the Damgård–Jurik residue (Sim: the plaintext)
+	bound *big.Int
+	size  int
+}
+
+func (c *ciphertext) Bound() *big.Int { return c.bound }
+func (c *ciphertext) Size() int       { return c.size }
+
+type keyShare struct {
+	index, epoch int
+	d            *big.Int //yosolint:secret key-share evaluation d_i = F(i); signed after resharing
+	size         int
+}
+
+func (s *keyShare) Index() int { return s.index }
+func (s *keyShare) Epoch() int { return s.epoch }
+func (s *keyShare) Size() int  { return s.size }
+
+type partial struct {
+	index, epoch int
+	v            *big.Int //yosolint:secret partial decryption c^(2Δ·d_i) mod N^{s+1} (Sim: the plaintext), secret until intentionally combined
+	size         int
+}
+
+func (p *partial) Index() int { return p.index }
+func (p *partial) Epoch() int { return p.epoch }
+func (p *partial) Size() int  { return p.size }
+
+type subShare struct {
+	from, to int
+	epoch    int      // epoch of the share being reshared
+	v        *big.Int //yosolint:secret resharing evaluation f_from(to), blinds the next-epoch share
+	size     int
+}
+
+func (s *subShare) From() int { return s.from }
+func (s *subShare) To() int   { return s.to }
+func (s *subShare) Size() int { return s.size }
+
+// byteLen is the big-endian length of |v|, 0 for no value.
+func byteLen(v *big.Int) int {
+	if v == nil {
+		return 0
+	}
+	return (v.BitLen() + 7) / 8
+}
+
+// first unwraps a batch of one.
+func first(cts []Ciphertext, err error) (Ciphertext, error) {
+	if err != nil {
+		return nil, err
+	}
+	return cts[0], nil
+}
+
+func (c *codec) pub(pk PublicKey) (*publicKey, error) {
+	p, ok := pk.(*publicKey)
+	if !ok || p.scheme != c.scheme {
+		return nil, fmt.Errorf("%w: public key", ErrWrongKey)
+	}
+	return p, nil
+}
+
+// share narrows sh to a key share; where the backend computes with share
+// values, one without (Sim's) is refused.
+func (c *codec) share(sh KeyShare) (*keyShare, error) {
+	k, ok := sh.(*keyShare)
+	if !ok || c.valued && k.d == nil {
+		return nil, fmt.Errorf("%w: key share", ErrWrongKey)
+	}
+	return k, nil
+}
+
+func asCiphertext(ct Ciphertext) (*ciphertext, error) {
+	c, ok := ct.(*ciphertext)
+	if !ok {
+		return nil, fmt.Errorf("%w: ciphertext", ErrWrongKey)
+	}
+	return c, nil
+}
+
+// operands narrows TPDec's arguments.
+func (c *codec) operands(pk PublicKey, sh KeyShare, ct Ciphertext) (p *publicKey, k *keyShare, x *ciphertext, err error) {
+	if p, err = c.pub(pk); err == nil {
+		if k, err = c.share(sh); err == nil {
+			x, err = asCiphertext(ct)
+		}
+	}
+	return p, k, x, err
+}
+
+// checkCommittee refuses a committee TKGen cannot deal to.
+func checkCommittee(n, t int) error {
+	if n < 1 || t < 0 || t >= n {
+		return fmt.Errorf("tte: invalid committee parameters n=%d t=%d", n, t)
+	}
+	return nil
+}
+
+// plaintexts is TEnc's input check: the bound within the key's capacity and
+// every m in [0, bound]. The range error is the constant ErrPlaintextRange:
+// the rejected value is a secret.
+func (c *codec) plaintexts(pk PublicKey, bound *big.Int, ms []*big.Int) (*publicKey, error) {
+	p, err := c.pub(pk)
+	if err != nil {
+		return nil, err
+	}
+	if bound == nil {
+		return nil, ErrPlaintextRange
+	}
+	if bound.Cmp(p.maxPlain) > 0 {
+		return nil, fmt.Errorf("%w: bound %v", ErrPlaintextTooBig, bound)
+	}
+	for _, m := range ms {
+		if m.Sign() < 0 || m.Cmp(bound) > 0 {
+			return nil, ErrPlaintextRange
+		}
+	}
+	return p, nil
+}
+
+// evalBound is TEval's input check: one non-negative coefficient per
+// ciphertext, and a result bound Σ coeffs[i]·bound_i within the key's
+// capacity, which it returns.
+func (c *codec) evalBound(pk PublicKey, cts []Ciphertext, coeffs []*big.Int) (*publicKey, *big.Int, error) {
+	p, err := c.pub(pk)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(cts) != len(coeffs) {
+		return nil, nil, fmt.Errorf("tte: eval: %d ciphertexts vs %d coefficients", len(cts), len(coeffs))
+	}
+	bound, term := new(big.Int), new(big.Int)
+	for i, ct := range cts {
+		x, ok := ct.(*ciphertext)
+		if !ok {
+			return nil, nil, fmt.Errorf("%w: ciphertext %d", ErrWrongKey, i)
+		}
+		if coeffs[i].Sign() < 0 {
+			return nil, nil, fmt.Errorf("%w: coefficient %d", ErrNegativeCoeff, i)
+		}
+		bound.Add(bound, term.Mul(coeffs[i], x.bound))
+	}
+	if bound.Cmp(p.maxPlain) > 0 {
+		return nil, nil, fmt.Errorf("%w: combined bound %v", ErrPlaintextTooBig, bound)
+	}
+	return p, bound, nil
+}
+
+// partials is TDec's input check: the non-nil partials, all of one epoch
+// and from distinct parties, at least t+1 of them. It returns them in input
+// order, and their epoch.
+func (c *codec) partials(pk PublicKey, parts []PartialDec) (*publicKey, []*partial, int, error) {
+	p, err := c.pub(pk)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	ps := make([]*partial, 0, len(parts))
+	for _, pd := range parts {
+		if pd == nil {
+			continue
+		}
+		q, ok := pd.(*partial)
+		if !ok {
+			return nil, nil, 0, fmt.Errorf("%w: partial", ErrWrongKey)
+		}
+		ps = append(ps, q)
+	}
+	epoch, err := distinct(ps, p.t, "partials", func(q *partial) (int, int) { return q.index, q.epoch })
+	return p, ps, epoch, err
+}
+
+// subShares is TKRec's input check: sub-shares of this backend addressed to
+// index, all of one epoch and from distinct parties, at least t+1 of them.
+// It returns them in input order, and their epoch.
+func (c *codec) subShares(pk PublicKey, index int, subs []SubShare) (*publicKey, []*subShare, int, error) {
+	p, err := c.pub(pk)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	ss := make([]*subShare, len(subs))
+	for i, sub := range subs {
+		s, ok := sub.(*subShare)
+		if !ok || c.valued && s.v == nil {
+			return nil, nil, 0, fmt.Errorf("%w: subshare", ErrWrongKey)
+		}
+		if s.to != index {
+			return nil, nil, 0, fmt.Errorf("%w: subshare addressed to %d, not %d", ErrMalformedMessage, s.to, index)
+		}
+		ss[i] = s
+	}
+	epoch, err := distinct(ss, p.t, "subshares", func(s *subShare) (int, int) { return s.from, s.epoch })
+	return p, ss, epoch, err
+}
+
+// distinct is the set check TDec and TKRec share: msgs all of one epoch
+// and from distinct parties, at least t+1 of them. It returns the epoch.
+func distinct[M any](msgs []M, t int, what string, key func(M) (party, epoch int)) (int, error) {
+	seen := make(map[int]bool, len(msgs))
+	epoch := 0
+	for i, m := range msgs {
+		party, e := key(m)
+		if i == 0 {
+			epoch = e
+		} else if e != epoch {
+			return 0, ErrEpochMismatch
+		}
+		if seen[party] {
+			return 0, fmt.Errorf("%w: %s from %d", ErrDuplicateIndex, what, party)
+		}
+		seen[party] = true
+	}
+	if len(msgs) < t+1 {
+		return 0, fmt.Errorf("%w: have %d %s, need %d", ErrTooFewPartials, len(msgs), what, t+1)
+	}
+	return epoch, nil
+}

@@ -53,7 +53,7 @@ func (s *Threshold) KeyGenVerified(n, t int) (PublicKey, []KeyShare, *Verificati
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	tpk := pk.(*thresholdPK)
+	tpk := pk.(*publicKey)
 	// v = r² mod N^{s+1} for random r — a generator of the squares w.h.p.
 	r, err := rand.Int(s.random, s.dj.Ns1)
 	if err != nil {
@@ -79,7 +79,7 @@ func (s *Threshold) KeyGenVerified(n, t int) (PublicKey, []KeyShare, *Verificati
 	// the whole committee instead of n independent exponentiations.
 	exps := make([]*big.Int, n)
 	for i, sh := range shares {
-		exps[i] = new(big.Int).Mul(tpk.delta, sh.(*thresholdShare).d)
+		exps[i] = new(big.Int).Mul(tpk.delta, sh.(*keyShare).d)
 	}
 	keys, err := modexp.ExpManySigned(v, s.dj.Ns1, exps)
 	if err != nil {
@@ -93,19 +93,11 @@ func (s *Threshold) KeyGenVerified(n, t int) (PublicKey, []KeyShare, *Verificati
 // `part` is the correct partial decryption of ct under share sh.
 func (s *Threshold) ProvePartial(pk PublicKey, sh KeyShare, ct Ciphertext,
 	part PartialDec, vk *VerificationKeys) (*nizk.EqExpProof, error) {
-	tpk, err := s.pub(pk)
+	tpk, tsh, tct, err := s.operands(pk, sh, ct)
 	if err != nil {
 		return nil, err
 	}
-	tsh, ok := sh.(*thresholdShare)
-	if !ok {
-		return nil, fmt.Errorf("%w: key share", ErrWrongKey)
-	}
-	tct, ok := ct.(*thresholdCT)
-	if !ok {
-		return nil, fmt.Errorf("%w: ciphertext", ErrWrongKey)
-	}
-	tp, ok := part.(*thresholdPartial)
+	tp, ok := part.(*partial)
 	if !ok {
 		return nil, fmt.Errorf("%w: partial", ErrWrongKey)
 	}
@@ -117,7 +109,7 @@ func (s *Threshold) ProvePartial(pk PublicKey, sh KeyShare, ct Ciphertext,
 	}
 	// part = (c²)^(Δ·d_i) and V_i = v^(Δ·d_i): witness w = Δ·d_i over
 	// bases g1 = c², g2 = v.
-	g1 := new(big.Int).Mul(tct.ct.C, tct.ct.C)
+	g1 := new(big.Int).Mul(tct.value, tct.value)
 	g1.Mod(g1, s.dj.Ns1)
 	w := new(big.Int).Mul(tpk.delta, tsh.d)
 	return nizk.ProveEqExp(s.dj.Ns1, g1, vk.V, tp.v, vk.Keys[tsh.index-1], w, vk.WitnessBound)
@@ -129,18 +121,18 @@ func (s *Threshold) VerifyPartial(pk PublicKey, index int, ct Ciphertext,
 	if _, err := s.pub(pk); err != nil {
 		return false
 	}
-	tct, ok := ct.(*thresholdCT)
+	tct, ok := ct.(*ciphertext)
 	if !ok {
 		return false
 	}
-	tp, ok := part.(*thresholdPartial)
+	tp, ok := part.(*partial)
 	if !ok || tp.index != index {
 		return false
 	}
 	if vk == nil || index < 1 || index > len(vk.Keys) || vk.Epoch != tp.epoch {
 		return false
 	}
-	g1 := new(big.Int).Mul(tct.ct.C, tct.ct.C)
+	g1 := new(big.Int).Mul(tct.value, tct.value)
 	g1.Mod(g1, s.dj.Ns1)
 	return nizk.VerifyEqExp(s.dj.Ns1, g1, vk.V, tp.v, vk.Keys[index-1], proof)
 }
@@ -171,7 +163,7 @@ func (s *Threshold) ReshareVerified(pk PublicKey, sh KeyShare, vk *VerificationK
 	// KeyGenVerified.
 	exps := make([]*big.Int, len(subs))
 	for j, sub := range subs {
-		exps[j] = new(big.Int).Mul(tpk.delta, sub.(*thresholdSub).v)
+		exps[j] = new(big.Int).Mul(tpk.delta, sub.(*subShare).v)
 	}
 	pieces, err := modexp.ExpManySigned(vk.V, s.dj.Ns1, exps)
 	if err != nil {
