@@ -131,6 +131,8 @@ func (p *Protocol) Run(inputs map[int][]field.Element) (*Result, error) {
 				client, len(inputs[client]), p.circ.InputCount(client))
 		}
 	}
+	// A mirrored run ends only when the mirrors' servers hold all of it.
+	defer p.rt.Board.Sync()
 	r := &run{p: p, rt: p.rt, clients: map[int]*yoso.Role{}, beaver: map[int]*triple{}}
 	r.wireCt = make([]tte.Ciphertext, p.circ.NumWires())
 

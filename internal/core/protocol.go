@@ -256,9 +256,11 @@ func (r *run) beginPhase(name string) {
 	r.p.board.SetTraceSpan(r.rt.Span.ID())
 }
 
-// endPhase closes the current phase span; steps outside any phase child
-// from the run root.
+// endPhase waits until every mirror of the board has its server's answer
+// for the phase's postings, then closes the current phase span; steps
+// outside any phase child from the run root.
 func (r *run) endPhase() {
+	r.p.board.Sync()
 	r.rt.Span.End()
 	r.rt.Span = r.rootSp
 	r.p.board.SetTraceSpan(r.rootSp.ID())

@@ -24,8 +24,10 @@ type Board struct {
 	entries   []Entry
 	meter     *comm.Meter
 	observers []func(Entry)
+	// mirrors are the attached mirrors Sync waits for.
+	mirrors []*Mirror
 	// grown is closed by the next append; it is allocated only while a
-	// reader (a server's tail) waits for the log to grow.
+	// follower (a server's tail or a mirror) waits for the log to grow.
 	grown chan struct{}
 
 	// Trace-context state stamped onto local posts. proc is set once before
@@ -98,12 +100,11 @@ func (b *Board) append(e Entry, local bool) int {
 }
 
 // Observe registers a callback invoked synchronously for every posting, in
-// Seq order — the hook mirrors and monitors attach to. Callbacks run under
-// the append lock, so they must not call back into the board: doing so
-// deadlocks. They should be fast, with one deliberate exception: a Mirror's
-// callback does a TCP post round trip per posting while the lock is held,
-// because that is what makes the remote server's Seq equal the local one.
-// Every poster on a mirrored board waits for that round trip.
+// Seq order — the hook a monitor attaches to. Callbacks run under the
+// append lock, so every poster waits for them: they must be fast, must not
+// block, and must not call back into the board (doing so deadlocks). Work
+// that waits on the network follows the log from its own goroutine
+// instead, as a server's tail and a Mirror do.
 func (b *Board) Observe(fn func(Entry)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -145,6 +146,43 @@ func (b *Board) since(next int) ([]Entry, <-chan struct{}) {
 		b.grown = make(chan struct{})
 	}
 	return nil, b.grown
+}
+
+// follow is the pull loop of every reader that streams the log: from
+// sequence next on it hands send each batch the log grew by, without
+// copying it, and parks until the log grows again. It returns when send
+// returns false, or when quit is closed while it is parked. Every Seq goes
+// to send exactly once, in order, however far the reader falls behind.
+func (b *Board) follow(next int, quit <-chan struct{}, send func([]Entry) bool) {
+	for {
+		entries, grown := b.since(next)
+		if len(entries) == 0 {
+			select {
+			case <-grown:
+				continue
+			case <-quit:
+				return
+			}
+		}
+		if !send(entries) {
+			return
+		}
+		next += len(entries)
+	}
+}
+
+// Sync returns once every attached mirror has its server's answer for
+// every posting made before the call, or has lost its connection. The
+// protocol drivers call it where a phase ends, so a mirrored phase is over
+// only when the server holds all of it. Without a mirror it returns at
+// once.
+func (b *Board) Sync() {
+	b.mu.Lock()
+	n, mirrors := len(b.entries), b.mirrors
+	b.mu.Unlock()
+	for _, m := range mirrors {
+		m.wait(n)
+	}
 }
 
 // Meter returns the board's meter.

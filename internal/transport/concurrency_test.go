@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -69,9 +70,28 @@ func TestServerConcurrentPostTailClose(t *testing.T) {
 
 // The in-process Board under concurrent Post, Observe, Len and Entries.
 // Observers run under the append lock, so even with concurrent posters
-// they see every posting exactly once, in Seq order.
+// they see every posting exactly once, in Seq order. Mirrored, the server
+// holds after Sync what the board holds, entry for entry.
 func TestBoardConcurrentUse(t *testing.T) {
+	t.Run("local", func(t *testing.T) { testBoardConcurrentUse(t, false) })
+	t.Run("mirrored", func(t *testing.T) { testBoardConcurrentUse(t, true) })
+}
+
+func testBoardConcurrentUse(t *testing.T, mirrored bool) {
 	board := NewBoard(nil)
+	var server *Server
+	if mirrored {
+		server = startServer(t)
+		mirror, err := AttachMirror(board, server.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			if err := mirror.Close(); err != nil || mirror.Errors() != 0 {
+				t.Errorf("mirror Close = %v with %d errors", err, mirror.Errors())
+			}
+		}()
+	}
 	const posters, each = 8, 200
 	var observed []int // appended to only under the board's append lock
 	board.Observe(func(e Entry) { observed = append(observed, e.Seq) })
@@ -81,7 +101,7 @@ func TestBoardConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				board.Post("w", comm.PhaseOnline, comm.CatMu, []byte{0, 1})
+				board.Post(fmt.Sprintf("w%d", p), comm.PhaseOnline, comm.CatMu, []byte{byte(p), byte(i)})
 			}
 		}()
 	}
@@ -113,4 +133,9 @@ func TestBoardConcurrentUse(t *testing.T) {
 			t.Fatalf("observer call %d saw seq %d: observers ran out of Seq order", i, seq)
 		}
 	}
+	if !mirrored {
+		return
+	}
+	board.Sync()
+	sameLog(t, server, board)
 }

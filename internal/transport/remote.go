@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -39,7 +40,8 @@ import (
 // context travels with the post, but its RecvUS field is authoritative
 // only after the server overwrites it with its own receive clock — the
 // shared timeline trace merging aligns against. A Mirror forwards an
-// in-process run's postings — bytes included — to a Server as they happen.
+// in-process run's postings — bytes included — to a Server in the
+// background, following the run's log as a tail follows the server's.
 
 // Protocol opcodes.
 const (
@@ -64,7 +66,7 @@ type Server struct {
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
-	done   chan struct{} // closed by Close: parked tails return
+	done   chan struct{} // closed by Close: a tail ending after it is no reap
 
 	// Telemetry instruments, nil (no-op, zero cost) until Instrument is
 	// called. Time is only read when the corresponding histogram is set.
@@ -326,18 +328,17 @@ func (s *Server) post(req postRequest) (int, error) {
 	return seq, nil
 }
 
-// tail streams the board's log to one tailer from sequence since: it reads
-// whatever the log holds past what it already sent, writes it back to back
-// and flushes once per batch, then parks until the log grows, the server
-// closes or the tailer goes away. Every Seq goes out exactly once, in
-// order, however far the tailer falls behind.
+// tail streams the board's log to one tailer from sequence since: it
+// follows the log, writes each batch back to back and flushes once per
+// batch, until the tailer goes away or the server closes its connection.
+// Every Seq goes out exactly once, in order, however far the tailer falls
+// behind.
 func (s *Server) tail(conn net.Conn, bw *bufio.Writer, since int) {
-	next := max(since, 0) // next sequence number owed to this tailer
-	// Watch for the client going away. Without this, a tail loop with no
+	// Watch for the connection failing. Without this, a tail loop with no
 	// incoming posts would park forever, pinning the handler goroutine and
-	// the connection until server shutdown. The tailer sends nothing after
-	// its initial request, so reading until the connection fails is
-	// waiting for it to die.
+	// the connection. The tailer sends nothing after its initial request,
+	// so reading until the connection fails is waiting for it to die — or
+	// for Close, which closes every connection, to end it.
 	gone := make(chan struct{})
 	s.wg.Add(1)
 	go func() {
@@ -354,35 +355,25 @@ func (s *Server) tail(conn net.Conn, bw *bufio.Writer, since int) {
 			s.reaps.Inc()
 		}
 	}()
-	for {
-		entries, grown := s.since(next)
-		if len(entries) == 0 {
-			select {
-			case <-grown:
-				continue
-			case <-s.done:
-			case <-gone:
-			}
-			return
-		}
+	s.follow(max(since, 0), gone, func(entries []Entry) bool {
 		var start time.Time
 		if s.tailNS != nil {
 			start = time.Now()
 		}
 		for i := range entries {
 			if _, err := entries[i].WriteTo(bw); err != nil {
-				return
+				return false
 			}
 		}
 		if err := bw.Flush(); err != nil {
-			return
+			return false
 		}
 		if s.tailNS != nil {
 			s.tailNS.Observe(float64(time.Since(start)))
 		}
 		s.tailLag.Max(int64(len(entries)))
-		next += len(entries)
-	}
+		return true
+	})
 }
 
 // Client posts entries to a remote board.
@@ -423,14 +414,8 @@ func (c *Client) PostCtx(from string, phase comm.Phase, cat comm.Category, paylo
 	defer c.mu.Unlock()
 	// The frame goes out as its header and then the caller's payload slice
 	// as is: the payload is never copied into a frame buffer.
-	hdr := make([]byte, 0, 2+1+len(from)+1+len(phase)+1+len(cat)+tc.EncodedSize()+8)
-	hdr = append(hdr, wire.Version, opPost)
-	hdr = wire.AppendString8(hdr, from)
-	hdr = wire.AppendString8(hdr, string(phase))
-	hdr = wire.AppendString8(hdr, string(cat))
-	hdr = tc.appendTo(hdr)
-	hdr = wire.AppendUint32(hdr, uint32(len(payload))) // claimed size
-	hdr = wire.AppendUint32(hdr, uint32(len(payload))) // payload length
+	hdr := appendPostHeader(make([]byte, 0, 2+1+len(from)+1+len(phase)+1+len(cat)+tc.EncodedSize()+8),
+		from, phase, cat, tc, len(payload))
 	//yosolint:blocking c.mu serializes the request/response pair on the single connection; blocking under it is the framing protocol
 	if _, err := c.bw.Write(hdr); err != nil {
 		return 0, fmt.Errorf("transport: posting: %w", err)
@@ -444,12 +429,32 @@ func (c *Client) PostCtx(from string, phase comm.Phase, cat comm.Category, paylo
 		return 0, fmt.Errorf("transport: posting: %w", err)
 	}
 	//yosolint:blocking the response read must stay inside the critical section or replies interleave across posters
-	return c.readPostResponse()
+	return readPostResponse(c.br)
 }
 
-func (c *Client) readPostResponse() (int, error) {
+// appendPostHeader appends a post frame up to and including its payload
+// length — everything but the payload, which the writer sends after it as
+// is. It is the one post-frame encoder, shared by Client.PostCtx and a
+// Mirror's writer.
+func appendPostHeader(dst []byte, from string, phase comm.Phase, cat comm.Category, tc TraceContext, size int) []byte {
+	dst = append(dst, wire.Version, opPost)
+	dst = wire.AppendString8(dst, from)
+	dst = wire.AppendString8(dst, string(phase))
+	dst = wire.AppendString8(dst, string(cat))
+	dst = tc.appendTo(dst)
+	dst = wire.AppendUint32(dst, uint32(size))  // claimed size
+	return wire.AppendUint32(dst, uint32(size)) // payload length
+}
+
+// errRejected wraps a post the server answered with an error. The answer
+// stream stays in step after it, unlike after any other error
+// readPostResponse returns.
+var errRejected = errors.New("transport: board rejected post")
+
+// readPostResponse reads the server's answer to one post frame.
+func readPostResponse(br *bufio.Reader) (int, error) {
 	var hdr [2]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return 0, fmt.Errorf("transport: reading post response: %w", err)
 	}
 	if hdr[0] != wire.Version {
@@ -457,17 +462,17 @@ func (c *Client) readPostResponse() (int, error) {
 	}
 	switch hdr[1] {
 	case statusOK:
-		seq, _, err := wire.ReadUint32(c.br)
+		seq, _, err := wire.ReadUint32(br)
 		if err != nil {
 			return 0, fmt.Errorf("transport: reading post response: %w", err)
 		}
 		return int(seq), nil
 	case statusErr:
-		msg, _, err := wire.ReadBytes32(c.br)
+		msg, _, err := wire.ReadBytes32(br)
 		if err != nil {
 			return 0, fmt.Errorf("transport: reading post error: %w", err)
 		}
-		return 0, fmt.Errorf("transport: board rejected post: %s", msg)
+		return 0, fmt.Errorf("%w: %s", errRejected, msg)
 	default:
 		return 0, fmt.Errorf("transport: post response status %d", hdr[1])
 	}
@@ -596,48 +601,193 @@ func Tail(addr string, since int) (<-chan Entry, func() error, error) {
 }
 
 // Mirror forwards every posting of an in-process board — real encoded
-// payload bytes included — to a remote server as it happens. Forwarding is
-// synchronous with the posting observer, which runs in Seq order, so when
-// the mirrored run finishes the server's measured report is complete, and
-// the server's Seq equals the local Seq when the mirror is attached before
-// the board's first post. The local board
-// stays authoritative for the run itself: a remote failure never stalls
-// the protocol, but it is counted (and logged once) rather than silently
-// swallowed.
+// payload bytes included — to a remote server in the background. It
+// follows the board's log as a server's tail does: a writer goroutine
+// sends each batch the log grew by as post frames back to back, each a
+// header plus the entry's own payload, and flushes once per batch; a
+// reader goroutine takes the server's answers, which come in the order the
+// frames went out. No posting waits for the server, and the server's Seq
+// equals the board's when the mirror is attached before the board's first
+// post. Board.Sync waits for the answers. The local board stays
+// authoritative for the run: a posting the server did not accept —
+// rejected, left unanswered when the connection was lost, or made after
+// Close — is counted (the first rejection or loss is logged), never
+// silently swallowed.
 type Mirror struct {
-	client *Client
+	board  *Board
+	conn   net.Conn
+	hangUp func() error // closes conn, once
 
-	errs    atomic.Int64
-	logOnce sync.Once
+	// end is the Seq forwarding stops at: math.MaxInt64 while the mirror
+	// runs, then the board's length when Close was called or the connection
+	// was lost. It is set under the board's append lock, so a posting is
+	// either before it (forwarded, or counted when the reader ends) or not
+	// (counted as it is appended).
+	end  atomic.Int64
+	quit chan struct{} // closed when end is set
 
-	errCount *telemetry.Counter // transport.mirror_post_errors
+	mu       sync.Mutex
+	answered int           // the server has answered every posting before this Seq
+	ended    bool          // the answer stream is over
+	progress chan struct{} // closed when answered or ended moves; allocated while a Sync waits
+
+	wg sync.WaitGroup // the writer and the reader
+
+	errs     atomic.Int64
+	logOnce  sync.Once
+	errCount atomic.Pointer[telemetry.Counter] // transport.mirror_post_errors
 }
 
-// AttachMirror dials addr and subscribes the mirror to the board. Call
-// Instrument before the board takes traffic to expose the error counter.
-// The forward runs as a board observer, so each posting's post round trip
-// to the server happens under the board's append lock: the one sanctioned
-// blocking call under that lock (docs/STATIC_ANALYSIS.md, concurrency
-// model), and the price of the server's Seq order equalling the board's.
+// AttachMirror dials addr and starts forwarding the board's postings from
+// its current length on. Attach before the board's first post for the
+// server to hold the whole log. The mirror's only board observer counts
+// postings made after forwarding stopped; the network I/O runs on the
+// mirror's own two goroutines, outside the board's lock. Call Instrument
+// before the board takes traffic to expose the error counter, Board.Sync to
+// wait until the server has answered everything posted so far, and Close
+// when the board has taken its last posting.
 func AttachMirror(board *Board, addr string) (*Mirror, error) {
-	client, err := Dial(addr)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("transport: dialing board %s: %w", addr, err)
 	}
-	m := &Mirror{client: client}
-	board.Observe(func(e Entry) {
-		// Forward the local board's trace stamp so the remote entry keeps
-		// the poster's process, span and send time; the server replaces
-		// RecvUS with its own clock.
-		if _, err := m.client.PostCtx(e.From, e.Phase, e.Category, e.Payload, e.Trace); err != nil {
-			m.errs.Add(1)
-			m.errCount.Inc()
-			m.logOnce.Do(func() {
-				log.Printf("transport: mirror post to remote board failed (further failures counted, not logged): %v", err)
-			})
-		}
-	})
+	m := &Mirror{board: board, conn: conn, hangUp: sync.OnceValue(conn.Close), quit: make(chan struct{})}
+	m.end.Store(math.MaxInt64)
+	board.mu.Lock()
+	start := len(board.entries)
+	m.answered = start
+	board.mirrors = append(board.mirrors, m)
+	board.observers = append(board.observers, m.countLate)
+	board.mu.Unlock()
+	m.wg.Add(2)
+	go m.forward(start)
+	go m.readAnswers(start)
 	return m, nil
+}
+
+// forward is the writer: it follows the board's log from Seq next until it
+// reaches end or a write fails. A failed write hangs up, which ends the
+// reader too.
+func (m *Mirror) forward(next int) {
+	defer m.wg.Done()
+	bw := bufio.NewWriter(m.conn)
+	var hdr []byte
+	m.board.follow(next, m.quit, func(entries []Entry) bool {
+		end := m.end.Load()
+		if n := end - int64(entries[0].Seq); n < int64(len(entries)) {
+			entries = entries[:max(n, 0)]
+		}
+		var err error
+		for i := 0; i < len(entries) && err == nil; i++ {
+			// The local trace stamp travels along, so the server's entry
+			// keeps the poster's process, span and send time; the server
+			// replaces RecvUS with its own clock.
+			e := &entries[i]
+			hdr = appendPostHeader(hdr[:0], e.From, e.Phase, e.Category, e.Trace, len(e.Payload))
+			if _, err = bw.Write(hdr); err == nil {
+				_, err = bw.Write(e.Payload)
+			}
+		}
+		if err == nil {
+			err = bw.Flush()
+		}
+		if err != nil {
+			_ = m.hangUp()
+			return false
+		}
+		return len(entries) > 0 && int64(entries[len(entries)-1].Seq)+1 < end
+	})
+}
+
+// readAnswers is the reader. The server answers post frames in the order
+// they were sent, so each answer is for the next Seq; the reader publishes
+// how far the answers reach whenever it has read all that arrived. When
+// the stream ends — Close hung up after draining, or the connection was
+// lost — it stops forwarding and counts every posting left unanswered.
+func (m *Mirror) readAnswers(next int) {
+	defer m.wg.Done()
+	br := bufio.NewReader(m.conn)
+	var err error
+	for {
+		if _, err = readPostResponse(br); err != nil && !errors.Is(err, errRejected) {
+			break
+		}
+		if err != nil {
+			m.fail(1, err)
+		}
+		next++
+		if br.Buffered() == 0 {
+			m.publish(next, false)
+		}
+	}
+	end := m.stop()
+	_ = m.hangUp() // a writer blocked on a connection nobody reads gives up
+	if lost := end - next; lost > 0 {
+		m.fail(int64(lost), fmt.Errorf("connection lost with %d postings unanswered: %w", lost, err))
+	}
+	m.publish(next, true)
+}
+
+// countLate is the mirror's board observer. It forwards nothing: it counts
+// a posting made once forwarding has stopped as a failure.
+func (m *Mirror) countLate(e Entry) {
+	if int64(e.Seq) >= m.end.Load() {
+		m.fail(1, nil)
+	}
+}
+
+// stop ends forwarding at the board's current length, once, and returns
+// the Seq forwarding ends at.
+func (m *Mirror) stop() int {
+	m.board.mu.Lock()
+	defer m.board.mu.Unlock()
+	if m.end.Load() == math.MaxInt64 {
+		m.end.Store(int64(len(m.board.entries)))
+		close(m.quit)
+	}
+	return int(m.end.Load())
+}
+
+// publish records how far the server's answers reach and whether the
+// stream is over, and wakes the waiters.
+func (m *Mirror) publish(answered int, ended bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.answered, m.ended = answered, ended
+	if m.progress != nil {
+		close(m.progress)
+		m.progress = nil
+	}
+}
+
+// wait returns once the server has answered every posting before Seq n, or
+// the answer stream is over.
+func (m *Mirror) wait(n int) {
+	for {
+		m.mu.Lock()
+		if m.answered >= n || m.ended {
+			m.mu.Unlock()
+			return
+		}
+		if m.progress == nil {
+			m.progress = make(chan struct{})
+		}
+		progress := m.progress
+		m.mu.Unlock()
+		<-progress
+	}
+}
+
+// fail counts n postings the server did not accept; err, when set, says
+// why, and the first such cause is logged.
+func (m *Mirror) fail(n int64, err error) {
+	m.errs.Add(n)
+	m.errCount.Load().Add(n)
+	if err != nil {
+		m.logOnce.Do(func() {
+			log.Printf("transport: mirror post to remote board failed (further failures counted, not logged): %v", err)
+		})
+	}
 }
 
 // Instrument registers the mirror's transport.mirror_post_errors counter
@@ -646,12 +796,22 @@ func (m *Mirror) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	m.errCount = reg.Counter("transport.mirror_post_errors")
+	m.errCount.Store(reg.Counter("transport.mirror_post_errors"))
 }
 
-// Errors returns how many forwarded posts have failed.
+// Errors returns how many postings the server did not accept. Once
+// Board.Sync or Close has returned, it counts every posting made before
+// that call.
 func (m *Mirror) Errors() int64 { return m.errs.Load() }
 
-// Close releases the mirror's connection. Postings observed after Close
-// count as forwarding failures.
-func (m *Mirror) Close() error { return m.client.Close() }
+// Close drains the mirror — it waits until the server has answered every
+// posting made before the call, or the connection is lost — then stops
+// forwarding, releases the connection and waits for the mirror's
+// goroutines. Postings made after Close count as failures. Close may be
+// called more than once.
+func (m *Mirror) Close() error {
+	m.wait(m.stop())
+	err := m.hangUp()
+	m.wg.Wait()
+	return err
+}

@@ -436,8 +436,10 @@ func TestAttachMirror(t *testing.T) {
 	if board.Len() != 2 || meter.Report().Total != 300 {
 		t.Errorf("local: len=%d total=%d", board.Len(), meter.Report().Total)
 	}
-	// Remote mirror converges (posts are synchronous acks) and its report —
-	// measured from the shipped bytes — matches the in-process meter.
+	// A post does not wait for the server; Sync waits for its answers. Then
+	// the remote report — measured from the shipped bytes — matches the
+	// in-process meter.
+	board.Sync()
 	if s.Len() != 2 || s.Report().Total != 300 {
 		t.Errorf("remote: len=%d total=%d", s.Len(), s.Report().Total)
 	}
@@ -446,33 +448,48 @@ func TestAttachMirror(t *testing.T) {
 	}
 }
 
-// A dead remote must not stall the run: failures are counted on the mirror
-// and in telemetry, never swallowed silently.
+// A dying remote must not stall the run: boardd here dies mid-stream, after
+// accepting the first few posts and with more in flight. Sync and Close
+// still return, and every posting the server never accepted — in flight,
+// posted after the connection was lost, or posted after Close — is counted
+// on the mirror and in telemetry, never swallowed silently.
 func TestMirrorCountsForwardingFailures(t *testing.T) {
 	s := startServer(t)
+	const size, accepted, posted, late = 1 << 10, 5, 40, 2
+	frame := len(appendPostHeader(nil, "r", comm.PhaseOnline, comm.CatMu, TraceContext{}, size)) + size
+	answer := len(wire.AppendUint32([]byte{wire.Version, statusOK}, 0))
+	addr, proxyDone := dyingProxy(t, s.Addr(), int64(accepted*frame), int64(accepted*answer))
 	board := NewBoard(nil)
-	mirror, err := AttachMirror(board, s.Addr())
+	mirror, err := AttachMirror(board, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
 	mirror.Instrument(reg)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	for i := 0; i < posted; i++ {
+		board.Post("r", comm.PhaseOnline, comm.CatMu, make([]byte, size))
 	}
-	_ = mirror.Close()
-	board.Post("r/1", comm.PhaseOnline, comm.CatMu, []byte{1, 2})
-	board.Post("r/2", comm.PhaseOnline, comm.CatMu, []byte{3})
-	if got := mirror.Errors(); got != 2 {
-		t.Errorf("mirror.Errors() = %d, want 2", got)
+	within(t, "Sync", board.Sync)
+	if got := s.Len(); got != accepted {
+		t.Fatalf("server holds %d postings, want the %d it accepted", got, accepted)
 	}
-	if got := reg.Snapshot().Counters["transport.mirror_post_errors"]; got != 2 {
-		t.Errorf("transport.mirror_post_errors = %d, want 2", got)
+	within(t, "Close", func() { _ = mirror.Close() })
+	for i := 0; i < late; i++ {
+		board.Post("r", comm.PhaseOnline, comm.CatMu, make([]byte, size))
 	}
-	// The local board kept both postings regardless.
-	if board.Len() != 2 {
-		t.Errorf("local board len = %d", board.Len())
+	within(t, "second Close", func() { _ = mirror.Close() })
+	want := int64(posted + late - accepted)
+	if got := mirror.Errors(); got != want {
+		t.Errorf("mirror.Errors() = %d, want %d", got, want)
 	}
+	if got := reg.Snapshot().Counters["transport.mirror_post_errors"]; got != want {
+		t.Errorf("transport.mirror_post_errors = %d, want %d", got, want)
+	}
+	// The local board kept every posting regardless.
+	if board.Len() != posted+late {
+		t.Errorf("local board len = %d, want %d", board.Len(), posted+late)
+	}
+	<-proxyDone
 }
 
 func TestDialFailure(t *testing.T) {
