@@ -94,16 +94,19 @@ func serve(addr, debugAddr string) {
 }
 
 func tail(addr string, since int) {
-	entries, stop, err := transport.Tail(addr, since)
+	// The banner goes out before the reader can print an entry. Each line
+	// is printed from the borrowed entry, whose payload is never copied.
+	fmt.Printf("boardd: tailing %s from seq %d\n", addr, since)
+	ended := make(chan struct{})
+	stop, err := transport.TailFuncEnd(addr, since, func(e *transport.Entry) {
+		fmt.Printf("#%-6d %-9s %-22s %8d B  %s\n",
+			e.Seq, e.Phase, e.Category, e.Size, e.From)
+	}, func() { close(ended) })
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "boardd: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("boardd: tailing %s from seq %d\n", addr, since)
-	for e := range entries {
-		fmt.Printf("#%-6d %-9s %-22s %8d B  %s\n",
-			e.Seq, e.Phase, e.Category, e.Size, e.From)
-	}
+	<-ended
 	// The stream ended: surface why. stop() reports the terminal decode
 	// error — nil only when the server closed the stream cleanly at a
 	// frame boundary.

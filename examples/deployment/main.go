@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"time"
 
 	"yosompc"
 	"yosompc/internal/comm"
@@ -30,22 +31,18 @@ func main() {
 
 	// A remote observer tails the board as the run proceeds: a progress
 	// monitor reconstructs the protocol's state from the entries, and the
-	// same stream feeds the byte audit.
+	// same stream feeds the byte audit. Neither keeps a payload, so the
+	// tail lends each entry from its one reused buffer.
 	mon := monitor.New()
-	entries, stopTail, err := transport.Tail(board.Addr(), 0)
+	perPhase := map[comm.Phase]int64{} // written by the tail's reader until stopTail returns
+	stopTail, err := transport.TailFunc(board.Addr(), 0, func(e *transport.Entry) {
+		mon.Ingest(*e)
+		perPhase[e.Phase] += int64(e.Size)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer stopTail()
-	observed := make(chan map[comm.Phase]int64)
-	go func() {
-		perPhase := map[comm.Phase]int64{}
-		for e := range entries {
-			mon.Ingest(e)
-			perPhase[e.Phase] += int64(e.Size)
-		}
-		observed <- perPhase
-	}()
 
 	// Overnight: preprocess a trading-settlement computation (inner
 	// product of positions and prices) without knowing the values.
@@ -71,9 +68,16 @@ func main() {
 	fmt.Printf("settlement value: %v\n", res.Outputs[0][0])
 	fmt.Printf("rounds: %d, postings mirrored: %d\n\n", res.Rounds, board.Len())
 
-	// Local and remote accounting agree byte-for-byte.
-	stopTail()
-	perPhase := <-observed
+	// Local and remote accounting agree byte-for-byte once the observer has
+	// read everything boardd holds.
+	for deadline := time.Now().Add(10 * time.Second); mon.Snapshot().Entries < int64(board.Len()); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			log.Fatalf("the observer read %d of %d postings", mon.Snapshot().Entries, board.Len())
+		}
+	}
+	if err := stopTail(); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("auditor's view (via boardd):")
 	for _, phase := range []comm.Phase{comm.PhaseSetup, comm.PhaseOffline, comm.PhaseOnline} {
 		fmt.Printf("  %-8s %10d B (local: %d B)\n",

@@ -10,6 +10,7 @@ import (
 	"yosompc/internal/circuit"
 	"yosompc/internal/core"
 	"yosompc/internal/field"
+	"yosompc/internal/monitor"
 	"yosompc/internal/transport"
 )
 
@@ -18,6 +19,8 @@ import (
 // fetched at the end and a tail opened before the first post. Both logs
 // are a transport.Board filled through the same append, so the views must
 // agree entry for entry and the two byte accountings must be identical.
+// A monitor on the server's board and one fed by RunTail read the same
+// entries, so their snapshots must be identical too.
 func TestBoardViewsAgree(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -30,6 +33,15 @@ func TestBoardViewsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stopTail()
+	// Two monitors read the server's entries: one on its board in process,
+	// one through a tail that lends it each entry from a reused buffer.
+	onServer, tailing := monitor.New(), monitor.New()
+	onServer.AttachBoard(server.Board)
+	stopMonitor, err := tailing.RunTail(server.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopMonitor()
 
 	circ, err := circuit.InnerProduct(3)
 	if err != nil {
@@ -120,5 +132,23 @@ func TestBoardViewsAgree(t *testing.T) {
 	}
 	if l, r := proto.Board().Report(), server.Report(); !reflect.DeepEqual(l, r) {
 		t.Errorf("byte accounting differs:\nrun's board: %+v\nserver:      %+v", l, r)
+	}
+
+	// The monitors agree field for field: manifests decode from the
+	// borrowed buffer, and nothing the tailing monitor kept points into it.
+	for deadline := time.Now().Add(10 * time.Second); tailing.Snapshot().Entries < int64(len(local)); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the tailing monitor read %d of %d entries", tailing.Snapshot().Entries, len(local))
+		}
+	}
+	if err := stopMonitor(); err != nil {
+		t.Fatal(err)
+	}
+	want, got := onServer.Snapshot(), tailing.Snapshot()
+	if !want.Complete || len(want.Committees) == 0 {
+		t.Fatalf("the server's monitor saw an incomplete run: %+v", want)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("monitors disagree:\ntailing:   %+v\non server: %+v", got, want)
 	}
 }

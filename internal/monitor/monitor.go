@@ -148,7 +148,10 @@ func speakerOf(from string) (string, int, bool) {
 
 // Ingest feeds one board entry through the state machine. Entries must
 // arrive in sequence order, as AttachBoard and RunTail deliver them;
-// feeding the same board twice double-counts.
+// feeding the same board twice double-counts. Ingest never keeps
+// e.Payload — it decodes manifests from it and keeps only the decoded
+// fields — so a caller may pass an entry whose payload it reuses once
+// Ingest returns, as RunTail does.
 func (m *Monitor) Ingest(e transport.Entry) {
 	if m == nil {
 		return
@@ -285,28 +288,13 @@ func (m *Monitor) AttachBoard(b *transport.Board) {
 	b.Observe(m.Ingest)
 }
 
-// RunTail streams a remote board into the monitor from sequence `since`.
-// The returned stop function ends the stream, waits for the ingest
-// goroutine, and reports how the stream terminated (nil after a clean
+// RunTail streams a remote board into the monitor from sequence `since`:
+// one transport.TailFunc reader calls Ingest with each entry it borrows.
+// The returned stop function ends the stream, waits for the entry being
+// ingested, and reports how the stream terminated (nil after a clean
 // close or voluntary stop).
 func (m *Monitor) RunTail(addr string, since int) (func() error, error) {
-	entries, closer, err := transport.Tail(addr, since)
-	if err != nil {
-		return nil, err
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		// Terminates when the tail stream closes its channel.
-		for e := range entries {
-			m.Ingest(e)
-		}
-	}()
-	return func() error {
-		err := closer()
-		<-done
-		return err
-	}, nil
+	return transport.TailFunc(addr, since, func(e *transport.Entry) { m.Ingest(*e) })
 }
 
 // sortedInfra returns the infra groups in deterministic order.

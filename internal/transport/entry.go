@@ -120,6 +120,14 @@ func (e Entry) WriteTo(w io.Writer) (int64, error) {
 // clean EOF before the version byte returns io.EOF; an EOF mid-frame
 // returns io.ErrUnexpectedEOF.
 func (e *Entry) ReadFrom(r io.Reader) (int64, error) {
+	return e.readFrom(r, nil)
+}
+
+// readFrom is ReadFrom reading the payload into buf's storage
+// (wire.ReadBytes32Into): a reader that passes the previous entry's
+// Payload back in reuses one buffer from entry to entry. A nil buf gives
+// the entry a payload of its own.
+func (e *Entry) readFrom(r io.Reader, buf []byte) (int64, error) {
 	var ver [1]byte
 	n, err := io.ReadFull(r, ver[:])
 	if err != nil {
@@ -160,7 +168,7 @@ func (e *Entry) ReadFrom(r io.Reader) (int64, error) {
 	if err != nil {
 		return fail(0, err)
 	}
-	payload, m, err := wire.ReadBytes32(r)
+	payload, m, err := wire.ReadBytes32Into(r, buf)
 	n += m
 	if err != nil {
 		return fail(0, err)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -481,24 +482,34 @@ func readPostResponse(br *bufio.Reader) (int, error) {
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// Fetch dials addr and returns a one-shot snapshot of the board's entries
-// from sequence `since` — the dump counterpart of the streaming Tail, used
-// by trace merging and monitor snapshots.
-func Fetch(addr string, since int) ([]Entry, error) {
+// request checks since, dials addr and sends a tail or dump request from
+// it. A negative since starts at 0; one the request's u32 cannot carry is
+// refused before dialing, rather than wrapping to an earlier Seq.
+func request(addr string, op byte, since int) (net.Conn, error) {
+	if int64(since) > math.MaxUint32 {
+		return nil, fmt.Errorf("transport: since %d exceeds the largest sequence number a request carries (%d)", since, uint32(math.MaxUint32))
+	}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dialing board %s: %w", addr, err)
 	}
-	defer conn.Close()
-	if since < 0 {
-		since = 0
-	}
-	req := make([]byte, 0, 6)
-	req = append(req, wire.Version, opDump)
-	req = wire.AppendUint32(req, uint32(since))
+	req := wire.AppendUint32([]byte{wire.Version, op}, uint32(max(since, 0)))
 	if _, err := conn.Write(req); err != nil {
-		return nil, fmt.Errorf("transport: requesting dump: %w", err)
+		conn.Close()
+		return nil, fmt.Errorf("transport: sending request: %w", err)
 	}
+	return conn, nil
+}
+
+// Fetch dials addr and returns a one-shot snapshot of the board's entries
+// from sequence `since` — the dump counterpart of the streaming TailFunc,
+// used by trace merging and monitor snapshots.
+func Fetch(addr string, since int) ([]Entry, error) {
+	conn, err := request(addr, opDump, since)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
 	br := bufio.NewReader(conn)
 	var ver [1]byte
 	if _, err := io.ReadFull(br, ver[:]); err != nil {
@@ -532,52 +543,56 @@ func Fetch(addr string, since int) ([]Entry, error) {
 	return entries, nil
 }
 
-// Tail opens a streaming subscription from sequence `since`, delivering
-// entries on the returned channel until the connection or server closes.
-// The channel closes when the stream ends; the closer then reports how it
-// ended: nil after a clean server close (or a voluntary stop), the
-// terminal stream error after an abnormal one (a mid-frame disconnect
-// surfaces as io.ErrUnexpectedEOF). The closer blocks until the stream
-// goroutine has finished and may be called more than once.
-func Tail(addr string, since int) (<-chan Entry, func() error, error) {
-	conn, err := net.Dial("tcp", addr)
+// TailFunc opens a streaming subscription from sequence `since` and calls
+// fn with each entry, in Seq order, from one goroutine, until the
+// connection or server closes. The entry is borrowed: its Payload is read
+// into one buffer reused from entry to entry, so it is valid only during
+// the call, and a reader that keeps it clones it (as Tail does). The
+// returned stop function ends the stream, waits for a call in progress
+// and reports how the stream ended: nil after a clean server close (or a
+// voluntary stop), the terminal stream error after an abnormal one (a
+// mid-frame disconnect surfaces as io.ErrUnexpectedEOF). Call stop
+// whichever way the stream ends, never from fn; it may be called more
+// than once.
+func TailFunc(addr string, since int, fn func(*Entry)) (stop func() error, err error) {
+	return TailFuncEnd(addr, since, fn, nil)
+}
+
+// TailFuncEnd is TailFunc for a reader that waits for the stream to end:
+// end, when set, runs once on the reader goroutine after the last call to
+// fn, however the stream ended; stop's answer is settled by then. Like
+// fn, end must not call stop.
+func TailFuncEnd(addr string, since int, fn func(*Entry), end func()) (stop func() error, err error) {
+	conn, err := request(addr, opTail, since)
 	if err != nil {
-		return nil, nil, fmt.Errorf("transport: dialing board %s: %w", addr, err)
+		return nil, err
 	}
-	if since < 0 {
-		since = 0
-	}
-	req := make([]byte, 0, 6)
-	req = append(req, wire.Version, opTail)
-	req = wire.AppendUint32(req, uint32(since))
-	if _, err := conn.Write(req); err != nil {
-		conn.Close()
-		return nil, nil, fmt.Errorf("transport: starting tail: %w", err)
-	}
-	out := make(chan Entry, 64)
-	done := make(chan struct{})
+	stopped := make(chan struct{})
 	readerDone := make(chan struct{})
-	var once sync.Once
+	hangUp := sync.OnceFunc(func() {
+		close(stopped)
+		_ = conn.Close()
+	})
 	var termErr error // written once by the reader, read after readerDone
-	stop := func() error {
-		once.Do(func() {
-			close(done)
-			_ = conn.Close()
-		})
+	stop = func() error {
+		hangUp()
 		<-readerDone
 		return termErr
 	}
 	go func() {
 		defer close(readerDone)
-		defer close(out)
+		if end != nil {
+			defer end()
+		}
 		br := bufio.NewReader(conn)
+		var e Entry
+		var buf []byte
 		for {
-			var e Entry
-			if _, err := e.ReadFrom(br); err != nil {
+			if _, err := e.readFrom(br, buf); err != nil {
 				select {
-				case <-done:
-					// Voluntary stop: the consumer closed the connection
-					// under the reader; not a stream failure.
+				case <-stopped:
+					// Voluntary stop: stop closed the connection under
+					// the reader; not a stream failure.
 				default:
 					if err != io.EOF {
 						// Clean server close is io.EOF at a frame
@@ -587,17 +602,38 @@ func Tail(addr string, since int) (<-chan Entry, func() error, error) {
 				}
 				return
 			}
-			select {
-			case out <- e:
-			case <-done:
-				// The consumer stopped draining and called the closer:
-				// exit instead of blocking on the send forever (which
-				// would leak this goroutine and pin the connection).
-				return
-			}
+			buf = e.Payload
+			fn(&e)
 		}
 	}()
-	return out, stop, nil
+	return stop, nil
+}
+
+// Tail is TailFunc for a reader that keeps entries: it delivers each one,
+// with a payload of its own, on the returned channel, which closes when
+// the stream ends. The closer has TailFunc's stop contract, and also
+// releases a reader blocked on a channel nobody drains.
+func Tail(addr string, since int) (<-chan Entry, func() error, error) {
+	out := make(chan Entry, 64) // lets the reader run a burst ahead of the consumer
+	done := make(chan struct{})
+	stopTail, err := TailFuncEnd(addr, since, func(e *Entry) {
+		kept := *e
+		kept.Payload = bytes.Clone(e.Payload)
+		select {
+		case out <- kept:
+		case <-done:
+			// The consumer stopped draining and called the closer: drop
+			// the entry instead of blocking the reader forever.
+		}
+	}, func() { close(out) })
+	if err != nil {
+		return nil, nil, err
+	}
+	closeDone := sync.OnceFunc(func() { close(done) })
+	return out, func() error {
+		closeDone()
+		return stopTail()
+	}, nil
 }
 
 // Mirror forwards every posting of an in-process board — real encoded

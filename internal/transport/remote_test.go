@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -490,6 +493,103 @@ func TestMirrorCountsForwardingFailures(t *testing.T) {
 		t.Errorf("local board len = %d, want %d", board.Len(), posted+late)
 	}
 	<-proxyDone
+}
+
+// A start sequence travels as a u32. One beyond it used to wrap — since
+// 2^32 tailed from Seq 0 — so Tail, TailFunc and Fetch refuse it before
+// dialing, and accept every value the field can carry (a negative since
+// starts at 0).
+func TestSinceBeyondWireRange(t *testing.T) {
+	s := startServer(t)
+	s.Post("r", comm.PhaseOnline, comm.CatMu, []byte{1})
+	open := map[string]func(since int) error{
+		"Tail": func(since int) error {
+			_, stop, err := Tail(s.Addr(), since)
+			if err == nil {
+				err = stop()
+			}
+			return err
+		},
+		"TailFunc": func(since int) error {
+			stop, err := TailFunc(s.Addr(), since, func(*Entry) {})
+			if err == nil {
+				err = stop()
+			}
+			return err
+		},
+		"Fetch": func(since int) error {
+			_, err := Fetch(s.Addr(), since)
+			return err
+		},
+	}
+	for _, tc := range []struct {
+		since  int
+		refuse bool
+	}{
+		{-1, false},
+		{0, false},
+		{math.MaxUint32, false},
+		{math.MaxUint32 + 1, true},
+		{1<<32 + 5, true},
+		{math.MaxInt64, true},
+	} {
+		for name, open := range open {
+			err := open(tc.since)
+			refused := err != nil && strings.Contains(err.Error(), "exceeds the largest sequence number")
+			if tc.refuse && !refused || !tc.refuse && err != nil {
+				t.Errorf("%s(since %d) = %v, want refused %v", name, tc.since, err, tc.refuse)
+			}
+		}
+	}
+	// Within the range, since means what it says.
+	if got, err := Fetch(s.Addr(), -1); err != nil || len(got) != 1 {
+		t.Errorf("Fetch(since -1) = %d entries, %v; want the whole board", len(got), err)
+	}
+	if got, err := Fetch(s.Addr(), math.MaxUint32); err != nil || len(got) != 0 {
+		t.Errorf("Fetch(since MaxUint32) = %d entries, %v; want none", len(got), err)
+	}
+}
+
+// One Client serves many posters: its lock pairs each post frame with its
+// own answer, so the Seq each poster gets back names the entry holding
+// that poster's payload.
+func TestClientSharedByPosters(t *testing.T) {
+	s := startServer(t)
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const posters, each = 8, 50
+	seqs := make([][]int, posters)
+	var wg sync.WaitGroup
+	for p := 0; p < posters; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				seq, err := c.Post(fmt.Sprintf("w%d", p), comm.PhaseOnline, comm.CatMu, []byte{byte(p), byte(i)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				seqs[p] = append(seqs[p], seq)
+			}
+		}()
+	}
+	wg.Wait()
+	entries := s.Entries(0)
+	if len(entries) != posters*each {
+		t.Fatalf("server holds %d entries, want %d", len(entries), posters*each)
+	}
+	for p, got := range seqs {
+		for i, seq := range got {
+			e := entries[seq]
+			if e.From != fmt.Sprintf("w%d", p) || !bytes.Equal(e.Payload, []byte{byte(p), byte(i)}) {
+				t.Fatalf("poster %d's post %d got seq %d, which holds %q's payload %v", p, i, seq, e.From, e.Payload)
+			}
+		}
+	}
 }
 
 func TestDialFailure(t *testing.T) {

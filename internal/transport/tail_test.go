@@ -2,7 +2,14 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
 	"net"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -252,4 +259,212 @@ func TestTailCoalescesBurst(t *testing.T) {
 	if bursts := reg.Snapshot().Histograms["transport.tail_write_ns"].Count; bursts < 1 || bursts > writes {
 		t.Errorf("transport.tail_write_ns count = %d, want 1..%d (one per flushed batch)", bursts, writes)
 	}
+}
+
+// tailFuncUntil follows s from Seq 0 with TailFunc until fn has seen n
+// entries, then stops the tail; stop must report a clean end.
+func tailFuncUntil(t *testing.T, addr string, n int, fn func(*Entry)) {
+	t.Helper()
+	seen := make(chan struct{})
+	count := 0
+	stop, err := TailFunc(addr, 0, func(e *Entry) {
+		fn(e)
+		if count++; count == n {
+			close(seen)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-seen:
+	case <-time.After(10 * time.Second):
+		t.Errorf("the tail delivered %d of %d entries", count, n)
+	}
+	if err := stop(); err != nil {
+		t.Errorf("stop = %v, want nil", err)
+	}
+}
+
+// Entries of decreasing size, read one after another into the tail's one
+// reused buffer, arrive byte-exact: each read stops at its entry's
+// announced length, however large the buffer has grown, instead of
+// running on into the next frame.
+func TestTailFuncDecreasingSizesByteExact(t *testing.T) {
+	s := startServer(t)
+	var want [][]byte
+	for i, size := range []int{1<<20 + 1, 64 << 10, 1, 0} {
+		p := make([]byte, size)
+		for j := range p {
+			p[j] = byte(i + j*31)
+		}
+		want = append(want, p)
+		s.Post(fmt.Sprintf("r%d", i), comm.PhaseOnline, comm.CatMu, p)
+	}
+	var got []int
+	tailFuncUntil(t, s.Addr(), len(want), func(e *Entry) {
+		got = append(got, e.Seq)
+		if e.Seq >= len(want) || e.From != fmt.Sprintf("r%d", e.Seq) ||
+			e.Size != len(want[e.Seq]) || !bytes.Equal(e.Payload, want[e.Seq]) {
+			t.Errorf("entry %d: from %q, %d payload bytes, want %d byte-exact", e.Seq, e.From, len(e.Payload), len(want[e.Seq]))
+		}
+	})
+	if len(got) != len(want) || got[0] != 0 || got[len(got)-1] != len(want)-1 {
+		t.Errorf("tail delivered seqs %v", got)
+	}
+}
+
+// The tail's buffer keeps the forged-length bound: once it has grown to
+// about a megabyte, a frame announcing a 1 GiB payload and then hanging
+// up allocates no more than the larger of wire's 1 MiB read chunk and
+// the buffer's capacity, and ends the stream with io.ErrUnexpectedEOF.
+func TestTailFuncForgedLengthAfterGrowth(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	grown := make(chan int, 1) // the buffer's capacity after the first entry
+	forge := make(chan struct{})
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		req := make([]byte, 6)
+		if _, err := io.ReadFull(conn, req); err != nil {
+			return
+		}
+		first, _ := Entry{From: "r", Phase: "online", Category: "mu", Payload: make([]byte, 1<<20)}.MarshalBinary()
+		if _, err := conn.Write(first); err != nil {
+			return
+		}
+		<-forge
+		forged, _ := Entry{Seq: 1, From: "r", Phase: "online", Category: "mu"}.MarshalBinary()
+		binary.BigEndian.PutUint32(forged[len(forged)-4:], 1<<30)
+		_, _ = conn.Write(forged)
+	}()
+	ended := make(chan struct{})
+	stop, err := TailFuncEnd(ln.Addr().String(), 0, func(e *Entry) {
+		if e.Seq != 0 {
+			t.Errorf("the forged frame was delivered as entry %d", e.Seq)
+			return
+		}
+		grown <- cap(e.Payload)
+	}, func() { close(ended) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bufCap int
+	select {
+	case bufCap = <-grown:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first entry never arrived")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	close(forge)
+	<-served
+	select {
+	case <-ended:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the stream did not end after the forged frame")
+	}
+	runtime.ReadMemStats(&after)
+	err = stop()
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("stop after the forged frame = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(max(1<<20, bufCap)); grew > bound {
+		t.Errorf("a frame announcing 1 GiB after a %d-byte buffer allocated %d bytes, bound %d", bufCap, grew, bound)
+	}
+}
+
+// A tail reader borrows what it drops: following 256 entries of 256 KiB
+// through TailFunc allocates less than two payloads' worth in all (the
+// buffer, once, and the entries' small fields), where Tail allocates
+// every payload again.
+func TestTailFuncAllocatesOneBuffer(t *testing.T) {
+	const entries, size = 256, 256 << 10
+	s := startServer(t)
+	// One shared payload keeps the board itself at one payload's worth.
+	payload := make([]byte, size)
+	for i := 0; i < entries; i++ {
+		s.Post("r", comm.PhaseOnline, comm.CatMu, payload)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tailFuncUntil(t, s.Addr(), entries, func(*Entry) {})
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 2*size {
+		t.Errorf("following %d entries of %d bytes allocated %d KiB, want under %d KiB", entries, size, grew>>10, 2*size>>10)
+	}
+}
+
+// Both ways a TailFunc stream ends — the server closing it, and stop
+// called while fn is running — end it cleanly: stop waits for the call in
+// progress and returns nil, and the end hook runs once the reader is done.
+func TestTailFuncStreamEnds(t *testing.T) {
+	t.Run("server close", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := Serve(ln)
+		ended := make(chan struct{})
+		stop, err := TailFuncEnd(s.Addr(), 0, func(*Entry) {}, func() { close(ended) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitParked(t, s)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-ended:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the stream did not end on server close")
+		}
+		if err := stop(); err != nil {
+			t.Errorf("stop after a clean server close = %v, want nil", err)
+		}
+	})
+	t.Run("stop during fn", func(t *testing.T) {
+		s := startServer(t)
+		s.Post("r", comm.PhaseOnline, comm.CatMu, []byte{1})
+		entered, release := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		stop, err := TailFunc(s.Addr(), 0, func(*Entry) {
+			once.Do(func() {
+				close(entered)
+				<-release
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-entered
+		stopped := make(chan error, 1)
+		go func() { stopped <- stop() }()
+		select {
+		case err := <-stopped:
+			t.Fatalf("stop returned %v while fn was still running", err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		close(release)
+		select {
+		case err := <-stopped:
+			if err != nil {
+				t.Errorf("stop while fn ran = %v, want nil", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("stop did not return after fn did")
+		}
+		if err := stop(); err != nil {
+			t.Errorf("second stop = %v, want nil", err)
+		}
+	})
 }

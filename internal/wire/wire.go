@@ -32,7 +32,9 @@ const MaxLen = 1 << 30
 // readChunk caps ReadBytes32's up-front allocation (1 MiB). A field up to
 // this size is read into one exact allocation; a longer one starts here
 // and doubles as its bytes actually arrive, so a reader never holds more
-// than max(readChunk, twice the bytes received) for one field.
+// than max(readChunk, twice the bytes received) for one field — or, when
+// it reads into a reused buffer (ReadBytes32Into), than that or the
+// buffer's own capacity.
 const readChunk = 1 << 20
 
 // ErrMalformed is the root error of every decode failure in this package.
@@ -152,10 +154,23 @@ func ReadString8(r io.Reader) (string, int, error) {
 	return string(buf), n, nil
 }
 
-// ReadBytes32 reads a u32-length-prefixed byte field from a stream. The
-// announced length is the peer's claim: the buffer starts at
-// min(length, readChunk) and grows only as bytes arrive.
+// ReadBytes32 reads a u32-length-prefixed byte field from a stream into a
+// fresh buffer. The announced length is the peer's claim: the buffer
+// starts at min(length, readChunk) and grows only as bytes arrive.
 func ReadBytes32(r io.Reader) ([]byte, int, error) {
+	return ReadBytes32Into(r, nil)
+}
+
+// ReadBytes32Into is ReadBytes32 reading into buf's storage, for a reader
+// that reuses one buffer from field to field: it returns buf[:length] when
+// buf can hold the field, and otherwise a larger buffer that starts with
+// what buf held of it. The read stops at the announced length however
+// large buf is. The length is still the peer's claim: past cap(buf) the
+// buffer grows only as bytes arrive — to max(2·cap(buf), readChunk), then
+// by doubling — so a forged length that the stream never delivers costs
+// nothing beyond buf, or readChunk when buf has no capacity. A nil buf reads
+// exactly as ReadBytes32 does.
+func ReadBytes32Into(r io.Reader, buf []byte) ([]byte, int, error) {
 	v, n, err := ReadUint32(r)
 	if err != nil {
 		return nil, n, err
@@ -164,14 +179,17 @@ func ReadBytes32(r io.Reader) ([]byte, int, error) {
 		return nil, n, fmt.Errorf("%w: field length %d exceeds limit", ErrMalformed, v)
 	}
 	want := int(v)
-	buf := make([]byte, 0, min(want, readChunk))
+	if buf == nil {
+		buf = make([]byte, 0, min(want, readChunk))
+	}
+	buf = buf[:0]
 	for len(buf) < want {
 		if len(buf) == cap(buf) {
-			grown := make([]byte, len(buf), min(want, 2*cap(buf)))
+			grown := make([]byte, len(buf), min(want, max(2*cap(buf), readChunk)))
 			copy(grown, buf)
 			buf = grown
 		}
-		m, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		m, err := io.ReadFull(r, buf[len(buf):min(want, cap(buf))])
 		n += m
 		buf = buf[:len(buf)+m]
 		if err != nil {

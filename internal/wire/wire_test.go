@@ -147,6 +147,56 @@ func TestReadBytes32AllocatesAsBytesArrive(t *testing.T) {
 	}
 }
 
+// A reader that reuses one buffer keeps the forged-length bound: once the
+// buffer has grown to about readChunk, a stream announcing MaxLen and
+// delivering ten bytes allocates no more than max(readChunk, cap(buf)) —
+// here nothing, as the ten bytes fit.
+func TestReadBytes32IntoForgedLengthAfterGrowth(t *testing.T) {
+	buf, _, err := ReadBytes32Into(bytes.NewReader(AppendBytes32(nil, make([]byte, readChunk+1))), nil)
+	if err != nil || len(buf) != readChunk+1 {
+		t.Fatalf("growing the buffer: len=%d err=%v", len(buf), err)
+	}
+	stream := append(AppendUint32(nil, MaxLen), make([]byte, 10)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, n, err := ReadBytes32Into(bytes.NewReader(stream), buf)
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF || n != len(stream) {
+		t.Errorf("short field: n=%d err=%v, want %d and io.ErrUnexpectedEOF", n, err, len(stream))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(max(readChunk, cap(buf))) {
+		t.Errorf("a 14-byte stream announcing %d bytes into a %d-byte buffer allocated %d bytes", MaxLen, cap(buf), grew)
+	}
+}
+
+// Fields of decreasing size read into one buffer come back byte-exact: a
+// read stops at the announced length even when the buffer is larger, so
+// it never runs on into the next field.
+func TestReadBytes32IntoStopsAtLength(t *testing.T) {
+	var stream []byte
+	var fields [][]byte
+	for i, size := range []int{readChunk + 1, 64 << 10, 1, 0} {
+		f := bytes.Repeat([]byte{byte(i + 1)}, size)
+		fields = append(fields, f)
+		stream = AppendBytes32(stream, f)
+	}
+	r := bytes.NewReader(stream)
+	var buf []byte
+	for i, want := range fields {
+		got, _, err := ReadBytes32Into(r, buf)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("field %d: len=%d, want %d, err=%v", i, len(got), len(want), err)
+		}
+		if i > 0 && &got[:1][0] != &buf[:1][0] {
+			t.Errorf("field %d: the %d-byte buffer was not reused", i, cap(buf))
+		}
+		buf = got
+	}
+	if r.Len() != 0 {
+		t.Errorf("%d bytes left unread", r.Len())
+	}
+}
+
 func TestStreamRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	enc := AppendUint32(nil, 42)
