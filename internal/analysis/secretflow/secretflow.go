@@ -310,8 +310,9 @@ func sanitizer(fn *types.Func) bool {
 	if path == "crypto" || strings.HasPrefix(path, "crypto/") {
 		return true
 	}
-	// AppendEncrypt is pke's sealing in its append form: what it adds to
-	// the destination is the envelope, as clean as Encrypt's result.
+	// AppendEncrypt is pke's sealing (pke.Sealer) in its append form: what
+	// it adds to the destination is the envelope, as clean as Encrypt's
+	// result.
 	if (strings.HasPrefix(name, "Encrypt") || name == "AppendEncrypt") &&
 		(analysis.PathHasSegment(path, "pke") || analysis.PathHasSegment(path, "tte") || analysis.PathHasSegment(path, "paillier")) {
 		return true

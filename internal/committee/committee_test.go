@@ -12,6 +12,7 @@ import (
 	"yosompc/internal/comm"
 	"yosompc/internal/field"
 	"yosompc/internal/nizk"
+	"yosompc/internal/paillier"
 	"yosompc/internal/pke"
 	"yosompc/internal/transport"
 	"yosompc/internal/tte"
@@ -348,6 +349,113 @@ func TestTskStep(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// On the real backend a posting carries one ephemeral X25519 key: the first
+// 32 bytes of every envelope in it — a member's Re-encrypt openings and its
+// resharing alike, or the dealer's whole delivery — are the same, no two
+// postings share them, and every recipient still opens its own part.
+func TestTskStepOneEphemeralKeyPerPosting(t *testing.T) {
+	te, err := tte.NewThreshold(paillier.FixedTestKey(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, dealt := newFixtureOn(t, te, pke.NewECIES(), nil)
+	c, next := f.form(t, "c"), f.form(t, "next")
+
+	// poster[k] is who posted envelopes under ephemeral key k.
+	poster := map[string]string{}
+	oneKey := func(who string, envs [][]byte) {
+		t.Helper()
+		if len(envs) == 0 {
+			t.Fatalf("%s: no envelopes", who)
+		}
+		eph := string(envs[0][:32])
+		for e, env := range envs {
+			if string(env[:32]) != eph {
+				t.Errorf("%s: envelope %d has ephemeral key %x, envelope 0 %x", who, e, env[:32], eph)
+			}
+		}
+		if other, ok := poster[eph]; ok {
+			t.Errorf("%s and %s share ephemeral key %x", who, other, eph)
+		}
+		poster[eph] = who
+	}
+	opens := func(who string, sk pke.SecretKey, env []byte) {
+		t.Helper()
+		if _, err := sk.Decrypt(env); err != nil {
+			t.Errorf("%s: recipient cannot open its envelope: %v", who, err)
+		}
+	}
+
+	before := f.Board.Len()
+	tsk, err := f.DealShares(c, dealt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dealer [][]byte
+	for _, p := range f.Board.Entries(before) {
+		dealer = append(dealer, p.Payload)
+	}
+	if len(dealer) != testN {
+		t.Fatalf("dealer posted %d envelopes, want %d", len(dealer), testN)
+	}
+	oneKey("dealer", dealer)
+	for i, env := range dealer {
+		opens(fmt.Sprintf("dealer's envelope %d", i+1), c.Roles[i].SecretKey(), env)
+	}
+
+	const kinds = "rdrr"
+	open := make([]Opening, len(kinds))
+	recipients := make([]pke.SecretKey, len(kinds))
+	for j, kind := range kinds {
+		open[j].Ct = f.encrypt(t, int64(100+j))
+		if kind == 'r' {
+			if open[j].Key, recipients[j], err = f.PKE.GenerateKey(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before = f.Board.Len()
+	sp := Spec{Phase: comm.PhaseOnline, Cat: comm.CatPartial, Label: "step"}
+	res, err := f.TskStep(tsk, c, sp, open, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	postings := map[string][]byte{}
+	for _, p := range f.Board.Entries(before) {
+		if p.Category == sp.Cat {
+			postings[p.From] = p.Payload
+		}
+	}
+	if len(res.members) != testN || len(postings) != testN {
+		t.Fatalf("%d verified members, %d postings; want %d", len(res.members), len(postings), testN)
+	}
+	// The views are where each posting's parts lie; each envelope is also
+	// found, byte for byte, in its member's posting on the board.
+	for m, i := range res.members {
+		who := c.Roles[i-1].Name()
+		var envs [][]byte
+		for j, kind := range kinds {
+			if kind == 'r' {
+				envs = append(envs, res.Sealed[j][m])
+				opens(fmt.Sprintf("%s, opening %d", who, j), recipients[j], res.Sealed[j][m])
+			}
+		}
+		for k, slot := range tsk.handoff {
+			envs = append(envs, slot[m])
+			opens(fmt.Sprintf("%s, hand-off slot %d", who, k), next.Roles[k].SecretKey(), slot[m])
+		}
+		if len(envs) != strings.Count(kinds, "r")+testN {
+			t.Fatalf("%s: %d envelopes", who, len(envs))
+		}
+		for e, env := range envs {
+			if !bytes.Contains(postings[who], env) {
+				t.Errorf("%s: envelope %d is not in its posting", who, e)
+			}
+		}
+		oneKey(who, envs)
 	}
 }
 

@@ -164,9 +164,11 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 // tskPost writes one member's whole posting into a single buffer sized up
 // front: the partial decryptions of open — encoded in place when in the
 // clear, sealed in place to the opening's key otherwise — followed by the
-// resharing of sh to next's role keys. What gets sealed is encoded into one
-// plaintext scratch that is wiped after every use: the raw bytes carry the
-// same secret as what they encode.
+// resharing of sh to next's role keys. One pke.Sealer seals every envelope,
+// so the posting carries one ephemeral key and each envelope costs one key
+// agreement. What gets sealed is encoded into one plaintext scratch that is
+// wiped after every use: the raw bytes carry the same secret as what they
+// encode.
 func (r *Runner) tskPost(sh tte.KeyShare, open []Opening, next *yoso.Committee) (TskPost, error) {
 	ctSize := r.TPK.CiphertextSize()
 	var subs []tte.SubShare
@@ -192,6 +194,7 @@ func (r *Runner) tskPost(sh tte.KeyShare, open []Opening, next *yoso.Committee) 
 	}
 	post := TskPost{buf: make([]byte, 0, size), ends: make([]int, 0, len(open)+len(subs))}
 	plain := make([]byte, 0, plainSize)
+	var seal pke.Sealer
 
 	// Parts are written in wire order, so the Decrypts go first.
 	for _, sealed := range []bool{false, true} {
@@ -206,7 +209,7 @@ func (r *Runner) tskPost(sh tte.KeyShare, open []Opening, next *yoso.Committee) 
 			if sealed {
 				plain, err = r.TE.AppendPartial(plain[:0], part)
 				if err == nil {
-					post.buf, err = o.Key.AppendEncrypt(post.buf, plain)
+					post.buf, err = seal.AppendEncrypt(post.buf, o.Key, plain)
 				}
 				clear(plain)
 			} else {
@@ -225,7 +228,7 @@ func (r *Runner) tskPost(sh tte.KeyShare, open []Opening, next *yoso.Committee) 
 		var err error
 		plain, err = r.TE.AppendSubShare(plain[:0], sub)
 		if err == nil {
-			post.buf, err = next.Role(j+1).PublicKey().AppendEncrypt(post.buf, plain)
+			post.buf, err = seal.AppendEncrypt(post.buf, next.Role(j+1).PublicKey(), plain)
 		}
 		clear(plain)
 		if err != nil {
@@ -265,15 +268,17 @@ func (r *Runner) DecryptStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Openin
 // DealShares is the trusted dealer's delivery of the epoch-0 tsk shares to
 // the first tsk-holding committee (the paper's "give tsk_i to C_{1,i}"):
 // each share travels as a PKE envelope sealed under the receiving role's
-// key, metered as setup bytes. The driver additionally hands the shares over
-// in-process.
+// key, metered as setup bytes, and one pke.Sealer seals them all. The driver
+// additionally hands the shares over in-process.
 func (r *Runner) DealShares(c *yoso.Committee, shares []tte.KeyShare) (*Tsk, error) {
+	var seal pke.Sealer
 	for i, sh := range shares {
 		data, err := r.TE.EncodeKeyShare(sh)
 		if err != nil {
 			return nil, fmt.Errorf("encoding dealer tsk share %d: %w", i+1, err)
 		}
-		env, err := c.Role(i + 1).PublicKey().Encrypt(data)
+		env, err := seal.AppendEncrypt(nil, c.Role(i+1).PublicKey(), data)
+		clear(data)
 		if err != nil {
 			return nil, fmt.Errorf("sealing dealer tsk share %d: %w", i+1, err)
 		}

@@ -58,17 +58,42 @@ var (
 // PublicKey is an encryption key.
 type PublicKey interface {
 	// Encrypt seals msg into a fresh envelope of EnvelopeOverhead +
-	// len(msg) bytes: AppendEncrypt(nil, msg).
+	// len(msg) bytes under an ephemeral key of its own: a one-envelope
+	// Sealer.
 	Encrypt(msg []byte) ([]byte, error)
-	// AppendEncrypt appends the envelope sealing msg to dst and returns
-	// the extended slice, writing the envelope in place — a poster seals
-	// straight into its posting. On error dst is returned unchanged. msg
-	// must not overlap dst's spare capacity.
-	AppendEncrypt(dst, msg []byte) ([]byte, error)
 	// Bytes returns the serialized public key.
 	Bytes() []byte
 	// Fingerprint returns a short stable identifier for logging/auditing.
 	Fingerprint() string
+	// seal is the backend's one sealing implementation, which every
+	// envelope goes through (Sealer.AppendEncrypt).
+	seal(s *Sealer, dst, msg []byte) ([]byte, error)
+}
+
+// A Sealer seals the envelopes of one posting. On ECIES its first seal
+// draws one ephemeral X25519 key and every later envelope reuses it, so an
+// envelope costs one key agreement with its recipient instead of two: the
+// multi-recipient KEM of Smart (SCN 2004), whose reuse of the randomness
+// Bellare, Boldyreva, Kurosawa and Staddon prove secure even against
+// insider recipients (DESIGN.md). Each envelope keeps its own random nonce,
+// because two envelopes to one recipient share an AES-GCM key. On Sim a
+// Sealer writes what every Sim envelope is. The layout and the length of
+// an envelope do not depend on the Sealer.
+//
+// The zero Sealer is ready to use. It belongs to one posting and one
+// goroutine: a poster declares it where it writes the posting, and the
+// ephemeral key goes when the Sealer does.
+type Sealer struct {
+	eph    *ecdh.PrivateKey
+	ephPub []byte
+}
+
+// AppendEncrypt appends the envelope sealing msg to the holder of to's
+// secret key to dst and returns the extended slice, writing the envelope in
+// place — a poster seals straight into its posting. On error dst is
+// returned unchanged. msg must not overlap dst's spare capacity.
+func (s *Sealer) AppendEncrypt(dst []byte, to PublicKey, msg []byte) ([]byte, error) {
+	return to.seal(s, dst, msg)
 }
 
 // SecretKey is a decryption key.
@@ -134,26 +159,37 @@ func (e *ECIES) SecretKeyFromBytes(data []byte) (SecretKey, error) {
 }
 
 // Encrypt implements PublicKey.
-func (p *eciesPub) Encrypt(msg []byte) ([]byte, error) { return p.AppendEncrypt(nil, msg) }
+func (p *eciesPub) Encrypt(msg []byte) ([]byte, error) { return new(Sealer).AppendEncrypt(nil, p, msg) }
 
-// AppendEncrypt implements PublicKey: ECDH with an ephemeral key, key
-// derivation via SHA-256 over the shared secret and both public keys,
-// AES-256-GCM sealing in place behind the ephemeral key and the nonce.
-func (p *eciesPub) AppendEncrypt(dst, msg []byte) ([]byte, error) {
-	eph, err := ecdh.X25519().GenerateKey(rand.Reader)
-	if err != nil {
-		return dst, fmt.Errorf("pke: ephemeral key: %w", err)
+// seal implements PublicKey: ECDH between the Sealer's ephemeral key (drawn
+// on its first envelope) and p, key derivation via SHA-256 over the shared
+// secret and both public keys, AES-256-GCM sealing in place behind the
+// ephemeral key and a fresh nonce.
+func (p *eciesPub) seal(s *Sealer, dst, msg []byte) ([]byte, error) {
+	if s.eph == nil {
+		// The scalar is drawn here rather than by GenerateKey, which would
+		// leave an unwiped copy of it behind.
+		var scalar [SecretKeySize]byte
+		if _, err := rand.Read(scalar[:]); err != nil {
+			return dst, fmt.Errorf("pke: ephemeral key: %w", err)
+		}
+		eph, err := ecdh.X25519().NewPrivateKey(scalar[:])
+		clear(scalar[:])
+		if err != nil {
+			return dst, fmt.Errorf("pke: ephemeral key: %w", err)
+		}
+		s.eph, s.ephPub = eph, eph.PublicKey().Bytes()
 	}
-	shared, err := eph.ECDH(p.pk)
+	shared, err := s.eph.ECDH(p.pk)
 	if err != nil {
 		return dst, fmt.Errorf("pke: ECDH: %w", err)
 	}
-	ephPub := eph.PublicKey().Bytes()
-	aead, err := deriveAEAD(shared, ephPub, p.pk.Bytes())
+	aead, err := deriveAEAD(shared, s.ephPub, p.pk.Bytes())
+	clear(shared)
 	if err != nil {
 		return dst, err
 	}
-	out := append(slices.Grow(dst, EnvelopeOverhead+len(msg)), ephPub...)
+	out := append(slices.Grow(dst, EnvelopeOverhead+len(msg)), s.ephPub...)
 	nonce := out[len(out) : len(out)+nonceSize]
 	if _, err := rand.Read(nonce); err != nil {
 		return dst, fmt.Errorf("pke: nonce: %w", err)
@@ -186,6 +222,7 @@ func (s *eciesSecret) Decrypt(env []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: ECDH", ErrDecrypt)
 	}
 	aead, err := deriveAEAD(shared, ephemeral, s.sk.PublicKey().Bytes())
+	clear(shared)
 	if err != nil {
 		return nil, err
 	}
@@ -202,14 +239,25 @@ func (s *eciesSecret) Bytes() []byte { return s.sk.Bytes() }
 // Public implements SecretKey.
 func (s *eciesSecret) Public() PublicKey { return &eciesPub{pk: s.sk.PublicKey()} }
 
+// kdfLabel separates this scheme's key derivation from any other use of
+// SHA-256 over the same secrets.
+const kdfLabel = "yosompc/ecies/v1"
+
+// deriveAEAD keys AES-256-GCM for one envelope: SHA-256 over kdfLabel, the
+// 32-byte shared secret and both 32-byte public keys. It wipes its copy of
+// the secret and the derived key before it returns; the caller wipes
+// shared. The cipher's expanded key schedule lives inside crypto/aes,
+// where nothing can wipe it, and goes with the AEAD.
 func deriveAEAD(shared, ephPub, recvPub []byte) (cipher.AEAD, error) {
-	h := sha256.New()
-	h.Write([]byte("yosompc/ecies/v1"))
-	h.Write(shared)
-	h.Write(ephPub)
-	h.Write(recvPub)
-	key := h.Sum(nil)
-	block, err := aes.NewCipher(key)
+	var in [len(kdfLabel) + 3*32]byte
+	n := copy(in[:], kdfLabel)
+	n += copy(in[n:], shared)
+	n += copy(in[n:], ephPub)
+	copy(in[n:], recvPub)
+	key := sha256.Sum256(in[:])
+	clear(in[:])
+	block, err := aes.NewCipher(key[:])
+	clear(key[:])
 	if err != nil {
 		return nil, fmt.Errorf("pke: AES: %w", err)
 	}

@@ -2,8 +2,13 @@ package pke
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/ecdh"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -235,8 +240,8 @@ func TestSimDecryptWrongBackend(t *testing.T) {
 }
 
 // TestEnvelopeSize pins the wire contract both sealing forms share: the
-// envelope is exactly EnvelopeOverhead + len(msg) bytes, the append form
-// writes it behind dst without touching what was there, and both open to msg.
+// envelope is exactly EnvelopeOverhead + len(msg) bytes, a Sealer writes it
+// behind dst without touching what was there, and both open to msg.
 func TestEnvelopeSize(t *testing.T) {
 	for name, s := range backends() {
 		t.Run(name, func(t *testing.T) {
@@ -245,6 +250,7 @@ func TestEnvelopeSize(t *testing.T) {
 				t.Fatal(err)
 			}
 			prefix := []byte("already posted")
+			var seal Sealer
 			for _, n := range []int{0, 1, 31, 256, 5000} {
 				msg := bytes.Repeat([]byte{byte(n)}, n)
 				env, err := pk.Encrypt(msg)
@@ -255,7 +261,7 @@ func TestEnvelopeSize(t *testing.T) {
 				// lands behind the prefix either way.
 				for _, spare := range []int{0, 2 * (EnvelopeOverhead + n)} {
 					dst := append(make([]byte, 0, len(prefix)+spare), prefix...)
-					out, err := pk.AppendEncrypt(dst, msg)
+					out, err := seal.AppendEncrypt(dst, pk, msg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -277,6 +283,169 @@ func TestEnvelopeSize(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSealer pins the Sealer contract on one Sealer that seals to three
+// recipients and twice to a fourth: every envelope opens under its own
+// recipient's key only, on ECIES they all carry one ephemeral key and each
+// its own nonce, and on Sim they are the backend's envelopes byte for byte.
+func TestSealer(t *testing.T) {
+	for name, s := range backends() {
+		t.Run(name, func(t *testing.T) {
+			pks := make([]PublicKey, 4)
+			sks := make([]SecretKey, 4)
+			for k := range pks {
+				var err error
+				if pks[k], sks[k], err = s.GenerateKey(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			to := []int{0, 1, 2, 3, 3}
+			msgs := make([][]byte, len(to))
+			envs := make([][]byte, len(to))
+			var seal Sealer // the zero Sealer is ready to use
+			for e, k := range to {
+				msgs[e] = []byte(fmt.Sprintf("envelope %d to recipient %d", e, k))
+				var err error
+				if envs[e], err = seal.AppendEncrypt(nil, pks[k], msgs[e]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for e, k := range to {
+				for r, sk := range sks {
+					got, err := sk.Decrypt(envs[e])
+					if r == k && (err != nil || !bytes.Equal(got, msgs[e])) {
+						t.Errorf("envelope %d opens under its recipient's key to %q, %v", e, got, err)
+					}
+					if r != k && (!errors.Is(err, ErrDecrypt) || got != nil) {
+						t.Errorf("envelope %d to %d opens under key %d: %q, %v", e, k, r, got, err)
+					}
+				}
+			}
+
+			if name == "sim" {
+				// What every Sim envelope is: key id | length | msg | zero pad.
+				for e, k := range to {
+					want := binary.BigEndian.AppendUint64(nil, pks[k].(*simPub).id)
+					want = binary.BigEndian.AppendUint32(want, uint32(len(msgs[e])))
+					want = append(want, msgs[e]...)
+					want = append(want, make([]byte, EnvelopeOverhead-simHeaderSize)...)
+					enc, err := pks[k].Encrypt(msgs[e])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(envs[e], want) || !bytes.Equal(enc, want) {
+						t.Errorf("envelope %d: Sealer %x, Encrypt %x, want %x", e, envs[e], enc, want)
+					}
+				}
+				return
+			}
+
+			eph := envs[0][:ephemeralSize]
+			for e, env := range envs {
+				if !bytes.Equal(env[:ephemeralSize], eph) {
+					t.Errorf("envelope %d carries ephemeral key %x, the first %x", e, env[:ephemeralSize], eph)
+				}
+			}
+			nonce := func(env []byte) []byte { return env[ephemeralSize : ephemeralSize+nonceSize] }
+			if bytes.Equal(nonce(envs[3]), nonce(envs[4])) {
+				t.Error("two envelopes to one recipient share a nonce, and so an AES-GCM key and nonce")
+			}
+			for e, env := range envs {
+				for _, at := range []int{0, ephemeralSize, ephemeralSize + nonceSize, len(env) - 1} {
+					bad := bytes.Clone(env)
+					bad[at] ^= 1
+					if _, err := sks[to[e]].Decrypt(bad); !errors.Is(err, ErrDecrypt) {
+						t.Errorf("envelope %d tampered at byte %d: err = %v, want ErrDecrypt", e, at, err)
+					}
+				}
+			}
+			// Same key, same ephemeral key: the nonce still binds each body.
+			swapped := append(bytes.Clone(envs[3][:ephemeralSize]), nonce(envs[4])...)
+			swapped = append(swapped, envs[3][ephemeralSize+nonceSize:]...)
+			if _, err := sks[3].Decrypt(swapped); !errors.Is(err, ErrDecrypt) {
+				t.Errorf("envelope 3 under envelope 4's nonce: err = %v, want ErrDecrypt", err)
+			}
+
+			var other Sealer
+			env, err := other.AppendEncrypt(nil, pks[0], msgs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Equal(env[:ephemeralSize], eph) {
+				t.Error("a second Sealer reuses the first one's ephemeral key")
+			}
+			if env, err = pks[0].Encrypt(msgs[0]); err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Equal(env[:ephemeralSize], eph) {
+				t.Error("Encrypt reuses a Sealer's ephemeral key")
+			}
+		})
+	}
+}
+
+// TestECIESMatchesReference opens Sealer envelopes with the construction
+// written out from docs/WIRE.md — X25519, SHA-256 over the label, the shared
+// secret and both public keys, AES-256-GCM — and seals one the same way for
+// Decrypt, so the envelope format cannot drift under either side.
+func TestECIESMatchesReference(t *testing.T) {
+	skBytes := bytes.Repeat([]byte{3}, SecretKeySize)
+	sk, err := NewECIES().SecretKeyFromBytes(skBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv, err := ecdh.X25519().NewPrivateKey(skBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aead := func(eph *ecdh.PublicKey, priv *ecdh.PrivateKey, peer *ecdh.PublicKey) cipher.AEAD {
+		shared, err := priv.ECDH(peer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		h.Write([]byte("yosompc/ecies/v1"))
+		h.Write(shared)
+		h.Write(eph.Bytes())
+		h.Write(recv.PublicKey().Bytes())
+		block, err := aes.NewCipher(h.Sum(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gcm, err := cipher.NewGCM(block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gcm
+	}
+
+	var seal Sealer
+	for _, msg := range [][]byte{[]byte("first"), []byte("second, same ephemeral key")} {
+		env, err := seal.AppendEncrypt(nil, sk.Public(), msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eph, err := ecdh.X25519().NewPublicKey(env[:ephemeralSize])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := aead(eph, recv, eph).Open(nil, env[ephemeralSize:ephemeralSize+nonceSize], env[ephemeralSize+nonceSize:], nil)
+		if err != nil || !bytes.Equal(got, msg) {
+			t.Errorf("reference opening of a Sealer envelope: %q, %v", got, err)
+		}
+	}
+
+	ephPriv, err := ecdh.X25519().NewPrivateKey(bytes.Repeat([]byte{5}, SecretKeySize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonce := bytes.Repeat([]byte{9}, nonceSize)
+	msg := []byte("sealed by the reference")
+	env := append(append(ephPriv.PublicKey().Bytes(), nonce...), aead(ephPriv.PublicKey(), ephPriv, recv.PublicKey()).Seal(nil, nonce, msg, nil)...)
+	if got, err := sk.Decrypt(env); err != nil || !bytes.Equal(got, msg) {
+		t.Errorf("Decrypt of a reference envelope: %q, %v", got, err)
 	}
 }
 
@@ -364,6 +533,20 @@ func FuzzDecryptEnvelope(f *testing.F) {
 		f.Add(env)
 		f.Add(env[:len(env)-1])
 		f.Add(env[:EnvelopeOverhead])
+		// A posting's envelopes: one Sealer's, so they share an ephemeral
+		// key, one to a stranger and two to the same recipient.
+		stranger, _, err := s.GenerateKey()
+		if err != nil {
+			f.Fatal(err)
+		}
+		var seal Sealer
+		for _, to := range []PublicKey{stranger, sk.Public(), sk.Public()} {
+			env, err := seal.AppendEncrypt(nil, to, []byte("one posting, one ephemeral key"))
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(env)
+		}
 	}
 	f.Add([]byte{})
 	f.Add(make([]byte, EnvelopeOverhead))

@@ -77,11 +77,12 @@ func ctEqualID(a, b uint64) bool {
 }
 
 // Encrypt implements PublicKey.
-func (p *simPub) Encrypt(msg []byte) ([]byte, error) { return p.AppendEncrypt(nil, msg) }
+func (p *simPub) Encrypt(msg []byte) ([]byte, error) { return new(Sealer).AppendEncrypt(nil, p, msg) }
 
-// AppendEncrypt implements PublicKey: header, message, and zero padding up
-// to the modelled ECIES size so measured bytes match modelled bytes.
-func (p *simPub) AppendEncrypt(dst, msg []byte) ([]byte, error) {
+// seal implements PublicKey: header, message, and zero padding up to the
+// modelled ECIES size so measured bytes match modelled bytes. There is no
+// ephemeral key to share, so the Sealer plays no part.
+func (p *simPub) seal(_ *Sealer, dst, msg []byte) ([]byte, error) {
 	dst = slices.Grow(dst, EnvelopeOverhead+len(msg))
 	dst = binary.BigEndian.AppendUint64(dst, p.id)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(msg)))
