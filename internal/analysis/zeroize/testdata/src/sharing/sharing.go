@@ -3,11 +3,14 @@
 // not cover every exit path), ownership transfers (returns, captures,
 // channel sends) with and without //yosolint:owner, local-container
 // transfers, aborted-creation error paths, terminators, unbound source
-// calls on secret-typed receivers, and the plaintext scratch of the
-// append-style secret codecs.
+// calls on secret-typed receivers, the plaintext scratch of the
+// append-style secret codecs, and the one scratch a reader opens a walk of
+// envelopes into.
 package sharing
 
 import (
+	"errors"
+
 	"yosompc/internal/analysis/zeroize/testdata/src/field"
 	"yosompc/internal/tte"
 )
@@ -40,6 +43,10 @@ func (k *secretKey) Bytes() []byte { return append([]byte(nil), k.seed...) }
 
 func (k *secretKey) Decrypt(env []byte) ([]byte, error) {
 	return append([]byte(nil), env...), nil
+}
+
+func (k *secretKey) AppendDecrypt(dst, env []byte) ([]byte, error) {
+	return append(dst, env...), nil
 }
 
 func Dropped(n int) error {
@@ -202,6 +209,50 @@ func OpenWiped(k *secretKey, env []byte) (uint32, error) {
 	clear(pt)
 	return s, nil
 }
+
+// A reader opens a whole walk of envelopes into one scratch: wiped after
+// every decode, and over its capacity when the walk ends.
+
+func wipeCapacity(b []byte) { clear(b[:cap(b)]) }
+
+func OpenWalkWiped(k *secretKey, envs [][]byte) (uint32, error) {
+	var s uint32
+	var plain []byte
+	for _, env := range envs {
+		var err error
+		plain, err = k.AppendDecrypt(plain[:0], env)
+		if err != nil {
+			continue
+		}
+		s += checksum(plain)
+		clear(plain)
+	}
+	wipeCapacity(plain)
+	return s, nil
+}
+
+// A decode failure that returns before the wipe leaves the plaintext in the
+// scratch.
+func OpenWalkErrorUnwiped(k *secretKey, envs [][]byte) (uint32, error) {
+	var s uint32
+	var plain []byte
+	for _, env := range envs {
+		var err error
+		plain, err = k.AppendDecrypt(plain[:0], env) // want `secret buffer plain \(from k\.AppendDecrypt\) is not zeroized on every path`
+		if err != nil {
+			continue
+		}
+		if len(plain) == 0 {
+			return 0, errEmpty
+		}
+		s += checksum(plain)
+		clear(plain)
+	}
+	wipeCapacity(plain)
+	return s, nil
+}
+
+var errEmpty = errors.New("empty plaintext")
 
 // The append-style secret codecs (BuiltinSourceFuncs) extend a caller's
 // buffer with a plaintext encoding: the extended scratch is an obligation

@@ -12,9 +12,10 @@
 //   - a fresh randomness buffer returned by a field.RandomVec-style
 //     sampler (callee in a `field` package, name Random*/MustRandom*,
 //     slice result), or
-//   - the byte buffer returned by calling Bytes or Decrypt on a value of
-//     secret type (secretflow's secret model, built once per load: the
-//     builtin set plus //yosolint:secret marks), or
+//   - the byte buffer returned by calling Bytes, Decrypt or AppendDecrypt
+//     on a value of secret type (secretflow's secret model, built once per
+//     load: the builtin set plus //yosolint:secret marks; AppendDecrypt's
+//     is a reader's scratch for a whole quorum walk), or
 //   - the buffer an append-style secret codec extends (BuiltinSourceFuncs:
 //     the plaintext scratch a partial decryption or key sub-share is
 //     encoded into before it is sealed),
@@ -442,8 +443,9 @@ func terminates(pkg *analysis.Package, n ast.Node) bool {
 }
 
 // isSource reports whether a call creates a secret buffer: a field
-// randomness sampler, Bytes/Decrypt on a secret-typed receiver, or a
-// builtin append-style secret codec, in every case returning a slice.
+// randomness sampler, Bytes/Decrypt/AppendDecrypt on a secret-typed
+// receiver, or a builtin append-style secret codec, in every case returning
+// a slice.
 func (c *checker) isSource(call *ast.CallExpr) bool {
 	fn := c.pkg.Callee(call)
 	if fn == nil || fn.Pkg() == nil {
@@ -461,7 +463,7 @@ func (c *checker) isSource(call *ast.CallExpr) bool {
 	if BuiltinSourceFuncs[taint.FuncKey(fn)] {
 		return true
 	}
-	if name != "Bytes" && name != "Decrypt" {
+	if name != "Bytes" && name != "Decrypt" && name != "AppendDecrypt" {
 		return false
 	}
 	return secretflow.IsSecret(c.pass, sig.Recv().Type())

@@ -240,7 +240,7 @@ func TestTskStep(t *testing.T) {
 						if to.Behavior == yoso.FailStop {
 							continue // its key is gone with it
 						}
-						sub, err := openSealed(f.Runner, to.SecretKey(), env, f.TE.DecodeSubShare)
+						sub, err := openEnvelope(f.Runner, to.SecretKey(), env, f.TE.DecodeSubShare)
 						if err != nil || sub.From() != i+1 || sub.To() != j+1 {
 							t.Errorf("%s: resharing slot %d opens to %v, %v", role.Name(), j, sub, err)
 						}
@@ -331,7 +331,7 @@ func TestTskStep(t *testing.T) {
 						if role.Behavior == yoso.FailStop {
 							continue
 						}
-						_, err := openSealed(f.Runner, role.SecretKey(), slot[0], f.TE.DecodeSubShare)
+						_, err := openEnvelope(f.Runner, role.SecretKey(), slot[0], f.TE.DecodeSubShare)
 						if (err == nil) != (i == j) {
 							t.Errorf("member %d opening slot %d: err = %v", i+1, j, err)
 						}

@@ -19,8 +19,9 @@ import (
 	"yosompc/internal/yoso"
 )
 
-// countingScheme mints secret keys that count their Decrypt calls:
-// *opened[i] is the count of the i-th key minted.
+// countingScheme mints secret keys that count the envelopes they open
+// (AppendDecrypt calls, the one opening path): *opened[i] is the count of
+// the i-th key minted.
 type countingScheme struct {
 	pke.Scheme
 	opened []*int
@@ -31,9 +32,9 @@ type countingKey struct {
 	opened *int
 }
 
-func (k countingKey) Decrypt(env []byte) ([]byte, error) {
+func (k countingKey) AppendDecrypt(dst, env []byte) ([]byte, error) {
 	*k.opened++
-	return k.SecretKey.Decrypt(env)
+	return k.SecretKey.AppendDecrypt(dst, env)
 }
 
 func (s *countingScheme) GenerateKey() (pke.PublicKey, pke.SecretKey, error) {
@@ -67,6 +68,18 @@ func spoil(t *testing.T, envs [][]byte, which ...int) [][]byte {
 	return out
 }
 
+// openEnvelope opens one envelope into a fresh buffer and decodes it: a
+// reader's step without the quorum walk or its scratch.
+func openEnvelope[T any](r *Runner, sk pke.SecretKey, env []byte, decode func(tte.PublicKey, []byte) (T, error)) (T, error) {
+	data, err := sk.Decrypt(env)
+	if err != nil {
+		var none T
+		return none, err
+	}
+	defer clear(data)
+	return decode(r.TPK, data)
+}
+
 // upTo returns 0, 1, …, n-1.
 func upTo(n int) []int {
 	out := make([]int, n)
@@ -76,7 +89,7 @@ func upTo(n int) []int {
 	return out
 }
 
-// A reader pays for a quorum and no more: t+1 Decrypt calls per CombineSealed
+// A reader pays for a quorum and no more: t+1 opens per CombineSealed
 // and per recovered tsk share on an honest committee, one more for every
 // envelope it had to skip on the way, and all of them — ending in
 // ErrNotEnough — only when fewer than t+1 open.
@@ -113,7 +126,7 @@ func TestQuorumDecryptCalls(t *testing.T) {
 			t.Fatalf("%d unopenable envelopes first: opened to %v, %v", skipped, v, err)
 		}
 		if want := testT + 1 + skipped; *opened != want {
-			t.Errorf("%d unopenable envelopes first: %d Decrypt calls, want %d", skipped, *opened, want)
+			t.Errorf("%d unopenable envelopes first: %d opens, want %d", skipped, *opened, want)
 		}
 	}
 	// Unopenable envelopes behind the quorum are never looked at.
@@ -122,7 +135,7 @@ func TestQuorumDecryptCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	if *opened != testT+1 {
-		t.Errorf("unopenable envelopes behind the quorum: %d Decrypt calls, want %d", *opened, testT+1)
+		t.Errorf("unopenable envelopes behind the quorum: %d opens, want %d", *opened, testT+1)
 	}
 	// One short of a quorum: every envelope is tried, and the failure is the
 	// backend's too-few error under ErrNotEnough.
@@ -132,7 +145,7 @@ func TestQuorumDecryptCalls(t *testing.T) {
 		t.Errorf("%d openable envelopes: err = %v, want ErrNotEnough around %v", testT, err, tte.ErrTooFewPartials)
 	}
 	if *opened != testN {
-		t.Errorf("%d openable envelopes: %d Decrypt calls, want all %d", testT, *opened, testN)
+		t.Errorf("%d openable envelopes: %d opens, want all %d", testT, *opened, testN)
 	}
 
 	// The same walk recovers tsk shares: member 2 skips one hand-off
@@ -155,7 +168,7 @@ func TestQuorumDecryptCalls(t *testing.T) {
 			want += i
 		}
 		if *got != want {
-			t.Errorf("next/%d: %d Decrypt calls to recover its share, want %d", i+1, *got, want)
+			t.Errorf("next/%d: %d opens to recover its share, want %d", i+1, *got, want)
 		}
 	}
 	// A member left with t openable sub-shares stops the step.
@@ -167,7 +180,7 @@ func TestQuorumDecryptCalls(t *testing.T) {
 		t.Errorf("member with %d openable sub-shares: err = %v, want ErrNotEnough around %v naming next/5", testT, err, tte.ErrTooFewPartials)
 	}
 	if *nextOpened[4] != testN {
-		t.Errorf("member with %d openable sub-shares: %d Decrypt calls, want all %d", testT, *nextOpened[4], testN)
+		t.Errorf("member with %d openable sub-shares: %d opens, want all %d", testT, *nextOpened[4], testN)
 	}
 }
 
@@ -307,7 +320,7 @@ func TestQuorumMatchesOpeningEveryone(t *testing.T) {
 				var got *big.Int
 				if kind == 'r' {
 					for _, env := range res.Sealed[j] {
-						part, err := openSealed(f.Runner, recipients[j], env, f.TE.DecodePartial)
+						part, err := openEnvelope(f.Runner, recipients[j], env, f.TE.DecodePartial)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -356,7 +369,7 @@ func TestQuorumMatchesOpeningEveryone(t *testing.T) {
 				}
 				var all []tte.SubShare
 				for _, env := range tsk.handoff[i] {
-					sub, err := openSealed(f.Runner, role.SecretKey(), env, f.TE.DecodeSubShare)
+					sub, err := openEnvelope(f.Runner, role.SecretKey(), env, f.TE.DecodeSubShare)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -463,5 +476,160 @@ func TestDecryptStepWorkers(t *testing.T) {
 		if got := run(workers); !reflect.DeepEqual(got, want) {
 			t.Errorf("%d workers: %+v, serial run %+v", workers, got, want)
 		}
+	}
+}
+
+// scratchKey records every buffer its AppendDecrypt hands back, over its
+// whole capacity, so a test can look at a walk's scratch once the walk is
+// over, and counts the opens that were handed a scratch still holding a
+// byte of an earlier plaintext.
+type scratchKey struct {
+	pke.SecretKey
+	bufs  *[][]byte
+	dirty *int
+}
+
+func (k scratchKey) AppendDecrypt(dst, env []byte) ([]byte, error) {
+	if all := dst[:cap(dst)]; !bytes.Equal(all, make([]byte, len(all))) {
+		*k.dirty++
+	}
+	out, err := k.SecretKey.AppendDecrypt(dst, env)
+	*k.bufs = append(*k.bufs, out[:cap(out)])
+	return out, err
+}
+
+// freshWalk is a sealed walk without the scratch: the first t+1 envelopes
+// that open, each into a buffer of its own.
+func freshWalk[T any](r *Runner, sk pke.SecretKey, envs [][]byte, decode func(tte.PublicKey, []byte) (T, error)) []T {
+	var got []T
+	for _, env := range envs {
+		if v, err := openEnvelope(r, sk, env, decode); err == nil && len(got) <= r.TPK.T() {
+			got = append(got, v)
+		}
+	}
+	return got
+}
+
+// scratchWalk is quorum through a scratchKey, checking the scratch: every
+// open is handed one that is all zero, and so is every byte it ever held
+// once the walk is over.
+func scratchWalk[T any](t *testing.T, what string, r *Runner, sk pke.SecretKey, envs [][]byte, decode func(tte.PublicKey, []byte) (T, error)) []T {
+	t.Helper()
+	var bufs [][]byte
+	dirty := 0
+	got, err := quorum(r, scratchKey{sk, &bufs, &dirty}, envs, decode)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if dirty != 0 {
+		t.Errorf("%s: %d opens were handed a scratch holding an earlier plaintext", what, dirty)
+	}
+	if len(bufs) < r.TPK.T()+1 {
+		t.Fatalf("%s: %d envelopes opened, want at least %d", what, len(bufs), r.TPK.T()+1)
+	}
+	for i, buf := range bufs {
+		if !bytes.Equal(buf, make([]byte, len(buf))) {
+			t.Errorf("%s: open %d left %x in the scratch", what, i, buf)
+		}
+	}
+	return got
+}
+
+// A sealed walk opens every envelope into one scratch: on both backends
+// what it combines and recovers equals a walk that opened each envelope
+// into a fresh buffer, with unopenable envelopes on the way; every open is
+// handed a wiped scratch, and once the walk is over every byte the scratch
+// ever held is zero.
+func TestQuorumWalkWipesItsScratch(t *testing.T) {
+	real, err := tte.NewThreshold(paillier.FixedTestKey(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []struct {
+		name   string
+		te     TE
+		scheme pke.Scheme
+	}{
+		{"sim", tte.NewSim(512), pke.NewSim()},
+		{"real", real, pke.NewECIES()},
+	} {
+		t.Run(b.name, func(t *testing.T) {
+			f, dealt := newFixtureOn(t, b.te, b.scheme, nil)
+			c, next := f.form(t, "c"), f.form(t, "next")
+			pub, recipient, err := f.PKE.GenerateKey()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tsk, err := f.DealShares(c, dealt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct := f.encrypt(t, 4321)
+			res, err := f.TskStep(tsk, c, Spec{Phase: comm.PhaseOnline, Cat: comm.CatPartial, Label: "step"}, []Opening{{Ct: ct, Key: pub}}, next)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// Re-encrypt: the first and third envelopes do not open.
+			envs := spoil(t, res.Sealed[0], 0, 2)
+			want, err := f.TE.Combine(f.TPK, ct, freshWalk(f.Runner, recipient, envs, f.TE.DecodePartial))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := f.TE.Combine(f.TPK, ct, scratchWalk(t, "re-encrypt", f.Runner, recipient, envs, f.TE.DecodePartial))
+			if err != nil || got.Cmp(want) != 0 || got.Int64() != 4321 {
+				t.Errorf("re-encrypt: the scratch walk combines to %v, %v; fresh buffers to %v", got, err, want)
+			}
+
+			// TKRec: member j+1 of next skips j mod (n−t) envelopes first.
+			for j, role := range next.Roles {
+				envs := spoil(t, tsk.handoff[j], upTo(j%(testN-testT))...)
+				wantSh, err := f.TE.RecoverShare(f.TPK, j+1, freshWalk(f.Runner, role.SecretKey(), envs, f.TE.DecodeSubShare))
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotSh, err := f.TE.RecoverShare(f.TPK, j+1, scratchWalk(t, role.Name(), f.Runner, role.SecretKey(), envs, f.TE.DecodeSubShare))
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantEnc, err := f.TE.EncodeKeyShare(wantSh)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotEnc, err := f.TE.EncodeKeyShare(gotSh)
+				if err != nil || !bytes.Equal(gotEnc, wantEnc) {
+					t.Errorf("%s: the scratch walk recovers a different share (%v)", role.Name(), err)
+				}
+			}
+		})
+	}
+}
+
+// A sealed walk allocates what it decodes and no more: the quorum slice, one
+// scratch for every envelope, and per contribution only the decoded value.
+func TestSealedWalkAllocations(t *testing.T) {
+	f, dealt := newFixtureOn(t, tte.NewSim(512), pke.NewSim(), nil)
+	c := f.form(t, "c")
+	pub, recipient, err := f.PKE.GenerateKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsk, err := f.DealShares(c, dealt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.TskStep(tsk, c, Spec{Phase: comm.PhaseOnline, Cat: comm.CatPartial, Label: "step"}, []Opening{{Ct: f.encrypt(t, 5), Key: pub}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if parts, _ := quorum(f.Runner, recipient, res.Sealed[0], f.TE.DecodePartial); len(parts) != testT+1 {
+			t.Fatalf("walk opened %d, want %d", len(parts), testT+1)
+		}
+	})
+	// A Sim partial decodes into three objects: the message, its big.Int
+	// and the integer's words.
+	if budget := float64(3*(testT+1) + 2); allocs > budget {
+		t.Errorf("sealed walk: %.0f allocations, budget %.0f", allocs, budget)
 	}
 }

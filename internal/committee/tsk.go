@@ -331,48 +331,60 @@ func (r *Runner) recoverShares(tsk *Tsk, c *yoso.Committee, phase comm.Phase) er
 // out of all n. Contributions beyond the quorum are never decrypted or
 // parsed.
 //
-// With sk non-nil the views are envelopes sealed to sk. One that does not
-// open — wrong key, truncated, failed tag, undecodable plaintext — is
-// skipped and the walk goes on: the proof cannot vouch for what only the
-// recipient reads. With sk nil the views are public encodings under a
-// verified proof, so one that fails to decode before the quorum is full is
-// the error returned, beside the contributions that decoded before it; a
-// sealed walk never fails. Fewer than t+1 opened is not an error here: the
-// caller's Combine or RecoverShare reports ErrTooFewPartials, which the
-// caller wraps in ErrNotEnough.
+// With sk non-nil the views are envelopes sealed to sk, opened by
+// openSealed. With sk nil the views are public encodings under a verified
+// proof, so one that fails to decode before the quorum is full is the error
+// returned, beside the contributions that decoded before it; a sealed walk
+// never fails. Fewer than t+1 opened is not an error here: the caller's
+// Combine or RecoverShare reports ErrTooFewPartials, which the caller wraps
+// in ErrNotEnough.
 func quorum[T any](r *Runner, sk pke.SecretKey, views [][]byte, decode func(tte.PublicKey, []byte) (T, error)) ([]T, error) {
-	need := r.TPK.T() + 1
-	got := make([]T, 0, need)
-	for _, view := range views {
-		if len(got) == need {
-			break
+	got := make([]T, 0, r.TPK.T()+1)
+	if sk != nil {
+		return openSealed(r, sk, views, got, decode), nil
+	}
+	for _, view := range views[:min(len(views), cap(got))] {
+		v, err := decode(r.TPK, view)
+		if err != nil {
+			return got, err
 		}
-		if sk == nil {
-			v, err := decode(r.TPK, view)
-			if err != nil {
-				return got, err
-			}
-			got = append(got, v)
-		} else if v, err := openSealed(r, sk, view, decode); err == nil {
-			got = append(got, v)
-		}
+		got = append(got, v)
 	}
 	return got, nil
 }
 
-// openSealed opens one envelope and decodes what was sealed in it, wiping the
-// decrypted plaintext before returning — the raw bytes carry the same secret
-// as the partial decryption or key sub-share they encode and must not outlive
-// the decode.
-func openSealed[T any](r *Runner, sk pke.SecretKey, env []byte, decode func(tte.PublicKey, []byte) (T, error)) (T, error) {
-	data, err := sk.Decrypt(env)
-	if err != nil {
-		var none T
-		return none, err
+// openSealed is quorum's sealed walk: it appends to got what the envelopes
+// in envs open and decode to, until got is full. One that does not open —
+// wrong key, truncated, failed tag, undecodable plaintext — is skipped and
+// the walk goes on: the proof cannot vouch for what only the recipient
+// reads. Every envelope is opened into one plaintext scratch, wiped after
+// each decode — the raw bytes carry the same secret as the partial
+// decryption or key sub-share they encode — and over its whole capacity
+// when the walk ends, so the walk allocates nothing but what it decodes.
+func openSealed[T any](r *Runner, sk pke.SecretKey, envs [][]byte, got []T, decode func(tte.PublicKey, []byte) (T, error)) []T {
+	var plain []byte
+	for _, env := range envs {
+		if len(got) == cap(got) {
+			break
+		}
+		var err error
+		plain, err = sk.AppendDecrypt(plain[:0], env)
+		if err != nil {
+			continue
+		}
+		v, err := decode(r.TPK, plain)
+		clear(plain)
+		if err == nil {
+			got = append(got, v)
+		}
 	}
-	defer clear(data)
-	return decode(r.TPK, data)
+	wipeCapacity(plain)
+	return got
 }
+
+// wipeCapacity clears b up to its capacity, so no byte an open wrote into a
+// scratch's spare room outlives it.
+func wipeCapacity(b []byte) { clear(b[:cap(b)]) }
 
 // CombineSealed is the recipient's side of Re-encrypt: decrypt a quorum of
 // the partial decryptions sealed to sk and combine them into ct's integer

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"log/slog"
 	"strings"
+	"sync"
 	"testing"
 
 	"yosompc/internal/circuit"
@@ -918,5 +919,48 @@ func TestPlaintextCapacityExhaustionFailsLoudly(t *testing.T) {
 	}
 	if !errors.Is(err, tte.ErrPlaintextTooBig) {
 		t.Errorf("err = %v, want ErrPlaintextTooBig in chain", err)
+	}
+}
+
+// keepingPKE keeps every slice SecretKeyFromBytes is handed — what a KFF
+// owner builds its key from — instead of copying it. Layer members open
+// their KFFs on the worker pool, so the list is locked.
+type keepingPKE struct {
+	pke.Scheme
+	mu   sync.Mutex
+	kept [][]byte
+}
+
+func (k *keepingPKE) SecretKeyFromBytes(data []byte) (pke.SecretKey, error) {
+	k.mu.Lock()
+	k.kept = append(k.kept, data)
+	k.mu.Unlock()
+	return k.Scheme.SecretKeyFromBytes(data)
+}
+
+// A recovered KFF secret does not outlive the key built from it: once
+// openKFF has returned, the encoding it handed to SecretKeyFromBytes is all
+// zero, on both PKE backends.
+func TestOpenKFFWipesTheKeyEncoding(t *testing.T) {
+	circ, err := circuit.InnerProduct(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := inputsOf(map[int][]uint64{0: {1, 2}, 1: {3, 4}})
+	for _, scheme := range []pke.Scheme{pke.NewSim(), pke.NewECIES()} {
+		t.Run(scheme.Name(), func(t *testing.T) {
+			keeping := &keepingPKE{Scheme: scheme}
+			params := simParams(5, 1, 1, nil)
+			params.PKE = keeping
+			runAndCompare(t, params, circ, in)
+			if len(keeping.kept) == 0 {
+				t.Fatal("no KFF secret key was rebuilt")
+			}
+			for i, data := range keeping.kept {
+				if len(data) != pke.SecretKeySize || !bytes.Equal(data, make([]byte, len(data))) {
+					t.Errorf("KFF key %d: encoding %x left behind", i, data)
+				}
+			}
+		})
 	}
 }

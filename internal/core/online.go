@@ -213,16 +213,21 @@ func (r *run) onC1Speak() error {
 }
 
 // openKFF recovers a KFF secret key from its delivered envelopes using the
-// owner's role secret key.
+// owner's role secret key. The combined integer and its 32-byte encoding are
+// the secret key itself; both backends copy the encoding, so both are wiped
+// once the key is built.
 func (r *run) openKFF(entry *kffEntry, ownerSK pke.SecretKey, phase comm.Phase) (pke.SecretKey, error) {
 	v, err := r.rt.CombineSealed(ownerSK, entry.delivered, entry.secretCt)
 	if err != nil {
 		return nil, err
 	}
 	r.p.audit.Record(phase, ValKFFSecret, KeyRole)
-	buf := make([]byte, pke.SecretKeySize)
-	v.FillBytes(buf)
-	return r.p.params.PKE.SecretKeyFromBytes(buf)
+	var buf [pke.SecretKeySize]byte
+	v.FillBytes(buf[:])
+	clear(v.Bits())
+	sk, err := r.p.params.PKE.SecretKeyFromBytes(buf[:])
+	clear(buf[:])
+	return sk, err
 }
 
 // muBundle is a client's or layer role's broadcast of μ openings/shares.

@@ -297,9 +297,9 @@ type countingSK struct {
 	opened *atomic.Int64
 }
 
-func (s countingSK) Decrypt(env []byte) ([]byte, error) {
+func (s countingSK) AppendDecrypt(dst, env []byte) ([]byte, error) {
 	s.opened.Add(1)
-	return s.SecretKey.Decrypt(env)
+	return s.SecretKey.AppendDecrypt(dst, env)
 }
 
 func (c *countingPKE) GenerateKey() (pke.PublicKey, pke.SecretKey, error) {

@@ -98,8 +98,16 @@ func (s *Sealer) AppendEncrypt(dst []byte, to PublicKey, msg []byte) ([]byte, er
 
 // SecretKey is a decryption key.
 type SecretKey interface {
-	// Decrypt opens an encoded envelope. env is untrusted board bytes: it
-	// is validated, never modified, and the plaintext is a fresh buffer
+	// AppendDecrypt opens an encoded envelope and appends the plaintext to
+	// dst, returning the extended slice; on error dst is returned
+	// unchanged. env is untrusted board bytes: it is validated and never
+	// modified, and it must not overlap dst's spare capacity. The plaintext
+	// is written into dst's capacity when that suffices, so a reader opens
+	// every envelope of one quorum walk into one scratch, which it wipes
+	// after each decode and over its whole capacity when the walk ends, so
+	// no byte an open wrote outlives the walk.
+	AppendDecrypt(dst, env []byte) ([]byte, error)
+	// Decrypt is AppendDecrypt(nil, env): the plaintext is a fresh buffer
 	// the caller owns (and wipes).
 	Decrypt(env []byte) ([]byte, error)
 	// Bytes returns the fixed-size secret encoding (SecretKeySize bytes),
@@ -206,31 +214,35 @@ func (p *eciesPub) Fingerprint() string {
 	return fmt.Sprintf("%x", sum[:6])
 }
 
-// Decrypt implements SecretKey: the envelope must hold at least the
-// ephemeral key, the nonce and the tag, and GCM authenticates the rest.
-func (s *eciesSecret) Decrypt(env []byte) ([]byte, error) {
+// Decrypt implements SecretKey.
+func (s *eciesSecret) Decrypt(env []byte) ([]byte, error) { return s.AppendDecrypt(nil, env) }
+
+// AppendDecrypt implements SecretKey: the envelope must hold at least the
+// ephemeral key, the nonce and the tag, and GCM authenticates the rest,
+// opening it behind dst.
+func (s *eciesSecret) AppendDecrypt(dst, env []byte) ([]byte, error) {
 	if len(env) < EnvelopeOverhead {
-		return nil, fmt.Errorf("%w: envelope needs ≥ %d bytes, have %d", ErrShortData, EnvelopeOverhead, len(env))
+		return dst, fmt.Errorf("%w: envelope needs ≥ %d bytes, have %d", ErrShortData, EnvelopeOverhead, len(env))
 	}
 	ephemeral, nonce, body := env[:ephemeralSize], env[ephemeralSize:ephemeralSize+nonceSize], env[ephemeralSize+nonceSize:]
 	ephPK, err := ecdh.X25519().NewPublicKey(ephemeral)
 	if err != nil {
-		return nil, fmt.Errorf("%w: bad ephemeral key", ErrDecrypt)
+		return dst, fmt.Errorf("%w: bad ephemeral key", ErrDecrypt)
 	}
 	shared, err := s.sk.ECDH(ephPK)
 	if err != nil {
-		return nil, fmt.Errorf("%w: ECDH", ErrDecrypt)
+		return dst, fmt.Errorf("%w: ECDH", ErrDecrypt)
 	}
 	aead, err := deriveAEAD(shared, ephemeral, s.sk.PublicKey().Bytes())
 	clear(shared)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	msg, err := aead.Open(nil, nonce, body, nil)
+	out, err := aead.Open(dst, nonce, body, nil)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDecrypt, err)
+		return dst, fmt.Errorf("%w: %v", ErrDecrypt, err)
 	}
-	return msg, nil
+	return out, nil
 }
 
 // Bytes implements SecretKey.

@@ -514,9 +514,91 @@ func TestDecryptMalformedEnvelope(t *testing.T) {
 	}
 }
 
-// FuzzDecryptEnvelope feeds both backends arbitrary envelope bytes: Decrypt
-// must never panic, must leave the input alone, and may only succeed on the
-// sim backend — where the plaintext is then exactly the framed message.
+// AppendDecrypt opens behind dst: the prefix stays as it was, the plaintext
+// is Decrypt's, it lands in dst's own array when the capacity suffices, and
+// an envelope that does not open leaves dst exactly as it came.
+func TestAppendDecrypt(t *testing.T) {
+	for name, s := range backends() {
+		t.Run(name, func(t *testing.T) {
+			pk, sk, err := s.GenerateKey()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, other, err := s.GenerateKey()
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg := []byte("a sealed partial decryption")
+			env, err := pk.Encrypt(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sk.Decrypt(env)
+			if err != nil || !bytes.Equal(want, msg) {
+				t.Fatalf("Decrypt: %q, %v", want, err)
+			}
+			prefix := []byte("prefix")
+			withPrefix := append(bytes.Clone(prefix), want...)
+
+			// Too little capacity: a new array, the prefix copied in front.
+			dst := bytes.Clone(prefix)
+			got, err := sk.AppendDecrypt(dst, env)
+			if err != nil || !bytes.Equal(got, withPrefix) {
+				t.Fatalf("AppendDecrypt behind a full prefix: %q, %v", got, err)
+			}
+			if !bytes.Equal(dst, prefix) {
+				t.Errorf("AppendDecrypt changed the prefix to %q", dst)
+			}
+
+			// Room enough: the plaintext is written into dst's array.
+			dst = append(make([]byte, 0, len(prefix)+len(msg)), prefix...)
+			got, err = sk.AppendDecrypt(dst, env)
+			if err != nil || !bytes.Equal(got, withPrefix) {
+				t.Fatalf("AppendDecrypt into spare capacity: %q, %v", got, err)
+			}
+			if &got[0] != &dst[0] || cap(got) != cap(dst) {
+				t.Errorf("AppendDecrypt reallocated although dst had room for the plaintext")
+			}
+
+			// ECIES authenticates the body; Sim's tampering is a key id
+			// that is not the reader's.
+			tampered := bytes.Clone(env)
+			if name == "sim" {
+				tampered[0] ^= 1
+			} else {
+				tampered[len(tampered)-1] ^= 1
+			}
+			for _, tc := range []struct {
+				name string
+				key  SecretKey
+				env  []byte
+			}{
+				{"short", sk, env[:EnvelopeOverhead-1]},
+				{"truncated", sk, env[:len(env)-1]},
+				{"tampered", sk, tampered},
+				{"wrong key", other, env},
+			} {
+				spare := append(make([]byte, 0, len(prefix)+len(env)), prefix...)
+				got, err := tc.key.AppendDecrypt(spare, tc.env)
+				if err == nil {
+					t.Errorf("%s: opened to %q", tc.name, got)
+					continue
+				}
+				if !bytes.Equal(got, prefix) || cap(got) != cap(spare) || &got[0] != &spare[0] {
+					t.Errorf("%s: returned %q (cap %d), want dst unchanged", tc.name, got, cap(got))
+				}
+				if dec, err := tc.key.Decrypt(tc.env); err == nil || dec != nil {
+					t.Errorf("%s: Decrypt opened to %q, %v", tc.name, dec, err)
+				}
+			}
+		})
+	}
+}
+
+// FuzzDecryptEnvelope feeds both backends arbitrary envelope bytes behind an
+// arbitrary prefix: AppendDecrypt must never panic, must leave the input and
+// the prefix alone, must agree with Decrypt, and may only succeed on the sim
+// backend — where the plaintext is then exactly the framed message.
 func FuzzDecryptEnvelope(f *testing.F) {
 	seed := bytes.Repeat([]byte{7}, SecretKeySize)
 	keys := map[string]SecretKey{}
@@ -530,9 +612,9 @@ func FuzzDecryptEnvelope(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(env)
-		f.Add(env[:len(env)-1])
-		f.Add(env[:EnvelopeOverhead])
+		f.Add([]byte(nil), env)
+		f.Add([]byte("prefix"), env[:len(env)-1])
+		f.Add([]byte{0}, env[:EnvelopeOverhead])
 		// A posting's envelopes: one Sealer's, so they share an ephemeral
 		// key, one to a stranger and two to the same recipient.
 		stranger, _, err := s.GenerateKey()
@@ -545,23 +627,34 @@ func FuzzDecryptEnvelope(f *testing.F) {
 			if err != nil {
 				f.Fatal(err)
 			}
-			f.Add(env)
+			f.Add([]byte("a posting's prefix"), env)
 		}
 	}
-	f.Add([]byte{})
-	f.Add(make([]byte, EnvelopeOverhead))
-	f.Fuzz(func(t *testing.T, env []byte) {
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{1, 2, 3}, make([]byte, EnvelopeOverhead))
+	f.Fuzz(func(t *testing.T, prefix, env []byte) {
 		for name, sk := range keys {
 			in := bytes.Clone(env)
-			got, err := sk.Decrypt(env)
+			dst := bytes.Clone(prefix)
+			out, err := sk.AppendDecrypt(dst, env)
 			if !bytes.Equal(in, env) {
-				t.Fatalf("%s: Decrypt modified the envelope", name)
+				t.Fatalf("%s: AppendDecrypt modified the envelope", name)
+			}
+			if !bytes.Equal(dst, prefix) || len(out) < len(prefix) || !bytes.Equal(out[:len(prefix)], prefix) {
+				t.Fatalf("%s: AppendDecrypt changed the prefix", name)
+			}
+			got, decErr := sk.Decrypt(env)
+			if (err == nil) != (decErr == nil) {
+				t.Fatalf("%s: AppendDecrypt err = %v, Decrypt err = %v", name, err, decErr)
 			}
 			if err != nil {
-				if got != nil {
+				if got != nil || len(out) != len(prefix) {
 					t.Fatalf("%s: plaintext alongside error %v", name, err)
 				}
 				continue
+			}
+			if !bytes.Equal(out[len(prefix):], got) {
+				t.Fatalf("%s: AppendDecrypt opened to %x, Decrypt to %x", name, out[len(prefix):], got)
 			}
 			if len(got) != len(env)-EnvelopeOverhead {
 				t.Fatalf("%s: %d-byte plaintext from a %d-byte envelope", name, len(got), len(env))

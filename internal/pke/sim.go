@@ -1,7 +1,6 @@
 package pke
 
 import (
-	"bytes"
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/subtle"
@@ -101,22 +100,25 @@ func (p *simPub) Bytes() []byte {
 // Fingerprint implements PublicKey.
 func (p *simPub) Fingerprint() string { return fmt.Sprintf("sim-%012x", p.id) }
 
-// Decrypt implements SecretKey. It insists on the exact padded length, so
-// sealing and opening agree on every byte, and enforces that only the
+// Decrypt implements SecretKey.
+func (k *simSecret) Decrypt(env []byte) ([]byte, error) { return k.AppendDecrypt(nil, env) }
+
+// AppendDecrypt implements SecretKey. It insists on the exact padded length,
+// so sealing and opening agree on every byte, and enforces that only the
 // matching key opens the envelope, so key-routing bugs in the protocol fail
-// loudly.
-func (k *simSecret) Decrypt(env []byte) ([]byte, error) {
+// loudly. The message is appended to dst: nothing else is allocated.
+func (k *simSecret) AppendDecrypt(dst, env []byte) ([]byte, error) {
 	if len(env) < EnvelopeOverhead {
-		return nil, fmt.Errorf("%w: envelope needs ≥ %d bytes, have %d", ErrShortData, EnvelopeOverhead, len(env))
+		return dst, fmt.Errorf("%w: envelope needs ≥ %d bytes, have %d", ErrShortData, EnvelopeOverhead, len(env))
 	}
 	msgLen := binary.BigEndian.Uint32(env[8:])
 	if msgLen > wire.MaxLen || int(msgLen) != len(env)-EnvelopeOverhead {
-		return nil, fmt.Errorf("%w: message length %d in a %d-byte envelope", ErrShortData, msgLen, len(env))
+		return dst, fmt.Errorf("%w: message length %d in a %d-byte envelope", ErrShortData, msgLen, len(env))
 	}
 	if keyID := binary.BigEndian.Uint64(env); !ctEqualID(keyID, k.id) {
-		return nil, fmt.Errorf("%w: envelope for key %012x, have %012x", ErrDecrypt, keyID, k.id)
+		return dst, fmt.Errorf("%w: envelope for key %012x, have %012x", ErrDecrypt, keyID, k.id)
 	}
-	return bytes.Clone(env[simHeaderSize : simHeaderSize+int(msgLen)]), nil
+	return append(dst, env[simHeaderSize:simHeaderSize+int(msgLen)]...), nil
 }
 
 // Bytes implements SecretKey.

@@ -255,17 +255,22 @@ func appendAbs(dst []byte, v *big.Int, n int) []byte {
 	return dst
 }
 
-func decodeBig(tag byte, nFields int, data []byte) ([]uint32, *big.Int, error) {
+// maxFields is the most u32 fields a message carries (a sub-share's three).
+const maxFields = 3
+
+// decodeBig parses appendBig's layout with nFields ≤ maxFields fields, which
+// it returns by value: the value is the only thing it allocates.
+func decodeBig(tag byte, nFields int, data []byte) ([maxFields]uint32, *big.Int, error) {
+	var fields [maxFields]uint32
 	min := 1 + 4*nFields + 1 + 4
 	if len(data) < min {
-		return nil, nil, fmt.Errorf("%w: short message", ErrMalformedMessage)
+		return fields, nil, fmt.Errorf("%w: short message", ErrMalformedMessage)
 	}
 	if data[0] != tag {
-		return nil, nil, fmt.Errorf("%w: tag %d, want %d", ErrMalformedMessage, data[0], tag)
+		return fields, nil, fmt.Errorf("%w: tag %d, want %d", ErrMalformedMessage, data[0], tag)
 	}
-	fields := make([]uint32, nFields)
 	off := 1
-	for i := range fields {
+	for i := range nFields {
 		fields[i] = binary.BigEndian.Uint32(data[off:])
 		off += 4
 	}
@@ -274,7 +279,7 @@ func decodeBig(tag byte, nFields int, data []byte) ([]uint32, *big.Int, error) {
 	vlen := int(binary.BigEndian.Uint32(data[off:]))
 	off += 4
 	if len(data) < off+vlen {
-		return nil, nil, fmt.Errorf("%w: truncated value", ErrMalformedMessage)
+		return fields, nil, fmt.Errorf("%w: truncated value", ErrMalformedMessage)
 	}
 	v := new(big.Int).SetBytes(data[off : off+vlen])
 	if sign == 1 {

@@ -3,13 +3,17 @@ package tte
 import (
 	"fmt"
 	"math/big"
+	"slices"
 )
 
 // The TE messages, one type per kind for both backends: metadata, the value
 // the real scheme computes with, and the wire size. On Sim a ciphertext's
 // and a partial's value is the plaintext itself, and key shares and
-// sub-shares carry none (nil). The input checks below are the ones both
-// backends run; each backend adds only its arithmetic.
+// sub-shares carry none (nil). A ciphertext's value and bound are never
+// modified once it exists, so they are shared: one bound serves an
+// EncryptMany batch, and a Sim partial holds its ciphertext's value. The
+// input checks below are the ones both backends run; each backend adds only
+// its arithmetic.
 
 // publicKey is either backend's public key; scheme names the backend that
 // dealt it, so that each refuses the other's keys.
@@ -168,12 +172,22 @@ func (c *codec) evalBound(pk PublicKey, cts []Ciphertext, coeffs []*big.Int) (*p
 		if coeffs[i].Sign() < 0 {
 			return nil, nil, fmt.Errorf("%w: coefficient %d", ErrNegativeCoeff, i)
 		}
-		bound.Add(bound, term.Mul(coeffs[i], x.bound))
+		bound.Add(bound, scaled(term, coeffs[i], x.bound))
 	}
 	if bound.Cmp(p.maxPlain) > 0 {
 		return nil, nil, fmt.Errorf("%w: combined bound %v", ErrPlaintextTooBig, bound)
 	}
 	return p, bound, nil
+}
+
+// scaled returns c·x, computed into term unless c is one, when it is x
+// itself: the n-term contribution sums have all-one coefficients, and
+// adding is what multiplying by one costs there. c must be non-negative.
+func scaled(term, c, x *big.Int) *big.Int {
+	if c.BitLen() == 1 {
+		return x
+	}
+	return term.Mul(c, x)
 }
 
 // partials is TDec's input check: the non-nil partials, all of one epoch
@@ -195,7 +209,7 @@ func (c *codec) partials(pk PublicKey, parts []PartialDec) (*publicKey, []*parti
 		}
 		ps = append(ps, q)
 	}
-	epoch, err := distinct(ps, p.t, "partials", func(q *partial) (int, int) { return q.index, q.epoch })
+	epoch, err := distinct(ps, p.n, p.t, "partials", func(q *partial) (int, int) { return q.index, q.epoch })
 	return p, ps, epoch, err
 }
 
@@ -218,14 +232,22 @@ func (c *codec) subShares(pk PublicKey, index int, subs []SubShare) (*publicKey,
 		}
 		ss[i] = s
 	}
-	epoch, err := distinct(ss, p.t, "subshares", func(s *subShare) (int, int) { return s.from, s.epoch })
+	epoch, err := distinct(ss, p.n, p.t, "subshares", func(s *subShare) (int, int) { return s.from, s.epoch })
 	return p, ss, epoch, err
 }
 
 // distinct is the set check TDec and TKRec share: msgs all of one epoch
 // and from distinct parties, at least t+1 of them. It returns the epoch.
-func distinct[M any](msgs []M, t int, what string, key func(M) (party, epoch int)) (int, error) {
-	seen := make(map[int]bool, len(msgs))
+// Parties 0…n are marked in a bitset, on the stack up to n = 255; a party
+// outside that range comes only from a forged message and is looked up
+// among the others like it.
+func distinct[M any](msgs []M, n, t int, what string, key func(M) (party, epoch int)) (int, error) {
+	var small [4]uint64
+	seen := small[:]
+	if words := n/64 + 1; words > len(seen) {
+		seen = make([]uint64, words)
+	}
+	var outside []int
 	epoch := 0
 	for i, m := range msgs {
 		party, e := key(m)
@@ -234,10 +256,16 @@ func distinct[M any](msgs []M, t int, what string, key func(M) (party, epoch int
 		} else if e != epoch {
 			return 0, ErrEpochMismatch
 		}
-		if seen[party] {
+		dup := false
+		if uint(party) < uint(64*len(seen)) {
+			word, bit := party/64, uint64(1)<<(party%64)
+			dup, seen[word] = seen[word]&bit != 0, seen[word]|bit
+		} else {
+			dup, outside = slices.Contains(outside, party), append(outside, party)
+		}
+		if dup {
 			return 0, fmt.Errorf("%w: %s from %d", ErrDuplicateIndex, what, party)
 		}
-		seen[party] = true
 	}
 	if len(msgs) < t+1 {
 		return 0, fmt.Errorf("%w: have %d %s, need %d", ErrTooFewPartials, len(msgs), what, t+1)

@@ -80,8 +80,9 @@ func (s *Sim) EncryptMany(pk PublicKey, ms []*big.Int, bound *big.Int, _ int) ([
 		return nil, err
 	}
 	out := make([]Ciphertext, len(ms))
+	shared := new(big.Int).Set(bound)
 	for i, m := range ms {
-		out[i] = &ciphertext{value: new(big.Int).Set(m), bound: new(big.Int).Set(bound), size: p.ctBytes}
+		out[i] = &ciphertext{value: new(big.Int).Set(m), bound: shared, size: p.ctBytes}
 	}
 	return out, nil
 }
@@ -94,18 +95,19 @@ func (s *Sim) Eval(pk PublicKey, cts []Ciphertext, coeffs []*big.Int) (Ciphertex
 	}
 	val, term := new(big.Int), new(big.Int)
 	for i, ct := range cts {
-		val.Add(val, term.Mul(coeffs[i], ct.(*ciphertext).value))
+		val.Add(val, scaled(term, coeffs[i], ct.(*ciphertext).value))
 	}
 	return &ciphertext{value: val, bound: bound, size: p.ctBytes}, nil
 }
 
-// PartialDecrypt implements TPDec.
+// PartialDecrypt implements TPDec. The partial holds the ciphertext's
+// value, which neither ever modifies.
 func (s *Sim) PartialDecrypt(pk PublicKey, sh KeyShare, ct Ciphertext) (PartialDec, error) {
 	p, k, c, err := s.operands(pk, sh, ct)
 	if err != nil {
 		return nil, err
 	}
-	return &partial{index: k.index, epoch: k.epoch, v: new(big.Int).Set(c.value), size: p.ctBytes}, nil
+	return &partial{index: k.index, epoch: k.epoch, v: c.value, size: p.ctBytes}, nil
 }
 
 // Combine implements TDec: the majority value among > t partials with

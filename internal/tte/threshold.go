@@ -119,13 +119,16 @@ func (s *Threshold) EncryptMany(pk PublicKey, ms []*big.Int, bound *big.Int, wor
 		return nil, err
 	}
 	out := make([]Ciphertext, len(cts))
+	shared := new(big.Int).Set(bound)
 	for i, ct := range cts {
-		out[i] = &ciphertext{value: ct.C, bound: new(big.Int).Set(bound), size: p.ctBytes}
+		out[i] = &ciphertext{value: ct.C, bound: shared, size: p.ctBytes}
 	}
 	return out, nil
 }
 
-// Eval implements TEval with non-negative integer coefficients.
+// Eval implements TEval with non-negative integer coefficients. A term
+// whose coefficient is one is multiplied in as it is: c^1 mod N^{s+1} is
+// what the product reduces it to anyway.
 func (s *Threshold) Eval(pk PublicKey, cts []Ciphertext, coeffs []*big.Int) (Ciphertext, error) {
 	p, bound, err := s.evalBound(pk, cts, coeffs)
 	if err != nil {
@@ -133,9 +136,14 @@ func (s *Threshold) Eval(pk PublicKey, cts []Ciphertext, coeffs []*big.Int) (Cip
 	}
 	acc := &paillier.Ciphertext{C: big.NewInt(1)}
 	for i, ct := range cts {
-		if coeffs[i].Sign() != 0 {
-			acc = s.dj.Add(acc, s.dj.ScalarMul(&paillier.Ciphertext{C: ct.(*ciphertext).value}, coeffs[i]))
+		if coeffs[i].Sign() == 0 {
+			continue
 		}
+		x := &paillier.Ciphertext{C: ct.(*ciphertext).value}
+		if coeffs[i].BitLen() != 1 {
+			x = s.dj.ScalarMul(x, coeffs[i])
+		}
+		acc = s.dj.Add(acc, x)
 	}
 	return &ciphertext{value: acc.C, bound: bound, size: p.ctBytes}, nil
 }

@@ -37,7 +37,8 @@ import (
 
 // Ciphertext is an opaque threshold-encryption ciphertext.
 type Ciphertext interface {
-	// Bound returns a public upper bound on the integer plaintext.
+	// Bound returns a public upper bound on the integer plaintext. It is
+	// read-only: ciphertexts share their bounds.
 	Bound() *big.Int
 	// Size returns the ciphertext's size in bytes on the wire.
 	Size() int
