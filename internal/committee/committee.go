@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math/big"
+	"math/bits"
 
 	"yosompc/internal/comm"
 	"yosompc/internal/field"
@@ -226,22 +227,25 @@ func Step[T Payload](r *Runner, c *yoso.Committee, sp Spec, honest func(i int) (
 
 // SumContributions adds each position's verified contributions: the
 // standard "everyone computes TEval(tpk, {c_i}_{i∈S}, (1)^|S|)" pattern.
-// Positions are independent, so the loop fans out over the worker pool.
+// Positions are independent, so the loop fans out over the worker pool;
+// each worker gathers a position's terms into its own scratch.
 func (r *Runner) SumContributions(posts []Post[CtBundle], count int) ([]tte.Ciphertext, error) {
 	if len(posts) == 0 {
 		return nil, fmt.Errorf("%w: no valid contributions", ErrNotEnough)
 	}
 	out := make([]tte.Ciphertext, count)
 	ones := Ones(len(posts))
-	err := r.Pfor(count, func(pos int) error {
-		parts := make([]tte.Ciphertext, len(posts))
+	m := len(posts)
+	scratch := make([]tte.Ciphertext, min(parallel.Normalize(r.Workers), count)*m)
+	err := parallel.ForWorker(r.Ctx, r.Workers, count, func(worker, pos int) error {
+		parts := scratch[worker*m : (worker+1)*m]
 		for i, p := range posts {
 			parts[i] = p.Payload[pos]
 		}
 		var err error
 		out[pos], err = r.TE.Eval(r.TPK, parts, ones)
 		return err
-	})
+	}, r.Obs)
 	return out, err
 }
 
@@ -259,5 +263,48 @@ func Ones(m int) []*big.Int {
 // TEval expects.
 func FieldCoeff(e field.Element) *big.Int { return new(big.Int).SetUint64(e.Uint64()) }
 
+// Plaintexts is a batch of field elements lifted to the integers TEnc and
+// TEval take, backed by one slab of big.Ints and one of their words rather
+// than by two objects per value. A member's secret contributions are wiped
+// with Wipe once used; public coefficients need not be.
+type Plaintexts struct {
+	Ints  []*big.Int
+	vals  []big.Int
+	words []big.Word
+}
+
+// wordsPerElement is how many big.Words hold a field element.
+const wordsPerElement = 64 / bits.UintSize
+
+// FieldCoeffs is FieldCoeff over a vector, in one slab of each.
+func FieldCoeffs(es []field.Element) Plaintexts {
+	p := Plaintexts{
+		Ints:  make([]*big.Int, len(es)),
+		vals:  make([]big.Int, len(es)),
+		words: make([]big.Word, wordsPerElement*len(es)),
+	}
+	for i, e := range es {
+		end := wordsPerElement * (i + 1)
+		w := p.words[end-wordsPerElement : end : end]
+		v := e.Uint64()
+		w[0] = big.Word(v)
+		if wordsPerElement == 2 {
+			w[1] = big.Word(v >> 32)
+		}
+		p.Ints[i] = p.vals[i].SetBits(w)
+	}
+	return p
+}
+
+// Wipe zeroes the plaintexts' words and detaches the integers from them.
+func (p Plaintexts) Wipe() {
+	clear(p.words)
+	clear(p.vals)
+	clear(p.Ints)
+}
+
 // BoundP is the public bound on a single field-element plaintext.
 var BoundP = new(big.Int).SetUint64(field.Modulus)
+
+// pMinus1 is p − 1, the largest field element as an integer.
+var pMinus1 = new(big.Int).SetUint64(field.Modulus - 1)

@@ -529,6 +529,85 @@ func TestBeaverTriples(t *testing.T) {
 	}
 }
 
+// Every c^c carries a bound computed from public data alone,
+// |S_b2|·(p−1)·Bound(c^a), and not TEval's Σ b_i·Bound(c^a), which would
+// publish b: two runs with different randomness report the same bounds.
+func TestBeaverBoundsArePublic(t *testing.T) {
+	f, _ := newFixture(t)
+	var first []*big.Int
+	for run := 0; run < 2; run++ {
+		b1, b2 := f.form(t, fmt.Sprintf("b1-%d", run)), f.form(t, fmt.Sprintf("b2-%d", run))
+		const count = 3
+		a, b, c, err := f.Beaver(b1, b2, count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Bound(c^b) is |S_b2|·p: the verified b2 members times BoundP.
+		verified := new(big.Int).Quo(b[0].Bound(), BoundP)
+		for g := range c {
+			want := new(big.Int).Mul(verified, pMinus1)
+			want.Mul(want, a[g].Bound())
+			if c[g].Bound().Cmp(want) != 0 {
+				t.Errorf("run %d, triple %d: Bound(c^c) = %v, want |S|·(p−1)·Bound(c^a) = %v", run, g, c[g].Bound(), want)
+			}
+			if run == 0 {
+				first = append(first, c[g].Bound())
+			} else if c[g].Bound().Cmp(first[g]) != 0 {
+				t.Errorf("triple %d: Bound(c^c) %v in one run and %v in another", g, first[g], c[g].Bound())
+			}
+		}
+	}
+}
+
+// A member's random contribution costs a constant number of allocations,
+// whatever its length: one read of randomness, one slab each for the
+// plaintexts and for the Sim ciphertexts. Wipe zeroes the plaintexts.
+func TestEncryptRandomAllocations(t *testing.T) {
+	f, _ := newFixture(t)
+	for _, count := range []int{1, 64} {
+		allocs := testing.AllocsPerRun(50, func() {
+			ms, cts, err := f.EncryptRandom(count)
+			if err != nil || len(cts) != count || len(ms.Ints) != count {
+				t.Fatalf("EncryptRandom(%d): %d ciphertexts, %d plaintexts, %v", count, len(cts), len(ms.Ints), err)
+			}
+			ms.Wipe()
+		})
+		// The read's buffer and vector, three plaintext slabs and
+		// EncryptMany's six read 11; five objects per value read 5·count + 4.
+		if allocs > 16 {
+			t.Errorf("EncryptRandom(%d): %.0f allocations, want at most 16", count, allocs)
+		}
+	}
+	ms, _, err := f.EncryptRandom(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words, vals := ms.words, ms.vals
+	ms.Wipe()
+	for i, w := range words {
+		if w != 0 {
+			t.Fatalf("word %d is %#x after Wipe", i, w)
+		}
+	}
+	for i := range vals {
+		if vals[i].Sign() != 0 || ms.Ints[i] != nil {
+			t.Fatalf("plaintext %d survives Wipe", i)
+		}
+	}
+}
+
+// FieldCoeffs lifts each element to the integer FieldCoeff gives, the
+// extremes included.
+func TestFieldCoeffsMatchFieldCoeff(t *testing.T) {
+	es := []field.Element{field.Zero, field.One, field.New(field.Modulus - 1), field.New(1 << 40)}
+	ms := FieldCoeffs(es)
+	for i, e := range es {
+		if ms.Ints[i].Cmp(FieldCoeff(e)) != 0 {
+			t.Errorf("element %v lifts to %v", e, ms.Ints[i])
+		}
+	}
+}
+
 // One member's posting costs a bounded number of allocations per sealed
 // opening: the partial decryption itself (three on the Sim backend), and
 // nothing for encoding it, sealing it or placing it in the posting.

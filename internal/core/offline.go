@@ -341,12 +341,8 @@ func (r *run) offlinePack() error {
 			// One homomorphic interpolation per share index — the
 			// packing-helper hot loop, fanned out slot-indexed per index.
 			err := r.rt.Pfor(p.N, func(i int) error {
-				row := dom.ShareRow(i + 1)
-				coeffs := make([]*big.Int, len(points))
-				for j := range coeffs {
-					coeffs[j] = committee.FieldCoeff(row[j])
-				}
-				ct, err := te.Eval(r.rt.TPK, points, coeffs)
+				coeffs := committee.FieldCoeffs(dom.ShareRow(i + 1)[:len(points)])
+				ct, err := te.Eval(r.rt.TPK, points, coeffs.Ints)
 				if err != nil {
 					return err
 				}

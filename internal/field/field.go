@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/big"
 	"math/bits"
 )
@@ -204,17 +205,22 @@ func FromBytes(buf []byte) (Element, error) {
 
 // Random returns a uniformly random field element from crypto/rand.
 func Random() (Element, error) {
-	var buf [8]byte
+	var buf [ElementSize]byte
 	for {
 		if _, err := rand.Read(buf[:]); err != nil {
 			return Element{}, fmt.Errorf("field: sampling randomness: %w", err)
 		}
-		// Rejection-sample 61-bit values for exact uniformity.
-		v := binary.BigEndian.Uint64(buf[:]) >> 3 // 61 bits
-		if v < Modulus {
-			return Element{v}, nil
+		if e, ok := sample(buf[:]); ok {
+			return e, nil
 		}
 	}
+}
+
+// sample is the rejection step of every draw: the top 61 bits of an 8-byte
+// chunk, accepted below p, for exact uniformity.
+func sample(chunk []byte) (Element, bool) {
+	v := binary.BigEndian.Uint64(chunk) >> 3
+	return Element{v}, v < Modulus
 }
 
 // MustRandom returns a uniformly random element and panics if the system
@@ -227,13 +233,30 @@ func MustRandom() Element {
 	return e
 }
 
-// RandomVec returns a vector of n uniformly random field elements.
-func RandomVec(n int) ([]Element, error) {
+// RandomVec returns a vector of n uniformly random field elements, drawn
+// from one crypto/rand read of 8n bytes.
+func RandomVec(n int) ([]Element, error) { return randomVecFrom(rand.Reader, n) }
+
+// randomVecFrom is RandomVec over r: n chunks from one read, each
+// rejection-sampled like Random's draws, a rejected one redrawn from r. The
+// byte buffer is wiped before it returns, and so is a partial result on
+// error.
+func randomVecFrom(r io.Reader, n int) ([]Element, error) {
+	buf := make([]byte, ElementSize*n)
+	defer clear(buf)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, fmt.Errorf("field: sampling randomness: %w", err)
+	}
 	out := make([]Element, n)
 	for i := range out {
-		e, err := Random()
-		if err != nil {
-			return nil, err
+		e, ok := sample(buf[ElementSize*i:])
+		for !ok {
+			// Chunks 0..i are spent, so the first one holds the redraw.
+			if _, err := io.ReadFull(r, buf[:ElementSize]); err != nil {
+				Zeroize(out)
+				return nil, fmt.Errorf("field: sampling randomness: %w", err)
+			}
+			e, ok = sample(buf)
 		}
 		out[i] = e
 	}

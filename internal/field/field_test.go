@@ -1,6 +1,9 @@
 package field
 
 import (
+	"encoding/binary"
+	"errors"
+	"io"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -257,6 +260,118 @@ func TestRandomVec(t *testing.T) {
 	}
 	if len(v) != 16 {
 		t.Fatalf("len = %d", len(v))
+	}
+}
+
+// stream is an io.Reader over fixed bytes that keeps every buffer it was
+// asked to fill, so a test can look at them after the call returned.
+type stream struct {
+	data []byte
+	seen [][]byte
+	err  error // returned once data runs out
+}
+
+func (s *stream) Read(p []byte) (int, error) {
+	s.seen = append(s.seen, p)
+	if len(s.data) == 0 {
+		if s.err != nil {
+			return 0, s.err
+		}
+		return 0, io.EOF
+	}
+	n := copy(p, s.data)
+	s.data = s.data[n:]
+	return n, nil
+}
+
+// chunks encodes each v as an 8-byte big-endian chunk whose top 61 bits are
+// v, the way Random reads a draw.
+func chunks(vs ...uint64) []byte {
+	var out []byte
+	for _, v := range vs {
+		out = binary.BigEndian.AppendUint64(out, v<<3|5)
+	}
+	return out
+}
+
+// One read serves the whole vector: without a rejection the result is the
+// n sequential draws Random would make from the same stream, and the byte
+// buffer the stream filled is wiped when RandomVec returns.
+func TestRandomVecFromOneRead(t *testing.T) {
+	want := []uint64{0, 1, Modulus - 1, 0x123456789abcdef, 42}
+	s := &stream{data: chunks(want...)}
+	got, err := randomVecFrom(s, len(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range want {
+		if got[i].Uint64() != v {
+			t.Errorf("element %d = %v, want %d", i, got[i], v)
+		}
+	}
+	if len(s.seen) != 1 || len(s.seen[0]) != ElementSize*len(want) {
+		t.Fatalf("reads of %v bytes, want one of %d", lens(s.seen), ElementSize*len(want))
+	}
+	for i, b := range s.seen[0] {
+		if b != 0 {
+			t.Fatalf("byte %d of the randomness buffer is %#x after return, want it wiped", i, b)
+		}
+	}
+}
+
+func lens(bufs [][]byte) []int {
+	out := make([]int, len(bufs))
+	for i, b := range bufs {
+		out[i] = len(b)
+	}
+	return out
+}
+
+// An all-ones chunk reads 2^61 − 1 = p, which the 61-bit rejection refuses:
+// that element is redrawn from the stream after the vector's chunks, and
+// the others keep their places.
+func TestRandomVecFromRedrawsRejected(t *testing.T) {
+	data := chunks(7, 8)
+	data = append(data, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff)
+	data = append(data, chunks(9, 10)...)
+	s := &stream{data: data}
+	got, err := randomVecFrom(s, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []uint64{7, 8, 10, 9}
+	for i, v := range want {
+		if got[i].Uint64() != v {
+			t.Errorf("element %d = %v, want %d", i, got[i], v)
+		}
+	}
+	for _, buf := range s.seen {
+		for _, b := range buf {
+			if b != 0 {
+				t.Fatal("randomness buffer not wiped after a redraw")
+			}
+		}
+	}
+}
+
+func TestRandomVecFromEmpty(t *testing.T) {
+	got, err := randomVecFrom(&stream{}, 0)
+	if err != nil || len(got) != 0 {
+		t.Errorf("randomVecFrom(0) = %v, %v; want an empty vector", got, err)
+	}
+}
+
+// A failing reader is reported, on the bulk read and on a redraw alike.
+func TestRandomVecFromReaderError(t *testing.T) {
+	boom := errors.New("entropy exhausted")
+	for name, s := range map[string]*stream{
+		"bulk":   {data: chunks(1, 2)[:12], err: boom},
+		"redraw": {data: append(chunks(1), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff), err: boom},
+	} {
+		got, err := randomVecFrom(s, 2)
+		if !errors.Is(err, boom) || got != nil {
+			t.Errorf("%s: randomVecFrom = %v, %v; want nil and %v", name, got, err, boom)
+		}
 	}
 }
 

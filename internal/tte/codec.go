@@ -84,7 +84,13 @@ func (c *codec) newShare(index, epoch int, d *big.Int) *keyShare {
 }
 
 func (c *codec) newSub(from, to, epoch int, v *big.Int) *subShare {
-	return &subShare{from: from, to: to, epoch: epoch, v: v, size: max(c.subSharePad, byteLen(v))}
+	sub := c.makeSub(from, to, epoch, v)
+	return &sub
+}
+
+// makeSub is newSub by value, for a slab of sub-shares.
+func (c *codec) makeSub(from, to, epoch int, v *big.Int) subShare {
+	return subShare{from: from, to: to, epoch: epoch, v: v, size: max(c.subSharePad, byteLen(v))}
 }
 
 // EncodePartial serializes a partial decryption.
@@ -247,11 +253,16 @@ func appendBig(dst []byte, pad int, tag byte, v *big.Int, fields ...uint32) []by
 	return padTo(appendAbs(dst, v, vlen), start+pad)
 }
 
-// appendAbs appends |v| as exactly n big-endian bytes; n must cover v.
+// appendAbs appends |v| as exactly n big-endian bytes; n must cover v. The
+// leading zeros are cleared here and FillBytes writes only v's own bytes: it
+// scans what it fills byte by byte, and a Sim ciphertext is a few value
+// bytes in a Size()-wide field.
 func appendAbs(dst []byte, v *big.Int, n int) []byte {
 	off := len(dst)
 	dst = slices.Grow(dst, n)[:off+n]
-	v.FillBytes(dst[off:])
+	lead := off + n - byteLen(v)
+	clear(dst[off:lead])
+	v.FillBytes(dst[lead:])
 	return dst
 }
 

@@ -179,6 +179,183 @@ func TestEncryptManySharesOneBound(t *testing.T) {
 	}
 }
 
+// EncryptMany keeps copies of what the caller passed: mutating or wiping
+// the plaintexts and the bound afterwards leaves every ciphertext's value,
+// bound and encoding as it was.
+func TestEncryptManyCopiesItsInputs(t *testing.T) {
+	for name, s := range testBackends(t) {
+		t.Run(name, func(t *testing.T) {
+			pk, _, err := s.KeyGen(3, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms := []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Lsh(big.NewInt(1), 70), big.NewInt(999)}
+			bound := new(big.Int).Lsh(big.NewInt(1), 71)
+			cts, err := s.EncryptMany(pk, ms, bound, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := snapshot(cts)
+			codec := s.(Codec)
+			encs := make([][]byte, len(cts))
+			for i, ct := range cts {
+				if encs[i], err = codec.EncodeCiphertext(ct); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, m := range ms {
+				clear(m.Bits())
+			}
+			ms[1].SetInt64(12345)
+			ms[2].Add(ms[2], ms[2])
+			clear(bound.Bits())
+			unchanged(t, "changing the inputs", cts, before)
+			for i, ct := range cts {
+				enc, err := codec.EncodeCiphertext(ct)
+				if err != nil || string(enc) != string(encs[i]) {
+					t.Errorf("ciphertext %d: encoding changed with the caller's inputs (%v)", i, err)
+				}
+			}
+		})
+	}
+}
+
+// A Sim batch is built from one slab each of ciphertexts, values and words:
+// its allocation count does not grow with the batch.
+func TestSimEncryptManyAllocations(t *testing.T) {
+	s := NewSim(512)
+	pk, _, err := s.KeyGen(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := big.NewInt(1 << 62)
+	for _, count := range []int{1, 64} {
+		ms := make([]*big.Int, count)
+		for i := range ms {
+			ms[i] = big.NewInt(int64(i) << 40)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := s.EncryptMany(pk, ms, bound, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// Four slabs and the shared bound with its words read 6; a
+		// ciphertext, value and words per value read 3·count + 3.
+		if allocs > 8 {
+			t.Errorf("EncryptMany of %d values: %.0f allocations, want at most 8", count, allocs)
+		}
+	}
+}
+
+// A Sim TEval result is one object plus the words of its value and bound,
+// with no scratch: a one-term product (a Beaver c-part) costs 3
+// allocations, and a 64-term all-one sum (a contribution sum) 5, because
+// math/big gives a one-word integer no spare capacity and each of the two
+// sums reallocates once when it outgrows a word. Separate ciphertext,
+// value, bound and scratch objects cost 7 in either case.
+func TestSimEvalAllocations(t *testing.T) {
+	s := NewSim(512)
+	pk, _, err := s.KeyGen(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := make([]*big.Int, 64)
+	ones := make([]*big.Int, 64)
+	for i := range ms {
+		ms[i] = big.NewInt(int64(i+1) << 50)
+		ones[i] = big.NewInt(1)
+	}
+	cts, err := s.EncryptMany(pk, ms, big.NewInt(1<<62), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		cts    []Ciphertext
+		coeffs []*big.Int
+		budget float64
+	}{
+		{"one term", cts[:1], []*big.Int{big.NewInt(1<<60 + 3)}, 3},
+		{"64-term sum", cts, ones, 5},
+	} {
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := s.Eval(pk, tc.cts, tc.coeffs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.budget {
+			t.Errorf("%s: %.0f allocations, want at most %.0f", tc.name, allocs, tc.budget)
+		}
+	}
+}
+
+// Sim's n sub-shares come from one slab: O(1) allocations at any n.
+func TestSimReshareAllocations(t *testing.T) {
+	s := NewSim(512)
+	for _, n := range []int{4, 256} {
+		pk, shares, err := s.KeyGen(n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			subs, err := s.Reshare(pk, shares[0])
+			if err != nil || len(subs) != n {
+				t.Fatalf("Reshare: %d sub-shares, %v", len(subs), err)
+			}
+		})
+		// The interface slice and the slab read 2; a sub-share object
+		// each reads n + 1.
+		if allocs > 4 {
+			t.Errorf("Reshare at n = %d: %.0f allocations, want at most 4", n, allocs)
+		}
+	}
+}
+
+// Widen re-attaches a larger public bound and nothing else: the value,
+// the encoding and the decryption stay, and the bound is the caller's,
+// copied. It refuses to narrow a bound or to exceed the key's capacity.
+func TestWiden(t *testing.T) {
+	for name, s := range testBackends(t) {
+		t.Run(name, func(t *testing.T) {
+			pk, shares, err := s.KeyGen(3, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct, err := s.Encrypt(pk, big.NewInt(77), big.NewInt(100))
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := snapshot([]Ciphertext{ct})
+			bound := big.NewInt(5000)
+			wide, err := Widen(pk, ct, bound)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bound.SetInt64(1)
+			unchanged(t, "Widen", []Ciphertext{ct}, before)
+			if wide.Bound().Int64() != 5000 {
+				t.Errorf("widened bound %v, want 5000", wide.Bound())
+			}
+			codec := s.(Codec)
+			a, errA := codec.EncodeCiphertext(ct)
+			b, errB := codec.EncodeCiphertext(wide)
+			if errA != nil || errB != nil || string(a) != string(b) {
+				t.Errorf("widening changed the encoding (%v, %v)", errA, errB)
+			}
+			if m := decryptVia(t, s, pk, shares, wide, []int{1, 2}); m.Int64() != 77 {
+				t.Errorf("widened ciphertext decrypts to %v, want 77", m)
+			}
+			if _, err := Widen(pk, ct, big.NewInt(99)); !errors.Is(err, ErrBoundNarrowed) {
+				t.Errorf("narrowing to 99: %v, want ErrBoundNarrowed", err)
+			}
+			over := new(big.Int).Add(pk.MaxPlaintext(), big.NewInt(1))
+			if _, err := Widen(pk, ct, over); !errors.Is(err, ErrPlaintextTooBig) {
+				t.Errorf("widening past capacity: %v, want ErrPlaintextTooBig", err)
+			}
+		})
+	}
+}
+
 // distinct still refuses a repeated party wherever it sits — first, last,
 // inside the stack bitset or beyond it — and a mixed epoch, and reports the
 // first problem in input order.

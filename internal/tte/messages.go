@@ -152,42 +152,72 @@ func (c *codec) plaintexts(pk PublicKey, bound *big.Int, ms []*big.Int) (*public
 	return p, nil
 }
 
+// Widen returns a ciphertext of ct's value under the public plaintext
+// bound `bound`, which must be at least ct's own and within pk's capacity.
+// TEval's bound Σ coeffs[i]·bound_i is public only when its coefficients
+// are: a sum of Beaver c-parts b_i·c^a is bounded by Σ b_i·Bound(c^a), which
+// publishes the secret b, and the protocol widens it to a bound computed
+// from public data alone. The value is shared, the bound copied.
+func Widen(pk PublicKey, ct Ciphertext, bound *big.Int) (Ciphertext, error) {
+	p, ok := pk.(*publicKey)
+	if !ok {
+		return nil, fmt.Errorf("%w: public key", ErrWrongKey)
+	}
+	x, err := asCiphertext(ct)
+	if err != nil {
+		return nil, err
+	}
+	if bound.Cmp(p.maxPlain) > 0 {
+		return nil, fmt.Errorf("%w: bound %v", ErrPlaintextTooBig, bound)
+	}
+	if bound.Cmp(x.bound) < 0 {
+		return nil, ErrBoundNarrowed
+	}
+	return &ciphertext{value: x.value, bound: new(big.Int).Set(bound), size: x.size}, nil
+}
+
 // evalBound is TEval's input check: one non-negative coefficient per
 // ciphertext, and a result bound Σ coeffs[i]·bound_i within the key's
-// capacity, which it returns.
-func (c *codec) evalBound(pk PublicKey, cts []Ciphertext, coeffs []*big.Int) (*publicKey, *big.Int, error) {
+// capacity, which it computes into bound.
+func (c *codec) evalBound(pk PublicKey, cts []Ciphertext, coeffs []*big.Int, bound *big.Int) (*publicKey, error) {
 	p, err := c.pub(pk)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if len(cts) != len(coeffs) {
-		return nil, nil, fmt.Errorf("tte: eval: %d ciphertexts vs %d coefficients", len(cts), len(coeffs))
+		return nil, fmt.Errorf("tte: eval: %d ciphertexts vs %d coefficients", len(cts), len(coeffs))
 	}
-	bound, term := new(big.Int), new(big.Int)
+	var term big.Int
 	for i, ct := range cts {
 		x, ok := ct.(*ciphertext)
 		if !ok {
-			return nil, nil, fmt.Errorf("%w: ciphertext %d", ErrWrongKey, i)
+			return nil, fmt.Errorf("%w: ciphertext %d", ErrWrongKey, i)
 		}
 		if coeffs[i].Sign() < 0 {
-			return nil, nil, fmt.Errorf("%w: coefficient %d", ErrNegativeCoeff, i)
+			return nil, fmt.Errorf("%w: coefficient %d", ErrNegativeCoeff, i)
 		}
-		bound.Add(bound, scaled(term, coeffs[i], x.bound))
+		addScaled(bound, &term, coeffs[i], x.bound)
 	}
 	if bound.Cmp(p.maxPlain) > 0 {
-		return nil, nil, fmt.Errorf("%w: combined bound %v", ErrPlaintextTooBig, bound)
+		return nil, fmt.Errorf("%w: combined bound %v", ErrPlaintextTooBig, bound)
 	}
-	return p, bound, nil
+	return p, nil
 }
 
-// scaled returns c·x, computed into term unless c is one, when it is x
-// itself: the n-term contribution sums have all-one coefficients, and
-// adding is what multiplying by one costs there. c must be non-negative.
-func scaled(term, c, x *big.Int) *big.Int {
-	if c.BitLen() == 1 {
-		return x
+// addScaled sets acc to acc + c·x, with term as scratch; c must be
+// non-negative. A coefficient of one adds x itself: the n-term contribution
+// sums have all-one coefficients, and adding is what multiplying by one
+// costs there. Into a zero acc the product is computed in place: a
+// one-term TEval (a Beaver c-part b_i·c^a) needs no scratch.
+func addScaled(acc, term, c, x *big.Int) {
+	switch {
+	case c.BitLen() == 1:
+		acc.Add(acc, x)
+	case acc.Sign() == 0:
+		acc.Mul(c, x)
+	default:
+		acc.Add(acc, term.Mul(c, x))
 	}
-	return term.Mul(c, x)
 }
 
 // partials is TDec's input check: the non-nil partials, all of one epoch

@@ -79,25 +79,47 @@ func (s *Sim) EncryptMany(pk PublicKey, ms []*big.Int, bound *big.Int, _ int) ([
 	if err != nil {
 		return nil, err
 	}
+	// The batch's ciphertexts, their values and the values' words come from
+	// one slab each: copies of ms, so the caller may wipe its plaintexts.
+	words := 0
+	for _, m := range ms {
+		words += len(m.Bits())
+	}
+	ws := make([]big.Word, words)
+	vals := make([]big.Int, len(ms))
+	cts := make([]ciphertext, len(ms))
 	out := make([]Ciphertext, len(ms))
 	shared := new(big.Int).Set(bound)
 	for i, m := range ms {
-		out[i] = &ciphertext{value: new(big.Int).Set(m), bound: shared, size: p.ctBytes}
+		w := copy(ws, m.Bits())
+		vals[i].SetBits(ws[:w:w])
+		ws = ws[w:]
+		cts[i] = ciphertext{value: &vals[i], bound: shared, size: p.ctBytes}
+		out[i] = &cts[i]
 	}
 	return out, nil
 }
 
+// evaluated is a Sim TEval result in one allocation: the ciphertext and
+// the value and bound it points to.
+type evaluated struct {
+	ct           ciphertext
+	value, bound big.Int
+}
+
 // Eval implements TEval.
 func (s *Sim) Eval(pk PublicKey, cts []Ciphertext, coeffs []*big.Int) (Ciphertext, error) {
-	p, bound, err := s.evalBound(pk, cts, coeffs)
+	out := new(evaluated)
+	p, err := s.evalBound(pk, cts, coeffs, &out.bound)
 	if err != nil {
 		return nil, err
 	}
-	val, term := new(big.Int), new(big.Int)
+	var term big.Int
 	for i, ct := range cts {
-		val.Add(val, scaled(term, coeffs[i], ct.(*ciphertext).value))
+		addScaled(&out.value, &term, coeffs[i], ct.(*ciphertext).value)
 	}
-	return &ciphertext{value: val, bound: bound, size: p.ctBytes}, nil
+	out.ct = ciphertext{value: &out.value, bound: &out.bound, size: p.ctBytes}
+	return &out.ct, nil
 }
 
 // PartialDecrypt implements TPDec. The partial holds the ciphertext's
@@ -150,8 +172,10 @@ func (s *Sim) Reshare(pk PublicKey, sh KeyShare) ([]SubShare, error) {
 		return nil, err
 	}
 	subs := make([]SubShare, p.n)
+	slab := make([]subShare, p.n)
 	for j := range subs {
-		subs[j] = s.newSub(k.index, j+1, k.epoch, nil)
+		slab[j] = s.makeSub(k.index, j+1, k.epoch, nil)
+		subs[j] = &slab[j]
 	}
 	return subs, nil
 }

@@ -130,7 +130,8 @@ func (s *Threshold) EncryptMany(pk PublicKey, ms []*big.Int, bound *big.Int, wor
 // whose coefficient is one is multiplied in as it is: c^1 mod N^{s+1} is
 // what the product reduces it to anyway.
 func (s *Threshold) Eval(pk PublicKey, cts []Ciphertext, coeffs []*big.Int) (Ciphertext, error) {
-	p, bound, err := s.evalBound(pk, cts, coeffs)
+	bound := new(big.Int)
+	p, err := s.evalBound(pk, cts, coeffs, bound)
 	if err != nil {
 		return nil, err
 	}
