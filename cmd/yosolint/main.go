@@ -1,10 +1,9 @@
-// Command yosolint runs the repo's static-analysis suite: seven custom
-// analyzers enforcing the crypto, YOSO, and concurrency invariants the
-// compiler cannot check (crypto/rand for secret randomness, handled board
-// errors, secretflow's and sidechannel's interprocedural secret taint —
-// two policies over one taint run, flagging disclosures and
-// trace-shaping uses — zeroize's secret-buffer wiping, lockscope's
-// blocking-under-lock and lock-order analysis, and wirecodec's codec-pair
+// Command yosolint runs the repo's static-analysis suite: six custom
+// analyzers enforcing the crypto and YOSO invariants the compiler cannot
+// check (crypto/rand for secret randomness, handled board errors,
+// secretflow's and sidechannel's interprocedural secret taint — two
+// policies over one taint run, flagging disclosures and trace-shaping
+// uses — zeroize's secret-buffer wiping, and wirecodec's codec-pair
 // hygiene).
 //
 // Usage:

@@ -34,13 +34,13 @@ func runYosolint(t *testing.T, args ...string) (string, int) {
 // suiteNames is the full analyzer roster the driver must run; the e2e
 // fixture violates every one of them.
 var suiteNames = []string{
-	"cryptorand", "lockscope", "postcheck",
-	"secretflow", "sidechannel", "wirecodec", "zeroize",
+	"cryptorand", "postcheck", "secretflow",
+	"sidechannel", "wirecodec", "zeroize",
 }
 
 // TestDriverFlagsFixture is the end-to-end regression test for the whole
 // driver: yosolint run against a fixture package containing one violation
-// of each analyzer must exit non-zero and report all seven.
+// of each analyzer must exit non-zero and report all six.
 func TestDriverFlagsFixture(t *testing.T) {
 	out, code := runYosolint(t, "./cmd/yosolint/testdata/e2e/sharing")
 	if code != 1 {
@@ -53,8 +53,9 @@ func TestDriverFlagsFixture(t *testing.T) {
 	}
 }
 
-// TestDriverMalformedDirectives asserts that an unknown directive name and
-// a justification-less suppression each fail the run on their own.
+// TestDriverMalformedDirectives asserts that an unknown directive name, a
+// retired analyzer's directive and a justification-less suppression each
+// fail the run on their own.
 func TestDriverMalformedDirectives(t *testing.T) {
 	out, code := runYosolint(t, "./cmd/yosolint/testdata/e2e/baddirective")
 	if code != 1 {
@@ -62,6 +63,9 @@ func TestDriverMalformedDirectives(t *testing.T) {
 	}
 	if !strings.Contains(out, "unknown //yosolint: directive") {
 		t.Errorf("output missing unknown-directive finding:\n%s", out)
+	}
+	if !strings.Contains(out, `directive "blocking"`) {
+		t.Errorf("output missing the retired blocking directive:\n%s", out)
 	}
 	if !strings.Contains(out, "requires a justifying comment") {
 		t.Errorf("output missing missing-justification finding:\n%s", out)

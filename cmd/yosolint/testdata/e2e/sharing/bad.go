@@ -1,6 +1,6 @@
 // Package sharing is the end-to-end regression fixture for cmd/yosolint:
 // one compiling file violating every analyzer in the suite. The driver
-// must exit non-zero and name all seven analyzers when pointed here. The
+// must exit non-zero and name all six analyzers when pointed here. The
 // directory is named "sharing" so the cryptorand and zeroize
 // protected-segment rules apply; testdata placement keeps it out of
 // ./... wildcard runs.
@@ -9,9 +9,7 @@ package sharing
 import (
 	"log"
 	"math/rand"
-	"sync"
 
-	"yosompc/internal/comm"
 	"yosompc/internal/field"
 	realsharing "yosompc/internal/sharing"
 	"yosompc/internal/transport"
@@ -30,20 +28,6 @@ func BadDroppedError(c *transport.Client) {
 // BadShareLog violates secretflow: a secret share reaches a logging sink.
 func BadShareLog(sh realsharing.Share) {
 	log.Printf("dealt share %v", sh)
-}
-
-// poster pairs a mutex with a board client for the lockscope violation.
-type poster struct {
-	mu sync.Mutex
-	c  *transport.Client
-}
-
-// BadLockedPost violates lockscope: a board post under a held mutex.
-func (p *poster) BadLockedPost(payload []byte) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	_, err := p.c.Post("p", comm.PhaseOnline, comm.CatInput, payload)
-	return err
 }
 
 // BadSecretBranch violates sidechannel: a share value decides a branch.

@@ -128,7 +128,7 @@ var b = 2
 		Files:   []*ast.File{f},
 		Sources: map[string][]byte{"p.go": src},
 	}
-	_, diags := indexDirectives(pkg, nil)
+	_, diags := indexDirectives(pkg, map[string]bool{"simulation": true})
 	if len(diags) != 2 {
 		t.Fatalf("got %d diagnostics, want 2 (missing reason + unknown name): %+v", len(diags), diags)
 	}

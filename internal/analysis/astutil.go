@@ -56,57 +56,6 @@ func (p *Package) BaseObject(e ast.Expr) types.Object {
 	}
 }
 
-// ExprKey names a lock, channel or WaitGroup expression so the same
-// logical object matches across functions: the owner's named type plus the
-// selector path ("transport.Server.mu"), a package-level variable
-// ("sharing.domainMu"), or a function-local fallback ("local mu",
-// anonymous across functions). "" when the expression has no stable name.
-func (p *Package) ExprKey(e ast.Expr) string {
-	var fields []string
-	join := func(root string) string {
-		return strings.Join(append([]string{root}, fields...), ".")
-	}
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.SelectorExpr:
-			if id, ok := x.X.(*ast.Ident); ok {
-				if pn, ok := p.Info.Uses[id].(*types.PkgName); ok {
-					return join(pn.Imported().Name() + "." + x.Sel.Name)
-				}
-			}
-			fields = append([]string{x.Sel.Name}, fields...)
-			e = x.X
-		case *ast.Ident:
-			obj := p.Info.ObjectOf(x)
-			if obj == nil {
-				return ""
-			}
-			if obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope() {
-				return join(obj.Pkg().Name() + "." + obj.Name())
-			}
-			t := obj.Type()
-			if ptr, ok := t.(*types.Pointer); ok {
-				t = ptr.Elem()
-			}
-			if n, ok := t.(*types.Named); ok && n.Obj().Pkg() != nil {
-				return join(n.Obj().Pkg().Name() + "." + n.Obj().Name())
-			}
-			return join("local " + obj.Name())
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			if x.Op != token.AND {
-				return ""
-			}
-			e = x.X
-		default:
-			return ""
-		}
-	}
-}
-
 // IsTestFile reports whether pos lies in a _test.go file. Most analyzers
 // exempt tests: they provoke on purpose what the suite forbids.
 func (p *Package) IsTestFile(pos token.Pos) bool {
@@ -190,16 +139,4 @@ func RecvNamed(fn *types.Func) string {
 		return n.Obj().Name()
 	}
 	return ""
-}
-
-// ShortFunc renders a callee as "pkgname.Recv.Name" for messages.
-func ShortFunc(fn *types.Func) string {
-	name := fn.Name()
-	if recv := RecvNamed(fn); recv != "" {
-		name = recv + "." + name
-	}
-	if fn.Pkg() != nil {
-		name = fn.Pkg().Name() + "." + name
-	}
-	return name
 }

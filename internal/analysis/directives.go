@@ -28,33 +28,6 @@ type Directive struct {
 	Line int
 }
 
-// KnownDirectives are the baseline accepted //yosolint: keywords. The
-// runner validates directive names against the union of the registered
-// analyzers' Directives and Markers lists (so removing an analyzer makes
-// its directives rot visibly); this map is the fallback registry used when
-// no analyzers are supplied and by tools that parse directives standalone.
-//
-//   - simulation: the flagged randomness is simulation/adversary modelling,
-//     not secret protocol randomness (honored by cryptorand).
-//   - ignore: blanket per-line suppression, honored by every analyzer.
-//   - secret: marks a type or struct field as secret material; consumed by
-//     secretflow as a taint source annotation, suppresses nothing.
-//   - declassify: the flagged secret flow is an intentional disclosure
-//     (protocol output, simulation transcript); honored by secretflow.
-//   - vartime: the flagged secret-dependent operation is deliberately
-//     variable-time (public by the time it runs, or inside a blinded
-//     path); honored by sidechannel.
-//   - owner: documents who wipes a secret buffer handed across a
-//     function boundary; honored by zeroize.
-var KnownDirectives = map[string]bool{
-	"simulation": true,
-	"ignore":     true,
-	"secret":     true,
-	"declassify": true,
-	"vartime":    true,
-	"owner":      true,
-}
-
 // DirectiveAnalyzerName is the pseudo-analyzer under which the runner
 // reports directive-hygiene findings (unknown names, missing reasons).
 const DirectiveAnalyzerName = "yosolint"
@@ -118,9 +91,6 @@ func standsAlone(fset *token.FileSet, pos token.Pos, src []byte) bool {
 type directiveIndex map[string]map[int][]Directive
 
 func indexDirectives(pkg *Package, honored map[string]bool) (directiveIndex, []Diagnostic) {
-	if honored == nil {
-		honored = KnownDirectives
-	}
 	idx := directiveIndex{}
 	var diags []Diagnostic
 	for _, f := range pkg.Files {

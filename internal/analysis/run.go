@@ -86,8 +86,7 @@ func applySuppression(idx directiveIndex, a *Analyzer, found []Diagnostic) []Dia
 }
 
 // honoredDirectives is the union of the registered analyzers' Directives
-// and Markers — the set of //yosolint: names that are not "unknown". With
-// no analyzers registered it falls back to the baseline KnownDirectives.
+// and Markers — the set of //yosolint: names that are not "unknown".
 func honoredDirectives(analyzers []*Analyzer) map[string]bool {
 	out := map[string]bool{}
 	for _, a := range analyzers {
@@ -97,9 +96,6 @@ func honoredDirectives(analyzers []*Analyzer) map[string]bool {
 		for _, name := range a.Markers {
 			out[name] = true
 		}
-	}
-	if len(out) == 0 {
-		return KnownDirectives
 	}
 	return out
 }

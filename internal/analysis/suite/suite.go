@@ -6,7 +6,6 @@ package suite
 import (
 	"yosompc/internal/analysis"
 	"yosompc/internal/analysis/cryptorand"
-	"yosompc/internal/analysis/lockscope"
 	"yosompc/internal/analysis/postcheck"
 	"yosompc/internal/analysis/secretflow"
 	"yosompc/internal/analysis/wirecodec"
@@ -17,7 +16,6 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		cryptorand.Analyzer,
-		lockscope.Analyzer,
 		postcheck.Analyzer,
 		secretflow.Analyzer,
 		secretflow.SideChannel,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"yosompc/internal/telemetry"
 )
@@ -146,6 +147,50 @@ func TestHitPathDoesNotAllocate(t *testing.T) {
 			}
 		}); a != 0 {
 			t.Errorf("%s: warm LoadOrBuild allocates %v times per call, want 0", name, a)
+		}
+	}
+}
+
+// TestBuildRunsOutsideWriterLock holds the policy that a build runs
+// outside the writer lock: while key a's build is parked, key b is still
+// built, stored and loaded, and releasing a then stores it too.
+func TestBuildRunsOutsideWriterLock(t *testing.T) {
+	var c Map[string, int]
+	parked, release := make(chan struct{}), make(chan struct{})
+	doneA := make(chan error, 1)
+	go func() {
+		_, _, err := c.LoadOrBuild("a", func(string) (int, error) {
+			close(parked)
+			<-release
+			return 1, nil
+		})
+		doneA <- err
+	}()
+	<-parked
+
+	doneB := make(chan error, 1)
+	go func() {
+		_, _, err := c.LoadOrBuild("b", func(string) (int, error) { return 2, nil })
+		if v, ok := c.Load("b"); err == nil && (!ok || v != 2) {
+			err = errors.New("Load(b) missed right after LoadOrBuild(b)")
+		}
+		doneB <- err
+	}()
+	select {
+	case err := <-doneB:
+		doneB <- err // for the wait below
+	case <-time.After(5 * time.Second):
+		t.Error("LoadOrBuild(b) blocked behind a's parked build: the build runs under the writer lock")
+	}
+	close(release)
+	for _, done := range []chan error{doneA, doneB} {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for key, want := range map[string]int{"a": 1, "b": 2} {
+		if v, ok := c.Load(key); !ok || v != want {
+			t.Errorf("Load(%q) = (%d, %v), want (%d, true)", key, v, ok, want)
 		}
 	}
 }

@@ -3,10 +3,9 @@
 //
 // Two kinds of proofs are provided:
 //
-//   - Real Fiat–Shamir sigma protocols where a standard 1:1 construction
-//     exists: knowledge of a Paillier plaintext (used when roles publish
-//     TEnc ciphertexts of their random contributions) and equality of
-//     exponents in Z*_{N²} (the Shoup-style partial-decryption proof).
+//   - A real Fiat–Shamir sigma protocol where a standard 1:1 construction
+//     exists: equality of discrete logarithms in Z*_{N²} (the Shoup-style
+//     partial-decryption proof).
 //
 //   - Attested proofs for the paper's composite relations (the Re-encrypt /
 //     Decrypt relation bundling PKE decryptions, TKRec, TPDec, resharing and

@@ -417,19 +417,17 @@ func (c *Client) PostCtx(from string, phase comm.Phase, cat comm.Category, paylo
 	// as is: the payload is never copied into a frame buffer.
 	hdr := appendPostHeader(make([]byte, 0, 2+1+len(from)+1+len(phase)+1+len(cat)+tc.EncodedSize()+8),
 		from, phase, cat, tc, len(payload))
-	//yosolint:blocking c.mu serializes the request/response pair on the single connection; blocking under it is the framing protocol
+	// c.mu stays held across the write, flush and read: it pairs each post
+	// frame with its own answer, so replies cannot interleave across posters.
 	if _, err := c.bw.Write(hdr); err != nil {
 		return 0, fmt.Errorf("transport: posting: %w", err)
 	}
-	//yosolint:blocking same request/response critical section: the payload is the rest of the frame the header write began
 	if _, err := c.bw.Write(payload); err != nil {
 		return 0, fmt.Errorf("transport: posting: %w", err)
 	}
-	//yosolint:blocking same request/response critical section as the write above
 	if err := c.bw.Flush(); err != nil {
 		return 0, fmt.Errorf("transport: posting: %w", err)
 	}
-	//yosolint:blocking the response read must stay inside the critical section or replies interleave across posters
 	return readPostResponse(c.br)
 }
 
