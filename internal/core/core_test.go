@@ -438,13 +438,15 @@ func TestRoundsAccounting(t *testing.T) {
 	}
 }
 
-func TestDeepCircuitRealDJ(t *testing.T) {
-	// Damgård–Jurik degree 2 gives the integer headroom a deeper circuit
-	// needs on the real backend (the per-wire bounds grow with depth).
+func TestDeepCircuitReal(t *testing.T) {
+	// A depth-3 circuit on the real backend at a 512-bit key: every
+	// multiplication output starts again from a fresh bound, so depth
+	// costs no plaintext headroom (slotpack's
+	// TestWidestSlotIndependentOfDepth).
 	if testing.Short() {
 		t.Skip("real crypto in -short mode")
 	}
-	te, err := tte.NewThresholdDJ(paillier.FixedTestKey(3), 2)
+	te, err := tte.NewThreshold(paillier.FixedTestKey(3))
 	if err != nil {
 		t.Fatal(err)
 	}

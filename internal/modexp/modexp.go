@@ -1,7 +1,7 @@
 // Package modexp is the big-integer exponentiation engine behind the
-// Paillier/Damgård–Jurik hot paths: fixed-base Lim–Lee comb tables for
-// recurring bases (the encryption randomizer h_s a paillier.DJKey holds,
-// the Shoup verification base V, per-round squared ciphertexts), Straus
+// Paillier hot paths: fixed-base Lim–Lee comb tables for recurring bases
+// (the encryption randomizer h^N a paillier.PublicKey holds, the Shoup
+// verification base V, per-round squared ciphertexts), Straus
 // interleaved multi-exponentiation for proof verification and threshold
 // combination, and cached Δ-power ladders. Tables of bases met at run
 // time and ladders are cached process-wide in internal/cowcache maps

@@ -14,118 +14,110 @@ import (
 // The engine-vs-naive differential suite: every CRT/closed-form/batched
 // path pinned bit-for-bit against its retained naive reference.
 
-func djTestKey(t testing.TB, s int) *DJKey {
-	t.Helper()
-	k, err := NewDJKey(FixedTestKey(0), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return k
+// engineTestKeys are the 512-bit keys the differential tests sweep.
+func engineTestKeys() []*PrivateKey {
+	return []*PrivateKey{FixedTestKey(0), FixedTestKey(1), FixedTestKey(2)}
 }
 
 func TestExpSignedCRTMatchesNaive(t *testing.T) {
-	for _, s := range []int{1, 2, 3} {
-		k := djTestKey(t, s)
-		r := mrand.New(mrand.NewSource(int64(s)))
+	for ki, sk := range engineTestKeys() {
+		r := mrand.New(mrand.NewSource(int64(ki + 1)))
 		for i := 0; i < 40; i++ {
-			base := new(big.Int).Rand(r, k.Ns1)
+			base := new(big.Int).Rand(r, sk.N2)
 			// Exponents both below and far above the group order, the
 			// threshold-partial regime where reduction matters most.
-			exp := new(big.Int).Rand(r, new(big.Int).Lsh(k.Ns1, uint(r.Intn(3))*512))
+			exp := new(big.Int).Rand(r, new(big.Int).Lsh(sk.N2, uint(r.Intn(3))*512))
 			if i%3 == 1 {
 				exp.Neg(exp)
 			}
-			want, errN := modexp.ExpSigned(base, exp, k.Ns1)
-			got, errE := k.ExpSignedCRT(base, exp)
+			want, errN := modexp.ExpSigned(base, exp, sk.N2)
+			got, errE := sk.ExpSignedCRT(base, exp)
 			if (errN == nil) != (errE == nil) {
-				t.Fatalf("s=%d case %d: err naive=%v engine=%v", s, i, errN, errE)
+				t.Fatalf("key %d case %d: err naive=%v engine=%v", ki, i, errN, errE)
 			}
 			if errN == nil && got.Cmp(want) != 0 {
-				t.Fatalf("s=%d case %d: engine=%v naive=%v", s, i, got, want)
+				t.Fatalf("key %d case %d: engine=%v naive=%v", ki, i, got, want)
 			}
 		}
 	}
 }
 
 func TestExpSignedCRTNonUnitBase(t *testing.T) {
-	k := djTestKey(t, 1)
+	sk := FixedTestKey(0)
 	// base = P·x shares a factor with N: the engine must fall back and
 	// agree with the naive path, including the error on negative
 	// exponents.
-	base := new(big.Int).Mul(k.Base.P, big.NewInt(7))
+	base := new(big.Int).Mul(sk.P, big.NewInt(7))
 	exp := big.NewInt(12345)
-	want, err := modexp.ExpSigned(base, exp, k.Ns1)
+	want, err := modexp.ExpSigned(base, exp, sk.N2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := k.ExpSignedCRT(base, exp)
+	got, err := sk.ExpSignedCRT(base, exp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Cmp(want) != 0 {
 		t.Fatalf("non-unit base: engine=%v naive=%v", got, want)
 	}
-	if _, err := k.ExpSignedCRT(base, new(big.Int).Neg(exp)); err == nil {
+	if _, err := sk.ExpSignedCRT(base, new(big.Int).Neg(exp)); err == nil {
 		t.Fatal("negative exponent on non-unit base: want not-invertible error")
 	}
 }
 
+// TestDJDecryptCRTMatchesNaive pins Decrypt's CRT path to the naive
+// reference on seeded random plaintexts across keys (the fixed edge
+// plaintexts are TestDecryptCRTMatchesDecrypt's).
 func TestDJDecryptCRTMatchesNaive(t *testing.T) {
-	for _, s := range []int{1, 2, 3} {
-		k := djTestKey(t, s)
-		msgs := []*big.Int{
-			big.NewInt(0),
-			big.NewInt(1),
-			new(big.Int).Rsh(k.Ns, 1),
-			new(big.Int).Sub(k.Ns, big.NewInt(1)),
-		}
-		for _, m := range msgs {
-			c, err := k.Encrypt(rand.Reader, m)
+	for ki, sk := range engineTestKeys() {
+		r := mrand.New(mrand.NewSource(int64(50 + ki)))
+		for i := 0; i < 8; i++ {
+			m := new(big.Int).Rand(r, sk.N)
+			c, err := sk.Encrypt(rand.Reader, m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			slow, err := k.DecryptNaive(c)
+			slow, err := sk.DecryptNaive(c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fast, err := k.DecryptCRT(c)
+			fast, err := sk.Decrypt(c)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if slow.Cmp(fast) != 0 || fast.Cmp(m) != 0 {
-				t.Errorf("s=%d m=%v: naive=%v crt=%v", s, m, slow, fast)
+				t.Errorf("key %d m=%v: naive=%v crt=%v", ki, m, slow, fast)
 			}
 		}
 	}
 }
 
 func TestDJEncryptClosedFormMatchesNaive(t *testing.T) {
-	for _, s := range []int{1, 2, 3} {
-		k := djTestKey(t, s)
-		r := mrand.New(mrand.NewSource(int64(100 + s)))
+	for ki, sk := range engineTestKeys() {
+		r := mrand.New(mrand.NewSource(int64(101 + ki)))
 		for i := 0; i < 20; i++ {
-			m := new(big.Int).Rand(r, k.Ns)
-			nonce, err := k.Base.PublicKey.RandomUnit(rand.Reader)
+			m := new(big.Int).Rand(r, sk.N)
+			nonce, err := sk.RandomUnit(rand.Reader)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := k.EncryptWithNonceNaive(m, nonce)
+			want, err := sk.EncryptWithNonceNaive(m, nonce)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := k.EncryptWithNonce(m, nonce)
+			got, err := sk.EncryptWithNonce(m, nonce)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.C.Cmp(want.C) != 0 {
-				t.Fatalf("s=%d case %d: closed form differs from Exp", s, i)
+				t.Fatalf("key %d case %d: closed form differs from Exp", ki, i)
 			}
 		}
 		// Range errors must match too.
-		if _, err := k.EncryptWithNonce(new(big.Int).Neg(big.NewInt(1)), big.NewInt(3)); err == nil {
+		if _, err := sk.EncryptWithNonce(new(big.Int).Neg(big.NewInt(1)), big.NewInt(3)); err == nil {
 			t.Fatal("engine accepted negative message")
 		}
-		if _, err := k.EncryptWithNonce(k.Ns, big.NewInt(3)); err == nil {
+		if _, err := sk.EncryptWithNonce(sk.N, big.NewInt(3)); err == nil {
 			t.Fatal("engine accepted out-of-range message")
 		}
 	}
@@ -136,11 +128,11 @@ func TestDJEncryptClosedFormMatchesNaive(t *testing.T) {
 // every worker count, and each must match a serial Encrypt over that
 // stream.
 func TestEncryptManyWorkerCountIndependent(t *testing.T) {
-	k := djTestKey(t, 2)
+	k := FixedTestKey(0)
 	msgs := make([]*big.Int, 9)
 	r := mrand.New(mrand.NewSource(42))
 	for i := range msgs {
-		msgs[i] = new(big.Int).Rand(r, k.Ns)
+		msgs[i] = new(big.Int).Rand(r, k.N)
 	}
 	var runs [][]*Ciphertext
 	for _, workers := range []int{1, 2, 8} {
@@ -179,16 +171,13 @@ func TestEncryptManyWorkerCountIndependent(t *testing.T) {
 	}
 }
 
-// TestEncryptManyDegreeOneDecryptsAsPaillier: a degree-1 batch is plain
-// Paillier — the textbook key decrypts every ciphertext of it.
+// TestEncryptManyDegreeOneDecryptsAsPaillier: a parallel batch is plain
+// Paillier — the private key decrypts every ciphertext of it, the range
+// ends included.
 func TestEncryptManyDegreeOneDecryptsAsPaillier(t *testing.T) {
 	sk := FixedTestKey(1)
-	k, err := NewDJKey(sk, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	msgs := []*big.Int{big.NewInt(0), big.NewInt(7), new(big.Int).Sub(sk.N, big.NewInt(1))}
-	cts, err := k.EncryptMany(rand.Reader, msgs, 4)
+	cts, err := sk.EncryptMany(rand.Reader, msgs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,37 +220,31 @@ func allTestKeys() map[string]*PrivateKey {
 // produced for that nonce — and it decrypts to m.
 func TestEncryptMatchesNonceReference(t *testing.T) {
 	for name, sk := range randomizerTestKeys() {
-		for _, s := range []int{1, 2} {
-			k, err := NewDJKey(sk, s)
+		rz := sk.randomizer()
+		r := mrand.New(mrand.NewSource(1))
+		msgs := []*big.Int{new(big.Int), new(big.Int).Sub(sk.N, one), new(big.Int).Rand(r, sk.N)}
+		for i, m := range msgs {
+			seed := int64(100 + i)
+			got, err := sk.Encrypt(fixedStream(seed), m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rz := k.randomizer()
-			r := mrand.New(mrand.NewSource(int64(s)))
-			msgs := []*big.Int{new(big.Int), new(big.Int).Sub(k.Ns, one), new(big.Int).Rand(r, k.Ns)}
-			for i, m := range msgs {
-				seed := int64(100*s + i)
-				got, err := k.Encrypt(fixedStream(seed), m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rho, err := rz.draw(fixedStream(seed))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rho.BitLen() > (sk.N.BitLen()+1)/2 {
-					t.Fatalf("key %s: ρ has %d bits", name, rho.BitLen())
-				}
-				want, err := k.EncryptWithNonce(m, new(big.Int).Exp(rz.h, rho, sk.N))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.C.Cmp(want.C) != 0 {
-					t.Fatalf("key %s s=%d message %d: Encrypt differs from EncryptWithNonce(m, h^ρ)", name, s, i)
-				}
-				if dec, err := k.Decrypt(got); err != nil || dec.Cmp(m) != 0 {
-					t.Fatalf("key %s s=%d message %d: round trip %v, %v", name, s, i, dec, err)
-				}
+			rho, err := rz.draw(fixedStream(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rho.BitLen() > (sk.N.BitLen()+1)/2 {
+				t.Fatalf("key %s: ρ has %d bits", name, rho.BitLen())
+			}
+			want, err := sk.EncryptWithNonce(m, new(big.Int).Exp(rz.h, rho, sk.N))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.C.Cmp(want.C) != 0 {
+				t.Fatalf("key %s message %d: Encrypt differs from EncryptWithNonce(m, h^ρ)", name, i)
+			}
+			if dec, err := sk.Decrypt(got); err != nil || dec.Cmp(m) != 0 {
+				t.Fatalf("key %s message %d: round trip %v, %v", name, i, dec, err)
 			}
 		}
 	}
@@ -275,11 +258,7 @@ func TestEncryptMatchesNonceReference(t *testing.T) {
 // a function of N alone.
 func TestRandomizerBaseGeneratesJacobiGroup(t *testing.T) {
 	for name, sk := range allTestKeys() {
-		k, err := NewDJKey(sk, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := k.randomizer().h
+		h := sk.randomizer().h
 		if x := randomizerBase(sk.N); x.Cmp(randomizerBase(sk.N)) != 0 {
 			t.Fatalf("key %s: base is not deterministic in N", name)
 		} else if want := x.Mul(x, x).Neg(x).Mod(x, sk.N); want.Cmp(h) != 0 {
@@ -310,10 +289,8 @@ func TestRandomizerBaseGeneratesJacobiGroup(t *testing.T) {
 // many goroutines; under -race it witnesses the compare-and-swap init,
 // and every caller must end up on the one winning table.
 func TestRandomizerConcurrentInit(t *testing.T) {
-	k, err := NewDJKey(FixedTestKey(3), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sk := FixedTestKey(3)
+	k := &sk.PublicKey
 	m := big.NewInt(31337)
 	var wg sync.WaitGroup
 	for g := 0; g < 12; g++ {
@@ -325,10 +302,10 @@ func TestRandomizerConcurrentInit(t *testing.T) {
 				t.Errorf("concurrent encrypt: %v", err)
 				return
 			}
-			if got, err := k.Decrypt(c); err != nil || got.Cmp(m) != 0 {
+			if got, err := sk.Decrypt(c); err != nil || got.Cmp(m) != 0 {
 				t.Errorf("concurrent encrypt round trip: %v, %v", got, err)
 			}
-			if k.randomizer() != k.rndPre.Load() {
+			if k.randomizer() != k.rnd.Load() {
 				t.Error("randomizer() returned a table that lost the swap")
 			}
 		}()
@@ -346,13 +323,11 @@ type deterministicReader struct{ r *mrand.Rand }
 
 func (d *deterministicReader) Read(p []byte) (int, error) { return d.r.Read(p) }
 
-// TestDJStateConcurrentInit hammers the lazy CRT-state build from many
-// goroutines; under -race it witnesses the double-checked init.
+// TestDJStateConcurrentInit decrypts one ciphertext from many goroutines;
+// under -race it witnesses that Decrypt only reads the CRT state the key
+// was built with.
 func TestDJStateConcurrentInit(t *testing.T) {
-	k, err := NewDJKey(FixedTestKey(2), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := FixedTestKey(2)
 	m := big.NewInt(424242)
 	c, err := k.Encrypt(rand.Reader, m)
 	if err != nil {
@@ -363,7 +338,7 @@ func TestDJStateConcurrentInit(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := k.DecryptCRT(c)
+			got, err := k.Decrypt(c)
 			if err != nil || got.Cmp(m) != 0 {
 				t.Errorf("concurrent decrypt: %v, %v", got, err)
 			}
@@ -399,16 +374,15 @@ func TestFixedTestKey2048(t *testing.T) {
 // FuzzPaillierEngineVsNaive pins the paillier engine paths — CRT
 // signed exponentiation, CRT decryption, and closed-form encryption —
 // bit-for-bit against the retained naive references over fuzzer-chosen
-// values and degrees.
+// values and keys (keyIndex picks one of the fixed 512-bit keys).
 func FuzzPaillierEngineVsNaive(f *testing.F) {
 	f.Add([]byte{7}, []byte{3}, []byte{9}, uint8(1), false)
 	f.Add([]byte{0xff, 0x01}, []byte{0x80, 0x55}, []byte{2}, uint8(2), true)
-	f.Fuzz(func(t *testing.T, baseB, expB, mB []byte, degree uint8, neg bool) {
-		s := int(degree%3) + 1
-		k := djTestKey(t, s)
+	f.Fuzz(func(t *testing.T, baseB, expB, mB []byte, keyIndex uint8, neg bool) {
+		sk := FixedTestKey(int(keyIndex) % NumFixedTestKeys)
 
 		base := new(big.Int).SetBytes(baseB)
-		base.Mod(base, k.Ns1)
+		base.Mod(base, sk.N2)
 		exp := new(big.Int).SetBytes(expB)
 		if exp.BitLen() > 8192 {
 			t.Skip()
@@ -416,8 +390,8 @@ func FuzzPaillierEngineVsNaive(f *testing.F) {
 		if neg {
 			exp.Neg(exp)
 		}
-		want, errN := modexp.ExpSigned(base, exp, k.Ns1)
-		got, errE := k.ExpSignedCRT(base, exp)
+		want, errN := modexp.ExpSigned(base, exp, sk.N2)
+		got, errE := sk.ExpSignedCRT(base, exp)
 		if (errN == nil) != (errE == nil) {
 			t.Fatalf("err mismatch: naive=%v engine=%v", errN, errE)
 		}
@@ -426,14 +400,14 @@ func FuzzPaillierEngineVsNaive(f *testing.F) {
 		}
 
 		m := new(big.Int).SetBytes(mB)
-		m.Mod(m, k.Ns)
+		m.Mod(m, sk.N)
 		nonce := new(big.Int).SetBytes(baseB)
-		nonce.Mod(nonce, k.Base.N)
-		if nonce.Sign() == 0 || new(big.Int).GCD(nil, nil, nonce, k.Base.N).Cmp(big.NewInt(1)) != 0 {
+		nonce.Mod(nonce, sk.N)
+		if nonce.Sign() == 0 || new(big.Int).GCD(nil, nil, nonce, sk.N).Cmp(big.NewInt(1)) != 0 {
 			nonce = big.NewInt(3)
 		}
-		ctN, errN2 := k.EncryptWithNonceNaive(m, nonce)
-		ctE, errE2 := k.EncryptWithNonce(m, nonce)
+		ctN, errN2 := sk.EncryptWithNonceNaive(m, nonce)
+		ctE, errE2 := sk.EncryptWithNonce(m, nonce)
 		if (errN2 == nil) != (errE2 == nil) {
 			t.Fatalf("encrypt err mismatch: naive=%v engine=%v", errN2, errE2)
 		}
@@ -441,14 +415,14 @@ func FuzzPaillierEngineVsNaive(f *testing.F) {
 			if ctE.C.Cmp(ctN.C) != 0 {
 				t.Fatal("closed-form encryption differs from naive")
 			}
-			dN, errN3 := k.DecryptNaive(ctN)
-			dE, errE3 := k.DecryptCRT(ctN)
+			dN, errN3 := sk.DecryptNaive(ctN)
+			dE, errE3 := sk.Decrypt(ctN)
 			if (errN3 == nil) != (errE3 == nil) {
 				t.Fatalf("decrypt err mismatch: naive=%v engine=%v", errN3, errE3)
 			}
 			if errN3 == nil {
 				if dN.Cmp(dE) != 0 {
-					t.Fatalf("DecryptCRT=%v naive=%v", dE, dN)
+					t.Fatalf("Decrypt=%v naive=%v", dE, dN)
 				}
 				if dN.Cmp(m) != 0 {
 					t.Fatalf("round trip: got %v want %v", dN, m)

@@ -1,19 +1,17 @@
 package paillier
 
 import (
-	"errors"
 	"fmt"
 	"math/big"
 )
 
-// The naive references the engine paths are pinned against, moved here
-// unchanged from paillier.go and dj.go once the differential tests,
-// FuzzPaillierEngineVsNaive and the engine-vs-naive benchmarks were
-// their only callers.
+// The naive references the engine paths are pinned against, kept in the
+// test files since the differential tests, FuzzPaillierEngineVsNaive and
+// the engine-vs-naive benchmarks are their only callers.
 
 // DecryptNaive is the retained naive reference for Decrypt: one
-// exponentiation by λ modulo N². The differential tests pin DecryptCRT
-// to it bit-for-bit on unit ciphertexts.
+// exponentiation by λ modulo N², then L and μ. The differential tests pin
+// Decrypt's CRT path to it bit-for-bit on unit ciphertexts.
 func (sk *PrivateKey) DecryptNaive(c *Ciphertext) (*big.Int, error) {
 	if c == nil || c.C == nil || c.C.Sign() <= 0 || c.C.Cmp(sk.N2) >= 0 {
 		return nil, fmt.Errorf("%w: malformed ciphertext", ErrDecryption)
@@ -27,37 +25,19 @@ func (sk *PrivateKey) DecryptNaive(c *Ciphertext) (*big.Int, error) {
 }
 
 // EncryptWithNonceNaive is the retained naive reference for
-// EncryptWithNonce: (1+N)^m computed by a full big.Int.Exp over the up
-// to s·log₂N-bit exponent m. The differential tests and
-// FuzzPaillierEngineVsNaive pin the closed-form engine path to it
-// bit-for-bit.
-func (k *DJKey) EncryptWithNonceNaive(m, r *big.Int) (*Ciphertext, error) {
-	if m.Sign() < 0 || m.Cmp(k.Ns) >= 0 {
+// EncryptWithNonce: (1+N)^m computed by a full big.Int.Exp over the
+// log₂N-bit exponent m. The differential tests and
+// FuzzPaillierEngineVsNaive pin the closed form 1 + mN to it bit-for-bit.
+func (pk *PublicKey) EncryptWithNonceNaive(m, r *big.Int) (*Ciphertext, error) {
+	if m.Sign() < 0 || m.Cmp(pk.N) >= 0 {
 		// The message itself stays out of the error: callers wrap errors
 		// into logs and board posts, and m is plaintext.
-		return nil, fmt.Errorf("%w: message outside [0, N^s)", ErrMessageRange)
+		return nil, fmt.Errorf("%w: message outside [0, N)", ErrMessageRange)
 	}
-	onePlusN := new(big.Int).Add(k.Base.N, big.NewInt(1))
-	gm := new(big.Int).Exp(onePlusN, m, k.Ns1)
-	rn := new(big.Int).Exp(r, k.Ns, k.Ns1)
+	onePlusN := new(big.Int).Add(pk.N, one)
+	gm := new(big.Int).Exp(onePlusN, m, pk.N2)
+	rn := new(big.Int).Exp(r, pk.N, pk.N2)
 	c := gm.Mul(gm, rn)
-	c.Mod(c, k.Ns1)
+	c.Mod(c, pk.N2)
 	return &Ciphertext{C: c}, nil
-}
-
-// DecryptNaive is the retained naive reference for Decrypt: the
-// decryption exponent is rebuilt per call and applied in one
-// exponentiation modulo N^{s+1}.
-func (k *DJKey) DecryptNaive(c *Ciphertext) (*big.Int, error) {
-	if c == nil || c.C == nil || c.C.Sign() <= 0 || c.C.Cmp(k.Ns1) >= 0 {
-		return nil, fmt.Errorf("%w: malformed ciphertext", ErrDecryption)
-	}
-	// d ≡ 1 mod N^s, d ≡ 0 mod λ via CRT (gcd(λ, N^s) = 1).
-	lamInv := new(big.Int).ModInverse(k.Base.Lambda, k.Ns)
-	if lamInv == nil {
-		return nil, errors.New("paillier: λ not invertible mod N^s")
-	}
-	d := new(big.Int).Mul(k.Base.Lambda, lamInv) // ≡ 0 mod λ, ≡ 1 mod N^s
-	a := new(big.Int).Exp(c.C, d, k.Ns1)
-	return k.DLogOnePlusN(a)
 }

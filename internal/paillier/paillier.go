@@ -5,10 +5,9 @@
 // Ciphertexts encrypt messages m ∈ Z_N as c = (1+N)^m · r^N mod N².
 // The scheme is additively homomorphic: multiplying ciphertexts adds
 // plaintexts, and exponentiation by a scalar multiplies the plaintext.
-// PublicKey/PrivateKey are the s = 1 key material and the full-width-nonce
-// encryption the NIZK layer proves statements about; the homomorphic
-// operations and decryption live on DJKey (dj.go), of which plain
-// Paillier is the degree-1 case.
+// Everything that needs only N — encryption, Add, ScalarMul and L — is a
+// PublicKey method; Decrypt and ExpSignedCRT use the factorization and
+// are PrivateKey methods.
 package paillier
 
 import (
@@ -34,6 +33,11 @@ type PublicKey struct {
 	N *big.Int
 	// N2 is N², cached.
 	N2 *big.Int
+
+	// rnd is the lazily built encryption randomizer (engine.go): public,
+	// a function of N alone. It makes the key non-copyable; keys are only
+	// ever handled by pointer.
+	rnd atomic.Pointer[randomizer]
 }
 
 // PrivateKey is a Paillier private key. For safe-prime keys, M = p'·q'
@@ -50,9 +54,9 @@ type PrivateKey struct {
 	// M is p'·q' for safe-prime keys, nil otherwise.
 	M *big.Int
 
-	// dj is the lazily built degree-1 Damgård–Jurik view Decrypt runs on.
-	// It makes the key non-copyable; keys are only ever handled by pointer.
-	dj atomic.Pointer[DJKey]
+	// crt is the CRT precomputation Decrypt and ExpSignedCRT run on
+	// (engine.go), built with the key.
+	crt *crtState //yosolint:secret derived from the prime factors: prime squares, group orders and the decryption exponent
 }
 
 // Ciphertext is a Paillier ciphertext, an element of Z*_{N²}.
@@ -165,6 +169,7 @@ func keyFromPrimes(p, q, m *big.Int) (*PrivateKey, error) {
 		Lambda: lambda,
 		Mu:     mu,
 		M:      m,
+		crt:    newCRTState(p, q, lambda, mu),
 	}, nil
 }
 
@@ -184,47 +189,59 @@ func (pk *PublicKey) RandomUnit(random io.Reader) (*big.Int, error) {
 	}
 }
 
-// Encrypt encrypts m ∈ [0, N) with fresh randomness.
-func (pk *PublicKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) {
-	r, err := pk.RandomUnit(random)
+// EncryptWithNonce encrypts m ∈ [0, N) with caller-supplied randomness
+// r ∈ Z*_N: (1+N)^m = 1 + mN times one full-width r^N exponentiation. It
+// is the reference the randomizer path is pinned to: Encrypt's output is
+// EncryptWithNonce(m, h^ρ mod N) bit for bit.
+func (pk *PublicKey) EncryptWithNonce(m, r *big.Int) (*Ciphertext, error) {
+	gm, err := pk.onePlusNTo(m)
 	if err != nil {
 		return nil, err
 	}
-	return pk.EncryptWithNonce(m, r)
+	c := gm.Mul(gm, new(big.Int).Exp(r, pk.N, pk.N2))
+	return &Ciphertext{C: c.Mod(c, pk.N2)}, nil
 }
 
-// EncryptWithNonce encrypts m with the caller-supplied randomness r ∈ Z*_N:
-// the textbook s = 1 encryption Encrypt draws its nonce for.
-func (pk *PublicKey) EncryptWithNonce(m, r *big.Int) (*Ciphertext, error) {
+// onePlusNTo is the range-checked message term (1+N)^m = 1 + mN mod N²
+// every encryption starts from.
+func (pk *PublicKey) onePlusNTo(m *big.Int) (*big.Int, error) {
 	if m.Sign() < 0 || m.Cmp(pk.N) >= 0 {
 		// The message itself stays out of the error: callers wrap errors
 		// into logs and board posts, and m is plaintext.
 		return nil, fmt.Errorf("%w: message outside [0, N)", ErrMessageRange)
 	}
-	// (1+N)^m = 1 + mN mod N².
 	gm := new(big.Int).Mul(m, pk.N)
 	gm.Add(gm, one)
-	gm.Mod(gm, pk.N2)
-	rn := new(big.Int).Exp(r, pk.N, pk.N2)
-	c := gm.Mul(gm, rn)
-	c.Mod(c, pk.N2)
-	return &Ciphertext{C: c}, nil
+	return gm.Mod(gm, pk.N2), nil
 }
 
-// Decrypt recovers the plaintext of c. Plain Paillier is Damgård–Jurik at
-// s = 1, so this is DJKey.Decrypt on a degree-1 view of the key (the CRT
-// engine path, engine.go), built on first use. A nil, non-positive or
-// ≥ N² ciphertext is ErrDecryption.
-func (sk *PrivateKey) Decrypt(c *Ciphertext) (*big.Int, error) {
-	k := sk.dj.Load()
-	if k == nil {
-		var err error
-		if k, err = NewDJKey(sk, 1); err != nil {
-			return nil, err
-		}
-		if !sk.dj.CompareAndSwap(nil, k) {
-			k = sk.dj.Load()
-		}
+// L extracts m from a = (1+N)^m mod N²: (1+N)^m = 1 + mN, so m is
+// L(a) = (a − 1)/N. An a ≢ 1 (mod N) is not a power of 1+N and is
+// ErrDecryption. Exposed because the threshold combination in package tte
+// needs the same extraction after exponent arithmetic.
+func (pk *PublicKey) L(a *big.Int) (*big.Int, error) {
+	m := new(big.Int).Mod(a, pk.N2)
+	m.Sub(m, one)
+	r := new(big.Int)
+	if m.DivMod(m, pk.N, r); r.Sign() != 0 {
+		return nil, fmt.Errorf("%w: value is not a power of 1+N", ErrDecryption)
 	}
-	return k.Decrypt(c)
+	return m, nil
+}
+
+// Add returns a ciphertext of the plaintext sum.
+func (pk *PublicKey) Add(a, b *Ciphertext) *Ciphertext {
+	c := new(big.Int).Mul(a.C, b.C)
+	return &Ciphertext{C: c.Mod(c, pk.N2)}
+}
+
+// ScalarMul returns a ciphertext of s·m. Negative scalars use modular
+// inversion of the ciphertext.
+func (pk *PublicKey) ScalarMul(a *Ciphertext, s *big.Int) *Ciphertext {
+	base, exp := a.C, s
+	if s.Sign() < 0 {
+		base = new(big.Int).ModInverse(a.C, pk.N2)
+		exp = new(big.Int).Neg(s)
+	}
+	return &Ciphertext{C: new(big.Int).Exp(base, exp, pk.N2)}
 }

@@ -150,23 +150,20 @@ func TestFixedTestKeyPanicsOutOfRange(t *testing.T) {
 // retained naive references on the same input (E14a's per-operation
 // ratios); the differential tests pin the two bit-for-bit.
 func BenchmarkEncrypt(b *testing.B) {
-	dj, err := NewDJKey(FixedTestKey(0), 1)
+	pk := &FixedTestKey(0).PublicKey
+	m := new(big.Int).Rsh(pk.N, 1)
+	r, err := pk.RandomUnit(rand.Reader)
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := new(big.Int).Rsh(dj.Ns, 1)
-	r, err := dj.Base.PublicKey.RandomUnit(rand.Reader)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dj.randomizer() // the once-per-key table build stays off the clock
+	pk.randomizer() // the once-per-key table build stays off the clock
 	for _, v := range []struct {
 		name string
 		enc  func(m, r *big.Int) (*Ciphertext, error)
 	}{
-		{"randomizer", func(m, _ *big.Int) (*Ciphertext, error) { return dj.Encrypt(rand.Reader, m) }},
-		{"engine", dj.EncryptWithNonce},
-		{"naive", dj.EncryptWithNonceNaive},
+		{"randomizer", func(m, _ *big.Int) (*Ciphertext, error) { return pk.Encrypt(rand.Reader, m) }},
+		{"engine", pk.EncryptWithNonce},
+		{"naive", pk.EncryptWithNonceNaive},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -200,8 +197,8 @@ func BenchmarkDecrypt(b *testing.B) {
 	}
 }
 
-// TestDecryptCRTMatchesDecrypt pins PrivateKey.Decrypt — the DJ s = 1 CRT
-// path — to the retained naive single-exponentiation reference on every
+// TestDecryptCRTMatchesDecrypt pins PrivateKey.Decrypt — the CRT path —
+// to the retained naive single-exponentiation reference on every
 // fixed key.
 func TestDecryptCRTMatchesDecrypt(t *testing.T) {
 	for name, sk := range allTestKeys() {
@@ -242,16 +239,95 @@ func TestDecryptCRTAfterHomomorphics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dj, err := NewDJKey(sk, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := dj.ScalarMul(dj.Add(c1, c2), big.NewInt(7))
+	sum := sk.ScalarMul(sk.Add(c1, c2), big.NewInt(7))
 	got, err := sk.Decrypt(sum)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Cmp(big.NewInt(70000)) != 0 {
 		t.Errorf("CRT decrypt of 7(1234+8766) = %v", got)
+	}
+}
+
+// TestDJHomomorphism checks Add and ScalarMul on the plaintext space Z_N:
+// a sum below N decrypts to itself, and a scalar multiple wraps mod N.
+func TestDJHomomorphism(t *testing.T) {
+	sk := FixedTestKey(1)
+	a := new(big.Int).Add(new(big.Int).Div(sk.N, big.NewInt(3)), big.NewInt(12345))
+	b := new(big.Int).Div(sk.N, big.NewInt(5))
+	ca, err := sk.Encrypt(rand.Reader, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := sk.Encrypt(rand.Reader, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sk.Decrypt(sk.Add(ca, cb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := new(big.Int).Add(a, b)
+	if got.Cmp(want) != 0 {
+		t.Errorf("Enc(a)+Enc(b) = %v, want %v", got, want)
+	}
+	got, err = sk.Decrypt(sk.ScalarMul(ca, big.NewInt(1000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Mul(a, big.NewInt(1000)).Mod(want, sk.N)
+	if got.Cmp(want) != 0 {
+		t.Errorf("1000·Enc(a) = %v, want %v", got, want)
+	}
+}
+
+func TestDJScalarMulNegative(t *testing.T) {
+	sk := FixedTestKey(1)
+	c, err := sk.Encrypt(rand.Reader, big.NewInt(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sk.Decrypt(sk.ScalarMul(c, big.NewInt(-2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := new(big.Int).Sub(sk.N, big.NewInt(14))
+	if got.Cmp(want) != 0 {
+		t.Errorf("-2·Enc(7) = %v, want N−14", got)
+	}
+}
+
+func TestDJValidation(t *testing.T) {
+	sk := FixedTestKey(1)
+	if _, err := sk.Encrypt(rand.Reader, big.NewInt(-1)); !errors.Is(err, ErrMessageRange) {
+		t.Errorf("negative message: err = %v, want ErrMessageRange", err)
+	}
+	if _, err := sk.Encrypt(rand.Reader, sk.N); !errors.Is(err, ErrMessageRange) {
+		t.Errorf("message == N: err = %v, want ErrMessageRange", err)
+	}
+	if _, err := sk.Decrypt(&Ciphertext{C: big.NewInt(0)}); err == nil {
+		t.Error("accepted zero ciphertext")
+	}
+	if _, err := sk.Decrypt(nil); err == nil {
+		t.Error("accepted nil ciphertext")
+	}
+}
+
+// TestDJDLogDirect checks L on powers of 1+N, and its refusal of a value
+// that is not one.
+func TestDJDLogDirect(t *testing.T) {
+	sk := FixedTestKey(1)
+	onePlusN := new(big.Int).Add(sk.N, one)
+	for _, i := range []*big.Int{big.NewInt(0), big.NewInt(42), new(big.Int).Rsh(sk.N, 2), new(big.Int).Sub(sk.N, one)} {
+		got, err := sk.L(new(big.Int).Exp(onePlusN, i, sk.N2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cmp(i) != 0 {
+			t.Errorf("L((1+N)^%v) = %v", i, got)
+		}
+	}
+	if _, err := sk.L(big.NewInt(2)); !errors.Is(err, ErrDecryption) {
+		t.Errorf("L(2): err = %v, want ErrDecryption", err)
 	}
 }

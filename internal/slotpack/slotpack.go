@@ -1,6 +1,6 @@
 // Package slotpack opens several values with one partial decryption. The
 // MPC runs over F_p with p = 2^61 − 1 while a threshold plaintext lives in
-// Z_{N^s}, thousands of bits wide, so the ciphertexts one reader opens in one
+// Z_N, thousands of bits wide, so the ciphertexts one reader opens in one
 // committee step are combined — "everyone computes TEval" — into
 //
 //	C = Σ_l 2^{off_l}·c_l,   off_0 = 0,  off_{l+1} = off_l + w_l,

@@ -107,11 +107,7 @@ func fixedBackends(tb testing.TB) map[string]tte.Scheme {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	dj, err := tte.NewThresholdDJ(paillier.FixedTestKey(3), 2)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return map[string]tte.Scheme{"sim": tte.NewSim(512), "threshold-512": th, "threshold-512-dj2": dj}
+	return map[string]tte.Scheme{"sim": tte.NewSim(512), "threshold-512": th}
 }
 
 // roundTrip encrypts one value per width, packs them by the plan for the
@@ -196,7 +192,7 @@ func TestSlotRoundTrip(t *testing.T) {
 }
 
 // FuzzSlotRoundTrip packs and splits fuzzer-chosen slot vectors with every
-// slot at its maximum, on both backends and both plaintext degrees.
+// slot at its maximum, on both backends.
 func FuzzSlotRoundTrip(f *testing.F) {
 	f.Add([]byte{129, 129, 194, 129, 129, 194})
 	f.Add([]byte{0, 65, 0, 255, 255, 1})
@@ -206,7 +202,7 @@ func FuzzSlotRoundTrip(f *testing.F) {
 		if len(raw) > 24 {
 			raw = raw[:24]
 		}
-		// Widths up to the smallest capacity (509 bits at s = 1): Encrypt
+		// Widths up to the 512-bit key's capacity (509 bits): Encrypt
 		// refuses a wider bound, so a wider value never exists.
 		widths := make([]int, len(raw))
 		for l, b := range raw {
@@ -332,5 +328,48 @@ func TestListsOfLinearGates(t *testing.T) {
 	// ε = (x − y) + a, δ = (x + y) + b.
 	if got, want := Expand(ls.EpsDelta), []int{124, 65}; !reflect.DeepEqual(got, want) {
 		t.Errorf("ε/δ widths %v, want %v", got, want)
+	}
+}
+
+// TestWidestSlotIndependentOfDepth pins why one 512-bit Paillier key runs
+// circuits of any multiplicative depth: ListsOf restarts every
+// multiplication output at the fresh bound, so bounds grow only through
+// linear gates, and the widest slot of WideMul(4, d) — real512_deep's
+// shape — is the same for d = 1…8 and fits the key's capacity.
+func TestWidestSlotIndependentOfDepth(t *testing.T) {
+	const n, tt, k = 16, 3, 4
+	te, err := tte.NewThreshold(paillier.FixedTestKey(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk, _, err := te.KeyGen(n, tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity := Capacity(pk.MaxPlaintext())
+	widest := func(ls Lists) int {
+		w := 0
+		for _, runs := range append(append(append([][]Run{ls.EpsDelta}, ls.Inputs...), ls.Outputs...), ls.Layers...) {
+			for _, r := range runs {
+				w = max(w, r.Width)
+			}
+		}
+		return w
+	}
+	var first int
+	for d := 1; d <= 8; d++ {
+		c, err := circuit.WideMul(4, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := widest(ListsOf(c, n, tt, k))
+		if d == 1 {
+			first = w
+		} else if w != first {
+			t.Errorf("depth %d: widest slot %d bits, depth 1's is %d", d, w, first)
+		}
+		if w > capacity {
+			t.Errorf("depth %d: widest slot %d bits exceeds the 512-bit key's capacity %d", d, w, capacity)
+		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // which for engine outputs is the same as byte equality.
 
 // PartialDecryptNaive is the reference for PartialDecrypt: one
-// full-length exponentiation modulo N^{s+1}, no CRT.
+// full-length exponentiation modulo N², no CRT.
 func (s *Threshold) PartialDecryptNaive(pk PublicKey, sh KeyShare, ct Ciphertext) (PartialDec, error) {
 	tpk, tsh, tct, err := s.operands(pk, sh, ct)
 	if err != nil {
@@ -26,7 +26,7 @@ func (s *Threshold) PartialDecryptNaive(pk PublicKey, sh KeyShare, ct Ciphertext
 	}
 	exp := new(big.Int).Lsh(tsh.d, 1) // 2·d_i
 	exp.Mul(exp, tpk.delta)           // 2Δ·d_i
-	v, err := modexp.ExpSigned(tct.value, exp, s.dj.Ns1)
+	v, err := modexp.ExpSigned(tct.value, exp, s.dealer.N2)
 	if err != nil {
 		return nil, err
 	}
@@ -51,14 +51,14 @@ func (s *Threshold) CombineNaive(pk PublicKey, ct Ciphertext, parts []PartialDec
 	acc := big.NewInt(1)
 	for i, p := range chosen {
 		exp := new(big.Int).Lsh(lambdas[i], 1) // 2Λ_i
-		term, err := modexp.ExpSigned(p.v, exp, s.dj.Ns1)
+		term, err := modexp.ExpSigned(p.v, exp, s.dealer.N2)
 		if err != nil {
 			return nil, err
 		}
 		acc.Mul(acc, term)
-		acc.Mod(acc, s.dj.Ns1)
+		acc.Mod(acc, s.dealer.N2)
 	}
-	lVal, err := s.dj.DLogOnePlusN(acc)
+	lVal, err := s.dealer.L(acc)
 	if err != nil {
 		return nil, fmt.Errorf("%w: combination is not a valid decryption", ErrMalformedMessage)
 	}
@@ -67,19 +67,19 @@ func (s *Threshold) CombineNaive(pk PublicKey, ct Ciphertext, parts []PartialDec
 	if epoch > 0 {
 		div.Mul(div, deltaPowerNaive(s, tpk, epoch))
 	}
-	divInv := new(big.Int).ModInverse(div, s.dj.Ns)
+	divInv := new(big.Int).ModInverse(div, s.dealer.N)
 	if divInv == nil {
 		return nil, errors.New("tte: combination divisor not invertible")
 	}
 	m := lVal.Mul(lVal, divInv)
-	m.Mod(m, s.dj.Ns)
+	m.Mod(m, s.dealer.N)
 	return m, nil
 }
 
-// deltaPowerNaive is the reference for deltaPower: Δ^epoch mod N^s by
+// deltaPowerNaive is the reference for deltaPower: Δ^epoch mod N by
 // direct exponentiation.
 func deltaPowerNaive(s *Threshold, tpk *publicKey, epoch int) *big.Int {
-	return new(big.Int).Exp(tpk.delta, big.NewInt(int64(epoch)), s.dj.Ns)
+	return new(big.Int).Exp(tpk.delta, big.NewInt(int64(epoch)), s.dealer.N)
 }
 
 func engineScheme(t *testing.T) (*Threshold, PublicKey, []KeyShare) {
@@ -222,7 +222,7 @@ func BenchmarkEncrypt(b *testing.B) {
 		enc  func() error
 	}{
 		{"randomizer", func() error { _, err := s.Encrypt(pk, m, bound); return err }},
-		{"engine", func() error { _, err := s.dj.EncryptWithNonce(m, r); return err }},
+		{"engine", func() error { _, err := s.dealer.EncryptWithNonce(m, r); return err }},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -10,7 +10,7 @@ import (
 
 // genericEval is TEval with every coefficient multiplied in, one included:
 // Σ c_i·bound_i for the bound, and Σ c_i·m_i on Sim or Π ct_i^{c_i} mod
-// N^{s+1} on the real backend for the value.
+// N² on the real backend for the value.
 func genericEval(s Scheme, cts []Ciphertext, coeffs []*big.Int) (value, bound *big.Int) {
 	bound = new(big.Int)
 	for i, ct := range cts {
@@ -20,7 +20,7 @@ func genericEval(s Scheme, cts []Ciphertext, coeffs []*big.Int) (value, bound *b
 		acc := &paillier.Ciphertext{C: big.NewInt(1)}
 		for i, ct := range cts {
 			if coeffs[i].Sign() != 0 {
-				acc = th.dj.Add(acc, th.dj.ScalarMul(&paillier.Ciphertext{C: ct.(*ciphertext).value}, coeffs[i]))
+				acc = th.dealer.Add(acc, th.dealer.ScalarMul(&paillier.Ciphertext{C: ct.(*ciphertext).value}, coeffs[i]))
 			}
 		}
 		return acc.C, bound

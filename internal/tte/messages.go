@@ -31,7 +31,7 @@ func (p *publicKey) CiphertextSize() int    { return p.ctBytes }
 func (p *publicKey) MaxPlaintext() *big.Int { return p.maxPlain }
 
 type ciphertext struct {
-	value *big.Int // the Damgård–Jurik residue (Sim: the plaintext)
+	value *big.Int // the Paillier residue mod N² (Sim: the plaintext)
 	bound *big.Int
 	size  int
 }
@@ -51,7 +51,7 @@ func (s *keyShare) Size() int  { return s.size }
 
 type partial struct {
 	index, epoch int
-	v            *big.Int //yosolint:secret partial decryption c^(2Δ·d_i) mod N^{s+1} (Sim: the plaintext), secret until intentionally combined
+	v            *big.Int //yosolint:secret partial decryption c^(2Δ·d_i) mod N² (Sim: the plaintext), secret until intentionally combined
 	size         int
 }
 

@@ -16,15 +16,13 @@ import (
 // resharing key shares over the integers.
 const statSecurity = 80
 
-// Threshold is the real backend: threshold Paillier (or its Damgård–Jurik
-// degree-s generalization, plaintext space Z_{N^s}) with a Shamir-shared
+// Threshold is the real backend: threshold Paillier with a Shamir-shared
 // decryption exponent, Δ = n! integer Lagrange combination, and integer
 // resharing. It holds the dealer key, which also powers SimPartialDecrypt
 // (the security simulator knows the dealer secrets, per the paper's
 // Appendix B hybrids).
 type Threshold struct {
 	dealer *paillier.PrivateKey
-	dj     *paillier.DJKey
 	random io.Reader
 	codec
 }
@@ -32,35 +30,24 @@ type Threshold struct {
 // NewThreshold builds the real backend around a dealer key, which must be a
 // safe-prime key (paillier.GenerateSafeKey or a fixed test key).
 func NewThreshold(dealer *paillier.PrivateKey) (*Threshold, error) {
-	return NewThresholdDJ(dealer, 1)
-}
-
-// NewThresholdDJ builds the real backend at Damgård–Jurik degree s: the
-// plaintext space grows to Z_{N^s}, giving deep circuits integer headroom
-// without a larger modulus. s = 1 is plain threshold Paillier.
-func NewThresholdDJ(dealer *paillier.PrivateKey, s int) (*Threshold, error) {
 	if dealer == nil || dealer.M == nil {
 		return nil, errors.New("tte: threshold backend requires a safe-prime dealer key")
 	}
-	dj, err := paillier.NewDJKey(dealer, s)
-	if err != nil {
-		return nil, err
-	}
-	return &Threshold{dealer: dealer, dj: dj, random: rand.Reader, codec: codec{scheme: "threshold-paillier", valued: true}}, nil
+	return &Threshold{dealer: dealer, random: rand.Reader, codec: codec{scheme: "threshold-paillier", valued: true}}, nil
 }
 
-// exponent returns the decryption exponent d ≡ 0 (mod m), d ≡ 1 (mod N^s)
-// and N^s·m, the modulus it is Shamir-shared over.
+// exponent returns the decryption exponent d ≡ 0 (mod m), d ≡ 1 (mod N)
+// and N·m, the modulus it is Shamir-shared over.
 func (s *Threshold) exponent() (d, nm *big.Int, err error) {
-	mInv := new(big.Int).ModInverse(s.dealer.M, s.dj.Ns) //yosolint:vartime dealer-side key setup and simulator retargeting: the dealer holds the full secret key and stdlib math/big has no constant-time inverse
+	mInv := new(big.Int).ModInverse(s.dealer.M, s.dealer.N) //yosolint:vartime dealer-side key setup and simulator retargeting: the dealer holds the full secret key and stdlib math/big has no constant-time inverse
 	if mInv == nil {
-		return nil, nil, errors.New("tte: m not invertible mod N^s")
+		return nil, nil, errors.New("tte: m not invertible mod N")
 	}
-	return mInv.Mul(s.dealer.M, mInv), new(big.Int).Mul(s.dj.Ns, s.dealer.M), nil
+	return mInv.Mul(s.dealer.M, mInv), new(big.Int).Mul(s.dealer.N, s.dealer.M), nil
 }
 
 // KeyGen implements TKGen: it Shamir-shares the decryption exponent d
-// modulo N^s·m with a degree-t polynomial.
+// modulo N·m with a degree-t polynomial.
 func (s *Threshold) KeyGen(n, t int) (PublicKey, []KeyShare, error) {
 	if err := checkCommittee(n, t); err != nil {
 		return nil, nil, err
@@ -83,7 +70,7 @@ func (s *Threshold) KeyGen(n, t int) (PublicKey, []KeyShare, error) {
 		shares[i-1] = s.newShare(i, 0, evalIntPoly(coeffs, i, nm)) //yosolint:vartime dealer-side keygen evaluation of the key-sharing polynomial; stdlib math/big only
 	}
 	return &publicKey{scheme: s.scheme, n: n, t: t, delta: factorial(n),
-		maxPlain: new(big.Int).Rsh(s.dj.Ns, 2), ctBytes: s.dj.ByteLen()}, shares, nil
+		maxPlain: new(big.Int).Rsh(s.dealer.N, 2), ctBytes: (s.dealer.N2.BitLen() + 7) / 8}, shares, nil
 }
 
 // evalIntPoly evaluates the polynomial at x, reducing modulo mod when mod is
@@ -104,7 +91,7 @@ func (s *Threshold) Encrypt(pk PublicKey, m, bound *big.Int) (Ciphertext, error)
 	return first(s.EncryptMany(pk, []*big.Int{m}, bound, 1))
 }
 
-// EncryptMany implements the batched TEnc: Damgård–Jurik ciphertexts whose
+// EncryptMany implements the batched TEnc: Paillier ciphertexts whose
 // nonces are short powers of the key's public randomizer base, encrypted
 // over the shared worker pool. The randomizer exponents are sampled
 // serially inside the Paillier layer, so the ciphertexts are independent of
@@ -114,7 +101,7 @@ func (s *Threshold) EncryptMany(pk PublicKey, ms []*big.Int, bound *big.Int, wor
 	if err != nil {
 		return nil, err
 	}
-	cts, err := s.dj.EncryptMany(s.random, ms, workers)
+	cts, err := s.dealer.EncryptMany(s.random, ms, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +114,7 @@ func (s *Threshold) EncryptMany(pk PublicKey, ms []*big.Int, bound *big.Int, wor
 }
 
 // Eval implements TEval with non-negative integer coefficients. A term
-// whose coefficient is one is multiplied in as it is: c^1 mod N^{s+1} is
+// whose coefficient is one is multiplied in as it is: c^1 mod N² is
 // what the product reduces it to anyway.
 func (s *Threshold) Eval(pk PublicKey, cts []Ciphertext, coeffs []*big.Int) (Ciphertext, error) {
 	bound := new(big.Int)
@@ -142,9 +129,9 @@ func (s *Threshold) Eval(pk PublicKey, cts []Ciphertext, coeffs []*big.Int) (Cip
 		}
 		x := &paillier.Ciphertext{C: ct.(*ciphertext).value}
 		if coeffs[i].BitLen() != 1 {
-			x = s.dj.ScalarMul(x, coeffs[i])
+			x = s.dealer.ScalarMul(x, coeffs[i])
 		}
-		acc = s.dj.Add(acc, x)
+		acc = s.dealer.Add(acc, x)
 	}
 	return &ciphertext{value: acc.C, bound: bound, size: p.ctBytes}, nil
 }
@@ -152,7 +139,7 @@ func (s *Threshold) Eval(pk PublicKey, cts []Ciphertext, coeffs []*big.Int) (Cip
 // PartialDecrypt implements TPDec: v = c^(2Δ·d_i) mod N². It runs on
 // the CRT engine path, which reduces the 2Δ·d_i exponent modulo the
 // per-prime group orders before exponentiating — the share carries
-// log₂(2Δ·N^s·m) ≈ n·log₂n + 2·s·log₂N bits that reduction shrinks to
+// log₂(2Δ·N·m) ≈ n·log₂n + 2·log₂N bits that reduction shrinks to
 // the group order. This backend holds the dealer key (see the Threshold
 // doc comment), so the factorization is available wherever the scheme
 // runs.
@@ -163,7 +150,7 @@ func (s *Threshold) PartialDecrypt(pk PublicKey, sh KeyShare, ct Ciphertext) (Pa
 	}
 	exp := new(big.Int).Lsh(k.d, 1) // 2·d_i
 	exp.Mul(exp, p.delta)           // 2Δ·d_i
-	v, err := s.dj.ExpSignedCRT(c.value, exp)
+	v, err := s.dealer.ExpSignedCRT(c.value, exp)
 	if err != nil {
 		return nil, err
 	}
@@ -190,36 +177,36 @@ func (s *Threshold) Combine(pk PublicKey, ct Ciphertext, parts []PartialDec) (*b
 	for _, e := range exps {
 		e.Lsh(e, 1) // 2Λ_i
 	}
-	acc, err := modexp.MultiExp(s.dj.Ns1, bases, exps)
+	acc, err := modexp.MultiExp(s.dealer.N2, bases, exps)
 	if err != nil {
 		return nil, err
 	}
-	// acc = (1+N)^(4Δ²·Δ^epoch·M) mod N^{s+1} for well-formed inputs;
-	// extract the exponent with the Damgård–Jurik recursion.
-	lVal, err := s.dj.DLogOnePlusN(acc)
+	// acc = (1+N)^(4Δ²·Δ^epoch·M) mod N² for well-formed inputs;
+	// extract the exponent with L.
+	lVal, err := s.dealer.L(acc)
 	if err != nil {
 		return nil, fmt.Errorf("%w: combination is not a valid decryption", ErrMalformedMessage)
 	}
-	// Divide by 4Δ²·Δ^epoch mod N^s.
+	// Divide by 4Δ²·Δ^epoch mod N.
 	dp, err := s.deltaPower(p, epoch)
 	if err != nil {
 		return nil, err
 	}
 	div := new(big.Int).Mul(p.delta, p.delta)
 	div.Lsh(div.Mul(div, dp), 2)
-	divInv := new(big.Int).ModInverse(div, s.dj.Ns)
+	divInv := new(big.Int).ModInverse(div, s.dealer.N)
 	if divInv == nil {
 		return nil, errors.New("tte: combination divisor not invertible")
 	}
-	return lVal.Mod(lVal.Mul(lVal, divInv), s.dj.Ns), nil
+	return lVal.Mod(lVal.Mul(lVal, divInv), s.dealer.N), nil
 }
 
-// deltaPower returns Δ^epoch mod N^s from the process-wide power ladder
+// deltaPower returns Δ^epoch mod N from the process-wide power ladder
 // (one cached multiplication per new epoch instead of a full
 // exponentiation at every Combine). Ladder entries are shared; callers
 // must not mutate the returned value.
 func (s *Threshold) deltaPower(p *publicKey, epoch int) (*big.Int, error) {
-	return modexp.Ladder(p.delta, s.dj.Ns).Pow(epoch)
+	return modexp.Ladder(p.delta, s.dealer.N).Pow(epoch)
 }
 
 // lowestPartials validates parts and picks the t+1 with the lowest
@@ -245,10 +232,10 @@ func (s *Threshold) Reshare(pk PublicKey, sh KeyShare) ([]SubShare, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Masking bound: |d_i|·Δ·2^statSecurity (at least N^s·m·Δ·2^σ for
+	// Masking bound: |d_i|·Δ·2^statSecurity (at least N·m·Δ·2^σ for
 	// epoch 0).
 	mag := new(big.Int).Abs(k.d)
-	nm := new(big.Int).Mul(s.dj.Ns, s.dealer.M)
+	nm := new(big.Int).Mul(s.dealer.N, s.dealer.M)
 	if mag.Cmp(nm) < 0 { //yosolint:vartime sizes the masking bound; reveals only the share's magnitude class, which its wire-encoding length reveals regardless
 		mag = nm
 	}
@@ -311,13 +298,13 @@ func (s *Threshold) SimPartialDecrypt(pk PublicKey, ct Ciphertext, target *big.I
 		return nil, err
 	}
 	// The simulator knows the dealer key: recover the true plaintext M.
-	m, err := s.dj.Decrypt(&paillier.Ciphertext{C: c.value})
+	m, err := s.dealer.Decrypt(&paillier.Ciphertext{C: c.value})
 	if err != nil {
 		return nil, err
 	}
-	mInv := new(big.Int).ModInverse(m, s.dj.Ns) //yosolint:vartime simulator-only equivocation retargeting; never executed by protocol roles
+	mInv := new(big.Int).ModInverse(m, s.dealer.N) //yosolint:vartime simulator-only equivocation retargeting; never executed by protocol roles
 	if mInv == nil {
-		return nil, errors.New("tte: true plaintext not invertible mod N^s; cannot retarget")
+		return nil, errors.New("tte: true plaintext not invertible mod N; cannot retarget")
 	}
 	epoch := 0
 	points := []int{0}
@@ -331,7 +318,7 @@ func (s *Threshold) SimPartialDecrypt(pk PublicKey, ct Ciphertext, target *big.I
 		points = append(points, k.index)
 		values = append(values, k.d)
 	}
-	// D0 ≡ 0 (mod m), D0 ≡ Δ^epoch·target·M⁻¹ (mod N^s).
+	// D0 ≡ 0 (mod m), D0 ≡ Δ^epoch·target·M⁻¹ (mod N).
 	dp, err := s.deltaPower(p, epoch)
 	if err != nil {
 		return nil, err
@@ -341,7 +328,7 @@ func (s *Threshold) SimPartialDecrypt(pk PublicKey, ct Ciphertext, target *big.I
 		return nil, err
 	}
 	resN := new(big.Int).Mul(target, mInv)
-	resN.Mod(resN.Mul(resN, dp), s.dj.Ns)
+	resN.Mod(resN.Mul(resN, dp), s.dealer.N)
 	d0 := d.Mul(d, resN)
 	values[0] = d0.Mod(d0, nm) //yosolint:vartime simulator-only equivocation retargeting; never executed by protocol roles
 
@@ -371,7 +358,7 @@ func (s *Threshold) SimPartialDecrypt(pk PublicKey, ct Ciphertext, target *big.I
 		for k := range points {
 			w.Add(w, term.Mul(lambdas[k], values[k]))
 		}
-		v, err := s.dj.ExpSignedCRT(c.value, w.Lsh(w, 1))
+		v, err := s.dealer.ExpSignedCRT(c.value, w.Lsh(w, 1))
 		if err != nil {
 			return nil, err
 		}

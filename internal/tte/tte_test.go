@@ -575,3 +575,99 @@ func TestScaledLagrangeDuplicate(t *testing.T) {
 		t.Errorf("err = %v, want ErrDuplicateIndex", err)
 	}
 }
+
+// TestDJThresholdRoundTrip opens the largest plaintext the key accepts,
+// MaxPlaintext = N/4, through t+1 partials.
+func TestDJThresholdRoundTrip(t *testing.T) {
+	sc, err := NewThreshold(paillier.FixedTestKey(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk, shares, err := sc.KeyGen(5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := pk.MaxPlaintext()
+	ct, err := sc.Encrypt(pk, m, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := decryptVia(t, sc, pk, shares, ct, []int{2, 4, 5}); got.Cmp(m) != 0 {
+		t.Errorf("decrypted %v, want %v", got, m)
+	}
+}
+
+func TestDJThresholdEvalAndReshare(t *testing.T) {
+	sc, err := NewThreshold(paillier.FixedTestKey(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk, shares, err := sc.KeyGen(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A large-coefficient linear combination, still below N/4.
+	base := new(big.Int).Lsh(big.NewInt(1), 400)
+	c1, err := sc.Encrypt(pk, base, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := sc.Encrypt(pk, big.NewInt(99), big.NewInt(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigCoeff := new(big.Int).Lsh(big.NewInt(1), 300)
+	sum, err := sc.Eval(pk, []Ciphertext{c1, c2}, []*big.Int{big.NewInt(3), bigCoeff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := new(big.Int).Mul(base, big.NewInt(3))
+	want.Add(want, new(big.Int).Mul(bigCoeff, big.NewInt(99)))
+
+	// Decrypt after one resharing epoch, exercising the Δ-divisor path
+	// modulo N.
+	next := reshareAll(t, sc, pk, shares, []int{1, 3})
+	got := decryptVia(t, sc, pk, next, sum, []int{2, 3})
+	if got.Cmp(want) != 0 {
+		t.Errorf("eval+reshare decrypted %v, want %v", got, want)
+	}
+}
+
+// TestDJSimPartialDecrypt retargets the real backend's simulator
+// (Appendix B's SimTPDec) on plaintexts hundreds of bits wide, below N/4.
+func TestDJSimPartialDecrypt(t *testing.T) {
+	sc, err := NewThreshold(paillier.FixedTestKey(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk, shares, err := sc.KeyGen(5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := new(big.Int).Lsh(big.NewInt(7), 400)
+	ct, err := sc.Encrypt(pk, m, new(big.Int).Lsh(m, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := new(big.Int).Lsh(big.NewInt(3), 355)
+	corrupt := []KeyShare{shares[0], shares[1]}
+	simParts, err := sc.SimPartialDecrypt(pk, ct, target, corrupt, []int{3, 4, 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parts []PartialDec
+	for _, c := range corrupt {
+		p, err := sc.PartialDecrypt(pk, c, ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, p)
+	}
+	got, err := sc.Combine(pk, ct, append(parts, simParts...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cmp(target) != 0 {
+		t.Errorf("retargeted combination = %v, want %v", got, target)
+	}
+}

@@ -12,20 +12,18 @@ import (
 
 // Shoup-style verification keys for publicly checkable partial
 // decryptions: at key generation the dealer publishes a random square
-// v ∈ Z*_{N^{s+1}} and per-party keys V_i = v^{Δ·d_i}. A partial
+// v ∈ Z*_{N²} and per-party keys V_i = v^{Δ·d_i}. A partial
 // decryption p = c^{2Δ·d_i} is certified by an equality-of-exponents
 // proof between (c², p) and (v, V_i) with witness 2Δ·d_i.
 //
 // These are the *real* analogues of the attested proofs the protocol
 // driver uses for its composite statements; they demonstrate that the
 // partial-decryption leg of the paper's Re-encrypt/Decrypt relation is
-// realizable with standard sigma protocols, including across resharing
-// epochs (ReshareVerified / UpdateVerificationKeys keep the V_i in sync
-// with the evolving shares).
+// realizable with standard sigma protocols.
 
 // VerificationKeys certify partial decryptions of one key epoch.
 type VerificationKeys struct {
-	// V is the base, a random square in Z*_{N^{s+1}}.
+	// V is the base, a random square in Z*_{N²}.
 	V *big.Int
 	// Keys[i-1] is V^(Δ·d_i) for party i.
 	Keys []*big.Int
@@ -33,15 +31,6 @@ type VerificationKeys struct {
 	Epoch int
 	// WitnessBound bounds |Δ·d_i| for proof sizing.
 	WitnessBound *big.Int
-}
-
-// Size returns the wire size of the published keys in bytes.
-func (vk *VerificationKeys) Size() int {
-	s := (vk.V.BitLen() + 7) / 8
-	for _, k := range vk.Keys {
-		s += (k.BitLen() + 7) / 8
-	}
-	return s
 }
 
 // ErrNoVerification marks operations that need a verified keygen.
@@ -54,25 +43,25 @@ func (s *Threshold) KeyGenVerified(n, t int) (PublicKey, []KeyShare, *Verificati
 		return nil, nil, nil, err
 	}
 	tpk := pk.(*publicKey)
-	// v = r² mod N^{s+1} for random r — a generator of the squares w.h.p.
-	r, err := rand.Int(s.random, s.dj.Ns1)
+	// v = r² mod N² for random r — a generator of the squares w.h.p.
+	r, err := rand.Int(s.random, s.dealer.N2)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("tte: sampling verification base: %w", err)
 	}
 	v := new(big.Int).Mul(r, r)
-	v.Mod(v, s.dj.Ns1)
+	v.Mod(v, s.dealer.N2)
 	if v.Sign() == 0 {
 		v = big.NewInt(4)
 	}
 	vk := &VerificationKeys{V: v, Keys: make([]*big.Int, n), Epoch: 0}
 	// The witness bound must derive from public quantities only: the
 	// verification keys travel to every verifier, and a bound equal to
-	// 2Δ·N^s·m would hand out the secret m = p'q' (divide by the known
-	// 2Δ·N^s) and with it N's factorization. m < N/4 for a safe-prime
-	// modulus, so 2Δ·N^s·(N/4) over-bounds |Δ·d_i| and is sound: the
+	// 2Δ·N·m would hand out the secret m = p'q' (divide by the known
+	// 2Δ·N) and with it N's factorization. m < N/4 for a safe-prime
+	// modulus, so 2Δ·N·(N/4) over-bounds |Δ·d_i| and is sound: the
 	// bound only sizes the proof's masking randomness, where bigger
 	// still hides.
-	nm := new(big.Int).Mul(s.dj.Ns, new(big.Int).Rsh(s.dealer.N, 2))
+	nm := new(big.Int).Mul(s.dealer.N, new(big.Int).Rsh(s.dealer.N, 2))
 	vk.WitnessBound = new(big.Int).Mul(nm, tpk.delta)
 	vk.WitnessBound.Lsh(vk.WitnessBound, 1)
 	// All n keys share the base v: one fixed-base table amortized across
@@ -81,7 +70,7 @@ func (s *Threshold) KeyGenVerified(n, t int) (PublicKey, []KeyShare, *Verificati
 	for i, sh := range shares {
 		exps[i] = new(big.Int).Mul(tpk.delta, sh.(*keyShare).d)
 	}
-	keys, err := modexp.ExpManySigned(v, s.dj.Ns1, exps)
+	keys, err := modexp.ExpManySigned(v, s.dealer.N2, exps)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -110,9 +99,9 @@ func (s *Threshold) ProvePartial(pk PublicKey, sh KeyShare, ct Ciphertext,
 	// part = (c²)^(Δ·d_i) and V_i = v^(Δ·d_i): witness w = Δ·d_i over
 	// bases g1 = c², g2 = v.
 	g1 := new(big.Int).Mul(tct.value, tct.value)
-	g1.Mod(g1, s.dj.Ns1)
+	g1.Mod(g1, s.dealer.N2)
 	w := new(big.Int).Mul(tpk.delta, tsh.d)
-	return nizk.ProveEqExp(s.dj.Ns1, g1, vk.V, tp.v, vk.Keys[tsh.index-1], w, vk.WitnessBound)
+	return nizk.ProveEqExp(s.dealer.N2, g1, vk.V, tp.v, vk.Keys[tsh.index-1], w, vk.WitnessBound)
 }
 
 // VerifyPartial checks a ProvePartial proof.
@@ -133,90 +122,6 @@ func (s *Threshold) VerifyPartial(pk PublicKey, index int, ct Ciphertext,
 		return false
 	}
 	g1 := new(big.Int).Mul(tct.value, tct.value)
-	g1.Mod(g1, s.dj.Ns1)
-	return nizk.VerifyEqExp(s.dj.Ns1, g1, vk.V, tp.v, vk.Keys[index-1], proof)
-}
-
-// VerifiedSubShares carries one party's resharing together with the
-// verification pieces v^(Δ·g_i(j)) that let anyone derive the next
-// epoch's verification keys.
-type VerifiedSubShares struct {
-	// Subs are the TKRes subshares.
-	Subs []SubShare
-	// Pieces[j-1] = v^(Δ·g_i(j)) for target j.
-	Pieces []*big.Int
-	// From is the resharing party.
-	From int
-}
-
-// ReshareVerified is Reshare plus verification pieces.
-func (s *Threshold) ReshareVerified(pk PublicKey, sh KeyShare, vk *VerificationKeys) (*VerifiedSubShares, error) {
-	tpk, err := s.pub(pk)
-	if err != nil {
-		return nil, err
-	}
-	subs, err := s.Reshare(pk, sh)
-	if err != nil {
-		return nil, err
-	}
-	// All n pieces share the base v: fixed-base fan-out, as in
-	// KeyGenVerified.
-	exps := make([]*big.Int, len(subs))
-	for j, sub := range subs {
-		exps[j] = new(big.Int).Mul(tpk.delta, sub.(*subShare).v)
-	}
-	pieces, err := modexp.ExpManySigned(vk.V, s.dj.Ns1, exps)
-	if err != nil {
-		return nil, err
-	}
-	return &VerifiedSubShares{Subs: subs, Pieces: pieces, From: sh.Index()}, nil
-}
-
-// UpdateVerificationKeys derives the next epoch's verification keys from
-// t+1 parties' verified resharings: the new share is
-// d'_j = Σ Λ_i·g_i(j), so V'_j = Π Pieces_i[j]^(Λ_i) = v^(Δ·d'_j).
-func (s *Threshold) UpdateVerificationKeys(pk PublicKey, vk *VerificationKeys,
-	resharings []*VerifiedSubShares) (*VerificationKeys, error) {
-	tpk, err := s.pub(pk)
-	if err != nil {
-		return nil, err
-	}
-	if len(resharings) < tpk.t+1 {
-		return nil, fmt.Errorf("%w: have %d resharings, need %d", ErrTooFewPartials, len(resharings), tpk.t+1)
-	}
-	chosen := resharings[:tpk.t+1]
-	froms := make([]int, len(chosen))
-	for i, rs := range chosen {
-		froms[i] = rs.From
-	}
-	lambdas, err := scaledLagrangeAtZero(tpk.delta, froms)
-	if err != nil {
-		return nil, err
-	}
-	next := &VerificationKeys{
-		V:     vk.V,
-		Keys:  make([]*big.Int, tpk.n),
-		Epoch: vk.Epoch + 1,
-	}
-	// Witness magnitudes grow by ~Δ·n·2^statSecurity per epoch.
-	growth := new(big.Int).Mul(tpk.delta, big.NewInt(int64(tpk.n)))
-	growth.Lsh(growth, statSecurity+1)
-	next.WitnessBound = new(big.Int).Mul(vk.WitnessBound, growth)
-	// V'_j = Π Pieces_i[j]^(Λ_i): one Straus multi-exponentiation per
-	// target party, sharing the squaring chain across the t+1 pieces.
-	for j := 0; j < tpk.n; j++ {
-		bases := make([]*big.Int, len(chosen))
-		for i, rs := range chosen {
-			if j >= len(rs.Pieces) {
-				return nil, fmt.Errorf("%w: resharing from %d missing piece %d", ErrMalformedMessage, rs.From, j)
-			}
-			bases[i] = rs.Pieces[j]
-		}
-		acc, err := modexp.MultiExp(s.dj.Ns1, bases, lambdas)
-		if err != nil {
-			return nil, err
-		}
-		next.Keys[j] = acc
-	}
-	return next, nil
+	g1.Mod(g1, s.dealer.N2)
+	return nizk.VerifyEqExp(s.dealer.N2, g1, vk.V, tp.v, vk.Keys[index-1], proof)
 }

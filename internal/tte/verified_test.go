@@ -98,90 +98,3 @@ func TestVerifiedPartialNilInputs(t *testing.T) {
 		t.Error("VerifyPartial accepted out-of-range index")
 	}
 }
-
-func TestVerifiedResharingUpdatesKeys(t *testing.T) {
-	sc, pk, shares, vk := verifiedSetup(t, 4, 1)
-	m := big.NewInt(4242)
-	ct, err := sc.Encrypt(pk, m, big.NewInt(10_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Parties 1 and 3 reshare with verification pieces.
-	var resharings []*VerifiedSubShares
-	byTarget := map[int][]SubShare{}
-	for _, i := range []int{1, 3} {
-		rs, err := sc.ReshareVerified(pk, shares[i-1], vk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resharings = append(resharings, rs)
-		for _, sub := range rs.Subs {
-			byTarget[sub.To()] = append(byTarget[sub.To()], sub)
-		}
-	}
-	vk2, err := sc.UpdateVerificationKeys(pk, vk, resharings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vk2.Epoch != 1 {
-		t.Fatalf("epoch = %d", vk2.Epoch)
-	}
-
-	// Next-epoch shares produce partials that verify against vk2 and
-	// still combine to the plaintext.
-	next := make([]KeyShare, 4)
-	var parts []PartialDec
-	for j := 1; j <= 4; j++ {
-		sh, err := sc.RecoverShare(pk, j, byTarget[j])
-		if err != nil {
-			t.Fatal(err)
-		}
-		next[j-1] = sh
-		part, err := sc.PartialDecrypt(pk, sh, ct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		proof, err := sc.ProvePartial(pk, sh, ct, part, vk2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sc.VerifyPartial(pk, j, ct, part, vk2, proof) {
-			t.Errorf("epoch-1 partial %d rejected", j)
-		}
-		parts = append(parts, part)
-	}
-	got, err := sc.Combine(pk, ct, parts[:2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cmp(m) != 0 {
-		t.Errorf("epoch-1 decryption = %v, want %v", got, m)
-	}
-	// Old-epoch keys must reject new-epoch partials.
-	proof0, err := sc.ProvePartial(pk, next[0], ct, parts[0], vk2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.VerifyPartial(pk, 1, ct, parts[0], vk, proof0) {
-		t.Error("epoch-0 keys verified an epoch-1 partial")
-	}
-}
-
-func TestUpdateVerificationKeysTooFew(t *testing.T) {
-	sc, pk, shares, vk := verifiedSetup(t, 4, 2)
-	rs, err := sc.ReshareVerified(pk, shares[0], vk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sc.UpdateVerificationKeys(pk, vk, []*VerifiedSubShares{rs}); err == nil {
-		t.Error("accepted fewer than t+1 resharings")
-	}
-}
-
-func TestVerificationKeysSize(t *testing.T) {
-	_, _, _, vk := verifiedSetup(t, 3, 1)
-	if vk.Size() <= 0 {
-		t.Error("non-positive verification key size")
-	}
-}
