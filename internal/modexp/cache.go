@@ -9,9 +9,10 @@ import (
 	"yosompc/internal/telemetry"
 )
 
-// The engine's caches are three internal/cowcache maps keyed by (base,
-// modulus): fixed-base tables, the sightings that gate their promotion,
-// and power ladders.
+// The engine's caches are internal/cowcache maps: three keyed by (base,
+// modulus) — fixed-base tables, the sightings that gate their promotion,
+// and power ladders — and one keyed by the modulus alone, its Montgomery
+// context (mont.go).
 //
 // A fixed-base table costs a little over one naive exponentiation to
 // build, so caching every base seen once would lose money on one-shot bases
@@ -46,6 +47,7 @@ var (
 	tableCache = cowcache.Map[tableKey, *tableSlot]{Max: maxCachedTables}
 	seenCache  = cowcache.Map[tableKey, struct{}]{Max: maxSeenBases}
 	ladders    = cowcache.Map[tableKey, *PowerLadder]{Max: maxCachedTables}
+	monts      = cowcache.Map[string, *montgomery]{Max: maxCachedTables}
 
 	// tableStats counts a hit per exponentiation a table served, recorded
 	// where it happens (FixedBase.Exp, whoever holds the table), and a
@@ -89,11 +91,12 @@ const minCachedExpBits = 64
 // ExpCachedSigned computes base^exp mod modulus through the fixed-base
 // table cache: a cached table serves the call with one comb walk; an
 // uncached base takes the plain ExpSigned path
-// and is promoted to a table on its second sighting. The result is
+// and is promoted to a table on its second sighting. Short exponents and
+// even moduli (which have no comb) always take the plain path. The result is
 // bit-identical to ExpSigned in every case.
 func ExpCachedSigned(base, exp, modulus *big.Int) (*big.Int, error) {
 	bits := exp.BitLen()
-	if bits < minCachedExpBits {
+	if bits < minCachedExpBits || !hasMont(modulus) {
 		return ExpSigned(base, exp, modulus)
 	}
 	key := keyOf(base, modulus)

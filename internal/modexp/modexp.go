@@ -1,12 +1,16 @@
 // Package modexp is the big-integer exponentiation engine behind the
-// Paillier hot paths: fixed-base Lim–Lee comb tables for recurring bases
-// (the encryption randomizer h^N a paillier.PublicKey holds, the Shoup
-// verification base V, per-round squared ciphertexts), Straus
-// interleaved multi-exponentiation for proof verification and threshold
-// combination, and cached Δ-power ladders. Tables of bases met at run
-// time and ladders are cached process-wide in internal/cowcache maps
-// (cache.go); a hit is counted wherever a table serves an
-// exponentiation, and the counters are mirrored into telemetry.
+// Paillier hot paths: two-dimensional Lim–Lee comb tables for recurring
+// bases (the encryption randomizer h^N a paillier.PublicKey holds, the
+// Shoup verification base V, per-round squared ciphertexts), Straus
+// interleaved multi-exponentiation for TEval's interpolations, proof
+// verification and threshold combination, and cached Δ-power ladders.
+// Both kernels multiply in Montgomery form over an odd modulus, reducing
+// by REDC built from math/big multiplications (mont.go); an even modulus
+// takes plain big.Int.Exp. Montgomery contexts, tables of bases met at
+// run time and ladders are cached process-wide in bounded
+// internal/cowcache maps (cache.go); a hit is counted wherever a table
+// serves an exponentiation, and the counters are mirrored into
+// telemetry.
 //
 // ExpSigned — plain math/big square-and-multiply — is the reference:
 // the tests and FuzzEngineVsNaive pin every engine path to it
@@ -56,63 +60,81 @@ func ExpSigned(base, exp, modulus *big.Int) (*big.Int, error) {
 	return new(big.Int).Exp(b, e, modulus), nil
 }
 
-// FixedBase is a Lim–Lee comb table for one (base, modulus) pair. The
-// exponent is cut into combRows blocks of cols = ⌈maxBits/combRows⌉
-// bits, block i weighted by g_i = base^(2^(cols·i)), and table[u-1] =
-// ∏_{bit i of u} g_i for every non-empty subset u of the rows. Column j
-// of the exponent — bit j of every block, read as a combRows-bit digit —
-// then selects one entry, so an exponentiation is cols squarings and at
-// most cols multiplications over 2^combRows − 1 stored residues, whatever
-// maxBits is. All fields are immutable after construction; a FixedBase
-// is safe for unbounded concurrent use.
+// FixedBase is a two-dimensional Lim–Lee comb for one (base, modulus)
+// pair. The exponent is cut into combRows rows of row = ⌈maxBits/combRows⌉
+// bits and each row into column blocks of block = ⌈row/combBlocks⌉ bits;
+// with g_ij = base^(2^(i·row + j·block)), block j's table holds
+// ∏_{bit i of u} g_ij for every non-empty subset u of the rows. Bit k of
+// block j in every row, read as a combRows-bit digit u, selects one entry
+// of block j's table, so an exponentiation is block − 1 squarings and at
+// most row multiplications. Entries are kept in Montgomery form, and
+// every product of the walk is a REDC (mont.go); an even modulus has no
+// table and exponentiates with big.Int.Exp. All fields are immutable
+// after construction; a FixedBase is safe for unbounded concurrent use.
 type FixedBase struct {
 	base    *big.Int
 	modulus *big.Int
 	bits    int
-	cols    int
-	table   []*big.Int
+	mont    *montgomery // nil for an even modulus
+	row     int         // bits per row
+	block   int         // bits per column block
+	blocks  int         // column blocks per row: ⌈row/block⌉ ≤ combBlocks
+	table   []big.Word  // blocks·combEntries Montgomery-form residues
 }
 
-// combRows is the comb height h: 2^h − 1 = 255 residues per table (≈ 130
-// KiB at a 4096-bit modulus) for ⌈maxBits/8⌉ squarings and as many
-// multiplications. One more row would double the table and the build for
-// a ninth fewer steps — see docs/PERFORMANCE.md.
-const combRows = 8
+// The comb layout is one constant, h = combRows rows by v = combBlocks
+// column blocks: v·(2^h − 1) = 2 044 residues, 1 022 KiB at the 4096-bit
+// N² of a 2048-bit key, for about maxBits/9 multiplications and
+// maxBits/36 squarings — see docs/PERFORMANCE.md.
+const (
+	combRows    = 9
+	combBlocks  = 4
+	combEntries = 1<<combRows - 1
+)
 
 // NewFixedBase builds the table covering exponents of up to maxBits
-// bits: (combRows−1)·cols squarings for the row generators, then one
+// bits: about maxBits squarings for the generators, then one
 // multiplication per entry. The modulus must be positive.
 func NewFixedBase(base, modulus *big.Int, maxBits int) *FixedBase {
 	if maxBits < 1 {
 		maxBits = 1
 	}
-	cols := (maxBits + combRows - 1) / combRows
+	row := (maxBits + combRows - 1) / combRows
+	block := (row + combBlocks - 1) / combBlocks
 	t := &FixedBase{
 		base:    new(big.Int).Mod(base, modulus),
 		modulus: new(big.Int).Set(modulus),
 		bits:    maxBits,
-		cols:    cols,
-		table:   make([]*big.Int, 1<<combRows-1),
+		mont:    montOf(modulus),
+		row:     row,
+		block:   block,
+		blocks:  (row + block - 1) / block,
 	}
-	// Row i's generator is the previous one squared cols times. Entry u
-	// extends entry u − 2^i (i the top set bit of u) by g_i, so the table
-	// fills in index order with one multiplication each. Entries are
-	// copied out of the scratch so each holds exactly one residue.
-	var s, e combScratch
-	s.acc.Set(t.base)
+	c := t.mont
+	if c == nil {
+		return t
+	}
+	t.table = make([]big.Word, t.blocks*combEntries*c.n)
+	// The generators g_ij lie at increasing bit positions i·row + j·block
+	// (every block starts inside its row), so one running power squared
+	// from each to the next reaches them all. Entry u of a block extends
+	// entry u − 2^i (i the top set bit of u) by g_ij, so each block fills
+	// in index order with one multiplication per entry.
+	var s montScratch
+	var g, e, prev big.Int
+	c.to(&g, t.base, &s)
+	pos := 0
 	for i := 0; i < combRows; i++ {
-		if i > 0 {
-			for c := 0; c < cols; c++ {
-				s.step(&s.acc, modulus)
+		for j := 0; j < t.blocks; j++ {
+			for ; pos < i*row+j*block; pos++ {
+				c.mul(&g, &g, &g, &s)
 			}
-		}
-		gen := new(big.Int).Set(&s.acc)
-		top := 1 << i
-		t.table[top-1] = gen
-		for u := top + 1; u < top<<1; u++ {
-			e.acc.Set(t.table[u-top-1])
-			e.step(gen, modulus)
-			t.table[u-1] = new(big.Int).Set(&e.acc)
+			top, at := 1<<i, j*combEntries-1
+			c.put(t.table, at+top, &g)
+			for u := top + 1; u < top<<1; u++ {
+				c.mul(&e, c.at(&prev, t.table, at+u-top), &g, &s)
+				c.put(t.table, at+u, &e)
+			}
 		}
 	}
 	return t
@@ -122,59 +144,57 @@ func NewFixedBase(base, modulus *big.Int, maxBits int) *FixedBase {
 func (t *FixedBase) Bits() int { return t.bits }
 
 // Exp computes base^exp mod modulus from the table and counts a
-// table-cache hit. Exponents longer than the table covers (or negative)
-// fall back to the plain path, so the result is always exact.
+// table-cache hit. Exponents longer than the table covers (or negative),
+// and every exponent over an even modulus, take the plain path, so the
+// result is always exact.
 func (t *FixedBase) Exp(exp *big.Int) *big.Int {
-	if exp.Sign() < 0 || exp.BitLen() > t.bits {
+	if t.mont == nil || exp.Sign() < 0 || exp.BitLen() > t.bits {
 		return new(big.Int).Exp(t.base, exp, t.modulus)
 	}
 	tableStats.Hit()
 	return t.comb(exp)
 }
 
-// combScratch is the working set of one comb walk. The accumulator passes
-// through base^(prefix of exp) for every column prefix, so when the
-// exponent is secret so is the scratch; it never leaves comb.
-type combScratch struct { //yosolint:secret partial powers of a possibly secret exponent
-	acc, prod, quo big.Int
-}
-
-// step sets acc = acc·x mod m. Int.Mod would allocate a quotient per
-// call; QuoRem into the scratch makes the whole walk O(1) allocations.
-func (s *combScratch) step(x, m *big.Int) {
-	s.prod.Mul(&s.acc, x)
-	s.quo.QuoRem(&s.prod, m, &s.acc)
-}
-
-// comb is the table walk behind Exp for 0 ≤ exp < 2^bits: from the top
-// column down, square, then multiply by the entry the column's digit
-// selects. Which columns multiply depends on the exponent — variable
-// time like everything in this package.
+// comb is the table walk behind Exp for 0 ≤ exp < 2^bits over an odd
+// modulus: from the top bit of the blocks down, square, then multiply
+// by the entry each block's digit selects. Which steps multiply depends
+// on the exponent — variable time like everything in this package.
 func (t *FixedBase) comb(exp *big.Int) *big.Int {
-	var s combScratch
+	c, x := t.mont, exp.Bits()
+	var s montScratch
+	var acc, entry big.Int
 	started := false
-	for j := min(t.cols, exp.BitLen()) - 1; j >= 0; j-- {
+	for k := t.block - 1; k >= 0; k-- {
 		if started {
-			s.step(&s.acc, t.modulus)
+			c.mul(&acc, &acc, &acc, &s)
 		}
-		var u uint
-		for i := 0; i < combRows; i++ {
-			u |= exp.Bit(i*t.cols+j) << i
-		}
-		if u == 0 {
-			continue
-		}
-		if started {
-			s.step(t.table[u-1], t.modulus)
-		} else {
-			s.acc.Set(t.table[u-1])
-			started = true
+		for j := 0; j < t.blocks; j++ {
+			off := j*t.block + k
+			if off >= t.row { // the last block of a row may be short
+				continue
+			}
+			var u int
+			for i := 0; i < combRows; i++ {
+				u |= int(digit(x, uint(i*t.row+off), 1)) << i
+			}
+			if u == 0 {
+				continue
+			}
+			c.at(&entry, t.table, j*combEntries+u-1)
+			if started {
+				c.mul(&acc, &acc, &entry, &s)
+			} else {
+				acc.Set(&entry)
+				started = true
+			}
 		}
 	}
 	if !started {
 		return new(big.Int).Mod(bigOne, t.modulus)
 	}
-	return new(big.Int).Set(&s.acc)
+	z := new(big.Int)
+	c.from(z, &acc, &s)
+	return z
 }
 
 // ExpSigned is Exp with negative-exponent support: base^(−e) is
@@ -208,11 +228,12 @@ func ExpManySigned(base, modulus *big.Int, exps []*big.Int) ([]*big.Int, error) 
 			maxBits = b
 		}
 	}
-	// A comb build costs about maxBits + 2^combRows modular
-	// multiplications, a table exponentiation maxBits/4, a plain one
-	// about 1.2·maxBits in cheaper Montgomery steps; the table pays for
-	// itself from roughly four exponentiations up.
-	if len(exps) >= 4 && maxBits >= 256 {
+	// A comb build is about maxBits squarings plus one product per entry
+	// (v·2^h ≈ 2 048); a table exponentiation saves about 3/4 of a product
+	// per exponent bit over big.Int.Exp (measured at 1024- and 4096-bit
+	// moduli), so the table pays from 4·(maxBits + 2 048)/(3·maxBits)
+	// exponentiations up: 12 of 256 bits, 4 of 1024, 2 of 4096.
+	if 3*len(exps)*maxBits >= 4*(maxBits+combBlocks<<combRows) {
 		t := NewFixedBase(base, modulus, maxBits)
 		for i, e := range exps {
 			v, err := t.ExpSigned(e)

@@ -1,6 +1,7 @@
 package modexp
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"sync"
@@ -16,6 +17,7 @@ func resetCaches() {
 	tableCache.Reset()
 	seenCache.Reset()
 	ladders.Reset()
+	monts.Reset()
 	tableStats.Reset()
 }
 
@@ -86,21 +88,59 @@ func TestExpSignedMatchesNaive(t *testing.T) {
 	}
 }
 
+// testModulus draws a modulus for case i of a differential test: every
+// fourth is even (no Montgomery context: the plain path), every fourth
+// fits one word, the rest are odd and multi-word.
+func testModulus(r *rand.Rand, i int) *big.Int {
+	switch i % 4 {
+	case 0:
+		m := oddModulus(r, 96+r.Intn(512))
+		return m.SetBit(m, 0, 0)
+	case 1:
+		return oddModulus(r, 2+r.Intn(63))
+	}
+	return oddModulus(r, 96+r.Intn(512))
+}
+
+// randExp returns a random exponent of exactly bits bits.
+func randExp(r *rand.Rand, bits int) *big.Int {
+	e := randBig(r, bits)
+	if bits > 0 {
+		e.SetBit(e, bits-1, 1)
+	}
+	return e
+}
+
+// randUnit returns a random residue invertible mod m.
+func randUnit(r *rand.Rand, m *big.Int) *big.Int {
+	for {
+		u := randBig(r, m.BitLen()-1)
+		if new(big.Int).GCD(nil, nil, u, m).Cmp(bigOne) == 0 {
+			return u
+		}
+	}
+}
+
 func TestFixedBaseMatchesExp(t *testing.T) {
 	r := testRNG(2)
-	for i := 0; i < 60; i++ {
-		m := oddModulus(r, 96+r.Intn(512))
-		base := randBig(r, m.BitLen())
+	for i := 0; i < 80; i++ {
+		m := testModulus(r, i)
+		base := randBig(r, m.BitLen()+8) // unreduced
 		maxBits := 1 + r.Intn(900)
+		if i%3 == 0 {
+			// Rows of 4q + 2 bits for q ≥ 2 are cut into blocks of q + 1:
+			// the last column block of every row is short.
+			maxBits = combRows * (4*(2+r.Intn(40)) + 2)
+		}
 		tab := NewFixedBase(base, m, maxBits)
-		for j := 0; j < 8; j++ {
-			// Include exponents past the table bound to exercise the
-			// fallback, and negatives for ExpSigned.
-			exp := randBig(r, r.Intn(maxBits+128))
+		// Exponents of length 0, 1, exactly the table's, one past it (the
+		// plain fallback), and random ones on both sides of the bound.
+		for j, bits := range []int{0, 1, maxBits, maxBits + 1, r.Intn(maxBits + 1), r.Intn(maxBits + 128)} {
+			exp := randExp(r, bits)
 			got := tab.Exp(exp)
 			want := new(big.Int).Exp(base, exp, m)
 			if got.Cmp(want) != 0 {
-				t.Fatalf("case %d/%d: table Exp=%v naive=%v (bits=%d maxBits=%d)", i, j, got, want, exp.BitLen(), maxBits)
+				t.Fatalf("case %d/%d: table Exp=%v naive=%v (bits=%d maxBits=%d m=%v)", i, j, got, want, bits, maxBits, m)
 			}
 			exp.Neg(exp)
 			gotS, err := tab.ExpSigned(exp)
@@ -286,26 +326,31 @@ func TestExpCachedSignedSmallExponentBypass(t *testing.T) {
 
 func TestMultiExpMatchesNaiveProduct(t *testing.T) {
 	r := testRNG(4)
-	for i := 0; i < 80; i++ {
-		m := oddModulus(r, 96+r.Intn(512))
-		k := 1 + r.Intn(6)
+	for i := 0; i < 160; i++ {
+		m := testModulus(r, i)
+		k := 1 + i%8
+		bits := 1 + r.Intn(500)
 		bases := make([]*big.Int, k)
 		exps := make([]*big.Int, k)
-		want := new(big.Int).Mod(bigOne, m)
-		ok := true
-		for j := 0; j < k; j++ {
-			bases[j] = randBig(r, m.BitLen())
-			exps[j] = randBig(r, r.Intn(500))
-			if r.Intn(3) == 0 {
+		for j := range bases {
+			bases[j] = randBig(r, m.BitLen()+8)
+			if r.Intn(16) == 0 {
+				bases[j].SetInt64(0) // invertible under no modulus
+			}
+			exps[j] = randExp(r, []int{0, 1, bits, bits + 1, r.Intn(bits + 1)}[r.Intn(5)])
+			if r.Intn(2) == 0 {
 				exps[j].Neg(exps[j])
 			}
+		}
+		want := new(big.Int).Mod(bigOne, m)
+		ok := true
+		for j := range bases {
 			term, err := ExpSigned(bases[j], exps[j], m)
 			if err != nil {
 				ok = false
 				break
 			}
-			want.Mul(want, term)
-			want.Mod(want, m)
+			want.Mod(want.Mul(want, term), m)
 		}
 		got, err := MultiExp(m, bases, exps)
 		if !ok {
@@ -318,7 +363,7 @@ func TestMultiExpMatchesNaiveProduct(t *testing.T) {
 			t.Fatalf("case %d: MultiExp: %v", i, err)
 		}
 		if got.Cmp(want) != 0 {
-			t.Fatalf("case %d: MultiExp=%v naive=%v", i, got, want)
+			t.Fatalf("case %d: MultiExp=%v naive=%v (k=%d m=%v)", i, got, want, k, m)
 		}
 	}
 	// Empty input is the multiplicative identity.
@@ -478,8 +523,8 @@ func TestCacheHammer(t *testing.T) {
 }
 
 // FuzzEngineVsNaive pins every engine path — cached signed exp,
-// fixed-base tables, and multi-exp — bit-for-bit against plain
-// big.Int.Exp references.
+// fixed-base tables, and multi-exp over two to six bases — bit-for-bit
+// against plain big.Int.Exp references.
 func FuzzEngineVsNaive(f *testing.F) {
 	f.Add([]byte{7}, []byte{3}, []byte{5}, []byte{11}, []byte{97}, false, false, false)
 	f.Add([]byte{2}, []byte{0xff, 0x01}, []byte{9}, []byte{0x80}, []byte{0xc1}, true, false, false)
@@ -490,6 +535,17 @@ func FuzzEngineVsNaive(f *testing.F) {
 	f.Add([]byte{7}, long, []byte{5}, []byte{11}, []byte{0x01, 0x01}, false, false, true)
 	f.Add([]byte{0x03, 0x08}, long, []byte{0x02, 0x09}, long, []byte{0x01, 0x01}, false, true, false)
 	f.Add([]byte{0x03, 0x08}, long, []byte{0x02, 0x09}, long, []byte{0x01, 0x01}, true, false, true)
+	// An even modulus (no Montgomery context: every path is plain).
+	f.Add([]byte{7}, long, []byte{5}, long, []byte{0x01, 0x00}, true, false, false)
+	// A 72-bit exponent, a layout boundary: a table of 72 bits has rows
+	// of exactly 8 bits in four blocks of 2, one of 73 bits rows of 9 in
+	// three blocks of 3 with a top row of one bit; over a two-word odd
+	// modulus.
+	boundary := append([]byte{0x80}, make([]byte, 8)...)
+	boundary[8] = 0x2b
+	mod128 := append([]byte{0xc5}, make([]byte, 15)...)
+	mod128[15] = 0x61
+	f.Add([]byte{0x03, 0x08}, boundary, []byte{0x02, 0x09}, boundary, mod128, false, true, false)
 	f.Fuzz(func(t *testing.T, baseB, expB, base2B, exp2B, modB []byte, neg1, neg2, negBase bool) {
 		mod := new(big.Int).SetBytes(modB)
 		if mod.BitLen() < 2 || mod.BitLen() > 1024 {
@@ -564,23 +620,100 @@ func FuzzEngineVsNaive(f *testing.F) {
 			}
 		}
 
-		// Path 3: two-term multi-exp vs naive product.
-		w1, ok1 := naive(base, exp)
-		w2, ok2 := naive(base2, exp2)
-		got, err := MultiExp(mod, []*big.Int{base, base2}, []*big.Int{exp, exp2})
-		if !ok1 || !ok2 {
+		// Path 3: a k-term multi-exp, k = 2…6, vs the naive product: the
+		// two inputs plus k − 2 terms mixed from them, b + j·b2 raised to
+		// e − j·e2, so signs mix too.
+		k := 2 + int(modB[0])%5
+		bases, exps := []*big.Int{base, base2}, []*big.Int{exp, exp2}
+		for j := int64(2); j < int64(k); j++ {
+			bases = append(bases, new(big.Int).Add(base, new(big.Int).Mul(big.NewInt(j), base2)))
+			exps = append(exps, new(big.Int).Sub(exp, new(big.Int).Mul(big.NewInt(j), exp2)))
+		}
+		want = new(big.Int).Mod(bigOne, mod)
+		invertible := true
+		for j := range bases {
+			w, ok := naive(bases[j], exps[j])
+			if !ok {
+				invertible = false
+				break
+			}
+			want.Mod(want.Mul(want, w), mod)
+		}
+		got, err := MultiExp(mod, bases, exps)
+		if !invertible {
 			if err == nil {
-				t.Fatalf("multi-exp: naive not invertible, engine returned %v", got)
+				t.Fatalf("multi-exp k=%d: naive not invertible, engine returned %v", k, got)
 			}
 			return
 		}
 		if err != nil {
-			t.Fatalf("multi-exp: %v", err)
+			t.Fatalf("multi-exp k=%d: %v", k, err)
 		}
-		want = new(big.Int).Mul(w1, w2)
-		want.Mod(want, mod)
 		if got.Cmp(want) != 0 {
-			t.Fatalf("multi-exp=%v naive=%v", got, want)
+			t.Fatalf("multi-exp k=%d: %v naive=%v", k, got, want)
 		}
 	})
+}
+
+// BenchmarkFixedBaseExp times a comb exponentiation against big.Int.Exp
+// at the encryption randomizer's shape: an exponent a quarter of the
+// modulus long (ρ of |N|/2 bits over N²).
+func BenchmarkFixedBaseExp(b *testing.B) {
+	for _, bits := range []int{1024, 4096} {
+		r := testRNG(11)
+		m := oddModulus(r, bits)
+		base := randBig(r, bits)
+		exp := randExp(r, bits/4)
+		tab := NewFixedBase(base, m, bits/4)
+		b.Run(fmt.Sprintf("%d/table", bits), func(b *testing.B) {
+			for range b.N {
+				tab.Exp(exp)
+			}
+		})
+		b.Run(fmt.Sprintf("%d/plain", bits), func(b *testing.B) {
+			for range b.N {
+				new(big.Int).Exp(base, exp, m)
+			}
+		})
+	}
+}
+
+// BenchmarkMultiExp times one Straus product against the naive product
+// of ExpSigned terms at TEval's shape — eight ciphertexts under
+// field-sized coefficients — and at Combine's, two terms of full-length
+// signed exponents.
+func BenchmarkMultiExp(b *testing.B) {
+	for _, bits := range []int{1024, 4096} {
+		for _, shape := range []struct {
+			name    string
+			k, ebit int
+		}{{"k8x64", 8, 64}, {"k2xfull", 2, bits / 2}} {
+			r := testRNG(12)
+			m := oddModulus(r, bits)
+			bases, exps := make([]*big.Int, shape.k), make([]*big.Int, shape.k)
+			for i := range bases {
+				bases[i], exps[i] = randUnit(r, m), randExp(r, shape.ebit)
+			}
+			exps[0].Neg(exps[0])
+			b.Run(fmt.Sprintf("%d/%s/straus", bits, shape.name), func(b *testing.B) {
+				for range b.N {
+					if _, err := MultiExp(m, bases, exps); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("%d/%s/naive", bits, shape.name), func(b *testing.B) {
+				for range b.N {
+					acc := big.NewInt(1)
+					for i := range bases {
+						v, err := ExpSigned(bases[i], exps[i], m)
+						if err != nil {
+							b.Fatal(err)
+						}
+						acc.Mod(acc.Mul(acc, v), m)
+					}
+				}
+			})
+		}
+	}
 }

@@ -2,12 +2,12 @@ package paillier
 
 import (
 	"context"
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
 
 	"yosompc/internal/modexp"
 	"yosompc/internal/parallel"
@@ -121,9 +121,9 @@ func (sk *PrivateKey) Decrypt(c *Ciphertext) (*big.Int, error) {
 // short-exponent indistinguishability for a random public base in Z*_N,
 // N a Blum integer — see DESIGN.md's substitution table.
 type randomizer struct {
-	h     *big.Int          // −x² mod N
-	hN    *modexp.FixedBase // h^N mod N², over exponents below bound
-	bound *big.Int          // 2^⌈|N|/2⌉, DJN's exponent length
+	h    *big.Int          // −x² mod N
+	hN   *modexp.FixedBase // h^N mod N², over exponents below 2^bits
+	bits int               // ⌈|N|/2⌉, DJN's exponent length
 }
 
 // randomizerBase expands N into x ∈ Z*_N: SHA-256 in counter mode under
@@ -162,9 +162,9 @@ func (pk *PublicKey) randomizer() *randomizer {
 	h.Neg(h).Mod(h, pk.N)
 	rhoBits := (pk.N.BitLen() + 1) / 2
 	rz := &randomizer{
-		h:     h,
-		hN:    modexp.NewFixedBase(new(big.Int).Exp(h, pk.N, pk.N2), pk.N2, rhoBits),
-		bound: new(big.Int).Lsh(one, uint(rhoBits)),
+		h:    h,
+		hN:   modexp.NewFixedBase(new(big.Int).Exp(h, pk.N, pk.N2), pk.N2, rhoBits),
+		bits: rhoBits,
 	}
 	if !pk.rnd.CompareAndSwap(nil, rz) {
 		return pk.rnd.Load()
@@ -172,26 +172,57 @@ func (pk *PublicKey) randomizer() *randomizer {
 	return rz
 }
 
-// draw samples the short exponent ρ ← [0, 2^⌈|N|/2⌉). The bound is a
-// power of two, so this reads a fixed number of bytes and never rejects.
-func (rz *randomizer) draw(random io.Reader) (*big.Int, error) {
-	rho, err := rand.Int(random, rz.bound)
-	if err != nil {
-		return nil, fmt.Errorf("paillier: sampling randomizer exponent: %w", err)
+// nonces is a batch's randomizer exponents, backed by one word slab. With
+// its public ciphertext a ρ gives back the plaintext (c·h_N^(−ρ) = 1 + mN),
+// so it is as secret as the message: the slab is wiped as soon as the
+// batch is encrypted.
+type nonces struct {
+	rho   []big.Int
+	words []big.Word
+}
+
+// wipe zeroes the exponents' words and detaches the integers from them.
+func (ns *nonces) wipe() {
+	clear(ns.words)
+	clear(ns.rho)
+}
+
+// draw samples count short exponents ρ ← [0, 2^bits) into ns, reading the
+// stream exactly as crypto/rand.Int(random, 2^bits) would for each: the
+// bound is a power of two, so a ρ is a fixed number of bytes with the top
+// one masked, never rejected. The byte buffer is wiped too.
+func (rz *randomizer) draw(ns *nonces, random io.Reader, count int) error {
+	const wordBytes = bits.UintSize / 8
+	nb := (rz.bits + 7) / 8
+	nw := (nb + wordBytes - 1) / wordBytes
+	buf := make([]byte, nb)
+	defer clear(buf)
+	ns.rho = make([]big.Int, count)
+	ns.words = make([]big.Word, count*nw)
+	for i := range ns.rho {
+		if _, err := io.ReadFull(random, buf); err != nil {
+			return fmt.Errorf("paillier: sampling randomizer exponent: %w", err)
+		}
+		buf[0] &= byte(1<<((rz.bits-1)%8+1) - 1)
+		w := ns.words[i*nw : (i+1)*nw]
+		for k, b := range buf { // big-endian bytes into little-endian words
+			at := nb - 1 - k
+			w[at/wordBytes] |= big.Word(b) << (8 * (at % wordBytes))
+		}
+		ns.rho[i].SetBits(w)
 	}
-	return rho, nil
+	return nil
 }
 
 // Encrypt encrypts m ∈ [0, N) with fresh randomness: the message term
 // 1 + mN times h_N^ρ for a short random ρ, read off the key's fixed-base
-// randomizer table.
+// randomizer table. It is EncryptMany's batch of one.
 func (pk *PublicKey) Encrypt(random io.Reader, m *big.Int) (*Ciphertext, error) {
-	rz := pk.randomizer()
-	rho, err := rz.draw(random)
+	cts, err := pk.encryptMany(random, []*big.Int{m}, 1, new(nonces))
 	if err != nil {
 		return nil, err
 	}
-	return pk.encryptRho(rz, m, rho)
+	return cts[0], nil
 }
 
 // encryptRho is (1+N)^m · h_N^ρ mod N², h_N^ρ read off the table.
@@ -209,18 +240,20 @@ func (pk *PublicKey) encryptRho(rz *randomizer, m, rho *big.Int) (*Ciphertext, e
 // output is bit-identical for every worker count (including the fully
 // serial workers=1 path) given the same random stream.
 func (pk *PublicKey) EncryptMany(random io.Reader, ms []*big.Int, workers int) ([]*Ciphertext, error) {
+	return pk.encryptMany(random, ms, workers, new(nonces))
+}
+
+// encryptMany is EncryptMany drawing the batch's exponents into ns, which
+// it wipes before it returns, whether or not the batch encrypted.
+func (pk *PublicKey) encryptMany(random io.Reader, ms []*big.Int, workers int, ns *nonces) ([]*Ciphertext, error) {
 	rz := pk.randomizer()
-	rhos := make([]*big.Int, len(ms))
-	for i := range ms {
-		rho, err := rz.draw(random)
-		if err != nil {
-			return nil, err
-		}
-		rhos[i] = rho
+	defer ns.wipe()
+	if err := rz.draw(ns, random, len(ms)); err != nil {
+		return nil, err
 	}
 	out := make([]*Ciphertext, len(ms))
 	err := parallel.For(context.Background(), workers, len(ms), func(i int) error {
-		ct, err := pk.encryptRho(rz, ms[i], rhos[i])
+		ct, err := pk.encryptRho(rz, ms[i], &ns.rho[i])
 		if err != nil {
 			return err
 		}

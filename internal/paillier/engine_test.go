@@ -229,7 +229,9 @@ func TestEncryptMatchesNonceReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rho, err := rz.draw(fixedStream(seed))
+			// ρ re-drawn by crypto/rand.Int: the slab draw reads the
+			// stream exactly as it does.
+			rho, err := rand.Int(fixedStream(seed), new(big.Int).Lsh(one, uint(rz.bits)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -248,6 +250,59 @@ func TestEncryptMatchesNonceReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEncryptManyWipesItsNonces: with its ciphertext a ρ gives back the
+// plaintext, so the batch's exponent slab must be zero once encryptMany
+// returns — after a batch that encrypted and after one a bad message
+// failed — while the ciphertexts were built from the ρ it held.
+func TestEncryptManyWipesItsNonces(t *testing.T) {
+	sk := FixedTestKey(0)
+	rz := sk.randomizer()
+	wiped := func(what string, ns *nonces, count int) {
+		t.Helper()
+		if len(ns.rho) != count || len(ns.words) < count {
+			t.Fatalf("%s: %d exponents in %d words, want %d", what, len(ns.rho), len(ns.words), count)
+		}
+		for i, w := range ns.words {
+			if w != 0 {
+				t.Fatalf("%s: word %d of the exponent slab survived the batch", what, i)
+			}
+		}
+		for i := range ns.rho {
+			if ns.rho[i].Bits() != nil {
+				t.Fatalf("%s: exponent %d still holds its words", what, i)
+			}
+		}
+	}
+
+	ms := []*big.Int{big.NewInt(1), big.NewInt(2), big.NewInt(3)}
+	var ns nonces
+	cts, err := sk.encryptMany(fixedStream(7), ms, 2, &ns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wiped("encrypted batch", &ns, len(ms))
+	stream := fixedStream(7)
+	for i, m := range ms {
+		rho, err := rand.Int(stream, new(big.Int).Lsh(one, uint(rz.bits)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sk.EncryptWithNonce(m, new(big.Int).Exp(rz.h, rho, sk.N))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cts[i].C.Cmp(want.C) != 0 {
+			t.Fatalf("ciphertext %d was not built from the drawn ρ", i)
+		}
+	}
+
+	ns = nonces{}
+	if _, err := sk.encryptMany(fixedStream(8), []*big.Int{big.NewInt(1), sk.N}, 1, &ns); err == nil {
+		t.Fatal("a message of N encrypted")
+	}
+	wiped("failed batch", &ns, 2)
 }
 
 // TestRandomizerBaseGeneratesJacobiGroup: on a safe-prime key the

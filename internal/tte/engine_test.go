@@ -1,10 +1,12 @@
 package tte
 
 import (
+	"bytes"
 	"crypto/rand"
 	"errors"
 	"fmt"
 	"math/big"
+	mrand "math/rand"
 	"sync"
 	"testing"
 
@@ -80,6 +82,18 @@ func (s *Threshold) CombineNaive(pk PublicKey, ct Ciphertext, parts []PartialDec
 // direct exponentiation.
 func deltaPowerNaive(s *Threshold, tpk *publicKey, epoch int) *big.Int {
 	return new(big.Int).Exp(tpk.delta, big.NewInt(int64(epoch)), s.dealer.N)
+}
+
+// EvalNaive is the reference for Eval: Eval's checks, then genericEval's
+// sequential fold — every non-zero term its own ScalarMul, one included,
+// multiplied in order with Add.
+func (s *Threshold) EvalNaive(pk PublicKey, cts []Ciphertext, coeffs []*big.Int) (Ciphertext, error) {
+	p, err := s.evalBound(pk, cts, coeffs, new(big.Int))
+	if err != nil {
+		return nil, err
+	}
+	value, bound := genericEval(s, cts, coeffs)
+	return &ciphertext{value: value, bound: bound, size: p.ctBytes}, nil
 }
 
 func engineScheme(t *testing.T) (*Threshold, PublicKey, []KeyShare) {
@@ -336,3 +350,102 @@ var errWrongOpen = &wrongOpenError{}
 type wrongOpenError struct{}
 
 func (*wrongOpenError) Error() string { return "combine opened to the wrong value" }
+
+// evalFixture is a scheme at the given key with eight fresh ciphertexts of
+// field-sized plaintexts under bound 2^64.
+func evalFixture(tb testing.TB, key *paillier.PrivateKey) (*Threshold, PublicKey, []Ciphertext) {
+	tb.Helper()
+	s, err := NewThreshold(key)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pk, _, err := s.KeyGen(4, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := mrand.New(mrand.NewSource(5))
+	ms := make([]*big.Int, 8)
+	for i := range ms {
+		ms[i] = new(big.Int).SetUint64(r.Uint64())
+	}
+	cts, err := s.EncryptMany(pk, ms, new(big.Int).Lsh(big.NewInt(1), 64), 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s, pk, cts
+}
+
+// TestThresholdEvalMatchesSequential pins Eval — coefficient-one terms
+// multiplied in, every other term in one Straus product — against
+// EvalNaive at the 512-bit and the 2048-bit key, bit for bit in value,
+// bound and encoding, over coefficients 0, 1, field-sized and
+// slot-width (2^w), alone and mixed.
+func TestThresholdEvalMatchesSequential(t *testing.T) {
+	keys := map[string]*paillier.PrivateKey{"512": paillier.FixedTestKey(0), "2048": paillier.FixedTestKey2048()}
+	for name, key := range keys {
+		s, pk, cts := evalFixture(t, key)
+		r := mrand.New(mrand.NewSource(6))
+		field := func() *big.Int { return new(big.Int).SetUint64(r.Uint64() >> 1) }
+		slot := func(w uint) *big.Int { return new(big.Int).Lsh(big.NewInt(1), w) }
+		zero, one := new(big.Int), big.NewInt(1)
+		cases := [][]*big.Int{
+			{},
+			{zero}, {one}, {field()}, {slot(64)}, {slot(300)},
+			{one, one},
+			{one, zero, field(), slot(137), field(), one, zero, field()},
+			{field(), field(), field(), field(), field(), field(), field(), field()},
+			{slot(1), slot(63), slot(64), slot(65), slot(200), zero, one, field()},
+			{zero, zero, zero},
+		}
+		for i, coeffs := range cases {
+			in := cts[:len(coeffs)]
+			got, err := s.Eval(pk, in, coeffs)
+			if err != nil {
+				t.Fatalf("key %s case %d: Eval: %v", name, i, err)
+			}
+			want, err := s.EvalNaive(pk, in, coeffs)
+			if err != nil {
+				t.Fatalf("key %s case %d: EvalNaive: %v", name, i, err)
+			}
+			g, w := got.(*ciphertext), want.(*ciphertext)
+			if g.value.Cmp(w.value) != 0 || g.bound.Cmp(w.bound) != 0 {
+				t.Fatalf("key %s case %d: Eval = (%v, bound %v), sequential = (%v, bound %v)", name, i, g.value, g.bound, w.value, w.bound)
+			}
+			ge, err1 := s.EncodeCiphertext(got)
+			we, err2 := s.EncodeCiphertext(want)
+			if err1 != nil || err2 != nil || !bytes.Equal(ge, we) {
+				t.Fatalf("key %s case %d: encodings differ (%v, %v)", name, i, err1, err2)
+			}
+		}
+	}
+}
+
+// BenchmarkThresholdEval times TEval at the production modulus against
+// EvalNaive: "interp" is a packing row — eight ciphertexts under
+// field-sized coefficients — and "cpart" a Beaver c-part, one ciphertext
+// under one.
+func BenchmarkThresholdEval(b *testing.B) {
+	s, pk, cts := evalFixture(b, paillier.FixedTestKey2048())
+	r := mrand.New(mrand.NewSource(7))
+	coeffs := make([]*big.Int, len(cts))
+	for i := range coeffs {
+		coeffs[i] = new(big.Int).SetUint64(r.Uint64() >> 1)
+	}
+	for _, shape := range []struct {
+		name string
+		k    int
+	}{{"interp", len(cts)}, {"cpart", 1}} {
+		for _, v := range []struct {
+			name string
+			eval func(PublicKey, []Ciphertext, []*big.Int) (Ciphertext, error)
+		}{{"engine", s.Eval}, {"naive", s.EvalNaive}} {
+			b.Run(shape.name+"/"+v.name, func(b *testing.B) {
+				for range b.N {
+					if _, err := v.eval(pk, cts[:shape.k], coeffs[:shape.k]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -115,25 +115,36 @@ func (s *Threshold) EncryptMany(pk PublicKey, ms []*big.Int, bound *big.Int, wor
 
 // Eval implements TEval with non-negative integer coefficients. A term
 // whose coefficient is one is multiplied in as it is: c^1 mod N² is
-// what the product reduces it to anyway.
+// what the product reduces it to anyway. Every other term joins one
+// Straus product over N² (modexp.MultiExp), so the interpolations in
+// the exponent — packing, the dependent wires, Beaver's c-parts — share
+// one squaring chain as long as their longest coefficient.
 func (s *Threshold) Eval(pk PublicKey, cts []Ciphertext, coeffs []*big.Int) (Ciphertext, error) {
 	bound := new(big.Int)
 	p, err := s.evalBound(pk, cts, coeffs, bound)
 	if err != nil {
 		return nil, err
 	}
-	acc := &paillier.Ciphertext{C: big.NewInt(1)}
+	n2 := s.dealer.N2
+	acc := big.NewInt(1)
+	var bases, exps []*big.Int
 	for i, ct := range cts {
-		if coeffs[i].Sign() == 0 {
-			continue
+		switch c := ct.(*ciphertext).value; {
+		case coeffs[i].Sign() == 0:
+		case coeffs[i].BitLen() == 1:
+			acc.Mod(acc.Mul(acc, c), n2)
+		default:
+			bases, exps = append(bases, c), append(exps, coeffs[i])
 		}
-		x := &paillier.Ciphertext{C: ct.(*ciphertext).value}
-		if coeffs[i].BitLen() != 1 {
-			x = s.dealer.ScalarMul(x, coeffs[i])
-		}
-		acc = s.dealer.Add(acc, x)
 	}
-	return &ciphertext{value: acc.C, bound: bound, size: p.ctBytes}, nil
+	if len(bases) > 0 {
+		pow, err := modexp.MultiExp(n2, bases, exps)
+		if err != nil {
+			return nil, err
+		}
+		acc.Mod(acc.Mul(acc, pow), n2)
+	}
+	return &ciphertext{value: acc, bound: bound, size: p.ctBytes}, nil
 }
 
 // PartialDecrypt implements TPDec: v = c^(2Δ·d_i) mod N². It runs on
