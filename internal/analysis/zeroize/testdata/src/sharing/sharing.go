@@ -45,7 +45,7 @@ func (k *secretKey) Decrypt(env []byte) ([]byte, error) {
 	return append([]byte(nil), env...), nil
 }
 
-func (k *secretKey) AppendDecrypt(dst, env []byte) ([]byte, error) {
+func (k *secretKey) AppendOpen(dst, key []byte, part int, env []byte) ([]byte, error) {
 	return append(dst, env...), nil
 }
 
@@ -220,7 +220,7 @@ func OpenWalkWiped(k *secretKey, envs [][]byte) (uint32, error) {
 	var plain []byte
 	for _, env := range envs {
 		var err error
-		plain, err = k.AppendDecrypt(plain[:0], env)
+		plain, err = k.AppendOpen(plain[:0], nil, 0, env)
 		if err != nil {
 			continue
 		}
@@ -238,7 +238,7 @@ func OpenWalkErrorUnwiped(k *secretKey, envs [][]byte) (uint32, error) {
 	var plain []byte
 	for _, env := range envs {
 		var err error
-		plain, err = k.AppendDecrypt(plain[:0], env) // want `secret buffer plain \(from k\.AppendDecrypt\) is not zeroized on every path`
+		plain, err = k.AppendOpen(plain[:0], nil, 0, env) // want `secret buffer plain \(from k\.AppendOpen\) is not zeroized on every path`
 		if err != nil {
 			continue
 		}

@@ -12,9 +12,9 @@
 //   - a fresh randomness buffer returned by a field.RandomVec-style
 //     sampler (callee in a `field` package, name Random*/MustRandom*,
 //     slice result), or
-//   - the byte buffer returned by calling Bytes, Decrypt or AppendDecrypt
+//   - the byte buffer returned by calling Bytes, Decrypt or AppendOpen
 //     on a value of secret type (secretflow's secret model, built once per
-//     load: the builtin set plus //yosolint:secret marks; AppendDecrypt's
+//     load: the builtin set plus //yosolint:secret marks; AppendOpen's
 //     is a reader's scratch for a whole quorum walk), or
 //   - the buffer an append-style secret codec extends (BuiltinSourceFuncs:
 //     the plaintext scratch a partial decryption or key sub-share is
@@ -443,7 +443,7 @@ func terminates(pkg *analysis.Package, n ast.Node) bool {
 }
 
 // isSource reports whether a call creates a secret buffer: a field
-// randomness sampler, Bytes/Decrypt/AppendDecrypt on a secret-typed
+// randomness sampler, Bytes/Decrypt/AppendOpen on a secret-typed
 // receiver, or a builtin append-style secret codec, in every case returning
 // a slice.
 func (c *checker) isSource(call *ast.CallExpr) bool {
@@ -463,7 +463,7 @@ func (c *checker) isSource(call *ast.CallExpr) bool {
 	if BuiltinSourceFuncs[taint.FuncKey(fn)] {
 		return true
 	}
-	if name != "Bytes" && name != "Decrypt" && name != "AppendDecrypt" {
+	if name != "Bytes" && name != "Decrypt" && name != "AppendOpen" {
 		return false
 	}
 	return secretflow.IsSecret(c.pass, sig.Recv().Type())

@@ -146,10 +146,11 @@ func TestTskStep(t *testing.T) {
 				t.Errorf("excluded %v, want %v", f.Excluded, wantExcluded)
 			}
 
-			// An honest posting is its parts in docs/WIRE.md order — the
-			// Decrypt partials, the Re-encrypt envelopes, the resharing —
-			// each the encoding of that member's own partial decryption or
-			// sub-share, and a malicious one occupies the same shape in
+			// An honest posting is its posting key when it seals anything,
+			// then its parts in docs/WIRE.md order — the Decrypt partials,
+			// the Re-encrypt envelopes, the resharing — each the encoding of
+			// that member's own partial decryption or sub-share, sealed at
+			// its part index, and a malicious one occupies the same shape in
 			// ciphertext-sized garbage.
 			// On Sim every part has its modelled size (pinned to the
 			// encodings by costmodel's TestSimSizesMatchEncodings).
@@ -164,9 +165,15 @@ func TestTskStep(t *testing.T) {
 			if next != nil {
 				garbSize += testN * (ctSize + pke.EnvelopeOverhead)
 			}
-			// clearAt[j], sealedAt[j] and handoffAt[j] collect, in
-			// verified-member order, where in the postings the partials or
-			// envelopes of opening j and the envelopes of hand-off slot j lie.
+			keyed := nSealed > 0 || next != nil
+			if keyed {
+				garbSize += pke.PostingKeySize
+			}
+			// keyAt, clearAt[j], sealedAt[j] and handoffAt[j] collect, in
+			// verified-member order, where in the postings the posting keys,
+			// the partials or envelopes of opening j and the envelopes of
+			// hand-off slot j lie.
+			var keyAt [][]byte
 			clearAt := make([][][]byte, len(open))
 			sealedAt := make([][][]byte, len(open))
 			handoffAt := make([][][]byte, testN)
@@ -212,10 +219,17 @@ func TestTskStep(t *testing.T) {
 					}
 					return enc
 				}
+				var key []byte
+				if keyed {
+					key = take(pke.PostingKeySize)
+					keyAt = append(keyAt, key)
+				}
+				part := 0
 				for j, kind := range tc.kinds {
 					if kind != 'd' {
 						continue
 					}
+					part++
 					enc := take(partSize)
 					clearAt[j] = append(clearAt[j], enc)
 					if !bytes.Equal(enc, partial(j)) {
@@ -228,19 +242,22 @@ func TestTskStep(t *testing.T) {
 					}
 					env := take(partSize + pke.EnvelopeOverhead)
 					sealedAt[j] = append(sealedAt[j], env)
-					got, err := recipients[j].Decrypt(env)
+					got, err := recipients[j].AppendOpen(nil, key, part, env)
 					if err != nil || !bytes.Equal(got, partial(j)) {
 						t.Errorf("%s: sealed part for opening %d does not open to its partial decryption: %v", role.Name(), j, err)
 					}
+					part++
 				}
 				if next != nil {
 					for j, to := range next.Roles {
 						env := take(subSize + pke.EnvelopeOverhead)
 						handoffAt[j] = append(handoffAt[j], env)
 						if to.Behavior == yoso.FailStop {
+							part++
 							continue // its key is gone with it
 						}
-						sub, err := openEnvelope(f.Runner, to.SecretKey(), env, f.TE.DecodeSubShare)
+						sub, err := openEnvelope(f.Runner, to.SecretKey(), key, part, env, f.TE.DecodeSubShare)
+						part++
 						if err != nil || sub.From() != i+1 || sub.To() != j+1 {
 							t.Errorf("%s: resharing slot %d opens to %v, %v", role.Name(), j, sub, err)
 						}
@@ -269,11 +286,15 @@ func TestTskStep(t *testing.T) {
 			}
 			for j := range open {
 				areViews(fmt.Sprintf("opening %d, clear", j), res.Partials[j], clearAt[j])
-				areViews(fmt.Sprintf("opening %d, sealed", j), res.Sealed[j], sealedAt[j])
+				if tc.kinds[j] == 'r' {
+					areViews(fmt.Sprintf("opening %d, sealed", j), res.Sealed[j].envs, sealedAt[j])
+					areViews(fmt.Sprintf("opening %d, posting keys", j), res.Sealed[j].keys, keyAt)
+				}
 			}
 			if tc.reshare {
 				for j, slot := range tsk.handoff {
-					areViews(fmt.Sprintf("hand-off slot %d", j), slot, handoffAt[j])
+					areViews(fmt.Sprintf("hand-off slot %d", j), slot.envs, handoffAt[j])
+					areViews(fmt.Sprintf("hand-off slot %d, posting keys", j), slot.keys, keyAt)
 				}
 			}
 
@@ -286,9 +307,9 @@ func TestTskStep(t *testing.T) {
 			for j, kind := range tc.kinds {
 				var got *big.Int
 				if kind == 'd' {
-					if res.Sealed[j] != nil || len(res.Partials[j]) != len(verified) {
+					if res.Sealed[j].envs != nil || len(res.Partials[j]) != len(verified) {
 						t.Fatalf("opening %d: %d partials, %d envelopes; want %d, 0",
-							j, len(res.Partials[j]), len(res.Sealed[j]), len(verified))
+							j, len(res.Partials[j]), len(res.Sealed[j].envs), len(verified))
 					}
 					parts := make([]tte.PartialDec, len(verified))
 					for m, view := range res.Partials[j] {
@@ -302,9 +323,9 @@ func TestTskStep(t *testing.T) {
 					}
 					got, err = f.TE.Combine(f.TPK, open[j].Ct, parts)
 				} else {
-					if res.Partials[j] != nil || len(res.Sealed[j]) != len(verified) {
+					if res.Partials[j] != nil || len(res.Sealed[j].envs) != len(verified) {
 						t.Fatalf("opening %d: %d partials, %d envelopes; want 0, %d",
-							j, len(res.Partials[j]), len(res.Sealed[j]), len(verified))
+							j, len(res.Partials[j]), len(res.Sealed[j].envs), len(verified))
 					}
 					got, err = f.CombineSealed(recipients[j], res.Sealed[j], open[j].Ct)
 				}
@@ -324,14 +345,14 @@ func TestTskStep(t *testing.T) {
 				}
 			} else {
 				for j, slot := range tsk.handoff {
-					if len(slot) != len(verified) {
-						t.Fatalf("hand-off slot %d has %d envelopes, want %d", j, len(slot), len(verified))
+					if len(slot.envs) != len(verified) {
+						t.Fatalf("hand-off slot %d has %d envelopes, want %d", j, len(slot.envs), len(verified))
 					}
 					for i, role := range next.Roles {
 						if role.Behavior == yoso.FailStop {
 							continue
 						}
-						_, err := openEnvelope(f.Runner, role.SecretKey(), slot[0], f.TE.DecodeSubShare)
+						_, err := openEnvelope(f.Runner, role.SecretKey(), slot.keys[0], slot.part, slot.envs[0], f.TE.DecodeSubShare)
 						if (err == nil) != (i == j) {
 							t.Errorf("member %d opening slot %d: err = %v", i+1, j, err)
 						}
@@ -352,10 +373,10 @@ func TestTskStep(t *testing.T) {
 	}
 }
 
-// On the real backend a posting carries one ephemeral X25519 key: the first
-// 32 bytes of every envelope in it — a member's Re-encrypt openings and its
-// resharing alike, or the dealer's whole delivery — are the same, no two
-// postings share them, and every recipient still opens its own part.
+// On the real backend a posting carries one ephemeral X25519 key, once, in
+// its header: a member's posting and the dealer's delivery each start with
+// their own posting key, no two postings share one, no envelope repeats it,
+// and every recipient opens its own part under it.
 func TestTskStepOneEphemeralKeyPerPosting(t *testing.T) {
 	te, err := tte.NewThreshold(paillier.FixedTestKey(0))
 	if err != nil {
@@ -364,27 +385,30 @@ func TestTskStepOneEphemeralKeyPerPosting(t *testing.T) {
 	f, dealt := newFixtureOn(t, te, pke.NewECIES(), nil)
 	c, next := f.form(t, "c"), f.form(t, "next")
 
-	// poster[k] is who posted envelopes under ephemeral key k.
+	// poster[k] is who posted under posting key k.
 	poster := map[string]string{}
-	oneKey := func(who string, envs [][]byte) {
+	oneKey := func(who string, posting []byte, envs [][]byte) []byte {
 		t.Helper()
-		if len(envs) == 0 {
-			t.Fatalf("%s: no envelopes", who)
+		key := posting[:pke.PostingKeySize]
+		if other, ok := poster[string(key)]; ok {
+			t.Errorf("%s and %s share posting key %x", who, other, key)
 		}
-		eph := string(envs[0][:32])
+		poster[string(key)] = who
+		size := pke.PostingKeySize
 		for e, env := range envs {
-			if string(env[:32]) != eph {
-				t.Errorf("%s: envelope %d has ephemeral key %x, envelope 0 %x", who, e, env[:32], eph)
+			size += len(env)
+			if bytes.Contains(env, key) {
+				t.Errorf("%s: envelope %d repeats the posting key", who, e)
 			}
 		}
-		if other, ok := poster[eph]; ok {
-			t.Errorf("%s and %s share ephemeral key %x", who, other, eph)
+		if size > len(posting) {
+			t.Errorf("%s: the key and the envelopes are %d bytes, the posting %d", who, size, len(posting))
 		}
-		poster[eph] = who
+		return key
 	}
-	opens := func(who string, sk pke.SecretKey, env []byte) {
+	opens := func(who string, sk pke.SecretKey, key []byte, part int, env []byte) {
 		t.Helper()
-		if _, err := sk.Decrypt(env); err != nil {
+		if _, err := sk.AppendOpen(nil, key, part, env); err != nil {
 			t.Errorf("%s: recipient cannot open its envelope: %v", who, err)
 		}
 	}
@@ -394,16 +418,28 @@ func TestTskStepOneEphemeralKeyPerPosting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dealer [][]byte
-	for _, p := range f.Board.Entries(before) {
-		dealer = append(dealer, p.Payload)
+	dealer := f.Board.Entries(before)
+	if len(dealer) != 1 {
+		t.Fatalf("dealer posted %d times, want one posting", len(dealer))
 	}
-	if len(dealer) != testN {
-		t.Fatalf("dealer posted %d envelopes, want %d", len(dealer), testN)
+	delivery := dealer[0].Payload
+	// Envelope i is share i's encoding sealed, in share order.
+	var envs [][]byte
+	rest := delivery[pke.PostingKeySize:]
+	for _, sh := range dealt {
+		enc, err := f.TE.EncodeKeyShare(sh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := pke.EnvelopeOverhead + len(enc)
+		envs, rest = append(envs, rest[:n]), rest[n:]
 	}
-	oneKey("dealer", dealer)
-	for i, env := range dealer {
-		opens(fmt.Sprintf("dealer's envelope %d", i+1), c.Roles[i].SecretKey(), env)
+	if len(rest) != 0 {
+		t.Errorf("dealer's delivery has %d bytes after the last envelope", len(rest))
+	}
+	key := oneKey("dealer", delivery, envs)
+	for i, env := range envs {
+		opens(fmt.Sprintf("dealer's envelope %d", i+1), c.Roles[i].SecretKey(), key, i, env)
 	}
 
 	const kinds = "rdrr"
@@ -432,30 +468,82 @@ func TestTskStepOneEphemeralKeyPerPosting(t *testing.T) {
 	if len(res.members) != testN || len(postings) != testN {
 		t.Fatalf("%d verified members, %d postings; want %d", len(res.members), len(postings), testN)
 	}
-	// The views are where each posting's parts lie; each envelope is also
-	// found, byte for byte, in its member's posting on the board.
+	// Each member's posting starts with the key every one of its envelopes
+	// opens under — the key view its readers hold — and each envelope is
+	// found, byte for byte, in the posting behind it.
 	for m, i := range res.members {
 		who := c.Roles[i-1].Name()
+		posting := postings[who]
 		var envs [][]byte
+		var cols []Envelopes
 		for j, kind := range kinds {
 			if kind == 'r' {
-				envs = append(envs, res.Sealed[j][m])
-				opens(fmt.Sprintf("%s, opening %d", who, j), recipients[j], res.Sealed[j][m])
+				cols = append(cols, res.Sealed[j])
+				envs = append(envs, res.Sealed[j].envs[m])
+				opens(fmt.Sprintf("%s, opening %d", who, j), recipients[j], posting[:pke.PostingKeySize], res.Sealed[j].part, res.Sealed[j].envs[m])
 			}
 		}
 		for k, slot := range tsk.handoff {
-			envs = append(envs, slot[m])
-			opens(fmt.Sprintf("%s, hand-off slot %d", who, k), next.Roles[k].SecretKey(), slot[m])
+			cols = append(cols, slot)
+			envs = append(envs, slot.envs[m])
+			opens(fmt.Sprintf("%s, hand-off slot %d", who, k), next.Roles[k].SecretKey(), posting[:pke.PostingKeySize], slot.part, slot.envs[m])
 		}
 		if len(envs) != strings.Count(kinds, "r")+testN {
 			t.Fatalf("%s: %d envelopes", who, len(envs))
 		}
 		for e, env := range envs {
-			if !bytes.Contains(postings[who], env) {
+			if !bytes.Contains(posting[pke.PostingKeySize:], env) {
 				t.Errorf("%s: envelope %d is not in its posting", who, e)
 			}
+			if !bytes.Equal(cols[e].keys[m], posting[:pke.PostingKeySize]) {
+				t.Errorf("%s: envelope %d's key view is not its posting's header", who, e)
+			}
 		}
-		oneKey(who, envs)
+		oneKey(who, posting, envs)
+	}
+}
+
+// A member writes its posting into one buffer sized exactly from the
+// encoders' lengths, on both backends: the posting the board keeps has no
+// spare capacity and needed no reallocation.
+func TestTskPostIsExactlySized(t *testing.T) {
+	real, err := tte.NewThreshold(paillier.FixedTestKey(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []struct {
+		name   string
+		te     TE
+		scheme pke.Scheme
+	}{
+		{"sim", tte.NewSim(512), pke.NewSim()},
+		{"real", real, pke.NewECIES()},
+	} {
+		t.Run(b.name, func(t *testing.T) {
+			f, dealt := newFixtureOn(t, b.te, b.scheme, nil)
+			next := f.form(t, "next")
+			for _, kinds := range []string{"dddd", "rrrr", "drdrdrdr", ""} {
+				open := make([]Opening, len(kinds))
+				for j, kind := range kinds {
+					open[j].Ct = f.encrypt(t, int64(j))
+					if kind == 'r' {
+						if open[j].Key, _, err = f.PKE.GenerateKey(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				for _, to := range []*yoso.Committee{nil, next} {
+					post, err := f.tskPost(dealt[0], open, to)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(post.buf) != cap(post.buf) {
+						t.Errorf("openings %q, resharing %v: posting of %d bytes has capacity %d",
+							kinds, to != nil, len(post.buf), cap(post.buf))
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 )
 
 // countingScheme mints secret keys that count the envelopes they open
-// (AppendDecrypt calls, the one opening path): *opened[i] is the count of
+// (AppendOpen calls, the one opening path): *opened[i] is the count of
 // the i-th key minted.
 type countingScheme struct {
 	pke.Scheme
@@ -32,9 +32,9 @@ type countingKey struct {
 	opened *int
 }
 
-func (k countingKey) AppendDecrypt(dst, env []byte) ([]byte, error) {
+func (k countingKey) AppendOpen(dst, key []byte, part int, env []byte) ([]byte, error) {
 	*k.opened++
-	return k.SecretKey.AppendDecrypt(dst, env)
+	return k.SecretKey.AppendOpen(dst, key, part, env)
 }
 
 func (s *countingScheme) GenerateKey() (pke.PublicKey, pke.SecretKey, error) {
@@ -46,32 +46,36 @@ func (s *countingScheme) GenerateKey() (pke.PublicKey, pke.SecretKey, error) {
 	return pub, countingKey{sec, s.opened[len(s.opened)-1]}, nil
 }
 
-// spoil returns envs with the listed envelopes replaced by ones their
+// spoil returns col with the listed envelopes replaced by ones their
 // recipient cannot open — alternately sealed to a stranger's key and cut
-// short. envs itself, a view of the board, is left alone.
-func spoil(t *testing.T, envs [][]byte, which ...int) [][]byte {
+// short. col itself, a view of the board, is left alone.
+func spoil(t *testing.T, col Envelopes, which ...int) Envelopes {
 	t.Helper()
-	out := slices.Clone(envs)
+	envs := col.envs
+	col.envs = slices.Clone(envs)
 	for n, i := range which {
 		if n%2 == 1 {
-			out[i] = envs[i][:len(envs[i])-1]
+			col.envs[i] = envs[i][:len(envs[i])-1]
 			continue
 		}
 		stranger, _, err := pke.NewSim().GenerateKey()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out[i], err = stranger.Encrypt(make([]byte, len(envs[i])-pke.EnvelopeOverhead)); err != nil {
+		posting, err := stranger.Encrypt(make([]byte, len(envs[i])-pke.EnvelopeOverhead))
+		if err != nil {
 			t.Fatal(err)
 		}
+		col.envs[i] = posting[pke.PostingKeySize:]
 	}
-	return out
+	return col
 }
 
-// openEnvelope opens one envelope into a fresh buffer and decodes it: a
-// reader's step without the quorum walk or its scratch.
-func openEnvelope[T any](r *Runner, sk pke.SecretKey, env []byte, decode func(tte.PublicKey, []byte) (T, error)) (T, error) {
-	data, err := sk.Decrypt(env)
+// openEnvelope opens one envelope, sealed under posting key key at part
+// part, into a fresh buffer and decodes it: a reader's step without the
+// quorum walk or its scratch.
+func openEnvelope[T any](r *Runner, sk pke.SecretKey, key []byte, part int, env []byte, decode func(tte.PublicKey, []byte) (T, error)) (T, error) {
+	data, err := sk.AppendOpen(nil, key, part, env)
 	if err != nil {
 		var none T
 		return none, err
@@ -115,8 +119,8 @@ func TestQuorumDecryptCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	envs := res.Sealed[0]
-	if len(envs) != testN {
-		t.Fatalf("honest committee left %d envelopes, want %d", len(envs), testN)
+	if len(envs.envs) != testN {
+		t.Fatalf("honest committee left %d envelopes, want %d", len(envs.envs), testN)
 	}
 
 	for skipped := 0; skipped <= testN-testT-1; skipped++ {
@@ -319,14 +323,14 @@ func TestQuorumMatchesOpeningEveryone(t *testing.T) {
 				var all, quorate []tte.PartialDec
 				var got *big.Int
 				if kind == 'r' {
-					for _, env := range res.Sealed[j] {
-						part, err := openEnvelope(f.Runner, recipients[j], env, f.TE.DecodePartial)
+					for m := range res.Sealed[j].envs {
+						part, err := openEnvelope(f.Runner, recipients[j], res.Sealed[j].keys[m], res.Sealed[j].part, res.Sealed[j].envs[m], f.TE.DecodePartial)
 						if err != nil {
 							t.Fatal(err)
 						}
 						all = append(all, part)
 					}
-					quorate, _ = quorum(f.Runner, recipients[j], res.Sealed[j], f.TE.DecodePartial)
+					quorate = openSealed(f.Runner, recipients[j], res.Sealed[j], f.TE.DecodePartial)
 					got, err = f.CombineSealed(recipients[j], res.Sealed[j], open[j].Ct)
 				} else {
 					for _, view := range res.Partials[j] {
@@ -336,7 +340,7 @@ func TestQuorumMatchesOpeningEveryone(t *testing.T) {
 						}
 						all = append(all, part)
 					}
-					if quorate, err = quorum(f.Runner, nil, res.Partials[j], f.TE.DecodePartial); err == nil {
+					if quorate, err = quorum(f.Runner, res.Partials[j], f.TE.DecodePartial); err == nil {
 						got, err = f.TE.Combine(f.TPK, open[j].Ct, quorate)
 					}
 				}
@@ -368,8 +372,8 @@ func TestQuorumMatchesOpeningEveryone(t *testing.T) {
 					continue
 				}
 				var all []tte.SubShare
-				for _, env := range tsk.handoff[i] {
-					sub, err := openEnvelope(f.Runner, role.SecretKey(), env, f.TE.DecodeSubShare)
+				for m := range tsk.handoff[i].envs {
+					sub, err := openEnvelope(f.Runner, role.SecretKey(), tsk.handoff[i].keys[m], tsk.handoff[i].part, tsk.handoff[i].envs[m], f.TE.DecodeSubShare)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -479,7 +483,7 @@ func TestDecryptStepWorkers(t *testing.T) {
 	}
 }
 
-// scratchKey records every buffer its AppendDecrypt hands back, over its
+// scratchKey records every buffer its AppendOpen hands back, over its
 // whole capacity, so a test can look at a walk's scratch once the walk is
 // over, and counts the opens that were handed a scratch still holding a
 // byte of an earlier plaintext.
@@ -489,38 +493,35 @@ type scratchKey struct {
 	dirty *int
 }
 
-func (k scratchKey) AppendDecrypt(dst, env []byte) ([]byte, error) {
+func (k scratchKey) AppendOpen(dst, key []byte, part int, env []byte) ([]byte, error) {
 	if all := dst[:cap(dst)]; !bytes.Equal(all, make([]byte, len(all))) {
 		*k.dirty++
 	}
-	out, err := k.SecretKey.AppendDecrypt(dst, env)
+	out, err := k.SecretKey.AppendOpen(dst, key, part, env)
 	*k.bufs = append(*k.bufs, out[:cap(out)])
 	return out, err
 }
 
 // freshWalk is a sealed walk without the scratch: the first t+1 envelopes
 // that open, each into a buffer of its own.
-func freshWalk[T any](r *Runner, sk pke.SecretKey, envs [][]byte, decode func(tte.PublicKey, []byte) (T, error)) []T {
+func freshWalk[T any](r *Runner, sk pke.SecretKey, col Envelopes, decode func(tte.PublicKey, []byte) (T, error)) []T {
 	var got []T
-	for _, env := range envs {
-		if v, err := openEnvelope(r, sk, env, decode); err == nil && len(got) <= r.TPK.T() {
+	for m := range col.envs {
+		if v, err := openEnvelope(r, sk, col.keys[m], col.part, col.envs[m], decode); err == nil && len(got) <= r.TPK.T() {
 			got = append(got, v)
 		}
 	}
 	return got
 }
 
-// scratchWalk is quorum through a scratchKey, checking the scratch: every
-// open is handed one that is all zero, and so is every byte it ever held
-// once the walk is over.
-func scratchWalk[T any](t *testing.T, what string, r *Runner, sk pke.SecretKey, envs [][]byte, decode func(tte.PublicKey, []byte) (T, error)) []T {
+// scratchWalk is openSealed through a scratchKey, checking the scratch:
+// every open is handed one that is all zero, and so is every byte it ever
+// held once the walk is over.
+func scratchWalk[T any](t *testing.T, what string, r *Runner, sk pke.SecretKey, col Envelopes, decode func(tte.PublicKey, []byte) (T, error)) []T {
 	t.Helper()
 	var bufs [][]byte
 	dirty := 0
-	got, err := quorum(r, scratchKey{sk, &bufs, &dirty}, envs, decode)
-	if err != nil {
-		t.Fatalf("%s: %v", what, err)
-	}
+	got := openSealed(r, scratchKey{sk, &bufs, &dirty}, col, decode)
 	if dirty != 0 {
 		t.Errorf("%s: %d opens were handed a scratch holding an earlier plaintext", what, dirty)
 	}
@@ -623,7 +624,7 @@ func TestSealedWalkAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if parts, _ := quorum(f.Runner, recipient, res.Sealed[0], f.TE.DecodePartial); len(parts) != testT+1 {
+		if parts := openSealed(f.Runner, recipient, res.Sealed[0], f.TE.DecodePartial); len(parts) != testT+1 {
 			t.Fatalf("walk opened %d, want %d", len(parts), testT+1)
 		}
 	})

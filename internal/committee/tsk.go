@@ -23,49 +23,57 @@ type Opening struct {
 }
 
 // TskPost is the single message a tsk-holding member posts, held as the
-// posting itself. Routing is positional: the step's Decrypt partials, then
-// its Re-encrypt envelopes, both in list order, then the resharing envelopes,
-// slot j sealed to member j+1 of the next committee.
+// posting itself. A posting that seals anything starts with its posting key
+// (pke.PostingKeySize bytes); its parts follow. Routing is positional: the
+// step's Decrypt partials, then its Re-encrypt envelopes, both in list
+// order, then the resharing envelopes, slot j sealed to member j+1 of the
+// next committee. Each envelope is sealed at its part index, which every
+// reader knows from the step's public layout.
 type TskPost struct {
 	buf []byte
-	// ends[j] is where part j of buf ends (part j+1 starts there). The
-	// offsets are the writer's in-memory bookkeeping and never cross the
-	// wire.
+	// ends[0] is where the posting key ends (0 when nothing is sealed) and
+	// ends[j+1] where part j ends (part j+1 starts there). The offsets are
+	// the writer's in-memory bookkeeping and never cross the wire.
 	ends []int
 }
 
 // Encode implements Payload: the member wrote its posting in place.
 func (p TskPost) Encode(*Runner) ([]byte, error) { return p.buf, nil }
 
-// part returns a view of part j of the posting. Its capacity is clipped, so
-// appending to a view can never write into the neighbouring part.
-func (p TskPost) part(j int) []byte {
-	start := 0
-	if j > 0 {
-		start = p.ends[j-1]
-	}
-	return p.buf[start:p.ends[j]:p.ends[j]]
+// key returns a view of the posting key, and part a view of part j. Their
+// capacities are clipped, so appending to a view can never write into its
+// neighbour.
+func (p TskPost) key() []byte { return p.buf[:p.ends[0]:p.ends[0]] }
+
+func (p TskPost) part(j int) []byte { return p.buf[p.ends[j]:p.ends[j+1]:p.ends[j+1]] }
+
+// Envelopes is one column of a tsk step's sealed parts: the envelope each
+// verified member sealed as part part of its posting, in member order, and
+// the posting key each sealed it under — views of the postings, the keys
+// shared by every column of the step.
+type Envelopes struct {
+	envs, keys [][]byte
+	part       int
 }
 
 // Tsk is the threshold secret key in flight between committees.
 type Tsk struct {
 	// shares are the current tsk committee's key shares while its TskStep
 	// runs (the dealer's epoch-0 shares for the first), and handoff[j] the
-	// resharing envelopes that step left for member j+1 of the next — views
-	// of the verified postings.
+	// resharing envelopes that step left for member j+1 of the next.
 	shares  []tte.KeyShare
-	handoff [][][]byte
+	handoff []Envelopes
 }
 
 // Opened is what a tsk step's verified members left on the board, transposed
 // for its readers.
 type Opened struct {
 	// Partials[j] holds the encoded partial decryptions of opening j when it
-	// was a Decrypt, Sealed[j] the envelopes answering it when it was a
-	// Re-encrypt — views of the verified postings, in member order; the
-	// other one is nil.
+	// was a Decrypt — views of the verified postings, in member order — and
+	// Sealed[j] the envelopes answering it when it was a Re-encrypt; the
+	// other one is empty.
 	Partials [][][]byte
-	Sealed   [][][]byte
+	Sealed   []Envelopes
 	// members[m] is the committee slot of the member whose posting view m of
 	// every opening lies in.
 	members []int
@@ -111,9 +119,12 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 		}
 	}
 	// A malicious member's garbage occupies one ciphertext per partial and
-	// one sealed ciphertext per envelope.
+	// one sealed ciphertext per envelope, behind a posting key.
 	ctSize := r.TPK.CiphertextSize()
 	garbSize := nClear*ctSize + (nSealed+nNext)*(ctSize+pke.EnvelopeOverhead)
+	if nSealed+nNext > 0 {
+		garbSize += pke.PostingKeySize
+	}
 
 	posts, err := Step(r, c, sp, func(i int) (TskPost, error) {
 		if shares[i-1] == nil {
@@ -126,19 +137,22 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 	}
 
 	// Transpose the verified postings into per-opening and per-recipient
-	// views; one backing array serves all of them.
-	views := make([][]byte, (len(open)+nNext)*len(posts))
-	column := func(part int) [][]byte {
+	// views beside one posting-key view per member; one backing array
+	// serves all of them.
+	views := make([][]byte, (1+len(open)+nNext)*len(posts))
+	column := func(view func(TskPost) []byte) [][]byte {
 		col := views[:len(posts):len(posts)]
 		views = views[len(posts):]
 		for m, p := range posts {
-			col[m] = p.Payload.part(part)
+			col[m] = view(p.Payload)
 		}
 		return col
 	}
+	part := func(j int) [][]byte { return column(func(p TskPost) []byte { return p.part(j) }) }
+	keys := column(TskPost.key)
 	res := &Opened{
 		Partials: make([][][]byte, len(open)),
-		Sealed:   make([][][]byte, len(open)),
+		Sealed:   make([]Envelopes, len(open)),
 		members:  make([]int, len(posts)),
 	}
 	for m, p := range posts {
@@ -146,37 +160,45 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 	}
 	for j, o := range open {
 		if o.Key == nil {
-			res.Partials[j] = column(slot[j])
+			res.Partials[j] = part(slot[j])
 		} else {
-			res.Sealed[j] = column(slot[j])
+			res.Sealed[j] = Envelopes{envs: part(slot[j]), keys: keys, part: slot[j]}
 		}
 	}
 	tsk.shares, tsk.handoff = nil, nil
 	if next != nil {
-		tsk.handoff = make([][][]byte, nNext)
+		tsk.handoff = make([]Envelopes, nNext)
 		for j := range tsk.handoff {
-			tsk.handoff[j] = column(len(open) + j)
+			tsk.handoff[j] = Envelopes{envs: part(len(open) + j), keys: keys, part: len(open) + j}
 		}
 	}
 	return res, nil
 }
 
-// tskPost writes one member's whole posting into a single buffer sized up
-// front: the partial decryptions of open — encoded in place when in the
-// clear, sealed in place to the opening's key otherwise — followed by the
-// resharing of sh to next's role keys. One pke.Sealer seals every envelope,
-// so the posting carries one ephemeral key and each envelope costs one key
-// agreement. What gets sealed is encoded into one plaintext scratch that is
-// wiped after every use: the raw bytes carry the same secret as what they
-// encode.
+// tskPost writes one member's whole posting into a single buffer sized
+// exactly up front, from the encoders' own lengths: the posting key when
+// anything is sealed, then the partial decryptions of open — encoded in
+// place when in the clear, sealed in place to the opening's key otherwise —
+// followed by the resharing of sh to next's role keys. One pke.Sealer seals
+// every envelope, so the posting carries one posting key and each envelope
+// costs one key agreement. What gets sealed is encoded into one plaintext
+// scratch, as large as the largest of those encodings, that is wiped after
+// every use: the raw bytes carry the same secret as what they encode.
 func (r *Runner) tskPost(sh tte.KeyShare, open []Opening, next *yoso.Committee) (TskPost, error) {
-	ctSize := r.TPK.CiphertextSize()
+	parts := make([]tte.PartialDec, len(open))
 	var subs []tte.SubShare
-	size, plainSize := 0, ctSize
-	for _, o := range open {
-		size += ctSize
+	var to pke.PublicKey // any recipient: it picks the posting key's backend
+	size, plainSize := 0, 0
+	for j, o := range open {
+		var err error
+		if parts[j], err = r.TE.PartialDecrypt(r.TPK, sh, o.Ct); err != nil {
+			return TskPost{}, err
+		}
+		n := r.TE.PartialLen(parts[j])
+		size += n
 		if o.Key != nil {
 			size += pke.EnvelopeOverhead
+			plainSize, to = max(plainSize, n), o.Key
 		}
 	}
 	if next != nil {
@@ -188,32 +210,44 @@ func (r *Runner) tskPost(sh tte.KeyShare, open []Opening, next *yoso.Committee) 
 			return TskPost{}, fmt.Errorf("resharing has %d sub-shares for %d next members", len(subs), next.N())
 		}
 		for _, sub := range subs {
-			size += sub.Size() + pke.EnvelopeOverhead
-			plainSize = max(plainSize, sub.Size())
+			n := r.TE.SubShareLen(sub)
+			size += n + pke.EnvelopeOverhead
+			plainSize = max(plainSize, n)
+		}
+		if len(subs) > 0 {
+			to = next.Role(1).PublicKey()
 		}
 	}
-	post := TskPost{buf: make([]byte, 0, size), ends: make([]int, 0, len(open)+len(subs))}
+	if to != nil {
+		size += pke.PostingKeySize
+	}
+	post := TskPost{buf: make([]byte, 0, size), ends: make([]int, 1, 1+len(open)+len(subs))}
 	plain := make([]byte, 0, plainSize)
 	var seal pke.Sealer
+	if to != nil {
+		var err error
+		if post.buf, err = seal.AppendKey(post.buf, to); err != nil {
+			return TskPost{}, err
+		}
+		post.ends[0] = len(post.buf)
+	}
 
-	// Parts are written in wire order, so the Decrypts go first.
+	// Parts are written in wire order, so the Decrypts go first. An
+	// envelope is sealed at its part index.
 	for _, sealed := range []bool{false, true} {
-		for _, o := range open {
+		for j, o := range open {
 			if (o.Key != nil) != sealed {
 				continue
 			}
-			part, err := r.TE.PartialDecrypt(r.TPK, sh, o.Ct)
-			if err != nil {
-				return TskPost{}, err
-			}
+			var err error
 			if sealed {
-				plain, err = r.TE.AppendPartial(plain[:0], part)
+				plain, err = r.TE.AppendPartial(plain[:0], parts[j])
 				if err == nil {
-					post.buf, err = seal.AppendEncrypt(post.buf, o.Key, plain)
+					post.buf, err = seal.AppendEncrypt(post.buf, len(post.ends)-1, o.Key, plain)
 				}
 				clear(plain)
 			} else {
-				post.buf, err = r.TE.AppendPartial(post.buf, part) //yosolint:owner a Decrypt opens to everyone: the partial is the public posting
+				post.buf, err = r.TE.AppendPartial(post.buf, parts[j]) //yosolint:owner a Decrypt opens to everyone: the partial is the public posting
 			}
 			if err != nil {
 				return TskPost{}, err
@@ -228,7 +262,7 @@ func (r *Runner) tskPost(sh tte.KeyShare, open []Opening, next *yoso.Committee) 
 		var err error
 		plain, err = r.TE.AppendSubShare(plain[:0], sub)
 		if err == nil {
-			post.buf, err = seal.AppendEncrypt(post.buf, next.Role(j+1).PublicKey(), plain)
+			post.buf, err = seal.AppendEncrypt(post.buf, len(post.ends)-1, next.Role(j+1).PublicKey(), plain)
 		}
 		clear(plain)
 		if err != nil {
@@ -251,7 +285,7 @@ func (r *Runner) DecryptStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Openin
 	// pool, slot-indexed. The workers only read the shared postings.
 	out := make([]*big.Int, len(open))
 	err = r.Pfor(len(open), func(j int) error {
-		parts, err := quorum(r, nil, res.Partials[j], r.TE.DecodePartial)
+		parts, err := quorum(r, res.Partials[j], r.TE.DecodePartial)
 		if err != nil {
 			// Nothing is skipped in the clear, so the partial that failed
 			// is the one after those that decoded.
@@ -267,23 +301,36 @@ func (r *Runner) DecryptStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Openin
 
 // DealShares is the trusted dealer's delivery of the epoch-0 tsk shares to
 // the first tsk-holding committee (the paper's "give tsk_i to C_{1,i}"):
-// each share travels as a PKE envelope sealed under the receiving role's
-// key, metered as setup bytes, and one pke.Sealer seals them all. The driver
-// additionally hands the shares over in-process.
+// one posting, metered as setup bytes, in which one pke.Sealer seals share
+// i as part i under the receiving role's key, sized exactly from the
+// shares' encodings. The driver additionally hands the shares over
+// in-process.
 func (r *Runner) DealShares(c *yoso.Committee, shares []tte.KeyShare) (*Tsk, error) {
-	var seal pke.Sealer
+	data := make([][]byte, len(shares))
+	defer func() {
+		for _, d := range data {
+			clear(d)
+		}
+	}()
+	size := pke.PostingKeySize
 	for i, sh := range shares {
-		data, err := r.TE.EncodeKeyShare(sh)
-		if err != nil {
+		var err error
+		if data[i], err = r.TE.EncodeKeyShare(sh); err != nil {
 			return nil, fmt.Errorf("encoding dealer tsk share %d: %w", i+1, err)
 		}
-		env, err := seal.AppendEncrypt(nil, c.Role(i+1).PublicKey(), data)
-		clear(data)
-		if err != nil {
+		size += pke.EnvelopeOverhead + len(data[i])
+	}
+	var seal pke.Sealer
+	posting, err := seal.AppendKey(make([]byte, 0, size), c.Role(1).PublicKey())
+	if err != nil {
+		return nil, fmt.Errorf("sealing the dealer's delivery: %w", err)
+	}
+	for i := range shares {
+		if posting, err = seal.AppendEncrypt(posting, i, c.Role(i+1).PublicKey(), data[i]); err != nil {
 			return nil, fmt.Errorf("sealing dealer tsk share %d: %w", i+1, err)
 		}
-		r.Board.Post("setup-dealer", comm.PhaseSetup, comm.CatReshare, env)
 	}
+	r.Board.Post("setup-dealer", comm.PhaseSetup, comm.CatReshare, posting)
 	return &Tsk{shares: shares}, nil
 }
 
@@ -300,7 +347,7 @@ func (r *Runner) recoverShares(tsk *Tsk, c *yoso.Committee, phase comm.Phase) er
 		if role.Behavior == yoso.FailStop {
 			return nil // crashed before reading
 		}
-		subs, _ := quorum(r, role.SecretKey(), tsk.handoff[i], r.TE.DecodeSubShare) // a sealed walk skips, it never fails
+		subs := openSealed(r, role.SecretKey(), tsk.handoff[i], r.TE.DecodeSubShare)
 		sh, err := r.TE.RecoverShare(r.TPK, i+1, subs)
 		if err != nil {
 			errs[i] = fmt.Errorf("%w: recovering tsk share for %s: %v", ErrNotEnough, role.Name(), err)
@@ -323,26 +370,22 @@ func (r *Runner) recoverShares(tsk *Tsk, c *yoso.Committee, phase comm.Phase) er
 }
 
 // quorum is how every reader takes a committee's contributions off the
-// board: it walks views — one verified posting's part each, in member order
-// — opens them one by one and stops as soon as t+1 have opened. The paper's
-// Decrypt, Re-encrypt and TKRec run on t+1 valid contributions, and the proof
-// each poster attached is what makes any t+1 sufficient; the first t+1 in
-// member order are also the ones TE.Combine and TE.RecoverShare would keep
-// out of all n. Contributions beyond the quorum are never decrypted or
-// parsed.
+// board: it walks them in member order, opens them one by one and stops as
+// soon as t+1 have opened. The paper's Decrypt, Re-encrypt and TKRec run on
+// t+1 valid contributions, and the proof each poster attached is what makes
+// any t+1 sufficient; the first t+1 in member order are also the ones
+// TE.Combine and TE.RecoverShare would keep out of all n. Contributions
+// beyond the quorum are never decrypted or parsed.
 //
-// With sk non-nil the views are envelopes sealed to sk, opened by
-// openSealed. With sk nil the views are public encodings under a verified
-// proof, so one that fails to decode before the quorum is full is the error
-// returned, beside the contributions that decoded before it; a sealed walk
-// never fails. Fewer than t+1 opened is not an error here: the caller's
-// Combine or RecoverShare reports ErrTooFewPartials, which the caller wraps
-// in ErrNotEnough.
-func quorum[T any](r *Runner, sk pke.SecretKey, views [][]byte, decode func(tte.PublicKey, []byte) (T, error)) ([]T, error) {
+// quorum walks views — one verified posting's clear part each — which are
+// public encodings under a verified proof, so one that fails to decode
+// before the quorum is full is the error returned, beside the contributions
+// that decoded before it. openSealed is the walk over envelopes, which never
+// fails. Fewer than t+1 opened is not an error here: the caller's Combine or
+// RecoverShare reports ErrTooFewPartials, which the caller wraps in
+// ErrNotEnough.
+func quorum[T any](r *Runner, views [][]byte, decode func(tte.PublicKey, []byte) (T, error)) ([]T, error) {
 	got := make([]T, 0, r.TPK.T()+1)
-	if sk != nil {
-		return openSealed(r, sk, views, got, decode), nil
-	}
 	for _, view := range views[:min(len(views), cap(got))] {
 		v, err := decode(r.TPK, view)
 		if err != nil {
@@ -353,22 +396,26 @@ func quorum[T any](r *Runner, sk pke.SecretKey, views [][]byte, decode func(tte.
 	return got, nil
 }
 
-// openSealed is quorum's sealed walk: it appends to got what the envelopes
-// in envs open and decode to, until got is full. One that does not open —
-// wrong key, truncated, failed tag, undecodable plaintext — is skipped and
-// the walk goes on: the proof cannot vouch for what only the recipient
-// reads. Every envelope is opened into one plaintext scratch, wiped after
-// each decode — the raw bytes carry the same secret as the partial
-// decryption or key sub-share they encode — and over its whole capacity
-// when the walk ends, so the walk allocates nothing but what it decodes.
-func openSealed[T any](r *Runner, sk pke.SecretKey, envs [][]byte, got []T, decode func(tte.PublicKey, []byte) (T, error)) []T {
+// openSealed is quorum's sealed walk: it returns what the envelopes sealed
+// to sk open and decode to, up to t+1 of them. Each is opened under its
+// poster's posting key at the column's part index, which the reader knows
+// from the step's layout and never takes from the bytes. One that does not
+// open — wrong key, truncated, failed tag, undecodable plaintext — is
+// skipped and the walk goes on: the proof cannot vouch for what only the
+// recipient reads. Every envelope is opened into one plaintext scratch,
+// wiped after each decode — the raw bytes carry the same secret as the
+// partial decryption or key sub-share they encode — and over its whole
+// capacity when the walk ends, so the walk allocates nothing but what it
+// decodes.
+func openSealed[T any](r *Runner, sk pke.SecretKey, col Envelopes, decode func(tte.PublicKey, []byte) (T, error)) []T {
+	got := make([]T, 0, r.TPK.T()+1)
 	var plain []byte
-	for _, env := range envs {
+	for m, env := range col.envs {
 		if len(got) == cap(got) {
 			break
 		}
 		var err error
-		plain, err = sk.AppendDecrypt(plain[:0], env)
+		plain, err = sk.AppendOpen(plain[:0], col.keys[m], col.part, env)
 		if err != nil {
 			continue
 		}
@@ -389,11 +436,11 @@ func wipeCapacity(b []byte) { clear(b[:cap(b)]) }
 // CombineSealed is the recipient's side of Re-encrypt: decrypt a quorum of
 // the partial decryptions sealed to sk and combine them into ct's integer
 // plaintext.
-func (r *Runner) CombineSealed(sk pke.SecretKey, envs [][]byte, ct tte.Ciphertext) (*big.Int, error) {
-	parts, _ := quorum(r, sk, envs, r.TE.DecodePartial) // a sealed walk skips, it never fails
+func (r *Runner) CombineSealed(sk pke.SecretKey, col Envelopes, ct tte.Ciphertext) (*big.Int, error) {
+	parts := openSealed(r, sk, col, r.TE.DecodePartial)
 	v, err := r.TE.Combine(r.TPK, ct, parts)
 	if err != nil {
-		return nil, fmt.Errorf("%w: combining %d envelopes: %v", ErrNotEnough, len(envs), err)
+		return nil, fmt.Errorf("%w: combining %d envelopes: %v", ErrNotEnough, len(col.envs), err)
 	}
 	return v, nil
 }

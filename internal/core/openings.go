@@ -35,7 +35,7 @@ type group struct {
 	widths []int
 	// envs are the envelopes answering a Re-encrypt of ct, one per verified
 	// member — views of the step's postings.
-	envs [][]byte
+	envs committee.Envelopes
 }
 
 // packGroups plans every list into groups and forms the group ciphertexts on

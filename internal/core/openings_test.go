@@ -297,9 +297,9 @@ type countingSK struct {
 	opened *atomic.Int64
 }
 
-func (s countingSK) AppendDecrypt(dst, env []byte) ([]byte, error) {
+func (s countingSK) AppendOpen(dst, key []byte, part int, env []byte) ([]byte, error) {
 	s.opened.Add(1)
-	return s.SecretKey.AppendDecrypt(dst, env)
+	return s.SecretKey.AppendOpen(dst, key, part, env)
 }
 
 func (c *countingPKE) GenerateKey() (pke.PublicKey, pke.SecretKey, error) {

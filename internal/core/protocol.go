@@ -193,7 +193,7 @@ type run struct {
 type kffEntry struct {
 	pub       pke.PublicKey
 	secretCt  tte.Ciphertext
-	delivered [][]byte // partial-decryption envelopes under the owner's role key (views of the OnC1 postings)
+	delivered committee.Envelopes // partial-decryption envelopes under the owner's role key (views of the OnC1 postings)
 }
 
 // --- shared helpers ---------------------------------------------------

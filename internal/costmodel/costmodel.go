@@ -33,7 +33,9 @@ type Sizes struct {
 	SubShare int
 	// KeyShare is a tsk key share.
 	KeyShare int
-	// PKEOverhead is the envelope overhead of the role/KFF encryption.
+	// PostingKey is the posting key a posting that seals anything carries
+	// once, and PKEOverhead what each envelope in it adds to its message.
+	PostingKey  int
 	PKEOverhead int
 	// RoleKey is a published role public key.
 	RoleKey int
@@ -56,6 +58,7 @@ func SimSizes(bits int) Sizes {
 		Partial:     te.PartialSize(),
 		SubShare:    te.SubShareSize(),
 		KeyShare:    te.KeyShareSize(),
+		PostingKey:  pke.PostingKeySize,
 		PKEOverhead: pke.EnvelopeOverhead,
 		RoleKey:     pke.PublicKeySize,
 		Proof:       nizk.AttestedProofSize,
@@ -171,6 +174,7 @@ func Core(n, t, k int, shape Shape, z Sizes) Phases {
 func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 	envP := int64(z.PKEOverhead + z.Partial)  // envelope carrying a partial decryption
 	envS := int64(z.PKEOverhead + z.SubShare) // envelope carrying a tsk subshare
+	key := int64(z.PostingKey)                // a tsk posting's key, ahead of its envelopes
 	N := int64(n)
 	T := int64(t)
 	batches := int64(shape.Batches())
@@ -197,8 +201,10 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 	if !opts.NoKFF {
 		setup += kffCount * int64(z.RoleKey+z.Ciphertext) // KFF publications
 	}
-	setup += N * int64(z.PKEOverhead+z.KeyShare) // dealer tsk delivery (sealed envelopes)
+	setup += key + N*int64(z.PKEOverhead+z.KeyShare) // dealer tsk delivery (one posting of sealed envelopes)
 
+	// Every offline and online tsk step below reshares or seals, so each of
+	// its N postings carries a posting key.
 	var offline int64
 	offline += 6 * N * int64(z.RoleKey) // six offline committees' role keys (incl. bridge)
 	if muls > 0 {
@@ -208,27 +214,27 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 	targets := int64(shape.Inputs) + muls
 	offline += N*(targets+3*T*batches)*int64(z.Ciphertext) + N*int64(z.Proof) // wire randomness + helpers
 	// OffDec: partials for the ε/δ groups + resharing to OffRe.
-	offline += N*(decGroups*int64(z.Partial)+N*envS) + N*int64(z.Proof)
+	offline += N*(decGroups*int64(z.Partial)+key+N*envS) + N*int64(z.Proof)
 	if opts.NoKFF {
 		// Naive mode: OffRe only passes tsk onward.
-		offline += N*N*envS + N*int64(z.Proof)
+		offline += N*(key+N*envS) + N*int64(z.Proof)
 	} else {
 		// OffRe (steps 5–6): one envelope per input-wire λ group and per
 		// packed-share group of every layer member + tsk resharing to the
 		// bridge committee.
-		offline += N*(reGroups*envP+N*envS) + N*int64(z.Proof)
+		offline += N*(key+reGroups*envP+N*envS) + N*int64(z.Proof)
 	}
 	// Bridge committee: tsk hand-off to OnC1 at the boundary.
-	offline += N*N*envS + N*int64(z.Proof)
+	offline += N*(key+N*envS) + N*int64(z.Proof)
 
 	var online int64
 	online += (2 + depth) * N * int64(z.RoleKey) // online committees' role keys
 	if opts.NoKFF {
 		// Naive mode: OnC1 re-encrypts everything under role keys online.
-		online += N*(reGroups*envP+N*envS) + N*int64(z.Proof)
+		online += N*(key+reGroups*envP+N*envS) + N*int64(z.Proof)
 	} else {
 		// OnC1 future key distribution + resharing to OnOut.
-		online += N*(kffCount*envP+N*envS) + N*int64(z.Proof)
+		online += N*(key+kffCount*envP+N*envS) + N*int64(z.Proof)
 	}
 	// Client inputs: μ per input wire + one proof per input client.
 	online += int64(shape.Inputs)*int64(z.Element) + int64(shape.InputClients)*int64(z.Proof)
@@ -240,8 +246,9 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 			online += N * int64(z.Proof)
 		}
 	}
-	// Output: one envelope per output group per role.
-	online += N*outGroups*envP + N*int64(z.Proof)
+	// Output: one envelope per output group per role, behind a posting key
+	// when there is any.
+	online += N*(keyIf(outGroups, key)+outGroups*envP) + N*int64(z.Proof)
 
 	return Phases{Setup: setup, Offline: offline, Online: online}
 }
@@ -251,14 +258,16 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 func Baseline(n, t int, shape Shape, z Sizes) Phases {
 	envP := int64(z.PKEOverhead + z.Partial)
 	envS := int64(z.PKEOverhead + z.SubShare)
+	key := int64(z.PostingKey)
 	N := int64(n)
 	muls := int64(shape.Muls)
 	depth := int64(shape.Depth)
+	outputs := int64(shape.Outputs)
 
 	var setup int64
 	setup += int64(z.Ciphertext) / 2                 // tpk
 	setup += int64(shape.Clients) * int64(z.RoleKey) // client keys
-	setup += N * int64(z.PKEOverhead+z.KeyShare)     // dealer tsk delivery (sealed envelopes)
+	setup += key + N*int64(z.PKEOverhead+z.KeyShare) // dealer tsk delivery (one posting of sealed envelopes)
 
 	var offline int64
 	if muls > 0 {
@@ -275,12 +284,20 @@ func Baseline(n, t int, shape Shape, z Sizes) Phases {
 	// Each layer: 2 partials per gate per role + resharing + proof.
 	mulsPerLayer := perLayerMuls(shape)
 	for _, lm := range mulsPerLayer {
-		online += N*(2*int64(lm)*int64(z.Partial)+N*envS) + N*int64(z.Proof)
+		online += N*(2*int64(lm)*int64(z.Partial)+key+N*envS) + N*int64(z.Proof)
 	}
 	// Output committee: one envelope per output per role + proof.
-	online += N*int64(shape.Outputs)*envP + N*int64(z.Proof)
+	online += N*(keyIf(outputs, key)+outputs*envP) + N*int64(z.Proof)
 
 	return Phases{Setup: setup, Offline: offline, Online: online}
+}
+
+// keyIf is a posting's key when the posting seals any envelope.
+func keyIf(envelopes, key int64) int64 {
+	if envelopes > 0 {
+		return key
+	}
+	return 0
 }
 
 // perLayerMuls recovers the per-layer gate counts from BatchesPerLayer

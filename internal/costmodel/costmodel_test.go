@@ -72,21 +72,27 @@ func TestCoreModelMatchesMeasured(t *testing.T) {
 		n, t, k int
 		bits    int
 		// layerGroups[l] is how many openings one member of layer l+1 gets
-		// for its 3·(batches of the layer) shares.
+		// for its 3·(batches of the layer) shares, and outGroups[c], when
+		// set, how many client c gets for its outputs.
 		layerGroups []int64
+		outGroups   []int64
 	}{
-		{"inner-product", mk(func() (*circuit.Circuit, error) { return circuit.InnerProduct(4) }), 8, 2, 2, modelBits, []int64{2}},
-		{"poly-eval", mk(func() (*circuit.Circuit, error) { return circuit.PolyEval(3) }), 10, 2, 3, modelBits, []int64{1, 1, 1}},
-		{"wide", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(8, 2) }), 12, 3, 3, modelBits, []int64{3, 3}},
-		{"stats", mk(func() (*circuit.Circuit, error) { return circuit.Statistics(4) }), 9, 2, 2, modelBits, []int64{3}},
-		{"k1", mk(func() (*circuit.Circuit, error) { return circuit.InnerProduct(3) }), 6, 1, 1, modelBits, []int64{3}},
+		{"inner-product", mk(func() (*circuit.Circuit, error) { return circuit.InnerProduct(4) }), 8, 2, 2, modelBits, []int64{2}, nil},
+		{"poly-eval", mk(func() (*circuit.Circuit, error) { return circuit.PolyEval(3) }), 10, 2, 3, modelBits, []int64{1, 1, 1}, nil},
+		{"wide", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(8, 2) }), 12, 3, 3, modelBits, []int64{3, 3}, nil},
+		{"stats", mk(func() (*circuit.Circuit, error) { return circuit.Statistics(4) }), 9, 2, 2, modelBits, []int64{3}, nil},
+		{"k1", mk(func() (*circuit.Circuit, error) { return circuit.InnerProduct(3) }), 6, 1, 1, modelBits, []int64{3}, nil},
 		// A layer's shares split over several openings: 5 batches of 128 +
 		// 128 + 191 bits in 510-bit openings, one batch each.
-		{"512-bit split layer", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(10, 1) }), 9, 2, 2, modelBits, []int64{5}},
+		{"512-bit split layer", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(10, 1) }), 9, 2, 2, modelBits, []int64{5}, nil},
 		// ≥ 4 batches per layer, several in one opening: 6 batches of 129 +
 		// 129 + 193 bits in 2046-bit openings go 13 + 5 shares.
-		{"2048-bit wide layers", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(24, 2) }), 14, 3, 4, 2048, []int64{2, 2}},
-		{"2048-bit random", mk(func() (*circuit.Circuit, error) { return circuit.Random(6, 60, 3) }), 10, 2, 3, 2048, []int64{1, 1, 1, 1, 1}},
+		{"2048-bit wide layers", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(24, 2) }), 14, 3, 4, 2048, []int64{2, 2}, nil},
+		{"2048-bit random", mk(func() (*circuit.Circuit, error) { return circuit.Random(6, 60, 3) }), 10, 2, 3, 2048, []int64{1, 1, 1, 1, 1}, nil},
+		// One recipient, several groups under one posting key: every output
+		// member seals three envelopes to the one output client, as every
+		// OffRe member seals eight to each layer member.
+		{"one client, several output groups", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(16, 1) }), 9, 2, 2, modelBits, []int64{8}, []int64{3, 0}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -96,6 +102,11 @@ func TestCoreModelMatchesMeasured(t *testing.T) {
 			for l, want := range c.layerGroups {
 				if got := slotpack.Count(shape.Opened.Layers[l], z.SlotBits); got != want {
 					t.Errorf("layer %d: %d openings per member, want %d", l+1, got, want)
+				}
+			}
+			for client, want := range c.outGroups {
+				if got := slotpack.Count(shape.Opened.Outputs[client], z.SlotBits); got != want {
+					t.Errorf("client %d: %d output openings, want %d", client, got, want)
 				}
 			}
 			predicted := Core(c.n, c.t, c.k, shape, z)

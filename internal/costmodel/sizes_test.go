@@ -78,16 +78,24 @@ func TestSimSizesMatchEncodings(t *testing.T) {
 		t.Errorf("role key is %d bytes, SimSizes.RoleKey = %d", len(pub.Bytes()), z.RoleKey)
 	}
 	// Envelope overhead must hold for every payload length: costmodel terms
-	// of the form PKEOverhead+X assume len(Encrypt(msg)) ==
-	// PKEOverhead+len(msg) exactly.
-	for _, msgLen := range []int{0, 1, z.SubShare, z.Partial} {
-		env, err := pub.Encrypt(make([]byte, msgLen))
-		if err != nil {
+	// of the form PostingKey + m·(PKEOverhead+X) assume a posting is its key
+	// and then exactly PKEOverhead+len(msg) per envelope.
+	var seal pke.Sealer
+	posting, err := seal.AppendKey(nil, pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(posting) != z.PostingKey {
+		t.Errorf("posting key is %d bytes, SimSizes.PostingKey = %d", len(posting), z.PostingKey)
+	}
+	for part, msgLen := range []int{0, 1, z.SubShare, z.Partial} {
+		before := len(posting)
+		if posting, err = seal.AppendEncrypt(posting, part, pub, make([]byte, msgLen)); err != nil {
 			t.Fatal(err)
 		}
-		if len(env) != z.PKEOverhead+msgLen {
+		if got := len(posting) - before; got != z.PKEOverhead+msgLen {
 			t.Errorf("envelope for %d-byte message is %d bytes, want PKEOverhead+len = %d",
-				msgLen, len(env), z.PKEOverhead+msgLen)
+				msgLen, got, z.PKEOverhead+msgLen)
 		}
 	}
 

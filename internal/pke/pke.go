@@ -1,7 +1,11 @@
 // Package pke implements the public-key encryption used for role keys and
 // keys-for-future (KFF): an ECIES construction over X25519 with AES-256-GCM
 // payload encryption (all from the standard library), plus an ideal Sim
-// backend with modelled sizes for large-scale communication sweeps.
+// backend with the same sizes for large-scale communication sweeps. A
+// poster seals all the envelopes of one posting with one Sealer: the
+// posting carries one posting key (on ECIES, one ephemeral X25519 key), and
+// each envelope is its body and a 16-byte tag under the nonce of its part
+// index.
 //
 // A KFF secret key must itself fit inside a threshold-encryption plaintext
 // (it is encrypted under tpk during setup and re-encrypted to the role's
@@ -15,6 +19,7 @@ import (
 	"crypto/ecdh"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -28,26 +33,35 @@ const (
 )
 
 // An envelope is its wire bytes: sealing writes them, opening parses them,
-// and nothing in between holds an envelope object. Both backends produce
-// exactly EnvelopeOverhead + len(msg) bytes, so metered board traffic equals
-// sealed traffic. Layouts (big-endian, see docs/WIRE.md):
+// and nothing in between holds an envelope object. A posting that carries
+// envelopes starts with its Sealer's PostingKeySize-byte posting key, and
+// each envelope in it is then exactly EnvelopeOverhead + len(msg) bytes on
+// both backends, so metered board traffic equals sealed traffic. An
+// envelope is bound to its posting key and to its part index, the position
+// it holds in the posting, which every reader takes from the step's public
+// layout. Layouts (big-endian, see docs/WIRE.md):
 //
-//	ecies-x25519: 32-byte ephemeral X25519 key | 12-byte nonce | AES-GCM body‖tag
-//	sim:          u64 key id | u32 msg len | msg | zero pad to 60+len(msg)
+//	posting key:  ecies-x25519: the ephemeral X25519 public key; sim: 32 random bytes
+//	ecies-x25519: AES-GCM body‖tag, under the nonce u96(part)
+//	sim:          u64 key id | u32 msg len | u32 binding | msg
 //
-// The sim header (12 bytes) always fits inside the modelled 60-byte ECIES
-// overhead, so the padded envelope is byte-for-byte the modelled size.
+// The sim binding folds the posting key and the part index into 32 bits, so
+// an envelope read under another posting's key or at another part fails
+// there as it would on ECIES.
 
-// EnvelopeOverhead is what sealing adds to a message, in bytes: a 32-byte
-// ephemeral X25519 key, a 12-byte GCM nonce and a 16-byte GCM tag. Sim
-// envelopes are padded to the same size, so it holds for both backends.
-const EnvelopeOverhead = ephemeralSize + nonceSize + tagSize
+// PostingKeySize is the size of the posting key a posting's envelopes are
+// sealed under, which the posting carries once, ahead of its parts.
+const PostingKeySize = 32
 
-const (
-	ephemeralSize = 32
-	nonceSize     = 12
-	tagSize       = 16
-)
+// EnvelopeOverhead is what sealing adds to a message inside a posting, in
+// bytes: the 16-byte GCM tag. Sim envelopes carry their 16-byte header
+// instead, so it holds for both backends. A one-envelope posting
+// (PublicKey.Encrypt) is PostingKeySize + EnvelopeOverhead + len(msg).
+const EnvelopeOverhead = 16
+
+// nonceSize is GCM's standard nonce length; an envelope's nonce is its part
+// index, big-endian (RFC 9180 §5.2's sequence-number nonce).
+const nonceSize = 12
 
 // Errors returned by the backends.
 var (
@@ -57,64 +71,130 @@ var (
 
 // PublicKey is an encryption key.
 type PublicKey interface {
-	// Encrypt seals msg into a fresh envelope of EnvelopeOverhead +
-	// len(msg) bytes under an ephemeral key of its own: a one-envelope
-	// Sealer.
+	// Encrypt seals msg as a one-envelope posting of its own: a fresh
+	// posting key followed by the envelope at part 0, PostingKeySize +
+	// EnvelopeOverhead + len(msg) bytes in all.
 	Encrypt(msg []byte) ([]byte, error)
 	// Bytes returns the serialized public key.
 	Bytes() []byte
 	// Fingerprint returns a short stable identifier for logging/auditing.
 	Fingerprint() string
-	// seal is the backend's one sealing implementation, which every
-	// envelope goes through (Sealer.AppendEncrypt).
-	seal(s *Sealer, dst, msg []byte) ([]byte, error)
+	// drawKey gives a Sealer its backend's posting key, and seal is the
+	// backend's one sealing implementation, which every envelope goes
+	// through (Sealer.AppendEncrypt).
+	drawKey(s *Sealer) error
+	seal(s *Sealer, dst []byte, part int, msg []byte) ([]byte, error)
 }
 
-// A Sealer seals the envelopes of one posting. On ECIES its first seal
-// draws one ephemeral X25519 key and every later envelope reuses it, so an
-// envelope costs one key agreement with its recipient instead of two: the
-// multi-recipient KEM of Smart (SCN 2004), whose reuse of the randomness
-// Bellare, Boldyreva, Kurosawa and Staddon prove secure even against
-// insider recipients (DESIGN.md). Each envelope keeps its own random nonce,
-// because two envelopes to one recipient share an AES-GCM key. On Sim a
-// Sealer writes what every Sim envelope is. The layout and the length of
-// an envelope do not depend on the Sealer.
+// A Sealer seals the envelopes of one posting. AppendKey draws the posting
+// key and writes it ahead of the posting's parts; every envelope is then
+// sealed under it at its own part index. On ECIES the posting key is one
+// ephemeral X25519 key, so an envelope costs one key agreement with its
+// recipient: the multi-recipient KEM of Smart (SCN 2004), whose reuse of
+// the randomness Bellare, Boldyreva, Kurosawa and Staddon prove secure
+// even against insider recipients (DESIGN.md). Two envelopes to one
+// recipient share an AES-GCM key, so each takes its part index as its
+// nonce, and a Sealer refuses a part that is not above the last one it
+// sealed: no (key, nonce) pair repeats.
 //
 // The zero Sealer is ready to use. It belongs to one posting and one
 // goroutine: a poster declares it where it writes the posting, and the
 // ephemeral key goes when the Sealer does.
 type Sealer struct {
-	eph    *ecdh.PrivateKey
-	ephPub []byte
+	eph *ecdh.PrivateKey
+	key []byte
+	// next is the lowest part index the next envelope may take, and nonce
+	// the last envelope's nonce, held here so that sealing allocates none.
+	next  int
+	nonce [nonceSize]byte
 }
 
-// AppendEncrypt appends the envelope sealing msg to the holder of to's
-// secret key to dst and returns the extended slice, writing the envelope in
-// place — a poster seals straight into its posting. On error dst is
-// returned unchanged. msg must not overlap dst's spare capacity.
-func (s *Sealer) AppendEncrypt(dst []byte, to PublicKey, msg []byte) ([]byte, error) {
-	return to.seal(s, dst, msg)
+// AppendKey begins the posting: it draws the posting key and appends it to
+// dst, returning the extended slice (dst unchanged on error). to is any
+// recipient of the posting's envelopes; it selects the backend. A Sealer
+// begins one posting only.
+func (s *Sealer) AppendKey(dst []byte, to PublicKey) ([]byte, error) {
+	if s.key != nil {
+		return dst, errors.New("pke: a Sealer seals one posting")
+	}
+	if err := to.drawKey(s); err != nil {
+		return dst, err
+	}
+	return append(dst, s.key...), nil
+}
+
+// AppendEncrypt appends the envelope sealing msg, as part part of the
+// posting, to the holder of to's secret key to dst and returns the extended
+// slice, writing the envelope in place — a poster seals straight into its
+// posting. Parts must be sealed in increasing order, after AppendKey. On
+// error dst is returned unchanged. msg must not overlap dst's spare
+// capacity.
+func (s *Sealer) AppendEncrypt(dst []byte, part int, to PublicKey, msg []byte) ([]byte, error) {
+	if s.key == nil {
+		return dst, errors.New("pke: sealing before the posting key is written")
+	}
+	if part < s.next {
+		return dst, fmt.Errorf("pke: part %d sealed after part %d", part, s.next-1)
+	}
+	out, err := to.seal(s, dst, part, msg)
+	if err == nil {
+		s.next = part + 1
+	}
+	return out, err
+}
+
+// encryptPosting is PublicKey.Encrypt on either backend.
+func encryptPosting(to PublicKey, msg []byte) ([]byte, error) {
+	var s Sealer
+	posting, err := s.AppendKey(make([]byte, 0, PostingKeySize+EnvelopeOverhead+len(msg)), to)
+	if err != nil {
+		return nil, err
+	}
+	return s.AppendEncrypt(posting, 0, to, msg)
 }
 
 // SecretKey is a decryption key.
 type SecretKey interface {
-	// AppendDecrypt opens an encoded envelope and appends the plaintext to
-	// dst, returning the extended slice; on error dst is returned
-	// unchanged. env is untrusted board bytes: it is validated and never
-	// modified, and it must not overlap dst's spare capacity. The plaintext
-	// is written into dst's capacity when that suffices, so a reader opens
-	// every envelope of one quorum walk into one scratch, which it wipes
-	// after each decode and over its whole capacity when the walk ends, so
-	// no byte an open wrote outlives the walk.
-	AppendDecrypt(dst, env []byte) ([]byte, error)
-	// Decrypt is AppendDecrypt(nil, env): the plaintext is a fresh buffer
-	// the caller owns (and wipes).
-	Decrypt(env []byte) ([]byte, error)
+	// AppendOpen opens env, sealed as part part of a posting whose posting
+	// key is key, and appends the plaintext to dst, returning the extended
+	// slice; on error dst is returned unchanged. key and env are untrusted
+	// board bytes: they are validated and never modified, and they must not
+	// overlap dst's spare capacity. part comes from the reader's public
+	// layout, never from the bytes. The plaintext is written into dst's
+	// capacity when that suffices, so a reader opens every envelope of one
+	// quorum walk into one scratch, which it wipes after each decode and
+	// over its whole capacity when the walk ends, so no byte an open wrote
+	// outlives the walk.
+	AppendOpen(dst, key []byte, part int, env []byte) ([]byte, error)
+	// Decrypt opens a one-envelope posting (PublicKey.Encrypt's): the
+	// plaintext is a fresh buffer the caller owns (and wipes).
+	Decrypt(posting []byte) ([]byte, error)
 	// Bytes returns the fixed-size secret encoding (SecretKeySize bytes),
 	// suitable for encryption under the threshold key.
 	Bytes() []byte
 	// Public returns the matching public key.
 	Public() PublicKey
+}
+
+// splitPosting cuts a one-envelope posting into its posting key and its
+// envelope, for SecretKey.Decrypt on either backend.
+func splitPosting(posting []byte) (key, env []byte, err error) {
+	if len(posting) < PostingKeySize {
+		return nil, nil, fmt.Errorf("%w: posting needs ≥ %d bytes, have %d", ErrShortData, PostingKeySize+EnvelopeOverhead, len(posting))
+	}
+	return posting[:PostingKeySize], posting[PostingKeySize:], nil
+}
+
+// checkLengths is what both backends require of any posting key and
+// envelope before reading them.
+func checkLengths(key, env []byte) error {
+	if len(key) != PostingKeySize {
+		return fmt.Errorf("%w: posting key must be %d bytes, have %d", ErrShortData, PostingKeySize, len(key))
+	}
+	if len(env) < EnvelopeOverhead {
+		return fmt.Errorf("%w: envelope needs ≥ %d bytes, have %d", ErrShortData, EnvelopeOverhead, len(env))
+	}
+	return nil
 }
 
 // Scheme generates and rehydrates keys.
@@ -167,42 +247,50 @@ func (e *ECIES) SecretKeyFromBytes(data []byte) (SecretKey, error) {
 }
 
 // Encrypt implements PublicKey.
-func (p *eciesPub) Encrypt(msg []byte) ([]byte, error) { return new(Sealer).AppendEncrypt(nil, p, msg) }
+func (p *eciesPub) Encrypt(msg []byte) ([]byte, error) { return encryptPosting(p, msg) }
 
-// seal implements PublicKey: ECDH between the Sealer's ephemeral key (drawn
-// on its first envelope) and p, key derivation via SHA-256 over the shared
-// secret and both public keys, AES-256-GCM sealing in place behind the
-// ephemeral key and a fresh nonce.
-func (p *eciesPub) seal(s *Sealer, dst, msg []byte) ([]byte, error) {
+// drawKey implements PublicKey: the posting key is a fresh ephemeral X25519
+// key. The scalar is drawn here rather than by GenerateKey, which would
+// leave an unwiped copy of it behind.
+func (p *eciesPub) drawKey(s *Sealer) error {
+	var scalar [SecretKeySize]byte
+	if _, err := rand.Read(scalar[:]); err != nil {
+		return fmt.Errorf("pke: ephemeral key: %w", err)
+	}
+	eph, err := ecdh.X25519().NewPrivateKey(scalar[:])
+	clear(scalar[:])
+	if err != nil {
+		return fmt.Errorf("pke: ephemeral key: %w", err)
+	}
+	s.eph, s.key = eph, eph.PublicKey().Bytes()
+	return nil
+}
+
+// seal implements PublicKey: ECDH between the Sealer's ephemeral key and p,
+// key derivation via SHA-256 over the shared secret and both public keys,
+// AES-256-GCM sealing in place under the part's nonce.
+func (p *eciesPub) seal(s *Sealer, dst []byte, part int, msg []byte) ([]byte, error) {
 	if s.eph == nil {
-		// The scalar is drawn here rather than by GenerateKey, which would
-		// leave an unwiped copy of it behind.
-		var scalar [SecretKeySize]byte
-		if _, err := rand.Read(scalar[:]); err != nil {
-			return dst, fmt.Errorf("pke: ephemeral key: %w", err)
-		}
-		eph, err := ecdh.X25519().NewPrivateKey(scalar[:])
-		clear(scalar[:])
-		if err != nil {
-			return dst, fmt.Errorf("pke: ephemeral key: %w", err)
-		}
-		s.eph, s.ephPub = eph, eph.PublicKey().Bytes()
+		return dst, errors.New("pke: the posting key is not an X25519 key")
 	}
 	shared, err := s.eph.ECDH(p.pk)
 	if err != nil {
 		return dst, fmt.Errorf("pke: ECDH: %w", err)
 	}
-	aead, err := deriveAEAD(shared, s.ephPub, p.pk.Bytes())
+	aead, err := deriveAEAD(shared, s.key, p.pk.Bytes())
 	clear(shared)
 	if err != nil {
 		return dst, err
 	}
-	out := append(slices.Grow(dst, EnvelopeOverhead+len(msg)), s.ephPub...)
-	nonce := out[len(out) : len(out)+nonceSize]
-	if _, err := rand.Read(nonce); err != nil {
-		return dst, fmt.Errorf("pke: nonce: %w", err)
-	}
-	return aead.Seal(out[:len(out)+nonceSize], nonce, msg, nil), nil
+	s.nonce = partNonce(part)
+	return aead.Seal(slices.Grow(dst, EnvelopeOverhead+len(msg)), s.nonce[:], msg, nil), nil
+}
+
+// partNonce is the GCM nonce of the envelope at part index part.
+func partNonce(part int) [nonceSize]byte {
+	var nonce [nonceSize]byte
+	binary.BigEndian.PutUint64(nonce[nonceSize-8:], uint64(part))
+	return nonce
 }
 
 // Bytes implements PublicKey.
@@ -215,30 +303,36 @@ func (p *eciesPub) Fingerprint() string {
 }
 
 // Decrypt implements SecretKey.
-func (s *eciesSecret) Decrypt(env []byte) ([]byte, error) { return s.AppendDecrypt(nil, env) }
-
-// AppendDecrypt implements SecretKey: the envelope must hold at least the
-// ephemeral key, the nonce and the tag, and GCM authenticates the rest,
-// opening it behind dst.
-func (s *eciesSecret) AppendDecrypt(dst, env []byte) ([]byte, error) {
-	if len(env) < EnvelopeOverhead {
-		return dst, fmt.Errorf("%w: envelope needs ≥ %d bytes, have %d", ErrShortData, EnvelopeOverhead, len(env))
-	}
-	ephemeral, nonce, body := env[:ephemeralSize], env[ephemeralSize:ephemeralSize+nonceSize], env[ephemeralSize+nonceSize:]
-	ephPK, err := ecdh.X25519().NewPublicKey(ephemeral)
+func (s *eciesSecret) Decrypt(posting []byte) ([]byte, error) {
+	key, env, err := splitPosting(posting)
 	if err != nil {
-		return dst, fmt.Errorf("%w: bad ephemeral key", ErrDecrypt)
+		return nil, err
+	}
+	return s.AppendOpen(nil, key, 0, env)
+}
+
+// AppendOpen implements SecretKey: the posting key must be an X25519 key
+// and the envelope hold at least the tag, and GCM authenticates the rest
+// under the part's nonce, opening it behind dst.
+func (s *eciesSecret) AppendOpen(dst, key []byte, part int, env []byte) ([]byte, error) {
+	if err := checkLengths(key, env); err != nil {
+		return dst, err
+	}
+	ephPK, err := ecdh.X25519().NewPublicKey(key)
+	if err != nil {
+		return dst, fmt.Errorf("%w: bad posting key", ErrDecrypt)
 	}
 	shared, err := s.sk.ECDH(ephPK)
 	if err != nil {
 		return dst, fmt.Errorf("%w: ECDH", ErrDecrypt)
 	}
-	aead, err := deriveAEAD(shared, ephemeral, s.sk.PublicKey().Bytes())
+	aead, err := deriveAEAD(shared, key, s.sk.PublicKey().Bytes())
 	clear(shared)
 	if err != nil {
 		return dst, err
 	}
-	out, err := aead.Open(dst, nonce, body, nil)
+	nonce := partNonce(part)
+	out, err := aead.Open(dst, nonce[:], env, nil)
 	if err != nil {
 		return dst, fmt.Errorf("%w: %v", ErrDecrypt, err)
 	}
@@ -255,7 +349,7 @@ func (s *eciesSecret) Public() PublicKey { return &eciesPub{pk: s.sk.PublicKey()
 // SHA-256 over the same secrets.
 const kdfLabel = "yosompc/ecies/v1"
 
-// deriveAEAD keys AES-256-GCM for one envelope: SHA-256 over kdfLabel, the
+// deriveAEAD keys AES-256-GCM for one (posting, recipient) pair: SHA-256 over kdfLabel, the
 // 32-byte shared secret and both 32-byte public keys. It wipes its copy of
 // the secret and the derived key before it returns; the caller wipes
 // shared. The cipher's expanded key schedule lives inside crypto/aes,

@@ -202,13 +202,13 @@ func TestECIESTamperDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every byte is covered: the ephemeral key and the nonce feed the key
-	// derivation and the AEAD, the body and the tag are authenticated.
-	for _, at := range []int{0, ephemeralSize, ephemeralSize + nonceSize, len(ct) - 1} {
+	// Every byte is covered: the posting key feeds the key derivation, the
+	// body and the tag are authenticated.
+	for _, at := range []int{0, PostingKeySize - 1, PostingKeySize, len(ct) - 1} {
 		bad := bytes.Clone(ct)
 		bad[at] ^= 1
 		if _, err := sk.Decrypt(bad); !errors.Is(err, ErrDecrypt) {
-			t.Errorf("envelope tampered at byte %d: err = %v, want ErrDecrypt", at, err)
+			t.Errorf("posting tampered at byte %d: err = %v, want ErrDecrypt", at, err)
 		}
 	}
 }
@@ -239,9 +239,11 @@ func TestSimDecryptWrongBackend(t *testing.T) {
 	}
 }
 
-// TestEnvelopeSize pins the wire contract both sealing forms share: the
-// envelope is exactly EnvelopeOverhead + len(msg) bytes, a Sealer writes it
-// behind dst without touching what was there, and both open to msg.
+// TestEnvelopeSize pins the wire contract both sealing forms share: a
+// posting is its PostingKeySize-byte key and then its parts, an envelope is
+// exactly EnvelopeOverhead + len(msg) bytes, a Sealer writes both behind dst
+// without touching what was there, and every envelope opens to its msg at
+// its part.
 func TestEnvelopeSize(t *testing.T) {
 	for name, s := range backends() {
 		t.Run(name, func(t *testing.T) {
@@ -251,17 +253,32 @@ func TestEnvelopeSize(t *testing.T) {
 			}
 			prefix := []byte("already posted")
 			var seal Sealer
+			posting, err := seal.AppendKey(bytes.Clone(prefix), pk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(posting) != len(prefix)+PostingKeySize || !bytes.Equal(posting[:len(prefix)], prefix) {
+				t.Fatalf("AppendKey wrote %d bytes behind a clobbered prefix", len(posting)-len(prefix))
+			}
+			key := posting[len(prefix):]
+			part := 0
 			for _, n := range []int{0, 1, 31, 256, 5000} {
 				msg := bytes.Repeat([]byte{byte(n)}, n)
-				env, err := pk.Encrypt(msg)
+				one, err := pk.Encrypt(msg)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if len(one) != PostingKeySize+EnvelopeOverhead+n {
+					t.Errorf("Encrypt of %d bytes is %d bytes, want %d", n, len(one), PostingKeySize+EnvelopeOverhead+n)
+				}
+				if got, err := sk.Decrypt(one); err != nil || !bytes.Equal(got, msg) {
+					t.Errorf("Encrypt of %d bytes opens to %d bytes, err %v", n, len(got), err)
 				}
 				// Spare capacity too small and large enough: the envelope
 				// lands behind the prefix either way.
 				for _, spare := range []int{0, 2 * (EnvelopeOverhead + n)} {
 					dst := append(make([]byte, 0, len(prefix)+spare), prefix...)
-					out, err := seal.AppendEncrypt(dst, pk, msg)
+					out, err := seal.AppendEncrypt(dst, part, pk, msg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -271,25 +288,26 @@ func TestEnvelopeSize(t *testing.T) {
 					if spare > 0 && &out[0] != &dst[0] {
 						t.Errorf("%d-byte message: AppendEncrypt reallocated despite %d spare bytes", n, spare)
 					}
-					for form, e := range map[string][]byte{"Encrypt": env, "AppendEncrypt": out[len(prefix):]} {
-						if len(e) != EnvelopeOverhead+n {
-							t.Errorf("%s of %d bytes is %d bytes, want %d", form, n, len(e), EnvelopeOverhead+n)
-						}
-						got, err := sk.Decrypt(e)
-						if err != nil || !bytes.Equal(got, msg) {
-							t.Errorf("%s of %d bytes opens to %d bytes, err %v", form, n, len(got), err)
-						}
+					env := out[len(prefix):]
+					if len(env) != EnvelopeOverhead+n {
+						t.Errorf("envelope of %d bytes is %d bytes, want %d", n, len(env), EnvelopeOverhead+n)
 					}
+					if got, err := sk.AppendOpen(nil, key, part, env); err != nil || !bytes.Equal(got, msg) {
+						t.Errorf("envelope of %d bytes at part %d opens to %d bytes, err %v", n, part, len(got), err)
+					}
+					part++
 				}
 			}
 		})
 	}
 }
 
-// TestSealer pins the Sealer contract on one Sealer that seals to three
-// recipients and twice to a fourth: every envelope opens under its own
-// recipient's key only, on ECIES they all carry one ephemeral key and each
-// its own nonce, and on Sim they are the backend's envelopes byte for byte.
+// TestSealer pins the Sealer contract on one posting sealed to three
+// recipients and twice to a fourth, at parts with gaps between them (a tsk
+// posting's clear partials lie there): every envelope opens under its own
+// recipient's key, at its own part and under its own posting key only; on
+// Sim the envelopes are the backend's layout byte for byte; and a Sealer
+// refuses to reuse a part or to begin a second posting.
 func TestSealer(t *testing.T) {
 	for name, s := range backends() {
 		t.Run(name, func(t *testing.T) {
@@ -302,19 +320,26 @@ func TestSealer(t *testing.T) {
 				}
 			}
 			to := []int{0, 1, 2, 3, 3}
+			parts := []int{1, 2, 4, 5, 6}
 			msgs := make([][]byte, len(to))
 			envs := make([][]byte, len(to))
 			var seal Sealer // the zero Sealer is ready to use
+			key, err := seal.AppendKey(nil, pks[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(key) != PostingKeySize {
+				t.Fatalf("posting key is %d bytes", len(key))
+			}
 			for e, k := range to {
 				msgs[e] = []byte(fmt.Sprintf("envelope %d to recipient %d", e, k))
-				var err error
-				if envs[e], err = seal.AppendEncrypt(nil, pks[k], msgs[e]); err != nil {
+				if envs[e], err = seal.AppendEncrypt(nil, parts[e], pks[k], msgs[e]); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for e, k := range to {
 				for r, sk := range sks {
-					got, err := sk.Decrypt(envs[e])
+					got, err := sk.AppendOpen(nil, key, parts[e], envs[e])
 					if r == k && (err != nil || !bytes.Equal(got, msgs[e])) {
 						t.Errorf("envelope %d opens under its recipient's key to %q, %v", e, got, err)
 					}
@@ -324,72 +349,143 @@ func TestSealer(t *testing.T) {
 				}
 			}
 
+			// Binding: the two envelopes to recipient 3 open only at their
+			// own part and under their own posting key.
+			var other Sealer
+			otherKey, err := other.AppendKey(nil, pks[3])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Equal(otherKey, key) {
+				t.Fatal("two Sealers drew one posting key")
+			}
+			for _, e := range []int{3, 4} {
+				for _, tc := range []struct {
+					what string
+					key  []byte
+					part int
+				}{
+					{"the other envelope's part", key, parts[7-e]},
+					{"a part nothing was sealed at", key, 3},
+					{"part 0", key, 0},
+					{"another posting's key", otherKey, parts[e]},
+					{"a posting key with one bit flipped", flipBit(key), parts[e]},
+				} {
+					if got, err := sks[3].AppendOpen(nil, tc.key, tc.part, envs[e]); !errors.Is(err, ErrDecrypt) || got != nil {
+						t.Errorf("envelope %d at %s: %q, %v; want ErrDecrypt", e, tc.what, got, err)
+					}
+				}
+			}
+
+			// A Sealer never seals two envelopes at one part, nor one below
+			// the last, and begins one posting only.
+			for _, part := range []int{parts[len(parts)-1], 0, -1} {
+				if out, err := seal.AppendEncrypt([]byte("dst"), part, pks[0], msgs[0]); err == nil || string(out) != "dst" {
+					t.Errorf("sealing part %d after part %d: %q, %v", part, parts[len(parts)-1], out, err)
+				}
+			}
+			if out, err := seal.AppendKey([]byte("dst"), pks[0]); err == nil || string(out) != "dst" {
+				t.Errorf("a second AppendKey: %q, %v", out, err)
+			}
+			var fresh Sealer
+			if out, err := fresh.AppendEncrypt([]byte("dst"), 0, pks[0], msgs[0]); err == nil || string(out) != "dst" {
+				t.Errorf("sealing before AppendKey: %q, %v", out, err)
+			}
+
 			if name == "sim" {
-				// What every Sim envelope is: key id | length | msg | zero pad.
+				// What every Sim envelope is: key id | length | binding | msg.
 				for e, k := range to {
 					want := binary.BigEndian.AppendUint64(nil, pks[k].(*simPub).id)
 					want = binary.BigEndian.AppendUint32(want, uint32(len(msgs[e])))
+					want = binary.BigEndian.AppendUint32(want, simBinding(key, parts[e]))
 					want = append(want, msgs[e]...)
-					want = append(want, make([]byte, EnvelopeOverhead-simHeaderSize)...)
-					enc, err := pks[k].Encrypt(msgs[e])
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(envs[e], want) || !bytes.Equal(enc, want) {
-						t.Errorf("envelope %d: Sealer %x, Encrypt %x, want %x", e, envs[e], enc, want)
+					if !bytes.Equal(envs[e], want) {
+						t.Errorf("envelope %d: %x, want %x", e, envs[e], want)
 					}
 				}
 				return
 			}
-
-			eph := envs[0][:ephemeralSize]
 			for e, env := range envs {
-				if !bytes.Equal(env[:ephemeralSize], eph) {
-					t.Errorf("envelope %d carries ephemeral key %x, the first %x", e, env[:ephemeralSize], eph)
-				}
-			}
-			nonce := func(env []byte) []byte { return env[ephemeralSize : ephemeralSize+nonceSize] }
-			if bytes.Equal(nonce(envs[3]), nonce(envs[4])) {
-				t.Error("two envelopes to one recipient share a nonce, and so an AES-GCM key and nonce")
-			}
-			for e, env := range envs {
-				for _, at := range []int{0, ephemeralSize, ephemeralSize + nonceSize, len(env) - 1} {
+				for _, at := range []int{0, len(env) - 1} {
 					bad := bytes.Clone(env)
 					bad[at] ^= 1
-					if _, err := sks[to[e]].Decrypt(bad); !errors.Is(err, ErrDecrypt) {
+					if _, err := sks[to[e]].AppendOpen(nil, key, parts[e], bad); !errors.Is(err, ErrDecrypt) {
 						t.Errorf("envelope %d tampered at byte %d: err = %v, want ErrDecrypt", e, at, err)
 					}
 				}
-			}
-			// Same key, same ephemeral key: the nonce still binds each body.
-			swapped := append(bytes.Clone(envs[3][:ephemeralSize]), nonce(envs[4])...)
-			swapped = append(swapped, envs[3][ephemeralSize+nonceSize:]...)
-			if _, err := sks[3].Decrypt(swapped); !errors.Is(err, ErrDecrypt) {
-				t.Errorf("envelope 3 under envelope 4's nonce: err = %v, want ErrDecrypt", err)
-			}
-
-			var other Sealer
-			env, err := other.AppendEncrypt(nil, pks[0], msgs[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if bytes.Equal(env[:ephemeralSize], eph) {
-				t.Error("a second Sealer reuses the first one's ephemeral key")
-			}
-			if env, err = pks[0].Encrypt(msgs[0]); err != nil {
-				t.Fatal(err)
-			}
-			if bytes.Equal(env[:ephemeralSize], eph) {
-				t.Error("Encrypt reuses a Sealer's ephemeral key")
 			}
 		})
 	}
 }
 
+func flipBit(b []byte) []byte {
+	b = bytes.Clone(b)
+	b[len(b)/2] ^= 0x10
+	return b
+}
+
+// referenceAESKey is the AES-256 key docs/WIRE.md specifies for the
+// envelopes posting key eph seals to recv: SHA-256 over the label, the
+// X25519 shared secret and both public keys.
+func referenceAESKey(t *testing.T, eph *ecdh.PublicKey, priv *ecdh.PrivateKey, peer, recv *ecdh.PublicKey) []byte {
+	t.Helper()
+	shared, err := priv.ECDH(peer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	h.Write([]byte("yosompc/ecies/v1"))
+	h.Write(shared)
+	h.Write(eph.Bytes())
+	h.Write(recv.Bytes())
+	return h.Sum(nil)
+}
+
+// TestNoKeyNonceRepeats seals two postings to recipients that repeat, within
+// a posting and across both, and checks that no two envelopes share an
+// AES-GCM key and nonce — the one thing GCM cannot survive.
+func TestNoKeyNonceRepeats(t *testing.T) {
+	pks := make([]PublicKey, 3)
+	sks := make([]*ecdh.PrivateKey, 3)
+	for k := range pks {
+		pk, sk, err := NewECIES().GenerateKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pks[k], sks[k] = pk, sk.(*eciesSecret).sk
+	}
+	to := []int{0, 0, 1, 2, 2, 2, 0}
+	seen := map[string]string{}
+	for posting := range 2 {
+		var seal Sealer
+		key, err := seal.AppendKey(nil, pks[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		eph, err := ecdh.X25519().NewPublicKey(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for part, k := range to {
+			if _, err := seal.AppendEncrypt(nil, part, pks[k], []byte("m")); err != nil {
+				t.Fatal(err)
+			}
+			nonce := partNonce(part)
+			pair := string(referenceAESKey(t, eph, sks[k], eph, sks[k].PublicKey())) + string(nonce[:])
+			who := fmt.Sprintf("posting %d, part %d", posting, part)
+			if prev, ok := seen[pair]; ok {
+				t.Errorf("%s and %s share an AES key and nonce", who, prev)
+			}
+			seen[pair] = who
+		}
+	}
+}
+
 // TestECIESMatchesReference opens Sealer envelopes with the construction
 // written out from docs/WIRE.md — X25519, SHA-256 over the label, the shared
-// secret and both public keys, AES-256-GCM — and seals one the same way for
-// Decrypt, so the envelope format cannot drift under either side.
+// secret and both public keys, AES-256-GCM under the part index's nonce —
+// and seals a posting the same way for Decrypt, so the format cannot drift
+// under either side.
 func TestECIESMatchesReference(t *testing.T) {
 	skBytes := bytes.Repeat([]byte{3}, SecretKeySize)
 	sk, err := NewECIES().SecretKeyFromBytes(skBytes)
@@ -400,40 +496,37 @@ func TestECIESMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aead := func(eph *ecdh.PublicKey, priv *ecdh.PrivateKey, peer *ecdh.PublicKey) cipher.AEAD {
-		shared, err := priv.ECDH(peer)
+	gcm := func(key []byte) cipher.AEAD {
+		block, err := aes.NewCipher(key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := sha256.New()
-		h.Write([]byte("yosompc/ecies/v1"))
-		h.Write(shared)
-		h.Write(eph.Bytes())
-		h.Write(recv.PublicKey().Bytes())
-		block, err := aes.NewCipher(h.Sum(nil))
+		aead, err := cipher.NewGCM(block)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gcm, err := cipher.NewGCM(block)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return gcm
+		return aead
 	}
+	nonce := func(part uint64) []byte { return binary.BigEndian.AppendUint64(make([]byte, 4), part) }
 
 	var seal Sealer
-	for _, msg := range [][]byte{[]byte("first"), []byte("second, same ephemeral key")} {
-		env, err := seal.AppendEncrypt(nil, sk.Public(), msg)
+	key, err := seal.AppendKey(nil, sk.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eph, err := ecdh.X25519().NewPublicKey(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aead := gcm(referenceAESKey(t, eph, recv, eph, recv.PublicKey()))
+	for part, msg := range [][]byte{[]byte("first"), []byte("second, same posting key")} {
+		env, err := seal.AppendEncrypt(nil, part, sk.Public(), msg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eph, err := ecdh.X25519().NewPublicKey(env[:ephemeralSize])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := aead(eph, recv, eph).Open(nil, env[ephemeralSize:ephemeralSize+nonceSize], env[ephemeralSize+nonceSize:], nil)
+		got, err := aead.Open(nil, nonce(uint64(part)), env, nil)
 		if err != nil || !bytes.Equal(got, msg) {
-			t.Errorf("reference opening of a Sealer envelope: %q, %v", got, err)
+			t.Errorf("reference opening of part %d: %q, %v", part, got, err)
 		}
 	}
 
@@ -441,15 +534,19 @@ func TestECIESMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nonce := bytes.Repeat([]byte{9}, nonceSize)
 	msg := []byte("sealed by the reference")
-	env := append(append(ephPriv.PublicKey().Bytes(), nonce...), aead(ephPriv.PublicKey(), ephPriv, recv.PublicKey()).Seal(nil, nonce, msg, nil)...)
-	if got, err := sk.Decrypt(env); err != nil || !bytes.Equal(got, msg) {
-		t.Errorf("Decrypt of a reference envelope: %q, %v", got, err)
+	ref := gcm(referenceAESKey(t, ephPriv.PublicKey(), ephPriv, recv.PublicKey(), recv.PublicKey()))
+	posting := append(ephPriv.PublicKey().Bytes(), ref.Seal(nil, nonce(0), msg, nil)...)
+	if got, err := sk.Decrypt(posting); err != nil || !bytes.Equal(got, msg) {
+		t.Errorf("Decrypt of a reference posting: %q, %v", got, err)
+	}
+	env := ref.Seal(nil, nonce(9), msg, nil)
+	if got, err := sk.AppendOpen(nil, ephPriv.PublicKey().Bytes(), 9, env); err != nil || !bytes.Equal(got, msg) {
+		t.Errorf("AppendOpen of a reference envelope at part 9: %q, %v", got, err)
 	}
 }
 
-// Decrypt parses untrusted board bytes: whatever is wrong with an envelope,
+// Decrypt parses untrusted board bytes: whatever is wrong with a posting,
 // it errors — with the right class — and never panics or yields plaintext.
 func TestDecryptMalformedEnvelope(t *testing.T) {
 	for name, s := range backends() {
@@ -463,13 +560,13 @@ func TestDecryptMalformedEnvelope(t *testing.T) {
 				t.Fatal(err)
 			}
 			msg := []byte("partial decryption bytes")
-			env, err := pk.Encrypt(msg)
+			posting, err := pk.Encrypt(msg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			lengthField := func(delta int) []byte {
-				bad := bytes.Clone(env)
-				binary.BigEndian.PutUint32(bad[8:], uint32(len(msg)+delta))
+				bad := bytes.Clone(posting)
+				binary.BigEndian.PutUint32(bad[PostingKeySize+8:], uint32(len(msg)+delta))
 				return bad
 			}
 			// The sim backend checks its framing (ErrShortData) before the
@@ -479,6 +576,7 @@ func TestDecryptMalformedEnvelope(t *testing.T) {
 			if name != "sim" {
 				framing = ErrDecrypt
 			}
+			const minimum = PostingKeySize + EnvelopeOverhead
 			cases := []struct {
 				name string
 				key  SecretKey
@@ -487,15 +585,17 @@ func TestDecryptMalformedEnvelope(t *testing.T) {
 			}{
 				{"nil", sk, nil, ErrShortData},
 				{"empty", sk, []byte{}, ErrShortData},
-				{"one byte short of the overhead", sk, env[:EnvelopeOverhead-1], ErrShortData},
-				{"truncated to the overhead", sk, env[:EnvelopeOverhead], framing},
-				{"truncated by one byte", sk, env[:len(env)-1], framing},
-				{"over-long by one byte", sk, append(bytes.Clone(env), 0), framing},
-				{"over-long by an envelope", sk, append(bytes.Clone(env), env...), framing},
+				{"a short posting key", sk, posting[:PostingKeySize-1], ErrShortData},
+				{"the posting key alone", sk, posting[:PostingKeySize], ErrShortData},
+				{"one byte short of the overhead", sk, posting[:minimum-1], ErrShortData},
+				{"truncated to the overhead", sk, posting[:minimum], framing},
+				{"truncated by one byte", sk, posting[:len(posting)-1], framing},
+				{"over-long by one byte", sk, append(bytes.Clone(posting), 0), framing},
+				{"over-long by a posting", sk, append(bytes.Clone(posting), posting...), framing},
 				{"length field too small", sk, lengthField(-1), framing},
 				{"length field too large", sk, lengthField(+1), framing},
 				{"length field huge", sk, lengthField(1 << 31), framing},
-				{"wrong key", other, env, ErrDecrypt},
+				{"wrong key", other, posting, ErrDecrypt},
 			}
 			for _, tc := range cases {
 				in := bytes.Clone(tc.env)
@@ -504,20 +604,20 @@ func TestDecryptMalformedEnvelope(t *testing.T) {
 					t.Errorf("%s: plaintext %x, err = %v; want none, %v", tc.name, got, err, tc.want)
 				}
 				if !bytes.Equal(in, tc.env) {
-					t.Errorf("%s: Decrypt modified the envelope", tc.name)
+					t.Errorf("%s: Decrypt modified the posting", tc.name)
 				}
 			}
-			if got, err := sk.Decrypt(env); err != nil || !bytes.Equal(got, msg) {
-				t.Errorf("intact envelope: %q, %v", got, err)
+			if got, err := sk.Decrypt(posting); err != nil || !bytes.Equal(got, msg) {
+				t.Errorf("intact posting: %q, %v", got, err)
 			}
 		})
 	}
 }
 
-// AppendDecrypt opens behind dst: the prefix stays as it was, the plaintext
+// AppendOpen opens behind dst: the prefix stays as it was, the plaintext
 // is Decrypt's, it lands in dst's own array when the capacity suffices, and
 // an envelope that does not open leaves dst exactly as it came.
-func TestAppendDecrypt(t *testing.T) {
+func TestAppendOpen(t *testing.T) {
 	for name, s := range backends() {
 		t.Run(name, func(t *testing.T) {
 			pk, sk, err := s.GenerateKey()
@@ -529,35 +629,36 @@ func TestAppendDecrypt(t *testing.T) {
 				t.Fatal(err)
 			}
 			msg := []byte("a sealed partial decryption")
-			env, err := pk.Encrypt(msg)
+			posting, err := pk.Encrypt(msg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := sk.Decrypt(env)
+			want, err := sk.Decrypt(posting)
 			if err != nil || !bytes.Equal(want, msg) {
 				t.Fatalf("Decrypt: %q, %v", want, err)
 			}
+			key, env := posting[:PostingKeySize], posting[PostingKeySize:]
 			prefix := []byte("prefix")
 			withPrefix := append(bytes.Clone(prefix), want...)
 
 			// Too little capacity: a new array, the prefix copied in front.
 			dst := bytes.Clone(prefix)
-			got, err := sk.AppendDecrypt(dst, env)
+			got, err := sk.AppendOpen(dst, key, 0, env)
 			if err != nil || !bytes.Equal(got, withPrefix) {
-				t.Fatalf("AppendDecrypt behind a full prefix: %q, %v", got, err)
+				t.Fatalf("AppendOpen behind a full prefix: %q, %v", got, err)
 			}
 			if !bytes.Equal(dst, prefix) {
-				t.Errorf("AppendDecrypt changed the prefix to %q", dst)
+				t.Errorf("AppendOpen changed the prefix to %q", dst)
 			}
 
 			// Room enough: the plaintext is written into dst's array.
 			dst = append(make([]byte, 0, len(prefix)+len(msg)), prefix...)
-			got, err = sk.AppendDecrypt(dst, env)
+			got, err = sk.AppendOpen(dst, key, 0, env)
 			if err != nil || !bytes.Equal(got, withPrefix) {
-				t.Fatalf("AppendDecrypt into spare capacity: %q, %v", got, err)
+				t.Fatalf("AppendOpen into spare capacity: %q, %v", got, err)
 			}
 			if &got[0] != &dst[0] || cap(got) != cap(dst) {
-				t.Errorf("AppendDecrypt reallocated although dst had room for the plaintext")
+				t.Errorf("AppendOpen reallocated although dst had room for the plaintext")
 			}
 
 			// ECIES authenticates the body; Sim's tampering is a key id
@@ -570,16 +671,21 @@ func TestAppendDecrypt(t *testing.T) {
 			}
 			for _, tc := range []struct {
 				name string
-				key  SecretKey
+				sk   SecretKey
+				key  []byte
+				part int
 				env  []byte
 			}{
-				{"short", sk, env[:EnvelopeOverhead-1]},
-				{"truncated", sk, env[:len(env)-1]},
-				{"tampered", sk, tampered},
-				{"wrong key", other, env},
+				{"short", sk, key, 0, env[:EnvelopeOverhead-1]},
+				{"truncated", sk, key, 0, env[:len(env)-1]},
+				{"tampered", sk, key, 0, tampered},
+				{"wrong key", other, key, 0, env},
+				{"short posting key", sk, key[1:], 0, env},
+				{"wrong posting key", sk, flipBit(key), 0, env},
+				{"wrong part", sk, key, 1, env},
 			} {
 				spare := append(make([]byte, 0, len(prefix)+len(env)), prefix...)
-				got, err := tc.key.AppendDecrypt(spare, tc.env)
+				got, err := tc.sk.AppendOpen(spare, tc.key, tc.part, tc.env)
 				if err == nil {
 					t.Errorf("%s: opened to %q", tc.name, got)
 					continue
@@ -587,18 +693,17 @@ func TestAppendDecrypt(t *testing.T) {
 				if !bytes.Equal(got, prefix) || cap(got) != cap(spare) || &got[0] != &spare[0] {
 					t.Errorf("%s: returned %q (cap %d), want dst unchanged", tc.name, got, cap(got))
 				}
-				if dec, err := tc.key.Decrypt(tc.env); err == nil || dec != nil {
-					t.Errorf("%s: Decrypt opened to %q, %v", tc.name, dec, err)
-				}
 			}
 		})
 	}
 }
 
-// FuzzDecryptEnvelope feeds both backends arbitrary envelope bytes behind an
-// arbitrary prefix: AppendDecrypt must never panic, must leave the input and
-// the prefix alone, must agree with Decrypt, and may only succeed on the sim
-// backend — where the plaintext is then exactly the framed message.
+// FuzzDecryptEnvelope feeds both backends an arbitrary posting key, part
+// index and envelope behind an arbitrary prefix: AppendOpen must never
+// panic, must fail only with ErrShortData or ErrDecrypt, must leave its
+// inputs and the prefix alone, and must agree with Decrypt on the
+// one-envelope posting key ‖ envelope at part 0. Sim opens only an
+// envelope of exactly its framed length, to exactly the framed message.
 func FuzzDecryptEnvelope(f *testing.F) {
 	seed := bytes.Repeat([]byte{7}, SecretKeySize)
 	keys := map[string]SecretKey{}
@@ -608,60 +713,72 @@ func FuzzDecryptEnvelope(f *testing.F) {
 			f.Fatal(err)
 		}
 		keys[name] = sk
-		env, err := sk.Public().Encrypt([]byte("seed corpus message"))
+		posting, err := sk.Public().Encrypt([]byte("seed corpus message"))
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add([]byte(nil), env)
-		f.Add([]byte("prefix"), env[:len(env)-1])
-		f.Add([]byte{0}, env[:EnvelopeOverhead])
-		// A posting's envelopes: one Sealer's, so they share an ephemeral
-		// key, one to a stranger and two to the same recipient.
+		key, env := posting[:PostingKeySize], posting[PostingKeySize:]
+		f.Add([]byte(nil), key, 0, env)
+		f.Add([]byte("prefix"), key, 0, env[:len(env)-1])
+		f.Add([]byte{0}, key, 1, env)
+		// A posting's envelopes: one Sealer's, one to a stranger and two
+		// to the same recipient at parts 1 and 3.
 		stranger, _, err := s.GenerateKey()
 		if err != nil {
 			f.Fatal(err)
 		}
 		var seal Sealer
-		for _, to := range []PublicKey{stranger, sk.Public(), sk.Public()} {
-			env, err := seal.AppendEncrypt(nil, to, []byte("one posting, one ephemeral key"))
+		if key, err = seal.AppendKey(nil, stranger); err != nil {
+			f.Fatal(err)
+		}
+		for part, to := range []PublicKey{stranger, sk.Public(), nil, sk.Public()} {
+			if to == nil {
+				continue
+			}
+			env, err := seal.AppendEncrypt(nil, part, to, []byte("one posting, one posting key"))
 			if err != nil {
 				f.Fatal(err)
 			}
-			f.Add([]byte("a posting's prefix"), env)
+			f.Add([]byte("a posting's prefix"), key, part, env)
 		}
 	}
-	f.Add([]byte{}, []byte{})
-	f.Add([]byte{1, 2, 3}, make([]byte, EnvelopeOverhead))
-	f.Fuzz(func(t *testing.T, prefix, env []byte) {
+	f.Add([]byte{}, []byte{}, 0, []byte{})
+	f.Add([]byte{1, 2, 3}, make([]byte, PostingKeySize), -1, make([]byte, EnvelopeOverhead))
+	f.Fuzz(func(t *testing.T, prefix, key []byte, part int, env []byte) {
 		for name, sk := range keys {
-			in := bytes.Clone(env)
+			inKey, inEnv := bytes.Clone(key), bytes.Clone(env)
 			dst := bytes.Clone(prefix)
-			out, err := sk.AppendDecrypt(dst, env)
-			if !bytes.Equal(in, env) {
-				t.Fatalf("%s: AppendDecrypt modified the envelope", name)
+			out, err := sk.AppendOpen(dst, key, part, env)
+			if !bytes.Equal(inKey, key) || !bytes.Equal(inEnv, env) {
+				t.Fatalf("%s: AppendOpen modified its input", name)
 			}
 			if !bytes.Equal(dst, prefix) || len(out) < len(prefix) || !bytes.Equal(out[:len(prefix)], prefix) {
-				t.Fatalf("%s: AppendDecrypt changed the prefix", name)
-			}
-			got, decErr := sk.Decrypt(env)
-			if (err == nil) != (decErr == nil) {
-				t.Fatalf("%s: AppendDecrypt err = %v, Decrypt err = %v", name, err, decErr)
+				t.Fatalf("%s: AppendOpen changed the prefix", name)
 			}
 			if err != nil {
-				if got != nil || len(out) != len(prefix) {
+				if !errors.Is(err, ErrShortData) && !errors.Is(err, ErrDecrypt) {
+					t.Fatalf("%s: error %v is neither ErrShortData nor ErrDecrypt", name, err)
+				}
+				if len(out) != len(prefix) {
 					t.Fatalf("%s: plaintext alongside error %v", name, err)
 				}
+			}
+			if part == 0 && len(key) == PostingKeySize {
+				got, decErr := sk.Decrypt(append(bytes.Clone(key), env...))
+				if (err == nil) != (decErr == nil) || (err == nil && !bytes.Equal(out[len(prefix):], got)) {
+					t.Fatalf("%s: AppendOpen %x, %v; Decrypt %x, %v", name, out[len(prefix):], err, got, decErr)
+				}
+			}
+			if err != nil {
 				continue
 			}
-			if !bytes.Equal(out[len(prefix):], got) {
-				t.Fatalf("%s: AppendDecrypt opened to %x, Decrypt to %x", name, out[len(prefix):], got)
-			}
+			got := out[len(prefix):]
 			if len(got) != len(env)-EnvelopeOverhead {
 				t.Fatalf("%s: %d-byte plaintext from a %d-byte envelope", name, len(got), len(env))
 			}
-			// Only a correctly re-sealed message can authenticate on
-			// ECIES; on sim the framing pins the plaintext.
-			if name == "sim" && !bytes.Equal(got, env[simHeaderSize:simHeaderSize+len(got)]) {
+			// Only a correctly sealed message can authenticate on ECIES;
+			// on sim the framing pins the plaintext.
+			if name == "sim" && !bytes.Equal(got, env[simHeaderSize:]) {
 				t.Fatalf("sim: plaintext is not the framed message")
 			}
 		}

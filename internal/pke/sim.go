@@ -12,9 +12,10 @@ import (
 )
 
 // Sim is the ideal PKE backend: payloads are stored in the clear inside the
-// envelope and only decryptable by the matching key id, while wire sizes
-// follow the same overhead model as the real ECIES construction
-// (32-byte ephemeral key + 12-byte nonce + 16-byte tag). It exists so that
+// envelope and only decryptable by the matching key id, at the part index
+// and under the posting key they were sealed with, while wire sizes follow
+// the real ECIES construction exactly (a 32-byte posting key per posting, a
+// 16-byte header where ECIES has its tag). It exists so that
 // large-committee sweeps spend no time on curve arithmetic while measuring
 // identical byte counts.
 type Sim struct{}
@@ -35,8 +36,9 @@ type simSecret struct {
 	seed [SecretKeySize]byte
 }
 
-// simHeaderSize is the u64 key id plus the u32 message length.
-const simHeaderSize = 8 + 4
+// simHeaderSize is the u64 key id, the u32 message length and the u32
+// binding: exactly the ECIES envelope overhead.
+const simHeaderSize = 8 + 4 + 4
 
 // GenerateKey implements Scheme. The "secret" is a random 32-byte seed; the
 // key id is derived from it so that SecretKeyFromBytes can re-associate.
@@ -76,18 +78,37 @@ func ctEqualID(a, b uint64) bool {
 }
 
 // Encrypt implements PublicKey.
-func (p *simPub) Encrypt(msg []byte) ([]byte, error) { return new(Sealer).AppendEncrypt(nil, p, msg) }
+func (p *simPub) Encrypt(msg []byte) ([]byte, error) { return encryptPosting(p, msg) }
 
-// seal implements PublicKey: header, message, and zero padding up to the
-// modelled ECIES size so measured bytes match modelled bytes. There is no
-// ephemeral key to share, so the Sealer plays no part.
-func (p *simPub) seal(_ *Sealer, dst, msg []byte) ([]byte, error) {
+// drawKey implements PublicKey: a Sim posting key is random bytes, which
+// only the binding reads.
+func (p *simPub) drawKey(s *Sealer) error {
+	key := make([]byte, PostingKeySize)
+	if _, err := rand.Read(key); err != nil {
+		return fmt.Errorf("pke: sim posting key: %w", err)
+	}
+	s.key = key
+	return nil
+}
+
+// seal implements PublicKey: the header, then the message, exactly the
+// ECIES envelope's size.
+func (p *simPub) seal(s *Sealer, dst []byte, part int, msg []byte) ([]byte, error) {
 	dst = slices.Grow(dst, EnvelopeOverhead+len(msg))
 	dst = binary.BigEndian.AppendUint64(dst, p.id)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(msg)))
-	dst = append(dst, msg...)
-	var pad [EnvelopeOverhead - simHeaderSize]byte
-	return append(dst, pad[:]...), nil
+	dst = binary.BigEndian.AppendUint32(dst, simBinding(s.key, part))
+	return append(dst, msg...), nil
+}
+
+// simBinding folds a posting key and a part index into the 32 bits a Sim
+// envelope carries, so that it opens only where it was sealed.
+func simBinding(key []byte, part int) uint32 {
+	b := uint32(part) ^ uint32(uint64(part)>>32)
+	for i := 0; i+4 <= len(key); i += 4 {
+		b ^= binary.BigEndian.Uint32(key[i:])
+	}
+	return b
 }
 
 // Bytes implements PublicKey.
@@ -101,15 +122,22 @@ func (p *simPub) Bytes() []byte {
 func (p *simPub) Fingerprint() string { return fmt.Sprintf("sim-%012x", p.id) }
 
 // Decrypt implements SecretKey.
-func (k *simSecret) Decrypt(env []byte) ([]byte, error) { return k.AppendDecrypt(nil, env) }
+func (k *simSecret) Decrypt(posting []byte) ([]byte, error) {
+	key, env, err := splitPosting(posting)
+	if err != nil {
+		return nil, err
+	}
+	return k.AppendOpen(nil, key, 0, env)
+}
 
-// AppendDecrypt implements SecretKey. It insists on the exact padded length,
-// so sealing and opening agree on every byte, and enforces that only the
-// matching key opens the envelope, so key-routing bugs in the protocol fail
-// loudly. The message is appended to dst: nothing else is allocated.
-func (k *simSecret) AppendDecrypt(dst, env []byte) ([]byte, error) {
-	if len(env) < EnvelopeOverhead {
-		return dst, fmt.Errorf("%w: envelope needs ≥ %d bytes, have %d", ErrShortData, EnvelopeOverhead, len(env))
+// AppendOpen implements SecretKey. It insists on the exact length, so
+// sealing and opening agree on every byte, and enforces that only the
+// matching key opens the envelope, at its own part under its own posting
+// key, so key-routing and layout bugs in the protocol fail loudly. The
+// message is appended to dst: nothing else is allocated.
+func (k *simSecret) AppendOpen(dst, key []byte, part int, env []byte) ([]byte, error) {
+	if err := checkLengths(key, env); err != nil {
+		return dst, err
 	}
 	msgLen := binary.BigEndian.Uint32(env[8:])
 	if msgLen > wire.MaxLen || int(msgLen) != len(env)-EnvelopeOverhead {
@@ -118,7 +146,10 @@ func (k *simSecret) AppendDecrypt(dst, env []byte) ([]byte, error) {
 	if keyID := binary.BigEndian.Uint64(env); !ctEqualID(keyID, k.id) {
 		return dst, fmt.Errorf("%w: envelope for key %012x, have %012x", ErrDecrypt, keyID, k.id)
 	}
-	return append(dst, env[simHeaderSize:simHeaderSize+int(msgLen)]...), nil
+	if binary.BigEndian.Uint32(env[12:]) != simBinding(key, part) {
+		return dst, fmt.Errorf("%w: envelope sealed at another part or under another posting key", ErrDecrypt)
+	}
+	return append(dst, env[simHeaderSize:]...), nil
 }
 
 // Bytes implements SecretKey.

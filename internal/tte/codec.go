@@ -42,6 +42,11 @@ type Codec interface {
 	DecodePartial(pk PublicKey, data []byte) (PartialDec, error)
 	AppendSubShare(dst []byte, s SubShare) ([]byte, error)
 	DecodeSubShare(pk PublicKey, data []byte) (SubShare, error)
+	// PartialLen and SubShareLen are the exact lengths AppendPartial and
+	// AppendSubShare write (0 for another backend's message), so a poster
+	// sizes its posting before writing it.
+	PartialLen(p PartialDec) int
+	SubShareLen(s SubShare) int
 	// EncodeCiphertext serializes a ciphertext as exactly Size() bytes;
 	// DecodeCiphertext re-attaches the public plaintext bound (nil means
 	// pk.MaxPlaintext()).
@@ -105,6 +110,15 @@ func (c *codec) AppendPartial(dst []byte, p PartialDec) ([]byte, error) {
 	return appendBig(dst, c.partialPad, tagPartial, m.v, uint32(m.index), uint32(m.epoch)), nil //yosolint:vartime length-prefixed encoding is value-length dependent by construction; the envelope ciphertext size on the board reveals the same length
 }
 
+// PartialLen implements Codec.
+func (c *codec) PartialLen(p PartialDec) int {
+	m, ok := p.(*partial)
+	if !ok {
+		return 0
+	}
+	return bigLen(c.partialPad, 2, m.v)
+}
+
 // DecodePartial parses a partial decryption serialized by EncodePartial.
 func (c *codec) DecodePartial(pk PublicKey, data []byte) (PartialDec, error) {
 	p, err := c.pub(pk)
@@ -129,6 +143,15 @@ func (c *codec) AppendSubShare(dst []byte, sub SubShare) ([]byte, error) {
 		return dst, fmt.Errorf("%w: subshare", ErrWrongKey)
 	}
 	return appendBig(dst, c.subSharePad, tagSubShare, s.v, uint32(s.from), uint32(s.to), uint32(s.epoch)), nil //yosolint:vartime length-prefixed encoding is value-length dependent by construction; the envelope ciphertext size on the board reveals the same length
+}
+
+// SubShareLen implements Codec.
+func (c *codec) SubShareLen(sub SubShare) int {
+	s, ok := sub.(*subShare)
+	if !ok {
+		return 0
+	}
+	return bigLen(c.subSharePad, 3, s.v)
 }
 
 // DecodeSubShare parses a sub-share serialized by AppendSubShare.
@@ -239,7 +262,7 @@ func appendBig(dst []byte, pad int, tag byte, v *big.Int, fields ...uint32) []by
 		v = new(big.Int)
 	}
 	start, vlen := len(dst), byteLen(v)
-	dst = slices.Grow(dst, max(pad, 1+4*len(fields)+1+4+vlen))
+	dst = slices.Grow(dst, bigLen(pad, len(fields), v))
 	dst = append(dst, tag)
 	for _, f := range fields {
 		dst = binary.BigEndian.AppendUint32(dst, f)
@@ -251,6 +274,11 @@ func appendBig(dst []byte, pad int, tag byte, v *big.Int, fields ...uint32) []by
 	dst = append(dst, sign)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(vlen))
 	return padTo(appendAbs(dst, v, vlen), start+pad)
+}
+
+// bigLen is the length of appendBig's encoding of v with nFields fields.
+func bigLen(pad, nFields int, v *big.Int) int {
+	return max(pad, 1+4*nFields+1+4+byteLen(v))
 }
 
 // appendAbs appends |v| as exactly n big-endian bytes; n must cover v. The
