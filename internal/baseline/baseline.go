@@ -113,12 +113,11 @@ func New(params Params, circ *circuit.Circuit, meter *comm.Meter) (*Protocol, er
 func (p *Protocol) Board() *transport.Board { return p.rt.Board }
 
 type run struct {
-	p          *Protocol
-	rt         *committee.Runner
-	clients    map[int]*yoso.Role
-	wireCt     []tte.Ciphertext
-	beaver     map[int]*triple
-	depthCache map[int]int
+	p       *Protocol
+	rt      *committee.Runner
+	clients map[int]*yoso.Role
+	wireCt  []tte.Ciphertext
+	beaver  map[int]*triple
 }
 
 type triple struct{ a, b, c tte.Ciphertext }
@@ -175,12 +174,7 @@ func (p *Protocol) Run(inputs map[int][]field.Element) (*Result, error) {
 // gate, exactly as in the packed protocol's Step 1.
 func (r *run) offlineBeaver() error {
 	p := r.p.params
-	var muls []int
-	for i, g := range r.p.circ.Gates() {
-		if g.Kind == circuit.KindMul {
-			muls = append(muls, i)
-		}
-	}
+	muls := r.p.circ.MulGates()
 	if len(muls) == 0 {
 		return nil
 	}
@@ -254,23 +248,15 @@ func (r *run) online(inputs map[int][]field.Element, shares []tte.KeyShare) (map
 		return nil, err
 	}
 
-	// Group mul gates by layer.
-	byLayer := map[int][]int{}
-	for i, g := range gates {
-		if g.Kind == circuit.KindMul {
-			byLayer[r.mulDepthOf(i)] = append(byLayer[r.mulDepthOf(i)], i)
-		}
+	if err := r.propagateLinear(0); err != nil {
+		return nil, err
 	}
-
 	ones := committee.Ones(2)
-	for l := 1; l <= depth; l++ {
-		// Linear propagation up to this layer.
-		if err := r.propagateLinear(); err != nil {
-			return nil, err
-		}
-		layerGates := byLayer[l]
-		open := make([]committee.Opening, 0, 2*len(layerGates))
-		for _, gi := range layerGates {
+	// One batch per layer: every multiplication gate of layer mb.Layer.
+	for _, mb := range r.p.circ.MulBatches(r.p.circ.NumMul()) {
+		l := mb.Layer
+		open := make([]committee.Opening, 0, 2*len(mb.Gates))
+		for _, gi := range mb.Gates {
 			g := gates[gi]
 			bt := r.beaver[gi]
 			eps, err := te.Eval(r.rt.TPK, []tte.Ciphertext{r.wireCt[g.A], bt.a}, ones)
@@ -290,7 +276,7 @@ func (r *run) online(inputs map[int][]field.Element, shares []tte.KeyShare) (map
 			return nil, err
 		}
 		// Apply the Beaver identity c^xy = ε·c^y + (p−δ)·c^a + c^c.
-		for j, gi := range layerGates {
+		for j, gi := range mb.Gates {
 			g := gates[gi]
 			bt := r.beaver[gi]
 			eps, del := field.FromBig(opened[2*j]), field.FromBig(opened[2*j+1])
@@ -302,9 +288,9 @@ func (r *run) online(inputs map[int][]field.Element, shares []tte.KeyShare) (map
 			}
 			r.wireCt[g.Out] = out
 		}
-	}
-	if err := r.propagateLinear(); err != nil {
-		return nil, err
+		if err := r.propagateLinear(l); err != nil {
+			return nil, err
+		}
 	}
 
 	// Output: the final committee re-encrypts output wires to clients, who
@@ -337,69 +323,24 @@ func (r *run) online(inputs map[int][]field.Element, shares []tte.KeyShare) (map
 	return outputs, nil
 }
 
-// mulDepthOf computes a gate's multiplicative depth via the circuit's
-// batch metadata (MulBatches with k=1 yields one gate per batch).
-func (r *run) mulDepthOf(gi int) int {
-	if r.depthCache == nil {
-		r.depthCache = map[int]int{}
-		for _, mb := range r.p.circ.MulBatches(1) {
-			for _, g := range mb.Gates {
-				r.depthCache[g] = mb.Layer
-			}
+// propagateLinear fills the wires of the linear gates of depth d, once the
+// inputs (d = 0) or layer d are encrypted: TEval of the gate's terms, and a
+// public constant encrypted under tpk, which anyone can do.
+func (r *run) propagateLinear(d int) error {
+	gates := r.p.circ.Gates()
+	for _, gi := range r.p.circ.LinearAt(d) {
+		terms, k := gates[gi].Terms()
+		var ct tte.Ciphertext
+		var err error
+		if len(terms) == 0 {
+			ct, err = r.p.params.TE.Encrypt(r.rt.TPK, committee.FieldCoeff(k), committee.BoundP)
+		} else {
+			ct, err = r.rt.EvalTerms(terms, r.wireCt)
 		}
-	}
-	return r.depthCache[gi]
-}
-
-// propagateLinear fills λ-free linear wires from their inputs.
-func (r *run) propagateLinear() error {
-	te := r.p.params.TE
-	pm1 := new(big.Int).SetUint64(field.Modulus - 1)
-	for _, g := range r.p.circ.Gates() {
-		if g.Kind != circuit.KindAdd && g.Kind != circuit.KindSub &&
-			g.Kind != circuit.KindConstMul && g.Kind != circuit.KindConst {
-			continue
+		if err != nil {
+			return err
 		}
-		if r.wireCt[g.Out] != nil {
-			continue
-		}
-		switch g.Kind {
-		case circuit.KindConst:
-			// Anyone can encrypt a public constant under tpk.
-			ct, err := te.Encrypt(r.rt.TPK, committee.FieldCoeff(g.Const), committee.BoundP)
-			if err != nil {
-				return err
-			}
-			r.wireCt[g.Out] = ct
-		case circuit.KindAdd:
-			if r.wireCt[g.A] == nil || r.wireCt[g.B] == nil {
-				continue
-			}
-			ct, err := te.Eval(r.rt.TPK, []tte.Ciphertext{r.wireCt[g.A], r.wireCt[g.B]}, committee.Ones(2))
-			if err != nil {
-				return err
-			}
-			r.wireCt[g.Out] = ct
-		case circuit.KindSub:
-			if r.wireCt[g.A] == nil || r.wireCt[g.B] == nil {
-				continue
-			}
-			ct, err := te.Eval(r.rt.TPK, []tte.Ciphertext{r.wireCt[g.A], r.wireCt[g.B]},
-				[]*big.Int{big.NewInt(1), pm1})
-			if err != nil {
-				return err
-			}
-			r.wireCt[g.Out] = ct
-		case circuit.KindConstMul:
-			if r.wireCt[g.A] == nil {
-				continue
-			}
-			ct, err := te.Eval(r.rt.TPK, []tte.Ciphertext{r.wireCt[g.A]}, []*big.Int{committee.FieldCoeff(g.Const)})
-			if err != nil {
-				return err
-			}
-			r.wireCt[g.Out] = ct
-		}
+		r.wireCt[gates[gi].Out] = ct
 	}
 	return nil
 }

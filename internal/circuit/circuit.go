@@ -1,12 +1,14 @@
 // Package circuit represents arithmetic circuits over the MPC field and
-// prepares the batch layout the packed protocol consumes: multiplication
-// gates are grouped by multiplicative depth into batches of at most k, the
-// packing factor.
+// owns their schedule: what a linear gate computes (Gate.Terms), which
+// gates sit at each multiplicative depth (MulGates, LinearAt), and the
+// batch layout the packed protocol consumes — multiplication gates grouped
+// by depth into batches of at most k, the packing factor.
 package circuit
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"yosompc/internal/field"
 )
@@ -68,6 +70,42 @@ type Gate struct {
 	Client int
 }
 
+// Term is one summand, Coeff·Wire, of a linear gate.
+type Term struct {
+	Coeff field.Element
+	Wire  WireID
+}
+
+// Terms is what a linear gate computes: Σ Coeff·Wire over its terms, plus
+// the returned constant. Add is (1, 1), Sub is (1, p−1), ConstMul is (c),
+// and Const has no terms and its value as the constant. Read as integers
+// below p, the coefficients are the ones TEval takes and the slot-width
+// bounds multiply by. Input, Mul and Output gates are not linear: they
+// have neither.
+func (g Gate) Terms() ([]Term, field.Element) {
+	switch g.Kind {
+	case KindAdd:
+		return []Term{{field.One, g.A}, {field.One, g.B}}, field.Zero
+	case KindSub:
+		return []Term{{field.One, g.A}, {field.One.Neg(), g.B}}, field.Zero
+	case KindConstMul:
+		return []Term{{g.Const, g.A}}, field.Zero
+	case KindConst:
+		return nil, g.Const
+	}
+	return nil, field.Zero
+}
+
+// EvalLinear is the value of a linear gate given the values on every wire
+// it reads.
+func (g Gate) EvalLinear(vals []field.Element) field.Element {
+	terms, v := g.Terms()
+	for _, t := range terms {
+		v = v.Add(t.Coeff.Mul(vals[t.Wire]))
+	}
+	return v
+}
+
 // Circuit is an immutable arithmetic circuit in topological order.
 type Circuit struct {
 	gates    []Gate
@@ -76,10 +114,12 @@ type Circuit struct {
 	inputsByClient map[int][]int
 	// outputsByClient[c] lists output gate indices of client c in order.
 	outputsByClient map[int][]int
-	// mulDepth[w] is the multiplicative depth of the value on wire w.
-	mulDepth []int
-	numMul   int
-	numAdd   int
+	// The schedule, as gate indices in topological order: every
+	// multiplication gate, those of layer l+1 (mulAt[l]), and the linear
+	// gates of depth d (linearAt[d]).
+	mulGates []int
+	mulAt    [][]int
+	linearAt [][]int
 }
 
 // Errors returned by the builder and evaluator.
@@ -167,41 +207,48 @@ func (b *Builder) Const(c field.Element) WireID {
 	return out
 }
 
-// Build finalizes the circuit.
+// Build finalizes the circuit and computes its schedule. A multiplication
+// gate sits one layer above its deeper input; a linear gate at the depth of
+// its deepest input (a Const at 0), so its value is known once that layer
+// is.
 func (b *Builder) Build() (*Circuit, error) {
 	c := &Circuit{
 		gates:           append([]Gate(nil), b.gates...),
 		numWires:        b.numWires,
 		inputsByClient:  map[int][]int{},
 		outputsByClient: map[int][]int{},
-		mulDepth:        make([]int, b.numWires),
 	}
-	hasOutput := false
+	depth := make([]int, b.numWires) // the multiplicative depth of each wire
 	for i, g := range c.gates {
 		switch g.Kind {
 		case KindInput:
 			c.inputsByClient[g.Client] = append(c.inputsByClient[g.Client], i)
-			c.mulDepth[g.Out] = 0
-		case KindAdd, KindSub:
-			c.mulDepth[g.Out] = max(c.mulDepth[g.A], c.mulDepth[g.B])
-			c.numAdd++
-		case KindConstMul:
-			c.mulDepth[g.Out] = c.mulDepth[g.A]
-			c.numAdd++
-		case KindMul:
-			c.mulDepth[g.Out] = max(c.mulDepth[g.A], c.mulDepth[g.B]) + 1
-			c.numMul++
 		case KindOutput:
 			c.outputsByClient[g.Client] = append(c.outputsByClient[g.Client], i)
-			hasOutput = true
-		case KindConst:
-			c.mulDepth[g.Out] = 0
-			c.numAdd++
+		case KindMul:
+			d := max(depth[g.A], depth[g.B]) + 1
+			depth[g.Out] = d
+			if d > len(c.mulAt) {
+				c.mulAt = append(c.mulAt, nil)
+			}
+			c.mulAt[d-1] = append(c.mulAt[d-1], i)
+			c.mulGates = append(c.mulGates, i)
+		case KindAdd, KindSub, KindConstMul, KindConst:
+			terms, _ := g.Terms()
+			d := 0
+			for _, t := range terms {
+				d = max(d, depth[t.Wire])
+			}
+			depth[g.Out] = d
+			for d >= len(c.linearAt) {
+				c.linearAt = append(c.linearAt, nil)
+			}
+			c.linearAt[d] = append(c.linearAt[d], i)
 		default:
 			return nil, fmt.Errorf("circuit: gate %d has unknown kind %v", i, g.Kind)
 		}
 	}
-	if !hasOutput {
+	if len(c.outputsByClient) == 0 {
 		return nil, ErrNoOutputs
 	}
 	return c, nil
@@ -215,20 +262,33 @@ func (c *Circuit) Gates() []Gate { return c.gates }
 func (c *Circuit) NumWires() int { return c.numWires }
 
 // NumMul returns the number of multiplication gates.
-func (c *Circuit) NumMul() int { return c.numMul }
+func (c *Circuit) NumMul() int { return len(c.mulGates) }
 
-// NumLinear returns the number of free (add/sub/constmul) gates.
-func (c *Circuit) NumLinear() int { return c.numAdd }
+// NumLinear returns the number of free (add/sub/constmul/const) gates.
+func (c *Circuit) NumLinear() int {
+	n := 0
+	for _, gates := range c.linearAt {
+		n += len(gates)
+	}
+	return n
+}
 
 // Depth returns the multiplicative depth of the circuit.
-func (c *Circuit) Depth() int {
-	d := 0
-	for _, g := range c.gates {
-		if g.Kind == KindMul && c.mulDepth[g.Out] > d {
-			d = c.mulDepth[g.Out]
-		}
+func (c *Circuit) Depth() int { return len(c.mulAt) }
+
+// MulGates returns the indices of the multiplication gates in gate order.
+// The slice must not be mutated.
+func (c *Circuit) MulGates() []int { return c.mulGates }
+
+// LinearAt returns the indices of the linear gates of multiplicative depth
+// d, in gate order: the gates whose values anyone computes once the inputs
+// (d = 0) or multiplication layer d are known, every wire they read being
+// of depth at most d. The slice must not be mutated.
+func (c *Circuit) LinearAt(d int) []int {
+	if d < 0 || d >= len(c.linearAt) {
+		return nil
 	}
-	return d
+	return c.linearAt[d]
 }
 
 // Clients returns the sorted set of client ids appearing on inputs or
@@ -245,7 +305,7 @@ func (c *Circuit) Clients() []int {
 	for cl := range seen {
 		out = append(out, cl)
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -292,18 +352,12 @@ func (c *Circuit) EvalWires(inputs map[int][]field.Element) ([]field.Element, er
 			}
 			wires[g.Out] = vals[idx]
 			given[g.Client] = idx + 1
-		case KindAdd:
-			wires[g.Out] = wires[g.A].Add(wires[g.B])
-		case KindSub:
-			wires[g.Out] = wires[g.A].Sub(wires[g.B])
-		case KindConstMul:
-			wires[g.Out] = g.Const.Mul(wires[g.A])
 		case KindMul:
 			wires[g.Out] = wires[g.A].Mul(wires[g.B])
-		case KindConst:
-			wires[g.Out] = g.Const
 		case KindOutput:
 			// no wire effect
+		default:
+			wires[g.Out] = g.EvalLinear(wires)
 		}
 	}
 	return wires, nil
@@ -321,70 +375,15 @@ type MulBatch struct {
 // MulBatches groups multiplication gates by layer into batches of at most k.
 // Every batch's gates all have inputs available once the previous layers'
 // outputs are public, so the protocol can process layer l batches after
-// reconstructing layer l-1.
+// reconstructing layer l-1. With k ≥ NumMul() each layer is one batch.
 func (c *Circuit) MulBatches(k int) []MulBatch {
-	if k < 1 {
-		k = 1
-	}
-	byLayer := map[int][]int{}
-	maxLayer := 0
-	for i, g := range c.gates {
-		if g.Kind != KindMul {
-			continue
-		}
-		l := c.mulDepth[g.Out]
-		byLayer[l] = append(byLayer[l], i)
-		if l > maxLayer {
-			maxLayer = l
-		}
-	}
+	k = max(k, 1)
 	var out []MulBatch
-	for l := 1; l <= maxLayer; l++ {
-		gates := byLayer[l]
+	for l, gates := range c.mulAt {
 		for start := 0; start < len(gates); start += k {
 			end := min(start+k, len(gates))
-			out = append(out, MulBatch{Layer: l, Gates: append([]int(nil), gates[start:end]...)})
+			out = append(out, MulBatch{Layer: l + 1, Gates: append([]int(nil), gates[start:end]...)})
 		}
 	}
 	return out
-}
-
-// MaxWidth returns the largest number of multiplication gates in any layer —
-// the "circuit width" of the paper's amortization assumption.
-func (c *Circuit) MaxWidth() int {
-	byLayer := map[int]int{}
-	w := 0
-	for _, g := range c.gates {
-		if g.Kind != KindMul {
-			continue
-		}
-		l := c.mulDepth[g.Out]
-		byLayer[l]++
-		if byLayer[l] > w {
-			w = byLayer[l]
-		}
-	}
-	return w
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -199,8 +199,8 @@ func TestInnerProduct(t *testing.T) {
 	if got := out[0][0]; got != field.New(32) {
 		t.Errorf("⟨x,y⟩ = %v, want 32", got)
 	}
-	if c.MaxWidth() != 3 {
-		t.Errorf("width = %d, want 3", c.MaxWidth())
+	if w := widestLayer(c); w != 3 {
+		t.Errorf("width = %d, want 3", w)
 	}
 }
 
@@ -268,8 +268,8 @@ func TestWideMul(t *testing.T) {
 	if c.Depth() != 3 {
 		t.Errorf("Depth = %d, want 3", c.Depth())
 	}
-	if c.MaxWidth() != 4 {
-		t.Errorf("MaxWidth = %d, want 4", c.MaxWidth())
+	if w := widestLayer(c); w != 4 {
+		t.Errorf("width = %d, want 4", w)
 	}
 	// All-ones inputs: every product stays 1.
 	out, err := c.Eval(inputs(map[int][]uint64{0: {1, 1}, 1: {1, 1}}))

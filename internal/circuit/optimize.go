@@ -186,21 +186,22 @@ func liveWires(c *Circuit) []bool {
 		switch g.Kind {
 		case KindOutput:
 			live[g.A] = true
-		case KindAdd, KindSub, KindMul:
-			if live[g.Out] {
-				live[g.A] = true
-				live[g.B] = true
-			}
-		case KindConstMul:
-			if live[g.Out] {
-				live[g.A] = true
-			}
-		case KindConst:
-			// kept only if live; no inputs
 		case KindInput:
 			// Inputs are always retained (interface stability), whether
 			// or not they are live.
 			live[g.Out] = true
+		case KindMul:
+			if live[g.Out] {
+				live[g.A] = true
+				live[g.B] = true
+			}
+		default:
+			if live[g.Out] {
+				terms, _ := g.Terms()
+				for _, t := range terms {
+					live[t.Wire] = true
+				}
+			}
 		}
 	}
 	return live

@@ -27,6 +27,7 @@ import (
 	"math/big"
 	"math/bits"
 
+	"yosompc/internal/circuit"
 	"yosompc/internal/comm"
 	"yosompc/internal/field"
 	"yosompc/internal/nizk"
@@ -257,6 +258,19 @@ func Ones(m int) []*big.Int {
 		out[i] = big.NewInt(1)
 	}
 	return out
+}
+
+// EvalTerms is TEval of a linear gate's terms (circuit.Gate.Terms) over the
+// per-wire ciphertexts cts: Σ coeff·cts[wire], each coefficient lifted to
+// its integer below p. A gate without terms gives the empty sum, the
+// canonical encryption of 0.
+func (r *Runner) EvalTerms(terms []circuit.Term, cts []tte.Ciphertext) (tte.Ciphertext, error) {
+	in := make([]tte.Ciphertext, len(terms))
+	coeffs := make([]*big.Int, len(terms))
+	for i, t := range terms {
+		in[i], coeffs[i] = cts[t.Wire], FieldCoeff(t.Coeff)
+	}
+	return r.TE.Eval(r.TPK, in, coeffs)
 }
 
 // FieldCoeff lifts a field element to the non-negative integer coefficient

@@ -18,7 +18,6 @@ func (r *run) initWireState() {
 	n := r.p.circ.NumWires()
 	r.wireCt = make([]tte.Ciphertext, n)
 	r.mu = make([]field.Element, n)
-	r.muKnown = make([]bool, n)
 	r.beaver = map[int]*beaverTriple{}
 	r.inputOpen = map[int][]group{}
 	r.lists = slotpack.ListsOf(r.p.circ, r.p.params.N, r.p.params.T, r.p.params.K)
@@ -102,21 +101,10 @@ func (r *run) buildBatches() {
 	}
 }
 
-// mulGateIndices returns the indices of all multiplication gates.
-func (r *run) mulGateIndices() []int {
-	var out []int
-	for i, g := range r.p.circ.Gates() {
-		if g.Kind == circuit.KindMul {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // offlineBeaver is Step 1: committees OffB1 and OffB2 prepare one Beaver
 // triple (c^a, c^b, c^c) under tpk per multiplication gate.
 func (r *run) offlineBeaver() error {
-	muls := r.mulGateIndices()
+	muls := r.p.circ.MulGates()
 	if len(muls) == 0 {
 		return nil
 	}
@@ -176,50 +164,27 @@ func (r *run) offlineDependentWires() error {
 	te := p.TE
 	gates := r.p.circ.Gates()
 
-	// Local: λ-ciphertexts for linear gates, in topological order.
-	pm1 := new(big.Int).SetUint64(field.Modulus - 1)
-	for _, g := range gates {
-		switch g.Kind {
-		case circuit.KindConst:
-			// Public constants carry no secret: λ = 0, and everyone can
-			// form the canonical zero ciphertext (the empty TEval).
-			ct, err := te.Eval(r.rt.TPK, nil, nil)
+	// Local: λ-ciphertexts for linear gates, depth by depth. A Const's λ is
+	// 0, the empty sum.
+	for d := 0; d <= r.p.circ.Depth(); d++ {
+		for _, gi := range r.p.circ.LinearAt(d) {
+			terms, _ := gates[gi].Terms()
+			ct, err := r.rt.EvalTerms(terms, r.wireCt)
 			if err != nil {
 				return err
 			}
-			r.wireCt[g.Out] = ct
-		case circuit.KindAdd:
-			ct, err := te.Eval(r.rt.TPK, []tte.Ciphertext{r.wireCt[g.A], r.wireCt[g.B]},
-				[]*big.Int{big.NewInt(1), big.NewInt(1)})
-			if err != nil {
-				return err
-			}
-			r.wireCt[g.Out] = ct
-		case circuit.KindSub:
-			// λ^a − λ^b encoded as λ^a + (p−1)·λ^b (mod p).
-			ct, err := te.Eval(r.rt.TPK, []tte.Ciphertext{r.wireCt[g.A], r.wireCt[g.B]},
-				[]*big.Int{big.NewInt(1), pm1})
-			if err != nil {
-				return err
-			}
-			r.wireCt[g.Out] = ct
-		case circuit.KindConstMul:
-			ct, err := te.Eval(r.rt.TPK, []tte.Ciphertext{r.wireCt[g.A]},
-				[]*big.Int{committee.FieldCoeff(g.Const)})
-			if err != nil {
-				return err
-			}
-			r.wireCt[g.Out] = ct
+			r.wireCt[gates[gi].Out] = ct
 		}
 	}
 
-	muls := r.mulGateIndices()
+	muls := r.p.circ.MulGates()
 	if len(muls) == 0 {
 		// Still hand tsk onward: OffDec only reshares.
 		_, err := r.offDecSpeak(nil)
 		return err
 	}
 	ones := committee.Ones(2)
+	pm1 := new(big.Int).SetUint64(field.Modulus - 1)
 
 	// ε/δ ciphertexts per mul gate — independent per gate, slot-indexed so
 	// the opened order is identical to the serial path.

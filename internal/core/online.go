@@ -59,7 +59,7 @@ func (r *run) online(inputs map[int][]field.Element) (map[int][]field.Element, e
 	if err != nil {
 		return nil, fmt.Errorf("input: %w", err)
 	}
-	r.propagateLinear()
+	r.propagateLinear(0)
 
 	// Multiplication layers.
 	for l := 0; l < depth; l++ {
@@ -70,7 +70,7 @@ func (r *run) online(inputs map[int][]field.Element) (map[int][]field.Element, e
 		if err != nil {
 			return nil, fmt.Errorf("layer %d: %w", l+1, err)
 		}
-		r.propagateLinear()
+		r.propagateLinear(l + 1)
 	}
 
 	// Output.
@@ -282,41 +282,20 @@ func (r *run) onlineInput(inputs map[int][]field.Element) error {
 			return fmt.Errorf("%w: client %d input rejected", ErrNotEnough, client)
 		}
 		for j, gi := range inGates {
-			w := gates[gi].Out
-			r.mu[w] = mus[j]
-			r.muKnown[w] = true
+			r.mu[gates[gi].Out] = mus[j]
 		}
 	}
 	return nil
 }
 
-// propagateLinear computes μ for linear gates whose inputs are known — the
-// "anyone can locally add μ's" rule.
-func (r *run) propagateLinear() {
-	for _, g := range r.p.circ.Gates() {
-		switch g.Kind {
-		case circuit.KindConst:
-			// v = Const and λ = 0, so μ = Const, publicly known upfront.
-			if !r.muKnown[g.Out] {
-				r.mu[g.Out] = g.Const
-				r.muKnown[g.Out] = true
-			}
-		case circuit.KindAdd:
-			if r.muKnown[g.A] && r.muKnown[g.B] && !r.muKnown[g.Out] {
-				r.mu[g.Out] = r.mu[g.A].Add(r.mu[g.B])
-				r.muKnown[g.Out] = true
-			}
-		case circuit.KindSub:
-			if r.muKnown[g.A] && r.muKnown[g.B] && !r.muKnown[g.Out] {
-				r.mu[g.Out] = r.mu[g.A].Sub(r.mu[g.B])
-				r.muKnown[g.Out] = true
-			}
-		case circuit.KindConstMul:
-			if r.muKnown[g.A] && !r.muKnown[g.Out] {
-				r.mu[g.Out] = g.Const.Mul(r.mu[g.A])
-				r.muKnown[g.Out] = true
-			}
-		}
+// propagateLinear computes μ for the linear gates of depth d — the "anyone
+// can locally add μ's" rule, applied once the inputs (d = 0) or layer d are
+// public. μ = v − λ is linear in the gate's inputs like v and λ are, and a
+// Const has λ = 0, so its μ is its value.
+func (r *run) propagateLinear(d int) {
+	gates := r.p.circ.Gates()
+	for _, gi := range r.p.circ.LinearAt(d) {
+		r.mu[gates[gi].Out] = gates[gi].EvalLinear(r.mu)
 	}
 }
 
@@ -349,9 +328,6 @@ func (r *run) onlineLayer(l int) error {
 		muRight[bi] = make([]field.Element, b.k)
 		for j, gi := range b.Gates {
 			g := gates[gi]
-			if !r.muKnown[g.A] || !r.muKnown[g.B] {
-				return fmt.Errorf("core: layer %d gate %d inputs not yet public", l+1, gi)
-			}
 			muLeft[bi][j] = r.mu[g.A]
 			muRight[bi][j] = r.mu[g.B]
 		}
@@ -440,9 +416,7 @@ func (r *run) onlineLayer(l int) error {
 			return fmt.Errorf("batch %d: %w", bi, err)
 		}
 		for j, gi := range b.Gates {
-			w := gates[gi].Out
-			r.mu[w] = muGamma[j]
-			r.muKnown[w] = true
+			r.mu[gates[gi].Out] = muGamma[j]
 		}
 	}
 	return nil
@@ -511,9 +485,6 @@ func (r *run) onlineOutput() (map[int][]field.Element, error) {
 		cts := make([]tte.Ciphertext, len(outGates))
 		for j, gi := range outGates {
 			wires[j] = gates[gi].A
-			if !r.muKnown[wires[j]] {
-				return nil, fmt.Errorf("core: output wire %d has no public μ", wires[j])
-			}
 			cts[j] = r.wireCt[wires[j]]
 		}
 		lists = append(lists, openList{cts: cts, widths: slotpack.Expand(r.lists.Outputs[ci]), key: r.clients[client].PublicKey()})

@@ -179,8 +179,7 @@ type run struct {
 	layerOpen [][][]group
 
 	// public μ values per wire
-	mu      []field.Element
-	muKnown []bool
+	mu []field.Element
 
 	// rootSp is the whole-run span (nil when tracing is disabled — every
 	// use is a nil-receiver no-op).

@@ -254,7 +254,9 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 }
 
 // Baseline predicts the CDN-style baseline's (internal/baseline) byte
-// counts for an all-honest run.
+// counts for an all-honest run. It takes the k = 1 shape, where
+// BatchesPerLayer[l] counts the multiplications of layer l+1: ShapeOf(c, n,
+// t, 1) for a circuit, or a FreshShape with BatchesPerLayer set to its muls.
 func Baseline(n, t int, shape Shape, z Sizes) Phases {
 	envP := int64(z.PKEOverhead + z.Partial)
 	envS := int64(z.PKEOverhead + z.SubShare)
@@ -282,8 +284,7 @@ func Baseline(n, t int, shape Shape, z Sizes) Phases {
 	// client with inputs.
 	online += int64(shape.Inputs)*int64(z.Ciphertext) + int64(shape.InputClients)*int64(z.Proof)
 	// Each layer: 2 partials per gate per role + resharing + proof.
-	mulsPerLayer := perLayerMuls(shape)
-	for _, lm := range mulsPerLayer {
+	for _, lm := range shape.BatchesPerLayer {
 		online += N*(2*int64(lm)*int64(z.Partial)+key+N*envS) + N*int64(z.Proof)
 	}
 	// Output committee: one envelope per output per role + proof.
@@ -298,31 +299,4 @@ func keyIf(envelopes, key int64) int64 {
 		return key
 	}
 	return 0
-}
-
-// perLayerMuls recovers the per-layer gate counts from BatchesPerLayer
-// when the shape was extracted with k=1, or approximates by distributing
-// Muls across Depth otherwise. For exact baseline predictions extract the
-// shape with ShapeOf(c, 1).
-func perLayerMuls(shape Shape) []int {
-	out := make([]int, len(shape.BatchesPerLayer))
-	copy(out, shape.BatchesPerLayer)
-	sum := 0
-	for _, v := range out {
-		sum += v
-	}
-	if sum == shape.Muls {
-		return out
-	}
-	// Approximate: spread evenly.
-	if shape.Depth == 0 {
-		return nil
-	}
-	out = make([]int, shape.Depth)
-	rem := shape.Muls
-	for i := range out {
-		out[i] = rem / (shape.Depth - i)
-		rem -= out[i]
-	}
-	return out
 }

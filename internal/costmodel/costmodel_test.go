@@ -176,19 +176,6 @@ func TestShapeOf(t *testing.T) {
 	}
 }
 
-func TestPerLayerMulsApprox(t *testing.T) {
-	// Shape extracted with k>1 falls back to even distribution.
-	s := Shape{Muls: 10, Depth: 3, BatchesPerLayer: []int{2, 2, 2}}
-	out := perLayerMuls(s)
-	sum := 0
-	for _, v := range out {
-		sum += v
-	}
-	if sum != 10 || len(out) != 3 {
-		t.Errorf("perLayerMuls = %v", out)
-	}
-}
-
 func TestModelScalingShape(t *testing.T) {
 	// The model must show the paper's asymptotics under its amortization
 	// assumption (each role processes O(n) values, i.e. width ∝ n·k):

@@ -73,26 +73,27 @@ func (b *bounds) packed(sum *big.Int) *big.Int {
 func ListsOf(c *circuit.Circuit, n, t, k int) Lists {
 	b := newBounds(n, t)
 	gates := c.Gates()
+	// An input or multiplication output wire is fresh; a linear one is its
+	// gate's terms applied to their wires' bounds, depth by depth.
 	wire := make([]*big.Int, c.NumWires())
-	var ls Lists
-	for _, g := range gates {
-		switch g.Kind {
-		case circuit.KindInput:
-			wire[g.Out] = b.fresh
-		case circuit.KindConst:
-			wire[g.Out] = new(big.Int)
-		case circuit.KindAdd:
-			wire[g.Out] = new(big.Int).Add(wire[g.A], wire[g.B])
-		case circuit.KindSub:
-			s := new(big.Int).Mul(b.pm1, wire[g.B])
-			wire[g.Out] = s.Add(s, wire[g.A])
-		case circuit.KindConstMul:
-			wire[g.Out] = new(big.Int).Mul(new(big.Int).SetUint64(g.Const.Uint64()), wire[g.A])
-		case circuit.KindMul:
-			wire[g.Out] = b.fresh
-			ls.EpsDelta = appendRun(ls.EpsDelta, b.opening(wire[g.A]).BitLen())
-			ls.EpsDelta = appendRun(ls.EpsDelta, b.opening(wire[g.B]).BitLen())
+	for w := range wire {
+		wire[w] = b.fresh
+	}
+	for d := 0; d <= c.Depth(); d++ {
+		for _, gi := range c.LinearAt(d) {
+			terms, _ := gates[gi].Terms()
+			sum := new(big.Int)
+			for _, term := range terms {
+				sum.Add(sum, new(big.Int).Mul(term.Coeff.Big(), wire[term.Wire]))
+			}
+			wire[gates[gi].Out] = sum
 		}
+	}
+	var ls Lists
+	for _, gi := range c.MulGates() {
+		g := gates[gi]
+		ls.EpsDelta = appendRun(ls.EpsDelta, b.opening(wire[g.A]).BitLen())
+		ls.EpsDelta = appendRun(ls.EpsDelta, b.opening(wire[g.B]).BitLen())
 	}
 	for _, client := range c.Clients() {
 		var in, out []Run
