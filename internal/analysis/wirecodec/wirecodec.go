@@ -16,8 +16,8 @@
 //     pinning the size model against silent format drift.
 //
 // The stream halves (io.WriterTo/io.ReaderFrom) are required of no type:
-// the repo has one stream reader, boardd's Entry framing, so a stream
-// codec anywhere else would have no caller.
+// the repo has one stream reader, wire.ReadFrame, and every message is
+// decoded from a frame's body, so a stream codec would have no caller.
 //
 // Independently, board publication calls (Post/Publish/Broadcast in the
 // board-facing packages) must not be fed text dressed up as wire bytes: a

@@ -125,7 +125,6 @@ type Circuit struct {
 // Errors returned by the builder and evaluator.
 var (
 	ErrNoOutputs   = errors.New("circuit: no output gates")
-	ErrBadWire     = errors.New("circuit: wire does not exist")
 	ErrMissingData = errors.New("circuit: missing client input")
 )
 
@@ -263,15 +262,6 @@ func (c *Circuit) NumWires() int { return c.numWires }
 
 // NumMul returns the number of multiplication gates.
 func (c *Circuit) NumMul() int { return len(c.mulGates) }
-
-// NumLinear returns the number of free (add/sub/constmul/const) gates.
-func (c *Circuit) NumLinear() int {
-	n := 0
-	for _, gates := range c.linearAt {
-		n += len(gates)
-	}
-	return n
-}
 
 // Depth returns the multiplicative depth of the circuit.
 func (c *Circuit) Depth() int { return len(c.mulAt) }

@@ -495,3 +495,12 @@ func TestMembershipIndicator(t *testing.T) {
 		t.Error("accepted m=0")
 	}
 }
+
+// NumLinear returns the number of free (add/sub/constmul/const) gates.
+func (c *Circuit) NumLinear() int {
+	n := 0
+	for _, gates := range c.linearAt {
+		n += len(gates)
+	}
+	return n
+}

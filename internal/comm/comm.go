@@ -35,7 +35,6 @@ type Category string
 const (
 	CatBeaver    Category = "beaver-triples"
 	CatLambda    Category = "wire-randomness"
-	CatPacking   Category = "packing-helpers"
 	CatPartial   Category = "partial-decryptions"
 	CatReshare   Category = "key-resharing"
 	CatReencrypt Category = "re-encryptions"

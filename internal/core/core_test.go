@@ -737,11 +737,16 @@ func TestFreshMasksAcrossRuns(t *testing.T) {
 		for _, p := range proto.Board().Entries(0) {
 			if p.Category == comm.CatInput {
 				// A client's posting is its μ bundle: one element per input.
-				vals, err := field.VecFromBytes(p.Payload, len(p.Payload)/field.ElementSize)
-				if err != nil || len(p.Payload)%field.ElementSize != 0 {
-					t.Fatalf("posting %d is not a μ bundle: %d bytes, %v", p.Seq, len(p.Payload), err)
+				if len(p.Payload)%field.ElementSize != 0 {
+					t.Fatalf("posting %d is not a μ bundle: %d bytes", p.Seq, len(p.Payload))
 				}
-				mus = append(mus, vals...)
+				for off := 0; off < len(p.Payload); off += field.ElementSize {
+					v, err := field.FromBytes(p.Payload[off:])
+					if err != nil {
+						t.Fatalf("posting %d is not a μ bundle: %v", p.Seq, err)
+					}
+					mus = append(mus, v)
+				}
 			}
 		}
 		return mus

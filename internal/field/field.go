@@ -126,9 +126,6 @@ func (e Element) Mul(o Element) Element {
 // Square returns e² mod p.
 func (e Element) Square() Element { return e.Mul(e) }
 
-// Double returns 2e mod p.
-func (e Element) Double() Element { return e.Add(e) }
-
 // Pow returns e^exp mod p by square-and-multiply.
 func (e Element) Pow(exp uint64) Element {
 	result := One

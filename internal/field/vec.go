@@ -5,51 +5,11 @@ import "fmt"
 // Vector operations. These are used pervasively by the packed secret-sharing
 // layer, where k secrets travel together as one vector.
 
-// AddVec returns the element-wise sum a + b. Panics if lengths differ, since
-// mismatched vector lengths indicate a programming error in batch layout.
-func AddVec(a, b []Element) []Element {
-	mustSameLen("AddVec", a, b)
-	out := make([]Element, len(a))
-	for i := range a {
-		out[i] = a[i].Add(b[i])
-	}
-	return out
-}
-
-// SubVec returns the element-wise difference a - b.
-func SubVec(a, b []Element) []Element {
-	mustSameLen("SubVec", a, b)
-	out := make([]Element, len(a))
-	for i := range a {
-		out[i] = a[i].Sub(b[i])
-	}
-	return out
-}
-
-// MulVec returns the element-wise (Schur) product a * b.
-func MulVec(a, b []Element) []Element {
-	mustSameLen("MulVec", a, b)
-	out := make([]Element, len(a))
-	for i := range a {
-		out[i] = a[i].Mul(b[i])
-	}
-	return out
-}
-
 // ScalarMulVec returns c·a element-wise.
 func ScalarMulVec(c Element, a []Element) []Element {
 	out := make([]Element, len(a))
 	for i := range a {
 		out[i] = c.Mul(a[i])
-	}
-	return out
-}
-
-// NegVec returns -a element-wise.
-func NegVec(a []Element) []Element {
-	out := make([]Element, len(a))
-	for i := range a {
-		out[i] = a[i].Neg()
 	}
 	return out
 }
@@ -118,22 +78,6 @@ func AppendVecBytes(dst []byte, a []Element) []byte {
 		dst = v.AppendBytes(dst)
 	}
 	return dst
-}
-
-// VecFromBytes decodes n elements from buf.
-func VecFromBytes(buf []byte, n int) ([]Element, error) {
-	if len(buf) < n*ElementSize {
-		return nil, fmt.Errorf("field: short vector encoding: %d bytes for %d elements", len(buf), n)
-	}
-	out := make([]Element, n)
-	for i := 0; i < n; i++ {
-		e, err := FromBytes(buf[i*ElementSize:])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = e
-	}
-	return out, nil
 }
 
 func mustSameLen(op string, a, b []Element) {

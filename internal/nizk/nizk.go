@@ -22,7 +22,6 @@ import (
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
-	"errors"
 	"fmt"
 )
 
@@ -67,15 +66,6 @@ func NewAuthority() (*Authority, error) {
 	return a, nil
 }
 
-// MustNewAuthority is NewAuthority panicking on randomness failure.
-func MustNewAuthority() *Authority {
-	a, err := NewAuthority()
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // Attest issues a proof for the statement. The protocol runtime calls this
 // only on behalf of roles that executed the relation honestly; a deviating
 // role cannot obtain a verifying proof (knowledge soundness, by fiat of the
@@ -112,9 +102,6 @@ func (a *Authority) Verify(statement []byte, p Proof) bool {
 	want := a.Attest(statement)
 	return hmac.Equal(want.data[:32], p.data[:32])
 }
-
-// ErrBadProof is the generic verification failure.
-var ErrBadProof = errors.New("nizk: proof does not verify")
 
 // Statement is a helper for building canonical statement encodings: a
 // domain-separated SHA-256 accumulator.

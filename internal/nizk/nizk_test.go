@@ -150,3 +150,12 @@ func BenchmarkAttest(b *testing.B) {
 		a.Attest(st)
 	}
 }
+
+// MustNewAuthority is NewAuthority panicking on randomness failure.
+func MustNewAuthority() *Authority {
+	a, err := NewAuthority()
+	if err != nil {
+		panic(err)
+	}
+	return a
+}

@@ -173,22 +173,6 @@ func keyFromPrimes(p, q, m *big.Int) (*PrivateKey, error) {
 	}, nil
 }
 
-// RandomUnit samples r uniformly from Z*_N.
-func (pk *PublicKey) RandomUnit(random io.Reader) (*big.Int, error) {
-	for {
-		r, err := rand.Int(random, pk.N)
-		if err != nil {
-			return nil, fmt.Errorf("paillier: sampling unit: %w", err)
-		}
-		if r.Sign() == 0 {
-			continue
-		}
-		if new(big.Int).GCD(nil, nil, r, pk.N).Cmp(one) == 0 {
-			return r, nil
-		}
-	}
-}
-
 // EncryptWithNonce encrypts m ∈ [0, N) with caller-supplied randomness
 // r ∈ Z*_N: (1+N)^m = 1 + mN times one full-width r^N exponentiation. It
 // is the reference the randomizer path is pinned to: Encrypt's output is

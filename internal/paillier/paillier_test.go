@@ -3,6 +3,8 @@ package paillier
 import (
 	"crypto/rand"
 	"errors"
+	"fmt"
+	"io"
 	"math/big"
 	"testing"
 )
@@ -330,4 +332,49 @@ func TestDJDLogDirect(t *testing.T) {
 	if _, err := sk.L(big.NewInt(2)); !errors.Is(err, ErrDecryption) {
 		t.Errorf("L(2): err = %v, want ErrDecryption", err)
 	}
+}
+
+// RandomUnit samples r uniformly from Z*_N.
+func (pk *PublicKey) RandomUnit(random io.Reader) (*big.Int, error) {
+	for {
+		r, err := rand.Int(random, pk.N)
+		if err != nil {
+			return nil, fmt.Errorf("paillier: sampling unit: %w", err)
+		}
+		if r.Sign() == 0 {
+			continue
+		}
+		if new(big.Int).GCD(nil, nil, r, pk.N).Cmp(one) == 0 {
+			return r, nil
+		}
+	}
+}
+
+var fixedSafePrimes384 = []string{
+	"cac00c87a4612bebe56131d1133f978dba3b4c89df8814eb899cbc875f6aa1be9398dd3f145d5148ce38354391a98813",
+	"cae5d4cef7a63d94d7e5f7c4365ea6f6fa9687bd10101d1f015ceccd23c840d505207b7d630e843c049571dba688f9f7",
+	"e0fb1cad46ffe27b91d49f3858c99b4dfdf0513194ec7f185a04f5c2ebdb9b13ef3e07d54319176354d5a021d95f6897",
+	"cc6ad26d65233c08601e7d6bef91a1511d76d16ea4968b00e67504d8bbac8ecac28fc1c907926ef8ac6851026006da93",
+}
+
+// FixedTestKey768 returns the i-th deterministic 768-bit safe-prime key
+// (i in {0, 1}). FOR TESTS AND DEMOS ONLY.
+func FixedTestKey768(i int) *PrivateKey {
+	if i < 0 || i >= 2 {
+		panic(fmt.Sprintf("paillier: fixed 768-bit test key index %d out of range", i))
+	}
+	fixedKeyMu.Lock()
+	defer fixedKeyMu.Unlock()
+	idx := 100 + i
+	if k, ok := fixedKeyCache[idx]; ok {
+		return k
+	}
+	p := mustHex(fixedSafePrimes384[2*i])
+	q := mustHex(fixedSafePrimes384[2*i+1])
+	k, err := NewKeyFromSafePrimes(p, q)
+	if err != nil {
+		panic(fmt.Sprintf("paillier: fixed 768-bit test key %d: %v", i, err))
+	}
+	fixedKeyCache[idx] = k
+	return k
 }

@@ -21,13 +21,6 @@ var fixedSafePrimes256 = []string{
 	"f4bd2d3b26dbb8bda32d9bb6cfb7a2c9c3b7cfddc5c646b26206c294c6ee28bf",
 }
 
-var fixedSafePrimes384 = []string{
-	"cac00c87a4612bebe56131d1133f978dba3b4c89df8814eb899cbc875f6aa1be9398dd3f145d5148ce38354391a98813",
-	"cae5d4cef7a63d94d7e5f7c4365ea6f6fa9687bd10101d1f015ceccd23c840d505207b7d630e843c049571dba688f9f7",
-	"e0fb1cad46ffe27b91d49f3858c99b4dfdf0513194ec7f185a04f5c2ebdb9b13ef3e07d54319176354d5a021d95f6897",
-	"cc6ad26d65233c08601e7d6bef91a1511d76d16ea4968b00e67504d8bbac8ecac28fc1c907926ef8ac6851026006da93",
-}
-
 var fixedSafePrimes1024 = []string{
 	"e5ad3c6f9c04d7c5b1cac6094d6d6acd768cfd24c36569b22d59480f5a995175dd64c9f97662fa0e5a82051953f9616457be79455d005ead91759bc62ef3913caa49351544b79622d53cdbf8ed858262bd33623b2a6572f23090c36669c38aec08b546aa39470ad0f979a2c8487310631ed8011ce6366442e78efb00900c3433",
 	"f90ed59e24b01f3093f348d7c36fabb044c6916439dc5957f15788d4f59efd440ec2de346619c015164a411dcf103fb532fdddec1671b5bc0a745f3e620b7b70cb2469b7b7f20cbdc579ed6774f97c7dc1b9be4fd2481a4fd98617ca62f0036de73530a7adf09001c9220bc41a392b3366ae4127600547c731a19ce0d3a653cb",
@@ -59,28 +52,6 @@ func FixedTestKey(i int) *PrivateKey {
 		panic(fmt.Sprintf("paillier: fixed test key %d: %v", i, err))
 	}
 	fixedKeyCache[i] = k
-	return k
-}
-
-// FixedTestKey768 returns the i-th deterministic 768-bit safe-prime key
-// (i in {0, 1}). FOR TESTS AND DEMOS ONLY.
-func FixedTestKey768(i int) *PrivateKey {
-	if i < 0 || i >= 2 {
-		panic(fmt.Sprintf("paillier: fixed 768-bit test key index %d out of range", i))
-	}
-	fixedKeyMu.Lock()
-	defer fixedKeyMu.Unlock()
-	idx := 100 + i
-	if k, ok := fixedKeyCache[idx]; ok {
-		return k
-	}
-	p := mustHex(fixedSafePrimes384[2*i])
-	q := mustHex(fixedSafePrimes384[2*i+1])
-	k, err := NewKeyFromSafePrimes(p, q)
-	if err != nil {
-		panic(fmt.Sprintf("paillier: fixed 768-bit test key %d: %v", i, err))
-	}
-	fixedKeyCache[idx] = k
 	return k
 }
 

@@ -61,19 +61,6 @@ func interpolateNewton(xs, ys []field.Element) (Polynomial, error) {
 	return New(coeffs), nil
 }
 
-// InterpolateDistinct is Interpolate for callers whose point sets are
-// distinct by construction (e.g. the packed-sharing geometry of slot
-// points 0,-1,... and share indices 1..n): it skips the per-call
-// distinctness map. A duplicate still fails closed with
-// ErrDuplicatePoint — it is detected as a zero divided-difference
-// denominator rather than up front.
-func InterpolateDistinct(xs, ys []field.Element) (Polynomial, error) {
-	if len(xs) != len(ys) {
-		return Polynomial{}, fmt.Errorf("poly: interpolate: %d points vs %d values", len(xs), len(ys))
-	}
-	return interpolateNewton(xs, ys)
-}
-
 // BarycentricWeights returns the weights w_i = 1/Π_{j≠i}(x_i - x_j) of
 // the point set xs — the precomputation behind O(n)-per-point Lagrange
 // coefficient rows (EvalCoeffsFromWeights). O(n²) multiplications and a

@@ -2,6 +2,7 @@ package poly
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -183,4 +184,17 @@ func sizeName(n int) string {
 		return "n=1024"
 	}
 	return "n=?"
+}
+
+// InterpolateDistinct is Interpolate for callers whose point sets are
+// distinct by construction (e.g. the packed-sharing geometry of slot
+// points 0,-1,... and share indices 1..n): it skips the per-call
+// distinctness map. A duplicate still fails closed with
+// ErrDuplicatePoint — it is detected as a zero divided-difference
+// denominator rather than up front.
+func InterpolateDistinct(xs, ys []field.Element) (Polynomial, error) {
+	if len(xs) != len(ys) {
+		return Polynomial{}, fmt.Errorf("poly: interpolate: %d points vs %d values", len(xs), len(ys))
+	}
+	return interpolateNewton(xs, ys)
 }

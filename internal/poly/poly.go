@@ -95,15 +95,6 @@ func (p Polynomial) Eval(x field.Element) field.Element {
 	return acc
 }
 
-// EvalMany evaluates p at every point in xs.
-func (p Polynomial) EvalMany(xs []field.Element) []field.Element {
-	out := make([]field.Element, len(xs))
-	for i, x := range xs {
-		out[i] = p.Eval(x)
-	}
-	return out
-}
-
 // Add returns p + q.
 func (p Polynomial) Add(q Polynomial) Polynomial {
 	longer, shorter := p.coeffs, q.coeffs
@@ -248,19 +239,6 @@ func LagrangeCoeffs(xs []field.Element, at field.Element) ([]field.Element, erro
 		coeffs[i] = nums[i].Mul(invs[i])
 	}
 	return coeffs, nil
-}
-
-// EvalAt interpolates through (xs, ys) and evaluates at `at` directly,
-// without constructing the polynomial. O(len(xs)²).
-func EvalAt(xs, ys []field.Element, at field.Element) (field.Element, error) {
-	if len(xs) != len(ys) {
-		return field.Zero, fmt.Errorf("poly: evalAt: %d points vs %d values", len(xs), len(ys))
-	}
-	coeffs, err := LagrangeCoeffs(xs, at)
-	if err != nil {
-		return field.Zero, err
-	}
-	return field.InnerProduct(coeffs, ys), nil
 }
 
 func checkDistinct(xs []field.Element) error {

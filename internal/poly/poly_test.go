@@ -1,6 +1,7 @@
 package poly
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -257,4 +258,26 @@ func BenchmarkLagrangeCoeffs64(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// EvalMany evaluates p at every point in xs.
+func (p Polynomial) EvalMany(xs []field.Element) []field.Element {
+	out := make([]field.Element, len(xs))
+	for i, x := range xs {
+		out[i] = p.Eval(x)
+	}
+	return out
+}
+
+// EvalAt interpolates through (xs, ys) and evaluates at `at` directly,
+// without constructing the polynomial. O(len(xs)²).
+func EvalAt(xs, ys []field.Element, at field.Element) (field.Element, error) {
+	if len(xs) != len(ys) {
+		return field.Zero, fmt.Errorf("poly: evalAt: %d points vs %d values", len(xs), len(ys))
+	}
+	coeffs, err := LagrangeCoeffs(xs, at)
+	if err != nil {
+		return field.Zero, err
+	}
+	return field.InnerProduct(coeffs, ys), nil
 }

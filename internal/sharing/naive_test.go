@@ -127,9 +127,9 @@ func ReconstructPackedNaive(shares []Share, d, k int) ([]field.Element, error) {
 // (direct Lagrange evaluation), pinned against the domain row by the
 // differential tests.
 func constantPackedShareNaive(c []field.Element, index int) (Share, error) {
-	v, err := poly.EvalAt(SlotPoints(len(c)), c, ShareIndexPoint(index))
+	coeffs, err := poly.LagrangeCoeffs(SlotPoints(len(c)), ShareIndexPoint(index))
 	if err != nil {
 		return Share{}, err
 	}
-	return Share{Index: index, Value: v}, nil
+	return Share{Index: index, Value: field.InnerProduct(coeffs, c)}, nil
 }

@@ -108,12 +108,6 @@ func SharePacked(secrets []field.Element, d, n int) ([]Share, error) {
 	return dom.shareWith(secrets, rnd), nil
 }
 
-// ShareStandard produces a degree-d standard Shamir sharing of one secret
-// (stored at x = 0) for parties 1..n.
-func ShareStandard(secret field.Element, d, n int) ([]Share, error) {
-	return SharePacked([]field.Element{secret}, d, n)
-}
-
 // ReconstructPacked recovers the k packed secrets from at least d+1 shares of
 // a degree-d sharing. If more than d+1 shares are provided, the extras are
 // used as a consistency check and ErrInconsistentShares is returned when any
@@ -169,15 +163,6 @@ func ReconstructPacked(shares []Share, d, k int) ([]field.Element, error) {
 	return secrets, nil
 }
 
-// ReconstructStandard recovers a single secret from a degree-d sharing.
-func ReconstructStandard(shares []Share, d int) (field.Element, error) {
-	secrets, err := ReconstructPacked(shares, d, 1)
-	if err != nil {
-		return field.Zero, err
-	}
-	return secrets[0], nil
-}
-
 // ConstantPacked returns the degree-(k-1) packed sharing of a public vector c:
 // the unique polynomial of degree k-1 through the slots. Every party can
 // compute its own share locally — this is the multiplication-friendliness
@@ -215,36 +200,4 @@ func ConstantPackedShare(c []field.Element, index int) (Share, error) {
 		return Share{}, err
 	}
 	return cd.Share(c, index)
-}
-
-// AddShares returns the share-wise sum of two sharings held by the same
-// party set — the linear homomorphism [[x+y]]_d = [[x]]_d + [[y]]_d.
-func AddShares(a, b []Share) ([]Share, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("sharing: add: %d vs %d shares", len(a), len(b))
-	}
-	out := make([]Share, len(a))
-	for i := range a {
-		if a[i].Index != b[i].Index {
-			return nil, fmt.Errorf("sharing: add: index mismatch at %d: %d vs %d", i, a[i].Index, b[i].Index)
-		}
-		out[i] = Share{Index: a[i].Index, Value: a[i].Value.Add(b[i].Value)}
-	}
-	return out, nil
-}
-
-// MulShares returns the share-wise product — the degree-additive
-// multiplication [[x*y]]_{d1+d2} = [[x]]_{d1} * [[y]]_{d2}.
-func MulShares(a, b []Share) ([]Share, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("sharing: mul: %d vs %d shares", len(a), len(b))
-	}
-	out := make([]Share, len(a))
-	for i := range a {
-		if a[i].Index != b[i].Index {
-			return nil, fmt.Errorf("sharing: mul: index mismatch at %d: %d vs %d", i, a[i].Index, b[i].Index)
-		}
-		out[i] = Share{Index: a[i].Index, Value: a[i].Value.Mul(b[i].Value)}
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package sharing
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -142,8 +143,8 @@ func TestLinearHomomorphism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !field.EqualVec(got, field.AddVec(a, b)) {
-		t.Errorf("[[a]]+[[b]] reconstructed %v, want %v", got, field.AddVec(a, b))
+	if want := secretsOf(11, 22, 33); !field.EqualVec(got, want) {
+		t.Errorf("[[a]]+[[b]] reconstructed %v, want %v", got, want)
 	}
 }
 
@@ -170,8 +171,8 @@ func TestMultiplicativeHomomorphism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !field.EqualVec(got, field.MulVec(x, y)) {
-		t.Errorf("[[x]]*[[y]] reconstructed %v, want %v", got, field.MulVec(x, y))
+	if want := secretsOf(33, 65, 119); !field.EqualVec(got, want) {
+		t.Errorf("[[x]]*[[y]] reconstructed %v, want %v", got, want)
 	}
 }
 
@@ -199,8 +200,8 @@ func TestPublicVectorMultiplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !field.EqualVec(got, field.MulVec(c, x)) {
-		t.Errorf("c*[[x]] = %v, want %v", got, field.MulVec(c, x))
+	if want := secretsOf(200, 800, 1800); !field.EqualVec(got, want) {
+		t.Errorf("c*[[x]] = %v, want %v", got, want)
 	}
 }
 
@@ -323,3 +324,50 @@ func TestSlotPoints(t *testing.T) {
 // bench_test.go, where the cached domain engine and the seed naive path
 // are measured side by side at n ∈ {64, 256, 1024}: they are E12's
 // generator (EXPERIMENTS.md).
+
+// ShareStandard produces a degree-d standard Shamir sharing of one secret
+// (stored at x = 0) for parties 1..n.
+func ShareStandard(secret field.Element, d, n int) ([]Share, error) {
+	return SharePacked([]field.Element{secret}, d, n)
+}
+
+// ReconstructStandard recovers a single secret from a degree-d sharing.
+func ReconstructStandard(shares []Share, d int) (field.Element, error) {
+	secrets, err := ReconstructPacked(shares, d, 1)
+	if err != nil {
+		return field.Zero, err
+	}
+	return secrets[0], nil
+}
+
+// AddShares returns the share-wise sum of two sharings held by the same
+// party set — the linear homomorphism [[x+y]]_d = [[x]]_d + [[y]]_d.
+func AddShares(a, b []Share) ([]Share, error) {
+	if len(a) != len(b) {
+		return nil, fmt.Errorf("sharing: add: %d vs %d shares", len(a), len(b))
+	}
+	out := make([]Share, len(a))
+	for i := range a {
+		if a[i].Index != b[i].Index {
+			return nil, fmt.Errorf("sharing: add: index mismatch at %d: %d vs %d", i, a[i].Index, b[i].Index)
+		}
+		out[i] = Share{Index: a[i].Index, Value: a[i].Value.Add(b[i].Value)}
+	}
+	return out, nil
+}
+
+// MulShares returns the share-wise product — the degree-additive
+// multiplication [[x*y]]_{d1+d2} = [[x]]_{d1} * [[y]]_{d2}.
+func MulShares(a, b []Share) ([]Share, error) {
+	if len(a) != len(b) {
+		return nil, fmt.Errorf("sharing: mul: %d vs %d shares", len(a), len(b))
+	}
+	out := make([]Share, len(a))
+	for i := range a {
+		if a[i].Index != b[i].Index {
+			return nil, fmt.Errorf("sharing: mul: index mismatch at %d: %d vs %d", i, a[i].Index, b[i].Index)
+		}
+		out[i] = Share{Index: a[i].Index, Value: a[i].Value.Mul(b[i].Value)}
+	}
+	return out, nil
+}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding"
 	"fmt"
 	"io"
@@ -11,13 +12,14 @@ import (
 
 // Entry is the one board record — what a Board stores, what observers see
 // and what travels on the wire — carrying the real encoded payload bytes.
-// Layout (big-endian, docs/WIRE.md):
+// It travels as one frame (big-endian, docs/WIRE.md):
 //
-//	u8 version | u32 seq | str8 from | str8 phase | str8 category |
-//	trace context | u32 payload len | payload
+//	u8 version | u32 body length | u32 seq | str8 from | str8 phase |
+//	str8 category | trace context | payload
 //
-// Size is derived — always len(Payload) — and is therefore measured, not
-// claimed; it is kept as a field so auditors and the CLI read one number.
+// The payload is the rest of the body. Size is derived — always
+// len(Payload) — and is therefore measured, not claimed; it is kept as a
+// field so auditors and the CLI read one number.
 type Entry struct {
 	// Seq is the global sequence number, assigned by the board.
 	Seq int
@@ -39,43 +41,29 @@ type Entry struct {
 
 // EncodedSize returns the exact encoded length in bytes.
 func (e Entry) EncodedSize() int {
-	return 1 + 4 + 1 + len(e.From) + 1 + len(e.Phase) + 1 + len(e.Category) +
-		e.Trace.EncodedSize() + 4 + len(e.Payload)
+	return wire.FrameHeaderLen + 4 + e.fieldsLen() + len(e.Payload)
 }
 
-// appendHeader appends the frame up to and including the payload length
-// prefix — the shared body of MarshalBinary and WriteTo, which differ only
-// in whether the payload bytes follow in the same buffer.
-func (e Entry) appendHeader(dst []byte) []byte {
-	dst = append(dst, wire.Version)
-	dst = wire.AppendUint32(dst, uint32(e.Seq))
+// fieldsLen is the encoded length of the fields an entry frame and a post
+// frame share (appendFields).
+func (e *Entry) fieldsLen() int {
+	return 1 + len(e.From) + 1 + len(e.Phase) + 1 + len(e.Category) + e.Trace.EncodedSize()
+}
+
+// appendFields appends the fields an entry frame and a post frame share,
+// after their own leading fields and before the payload: str8 from |
+// str8 phase | str8 category | trace context.
+func (e *Entry) appendFields(dst []byte) []byte {
 	dst = wire.AppendString8(dst, e.From)
 	dst = wire.AppendString8(dst, string(e.Phase))
 	dst = wire.AppendString8(dst, string(e.Category))
-	dst = e.Trace.appendTo(dst)
-	return wire.AppendUint32(dst, uint32(len(e.Payload)))
+	return e.Trace.appendTo(dst)
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (e Entry) MarshalBinary() ([]byte, error) {
-	out := e.appendHeader(make([]byte, 0, e.EncodedSize()))
-	return append(out, e.Payload...), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. The encoding must
-// consume the whole buffer.
-func (e *Entry) UnmarshalBinary(data []byte) error {
-	if len(data) < 1 {
-		return fmt.Errorf("%w: empty entry", wire.ErrMalformed)
-	}
-	if data[0] != wire.Version {
-		return fmt.Errorf("%w: entry version %d, want %d", wire.ErrMalformed, data[0], wire.Version)
-	}
-	seq, rest, err := wire.Uint32(data[1:])
-	if err != nil {
-		return err
-	}
-	from, rest, err := wire.String8(rest)
+// decodeFields decodes appendFields' fields from the front of data and
+// takes the rest as the payload: a view of data, not a copy.
+func (e *Entry) decodeFields(data []byte) error {
+	from, rest, err := wire.String8(data)
 	if err != nil {
 		return err
 	}
@@ -88,19 +76,59 @@ func (e *Entry) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	var tc TraceContext
-	rest, err = tc.consume(rest)
-	if err != nil {
+	if rest, err = tc.consume(rest); err != nil {
 		return err
 	}
-	payload, rest, err := wire.Bytes32(rest)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after entry", wire.ErrMalformed, len(rest))
-	}
-	*e = Entry{Seq: int(seq), From: from, Phase: comm.Phase(phase), Category: comm.Category(cat), Trace: tc, Size: len(payload), Payload: payload}
+	*e = Entry{From: from, Phase: comm.Phase(phase), Category: comm.Category(cat), Trace: tc, Size: len(rest), Payload: rest}
 	return nil
+}
+
+// appendHeader appends the frame up to the payload — the shared body of
+// MarshalBinary and WriteTo, which differ only in whether the payload
+// bytes follow in the same buffer.
+func (e Entry) appendHeader(dst []byte) []byte {
+	dst = wire.AppendFrameHeader(dst, e.EncodedSize()-wire.FrameHeaderLen)
+	dst = wire.AppendUint32(dst, uint32(e.Seq))
+	return e.appendFields(dst)
+}
+
+// decode decodes an entry from a frame's body (wire.ReadFrame). The
+// payload is a view of body, so a reader that reuses body's buffer lends
+// the entry out rather than keeping it.
+func (e *Entry) decode(body []byte) error {
+	seq, rest, err := wire.Uint32(body)
+	if err != nil {
+		return err
+	}
+	if err := e.decodeFields(rest); err != nil {
+		return err
+	}
+	e.Seq = int(seq)
+	return nil
+}
+
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (e Entry) MarshalBinary() ([]byte, error) {
+	out := e.appendHeader(make([]byte, 0, e.EncodedSize()))
+	return append(out, e.Payload...), nil
+}
+
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. The encoding must
+// be exactly one frame. The frame goes through the stream reader like any
+// other, so the entry's payload is a view of a fresh copy, not of data.
+func (e *Entry) UnmarshalBinary(data []byte) error {
+	r := bytes.NewReader(data)
+	body, err := wire.ReadFrame(r, nil)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("%w: truncated entry: %w", wire.ErrMalformed, err)
+	}
+	if err != nil {
+		return err
+	}
+	if r.Len() != 0 {
+		return fmt.Errorf("%w: %d trailing bytes after entry", wire.ErrMalformed, r.Len())
+	}
+	return e.decode(body)
 }
 
 // WriteTo implements io.WriterTo. It writes the same bytes as
@@ -116,70 +144,8 @@ func (e Entry) WriteTo(w io.Writer) (int64, error) {
 	return int64(n + m), err
 }
 
-// ReadFrom implements io.ReaderFrom, reading exactly one entry frame. A
-// clean EOF before the version byte returns io.EOF; an EOF mid-frame
-// returns io.ErrUnexpectedEOF.
-func (e *Entry) ReadFrom(r io.Reader) (int64, error) {
-	return e.readFrom(r, nil)
-}
-
-// readFrom is ReadFrom reading the payload into buf's storage
-// (wire.ReadBytes32Into): a reader that passes the previous entry's
-// Payload back in reuses one buffer from entry to entry. A nil buf gives
-// the entry a payload of its own.
-func (e *Entry) readFrom(r io.Reader, buf []byte) (int64, error) {
-	var ver [1]byte
-	n, err := io.ReadFull(r, ver[:])
-	if err != nil {
-		return int64(n), err
-	}
-	if ver[0] != wire.Version {
-		return int64(n), fmt.Errorf("%w: entry version %d, want %d", wire.ErrMalformed, ver[0], wire.Version)
-	}
-	fail := func(m int, err error) (int64, error) {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return int64(n + m), err
-	}
-	seq, m, err := wire.ReadUint32(r)
-	n += m
-	if err != nil {
-		return fail(0, err)
-	}
-	from, m, err := wire.ReadString8(r)
-	n += m
-	if err != nil {
-		return fail(0, err)
-	}
-	phase, m, err := wire.ReadString8(r)
-	n += m
-	if err != nil {
-		return fail(0, err)
-	}
-	cat, m, err := wire.ReadString8(r)
-	n += m
-	if err != nil {
-		return fail(0, err)
-	}
-	var tc TraceContext
-	m64, err := tc.ReadFrom(r)
-	n += int(m64)
-	if err != nil {
-		return fail(0, err)
-	}
-	payload, m, err := wire.ReadBytes32Into(r, buf)
-	n += m
-	if err != nil {
-		return fail(0, err)
-	}
-	*e = Entry{Seq: int(seq), From: from, Phase: comm.Phase(phase), Category: comm.Category(cat), Trace: tc, Size: len(payload), Payload: payload}
-	return int64(n), nil
-}
-
 var (
 	_ encoding.BinaryMarshaler   = Entry{}
 	_ encoding.BinaryUnmarshaler = (*Entry)(nil)
 	_ io.WriterTo                = Entry{}
-	_ io.ReaderFrom              = (*Entry)(nil)
 )

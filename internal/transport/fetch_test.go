@@ -81,7 +81,7 @@ func TestFetchSnapshot(t *testing.T) {
 }
 
 // A peer's announced entry count is a claim, not an allocation size: a
-// 5-byte reply announcing 2^30 entries and then hanging up is a short read.
+// 9-byte reply announcing 2^30 entries and then hanging up is a short read.
 // (Preallocating the announced count killed the process with an
 // unrecoverable runtime out-of-memory error.)
 func TestFetchHostileCountIsAShortRead(t *testing.T) {
@@ -96,9 +96,8 @@ func TestFetchHostileCountIsAShortRead(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		req := make([]byte, 6)
-		_, _ = io.ReadFull(conn, req)
-		_, _ = conn.Write(wire.AppendUint32([]byte{wire.Version}, 1<<30))
+		_, _ = wire.ReadFrame(conn, nil) // the dump request
+		_, _ = conn.Write(wire.AppendUint32(wire.AppendFrameHeader(nil, 4), 1<<30))
 	}()
 	if _, err := Fetch(ln.Addr().String(), 0); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("Fetch of a hostile count = %v, want io.ErrUnexpectedEOF", err)

@@ -31,12 +31,6 @@ type Manifest struct {
 	Quorum int
 }
 
-// Speaker returns the role name of member i (1-based), the From string its
-// board posts carry.
-func (m Manifest) Speaker(i int) string {
-	return fmt.Sprintf("%s/%d", m.Committee, i)
-}
-
 // EncodedSize returns the exact encoded length in bytes.
 func (m Manifest) EncodedSize() int {
 	return 1 + 1 + len(m.Committee) + 1 + len(m.Phase) + 4 + 4

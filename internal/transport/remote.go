@@ -21,23 +21,28 @@ import (
 // A networked bulletin-board service: a Board behind a TCP listener. A
 // Server accepts connections speaking the binary protocol of docs/WIRE.md
 // and appends accepted posts to its board through the same path as an
-// in-process Post. Every frame starts with the wire version byte and an
-// opcode:
+// in-process Post. Every message, in both directions, is one frame,
+// u8 version | u32 body length | body, read by wire.ReadFrame. A request
+// body starts with an opcode:
 //
-//	post: ver | 0x01 | str8 from | str8 phase | str8 category |
-//	      trace context | u32 claimed size | u32 payload len | payload
-//	  → ver | status (0 ok: u32 seq; 1 err: u32 len | message)
-//	tail: ver | 0x02 | u32 since
+//	post: 0x01 | u32 claimed size | str8 from | str8 phase |
+//	      str8 category | trace context | payload
+//	  → status 0x00 | u32 seq, or status 0x01 | message
+//	tail: 0x02 | u32 since
 //	  → a stream of Entry frames, first the backlog from `since`, then
 //	    live posts — every Seq once and in order — until either side
 //	    closes
-//	dump: ver | 0x03 | u32 since
-//	  → ver | u32 count | count × Entry — a one-shot snapshot, then the
-//	    connection stays usable for further requests
+//	dump: 0x03 | u32 since
+//	  → u32 count, then count Entry frames — a one-shot snapshot, then
+//	    the connection stays usable for further requests
 //
-// The payload is the message's real binary encoding; the server meters the
-// *measured* payload length and rejects posts whose claimed size disagrees,
-// so a poster cannot influence the byte accounting by lying. The trace
+// The payload is the rest of the body: the message's real binary
+// encoding. The server meters the *measured* payload length and rejects
+// posts whose claimed size disagrees, so a poster cannot influence the
+// byte accounting by lying. A frame the server can read but not decode
+// is answered with an error, like any rejected post, and the connection
+// stays usable; only a frame it cannot read (another version, over-long,
+// cut short) ends the connection. The trace
 // context travels with the post, but its RecvUS field is authoritative
 // only after the server overwrites it with its own receive clock — the
 // shared timeline trace merging aligns against. A Mirror forwards an
@@ -88,7 +93,7 @@ type Server struct {
 //	transport.posts         counter    accepted post requests
 //	transport.post_bytes    histogram  measured posting sizes
 //	transport.post_ns       histogram  post handling latency
-//	transport.post_rejects  counter    rejected posts (size mismatch, malformed)
+//	transport.post_rejects  counter    refused frames (size mismatch, malformed, unreadable)
 //	transport.tail_write_ns histogram  tail delivery latency per flushed batch (writes + flush)
 //	transport.tail_lag_max  gauge      largest batch one tail wake-up wrote
 //	transport.conn_reaps    counter    dead tail connections reaped
@@ -179,95 +184,86 @@ func (s *Server) handle(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
 	for {
-		var hdr [2]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		// A fresh buffer per frame: an accepted post's payload is a view of
+		// it, and the board keeps it.
+		body, err := wire.ReadFrame(br, nil)
+		if err != nil {
+			if err != io.EOF {
+				// Past a frame it cannot read, the stream is out of step.
+				s.rejects.Inc()
+				writeAnswer(bw, 0, err)
+			}
 			return
 		}
-		if hdr[0] != wire.Version {
-			s.writeErr(bw, fmt.Sprintf("unsupported wire version %d", hdr[0]))
-			return
+		var op byte
+		if len(body) > 0 {
+			op, body = body[0], body[1:]
 		}
-		switch hdr[1] {
+		var seq int
+		switch op {
 		case opPost:
-			req, err := readPostRequest(br)
-			if err != nil {
-				// The stream is not trustworthy past a malformed frame.
-				s.rejects.Inc()
-				s.writeErr(bw, err.Error())
-				return
+			var e Entry
+			if e, err = decodePost(body); err == nil {
+				seq, err = s.post(e)
 			}
-			seq, err := s.post(req)
-			if err != nil {
-				s.rejects.Inc()
-				if !s.writeErr(bw, err.Error()) {
-					return
-				}
-				continue
+		case opTail, opDump:
+			var since uint32
+			if since, err = decodeUint32(body); err != nil {
+				break
 			}
-			if !s.writeOK(bw, seq) {
-				return
-			}
-		case opTail:
-			since, _, err := wire.ReadUint32(br)
-			if err != nil {
-				return
-			}
-			s.tail(conn, bw, int(since))
-			return // tail owns the connection until shutdown
-		case opDump:
-			since, _, err := wire.ReadUint32(br)
-			if err != nil {
-				return
+			if op == opTail {
+				s.tail(conn, bw, int(since))
+				return // tail owns the connection until shutdown
 			}
 			if !s.dump(bw, int(since)) {
 				return
 			}
+			continue
 		default:
-			s.writeErr(bw, fmt.Sprintf("unknown op %d", hdr[1]))
+			err = fmt.Errorf("unknown op %d", op)
+		}
+		if err != nil {
+			s.rejects.Inc()
+		}
+		if !writeAnswer(bw, seq, err) {
 			return
 		}
 	}
 }
 
-// postRequest is a decoded post frame.
-type postRequest struct {
-	from, phase, category string
-	trace                 TraceContext
-	claimed               int
-	payload               []byte
-}
-
-func readPostRequest(br *bufio.Reader) (postRequest, error) {
-	var req postRequest
-	var err error
-	if req.from, _, err = wire.ReadString8(br); err != nil {
-		return req, fmt.Errorf("reading poster: %w", err)
-	}
-	if req.phase, _, err = wire.ReadString8(br); err != nil {
-		return req, fmt.Errorf("reading phase: %w", err)
-	}
-	if req.category, _, err = wire.ReadString8(br); err != nil {
-		return req, fmt.Errorf("reading category: %w", err)
-	}
-	if _, err = req.trace.ReadFrom(br); err != nil {
-		return req, fmt.Errorf("reading trace context: %w", err)
-	}
-	claimed, _, err := wire.ReadUint32(br)
+// decodePost decodes a post request's body after its opcode. A claimed
+// size that disagrees with the measured payload is a protocol violation,
+// not a rounding error: the post is refused.
+func decodePost(body []byte) (Entry, error) {
+	claimed, rest, err := wire.Uint32(body)
 	if err != nil {
-		return req, fmt.Errorf("reading claimed size: %w", err)
+		return Entry{}, err
 	}
-	req.claimed = int(claimed)
-	if req.payload, _, err = wire.ReadBytes32(br); err != nil {
-		return req, fmt.Errorf("reading payload: %w", err)
+	var e Entry
+	if err := e.decodeFields(rest); err != nil {
+		return Entry{}, err
 	}
-	return req, nil
+	if int(claimed) != e.Size {
+		return Entry{}, fmt.Errorf("claimed size %d disagrees with measured payload size %d", claimed, e.Size)
+	}
+	return e, nil
 }
 
-// dump writes a one-shot snapshot response: ver | u32 count | Entry×count.
+// decodeUint32 decodes a body that is one u32: a tail or dump request's
+// since, after its opcode, and a dump's entry count.
+func decodeUint32(body []byte) (uint32, error) {
+	v, rest, err := wire.Uint32(body)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%w: %d trailing bytes after u32", wire.ErrMalformed, len(rest))
+	}
+	return v, err
+}
+
+// dump writes a one-shot snapshot response: the count frame, then the
+// entry frames.
 func (s *Server) dump(bw *bufio.Writer, since int) bool {
 	entries := s.Entries(since)
-	hdr := make([]byte, 0, 5)
-	hdr = append(hdr, wire.Version)
+	hdr := wire.AppendFrameHeader(make([]byte, 0, wire.FrameHeaderLen+4), 4)
 	hdr = wire.AppendUint32(hdr, uint32(len(entries)))
 	if _, err := bw.Write(hdr); err != nil {
 		return false
@@ -280,49 +276,54 @@ func (s *Server) dump(bw *bufio.Writer, since int) bool {
 	return bw.Flush() == nil
 }
 
-func (s *Server) writeOK(bw *bufio.Writer, seq int) bool {
-	buf := make([]byte, 0, 6)
-	buf = append(buf, wire.Version, statusOK)
-	buf = wire.AppendUint32(buf, uint32(seq))
-	if _, err := bw.Write(buf); err != nil {
+// writeAnswer writes and flushes the answer to one post frame: seq when
+// err is nil, and err's message otherwise.
+func writeAnswer(bw *bufio.Writer, seq int, err error) bool {
+	if _, err := bw.Write(appendAnswer(nil, seq, err)); err != nil {
 		return false
 	}
 	return bw.Flush() == nil
 }
 
-func (s *Server) writeErr(bw *bufio.Writer, msg string) bool {
-	buf := make([]byte, 0, 6+len(msg))
-	buf = append(buf, wire.Version, statusErr)
-	buf = wire.AppendBytes32(buf, []byte(msg))
-	if _, err := bw.Write(buf); err != nil {
-		return false
+// appendAnswer appends a post answer frame: status ok and the entry's Seq
+// when err is nil, status err and err's message otherwise.
+func appendAnswer(dst []byte, seq int, err error) []byte {
+	if err != nil {
+		msg := err.Error()
+		return append(append(wire.AppendFrameHeader(dst, 1+len(msg)), statusErr), msg...)
 	}
-	return bw.Flush() == nil
+	return wire.AppendUint32(append(wire.AppendFrameHeader(dst, 1+4), statusOK), uint32(seq))
 }
 
-func (s *Server) post(req postRequest) (int, error) {
-	if req.from == "" {
+// decodeAnswer decodes a post answer's body: the entry's Seq, or the
+// server's rejection wrapped in errRejected.
+func decodeAnswer(body []byte) (int, error) {
+	if len(body) == 0 {
+		return 0, fmt.Errorf("%w: empty post answer", wire.ErrMalformed)
+	}
+	switch body[0] {
+	case statusOK:
+		seq, err := decodeUint32(body[1:])
+		return int(seq), err
+	case statusErr:
+		return 0, fmt.Errorf("%w: %s", errRejected, body[1:])
+	default:
+		return 0, fmt.Errorf("%w: post answer status %d", wire.ErrMalformed, body[0])
+	}
+}
+
+// post appends an accepted post to the board and returns its Seq.
+func (s *Server) post(e Entry) (int, error) {
+	if e.From == "" {
 		return 0, errors.New("missing poster")
-	}
-	// The measured encoded length is authoritative; a disagreeing claim is
-	// a protocol violation, not a rounding error.
-	if req.claimed != len(req.payload) {
-		return 0, fmt.Errorf("claimed size %d disagrees with measured payload size %d",
-			req.claimed, len(req.payload))
 	}
 	var start time.Time
 	if s.postNS != nil {
 		start = time.Now()
 	}
-	seq := s.append(Entry{
-		From:     req.from,
-		Phase:    comm.Phase(req.phase),
-		Category: comm.Category(req.category),
-		Trace:    req.trace,
-		Payload:  req.payload,
-	}, false)
+	seq := s.append(e, false)
 	s.postCount.Inc()
-	s.postBytes.Observe(float64(len(req.payload)))
+	s.postBytes.Observe(float64(len(e.Payload)))
 	if s.postNS != nil {
 		s.postNS.Observe(float64(time.Since(start)))
 	}
@@ -415,8 +416,8 @@ func (c *Client) PostCtx(from string, phase comm.Phase, cat comm.Category, paylo
 	defer c.mu.Unlock()
 	// The frame goes out as its header and then the caller's payload slice
 	// as is: the payload is never copied into a frame buffer.
-	hdr := appendPostHeader(make([]byte, 0, 2+1+len(from)+1+len(phase)+1+len(cat)+tc.EncodedSize()+8),
-		from, phase, cat, tc, len(payload))
+	e := Entry{From: from, Phase: phase, Category: cat, Trace: tc, Payload: payload}
+	hdr := appendPostHeader(make([]byte, 0, wire.FrameHeaderLen+1+4+e.fieldsLen()), &e)
 	// c.mu stays held across the write, flush and read: it pairs each post
 	// frame with its own answer, so replies cannot interleave across posters.
 	if _, err := c.bw.Write(hdr); err != nil {
@@ -428,53 +429,31 @@ func (c *Client) PostCtx(from string, phase comm.Phase, cat comm.Category, paylo
 	if err := c.bw.Flush(); err != nil {
 		return 0, fmt.Errorf("transport: posting: %w", err)
 	}
-	return readPostResponse(c.br)
+	return readAnswer(c.br)
 }
 
-// appendPostHeader appends a post frame up to and including its payload
-// length — everything but the payload, which the writer sends after it as
-// is. It is the one post-frame encoder, shared by Client.PostCtx and a
-// Mirror's writer.
-func appendPostHeader(dst []byte, from string, phase comm.Phase, cat comm.Category, tc TraceContext, size int) []byte {
-	dst = append(dst, wire.Version, opPost)
-	dst = wire.AppendString8(dst, from)
-	dst = wire.AppendString8(dst, string(phase))
-	dst = wire.AppendString8(dst, string(cat))
-	dst = tc.appendTo(dst)
-	dst = wire.AppendUint32(dst, uint32(size))  // claimed size
-	return wire.AppendUint32(dst, uint32(size)) // payload length
+// appendPostHeader appends e's post frame up to its payload — everything
+// but the payload, which the writer sends after it as is. It is the one
+// post-frame encoder, shared by Client.PostCtx and a Mirror's writer.
+func appendPostHeader(dst []byte, e *Entry) []byte {
+	dst = wire.AppendFrameHeader(dst, 1+4+e.fieldsLen()+len(e.Payload))
+	dst = append(dst, opPost)
+	dst = wire.AppendUint32(dst, uint32(len(e.Payload))) // claimed size
+	return e.appendFields(dst)
 }
 
 // errRejected wraps a post the server answered with an error. The answer
-// stream stays in step after it, unlike after any other error
-// readPostResponse returns.
+// stream stays in step after it, unlike after any other error readAnswer
+// returns.
 var errRejected = errors.New("transport: board rejected post")
 
-// readPostResponse reads the server's answer to one post frame.
-func readPostResponse(br *bufio.Reader) (int, error) {
-	var hdr [2]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, fmt.Errorf("transport: reading post response: %w", err)
+// readAnswer reads the server's answer to one post frame.
+func readAnswer(br *bufio.Reader) (int, error) {
+	body, err := wire.ReadFrame(br, nil)
+	if err != nil {
+		return 0, fmt.Errorf("transport: reading post answer: %w", err)
 	}
-	if hdr[0] != wire.Version {
-		return 0, fmt.Errorf("transport: post response version %d, want %d", hdr[0], wire.Version)
-	}
-	switch hdr[1] {
-	case statusOK:
-		seq, _, err := wire.ReadUint32(br)
-		if err != nil {
-			return 0, fmt.Errorf("transport: reading post response: %w", err)
-		}
-		return int(seq), nil
-	case statusErr:
-		msg, _, err := wire.ReadBytes32(br)
-		if err != nil {
-			return 0, fmt.Errorf("transport: reading post error: %w", err)
-		}
-		return 0, fmt.Errorf("%w: %s", errRejected, msg)
-	default:
-		return 0, fmt.Errorf("transport: post response status %d", hdr[1])
-	}
+	return decodeAnswer(body)
 }
 
 // Close closes the connection.
@@ -491,7 +470,7 @@ func request(addr string, op byte, since int) (net.Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dialing board %s: %w", addr, err)
 	}
-	req := wire.AppendUint32([]byte{wire.Version, op}, uint32(max(since, 0)))
+	req := wire.AppendUint32(append(wire.AppendFrameHeader(nil, 1+4), op), uint32(max(since, 0)))
 	if _, err := conn.Write(req); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("transport: sending request: %w", err)
@@ -509,14 +488,11 @@ func Fetch(addr string, since int) ([]Entry, error) {
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	var ver [1]byte
-	if _, err := io.ReadFull(br, ver[:]); err != nil {
+	body, err := wire.ReadFrame(br, nil)
+	if err != nil {
 		return nil, fmt.Errorf("transport: reading dump response: %w", err)
 	}
-	if ver[0] != wire.Version {
-		return nil, fmt.Errorf("transport: dump response version %d, want %d", ver[0], wire.Version)
-	}
-	count, _, err := wire.ReadUint32(br)
+	count, err := decodeUint32(body)
 	if err != nil {
 		return nil, fmt.Errorf("transport: reading dump count: %w", err)
 	}
@@ -525,15 +501,20 @@ func Fetch(addr string, since int) ([]Entry, error) {
 	}
 	// The count is the peer's claim, not a fact: preallocate for at most a
 	// modest dump and let append grow the slice as entries actually arrive,
-	// so a 5-byte reply announcing 2^30 entries is a short read, not an
+	// so a 9-byte reply announcing 2^30 entries is a short read, not an
 	// out-of-memory abort.
 	entries := make([]Entry, 0, min(count, 1<<12))
 	for i := 0; i < int(count); i++ {
+		// Each entry keeps its frame: its payload is a view of it.
+		body, err := wire.ReadFrame(br, nil)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		var e Entry
-		if _, err := e.ReadFrom(br); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
+		if err == nil {
+			err = e.decode(body)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("transport: reading dump entry %d/%d: %w", i, count, err)
 		}
 		entries = append(entries, e)
@@ -586,7 +567,11 @@ func TailFuncEnd(addr string, since int, fn func(*Entry), end func()) (stop func
 		var e Entry
 		var buf []byte
 		for {
-			if _, err := e.readFrom(br, buf); err != nil {
+			body, err := wire.ReadFrame(br, buf)
+			if err == nil {
+				err = e.decode(body)
+			}
+			if err != nil {
 				select {
 				case <-stopped:
 					// Voluntary stop: stop closed the connection under
@@ -600,7 +585,7 @@ func TailFuncEnd(addr string, since int, fn func(*Entry), end func()) (stop func
 				}
 				return
 			}
-			buf = e.Payload
+			buf = body
 			fn(&e)
 		}
 	}()
@@ -717,7 +702,7 @@ func (m *Mirror) forward(next int) {
 			// keeps the poster's process, span and send time; the server
 			// replaces RecvUS with its own clock.
 			e := &entries[i]
-			hdr = appendPostHeader(hdr[:0], e.From, e.Phase, e.Category, e.Trace, len(e.Payload))
+			hdr = appendPostHeader(hdr[:0], e)
 			if _, err = bw.Write(hdr); err == nil {
 				_, err = bw.Write(e.Payload)
 			}
@@ -743,7 +728,7 @@ func (m *Mirror) readAnswers(next int) {
 	br := bufio.NewReader(m.conn)
 	var err error
 	for {
-		if _, err = readPostResponse(br); err != nil && !errors.Is(err, errRejected) {
+		if _, err = readAnswer(br); err != nil && !errors.Is(err, errRejected) {
 			break
 		}
 		if err != nil {

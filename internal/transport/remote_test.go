@@ -65,40 +65,27 @@ func TestRemotePostAndLen(t *testing.T) {
 // rawPostFrame builds a post frame with an arbitrary claimed size — the
 // client API always claims len(payload), so lying requires a raw frame.
 func rawPostFrame(from, phase, cat string, claimed int, payload []byte) []byte {
-	buf := []byte{wire.Version, 0x01}
-	buf = wire.AppendString8(buf, from)
-	buf = wire.AppendString8(buf, phase)
-	buf = wire.AppendString8(buf, cat)
+	body := wire.AppendUint32([]byte{opPost}, uint32(claimed))
+	body = wire.AppendString8(body, from)
+	body = wire.AppendString8(body, phase)
+	body = wire.AppendString8(body, cat)
 	tc, _ := TraceContext{}.MarshalBinary()
-	buf = append(buf, tc...)
-	buf = wire.AppendUint32(buf, uint32(claimed))
-	return wire.AppendBytes32(buf, payload)
+	body = append(append(body, tc...), payload...)
+	return append(wire.AppendFrameHeader(nil, len(body)), body...)
 }
 
+// readRawResponse reads one answer frame and returns its status and the
+// rest of its body: the Seq, or the rejection message.
 func readRawResponse(t *testing.T, conn net.Conn) (status byte, rest []byte) {
 	t.Helper()
-	hdr := make([]byte, 2)
-	if _, err := io.ReadFull(conn, hdr); err != nil {
-		t.Fatalf("reading response header: %v", err)
+	body, err := wire.ReadFrame(conn, nil)
+	if err != nil {
+		t.Fatalf("reading response: %v", err)
 	}
-	if hdr[0] != wire.Version {
-		t.Fatalf("response version = %d", hdr[0])
+	if len(body) == 0 {
+		t.Fatal("empty response body")
 	}
-	buf := make([]byte, 4)
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		t.Fatalf("reading response body: %v", err)
-	}
-	if hdr[1] == statusErr {
-		// The u32 is the length of the rejection message; drain it so the
-		// next frame's response starts at a frame boundary.
-		n := int(buf[0])<<24 | int(buf[1])<<16 | int(buf[2])<<8 | int(buf[3])
-		msg := make([]byte, n)
-		if _, err := io.ReadFull(conn, msg); err != nil {
-			t.Fatalf("reading rejection message: %v", err)
-		}
-		return hdr[1], msg
-	}
-	return hdr[1], buf
+	return body[0], body[1:]
 }
 
 func TestRemotePostValidation(t *testing.T) {
@@ -159,6 +146,121 @@ func TestRemotePostClaimedSizeMismatchRejected(t *testing.T) {
 	}
 }
 
+// A frame is delimited by its length, so a post whose body does not
+// decode is refused like any other rejected post: answered with an error
+// and counted, and the connection stays usable for the next post.
+func TestRemotePostUndecodableBodyIsRejected(t *testing.T) {
+	s := startServer(t)
+	reg := telemetry.NewRegistry()
+	s.Instrument(reg)
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A whole frame whose poster field announces more bytes than the body
+	// holds.
+	body := wire.AppendUint32([]byte{opPost}, 0)
+	body = append(body, 200, 'r')
+	if _, err := conn.Write(append(wire.AppendFrameHeader(nil, len(body)), body...)); err != nil {
+		t.Fatal(err)
+	}
+	if status, msg := readRawResponse(t, conn); status != statusErr {
+		t.Fatalf("undecodable post got status %d (%q), want rejection", status, msg)
+	}
+	if got := reg.Snapshot().Counters["transport.post_rejects"]; got != 1 {
+		t.Errorf("transport.post_rejects = %d, want 1", got)
+	}
+	if _, err := conn.Write(rawPostFrame("honest", "offline", "beaver", 3, []byte{1, 2, 3})); err != nil {
+		t.Fatal(err)
+	}
+	if status, seq := readRawResponse(t, conn); status != statusOK || !bytes.Equal(seq, []byte{0, 0, 0, 0}) {
+		t.Errorf("honest post after the rejection: status=%d seq bytes=%v", status, seq)
+	}
+	if s.Len() != 1 {
+		t.Errorf("server holds %d entries, want the honest one", s.Len())
+	}
+}
+
+// A frame of another wire version is refused at its first byte, both
+// ways. The server answers a version 2 post, tail or dump request with an
+// error and closes the connection without waiting for the rest of the
+// frame; Client.Post, Fetch and TailFunc refuse a version 2 answer.
+func TestOtherVersionRefused(t *testing.T) {
+	s := startServer(t)
+	for name, op := range map[string]byte{"post": opPost, "tail": opTail, "dump": opDump} {
+		conn, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Only the head of a version 2 frame: a server that waited for the
+		// rest would never answer.
+		if _, err := conn.Write([]byte{2, op}); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if status, msg := readRawResponse(t, conn); status != statusErr || !strings.Contains(string(msg), "version 2") {
+			t.Errorf("%s: version 2 request got status %d (%q), want a version rejection", name, status, msg)
+		}
+		if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Errorf("%s: after the rejection the connection read %v, want io.EOF", name, err)
+		}
+		conn.Close()
+	}
+
+	// A peer that answers every request with a version 2 frame.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	defer func() {
+		ln.Close()
+		wg.Wait()
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			_, _ = wire.ReadFrame(conn, nil)
+			_, _ = conn.Write([]byte{2, statusOK, 0, 0, 0, 0})
+			conn.Close()
+		}
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Post("r", comm.PhaseOnline, comm.CatMu, []byte{1}); !errors.Is(err, wire.ErrMalformed) {
+		t.Errorf("Client.Post given a version 2 answer = %v, want wire.ErrMalformed", err)
+	}
+	if _, err := Fetch(ln.Addr().String(), 0); !errors.Is(err, wire.ErrMalformed) {
+		t.Errorf("Fetch given a version 2 answer = %v, want wire.ErrMalformed", err)
+	}
+	ended := make(chan struct{})
+	stop, err := TailFuncEnd(ln.Addr().String(), 0, func(e *Entry) {
+		t.Errorf("TailFunc delivered entry %d from a version 2 frame", e.Seq)
+	}, func() { close(ended) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-ended:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the tail did not end on a version 2 frame")
+	}
+	if err := stop(); !errors.Is(err, wire.ErrMalformed) {
+		t.Errorf("TailFunc given a version 2 frame: stop = %v, want wire.ErrMalformed", err)
+	}
+}
+
 // A post frame's payload length is the poster's claim: a 47-byte frame
 // announcing 1 GiB and then hanging up is a short read that costs the
 // handler about a megabyte, not the gigabyte it announced.
@@ -166,9 +268,8 @@ func TestHostilePostLengthIsAShortRead(t *testing.T) {
 	s := startServer(t)
 	reg := telemetry.NewRegistry()
 	s.Instrument(reg)
-	frame := rawPostFrame("r", "online", "mu", 0, nil)
-	binary.BigEndian.PutUint32(frame[len(frame)-8:], 1<<30) // claimed size
-	binary.BigEndian.PutUint32(frame[len(frame)-4:], 1<<30) // payload length
+	frame := rawPostFrame("r", "online", "mu", 1<<30, nil)
+	binary.BigEndian.PutUint32(frame[1:], 1<<30) // body length
 	if len(frame) != 47 {
 		t.Fatalf("frame is %d bytes, want 47", len(frame))
 	}
@@ -225,7 +326,7 @@ func TestClientPostAllocations(t *testing.T) {
 		}
 		defer conn.Close()
 		frame := make([]byte, frameLen)
-		ok := wire.AppendUint32([]byte{wire.Version, statusOK}, 0)
+		ok := appendAnswer(nil, 0, nil)
 		for {
 			if _, err := io.ReadFull(conn, frame); err != nil {
 				return
@@ -402,8 +503,7 @@ func TestTailSurfacesTerminalError(t *testing.T) {
 		}
 		// Consume the tail request, then send a truncated Entry frame and
 		// hang up mid-frame.
-		buf := make([]byte, 6)
-		_, _ = io.ReadFull(conn, buf)
+		_, _ = wire.ReadFrame(conn, nil)
 		e := Entry{Seq: 0, From: "r", Phase: "online", Category: "mu", Size: 4, Payload: []byte{1, 2, 3, 4}}
 		enc, _ := e.MarshalBinary()
 		_, _ = conn.Write(enc[:len(enc)-2])
@@ -459,8 +559,8 @@ func TestAttachMirror(t *testing.T) {
 func TestMirrorCountsForwardingFailures(t *testing.T) {
 	s := startServer(t)
 	const size, accepted, posted, late = 1 << 10, 5, 40, 2
-	frame := len(appendPostHeader(nil, "r", comm.PhaseOnline, comm.CatMu, TraceContext{}, size)) + size
-	answer := len(wire.AppendUint32([]byte{wire.Version, statusOK}, 0))
+	frame := len(rawPostFrame("r", string(comm.PhaseOnline), string(comm.CatMu), size, make([]byte, size)))
+	answer := len(appendAnswer(nil, 0, nil))
 	addr, proxyDone := dyingProxy(t, s.Addr(), int64(accepted*frame), int64(accepted*answer))
 	board := NewBoard(nil)
 	mirror, err := AttachMirror(board, addr)

@@ -16,6 +16,7 @@ import (
 
 	"yosompc/internal/comm"
 	"yosompc/internal/telemetry"
+	"yosompc/internal/wire"
 )
 
 // Regression: the Tail reader goroutine used to block forever on `out <- e`
@@ -84,7 +85,7 @@ func TestSlowTailerSeesEverySeq(t *testing.T) {
 	// Post while the consumer reads nothing.
 	const posts = 768
 	for i := 0; i < posts; i++ {
-		if _, err := s.post(postRequest{from: "r", phase: "online", category: "mu", claimed: 1, payload: []byte{0}}); err != nil {
+		if _, err := s.post(Entry{From: "r", Phase: "online", Category: "mu", Payload: []byte{0}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,8 +97,8 @@ func TestSlowTailerSeesEverySeq(t *testing.T) {
 	}
 	br := bufio.NewReader(cli)
 	for want := 0; want < posts; want++ {
-		var e Entry
-		if _, err := e.ReadFrom(br); err != nil {
+		e, err := readEntry(br)
+		if err != nil {
 			t.Fatalf("decode entry %d: %v", want, err)
 		}
 		if e.Seq != want {
@@ -106,11 +107,11 @@ func TestSlowTailerSeesEverySeq(t *testing.T) {
 	}
 
 	// The subscription must still be live for later posts.
-	if _, err := s.post(postRequest{from: "r", phase: "online", category: "mu", claimed: 1, payload: []byte{0}}); err != nil {
+	if _, err := s.post(Entry{From: "r", Phase: "online", Category: "mu", Payload: []byte{0}}); err != nil {
 		t.Fatal(err)
 	}
-	var e Entry
-	if _, err := e.ReadFrom(br); err != nil {
+	e, err := readEntry(br)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if e.Seq != posts {
@@ -175,6 +176,17 @@ func TestDeadTailerReapCounted(t *testing.T) {
 	}
 }
 
+// readEntry reads one entry frame from a tail stream.
+func readEntry(br *bufio.Reader) (Entry, error) {
+	body, err := wire.ReadFrame(br, nil)
+	if err != nil {
+		return Entry{}, err
+	}
+	var e Entry
+	err = e.decode(body)
+	return e, err
+}
+
 // waitParked waits until a tailer is parked on the server's board, waiting
 // for the log to grow.
 func waitParked(t *testing.T, s *Server) {
@@ -226,7 +238,7 @@ func TestTailCoalescesBurst(t *testing.T) {
 	// blocks and the rest pile up in the log behind it.
 	const posts = 64
 	for i := 0; i < posts; i++ {
-		if _, err := s.post(postRequest{from: "r", phase: "online", category: "mu", claimed: 1, payload: []byte{byte(i)}}); err != nil {
+		if _, err := s.post(Entry{From: "r", Phase: "online", Category: "mu", Payload: []byte{byte(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,8 +248,8 @@ func TestTailCoalescesBurst(t *testing.T) {
 	}
 	br := bufio.NewReader(cli)
 	for want := 0; want < posts; want++ {
-		var e Entry
-		if _, err := e.ReadFrom(br); err != nil {
+		e, err := readEntry(br)
+		if err != nil {
 			t.Fatalf("decode entry %d: %v", want, err)
 		}
 		if e.Seq != want || e.Payload[0] != byte(want) {
@@ -334,8 +346,7 @@ func TestTailFuncForgedLengthAfterGrowth(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		req := make([]byte, 6)
-		if _, err := io.ReadFull(conn, req); err != nil {
+		if _, err := wire.ReadFrame(conn, nil); err != nil { // the tail request
 			return
 		}
 		first, _ := Entry{From: "r", Phase: "online", Category: "mu", Payload: make([]byte, 1<<20)}.MarshalBinary()
@@ -344,7 +355,7 @@ func TestTailFuncForgedLengthAfterGrowth(t *testing.T) {
 		}
 		<-forge
 		forged, _ := Entry{Seq: 1, From: "r", Phase: "online", Category: "mu"}.MarshalBinary()
-		binary.BigEndian.PutUint32(forged[len(forged)-4:], 1<<30)
+		binary.BigEndian.PutUint32(forged[1:], 1<<30) // body length
 		_, _ = conn.Write(forged)
 	}()
 	ended := make(chan struct{})

@@ -3,7 +3,6 @@ package transport
 import (
 	"encoding"
 	"fmt"
-	"io"
 
 	"yosompc/internal/wire"
 )
@@ -91,41 +90,7 @@ func (tc *TraceContext) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// ReadFrom implements io.ReaderFrom, reading exactly one context. A clean
-// EOF before the first byte returns io.EOF; an EOF mid-field returns
-// io.ErrUnexpectedEOF.
-func (tc *TraceContext) ReadFrom(r io.Reader) (int64, error) {
-	proc, n, err := wire.ReadString8(r)
-	if err != nil {
-		return int64(n), err
-	}
-	fail := func(err error) (int64, error) {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return int64(n), err
-	}
-	span, m, err := wire.ReadUint64(r)
-	n += m
-	if err != nil {
-		return fail(err)
-	}
-	post, m, err := wire.ReadUint64(r)
-	n += m
-	if err != nil {
-		return fail(err)
-	}
-	recv, m, err := wire.ReadUint64(r)
-	n += m
-	if err != nil {
-		return fail(err)
-	}
-	*tc = TraceContext{Proc: proc, Span: span, PostUS: int64(post), RecvUS: int64(recv)}
-	return int64(n), nil
-}
-
 var (
 	_ encoding.BinaryMarshaler   = TraceContext{}
 	_ encoding.BinaryUnmarshaler = (*TraceContext)(nil)
-	_ io.ReaderFrom              = (*TraceContext)(nil)
 )

@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"errors"
-	"io"
 	"testing"
 
 	"yosompc/internal/wire"
@@ -46,18 +45,24 @@ func TestTraceContextStreamRoundTrip(t *testing.T) {
 		{Proc: "client-a", Span: 42, PostUS: 1722000000000000, RecvUS: 1722000000000123},
 		{Proc: "", Span: 0, PostUS: -5, RecvUS: 0}, // negative survives the u64 cast
 	}
-	var buf bytes.Buffer
+	var buf []byte
 	for _, tc := range in {
-		buf.Write(tc.appendTo(nil))
+		buf = tc.appendTo(buf)
 	}
+	// Back-to-back contexts delimit themselves: each consume stops where
+	// the next context starts.
 	for i, want := range in {
 		var got TraceContext
-		if _, err := got.ReadFrom(&buf); err != nil {
+		var err error
+		if buf, err = got.consume(buf); err != nil {
 			t.Fatalf("context %d: %v", i, err)
 		}
 		if got != want {
 			t.Errorf("context %d = %+v, want %+v", i, got, want)
 		}
+	}
+	if len(buf) != 0 {
+		t.Errorf("%d bytes left after the last context", len(buf))
 	}
 }
 
@@ -75,11 +80,6 @@ func TestTraceContextDecodeRejectsMalformed(t *testing.T) {
 		} else if name == "trailing" && !errors.Is(err, wire.ErrMalformed) {
 			t.Errorf("%s: err = %v, not wire.ErrMalformed", name, err)
 		}
-	}
-	// Mid-field EOF on a stream is io.ErrUnexpectedEOF, never a silent stop.
-	var tc TraceContext
-	if _, err := tc.ReadFrom(bytes.NewReader(good[:len(good)-1])); err != io.ErrUnexpectedEOF {
-		t.Errorf("mid-field stream EOF = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 

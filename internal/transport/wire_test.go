@@ -11,10 +11,10 @@ import (
 )
 
 // TestEntryGoldenWire pins the committed byte-exact frame layout
-// (docs/WIRE.md): u8 version | u32 seq | str8 from | str8 phase |
-// str8 category | trace context | u32 payload len | payload. Changing any
-// of these bytes is a wire-format break and must bump wire.Version (v2
-// added the trace-context field).
+// (docs/WIRE.md): u8 version | u32 body length | u32 seq | str8 from |
+// str8 phase | str8 category | trace context | payload. Changing any of
+// these bytes is a wire-format break and must bump wire.Version (v2 added
+// the trace-context field, v3 the body length).
 func TestEntryGoldenWire(t *testing.T) {
 	e := Entry{
 		Seq:      7,
@@ -26,7 +26,8 @@ func TestEntryGoldenWire(t *testing.T) {
 		Payload:  []byte{0xde, 0xad, 0xbe, 0xef},
 	}
 	golden := []byte{
-		0x02,                   // version
+		0x03,                   // version
+		0x00, 0x00, 0x00, 0x39, // body length
 		0x00, 0x00, 0x00, 0x07, // seq
 		0x06, 'o', 'f', 'f', '1', '/', '3', // from
 		0x07, 'o', 'f', 'f', 'l', 'i', 'n', 'e', // phase
@@ -35,8 +36,7 @@ func TestEntryGoldenWire(t *testing.T) {
 		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09, // trace: span
 		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0xe8, // trace: post_us
 		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0xdc, // trace: recv_us
-		0x00, 0x00, 0x00, 0x04, // payload length
-		0xde, 0xad, 0xbe, 0xef, // payload
+		0xde, 0xad, 0xbe, 0xef, // payload: the rest of the body
 	}
 	enc, err := e.MarshalBinary()
 	if err != nil {
@@ -74,8 +74,12 @@ func TestEntryStreamRoundTrip(t *testing.T) {
 		}
 	}
 	for i, want := range in {
+		body, err := wire.ReadFrame(&buf, nil)
 		var got Entry
-		if _, err := got.ReadFrom(&buf); err != nil {
+		if err == nil {
+			err = got.decode(body)
+		}
+		if err != nil {
 			t.Fatalf("entry %d: %v", i, err)
 		}
 		if got.Seq != want.Seq || got.From != want.From || got.Trace != want.Trace ||
@@ -83,8 +87,7 @@ func TestEntryStreamRoundTrip(t *testing.T) {
 			t.Errorf("entry %d = %+v, want %+v", i, got, want)
 		}
 	}
-	var extra Entry
-	if _, err := extra.ReadFrom(&buf); err != io.EOF {
+	if _, err := wire.ReadFrame(&buf, nil); err != io.EOF {
 		t.Errorf("read past stream end = %v, want io.EOF", err)
 	}
 }
@@ -106,15 +109,16 @@ func TestEntryDecodeRejectsMalformed(t *testing.T) {
 		}
 	}
 	// Mid-frame EOF on a stream is io.ErrUnexpectedEOF, never a silent stop.
-	var e Entry
-	if _, err := e.ReadFrom(bytes.NewReader(good[:len(good)-1])); err != io.ErrUnexpectedEOF {
+	if _, err := wire.ReadFrame(bytes.NewReader(good[:len(good)-1]), nil); err != io.ErrUnexpectedEOF {
 		t.Errorf("mid-frame stream EOF = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 
-// FuzzWireRoundTrip feeds arbitrary bytes through the Entry decoder: it
-// must never panic, and anything it accepts must re-encode to the exact
-// same bytes (a canonical encoding, so measured sizes are reproducible).
+// FuzzWireRoundTrip feeds arbitrary bytes through the Entry decoder, and
+// as a stream through wire.ReadFrame and the entry, post and answer
+// decoders: none may panic, and every frame a decoder accepts must
+// re-encode to the exact same bytes (a canonical encoding, so measured
+// sizes are reproducible).
 func FuzzWireRoundTrip(f *testing.F) {
 	seed, _ := Entry{Seq: 3, From: "off1/2", Phase: "offline", Category: "reshare",
 		Trace: TraceContext{Proc: "p", Span: 1, PostUS: 2, RecvUS: 3},
@@ -125,29 +129,72 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x02})
 	f.Add([]byte{0x02, 0xff, 0xff, 0xff, 0xff})
+	post := Entry{From: "on/1", Phase: "online", Category: "mu", Trace: TraceContext{Proc: "p"}, Payload: []byte{7, 8}}
+	stream := append(appendPostHeader(nil, &post), post.Payload...)
+	stream = appendAnswer(stream, 9, nil)
+	stream = appendAnswer(stream, 0, errors.New("missing poster"))
+	f.Add(append(stream, seed...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var e Entry
-		if err := e.UnmarshalBinary(data); err != nil {
-			return
+		if err := e.UnmarshalBinary(data); err == nil {
+			checkEntryFrame(t, e, data)
 		}
-		if e.Size != len(e.Payload) {
-			t.Fatalf("decoded Size %d != len(Payload) %d", e.Size, len(e.Payload))
-		}
-		re, err := e.MarshalBinary()
-		if err != nil {
-			t.Fatalf("re-encoding accepted entry: %v", err)
-		}
-		if !bytes.Equal(re, data) {
-			t.Fatalf("decode/encode not byte-identical:\n in %x\nout %x", data, re)
-		}
-		// The stream writer sends header and payload separately; the bytes
-		// must be MarshalBinary's.
-		var streamed bytes.Buffer
-		n, err := e.WriteTo(&streamed)
-		if err != nil || n != int64(len(re)) || !bytes.Equal(streamed.Bytes(), re) {
-			t.Fatalf("WriteTo (n=%d, err=%v) differs from MarshalBinary:\nstream %x\nmarshal %x", n, err, streamed.Bytes(), re)
+		r := bytes.NewReader(data)
+		for {
+			start := len(data) - r.Len()
+			body, err := wire.ReadFrame(r, nil)
+			if err != nil {
+				return
+			}
+			frame := data[start : len(data)-r.Len()]
+			if err := e.decode(body); err == nil {
+				checkEntryFrame(t, e, frame)
+			}
+			if len(body) > 0 && body[0] == opPost {
+				if e, err := decodePost(body[1:]); err == nil {
+					if re := append(appendPostHeader(nil, &e), e.Payload...); !bytes.Equal(re, frame) {
+						t.Fatalf("post decode/encode not byte-identical:\n in %x\nout %x", frame, re)
+					}
+				}
+			}
+			seq, err := decodeAnswer(body)
+			var re []byte
+			switch {
+			case err == nil:
+				re = appendAnswer(nil, seq, nil)
+			case errors.Is(err, errRejected):
+				re = appendAnswer(nil, 0, errors.New(string(body[1:])))
+			default:
+				continue
+			}
+			if !bytes.Equal(re, frame) {
+				t.Fatalf("answer decode/encode not byte-identical:\n in %x\nout %x", frame, re)
+			}
 		}
 	})
+}
+
+// checkEntryFrame checks that a decoded entry re-encodes to exactly the
+// frame it came from, through MarshalBinary and through WriteTo.
+func checkEntryFrame(t *testing.T, e Entry, frame []byte) {
+	t.Helper()
+	if e.Size != len(e.Payload) {
+		t.Fatalf("decoded Size %d != len(Payload) %d", e.Size, len(e.Payload))
+	}
+	re, err := e.MarshalBinary()
+	if err != nil {
+		t.Fatalf("re-encoding accepted entry: %v", err)
+	}
+	if !bytes.Equal(re, frame) {
+		t.Fatalf("decode/encode not byte-identical:\n in %x\nout %x", frame, re)
+	}
+	// The stream writer sends header and payload separately; the bytes
+	// must be MarshalBinary's.
+	var streamed bytes.Buffer
+	n, err := e.WriteTo(&streamed)
+	if err != nil || n != int64(len(re)) || !bytes.Equal(streamed.Bytes(), re) {
+		t.Fatalf("WriteTo (n=%d, err=%v) differs from MarshalBinary:\nstream %x\nmarshal %x", n, err, streamed.Bytes(), re)
+	}
 }
 
 // WriteTo sends the payload slice itself: streaming a 64 KiB posting

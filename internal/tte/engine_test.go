@@ -223,7 +223,8 @@ func BenchmarkEncrypt(b *testing.B) {
 		b.Fatal(err)
 	}
 	m, bound := big.NewInt(123456789), big.NewInt(1<<30)
-	r, err := s.dealer.RandomUnit(rand.Reader)
+	// A uniform r in Z_N is a unit except with negligible probability.
+	r, err := rand.Int(rand.Reader, s.dealer.N)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,24 +9,35 @@ import (
 	"testing"
 )
 
-// TestGoldenLayout pins the byte-level layout of every field helper: a
-// change here changes every codec in the repo and must bump Version.
+// frame returns body framed: the frame header, then body.
+func frame(body []byte) []byte {
+	return append(AppendFrameHeader(nil, len(body)), body...)
+}
+
+// TestGoldenLayout pins the byte-level layout of the frame header and of
+// every field helper: a change here changes every codec in the repo and
+// must bump Version.
 func TestGoldenLayout(t *testing.T) {
-	buf := AppendUint32(nil, 0x01020304)
+	buf := AppendFrameHeader(nil, 15)
+	buf = AppendUint32(buf, 0x01020304)
 	buf = AppendUint64(buf, 0x0102030405060708)
 	buf = AppendString8(buf, "ab")
-	buf = AppendBytes32(buf, []byte{0xff})
 	golden := []byte{
+		0x03,                   // frame: version
+		0x00, 0x00, 0x00, 0x0f, // frame: u32 body length
 		0x01, 0x02, 0x03, 0x04, // uint32, big-endian
 		0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, // uint64, big-endian
 		0x02, 'a', 'b', // str8: u8 length | bytes
-		0x00, 0x00, 0x00, 0x01, 0xff, // bytes32: u32 length | bytes
 	}
 	if !bytes.Equal(buf, golden) {
 		t.Fatalf("encoded = %x, want %x", buf, golden)
 	}
 
-	v, rest, err := Uint32(buf)
+	body, err := ReadFrame(bytes.NewReader(buf), nil)
+	if err != nil || len(body) != 15 {
+		t.Fatalf("ReadFrame = %x, %v", body, err)
+	}
+	v, rest, err := Uint32(body)
 	if err != nil || v != 0x01020304 {
 		t.Fatalf("Uint32 = %#x, %v", v, err)
 	}
@@ -35,24 +46,8 @@ func TestGoldenLayout(t *testing.T) {
 		t.Fatalf("Uint64 = %#x, %v", v64, err)
 	}
 	s, rest, err := String8(rest)
-	if err != nil || s != "ab" {
-		t.Fatalf("String8 = %q, %v", s, err)
-	}
-	b, rest, err := Bytes32(rest)
-	if err != nil || !bytes.Equal(b, []byte{0xff}) || len(rest) != 0 {
-		t.Fatalf("Bytes32 = %x, rest %x, %v", b, rest, err)
-	}
-}
-
-func TestBytes32Copies(t *testing.T) {
-	enc := AppendBytes32(nil, []byte{1, 2, 3})
-	got, _, err := Bytes32(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc[4] = 9 // mutate the backing array after decode
-	if got[0] != 1 {
-		t.Error("Bytes32 aliases the input buffer instead of copying")
+	if err != nil || s != "ab" || len(rest) != 0 {
+		t.Fatalf("String8 = %q, rest %x, %v", s, rest, err)
 	}
 }
 
@@ -69,17 +64,16 @@ func TestDecodeMalformed(t *testing.T) {
 	if _, _, err := String8([]byte{5, 'a'}); !errors.Is(err, ErrMalformed) {
 		t.Errorf("truncated string: %v", err)
 	}
-	if _, _, err := Bytes32([]byte{0, 0, 0, 9, 1}); !errors.Is(err, ErrMalformed) {
-		t.Errorf("truncated bytes32: %v", err)
-	}
-	// A forged length prefix beyond MaxLen must be rejected before any
+	// A forged length beyond MaxLen must be rejected before any
 	// allocation, not attempted.
-	huge := AppendUint32(nil, MaxLen+1)
-	if _, _, err := Bytes32(huge); !errors.Is(err, ErrMalformed) {
-		t.Errorf("oversized bytes32 length: %v", err)
+	if _, err := ReadFrame(bytes.NewReader(AppendFrameHeader(nil, MaxLen+1)), nil); !errors.Is(err, ErrMalformed) {
+		t.Errorf("oversized frame length: %v", err)
 	}
-	if _, _, err := ReadBytes32(bytes.NewReader(huge)); !errors.Is(err, ErrMalformed) {
-		t.Errorf("oversized streamed bytes32 length: %v", err)
+	// A frame of another version is refused at its first byte: the reader
+	// does not wait for a length or a body.
+	r := bytes.NewReader([]byte{Version - 1, 0x01})
+	if _, err := ReadFrame(r, nil); !errors.Is(err, ErrMalformed) || r.Len() != 1 {
+		t.Errorf("version %d frame: %v, %d bytes left unread, want 1", Version-1, err, r.Len())
 	}
 }
 
@@ -92,103 +86,105 @@ func TestAppendString8PanicsOnLongString(t *testing.T) {
 	AppendString8(nil, strings.Repeat("x", 256))
 }
 
-// TestStreamEOFSemantics checks the stream readers' contract: EOF at a
-// field boundary is io.EOF only for the first byte of a read; running dry
-// mid-field is io.ErrUnexpectedEOF.
+// TestStreamEOFSemantics checks the frame reader's contract: EOF before
+// a frame's first byte is io.EOF; running dry anywhere after it is
+// io.ErrUnexpectedEOF.
 func TestStreamEOFSemantics(t *testing.T) {
-	if _, _, err := ReadUint32(bytes.NewReader(nil)); err != io.EOF {
-		t.Errorf("empty uint32 stream: %v, want io.EOF", err)
+	if _, err := ReadFrame(bytes.NewReader(nil), nil); err != io.EOF {
+		t.Errorf("empty stream: %v, want io.EOF", err)
 	}
-	if _, _, err := ReadUint32(bytes.NewReader([]byte{1, 2})); err != io.ErrUnexpectedEOF {
-		t.Errorf("partial uint32 stream: %v, want io.ErrUnexpectedEOF", err)
-	}
-	if _, _, err := ReadUint64(bytes.NewReader(nil)); err != io.EOF {
-		t.Errorf("empty uint64 stream: %v, want io.EOF", err)
-	}
-	if _, _, err := ReadUint64(bytes.NewReader([]byte{1, 2, 3})); err != io.ErrUnexpectedEOF {
-		t.Errorf("partial uint64 stream: %v, want io.ErrUnexpectedEOF", err)
-	}
-	if _, _, err := ReadString8(bytes.NewReader([]byte{3, 'a'})); err != io.ErrUnexpectedEOF {
-		t.Errorf("partial string stream: %v, want io.ErrUnexpectedEOF", err)
-	}
-	if _, _, err := ReadBytes32(bytes.NewReader([]byte{0, 0, 0, 2, 7})); err != io.ErrUnexpectedEOF {
-		t.Errorf("partial bytes32 stream: %v, want io.ErrUnexpectedEOF", err)
+	good := frame([]byte{7, 8})
+	for cut := 1; cut < len(good); cut++ {
+		if _, err := ReadFrame(bytes.NewReader(good[:cut]), nil); err != io.ErrUnexpectedEOF {
+			t.Errorf("frame cut after %d of %d bytes: %v, want io.ErrUnexpectedEOF", cut, len(good), err)
+		}
 	}
 }
 
-// A length prefix is the peer's claim: a stream announcing MaxLen bytes
+// A frame's length is the peer's claim: a stream announcing MaxLen bytes
 // and delivering ten is a short read that allocates about readChunk, not
 // the 1 GiB it announced.
-func TestReadBytes32AllocatesAsBytesArrive(t *testing.T) {
-	stream := append(AppendUint32(nil, MaxLen), make([]byte, 10)...)
+func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
+	stream := append(AppendFrameHeader(nil, MaxLen), make([]byte, 10)...)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, n, err := ReadBytes32(bytes.NewReader(stream))
+	_, err := ReadFrame(bytes.NewReader(stream), nil)
 	runtime.ReadMemStats(&after)
 	if err != io.ErrUnexpectedEOF {
-		t.Errorf("short field: %v, want io.ErrUnexpectedEOF", err)
-	}
-	if n != len(stream) {
-		t.Errorf("read %d bytes, stream holds %d", n, len(stream))
+		t.Errorf("short frame: %v, want io.ErrUnexpectedEOF", err)
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 2*readChunk {
-		t.Errorf("a 14-byte stream announcing %d bytes allocated %d bytes", MaxLen, grew)
+		t.Errorf("a 15-byte stream announcing %d bytes allocated %d bytes", MaxLen, grew)
 	}
 
-	// Past readChunk the buffer grows, and what arrives comes back intact
-	// in a buffer of exactly the announced length.
-	want := make([]byte, 3*readChunk+5)
-	for i := range want {
-		want[i] = byte(i * 7)
+	// A body up to readChunk is one exact allocation; past it the buffer
+	// grows, and what arrives comes back intact in a buffer of exactly the
+	// announced length.
+	for _, size := range []int{readChunk, 3*readChunk + 5} {
+		want := make([]byte, size)
+		for i := range want {
+			want[i] = byte(i * 7)
+		}
+		got, err := ReadFrame(bytes.NewReader(frame(want)), nil)
+		if err != nil || !bytes.Equal(got, want) || cap(got) != len(want) {
+			t.Errorf("%d-byte body: len=%d cap=%d err=%v", size, len(got), cap(got), err)
+		}
 	}
-	got, n, err := ReadBytes32(bytes.NewReader(AppendBytes32(nil, want)))
-	if err != nil || n != 4+len(want) || !bytes.Equal(got, want) || cap(got) != len(want) {
-		t.Errorf("grown field: n=%d len=%d cap=%d err=%v", n, len(got), cap(got), err)
+	read := func(stream []byte) func() {
+		return func() {
+			if _, err := ReadFrame(bytes.NewReader(stream), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	empty, full := testing.AllocsPerRun(10, read(frame(nil))), testing.AllocsPerRun(10, read(frame(make([]byte, readChunk))))
+	if full-empty != 1 {
+		t.Errorf("a %d-byte body took %.0f allocations beyond an empty frame's, want 1", readChunk, full-empty)
 	}
 }
 
 // A reader that reuses one buffer keeps the forged-length bound: once the
 // buffer has grown to about readChunk, a stream announcing MaxLen and
 // delivering ten bytes allocates no more than max(readChunk, cap(buf)) —
-// here nothing, as the ten bytes fit.
-func TestReadBytes32IntoForgedLengthAfterGrowth(t *testing.T) {
-	buf, _, err := ReadBytes32Into(bytes.NewReader(AppendBytes32(nil, make([]byte, readChunk+1))), nil)
+// here nothing beyond the header, as the ten bytes fit.
+func TestReadFrameForgedLengthAfterGrowth(t *testing.T) {
+	buf, err := ReadFrame(bytes.NewReader(frame(make([]byte, readChunk+1))), nil)
 	if err != nil || len(buf) != readChunk+1 {
 		t.Fatalf("growing the buffer: len=%d err=%v", len(buf), err)
 	}
-	stream := append(AppendUint32(nil, MaxLen), make([]byte, 10)...)
+	stream := append(AppendFrameHeader(nil, MaxLen), make([]byte, 10)...)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, n, err := ReadBytes32Into(bytes.NewReader(stream), buf)
+	_, err = ReadFrame(bytes.NewReader(stream), buf)
 	runtime.ReadMemStats(&after)
-	if err != io.ErrUnexpectedEOF || n != len(stream) {
-		t.Errorf("short field: n=%d err=%v, want %d and io.ErrUnexpectedEOF", n, err, len(stream))
+	if err != io.ErrUnexpectedEOF {
+		t.Errorf("short frame: %v, want io.ErrUnexpectedEOF", err)
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(max(readChunk, cap(buf))) {
-		t.Errorf("a 14-byte stream announcing %d bytes into a %d-byte buffer allocated %d bytes", MaxLen, cap(buf), grew)
+		t.Errorf("a 15-byte stream announcing %d bytes into a %d-byte buffer allocated %d bytes", MaxLen, cap(buf), grew)
 	}
 }
 
-// Fields of decreasing size read into one buffer come back byte-exact: a
+// Frames of decreasing size read into one buffer come back byte-exact: a
 // read stops at the announced length even when the buffer is larger, so
-// it never runs on into the next field.
-func TestReadBytes32IntoStopsAtLength(t *testing.T) {
+// it never runs on into the next frame.
+func TestReadFrameStopsAtLength(t *testing.T) {
 	var stream []byte
-	var fields [][]byte
+	var bodies [][]byte
 	for i, size := range []int{readChunk + 1, 64 << 10, 1, 0} {
-		f := bytes.Repeat([]byte{byte(i + 1)}, size)
-		fields = append(fields, f)
-		stream = AppendBytes32(stream, f)
+		b := bytes.Repeat([]byte{byte(i + 1)}, size)
+		bodies = append(bodies, b)
+		stream = append(stream, frame(b)...)
 	}
 	r := bytes.NewReader(stream)
 	var buf []byte
-	for i, want := range fields {
-		got, _, err := ReadBytes32Into(r, buf)
+	for i, want := range bodies {
+		got, err := ReadFrame(r, buf)
 		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("field %d: len=%d, want %d, err=%v", i, len(got), len(want), err)
+			t.Fatalf("frame %d: len=%d, want %d, err=%v", i, len(got), len(want), err)
 		}
 		if i > 0 && &got[:1][0] != &buf[:1][0] {
-			t.Errorf("field %d: the %d-byte buffer was not reused", i, cap(buf))
+			t.Errorf("frame %d: the %d-byte buffer was not reused", i, cap(buf))
 		}
 		buf = got
 	}
@@ -197,26 +193,22 @@ func TestReadBytes32IntoStopsAtLength(t *testing.T) {
 	}
 }
 
+// Frames written back to back come back one at a time, each body intact,
+// and the stream ends with a clean io.EOF at the frame boundary.
 func TestStreamRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	enc := AppendUint32(nil, 42)
-	enc = AppendString8(enc, "phase")
-	enc = AppendBytes32(enc, []byte("payload"))
-	buf.Write(enc)
-
-	v, n1, err := ReadUint32(&buf)
-	if err != nil || v != 42 {
-		t.Fatalf("ReadUint32 = %d, %v", v, err)
+	bodies := [][]byte{AppendUint32(nil, 42), AppendString8(nil, "phase"), nil, []byte("payload")}
+	var stream []byte
+	for _, b := range bodies {
+		stream = append(stream, frame(b)...)
 	}
-	s, n2, err := ReadString8(&buf)
-	if err != nil || s != "phase" {
-		t.Fatalf("ReadString8 = %q, %v", s, err)
+	r := bytes.NewReader(stream)
+	for i, want := range bodies {
+		got, err := ReadFrame(r, nil)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("frame %d = %x, %v; want %x", i, got, err, want)
+		}
 	}
-	b, n3, err := ReadBytes32(&buf)
-	if err != nil || string(b) != "payload" {
-		t.Fatalf("ReadBytes32 = %q, %v", b, err)
-	}
-	if n1+n2+n3 != len(enc) {
-		t.Errorf("byte counts sum to %d, encoded %d", n1+n2+n3, len(enc))
+	if _, err := ReadFrame(r, nil); err != io.EOF {
+		t.Errorf("read past the last frame = %v, want io.EOF", err)
 	}
 }

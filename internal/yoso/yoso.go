@@ -127,13 +127,6 @@ func (r *Role) Spoke() {
 	r.sec = nil
 }
 
-// HasSpoken reports whether the role has been killed.
-func (r *Role) HasSpoken() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.spoke
-}
-
 // Committee is an ordered set of n roles playing one protocol step.
 type Committee struct {
 	// Name is the committee identifier.
@@ -158,17 +151,6 @@ func (c *Committee) Honest() []int {
 		}
 	}
 	return out
-}
-
-// CountBehavior returns how many members have the given behavior.
-func (c *Committee) CountBehavior(b Behavior) int {
-	n := 0
-	for _, r := range c.Roles {
-		if r.Behavior == b {
-			n++
-		}
-	}
-	return n
 }
 
 // SpeakAll delivers the Spoke token to every member — the committee's step

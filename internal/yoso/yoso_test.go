@@ -340,3 +340,21 @@ func TestLeakyBehavior(t *testing.T) {
 		t.Error("deviating behaviors misclassified")
 	}
 }
+
+// HasSpoken reports whether the role has been killed.
+func (r *Role) HasSpoken() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.spoke
+}
+
+// CountBehavior returns how many members have the given behavior.
+func (c *Committee) CountBehavior(b Behavior) int {
+	n := 0
+	for _, r := range c.Roles {
+		if r.Behavior == b {
+			n++
+		}
+	}
+	return n
+}
