@@ -28,7 +28,7 @@ func main() {
 		t           = flag.Int("t", 2, "corruption bound per committee")
 		k           = flag.Int("k", 2, "packing factor (ignored with -baseline)")
 		backendName = flag.String("backend", "sim", "crypto backend: sim | real")
-		useBaseline = flag.Bool("baseline", false, "run the CDN-style baseline instead")
+		useBaseline = flag.Bool("baseline", false, "run the CDN-style baseline instead (with -monitor and -mirror; refuses -trace, -metrics-out, -proc, -robust and -workers)")
 		malicious   = flag.Int("malicious", 0, "actively corrupted roles per committee")
 		failstops   = flag.Int("failstops", 0, "crashed roles per committee")
 		seed        = flag.Int64("seed", 1, "adversary seed")

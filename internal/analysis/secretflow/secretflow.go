@@ -231,7 +231,6 @@ var BuiltinSinkFuncs = map[string]string{
 	"yosompc/internal/telemetry.Registry.Histogram": "metric",
 	"yosompc/internal/telemetry.Counter.Add":        "metric",
 	"yosompc/internal/telemetry.Gauge.Set":          "metric",
-	"yosompc/internal/telemetry.Gauge.Add":          "metric",
 	"yosompc/internal/telemetry.Gauge.Max":          "metric",
 	"yosompc/internal/telemetry.Histogram.Observe":  "metric",
 }
@@ -325,9 +324,9 @@ func sanitizer(fn *types.Func) bool {
 	// verification keys v^(Δ·d_i), partial decryptions c^(2Δ·d_i), and
 	// sigma-protocol commitments derive from secret exponents exactly this
 	// way and are public by design. The modexp engine package is the
-	// sanctioned home for these kernels (ExpSigned, ExpCachedSigned,
-	// ExpManySigned, MultiExp, FixedBase.Exp, PowerLadder.Pow), alongside
-	// paillier's CRT variant of the same operation.
+	// sanctioned home for these kernels (ExpSigned, MultiExp,
+	// FixedBase.Exp, PowerLadder.Pow), alongside paillier's CRT variant of
+	// the same operation.
 	if analysis.PathHasSegment(path, "modexp") && (strings.Contains(name, "Exp") || name == "Pow") {
 		return true
 	}

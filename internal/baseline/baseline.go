@@ -80,7 +80,7 @@ type Protocol struct {
 	circ   *circuit.Circuit
 	assign *yoso.Assignment
 	// rt is the committee-step runtime shared with internal/core; the
-	// baseline's proof labels live under their own prefix.
+	// baseline's proofs are attested under its own authority.
 	rt *committee.Runner
 }
 
@@ -105,7 +105,7 @@ func New(params Params, circ *circuit.Circuit, meter *comm.Meter) (*Protocol, er
 		params: params,
 		circ:   circ,
 		assign: assign,
-		rt:     &committee.Runner{Board: board, Auth: auth, TE: params.TE, Prefix: "baseline/"},
+		rt:     &committee.Runner{Board: board, Auth: auth, TE: params.TE},
 	}, nil
 }
 

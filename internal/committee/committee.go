@@ -1,7 +1,7 @@
 // Package committee is the committee-step runtime both MPC drivers run on:
 // the packed protocol (internal/core) and the CDN-style baseline
 // (internal/baseline) instantiate one Runner each and differ only in data —
-// committee names, proof-label prefix, quorum, posting categories.
+// committee names, attestation authority, quorum, posting categories.
 //
 // A step is "every member of a committee posts one payload with an attested
 // proof; everyone keeps the payloads whose proofs verify" (Step). Members
@@ -23,7 +23,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"math/big"
 	"math/bits"
 
@@ -65,12 +64,8 @@ type Runner struct {
 	Workers int
 	Obs     parallel.Observer
 	// Span is the parent of step spans (the open phase, else the run
-	// root) and Logger receives step progress; both may be nil.
-	Span   *telemetry.Span
-	Logger *slog.Logger
-	// Prefix namespaces proof statements so two protocols' labels never
-	// collide.
-	Prefix string
+	// root); nil records nothing.
+	Span *telemetry.Span
 	// Excluded accumulates "role@step (behavior)" for every member whose
 	// proof failed or who never spoke.
 	Excluded []string
@@ -128,20 +123,11 @@ func (r *Runner) Pfor(n int, fn func(i int) error) error {
 	return parallel.ForObserved(r.Ctx, r.Workers, n, fn, r.Obs)
 }
 
-// LogSpan emits a structured progress event when a logger is configured.
-// Events carry the span's ID, so log lines and trace files cross-reference.
-func (r *Runner) LogSpan(sp *telemetry.Span, label string, attrs ...any) {
-	if r.Logger == nil {
-		return
-	}
-	if id := sp.ID(); id != 0 {
-		attrs = append([]any{"span", id}, attrs...)
-	}
-	r.Logger.Info("yosompc: "+label, attrs...)
-}
-
+// statement is what a role's proof at a step attests. It binds the bare
+// step label: each protocol run attests under its own nizk.Authority, so
+// two protocols' proofs never verify under each other's key.
 func (r *Runner) statement(label, roleName string) []byte {
-	return nizk.NewStatement(r.Prefix + label).AddString(roleName).Bytes()
+	return nizk.NewStatement(label).AddString(roleName).Bytes()
 }
 
 // Speak executes one role's speaking step and reports whether its proof
@@ -218,11 +204,8 @@ func Step[T Payload](r *Runner, c *yoso.Committee, sp Spec, honest func(i int) (
 			continue
 		}
 		r.Excluded = append(r.Excluded, fmt.Sprintf("%s@%s (%s)", role.Name(), sp.Label, role.Behavior))
-		r.LogSpan(span, "role excluded", "role", role.Name(), "step", sp.Label, "behavior", role.Behavior.String())
 	}
 	span.SetInt("verified", int64(len(verified)))
-	r.LogSpan(span, "committee spoke", "committee", c.Name, "step", sp.Label,
-		"verified", len(verified), "of", c.N())
 	return verified, nil
 }
 

@@ -65,7 +65,7 @@ func newFixtureOn(t *testing.T, te TE, scheme pke.Scheme, adv *yoso.Adversary) (
 		t.Fatal(err)
 	}
 	board := transport.NewBoard(nil)
-	rt := &Runner{Board: board, Auth: auth, TE: te, Prefix: "test/"}
+	rt := &Runner{Board: board, Auth: auth, TE: te}
 	tpk, shares, err := rt.TE.KeyGen(testN, testT)
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +300,7 @@ func TestTskStep(t *testing.T) {
 
 			// Each opening carries exactly the verified members'
 			// contributions, and opens to its plaintext.
-			verified := c.Honest()
+			verified := honest(c)
 			if len(verified) != testN-2 {
 				t.Fatalf("fixture has %d protocol-following members, want %d", len(verified), testN-2)
 			}
@@ -575,6 +575,46 @@ func TestStepLeavesCommitteeSpoken(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAuthoritiesKeepProtocolsApart: core and the baseline each attest
+// under their own nizk.Authority (core.New and baseline.New draw one
+// each), so the proof a role posts for a step label under one run fails
+// under the other's for the same label. That is what lets a statement
+// bind the bare label.
+func TestAuthoritiesKeepProtocolsApart(t *testing.T) {
+	core, _ := newFixtureOn(t, tte.NewSim(512), pke.NewSim(), nil)
+	base, _ := newFixtureOn(t, tte.NewSim(512), pke.NewSim(), nil)
+	sp := Spec{Phase: comm.PhaseOnline, Cat: comm.CatOutput, Label: "output"}
+	role := core.form(t, "out").Role(1)
+	_, ok, err := Speak(core.Runner, role, sp, func() (CtBundle, error) { return CtBundle{core.encrypt(t, 5)}, nil }, 8)
+	if err != nil || !ok {
+		t.Fatalf("honest speak: ok=%v err=%v", ok, err)
+	}
+	entries := core.Board.Entries(0)
+	proof, err := nizk.ProofFromBytes(entries[len(entries)-1].Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	statement := base.statement(sp.Label, role.Name())
+	if !core.Auth.Verify(statement, proof) {
+		t.Fatal("the posted proof fails under its own authority")
+	}
+	if base.Auth.Verify(statement, proof) {
+		t.Error("a proof attested under one run's authority verifies under another's for the same label")
+	}
+}
+
+// honest returns the 1-based indices of c's protocol-following members
+// (Honest and Leaky).
+func honest(c *yoso.Committee) []int {
+	var out []int
+	for i, r := range c.Roles {
+		if r.Behavior.FollowsProtocol() {
+			out = append(out, i+1)
+		}
+	}
+	return out
 }
 
 // spoken reports whether r has spoken: its machine erased the secret key,

@@ -276,7 +276,7 @@ func TestQuorumMatchesOpeningEveryone(t *testing.T) {
 			for i, b := range sched.first {
 				c.Roles[i].Behavior, next.Roles[i].Behavior = b, b
 			}
-			verified := c.Honest()
+			verified := honest(c)
 			wantQuorum := verified[:testT+1]
 
 			// kinds as in TestTskStep; opening j holds 100+j.
@@ -412,7 +412,7 @@ func TestQuorumMatchesOpeningEveryone(t *testing.T) {
 			}
 			for j, ct := range cts {
 				var all []tte.PartialDec
-				for _, i := range next.Honest() {
+				for _, i := range honest(next) {
 					part, err := f.TE.PartialDecrypt(f.TPK, recovered[i-1], ct)
 					if err != nil {
 						t.Fatal(err)
@@ -426,7 +426,7 @@ func TestQuorumMatchesOpeningEveryone(t *testing.T) {
 			if sched.first == nil && len(f.Excluded) != 0 {
 				t.Errorf("honest run excluded %v", f.Excluded)
 			}
-			if got, want := len(f.Excluded)-excluded, testN-len(next.Honest()); got != want {
+			if got, want := len(f.Excluded)-excluded, testN-len(honest(next)); got != want {
 				t.Errorf("next excluded %d members, want %d", got, want)
 			}
 		})

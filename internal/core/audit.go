@@ -69,19 +69,3 @@ func (a *Auditor) Events() []AuditEvent {
 	copy(out, a.events)
 	return out
 }
-
-// Count returns the number of events matching the given classes; empty
-// strings match anything.
-func (a *Auditor) Count(phase comm.Phase, val ValueClass, key KeyClass) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	n := 0
-	for _, e := range a.events {
-		if (phase == "" || e.Phase == phase) &&
-			(val == "" || e.Value == val) &&
-			(key == "" || e.Key == key) {
-			n++
-		}
-	}
-	return n
-}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -802,32 +801,6 @@ func TestNoKFFWithAdversary(t *testing.T) {
 	params := simParams(10, 2, 2, yoso.NewAdversary(2, 0, 83))
 	params.NoKFF = true
 	runAndCompare(t, params, circ, in)
-}
-
-func TestStructuredLogging(t *testing.T) {
-	var buf bytes.Buffer
-	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelInfo}))
-	circ, err := circuit.InnerProduct(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := simParams(8, 2, 2, yoso.NewAdversary(1, 0, 91))
-	params.Logger = logger
-	in := inputsOf(map[int][]uint64{0: {1, 2}, 1: {3, 4}})
-	runAndCompare(t, params, circ, in)
-	logs := buf.String()
-	for _, want := range []string{
-		"setup phase starting",
-		"offline phase starting",
-		"online phase starting",
-		"committee spoke",
-		"role excluded",
-		"online phase complete",
-	} {
-		if !strings.Contains(logs, want) {
-			t.Errorf("log missing %q", want)
-		}
-	}
 }
 
 func TestPrepareContextCancellation(t *testing.T) {

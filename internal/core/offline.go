@@ -55,10 +55,7 @@ func (r *run) offline() error {
 	if r.tsk, err = r.rt.DealShares(r.offDec, r.dealt); err != nil {
 		return err
 	}
-	r.logStep("offline committees formed", "committees", 6, "size", p.N)
-
 	r.buildBatches()
-	r.logStep("mul batches built", "batches", len(r.batches), "k", p.K)
 
 	if err := r.offlineStep("beaver", "step 1 (Beaver)", r.offlineBeaver); err != nil {
 		return err
@@ -78,18 +75,13 @@ func (r *run) offline() error {
 	return nil
 }
 
-// offlineStep runs one offline driver step inside a span and logs its
-// start and completion with the span ID — the offline phase's structured
-// progress trail (the online phase logs per committee step instead).
+// offlineStep runs one offline driver step inside its span.
 func (r *run) offlineStep(name, label string, fn func() error) error {
 	sp := r.stepSpan("offline:" + name)
-	r.rt.LogSpan(sp, "offline step starting", "step", name)
-	err := fn()
-	sp.End()
-	if err != nil {
+	defer sp.End()
+	if err := fn(); err != nil {
 		return fmt.Errorf("%s: %w", label, err)
 	}
-	r.rt.LogSpan(sp, "offline step complete", "step", name)
 	return nil
 }
 

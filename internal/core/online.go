@@ -320,7 +320,7 @@ func (r *run) onlineLayer(l int) error {
 	muLeft := make([][]field.Element, len(layerBatches))
 	muRight := make([][]field.Element, len(layerBatches))
 	// One cached constant-packing domain per batch width, fetched outside
-	// the per-member closure: every ConstantPackedShare below is then a
+	// the per-member closure: every constant-packed share below is then a
 	// precomputed-row inner product with no cache lookup in the hot loop.
 	constDoms := make([]*sharing.ConstDomain, len(layerBatches))
 	for bi, b := range layerBatches {

@@ -27,7 +27,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 
 	"yosompc/internal/committee"
 	"yosompc/internal/parallel"
@@ -55,11 +54,6 @@ type Params struct {
 	PKE pke.Scheme
 	// Adversary corrupts committees; nil means all-honest.
 	Adversary *yoso.Adversary
-	// Logger, when non-nil, receives structured progress events (phase
-	// transitions, committee steps, exclusions). Nil disables logging.
-	// When Trace is also set, events carry the ID of the span they
-	// happened under, so logs and trace files cross-reference.
-	Logger *slog.Logger
 	// Trace, when non-nil, receives hierarchical spans (protocol → phase
 	// → committee step → member / gate batch) with wall-clock, board-byte
 	// deltas, and worker attribution. Nil disables tracing at zero cost:

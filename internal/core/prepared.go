@@ -43,7 +43,6 @@ func (p *Protocol) PrepareContext(ctx context.Context) (*Prepared, error) {
 	r := p.newRun(ctx)
 	r.initTelemetry()
 	r.beginPhase("setup")
-	r.logStep("setup phase starting", "n", p.params.N, "t", p.params.T, "k", p.params.K)
 	if err := r.setup(); err != nil {
 		r.endPhase()
 		r.rootSp.End()
@@ -51,15 +50,12 @@ func (p *Protocol) PrepareContext(ctx context.Context) (*Prepared, error) {
 	}
 	r.endPhase()
 	r.beginPhase("offline")
-	r.logStep("offline phase starting", "muls", p.circ.NumMul(), "depth", p.circ.Depth())
 	if err := r.offline(); err != nil {
 		r.endPhase()
 		r.rootSp.End()
 		return nil, fmt.Errorf("core: offline: %w", err)
 	}
 	r.endPhase()
-	r.rt.LogSpan(r.rootSp, "preprocessing complete",
-		"offline-bytes", p.board.Report().Phase(comm.PhaseOffline))
 	return &Prepared{r: r}, nil
 }
 
@@ -84,14 +80,12 @@ func (pp *Prepared) Execute(inputs map[int][]field.Element) (*Result, error) {
 	pp.mu.Unlock()
 
 	pp.r.beginPhase("online")
-	pp.r.logStep("online phase starting")
 	outputs, err := pp.r.online(inputs)
 	pp.r.endPhase()
 	pp.r.rootSp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: online: %w", err)
 	}
-	pp.r.rt.LogSpan(nil, "online phase complete", "online-bytes", p.board.Report().Phase(comm.PhaseOnline))
 	return &Result{
 		Outputs:  outputs,
 		Report:   p.board.Report(),

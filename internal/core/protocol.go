@@ -205,16 +205,10 @@ func (p *Protocol) newRun(ctx context.Context) *run {
 		TE:      p.params.TE,
 		Ctx:     ctx,
 		Workers: p.params.EffectiveWorkers(),
-		Logger:  p.params.Logger,
 		ShareRecovered: func(phase comm.Phase) {
 			p.audit.Record(phase, ValTskShare, KeyRole)
 		},
 	}}
-}
-
-// logStep emits a structured progress event under the open phase span.
-func (r *run) logStep(label string, attrs ...any) {
-	r.rt.LogSpan(r.rt.Span, label, attrs...)
 }
 
 // initTelemetry opens the run's root span, bridges the tracer to the

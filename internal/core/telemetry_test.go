@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"log/slog"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,6 +10,7 @@ import (
 
 	"yosompc/internal/circuit"
 	"yosompc/internal/telemetry"
+	"yosompc/internal/yoso"
 )
 
 // TestTelemetryPhaseSpansCoverWallClock pins the tracing acceptance
@@ -184,60 +184,46 @@ func TestTelemetryStepSpansReportOpenings(t *testing.T) {
 	}
 }
 
-// TestTelemetryLoggerCarriesSpanIDs pins satellite coverage: with Logger
-// and Trace both set, phase and offline-step events carry the span ID,
-// and the offline driver now logs its steps.
-func TestTelemetryLoggerCarriesSpanIDs(t *testing.T) {
+// TestTelemetryStepSpansCountExclusions: spans are the run's progress
+// record. Under an adversary every phase has its span, and the roles the
+// committee steps' spans count as unverified (members − verified) are
+// exactly the run's Result.Excluded.
+func TestTelemetryStepSpansCountExclusions(t *testing.T) {
 	circ, err := circuit.InnerProduct(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var logBuf bytes.Buffer
-	params := simParams(6, 1, 2, nil)
-	params.Logger = slog.New(slog.NewJSONHandler(&logBuf, nil))
+	params := simParams(8, 2, 2, yoso.NewAdversary(1, 1, 91))
 	params.Trace = telemetry.NewTracer()
 	proto, err := New(params, circ, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := inputsOf(map[int][]uint64{0: {1, 2}, 1: {3, 4}})
-	if _, err := proto.Run(in); err != nil {
+	res, err := proto.Run(inputsOf(map[int][]uint64{0: {1, 2}, 1: {3, 4}}))
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	wantMsgs := map[string]bool{
-		"yosompc: setup phase starting":   false,
-		"yosompc: offline phase starting": false,
-		"yosompc: offline step starting":  false,
-		"yosompc: offline step complete":  false,
-		"yosompc: online phase starting":  false,
-		"yosompc: committee spoke":        false,
+	phases, unverified := map[string]bool{}, int64(0)
+	for _, sp := range params.Trace.Spans() {
+		if strings.HasPrefix(sp.Name, "phase:") {
+			phases[sp.Name] = true
+		}
+		if strings.HasPrefix(sp.Name, "committee:") {
+			unverified += sp.Ints["members"] - sp.Ints["verified"]
+		}
 	}
-	dec := json.NewDecoder(&logBuf)
-	for dec.More() {
-		var line map[string]any
-		if err := dec.Decode(&line); err != nil {
-			t.Fatal(err)
+	for _, name := range []string{"phase:setup", "phase:offline", "phase:online"} {
+		if !phases[name] {
+			t.Errorf("no %s span", name)
 		}
-		msg, _ := line["msg"].(string)
-		if _, tracked := wantMsgs[msg]; !tracked {
-			continue
-		}
-		id, ok := line["span"].(float64)
-		if !ok || id == 0 {
-			t.Errorf("log event %q missing span ID: %v", msg, line)
-		}
-		wantMsgs[msg] = true
 	}
-	for msg, seen := range wantMsgs {
-		if !seen {
-			t.Errorf("expected log event %q never emitted", msg)
-		}
+	if unverified == 0 || unverified != int64(len(res.Excluded)) {
+		t.Errorf("step spans count %d unverified roles, Result.Excluded lists %d", unverified, len(res.Excluded))
 	}
 }
 
 // TestTelemetryDisabledRunUnchanged: a run with nil Trace/Metrics still
-// works and the nil logger path stays silent (no spans leak into logs).
+// works.
 func TestTelemetryDisabledRunUnchanged(t *testing.T) {
 	circ, err := circuit.InnerProduct(2)
 	if err != nil {
@@ -260,8 +246,8 @@ func TestTelemetryDisabledRunUnchanged(t *testing.T) {
 
 // TestTelemetryTableCacheCounters: every TEnc of a real-backend run reads
 // its randomizer off a fixed-base table, so the run's registry sees table
-// hits and no miss (nothing in an honest run goes through the promoting
-// cache); a Sim run touches neither counter.
+// hits and no miss (nothing counts one); a Sim run touches neither
+// counter.
 func TestTelemetryTableCacheCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-crypto end-to-end in -short mode")

@@ -15,7 +15,6 @@
 package costmodel
 
 import (
-	"yosompc/internal/circuit"
 	"yosompc/internal/field"
 	"yosompc/internal/nizk"
 	"yosompc/internal/pke"
@@ -100,30 +99,6 @@ func (s Shape) Batches() int {
 	return total
 }
 
-// ShapeOf extracts a Shape from a circuit for committee size n, corruption
-// bound t and packing factor k (the baseline's shape is ShapeOf(c, n, t, 1)).
-func ShapeOf(c *circuit.Circuit, n, t, k int) Shape {
-	s := Shape{
-		Muls:   c.NumMul(),
-		Depth:  c.Depth(),
-		Opened: slotpack.ListsOf(c, n, t, k),
-	}
-	for _, client := range c.Clients() {
-		s.Clients++
-		n := c.InputCount(client)
-		s.Inputs += n
-		if n > 0 {
-			s.InputClients++
-		}
-		s.Outputs += len(c.OutputGates(client))
-	}
-	s.BatchesPerLayer = make([]int, c.Depth())
-	for _, mb := range c.MulBatches(k) {
-		s.BatchesPerLayer[mb.Layer-1]++
-	}
-	return s
-}
-
 // FreshShape is the Shape of a circuit known only by its counts, every wire
 // opened taken as a fresh one: inputs[c] and outputs[c] are client c's input
 // and output gates, muls[l] the multiplication gates of layer l+1.
@@ -152,9 +127,6 @@ func FreshShape(n, t, k int, inputs, outputs, muls []int) Shape {
 type Phases struct {
 	Setup, Offline, Online int64
 }
-
-// Total returns the sum over phases.
-func (p Phases) Total() int64 { return p.Setup + p.Offline + p.Online }
 
 // CoreOptions selects protocol variants for the prediction.
 type CoreOptions struct {
@@ -255,8 +227,9 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 
 // Baseline predicts the CDN-style baseline's (internal/baseline) byte
 // counts for an all-honest run. It takes the k = 1 shape, where
-// BatchesPerLayer[l] counts the multiplications of layer l+1: ShapeOf(c, n,
-// t, 1) for a circuit, or a FreshShape with BatchesPerLayer set to its muls.
+// BatchesPerLayer[l] counts the multiplications of layer l+1: the tests'
+// ShapeOf(c, n, t, 1) for a circuit, or a FreshShape with BatchesPerLayer
+// set to its muls.
 func Baseline(n, t int, shape Shape, z Sizes) Phases {
 	envP := int64(z.PKEOverhead + z.Partial)
 	envS := int64(z.PKEOverhead + z.SubShare)

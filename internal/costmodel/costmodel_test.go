@@ -256,3 +256,27 @@ func TestCoreVariantsModelMatchesMeasured(t *testing.T) {
 		})
 	}
 }
+
+// ShapeOf extracts a Shape from a circuit for committee size n, corruption
+// bound t and packing factor k (the baseline's shape is ShapeOf(c, n, t, 1)).
+func ShapeOf(c *circuit.Circuit, n, t, k int) Shape {
+	s := Shape{
+		Muls:   c.NumMul(),
+		Depth:  c.Depth(),
+		Opened: slotpack.ListsOf(c, n, t, k),
+	}
+	for _, client := range c.Clients() {
+		s.Clients++
+		n := c.InputCount(client)
+		s.Inputs += n
+		if n > 0 {
+			s.InputClients++
+		}
+		s.Outputs += len(c.OutputGates(client))
+	}
+	s.BatchesPerLayer = make([]int, c.Depth())
+	for _, mb := range c.MulBatches(k) {
+		s.BatchesPerLayer[mb.Layer-1]++
+	}
+	return s
+}

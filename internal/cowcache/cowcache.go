@@ -1,7 +1,7 @@
 // Package cowcache is the one precompute cache behind the engines: a
 // copy-on-write map with lock-free reads, for values that are expensive
 // to build, immutable once built, and looked up on hot paths (the packed
-// sharing domains, the modexp fixed-base tables and power ladders, the
+// sharing domains, the modexp power ladders and Montgomery contexts, the
 // integer Lagrange vectors).
 //
 // One policy, for every user:
@@ -97,8 +97,8 @@ func (c *Map[K, V]) Reset() {
 
 // Stats is a hit/miss counter pair. A Map records into the one named by
 // its Stats field; an owner whose notion of a hit is not "the key was
-// stored" (to modexp a table too small for the exponent at hand is a
-// miss) leaves that field nil and calls Hit and Miss itself. The zero
+// stored" (to modexp a hit is an exponentiation a fixed-base table
+// served) leaves that field nil and calls Hit and Miss itself. The zero
 // value is ready for use.
 type Stats struct {
 	hits, misses atomic.Int64

@@ -160,18 +160,6 @@ func (e Element) MustInv() Element {
 	return inv
 }
 
-// Div returns e / o mod p, or ErrNotInvertible when o is zero.
-func (e Element) Div(o Element) (Element, error) {
-	inv, err := o.Inv()
-	if err != nil {
-		return Element{}, err
-	}
-	return e.Mul(inv), nil
-}
-
-// Equal reports whether two elements are equal.
-func (e Element) Equal(o Element) bool { return e == o }
-
 // String implements fmt.Stringer.
 func (e Element) String() string { return fmt.Sprintf("%d", e.v) }
 

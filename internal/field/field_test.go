@@ -439,3 +439,12 @@ func BenchmarkBatchInv64(b *testing.B) {
 		}
 	}
 }
+
+// Div returns e / o mod p, or ErrNotInvertible when o is zero.
+func (e Element) Div(o Element) (Element, error) {
+	inv, err := o.Inv()
+	if err != nil {
+		return Element{}, err
+	}
+	return e.Mul(inv), nil
+}

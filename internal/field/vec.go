@@ -5,30 +5,12 @@ import "fmt"
 // Vector operations. These are used pervasively by the packed secret-sharing
 // layer, where k secrets travel together as one vector.
 
-// ScalarMulVec returns c·a element-wise.
-func ScalarMulVec(c Element, a []Element) []Element {
-	out := make([]Element, len(a))
-	for i := range a {
-		out[i] = c.Mul(a[i])
-	}
-	return out
-}
-
 // InnerProduct returns Σ a_i·b_i.
 func InnerProduct(a, b []Element) Element {
 	mustSameLen("InnerProduct", a, b)
 	var acc Element
 	for i := range a {
 		acc = acc.Add(a[i].Mul(b[i]))
-	}
-	return acc
-}
-
-// Sum returns Σ a_i.
-func Sum(a []Element) Element {
-	var acc Element
-	for _, v := range a {
-		acc = acc.Add(v)
 	}
 	return acc
 }

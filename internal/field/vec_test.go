@@ -203,3 +203,21 @@ func VecFromBytes(buf []byte, n int) ([]Element, error) {
 	}
 	return out, nil
 }
+
+// Sum returns Σ a_i.
+func Sum(a []Element) Element {
+	var acc Element
+	for _, v := range a {
+		acc = acc.Add(v)
+	}
+	return acc
+}
+
+// ScalarMulVec returns c·a element-wise.
+func ScalarMulVec(c Element, a []Element) []Element {
+	out := make([]Element, len(a))
+	for i := range a {
+		out[i] = c.Mul(a[i])
+	}
+	return out
+}

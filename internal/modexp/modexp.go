@@ -1,16 +1,15 @@
 // Package modexp is the big-integer exponentiation engine behind the
-// Paillier hot paths: two-dimensional Lim–Lee comb tables for recurring
-// bases (the encryption randomizer h^N a paillier.PublicKey holds, the
-// Shoup verification base V, per-round squared ciphertexts), Straus
+// Paillier hot paths: two-dimensional Lim–Lee comb tables for a base its
+// owner knows recurs (the encryption randomizer h^N a
+// paillier.PublicKey holds, the Shoup verification base v), Straus
 // interleaved multi-exponentiation for TEval's interpolations, proof
 // verification and threshold combination, and cached Δ-power ladders.
 // Both kernels multiply in Montgomery form over an odd modulus, reducing
 // by REDC built from math/big multiplications (mont.go); an even modulus
-// takes plain big.Int.Exp. Montgomery contexts, tables of bases met at
-// run time and ladders are cached process-wide in bounded
-// internal/cowcache maps (cache.go); a hit is counted wherever a table
-// serves an exponentiation, and the counters are mirrored into
-// telemetry.
+// takes plain big.Int.Exp. Montgomery contexts and ladders are cached
+// process-wide in bounded internal/cowcache maps (cache.go); a table is
+// built and held by its owner, a hit is counted wherever a table serves
+// an exponentiation, and the counter is mirrored into telemetry.
 //
 // ExpSigned — plain math/big square-and-multiply — is the reference:
 // the tests and FuzzEngineVsNaive pin every engine path to it
@@ -140,9 +139,6 @@ func NewFixedBase(base, modulus *big.Int, maxBits int) *FixedBase {
 	return t
 }
 
-// Bits returns the exponent size in bits the table covers.
-func (t *FixedBase) Bits() int { return t.bits }
-
 // Exp computes base^exp mod modulus from the table and counts a
 // table-cache hit. Exponents longer than the table covers (or negative),
 // and every exponent over an even modulus, take the plain path, so the
@@ -195,61 +191,4 @@ func (t *FixedBase) comb(exp *big.Int) *big.Int {
 	z := new(big.Int)
 	c.from(z, &acc, &s)
 	return z
-}
-
-// ExpSigned is Exp with negative-exponent support: base^(−e) is
-// computed as (base^e)⁻¹ mod modulus, which is the same canonical
-// residue the naive invert-the-base-first path produces.
-func (t *FixedBase) ExpSigned(exp *big.Int) (*big.Int, error) {
-	return signed(t.Exp, exp, t.modulus)
-}
-
-// signed lifts pow, an exponentiation for exponents ≥ 0, to signed ones.
-func signed(pow func(*big.Int) *big.Int, exp, modulus *big.Int) (*big.Int, error) {
-	if exp.Sign() >= 0 {
-		return pow(exp), nil
-	}
-	inv := new(big.Int).ModInverse(pow(new(big.Int).Neg(exp)), modulus)
-	if inv == nil {
-		return nil, ErrNotInvertible
-	}
-	return inv, nil
-}
-
-// ExpManySigned computes base^exp for every exponent over one shared
-// modulus. With enough exponents to amortize the table build it uses a
-// fixed-base table sized to the largest |exp|; small batches take the
-// plain path. Either way each result is bit-identical to ExpSigned.
-func ExpManySigned(base, modulus *big.Int, exps []*big.Int) ([]*big.Int, error) {
-	out := make([]*big.Int, len(exps))
-	maxBits := 0
-	for _, e := range exps {
-		if b := e.BitLen(); b > maxBits {
-			maxBits = b
-		}
-	}
-	// A comb build is about maxBits squarings plus one product per entry
-	// (v·2^h ≈ 2 048); a table exponentiation saves about 3/4 of a product
-	// per exponent bit over big.Int.Exp (measured at 1024- and 4096-bit
-	// moduli), so the table pays from 4·(maxBits + 2 048)/(3·maxBits)
-	// exponentiations up: 12 of 256 bits, 4 of 1024, 2 of 4096.
-	if 3*len(exps)*maxBits >= 4*(maxBits+combBlocks<<combRows) {
-		t := NewFixedBase(base, modulus, maxBits)
-		for i, e := range exps {
-			v, err := t.ExpSigned(e)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	for i, e := range exps {
-		v, err := ExpSigned(base, e, modulus)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
 }

@@ -10,23 +10,13 @@ import (
 	"yosompc/internal/telemetry"
 )
 
-// resetCaches drops every cached table, sighting and ladder and zeroes
-// the stats: the caches are process-wide, so tests that count hits and
-// misses start from empty.
+// resetCaches drops every cached ladder and Montgomery context and zeroes
+// the stats: the caches are process-wide, so tests that count hits start
+// from empty.
 func resetCaches() {
-	tableCache.Reset()
-	seenCache.Reset()
 	ladders.Reset()
 	monts.Reset()
 	tableStats.Reset()
-}
-
-// cachedTable returns the table cached for (base, m), or nil.
-func cachedTable(base, m *big.Int) *FixedBase {
-	if slot, ok := tableCache.Load(keyOf(base, m)); ok {
-		return slot.t.Load()
-	}
-	return nil
 }
 
 func testRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -142,14 +132,13 @@ func TestFixedBaseMatchesExp(t *testing.T) {
 			if got.Cmp(want) != 0 {
 				t.Fatalf("case %d/%d: table Exp=%v naive=%v (bits=%d maxBits=%d m=%v)", i, j, got, want, bits, maxBits, m)
 			}
+			// A negative exponent takes the plain path: nil where the base
+			// has no inverse, exactly when ExpSigned fails.
 			exp.Neg(exp)
-			gotS, err := tab.ExpSigned(exp)
-			wantS, errN := ExpSigned(base, exp, m)
-			if (err == nil) != (errN == nil) {
-				t.Fatalf("case %d/%d: signed err mismatch: table=%v naive=%v", i, j, err, errN)
-			}
-			if err == nil && gotS.Cmp(wantS) != 0 {
-				t.Fatalf("case %d/%d: table ExpSigned=%v naive=%v", i, j, gotS, wantS)
+			gotS := tab.Exp(exp)
+			wantS, err := ExpSigned(base, exp, m)
+			if (gotS == nil) != (err != nil) || err == nil && gotS.Cmp(wantS) != 0 {
+				t.Fatalf("case %d/%d: table Exp=%v ExpSigned=%v (err %v)", i, j, gotS, wantS, err)
 			}
 		}
 	}
@@ -174,124 +163,40 @@ func TestFixedBaseEdgeCases(t *testing.T) {
 	}
 }
 
-// TestFixedBaseExpCountsHits: a hit is counted where the table serves an
-// exponentiation — by Exp itself, whoever holds the table — and only
-// there: the plain fallback for an over-long exponent counts nothing.
+// TestFixedBaseExpCountsHits: a hit is counted where an owned table serves
+// an exponentiation — by Exp itself, whoever holds the table — and only
+// there: Exp's plain fallbacks (a negative or over-long exponent),
+// ExpSigned and MultiExp count nothing, and nothing counts a miss.
 func TestFixedBaseExpCountsHits(t *testing.T) {
 	resetCaches()
 	defer resetCaches()
-	tab := NewFixedBase(big.NewInt(7), big.NewInt(1000003), 64)
+	m := big.NewInt(1000003)
+	tab := NewFixedBase(big.NewInt(7), m, 64)
 	tab.Exp(big.NewInt(12345))
-	if _, err := tab.ExpSigned(big.NewInt(-12345)); err != nil {
+	tab.Exp(big.NewInt(-12345))
+	tab.Exp(new(big.Int).Lsh(bigOne, 64))
+	if _, err := ExpSigned(big.NewInt(7), new(big.Int).Lsh(bigOne, 70), m); err != nil {
 		t.Fatal(err)
 	}
-	tab.Exp(new(big.Int).Lsh(bigOne, 64))
-	if h, ms := tableStats.Load(); h != 2 || ms != 0 {
-		t.Fatalf("hits=%d misses=%d, want 2 and 0", h, ms)
+	if _, err := MultiExp(m, []*big.Int{big.NewInt(7)}, []*big.Int{big.NewInt(12345)}); err != nil {
+		t.Fatal(err)
+	}
+	if h, ms := tableStats.Load(); h != 1 || ms != 0 {
+		t.Fatalf("hits=%d misses=%d, want 1 and 0", h, ms)
 	}
 }
 
-func TestExpCachedSignedPromotion(t *testing.T) {
-	resetCaches()
-	r := testRNG(3)
-	m := oddModulus(r, 512)
-	base := randBig(r, 512)
-	exp := randBig(r, 400)
-
-	want, _ := ExpSigned(base, exp, m)
-	// First use: plain path, sighting recorded, no table yet.
-	got, err := ExpCachedSigned(base, exp, m)
-	if err != nil || got.Cmp(want) != 0 {
-		t.Fatalf("first use: got %v err %v", got, err)
-	}
-	if h, _ := tableStats.Load(); h != 0 {
-		t.Fatalf("hits after first use = %d, want 0", h)
-	}
-	if cachedTable(base, m) != nil {
-		t.Fatal("table built on first sighting; want promotion on second use")
-	}
-	// Second use: table built and used.
-	got, err = ExpCachedSigned(base, exp, m)
-	if err != nil || got.Cmp(want) != 0 {
-		t.Fatalf("second use: got %v err %v", got, err)
-	}
-	if tab := cachedTable(base, m); tab == nil || tab.Bits() < exp.BitLen() {
-		t.Fatal("no table after second use")
-	}
-	// Third use: cache hit, still bit-identical.
-	got, err = ExpCachedSigned(base, exp, m)
-	if err != nil || got.Cmp(want) != 0 {
-		t.Fatalf("third use: got %v err %v", got, err)
-	}
-	if h, _ := tableStats.Load(); h != 1 {
-		t.Fatalf("hits after third use = %d, want 1", h)
-	}
-	// Different exponents over the cached base, including negative.
-	for i := 0; i < 20; i++ {
-		e := randBig(r, r.Intn(600))
-		if i%2 == 1 {
-			e.Neg(e)
-		}
-		g, err1 := ExpCachedSigned(base, e, m)
-		w, err2 := ExpSigned(base, e, m)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("exp %d: err mismatch %v vs %v", i, err1, err2)
-		}
-		if err1 == nil && g.Cmp(w) != 0 {
-			t.Fatalf("exp %d: cached=%v naive=%v", i, g, w)
-		}
-	}
-	resetCaches()
-}
-
-// TestExpCachedSignedNegativeBase: the caches key on the residue, not on
-// the absolute value. Once g is promoted, −g must not be served from g's
-// table (wrong for odd exponents), while the unreduced g + N is the same
-// residue and must be.
-func TestExpCachedSignedNegativeBase(t *testing.T) {
+// TestLadderKeysOnResidue: ladders key on the residue, not on the
+// absolute value. −g must not share g's ladder (wrong for odd powers),
+// while the unreduced g + N is the same residue and must.
+func TestLadderKeysOnResidue(t *testing.T) {
 	resetCaches()
 	defer resetCaches()
 	r := testRNG(9)
 	n := oddModulus(r, 512)
 	g := randBig(r, 500)
-	e := randBig(r, 300)
-	e.SetBit(e, 0, 1) // odd, so (−g)^e = −(g^e)
-	e.SetBit(e, 299, 1)
-	for i := 0; i < 3; i++ {
-		if _, err := ExpCachedSigned(g, e, n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cachedTable(g, n) == nil {
-		t.Fatal("g not promoted after three calls")
-	}
-
 	negG := new(big.Int).Neg(g)
-	want, err := ExpSigned(negG, e, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for call := 0; call < 3; call++ { // sighting, promotion, table hit
-		got, err := ExpCachedSigned(negG, e, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cmp(want) != 0 {
-			t.Fatalf("call %d: ExpCachedSigned(−g) = %v, ExpSigned(−g) = %v", call, got, want)
-		}
-	}
-
-	hits, _ := tableStats.Load()
 	gPlusN := new(big.Int).Add(g, n)
-	want, _ = ExpSigned(g, e, n)
-	got, err := ExpCachedSigned(gPlusN, e, n)
-	if err != nil || got.Cmp(want) != 0 {
-		t.Fatalf("ExpCachedSigned(g+N) = %v (err %v), want %v", got, err, want)
-	}
-	if after, _ := tableStats.Load(); after != hits+1 {
-		t.Fatalf("g+N missed g's table: hits %d -> %d", hits, after)
-	}
-
 	Ladder(g, n)
 	cube, err := Ladder(negG, n).Pow(3)
 	if err != nil {
@@ -303,25 +208,6 @@ func TestExpCachedSignedNegativeBase(t *testing.T) {
 	if Ladder(gPlusN, n) != Ladder(g, n) {
 		t.Fatal("Ladder(g+N) is not Ladder(g)")
 	}
-}
-
-func TestExpCachedSignedSmallExponentBypass(t *testing.T) {
-	resetCaches()
-	m := big.NewInt(1000003)
-	for i := 0; i < 5; i++ {
-		got, err := ExpCachedSigned(big.NewInt(7), big.NewInt(123), m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := new(big.Int).Exp(big.NewInt(7), big.NewInt(123), m)
-		if got.Cmp(want) != 0 {
-			t.Fatalf("got %v want %v", got, want)
-		}
-	}
-	if h, ms := tableStats.Load(); h != 0 || ms != 0 {
-		t.Fatalf("small exponents touched the cache: hits=%d misses=%d", h, ms)
-	}
-	resetCaches()
 }
 
 func TestMultiExpMatchesNaiveProduct(t *testing.T) {
@@ -379,48 +265,6 @@ func TestMultiExpMatchesNaiveProduct(t *testing.T) {
 	}
 }
 
-func TestExpManySignedMatchesNaive(t *testing.T) {
-	r := testRNG(5)
-	for _, n := range []int{0, 1, 3, 4, 16} {
-		m := oddModulus(r, 512)
-		base := randBig(r, 512)
-		exps := make([]*big.Int, n)
-		for i := range exps {
-			exps[i] = randBig(r, 300+r.Intn(200))
-			if i%3 == 0 {
-				exps[i].Neg(exps[i])
-			}
-		}
-		// A random base may share a factor with m; the batch must then
-		// fail exactly when the per-exponent naive path fails.
-		naiveOK := true
-		wants := make([]*big.Int, n)
-		for i, e := range exps {
-			w, err := ExpSigned(base, e, m)
-			if err != nil {
-				naiveOK = false
-				break
-			}
-			wants[i] = w
-		}
-		got, err := ExpManySigned(base, m, exps)
-		if !naiveOK {
-			if err == nil {
-				t.Fatalf("n=%d: naive not invertible but batch succeeded", n)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		for i := range exps {
-			if got[i].Cmp(wants[i]) != 0 {
-				t.Fatalf("n=%d i=%d: batch=%v naive=%v", n, i, got[i], wants[i])
-			}
-		}
-	}
-}
-
 func TestPowerLadderMatchesExp(t *testing.T) {
 	resetCaches()
 	r := testRNG(6)
@@ -447,95 +291,81 @@ func TestPowerLadderMatchesExp(t *testing.T) {
 
 func TestInstrumentMirrorsCounters(t *testing.T) {
 	resetCaches()
+	defer resetCaches()
 	reg := telemetry.NewRegistry()
 	Instrument(reg)
 	defer Instrument(nil)
 	r := testRNG(7)
 	m := oddModulus(r, 256)
-	base := randBig(r, 256)
-	exp := randBig(r, 200)
+	tab := NewFixedBase(randBig(r, 256), m, 200)
 	for i := 0; i < 3; i++ {
-		if _, err := ExpCachedSigned(base, exp, m); err != nil {
-			t.Fatal(err)
-		}
+		tab.Exp(randBig(r, 200))
 	}
 	snap := reg.Snapshot()
-	if snap.Counters["modexp.table_cache_hits"] != 1 {
-		t.Fatalf("telemetry hits = %d, want 1", snap.Counters["modexp.table_cache_hits"])
+	if snap.Counters["modexp.table_cache_hits"] != 3 {
+		t.Fatalf("telemetry hits = %d, want 3", snap.Counters["modexp.table_cache_hits"])
 	}
-	if snap.Counters["modexp.table_cache_misses"] != 2 {
-		t.Fatalf("telemetry misses = %d, want 2", snap.Counters["modexp.table_cache_misses"])
+	if snap.Counters["modexp.table_cache_misses"] != 0 {
+		t.Fatalf("telemetry misses = %d, want 0", snap.Counters["modexp.table_cache_misses"])
 	}
-	resetCaches()
 }
 
 // TestCacheHammer drives what modexp adds on top of its cowcache maps
-// (hammered in internal/cowcache) from many goroutines at once —
-// sighting-then-promotion, table replacement inside a slot, ladder
-// growth; run under -race it is the engine's concurrency witness.
+// (hammered in internal/cowcache) from many goroutines at once: 16 of
+// them look up one ladder and grow it, each asking for powers the others
+// have not built yet; run under -race it is the engine's concurrency
+// witness.
 func TestCacheHammer(t *testing.T) {
 	resetCaches()
+	defer resetCaches()
 	r := testRNG(8)
-	const nBases = 4
 	m := oddModulus(r, 256)
-	bases := make([]*big.Int, nBases)
-	exps := make([]*big.Int, nBases)
-	wants := make([]*big.Int, nBases)
-	for i := range bases {
-		bases[i] = randBig(r, 256)
-		exps[i] = randBig(r, 200)
-		w, err := ExpSigned(bases[i], exps[i], m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wants[i] = w
-	}
+	base := randBig(r, 256)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				j := (g + i) % nBases
-				got, err := ExpCachedSigned(bases[j], exps[j], m)
-				if err != nil || got.Cmp(wants[j]) != 0 {
-					t.Errorf("goroutine %d iter %d: got %v err %v", g, i, got, err)
-					return
-				}
-				p, err := Ladder(bases[j], m).Pow(i % 9)
+				k := (g*37 + i*11) % 300
+				p, err := Ladder(base, m).Pow(k)
 				if err != nil {
-					t.Errorf("ladder: %v", err)
+					t.Errorf("goroutine %d iter %d: %v", g, i, err)
 					return
 				}
-				want := new(big.Int).Exp(bases[j], big.NewInt(int64(i%9)), m)
-				if p.Cmp(want) != 0 {
-					t.Errorf("goroutine %d iter %d: ladder %v want %v", g, i, p, want)
+				if want := new(big.Int).Exp(base, big.NewInt(int64(k)), m); p.Cmp(want) != 0 {
+					t.Errorf("goroutine %d iter %d: Pow(%d) = %v, want %v", g, i, k, p, want)
 					return
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if h, ms := tableStats.Load(); h == 0 || ms == 0 {
-		t.Fatalf("hammer saw hits=%d misses=%d; want both non-zero", h, ms)
-	}
-	resetCaches()
 }
 
-// FuzzEngineVsNaive pins every engine path — cached signed exp,
-// fixed-base tables, and multi-exp over two to six bases — bit-for-bit
-// against plain big.Int.Exp references.
+// FuzzEngineVsNaive pins every engine path — fixed-base tables and
+// multi-exp over two to six bases — bit-for-bit against plain
+// big.Int.Exp references.
 func FuzzEngineVsNaive(f *testing.F) {
 	f.Add([]byte{7}, []byte{3}, []byte{5}, []byte{11}, []byte{97}, false, false, false)
 	f.Add([]byte{2}, []byte{0xff, 0x01}, []byte{9}, []byte{0x80}, []byte{0xc1}, true, false, false)
 	f.Add([]byte{0}, []byte{0}, []byte{1}, []byte{1}, []byte{3}, false, true, false)
-	// Negative and unreduced bases under exponents long enough (≥ 64 bits,
-	// odd) to go through table promotion.
-	long := []byte{0x81, 2, 3, 4, 5, 6, 7, 8, 9}
-	f.Add([]byte{7}, long, []byte{5}, []byte{11}, []byte{0x01, 0x01}, false, false, true)
-	f.Add([]byte{0x03, 0x08}, long, []byte{0x02, 0x09}, long, []byte{0x01, 0x01}, false, true, false)
-	f.Add([]byte{0x03, 0x08}, long, []byte{0x02, 0x09}, long, []byte{0x01, 0x01}, true, false, true)
+	// Negative and unreduced bases under odd exponents at comb layout
+	// boundaries. 36 bits: rows of exactly 4 bits, one-bit blocks. 90
+	// bits: rows of 10 in blocks of 3, so each row's last block is one
+	// bit. 145 bits: rows of 17 in blocks of 5 (the last of 2), the top
+	// row holding only 9 bits, and through the −1 table 144: rows of 16
+	// in four full blocks of 4.
+	bits36 := []byte{0x0f, 0x12, 0x34, 0x56, 0x79}
+	bits90 := append([]byte{0x03}, make([]byte, 11)...)
+	bits90[11] = 0x35
+	bits145 := append([]byte{0x01}, make([]byte, 18)...)
+	bits145[9], bits145[18] = 0xa7, 0x4b
+	f.Add([]byte{7}, bits36, []byte{5}, []byte{11}, []byte{0x01, 0x01}, false, false, true)
+	f.Add([]byte{0x03, 0x08}, bits90, []byte{0x02, 0x09}, bits36, []byte{0x01, 0x01}, false, true, false)
+	f.Add([]byte{0x03, 0x08}, bits145, []byte{0x02, 0x09}, bits90, []byte{0x01, 0x01}, true, false, true)
 	// An even modulus (no Montgomery context: every path is plain).
+	long := []byte{0x81, 2, 3, 4, 5, 6, 7, 8, 9}
 	f.Add([]byte{7}, long, []byte{5}, long, []byte{0x01, 0x00}, true, false, false)
 	// A 72-bit exponent, a layout boundary: a table of 72 bits has rows
 	// of exactly 8 bits in four blocks of 2, one of 73 bits rows of 9 in
@@ -581,46 +411,19 @@ func FuzzEngineVsNaive(f *testing.F) {
 			return new(big.Int).Exp(bb, e, mod), true
 		}
 
-		// Path 1: cached signed exp, called twice so the second call
-		// exercises table promotion when the exponent is large enough.
-		resetCaches()
+		// Path 1: comb tables covering one bit more than the exponent,
+		// exactly its length, and one bit less (the plain fallback), under
+		// either sign: a negative exponent takes the plain path, nil where
+		// the base has no inverse.
 		want, ok := naive(base, exp)
-		for call := 0; call < 3; call++ {
-			got, err := ExpCachedSigned(base, exp, mod)
-			if !ok {
-				if err == nil {
-					t.Fatalf("call %d: naive not invertible, engine returned %v", call, got)
-				}
-				break
-			}
-			if err != nil {
-				t.Fatalf("call %d: %v", call, err)
-			}
-			if got.Cmp(want) != 0 {
-				t.Fatalf("call %d: engine=%v naive=%v", call, got, want)
-			}
-		}
-
-		// Path 2: explicit comb tables covering one bit more than the
-		// exponent, exactly its length, and one bit less (the plain
-		// fallback), under either sign.
 		for _, maxBits := range []int{exp.BitLen() + 1, exp.BitLen(), exp.BitLen() - 1} {
-			tab := NewFixedBase(base, mod, maxBits)
-			got, err := tab.ExpSigned(exp)
-			if (err == nil) != ok {
-				t.Fatalf("fixed-base maxBits=%d: err=%v, naive invertible=%v", maxBits, err, ok)
-			}
-			if ok && got.Cmp(want) != 0 {
-				t.Fatalf("fixed-base maxBits=%d: ExpSigned=%v want %v", maxBits, got, want)
-			}
-			if exp.Sign() >= 0 {
-				if got := tab.Exp(exp); got.Cmp(want) != 0 {
-					t.Fatalf("fixed-base maxBits=%d: Exp=%v want %v", maxBits, got, want)
-				}
+			got := NewFixedBase(base, mod, maxBits).Exp(exp)
+			if (got != nil) != ok || ok && got.Cmp(want) != 0 {
+				t.Fatalf("fixed-base maxBits=%d: Exp=%v want %v (invertible %v)", maxBits, got, want, ok)
 			}
 		}
 
-		// Path 3: a k-term multi-exp, k = 2…6, vs the naive product: the
+		// Path 2: a k-term multi-exp, k = 2…6, vs the naive product: the
 		// two inputs plus k − 2 terms mixed from them, b + j·b2 raised to
 		// e − j·e2, so signs mix too.
 		k := 2 + int(modB[0])%5

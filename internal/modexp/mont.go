@@ -28,15 +28,12 @@ type montgomery struct {
 	one  *big.Int // R mod m, the Montgomery form of 1
 }
 
-// hasMont reports whether modulus has a Montgomery context: it must be
-// odd for −m⁻¹ mod R to exist, and above 1.
-func hasMont(modulus *big.Int) bool { return modulus.Bit(0) == 1 && modulus.BitLen() > 1 }
-
 // montOf returns modulus's context from the process-wide cache (keyed by
-// the modulus's bytes), or nil when it has none: an even modulus takes
-// plain math/big arithmetic.
+// the modulus's bytes), or nil when it has none: −m⁻¹ mod R exists only
+// for an odd modulus, and an even one (or 1) takes plain math/big
+// arithmetic.
 func montOf(modulus *big.Int) *montgomery {
-	if !hasMont(modulus) {
+	if modulus.Bit(0) == 0 || modulus.BitLen() < 2 {
 		return nil
 	}
 	c, _, _ := monts.LoadOrBuild(string(modulus.Bytes()), newMontgomery)

@@ -59,8 +59,8 @@ func eqExpInstance(t *testing.T, modulus, w *big.Int) (g1, g2, h1, h2 *big.Int) 
 }
 
 // TestVerifyEqExpEngineMatchesNaive pins the engine verification path
-// (cached fixed-base g^Z plus the Straus A·h^e fold) to the retained
-// naive reference on honest, tampered, and negative-witness proofs.
+// (the Straus A·h^e fold) to the retained naive reference on honest,
+// tampered, and negative-witness proofs.
 func TestVerifyEqExpEngineMatchesNaive(t *testing.T) {
 	pk := &paillier.FixedTestKey(0).PublicKey
 	wBound := new(big.Int).Lsh(big.NewInt(1), 256)
@@ -78,18 +78,12 @@ func TestVerifyEqExpEngineMatchesNaive(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ProveEqExp: %v", err)
 			}
-			// The engine's fixed-base cache promotes on second use: verify
-			// three times so both the cold and the table-served paths run,
-			// and every round must agree with the naive verifier.
-			for round := 0; round < 3; round++ {
-				eng := VerifyEqExp(pk.N2, g1, g2, h1, h2, proof)
-				ref := VerifyEqExpNaive(pk.N2, g1, g2, h1, h2, proof)
-				if eng != ref {
-					t.Fatalf("round %d: engine verdict %v != naive %v", round, eng, ref)
-				}
-				if !eng {
-					t.Fatalf("round %d: honest proof rejected", round)
-				}
+			eng := VerifyEqExp(pk.N2, g1, g2, h1, h2, proof)
+			if ref := VerifyEqExpNaive(pk.N2, g1, g2, h1, h2, proof); eng != ref {
+				t.Fatalf("engine verdict %v != naive %v", eng, ref)
+			}
+			if !eng {
+				t.Fatal("honest proof rejected")
 			}
 			bad := &EqExpProof{A1: proof.A1, A2: proof.A2, Z: new(big.Int).Add(proof.Z, big.NewInt(1))}
 			if VerifyEqExp(pk.N2, g1, g2, h1, h2, bad) {

@@ -34,9 +34,6 @@ type Proof struct {
 	data [AttestedProofSize]byte
 }
 
-// Size returns the proof's wire size.
-func (p Proof) Size() int { return AttestedProofSize }
-
 // Bytes returns the proof encoding.
 func (p Proof) Bytes() []byte { return p.data[:] }
 

@@ -66,8 +66,8 @@ func TestProofConstantSize(t *testing.T) {
 	a := MustNewAuthority()
 	small := a.Attest([]byte("s"))
 	large := a.Attest(bytes.Repeat([]byte("x"), 10000))
-	if small.Size() != AttestedProofSize || large.Size() != AttestedProofSize {
-		t.Errorf("sizes %d, %d; want constant %d", small.Size(), large.Size(), AttestedProofSize)
+	if len(small.Bytes()) != AttestedProofSize || len(large.Bytes()) != AttestedProofSize {
+		t.Errorf("sizes %d, %d; want constant %d", len(small.Bytes()), len(large.Bytes()), AttestedProofSize)
 	}
 }
 

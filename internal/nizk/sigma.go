@@ -29,28 +29,23 @@ type EqExpProof struct {
 	Z *big.Int
 }
 
-// Size returns the proof's wire size in bytes.
-func (p *EqExpProof) Size() int {
-	return (p.A1.BitLen() + p.A2.BitLen() + p.Z.BitLen() + 23) / 8
-}
-
 // ProveEqExp proves h1 = g1^w ∧ h2 = g2^w (mod modulus). wBound is a public
 // upper bound on |w| used to size the masking randomness. Signed witnesses
-// are supported (key shares go negative after integer resharing).
+// are supported (key shares go negative after integer resharing). The
+// commitments are two plain exponentiations (modexp.ExpSigned): this
+// proof is not on the protocol's path, so no caller holds a table for
+// its bases.
 func ProveEqExp(modulus, g1, g2, h1, h2, w, wBound *big.Int) (*EqExpProof, error) {
 	xBound := new(big.Int).Lsh(wBound, challengeBits+maskBits)
 	x, err := rand.Int(rand.Reader, xBound)
 	if err != nil {
 		return nil, fmt.Errorf("nizk: sampling commitment: %w", err)
 	}
-	// The bases recur — g1 = c² across a committee's partials for the
-	// same ciphertext, g2 = v across the whole run — so the commitments
-	// go through the engine's fixed-base table cache.
-	a1, err := modexp.ExpCachedSigned(g1, x, modulus)
+	a1, err := modexp.ExpSigned(g1, x, modulus)
 	if err != nil {
 		return nil, err
 	}
-	a2, err := modexp.ExpCachedSigned(g2, x, modulus)
+	a2, err := modexp.ExpSigned(g2, x, modulus)
 	if err != nil {
 		return nil, err
 	}
@@ -61,16 +56,16 @@ func ProveEqExp(modulus, g1, g2, h1, h2, w, wBound *big.Int) (*EqExpProof, error
 }
 
 // VerifyEqExp checks an EqExpProof: g^Z ≡ A · h^e (mod modulus) for both
-// base/public pairs, with signed Z supported via modular inversion. The
-// long g^Z exponentiation is served from the fixed-base table cache (the
-// bases recur exactly as in ProveEqExp) and A·h^e is one Straus pass.
+// base/public pairs, with signed Z supported via modular inversion. g^Z
+// is a plain exponentiation (modexp.ExpSigned) and A·h^e one Straus
+// pass.
 func VerifyEqExp(modulus, g1, g2, h1, h2 *big.Int, proof *EqExpProof) bool {
 	if proof == nil || proof.A1 == nil || proof.A2 == nil || proof.Z == nil {
 		return false
 	}
 	e := eqExpChallenge(modulus, g1, g2, h1, h2, proof.A1, proof.A2)
 	check := func(g, h, a *big.Int) bool {
-		lhs, err := modexp.ExpCachedSigned(g, proof.Z, modulus)
+		lhs, err := modexp.ExpSigned(g, proof.Z, modulus)
 		if err != nil {
 			return false
 		}

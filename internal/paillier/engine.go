@@ -20,7 +20,7 @@ import (
 // bit-for-bit, by the differential tests and FuzzPaillierEngineVsNaive,
 // to a reference: plain modexp.ExpSigned, the DecryptNaive /
 // EncryptWithNonceNaive of this package's test files, and — for the
-// randomizer — EncryptWithNonce itself.
+// randomizer — the tests' EncryptWithNonce.
 //
 // Why CRT wins: Z*_{N²} ≅ Z*_{p²} × Z*_{q²}, so an exponentiation splits
 // into two at half the modulus size (≈4× cheaper each in schoolbook

@@ -486,3 +486,16 @@ func FuzzPaillierEngineVsNaive(f *testing.F) {
 		}
 	})
 }
+
+// EncryptWithNonce encrypts m ∈ [0, N) with caller-supplied randomness
+// r ∈ Z*_N: (1+N)^m = 1 + mN times one full-width r^N exponentiation. It
+// is the reference the randomizer path is pinned to: Encrypt's output is
+// EncryptWithNonce(m, h^ρ mod N) bit for bit.
+func (pk *PublicKey) EncryptWithNonce(m, r *big.Int) (*Ciphertext, error) {
+	gm, err := pk.onePlusNTo(m)
+	if err != nil {
+		return nil, err
+	}
+	c := gm.Mul(gm, new(big.Int).Exp(r, pk.N, pk.N2))
+	return &Ciphertext{C: c.Mod(c, pk.N2)}, nil
+}

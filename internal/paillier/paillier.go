@@ -5,9 +5,10 @@
 // Ciphertexts encrypt messages m ∈ Z_N as c = (1+N)^m · r^N mod N².
 // The scheme is additively homomorphic: multiplying ciphertexts adds
 // plaintexts, and exponentiation by a scalar multiplies the plaintext.
-// Everything that needs only N — encryption, Add, ScalarMul and L — is a
-// PublicKey method; Decrypt and ExpSignedCRT use the factorization and
-// are PrivateKey methods.
+// Everything that needs only N — encryption and L — is a PublicKey
+// method; Decrypt and ExpSignedCRT use the factorization and are
+// PrivateKey methods. The homomorphic operations are plain products and
+// powers mod N², which package tte computes itself.
 package paillier
 
 import (
@@ -63,27 +64,6 @@ type PrivateKey struct {
 type Ciphertext struct {
 	// C is the ciphertext value in [0, N²).
 	C *big.Int
-}
-
-// GenerateKey creates a Paillier key with a modulus of the given bit length
-// from two random primes. Keys produced this way support Enc/Dec and the
-// homomorphic operations but not the threshold extension.
-func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
-	if bits < 64 {
-		return nil, fmt.Errorf("paillier: modulus of %d bits is too small", bits)
-	}
-	p, err := rand.Prime(random, bits/2)
-	if err != nil {
-		return nil, fmt.Errorf("paillier: generating p: %w", err)
-	}
-	q, err := rand.Prime(random, bits-bits/2)
-	if err != nil {
-		return nil, fmt.Errorf("paillier: generating q: %w", err)
-	}
-	if p.Cmp(q) == 0 {
-		return nil, errors.New("paillier: p == q")
-	}
-	return keyFromPrimes(p, q, nil)
 }
 
 // GenerateSafeKey creates a key whose factors are safe primes p = 2p'+1,
@@ -173,19 +153,6 @@ func keyFromPrimes(p, q, m *big.Int) (*PrivateKey, error) {
 	}, nil
 }
 
-// EncryptWithNonce encrypts m ∈ [0, N) with caller-supplied randomness
-// r ∈ Z*_N: (1+N)^m = 1 + mN times one full-width r^N exponentiation. It
-// is the reference the randomizer path is pinned to: Encrypt's output is
-// EncryptWithNonce(m, h^ρ mod N) bit for bit.
-func (pk *PublicKey) EncryptWithNonce(m, r *big.Int) (*Ciphertext, error) {
-	gm, err := pk.onePlusNTo(m)
-	if err != nil {
-		return nil, err
-	}
-	c := gm.Mul(gm, new(big.Int).Exp(r, pk.N, pk.N2))
-	return &Ciphertext{C: c.Mod(c, pk.N2)}, nil
-}
-
 // onePlusNTo is the range-checked message term (1+N)^m = 1 + mN mod N²
 // every encryption starts from.
 func (pk *PublicKey) onePlusNTo(m *big.Int) (*big.Int, error) {
@@ -211,21 +178,4 @@ func (pk *PublicKey) L(a *big.Int) (*big.Int, error) {
 		return nil, fmt.Errorf("%w: value is not a power of 1+N", ErrDecryption)
 	}
 	return m, nil
-}
-
-// Add returns a ciphertext of the plaintext sum.
-func (pk *PublicKey) Add(a, b *Ciphertext) *Ciphertext {
-	c := new(big.Int).Mul(a.C, b.C)
-	return &Ciphertext{C: c.Mod(c, pk.N2)}
-}
-
-// ScalarMul returns a ciphertext of s·m. Negative scalars use modular
-// inversion of the ciphertext.
-func (pk *PublicKey) ScalarMul(a *Ciphertext, s *big.Int) *Ciphertext {
-	base, exp := a.C, s
-	if s.Sign() < 0 {
-		base = new(big.Int).ModInverse(a.C, pk.N2)
-		exp = new(big.Int).Neg(s)
-	}
-	return &Ciphertext{C: new(big.Int).Exp(base, exp, pk.N2)}
 }

@@ -378,3 +378,41 @@ func FixedTestKey768(i int) *PrivateKey {
 	fixedKeyCache[idx] = k
 	return k
 }
+
+// GenerateKey creates a Paillier key with a modulus of the given bit length
+// from two random primes. Keys produced this way support Enc/Dec and the
+// homomorphic operations but not the threshold extension.
+func GenerateKey(random io.Reader, bits int) (*PrivateKey, error) {
+	if bits < 64 {
+		return nil, fmt.Errorf("paillier: modulus of %d bits is too small", bits)
+	}
+	p, err := rand.Prime(random, bits/2)
+	if err != nil {
+		return nil, fmt.Errorf("paillier: generating p: %w", err)
+	}
+	q, err := rand.Prime(random, bits-bits/2)
+	if err != nil {
+		return nil, fmt.Errorf("paillier: generating q: %w", err)
+	}
+	if p.Cmp(q) == 0 {
+		return nil, errors.New("paillier: p == q")
+	}
+	return keyFromPrimes(p, q, nil)
+}
+
+// Add returns a ciphertext of the plaintext sum.
+func (pk *PublicKey) Add(a, b *Ciphertext) *Ciphertext {
+	c := new(big.Int).Mul(a.C, b.C)
+	return &Ciphertext{C: c.Mod(c, pk.N2)}
+}
+
+// ScalarMul returns a ciphertext of s·m. Negative scalars use modular
+// inversion of the ciphertext.
+func (pk *PublicKey) ScalarMul(a *Ciphertext, s *big.Int) *Ciphertext {
+	base, exp := a.C, s
+	if s.Sign() < 0 {
+		base = new(big.Int).ModInverse(a.C, pk.N2)
+		exp = new(big.Int).Neg(s)
+	}
+	return &Ciphertext{C: new(big.Int).Exp(base, exp, pk.N2)}
+}

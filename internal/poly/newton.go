@@ -10,9 +10,9 @@ import (
 // Newton-form interpolation and barycentric evaluation: the O(n²)
 // replacements for the Lagrange-basis construction (which multiplies n
 // degree-(n-1) polynomials together per call — O(n³) field operations).
-// The Lagrange path survives as LagrangeBasis for callers that need the
-// basis polynomials themselves and as the reference implementation the
-// differential tests pin the fast paths against.
+// The Lagrange path survives in the tests (LagrangeBasis, poly_test.go)
+// as the reference implementation the differential tests pin the fast
+// paths against.
 
 // interpolateNewton builds the unique interpolating polynomial through
 // (xs[i], ys[i]) by divided differences in O(n²): one table sweep with a

@@ -281,3 +281,165 @@ func EvalAt(xs, ys []field.Element, at field.Element) (field.Element, error) {
 	}
 	return field.InnerProduct(coeffs, ys), nil
 }
+
+// Zero returns the zero polynomial.
+func Zero() Polynomial { return Polynomial{} }
+
+// MustRandom is Random panicking on randomness failure.
+func MustRandom(deg int) Polynomial {
+	p, err := Random(deg)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// Add returns p + q.
+func (p Polynomial) Add(q Polynomial) Polynomial {
+	longer, shorter := p.coeffs, q.coeffs
+	if len(shorter) > len(longer) {
+		longer, shorter = shorter, longer
+	}
+	out := field.CloneVec(longer)
+	for i := range shorter {
+		out[i] = out[i].Add(shorter[i])
+	}
+	return New(out)
+}
+
+// Sub returns p - q.
+func (p Polynomial) Sub(q Polynomial) Polynomial {
+	n := len(p.coeffs)
+	if len(q.coeffs) > n {
+		n = len(q.coeffs)
+	}
+	out := make([]field.Element, n)
+	for i := range out {
+		out[i] = p.Coefficient(i).Sub(q.Coefficient(i))
+	}
+	return New(out)
+}
+
+// Equal reports whether p and q are identical polynomials.
+func (p Polynomial) Equal(q Polynomial) bool { return field.EqualVec(p.coeffs, q.coeffs) }
+
+// LagrangeBasis returns the Lagrange basis polynomials L_i for the point set
+// xs: L_i(xs[i]) = 1 and L_i(xs[j]) = 0 for j != i.
+func LagrangeBasis(xs []field.Element) ([]Polynomial, error) {
+	if err := checkDistinct(xs); err != nil {
+		return nil, err
+	}
+	denoms := make([]field.Element, len(xs))
+	nums := make([]Polynomial, len(xs))
+	for i, xi := range xs {
+		num := Constant(field.One)
+		denom := field.One
+		for j, xj := range xs {
+			if j == i {
+				continue
+			}
+			// num *= (x - xj)
+			num = num.Mul(New([]field.Element{xj.Neg(), field.One}))
+			denom = denom.Mul(xi.Sub(xj))
+		}
+		nums[i], denoms[i] = num, denom
+	}
+	invs, err := field.BatchInv(denoms)
+	if err != nil {
+		return nil, fmt.Errorf("poly: lagrange basis: %w", err)
+	}
+	basis := make([]Polynomial, len(xs))
+	for i := range xs {
+		basis[i] = nums[i].ScalarMul(invs[i])
+	}
+	return basis, nil
+}
+
+// LagrangeCoeffs returns the coefficients c_i such that for any polynomial f
+// of degree < len(xs): f(at) = Σ c_i · f(xs[i]), by the direct product
+// formula: the reference the barycentric rows are pinned against.
+func LagrangeCoeffs(xs []field.Element, at field.Element) ([]field.Element, error) {
+	if err := checkDistinct(xs); err != nil {
+		return nil, err
+	}
+	nums := make([]field.Element, len(xs))
+	denoms := make([]field.Element, len(xs))
+	for i, xi := range xs {
+		num, denom := field.One, field.One
+		for j, xj := range xs {
+			if j == i {
+				continue
+			}
+			num = num.Mul(at.Sub(xj))
+			denom = denom.Mul(xi.Sub(xj))
+		}
+		nums[i], denoms[i] = num, denom
+	}
+	invs, err := field.BatchInv(denoms)
+	if err != nil {
+		return nil, fmt.Errorf("poly: lagrange coeffs: %w", err)
+	}
+	coeffs := make([]field.Element, len(xs))
+	for i := range xs {
+		coeffs[i] = nums[i].Mul(invs[i])
+	}
+	return coeffs, nil
+}
+
+// Constant returns the degree-0 polynomial c.
+func Constant(c field.Element) Polynomial {
+	if c.IsZero() {
+		return Polynomial{}
+	}
+	return Polynomial{coeffs: []field.Element{c}}
+}
+
+// Random returns a uniformly random polynomial of degree at most deg.
+func Random(deg int) (Polynomial, error) {
+	if deg < 0 {
+		return Polynomial{}, nil
+	}
+	coeffs, err := field.RandomVec(deg + 1)
+	if err != nil {
+		return Polynomial{}, err
+	}
+	return Polynomial{coeffs: coeffs}, nil
+}
+
+// Coefficient returns the coefficient of x^i (zero beyond the degree).
+func (p Polynomial) Coefficient(i int) field.Element {
+	if i < 0 || i >= len(p.coeffs) {
+		return field.Zero
+	}
+	return p.coeffs[i]
+}
+
+// Mul returns p · q by schoolbook multiplication. Degrees in this codebase
+// are committee-sized (≤ a few thousand), so O(d²) is acceptable.
+func (p Polynomial) Mul(q Polynomial) Polynomial {
+	if p.IsZero() || q.IsZero() {
+		return Polynomial{}
+	}
+	out := make([]field.Element, len(p.coeffs)+len(q.coeffs)-1)
+	for i, a := range p.coeffs {
+		if a.IsZero() {
+			continue
+		}
+		for j, b := range q.coeffs {
+			out[i+j] = out[i+j].Add(a.Mul(b))
+		}
+	}
+	return New(out)
+}
+
+// ScalarMul returns c·p.
+func (p Polynomial) ScalarMul(c field.Element) Polynomial {
+	if c.IsZero() {
+		return Polynomial{}
+	}
+	out := make([]field.Element, len(p.coeffs))
+	for i, a := range p.coeffs {
+		out[i] = c.Mul(a)
+	}
+	return New(out)
+}

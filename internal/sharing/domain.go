@@ -146,11 +146,12 @@ func buildReconDomain(key reconKey) (*reconDomain, error) {
 	}, nil
 }
 
-// ConstDomain is the cached algebra of ConstantPacked sharings for one
-// packing width k: the degree-(k-1) polynomial through the slot points,
-// evaluated at share indices. Rows grow on demand (lock-free reads,
-// copy-on-write growth) because callers ask for individual party indices
-// rather than a fixed committee size.
+// ConstDomain is the cached algebra of constant-packed sharings of a
+// public vector for one packing width k (the multiplication-friendliness
+// trick of the paper's Section 3.2): the degree-(k-1) polynomial through
+// the slot points, evaluated at share indices. Rows grow on demand
+// (lock-free reads, copy-on-write growth) because callers ask for
+// individual party indices rather than a fixed committee size.
 type ConstDomain struct {
 	k       int
 	slots   []field.Element

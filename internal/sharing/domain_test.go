@@ -219,12 +219,12 @@ func TestPackingLagrangeCoeffsMatchesReference(t *testing.T) {
 			xs = append(xs, field.New(uint64(i)))
 		}
 		for i := 1; i <= s.n; i++ {
-			want, err := poly.LagrangeCoeffs(xs, ShareIndexPoint(i))
+			want, err := lagrangeCoeffs(xs, ShareIndexPoint(i))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !field.EqualVec(dom.ShareRow(i), want) {
-				t.Fatalf("shape %+v row %d differs from LagrangeCoeffs", s, i)
+				t.Fatalf("shape %+v row %d differs from lagrangeCoeffs", s, i)
 			}
 		}
 	}

@@ -43,10 +43,10 @@ func sharePackedNaiveWith(secrets, rnd []field.Element, d, n int) ([]Share, erro
 	}
 	// The sharing polynomial's coefficients determine every secret slot;
 	// wipe them once the share evaluations are done.
-	defer f.Zeroize()
+	defer field.Zeroize(f)
 	shares := make([]Share, n)
 	for i := 0; i < n; i++ {
-		shares[i] = Share{Index: i + 1, Value: f.Eval(ShareIndexPoint(i + 1))}
+		shares[i] = Share{Index: i + 1, Value: eval(f, ShareIndexPoint(i+1))}
 	}
 	return shares, nil
 }
@@ -57,13 +57,13 @@ func sharePackedNaiveWith(secrets, rnd []field.Element, d, n int) ([]Share, erro
 // are disjoint from the slot points). Uniform rnd makes the polynomial
 // uniformly random subject to the secret constraints. Reference path
 // only: the construction is the original O(n³) Lagrange-basis sum.
-func randomPolynomialThrough(secrets, rnd []field.Element, d int) (poly.Polynomial, error) {
+func randomPolynomialThrough(secrets, rnd []field.Element, d int) ([]field.Element, error) {
 	k := len(secrets)
 	xs := SlotPoints(k)
 	ys := field.CloneVec(secrets)
 	extra := d + 1 - k
 	if len(rnd) != extra {
-		return poly.Polynomial{}, fmt.Errorf("sharing: %d randomness values for %d auxiliary points", len(rnd), extra)
+		return nil, fmt.Errorf("sharing: %d randomness values for %d auxiliary points", len(rnd), extra)
 	}
 	for i := 0; i < extra; i++ {
 		xs = append(xs, field.New(uint64(i+1)))
@@ -73,23 +73,49 @@ func randomPolynomialThrough(secrets, rnd []field.Element, d int) (poly.Polynomi
 }
 
 // interpolateLagrangeBasis interpolates by summing scaled Lagrange basis
-// polynomials — the seed algorithm every fast path in this package is
-// differentially pinned against. Interpolation is unique and field
-// arithmetic exact, so it agrees bit-for-bit with the Newton and
+// polynomials L_i = Π_{j≠i} (x − x_j)/(x_i − x_j) — the seed algorithm
+// every fast path in this package is differentially pinned against — and
+// returns the little-endian coefficients. Interpolation is unique and
+// field arithmetic exact, so it agrees bit-for-bit with the Newton and
 // barycentric routes while sharing no code with them.
-func interpolateLagrangeBasis(xs, ys []field.Element) (poly.Polynomial, error) {
+func interpolateLagrangeBasis(xs, ys []field.Element) ([]field.Element, error) {
 	if len(xs) != len(ys) {
-		return poly.Polynomial{}, fmt.Errorf("sharing: interpolate: %d points vs %d values", len(xs), len(ys))
+		return nil, fmt.Errorf("sharing: interpolate: %d points vs %d values", len(xs), len(ys))
 	}
-	basis, err := poly.LagrangeBasis(xs)
-	if err != nil {
-		return poly.Polynomial{}, err
-	}
-	acc := poly.Zero()
-	for i := range ys {
-		acc = acc.Add(basis[i].ScalarMul(ys[i]))
+	acc := make([]field.Element, len(xs))
+	for i, xi := range xs {
+		num, den := []field.Element{field.One}, field.One
+		for j, xj := range xs {
+			if j == i {
+				continue
+			}
+			// num ·= (x − x_j), from the top coefficient down.
+			num = append(num, field.Zero)
+			for d := len(num) - 1; d > 0; d-- {
+				num[d] = num[d-1].Sub(num[d].Mul(xj))
+			}
+			num[0] = num[0].Mul(xj).Neg()
+			den = den.Mul(xi.Sub(xj))
+		}
+		inv, err := den.Inv()
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", poly.ErrDuplicatePoint, xi)
+		}
+		scale := ys[i].Mul(inv)
+		for d, c := range num {
+			acc[d] = acc[d].Add(c.Mul(scale))
+		}
 	}
 	return acc, nil
+}
+
+// eval evaluates little-endian coefficients f at x by Horner's rule.
+func eval(f []field.Element, x field.Element) field.Element {
+	var acc field.Element
+	for i := len(f) - 1; i >= 0; i-- {
+		acc = acc.Mul(x).Add(f[i])
+	}
+	return acc
 }
 
 // ReconstructPackedNaive is the reference implementation of
@@ -112,13 +138,13 @@ func ReconstructPackedNaive(shares []Share, d, k int) ([]field.Element, error) {
 		return nil, err
 	}
 	for _, s := range shares[d+1:] {
-		if f.Eval(ShareIndexPoint(s.Index)) != s.Value { //yosolint:vartime reconstruction-side consistency check on the naive reference path
+		if eval(f, ShareIndexPoint(s.Index)) != s.Value { //yosolint:vartime reconstruction-side consistency check on the naive reference path
 			return nil, fmt.Errorf("%w: share %d deviates", ErrInconsistentShares, s.Index)
 		}
 	}
 	secrets := make([]field.Element, k)
 	for j := 0; j < k; j++ {
-		secrets[j] = f.Eval(SlotPoint(j))
+		secrets[j] = eval(f, SlotPoint(j))
 	}
 	return secrets, nil
 }
@@ -127,9 +153,29 @@ func ReconstructPackedNaive(shares []Share, d, k int) ([]field.Element, error) {
 // (direct Lagrange evaluation), pinned against the domain row by the
 // differential tests.
 func constantPackedShareNaive(c []field.Element, index int) (Share, error) {
-	coeffs, err := poly.LagrangeCoeffs(SlotPoints(len(c)), ShareIndexPoint(index))
+	coeffs, err := lagrangeCoeffs(SlotPoints(len(c)), ShareIndexPoint(index))
 	if err != nil {
 		return Share{}, err
 	}
 	return Share{Index: index, Value: field.InnerProduct(coeffs, c)}, nil
+}
+
+// lagrangeCoeffs returns c_i = Π_{j≠i} (at − x_j)/(x_i − x_j), so that
+// f(at) = Σ c_i·f(xs[i]) for every f of degree < len(xs).
+func lagrangeCoeffs(xs []field.Element, at field.Element) ([]field.Element, error) {
+	c := make([]field.Element, len(xs))
+	for i, xi := range xs {
+		num, den := field.One, field.One
+		for j, xj := range xs {
+			if j != i {
+				num, den = num.Mul(at.Sub(xj)), den.Mul(xi.Sub(xj))
+			}
+		}
+		inv, err := den.Inv()
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", poly.ErrDuplicatePoint, xi)
+		}
+		c[i] = num.Mul(inv)
+	}
+	return c, nil
 }

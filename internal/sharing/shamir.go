@@ -162,42 +162,3 @@ func ReconstructPacked(shares []Share, d, k int) ([]field.Element, error) {
 	}
 	return secrets, nil
 }
-
-// ConstantPacked returns the degree-(k-1) packed sharing of a public vector c:
-// the unique polynomial of degree k-1 through the slots. Every party can
-// compute its own share locally — this is the multiplication-friendliness
-// trick from the paper's Section 3.2 (Step 1 of public-vector multiplication).
-// Shares come from the cached constant-packing domain: one coefficient row
-// per party, computed once per (k, index) process-wide.
-func ConstantPacked(c []field.Element, n int) ([]Share, error) {
-	k := len(c)
-	if k == 0 {
-		return nil, errors.New("sharing: empty public vector")
-	}
-	cd, err := GetConstDomain(k)
-	if err != nil {
-		return nil, err
-	}
-	shares := make([]Share, n)
-	for i := 0; i < n; i++ {
-		if shares[i], err = cd.Share(c, i+1); err != nil {
-			return nil, err
-		}
-	}
-	return shares, nil
-}
-
-// ConstantPackedShare returns only party `index`'s share of the degree-(k-1)
-// packed sharing of the public vector c — a cached-row inner product (the
-// μ-opening hot path evaluates this once per member per batch per layer).
-func ConstantPackedShare(c []field.Element, index int) (Share, error) {
-	k := len(c)
-	if k == 0 {
-		return Share{}, errors.New("sharing: empty public vector")
-	}
-	cd, err := GetConstDomain(k)
-	if err != nil {
-		return Share{}, err
-	}
-	return cd.Share(c, index)
-}

@@ -1,6 +1,7 @@
 package sharing
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -370,4 +371,43 @@ func MulShares(a, b []Share) ([]Share, error) {
 		out[i] = Share{Index: a[i].Index, Value: a[i].Value.Mul(b[i].Value)}
 	}
 	return out, nil
+}
+
+// ConstantPacked returns the degree-(k-1) packed sharing of a public vector c:
+// the unique polynomial of degree k-1 through the slots. Every party can
+// compute its own share locally — this is the multiplication-friendliness
+// trick from the paper's Section 3.2 (Step 1 of public-vector multiplication).
+// Shares come from the cached constant-packing domain: one coefficient row
+// per party, computed once per (k, index) process-wide.
+func ConstantPacked(c []field.Element, n int) ([]Share, error) {
+	k := len(c)
+	if k == 0 {
+		return nil, errors.New("sharing: empty public vector")
+	}
+	cd, err := GetConstDomain(k)
+	if err != nil {
+		return nil, err
+	}
+	shares := make([]Share, n)
+	for i := 0; i < n; i++ {
+		if shares[i], err = cd.Share(c, i+1); err != nil {
+			return nil, err
+		}
+	}
+	return shares, nil
+}
+
+// ConstantPackedShare returns only party `index`'s share of the degree-(k-1)
+// packed sharing of the public vector c — a cached-row inner product, as
+// the μ-opening loop computes it through ConstDomain.Share.
+func ConstantPackedShare(c []field.Element, index int) (Share, error) {
+	k := len(c)
+	if k == 0 {
+		return Share{}, errors.New("sharing: empty public vector")
+	}
+	cd, err := GetConstDomain(k)
+	if err != nil {
+		return Share{}, err
+	}
+	return cd.Share(c, index)
 }

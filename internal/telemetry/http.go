@@ -16,7 +16,7 @@ import (
 // safe for concurrent use.
 type ProgressFunc func() any
 
-// Handler returns the HTTP exposition surface:
+// HandlerWithProgress returns the HTTP exposition surface:
 //
 //	/metrics       registry snapshot as JSON (histograms carry p50/p95/p99)
 //	/trace         completed spans as a Chrome trace_event document
@@ -25,15 +25,9 @@ type ProgressFunc func() any
 //	/debug/vars    expvar (Go runtime memstats and cmdline)
 //	/debug/pprof/  net/http/pprof profiles (heap, goroutine, CPU, ...)
 //
-// reg and tr may be nil; their endpoints then serve empty documents. The
-// handler is mounted behind an explicit flag by the commands — profiling
-// endpoints are never on by default.
-func Handler(reg *Registry, tr *Tracer) http.Handler {
-	return HandlerWithProgress(reg, tr, nil)
-}
-
-// HandlerWithProgress is Handler with a live /progress source attached. A
-// nil progress serves an empty JSON object.
+// reg, tr and progress may be nil; their endpoints then serve empty
+// documents. The handler is mounted behind an explicit flag by the
+// commands — profiling endpoints are never on by default.
 func HandlerWithProgress(reg *Registry, tr *Tracer, progress ProgressFunc) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {

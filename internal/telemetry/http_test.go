@@ -14,7 +14,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	tr := NewTracer()
 	tr.Start("phase").End()
 
-	srv := httptest.NewServer(Handler(reg, tr))
+	srv := httptest.NewServer(HandlerWithProgress(reg, tr, nil))
 	defer srv.Close()
 
 	get := func(path string) []byte {
@@ -74,7 +74,7 @@ func TestHandlerEndpoints(t *testing.T) {
 }
 
 func TestHandlerNilBackends(t *testing.T) {
-	srv := httptest.NewServer(Handler(nil, nil))
+	srv := httptest.NewServer(HandlerWithProgress(nil, nil, nil))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {

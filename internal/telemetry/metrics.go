@@ -113,14 +113,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add adjusts the gauge by n (negative allowed).
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
 // Value returns the current level (0 on nil).
 func (g *Gauge) Value() int64 {
 	if g == nil {

@@ -156,3 +156,11 @@ func TestPoolStats(t *testing.T) {
 	var nilPS *PoolStats
 	nilPS.TaskDone(0, 0, time.Millisecond, 0)
 }
+
+// Add adjusts the gauge by n (negative allowed).
+func (g *Gauge) Add(n int64) {
+	if g == nil {
+		return
+	}
+	g.v.Add(n)
+}

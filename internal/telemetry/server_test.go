@@ -31,7 +31,7 @@ func get(t *testing.T, url string) (int, []byte) {
 func TestHTTPServerServeAndShutdown(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("up").Inc()
-	srv, err := ListenAndServe("127.0.0.1:0", Handler(reg, nil))
+	srv, err := ListenAndServe("127.0.0.1:0", HandlerWithProgress(reg, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestHTTPServerShutdownExpiredContext(t *testing.T) {
 
 // Close stops the server immediately and is idempotent.
 func TestHTTPServerClose(t *testing.T) {
-	srv, err := ListenAndServe("127.0.0.1:0", Handler(nil, nil))
+	srv, err := ListenAndServe("127.0.0.1:0", HandlerWithProgress(nil, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestProgressEndpoint(t *testing.T) {
 		t.Errorf("progress doc = %v", doc)
 	}
 
-	bare, err := ListenAndServe("127.0.0.1:0", Handler(nil, nil))
+	bare, err := ListenAndServe("127.0.0.1:0", HandlerWithProgress(nil, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

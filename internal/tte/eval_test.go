@@ -4,8 +4,6 @@ import (
 	"errors"
 	"math/big"
 	"testing"
-
-	"yosompc/internal/paillier"
 )
 
 // genericEval is TEval with every coefficient multiplied in, one included:
@@ -17,13 +15,14 @@ func genericEval(s Scheme, cts []Ciphertext, coeffs []*big.Int) (value, bound *b
 		bound.Add(bound, new(big.Int).Mul(coeffs[i], ct.(*ciphertext).bound))
 	}
 	if th, ok := s.(*Threshold); ok {
-		acc := &paillier.Ciphertext{C: big.NewInt(1)}
+		acc := big.NewInt(1)
 		for i, ct := range cts {
 			if coeffs[i].Sign() != 0 {
-				acc = th.dealer.Add(acc, th.dealer.ScalarMul(&paillier.Ciphertext{C: ct.(*ciphertext).value}, coeffs[i]))
+				acc.Mul(acc, new(big.Int).Exp(ct.(*ciphertext).value, coeffs[i], th.dealer.N2))
+				acc.Mod(acc, th.dealer.N2)
 			}
 		}
-		return acc.C, bound
+		return acc, bound
 	}
 	value = new(big.Int)
 	for i, ct := range cts {

@@ -64,17 +64,12 @@ func (s *Threshold) KeyGenVerified(n, t int) (PublicKey, []KeyShare, *Verificati
 	nm := new(big.Int).Mul(s.dealer.N, new(big.Int).Rsh(s.dealer.N, 2))
 	vk.WitnessBound = new(big.Int).Mul(nm, tpk.delta)
 	vk.WitnessBound.Lsh(vk.WitnessBound, 1)
-	// All n keys share the base v: one fixed-base table amortized across
-	// the whole committee instead of n independent exponentiations.
-	exps := make([]*big.Int, n)
+	// All n keys share the base v: KeyGenVerified builds one fixed-base
+	// table for it, sized to the witness bound, and drops it on return.
+	table := modexp.NewFixedBase(v, s.dealer.N2, vk.WitnessBound.BitLen())
 	for i, sh := range shares {
-		exps[i] = new(big.Int).Mul(tpk.delta, sh.(*keyShare).d)
+		vk.Keys[i] = table.Exp(new(big.Int).Mul(tpk.delta, sh.(*keyShare).d))
 	}
-	keys, err := modexp.ExpManySigned(v, s.dealer.N2, exps)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	vk.Keys = keys
 	return pk, shares, vk, nil
 }
 

@@ -141,18 +141,6 @@ func (c *Committee) N() int { return len(c.Roles) }
 // Role returns the 1-based member i.
 func (c *Committee) Role(i int) *Role { return c.Roles[i-1] }
 
-// Honest returns the 1-based indices of protocol-following members
-// (Honest and Leaky).
-func (c *Committee) Honest() []int {
-	var out []int
-	for i, r := range c.Roles {
-		if r.Behavior.FollowsProtocol() {
-			out = append(out, i+1)
-		}
-	}
-	return out
-}
-
 // SpeakAll delivers the Spoke token to every member — the committee's step
 // is over and all its machines erase their state.
 func (c *Committee) SpeakAll() {

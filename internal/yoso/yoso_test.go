@@ -248,7 +248,7 @@ func TestCommitteeHelpers(t *testing.T) {
 	if got := c.CountBehavior(FailStop); got != 1 {
 		t.Errorf("fail-stop = %d", got)
 	}
-	if got := len(c.Honest()); got != 3 {
+	if got := c.CountBehavior(Honest); got != 3 {
 		t.Errorf("honest = %d", got)
 	}
 	c.SpeakAll()

@@ -33,6 +33,7 @@ package yosompc
 
 import (
 	"errors"
+	"fmt"
 
 	"yosompc/internal/baseline"
 	"yosompc/internal/circuit"
@@ -251,11 +252,8 @@ func (c Config) backends() (*yoso.Adversary, core.TE, pke.Scheme, error) {
 }
 
 // newProtocol builds the core protocol a Config describes and attaches
-// everything that observes its board — the progress monitor and, when
-// MirrorAddr is set, the live mirror — in one place, so Run and the
-// Prepare/Execute split cannot drift apart. The returned function
-// releases the mirror's connection (a no-op without one); the caller
-// invokes it once the board has taken its last posting.
+// what observes its board, so Run and the Prepare/Execute split cannot
+// drift apart.
 func newProtocol(cfg Config, circ *Circuit) (*core.Protocol, func(), error) {
 	adv, te, enc, err := cfg.backends()
 	if err != nil {
@@ -268,19 +266,31 @@ func newProtocol(cfg Config, circ *Circuit) (*core.Protocol, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if cfg.Monitor != nil {
-		cfg.Monitor.Instrument(cfg.Metrics)
-		cfg.Monitor.AttachBoard(proto.Board())
-	}
-	if cfg.MirrorAddr == "" {
-		return proto, func() {}, nil
-	}
-	mirror, err := transport.AttachMirror(proto.Board(), cfg.MirrorAddr)
+	closeMirror, err := cfg.attach(proto.Board())
 	if err != nil {
 		return nil, nil, err
 	}
-	mirror.Instrument(cfg.Metrics)
-	return proto, func() { _ = mirror.Close() }, nil
+	return proto, closeMirror, nil
+}
+
+// attach hooks everything that observes a run's board onto it: the
+// progress monitor and, when MirrorAddr is set, the live mirror. The
+// returned function releases the mirror's connection (a no-op without
+// one); the caller invokes it once the board has taken its last posting.
+func (c Config) attach(board *transport.Board) (func(), error) {
+	if c.Monitor != nil {
+		c.Monitor.Instrument(c.Metrics)
+		c.Monitor.AttachBoard(board)
+	}
+	if c.MirrorAddr == "" {
+		return func() {}, nil
+	}
+	mirror, err := transport.AttachMirror(board, c.MirrorAddr)
+	if err != nil {
+		return nil, err
+	}
+	mirror.Instrument(c.Metrics)
+	return func() { _ = mirror.Close() }, nil
 }
 
 // Run executes the paper's packed YOSO MPC protocol on the circuit with
@@ -342,8 +352,26 @@ func (p *Prepared) Execute(inputs map[int][]Value) (*Result, error) {
 }
 
 // RunBaseline executes the CDN-style baseline (Gentry et al., CRYPTO 2021)
-// with committee size N and threshold T; K is ignored.
+// with committee size N and threshold T; K is ignored. Monitor and
+// MirrorAddr observe its board as they do Run's. The baseline records no
+// spans or metrics, stamps no process name, has no robust mode and runs
+// on one worker per CPU, so a Config that sets Trace, Metrics, Proc,
+// Robust or Workers is refused with an error naming the field.
 func RunBaseline(cfg Config, circ *Circuit, inputs map[int][]Value) (*Result, error) {
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"Trace", cfg.Trace != nil},
+		{"Metrics", cfg.Metrics != nil},
+		{"Proc", cfg.Proc != ""},
+		{"Robust", cfg.Robust},
+		{"Workers", cfg.Workers != 0},
+	} {
+		if f.set {
+			return nil, fmt.Errorf("%w: Config.%s is not supported by the baseline", baseline.ErrBadParams, f.name)
+		}
+	}
 	adv, te, enc, err := cfg.backends()
 	if err != nil {
 		return nil, err
@@ -352,6 +380,11 @@ func RunBaseline(cfg Config, circ *Circuit, inputs map[int][]Value) (*Result, er
 	if err != nil {
 		return nil, err
 	}
+	closeMirror, err := cfg.attach(proto.Board())
+	if err != nil {
+		return nil, err
+	}
+	defer closeMirror()
 	res, err := proto.Run(inputs)
 	if err != nil {
 		return nil, err

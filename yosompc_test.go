@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"yosompc/internal/baseline"
 	"yosompc/internal/core"
 	"yosompc/internal/transport"
 )
@@ -262,5 +263,74 @@ func TestFacadeMonitor(t *testing.T) {
 	snap := reg.Snapshot()
 	if snap.Gauges["monitor.speakers_posted"] == 0 {
 		t.Errorf("monitor metrics not registered: %+v", snap.Gauges)
+	}
+}
+
+// TestFacadeBaselineConfig: RunBaseline honours every Config field it can
+// (the monitor and the mirror observe its board as they do Run's) and
+// refuses, naming the field, every one it cannot.
+func TestFacadeBaselineConfig(t *testing.T) {
+	circ, err := InnerProduct(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := map[int][]Value{0: Values(1, 2), 1: Values(3, 4)}
+	// An honoured field's setter returns the check its run must pass.
+	honoured := map[string]func(*testing.T, *Config) func(*Result){
+		"Monitor": func(t *testing.T, cfg *Config) func(*Result) {
+			mon := NewMonitor()
+			cfg.Monitor = mon
+			return func(res *Result) {
+				if s := mon.Snapshot(); s.Entries != res.Report.Postings || s.Bytes != res.Report.Total || !s.Complete {
+					t.Errorf("monitor saw %d entries of %d B (complete %v); the board took %d of %d B",
+						s.Entries, s.Bytes, s.Complete, res.Report.Postings, res.Report.Total)
+				}
+			}
+		},
+		"MirrorAddr": func(t *testing.T, cfg *Config) func(*Result) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			server := transport.Serve(ln)
+			t.Cleanup(func() { _ = server.Close() })
+			cfg.MirrorAddr = server.Addr()
+			return func(res *Result) {
+				if remote := server.Report(); !reflect.DeepEqual(remote, res.Report) {
+					t.Errorf("remote report %+v\nlocal report %+v", remote, res.Report)
+				}
+			}
+		},
+	}
+	for field, set := range honoured {
+		t.Run(field, func(t *testing.T) {
+			cfg := Config{N: 5, T: 2, Backend: Sim}
+			check := set(t, &cfg)
+			res, err := RunBaseline(cfg, circ, inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Outputs[0][0] != NewValue(11) {
+				t.Errorf("inner product = %v, want 11", res.Outputs[0][0])
+			}
+			check(res)
+		})
+	}
+	refused := map[string]func(*Config){
+		"Trace":   func(c *Config) { c.Trace = NewTracer() },
+		"Metrics": func(c *Config) { c.Metrics = NewMetricsRegistry() },
+		"Proc":    func(c *Config) { c.Proc = "baseline" },
+		"Robust":  func(c *Config) { c.Robust = true },
+		"Workers": func(c *Config) { c.Workers = 1 },
+	}
+	for field, set := range refused {
+		t.Run(field, func(t *testing.T) {
+			cfg := Config{N: 5, T: 2, Backend: Sim}
+			set(&cfg)
+			_, err := RunBaseline(cfg, circ, inputs)
+			if !errors.Is(err, baseline.ErrBadParams) || !strings.Contains(err.Error(), "Config."+field) {
+				t.Errorf("err = %v, want ErrBadParams naming Config.%s", err, field)
+			}
+		})
 	}
 }
