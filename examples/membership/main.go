@@ -24,8 +24,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("membership circuit: %d multiplications, depth %d, %d rounds\n",
-		circ.NumMul(), circ.Depth(), 9+circ.Depth())
+	fmt.Printf("membership circuit: %d multiplications, depth %d\n", circ.NumMul(), circ.Depth())
 
 	cfg := yosompc.Config{N: 6, T: 1, K: 1, Backend: yosompc.Sim}
 	watchlist := yosompc.Values(555001, 555002, 555003)
@@ -42,7 +41,7 @@ func main() {
 		if res.Outputs[0][0] == yosompc.NewValue(1) {
 			verdict = "ON WATCHLIST"
 		}
-		fmt.Printf("query %d → %s (online: %.1f KiB)\n",
-			query, verdict, float64(res.Report.ByPhase["online"])/1024)
+		fmt.Printf("query %d → %s (%d rounds, online: %.1f KiB)\n",
+			query, verdict, res.Rounds, float64(res.Report.ByPhase["online"])/1024)
 	}
 }

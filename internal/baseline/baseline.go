@@ -70,7 +70,8 @@ type Result struct {
 	Report comm.Report
 	// Excluded lists roles whose proofs failed or who stayed silent.
 	Excluded []string
-	// Rounds is the number of sequential broadcast rounds.
+	// Rounds is the number of sequential broadcast rounds: one per
+	// committee the run formed, plus one for the clients' input speaks.
 	Rounds int
 }
 
@@ -78,7 +79,6 @@ type Result struct {
 type Protocol struct {
 	params Params
 	circ   *circuit.Circuit
-	assign *yoso.Assignment
 	// rt is the committee-step runtime shared with internal/core; the
 	// baseline's proofs are attested under its own authority.
 	rt *committee.Runner
@@ -96,16 +96,10 @@ func New(params Params, circ *circuit.Circuit, meter *comm.Meter) (*Protocol, er
 	if err != nil {
 		return nil, err
 	}
-	board := transport.NewBoard(meter)
-	assign := yoso.NewAssignment(board, params.PKE, params.Adversary)
-	// Unpacked Shamir reconstruction needs t+1 shares, so committee
-	// manifests advertise that quorum for fail-stop margin tracking.
-	assign.Quorum = params.T + 1
 	return &Protocol{
 		params: params,
 		circ:   circ,
-		assign: assign,
-		rt:     &committee.Runner{Board: board, Auth: auth, TE: params.TE},
+		rt:     &committee.Runner{Board: transport.NewBoard(meter), Auth: auth, TE: params.TE},
 	}, nil
 }
 
@@ -113,26 +107,28 @@ func New(params Params, circ *circuit.Circuit, meter *comm.Meter) (*Protocol, er
 func (p *Protocol) Board() *transport.Board { return p.rt.Board }
 
 type run struct {
-	p       *Protocol
-	rt      *committee.Runner
+	p  *Protocol
+	rt *committee.Runner
+	// assign forms the run's committees; how many it formed gives the
+	// run's rounds.
+	assign  *yoso.Assignment
 	clients map[int]*yoso.Role
 	wireCt  []tte.Ciphertext
-	beaver  map[int]*triple
+	beaver  map[int]committee.Triple
 }
-
-type triple struct{ a, b, c tte.Ciphertext }
 
 // Run executes the baseline protocol.
 func (p *Protocol) Run(inputs map[int][]field.Element) (*Result, error) {
-	for _, client := range p.circ.Clients() {
-		if len(inputs[client]) != p.circ.InputCount(client) {
-			return nil, fmt.Errorf("baseline: client %d supplied %d of %d inputs",
-				client, len(inputs[client]), p.circ.InputCount(client))
-		}
+	if err := p.circ.CheckInputs(inputs); err != nil {
+		return nil, err
 	}
 	// A mirrored run ends only when the mirrors' servers hold all of it.
 	defer p.rt.Board.Sync()
-	r := &run{p: p, rt: p.rt, clients: map[int]*yoso.Role{}, beaver: map[int]*triple{}}
+	assign := yoso.NewAssignment(p.rt.Board, p.params.PKE, p.params.Adversary)
+	// Unpacked Shamir reconstruction needs t+1 shares, so committee
+	// manifests advertise that quorum for fail-stop margin tracking.
+	assign.Quorum = p.params.T + 1
+	r := &run{p: p, rt: p.rt, assign: assign, clients: map[int]*yoso.Role{}}
 	r.wireCt = make([]tte.Ciphertext, p.circ.NumWires())
 
 	// Setup: TKGen + client keys.
@@ -147,53 +143,28 @@ func (p *Protocol) Run(inputs map[int][]field.Element) (*Result, error) {
 	}
 	r.rt.Board.Post("setup", comm.PhaseSetup, comm.CatCRS, tpkEnc)
 	for _, id := range p.circ.Clients() {
-		role, err := p.assign.NewKnownParty("client", id, comm.PhaseSetup)
+		role, err := assign.NewKnownParty("client", id, comm.PhaseSetup)
 		if err != nil {
 			return nil, err
 		}
 		r.clients[id] = role
 	}
 
-	if err := r.offlineBeaver(); err != nil {
+	// Offline: one Beaver triple per multiplication gate, exactly as in the
+	// packed protocol's Step 1.
+	if r.beaver, err = r.rt.Beaver(assign, [2]string{"bOff1", "bOff2"}, p.params.N, p.circ); err != nil {
 		return nil, fmt.Errorf("baseline offline: %w", err)
 	}
 	outputs, err := r.online(inputs, shares)
 	if err != nil {
 		return nil, fmt.Errorf("baseline online: %w", err)
 	}
-	// bOff1, bOff2, one client-input round, one committee per layer, bOut.
 	return &Result{
 		Outputs:  outputs,
 		Report:   r.rt.Board.Report(),
 		Excluded: r.rt.Excluded,
-		Rounds:   4 + p.circ.Depth(),
+		Rounds:   assign.Committees() + 1,
 	}, nil
-}
-
-// offlineBeaver prepares one encrypted Beaver triple per multiplication
-// gate, exactly as in the packed protocol's Step 1.
-func (r *run) offlineBeaver() error {
-	p := r.p.params
-	muls := r.p.circ.MulGates()
-	if len(muls) == 0 {
-		return nil
-	}
-	b1, err := r.p.assign.FormCommittee("bOff1", p.N, comm.PhaseOffline)
-	if err != nil {
-		return err
-	}
-	b2, err := r.p.assign.FormCommittee("bOff2", p.N, comm.PhaseOffline)
-	if err != nil {
-		return err
-	}
-	cA, cB, cC, err := r.rt.Beaver(b1, b2, len(muls))
-	if err != nil {
-		return err
-	}
-	for g, gi := range muls {
-		r.beaver[gi] = &triple{a: cA[g], b: cB[g], c: cC[g]}
-	}
-	return nil
 }
 
 // online evaluates the circuit gate by gate: clients post encrypted
@@ -237,7 +208,7 @@ func (r *run) online(inputs map[int][]field.Element, shares []tte.KeyShare) (map
 		if l < depth {
 			name = fmt.Sprintf("bLayer%d", l+1)
 		}
-		c, err := r.p.assign.FormCommittee(name, p.N, comm.PhaseOnline)
+		c, err := r.assign.FormCommittee(name, p.N, comm.PhaseOnline)
 		if err != nil {
 			return nil, err
 		}
@@ -251,23 +222,18 @@ func (r *run) online(inputs map[int][]field.Element, shares []tte.KeyShare) (map
 	if err := r.propagateLinear(0); err != nil {
 		return nil, err
 	}
-	ones := committee.Ones(2)
-	// One batch per layer: every multiplication gate of layer mb.Layer.
+	// One batch per layer: every multiplication gate of layer mb.Layer. The
+	// layer's committee opens the gates' ε/δ masks, and everyone applies the
+	// Beaver identity.
 	for _, mb := range r.p.circ.MulBatches(r.p.circ.NumMul()) {
 		l := mb.Layer
-		open := make([]committee.Opening, 0, 2*len(mb.Gates))
-		for _, gi := range mb.Gates {
-			g := gates[gi]
-			bt := r.beaver[gi]
-			eps, err := te.Eval(r.rt.TPK, []tte.Ciphertext{r.wireCt[g.A], bt.a}, ones)
-			if err != nil {
-				return nil, err
-			}
-			del, err := te.Eval(r.rt.TPK, []tte.Ciphertext{r.wireCt[g.B], bt.b}, ones)
-			if err != nil {
-				return nil, err
-			}
-			open = append(open, committee.Opening{Ct: eps}, committee.Opening{Ct: del})
+		masked, err := r.rt.Masked(r.p.circ, mb.Gates, r.beaver, r.wireCt)
+		if err != nil {
+			return nil, err
+		}
+		open := make([]committee.Opening, len(masked))
+		for j, ct := range masked {
+			open[j].Ct = ct
 		}
 		opened, err := r.rt.DecryptStep(tsk, committees[l-1],
 			committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatPartial, Label: fmt.Sprintf("layer%d", l)},
@@ -275,18 +241,12 @@ func (r *run) online(inputs map[int][]field.Element, shares []tte.KeyShare) (map
 		if err != nil {
 			return nil, err
 		}
-		// Apply the Beaver identity c^xy = ε·c^y + (p−δ)·c^a + c^c.
 		for j, gi := range mb.Gates {
 			g := gates[gi]
-			bt := r.beaver[gi]
-			eps, del := field.FromBig(opened[2*j]), field.FromBig(opened[2*j+1])
-			out, err := te.Eval(r.rt.TPK,
-				[]tte.Ciphertext{r.wireCt[g.B], bt.a, bt.c},
-				[]*big.Int{committee.FieldCoeff(eps), committee.FieldCoeff(del.Neg()), big.NewInt(1)})
-			if err != nil {
+			cts, coeffs := r.beaver[gi].Product(field.FromBig(opened[2*j]), field.FromBig(opened[2*j+1]), r.wireCt[g.B])
+			if r.wireCt[g.Out], err = te.Eval(r.rt.TPK, cts, coeffs); err != nil {
 				return nil, err
 			}
-			r.wireCt[g.Out] = out
 		}
 		if err := r.propagateLinear(l); err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
@@ -235,5 +236,49 @@ func TestRoundsAccounting(t *testing.T) {
 	res := runAndCompare(t, simParams(5, 2, nil), circ, in)
 	if res.Rounds != 7 {
 		t.Errorf("rounds = %d, want 7 for depth 3", res.Rounds)
+	}
+
+	// Without a multiplication only the output committee speaks after the
+	// clients: 2 rounds.
+	res = runAndCompare(t, simParams(5, 2, nil), linearCircuit(t), inputsOf(map[int][]uint64{0: {3}, 1: {4}}))
+	if res.Rounds != 2 {
+		t.Errorf("linear circuit: rounds = %d, want 2", res.Rounds)
+	}
+}
+
+// linearCircuit is two inputs, their sum and an output: a circuit without a
+// multiplication.
+func linearCircuit(t *testing.T) *circuit.Circuit {
+	t.Helper()
+	b := circuit.NewBuilder()
+	b.Output(b.Add(b.Input(0), b.Input(1)), 0)
+	circ, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return circ
+}
+
+// Inputs that do not match the circuit, short or long, are refused with
+// circuit.ErrWrongInputs before anything is posted.
+func TestWrongInputsAreTyped(t *testing.T) {
+	circ, err := circuit.InnerProduct(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto, err := New(simParams(4, 1, nil), circ, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, in := range map[string]map[int][]uint64{
+		"short": {0: {1}, 1: {1, 2}},
+		"long":  {0: {1, 2, 3}, 1: {1, 2}},
+	} {
+		if _, err := proto.Run(inputsOf(in)); !errors.Is(err, circuit.ErrWrongInputs) {
+			t.Errorf("%s inputs: err = %v, want circuit.ErrWrongInputs", name, err)
+		}
+	}
+	if n := proto.Board().Len(); n != 0 {
+		t.Errorf("refused runs posted %d entries", n)
 	}
 }

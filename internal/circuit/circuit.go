@@ -125,7 +125,7 @@ type Circuit struct {
 // Errors returned by the builder and evaluator.
 var (
 	ErrNoOutputs   = errors.New("circuit: no output gates")
-	ErrMissingData = errors.New("circuit: missing client input")
+	ErrWrongInputs = errors.New("circuit: client inputs do not match the circuit")
 )
 
 // Builder assembles a circuit. Methods panic on structurally invalid wires
@@ -308,6 +308,17 @@ func (c *Circuit) OutputGates(client int) []int { return c.outputsByClient[clien
 // InputCount returns the number of inputs client must supply.
 func (c *Circuit) InputCount(client int) int { return len(c.inputsByClient[client]) }
 
+// CheckInputs returns ErrWrongInputs unless every client supplied exactly
+// the number of inputs the circuit reads from it.
+func (c *Circuit) CheckInputs(inputs map[int][]field.Element) error {
+	for _, client := range c.Clients() {
+		if got, want := len(inputs[client]), c.InputCount(client); got != want {
+			return fmt.Errorf("%w: client %d supplied %d of %d inputs", ErrWrongInputs, client, got, want)
+		}
+	}
+	return nil
+}
+
 // Eval is the plaintext reference evaluator: it computes all wire values
 // from the client inputs and returns each client's outputs in gate order.
 func (c *Circuit) Eval(inputs map[int][]field.Element) (map[int][]field.Element, error) {
@@ -329,19 +340,16 @@ func (c *Circuit) Eval(inputs map[int][]field.Element) (map[int][]field.Element,
 // EvalWires computes every wire value. Exposed for protocol tests that
 // compare intermediate wire values.
 func (c *Circuit) EvalWires(inputs map[int][]field.Element) ([]field.Element, error) {
+	if err := c.CheckInputs(inputs); err != nil {
+		return nil, err
+	}
 	wires := make([]field.Element, c.numWires)
 	given := map[int]int{}
 	for _, g := range c.gates {
 		switch g.Kind {
 		case KindInput:
-			vals := inputs[g.Client]
-			idx := given[g.Client]
-			if idx >= len(vals) {
-				return nil, fmt.Errorf("%w: client %d supplied %d of %d inputs",
-					ErrMissingData, g.Client, len(vals), len(c.inputsByClient[g.Client]))
-			}
-			wires[g.Out] = vals[idx]
-			given[g.Client] = idx + 1
+			wires[g.Out] = inputs[g.Client][given[g.Client]]
+			given[g.Client]++
 		case KindMul:
 			wires[g.Out] = wires[g.A].Mul(wires[g.B])
 		case KindOutput:

@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -69,8 +70,12 @@ func TestEvalMissingInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Eval(inputs(map[int][]uint64{0: {1}})); err == nil {
-		t.Error("accepted missing input")
+	if _, err := c.Eval(inputs(map[int][]uint64{0: {1}})); !errors.Is(err, ErrWrongInputs) {
+		t.Errorf("missing input: err = %v, want ErrWrongInputs", err)
+	}
+	// Extra inputs break the same rule the protocol drivers check.
+	if _, err := c.EvalWires(inputs(map[int][]uint64{0: {1, 2, 3}})); !errors.Is(err, ErrWrongInputs) {
+		t.Errorf("extra input: err = %v, want ErrWrongInputs", err)
 	}
 }
 

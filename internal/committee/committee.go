@@ -57,8 +57,6 @@ type Runner struct {
 	TE    TE
 	// TPK is the threshold public key of the run.
 	TPK tte.PublicKey
-	// Ctx cancels the run between committee steps; nil never cancels.
-	Ctx context.Context
 	// Workers is the resolved worker-pool size and Obs its (optional)
 	// per-task observer.
 	Workers int
@@ -120,7 +118,7 @@ func (b CtBundle) Encode(r *Runner) ([]byte, error) {
 
 // Pfor fans fn over the run's worker pool.
 func (r *Runner) Pfor(n int, fn func(i int) error) error {
-	return parallel.ForObserved(r.Ctx, r.Workers, n, fn, r.Obs)
+	return parallel.ForObserved(context.TODO(), r.Workers, n, fn, r.Obs)
 }
 
 // statement is what a role's proof at a step attests. It binds the bare
@@ -165,11 +163,6 @@ func Speak[T Payload](r *Runner, role *yoso.Role, sp Spec, honest func() (T, err
 // speaking window is over, and an aborted step must not leave roles that
 // could post again or still hold their secret keys.
 func Step[T Payload](r *Runner, c *yoso.Committee, sp Spec, honest func(i int) (T, error), garbSize int) ([]Post[T], error) {
-	if r.Ctx != nil {
-		if err := r.Ctx.Err(); err != nil {
-			return nil, fmt.Errorf("%s: %w", sp.Label, err)
-		}
-	}
 	span := r.Span.Child("committee:" + sp.Label)
 	defer span.End()
 	span.SetStr("committee", c.Name)
@@ -183,7 +176,7 @@ func Step[T Payload](r *Runner, c *yoso.Committee, sp Spec, honest func(i int) (
 	defer func() { r.Board.SetTraceSpan(r.Span.ID()) }()
 	payloads := make([]T, c.N())
 	ok := make([]bool, c.N())
-	err := parallel.ForWorker(r.Ctx, r.Workers, c.N(), func(worker, idx0 int) error {
+	err := parallel.ForWorker(context.TODO(), r.Workers, c.N(), func(worker, idx0 int) error {
 		msp := span.Child("member")
 		defer msp.End()
 		msp.SetInt("index", int64(idx0+1))
@@ -221,7 +214,7 @@ func (r *Runner) SumContributions(posts []Post[CtBundle], count int) ([]tte.Ciph
 	ones := Ones(len(posts))
 	m := len(posts)
 	scratch := make([]tte.Ciphertext, min(parallel.Normalize(r.Workers), count)*m)
-	err := parallel.ForWorker(r.Ctx, r.Workers, count, func(worker, pos int) error {
+	err := parallel.ForWorker(context.TODO(), r.Workers, count, func(worker, pos int) error {
 		parts := scratch[worker*m : (worker+1)*m]
 		for i, p := range posts {
 			parts[i] = p.Payload[pos]

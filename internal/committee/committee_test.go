@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"yosompc/internal/circuit"
 	"yosompc/internal/comm"
 	"yosompc/internal/field"
 	"yosompc/internal/nizk"
@@ -641,26 +642,110 @@ func TestTskStepWithoutShares(t *testing.T) {
 	}
 }
 
-func TestBeaverTriples(t *testing.T) {
-	f, dealt := newFixture(t)
-	b1, b2, dec := f.form(t, "b1"), f.form(t, "b2"), f.form(t, "dec")
-	const count = 3
-	a, b, c, err := f.Beaver(b1, b2, count)
+// beaverCircuit is a circuit with three multiplication gates.
+func beaverCircuit(t *testing.T) *circuit.Circuit {
+	t.Helper()
+	circ, err := circuit.InnerProduct(3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return circ
+}
+
+func TestBeaverTriples(t *testing.T) {
+	f, dealt := newFixture(t)
+	circ := beaverCircuit(t)
+	triples, err := f.Beaver(f.assign, [2]string{"b1", "b2"}, testN, circ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := f.form(t, "dec")
 	tsk, err := f.DealShares(dec, dealt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cts := append(append(append([]tte.Ciphertext{}, a...), b...), c...)
+	muls := circ.MulGates()
+	if len(triples) != len(muls) {
+		t.Fatalf("%d triples for %d multiplication gates", len(triples), len(muls))
+	}
+	var cts []tte.Ciphertext
+	for _, gi := range muls {
+		tr := triples[gi]
+		cts = append(cts, tr.A, tr.B, tr.C)
+	}
 	vals, err := f.decryptStep(tsk, dec, Spec{Phase: comm.PhaseOffline, Cat: comm.CatPartial, Label: "open"}, cts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for g := 0; g < count; g++ {
-		if vals[g].Mul(vals[count+g]) != vals[2*count+g] {
-			t.Errorf("triple %d: %v · %v ≠ %v", g, vals[g], vals[count+g], vals[2*count+g])
+	for g, gi := range muls {
+		if a, b, c := vals[3*g], vals[3*g+1], vals[3*g+2]; a.Mul(b) != c {
+			t.Errorf("triple of gate %d: %v · %v ≠ %v", gi, a, b, c)
+		}
+	}
+	// A circuit without a multiplication forms no committee.
+	b := circuit.NewBuilder()
+	b.Output(b.Add(b.Input(0), b.Input(1)), 0)
+	linear, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	formed := f.assign.Committees()
+	if triples, err := f.Beaver(f.assign, [2]string{"l1", "l2"}, testN, linear); err != nil || len(triples) != 0 {
+		t.Errorf("linear circuit: %d triples, err %v", len(triples), err)
+	}
+	if f.assign.Committees() != formed {
+		t.Errorf("linear circuit formed %d Beaver committees", f.assign.Committees()-formed)
+	}
+}
+
+// Masked and Product compute x·y: once ε = x + a and δ = y + b are open,
+// the Beaver identity over a gate's triple and right input encrypts the
+// product of its inputs.
+func TestBeaverProduct(t *testing.T) {
+	f, dealt := newFixture(t)
+	circ := beaverCircuit(t)
+	triples, err := f.Beaver(f.assign, [2]string{"b1", "b2"}, testN, circ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gates := circ.Gates()
+	cts := make([]tte.Ciphertext, circ.NumWires())
+	vals := make([]int64, circ.NumWires())
+	for i, g := range gates {
+		if g.Kind == circuit.KindInput {
+			vals[g.Out] = int64(10 + i)
+			cts[g.Out] = f.encrypt(t, vals[g.Out])
+		}
+	}
+	dec1, dec2 := f.form(t, "dec1"), f.form(t, "dec2")
+	tsk, err := f.DealShares(dec1, dealt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	muls := circ.MulGates()
+	masks, err := f.Masked(circ, muls, triples, cts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened, err := f.decryptStep(tsk, dec1, Spec{Phase: comm.PhaseOnline, Cat: comm.CatPartial, Label: "masks"}, masks, dec2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	products := make([]tte.Ciphertext, len(muls))
+	for m, gi := range muls {
+		terms, coeffs := triples[gi].Product(opened[2*m], opened[2*m+1], cts[gates[gi].B])
+		if products[m], err = f.TE.Eval(f.TPK, terms, coeffs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := f.decryptStep(tsk, dec2, Spec{Phase: comm.PhaseOnline, Cat: comm.CatPartial, Label: "products"}, products, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m, gi := range muls {
+		g := gates[gi]
+		if want := field.New(uint64(vals[g.A] * vals[g.B])); got[m] != want {
+			t.Errorf("gate %d: product %v, want %v", gi, got[m], want)
 		}
 	}
 }
@@ -670,26 +755,26 @@ func TestBeaverTriples(t *testing.T) {
 // publish b: two runs with different randomness report the same bounds.
 func TestBeaverBoundsArePublic(t *testing.T) {
 	f, _ := newFixture(t)
-	var first []*big.Int
+	circ := beaverCircuit(t)
+	first := map[int]*big.Int{}
 	for run := 0; run < 2; run++ {
-		b1, b2 := f.form(t, fmt.Sprintf("b1-%d", run)), f.form(t, fmt.Sprintf("b2-%d", run))
-		const count = 3
-		a, b, c, err := f.Beaver(b1, b2, count)
+		triples, err := f.Beaver(f.assign, [2]string{fmt.Sprintf("b1-%d", run), fmt.Sprintf("b2-%d", run)}, testN, circ)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Bound(c^b) is |S_b2|·p: the verified b2 members times BoundP.
-		verified := new(big.Int).Quo(b[0].Bound(), BoundP)
-		for g := range c {
+		for _, gi := range circ.MulGates() {
+			tr := triples[gi]
+			// Bound(c^b) is |S_b2|·p: the verified b2 members times BoundP.
+			verified := new(big.Int).Quo(tr.B.Bound(), BoundP)
 			want := new(big.Int).Mul(verified, pMinus1)
-			want.Mul(want, a[g].Bound())
-			if c[g].Bound().Cmp(want) != 0 {
-				t.Errorf("run %d, triple %d: Bound(c^c) = %v, want |S|·(p−1)·Bound(c^a) = %v", run, g, c[g].Bound(), want)
+			want.Mul(want, tr.A.Bound())
+			if tr.C.Bound().Cmp(want) != 0 {
+				t.Errorf("run %d, gate %d: Bound(c^c) = %v, want |S|·(p−1)·Bound(c^a) = %v", run, gi, tr.C.Bound(), want)
 			}
 			if run == 0 {
-				first = append(first, c[g].Bound())
-			} else if c[g].Bound().Cmp(first[g]) != 0 {
-				t.Errorf("triple %d: Bound(c^c) %v in one run and %v in another", g, first[g], c[g].Bound())
+				first[gi] = tr.C.Bound()
+			} else if tr.C.Bound().Cmp(first[gi]) != 0 {
+				t.Errorf("gate %d: Bound(c^c) %v in one run and %v in another", gi, first[gi], tr.C.Bound())
 			}
 		}
 	}

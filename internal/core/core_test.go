@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -421,6 +420,19 @@ func TestReportPhasesPopulated(t *testing.T) {
 	}
 }
 
+// linearCircuit is two inputs, their sum and an output: a circuit without a
+// multiplication.
+func linearCircuit(t *testing.T) *circuit.Circuit {
+	t.Helper()
+	b := circuit.NewBuilder()
+	b.Output(b.Add(b.Input(0), b.Input(1)), 0)
+	circ, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return circ
+}
+
 func TestRoundsAccounting(t *testing.T) {
 	// The YOSO round structure: 6 offline committees (incl. the tsk
 	// bridge), OnC1, one client round, one committee per multiplication
@@ -434,6 +446,18 @@ func TestRoundsAccounting(t *testing.T) {
 	res := runAndCompare(t, simParams(8, 2, 2, nil), circ, in)
 	if res.Rounds != 12 {
 		t.Errorf("rounds = %d, want 12 for depth 3", res.Rounds)
+	}
+
+	// Without a multiplication there is no Beaver step: OffB1 and OffB2 are
+	// never formed, so 4 offline committees, OnC1, the client round and
+	// OnOut make 7 rounds, and the offline phase publishes 4·n role keys.
+	const n = 8
+	res = runAndCompare(t, simParams(n, 2, 2, nil), linearCircuit(t), inputsOf(map[int][]uint64{0: {3}, 1: {4}}))
+	if res.Rounds != 7 {
+		t.Errorf("linear circuit: rounds = %d, want 7", res.Rounds)
+	}
+	if got, want := res.Report.ByCat[comm.PhaseOffline][comm.CatRoleKeys], int64(4*n*pke.PublicKeySize); got != want {
+		t.Errorf("linear circuit: %d offline role-key bytes, want %d (4 committees of %d)", got, want, n)
 	}
 }
 
@@ -801,24 +825,6 @@ func TestNoKFFWithAdversary(t *testing.T) {
 	params := simParams(10, 2, 2, yoso.NewAdversary(2, 0, 83))
 	params.NoKFF = true
 	runAndCompare(t, params, circ, in)
-}
-
-func TestPrepareContextCancellation(t *testing.T) {
-	circ, err := circuit.WideMul(8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proto, err := New(simParams(8, 2, 2, nil), circ, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // already cancelled: the first committee step must abort
-	if _, err := proto.PrepareContext(ctx); err == nil {
-		t.Error("cancelled prepare succeeded")
-	} else if !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
-	}
 }
 
 func TestConstGateThroughProtocol(t *testing.T) {

@@ -74,3 +74,30 @@ func TestMonitorDerivesRunProgressFromBoard(t *testing.T) {
 		}
 	})
 }
+
+// TestMonitorCompleteWithoutMultiplication: a circuit without a
+// multiplication forms no Beaver committee, so every committee whose
+// manifest the monitor reads also speaks, and the run ends complete.
+func TestMonitorCompleteWithoutMultiplication(t *testing.T) {
+	proto, err := New(simParams(7, 1, 2, nil), linearCircuit(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := monitor.New()
+	m.AttachBoard(proto.Board())
+	if _, err := proto.Run(inputsOf(map[int][]uint64{0: {3}, 1: {4}})); err != nil {
+		t.Fatal(err)
+	}
+	s := m.Snapshot()
+	if !s.Complete || s.Fraction != 1 {
+		t.Fatalf("run without a multiplication not complete: %+v", s)
+	}
+	if len(s.Committees) != 6 {
+		t.Errorf("%d committees, want 6 (OffR, OffDec, OffRe, OffBridge, OnC1, OnOut)", len(s.Committees))
+	}
+	for _, c := range s.Committees {
+		if c.Posted != c.N {
+			t.Errorf("committee %s: %d of %d posted", c.Committee, c.Posted, c.N)
+		}
+	}
+}

@@ -18,7 +18,6 @@ func (r *run) initWireState() {
 	n := r.p.circ.NumWires()
 	r.wireCt = make([]tte.Ciphertext, n)
 	r.mu = make([]field.Element, n)
-	r.beaver = map[int]*beaverTriple{}
 	r.inputOpen = map[int][]group{}
 	r.lists = slotpack.ListsOf(r.p.circ, r.p.params.N, r.p.params.T, r.p.params.K)
 }
@@ -31,23 +30,26 @@ func (r *run) initWireState() {
 // committee, which speaks at online start (see online.go).
 func (r *run) offline() error {
 	p := r.p.params
-	var err error
-	if r.offB1, err = r.p.assign.FormCommittee("offB1", p.N, comm.PhaseOffline); err != nil {
+	// Step 1: committees OffB1 and OffB2 prepare one Beaver triple under
+	// tpk per multiplication gate. They are formed first, so the adversary
+	// samples the committees in schedule order.
+	err := r.offlineStep("beaver", "step 1 (Beaver)", func() (err error) {
+		r.beaver, err = r.rt.Beaver(r.assign, [2]string{"offB1", "offB2"}, p.N, r.p.circ)
+		return err
+	})
+	if err != nil {
 		return err
 	}
-	if r.offB2, err = r.p.assign.FormCommittee("offB2", p.N, comm.PhaseOffline); err != nil {
+	if r.offR, err = r.assign.FormCommittee("offR", p.N, comm.PhaseOffline); err != nil {
 		return err
 	}
-	if r.offR, err = r.p.assign.FormCommittee("offR", p.N, comm.PhaseOffline); err != nil {
+	if r.offDec, err = r.assign.FormCommittee("offDec", p.N, comm.PhaseOffline); err != nil {
 		return err
 	}
-	if r.offDec, err = r.p.assign.FormCommittee("offDec", p.N, comm.PhaseOffline); err != nil {
+	if r.offRe, err = r.assign.FormCommittee("offRe", p.N, comm.PhaseOffline); err != nil {
 		return err
 	}
-	if r.offRe, err = r.p.assign.FormCommittee("offRe", p.N, comm.PhaseOffline); err != nil {
-		return err
-	}
-	if r.offBridge, err = r.p.assign.FormCommittee("offBridge", p.N, comm.PhaseOffline); err != nil {
+	if r.offBridge, err = r.assign.FormCommittee("offBridge", p.N, comm.PhaseOffline); err != nil {
 		return err
 	}
 
@@ -57,9 +59,6 @@ func (r *run) offline() error {
 	}
 	r.buildBatches()
 
-	if err := r.offlineStep("beaver", "step 1 (Beaver)", r.offlineBeaver); err != nil {
-		return err
-	}
 	if err := r.offlineStep("wire-randomness", "step 2 (wire randomness)", r.offlineWireRandomness); err != nil {
 		return err
 	}
@@ -91,23 +90,6 @@ func (r *run) buildBatches() {
 	for _, mb := range r.p.circ.MulBatches(r.p.params.K) {
 		r.batches = append(r.batches, &batchState{MulBatch: mb, k: len(mb.Gates)})
 	}
-}
-
-// offlineBeaver is Step 1: committees OffB1 and OffB2 prepare one Beaver
-// triple (c^a, c^b, c^c) under tpk per multiplication gate.
-func (r *run) offlineBeaver() error {
-	muls := r.p.circ.MulGates()
-	if len(muls) == 0 {
-		return nil
-	}
-	cA, cB, cC, err := r.rt.Beaver(r.offB1, r.offB2, len(muls))
-	if err != nil {
-		return err
-	}
-	for g, gi := range muls {
-		r.beaver[gi] = &beaverTriple{a: cA[g], b: cB[g], c: cC[g]}
-	}
-	return nil
 }
 
 // offlineWireRandomness is Step 2 plus the helper encryptions of Step 4:
@@ -169,60 +151,31 @@ func (r *run) offlineDependentWires() error {
 		}
 	}
 
+	// ε/δ per mul gate, opened by OffDec; without a multiplication OffDec
+	// only hands tsk onward.
 	muls := r.p.circ.MulGates()
-	if len(muls) == 0 {
-		// Still hand tsk onward: OffDec only reshares.
-		_, err := r.offDecSpeak(nil)
+	open, err := r.rt.Masked(r.p.circ, muls, r.beaver, r.wireCt)
+	if err != nil {
 		return err
 	}
-	ones := committee.Ones(2)
-	pm1 := new(big.Int).SetUint64(field.Modulus - 1)
-
-	// ε/δ ciphertexts per mul gate — independent per gate, slot-indexed so
-	// the opened order is identical to the serial path.
-	open := make([]tte.Ciphertext, 2*len(muls))
-	if err := r.rt.Pfor(len(muls), func(m int) error {
-		gi := muls[m]
-		g := gates[gi]
-		bt := r.beaver[gi]
-		eps, err := te.Eval(r.rt.TPK, []tte.Ciphertext{r.wireCt[g.A], bt.a}, ones)
-		if err != nil {
-			return err
-		}
-		del, err := te.Eval(r.rt.TPK, []tte.Ciphertext{r.wireCt[g.B], bt.b}, ones)
-		if err != nil {
-			return err
-		}
-		open[2*m], open[2*m+1] = eps, del
-		return nil
-	}); err != nil {
-		return err
-	}
-
 	openings, err := r.offDecSpeak(open)
 	if err != nil {
 		return err
 	}
 
-	// Everyone: c^Γ = ε·c^β + (p−δ)·c^x + c^z + (p−1)·c^γ. Gates are
-	// independent; results land in a slot-indexed slice and the gammaCt map
-	// is filled serially afterwards (map writes are not concurrency-safe).
+	// Everyone: c^Γ = ε·c^β + (p−δ)·c^x + c^z + (p−1)·c^γ, the Beaver
+	// product λ^α·λ^β (Triple.Product) less λ^γ. Gates are independent;
+	// results land in a slot-indexed slice and the gammaCt map is filled
+	// serially afterwards (map writes are not concurrency-safe).
+	pm1 := new(big.Int).SetUint64(field.Modulus - 1)
 	gammas := make([]tte.Ciphertext, len(muls))
 	if err := r.rt.Pfor(len(muls), func(m int) error {
-		gi := muls[m]
-		g := gates[gi]
-		bt := r.beaver[gi]
-		eps := openings[2*m]
-		del := openings[2*m+1]
+		g := gates[muls[m]]
 		r.p.audit.Record(comm.PhaseOffline, ValBeaverOpen, KeyTPK)
-		gamma, err := te.Eval(r.rt.TPK,
-			[]tte.Ciphertext{r.wireCt[g.B], bt.a, bt.c, r.wireCt[g.Out]},
-			[]*big.Int{committee.FieldCoeff(eps), committee.FieldCoeff(del.Neg()), big.NewInt(1), pm1})
-		if err != nil {
-			return err
-		}
-		gammas[m] = gamma
-		return nil
+		cts, coeffs := r.beaver[muls[m]].Product(openings[2*m], openings[2*m+1], r.wireCt[g.B])
+		var err error
+		gammas[m], err = te.Eval(r.rt.TPK, append(cts, r.wireCt[g.Out]), append(coeffs, pm1))
+		return err
 	}); err != nil {
 		return err
 	}

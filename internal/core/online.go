@@ -23,19 +23,19 @@ func (r *run) online(inputs map[int][]field.Element) (map[int][]field.Element, e
 
 	// The online phase begins: role assignment publishes the online
 	// committees' role keys.
-	if r.onC1, err = r.p.assign.FormCommittee("onC1", p.N, comm.PhaseOnline); err != nil {
+	if r.onC1, err = r.assign.FormCommittee("onC1", p.N, comm.PhaseOnline); err != nil {
 		return nil, err
 	}
 	depth := r.p.circ.Depth()
 	r.layers = make([]*yoso.Committee, depth)
 	for l := 0; l < depth; l++ {
-		c, err := r.p.assign.FormCommittee(fmt.Sprintf("on-layer%d", l+1), p.N, comm.PhaseOnline)
+		c, err := r.assign.FormCommittee(fmt.Sprintf("on-layer%d", l+1), p.N, comm.PhaseOnline)
 		if err != nil {
 			return nil, err
 		}
 		r.layers[l] = c
 	}
-	if r.onOut, err = r.p.assign.FormCommittee("onOut", p.N, comm.PhaseOnline); err != nil {
+	if r.onOut, err = r.assign.FormCommittee("onOut", p.N, comm.PhaseOnline); err != nil {
 		return nil, err
 	}
 

@@ -6,7 +6,8 @@
 //
 // Committee schedule (one broadcast per role, per the YOSO model):
 //
-//	offline:  OffB1 (Beaver a-parts) → OffB2 (Beaver b/c-parts)
+//	offline:  OffB1 (Beaver a-parts) → OffB2 (Beaver b/c-parts), formed
+//	          only when the circuit has a multiplication gate
 //	          → OffR (wire randomness + packing helpers)
 //	          → OffDec (holds tsk epoch 0: decrypts ε/δ, reshares tsk)
 //	          → OffRe (re-encrypts λ/Γ packed shares and input-wire λ's to
@@ -28,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 
+	"yosompc/internal/circuit"
 	"yosompc/internal/committee"
 	"yosompc/internal/parallel"
 	"yosompc/internal/pke"
@@ -97,7 +99,7 @@ type Params struct {
 var (
 	ErrBadParams   = errors.New("core: invalid parameters")
 	ErrNotEnough   = committee.ErrNotEnough
-	ErrWrongInputs = errors.New("core: client inputs do not match the circuit")
+	ErrWrongInputs = circuit.ErrWrongInputs
 )
 
 // Validate checks structural soundness of the parameters.

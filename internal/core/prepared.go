@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -33,14 +32,7 @@ type Prepared struct {
 // can happen before inputs exist). The returned Prepared supports exactly
 // one Execute.
 func (p *Protocol) Prepare() (*Prepared, error) {
-	return p.PrepareContext(context.Background())
-}
-
-// PrepareContext is Prepare with cancellation: the run aborts between
-// committee steps once ctx is done (a partially preprocessed run is
-// discarded — correlations are never reused).
-func (p *Protocol) PrepareContext(ctx context.Context) (*Prepared, error) {
-	r := p.newRun(ctx)
+	r := p.newRun()
 	r.initTelemetry()
 	r.beginPhase("setup")
 	if err := r.setup(); err != nil {
@@ -68,7 +60,7 @@ func (pp *Prepared) OfflineReport() comm.Report { return pp.r.p.board.Report() }
 // is consumed, so a corrected call can still run.
 func (pp *Prepared) Execute(inputs map[int][]field.Element) (*Result, error) {
 	p := pp.r.p
-	if err := p.checkInputs(inputs); err != nil {
+	if err := p.circ.CheckInputs(inputs); err != nil {
 		return nil, err
 	}
 	pp.mu.Lock()
@@ -91,6 +83,6 @@ func (pp *Prepared) Execute(inputs map[int][]field.Element) (*Result, error) {
 		Report:   p.board.Report(),
 		Excluded: pp.r.rt.Excluded,
 		Audit:    p.audit.Events(),
-		Rounds:   9 + p.circ.Depth(),
+		Rounds:   pp.r.assign.Committees() + 1,
 	}, nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"yosompc/internal/circuit"
@@ -25,7 +24,6 @@ type Protocol struct {
 	params Params
 	circ   *circuit.Circuit
 	board  *transport.Board
-	assign *yoso.Assignment
 	auth   *nizk.Authority
 	audit  *Auditor
 }
@@ -41,8 +39,9 @@ type Result struct {
 	Excluded []string
 	// Audit is the key-usage trace (paper Figure 1).
 	Audit []AuditEvent
-	// Rounds is the number of sequential broadcast rounds (committee
-	// speaks; parallel client speaks count as one round).
+	// Rounds is the number of sequential broadcast rounds: one per
+	// committee the run formed, plus one for the clients' parallel input
+	// speaks.
 	Rounds int
 }
 
@@ -60,15 +59,10 @@ func New(params Params, circ *circuit.Circuit, meter *comm.Meter) (*Protocol, er
 	}
 	board := transport.NewBoard(meter)
 	board.SetProc(params.Proc)
-	assign := yoso.NewAssignment(board, params.PKE, params.Adversary)
-	// Committee manifests advertise the packed reconstruction quorum, so a
-	// board observer knows how many fail-stops each committee tolerates.
-	assign.Quorum = params.ReconstructionThreshold()
 	return &Protocol{
 		params: params,
 		circ:   circ,
 		board:  board,
-		assign: assign,
 		auth:   auth,
 		audit:  &Auditor{},
 	}, nil
@@ -82,7 +76,7 @@ func (p *Protocol) Board() *transport.Board { return p.board }
 // deployment-realistic split (preprocess ahead of time, run online when
 // inputs arrive) use those directly.
 func (p *Protocol) Run(inputs map[int][]field.Element) (*Result, error) {
-	if err := p.checkInputs(inputs); err != nil {
+	if err := p.circ.CheckInputs(inputs); err != nil {
 		return nil, err
 	}
 	prepared, err := p.Prepare()
@@ -90,23 +84,6 @@ func (p *Protocol) Run(inputs map[int][]field.Element) (*Result, error) {
 		return nil, err
 	}
 	return prepared.Execute(inputs)
-}
-
-// checkInputs returns ErrWrongInputs unless every client supplied exactly
-// the number of inputs the circuit reads from it.
-func (p *Protocol) checkInputs(inputs map[int][]field.Element) error {
-	for _, client := range p.circ.Clients() {
-		if len(inputs[client]) != p.circ.InputCount(client) {
-			return fmt.Errorf("%w: client %d supplied %d of %d inputs",
-				ErrWrongInputs, client, len(inputs[client]), p.circ.InputCount(client))
-		}
-	}
-	return nil
-}
-
-// beaverTriple holds the tpk-encrypted triple of one multiplication gate.
-type beaverTriple struct {
-	a, b, c tte.Ciphertext
 }
 
 // batchState carries everything the protocol accumulates for one batch of
@@ -129,11 +106,15 @@ type batchState struct {
 type run struct {
 	p *Protocol
 	// rt is the committee-step runtime: board, backends, tpk, worker pool,
-	// cancellation, the open phase span and the excluded-role list.
+	// the open phase span and the excluded-role list.
 	rt *committee.Runner
+	// assign forms the run's committees; how many it formed gives the
+	// run's rounds.
+	assign *yoso.Assignment
 
-	// committees (see the schedule in the package comment)
-	offB1, offB2, offR, offDec, offRe *yoso.Committee
+	// committees (see the schedule in the package comment; the Beaver
+	// committees OffB1 and OffB2 live inside committee.Runner.Beaver)
+	offR, offDec, offRe *yoso.Committee
 	// offBridge holds tsk across the offline/online boundary: OffRe can
 	// then speak entirely within the offline phase (all its targets are
 	// KFFs and offBridge's role keys), and only this single-purpose
@@ -159,7 +140,7 @@ type run struct {
 	wireCt []tte.Ciphertext
 
 	// per-mul-gate Beaver triples (indexed by gate index in circ.Gates())
-	beaver map[int]*beaverTriple
+	beaver map[int]committee.Triple
 
 	// per-mul-gate Γ ciphertexts (λ^α·λ^β − λ^γ under tpk)
 	gammaCt map[int]tte.Ciphertext
@@ -197,13 +178,17 @@ type kffEntry struct {
 
 // --- shared helpers ---------------------------------------------------
 
-// newRun binds a fresh execution to the committee runtime.
-func (p *Protocol) newRun(ctx context.Context) *run {
-	return &run{p: p, rt: &committee.Runner{
+// newRun binds a fresh execution to the committee runtime and to a role
+// assignment of its own.
+func (p *Protocol) newRun() *run {
+	assign := yoso.NewAssignment(p.board, p.params.PKE, p.params.Adversary)
+	// Committee manifests advertise the packed reconstruction quorum, so a
+	// board observer knows how many fail-stops each committee tolerates.
+	assign.Quorum = p.params.ReconstructionThreshold()
+	return &run{p: p, assign: assign, rt: &committee.Runner{
 		Board:   p.board,
 		Auth:    p.auth,
 		TE:      p.params.TE,
-		Ctx:     ctx,
 		Workers: p.params.EffectiveWorkers(),
 		ShareRecovered: func(phase comm.Phase) {
 			p.audit.Record(phase, ValTskShare, KeyRole)

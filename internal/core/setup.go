@@ -50,7 +50,7 @@ func (r *run) setup() error {
 	// receive outputs.
 	r.clients = map[int]*yoso.Role{}
 	for _, id := range r.p.circ.Clients() {
-		role, err := r.p.assign.NewKnownParty("client", id, comm.PhaseSetup)
+		role, err := r.assign.NewKnownParty("client", id, comm.PhaseSetup)
 		if err != nil {
 			return err
 		}

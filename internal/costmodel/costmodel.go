@@ -178,8 +178,9 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 	// Every offline and online tsk step below reshares or seals, so each of
 	// its N postings carries a posting key.
 	var offline int64
-	offline += 6 * N * int64(z.RoleKey) // six offline committees' role keys (incl. bridge)
+	offline += 4 * N * int64(z.RoleKey) // OffR, OffDec, OffRe and the bridge's role keys
 	if muls > 0 {
+		offline += 2 * N * int64(z.RoleKey)                        // two Beaver committees
 		offline += N*muls*int64(z.Ciphertext) + N*int64(z.Proof)   // beaver-a
 		offline += N*2*muls*int64(z.Ciphertext) + N*int64(z.Proof) // beaver-bc
 	}

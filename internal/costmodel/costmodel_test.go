@@ -93,6 +93,8 @@ func TestCoreModelMatchesMeasured(t *testing.T) {
 		// member seals three envelopes to the one output client, as every
 		// OffRe member seals eight to each layer member.
 		{"one client, several output groups", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(16, 1) }), 9, 2, 2, modelBits, []int64{8}, []int64{3, 0}},
+		// No multiplication: no Beaver committee is formed.
+		{"linear", mk(linearCircuit), 8, 2, 2, modelBits, nil, nil},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -140,6 +142,7 @@ func TestBaselineModelMatchesMeasured(t *testing.T) {
 		{"inner-product", mk(func() (*circuit.Circuit, error) { return circuit.InnerProduct(4) }), 5, 2},
 		{"poly-eval", mk(func() (*circuit.Circuit, error) { return circuit.PolyEval(3) }), 7, 3},
 		{"wide", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(6, 2) }), 9, 4},
+		{"linear", mk(linearCircuit), 5, 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -255,6 +258,14 @@ func TestCoreVariantsModelMatchesMeasured(t *testing.T) {
 			}
 		})
 	}
+}
+
+// linearCircuit is two inputs, their sum and an output: a circuit without a
+// multiplication.
+func linearCircuit() (*circuit.Circuit, error) {
+	b := circuit.NewBuilder()
+	b.Output(b.Add(b.Input(0), b.Input(1)), 0)
+	return b.Build()
 }
 
 // ShapeOf extracts a Shape from a circuit for committee size n, corruption

@@ -26,6 +26,8 @@ type Assignment struct {
 	// published in each committee's progress manifest so a board observer
 	// can judge fail-stop margins; 0 means every member is required.
 	Quorum int
+
+	formed int
 }
 
 // NewAssignment builds the functionality.
@@ -73,8 +75,13 @@ func (a *Assignment) FormCommittee(name string, n int, phase comm.Phase) (*Commi
 		}
 		a.board.Post("role-assignment", phase, comm.CatRoleKeys, pub.Bytes())
 	}
+	a.formed++
 	return c, nil
 }
+
+// Committees returns how many committees FormCommittee has formed. Each
+// speaks once, in its own broadcast round.
+func (a *Assignment) Committees() int { return a.formed }
 
 // NewKnownParty creates a known-machine role (a client holding inputs or
 // receiving outputs). Known parties are subject to chosen corruption in the

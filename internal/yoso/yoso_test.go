@@ -45,6 +45,10 @@ func TestFormCommittee(t *testing.T) {
 	if _, err := a.FormCommittee("bad", 0, comm.PhaseOnline); err == nil {
 		t.Error("accepted empty committee")
 	}
+	// Only the committee actually formed counts toward the run's rounds.
+	if a.Committees() != 1 {
+		t.Errorf("Committees() = %d, want 1", a.Committees())
+	}
 }
 
 func TestFormCommitteePublishesManifest(t *testing.T) {
