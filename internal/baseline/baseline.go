@@ -66,7 +66,8 @@ func (p *Params) Validate() error {
 type Result struct {
 	// Outputs maps each client to its outputs in gate order.
 	Outputs map[int][]field.Element
-	// Report is the communication breakdown.
+	// Report is the communication breakdown of the run: the bytes it posted,
+	// not those of earlier runs on the same Protocol or meter.
 	Report comm.Report
 	// Excluded lists roles whose proofs failed or who stayed silent.
 	Excluded []string
@@ -80,7 +81,9 @@ type Protocol struct {
 	params Params
 	circ   *circuit.Circuit
 	// rt is the committee-step runtime shared with internal/core; the
-	// baseline's proofs are attested under its own authority.
+	// baseline's proofs are attested under its own authority. Each run
+	// steps on a copy of its own, so its tpk and excluded roles are the
+	// run's.
 	rt *committee.Runner
 }
 
@@ -124,11 +127,13 @@ func (p *Protocol) Run(inputs map[int][]field.Element) (*Result, error) {
 	}
 	// A mirrored run ends only when the mirrors' servers hold all of it.
 	defer p.rt.Board.Sync()
+	start := p.rt.Board.Report()
 	assign := yoso.NewAssignment(p.rt.Board, p.params.PKE, p.params.Adversary)
 	// Unpacked Shamir reconstruction needs t+1 shares, so committee
 	// manifests advertise that quorum for fail-stop margin tracking.
 	assign.Quorum = p.params.T + 1
-	r := &run{p: p, rt: p.rt, assign: assign, clients: map[int]*yoso.Role{}}
+	rt := *p.rt
+	r := &run{p: p, rt: &rt, assign: assign, clients: map[int]*yoso.Role{}}
 	r.wireCt = make([]tte.Ciphertext, p.circ.NumWires())
 
 	// Setup: TKGen + client keys.
@@ -150,9 +155,10 @@ func (p *Protocol) Run(inputs map[int][]field.Element) (*Result, error) {
 		r.clients[id] = role
 	}
 
-	// Offline: one Beaver triple per multiplication gate, exactly as in the
-	// packed protocol's Step 1.
-	if r.beaver, err = r.rt.Beaver(assign, [2]string{"bOff1", "bOff2"}, p.params.N, p.circ); err != nil {
+	// Offline: one Beaver triple per multiplication gate, as in the packed
+	// protocol's Step 1 but without extraction (m′ = 1): the comparator's
+	// bytes are CDN's, one contribution per member per a and b.
+	if r.beaver, err = r.rt.Beaver(assign, [2]string{"bOff1", "bOff2"}, p.params.N, p.circ, 1); err != nil {
 		return nil, fmt.Errorf("baseline offline: %w", err)
 	}
 	outputs, err := r.online(inputs, shares)
@@ -161,7 +167,7 @@ func (p *Protocol) Run(inputs map[int][]field.Element) (*Result, error) {
 	}
 	return &Result{
 		Outputs:  outputs,
-		Report:   r.rt.Board.Report(),
+		Report:   r.rt.Board.Report().Diff(start),
 		Excluded: r.rt.Excluded,
 		Rounds:   assign.Committees() + 1,
 	}, nil

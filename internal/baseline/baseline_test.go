@@ -246,6 +246,38 @@ func TestRoundsAccounting(t *testing.T) {
 	}
 }
 
+// A Result is its run's: two runs on one Protocol report the same bytes and
+// exclude the same number of roles, not the Protocol's running totals.
+func TestRunsReportTheirOwnBytes(t *testing.T) {
+	circ, err := circuit.InnerProduct(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := inputsOf(map[int][]uint64{0: {1, 2}, 1: {3, 4}})
+	proto, err := New(simParams(5, 2, yoso.NewAdversary(1, 0, 5)), circ, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *Result
+	for run := 1; run <= 2; run++ {
+		res, err := proto.Run(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = res
+			continue
+		}
+		if res.Report.Total != first.Report.Total || len(res.Excluded) != len(first.Excluded) {
+			t.Errorf("second run: %d bytes and %d excluded roles, the first %d and %d",
+				res.Report.Total, len(res.Excluded), first.Report.Total, len(first.Excluded))
+		}
+	}
+	if got := proto.Board().Report().Total; got != 2*first.Report.Total {
+		t.Errorf("the board holds %d bytes after two runs, want %d", got, 2*first.Report.Total)
+	}
+}
+
 // linearCircuit is two inputs, their sum and an output: a circuit without a
 // multiplication.
 func linearCircuit(t *testing.T) *circuit.Circuit {

@@ -357,7 +357,7 @@ func ImprovementFactors(widthMult int) ([]ImprovementRow, error) {
 		n, t, k, _ := row.Result.CommitteeFor(false)
 		width := widthMult * n * k
 		// Two clients with 8 inputs each; the 4 outputs go to the first.
-		shape := costmodel.FreshShape(n, t, k, []int{8, 8}, []int{4, 0}, []int{width})
+		shape := costmodel.FreshShape(n, t, k, z.SlotBits, []int{8, 8}, []int{4, 0}, []int{width})
 		ours := costmodel.Core(n, t, k, shape, z)
 		baseShape := shape
 		baseShape.BatchesPerLayer = []int{width}

@@ -1,11 +1,15 @@
 package committee
 
 import (
+	"context"
+	"fmt"
 	"math/big"
 
 	"yosompc/internal/circuit"
 	"yosompc/internal/comm"
 	"yosompc/internal/field"
+	"yosompc/internal/parallel"
+	"yosompc/internal/slotpack"
 	"yosompc/internal/tte"
 	"yosompc/internal/yoso"
 )
@@ -29,18 +33,87 @@ func (r *Runner) EncryptRandom(count int) (Plaintexts, CtBundle, error) {
 	return ms, cts, nil
 }
 
-// RandomStep has every member of c contribute count encrypted random field
-// elements and returns the per-position sums of the verified contributions.
-func (r *Runner) RandomStep(c *yoso.Committee, sp Spec, count int) ([]tte.Ciphertext, error) {
+// RandomStep has every member of c contribute encrypted random field
+// elements and returns, per block of blocks, that many values extracted from
+// the verified contributions at extraction m, laid out by slotpack.Layout:
+// value j of block b is row j mod m of the Vandermonde matrix applied to
+// position at[b] + j/m (slotpack.ListsOf chooses m).
+func (r *Runner) RandomStep(c *yoso.Committee, sp Spec, blocks []int, m int) ([][]tte.Ciphertext, error) {
+	at, per := slotpack.Layout(blocks, m)
 	posts, err := Step(r, c, sp, func(int) (CtBundle, error) {
-		ms, cts, err := r.EncryptRandom(count)
+		ms, cts, err := r.EncryptRandom(per)
 		ms.Wipe()
 		return cts, err
-	}, count*r.TPK.CiphertextSize())
+	}, per*r.TPK.CiphertextSize())
 	if err != nil {
 		return nil, err
 	}
-	return r.SumContributions(posts, count)
+	rows, err := vandermonde(posts, m)
+	if err != nil {
+		return nil, err
+	}
+	var cells []cell
+	for b, size := range blocks {
+		for j := range size {
+			cells = append(cells, cell{pos: at[b] + j/m, row: j % m})
+		}
+	}
+	vals, err := r.extract(posts, rows, cells)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]tte.Ciphertext, len(blocks))
+	for b, size := range blocks {
+		out[b], vals = vals[:size:size], vals[size:]
+	}
+	return out, nil
+}
+
+// vandermonde returns the m rows of the Damgård–Nielsen matrix
+// M_ji = i^{j−1} over the columns of the verified posts, i a poster's
+// 1-based committee index: rows[j][s] = posts[s].Index^j. A member missing
+// from posts drops out. The values M extracts are uniform mod p when m of
+// the posters are honest, so fewer than m posters is an error.
+func vandermonde(posts []Post[CtBundle], m int) ([][]*big.Int, error) {
+	if len(posts) < m {
+		return nil, fmt.Errorf("%w: %d verified contributions for %d extracted values per position", ErrNotEnough, len(posts), m)
+	}
+	rows := make([][]*big.Int, m)
+	for j := range rows {
+		rows[j] = make([]*big.Int, len(posts))
+		for s, p := range posts {
+			if j == 0 {
+				rows[j][s] = big.NewInt(1)
+				continue
+			}
+			rows[j][s] = new(big.Int).Mul(rows[j-1][s], big.NewInt(int64(p.Index)))
+		}
+	}
+	return rows, nil
+}
+
+// cell is where one extracted value comes from: a row of the Vandermonde
+// matrix applied to one position of the contributions.
+type cell struct{ pos, row int }
+
+// extract forms one value per cell from the verified posts:
+// TEval(Σ_s rows[row][s]·posts[s][pos]). Values are independent, so the loop
+// fans out over the worker pool; each worker gathers a value's terms into its
+// own scratch.
+func (r *Runner) extract(posts []Post[CtBundle], rows [][]*big.Int, cells []cell) ([]tte.Ciphertext, error) {
+	out := make([]tte.Ciphertext, len(cells))
+	s := len(posts)
+	scratch := make([]tte.Ciphertext, min(parallel.Normalize(r.Workers), len(cells))*s)
+	err := parallel.ForWorker(context.TODO(), r.Workers, len(cells), func(worker, v int) error {
+		parts := scratch[worker*s : (worker+1)*s]
+		for i, p := range posts {
+			parts[i] = p.Payload[cells[v].pos]
+		}
+		var err error
+		out[v], err = r.TE.Eval(r.TPK, parts, rows[cells[v].row])
+		return err
+	}, r.Obs)
+	return out, err
 }
 
 // Triple is one multiplication gate's Beaver triple under tpk: the
@@ -53,14 +126,17 @@ type Triple struct{ A, B, C tte.Ciphertext }
 // triple per multiplication gate of circ, keyed by gate index. A circuit
 // without a multiplication forms neither committee.
 //
-// names[0]'s members contribute the a-parts; names[1]'s members contribute
-// b-parts and homomorphically form their c-parts c_i^c = b_i · c^a, posted
-// as one bundle b‖c.
+// Gate g's a and b are extracted at m, all gates one block (RandomStep):
+// names[0]'s members contribute a-parts, names[1]'s members b-parts, and
+// each of those also posts, per gate, its c-part b_i^{(g/m)}·c^{a_g} — its b
+// contribution at b_g's position times a_g — as one bundle b‖c. Applying
+// b_g's row of the Vandermonde matrix to the c-parts gives c_g = a_g·b_g.
 //
-// TEval bounds the sum of the c-parts by Σ b_i·Bound(c^a), which would
-// publish the integer b; each c^c carries the public bound
-// |S|·(p−1)·Bound(c^a) over the |S| verified names[1] members instead.
-func (r *Runner) Beaver(assign *yoso.Assignment, names [2]string, n int, circ *circuit.Circuit) (map[int]Triple, error) {
+// TEval bounds that sum by Σ_i M_ji·b_i·Bound(c^a), which would publish the
+// integers b_i; each c^c carries the public bound
+// (p−1)·Bound(c^a)·Σ_{i∈S} M_ji over the verified names[1] members S
+// instead.
+func (r *Runner) Beaver(assign *yoso.Assignment, names [2]string, n int, circ *circuit.Circuit, m int) (map[int]Triple, error) {
 	muls := circ.MulGates()
 	count := len(muls)
 	if count == 0 {
@@ -73,19 +149,21 @@ func (r *Runner) Beaver(assign *yoso.Assignment, names [2]string, n int, circ *c
 			return nil, err
 		}
 	}
-	a, err := r.RandomStep(cs[0], Spec{Phase: comm.PhaseOffline, Cat: comm.CatBeaver, Label: "beaver-a"}, count)
+	blocks, err := r.RandomStep(cs[0], Spec{Phase: comm.PhaseOffline, Cat: comm.CatBeaver, Label: "beaver-a"}, []int{count}, m)
 	if err != nil {
 		return nil, err
 	}
+	a := blocks[0]
+	_, per := slotpack.Layout([]int{count}, m)
 	posts, err := Step(r, cs[1], Spec{Phase: comm.PhaseOffline, Cat: comm.CatBeaver, Label: "beaver-bc"}, func(int) (CtBundle, error) {
-		ms, bc, err := r.EncryptRandom(count)
+		ms, bc, err := r.EncryptRandom(per)
 		if err != nil {
 			return nil, err
 		}
 		defer ms.Wipe()
 		coeff := make([]*big.Int, 1)
-		for g, m := range ms.Ints {
-			coeff[0] = m
+		for g := range count {
+			coeff[0] = ms.Ints[g/m]
 			ct, err := r.TE.Eval(r.TPK, a[g:g+1], coeff)
 			if err != nil {
 				return nil, err
@@ -93,22 +171,42 @@ func (r *Runner) Beaver(assign *yoso.Assignment, names [2]string, n int, circ *c
 			bc = append(bc, ct)
 		}
 		return bc, nil
-	}, 2*count*r.TPK.CiphertextSize())
+	}, (per+count)*r.TPK.CiphertextSize())
 	if err != nil {
 		return nil, err
 	}
-	sums, err := r.SumContributions(posts, 2*count)
+	rows, err := vandermonde(posts, m)
 	if err != nil {
 		return nil, err
 	}
-	scale := new(big.Int).Mul(big.NewInt(int64(len(posts))), pMinus1)
+	// b_g is row g mod m at position g/m; c_g applies the same row to
+	// gate g's c-parts, which follow the per b-parts.
+	cells := make([]cell, 2*count)
+	for g := range count {
+		cells[g] = cell{pos: g / m, row: g % m}
+		cells[count+g] = cell{pos: per + g, row: g % m}
+	}
+	bc, err := r.extract(posts, rows, cells)
+	if err != nil {
+		return nil, err
+	}
+	b, c := bc[:count], bc[count:]
+	// scale[j] is (p−1)·Σ_{i∈S} M_ji, the public factor of row j's c bound.
+	scale := make([]*big.Int, m)
+	for j, row := range rows {
+		scale[j] = new(big.Int)
+		for _, coeff := range row {
+			scale[j].Add(scale[j], coeff)
+		}
+		scale[j].Mul(scale[j], pMinus1)
+	}
 	triples := make(map[int]Triple, count)
 	for g, gi := range muls {
-		c, err := tte.Widen(r.TPK, sums[count+g], new(big.Int).Mul(scale, a[g].Bound()))
+		cg, err := tte.Widen(r.TPK, c[g], new(big.Int).Mul(scale[g%m], a[g].Bound()))
 		if err != nil {
 			return nil, err
 		}
-		triples[gi] = Triple{A: a[g], B: sums[g], C: c}
+		triples[gi] = Triple{A: a[g], B: b[g], C: cg}
 	}
 	return triples, nil
 }
@@ -118,7 +216,7 @@ func (r *Runner) Beaver(assign *yoso.Assignment, names [2]string, n int, circ *c
 // are a gate's input wires in cts, a and b its triple's.
 func (r *Runner) Masked(circ *circuit.Circuit, gates []int, triples map[int]Triple, cts []tte.Ciphertext) ([]tte.Ciphertext, error) {
 	all := circ.Gates()
-	ones := Ones(2)
+	ones := []*big.Int{big.NewInt(1), big.NewInt(1)}
 	out := make([]tte.Ciphertext, 2*len(gates))
 	err := r.Pfor(len(gates), func(m int) error {
 		g, t := all[gates[m]], triples[gates[m]]

@@ -202,40 +202,6 @@ func Step[T Payload](r *Runner, c *yoso.Committee, sp Spec, honest func(i int) (
 	return verified, nil
 }
 
-// SumContributions adds each position's verified contributions: the
-// standard "everyone computes TEval(tpk, {c_i}_{i∈S}, (1)^|S|)" pattern.
-// Positions are independent, so the loop fans out over the worker pool;
-// each worker gathers a position's terms into its own scratch.
-func (r *Runner) SumContributions(posts []Post[CtBundle], count int) ([]tte.Ciphertext, error) {
-	if len(posts) == 0 {
-		return nil, fmt.Errorf("%w: no valid contributions", ErrNotEnough)
-	}
-	out := make([]tte.Ciphertext, count)
-	ones := Ones(len(posts))
-	m := len(posts)
-	scratch := make([]tte.Ciphertext, min(parallel.Normalize(r.Workers), count)*m)
-	err := parallel.ForWorker(context.TODO(), r.Workers, count, func(worker, pos int) error {
-		parts := scratch[worker*m : (worker+1)*m]
-		for i, p := range posts {
-			parts[i] = p.Payload[pos]
-		}
-		var err error
-		out[pos], err = r.TE.Eval(r.TPK, parts, ones)
-		return err
-	}, r.Obs)
-	return out, err
-}
-
-// Ones returns m big.Int ones — the (1)^|S| coefficient vector of TEval
-// sums.
-func Ones(m int) []*big.Int {
-	out := make([]*big.Int, m)
-	for i := range out {
-		out[i] = big.NewInt(1)
-	}
-	return out
-}
-
 // EvalTerms is TEval of a linear gate's terms (circuit.Gate.Terms) over the
 // per-wire ciphertexts cts: Σ coeff·cts[wire], each coefficient lifted to
 // its integer below p. A gate without terms gives the empty sum, the

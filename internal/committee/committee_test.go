@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"reflect"
 	"strings"
 	"testing"
@@ -652,10 +653,19 @@ func beaverCircuit(t *testing.T) *circuit.Circuit {
 	return circ
 }
 
+// At every extraction m the triples hold c = a·b: m = 1 sums the
+// contributions, m = 2 leaves the last b contribution's second row unused,
+// and m = 3 extracts all three gates from one position.
 func TestBeaverTriples(t *testing.T) {
+	for _, m := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) { testBeaverTriples(t, m) })
+	}
+}
+
+func testBeaverTriples(t *testing.T, m int) {
 	f, dealt := newFixture(t)
 	circ := beaverCircuit(t)
-	triples, err := f.Beaver(f.assign, [2]string{"b1", "b2"}, testN, circ)
+	triples, err := f.Beaver(f.assign, [2]string{"b1", "b2"}, testN, circ, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -682,6 +692,23 @@ func TestBeaverTriples(t *testing.T) {
 			t.Errorf("triple of gate %d: %v · %v ≠ %v", gi, a, b, c)
 		}
 	}
+	// Each member of b1 posts ⌈3/m⌉ a-parts, and each of b2 as many
+	// b-parts and three c-parts.
+	per := (len(muls) + m - 1) / m
+	want := map[string]int{"b1/": per, "b2/": per + len(muls)}
+	posted := 0
+	for _, e := range f.Board.Entries(0) {
+		if e.Category != comm.CatBeaver {
+			continue
+		}
+		posted++
+		if cts := want[e.From[:3]]; len(e.Payload) != cts*f.TPK.CiphertextSize() {
+			t.Errorf("%s posted %d bytes, want %d ciphertexts", e.From, len(e.Payload), cts)
+		}
+	}
+	if posted == 0 {
+		t.Error("no Beaver postings")
+	}
 	// A circuit without a multiplication forms no committee.
 	b := circuit.NewBuilder()
 	b.Output(b.Add(b.Input(0), b.Input(1)), 0)
@@ -690,7 +717,7 @@ func TestBeaverTriples(t *testing.T) {
 		t.Fatal(err)
 	}
 	formed := f.assign.Committees()
-	if triples, err := f.Beaver(f.assign, [2]string{"l1", "l2"}, testN, linear); err != nil || len(triples) != 0 {
+	if triples, err := f.Beaver(f.assign, [2]string{"l1", "l2"}, testN, linear, m); err != nil || len(triples) != 0 {
 		t.Errorf("linear circuit: %d triples, err %v", len(triples), err)
 	}
 	if f.assign.Committees() != formed {
@@ -704,7 +731,7 @@ func TestBeaverTriples(t *testing.T) {
 func TestBeaverProduct(t *testing.T) {
 	f, dealt := newFixture(t)
 	circ := beaverCircuit(t)
-	triples, err := f.Beaver(f.assign, [2]string{"b1", "b2"}, testN, circ)
+	triples, err := f.Beaver(f.assign, [2]string{"b1", "b2"}, testN, circ, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -751,30 +778,35 @@ func TestBeaverProduct(t *testing.T) {
 }
 
 // Every c^c carries a bound computed from public data alone,
-// |S_b2|·(p−1)·Bound(c^a), and not TEval's Σ b_i·Bound(c^a), which would
-// publish b: two runs with different randomness report the same bounds.
+// (p−1)·Bound(c^a)·Σ_{i∈S} M_ji over the verified b2 members S and b's row j,
+// and not TEval's Σ M_ji·b_i·Bound(c^a), which would publish b: two runs
+// with the same corruption pattern and different randomness report the same
+// bounds.
 func TestBeaverBoundsArePublic(t *testing.T) {
-	f, _ := newFixture(t)
-	circ := beaverCircuit(t)
-	first := map[int]*big.Int{}
-	for run := 0; run < 2; run++ {
-		triples, err := f.Beaver(f.assign, [2]string{fmt.Sprintf("b1-%d", run), fmt.Sprintf("b2-%d", run)}, testN, circ)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, gi := range circ.MulGates() {
-			tr := triples[gi]
-			// Bound(c^b) is |S_b2|·p: the verified b2 members times BoundP.
-			verified := new(big.Int).Quo(tr.B.Bound(), BoundP)
-			want := new(big.Int).Mul(verified, pMinus1)
-			want.Mul(want, tr.A.Bound())
-			if tr.C.Bound().Cmp(want) != 0 {
-				t.Errorf("run %d, gate %d: Bound(c^c) = %v, want |S|·(p−1)·Bound(c^a) = %v", run, gi, tr.C.Bound(), want)
+	for _, m := range []int{1, 3} {
+		circ := beaverCircuit(t)
+		first := map[int]*big.Int{}
+		for run := 0; run < 2; run++ {
+			f, _ := newFixture(t)
+			triples, err := f.Beaver(f.assign, [2]string{"b1", "b2"}, testN, circ, m)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if run == 0 {
-				first[gi] = tr.C.Bound()
-			} else if tr.C.Bound().Cmp(first[gi]) != 0 {
-				t.Errorf("gate %d: Bound(c^c) %v in one run and %v in another", gi, first[gi], tr.C.Bound())
+			for _, gi := range circ.MulGates() {
+				tr := triples[gi]
+				// Bound(c^b) is p·Σ_{i∈S} M_ji: BoundP per verified b2
+				// member, weighted by its column of b's row.
+				col := new(big.Int).Quo(tr.B.Bound(), BoundP)
+				want := new(big.Int).Mul(col, pMinus1)
+				want.Mul(want, tr.A.Bound())
+				if tr.C.Bound().Cmp(want) != 0 {
+					t.Errorf("m %d, run %d, gate %d: Bound(c^c) = %v, want (p−1)·Bound(c^a)·Σ M_ji = %v", m, run, gi, tr.C.Bound(), want)
+				}
+				if run == 0 {
+					first[gi] = tr.C.Bound()
+				} else if tr.C.Bound().Cmp(first[gi]) != 0 {
+					t.Errorf("m %d, gate %d: Bound(c^c) %v in one run and %v in another", m, gi, first[gi], tr.C.Bound())
+				}
 			}
 		}
 	}
@@ -853,5 +885,166 @@ func TestTskPostAllocations(t *testing.T) {
 	// resharing's testN sub-shares.
 	if budget := float64(3*m + 16); allocs > budget {
 		t.Errorf("tskPost with %d sealed openings: %.0f allocations, budget %.0f", m, allocs, budget)
+	}
+}
+
+// Extraction is sound when any m′ columns of the Vandermonde matrix are
+// invertible mod p: then the m′ extracted values are a bijection of any m′
+// honest contributions, whatever the others are, and so uniform. For every
+// committee size n ≤ 12 and every m′ ≤ 2k − 1 that some admissible k allows
+// (t + 2(k−1) + 1 ≤ n with t ≥ 0), every m′-subset of vandermonde's columns
+// has a non-zero determinant in field arithmetic.
+func TestVandermondeColumnsInvertible(t *testing.T) {
+	for n := 1; n <= 12; n++ {
+		posts := make([]Post[CtBundle], n)
+		for i := range posts {
+			posts[i].Index = i + 1
+		}
+		maxM := n - (1 - n%2) // the largest odd 2k − 1 ≤ n
+		for m := 1; m <= maxM; m++ {
+			rows, err := vandermonde(posts, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for set := 0; set < 1<<n; set++ {
+				if bits.OnesCount(uint(set)) != m {
+					continue
+				}
+				var cols []int
+				for i := 0; i < n; i++ {
+					if set&(1<<i) != 0 {
+						cols = append(cols, i)
+					}
+				}
+				a := make([][]field.Element, m)
+				for j := range a {
+					a[j] = make([]field.Element, m)
+					for c, col := range cols {
+						a[j][c] = field.FromBig(rows[j][col])
+					}
+				}
+				if determinant(a).IsZero() {
+					t.Fatalf("n %d, m′ %d: columns %v are singular mod p", n, m, cols)
+				}
+			}
+		}
+	}
+	// Fewer verified posts than values per position is refused.
+	if _, err := vandermonde(make([]Post[CtBundle], 2), 3); !errors.Is(err, ErrNotEnough) {
+		t.Errorf("2 posts for m′ = 3: err = %v, want ErrNotEnough", err)
+	}
+}
+
+// determinant is Gaussian elimination over the field; it consumes a.
+func determinant(a [][]field.Element) field.Element {
+	det := field.New(1)
+	for c := range a {
+		pivot := c
+		for pivot < len(a) && a[pivot][c].IsZero() {
+			pivot++
+		}
+		if pivot == len(a) {
+			return field.New(0)
+		}
+		if pivot != c {
+			a[c], a[pivot] = a[pivot], a[c]
+			det = det.Neg()
+		}
+		det = det.Mul(a[c][c])
+		inv := a[c][c].MustInv()
+		for r := c + 1; r < len(a); r++ {
+			f := a[r][c].Mul(inv)
+			for j := c; j < len(a); j++ {
+				a[r][j] = a[r][j].Sub(f.Mul(a[c][j]))
+			}
+		}
+	}
+	return det
+}
+
+// Extraction at the fail-stop margin. With k = 2 a committee of testN = 7
+// and t = 2 tolerates F = n − (t + 2(k−1) + 1) = 2 fail-stops, which with
+// the t malicious members leaves 2k − 1 = 3 verified contributions: exactly
+// m′ = 3. RandomStep and Beaver still extract there, c = a·b, and every bound
+// stays within its static one: p·Σ_{i≤n} i^{m′−1} for an extracted value,
+// (p−1)·that·Σ_{i≤n} i^{m′−1} for a c part. Blocks start at positions of
+// their own, so blocks of 2 and 4 values take 1 + 2 contributions, not
+// ⌈6/3⌉. One
+// fail-stop more leaves 2 contributions for 3 values a position.
+func TestExtractionAtFailStopMargin(t *testing.T) {
+	const k, m = 2, 3
+	margin := testN - (testT + 2*(k-1) + 1)
+	col := new(big.Int) // Σ_{i≤n} i^{m−1}
+	for i := int64(1); i <= testN; i++ {
+		col.Add(col, big.NewInt(i*i))
+	}
+	fresh := new(big.Int).Mul(BoundP, col)
+	prod := new(big.Int).Mul(pMinus1, fresh)
+	prod.Mul(prod, col)
+	within := func(what string, ct tte.Ciphertext, bound *big.Int) {
+		if ct.Bound().Cmp(bound) > 0 {
+			t.Errorf("%s: bound %v exceeds the static %v", what, ct.Bound(), bound)
+		}
+	}
+	sp := Spec{Phase: comm.PhaseOffline, Cat: comm.CatLambda, Label: "random"}
+
+	f, dealt := newFixtureOn(t, tte.NewSim(512), pke.NewSim(), yoso.NewAdversary(testT, margin, 3))
+	blocks, err := f.RandomStep(f.form(t, "r"), sp, []int{2, 4}, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blocks) != 2 || len(blocks[0]) != 2 || len(blocks[1]) != 4 {
+		t.Fatalf("blocks of %d and %d values, want 2 and 4", len(blocks[0]), len(blocks[1]))
+	}
+	for b, vals := range blocks {
+		for j, ct := range vals {
+			within(fmt.Sprintf("block %d value %d", b, j), ct, fresh)
+		}
+	}
+	posted := 0
+	for _, e := range f.Board.Entries(0) {
+		if e.Category == comm.CatLambda {
+			posted++
+			if len(e.Payload) != 3*f.TPK.CiphertextSize() {
+				t.Errorf("%s posted %d bytes, want 3 ciphertexts", e.From, len(e.Payload))
+			}
+		}
+	}
+	// The malicious members post too, and fail verification.
+	if posted != testN-margin || len(f.Excluded) != testT+margin {
+		t.Errorf("%d members posted and %d were excluded, want %d and %d", posted, len(f.Excluded), testN-margin, testT+margin)
+	}
+
+	circ := beaverCircuit(t)
+	triples, err := f.Beaver(f.assign, [2]string{"b1", "b2"}, testN, circ, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := f.form(t, "dec")
+	tsk, err := f.DealShares(dec, dealt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cts []tte.Ciphertext
+	for _, gi := range circ.MulGates() {
+		tr := triples[gi]
+		within(fmt.Sprintf("gate %d a", gi), tr.A, fresh)
+		within(fmt.Sprintf("gate %d b", gi), tr.B, fresh)
+		within(fmt.Sprintf("gate %d c", gi), tr.C, prod)
+		cts = append(cts, tr.A, tr.B, tr.C)
+	}
+	vals, err := f.decryptStep(tsk, dec, Spec{Phase: comm.PhaseOffline, Cat: comm.CatPartial, Label: "open"}, cts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := range circ.MulGates() {
+		if a, b, c := vals[3*g], vals[3*g+1], vals[3*g+2]; a.Mul(b) != c {
+			t.Errorf("triple %d: %v · %v ≠ %v", g, a, b, c)
+		}
+	}
+
+	past, _ := newFixtureOn(t, tte.NewSim(512), pke.NewSim(), yoso.NewAdversary(testT, margin+1, 3))
+	if _, err := past.RandomStep(past.form(t, "r"), sp, []int{2, 4}, m); !errors.Is(err, ErrNotEnough) {
+		t.Errorf("one fail-stop past the margin: err = %v, want ErrNotEnough", err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"yosompc/internal/field"
 	"yosompc/internal/paillier"
 	"yosompc/internal/pke"
+	"yosompc/internal/slotpack"
 	"yosompc/internal/tte"
 	"yosompc/internal/yoso"
 )
@@ -265,6 +266,31 @@ func TestTooManyFailStopsFails(t *testing.T) {
 	}
 }
 
+// A run at m′ > 1 under attack: real2048_wide's shape extracts
+// m′ = 2k − 1 = 3 values per contribution position, and t = 2 malicious plus
+// one fail-stop member in every committee — the run's whole margin
+// F = n − (t + 2(k−1) + 1) = 3, as the online committees need their
+// reconstruction quorum — leave each contributing committee five verified
+// members whose indices have gaps. The run outputs circuit.Eval's values,
+// every extracted value inside its static slot. A committee at the
+// extraction margin itself, 2k − 1 verified posts, is
+// committee.TestExtractionAtFailStopMargin.
+func TestExtractionWithAdversary(t *testing.T) {
+	const n, tt, k = 8, 2, 2
+	circ, err := circuit.WideMul(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	te := tte.NewSim(2048)
+	if m := slotpack.ListsOf(circ, n, tt, k, slotpack.Capacity(te.MaxPlaintext())).Extract; m != 2*k-1 {
+		t.Fatalf("m′ = %d, want 2k − 1 = %d", m, 2*k-1)
+	}
+	margin := n - (tt + 2*(k-1) + 1)
+	params := simParams(n, tt, k, yoso.NewAdversary(tt, margin-tt, 29))
+	params.TE = te
+	runAndCompare(t, params, circ, propertyInputs(circ, 1))
+}
+
 func TestParamsValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -458,6 +484,41 @@ func TestRoundsAccounting(t *testing.T) {
 	}
 	if got, want := res.Report.ByCat[comm.PhaseOffline][comm.CatRoleKeys], int64(4*n*pke.PublicKeySize); got != want {
 		t.Errorf("linear circuit: %d offline role-key bytes, want %d (4 committees of %d)", got, want, n)
+	}
+}
+
+// A Result is its run's: two runs on one Protocol report the same bytes and
+// the same audit trace, not the Protocol's running totals.
+func TestRunsReportTheirOwnBytes(t *testing.T) {
+	circ, err := circuit.InnerProduct(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := inputsOf(map[int][]uint64{0: {1, 2}, 1: {3, 4}})
+	proto, err := New(simParams(6, 1, 1, nil), circ, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prepared []int64
+	for run := 1; run <= 2; run++ {
+		prep, err := proto.Prepare()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepared = append(prepared, prep.OfflineReport().Total)
+		res, err := prep.Execute(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Report.Total != 72755 || len(res.Audit) != 51 {
+			t.Errorf("run %d: %d bytes and %d audit events, want 72755 and 51", run, res.Report.Total, len(res.Audit))
+		}
+	}
+	if prepared[0] != prepared[1] {
+		t.Errorf("OfflineReport after each Prepare: %v bytes, want equal", prepared)
+	}
+	if got := proto.Board().Report().Total; got != 2*72755 {
+		t.Errorf("the board holds %d bytes after two runs, want %d", got, 2*72755)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/big"
 
-	"yosompc/internal/circuit"
 	"yosompc/internal/comm"
 	"yosompc/internal/committee"
 	"yosompc/internal/field"
@@ -19,7 +18,7 @@ func (r *run) initWireState() {
 	r.wireCt = make([]tte.Ciphertext, n)
 	r.mu = make([]field.Element, n)
 	r.inputOpen = map[int][]group{}
-	r.lists = slotpack.ListsOf(r.p.circ, r.p.params.N, r.p.params.T, r.p.params.K)
+	r.lists = slotpack.ListsOf(r.p.circ, r.p.params.N, r.p.params.T, r.p.params.K, slotpack.Capacity(r.rt.TPK.MaxPlaintext()))
 }
 
 // offline executes the whole of Π_YOSO-Offline: Steps 1–4, the OffDec
@@ -31,10 +30,11 @@ func (r *run) initWireState() {
 func (r *run) offline() error {
 	p := r.p.params
 	// Step 1: committees OffB1 and OffB2 prepare one Beaver triple under
-	// tpk per multiplication gate. They are formed first, so the adversary
-	// samples the committees in schedule order.
+	// tpk per multiplication gate, a and b extracted at the run's m′. They
+	// are formed first, so the adversary samples the committees in schedule
+	// order.
 	err := r.offlineStep("beaver", "step 1 (Beaver)", func() (err error) {
-		r.beaver, err = r.rt.Beaver(r.assign, [2]string{"offB1", "offB2"}, p.N, r.p.circ)
+		r.beaver, err = r.rt.Beaver(r.assign, [2]string{"offB1", "offB2"}, p.N, r.p.circ, r.lists.Extract)
 		return err
 	})
 	if err != nil {
@@ -93,37 +93,35 @@ func (r *run) buildBatches() {
 }
 
 // offlineWireRandomness is Step 2 plus the helper encryptions of Step 4:
-// committee OffR contributes fresh randomness for every output wire of an
-// input or multiplication gate, and t extra random values per packed
-// vector (3 vectors per batch: left λ, right λ, Γ).
+// committee OffR's contributions give, extracted at the run's m′, fresh
+// randomness for every output wire of an input or multiplication gate, and t
+// extra random values per packed vector (3 vectors per batch: left λ, right
+// λ, Γ). The values come in the blocks of the run's lists (Lists.Random):
+// each client's input λ's in gate order, then per batch its gates' λ's and
+// its helpers, vector kind (0=left, 1=right, 2=Γ) by vector kind.
 func (r *run) offlineWireRandomness() error {
 	p := r.p.params
 	gates := r.p.circ.Gates()
-	var targets []int // wire ids needing fresh λ
-	for _, g := range gates {
-		if g.Kind == circuit.KindInput || g.Kind == circuit.KindMul {
-			targets = append(targets, int(g.Out))
-		}
-	}
-	total := len(targets) + 3*p.T*len(r.batches)
-	sums, err := r.rt.RandomStep(r.offR,
-		committee.Spec{Phase: comm.PhaseOffline, Cat: comm.CatLambda, Label: "wire-randomness"}, total)
+	blocks, err := r.rt.RandomStep(r.offR,
+		committee.Spec{Phase: comm.PhaseOffline, Cat: comm.CatLambda, Label: "wire-randomness"}, r.lists.Random, r.lists.Extract)
 	if err != nil {
 		return err
 	}
-	for j, w := range targets {
-		r.wireCt[w] = sums[j]
+	clients := r.p.circ.Clients()
+	for c, client := range clients {
+		for j, gi := range r.p.circ.InputGates(client) {
+			r.wireCt[gates[gi].Out] = blocks[c][j]
+		}
 	}
-	// Helper layout: batch-major, then vector kind (0=left,1=right,2=Γ),
-	// then t helpers.
-	hbase := len(targets)
 	for bi, b := range r.batches {
+		vals := blocks[len(clients)+bi]
+		for j, gi := range b.Gates {
+			r.wireCt[gates[gi].Out] = vals[j]
+		}
+		helpers := vals[len(b.Gates):]
 		b.helpers = make([][]tte.Ciphertext, 3)
-		for kind := 0; kind < 3; kind++ {
-			b.helpers[kind] = make([]tte.Ciphertext, p.T)
-			for j := 0; j < p.T; j++ {
-				b.helpers[kind][j] = sums[hbase+(bi*3+kind)*p.T+j]
-			}
+		for kind := range b.helpers {
+			b.helpers[kind] = helpers[kind*p.T : (kind+1)*p.T]
 		}
 	}
 	return nil
@@ -171,7 +169,7 @@ func (r *run) offlineDependentWires() error {
 	gammas := make([]tte.Ciphertext, len(muls))
 	if err := r.rt.Pfor(len(muls), func(m int) error {
 		g := gates[muls[m]]
-		r.p.audit.Record(comm.PhaseOffline, ValBeaverOpen, KeyTPK)
+		r.audit.Record(comm.PhaseOffline, ValBeaverOpen, KeyTPK)
 		cts, coeffs := r.beaver[muls[m]].Product(openings[2*m], openings[2*m+1], r.wireCt[g.B])
 		var err error
 		gammas[m], err = te.Eval(r.rt.TPK, append(cts, r.wireCt[g.Out]), append(coeffs, pm1))

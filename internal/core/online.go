@@ -221,7 +221,7 @@ func (r *run) openKFF(entry *kffEntry, ownerSK pke.SecretKey, phase comm.Phase) 
 	if err != nil {
 		return nil, err
 	}
-	r.p.audit.Record(phase, ValKFFSecret, KeyRole)
+	r.audit.Record(phase, ValKFFSecret, KeyRole)
 	var buf [pke.SecretKeySize]byte
 	v.FillBytes(buf[:])
 	clear(v.Bits())
@@ -264,7 +264,7 @@ func (r *run) onlineInput(inputs map[int][]field.Element) error {
 		}
 		mus := make([]field.Element, len(inGates))
 		for j := range inGates {
-			r.p.audit.Record(comm.PhaseOnline, ValWireLambda, keyClass)
+			r.audit.Record(comm.PhaseOnline, ValWireLambda, keyClass)
 			mus[j] = inputs[client][j].Sub(lambdas[j])
 		}
 		_, ok, err := committee.Speak(r.rt, role,
@@ -357,7 +357,7 @@ func (r *run) onlineLayer(l int) error {
 		}
 		vals := make([]field.Element, len(layerBatches))
 		for bi := range layerBatches {
-			r.p.audit.Record(comm.PhaseOnline, ValPackedShare, keyClass)
+			r.audit.Record(comm.PhaseOnline, ValPackedShare, keyClass)
 			la, lb, lg := lams[3*bi], lams[3*bi+1], lams[3*bi+2]
 			sa, err := constDoms[bi].Share(muLeft[bi], i)
 			if err != nil {
@@ -504,7 +504,7 @@ func (r *run) onlineOutput() (map[int][]field.Element, error) {
 			return nil, fmt.Errorf("client %d outputs: %w", client, err)
 		}
 		for o, wire := range outWires[j] {
-			r.p.audit.Record(comm.PhaseOnline, ValOutput, KeyClient)
+			r.audit.Record(comm.PhaseOnline, ValOutput, KeyClient)
 			outputs[client] = append(outputs[client], r.mu[wire].Add(lambdas[o]))
 		}
 	}

@@ -384,7 +384,7 @@ func TestOperationCountsNeverExceedParent(t *testing.T) {
 					opened: 3*handoff + q*(kffs+inputs+3*batches*n+outputs)},
 			}
 			capacity := slotpack.Capacity(tte.NewSim(tc.bits).MaxPlaintext())
-			ls := slotpack.ListsOf(circ, tc.n, tc.t, tc.k)
+			ls := slotpack.ListsOf(circ, tc.n, tc.t, tc.k, capacity)
 			groups := func(lists ...[]slotpack.Run) (total int64) {
 				for _, l := range lists {
 					total += slotpack.Count(l, capacity)

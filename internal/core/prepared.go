@@ -51,8 +51,9 @@ func (p *Protocol) Prepare() (*Prepared, error) {
 	return &Prepared{r: r}, nil
 }
 
-// OfflineReport returns the communication spent so far (setup + offline).
-func (pp *Prepared) OfflineReport() comm.Report { return pp.r.p.board.Report() }
+// OfflineReport returns the communication this preparation has spent so far
+// (setup + offline, and online once executed).
+func (pp *Prepared) OfflineReport() comm.Report { return pp.r.report() }
 
 // Execute runs the online phase on the prepared correlations. It consumes
 // the preprocessing: a second call returns ErrAlreadyExecuted. Inputs that
@@ -80,9 +81,9 @@ func (pp *Prepared) Execute(inputs map[int][]field.Element) (*Result, error) {
 	}
 	return &Result{
 		Outputs:  outputs,
-		Report:   p.board.Report(),
+		Report:   pp.r.report(),
 		Excluded: pp.r.rt.Excluded,
-		Audit:    p.audit.Events(),
+		Audit:    pp.r.audit.Events(),
 		Rounds:   pp.r.assign.Committees() + 1,
 	}, nil
 }

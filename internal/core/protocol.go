@@ -25,19 +25,19 @@ type Protocol struct {
 	circ   *circuit.Circuit
 	board  *transport.Board
 	auth   *nizk.Authority
-	audit  *Auditor
 }
 
 // Result is the outcome of a protocol run.
 type Result struct {
 	// Outputs maps each client to its output values in gate order.
 	Outputs map[int][]field.Element
-	// Report is the communication breakdown of the run.
+	// Report is the communication breakdown of the run: the bytes it posted,
+	// not those of earlier runs on the same Protocol or meter.
 	Report comm.Report
 	// Excluded lists roles whose proofs failed verification (malicious)
 	// and roles that never spoke (fail-stop).
 	Excluded []string
-	// Audit is the key-usage trace (paper Figure 1).
+	// Audit is the run's key-usage trace (paper Figure 1).
 	Audit []AuditEvent
 	// Rounds is the number of sequential broadcast rounds: one per
 	// committee the run formed, plus one for the clients' parallel input
@@ -64,7 +64,6 @@ func New(params Params, circ *circuit.Circuit, meter *comm.Meter) (*Protocol, er
 		circ:   circ,
 		board:  board,
 		auth:   auth,
-		audit:  &Auditor{},
 	}, nil
 }
 
@@ -93,7 +92,7 @@ type batchState struct {
 	// k is the effective packing width (may be below params.K on the
 	// tail batch of a layer).
 	k int
-	// helpers[kind][j] are the summed helper encryptions for packing
+	// helpers[kind][j] are the extracted helper encryptions for packing
 	// (kind 0 = left λ, 1 = right λ, 2 = Γ), t per vector.
 	helpers [][]tte.Ciphertext
 	// packedLeft/packedRight/packedGamma are the per-index packed-share
@@ -111,6 +110,11 @@ type run struct {
 	// assign forms the run's committees; how many it formed gives the
 	// run's rounds.
 	assign *yoso.Assignment
+	// start is the board's byte count when the run began, and audit the
+	// run's key-usage trace: a Result reports the run's own traffic and
+	// decryptions, whatever ran on the Protocol before.
+	start comm.Report
+	audit *Auditor
 
 	// committees (see the schedule in the package comment; the Beaver
 	// committees OffB1 and OffB2 live inside committee.Runner.Beaver)
@@ -178,23 +182,28 @@ type kffEntry struct {
 
 // --- shared helpers ---------------------------------------------------
 
-// newRun binds a fresh execution to the committee runtime and to a role
-// assignment of its own.
+// newRun binds a fresh execution to the committee runtime, to a role
+// assignment and an audit trace of its own, and to the board's byte count
+// as it starts.
 func (p *Protocol) newRun() *run {
 	assign := yoso.NewAssignment(p.board, p.params.PKE, p.params.Adversary)
 	// Committee manifests advertise the packed reconstruction quorum, so a
 	// board observer knows how many fail-stops each committee tolerates.
 	assign.Quorum = p.params.ReconstructionThreshold()
-	return &run{p: p, assign: assign, rt: &committee.Runner{
+	audit := &Auditor{}
+	return &run{p: p, assign: assign, start: p.board.Report(), audit: audit, rt: &committee.Runner{
 		Board:   p.board,
 		Auth:    p.auth,
 		TE:      p.params.TE,
 		Workers: p.params.EffectiveWorkers(),
 		ShareRecovered: func(phase comm.Phase) {
-			p.audit.Record(phase, ValTskShare, KeyRole)
+			audit.Record(phase, ValTskShare, KeyRole)
 		},
 	}}
 }
+
+// report is the bytes the run has posted so far.
+func (r *run) report() comm.Report { return r.p.board.Report().Diff(r.start) }
 
 // initTelemetry opens the run's root span, bridges the tracer to the
 // board meter (spans then carry byte deltas), and builds the worker-pool

@@ -155,11 +155,12 @@ func TestTelemetryPhaseSpansCoverWallClock(t *testing.T) {
 // TestTelemetryStepSpansReportOpenings pins the two ints every committee step
 // span carries beside members/verified: openings, the partial decryptions
 // each member computes in the step, and values, the slots they carry — the
-// achieved packing factor is their ratio. On 510-bit openings: 96 ε/δ of 66
-// bits go 7 to an opening; each client's 8 input λ's of 65 bits take 2 and
-// each of the 3·12 layer members' 6 batches one per batch (129 + 129 + 194
-// bits); the 16 outputs take 3. KFF secrets are never packed; committees
-// without tsk open nothing.
+// achieved packing factor is their ratio. The run extracts m′ = 5 values
+// per contribution position (slotpack.ListsOf), so on 510-bit openings:
+// 96 ε/δ of 78 bits go 6 to an opening; each client's 8 input λ's of 77 bits
+// take 2 and each of the 3·12 layer members' 6 batches one per batch
+// (141 + 141 + 217 bits); the 16 outputs take 3. KFF secrets are never
+// packed; committees without tsk open nothing.
 func TestTelemetryStepSpansReportOpenings(t *testing.T) {
 	circ, err := circuit.WideMul(16, 3)
 	if err != nil {
@@ -172,7 +173,7 @@ func TestTelemetryStepSpansReportOpenings(t *testing.T) {
 	got := stepOpenings(t, simParams(12, 2, 3, nil), circ, in)
 	want := map[string][2]int64{
 		"beaver-a": {}, "beaver-bc": {}, "wire-randomness": {},
-		"offdec-open":             {14, 96},
+		"offdec-open":             {16, 96},
 		"steps-5-6":               {4 + 3*12*6, 16 + 3*12*18},
 		"tsk-bridge":              {},
 		"future-key-distribution": {3*12 + 2, 3*12 + 2},

@@ -84,9 +84,11 @@ type Shape struct {
 	// for the chosen packing factor.
 	BatchesPerLayer []int
 	// Opened are the static slot widths of what each reader of the packed
-	// protocol opens in one step — what the driver plans its slot-packed
-	// openings from, for the same n, t and k the prediction is asked for.
-	// The baseline does not pack and ignores it.
+	// protocol opens in one step, the extraction m′ they are the widths of
+	// and the blocks it extracts — what internal/core plans its slot-packed
+	// openings and its contributions from, for the same n, t, k and key
+	// capacity the prediction is asked for. The baseline
+	// neither packs nor extracts and ignores it.
 	Opened slotpack.Lists
 }
 
@@ -101,13 +103,14 @@ func (s Shape) Batches() int {
 
 // FreshShape is the Shape of a circuit known only by its counts, every wire
 // opened taken as a fresh one: inputs[c] and outputs[c] are client c's input
-// and output gates, muls[l] the multiplication gates of layer l+1.
-func FreshShape(n, t, k int, inputs, outputs, muls []int) Shape {
+// and output gates, muls[l] the multiplication gates of layer l+1, under a
+// key of capacity bits (Sizes.SlotBits).
+func FreshShape(n, t, k, capacity int, inputs, outputs, muls []int) Shape {
 	s := Shape{
 		Clients:         len(inputs),
 		Depth:           len(muls),
 		BatchesPerLayer: make([]int, len(muls)),
-		Opened:          slotpack.FreshLists(n, t, k, inputs, outputs, muls),
+		Opened:          slotpack.FreshLists(n, t, k, capacity, inputs, outputs, muls),
 	}
 	for c, in := range inputs {
 		s.Inputs += in
@@ -148,8 +151,6 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 	envS := int64(z.PKEOverhead + z.SubShare) // envelope carrying a tsk subshare
 	key := int64(z.PostingKey)                // a tsk posting's key, ahead of its envelopes
 	N := int64(n)
-	T := int64(t)
-	batches := int64(shape.Batches())
 	muls := int64(shape.Muls)
 	depth := int64(shape.Depth)
 	// Slot-packed opening counts, from the driver's own planner: OffDec's
@@ -165,6 +166,9 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 	decGroups := groups(shape.Opened.EpsDelta)
 	reGroups := groups(shape.Opened.Inputs...) + N*groups(shape.Opened.Layers...)
 	outGroups := groups(shape.Opened.Outputs...)
+	// One member's contributions at the run's m′: random to OffR, beaver to
+	// each Beaver committee.
+	random, beaver := shape.Opened.Contributions()
 
 	var setup int64
 	setup += int64(z.Ciphertext)/2 + 32              // tpk + crs
@@ -180,12 +184,11 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 	var offline int64
 	offline += 4 * N * int64(z.RoleKey) // OffR, OffDec, OffRe and the bridge's role keys
 	if muls > 0 {
-		offline += 2 * N * int64(z.RoleKey)                        // two Beaver committees
-		offline += N*muls*int64(z.Ciphertext) + N*int64(z.Proof)   // beaver-a
-		offline += N*2*muls*int64(z.Ciphertext) + N*int64(z.Proof) // beaver-bc
+		offline += 2 * N * int64(z.RoleKey)                                      // two Beaver committees
+		offline += N*int64(beaver)*int64(z.Ciphertext) + N*int64(z.Proof)        // beaver-a: a-parts
+		offline += N*(int64(beaver)+muls)*int64(z.Ciphertext) + N*int64(z.Proof) // beaver-bc: b-parts, one c-part per gate
 	}
-	targets := int64(shape.Inputs) + muls
-	offline += N*(targets+3*T*batches)*int64(z.Ciphertext) + N*int64(z.Proof) // wire randomness + helpers
+	offline += N*int64(random)*int64(z.Ciphertext) + N*int64(z.Proof) // wire randomness + helpers
 	// OffDec: partials for the ε/δ groups + resharing to OffRe.
 	offline += N*(decGroups*int64(z.Partial)+key+N*envS) + N*int64(z.Proof)
 	if opts.NoKFF {

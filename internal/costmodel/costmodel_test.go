@@ -71,43 +71,56 @@ func TestCoreModelMatchesMeasured(t *testing.T) {
 		circ    *circuit.Circuit
 		n, t, k int
 		bits    int
-		// layerGroups[l] is how many openings one member of layer l+1 gets
-		// for its 3·(batches of the layer) shares, and outGroups[c], when
-		// set, how many client c gets for its outputs.
+		// extract is the m′ the run extracts its randomness at
+		// (slotpack.ListsOf), layerGroups[l] how many openings one member
+		// of layer l+1 gets for its 3·(batches of the layer) shares, and
+		// outGroups[c], when set, how many client c gets for its outputs.
+		extract     int
 		layerGroups []int64
 		outGroups   []int64
 	}{
-		{"inner-product", mk(func() (*circuit.Circuit, error) { return circuit.InnerProduct(4) }), 8, 2, 2, modelBits, []int64{2}, nil},
-		{"poly-eval", mk(func() (*circuit.Circuit, error) { return circuit.PolyEval(3) }), 10, 2, 3, modelBits, []int64{1, 1, 1}, nil},
-		{"wide", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(8, 2) }), 12, 3, 3, modelBits, []int64{3, 3}, nil},
-		{"stats", mk(func() (*circuit.Circuit, error) { return circuit.Statistics(4) }), 9, 2, 2, modelBits, []int64{3}, nil},
-		{"k1", mk(func() (*circuit.Circuit, error) { return circuit.InnerProduct(3) }), 6, 1, 1, modelBits, []int64{3}, nil},
-		// A layer's shares split over several openings: 5 batches of 128 +
-		// 128 + 191 bits in 510-bit openings, one batch each.
-		{"512-bit split layer", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(10, 1) }), 9, 2, 2, modelBits, []int64{5}, nil},
-		// ≥ 4 batches per layer, several in one opening: 6 batches of 129 +
-		// 129 + 193 bits in 2046-bit openings go 13 + 5 shares.
-		{"2048-bit wide layers", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(24, 2) }), 14, 3, 4, 2048, []int64{2, 2}, nil},
-		{"2048-bit random", mk(func() (*circuit.Circuit, error) { return circuit.Random(6, 60, 3) }), 10, 2, 3, 2048, []int64{1, 1, 1, 1, 1}, nil},
+		{"inner-product", mk(func() (*circuit.Circuit, error) { return circuit.InnerProduct(4) }), 8, 2, 2, modelBits, 3, []int64{2}, nil},
+		{"poly-eval", mk(func() (*circuit.Circuit, error) { return circuit.PolyEval(3) }), 10, 2, 3, modelBits, 4, []int64{1, 1, 1}, nil},
+		{"wide", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(8, 2) }), 12, 3, 3, modelBits, 4, []int64{3, 3}, nil},
+		{"stats", mk(func() (*circuit.Circuit, error) { return circuit.Statistics(4) }), 9, 2, 2, modelBits, 3, []int64{3}, nil},
+		{"k1", mk(func() (*circuit.Circuit, error) { return circuit.InnerProduct(3) }), 6, 1, 1, modelBits, 1, []int64{3}, nil},
+		// k = 1 allows no extraction: 2k − 1 = 1, whatever the committee.
+		{"k1 wide", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(4, 2) }), 9, 2, 1, 2048, 1, []int64{1, 1}, nil},
+		// A layer's shares split over several openings: 5 batches of 133 +
+		// 133 + 201 bits in 510-bit openings, one batch each.
+		{"512-bit split layer", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(10, 1) }), 9, 2, 2, modelBits, 3, []int64{5}, nil},
+		// ≥ 4 batches per layer, several in one opening: 6 batches of 146 +
+		// 146 + 227 bits in 2046-bit openings go 11 + 7 shares; m′ = 6 is
+		// even, below 2k − 1 = 7.
+		{"2048-bit wide layers", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(24, 2) }), 14, 3, 4, 2048, 6, []int64{2, 2}, nil},
+		{"2048-bit random", mk(func() (*circuit.Circuit, error) { return circuit.Random(6, 60, 3) }), 10, 2, 3, 2048, 5, []int64{1, 1, 1, 1, 1}, nil},
+		// real2048_wide's shape at the largest extraction, m′ = 2k − 1.
+		{"extracted at 2k − 1", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(2, 1) }), 8, 2, 2, 2048, 3, []int64{1}, nil},
 		// One recipient, several groups under one posting key: every output
 		// member seals three envelopes to the one output client, as every
 		// OffRe member seals eight to each layer member.
-		{"one client, several output groups", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(16, 1) }), 9, 2, 2, modelBits, []int64{8}, []int64{3, 0}},
-		// No multiplication: no Beaver committee is formed.
-		{"linear", mk(linearCircuit), 8, 2, 2, modelBits, nil, nil},
+		{"one client, several output groups", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(16, 1) }), 9, 2, 2, modelBits, 3, []int64{8}, []int64{3, 0}},
+		// No multiplication: no Beaver committee is formed, and one input λ
+		// per client takes a position of its own at any m′, so m′ = 1.
+		{"linear", mk(linearCircuit), 8, 2, 2, modelBits, 1, nil, nil},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			in := inputsFor(c.circ)
 			measured := coreMeasured(t, c.bits, c.n, c.t, c.k, c.circ, in)
-			shape, z := ShapeOf(c.circ, c.n, c.t, c.k), SimSizes(c.bits)
+			z := SimSizes(c.bits)
+			shape := packedShape(c.circ, c.n, c.t, c.k, z.SlotBits)
+			opened := shape.Opened
+			if opened.Extract != c.extract {
+				t.Errorf("m′ = %d, want %d", opened.Extract, c.extract)
+			}
 			for l, want := range c.layerGroups {
-				if got := slotpack.Count(shape.Opened.Layers[l], z.SlotBits); got != want {
+				if got := slotpack.Count(opened.Layers[l], z.SlotBits); got != want {
 					t.Errorf("layer %d: %d openings per member, want %d", l+1, got, want)
 				}
 			}
 			for client, want := range c.outGroups {
-				if got := slotpack.Count(shape.Opened.Outputs[client], z.SlotBits); got != want {
+				if got := slotpack.Count(opened.Outputs[client], z.SlotBits); got != want {
 					t.Errorf("client %d: %d output openings, want %d", client, got, want)
 				}
 			}
@@ -190,7 +203,7 @@ func TestModelScalingShape(t *testing.T) {
 		tt := n * 2 / 5
 		k := n / 10
 		width := 8 * n * k // wide enough that per-role KFF delivery amortizes
-		shape := FreshShape(n, tt, k, []int{1, 1}, []int{1, 0}, []int{width})
+		shape := FreshShape(n, tt, k, z.SlotBits, []int{1, 1}, []int{1, 0}, []int{width})
 		corePerGate = append(corePerGate,
 			float64(Core(n, tt, k, shape, z).Online)/float64(width))
 		baseShape := shape
@@ -246,7 +259,8 @@ func TestCoreVariantsModelMatchesMeasured(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pred := CoreWith(n, tt, k, ShapeOf(circ, n, tt, k), SimSizes(modelBits), c.opts)
+			z := SimSizes(modelBits)
+			pred := CoreWith(n, tt, k, packedShape(circ, n, tt, k, z.SlotBits), z, c.opts)
 			if got := res.Report.Phase(comm.PhaseSetup); got != pred.Setup {
 				t.Errorf("setup: measured %d, model %d", got, pred.Setup)
 			}
@@ -269,12 +283,12 @@ func linearCircuit() (*circuit.Circuit, error) {
 }
 
 // ShapeOf extracts a Shape from a circuit for committee size n, corruption
-// bound t and packing factor k (the baseline's shape is ShapeOf(c, n, t, 1)).
+// bound t and packing factor k, without the packed protocol's Opened lists
+// (packedShape): the baseline's shape is ShapeOf(c, n, t, 1).
 func ShapeOf(c *circuit.Circuit, n, t, k int) Shape {
 	s := Shape{
-		Muls:   c.NumMul(),
-		Depth:  c.Depth(),
-		Opened: slotpack.ListsOf(c, n, t, k),
+		Muls:  c.NumMul(),
+		Depth: c.Depth(),
 	}
 	for _, client := range c.Clients() {
 		s.Clients++
@@ -289,5 +303,13 @@ func ShapeOf(c *circuit.Circuit, n, t, k int) Shape {
 	for _, mb := range c.MulBatches(k) {
 		s.BatchesPerLayer[mb.Layer-1]++
 	}
+	return s
+}
+
+// packedShape is ShapeOf with the lists the packed protocol opens under a
+// key of capacity bits.
+func packedShape(c *circuit.Circuit, n, t, k, capacity int) Shape {
+	s := ShapeOf(c, n, t, k)
+	s.Opened = slotpack.ListsOf(c, n, t, k, capacity)
 	return s
 }

@@ -21,31 +21,62 @@ type Lists struct {
 	// batch of the layer, its packed left, right and Γ share. The widths do
 	// not depend on the member.
 	Layers [][]Run
+	// Extract is m′, the number of random values the run extracts from each
+	// position of one committee's contributions (chooseExtraction); the widths
+	// above are those of its extracted values.
+	Extract int
+	// Random is the blocks of OffR's wire-randomness step in layout order
+	// (Layout): each client's input λ's, then per batch of every layer its
+	// gates' output λ's and its 3t helpers.
+	Random []int
 }
 
 // bounds are the static worst-case plaintext bounds of the protocol's
-// ciphertexts for committee size n and corruption bound t: every committee
-// counted as n verified contributors and every coefficient that is opened or
-// derived at run time (ε, δ, the packing rows) taken as p − 1. The
-// recurrences are the ones TEval applies to Bound(), so a run-time bound
-// never exceeds its static one.
+// ciphertexts for committee size n, corruption bound t and extraction m:
+// every committee counted as n verified contributors, every extracted value
+// taken as the widest row of the Vandermonde matrix (chooseExtraction), and
+// every coefficient that is opened or derived at run time (ε, δ, the packing
+// rows) taken as p − 1. The recurrences are the ones TEval applies to
+// Bound(), so a run-time bound never exceeds its static one.
 type bounds struct {
 	t int64
-	// fresh bounds a sum of n encrypted field elements: an input or
-	// multiplication output wire's λ, a Beaver a or b part, a packing helper.
+	// m is the extraction the bounds are for.
+	m int
+	// fresh bounds an extracted value Σ_{i≤n} i^{m−1}·x_i of n encrypted
+	// field elements: an input or multiplication output wire's λ, a Beaver a
+	// or b part, a packing helper.
 	fresh *big.Int
-	// prod bounds a Beaver c part: n contributions b_i·c^a with b_i ≤ p − 1.
+	// prod bounds a Beaver c part: Σ_{i≤n} i^{m−1}·b_i·c^a with b_i ≤ p − 1.
 	prod *big.Int
 	pm1  *big.Int
 }
 
-func newBounds(n, t int) *bounds {
+// extractionBounds returns the bounds for committee size n and corruption
+// bound t at m = 1, 2, … on successive calls. Each call raises every member's
+// power i^{m−1} by one multiplication and sums them into
+// col = Σ_{i≤n} i^{m−1}, the widest row of M summed over its n columns.
+func extractionBounds(n, t int) func() *bounds {
 	pm1 := new(big.Int).SetUint64(field.Modulus - 1)
-	fresh := new(big.Int).SetUint64(field.Modulus)
-	fresh.Mul(fresh, big.NewInt(int64(n)))
-	prod := new(big.Int).Mul(pm1, fresh)
-	prod.Mul(prod, big.NewInt(int64(n)))
-	return &bounds{t: int64(t), fresh: fresh, prod: prod, pm1: pm1}
+	pows := make([]big.Int, n) // pows[i−1] = i^{m−1}
+	var m int
+	var idx big.Int
+	return func() *bounds {
+		m++
+		col := new(big.Int)
+		for i := range pows {
+			if m == 1 {
+				pows[i].SetInt64(1)
+			} else {
+				pows[i].Mul(&pows[i], idx.SetInt64(int64(i+1)))
+			}
+			col.Add(col, &pows[i])
+		}
+		fresh := new(big.Int).SetUint64(field.Modulus)
+		fresh.Mul(fresh, col)
+		prod := new(big.Int).Mul(pm1, fresh)
+		prod.Mul(prod, col)
+		return &bounds{t: int64(t), m: m, fresh: fresh, prod: prod, pm1: pm1}
+	}
 }
 
 // opening bounds ε = λ^α + a (or δ = λ^β + b) for an input wire bounded by in.
@@ -69,9 +100,14 @@ func (b *bounds) packed(sum *big.Int) *big.Int {
 }
 
 // ListsOf derives the lists of a circuit run with committee size n,
-// corruption bound t and packing factor k.
-func ListsOf(c *circuit.Circuit, n, t, k int) Lists {
-	b := newBounds(n, t)
+// corruption bound t and packing factor k under a key of capacity bits, at
+// the extraction chooseExtraction picks.
+func ListsOf(c *circuit.Circuit, n, t, k, capacity int) Lists {
+	return chooseExtraction(n, t, k, capacity, func(b *bounds) Lists { return listsOf(c, k, b) })
+}
+
+// listsOf is ListsOf at the extraction of b.
+func listsOf(c *circuit.Circuit, k int, b *bounds) Lists {
 	gates := c.Gates()
 	// An input or multiplication output wire is fresh; a linear one is its
 	// gate's terms applied to their wires' bounds, depth by depth.
@@ -89,7 +125,7 @@ func ListsOf(c *circuit.Circuit, n, t, k int) Lists {
 			wire[gates[gi].Out] = sum
 		}
 	}
-	var ls Lists
+	ls := Lists{Extract: b.m}
 	for _, gi := range c.MulGates() {
 		g := gates[gi]
 		ls.EpsDelta = appendRun(ls.EpsDelta, b.opening(wire[g.A]).BitLen())
@@ -105,9 +141,11 @@ func ListsOf(c *circuit.Circuit, n, t, k int) Lists {
 		}
 		ls.Inputs = append(ls.Inputs, in)
 		ls.Outputs = append(ls.Outputs, out)
+		ls.Random = append(ls.Random, len(c.InputGates(client)))
 	}
 	ls.Layers = make([][]Run, c.Depth())
 	for _, mb := range c.MulBatches(k) {
+		ls.Random = append(ls.Random, len(mb.Gates)+3*int(b.t))
 		left, right, gamma := new(big.Int), new(big.Int), new(big.Int)
 		for _, gi := range mb.Gates {
 			g := gates[gi]
@@ -127,8 +165,12 @@ func ListsOf(c *circuit.Circuit, n, t, k int) Lists {
 // taken as a fresh one: inputs[c] and outputs[c] count client c's input and
 // output gates and muls[l] the multiplication gates of layer l+1, batched k
 // at a time.
-func FreshLists(n, t, k int, inputs, outputs, muls []int) Lists {
-	b := newBounds(n, t)
+func FreshLists(n, t, k, capacity int, inputs, outputs, muls []int) Lists {
+	return chooseExtraction(n, t, k, capacity, func(b *bounds) Lists { return freshLists(k, b, inputs, outputs, muls) })
+}
+
+// freshLists is FreshLists at the extraction of b.
+func freshLists(k int, b *bounds, inputs, outputs, muls []int) Lists {
 	fresh := b.fresh.BitLen()
 	clientRuns := func(counts []int) [][]Run {
 		out := make([][]Run, len(counts))
@@ -139,7 +181,8 @@ func FreshLists(n, t, k int, inputs, outputs, muls []int) Lists {
 		}
 		return out
 	}
-	ls := Lists{Inputs: clientRuns(inputs), Outputs: clientRuns(outputs), Layers: make([][]Run, len(muls))}
+	ls := Lists{Extract: b.m, Inputs: clientRuns(inputs), Outputs: clientRuns(outputs), Layers: make([][]Run, len(muls)),
+		Random: append([]int(nil), inputs...)}
 	opening := b.opening(b.fresh).BitLen()
 	gamma := b.gamma(b.fresh)
 	// batch is the left/right/Γ runs of a batch of size gates.
@@ -156,12 +199,132 @@ func FreshLists(n, t, k int, inputs, outputs, muls []int) Lists {
 			continue
 		}
 		ls.EpsDelta = append(ls.EpsDelta, Run{Width: opening, Count: 2 * int64(m)})
+		ls.Layers[l] = make([]Run, 0, len(full)*((m+k-1)/k))
 		for i := 0; i < m/k; i++ {
 			ls.Layers[l] = append(ls.Layers[l], full...)
+			ls.Random = append(ls.Random, k+3*int(b.t))
 		}
 		if m%k > 0 {
 			ls.Layers[l] = append(ls.Layers[l], batch(m%k)...)
+			ls.Random = append(ls.Random, m%k+3*int(b.t))
 		}
 	}
 	return ls
+}
+
+// chooseExtraction chooses m′ for a run and returns the run's lists at it;
+// at(b) derives the lists under the bounds of one extraction. Every random
+// value of the offline phase — a wire's λ, a packing helper, a Beaver a or
+// b — is one row of the m′ × n Vandermonde matrix M_ji = i^{j−1} applied to
+// one position of the committee's n contributions (Damgård–Nielsen), so each
+// member encrypts about count/m′ values instead of count (Layout). The values
+// are uniform mod p whenever m′ of the contributions are honest, since any m′
+// columns of M are invertible; the price is width, as an extracted value is
+// an integer below p·Σ_{i≤n} i^{m′−1}.
+//
+// The choice reads public data only — n, t, k, the circuit (through at) and
+// the key's capacity — so every party derives the same m′. It raises m′ from
+// 1 and stops
+//   - at 2k − 1 = n − t − F, the fewest honest posters a committee has within
+//     its fail-stop margin F = n − (t + 2(k−1) + 1);
+//   - before an m′ whose widest slot exceeds the capacity;
+//   - before an m′ that would raise the group count of a list a client or a
+//     layer member opens — the output λ's, opened online, and the input λ's
+//     and the layers' shares, which the KFF-less ablation (core.Params.NoKFF)
+//     re-encrypts online — so online bytes never move in either mode;
+//
+// and keeps the m′ that minimises the offline objects a member posts: its
+// contributions plus its partials for the ε/δ groups, the only opened groups
+// left to move.
+func chooseExtraction(n, t, k, capacity int, at func(b *bounds) Lists) Lists {
+	next := extractionBounds(n, t)
+	best := at(next())
+	// recipients is the number of groups clients and layer members open.
+	// Each list's count only grows with m, so the sum stays put exactly
+	// when every list's does.
+	recipients := func(ls Lists) int64 {
+		return groups(ls.Inputs, capacity) + groups(ls.Layers, capacity) + groups(ls.Outputs, capacity)
+	}
+	// objects is what one member of the offline committees posts at ls's
+	// extraction that can move with it.
+	objects := func(ls Lists) int64 {
+		random, beaver := ls.Contributions()
+		return int64(random+2*beaver) + Count(ls.EpsDelta, capacity)
+	}
+	fixed, least := recipients(best), objects(best)
+	// Contributions fall with m to at least floor, at the largest m.
+	fewest := best
+	fewest.Extract = 2*k - 1
+	random, beaver := fewest.Contributions()
+	floor := int64(random + 2*beaver)
+	for m := 2; m <= 2*k-1; m++ {
+		ls := at(next())
+		if widest(ls) > capacity || recipients(ls) > fixed {
+			break
+		}
+		// Every width only grows with m and Plan's count only grows with
+		// the widths, so no larger m opens fewer ε/δ groups: once these and
+		// the fewest contributions reach least, nothing beats it.
+		if Count(ls.EpsDelta, capacity)+floor >= least {
+			break
+		}
+		if objs := objects(ls); objs < least {
+			best, least = ls, objs
+		}
+	}
+	return best
+}
+
+// Layout places blocks of values extracted m at a time on the positions of
+// one committee's contributions, each block from a position of its own:
+// value j of block b is row j mod m of M applied to position at[b] + j/m.
+// A block is what one reader learns — a client's input λ's, a batch's λ's
+// and helpers — so no position holds values of two readers (padding a
+// block's last position). positions is how many values each member
+// contributes.
+func Layout(blocks []int, m int) (at []int, positions int) {
+	at = make([]int, len(blocks))
+	for b, size := range blocks {
+		at[b] = positions
+		positions += (size + m - 1) / m
+	}
+	return at, positions
+}
+
+// Contributions is how many values one member contributes at the lists'
+// extraction: random in OffR's wire-randomness step, beaver in each of the
+// two Beaver steps (an a or a b per multiplication gate, one block).
+func (ls Lists) Contributions() (random, beaver int) {
+	_, random = Layout(ls.Random, ls.Extract)
+	_, beaver = Layout([]int{int(count(ls.EpsDelta) / 2)}, ls.Extract)
+	return random, beaver
+}
+
+// groups is the number of groups a set of lists is planned into.
+func groups(lists [][]Run, capacity int) (total int64) {
+	for _, runs := range lists {
+		total += Count(runs, capacity)
+	}
+	return total
+}
+
+// count is the number of values in runs.
+func count(runs []Run) (total int64) {
+	for _, r := range runs {
+		total += r.Count
+	}
+	return total
+}
+
+// widest is the widest slot of any list.
+func widest(ls Lists) int {
+	w := 0
+	for _, lists := range [][][]Run{{ls.EpsDelta}, ls.Inputs, ls.Outputs, ls.Layers} {
+		for _, runs := range lists {
+			for _, r := range runs {
+				w = max(w, r.Width)
+			}
+		}
+	}
+	return w
 }

@@ -242,30 +242,58 @@ func TestPackRefusesAnOverBoundCiphertext(t *testing.T) {
 	}
 }
 
-// The static widths are worst cases of the bounds TEval tracks: a run's
-// ciphertexts never outgrow them (core's property tests run whole protocols
-// against that), and they are what the issue sized the benchmark workloads
-// by.
+// The chooser on the four benchmark shapes: each one's m′ and the static
+// widths at it, which are worst cases of the bounds TEval tracks (core's
+// property tests run whole protocols against that). m′ never exceeds
+// 2k − 1, the fewest honest posters within a committee's fail-stop margin,
+// and never raises the group count of a list a client or a layer member
+// opens, as the output λ's are opened online and the input λ's and shares
+// too without KFFs. The wire-randomness blocks are each client's inputs, then
+// per batch its k gates and 3t helpers.
 func TestListsOfBenchmarkWorkloads(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		width, depth  int
 		n, t, k       int
+		capacity      int
+		extract       int
 		epsDelta      int // every ε/δ
 		batch         []int
 		perLayerCount int64
 	}{
-		{"real2048_wide", 2, 1, 8, 2, 2, 65, []int{127, 127, 191}, 3},
-		{"real512_deep", 4, 6, 16, 3, 4, 66, []int{129, 129, 194}, 3},
-		{"sim_wide_n256", 128, 1, 256, 63, 32, 70, []int{137, 137, 205}, 12},
-		{"sim_boardd_n64", 128, 2, 64, 15, 8, 68, []int{133, 133, 199}, 48},
+		{"real2048_wide", 2, 1, 8, 2, 2, 2045, 3, 70, []int{132, 132, 200}, 3},
+		{"real512_deep", 4, 6, 16, 3, 4, 509, 5, 80, []int{143, 143, 221}, 3},
+		{"sim_wide_n256", 128, 1, 256, 63, 32, 2046, 2, 78, []int{144, 144, 219}, 12},
+		{"sim_boardd_n64", 128, 2, 64, 15, 8, 2046, 3, 79, []int{143, 143, 219}, 48},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := circuit.WideMul(tc.width, tc.depth)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ls := ListsOf(c, tc.n, tc.t, tc.k)
+			ls := ListsOf(c, tc.n, tc.t, tc.k, tc.capacity)
+			if ls.Extract != tc.extract {
+				t.Errorf("m′ = %d, want %d", ls.Extract, tc.extract)
+			}
+			if ls.Extract > 2*tc.k-1 {
+				t.Errorf("m′ = %d exceeds 2k − 1 = %d", ls.Extract, 2*tc.k-1)
+			}
+			unextracted := listsOf(c, tc.k, extractionBounds(tc.n, tc.t)())
+			for name, pair := range map[string][2][][]Run{"inputs": {ls.Inputs, unextracted.Inputs},
+				"outputs": {ls.Outputs, unextracted.Outputs}, "layers": {ls.Layers, unextracted.Layers}} {
+				for i := range pair[0] {
+					if got, was := Count(pair[0][i], tc.capacity), Count(pair[1][i], tc.capacity); got != was {
+						t.Errorf("%s %d take %d groups at m′ = %d, %d without extraction", name, i, got, ls.Extract, was)
+					}
+				}
+			}
+			blocks := []int{c.InputCount(0), c.InputCount(1)}
+			for range c.MulBatches(tc.k) {
+				blocks = append(blocks, tc.k+3*tc.t)
+			}
+			if !reflect.DeepEqual(ls.Random, blocks) {
+				t.Errorf("wire-randomness blocks %v, want %v", ls.Random, blocks)
+			}
 			if want := []Run{{Width: tc.epsDelta, Count: int64(2 * c.NumMul())}}; !reflect.DeepEqual(ls.EpsDelta, want) {
 				t.Errorf("ε/δ widths %v, want %v", ls.EpsDelta, want)
 			}
@@ -293,7 +321,10 @@ func TestListsOfBenchmarkWorkloads(t *testing.T) {
 			for l := range muls {
 				muls[l] = tc.width
 			}
-			fresh := FreshLists(tc.n, tc.t, tc.k, inputs, outputs, muls)
+			fresh := FreshLists(tc.n, tc.t, tc.k, tc.capacity, inputs, outputs, muls)
+			if fresh.Extract != ls.Extract || !reflect.DeepEqual(fresh.Random, ls.Random) {
+				t.Errorf("shape-only m′ = %d and blocks %v, the circuit's %d and %v", fresh.Extract, fresh.Random, ls.Extract, ls.Random)
+			}
 			for _, pair := range [][2][]Run{{fresh.EpsDelta, ls.EpsDelta}, {fresh.Inputs[0], ls.Inputs[0]},
 				{fresh.Inputs[1], ls.Inputs[1]}, {fresh.Outputs[0], ls.Outputs[0]}, {fresh.Layers[0], ls.Layers[0]}} {
 				if !reflect.DeepEqual(Expand(pair[0]), Expand(pair[1])) {
@@ -318,7 +349,7 @@ func TestListsOfLinearGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls := ListsOf(c, 4, 1, 1) // np = 4·(2^61 − 1): 63 bits
+	ls := ListsOf(c, 4, 1, 1, 510) // k = 1 extracts nothing: np = 4·(2^61 − 1), 63 bits
 	if got, want := Expand(ls.Outputs[0]), []int{64, 124, 73, 0}; !reflect.DeepEqual(got, want) {
 		t.Errorf("client 0 output widths %v, want %v", got, want)
 	}
@@ -335,7 +366,8 @@ func TestListsOfLinearGates(t *testing.T) {
 // circuits of any multiplicative depth: ListsOf restarts every
 // multiplication output at the fresh bound, so bounds grow only through
 // linear gates, and the widest slot of WideMul(4, d) — real512_deep's
-// shape — is the same for d = 1…8 and fits the key's capacity.
+// shape — is the same for d = 1…8, at the m′ chooseExtraction picks for it, and
+// fits the key's capacity.
 func TestWidestSlotIndependentOfDepth(t *testing.T) {
 	const n, tt, k = 16, 3, 4
 	te, err := tte.NewThreshold(paillier.FixedTestKey(3))
@@ -347,22 +379,13 @@ func TestWidestSlotIndependentOfDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 	capacity := Capacity(pk.MaxPlaintext())
-	widest := func(ls Lists) int {
-		w := 0
-		for _, runs := range append(append(append([][]Run{ls.EpsDelta}, ls.Inputs...), ls.Outputs...), ls.Layers...) {
-			for _, r := range runs {
-				w = max(w, r.Width)
-			}
-		}
-		return w
-	}
 	var first int
 	for d := 1; d <= 8; d++ {
 		c, err := circuit.WideMul(4, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := widest(ListsOf(c, n, tt, k))
+		w := widest(ListsOf(c, n, tt, k, capacity))
 		if d == 1 {
 			first = w
 		} else if w != first {
@@ -370,6 +393,22 @@ func TestWidestSlotIndependentOfDepth(t *testing.T) {
 		}
 		if w > capacity {
 			t.Errorf("depth %d: widest slot %d bits exceeds the 512-bit key's capacity %d", d, w, capacity)
+		}
+	}
+}
+
+// Every block starts at a position of its own, so no position holds values
+// of two readers: blocks of 2, 5, 0 and 3 values at m = 3 start at
+// positions 0, 1, 3 and 3 and take 4 in all; at m = 1 each value is one.
+func TestLayout(t *testing.T) {
+	for _, tc := range []struct {
+		m         int
+		at        []int
+		positions int
+	}{{3, []int{0, 1, 3, 3}, 4}, {1, []int{0, 2, 7, 7}, 10}} {
+		at, positions := Layout([]int{2, 5, 0, 3}, tc.m)
+		if !reflect.DeepEqual(at, tc.at) || positions != tc.positions {
+			t.Errorf("m = %d: blocks at %v in %d positions, want %v in %d", tc.m, at, positions, tc.at, tc.positions)
 		}
 	}
 }
