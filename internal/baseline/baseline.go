@@ -155,10 +155,7 @@ func (p *Protocol) Run(inputs map[int][]field.Element) (*Result, error) {
 		r.clients[id] = role
 	}
 
-	// Offline: one Beaver triple per multiplication gate, as in the packed
-	// protocol's Step 1 but without extraction (m′ = 1): the comparator's
-	// bytes are CDN's, one contribution per member per a and b.
-	if r.beaver, err = r.rt.Beaver(assign, [2]string{"bOff1", "bOff2"}, p.params.N, p.circ, 1); err != nil {
+	if r.beaver, err = r.offline(); err != nil {
 		return nil, fmt.Errorf("baseline offline: %w", err)
 	}
 	outputs, err := r.online(inputs, shares)
@@ -171,6 +168,27 @@ func (p *Protocol) Run(inputs map[int][]field.Element) (*Result, error) {
 		Excluded: r.rt.Excluded,
 		Rounds:   assign.Committees() + 1,
 	}, nil
+}
+
+// offline prepares one Beaver triple per multiplication gate, as in the
+// packed protocol's Step 1 but without extraction (m′ = 1) and with CDN's
+// two committees: bOff1 contributes the a's, bOff2 the b's and c's, one
+// contribution per member per a and b. A circuit without a multiplication
+// forms neither.
+func (r *run) offline() (map[int]committee.Triple, error) {
+	muls := r.p.circ.NumMul()
+	if muls == 0 {
+		return nil, nil
+	}
+	off1, err := r.assign.FormCommittee("bOff1", r.p.params.N, comm.PhaseOffline)
+	if err != nil {
+		return nil, err
+	}
+	a, err := r.rt.RandomStep(off1, committee.Spec{Phase: comm.PhaseOffline, Cat: comm.CatBeaver, Label: "beaver-a"}, []int{muls}, 1)
+	if err != nil {
+		return nil, err
+	}
+	return r.rt.Beaver(r.assign, "bOff2", r.p.params.N, r.p.circ, a[0], 1)
 }
 
 // online evaluates the circuit gate by gate: clients post encrypted

@@ -11,6 +11,7 @@ import (
 	"yosompc/internal/field"
 	"yosompc/internal/paillier"
 	"yosompc/internal/pke"
+	"yosompc/internal/transport"
 	"yosompc/internal/tte"
 	"yosompc/internal/yoso"
 )
@@ -243,6 +244,53 @@ func TestRoundsAccounting(t *testing.T) {
 	res = runAndCompare(t, simParams(5, 2, nil), linearCircuit(t), inputsOf(map[int][]uint64{0: {3}, 1: {4}}))
 	if res.Rounds != 2 {
 		t.Errorf("linear circuit: rounds = %d, want 2", res.Rounds)
+	}
+}
+
+// The schedule, read off the board: the committee manifests a run posts name
+// CDN's two Beaver committees, one per multiplication layer and the output
+// committee, in that order, and Rounds is one per manifest plus the client
+// round. A linear circuit forms only the output committee.
+func TestScheduleOnTheBoard(t *testing.T) {
+	poly, err := circuit.PolyEval(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		circ *circuit.Circuit
+		in   map[int][]field.Element
+		want []string
+	}{
+		{"depth 3", poly, inputsOf(map[int][]uint64{0: {1, 2, 3, 4}, 1: {2}}),
+			[]string{"bOff1", "bOff2", "bLayer1", "bLayer2", "bLayer3", "bOut"}},
+		{"linear", linearCircuit(t), inputsOf(map[int][]uint64{0: {3}, 1: {4}}), []string{"bOut"}},
+	} {
+		proto, err := New(simParams(5, 2, nil), tc.circ, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := proto.Run(tc.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range proto.Board().Entries(0) {
+			if e.Category != comm.CatManifest {
+				continue
+			}
+			var m transport.Manifest
+			if err := m.UnmarshalBinary(e.Payload); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, m.Committee)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: committees %v, want %v", tc.name, got, tc.want)
+		}
+		if res.Rounds != len(got)+1 {
+			t.Errorf("%s: rounds = %d for %d manifests, want one more", tc.name, res.Rounds, len(got))
+		}
 	}
 }
 

@@ -33,7 +33,11 @@ type Category string
 
 // Message categories used by the protocols.
 const (
-	CatBeaver    Category = "beaver-triples"
+	// CatBeaver carries the Beaver b- and c-parts, and the baseline's
+	// a-parts.
+	CatBeaver Category = "beaver-triples"
+	// CatLambda carries the packed protocol's one random step: the wire
+	// λ's, the packing helpers and the Beaver a-parts.
 	CatLambda    Category = "wire-randomness"
 	CatPartial   Category = "partial-decryptions"
 	CatReshare   Category = "key-resharing"

@@ -120,42 +120,33 @@ func (r *Runner) extract(posts []Post[CtBundle], rows [][]*big.Int, cells []cell
 // encryptions c^a, c^b of random a, b and c^c of c = a·b.
 type Triple struct{ A, B, C tte.Ciphertext }
 
-// Beaver is the Beaver step of both drivers (the packed protocol's offline
-// Step 1, the baseline's preprocessing): it forms the committees names[0] and
-// names[1] of n members from assign, in the offline phase, and returns one
-// triple per multiplication gate of circ, keyed by gate index. A circuit
-// without a multiplication forms neither committee.
+// Beaver is the b/c step of both drivers' Beaver triples (the packed
+// protocol's offline Step 1, the baseline's preprocessing): it forms the
+// committee name of n members from assign, in the offline phase, and returns
+// one triple per multiplication gate of circ, keyed by gate index, over the
+// a's its caller extracted at m (one per gate in gate order, one block of a
+// RandomStep). A circuit without a multiplication forms no committee.
 //
-// Gate g's a and b are extracted at m, all gates one block (RandomStep):
-// names[0]'s members contribute a-parts, names[1]'s members b-parts, and
-// each of those also posts, per gate, its c-part b_i^{(g/m)}·c^{a_g} — its b
+// Gate g's b is extracted at m, all gates one block: each member contributes
+// b-parts and also posts, per gate, its c-part b_i^{(g/m)}·c^{a_g} — its b
 // contribution at b_g's position times a_g — as one bundle b‖c. Applying
 // b_g's row of the Vandermonde matrix to the c-parts gives c_g = a_g·b_g.
 //
 // TEval bounds that sum by Σ_i M_ji·b_i·Bound(c^a), which would publish the
 // integers b_i; each c^c carries the public bound
-// (p−1)·Bound(c^a)·Σ_{i∈S} M_ji over the verified names[1] members S
-// instead.
-func (r *Runner) Beaver(assign *yoso.Assignment, names [2]string, n int, circ *circuit.Circuit, m int) (map[int]Triple, error) {
+// (p−1)·Bound(c^a)·Σ_{i∈S} M_ji over the verified members S instead.
+func (r *Runner) Beaver(assign *yoso.Assignment, name string, n int, circ *circuit.Circuit, a []tte.Ciphertext, m int) (map[int]Triple, error) {
 	muls := circ.MulGates()
 	count := len(muls)
 	if count == 0 {
 		return nil, nil
 	}
-	var cs [2]*yoso.Committee
-	for i, name := range names {
-		var err error
-		if cs[i], err = assign.FormCommittee(name, n, comm.PhaseOffline); err != nil {
-			return nil, err
-		}
-	}
-	blocks, err := r.RandomStep(cs[0], Spec{Phase: comm.PhaseOffline, Cat: comm.CatBeaver, Label: "beaver-a"}, []int{count}, m)
+	com, err := assign.FormCommittee(name, n, comm.PhaseOffline)
 	if err != nil {
 		return nil, err
 	}
-	a := blocks[0]
 	_, per := slotpack.Layout([]int{count}, m)
-	posts, err := Step(r, cs[1], Spec{Phase: comm.PhaseOffline, Cat: comm.CatBeaver, Label: "beaver-bc"}, func(int) (CtBundle, error) {
+	posts, err := Step(r, com, Spec{Phase: comm.PhaseOffline, Cat: comm.CatBeaver, Label: "beaver-bc"}, func(int) (CtBundle, error) {
 		ms, bc, err := r.EncryptRandom(per)
 		if err != nil {
 			return nil, err

@@ -653,9 +653,20 @@ func beaverCircuit(t *testing.T) *circuit.Circuit {
 	return circ
 }
 
+// beaverA is the drivers' randomness step for circ's Beaver a's alone: the
+// committee "a" extracts one a per multiplication gate at m, one block.
+func (f *fixture) beaverA(t *testing.T, circ *circuit.Circuit, m int) []tte.Ciphertext {
+	t.Helper()
+	blocks, err := f.RandomStep(f.form(t, "a"), Spec{Phase: comm.PhaseOffline, Cat: comm.CatLambda, Label: "beaver-a"}, []int{circ.NumMul()}, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blocks[0]
+}
+
 // At every extraction m the triples hold c = a·b: m = 1 sums the
-// contributions, m = 2 leaves the last b contribution's second row unused,
-// and m = 3 extracts all three gates from one position.
+// contributions, m = 2 leaves the last a and b contributions' second row
+// unused, and m = 3 extracts all three gates from one position.
 func TestBeaverTriples(t *testing.T) {
 	for _, m := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) { testBeaverTriples(t, m) })
@@ -665,7 +676,7 @@ func TestBeaverTriples(t *testing.T) {
 func testBeaverTriples(t *testing.T, m int) {
 	f, dealt := newFixture(t)
 	circ := beaverCircuit(t)
-	triples, err := f.Beaver(f.assign, [2]string{"b1", "b2"}, testN, circ, m)
+	triples, err := f.Beaver(f.assign, "b", testN, circ, f.beaverA(t, circ, m), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -692,17 +703,18 @@ func testBeaverTriples(t *testing.T, m int) {
 			t.Errorf("triple of gate %d: %v · %v ≠ %v", gi, a, b, c)
 		}
 	}
-	// Each member of b1 posts ⌈3/m⌉ a-parts, and each of b2 as many
-	// b-parts and three c-parts.
+	// Each member of a posts ⌈3/m⌉ a-parts, and each of b as many b-parts
+	// and three c-parts.
 	per := (len(muls) + m - 1) / m
-	want := map[string]int{"b1/": per, "b2/": per + len(muls)}
+	want := map[comm.Category]int{comm.CatLambda: per, comm.CatBeaver: per + len(muls)}
 	posted := 0
 	for _, e := range f.Board.Entries(0) {
-		if e.Category != comm.CatBeaver {
+		cts, ok := want[e.Category]
+		if !ok {
 			continue
 		}
 		posted++
-		if cts := want[e.From[:3]]; len(e.Payload) != cts*f.TPK.CiphertextSize() {
+		if len(e.Payload) != cts*f.TPK.CiphertextSize() {
 			t.Errorf("%s posted %d bytes, want %d ciphertexts", e.From, len(e.Payload), cts)
 		}
 	}
@@ -717,7 +729,7 @@ func testBeaverTriples(t *testing.T, m int) {
 		t.Fatal(err)
 	}
 	formed := f.assign.Committees()
-	if triples, err := f.Beaver(f.assign, [2]string{"l1", "l2"}, testN, linear, m); err != nil || len(triples) != 0 {
+	if triples, err := f.Beaver(f.assign, "l", testN, linear, nil, m); err != nil || len(triples) != 0 {
 		t.Errorf("linear circuit: %d triples, err %v", len(triples), err)
 	}
 	if f.assign.Committees() != formed {
@@ -731,7 +743,7 @@ func testBeaverTriples(t *testing.T, m int) {
 func TestBeaverProduct(t *testing.T) {
 	f, dealt := newFixture(t)
 	circ := beaverCircuit(t)
-	triples, err := f.Beaver(f.assign, [2]string{"b1", "b2"}, testN, circ, 2)
+	triples, err := f.Beaver(f.assign, "b", testN, circ, f.beaverA(t, circ, 2), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -778,7 +790,7 @@ func TestBeaverProduct(t *testing.T) {
 }
 
 // Every c^c carries a bound computed from public data alone,
-// (p−1)·Bound(c^a)·Σ_{i∈S} M_ji over the verified b2 members S and b's row j,
+// (p−1)·Bound(c^a)·Σ_{i∈S} M_ji over the verified b members S and b's row j,
 // and not TEval's Σ M_ji·b_i·Bound(c^a), which would publish b: two runs
 // with the same corruption pattern and different randomness report the same
 // bounds.
@@ -788,13 +800,13 @@ func TestBeaverBoundsArePublic(t *testing.T) {
 		first := map[int]*big.Int{}
 		for run := 0; run < 2; run++ {
 			f, _ := newFixture(t)
-			triples, err := f.Beaver(f.assign, [2]string{"b1", "b2"}, testN, circ, m)
+			triples, err := f.Beaver(f.assign, "b", testN, circ, f.beaverA(t, circ, m), m)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, gi := range circ.MulGates() {
 				tr := triples[gi]
-				// Bound(c^b) is p·Σ_{i∈S} M_ji: BoundP per verified b2
+				// Bound(c^b) is p·Σ_{i∈S} M_ji: BoundP per verified b
 				// member, weighted by its column of b's row.
 				col := new(big.Int).Quo(tr.B.Bound(), BoundP)
 				want := new(big.Int).Mul(col, pMinus1)
@@ -965,12 +977,13 @@ func determinant(a [][]field.Element) field.Element {
 // Extraction at the fail-stop margin. With k = 2 a committee of testN = 7
 // and t = 2 tolerates F = n − (t + 2(k−1) + 1) = 2 fail-stops, which with
 // the t malicious members leaves 2k − 1 = 3 verified contributions: exactly
-// m′ = 3. RandomStep and Beaver still extract there, c = a·b, and every bound
-// stays within its static one: p·Σ_{i≤n} i^{m′−1} for an extracted value,
-// (p−1)·that·Σ_{i≤n} i^{m′−1} for a c part. Blocks start at positions of
-// their own, so blocks of 2 and 4 values take 1 + 2 contributions, not
-// ⌈6/3⌉. One
-// fail-stop more leaves 2 contributions for 3 values a position.
+// m′ = 3. One RandomStep extracts λ-blocks and the Beaver a's together, as
+// OffR does, and Beaver completes the triples over those a's; c = a·b, and
+// every bound stays within its static one: p·Σ_{i≤n} i^{m′−1} for an
+// extracted value, (p−1)·that·Σ_{i≤n} i^{m′−1} for a c part. Blocks start
+// at positions of their own, so blocks of 2 and 4 values and 3 a's take
+// 1 + 2 + 1 contributions, not ⌈9/3⌉. One fail-stop more leaves 2
+// contributions for 3 values a position.
 func TestExtractionAtFailStopMargin(t *testing.T) {
 	const k, m = 2, 3
 	margin := testN - (testT + 2*(k-1) + 1)
@@ -987,14 +1000,16 @@ func TestExtractionAtFailStopMargin(t *testing.T) {
 		}
 	}
 	sp := Spec{Phase: comm.PhaseOffline, Cat: comm.CatLambda, Label: "random"}
+	circ := beaverCircuit(t)
+	sizes := []int{2, 4, circ.NumMul()}
 
 	f, dealt := newFixtureOn(t, tte.NewSim(512), pke.NewSim(), yoso.NewAdversary(testT, margin, 3))
-	blocks, err := f.RandomStep(f.form(t, "r"), sp, []int{2, 4}, m)
+	blocks, err := f.RandomStep(f.form(t, "r"), sp, sizes, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(blocks) != 2 || len(blocks[0]) != 2 || len(blocks[1]) != 4 {
-		t.Fatalf("blocks of %d and %d values, want 2 and 4", len(blocks[0]), len(blocks[1]))
+	if len(blocks) != 3 || len(blocks[0]) != 2 || len(blocks[1]) != 4 || len(blocks[2]) != 3 {
+		t.Fatalf("%d blocks, want 3 of 2, 4 and 3 values", len(blocks))
 	}
 	for b, vals := range blocks {
 		for j, ct := range vals {
@@ -1005,8 +1020,8 @@ func TestExtractionAtFailStopMargin(t *testing.T) {
 	for _, e := range f.Board.Entries(0) {
 		if e.Category == comm.CatLambda {
 			posted++
-			if len(e.Payload) != 3*f.TPK.CiphertextSize() {
-				t.Errorf("%s posted %d bytes, want 3 ciphertexts", e.From, len(e.Payload))
+			if len(e.Payload) != 4*f.TPK.CiphertextSize() {
+				t.Errorf("%s posted %d bytes, want 4 ciphertexts", e.From, len(e.Payload))
 			}
 		}
 	}
@@ -1015,8 +1030,7 @@ func TestExtractionAtFailStopMargin(t *testing.T) {
 		t.Errorf("%d members posted and %d were excluded, want %d and %d", posted, len(f.Excluded), testN-margin, testT+margin)
 	}
 
-	circ := beaverCircuit(t)
-	triples, err := f.Beaver(f.assign, [2]string{"b1", "b2"}, testN, circ, m)
+	triples, err := f.Beaver(f.assign, "b", testN, circ, blocks[2], m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1044,7 +1058,7 @@ func TestExtractionAtFailStopMargin(t *testing.T) {
 	}
 
 	past, _ := newFixtureOn(t, tte.NewSim(512), pke.NewSim(), yoso.NewAdversary(testT, margin+1, 3))
-	if _, err := past.RandomStep(past.form(t, "r"), sp, []int{2, 4}, m); !errors.Is(err, ErrNotEnough) {
+	if _, err := past.RandomStep(past.form(t, "r"), sp, sizes, m); !errors.Is(err, ErrNotEnough) {
 		t.Errorf("one fail-stop past the margin: err = %v, want ErrNotEnough", err)
 	}
 }

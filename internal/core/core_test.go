@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"yosompc/internal/paillier"
 	"yosompc/internal/pke"
 	"yosompc/internal/slotpack"
+	"yosompc/internal/transport"
 	"yosompc/internal/tte"
 	"yosompc/internal/yoso"
 )
@@ -460,9 +462,9 @@ func linearCircuit(t *testing.T) *circuit.Circuit {
 }
 
 func TestRoundsAccounting(t *testing.T) {
-	// The YOSO round structure: 6 offline committees (incl. the tsk
+	// The YOSO round structure: 5 offline committees (incl. the tsk
 	// bridge), OnC1, one client round, one committee per multiplication
-	// layer, and the output committee — 9 + depth sequential broadcast
+	// layer, and the output committee — 8 + depth sequential broadcast
 	// rounds.
 	circ, err := circuit.PolyEval(3) // depth 3
 	if err != nil {
@@ -470,12 +472,12 @@ func TestRoundsAccounting(t *testing.T) {
 	}
 	in := inputsOf(map[int][]uint64{0: {1, 2, 3, 4}, 1: {2}})
 	res := runAndCompare(t, simParams(8, 2, 2, nil), circ, in)
-	if res.Rounds != 12 {
-		t.Errorf("rounds = %d, want 12 for depth 3", res.Rounds)
+	if res.Rounds != 11 {
+		t.Errorf("rounds = %d, want 11 for depth 3", res.Rounds)
 	}
 
-	// Without a multiplication there is no Beaver step: OffB1 and OffB2 are
-	// never formed, so 4 offline committees, OnC1, the client round and
+	// Without a multiplication there is no Beaver step: OffB is never
+	// formed, so 4 offline committees, OnC1, the client round and
 	// OnOut make 7 rounds, and the offline phase publishes 4·n role keys.
 	const n = 8
 	res = runAndCompare(t, simParams(n, 2, 2, nil), linearCircuit(t), inputsOf(map[int][]uint64{0: {3}, 1: {4}}))
@@ -485,6 +487,63 @@ func TestRoundsAccounting(t *testing.T) {
 	if got, want := res.Report.ByCat[comm.PhaseOffline][comm.CatRoleKeys], int64(4*n*pke.PublicKeySize); got != want {
 		t.Errorf("linear circuit: %d offline role-key bytes, want %d (4 committees of %d)", got, want, n)
 	}
+}
+
+// The schedule, read off the board: the committee manifests a run posts name
+// its committees in the order they were formed, and Rounds is one per
+// manifest plus the client round. A linear circuit forms no OffB.
+func TestScheduleOnTheBoard(t *testing.T) {
+	poly, err := circuit.PolyEval(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// formed whether the circuit multiplies or not
+	shared := []string{"offDec", "offRe", "offBridge", "onC1"}
+	for _, tc := range []struct {
+		name string
+		circ *circuit.Circuit
+		in   map[int][]field.Element
+		want []string
+	}{
+		{"depth 3", poly, inputsOf(map[int][]uint64{0: {1, 2, 3, 4}, 1: {2}}),
+			append(append([]string{"offR", "offB"}, shared...), "on-layer1", "on-layer2", "on-layer3", "onOut")},
+		{"linear", linearCircuit(t), inputsOf(map[int][]uint64{0: {3}, 1: {4}}),
+			append(append([]string{"offR"}, shared...), "onOut")},
+	} {
+		proto, err := New(simParams(8, 2, 2, nil), tc.circ, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := proto.Run(tc.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := manifestNames(t, proto.Board())
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: committees %v, want %v", tc.name, got, tc.want)
+		}
+		if res.Rounds != len(got)+1 {
+			t.Errorf("%s: rounds = %d for %d manifests, want one more", tc.name, res.Rounds, len(got))
+		}
+	}
+}
+
+// manifestNames returns the committees of the manifests on b, in posting
+// order.
+func manifestNames(t *testing.T, b *transport.Board) []string {
+	t.Helper()
+	var names []string
+	for _, e := range b.Entries(0) {
+		if e.Category != comm.CatManifest {
+			continue
+		}
+		var m transport.Manifest
+		if err := m.UnmarshalBinary(e.Payload); err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, m.Committee)
+	}
+	return names
 }
 
 // A Result is its run's: two runs on one Protocol report the same bytes and
@@ -510,15 +569,15 @@ func TestRunsReportTheirOwnBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Report.Total != 72755 || len(res.Audit) != 51 {
-			t.Errorf("run %d: %d bytes and %d audit events, want 72755 and 51", run, res.Report.Total, len(res.Audit))
+		if res.Report.Total != 71387 || len(res.Audit) != 51 {
+			t.Errorf("run %d: %d bytes and %d audit events, want 71387 and 51", run, res.Report.Total, len(res.Audit))
 		}
 	}
 	if prepared[0] != prepared[1] {
 		t.Errorf("OfflineReport after each Prepare: %v bytes, want equal", prepared)
 	}
-	if got := proto.Board().Report().Total; got != 2*72755 {
-		t.Errorf("the board holds %d bytes after two runs, want %d", got, 2*72755)
+	if got := proto.Board().Report().Total; got != 2*71387 {
+		t.Errorf("the board holds %d bytes after two runs, want %d", got, 2*71387)
 	}
 }
 
@@ -774,8 +833,8 @@ func TestDeepFermatCircuitSim(t *testing.T) {
 		if res.Outputs[0][0] != field.New(tc.want) {
 			t.Errorf("neq(%d,%d) = %v, want %d", tc.a, tc.b, res.Outputs[0][0], tc.want)
 		}
-		if res.Rounds != 9+circ.Depth() {
-			t.Errorf("rounds = %d, want %d", res.Rounds, 9+circ.Depth())
+		if res.Rounds != 8+circ.Depth() {
+			t.Errorf("rounds = %d, want %d", res.Rounds, 8+circ.Depth())
 		}
 	}
 }

@@ -26,21 +26,28 @@ func (r *run) initWireState() {
 // committee's speak (Steps 5–6: re-encryption of all preprocessed secrets
 // to the recipients' KFFs). Nothing here depends on inputs or on online
 // role keys — tsk crosses the boundary via the dedicated offBridge
-// committee, which speaks at online start (see online.go).
+// committee, which speaks at online start (see online.go). Committees are
+// formed in schedule order, so the adversary samples them in that order.
 func (r *run) offline() error {
 	p := r.p.params
-	// Step 1: committees OffB1 and OffB2 prepare one Beaver triple under
-	// tpk per multiplication gate, a and b extracted at the run's m′. They
-	// are formed first, so the adversary samples the committees in schedule
-	// order.
-	err := r.offlineStep("beaver", "step 1 (Beaver)", func() (err error) {
-		r.beaver, err = r.rt.Beaver(r.assign, [2]string{"offB1", "offB2"}, p.N, r.p.circ, r.lists.Extract)
+	r.buildBatches()
+	// Step 2 and Step 1's a's: OffR's one step extracts every fresh value
+	// the offline phase needs beyond the Beaver b's.
+	var a []tte.Ciphertext
+	err := r.offlineStep("wire-randomness", "step 2 (wire randomness)", func() (err error) {
+		a, err = r.offlineWireRandomness()
 		return err
 	})
 	if err != nil {
 		return err
 	}
-	if r.offR, err = r.assign.FormCommittee("offR", p.N, comm.PhaseOffline); err != nil {
+	// Step 1: committee OffB completes one Beaver triple under tpk per
+	// multiplication gate over OffR's a's, b extracted at the run's m′.
+	err = r.offlineStep("beaver", "step 1 (Beaver)", func() (err error) {
+		r.beaver, err = r.rt.Beaver(r.assign, "offB", p.N, r.p.circ, a, r.lists.Extract)
+		return err
+	})
+	if err != nil {
 		return err
 	}
 	if r.offDec, err = r.assign.FormCommittee("offDec", p.N, comm.PhaseOffline); err != nil {
@@ -55,11 +62,6 @@ func (r *run) offline() error {
 
 	// The paper's "give tsk_i to C^Off_{1,i}": OffDec is the first tsk holder.
 	if r.tsk, err = r.rt.DealShares(r.offDec, r.dealt); err != nil {
-		return err
-	}
-	r.buildBatches()
-
-	if err := r.offlineStep("wire-randomness", "step 2 (wire randomness)", r.offlineWireRandomness); err != nil {
 		return err
 	}
 	if err := r.offlineStep("dependent-wires", "step 3 (dependent wires)", r.offlineDependentWires); err != nil {
@@ -92,20 +94,26 @@ func (r *run) buildBatches() {
 	}
 }
 
-// offlineWireRandomness is Step 2 plus the helper encryptions of Step 4:
-// committee OffR's contributions give, extracted at the run's m′, fresh
-// randomness for every output wire of an input or multiplication gate, and t
-// extra random values per packed vector (3 vectors per batch: left λ, right
-// λ, Γ). The values come in the blocks of the run's lists (Lists.Random):
-// each client's input λ's in gate order, then per batch its gates' λ's and
-// its helpers, vector kind (0=left, 1=right, 2=Γ) by vector kind.
-func (r *run) offlineWireRandomness() error {
+// offlineWireRandomness is Step 2 plus the helper encryptions of Step 4
+// and the a's of Step 1: it forms committee OffR, whose contributions give,
+// extracted at the run's m′, fresh randomness for every output wire of an
+// input or multiplication gate, t extra random values per packed vector (3
+// vectors per batch: left λ, right λ, Γ) and one Beaver a per
+// multiplication gate, which it returns. The values come in the blocks of
+// the run's lists (Lists.Random): each client's input λ's in gate order,
+// then per batch its gates' λ's and its helpers, vector kind (0=left,
+// 1=right, 2=Γ) by vector kind, then the a's in gate order.
+func (r *run) offlineWireRandomness() ([]tte.Ciphertext, error) {
 	p := r.p.params
 	gates := r.p.circ.Gates()
-	blocks, err := r.rt.RandomStep(r.offR,
+	offR, err := r.assign.FormCommittee("offR", p.N, comm.PhaseOffline)
+	if err != nil {
+		return nil, err
+	}
+	blocks, err := r.rt.RandomStep(offR,
 		committee.Spec{Phase: comm.PhaseOffline, Cat: comm.CatLambda, Label: "wire-randomness"}, r.lists.Random, r.lists.Extract)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	clients := r.p.circ.Clients()
 	for c, client := range clients {
@@ -124,7 +132,7 @@ func (r *run) offlineWireRandomness() error {
 			b.helpers[kind] = helpers[kind*p.T : (kind+1)*p.T]
 		}
 	}
-	return nil
+	return blocks[len(blocks)-1], nil
 }
 
 // offlineDependentWires is Step 3: everyone locally derives λ-ciphertexts
@@ -250,31 +258,23 @@ func (r *run) offlinePack() error {
 			// packing-helper hot loop, fanned out slot-indexed per index.
 			err := r.rt.Pfor(p.N, func(i int) error {
 				coeffs := committee.FieldCoeffs(dom.ShareRow(i + 1)[:len(points)])
-				ct, err := te.Eval(r.rt.TPK, points, coeffs.Ints)
-				if err != nil {
-					return err
-				}
-				out[i] = ct
-				return nil
+				var err error
+				out[i], err = te.Eval(r.rt.TPK, points, coeffs.Ints)
+				return err
 			})
-			if err != nil {
-				return nil, err
+			return out, err
+		}
+		packed := make([][]tte.Ciphertext, len(b.helpers))
+		for kind, vals := range [][]tte.Ciphertext{left, right, gamma} {
+			if packed[kind], err = pack(vals, b.helpers[kind]); err != nil {
+				break
 			}
-			return out, nil
-		}
-		if b.packedLeft, err = pack(left, b.helpers[0]); err != nil {
-			sp.End()
-			return err
-		}
-		if b.packedRight, err = pack(right, b.helpers[1]); err != nil {
-			sp.End()
-			return err
-		}
-		if b.packedGamma, err = pack(gamma, b.helpers[2]); err != nil {
-			sp.End()
-			return err
 		}
 		sp.End()
+		if err != nil {
+			return err
+		}
+		b.packedLeft, b.packedRight, b.packedGamma = packed[0], packed[1], packed[2]
 	}
 	return nil
 }

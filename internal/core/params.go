@@ -6,9 +6,9 @@
 //
 // Committee schedule (one broadcast per role, per the YOSO model):
 //
-//	offline:  OffB1 (Beaver a-parts) → OffB2 (Beaver b/c-parts), formed
-//	          only when the circuit has a multiplication gate
-//	          → OffR (wire randomness + packing helpers)
+//	offline:  OffR (wire randomness, packing helpers and Beaver a-parts)
+//	          → OffB (Beaver b/c-parts), formed only when the circuit has a
+//	            multiplication gate
 //	          → OffDec (holds tsk epoch 0: decrypts ε/δ, reshares tsk)
 //	          → OffRe (re-encrypts λ/Γ packed shares and input-wire λ's to
 //	            KFFs, reshares tsk to OffBridge)

@@ -116,9 +116,9 @@ type run struct {
 	start comm.Report
 	audit *Auditor
 
-	// committees (see the schedule in the package comment; the Beaver
-	// committees OffB1 and OffB2 live inside committee.Runner.Beaver)
-	offR, offDec, offRe *yoso.Committee
+	// committees (see the schedule in the package comment; OffR and OffB
+	// live only inside their offline steps)
+	offDec, offRe *yoso.Committee
 	// offBridge holds tsk across the offline/online boundary: OffRe can
 	// then speak entirely within the offline phase (all its targets are
 	// KFFs and offBridge's role keys), and only this single-purpose

@@ -98,7 +98,7 @@ func TestTelemetryPhaseSpansCoverWallClock(t *testing.T) {
 	}
 
 	// Per-gate-batch spans exist for packing and reconstruction.
-	for _, want := range []string{"pack-batch", "reconstruct-batch", "mu-layer", "committee:beaver-a"} {
+	for _, want := range []string{"pack-batch", "reconstruct-batch", "mu-layer", "committee:beaver-bc"} {
 		found := false
 		for _, sp := range spans {
 			if sp.Name == want {
@@ -172,7 +172,7 @@ func TestTelemetryStepSpansReportOpenings(t *testing.T) {
 	})
 	got := stepOpenings(t, simParams(12, 2, 3, nil), circ, in)
 	want := map[string][2]int64{
-		"beaver-a": {}, "beaver-bc": {}, "wire-randomness": {},
+		"beaver-bc": {}, "wire-randomness": {},
 		"offdec-open":             {16, 96},
 		"steps-5-6":               {4 + 3*12*6, 16 + 3*12*18},
 		"tsk-bridge":              {},

@@ -92,15 +92,6 @@ type Shape struct {
 	Opened slotpack.Lists
 }
 
-// Batches returns the total number of batches.
-func (s Shape) Batches() int {
-	total := 0
-	for _, b := range s.BatchesPerLayer {
-		total += b
-	}
-	return total
-}
-
 // FreshShape is the Shape of a circuit known only by its counts, every wire
 // opened taken as a fresh one: inputs[c] and outputs[c] are client c's input
 // and output gates, muls[l] the multiplication gates of layer l+1, under a
@@ -166,8 +157,8 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 	decGroups := groups(shape.Opened.EpsDelta)
 	reGroups := groups(shape.Opened.Inputs...) + N*groups(shape.Opened.Layers...)
 	outGroups := groups(shape.Opened.Outputs...)
-	// One member's contributions at the run's m′: random to OffR, beaver to
-	// each Beaver committee.
+	// One member's contributions at the run's m′: random to OffR (the wire
+	// randomness and the Beaver a's), beaver to OffB.
 	random, beaver := shape.Opened.Contributions()
 
 	var setup int64
@@ -184,11 +175,10 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 	var offline int64
 	offline += 4 * N * int64(z.RoleKey) // OffR, OffDec, OffRe and the bridge's role keys
 	if muls > 0 {
-		offline += 2 * N * int64(z.RoleKey)                                      // two Beaver committees
-		offline += N*int64(beaver)*int64(z.Ciphertext) + N*int64(z.Proof)        // beaver-a: a-parts
-		offline += N*(int64(beaver)+muls)*int64(z.Ciphertext) + N*int64(z.Proof) // beaver-bc: b-parts, one c-part per gate
+		// OffB: role keys, b-parts and one c-part per gate.
+		offline += N*int64(z.RoleKey) + N*(int64(beaver)+muls)*int64(z.Ciphertext) + N*int64(z.Proof)
 	}
-	offline += N*int64(random)*int64(z.Ciphertext) + N*int64(z.Proof) // wire randomness + helpers
+	offline += N*int64(random)*int64(z.Ciphertext) + N*int64(z.Proof) // wire randomness, helpers and Beaver a-parts
 	// OffDec: partials for the ε/δ groups + resharing to OffRe.
 	offline += N*(decGroups*int64(z.Partial)+key+N*envS) + N*int64(z.Proof)
 	if opts.NoKFF {
@@ -250,9 +240,9 @@ func Baseline(n, t int, shape Shape, z Sizes) Phases {
 
 	var offline int64
 	if muls > 0 {
-		offline += 2 * N * int64(z.RoleKey)                        // two Beaver committees
-		offline += N*muls*int64(z.Ciphertext) + N*int64(z.Proof)   // beaver-a
-		offline += N*2*muls*int64(z.Ciphertext) + N*int64(z.Proof) // beaver-bc
+		offline += 2 * N * int64(z.RoleKey)                        // bOff1 and bOff2
+		offline += N*muls*int64(z.Ciphertext) + N*int64(z.Proof)   // bOff1: a-parts
+		offline += N*2*muls*int64(z.Ciphertext) + N*int64(z.Proof) // bOff2: b- and c-parts
 	}
 
 	var online int64

@@ -1,6 +1,7 @@
 package costmodel
 
 import (
+	"reflect"
 	"testing"
 
 	"yosompc/internal/baseline"
@@ -184,8 +185,8 @@ func TestShapeOf(t *testing.T) {
 	if s.Muls != 16 || s.Depth != 2 {
 		t.Errorf("shape = %+v", s)
 	}
-	if s.Batches() != 6 { // ceil(8/3) = 3 per layer
-		t.Errorf("batches = %d, want 6", s.Batches())
+	if want := []int{3, 3}; !reflect.DeepEqual(s.BatchesPerLayer, want) { // ceil(8/3) = 3 per layer
+		t.Errorf("batches per layer = %v, want %v", s.BatchesPerLayer, want)
 	}
 	if s.Inputs != 8 || s.InputClients != 2 {
 		t.Errorf("inputs = %d clients = %d", s.Inputs, s.InputClients)

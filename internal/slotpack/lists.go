@@ -25,9 +25,9 @@ type Lists struct {
 	// position of one committee's contributions (chooseExtraction); the widths
 	// above are those of its extracted values.
 	Extract int
-	// Random is the blocks of OffR's wire-randomness step in layout order
-	// (Layout): each client's input λ's, then per batch of every layer its
-	// gates' output λ's and its 3t helpers.
+	// Random is the blocks of OffR's step in layout order (Layout): each
+	// client's input λ's, then per batch of every layer its gates' output λ's
+	// and its 3t helpers, then the Beaver a's, one per multiplication gate.
 	Random []int
 }
 
@@ -158,6 +158,7 @@ func listsOf(c *circuit.Circuit, k int, b *bounds) Lists {
 			ls.Layers[l] = appendRun(ls.Layers[l], b.packed(sum).BitLen())
 		}
 	}
+	ls.Random = append(ls.Random, c.NumMul())
 	return ls
 }
 
@@ -194,7 +195,9 @@ func freshLists(k int, b *bounds, inputs, outputs, muls []int) Lists {
 		}
 	}
 	full := batch(k)
+	total := 0
 	for l, m := range muls {
+		total += m
 		if m == 0 {
 			continue
 		}
@@ -209,6 +212,7 @@ func freshLists(k int, b *bounds, inputs, outputs, muls []int) Lists {
 			ls.Random = append(ls.Random, m%k+3*int(b.t))
 		}
 	}
+	ls.Random = append(ls.Random, total)
 	return ls
 }
 
@@ -249,14 +253,14 @@ func chooseExtraction(n, t, k, capacity int, at func(b *bounds) Lists) Lists {
 	// extraction that can move with it.
 	objects := func(ls Lists) int64 {
 		random, beaver := ls.Contributions()
-		return int64(random+2*beaver) + Count(ls.EpsDelta, capacity)
+		return int64(random+beaver) + Count(ls.EpsDelta, capacity)
 	}
 	fixed, least := recipients(best), objects(best)
 	// Contributions fall with m to at least floor, at the largest m.
 	fewest := best
 	fewest.Extract = 2*k - 1
 	random, beaver := fewest.Contributions()
-	floor := int64(random + 2*beaver)
+	floor := int64(random + beaver)
 	for m := 2; m <= 2*k-1; m++ {
 		ls := at(next())
 		if widest(ls) > capacity || recipients(ls) > fixed {
@@ -292,11 +296,11 @@ func Layout(blocks []int, m int) (at []int, positions int) {
 }
 
 // Contributions is how many values one member contributes at the lists'
-// extraction: random in OffR's wire-randomness step, beaver in each of the
-// two Beaver steps (an a or a b per multiplication gate, one block).
+// extraction: random in OffR's step, beaver in the Beaver b/c step (a b per
+// multiplication gate, one block as large as Random's last, the a's).
 func (ls Lists) Contributions() (random, beaver int) {
 	_, random = Layout(ls.Random, ls.Extract)
-	_, beaver = Layout([]int{int(count(ls.EpsDelta) / 2)}, ls.Extract)
+	_, beaver = Layout(ls.Random[len(ls.Random)-1:], ls.Extract)
 	return random, beaver
 }
 
@@ -304,14 +308,6 @@ func (ls Lists) Contributions() (random, beaver int) {
 func groups(lists [][]Run, capacity int) (total int64) {
 	for _, runs := range lists {
 		total += Count(runs, capacity)
-	}
-	return total
-}
-
-// count is the number of values in runs.
-func count(runs []Run) (total int64) {
-	for _, r := range runs {
-		total += r.Count
 	}
 	return total
 }

@@ -291,6 +291,7 @@ func TestListsOfBenchmarkWorkloads(t *testing.T) {
 			for range c.MulBatches(tc.k) {
 				blocks = append(blocks, tc.k+3*tc.t)
 			}
+			blocks = append(blocks, c.NumMul()) // the Beaver a's
 			if !reflect.DeepEqual(ls.Random, blocks) {
 				t.Errorf("wire-randomness blocks %v, want %v", ls.Random, blocks)
 			}

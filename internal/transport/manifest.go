@@ -17,7 +17,7 @@ import (
 //
 //	u8 version | str8 committee | str8 phase | u32 n | u32 quorum
 type Manifest struct {
-	// Committee is the committee name ("offB1", "on-layer2", ...).
+	// Committee is the committee name ("offB", "on-layer2", ...).
 	Committee string
 	// Phase is the protocol phase the committee's speeches are metered
 	// under ("setup", "offline", "online").

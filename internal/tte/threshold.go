@@ -243,12 +243,13 @@ func (s *Threshold) Reshare(pk PublicKey, sh KeyShare) ([]SubShare, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Masking bound: |d_i|·Δ·2^statSecurity (at least N·m·Δ·2^σ for
-	// epoch 0).
+	// Masking bound: |d_i|·Δ·2^statSecurity, |d_i| taken as at least
+	// N·⌊N/4⌋. That floor is public key data, at least epoch 0's N·m and of
+	// its bit length, so a resharing member reads no dealer secret.
 	mag := new(big.Int).Abs(k.d)
-	nm := new(big.Int).Mul(s.dealer.N, s.dealer.M)
-	if mag.Cmp(nm) < 0 { //yosolint:vartime sizes the masking bound; reveals only the share's magnitude class, which its wire-encoding length reveals regardless
-		mag = nm
+	floor := new(big.Int).Mul(s.dealer.N, p.maxPlain)
+	if mag.Cmp(floor) < 0 { //yosolint:vartime sizes the masking bound; reveals only the share's magnitude class, which its wire-encoding length reveals regardless
+		mag = floor
 	}
 	bound := new(big.Int).Lsh(mag.Mul(mag, p.delta), statSecurity)
 

@@ -321,6 +321,37 @@ func TestReshareTwoEpochs(t *testing.T) {
 	}
 }
 
+// Resharing reads public key data only: once the dealer key no longer
+// carries m = φ(N)/4, tsk members still reshare and recover shares that
+// decrypt, over two epochs.
+func TestReshareWithoutDealerSecret(t *testing.T) {
+	fixed := paillier.FixedTestKey(0)
+	dealer, err := paillier.NewKeyFromSafePrimes(fixed.P, fixed.Q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewThreshold(dealer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, tt = 5, 2
+	pk, shares, err := s.KeyGen(n, tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := big.NewInt(4242)
+	ct, err := s.Encrypt(pk, m, big.NewInt(5000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dealer.M = nil
+	e1 := reshareAll(t, s, pk, shares, []int{1, 2, 4})
+	e2 := reshareAll(t, s, pk, e1, []int{3, 4, 5})
+	if got := decryptVia(t, s, pk, e2, ct, []int{1, 3, 5}); got.Cmp(m) != 0 {
+		t.Errorf("after resharing without m decrypted %v, want %v", got, m)
+	}
+}
+
 // reshareAll has the parties in `resharers` run TKRes and every party run
 // TKRec on the subshares addressed to it.
 func reshareAll(t *testing.T, s Scheme, pk PublicKey, shares []KeyShare, resharers []int) []KeyShare {
