@@ -582,9 +582,10 @@ type TotalCostPoint struct {
 
 // TotalCost measures the honest limitation the paper's conclusion notes
 // ("our preprocessing unfortunately does not benefit from the packing
-// parameter k"): summing all phases, the packed protocol pays more than
-// the baseline — the win is moving Θ(n)-per-gate work out of the
-// input-dependent online phase, not reducing total bytes.
+// parameter k"): summing all phases, the packed protocol's total grows
+// faster in n than the baseline's and passes it from n = 16 on — the win is
+// moving Θ(n)-per-gate work out of the input-dependent online phase, not
+// reducing total bytes.
 func TotalCost(ns []int, width int, eps float64) ([]TotalCostPoint, error) {
 	circ, err := circuit.WideMul(width, 1)
 	if err != nil {
@@ -683,8 +684,8 @@ type AmortizationPoint struct {
 	MuPerGate float64
 }
 
-// AmortizationCurve measures how the fixed online costs (KFF delivery, tsk
-// hand-off, output delivery) amortize as circuit width grows — the
+// AmortizationCurve measures how the fixed online cost (KFF delivery)
+// amortizes as circuit width grows — the
 // convergence to the paper's O(1)-per-gate asymptote. Fixed (n, t, k);
 // inner products — one layer of products summed into a single output — so
 // the per-output cost does not mask the floor.

@@ -462,27 +462,30 @@ func linearCircuit(t *testing.T) *circuit.Circuit {
 }
 
 func TestRoundsAccounting(t *testing.T) {
-	// The YOSO round structure: 5 offline committees (incl. the tsk
-	// bridge), OnC1, one client round, one committee per multiplication
-	// layer, and the output committee — 8 + depth sequential broadcast
-	// rounds.
+	// The YOSO round structure: 4 offline committees, OnC1 (formed
+	// offline, speaking at online start), one client round and one
+	// committee per multiplication layer — 6 + depth sequential broadcast
+	// rounds. PolyEval's output is a product, so it needs no committee:
+	// OffRe sealed its λ's.
 	circ, err := circuit.PolyEval(3) // depth 3
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := inputsOf(map[int][]uint64{0: {1, 2, 3, 4}, 1: {2}})
 	res := runAndCompare(t, simParams(8, 2, 2, nil), circ, in)
-	if res.Rounds != 11 {
-		t.Errorf("rounds = %d, want 11 for depth 3", res.Rounds)
+	if res.Rounds != 9 {
+		t.Errorf("rounds = %d, want 9 for depth 3", res.Rounds)
 	}
 
 	// Without a multiplication there is no Beaver step: OffB is never
-	// formed, so 4 offline committees, OnC1, the client round and
-	// OnOut make 7 rounds, and the offline phase publishes 4·n role keys.
+	// formed. The output x₀ + x₁ may not reach client 0 before client 1's
+	// input is posted, so OnOut seals it: OffR, OffDec, OffRe, OnC1, the
+	// client round and OnOut make 6 rounds, and the offline phase publishes
+	// 4·n role keys, OnC1's among them.
 	const n = 8
 	res = runAndCompare(t, simParams(n, 2, 2, nil), linearCircuit(t), inputsOf(map[int][]uint64{0: {3}, 1: {4}}))
-	if res.Rounds != 7 {
-		t.Errorf("linear circuit: rounds = %d, want 7", res.Rounds)
+	if res.Rounds != 6 {
+		t.Errorf("linear circuit: rounds = %d, want 6", res.Rounds)
 	}
 	if got, want := res.Report.ByCat[comm.PhaseOffline][comm.CatRoleKeys], int64(4*n*pke.PublicKeySize); got != want {
 		t.Errorf("linear circuit: %d offline role-key bytes, want %d (4 committees of %d)", got, want, n)
@@ -491,14 +494,15 @@ func TestRoundsAccounting(t *testing.T) {
 
 // The schedule, read off the board: the committee manifests a run posts name
 // its committees in the order they were formed, and Rounds is one per
-// manifest plus the client round. A linear circuit forms no OffB.
+// manifest plus the client round. A linear circuit forms no OffB, and its
+// output, x₀ + x₁ to client 0, needs OnOut.
 func TestScheduleOnTheBoard(t *testing.T) {
 	poly, err := circuit.PolyEval(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// formed whether the circuit multiplies or not
-	shared := []string{"offDec", "offRe", "offBridge", "onC1"}
+	shared := []string{"offDec", "offRe", "onC1"}
 	for _, tc := range []struct {
 		name string
 		circ *circuit.Circuit
@@ -506,7 +510,7 @@ func TestScheduleOnTheBoard(t *testing.T) {
 		want []string
 	}{
 		{"depth 3", poly, inputsOf(map[int][]uint64{0: {1, 2, 3, 4}, 1: {2}}),
-			append(append([]string{"offR", "offB"}, shared...), "on-layer1", "on-layer2", "on-layer3", "onOut")},
+			append(append([]string{"offR", "offB"}, shared...), "on-layer1", "on-layer2", "on-layer3")},
 		{"linear", linearCircuit(t), inputsOf(map[int][]uint64{0: {3}, 1: {4}}),
 			append(append([]string{"offR"}, shared...), "onOut")},
 	} {
@@ -569,15 +573,15 @@ func TestRunsReportTheirOwnBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Report.Total != 71387 || len(res.Audit) != 51 {
-			t.Errorf("run %d: %d bytes and %d audit events, want 71387 and 51", run, res.Report.Total, len(res.Audit))
+		if res.Report.Total != 57179 || len(res.Audit) != 39 {
+			t.Errorf("run %d: %d bytes and %d audit events, want 57179 and 39", run, res.Report.Total, len(res.Audit))
 		}
 	}
 	if prepared[0] != prepared[1] {
 		t.Errorf("OfflineReport after each Prepare: %v bytes, want equal", prepared)
 	}
-	if got := proto.Board().Report().Total; got != 2*71387 {
-		t.Errorf("the board holds %d bytes after two runs, want %d", got, 2*71387)
+	if got := proto.Board().Report().Total; got != 2*57179 {
+		t.Errorf("the board holds %d bytes after two runs, want %d", got, 2*57179)
 	}
 }
 
@@ -757,6 +761,165 @@ func TestPrepareExecuteSplit(t *testing.T) {
 	}
 }
 
+// Prepare is the whole offline phase: it posts nothing under the online
+// phase, and OnC1's manifest and role keys are among its postings, so OffRe
+// hands tsk over before any input exists. Each client can open its output
+// λ's from what Prepare left, OffRe's postings all precede the first client
+// input, and Execute's outputs are μ plus exactly those λ's. tsk is recovered
+// from a hand-off by two committees only: OffRe offline and OnC1 online.
+func TestPrepareIsOfflineAndOutputsSealedBeforeInputs(t *testing.T) {
+	circ, err := circuit.PolyEval(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	proto, err := New(simParams(n, 2, 2, nil), circ, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := proto.Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	onC1Keys := -1 // role keys still to see after OnC1's manifest
+	for _, e := range proto.Board().Entries(0) {
+		if e.Phase == comm.PhaseOnline {
+			t.Fatalf("Prepare posted #%d from %s under the online phase", e.Seq, e.From)
+		}
+		switch {
+		case e.Category == comm.CatManifest:
+			var m transport.Manifest
+			if err := m.UnmarshalBinary(e.Payload); err != nil {
+				t.Fatal(err)
+			}
+			if m.Committee == "onC1" {
+				onC1Keys = n
+			}
+		case e.Category == comm.CatRoleKeys && onC1Keys > 0:
+			onC1Keys--
+		}
+	}
+	if onC1Keys != 0 {
+		t.Fatalf("Prepare's postings lack OnC1's manifest or %d of its role keys", onC1Keys)
+	}
+	sealed := map[int][]field.Element{}
+	for _, client := range circ.Clients() {
+		if len(circ.OutputGates(client)) == 0 {
+			continue
+		}
+		if sealed[client], err = prep.r.openGroups(prep.r.clients[client].SecretKey(), prep.r.outputOpen[client]); err != nil {
+			t.Fatalf("client %d cannot open its output λ's after Prepare: %v", client, err)
+		}
+	}
+	if len(sealed) == 0 {
+		t.Fatal("the circuit has no output")
+	}
+
+	res, err := prep.Execute(inputsOf(map[int][]uint64{0: {1, 2, 3, 4}, 1: {2}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstInput, offRe := -1, 0
+	for _, e := range proto.Board().Entries(0) {
+		if e.Category == comm.CatInput && firstInput < 0 {
+			firstInput = e.Seq
+		}
+		if e.Category == comm.CatReencrypt && strings.HasPrefix(e.From, "offRe/") && firstInput < 0 {
+			offRe++
+		}
+	}
+	if firstInput < 0 || offRe != n {
+		t.Fatalf("first input at #%d after %d OffRe Re-encrypt postings, want one after all %d", firstInput, offRe, n)
+	}
+	gates := circ.Gates()
+	for client, lambdas := range sealed {
+		for o, gi := range circ.OutputGates(client) {
+			if want := prep.r.mu[gates[gi].A].Add(lambdas[o]); res.Outputs[client][o] != want {
+				t.Errorf("client %d output %d = %v, want μ + the λ sealed in Prepare = %v", client, o, res.Outputs[client][o], want)
+			}
+		}
+	}
+
+	recovered := map[comm.Phase]int{}
+	for _, e := range res.Audit {
+		if e.Value == ValTskShare {
+			recovered[e.Phase]++
+		}
+	}
+	if want := map[comm.Phase]int{comm.PhaseOffline: n, comm.PhaseOnline: n}; !reflect.DeepEqual(recovered, want) {
+		t.Errorf("tsk shares recovered per phase %v, want %v (OffRe, then OnC1)", recovered, want)
+	}
+}
+
+// An output that is not early (circuit.EarlyOutputs) reaches its client
+// only after the inputs are posted: OnOut seals it after the last layer,
+// while OffRe seals the early outputs in Prepare. Client 0 receives x₀·x₁,
+// client 1 receives x₀ + x₁, from which its λ would hand client 1 the mask of
+// x₀ before the input round.
+func TestLateOutputsSealedAfterInputs(t *testing.T) {
+	b := circuit.NewBuilder()
+	x0, x1 := b.Input(0), b.Input(1)
+	b.Output(b.Mul(x0, x1), 0)
+	b.Output(b.Add(x0, x1), 1)
+	circ, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	for _, noKFF := range []bool{false, true} {
+		params := simParams(n, 2, 2, nil)
+		params.NoKFF = noKFF
+		proto, err := New(params, circ, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep, err := proto.Prepare()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(prep.r.outputOpen[0]) == 0 || len(prep.r.outputOpen[1]) != 0 {
+			t.Fatalf("NoKFF %v: Prepare sealed output groups %d to client 0 and %d to client 1, want some and none",
+				noKFF, len(prep.r.outputOpen[0]), len(prep.r.outputOpen[1]))
+		}
+		in := inputsOf(map[int][]uint64{0: {3}, 1: {4}})
+		res, err := prep.Execute(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := circ.Eval(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Outputs, want) {
+			t.Errorf("NoKFF %v: outputs %v, want %v", noKFF, res.Outputs, want)
+		}
+		lastInput, onOut := -1, 0
+		for _, e := range proto.Board().Entries(0) {
+			switch {
+			case e.Category == comm.CatInput:
+				lastInput = e.Seq
+			case e.Category == comm.CatOutput && strings.HasPrefix(e.From, "onOut/"):
+				if lastInput < 0 {
+					t.Fatalf("NoKFF %v: OnOut posted #%d before any input", noKFF, e.Seq)
+				}
+				onOut++
+			}
+		}
+		if onOut != n {
+			t.Errorf("NoKFF %v: %d OnOut postings after the inputs, want %d", noKFF, onOut, n)
+		}
+		recovered := map[comm.Phase]int{}
+		for _, e := range res.Audit {
+			if e.Value == ValTskShare {
+				recovered[e.Phase]++
+			}
+		}
+		if want := map[comm.Phase]int{comm.PhaseOffline: n, comm.PhaseOnline: 2 * n}; !reflect.DeepEqual(recovered, want) {
+			t.Errorf("NoKFF %v: tsk shares recovered per phase %v, want %v (OffRe, then OnC1 and OnOut)", noKFF, recovered, want)
+		}
+	}
+}
+
 func TestExecuteValidatesInputs(t *testing.T) {
 	circ, err := circuit.InnerProduct(2)
 	if err != nil {
@@ -833,8 +996,8 @@ func TestDeepFermatCircuitSim(t *testing.T) {
 		if res.Outputs[0][0] != field.New(tc.want) {
 			t.Errorf("neq(%d,%d) = %v, want %d", tc.a, tc.b, res.Outputs[0][0], tc.want)
 		}
-		if res.Rounds != 8+circ.Depth() {
-			t.Errorf("rounds = %d, want %d", res.Rounds, 8+circ.Depth())
+		if res.Rounds != 6+circ.Depth() {
+			t.Errorf("rounds = %d, want %d", res.Rounds, 6+circ.Depth())
 		}
 	}
 }

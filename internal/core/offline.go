@@ -18,16 +18,18 @@ func (r *run) initWireState() {
 	r.wireCt = make([]tte.Ciphertext, n)
 	r.mu = make([]field.Element, n)
 	r.inputOpen = map[int][]group{}
+	r.outputOpen = map[int][]group{}
 	r.lists = slotpack.ListsOf(r.p.circ, r.p.params.N, r.p.params.T, r.p.params.K, slotpack.Capacity(r.rt.TPK.MaxPlaintext()))
 }
 
 // offline executes the whole of Π_YOSO-Offline: Steps 1–4, the OffDec
 // committee's speak (ε/δ decryption + tsk resharing), and the OffRe
 // committee's speak (Steps 5–6: re-encryption of all preprocessed secrets
-// to the recipients' KFFs). Nothing here depends on inputs or on online
-// role keys — tsk crosses the boundary via the dedicated offBridge
-// committee, which speaks at online start (see online.go). Committees are
-// formed in schedule order, so the adversary samples them in that order.
+// to the recipients' KFFs, and of the early clients' output-wire λ's to
+// their setup keys). Nothing here depends on inputs or on online role keys: OnC1 is
+// formed here, so OffRe reshares tsk to its role keys, and it speaks at
+// online start (see online.go). Committees are formed in schedule order, so
+// the adversary samples them in that order.
 func (r *run) offline() error {
 	p := r.p.params
 	r.buildBatches()
@@ -56,7 +58,7 @@ func (r *run) offline() error {
 	if r.offRe, err = r.assign.FormCommittee("offRe", p.N, comm.PhaseOffline); err != nil {
 		return err
 	}
-	if r.offBridge, err = r.assign.FormCommittee("offBridge", p.N, comm.PhaseOffline); err != nil {
+	if r.onC1, err = r.assign.FormCommittee("onC1", p.N, comm.PhaseOffline); err != nil {
 		return err
 	}
 
@@ -70,7 +72,7 @@ func (r *run) offline() error {
 	if err := r.offlineStep("packing", "step 4 (packing)", r.offlinePack); err != nil {
 		return err
 	}
-	if err := r.offlineStep("reencrypt-to-kffs", "steps 5-6 (re-encrypt to KFFs)", r.offReSpeak); err != nil {
+	if err := r.offlineStep("reencrypt-to-kffs", "steps 5-6 (re-encrypt to KFFs and clients)", r.offReSpeak); err != nil {
 		return err
 	}
 	return nil

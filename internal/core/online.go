@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"yosompc/internal/circuit"
 	"yosompc/internal/comm"
 	"yosompc/internal/committee"
 	"yosompc/internal/field"
@@ -14,18 +13,16 @@ import (
 	"yosompc/internal/yoso"
 )
 
-// online executes the offline/online boundary (OffRe's speak: Steps 5–6 +
-// tsk hand-off) and Π_YOSO-Online: future key distribution, inputs, layer
-// by layer multiplication, and output delivery.
+// online executes Π_YOSO-Online: OnC1's future key distribution, inputs,
+// layer by layer multiplication, and output delivery: OnOut, formed only
+// for them, re-encrypts the output λ's that may not reach their clients
+// before the inputs are posted, and each client unmasks its outputs with
+// those and the λ's OffRe sealed to it in preprocessing.
 func (r *run) online(inputs map[int][]field.Element) (map[int][]field.Element, error) {
 	p := r.p.params
-	var err error
 
-	// The online phase begins: role assignment publishes the online
+	// The online phase begins: role assignment publishes the layer
 	// committees' role keys.
-	if r.onC1, err = r.assign.FormCommittee("onC1", p.N, comm.PhaseOnline); err != nil {
-		return nil, err
-	}
 	depth := r.p.circ.Depth()
 	r.layers = make([]*yoso.Committee, depth)
 	for l := 0; l < depth; l++ {
@@ -35,26 +32,24 @@ func (r *run) online(inputs map[int][]field.Element) (map[int][]field.Element, e
 		}
 		r.layers[l] = c
 	}
-	if r.onOut, err = r.assign.FormCommittee("onOut", p.N, comm.PhaseOnline); err != nil {
-		return nil, err
-	}
-
-	// Boundary speak: the bridging committee hands tsk to OnC1 now that
-	// the online role keys exist. This is its only job — everything else
-	// in the offline phase finished before inputs were known.
-	if err := r.offBridgeSpeak(); err != nil {
-		return nil, fmt.Errorf("tsk boundary hand-off: %w", err)
+	// OnOut holds tsk past the input round for the output λ's that may not
+	// reach their clients before it (circuit.EarlyOutputs).
+	if r.p.lateOutputs() {
+		var err error
+		if r.onOut, err = r.assign.FormCommittee("onOut", p.N, comm.PhaseOnline); err != nil {
+			return nil, err
+		}
 	}
 
 	// Future key distribution: OnC1 re-encrypts KFF secret keys to the
-	// now-known role keys and hands tsk to the output committee.
+	// now-known role keys and reshares tsk to OnOut, if formed.
 	if err := r.onC1Speak(); err != nil {
 		return nil, fmt.Errorf("future key distribution: %w", err)
 	}
 
 	// Input: each client opens λ for its input wires and publishes μ = v−λ.
 	sp := r.stepSpan("input")
-	err = r.onlineInput(inputs)
+	err := r.onlineInput(inputs)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("input: %w", err)
@@ -73,26 +68,23 @@ func (r *run) online(inputs map[int][]field.Element) (map[int][]field.Element, e
 		r.propagateLinear(l + 1)
 	}
 
-	// Output.
+	// Output: OnOut seals the late output λ's, and every client unmasks
+	// v = μ + λ.
 	return r.onlineOutput()
 }
 
-// reencrypt runs offline Steps 5–6 on committee c: Re-encrypt every
-// input-wire λ to its client (Step 5) and every packed left/right/Γ share to
-// the layer member that will use it (Step 6), then reshare tsk to next. What
-// one recipient gets is slot-packed first: a client's λ's, and the 3·(batches
-// of the layer) shares of one layer member. Which keys receive them is the
-// only difference between the KFF protocol (the recipients' keys-for-future,
-// so OffRe speaks before any online role key exists) and the §3.2 naive
-// ablation (their role keys, so OnC1 pays the Θ(n²·batches) communication
-// online).
-func (r *run) reencrypt(c *yoso.Committee, sp committee.Spec, next *yoso.Committee,
-	clientKey func(client int) pke.PublicKey, layerKey func(layer, i int) pke.PublicKey) error {
+// stepLists returns the lists of offline Steps 5–6, slot-packed per
+// reader: every input client's λ's, sealed to clientKey (Step 5), then per
+// layer that has batches the 3·(batches of the layer) packed left/right/Γ
+// shares of each member, sealed to layerKey (Step 6). Which keys receive
+// them is the only difference between the KFF protocol (the recipients'
+// keys-for-future, so OffRe speaks before any online role key exists) and
+// the §3.2 naive ablation (their role keys, so OnC1 pays the
+// Θ(n²·batches) communication online). keep stores the groups answering
+// these lists, the leading ones of its argument, and returns the rest.
+func (r *run) stepLists(clientKey func(client int) pke.PublicKey, layerKey func(layer, i int) pke.PublicKey) (lists []openList, keep func([][]group) [][]group) {
 	n := r.p.params.N
 	gates := r.p.circ.Gates()
-	// One list per recipient: the input clients, then every member of every
-	// layer that has batches.
-	var lists []openList
 	var inClients, layers []int
 	for ci, client := range r.p.circ.Clients() {
 		inGates := r.p.circ.InputGates(client)
@@ -121,22 +113,47 @@ func (r *run) reencrypt(c *yoso.Committee, sp committee.Spec, next *yoso.Committ
 		}
 		layers = append(layers, l)
 	}
-	groups, err := r.reencryptLists(c, sp, lists, next)
-	if err != nil {
-		return err
+	return lists, func(groups [][]group) [][]group {
+		for _, client := range inClients {
+			r.inputOpen[client], groups = groups[0], groups[1:]
+		}
+		r.layerOpen = make([][][]group, len(r.lists.Layers))
+		for _, l := range layers {
+			r.layerOpen[l], groups = groups[:n], groups[n:]
+		}
+		// The per-index share ciphertexts live on in the groups only.
+		for _, b := range r.batches {
+			b.packedLeft, b.packedRight, b.packedGamma = nil, nil, nil
+		}
+		return groups
 	}
-	for _, client := range inClients {
-		r.inputOpen[client], groups = groups[0], groups[1:]
+}
+
+// outputLists returns the output-wire λ's of the clients whose outputs are
+// early (circuit.EarlyOutputs) or, with early false, of the others,
+// slot-packed per client and sealed to its setup key, and those clients.
+func (r *run) outputLists(early bool) (lists []openList, clients []int) {
+	gates := r.p.circ.Gates()
+	for ci, client := range r.p.circ.Clients() {
+		outGates := r.p.circ.OutputGates(client)
+		if len(outGates) == 0 || r.p.early[client] != early {
+			continue
+		}
+		cts := make([]tte.Ciphertext, len(outGates))
+		for o, gi := range outGates {
+			cts[o] = r.wireCt[gates[gi].A]
+		}
+		lists = append(lists, openList{cts: cts, widths: slotpack.Expand(r.lists.Outputs[ci]), key: r.clients[client].PublicKey()})
+		clients = append(clients, client)
 	}
-	r.layerOpen = make([][][]group, len(r.lists.Layers))
-	for _, l := range layers {
-		r.layerOpen[l], groups = groups[:n], groups[n:]
+	return lists, clients
+}
+
+// keepOutputs stores the groups answering the output lists of clients.
+func (r *run) keepOutputs(clients []int, groups [][]group) {
+	for j, client := range clients {
+		r.outputOpen[client] = groups[j]
 	}
-	// The per-index share ciphertexts live on in the groups only.
-	for _, b := range r.batches {
-		b.packedLeft, b.packedRight, b.packedGamma = nil, nil, nil
-	}
-	return nil
 }
 
 // layerBatches returns the batches of multiplication layer l+1.
@@ -150,42 +167,49 @@ func (r *run) layerBatches(l int) []*batchState {
 	return out
 }
 
-// offReSpeak runs the OffRe committee (offline Steps 5 and 6). Every target
-// key is known during the offline phase, so this speak happens entirely
-// before inputs exist (it is called from offline()).
+// offReSpeak runs the OffRe committee (offline Steps 5 and 6, and the
+// early clients' output λ's) and reshares tsk to OnC1. Every target key is
+// known during the offline phase, so this speak happens entirely before
+// inputs exist (it is called from offline()).
 func (r *run) offReSpeak() error {
+	sp := committee.Spec{Phase: comm.PhaseOffline, Cat: comm.CatReencrypt, Label: "steps-5-6"}
+	var lists []openList
+	keep := func(groups [][]group) [][]group { return groups }
 	if r.p.params.NoKFF {
-		// §3.2 naive ablation: nothing to re-encrypt yet (the online role
-		// keys do not exist and there are no KFFs) — OffRe only passes tsk
-		// onward; OnC1 will pay the re-encryption online.
-		_, err := r.rt.TskStep(r.tsk, r.offRe,
-			committee.Spec{Phase: comm.PhaseOffline, Cat: comm.CatPartial, Label: "steps-5-6-nokff"}, nil, r.offBridge)
+		// §3.2 naive ablation: no input λ or packed share to re-encrypt yet
+		// (the online role keys do not exist and there are no KFFs), so
+		// OffRe seals the early outputs alone; OnC1 will pay the rest online.
+		sp.Label = "steps-5-6-nokff"
+	} else {
+		lists, keep = r.stepLists(
+			func(client int) pke.PublicKey { return r.kffClient[client].pub },
+			func(layer, i int) pke.PublicKey { return r.kffLayer[layer-1][i-1].pub })
+	}
+	out, clients := r.outputLists(true)
+	groups, err := r.reencryptLists(r.offRe, sp, append(lists, out...), r.onC1)
+	if err != nil {
 		return err
 	}
-	return r.reencrypt(r.offRe,
-		committee.Spec{Phase: comm.PhaseOffline, Cat: comm.CatReencrypt, Label: "steps-5-6"}, r.offBridge,
-		func(client int) pke.PublicKey { return r.kffClient[client].pub },
-		func(layer, i int) pke.PublicKey { return r.kffLayer[layer-1][i-1].pub })
-}
-
-// offBridgeSpeak has the bridging committee reshare tsk to OnC1 — the only
-// offline work that must wait for the online role keys. It is metered as
-// offline communication.
-func (r *run) offBridgeSpeak() error {
-	_, err := r.rt.TskStep(r.tsk, r.offBridge,
-		committee.Spec{Phase: comm.PhaseOffline, Cat: comm.CatPartial, Label: "tsk-bridge"}, nil, r.onC1)
-	return err
+	r.keepOutputs(clients, keep(groups))
+	return nil
 }
 
 // onC1Speak is the online "future key distribution": OnC1 re-encrypts each
-// KFF secret key towards the owner's role-assignment key, and reshares tsk
-// to OnOut (needed for output delivery).
+// KFF secret key towards the owner's role-assignment key. It reshares tsk
+// to OnOut when some client's output λ's wait for the inputs, and otherwise
+// to no one: OffRe made every other opening the run needs.
 func (r *run) onC1Speak() error {
 	if r.p.params.NoKFF {
-		return r.reencrypt(r.onC1,
-			committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatReencrypt, Label: "online-reencrypt-nokff"}, r.onOut,
+		lists, keep := r.stepLists(
 			func(client int) pke.PublicKey { return r.clients[client].PublicKey() },
 			func(layer, i int) pke.PublicKey { return r.layers[layer-1].Role(i).PublicKey() })
+		groups, err := r.reencryptLists(r.onC1,
+			committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatReencrypt, Label: "online-reencrypt-nokff"}, lists, r.onOut)
+		if err != nil {
+			return err
+		}
+		keep(groups)
+		return nil
 	}
 	var open []committee.Opening
 	var owners []*kffEntry
@@ -468,44 +492,35 @@ func (r *run) layerStepRobust(c *yoso.Committee, l int,
 	return posts
 }
 
-// onlineOutput re-encrypts each client's output-wire λ's, slot-packed, to
-// that client, who opens v = μ + λ.
+// onlineOutput has OnOut, when some client's output λ's wait for the
+// inputs, Re-encrypt those to their clients, and then each client open its
+// output-wire λ's and unmask v = μ + λ, the last layer having made μ
+// public.
 func (r *run) onlineOutput() (map[int][]field.Element, error) {
+	if lists, clients := r.outputLists(false); len(lists) > 0 {
+		groups, err := r.reencryptLists(r.onOut,
+			committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatOutput, Label: "output"}, lists, nil)
+		if err != nil {
+			return nil, err
+		}
+		r.keepOutputs(clients, groups)
+	}
 	gates := r.p.circ.Gates()
-	sp := committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatOutput, Label: "output"}
-	var lists []openList
-	var outClients []int
-	var outWires [][]circuit.WireID
-	for ci, client := range r.p.circ.Clients() {
+	outputs := map[int][]field.Element{}
+	for _, client := range r.p.circ.Clients() {
 		outGates := r.p.circ.OutputGates(client)
 		if len(outGates) == 0 {
 			continue
 		}
-		wires := make([]circuit.WireID, len(outGates))
-		cts := make([]tte.Ciphertext, len(outGates))
-		for j, gi := range outGates {
-			wires[j] = gates[gi].A
-			cts[j] = r.wireCt[wires[j]]
-		}
-		lists = append(lists, openList{cts: cts, widths: slotpack.Expand(r.lists.Outputs[ci]), key: r.clients[client].PublicKey()})
-		outClients = append(outClients, client)
-		outWires = append(outWires, wires)
-	}
-	groups, err := r.reencryptLists(r.onOut, sp, lists, nil)
-	if err != nil {
-		return nil, err
-	}
-	outputs := map[int][]field.Element{}
-	for j, client := range outClients {
 		// Clients are known machines: their keys outlive their single
 		// input-role broadcast.
-		lambdas, err := r.openGroups(r.clients[client].SecretKey(), groups[j])
+		lambdas, err := r.openGroups(r.clients[client].SecretKey(), r.outputOpen[client])
 		if err != nil {
 			return nil, fmt.Errorf("client %d outputs: %w", client, err)
 		}
-		for o, wire := range outWires[j] {
+		for o, gi := range outGates {
 			r.audit.Record(comm.PhaseOnline, ValOutput, KeyClient)
-			outputs[client] = append(outputs[client], r.mu[wire].Add(lambdas[o]))
+			outputs[client] = append(outputs[client], r.mu[gates[gi].A].Add(lambdas[o]))
 		}
 	}
 	return outputs, nil

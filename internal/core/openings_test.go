@@ -54,16 +54,40 @@ func TestConstWireStraightToOutput(t *testing.T) {
 			if name == "real" && testing.Short() {
 				t.Skip("real-crypto end-to-end in -short mode")
 			}
-			steps := stepOpenings(t, params, circ, in)
+			proto, err := New(params, circ, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prep, err := proto.Prepare()
+			if err != nil {
+				t.Fatal(err)
+			}
 			// Client 0's three outputs share one opening, client 1's is alone.
-			if got, want := steps["output"], [2]int64{2, 4}; got != want {
-				t.Errorf("output step reports %v openings/values, want %v", got, want)
+			slots := map[int][]int{}
+			for client, groups := range prep.r.outputOpen {
+				for _, g := range groups {
+					slots[client] = append(slots[client], len(g.widths))
+				}
+			}
+			if want := map[int][]int{0: {3}, 1: {1}}; !reflect.DeepEqual(slots, want) {
+				t.Errorf("OffRe seals output groups of %v slots, want %v", slots, want)
+			}
+			// The zero-width slots open to 0: the outputs are the circuit's.
+			res, err := prep.Execute(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := circ.Eval(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Outputs, want) {
+				t.Errorf("outputs %v, want %v", res.Outputs, want)
+			}
+			if want := []field.Element{field.New(7), field.New(30), field.New(7)}; !field.EqualVec(res.Outputs[0], want) {
+				t.Errorf("client 0 outputs %v, want %v", res.Outputs[0], want)
 			}
 		})
-	}
-	res := runAndCompare(t, simParams(7, 1, 1, nil), circ, in)
-	if want := []field.Element{field.New(7), field.New(30), field.New(7)}; !field.EqualVec(res.Outputs[0], want) {
-		t.Errorf("client 0 outputs %v, want %v", res.Outputs[0], want)
 	}
 }
 
@@ -374,14 +398,14 @@ func TestOperationCountsNeverExceedParent(t *testing.T) {
 				outputs = int64(len(circ.OutputGates(0)))
 				kffs    = int64(tc.depth)*n + 2 // every layer role and both input clients
 				// A committee recovering its tsk shares from a hand-off opens a
-				// quorum of envelopes per member: OffRe in the offline phase;
-				// the bridge, OnC1 and OnOut in the online phase.
+				// quorum of envelopes per member: OffRe in the offline phase,
+				// OnC1 in the online phase.
 				handoff = n * q
 			)
 			parent := map[string]counts{
-				"offline": {partials: n * (2*muls + inputs + 3*batches*n), combines: 2 * muls, opened: handoff},
-				"online": {partials: n * (kffs + outputs), combines: kffs + inputs + 3*batches*n + outputs,
-					opened: 3*handoff + q*(kffs+inputs+3*batches*n+outputs)},
+				"offline": {partials: n * (2*muls + inputs + 3*batches*n + outputs), combines: 2 * muls, opened: handoff},
+				"online": {partials: n * kffs, combines: kffs + inputs + 3*batches*n + outputs,
+					opened: handoff + q*(kffs+inputs+3*batches*n+outputs)},
 			}
 			capacity := slotpack.Capacity(tte.NewSim(tc.bits).MaxPlaintext())
 			ls := slotpack.ListsOf(circ, tc.n, tc.t, tc.k, capacity)
@@ -393,9 +417,9 @@ func TestOperationCountsNeverExceedParent(t *testing.T) {
 			}
 			dec, ins, layers, outs := groups(ls.EpsDelta), groups(ls.Inputs...), groups(ls.Layers...), groups(ls.Outputs...)
 			planned := map[string]counts{
-				"offline": {partials: n * (dec + ins + layers*n), combines: dec, opened: handoff},
-				"online": {partials: n * (kffs + outs), combines: kffs + ins + layers*n + outs,
-					opened: 3*handoff + q*(kffs+ins+layers*n+outs)},
+				"offline": {partials: n * (dec + ins + layers*n + outs), combines: dec, opened: handoff},
+				"online": {partials: n * kffs, combines: kffs + ins + layers*n + outs,
+					opened: handoff + q*(kffs+ins+layers*n+outs)},
 			}
 			for phase, got := range map[string]counts{"offline": offline, "online": online} {
 				if got != planned[phase] {

@@ -11,14 +11,17 @@
 //	            multiplication gate
 //	          → OffDec (holds tsk epoch 0: decrypts ε/δ, reshares tsk)
 //	          → OffRe (re-encrypts λ/Γ packed shares and input-wire λ's to
-//	            KFFs, reshares tsk to OffBridge)
-//	boundary: OffBridge (single purpose: hands tsk to OnC1 once the online
-//	          role keys exist, so OffRe never waits for them)
-//	online:   OnC1 (re-encrypts KFF secret keys to role keys, reshares tsk
-//	          to the output committee)
+//	            KFFs and the early clients' output-wire λ's to their setup
+//	            keys, reshares tsk to OnC1)
+//	online:   OnC1, formed offline (re-encrypts KFF secret keys to the
+//	          layer roles' keys once those are posted; reshares tsk to
+//	          OnOut, if formed)
 //	          → clients publish μ for their input wires
 //	          → one committee per multiplication layer publishes μ-shares
-//	          → OnOut re-encrypts output-wire λ's to the receiving clients
+//	          → OnOut, formed only when some client's output λ's may not
+//	            reach it before the inputs are posted (circuit.EarlyOutputs),
+//	            re-encrypts those to their clients
+//	          → each client unmasks its outputs v = μ + λ
 //
 // All "everyone computes" steps (homomorphic evaluation over public
 // ciphertexts, share reconstruction from public postings) are executed once

@@ -28,9 +28,9 @@ type Prepared struct {
 	used bool
 }
 
-// Prepare runs Π_YOSO-Setup and Π_YOSO-Offline Steps 1–4 (everything that
-// can happen before inputs exist). The returned Prepared supports exactly
-// one Execute.
+// Prepare runs Π_YOSO-Setup and Π_YOSO-Offline through Steps 5–6,
+// OffRe's sealing of the output λ's included (everything that can happen
+// before inputs exist). The returned Prepared supports exactly one Execute.
 func (p *Protocol) Prepare() (*Prepared, error) {
 	r := p.newRun()
 	r.initTelemetry()

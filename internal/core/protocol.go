@@ -25,6 +25,10 @@ type Protocol struct {
 	circ   *circuit.Circuit
 	board  *transport.Board
 	auth   *nizk.Authority
+	// early marks the clients whose output λ's OffRe seals to them in
+	// preprocessing (circuit.EarlyOutputs); OnOut seals the others' once
+	// the inputs are posted.
+	early map[int]bool
 }
 
 // Result is the outcome of a protocol run.
@@ -64,7 +68,19 @@ func New(params Params, circ *circuit.Circuit, meter *comm.Meter) (*Protocol, er
 		circ:   circ,
 		board:  board,
 		auth:   auth,
+		early:  circ.EarlyOutputs(),
 	}, nil
+}
+
+// lateOutputs reports whether some client's output λ's must wait for the
+// inputs, so that the run needs OnOut.
+func (p *Protocol) lateOutputs() bool {
+	for _, client := range p.circ.Clients() {
+		if len(p.circ.OutputGates(client)) > 0 && !p.early[client] {
+			return true
+		}
+	}
+	return false
 }
 
 // Board exposes the bulletin board (for inspection in tests and tools).
@@ -117,15 +133,13 @@ type run struct {
 	audit *Auditor
 
 	// committees (see the schedule in the package comment; OffR and OffB
-	// live only inside their offline steps)
-	offDec, offRe *yoso.Committee
-	// offBridge holds tsk across the offline/online boundary: OffRe can
-	// then speak entirely within the offline phase (all its targets are
-	// KFFs and offBridge's role keys), and only this single-purpose
-	// committee waits for the online role keys.
-	offBridge   *yoso.Committee
-	onC1, onOut *yoso.Committee
-	layers      []*yoso.Committee
+	// live only inside their offline steps). OnC1 is formed offline, so
+	// OffRe reshares tsk to its role keys before any input exists; it
+	// speaks at online start, once the layers' role keys are posted. OnOut
+	// is formed only when some client's output λ's wait for the inputs; it
+	// is then the last tsk holder, and otherwise OnC1 is.
+	offDec, offRe, onC1, onOut *yoso.Committee
+	layers                     []*yoso.Committee
 
 	// clients
 	clients map[int]*yoso.Role
@@ -160,8 +174,12 @@ type run struct {
 	// client's input-wire λ's, addressed to its KFF (offline Step 5), and
 	// layerOpen[l][i] those of the packed left/right/Γ shares of layer
 	// l+1's batches, addressed to the KFF of its role i+1 (Step 6).
-	inputOpen map[int][]group
-	layerOpen [][][]group
+	// outputOpen[client] are those of the client's output-wire λ's, sealed
+	// to the client's setup key by OffRe or, for a client whose outputs are
+	// not early, by OnOut.
+	inputOpen  map[int][]group
+	layerOpen  [][][]group
+	outputOpen map[int][]group
 
 	// public μ values per wire
 	mu []field.Element

@@ -159,8 +159,8 @@ func TestTelemetryPhaseSpansCoverWallClock(t *testing.T) {
 // per contribution position (slotpack.ListsOf), so on 510-bit openings:
 // 96 ε/δ of 78 bits go 6 to an opening; each client's 8 input λ's of 77 bits
 // take 2 and each of the 3·12 layer members' 6 batches one per batch
-// (141 + 141 + 217 bits); the 16 outputs take 3. KFF secrets are never
-// packed; committees without tsk open nothing.
+// (141 + 141 + 217 bits); the 16 outputs take 3, sealed in the same OffRe
+// step. KFF secrets are never packed; committees without tsk open nothing.
 func TestTelemetryStepSpansReportOpenings(t *testing.T) {
 	circ, err := circuit.WideMul(16, 3)
 	if err != nil {
@@ -174,11 +174,9 @@ func TestTelemetryStepSpansReportOpenings(t *testing.T) {
 	want := map[string][2]int64{
 		"beaver-bc": {}, "wire-randomness": {},
 		"offdec-open":             {16, 96},
-		"steps-5-6":               {4 + 3*12*6, 16 + 3*12*18},
-		"tsk-bridge":              {},
+		"steps-5-6":               {4 + 3*12*6 + 3, 16 + 3*12*18 + 16},
 		"future-key-distribution": {3*12 + 2, 3*12 + 2},
 		"mu-layer1":               {}, "mu-layer2": {}, "mu-layer3": {},
-		"output": {3, 16},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("step spans report openings/values %v, want %v", got, want)

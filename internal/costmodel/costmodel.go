@@ -90,6 +90,11 @@ type Shape struct {
 	// capacity the prediction is asked for. The baseline
 	// neither packs nor extracts and ignores it.
 	Opened slotpack.Lists
+	// Late[c] is set when the c-th client's output λ's may not reach it
+	// before the inputs are posted (circuit.EarlyOutputs), so that the
+	// packed protocol's OnOut seals them online. Nil: every output is early,
+	// as every fresh one is.
+	Late []bool
 }
 
 // FreshShape is the Shape of a circuit known only by its counts, every wire
@@ -156,7 +161,16 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 	}
 	decGroups := groups(shape.Opened.EpsDelta)
 	reGroups := groups(shape.Opened.Inputs...) + N*groups(shape.Opened.Layers...)
-	outGroups := groups(shape.Opened.Outputs...)
+	var earlyGroups, lateGroups int64 // output groups OffRe and OnOut seal
+	late := false
+	for c, l := range shape.Opened.Outputs {
+		if c < len(shape.Late) && shape.Late[c] {
+			lateGroups += groups(l)
+			late = true
+		} else {
+			earlyGroups += groups(l)
+		}
+	}
 	// One member's contributions at the run's m′: random to OffR (the wire
 	// randomness and the Beaver a's), beaver to OffB.
 	random, beaver := shape.Opened.Contributions()
@@ -173,7 +187,7 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 	// Every offline and online tsk step below reshares or seals, so each of
 	// its N postings carries a posting key.
 	var offline int64
-	offline += 4 * N * int64(z.RoleKey) // OffR, OffDec, OffRe and the bridge's role keys
+	offline += 4 * N * int64(z.RoleKey) // OffR, OffDec, OffRe and OnC1's role keys
 	if muls > 0 {
 		// OffB: role keys, b-parts and one c-part per gate.
 		offline += N*int64(z.RoleKey) + N*(int64(beaver)+muls)*int64(z.Ciphertext) + N*int64(z.Proof)
@@ -181,26 +195,32 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 	offline += N*int64(random)*int64(z.Ciphertext) + N*int64(z.Proof) // wire randomness, helpers and Beaver a-parts
 	// OffDec: partials for the ε/δ groups + resharing to OffRe.
 	offline += N*(decGroups*int64(z.Partial)+key+N*envS) + N*int64(z.Proof)
-	if opts.NoKFF {
-		// Naive mode: OffRe only passes tsk onward.
-		offline += N*(key+N*envS) + N*int64(z.Proof)
-	} else {
-		// OffRe (steps 5–6): one envelope per input-wire λ group and per
-		// packed-share group of every layer member + tsk resharing to the
-		// bridge committee.
-		offline += N*(key+reGroups*envP+N*envS) + N*int64(z.Proof)
+	// OffRe: one envelope per early output group to its client, in both
+	// modes, and tsk resharing to OnC1; steps 5–6 add one envelope per
+	// input-wire λ group and per packed-share group of every layer member,
+	// unless the naive mode leaves them to OnC1.
+	sealedOffline := earlyGroups
+	if !opts.NoKFF {
+		sealedOffline += reGroups
 	}
-	// Bridge committee: tsk hand-off to OnC1 at the boundary.
-	offline += N*(key+N*envS) + N*int64(z.Proof)
+	offline += N*(key+sealedOffline*envP+N*envS) + N*int64(z.Proof)
 
 	var online int64
-	online += (2 + depth) * N * int64(z.RoleKey) // online committees' role keys
+	online += depth * N * int64(z.RoleKey) // layer committees' role keys
+	// OnC1: future key distribution, or in the naive mode everything
+	// re-encrypted under role keys; tsk resharing to OnOut, if formed.
+	sealedOnC1 := kffCount
 	if opts.NoKFF {
-		// Naive mode: OnC1 re-encrypts everything under role keys online.
-		online += N*(key+reGroups*envP+N*envS) + N*int64(z.Proof)
-	} else {
-		// OnC1 future key distribution + resharing to OnOut.
-		online += N*(key+kffCount*envP+N*envS) + N*int64(z.Proof)
+		sealedOnC1 = reGroups
+	}
+	var handOff int64
+	if late {
+		handOff = N
+	}
+	online += N*(keyIf(sealedOnC1+handOff, key)+sealedOnC1*envP+handOff*envS) + N*int64(z.Proof)
+	if late {
+		// OnOut: role keys and one envelope per late output group.
+		online += N*int64(z.RoleKey) + N*(key+lateGroups*envP) + N*int64(z.Proof)
 	}
 	// Client inputs: μ per input wire + one proof per input client.
 	online += int64(shape.Inputs)*int64(z.Element) + int64(shape.InputClients)*int64(z.Proof)
@@ -212,9 +232,6 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 			online += N * int64(z.Proof)
 		}
 	}
-	// Output: one envelope per output group per role, behind a posting key
-	// when there is any.
-	online += N*(keyIf(outGroups, key)+outGroups*envP) + N*int64(z.Proof)
 
 	return Phases{Setup: setup, Offline: offline, Online: online}
 }

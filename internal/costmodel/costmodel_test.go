@@ -231,22 +231,30 @@ func TestModelScalingShape(t *testing.T) {
 }
 
 func TestCoreVariantsModelMatchesMeasured(t *testing.T) {
-	circ, err := circuit.WideMul(8, 2)
+	wide, err := circuit.WideMul(8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := inputsFor(circ)
+	// Every client receives Σxᵢ, so no output is early: OnC1 reshares to
+	// OnOut in both modes.
+	stats, err := circuit.Statistics(4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
+		circ *circuit.Circuit
 		opts CoreOptions
 	}{
-		{"nokff", CoreOptions{NoKFF: true}},
-		{"robust", CoreOptions{Robust: true}},
-		{"nokff+robust", CoreOptions{NoKFF: true, Robust: true}},
+		{"nokff", wide, CoreOptions{NoKFF: true}},
+		{"robust", wide, CoreOptions{Robust: true}},
+		{"nokff+robust", wide, CoreOptions{NoKFF: true, Robust: true}},
+		{"nokff late outputs", stats, CoreOptions{NoKFF: true}},
 	}
 	const n, tt, k = 14, 3, 3 // robust: 3·3+2·2+1 = 14 ≤ 14
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			circ, in := c.circ, inputsFor(c.circ)
 			params := core.Params{
 				N: n, T: tt, K: k,
 				TE: tte.NewSim(modelBits), PKE: pke.NewSim(),
@@ -308,9 +316,13 @@ func ShapeOf(c *circuit.Circuit, n, t, k int) Shape {
 }
 
 // packedShape is ShapeOf with the lists the packed protocol opens under a
-// key of capacity bits.
+// key of capacity bits and the clients whose outputs are not early.
 func packedShape(c *circuit.Circuit, n, t, k, capacity int) Shape {
 	s := ShapeOf(c, n, t, k)
 	s.Opened = slotpack.ListsOf(c, n, t, k, capacity)
+	early := c.EarlyOutputs()
+	for _, client := range c.Clients() {
+		s.Late = append(s.Late, len(c.OutputGates(client)) > 0 && !early[client])
+	}
 	return s
 }
