@@ -44,7 +44,7 @@ func (r *Runner) RandomStep(c *yoso.Committee, sp Spec, blocks []int, m int) ([]
 		ms, cts, err := r.EncryptRandom(per)
 		ms.Wipe()
 		return cts, err
-	}, per*r.TPK.CiphertextSize())
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +162,7 @@ func (r *Runner) Beaver(assign *yoso.Assignment, name string, n int, circ *circu
 			bc = append(bc, ct)
 		}
 		return bc, nil
-	}, (per+count)*r.TPK.CiphertextSize())
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -130,24 +130,25 @@ func (r *Runner) statement(label, roleName string) []byte {
 
 // Speak executes one role's speaking step and reports whether its proof
 // verifies. Honest roles post the payload from `honest` with an attested
-// proof; malicious roles post garbSize bytes of garbage (never consumed —
-// only its metered size matters) under a forged proof; fail-stop roles post
-// nothing.
-func Speak[T Payload](r *Runner, role *yoso.Role, sp Spec, honest func() (T, error), garbSize int) (payload T, ok bool, err error) {
-	var enc []byte
-	var proof nizk.Proof
-	switch role.Behavior {
-	case yoso.FailStop:
+// proof; malicious roles post garbage of that payload's encoded length (never
+// consumed — only its metered size matters, and it is an honest posting's)
+// under a forged proof; fail-stop roles post nothing.
+func Speak[T Payload](r *Runner, role *yoso.Role, sp Spec, honest func() (T, error)) (payload T, ok bool, err error) {
+	if role.Behavior == yoso.FailStop {
 		return payload, false, nil
-	case yoso.Malicious:
-		enc, proof = make([]byte, garbSize), r.Auth.Forge()
-	default:
-		if payload, err = honest(); err == nil {
-			enc, err = payload.Encode(r)
-		}
-		if err != nil {
-			return payload, false, fmt.Errorf("%s at %s: %w", role.Name(), sp.Label, err)
-		}
+	}
+	var enc []byte
+	if payload, err = honest(); err == nil {
+		enc, err = payload.Encode(r)
+	}
+	if err != nil {
+		return payload, false, fmt.Errorf("%s at %s: %w", role.Name(), sp.Label, err)
+	}
+	var proof nizk.Proof
+	if role.Behavior == yoso.Malicious {
+		var zero T
+		payload, enc, proof = zero, make([]byte, len(enc)), r.Auth.Forge()
+	} else {
 		proof = r.Auth.Attest(r.statement(sp.Label, role.Name()))
 	}
 	role.Post(sp.Phase, sp.Cat, enc)
@@ -162,7 +163,7 @@ func Speak[T Payload](r *Runner, role *yoso.Role, sp Spec, honest func() (T, err
 // receives the Spoke token whether the step succeeded or aborted: its
 // speaking window is over, and an aborted step must not leave roles that
 // could post again or still hold their secret keys.
-func Step[T Payload](r *Runner, c *yoso.Committee, sp Spec, honest func(i int) (T, error), garbSize int) ([]Post[T], error) {
+func Step[T Payload](r *Runner, c *yoso.Committee, sp Spec, honest func(i int) (T, error)) ([]Post[T], error) {
 	span := r.Span.Child("committee:" + sp.Label)
 	defer span.End()
 	span.SetStr("committee", c.Name)
@@ -183,7 +184,7 @@ func Step[T Payload](r *Runner, c *yoso.Committee, sp Spec, honest func(i int) (
 		msp.SetWorker(worker)
 		var err error
 		payloads[idx0], ok[idx0], err = Speak(r, c.Role(idx0+1), sp,
-			func() (T, error) { return honest(idx0 + 1) }, garbSize)
+			func() (T, error) { return honest(idx0 + 1) })
 		return err
 	}, r.Obs)
 	c.SpeakAll()

@@ -152,20 +152,19 @@ func TestTskStep(t *testing.T) {
 			// then its parts in docs/WIRE.md order — the Decrypt partials,
 			// the Re-encrypt envelopes, the resharing — each the encoding of
 			// that member's own partial decryption or sub-share, sealed at
-			// its part index, and a malicious one occupies the same shape in
-			// ciphertext-sized garbage.
+			// its part index, and a malicious one is garbage of an honest
+			// posting's length.
 			// On Sim every part has its modelled size (pinned to the
 			// encodings by costmodel's TestSimSizesMatchEncodings).
-			ctSize := f.TPK.CiphertextSize()
 			subs, err := f.TE.Reshare(f.TPK, dealt[0])
 			if err != nil {
 				t.Fatal(err)
 			}
-			partSize, subSize := ctSize, subs[0].Size()
+			partSize, subSize := f.TPK.CiphertextSize(), subs[0].Size()
 			nSealed := strings.Count(tc.kinds, "r")
-			garbSize := (len(open)-nSealed)*ctSize + nSealed*(ctSize+pke.EnvelopeOverhead)
+			garbSize := (len(open)-nSealed)*partSize + nSealed*(partSize+pke.EnvelopeOverhead)
 			if next != nil {
-				garbSize += testN * (ctSize + pke.EnvelopeOverhead)
+				garbSize += testN * (subSize + pke.EnvelopeOverhead)
 			}
 			keyed := nSealed > 0 || next != nil
 			if keyed {
@@ -564,7 +563,7 @@ func TestStepLeavesCommitteeSpoken(t *testing.T) {
 				return nil, boom
 			}
 			return CtBundle{f.encrypt(t, int64(i))}, nil
-		}, 8)
+		})
 		if failAt == 0 && (err != nil || len(posts) == 0) {
 			t.Fatalf("clean step: %d posts, err %v", len(posts), err)
 		}
@@ -589,7 +588,7 @@ func TestAuthoritiesKeepProtocolsApart(t *testing.T) {
 	base, _ := newFixtureOn(t, tte.NewSim(512), pke.NewSim(), nil)
 	sp := Spec{Phase: comm.PhaseOnline, Cat: comm.CatOutput, Label: "output"}
 	role := core.form(t, "out").Role(1)
-	_, ok, err := Speak(core.Runner, role, sp, func() (CtBundle, error) { return CtBundle{core.encrypt(t, 5)}, nil }, 8)
+	_, ok, err := Speak(core.Runner, role, sp, func() (CtBundle, error) { return CtBundle{core.encrypt(t, 5)}, nil })
 	if err != nil || !ok {
 		t.Fatalf("honest speak: ok=%v err=%v", ok, err)
 	}

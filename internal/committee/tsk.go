@@ -56,6 +56,15 @@ type Envelopes struct {
 	part       int
 }
 
+// Size is the bytes the column's envelopes take on the board.
+func (e Envelopes) Size() int {
+	size := 0
+	for _, env := range e.envs {
+		size += len(env)
+	}
+	return size
+}
+
 // Tsk is the threshold secret key in flight between committees.
 type Tsk struct {
 	// shares are the current tsk committee's key shares while its TskStep
@@ -103,7 +112,6 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 		}
 		sp.values += max(o.Slots, 1)
 	}
-	nSealed := len(open) - nClear
 	if next != nil {
 		nNext = next.N()
 	}
@@ -118,20 +126,12 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 			slot[j], sealedSlot = sealedSlot, sealedSlot+1
 		}
 	}
-	// A malicious member's garbage occupies one ciphertext per partial and
-	// one sealed ciphertext per envelope, behind a posting key.
-	ctSize := r.TPK.CiphertextSize()
-	garbSize := nClear*ctSize + (nSealed+nNext)*(ctSize+pke.EnvelopeOverhead)
-	if nSealed+nNext > 0 {
-		garbSize += pke.PostingKeySize
-	}
-
 	posts, err := Step(r, c, sp, func(i int) (TskPost, error) {
 		if shares[i-1] == nil {
 			return TskPost{}, fmt.Errorf("role %d has no tsk share", i)
 		}
 		return r.tskPost(shares[i-1], open, next)
-	}, garbSize)
+	})
 	if err != nil {
 		return nil, err
 	}

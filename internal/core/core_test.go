@@ -217,6 +217,34 @@ func TestMaliciousRolesExcludedGOD(t *testing.T) {
 	}
 }
 
+// A malicious member's posting is garbage of an honest posting's length, so
+// a run with t malicious members per committee posts exactly the honest
+// run's bytes, phase by phase: only the proofs and the contents differ.
+func TestMaliciousPostingsHonestSized(t *testing.T) {
+	for name, build := range map[string]func() (*circuit.Circuit, error){
+		"wide":       func() (*circuit.Circuit, error) { return circuit.WideMul(8, 2) },
+		"statistics": func() (*circuit.Circuit, error) { return circuit.Statistics(4) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			circ, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := propertyInputs(circ, 1)
+			honest := runAndCompare(t, simParams(9, 2, 2, nil), circ, in)
+			malicious := runAndCompare(t, simParams(9, 2, 2, yoso.NewAdversary(2, 0, 7)), circ, in)
+			if len(malicious.Excluded) == 0 {
+				t.Fatal("no member excluded: the adversary corrupted no one")
+			}
+			for _, phase := range []comm.Phase{comm.PhaseSetup, comm.PhaseOffline, comm.PhaseOnline} {
+				if got, want := malicious.Report.Phase(phase), honest.Report.Phase(phase); got != want {
+					t.Errorf("%s: malicious run posted %d B, honest run %d B", phase, got, want)
+				}
+			}
+		})
+	}
+}
+
 func TestFailStopRolesToleratedGOD(t *testing.T) {
 	// Fail-stop roles beyond the malicious budget: §5.4 — the protocol
 	// proceeds when n − t_mal − failstops ≥ t + 2(k−1) + 1.
@@ -803,11 +831,11 @@ func TestPrepareIsOfflineAndOutputsSealedBeforeInputs(t *testing.T) {
 		t.Fatalf("Prepare's postings lack OnC1's manifest or %d of its role keys", onC1Keys)
 	}
 	sealed := map[int][]field.Element{}
-	for _, client := range circ.Clients() {
+	for ci, client := range circ.Clients() {
 		if len(circ.OutputGates(client)) == 0 {
 			continue
 		}
-		if sealed[client], err = prep.r.openGroups(prep.r.clients[client].SecretKey(), prep.r.outputOpen[client]); err != nil {
+		if sealed[client], err = prep.r.openGroups(prep.r.clients[client].SecretKey(), prep.r.outputOpen[ci]); err != nil {
 			t.Fatalf("client %d cannot open its output λ's after Prepare: %v", client, err)
 		}
 	}
@@ -866,57 +894,53 @@ func TestLateOutputsSealedAfterInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 8
-	for _, noKFF := range []bool{false, true} {
-		params := simParams(n, 2, 2, nil)
-		params.NoKFF = noKFF
-		proto, err := New(params, circ, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prep, err := proto.Prepare()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(prep.r.outputOpen[0]) == 0 || len(prep.r.outputOpen[1]) != 0 {
-			t.Fatalf("NoKFF %v: Prepare sealed output groups %d to client 0 and %d to client 1, want some and none",
-				noKFF, len(prep.r.outputOpen[0]), len(prep.r.outputOpen[1]))
-		}
-		in := inputsOf(map[int][]uint64{0: {3}, 1: {4}})
-		res, err := prep.Execute(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := circ.Eval(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(res.Outputs, want) {
-			t.Errorf("NoKFF %v: outputs %v, want %v", noKFF, res.Outputs, want)
-		}
-		lastInput, onOut := -1, 0
-		for _, e := range proto.Board().Entries(0) {
-			switch {
-			case e.Category == comm.CatInput:
-				lastInput = e.Seq
-			case e.Category == comm.CatOutput && strings.HasPrefix(e.From, "onOut/"):
-				if lastInput < 0 {
-					t.Fatalf("NoKFF %v: OnOut posted #%d before any input", noKFF, e.Seq)
-				}
-				onOut++
+	proto, err := New(simParams(n, 2, 2, nil), circ, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := proto.Prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prep.r.outputOpen[0]) == 0 || len(prep.r.outputOpen[1]) != 0 {
+		t.Fatalf("Prepare sealed output groups %d to client 0 and %d to client 1, want some and none",
+			len(prep.r.outputOpen[0]), len(prep.r.outputOpen[1]))
+	}
+	in := inputsOf(map[int][]uint64{0: {3}, 1: {4}})
+	res, err := prep.Execute(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := circ.Eval(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Outputs, want) {
+		t.Errorf("outputs %v, want %v", res.Outputs, want)
+	}
+	lastInput, onOut := -1, 0
+	for _, e := range proto.Board().Entries(0) {
+		switch {
+		case e.Category == comm.CatInput:
+			lastInput = e.Seq
+		case e.Category == comm.CatOutput && strings.HasPrefix(e.From, "onOut/"):
+			if lastInput < 0 {
+				t.Fatalf("OnOut posted #%d before any input", e.Seq)
 			}
+			onOut++
 		}
-		if onOut != n {
-			t.Errorf("NoKFF %v: %d OnOut postings after the inputs, want %d", noKFF, onOut, n)
+	}
+	if onOut != n {
+		t.Errorf("%d OnOut postings after the inputs, want %d", onOut, n)
+	}
+	recovered := map[comm.Phase]int{}
+	for _, e := range res.Audit {
+		if e.Value == ValTskShare {
+			recovered[e.Phase]++
 		}
-		recovered := map[comm.Phase]int{}
-		for _, e := range res.Audit {
-			if e.Value == ValTskShare {
-				recovered[e.Phase]++
-			}
-		}
-		if want := map[comm.Phase]int{comm.PhaseOffline: n, comm.PhaseOnline: 2 * n}; !reflect.DeepEqual(recovered, want) {
-			t.Errorf("NoKFF %v: tsk shares recovered per phase %v, want %v (OffRe, then OnC1 and OnOut)", noKFF, recovered, want)
-		}
+	}
+	if want := map[comm.Phase]int{comm.PhaseOffline: n, comm.PhaseOnline: 2 * n}; !reflect.DeepEqual(recovered, want) {
+		t.Errorf("tsk shares recovered per phase %v, want %v (OffRe, then OnC1 and OnOut)", recovered, want)
 	}
 }
 
@@ -1064,50 +1088,6 @@ func TestFreshMasksAcrossRuns(t *testing.T) {
 	if field.EqualVec(a, b) {
 		t.Error("identical μ openings across runs — masks are not fresh")
 	}
-}
-
-func TestNoKFFModeCorrect(t *testing.T) {
-	// The §3.2 naive ablation must still compute correctly — it just pays
-	// the re-encryption bytes online instead of offline.
-	circ, err := circuit.WideMul(6, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := inputsOf(map[int][]uint64{0: {2, 3, 4}, 1: {5, 6, 7}})
-	params := simParams(9, 2, 2, nil)
-	params.NoKFF = true
-	res := runAndCompare(t, params, circ, in)
-
-	full := runAndCompare(t, simParams(9, 2, 2, nil), circ, in)
-	// The naive mode's online phase must carry the Θ(n²·batches)
-	// re-encryption traffic that KFF moves offline.
-	naiveOnline := res.Report.Phase(comm.PhaseOnline)
-	kffOnline := full.Report.Phase(comm.PhaseOnline)
-	if naiveOnline <= kffOnline {
-		t.Errorf("naive online %d not above KFF online %d", naiveOnline, kffOnline)
-	}
-	// And its offline phase must be lighter.
-	if res.Report.Phase(comm.PhaseOffline) >= full.Report.Phase(comm.PhaseOffline) {
-		t.Errorf("naive offline %d not below KFF offline %d",
-			res.Report.Phase(comm.PhaseOffline), full.Report.Phase(comm.PhaseOffline))
-	}
-	// No keys-for-future appear anywhere in the naive run.
-	for phase, cats := range res.Report.ByCat {
-		if cats[comm.CatKFF] != 0 {
-			t.Errorf("naive run posted KFF bytes in %s", phase)
-		}
-	}
-}
-
-func TestNoKFFWithAdversary(t *testing.T) {
-	circ, err := circuit.InnerProduct(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := inputsOf(map[int][]uint64{0: {1, 2, 3}, 1: {4, 5, 6}})
-	params := simParams(10, 2, 2, yoso.NewAdversary(2, 0, 83))
-	params.NoKFF = true
-	runAndCompare(t, params, circ, in)
 }
 
 func TestConstGateThroughProtocol(t *testing.T) {

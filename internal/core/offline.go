@@ -17,9 +17,11 @@ func (r *run) initWireState() {
 	n := r.p.circ.NumWires()
 	r.wireCt = make([]tte.Ciphertext, n)
 	r.mu = make([]field.Element, n)
-	r.inputOpen = map[int][]group{}
-	r.outputOpen = map[int][]group{}
+	clients := len(r.p.circ.Clients())
+	r.inputOpen = make([][]group, clients)
+	r.outputOpen = make([][]group, clients)
 	r.lists = slotpack.ListsOf(r.p.circ, r.p.params.N, r.p.params.T, r.p.params.K, slotpack.Capacity(r.rt.TPK.MaxPlaintext()))
+	r.layerOpen = make([][][]group, len(r.lists.Layers))
 }
 
 // offline executes the whole of Π_YOSO-Offline: Steps 1–4, the OffDec

@@ -73,67 +73,12 @@ func (r *run) online(inputs map[int][]field.Element) (map[int][]field.Element, e
 	return r.onlineOutput()
 }
 
-// stepLists returns the lists of offline Steps 5–6, slot-packed per
-// reader: every input client's λ's, sealed to clientKey (Step 5), then per
-// layer that has batches the 3·(batches of the layer) packed left/right/Γ
-// shares of each member, sealed to layerKey (Step 6). Which keys receive
-// them is the only difference between the KFF protocol (the recipients'
-// keys-for-future, so OffRe speaks before any online role key exists) and
-// the §3.2 naive ablation (their role keys, so OnC1 pays the
-// Θ(n²·batches) communication online). keep stores the groups answering
-// these lists, the leading ones of its argument, and returns the rest.
-func (r *run) stepLists(clientKey func(client int) pke.PublicKey, layerKey func(layer, i int) pke.PublicKey) (lists []openList, keep func([][]group) [][]group) {
-	n := r.p.params.N
-	gates := r.p.circ.Gates()
-	var inClients, layers []int
-	for ci, client := range r.p.circ.Clients() {
-		inGates := r.p.circ.InputGates(client)
-		if len(inGates) == 0 {
-			continue
-		}
-		cts := make([]tte.Ciphertext, len(inGates))
-		for j, gi := range inGates {
-			cts[j] = r.wireCt[gates[gi].Out]
-		}
-		lists = append(lists, openList{cts: cts, widths: slotpack.Expand(r.lists.Inputs[ci]), key: clientKey(client)})
-		inClients = append(inClients, client)
-	}
-	for l := range r.lists.Layers {
-		batches := r.layerBatches(l)
-		if len(batches) == 0 {
-			continue
-		}
-		widths := slotpack.Expand(r.lists.Layers[l])
-		for i := 0; i < n; i++ {
-			cts := make([]tte.Ciphertext, 0, 3*len(batches))
-			for _, b := range batches {
-				cts = append(cts, b.packedLeft[i], b.packedRight[i], b.packedGamma[i])
-			}
-			lists = append(lists, openList{cts: cts, widths: widths, key: layerKey(l+1, i+1)})
-		}
-		layers = append(layers, l)
-	}
-	return lists, func(groups [][]group) [][]group {
-		for _, client := range inClients {
-			r.inputOpen[client], groups = groups[0], groups[1:]
-		}
-		r.layerOpen = make([][][]group, len(r.lists.Layers))
-		for _, l := range layers {
-			r.layerOpen[l], groups = groups[:n], groups[n:]
-		}
-		// The per-index share ciphertexts live on in the groups only.
-		for _, b := range r.batches {
-			b.packedLeft, b.packedRight, b.packedGamma = nil, nil, nil
-		}
-		return groups
-	}
-}
-
 // outputLists returns the output-wire λ's of the clients whose outputs are
 // early (circuit.EarlyOutputs) or, with early false, of the others,
-// slot-packed per client and sealed to its setup key, and those clients.
-func (r *run) outputLists(early bool) (lists []openList, clients []int) {
+// slot-packed per client and sealed to its setup key.
+func (r *run) outputLists(early bool) []openList {
 	gates := r.p.circ.Gates()
+	var lists []openList
 	for ci, client := range r.p.circ.Clients() {
 		outGates := r.p.circ.OutputGates(client)
 		if len(outGates) == 0 || r.p.early[client] != early {
@@ -143,17 +88,10 @@ func (r *run) outputLists(early bool) (lists []openList, clients []int) {
 		for o, gi := range outGates {
 			cts[o] = r.wireCt[gates[gi].A]
 		}
-		lists = append(lists, openList{cts: cts, widths: slotpack.Expand(r.lists.Outputs[ci]), key: r.clients[client].PublicKey()})
-		clients = append(clients, client)
+		lists = append(lists, openList{cts: cts, widths: slotpack.Expand(r.lists.Outputs[ci]),
+			key: r.clients[client].PublicKey(), into: &r.outputOpen[ci]})
 	}
-	return lists, clients
-}
-
-// keepOutputs stores the groups answering the output lists of clients.
-func (r *run) keepOutputs(clients []int, groups [][]group) {
-	for j, client := range clients {
-		r.outputOpen[client] = groups[j]
-	}
+	return lists
 }
 
 // layerBatches returns the batches of multiplication layer l+1.
@@ -167,31 +105,51 @@ func (r *run) layerBatches(l int) []*batchState {
 	return out
 }
 
-// offReSpeak runs the OffRe committee (offline Steps 5 and 6, and the
-// early clients' output λ's) and reshares tsk to OnC1. Every target key is
-// known during the offline phase, so this speak happens entirely before
-// inputs exist (it is called from offline()).
+// offReSpeak runs the OffRe committee, which reshares tsk to OnC1 and
+// seals, slot-packed per reader, every input client's λ's to the client's
+// KFF (offline Step 5), per layer that has batches each member's
+// 3·(batches of the layer) packed left/right/Γ shares to the KFF of its role
+// (Step 6), and the early clients' output λ's to their setup keys. Every
+// target key is posted at setup, so OffRe speaks before any input exists (it
+// is called from offline()).
 func (r *run) offReSpeak() error {
-	sp := committee.Spec{Phase: comm.PhaseOffline, Cat: comm.CatReencrypt, Label: "steps-5-6"}
+	n := r.p.params.N
+	gates := r.p.circ.Gates()
 	var lists []openList
-	keep := func(groups [][]group) [][]group { return groups }
-	if r.p.params.NoKFF {
-		// §3.2 naive ablation: no input λ or packed share to re-encrypt yet
-		// (the online role keys do not exist and there are no KFFs), so
-		// OffRe seals the early outputs alone; OnC1 will pay the rest online.
-		sp.Label = "steps-5-6-nokff"
-	} else {
-		lists, keep = r.stepLists(
-			func(client int) pke.PublicKey { return r.kffClient[client].pub },
-			func(layer, i int) pke.PublicKey { return r.kffLayer[layer-1][i-1].pub })
+	for ci, client := range r.p.circ.Clients() {
+		inGates := r.p.circ.InputGates(client)
+		if len(inGates) == 0 {
+			continue
+		}
+		cts := make([]tte.Ciphertext, len(inGates))
+		for j, gi := range inGates {
+			cts[j] = r.wireCt[gates[gi].Out]
+		}
+		lists = append(lists, openList{cts: cts, widths: slotpack.Expand(r.lists.Inputs[ci]),
+			key: r.kffClient[client].pub, into: &r.inputOpen[ci]})
 	}
-	out, clients := r.outputLists(true)
-	groups, err := r.reencryptLists(r.offRe, sp, append(lists, out...), r.onC1)
-	if err != nil {
-		return err
+	for l := range r.lists.Layers {
+		batches := r.layerBatches(l)
+		if len(batches) == 0 {
+			continue
+		}
+		widths := slotpack.Expand(r.lists.Layers[l])
+		r.layerOpen[l] = make([][]group, n)
+		for i := 0; i < n; i++ {
+			cts := make([]tte.Ciphertext, 0, 3*len(batches))
+			for _, b := range batches {
+				cts = append(cts, b.packedLeft[i], b.packedRight[i], b.packedGamma[i])
+			}
+			lists = append(lists, openList{cts: cts, widths: widths, key: r.kffLayer[l][i].pub, into: &r.layerOpen[l][i]})
+		}
 	}
-	r.keepOutputs(clients, keep(groups))
-	return nil
+	err := r.reencryptLists(r.offRe, committee.Spec{Phase: comm.PhaseOffline, Cat: comm.CatReencrypt, Label: "steps-5-6"},
+		append(lists, r.outputLists(true)...), r.onC1)
+	// The per-index share ciphertexts live on in the groups only.
+	for _, b := range r.batches {
+		b.packedLeft, b.packedRight, b.packedGamma = nil, nil, nil
+	}
+	return err
 }
 
 // onC1Speak is the online "future key distribution": OnC1 re-encrypts each
@@ -199,18 +157,6 @@ func (r *run) offReSpeak() error {
 // to OnOut when some client's output λ's wait for the inputs, and otherwise
 // to no one: OffRe made every other opening the run needs.
 func (r *run) onC1Speak() error {
-	if r.p.params.NoKFF {
-		lists, keep := r.stepLists(
-			func(client int) pke.PublicKey { return r.clients[client].PublicKey() },
-			func(layer, i int) pke.PublicKey { return r.layers[layer-1].Role(i).PublicKey() })
-		groups, err := r.reencryptLists(r.onC1,
-			committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatReencrypt, Label: "online-reencrypt-nokff"}, lists, r.onOut)
-		if err != nil {
-			return err
-		}
-		keep(groups)
-		return nil
-	}
 	var open []committee.Opening
 	var owners []*kffEntry
 	for l, kl := range r.kffLayer {
@@ -266,43 +212,36 @@ func (m muBundle) Encode(*committee.Runner) ([]byte, error) {
 // its KFF) and publish μ^α = v^α − λ^α.
 func (r *run) onlineInput(inputs map[int][]field.Element) error {
 	gates := r.p.circ.Gates()
-	for _, client := range r.p.circ.Clients() {
+	for ci, client := range r.p.circ.Clients() {
 		inGates := r.p.circ.InputGates(client)
 		if len(inGates) == 0 {
 			continue
 		}
 		role := r.clients[client]
-		inputKey := role.SecretKey()
-		keyClass := KeyClient
-		if !r.p.params.NoKFF {
-			kffSK, err := r.openKFF(r.kffClient[client], role.SecretKey(), comm.PhaseOnline)
-			if err != nil {
-				return fmt.Errorf("client %d KFF: %w", client, err)
-			}
-			inputKey = kffSK
-			keyClass = KeyKFF
+		kffSK, err := r.openKFF(r.kffClient[client], role.SecretKey(), comm.PhaseOnline)
+		if err != nil {
+			return fmt.Errorf("client %d KFF: %w", client, err)
 		}
-		lambdas, err := r.openGroups(inputKey, r.inputOpen[client])
+		lambdas, err := r.openGroups(kffSK, r.inputOpen[ci])
 		if err != nil {
 			return fmt.Errorf("client %d inputs: %w", client, err)
 		}
 		mus := make([]field.Element, len(inGates))
 		for j := range inGates {
-			r.audit.Record(comm.PhaseOnline, ValWireLambda, keyClass)
+			r.audit.Record(comm.PhaseOnline, ValWireLambda, KeyKFF)
 			mus[j] = inputs[client][j].Sub(lambdas[j])
 		}
 		_, ok, err := committee.Speak(r.rt, role,
 			committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatInput, Label: "client-input"},
-			func() (muBundle, error) { return muBundle{vals: mus}, nil }, len(mus)*field.ElementSize)
+			func() (muBundle, error) { return muBundle{vals: mus}, nil })
 		if err != nil {
 			return err
 		}
 		if !ok {
-			// A silent/cheating client falls back to the default input 0
-			// (the ideal functionality's default); μ = −λ would require
-			// opening λ publicly, which the driver models by excluding
-			// the client's outputs instead. Honest-client runs never hit
-			// this path.
+			// A client whose input posting fails verification aborts the
+			// run with ErrNotEnough: no default input stands in for it.
+			// Clients are known parties, never corrupted by the
+			// adversary, so honest runs never take this path.
 			return fmt.Errorf("%w: client %d input rejected", ErrNotEnough, client)
 		}
 		for j, gi := range inGates {
@@ -363,25 +302,18 @@ func (r *run) onlineLayer(l int) error {
 	}
 
 	computeShares := func(i int) (muBundle, error) {
-		role := c.Role(i)
-		shareKey := role.SecretKey()
-		keyClass := KeyRole
-		if !p.NoKFF {
-			kffSK, err := r.openKFF(&r.kffLayer[l][i-1], role.SecretKey(), comm.PhaseOnline)
-			if err != nil {
-				return muBundle{}, err
-			}
-			shareKey = kffSK
-			keyClass = KeyKFF
+		kffSK, err := r.openKFF(&r.kffLayer[l][i-1], c.Role(i).SecretKey(), comm.PhaseOnline)
+		if err != nil {
+			return muBundle{}, err
 		}
 		// The member's left/right/Γ shares of every batch, in batch order.
-		lams, err := r.openGroups(shareKey, r.layerOpen[l][i-1])
+		lams, err := r.openGroups(kffSK, r.layerOpen[l][i-1])
 		if err != nil {
 			return muBundle{}, err
 		}
 		vals := make([]field.Element, len(layerBatches))
 		for bi := range layerBatches {
-			r.audit.Record(comm.PhaseOnline, ValPackedShare, keyClass)
+			r.audit.Record(comm.PhaseOnline, ValPackedShare, KeyKFF)
 			la, lb, lg := lams[3*bi], lams[3*bi+1], lams[3*bi+2]
 			sa, err := constDoms[bi].Share(muLeft[bi], i)
 			if err != nil {
@@ -409,7 +341,7 @@ func (r *run) onlineLayer(l int) error {
 		var err error
 		posts, err = committee.Step(r.rt, c,
 			committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatMu, Label: fmt.Sprintf("mu-layer%d", l+1)},
-			computeShares, len(layerBatches)*field.ElementSize)
+			computeShares)
 		if err != nil {
 			return err
 		}
@@ -497,24 +429,22 @@ func (r *run) layerStepRobust(c *yoso.Committee, l int,
 // output-wire λ's and unmask v = μ + λ, the last layer having made μ
 // public.
 func (r *run) onlineOutput() (map[int][]field.Element, error) {
-	if lists, clients := r.outputLists(false); len(lists) > 0 {
-		groups, err := r.reencryptLists(r.onOut,
-			committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatOutput, Label: "output"}, lists, nil)
+	if lists := r.outputLists(false); len(lists) > 0 {
+		err := r.reencryptLists(r.onOut, committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatOutput, Label: "output"}, lists, nil)
 		if err != nil {
 			return nil, err
 		}
-		r.keepOutputs(clients, groups)
 	}
 	gates := r.p.circ.Gates()
 	outputs := map[int][]field.Element{}
-	for _, client := range r.p.circ.Clients() {
+	for ci, client := range r.p.circ.Clients() {
 		outGates := r.p.circ.OutputGates(client)
 		if len(outGates) == 0 {
 			continue
 		}
 		// Clients are known machines: their keys outlive their single
 		// input-role broadcast.
-		lambdas, err := r.openGroups(r.clients[client].SecretKey(), r.outputOpen[client])
+		lambdas, err := r.openGroups(r.clients[client].SecretKey(), r.outputOpen[ci])
 		if err != nil {
 			return nil, fmt.Errorf("client %d outputs: %w", client, err)
 		}

@@ -22,11 +22,13 @@ import (
 // stays one opening per key.
 
 // openList is what one reader opens in one step, with the static slot widths
-// of r.lists in the same order, and the key a Re-encrypt seals it to.
+// of r.lists in the same order, the key a Re-encrypt seals it to, and where
+// the Re-encrypt stores the groups answering it.
 type openList struct {
 	cts    []tte.Ciphertext
 	widths []int
 	key    pke.PublicKey
+	into   *[]group
 }
 
 // group is one slot-packed opening.
@@ -82,11 +84,12 @@ func appendOpenings(open []committee.Opening, groups []group, key pke.PublicKey)
 
 // reencryptLists slot-packs every list, has committee c Re-encrypt each
 // list's groups to its key (and reshare tsk to next, when non-nil), and
-// returns the groups, each holding the envelopes that answer it.
-func (r *run) reencryptLists(c *yoso.Committee, sp committee.Spec, lists []openList, next *yoso.Committee) ([][]group, error) {
+// stores the groups, each holding the envelopes that answer it, in the
+// list's into.
+func (r *run) reencryptLists(c *yoso.Committee, sp committee.Spec, lists []openList, next *yoso.Committee) error {
 	groups, err := r.packGroups(sp.Label, lists)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var open []committee.Opening
 	for j, gs := range groups {
@@ -94,15 +97,16 @@ func (r *run) reencryptLists(c *yoso.Committee, sp committee.Spec, lists []openL
 	}
 	res, err := r.rt.TskStep(r.tsk, c, sp, open, next)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sealed := res.Sealed
-	for _, gs := range groups {
+	for j, gs := range groups {
 		for g := range gs {
 			gs[g].envs, sealed = sealed[0], sealed[1:]
 		}
+		*lists[j].into = gs
 	}
-	return groups, nil
+	return nil
 }
 
 // splitGroup cuts a group's opened integer into its slots' field values.

@@ -64,7 +64,8 @@ func TestConstWireStraightToOutput(t *testing.T) {
 			}
 			// Client 0's three outputs share one opening, client 1's is alone.
 			slots := map[int][]int{}
-			for client, groups := range prep.r.outputOpen {
+			for ci, groups := range prep.r.outputOpen {
+				client := circ.Clients()[ci]
 				for _, g := range groups {
 					slots[client] = append(slots[client], len(g.widths))
 				}
@@ -163,22 +164,21 @@ func propertyInputs(circ *circuit.Circuit, seed int64) map[int][]field.Element {
 // TestPackedOpeningsProperty: for random circuits at the largest size the
 // modulus admits and the library circuits, over several (n, t, k), honest and
 // with malicious + fail-stop members (fewer contributors, same layout), in
-// the KFF, NoKFF and Robust variants, on Sim and — outside -short — real
+// the proof-filtered and Robust variants, on Sim and — outside -short — real
 // 512-bit threshold Paillier, the outputs equal circuit.Eval. A failure
 // prints the one line that reproduces it.
 func TestPackedOpeningsProperty(t *testing.T) {
 	type variant struct {
-		name          string
-		n, t, k       int
-		mal, fs       int
-		noKFF, robust bool
+		name    string
+		n, t, k int
+		mal, fs int
+		robust  bool
 	}
 	variants := []variant{
 		{name: "honest", n: 7, t: 1, k: 2},
 		{name: "k1", n: 5, t: 2, k: 1},
 		{name: "adversarial", n: 10, t: 2, k: 2, mal: 2, fs: 2},
 		{name: "wide-k", n: 12, t: 2, k: 4, mal: 1, fs: 1},
-		{name: "nokff", n: 8, t: 2, k: 2, mal: 1, fs: 1, noKFF: true},
 		{name: "robust", n: 12, t: 2, k: 3, mal: 2, fs: 1, robust: true},
 	}
 	type source struct {
@@ -222,7 +222,7 @@ func TestPackedOpeningsProperty(t *testing.T) {
 				if backend == "real" {
 					params = realParams(t, v.n, v.t, v.k, adv)
 				}
-				params.NoKFF, params.Robust = v.noKFF, v.robust
+				params.Robust = v.robust
 				ran := false
 				for _, size := range src.sizes {
 					repro := fmt.Sprintf("backend=%s variant=%+v circuit=%s size=%d adversary-seed=%d", backend, v, src.name, size, 100+si)

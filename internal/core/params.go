@@ -74,12 +74,6 @@ type Params struct {
 	// can align this process's spans onto the board timeline). Empty for
 	// single-process runs; at most 255 bytes.
 	Proc string
-	// NoKFF disables the keys-for-future machinery — the paper's §3.2
-	// "naive" ablation: packed shares stay under tpk through the offline
-	// phase and the first online committee re-encrypts them to the (by
-	// then known) role keys, moving the Θ(n²·batches) re-encryption cost
-	// into the online phase. Used by the KFF ablation benchmark.
-	NoKFF bool
 	// Workers bounds the worker-pool parallelism of the execution engine:
 	// committee-member contribution loops and the driver's "everyone
 	// computes" loops (contribution sums, homomorphic packing, opening

@@ -170,16 +170,16 @@ type run struct {
 	// step (see openings.go) — a function of the circuit, n, t and k alone.
 	lists slotpack.Lists
 
-	// inputOpen[client] are the slot-packed Re-encrypt openings of the
-	// client's input-wire λ's, addressed to its KFF (offline Step 5), and
+	// inputOpen[ci] are the slot-packed Re-encrypt openings of the input-wire
+	// λ's of circ.Clients()[ci], addressed to its KFF (offline Step 5), and
 	// layerOpen[l][i] those of the packed left/right/Γ shares of layer
 	// l+1's batches, addressed to the KFF of its role i+1 (Step 6).
-	// outputOpen[client] are those of the client's output-wire λ's, sealed
-	// to the client's setup key by OffRe or, for a client whose outputs are
-	// not early, by OnOut.
-	inputOpen  map[int][]group
+	// outputOpen[ci] are those of the client's output-wire λ's, sealed to
+	// its setup key by OffRe or, for a client whose outputs are not early,
+	// by OnOut.
+	inputOpen  [][]group
 	layerOpen  [][][]group
-	outputOpen map[int][]group
+	outputOpen [][]group
 
 	// public μ values per wire
 	mu []field.Element

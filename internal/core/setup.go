@@ -58,36 +58,32 @@ func (r *run) setup() error {
 	}
 
 	// Keys for future: one per online mul-layer role, one per client.
-	// The NoKFF ablation (§3.2's naive approach) skips them entirely and
-	// re-encrypts under role keys during the online phase instead.
 	depth := r.p.circ.Depth()
+	var owners []string
+	for l := 0; l < depth; l++ {
+		for i := 0; i < p.N; i++ {
+			owners = append(owners, fmt.Sprintf("on-layer%d/%d", l+1, i+1))
+		}
+	}
+	var kffClients []int
+	for _, id := range r.p.circ.Clients() {
+		if r.p.circ.InputCount(id) == 0 {
+			continue // only input-contributing parties get a KFF (§5.1)
+		}
+		kffClients = append(kffClients, id)
+		owners = append(owners, fmt.Sprintf("client/%d", id))
+	}
+	entries, err := r.mintKFFs(owners)
+	if err != nil {
+		return err
+	}
+	r.kffLayer = make([][]kffEntry, depth)
+	for l := range r.kffLayer {
+		r.kffLayer[l] = entries[l*p.N : (l+1)*p.N]
+	}
 	r.kffClient = map[int]*kffEntry{}
-	if !p.NoKFF {
-		var owners []string
-		for l := 0; l < depth; l++ {
-			for i := 0; i < p.N; i++ {
-				owners = append(owners, fmt.Sprintf("on-layer%d/%d", l+1, i+1))
-			}
-		}
-		var kffClients []int
-		for _, id := range r.p.circ.Clients() {
-			if r.p.circ.InputCount(id) == 0 {
-				continue // only input-contributing parties get a KFF (§5.1)
-			}
-			kffClients = append(kffClients, id)
-			owners = append(owners, fmt.Sprintf("client/%d", id))
-		}
-		entries, err := r.mintKFFs(owners)
-		if err != nil {
-			return err
-		}
-		r.kffLayer = make([][]kffEntry, depth)
-		for l := range r.kffLayer {
-			r.kffLayer[l] = entries[l*p.N : (l+1)*p.N]
-		}
-		for j, id := range kffClients {
-			r.kffClient[id] = &entries[depth*p.N+j]
-		}
+	for j, id := range kffClients {
+		r.kffClient[id] = &entries[depth*p.N+j]
 	}
 
 	r.initWireState()

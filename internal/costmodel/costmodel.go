@@ -129,7 +129,10 @@ type Phases struct {
 
 // CoreOptions selects protocol variants for the prediction.
 type CoreOptions struct {
-	// NoKFF models the §3.2 naive ablation (online re-encryption).
+	// NoKFF models the §3.2 naive approach, which the driver does not run:
+	// no KFFs, and OnC1 re-encrypts the input λ's and packed shares online
+	// in place of the KFF secrets. core's TestNaiveModelFromKFFRun checks it
+	// against the terms it moves, measured on a KFF run.
 	NoKFF bool
 	// Robust models IT-GOD μ layers (no per-layer proofs).
 	Robust bool
@@ -195,10 +198,10 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 	offline += N*int64(random)*int64(z.Ciphertext) + N*int64(z.Proof) // wire randomness, helpers and Beaver a-parts
 	// OffDec: partials for the ε/δ groups + resharing to OffRe.
 	offline += N*(decGroups*int64(z.Partial)+key+N*envS) + N*int64(z.Proof)
-	// OffRe: one envelope per early output group to its client, in both
-	// modes, and tsk resharing to OnC1; steps 5–6 add one envelope per
-	// input-wire λ group and per packed-share group of every layer member,
-	// unless the naive mode leaves them to OnC1.
+	// OffRe: one envelope per early output group to its client and tsk
+	// resharing to OnC1; steps 5–6 add one envelope per input-wire λ group
+	// and per packed-share group of every layer member, unless the naive
+	// approach leaves them to OnC1.
 	sealedOffline := earlyGroups
 	if !opts.NoKFF {
 		sealedOffline += reGroups

@@ -235,21 +235,14 @@ func TestCoreVariantsModelMatchesMeasured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every client receives Σxᵢ, so no output is early: OnC1 reshares to
-	// OnOut in both modes.
-	stats, err := circuit.Statistics(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The naive (NoKFF) variant has no driver mode of its own: core's
+	// TestNaiveModelFromKFFRun derives its bytes from a measured KFF run.
 	cases := []struct {
 		name string
 		circ *circuit.Circuit
 		opts CoreOptions
 	}{
-		{"nokff", wide, CoreOptions{NoKFF: true}},
 		{"robust", wide, CoreOptions{Robust: true}},
-		{"nokff+robust", wide, CoreOptions{NoKFF: true, Robust: true}},
-		{"nokff late outputs", stats, CoreOptions{NoKFF: true}},
 	}
 	const n, tt, k = 14, 3, 3 // robust: 3·3+2·2+1 = 14 ≤ 14
 	for _, c := range cases {
@@ -258,7 +251,7 @@ func TestCoreVariantsModelMatchesMeasured(t *testing.T) {
 			params := core.Params{
 				N: n, T: tt, K: k,
 				TE: tte.NewSim(modelBits), PKE: pke.NewSim(),
-				NoKFF: c.opts.NoKFF, Robust: c.opts.Robust,
+				Robust: c.opts.Robust,
 			}
 			proto, err := core.New(params, circ, nil)
 			if err != nil {

@@ -233,11 +233,11 @@ func freshLists(k int, b *bounds, inputs, outputs, muls []int) Lists {
 //     its fail-stop margin F = n − (t + 2(k−1) + 1);
 //   - before an m′ whose widest slot exceeds the capacity;
 //   - before an m′ that would raise the group count of a list a client or a
-//     layer member opens — the output λ's, which OffRe or, for a client
-//     whose outputs are not early, OnOut seals to their client, and the
-//     input λ's and the layers' shares, which the KFF-less ablation
-//     (core.Params.NoKFF) re-encrypts online — so no reader's openings and no
-//     online bytes move in either mode;
+//     layer member opens — the input λ's and the layers' shares, which OffRe
+//     seals to KFFs, and the output λ's, which OffRe or, for a client whose
+//     outputs are not early, OnOut seals to their client — since each such
+//     group is n envelopes on its sealing committee's postings plus one
+//     online Combine for its reader, so no reader's openings move;
 //
 // and keeps the m′ that minimises the offline objects a member posts: its
 // contributions plus its partials for the ε/δ groups, the only opened groups

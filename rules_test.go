@@ -234,6 +234,106 @@ func TestStructuralRules(t *testing.T) {
 			}
 		})
 	}
+	t.Run("docs cite tests that exist", func(t *testing.T) {
+		hits, err := deadTestCitations()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hits) > 0 {
+			t.Errorf("%d citations name no test function: cite the test that does the work, or drop the citation\n%s",
+				len(hits), strings.Join(hits, "\n"))
+		}
+	})
+}
+
+// citedDocs are the documents whose test citations must resolve.
+var citedDocs = []string{"DESIGN.md", "EXPERIMENTS.md", "README.md", "docs/*.md"}
+
+var (
+	// testFunc is a test or fuzz function's declaration in a _test.go file.
+	testFunc = regexp.MustCompile(`^func ((Test|Fuzz)[\pL\pN_]*)\(`)
+	// codeSpan is a Markdown code span on one line, and citation a test or
+	// fuzz name inside one. A trailing '*' cites every name with that
+	// prefix, and so does a name in a span that passes `go test -run` a
+	// pattern.
+	codeSpan = regexp.MustCompile("`[^`]+`")
+	citation = regexp.MustCompile(`\b(Test|Fuzz)[\p{Lu}\pN_][\pL\pN_]*\*?`)
+)
+
+// deadTestCitations returns, as "path:line:name", every Test… or Fuzz… name
+// that a code span of the cited documents holds and no test or fuzz function
+// in the tree (the benchmark module included) is called or, cited as a
+// prefix, starts with.
+func deadTestCitations() ([]string, error) {
+	tests := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
+			return filepath.SkipDir // .git, build caches and the analyzers' fixtures
+		case d.IsDir() || !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		return scanLines(path, func(_ int, line string) {
+			if m := testFunc.FindStringSubmatch(line); m != nil {
+				tests[m[1]] = true
+			}
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	exists := func(name string, run bool) bool {
+		prefix, star := strings.CutSuffix(name, "*")
+		if !star && !run {
+			return tests[name]
+		}
+		for test := range tests {
+			if strings.HasPrefix(test, prefix) {
+				return true
+			}
+		}
+		return false
+	}
+	var dead []string
+	for _, pattern := range citedDocs {
+		docs, err := filepath.Glob(pattern)
+		if err != nil {
+			return nil, err
+		}
+		for _, doc := range docs {
+			err := scanLines(doc, func(n int, line string) {
+				for _, span := range codeSpan.FindAllString(line, -1) {
+					run := strings.Contains(span, "-run")
+					for _, name := range citation.FindAllString(span, -1) {
+						if !exists(name, run) {
+							dead = append(dead, fmt.Sprintf("%s:%d:%s", doc, n, name))
+						}
+					}
+				}
+			})
+			if err != nil {
+				return nil, err
+			}
+		}
+	}
+	return dead, nil
+}
+
+// scanLines calls line for every line of the file at path, numbered from 1.
+func scanLines(path string, line func(n int, text string)) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for n := 1; sc.Scan(); n++ {
+		line(n, sc.Text())
+	}
+	return sc.Err()
 }
 
 // hits walks the rule's roots and returns its hits in walk order.
@@ -245,27 +345,18 @@ func (r structuralRule) hits() ([]string, error) {
 	}
 	var hits []string
 	scan := func(path string) error {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		sc := bufio.NewScanner(f)
-		sc.Buffer(nil, 1<<20)
-	lines:
-		for n := 1; sc.Scan(); n++ {
-			if !match.MatchString(sc.Text()) {
-				continue
+		return scanLines(path, func(n int, line string) {
+			if !match.MatchString(line) {
+				return
 			}
-			hit := fmt.Sprintf("%s:%d:%s", filepath.ToSlash(path), n, sc.Text())
+			hit := fmt.Sprintf("%s:%d:%s", filepath.ToSlash(path), n, line)
 			for _, s := range skips {
 				if s.MatchString(hit) {
-					continue lines
+					return
 				}
 			}
 			hits = append(hits, hit)
-		}
-		return sc.Err()
+		})
 	}
 	for _, root := range r.roots {
 		if strings.Contains(root, "*") {
