@@ -325,9 +325,9 @@ func sanitizer(fn *types.Func) bool {
 	// sigma-protocol commitments derive from secret exponents exactly this
 	// way and are public by design. The modexp engine package is the
 	// sanctioned home for these kernels (ExpSigned, MultiExp,
-	// FixedBase.Exp, PowerLadder.Pow), alongside paillier's CRT variant of
-	// the same operation.
-	if analysis.PathHasSegment(path, "modexp") && (strings.Contains(name, "Exp") || name == "Pow") {
+	// FixedBase.Exp), alongside paillier's CRT variant of the same
+	// operation.
+	if analysis.PathHasSegment(path, "modexp") && strings.Contains(name, "Exp") {
 		return true
 	}
 	if name == "ExpSignedCRT" && analysis.PathHasSegment(path, "paillier") {

@@ -14,6 +14,7 @@ import (
 	"yosompc/internal/paillier"
 	"yosompc/internal/pke"
 	"yosompc/internal/slotpack"
+	"yosompc/internal/telemetry"
 	"yosompc/internal/transport"
 	"yosompc/internal/tte"
 	"yosompc/internal/yoso"
@@ -414,9 +415,9 @@ func TestOnlineCommunicationIndependentOfN(t *testing.T) {
 }
 
 func TestKeyUsageFlowAudit(t *testing.T) {
-	// E7: the Fig. 1 key-usage flow. Packed shares and input λ's are only
-	// ever opened under KFF keys; KFF secrets only under role keys; tsk
-	// shares only under role keys; outputs only under client keys.
+	// E7: the Fig. 1 key-usage flow. Packed shares are only ever opened
+	// under KFF keys; KFF secrets only under role keys; tsk shares only
+	// under role keys; input λ's and outputs only under client keys.
 	circ, err := circuit.InnerProduct(3)
 	if err != nil {
 		t.Fatal(err)
@@ -426,7 +427,7 @@ func TestKeyUsageFlowAudit(t *testing.T) {
 
 	forbidden := map[ValueClass][]KeyClass{
 		ValPackedShare: {KeyTPK, KeyRole, KeyClient},
-		ValWireLambda:  {KeyTPK, KeyRole, KeyClient},
+		ValWireLambda:  {KeyTPK, KeyRole, KeyKFF},
 		ValKFFSecret:   {KeyTPK, KeyKFF, KeyClient},
 		ValTskShare:    {KeyKFF, KeyClient, KeyTPK},
 		ValOutput:      {KeyKFF, KeyRole, KeyTPK},
@@ -601,15 +602,15 @@ func TestRunsReportTheirOwnBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Report.Total != 57179 || len(res.Audit) != 39 {
-			t.Errorf("run %d: %d bytes and %d audit events, want 57179 and 39", run, res.Report.Total, len(res.Audit))
+		if res.Report.Total != 55131 || len(res.Audit) != 37 {
+			t.Errorf("run %d: %d bytes and %d audit events, want 55131 and 37", run, res.Report.Total, len(res.Audit))
 		}
 	}
 	if prepared[0] != prepared[1] {
 		t.Errorf("OfflineReport after each Prepare: %v bytes, want equal", prepared)
 	}
-	if got := proto.Board().Report().Total; got != 2*57179 {
-		t.Errorf("the board holds %d bytes after two runs, want %d", got, 2*57179)
+	if got := proto.Board().Report().Total; got != 2*55131 {
+		t.Errorf("the board holds %d bytes after two runs, want %d", got, 2*55131)
 	}
 }
 
@@ -791,17 +792,22 @@ func TestPrepareExecuteSplit(t *testing.T) {
 
 // Prepare is the whole offline phase: it posts nothing under the online
 // phase, and OnC1's manifest and role keys are among its postings, so OffRe
-// hands tsk over before any input exists. Each client can open its output
-// λ's from what Prepare left, OffRe's postings all precede the first client
-// input, and Execute's outputs are μ plus exactly those λ's. tsk is recovered
-// from a hand-off by two committees only: OffRe offline and OnC1 online.
+// hands tsk over before any input exists. Each client can open its input
+// and output λ's from what Prepare left, with its setup key alone; OffRe's
+// postings all precede the first client input; μ plus those input λ's are
+// the inputs, and Execute's outputs are μ plus exactly those output λ's.
+// Keys-for-future go only to the layer roles, whose keys the online phase
+// posts: setup mints depth·n and OnC1 opens depth·n. tsk is recovered from
+// a hand-off by two committees only: OffRe offline and OnC1 online.
 func TestPrepareIsOfflineAndOutputsSealedBeforeInputs(t *testing.T) {
 	circ, err := circuit.PolyEval(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 8
-	proto, err := New(simParams(n, 2, 2, nil), circ, nil)
+	params := simParams(n, 2, 2, nil)
+	params.Trace = telemetry.NewTracer()
+	proto, err := New(params, circ, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -809,12 +815,16 @@ func TestPrepareIsOfflineAndOutputsSealedBeforeInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	layerRoles := circ.Depth() * n
 	onC1Keys := -1 // role keys still to see after OnC1's manifest
+	kffs := 0
 	for _, e := range proto.Board().Entries(0) {
 		if e.Phase == comm.PhaseOnline {
 			t.Fatalf("Prepare posted #%d from %s under the online phase", e.Seq, e.From)
 		}
 		switch {
+		case e.Category == comm.CatKFF && e.Phase == comm.PhaseSetup:
+			kffs++
 		case e.Category == comm.CatManifest:
 			var m transport.Manifest
 			if err := m.UnmarshalBinary(e.Payload); err != nil {
@@ -830,6 +840,18 @@ func TestPrepareIsOfflineAndOutputsSealedBeforeInputs(t *testing.T) {
 	if onC1Keys != 0 {
 		t.Fatalf("Prepare's postings lack OnC1's manifest or %d of its role keys", onC1Keys)
 	}
+	if kffs != layerRoles {
+		t.Errorf("setup posted %d KFFs, want one per layer role, %d", kffs, layerRoles)
+	}
+	masks := map[int][]field.Element{}
+	for ci, client := range circ.Clients() {
+		if circ.InputCount(client) == 0 {
+			continue
+		}
+		if masks[client], err = prep.r.openGroups(prep.r.clients[client].SecretKey(), prep.r.inputOpen[ci]); err != nil {
+			t.Fatalf("client %d cannot open its input λ's with its setup key after Prepare: %v", client, err)
+		}
+	}
 	sealed := map[int][]field.Element{}
 	for ci, client := range circ.Clients() {
 		if len(circ.OutputGates(client)) == 0 {
@@ -843,7 +865,8 @@ func TestPrepareIsOfflineAndOutputsSealedBeforeInputs(t *testing.T) {
 		t.Fatal("the circuit has no output")
 	}
 
-	res, err := prep.Execute(inputsOf(map[int][]uint64{0: {1, 2, 3, 4}, 1: {2}}))
+	in := inputsOf(map[int][]uint64{0: {1, 2, 3, 4}, 1: {2}})
+	res, err := prep.Execute(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -860,6 +883,22 @@ func TestPrepareIsOfflineAndOutputsSealedBeforeInputs(t *testing.T) {
 		t.Fatalf("first input at #%d after %d OffRe Re-encrypt postings, want one after all %d", firstInput, offRe, n)
 	}
 	gates := circ.Gates()
+	for client, lambdas := range masks {
+		for j, gi := range circ.InputGates(client) {
+			if got := prep.r.mu[gates[gi].Out].Add(lambdas[j]); got != in[client][j] {
+				t.Errorf("client %d input %d: μ + the λ opened after Prepare = %v, want %v", client, j, got, in[client][j])
+			}
+		}
+	}
+	onC1Openings := int64(-1)
+	for _, sp := range params.Trace.Spans() {
+		if sp.Name == "committee:future-key-distribution" {
+			onC1Openings = sp.Ints["openings"]
+		}
+	}
+	if onC1Openings != int64(layerRoles) {
+		t.Errorf("OnC1's span reports %d openings, want one per layer role, %d", onC1Openings, layerRoles)
+	}
 	for client, lambdas := range sealed {
 		for o, gi := range circ.OutputGates(client) {
 			if want := prep.r.mu[gates[gi].A].Add(lambdas[o]); res.Outputs[client][o] != want {

@@ -12,14 +12,15 @@ import (
 // The paper's §3.2 naive approach, the strawman keys-for-future replace,
 // has no driver mode: costmodel.CoreWith models it, and the KFF ablation
 // (bench.KFFAblation) reads it from there. This test derives the naive
-// bytes from one measured KFF run and holds the model to them. Without KFFs
-// setup mints none, OffRe seals no Steps 5–6 envelope, and OnC1 seals those
-// same groups to the layer roles' and clients' keys in place of the KFF
-// secrets. So the naive run posts the KFF run's setup less its KFF bytes,
-// its offline bytes less S, and its online bytes less K plus S, where S and
-// K are the bytes of the envelopes answering Steps 5–6 and the KFF
-// distribution, summed over the envelope views the run's groups and KFF
-// entries hold.
+// bytes from one measured KFF run and holds the model to them. A client's
+// key is known at setup, so both designs seal its input λ's offline (Step
+// 5); what a KFF buys is reaching a layer role. Without KFFs setup mints
+// none, OffRe seals no Step 6 envelope, and OnC1 seals those same groups to
+// the layer roles' keys in place of the KFF secrets. So the naive run posts
+// the KFF run's setup less its KFF bytes, its offline bytes less S, and its
+// online bytes less K plus S, where S and K are the bytes of the envelopes
+// answering Step 6 and the KFF distribution, summed over the envelope views
+// the run's layer groups and KFF entries hold.
 func TestNaiveModelFromKFFRun(t *testing.T) {
 	build := func(c *circuit.Circuit, err error) *circuit.Circuit {
 		if err != nil {
@@ -35,7 +36,7 @@ func TestNaiveModelFromKFFRun(t *testing.T) {
 		s, kff  int64 // pinned S and K, 0 where not pinned
 	}{
 		{name: "width 16", circ: build(circuit.WideMul(16, 1)), n: 16, t: 3, k: 4},
-		{name: "width 256", circ: build(circuit.WideMul(256, 1)), n: 16, t: 3, k: 4, s: 2_112_000, kff: 152_064},
+		{name: "width 256", circ: build(circuit.WideMul(256, 1)), n: 16, t: 3, k: 4, s: 2_027_520, kff: 135_168},
 		{name: "depth 2", circ: build(circuit.WideMul(8, 2)), n: 14, t: 3, k: 3},
 		{name: "depth 2 robust", circ: build(circuit.WideMul(8, 2)), n: 14, t: 3, k: 3, robust: true},
 		// Every client receives Σxᵢ, so no output is early: OnC1 reshares
@@ -66,20 +67,12 @@ func TestNaiveModelFromKFFRun(t *testing.T) {
 					s += int64(g.envs.Size())
 				}
 			}
-			for _, groups := range r.inputOpen {
-				sealed(groups)
-			}
 			for _, layer := range r.layerOpen {
 				for _, groups := range layer {
 					sealed(groups)
 				}
 			}
-			for _, kl := range r.kffLayer {
-				for j := range kl {
-					kff += int64(kl[j].delivered.Size())
-				}
-			}
-			for _, entry := range r.kffClient {
+			for _, entry := range r.kff {
 				kff += int64(entry.delivered.Size())
 			}
 			if c.s != 0 && (s != c.s || kff != c.kff) {

@@ -26,11 +26,11 @@ func (r *run) initWireState() {
 
 // offline executes the whole of Π_YOSO-Offline: Steps 1–4, the OffDec
 // committee's speak (ε/δ decryption + tsk resharing), and the OffRe
-// committee's speak (Steps 5–6: re-encryption of all preprocessed secrets
-// to the recipients' KFFs, and of the early clients' output-wire λ's to
-// their setup keys). Nothing here depends on inputs or on online role keys: OnC1 is
-// formed here, so OffRe reshares tsk to its role keys, and it speaks at
-// online start (see online.go). Committees are formed in schedule order, so
+// committee's speak (Steps 5–6: re-encryption of the packed shares to the
+// layer roles' KFFs, and of the input-wire λ's and the early clients'
+// output-wire λ's to their clients' setup keys). Nothing here depends on
+// inputs or on online role keys: OnC1 is formed here, so OffRe reshares
+// tsk to its role keys, and it speaks at online start (see online.go). Committees are formed in schedule order, so
 // the adversary samples them in that order.
 func (r *run) offline() error {
 	p := r.p.params

@@ -107,7 +107,7 @@ func (r *run) layerBatches(l int) []*batchState {
 
 // offReSpeak runs the OffRe committee, which reshares tsk to OnC1 and
 // seals, slot-packed per reader, every input client's λ's to the client's
-// KFF (offline Step 5), per layer that has batches each member's
+// setup key (offline Step 5), per layer that has batches each member's
 // 3·(batches of the layer) packed left/right/Γ shares to the KFF of its role
 // (Step 6), and the early clients' output λ's to their setup keys. Every
 // target key is posted at setup, so OffRe speaks before any input exists (it
@@ -126,7 +126,7 @@ func (r *run) offReSpeak() error {
 			cts[j] = r.wireCt[gates[gi].Out]
 		}
 		lists = append(lists, openList{cts: cts, widths: slotpack.Expand(r.lists.Inputs[ci]),
-			key: r.kffClient[client].pub, into: &r.inputOpen[ci]})
+			key: r.clients[client].PublicKey(), into: &r.inputOpen[ci]})
 	}
 	for l := range r.lists.Layers {
 		batches := r.layerBatches(l)
@@ -140,7 +140,7 @@ func (r *run) offReSpeak() error {
 			for _, b := range batches {
 				cts = append(cts, b.packedLeft[i], b.packedRight[i], b.packedGamma[i])
 			}
-			lists = append(lists, openList{cts: cts, widths: widths, key: r.kffLayer[l][i].pub, into: &r.layerOpen[l][i]})
+			lists = append(lists, openList{cts: cts, widths: widths, key: r.kff[l*n+i].pub, into: &r.layerOpen[l][i]})
 		}
 	}
 	err := r.reencryptLists(r.offRe, committee.Spec{Phase: comm.PhaseOffline, Cat: comm.CatReencrypt, Label: "steps-5-6"},
@@ -153,45 +153,36 @@ func (r *run) offReSpeak() error {
 }
 
 // onC1Speak is the online "future key distribution": OnC1 re-encrypts each
-// KFF secret key towards the owner's role-assignment key. It reshares tsk
-// to OnOut when some client's output λ's wait for the inputs, and otherwise
-// to no one: OffRe made every other opening the run needs.
+// layer role's KFF secret key towards the role's now-posted key. It
+// reshares tsk to OnOut when some client's output λ's wait for the inputs,
+// and otherwise to no one: OffRe made every other opening the run needs.
 func (r *run) onC1Speak() error {
-	var open []committee.Opening
-	var owners []*kffEntry
-	for l, kl := range r.kffLayer {
-		for j := range kl {
-			open = append(open, committee.Opening{Ct: kl[j].secretCt, Key: r.layers[l].Role(j + 1).PublicKey()})
-			owners = append(owners, &kl[j])
-		}
-	}
-	for _, id := range r.p.circ.Clients() {
-		if kff := r.kffClient[id]; kff != nil {
-			open = append(open, committee.Opening{Ct: kff.secretCt, Key: r.clients[id].PublicKey()})
-			owners = append(owners, kff)
-		}
+	n := r.p.params.N
+	open := make([]committee.Opening, len(r.kff))
+	for j := range r.kff {
+		open[j] = committee.Opening{Ct: r.kff[j].secretCt, Key: r.layers[j/n].Role(j%n + 1).PublicKey()}
 	}
 	res, err := r.rt.TskStep(r.tsk, r.onC1,
 		committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatKFF, Label: "future-key-distribution"}, open, r.onOut)
 	if err != nil {
 		return err
 	}
-	for j, kff := range owners {
-		kff.delivered = res.Sealed[j]
+	for j := range r.kff {
+		r.kff[j].delivered = res.Sealed[j]
 	}
 	return nil
 }
 
-// openKFF recovers a KFF secret key from its delivered envelopes using the
-// owner's role secret key. The combined integer and its 32-byte encoding are
-// the secret key itself; both backends copy the encoding, so both are wiped
-// once the key is built.
-func (r *run) openKFF(entry *kffEntry, ownerSK pke.SecretKey, phase comm.Phase) (pke.SecretKey, error) {
+// openKFF recovers a layer role's KFF secret key from its delivered
+// envelopes using the role's secret key. The combined integer and its
+// 32-byte encoding are the secret key itself; both backends copy the
+// encoding, so both are wiped once the key is built.
+func (r *run) openKFF(entry *kffEntry, ownerSK pke.SecretKey) (pke.SecretKey, error) {
 	v, err := r.rt.CombineSealed(ownerSK, entry.delivered, entry.secretCt)
 	if err != nil {
 		return nil, err
 	}
-	r.audit.Record(phase, ValKFFSecret, KeyRole)
+	r.audit.Record(comm.PhaseOnline, ValKFFSecret, KeyRole)
 	var buf [pke.SecretKeySize]byte
 	v.FillBytes(buf[:])
 	clear(v.Bits())
@@ -208,8 +199,8 @@ func (m muBundle) Encode(*committee.Runner) ([]byte, error) {
 	return field.AppendVecBytes(make([]byte, 0, len(m.vals)*field.ElementSize), m.vals), nil
 }
 
-// onlineInput has every client open λ^α for each of its input wires (via
-// its KFF) and publish μ^α = v^α − λ^α.
+// onlineInput has every client open λ^α for each of its input wires (with
+// its setup key) and publish μ^α = v^α − λ^α.
 func (r *run) onlineInput(inputs map[int][]field.Element) error {
 	gates := r.p.circ.Gates()
 	for ci, client := range r.p.circ.Clients() {
@@ -218,17 +209,13 @@ func (r *run) onlineInput(inputs map[int][]field.Element) error {
 			continue
 		}
 		role := r.clients[client]
-		kffSK, err := r.openKFF(r.kffClient[client], role.SecretKey(), comm.PhaseOnline)
-		if err != nil {
-			return fmt.Errorf("client %d KFF: %w", client, err)
-		}
-		lambdas, err := r.openGroups(kffSK, r.inputOpen[ci])
+		lambdas, err := r.openGroups(role.SecretKey(), r.inputOpen[ci])
 		if err != nil {
 			return fmt.Errorf("client %d inputs: %w", client, err)
 		}
 		mus := make([]field.Element, len(inGates))
 		for j := range inGates {
-			r.audit.Record(comm.PhaseOnline, ValWireLambda, KeyKFF)
+			r.audit.Record(comm.PhaseOnline, ValWireLambda, KeyClient)
 			mus[j] = inputs[client][j].Sub(lambdas[j])
 		}
 		_, ok, err := committee.Speak(r.rt, role,
@@ -302,7 +289,7 @@ func (r *run) onlineLayer(l int) error {
 	}
 
 	computeShares := func(i int) (muBundle, error) {
-		kffSK, err := r.openKFF(&r.kffLayer[l][i-1], c.Role(i).SecretKey(), comm.PhaseOnline)
+		kffSK, err := r.openKFF(&r.kff[l*p.N+i-1], c.Role(i).SecretKey())
 		if err != nil {
 			return muBundle{}, err
 		}

@@ -42,7 +42,9 @@ type group struct {
 
 // packGroups plans every list into groups and forms the group ciphertexts on
 // the worker pool. out[i] are list i's groups in opening order. A ciphertext
-// whose run-time bound outgrew its static slot fails the step.
+// whose run-time bound outgrew its static slot fails the step; the error
+// names the first such group in opening order, whichever worker met it
+// first.
 func (r *run) packGroups(step string, lists []openList) ([][]group, error) {
 	capacity := slotpack.Capacity(r.rt.TPK.MaxPlaintext())
 	type task struct {
@@ -62,15 +64,21 @@ func (r *run) packGroups(step string, lists []openList) ([][]group, error) {
 			tasks = append(tasks, task{list: i, group: g, cts: l.cts[pg.Start : pg.Start+len(pg.Widths)]})
 		}
 	}
+	errs := make([]error, len(tasks))
 	err := r.rt.Pfor(len(tasks), func(j int) error {
 		tk := tasks[j]
 		g := &out[tk.list][tk.group]
 		var err error
 		if g.ct, err = slotpack.Pack(r.p.params.TE, r.rt.TPK, tk.cts, g.widths); err != nil {
-			return fmt.Errorf("%s: list %d, group %d: %w", step, tk.list, tk.group, err)
+			errs[j] = fmt.Errorf("%s: list %d, group %d: %w", step, tk.list, tk.group, err)
 		}
 		return nil
 	})
+	for _, e := range errs {
+		if e != nil {
+			return nil, e
+		}
+	}
 	return out, err
 }
 

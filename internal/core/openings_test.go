@@ -396,7 +396,9 @@ func TestOperationCountsNeverExceedParent(t *testing.T) {
 				batches = int64(len(circ.MulBatches(tc.k)))
 				inputs  = int64(circ.InputCount(0) + circ.InputCount(1))
 				outputs = int64(len(circ.OutputGates(0)))
-				kffs    = int64(tc.depth)*n + 2 // every layer role and both input clients
+				kffs    = int64(tc.depth) * n // every layer role
+				// One opening per value also gave each input client a KFF.
+				parentKFFs = kffs + 2
 				// A committee recovering its tsk shares from a hand-off opens a
 				// quorum of envelopes per member: OffRe in the offline phase,
 				// OnC1 in the online phase.
@@ -404,8 +406,8 @@ func TestOperationCountsNeverExceedParent(t *testing.T) {
 			)
 			parent := map[string]counts{
 				"offline": {partials: n * (2*muls + inputs + 3*batches*n + outputs), combines: 2 * muls, opened: handoff},
-				"online": {partials: n * kffs, combines: kffs + inputs + 3*batches*n + outputs,
-					opened: handoff + q*(kffs+inputs+3*batches*n+outputs)},
+				"online": {partials: n * parentKFFs, combines: parentKFFs + inputs + 3*batches*n + outputs,
+					opened: handoff + q*(parentKFFs+inputs+3*batches*n+outputs)},
 			}
 			capacity := slotpack.Capacity(tte.NewSim(tc.bits).MaxPlaintext())
 			ls := slotpack.ListsOf(circ, tc.n, tc.t, tc.k, capacity)

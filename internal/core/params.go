@@ -1,8 +1,10 @@
 // Package core implements the paper's YOSO MPC protocol (Section 5): the
-// trusted setup with keys-for-future (KFF), the offline phase preparing
-// packed wire randomness under a linearly homomorphic threshold encryption,
-// and the online phase computing μ = v − λ openings with O(1) amortized
-// communication per gate.
+// trusted setup with keys-for-future (KFF) for the online layer roles, whose
+// keys are unknown until the online phase (clients are known parties, so
+// preprocessing seals to their setup keys directly), the offline phase
+// preparing packed wire randomness under a linearly homomorphic threshold
+// encryption, and the online phase computing μ = v − λ openings with O(1)
+// amortized communication per gate.
 //
 // Committee schedule (one broadcast per role, per the YOSO model):
 //
@@ -10,9 +12,10 @@
 //	          → OffB (Beaver b/c-parts), formed only when the circuit has a
 //	            multiplication gate
 //	          → OffDec (holds tsk epoch 0: decrypts ε/δ, reshares tsk)
-//	          → OffRe (re-encrypts λ/Γ packed shares and input-wire λ's to
-//	            KFFs and the early clients' output-wire λ's to their setup
-//	            keys, reshares tsk to OnC1)
+//	          → OffRe (re-encrypts λ/Γ packed shares to the layer roles'
+//	            KFFs, and the input-wire λ's and the early clients'
+//	            output-wire λ's to their clients' setup keys, reshares tsk
+//	            to OnC1)
 //	online:   OnC1, formed offline (re-encrypts KFF secret keys to the
 //	          layer roles' keys once those are posted; reshares tsk to
 //	          OnOut, if formed)

@@ -150,9 +150,9 @@ type run struct {
 	dealt []tte.KeyShare
 	tsk   *committee.Tsk
 
-	// keys-for-future: one per online mul-layer role and one per client
-	kffLayer  [][]kffEntry // [layer][index-1]
-	kffClient map[int]*kffEntry
+	// keys-for-future, one per online mul-layer role: role i+1 of layer
+	// l+1 owns kff[l·n + i]
+	kff []kffEntry
 
 	// per-wire λ ciphertexts under tpk
 	wireCt []tte.Ciphertext
@@ -171,8 +171,8 @@ type run struct {
 	lists slotpack.Lists
 
 	// inputOpen[ci] are the slot-packed Re-encrypt openings of the input-wire
-	// λ's of circ.Clients()[ci], addressed to its KFF (offline Step 5), and
-	// layerOpen[l][i] those of the packed left/right/Γ shares of layer
+	// λ's of circ.Clients()[ci], sealed to its setup key (offline Step 5),
+	// and layerOpen[l][i] those of the packed left/right/Γ shares of layer
 	// l+1's batches, addressed to the KFF of its role i+1 (Step 6).
 	// outputOpen[ci] are those of the client's output-wire λ's, sealed to
 	// its setup key by OffRe or, for a client whose outputs are not early,

@@ -17,8 +17,9 @@ var kffSecretBound = new(big.Int).Lsh(big.NewInt(1), 8*pke.SecretKeySize)
 // setup executes Π_YOSO-Setup (paper §5.1):
 //
 //  1. generate keys-for-future for every role of every online mul-layer
-//     committee and for every client, publishing the public halves and
-//     TEnc'ing the secret halves under tpk;
+//     committee, publishing the public halves and TEnc'ing the secret
+//     halves under tpk (clients are known parties with setup keys of their
+//     own, and need none);
 //  2. publish the NIZK CRS (the attestation authority stands in for it);
 //  3. run TKGen; the epoch-0 shares are handed to the first tsk-holding
 //     offline committee when the offline phase forms it.
@@ -57,7 +58,9 @@ func (r *run) setup() error {
 		r.clients[id] = role
 	}
 
-	// Keys for future: one per online mul-layer role, one per client.
+	// Keys for future: one per online mul-layer role, whose key is unknown
+	// until the online phase forms the layer. A client's key is posted
+	// above, so OffRe seals its λ's to that key directly.
 	depth := r.p.circ.Depth()
 	var owners []string
 	for l := 0; l < depth; l++ {
@@ -65,25 +68,8 @@ func (r *run) setup() error {
 			owners = append(owners, fmt.Sprintf("on-layer%d/%d", l+1, i+1))
 		}
 	}
-	var kffClients []int
-	for _, id := range r.p.circ.Clients() {
-		if r.p.circ.InputCount(id) == 0 {
-			continue // only input-contributing parties get a KFF (§5.1)
-		}
-		kffClients = append(kffClients, id)
-		owners = append(owners, fmt.Sprintf("client/%d", id))
-	}
-	entries, err := r.mintKFFs(owners)
-	if err != nil {
+	if r.kff, err = r.mintKFFs(owners); err != nil {
 		return err
-	}
-	r.kffLayer = make([][]kffEntry, depth)
-	for l := range r.kffLayer {
-		r.kffLayer[l] = entries[l*p.N : (l+1)*p.N]
-	}
-	r.kffClient = map[int]*kffEntry{}
-	for j, id := range kffClients {
-		r.kffClient[id] = &entries[depth*p.N+j]
 	}
 
 	r.initWireState()

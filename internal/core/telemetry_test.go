@@ -175,7 +175,7 @@ func TestTelemetryStepSpansReportOpenings(t *testing.T) {
 		"beaver-bc": {}, "wire-randomness": {},
 		"offdec-open":             {16, 96},
 		"steps-5-6":               {4 + 3*12*6 + 3, 16 + 3*12*18 + 16},
-		"future-key-distribution": {3*12 + 2, 3*12 + 2},
+		"future-key-distribution": {3 * 12, 3 * 12},
 		"mu-layer1":               {}, "mu-layer2": {}, "mu-layer3": {},
 	}
 	if !reflect.DeepEqual(got, want) {

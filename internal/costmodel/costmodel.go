@@ -130,9 +130,11 @@ type Phases struct {
 // CoreOptions selects protocol variants for the prediction.
 type CoreOptions struct {
 	// NoKFF models the §3.2 naive approach, which the driver does not run:
-	// no KFFs, and OnC1 re-encrypts the input λ's and packed shares online
-	// in place of the KFF secrets. core's TestNaiveModelFromKFFRun checks it
-	// against the terms it moves, measured on a KFF run.
+	// no KFFs, and OnC1 re-encrypts the packed shares online to the layer
+	// roles' keys in place of the KFF secrets. The input λ's go offline to
+	// the clients' setup keys in both designs. core's
+	// TestNaiveModelFromKFFRun checks it against the terms it moves,
+	// measured on a KFF run.
 	NoKFF bool
 	// Robust models IT-GOD μ layers (no per-layer proofs).
 	Robust bool
@@ -153,9 +155,9 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 	muls := int64(shape.Muls)
 	depth := int64(shape.Depth)
 	// Slot-packed opening counts, from the driver's own planner: OffDec's
-	// ε/δ groups, the groups steps 5–6 re-encrypt (each input client's λ's,
-	// then one member's shares per layer, times n members), and the output
-	// groups.
+	// ε/δ groups, the groups Step 5 seals to the input clients, those Step 6
+	// re-encrypts (one member's shares per layer, times n members), and the
+	// output groups.
 	groups := func(lists ...[]slotpack.Run) (total int64) {
 		for _, l := range lists {
 			total += slotpack.Count(l, z.SlotBits)
@@ -163,7 +165,8 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 		return total
 	}
 	decGroups := groups(shape.Opened.EpsDelta)
-	reGroups := groups(shape.Opened.Inputs...) + N*groups(shape.Opened.Layers...)
+	inGroups := groups(shape.Opened.Inputs...)
+	layerGroups := N * groups(shape.Opened.Layers...)
 	var earlyGroups, lateGroups int64 // output groups OffRe and OnOut seal
 	late := false
 	for c, l := range shape.Opened.Outputs {
@@ -181,7 +184,7 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 	var setup int64
 	setup += int64(z.Ciphertext)/2 + 32              // tpk + crs
 	setup += int64(shape.Clients) * int64(z.RoleKey) // client role keys
-	kffCount := depth*N + int64(shape.InputClients)  // layer roles + input clients
+	kffCount := depth * N                            // one per layer role
 	if !opts.NoKFF {
 		setup += kffCount * int64(z.RoleKey+z.Ciphertext) // KFF publications
 	}
@@ -198,23 +201,23 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 	offline += N*int64(random)*int64(z.Ciphertext) + N*int64(z.Proof) // wire randomness, helpers and Beaver a-parts
 	// OffDec: partials for the ε/δ groups + resharing to OffRe.
 	offline += N*(decGroups*int64(z.Partial)+key+N*envS) + N*int64(z.Proof)
-	// OffRe: one envelope per early output group to its client and tsk
-	// resharing to OnC1; steps 5–6 add one envelope per input-wire λ group
-	// and per packed-share group of every layer member, unless the naive
-	// approach leaves them to OnC1.
-	sealedOffline := earlyGroups
+	// OffRe: one envelope per input-wire λ group and per early output group
+	// to its client and tsk resharing to OnC1; Step 6 adds one envelope per
+	// packed-share group of every layer member, unless the naive approach
+	// leaves them to OnC1.
+	sealedOffline := inGroups + earlyGroups
 	if !opts.NoKFF {
-		sealedOffline += reGroups
+		sealedOffline += layerGroups
 	}
 	offline += N*(key+sealedOffline*envP+N*envS) + N*int64(z.Proof)
 
 	var online int64
 	online += depth * N * int64(z.RoleKey) // layer committees' role keys
-	// OnC1: future key distribution, or in the naive mode everything
+	// OnC1: future key distribution, or in the naive mode the packed shares
 	// re-encrypted under role keys; tsk resharing to OnOut, if formed.
 	sealedOnC1 := kffCount
 	if opts.NoKFF {
-		sealedOnC1 = reGroups
+		sealedOnC1 = layerGroups
 	}
 	var handOff int64
 	if late {

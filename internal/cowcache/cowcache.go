@@ -1,8 +1,8 @@
 // Package cowcache is the one precompute cache behind the engines: a
 // copy-on-write map with lock-free reads, for values that are expensive
 // to build, immutable once built, and looked up on hot paths (the packed
-// sharing domains, the modexp power ladders and Montgomery contexts, the
-// integer Lagrange vectors).
+// sharing domains, the modexp Montgomery contexts, the integer Lagrange
+// vectors).
 //
 // One policy, for every user:
 //

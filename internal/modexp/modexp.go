@@ -3,13 +3,13 @@
 // owner knows recurs (the encryption randomizer h^N a
 // paillier.PublicKey holds, the Shoup verification base v), Straus
 // interleaved multi-exponentiation for TEval's interpolations, proof
-// verification and threshold combination, and cached Δ-power ladders.
-// Both kernels multiply in Montgomery form over an odd modulus, reducing
-// by REDC built from math/big multiplications (mont.go); an even modulus
-// takes plain big.Int.Exp. Montgomery contexts and ladders are cached
-// process-wide in bounded internal/cowcache maps (cache.go); a table is
-// built and held by its owner, a hit is counted wherever a table serves
-// an exponentiation, and the counter is mirrored into telemetry.
+// verification and threshold combination. Both kernels multiply in
+// Montgomery form over an odd modulus, reducing by REDC built from
+// math/big multiplications (mont.go); an even modulus takes plain
+// big.Int.Exp. Montgomery contexts are cached process-wide in a bounded
+// internal/cowcache map (cache.go); a table is built and held by its
+// owner, a hit is counted wherever a table serves an exponentiation, and
+// the counter is mirrored into telemetry.
 //
 // ExpSigned — plain math/big square-and-multiply — is the reference:
 // the tests and FuzzEngineVsNaive pin every engine path to it
@@ -20,7 +20,7 @@
 // construction — math/big has no constant-time path for any of these
 // operations. This package is the sanctioned home for variable-time
 // big-integer exponentiation (see the sidechannel policy in
-// internal/analysis/secretflow, which exempts it and treats its Exp*/Pow
+// internal/analysis/secretflow, which exempts it and treats its Exp*
 // results as sanitized): the justification that used to ride on
 // per-call-site //yosolint:vartime directives for expSigned in tte and
 // nizk lives here instead. Modular

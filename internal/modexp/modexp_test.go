@@ -10,11 +10,9 @@ import (
 	"yosompc/internal/telemetry"
 )
 
-// resetCaches drops every cached ladder and Montgomery context and zeroes
-// the stats: the caches are process-wide, so tests that count hits start
-// from empty.
+// resetCaches drops every cached Montgomery context and zeroes the stats:
+// both are process-wide, so tests that count hits start from empty.
 func resetCaches() {
-	ladders.Reset()
 	monts.Reset()
 	tableStats.Reset()
 }
@@ -186,30 +184,6 @@ func TestFixedBaseExpCountsHits(t *testing.T) {
 	}
 }
 
-// TestLadderKeysOnResidue: ladders key on the residue, not on the
-// absolute value. −g must not share g's ladder (wrong for odd powers),
-// while the unreduced g + N is the same residue and must.
-func TestLadderKeysOnResidue(t *testing.T) {
-	resetCaches()
-	defer resetCaches()
-	r := testRNG(9)
-	n := oddModulus(r, 512)
-	g := randBig(r, 500)
-	negG := new(big.Int).Neg(g)
-	gPlusN := new(big.Int).Add(g, n)
-	Ladder(g, n)
-	cube, err := Ladder(negG, n).Pow(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := new(big.Int).Exp(negG, big.NewInt(3), n); cube.Cmp(want) != 0 {
-		t.Fatalf("Ladder(−g).Pow(3) = %v, want %v", cube, want)
-	}
-	if Ladder(gPlusN, n) != Ladder(g, n) {
-		t.Fatal("Ladder(g+N) is not Ladder(g)")
-	}
-}
-
 func TestMultiExpMatchesNaiveProduct(t *testing.T) {
 	r := testRNG(4)
 	for i := 0; i < 160; i++ {
@@ -265,30 +239,6 @@ func TestMultiExpMatchesNaiveProduct(t *testing.T) {
 	}
 }
 
-func TestPowerLadderMatchesExp(t *testing.T) {
-	resetCaches()
-	r := testRNG(6)
-	m := oddModulus(r, 256)
-	base := randBig(r, 256)
-	l := Ladder(base, m)
-	// Non-monotone access pattern: the ladder must extend and backfill.
-	for _, k := range []int{5, 0, 17, 3, 64, 63, 65, 1} {
-		got, err := l.Pow(k)
-		if err != nil {
-			t.Fatalf("Pow(%d): %v", k, err)
-		}
-		want := new(big.Int).Exp(base, big.NewInt(int64(k)), m)
-		if got.Cmp(want) != 0 {
-			t.Fatalf("Pow(%d)=%v naive=%v", k, got, want)
-		}
-	}
-	// Same (base, modulus) yields the same ladder instance.
-	if Ladder(base, m) != l {
-		t.Fatal("Ladder not cached per (base, modulus)")
-	}
-	resetCaches()
-}
-
 func TestInstrumentMirrorsCounters(t *testing.T) {
 	resetCaches()
 	defer resetCaches()
@@ -310,31 +260,37 @@ func TestInstrumentMirrorsCounters(t *testing.T) {
 	}
 }
 
-// TestCacheHammer drives what modexp adds on top of its cowcache maps
+// TestCacheHammer drives what modexp adds on top of its cowcache map
 // (hammered in internal/cowcache) from many goroutines at once: 16 of
-// them look up one ladder and grow it, each asking for powers the others
-// have not built yet; run under -race it is the engine's concurrency
-// witness.
+// them multi-exponentiate over moduli none has seen yet, so each looks up
+// and builds Montgomery contexts the others are building too; run under
+// -race it is the engine's concurrency witness.
 func TestCacheHammer(t *testing.T) {
 	resetCaches()
 	defer resetCaches()
 	r := testRNG(8)
-	m := oddModulus(r, 256)
-	base := randBig(r, 256)
+	moduli := make([]*big.Int, 4)
+	for i := range moduli {
+		moduli[i] = oddModulus(r, 256)
+	}
+	bases := []*big.Int{randBig(r, 256), randBig(r, 256)}
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				k := (g*37 + i*11) % 300
-				p, err := Ladder(base, m).Pow(k)
+				m := moduli[(g+i)%len(moduli)]
+				exps := []*big.Int{big.NewInt(int64(g*37 + i*11)), big.NewInt(int64(i + 1))}
+				got, err := MultiExp(m, bases, exps)
 				if err != nil {
 					t.Errorf("goroutine %d iter %d: %v", g, i, err)
 					return
 				}
-				if want := new(big.Int).Exp(base, big.NewInt(int64(k)), m); p.Cmp(want) != 0 {
-					t.Errorf("goroutine %d iter %d: Pow(%d) = %v, want %v", g, i, k, p, want)
+				want := new(big.Int).Exp(bases[0], exps[0], m)
+				want.Mod(want.Mul(want, new(big.Int).Exp(bases[1], exps[1], m)), m)
+				if got.Cmp(want) != 0 {
+					t.Errorf("goroutine %d iter %d: MultiExp = %v, want %v", g, i, got, want)
 					return
 				}
 			}

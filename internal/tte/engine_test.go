@@ -15,7 +15,7 @@ import (
 )
 
 // Differential tests pinning the modexp-engine hot paths (PartialDecrypt,
-// Combine, Δ^epoch ladders) bit-for-bit against the naive references
+// Combine, Δ^epoch) bit-for-bit against the naive references
 // below. "Equal" always means big.Int.Cmp == 0 on canonical residues,
 // which for engine outputs is the same as byte equality.
 
@@ -259,14 +259,14 @@ func BenchmarkEncrypt(b *testing.B) {
 func TestDeltaPowerEngineMatchesNaive(t *testing.T) {
 	s, pk, _ := engineScheme(t)
 	tpk := pk.(*publicKey)
-	// Non-monotone epochs: the ladder must serve arbitrary revisit order.
+	// Non-monotone epochs, revisited.
 	for _, epoch := range []int{0, 3, 1, 7, 2, 7} {
 		eng, err := s.deltaPower(tpk, epoch)
 		if err != nil {
 			t.Fatalf("deltaPower(%d): %v", epoch, err)
 		}
 		if ref := deltaPowerNaive(s, tpk, epoch); eng.Cmp(ref) != 0 {
-			t.Fatalf("epoch %d: ladder Δ^e %v != naive %v", epoch, eng, ref)
+			t.Fatalf("epoch %d: Δ^e %v != naive %v", epoch, eng, ref)
 		}
 	}
 }
@@ -310,7 +310,7 @@ func TestThresholdEncryptManyValidation(t *testing.T) {
 
 // TestThresholdEngineHammer drives the cached hot paths from many
 // goroutines at once; run with -race it witnesses that the engine's
-// table/ladder caches stay safe under the scheme-level call pattern.
+// Montgomery-context cache stays safe under the scheme-level call pattern.
 func TestThresholdEngineHammer(t *testing.T) {
 	s, pk, shares := engineScheme(t)
 	ct, err := s.Encrypt(pk, big.NewInt(7777), big.NewInt(1<<20))

@@ -171,7 +171,7 @@ func (s *Threshold) PartialDecrypt(pk PublicKey, sh KeyShare, ct Ciphertext) (Pa
 // Combine implements TDec: c' = Π v_i^(2Λ_i) where Λ_i = Δ·λ_i(0), then the
 // plaintext is L(c')·(4Δ²·Δ^epoch)⁻¹ mod N. The t+1-term product runs
 // as one Straus multi-exponentiation (shared squaring chain across all
-// partials) and Δ^epoch comes from the cached power ladder.
+// partials).
 func (s *Threshold) Combine(pk PublicKey, ct Ciphertext, parts []PartialDec) (*big.Int, error) {
 	p, chosen, epoch, err := s.lowestPartials(pk, parts)
 	if err != nil {
@@ -212,12 +212,11 @@ func (s *Threshold) Combine(pk PublicKey, ct Ciphertext, parts []PartialDec) (*b
 	return lVal.Mod(lVal.Mul(lVal, divInv), s.dealer.N), nil
 }
 
-// deltaPower returns Δ^epoch mod N from the process-wide power ladder
-// (one cached multiplication per new epoch instead of a full
-// exponentiation at every Combine). Ladder entries are shared; callers
-// must not mutate the returned value.
+// deltaPower returns Δ^epoch mod N. Both are public and an epoch is
+// small (a run reshares tsk a handful of times), so this is a few
+// multiplications beside each Combine's multi-exponentiation.
 func (s *Threshold) deltaPower(p *publicKey, epoch int) (*big.Int, error) {
-	return modexp.Ladder(p.delta, s.dealer.N).Pow(epoch)
+	return modexp.ExpSigned(p.delta, big.NewInt(int64(epoch)), s.dealer.N)
 }
 
 // lowestPartials validates parts and picks the t+1 with the lowest

@@ -244,6 +244,16 @@ func TestStructuralRules(t *testing.T) {
 				len(hits), strings.Join(hits, "\n"))
 		}
 	})
+	t.Run("PROTOCOL.md names identifiers that exist", func(t *testing.T) {
+		hits, err := deadIdentifiers("docs/PROTOCOL.md")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hits) > 0 {
+			t.Errorf("%d code spans name a word no Go file holds: name the code as it is, or drop the span\n%s",
+				len(hits), strings.Join(hits, "\n"))
+		}
+	})
 }
 
 // citedDocs are the documents whose test citations must resolve.
@@ -319,6 +329,54 @@ func deadTestCitations() ([]string, error) {
 		}
 	}
 	return dead, nil
+}
+
+var (
+	// goWord is a Go identifier, and identSpan a code span holding nothing
+	// but one, optionally dotted, optionally followed by "()".
+	goWord    = regexp.MustCompile(`[\pL_][\pL\pN_]*`)
+	identSpan = regexp.MustCompile("^`([\\pL_][\\pL\\pN_]*(?:\\.[\\pL_][\\pL\\pN_]*)*)(?:\\(\\))?`$")
+)
+
+// deadIdentifiers returns, as "path:line:name", every code span of doc
+// shaped like a Go identifier that has a dotted part occurring as a word in
+// no Go file of the tree (the benchmark module included).
+func deadIdentifiers(doc string) ([]string, error) {
+	words := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir // .git and build caches
+		case d.IsDir() || !strings.HasSuffix(path, ".go"):
+			return nil
+		}
+		return scanLines(path, func(_ int, line string) {
+			for _, w := range goWord.FindAllString(line, -1) {
+				words[w] = true
+			}
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	var dead []string
+	err = scanLines(doc, func(n int, line string) {
+		for _, span := range codeSpan.FindAllString(line, -1) {
+			m := identSpan.FindStringSubmatch(span)
+			if m == nil {
+				continue
+			}
+			for _, part := range strings.Split(m[1], ".") {
+				if !words[part] {
+					dead = append(dead, fmt.Sprintf("%s:%d:%s", doc, n, m[1]))
+					break
+				}
+			}
+		}
+	})
+	return dead, err
 }
 
 // scanLines calls line for every line of the file at path, numbered from 1.
