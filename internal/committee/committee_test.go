@@ -149,8 +149,8 @@ func TestTskStep(t *testing.T) {
 			}
 
 			// An honest posting is its posting key when it seals anything,
-			// then its parts in docs/WIRE.md order — the Decrypt partials,
-			// the Re-encrypt envelopes, the resharing — each the encoding of
+			// then its parts in docs/WIRE.md order — one per opening in list
+			// order, then the resharing — each the encoding of
 			// that member's own partial decryption or sub-share, sealed at
 			// its part index, and a malicious one is garbage of an honest
 			// posting's length.
@@ -227,25 +227,19 @@ func TestTskStep(t *testing.T) {
 				}
 				part := 0
 				for j, kind := range tc.kinds {
-					if kind != 'd' {
-						continue
-					}
-					part++
-					enc := take(partSize)
-					clearAt[j] = append(clearAt[j], enc)
-					if !bytes.Equal(enc, partial(j)) {
-						t.Errorf("%s: clear part for opening %d is not its partial decryption", role.Name(), j)
-					}
-				}
-				for j, kind := range tc.kinds {
-					if kind != 'r' {
-						continue
-					}
-					env := take(partSize + pke.EnvelopeOverhead)
-					sealedAt[j] = append(sealedAt[j], env)
-					got, err := recipients[j].AppendOpen(nil, key, part, env)
-					if err != nil || !bytes.Equal(got, partial(j)) {
-						t.Errorf("%s: sealed part for opening %d does not open to its partial decryption: %v", role.Name(), j, err)
+					if kind == 'd' {
+						enc := take(partSize)
+						clearAt[j] = append(clearAt[j], enc)
+						if !bytes.Equal(enc, partial(j)) {
+							t.Errorf("%s: clear part for opening %d is not its partial decryption", role.Name(), j)
+						}
+					} else {
+						env := take(partSize + pke.EnvelopeOverhead)
+						sealedAt[j] = append(sealedAt[j], env)
+						got, err := recipients[j].AppendOpen(nil, key, part, env)
+						if err != nil || !bytes.Equal(got, partial(j)) {
+							t.Errorf("%s: sealed part for opening %d does not open to its partial decryption: %v", role.Name(), j, err)
+						}
 					}
 					part++
 				}

@@ -24,11 +24,12 @@ type Opening struct {
 
 // TskPost is the single message a tsk-holding member posts, held as the
 // posting itself. A posting that seals anything starts with its posting key
-// (pke.PostingKeySize bytes); its parts follow. Routing is positional: the
-// step's Decrypt partials, then its Re-encrypt envelopes, both in list
-// order, then the resharing envelopes, slot j sealed to member j+1 of the
-// next committee. Each envelope is sealed at its part index, which every
-// reader knows from the step's public layout.
+// (pke.PostingKeySize bytes); its parts follow. Routing is positional: part
+// j answers opening j of the step's list, a partial in the clear for a
+// Decrypt and an envelope for a Re-encrypt, and the resharing envelopes
+// follow, slot j sealed to member j+1 of the next committee. Each envelope
+// is sealed at its part index, which every reader knows from the step's
+// public layout.
 type TskPost struct {
 	buf []byte
 	// ends[0] is where the posting key ends (0 when nothing is sealed) and
@@ -104,27 +105,13 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 	if len(shares) != c.N() {
 		return nil, fmt.Errorf("%s: committee %s was handed no tsk shares", sp.Label, c.Name)
 	}
-	nClear, nNext := 0, 0
+	nNext := 0
 	sp.openings = len(open)
 	for _, o := range open {
-		if o.Key == nil {
-			nClear++
-		}
 		sp.values += max(o.Slots, 1)
 	}
 	if next != nil {
 		nNext = next.N()
-	}
-	// slot[j] is the part of every posting that answers opening j: the
-	// Decrypts come first, then the Re-encrypts.
-	slot := make([]int, len(open))
-	clearSlot, sealedSlot := 0, nClear
-	for j, o := range open {
-		if o.Key == nil {
-			slot[j], clearSlot = clearSlot, clearSlot+1
-		} else {
-			slot[j], sealedSlot = sealedSlot, sealedSlot+1
-		}
 	}
 	posts, err := Step(r, c, sp, func(i int) (TskPost, error) {
 		if shares[i-1] == nil {
@@ -160,9 +147,9 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 	}
 	for j, o := range open {
 		if o.Key == nil {
-			res.Partials[j] = part(slot[j])
+			res.Partials[j] = part(j)
 		} else {
-			res.Sealed[j] = Envelopes{envs: part(slot[j]), keys: keys, part: slot[j]}
+			res.Sealed[j] = Envelopes{envs: part(j), keys: keys, part: j}
 		}
 	}
 	tsk.shares, tsk.handoff = nil, nil
@@ -232,28 +219,22 @@ func (r *Runner) tskPost(sh tte.KeyShare, open []Opening, next *yoso.Committee) 
 		post.ends[0] = len(post.buf)
 	}
 
-	// Parts are written in wire order, so the Decrypts go first. An
-	// envelope is sealed at its part index.
-	for _, sealed := range []bool{false, true} {
-		for j, o := range open {
-			if (o.Key != nil) != sealed {
-				continue
+	// Opening j is part j; an envelope is sealed at its part index.
+	for j, o := range open {
+		var err error
+		if o.Key != nil {
+			plain, err = r.TE.AppendPartial(plain[:0], parts[j])
+			if err == nil {
+				post.buf, err = seal.AppendEncrypt(post.buf, j, o.Key, plain)
 			}
-			var err error
-			if sealed {
-				plain, err = r.TE.AppendPartial(plain[:0], parts[j])
-				if err == nil {
-					post.buf, err = seal.AppendEncrypt(post.buf, len(post.ends)-1, o.Key, plain)
-				}
-				clear(plain)
-			} else {
-				post.buf, err = r.TE.AppendPartial(post.buf, parts[j]) //yosolint:owner a Decrypt opens to everyone: the partial is the public posting
-			}
-			if err != nil {
-				return TskPost{}, err
-			}
-			post.ends = append(post.ends, len(post.buf))
+			clear(plain)
+		} else {
+			post.buf, err = r.TE.AppendPartial(post.buf, parts[j]) //yosolint:owner a Decrypt opens to everyone: the partial is the public posting
 		}
+		if err != nil {
+			return TskPost{}, err
+		}
+		post.ends = append(post.ends, len(post.buf))
 	}
 	for j, sub := range subs {
 		if sub.To() != j+1 {

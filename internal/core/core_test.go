@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -491,30 +492,44 @@ func linearCircuit(t *testing.T) *circuit.Circuit {
 }
 
 func TestRoundsAccounting(t *testing.T) {
-	// The YOSO round structure: 4 offline committees, OnC1 (formed
-	// offline, speaking at online start), one client round and one
+	// The YOSO round structure: 4 offline committees, one client round,
+	// OnC1 (formed offline, speaking after the client round) and one
 	// committee per multiplication layer — 6 + depth sequential broadcast
-	// rounds. PolyEval's output is a product, so it needs no committee:
-	// OffRe sealed its λ's.
-	circ, err := circuit.PolyEval(3) // depth 3
+	// rounds, whether OffRe sealed every output λ (PolyEval's output is a
+	// product) or OnC1 seals some after the inputs (every client of
+	// Statistics receives Σxᵢ).
+	poly, err := circuit.PolyEval(3) // depth 3
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := inputsOf(map[int][]uint64{0: {1, 2, 3, 4}, 1: {2}})
-	res := runAndCompare(t, simParams(8, 2, 2, nil), circ, in)
-	if res.Rounds != 9 {
-		t.Errorf("rounds = %d, want 9 for depth 3", res.Rounds)
+	stats, err := circuit.Statistics(4) // depth 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		circ  *circuit.Circuit
+		in    map[int][]field.Element
+		depth int
+	}{
+		{"poly-eval", poly, inputsOf(map[int][]uint64{0: {1, 2, 3, 4}, 1: {2}}), 3},
+		{"statistics", stats, inputsOf(map[int][]uint64{0: {3}, 1: {4}, 2: {5}, 3: {6}}), 1},
+	} {
+		res := runAndCompare(t, simParams(8, 2, 2, nil), tc.circ, tc.in)
+		if want := 6 + tc.depth; res.Rounds != want {
+			t.Errorf("%s: rounds = %d, want %d for depth %d", tc.name, res.Rounds, want, tc.depth)
+		}
 	}
 
 	// Without a multiplication there is no Beaver step: OffB is never
 	// formed. The output x₀ + x₁ may not reach client 0 before client 1's
-	// input is posted, so OnOut seals it: OffR, OffDec, OffRe, OnC1, the
-	// client round and OnOut make 6 rounds, and the offline phase publishes
-	// 4·n role keys, OnC1's among them.
+	// input is posted, so OnC1 seals it after the client round: OffR,
+	// OffDec, OffRe, the client round and OnC1 make 5 rounds, and the
+	// offline phase publishes 4·n role keys, OnC1's among them.
 	const n = 8
-	res = runAndCompare(t, simParams(n, 2, 2, nil), linearCircuit(t), inputsOf(map[int][]uint64{0: {3}, 1: {4}}))
-	if res.Rounds != 6 {
-		t.Errorf("linear circuit: rounds = %d, want 6", res.Rounds)
+	res := runAndCompare(t, simParams(n, 2, 2, nil), linearCircuit(t), inputsOf(map[int][]uint64{0: {3}, 1: {4}}))
+	if res.Rounds != 5 {
+		t.Errorf("linear circuit: rounds = %d, want 5", res.Rounds)
 	}
 	if got, want := res.Report.ByCat[comm.PhaseOffline][comm.CatRoleKeys], int64(4*n*pke.PublicKeySize); got != want {
 		t.Errorf("linear circuit: %d offline role-key bytes, want %d (4 committees of %d)", got, want, n)
@@ -524,7 +539,8 @@ func TestRoundsAccounting(t *testing.T) {
 // The schedule, read off the board: the committee manifests a run posts name
 // its committees in the order they were formed, and Rounds is one per
 // manifest plus the client round. A linear circuit forms no OffB, and its
-// output, x₀ + x₁ to client 0, needs OnOut.
+// output, x₀ + x₁ to client 0, which OnC1 seals after the inputs, needs no
+// committee of its own.
 func TestScheduleOnTheBoard(t *testing.T) {
 	poly, err := circuit.PolyEval(3)
 	if err != nil {
@@ -541,7 +557,7 @@ func TestScheduleOnTheBoard(t *testing.T) {
 		{"depth 3", poly, inputsOf(map[int][]uint64{0: {1, 2, 3, 4}, 1: {2}}),
 			append(append([]string{"offR", "offB"}, shared...), "on-layer1", "on-layer2", "on-layer3")},
 		{"linear", linearCircuit(t), inputsOf(map[int][]uint64{0: {3}, 1: {4}}),
-			append(append([]string{"offR"}, shared...), "onOut")},
+			append([]string{"offR"}, shared...)},
 	} {
 		proto, err := New(simParams(8, 2, 2, nil), tc.circ, nil)
 		if err != nil {
@@ -919,10 +935,11 @@ func TestPrepareIsOfflineAndOutputsSealedBeforeInputs(t *testing.T) {
 }
 
 // An output that is not early (circuit.EarlyOutputs) reaches its client
-// only after the inputs are posted: OnOut seals it after the last layer,
-// while OffRe seals the early outputs in Prepare. Client 0 receives x₀·x₁,
-// client 1 receives x₀ + x₁, from which its λ would hand client 1 the mask of
-// x₀ before the input round.
+// only after the inputs are posted: OnC1 seals it once the input round is
+// over, while OffRe seals the early outputs in Prepare, and no output
+// committee is formed. Client 0 receives x₀·x₁, client 1 receives x₀ + x₁,
+// from which its λ would hand client 1 the mask of x₀ before the input
+// round.
 func TestLateOutputsSealedAfterInputs(t *testing.T) {
 	b := circuit.NewBuilder()
 	x0, x1 := b.Input(0), b.Input(1)
@@ -957,20 +974,35 @@ func TestLateOutputsSealedAfterInputs(t *testing.T) {
 	if !reflect.DeepEqual(res.Outputs, want) {
 		t.Errorf("outputs %v, want %v", res.Outputs, want)
 	}
-	lastInput, onOut := -1, 0
-	for _, e := range proto.Board().Entries(0) {
-		switch {
-		case e.Category == comm.CatInput:
+
+	// Client 1 opens its output groups again under a key that logs every
+	// envelope it opens: each is a part of an OnC1 posting made after the
+	// last input.
+	entries := proto.Board().Entries(0)
+	lastInput := -1
+	for _, e := range entries {
+		if e.Category == comm.CatInput {
 			lastInput = e.Seq
-		case e.Category == comm.CatOutput && strings.HasPrefix(e.From, "onOut/"):
-			if lastInput < 0 {
-				t.Fatalf("OnOut posted #%d before any input", e.Seq)
-			}
-			onOut++
 		}
 	}
-	if onOut != n {
-		t.Errorf("%d OnOut postings after the inputs, want %d", onOut, n)
+	sk := &loggingSK{SecretKey: prep.r.clients[1].SecretKey()}
+	if _, err := prep.r.openGroups(sk, prep.r.outputOpen[1]); err != nil {
+		t.Fatal(err)
+	}
+	if len(sk.envs) == 0 {
+		t.Fatal("client 1 opened no output envelope")
+	}
+	for i, env := range sk.envs {
+		e, ok := postingOf(entries, env)
+		switch {
+		case !ok:
+			t.Errorf("envelope %d is not a part of any posting", i)
+		case !strings.HasPrefix(e.From, "onC1/") || e.Seq <= lastInput:
+			t.Errorf("envelope %d is a part of %s's posting #%d, want OnC1's after the last input #%d", i, e.From, e.Seq, lastInput)
+		}
+	}
+	if names := manifestNames(t, proto.Board()); slices.Contains(names, "onOut") {
+		t.Errorf("committees %v: an output committee was formed", names)
 	}
 	recovered := map[comm.Phase]int{}
 	for _, e := range res.Audit {
@@ -978,9 +1010,32 @@ func TestLateOutputsSealedAfterInputs(t *testing.T) {
 			recovered[e.Phase]++
 		}
 	}
-	if want := map[comm.Phase]int{comm.PhaseOffline: n, comm.PhaseOnline: 2 * n}; !reflect.DeepEqual(recovered, want) {
-		t.Errorf("tsk shares recovered per phase %v, want %v (OffRe, then OnC1 and OnOut)", recovered, want)
+	if want := map[comm.Phase]int{comm.PhaseOffline: n, comm.PhaseOnline: n}; !reflect.DeepEqual(recovered, want) {
+		t.Errorf("tsk shares recovered per phase %v, want %v (OffRe, then OnC1)", recovered, want)
 	}
+}
+
+// loggingSK records the envelopes its holder opens.
+type loggingSK struct {
+	pke.SecretKey
+	envs [][]byte
+}
+
+func (k *loggingSK) AppendOpen(dst, key []byte, part int, env []byte) ([]byte, error) {
+	k.envs = append(k.envs, env)
+	return k.SecretKey.AppendOpen(dst, key, part, env)
+}
+
+// postingOf returns the board entry whose payload env is a view of.
+func postingOf(entries []transport.Entry, env []byte) (transport.Entry, bool) {
+	for _, e := range entries {
+		for off := 0; off+len(env) <= len(e.Payload); off++ {
+			if &e.Payload[off] == &env[0] {
+				return e, true
+			}
+		}
+	}
+	return transport.Entry{}, false
 }
 
 func TestExecuteValidatesInputs(t *testing.T) {

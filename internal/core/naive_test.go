@@ -39,8 +39,8 @@ func TestNaiveModelFromKFFRun(t *testing.T) {
 		{name: "width 256", circ: build(circuit.WideMul(256, 1)), n: 16, t: 3, k: 4, s: 2_027_520, kff: 135_168},
 		{name: "depth 2", circ: build(circuit.WideMul(8, 2)), n: 14, t: 3, k: 3},
 		{name: "depth 2 robust", circ: build(circuit.WideMul(8, 2)), n: 14, t: 3, k: 3, robust: true},
-		// Every client receives Σxᵢ, so no output is early: OnC1 reshares
-		// tsk to OnOut.
+		// Every client receives Σxᵢ, so no output is early: OnC1 seals
+		// the output λ's beside the KFF secrets.
 		{name: "late outputs", circ: build(circuit.Statistics(4)), n: 14, t: 3, k: 3},
 	}
 	const bits = 2048
@@ -73,7 +73,7 @@ func TestNaiveModelFromKFFRun(t *testing.T) {
 				}
 			}
 			for _, entry := range r.kff {
-				kff += int64(entry.delivered.Size())
+				kff += int64(entry.delivered[0].envs.Size())
 			}
 			if c.s != 0 && (s != c.s || kff != c.kff) {
 				t.Errorf("S = %d B and K = %d B, want %d and %d", s, kff, c.s, c.kff)
@@ -102,7 +102,7 @@ func TestNaiveModelFromKFFRun(t *testing.T) {
 }
 
 // modelShape is the cost model's Shape of a run: its circuit's counts, the
-// lists it opened and the clients whose outputs OnOut sealed.
+// lists it opened and the clients whose outputs OnC1 sealed.
 func modelShape(r *run) costmodel.Shape {
 	c := r.p.circ
 	s := costmodel.Shape{Muls: c.NumMul(), Depth: c.Depth(), BatchesPerLayer: make([]int, c.Depth()), Opened: r.lists}

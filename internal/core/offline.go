@@ -30,8 +30,9 @@ func (r *run) initWireState() {
 // layer roles' KFFs, and of the input-wire λ's and the early clients'
 // output-wire λ's to their clients' setup keys). Nothing here depends on
 // inputs or on online role keys: OnC1 is formed here, so OffRe reshares
-// tsk to its role keys, and it speaks at online start (see online.go). Committees are formed in schedule order, so
-// the adversary samples them in that order.
+// tsk to its role keys, and it speaks after the input round (see
+// online.go). The offline committees are formed in schedule order, so the
+// adversary samples them in that order.
 func (r *run) offline() error {
 	p := r.p.params
 	r.buildBatches()

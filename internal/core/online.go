@@ -13,11 +13,11 @@ import (
 	"yosompc/internal/yoso"
 )
 
-// online executes Π_YOSO-Online: OnC1's future key distribution, inputs,
-// layer by layer multiplication, and output delivery: OnOut, formed only
-// for them, re-encrypts the output λ's that may not reach their clients
-// before the inputs are posted, and each client unmasks its outputs with
-// those and the λ's OffRe sealed to it in preprocessing.
+// online executes Π_YOSO-Online: inputs, OnC1's future key distribution
+// beside its sealing of the output λ's that may not reach their clients
+// before the inputs are posted, layer by layer multiplication, and output
+// delivery: each client unmasks its outputs with the λ's OffRe or OnC1
+// sealed to it.
 func (r *run) online(inputs map[int][]field.Element) (map[int][]field.Element, error) {
 	p := r.p.params
 
@@ -32,20 +32,6 @@ func (r *run) online(inputs map[int][]field.Element) (map[int][]field.Element, e
 		}
 		r.layers[l] = c
 	}
-	// OnOut holds tsk past the input round for the output λ's that may not
-	// reach their clients before it (circuit.EarlyOutputs).
-	if r.p.lateOutputs() {
-		var err error
-		if r.onOut, err = r.assign.FormCommittee("onOut", p.N, comm.PhaseOnline); err != nil {
-			return nil, err
-		}
-	}
-
-	// Future key distribution: OnC1 re-encrypts KFF secret keys to the
-	// now-known role keys and reshares tsk to OnOut, if formed.
-	if err := r.onC1Speak(); err != nil {
-		return nil, fmt.Errorf("future key distribution: %w", err)
-	}
 
 	// Input: each client opens λ for its input wires and publishes μ = v−λ.
 	sp := r.stepSpan("input")
@@ -55,6 +41,13 @@ func (r *run) online(inputs map[int][]field.Element) (map[int][]field.Element, e
 		return nil, fmt.Errorf("input: %w", err)
 	}
 	r.propagateLinear(0)
+
+	// Future key distribution: with every input posted, OnC1 re-encrypts
+	// the KFF secret keys to the layers' role keys and the late output λ's
+	// to their clients.
+	if err := r.onC1Speak(); err != nil {
+		return nil, fmt.Errorf("future key distribution: %w", err)
+	}
 
 	// Multiplication layers.
 	for l := 0; l < depth; l++ {
@@ -68,8 +61,7 @@ func (r *run) online(inputs map[int][]field.Element) (map[int][]field.Element, e
 		r.propagateLinear(l + 1)
 	}
 
-	// Output: OnOut seals the late output λ's, and every client unmasks
-	// v = μ + λ.
+	// Output: every client unmasks v = μ + λ.
 	return r.onlineOutput()
 }
 
@@ -152,33 +144,31 @@ func (r *run) offReSpeak() error {
 	return err
 }
 
-// onC1Speak is the online "future key distribution": OnC1 re-encrypts each
-// layer role's KFF secret key towards the role's now-posted key. It
-// reshares tsk to OnOut when some client's output λ's wait for the inputs,
-// and otherwise to no one: OffRe made every other opening the run needs.
+// onC1Speak is the online "future key distribution", run once every input
+// is posted: OnC1 re-encrypts each layer role's KFF secret key, one
+// ciphertext in one slot, towards the role's now-posted key, and the output
+// λ's of the clients whose outputs are not early (circuit.EarlyOutputs) to
+// their setup keys. It is the last tsk holder: OffRe made every other
+// opening the run needs.
 func (r *run) onC1Speak() error {
 	n := r.p.params.N
-	open := make([]committee.Opening, len(r.kff))
+	width := []int{kffSecretBound.BitLen()}
+	lists := make([]openList, len(r.kff))
 	for j := range r.kff {
-		open[j] = committee.Opening{Ct: r.kff[j].secretCt, Key: r.layers[j/n].Role(j%n + 1).PublicKey()}
+		lists[j] = openList{cts: []tte.Ciphertext{r.kff[j].secretCt}, widths: width,
+			key: r.layers[j/n].Role(j%n + 1).PublicKey(), into: &r.kff[j].delivered}
 	}
-	res, err := r.rt.TskStep(r.tsk, r.onC1,
-		committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatKFF, Label: "future-key-distribution"}, open, r.onOut)
-	if err != nil {
-		return err
-	}
-	for j := range r.kff {
-		r.kff[j].delivered = res.Sealed[j]
-	}
-	return nil
+	return r.reencryptLists(r.onC1, committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatKFF, Label: "future-key-distribution"},
+		append(lists, r.outputLists(false)...), nil)
 }
 
-// openKFF recovers a layer role's KFF secret key from its delivered
-// envelopes using the role's secret key. The combined integer and its
-// 32-byte encoding are the secret key itself; both backends copy the
-// encoding, so both are wiped once the key is built.
+// openKFF recovers a layer role's KFF secret key from the group OnC1 sealed
+// to the role's key. The combined integer and its 32-byte encoding are the
+// secret key itself; both backends copy the encoding, so both are wiped
+// once the key is built.
 func (r *run) openKFF(entry *kffEntry, ownerSK pke.SecretKey) (pke.SecretKey, error) {
-	v, err := r.rt.CombineSealed(ownerSK, entry.delivered, entry.secretCt)
+	g := entry.delivered[0]
+	v, err := r.rt.CombineSealed(ownerSK, g.envs, g.ct)
 	if err != nil {
 		return nil, err
 	}
@@ -411,17 +401,9 @@ func (r *run) layerStepRobust(c *yoso.Committee, l int,
 	return posts
 }
 
-// onlineOutput has OnOut, when some client's output λ's wait for the
-// inputs, Re-encrypt those to their clients, and then each client open its
-// output-wire λ's and unmask v = μ + λ, the last layer having made μ
-// public.
+// onlineOutput has each client open its output-wire λ's and unmask
+// v = μ + λ, the last layer having made μ public.
 func (r *run) onlineOutput() (map[int][]field.Element, error) {
-	if lists := r.outputLists(false); len(lists) > 0 {
-		err := r.reencryptLists(r.onOut, committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatOutput, Label: "output"}, lists, nil)
-		if err != nil {
-			return nil, err
-		}
-	}
 	gates := r.p.circ.Gates()
 	outputs := map[int][]field.Element{}
 	for ci, client := range r.p.circ.Clients() {

@@ -17,9 +17,10 @@ import (
 // ciphertexts, the committee partially decrypts one ciphertext per group, and
 // the reader combines once per group and splits the integer. The layout comes
 // from the run's static width lists (r.lists) and the key's capacity, both
-// public, so every party derives the same one. KFF distribution (one 256-bit
-// secret per distinct recipient) has nothing to share a plaintext with and
-// stays one opening per key.
+// public, so every party derives the same one. A KFF secret (one 256-bit
+// secret per distinct recipient) has nothing to share a plaintext with: it is
+// a list of its own, one ciphertext in one slot, whose one group is the
+// ciphertext itself.
 
 // openList is what one reader opens in one step, with the static slot widths
 // of r.lists in the same order, the key a Re-encrypt seals it to, and where

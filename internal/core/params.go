@@ -16,14 +16,13 @@
 //	            KFFs, and the input-wire λ's and the early clients'
 //	            output-wire λ's to their clients' setup keys, reshares tsk
 //	            to OnC1)
-//	online:   OnC1, formed offline (re-encrypts KFF secret keys to the
-//	          layer roles' keys once those are posted; reshares tsk to
-//	          OnOut, if formed)
-//	          → clients publish μ for their input wires
+//	online:   clients publish μ for their input wires
+//	          → OnC1, formed offline (re-encrypts KFF secret keys to the
+//	            layer roles' keys, and the output λ's of the clients they
+//	            may not reach before the inputs are posted
+//	            (circuit.EarlyOutputs) to those clients; the last tsk
+//	            holder)
 //	          → one committee per multiplication layer publishes μ-shares
-//	          → OnOut, formed only when some client's output λ's may not
-//	            reach it before the inputs are posted (circuit.EarlyOutputs),
-//	            re-encrypts those to their clients
 //	          → each client unmasks its outputs v = μ + λ
 //
 // All "everyone computes" steps (homomorphic evaluation over public

@@ -26,7 +26,7 @@ type Protocol struct {
 	board  *transport.Board
 	auth   *nizk.Authority
 	// early marks the clients whose output λ's OffRe seals to them in
-	// preprocessing (circuit.EarlyOutputs); OnOut seals the others' once
+	// preprocessing (circuit.EarlyOutputs); OnC1 seals the others' once
 	// the inputs are posted.
 	early map[int]bool
 }
@@ -70,17 +70,6 @@ func New(params Params, circ *circuit.Circuit, meter *comm.Meter) (*Protocol, er
 		auth:   auth,
 		early:  circ.EarlyOutputs(),
 	}, nil
-}
-
-// lateOutputs reports whether some client's output λ's must wait for the
-// inputs, so that the run needs OnOut.
-func (p *Protocol) lateOutputs() bool {
-	for _, client := range p.circ.Clients() {
-		if len(p.circ.OutputGates(client)) > 0 && !p.early[client] {
-			return true
-		}
-	}
-	return false
 }
 
 // Board exposes the bulletin board (for inspection in tests and tools).
@@ -135,11 +124,10 @@ type run struct {
 	// committees (see the schedule in the package comment; OffR and OffB
 	// live only inside their offline steps). OnC1 is formed offline, so
 	// OffRe reshares tsk to its role keys before any input exists; it
-	// speaks at online start, once the layers' role keys are posted. OnOut
-	// is formed only when some client's output λ's wait for the inputs; it
-	// is then the last tsk holder, and otherwise OnC1 is.
-	offDec, offRe, onC1, onOut *yoso.Committee
-	layers                     []*yoso.Committee
+	// speaks after the input round, once the layers' role keys are posted,
+	// and is the last tsk holder.
+	offDec, offRe, onC1 *yoso.Committee
+	layers              []*yoso.Committee
 
 	// clients
 	clients map[int]*yoso.Role
@@ -176,7 +164,7 @@ type run struct {
 	// l+1's batches, addressed to the KFF of its role i+1 (Step 6).
 	// outputOpen[ci] are those of the client's output-wire λ's, sealed to
 	// its setup key by OffRe or, for a client whose outputs are not early,
-	// by OnOut.
+	// by OnC1.
 	inputOpen  [][]group
 	layerOpen  [][][]group
 	outputOpen [][]group
@@ -190,12 +178,12 @@ type run struct {
 }
 
 // kffEntry is one key-for-future: the public key, the TEnc of the secret,
-// and (after OnC1's step) the envelope re-encrypting the secret to the
+// and (after OnC1's step) the one group re-encrypting the secret to the
 // owner's role key.
 type kffEntry struct {
 	pub       pke.PublicKey
 	secretCt  tte.Ciphertext
-	delivered committee.Envelopes // partial-decryption envelopes under the owner's role key (views of the OnC1 postings)
+	delivered []group
 }
 
 // --- shared helpers ---------------------------------------------------

@@ -92,8 +92,8 @@ type Shape struct {
 	Opened slotpack.Lists
 	// Late[c] is set when the c-th client's output λ's may not reach it
 	// before the inputs are posted (circuit.EarlyOutputs), so that the
-	// packed protocol's OnOut seals them online. Nil: every output is early,
-	// as every fresh one is.
+	// packed protocol's OnC1 seals them after the input round. Nil: every
+	// output is early, as every fresh one is.
 	Late []bool
 }
 
@@ -167,12 +167,10 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 	decGroups := groups(shape.Opened.EpsDelta)
 	inGroups := groups(shape.Opened.Inputs...)
 	layerGroups := N * groups(shape.Opened.Layers...)
-	var earlyGroups, lateGroups int64 // output groups OffRe and OnOut seal
-	late := false
+	var earlyGroups, lateGroups int64 // output groups OffRe and OnC1 seal
 	for c, l := range shape.Opened.Outputs {
 		if c < len(shape.Late) && shape.Late[c] {
 			lateGroups += groups(l)
-			late = true
 		} else {
 			earlyGroups += groups(l)
 		}
@@ -214,20 +212,12 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 	var online int64
 	online += depth * N * int64(z.RoleKey) // layer committees' role keys
 	// OnC1: future key distribution, or in the naive mode the packed shares
-	// re-encrypted under role keys; tsk resharing to OnOut, if formed.
-	sealedOnC1 := kffCount
+	// re-encrypted under role keys, and one envelope per late output group.
+	sealedOnC1 := kffCount + lateGroups
 	if opts.NoKFF {
-		sealedOnC1 = layerGroups
+		sealedOnC1 = layerGroups + lateGroups
 	}
-	var handOff int64
-	if late {
-		handOff = N
-	}
-	online += N*(keyIf(sealedOnC1+handOff, key)+sealedOnC1*envP+handOff*envS) + N*int64(z.Proof)
-	if late {
-		// OnOut: role keys and one envelope per late output group.
-		online += N*int64(z.RoleKey) + N*(key+lateGroups*envP) + N*int64(z.Proof)
-	}
+	online += N*(keyIf(sealedOnC1, key)+sealedOnC1*envP) + N*int64(z.Proof)
 	// Client inputs: μ per input wire + one proof per input client.
 	online += int64(shape.Inputs)*int64(z.Element) + int64(shape.InputClients)*int64(z.Proof)
 	// μ layers: one element per batch per role, plus one proof per role

@@ -236,7 +236,7 @@ func freshLists(k int, b *bounds, inputs, outputs, muls []int) Lists {
 //     layer member opens — the layers' shares, which OffRe seals to the
 //     roles' KFFs, the input λ's, which OffRe seals to their client's setup
 //     key, and the output λ's, which OffRe or, for a client whose outputs are
-//     not early, OnOut seals to their client — since each such group is n
+//     not early, OnC1 seals to their client — since each such group is n
 //     envelopes on its sealing committee's postings plus one online Combine
 //     for its reader, so no reader's openings move;
 //
