@@ -208,7 +208,7 @@ func (r *run) online(inputs map[int][]field.Element, shares []tte.KeyShare) (map
 		for j := range inGates {
 			ms[j] = committee.FieldCoeff(inputs[client][j])
 		}
-		cts, ok, err := committee.Speak(r.rt, r.clients[client],
+		in, ok, err := committee.Speak(r.rt, r.clients[client],
 			committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatInput, Label: "input"},
 			func() (committee.CtBundle, error) {
 				return te.EncryptMany(r.rt.TPK, ms, committee.BoundP, r.rt.Workers)
@@ -220,7 +220,7 @@ func (r *run) online(inputs map[int][]field.Element, shares []tte.KeyShare) (map
 			return nil, fmt.Errorf("%w: client %d input rejected", ErrNotEnough, client)
 		}
 		for j, gi := range inGates {
-			r.wireCt[gates[gi].Out] = cts[j]
+			r.wireCt[gates[gi].Out] = in.Payload[j]
 		}
 	}
 

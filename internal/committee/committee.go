@@ -4,19 +4,20 @@
 // committee names, attestation authority, quorum, posting categories.
 //
 // A step is "every member of a committee posts one payload with an attested
-// proof; everyone keeps the payloads whose proofs verify" (Step). Members
-// run on the worker pool; results stay slot-indexed, so what is posted,
-// metered and excluded never depends on the worker count. A committee that
-// holds tsk shares runs the one TskStep: Decrypt (paper Protocol 2) and
-// Re-encrypt (Protocol 1) a list of openings, then reshare tsk onward.
+// proof; everyone keeps the payloads whose proofs verify" (Step), or, at an
+// unattested step (core's robust μ layers), every posting. Members run on the
+// worker pool; results stay slot-indexed, so what is posted, metered and
+// excluded never depends on the worker count. A committee that holds tsk
+// shares runs the one TskStep: Decrypt (paper Protocol 2) and Re-encrypt
+// (Protocol 1) a list of openings, then reshare tsk onward.
 //
 // Three payload shapes cross the board (docs/WIRE.md): CtBundle, TskPost
 // and core's μ bundle. Their encodings carry no header and no addressing —
 // routing is positional, and what the board meters is len() of the one
 // encoding. The board holds that encoding and nothing else: a step hands its
-// verified payloads to its caller, and a TskPost is its posting, which the
-// readers open through sub-slice views, a quorum of t+1 contributions at a
-// time (quorum in tsk.go).
+// accepted postings' bytes to its caller (Post.Wire), core decodes every μ
+// from them, and a TskPost is its posting, which the readers open through
+// sub-slice views, a quorum of t+1 contributions at a time (quorum in tsk.go).
 package committee
 
 import (
@@ -65,7 +66,8 @@ type Runner struct {
 	// root); nil records nothing.
 	Span *telemetry.Span
 	// Excluded accumulates "role@step (behavior)" for every member whose
-	// proof failed or who never spoke.
+	// proof failed or who never spoke, and for every malicious member of an
+	// unattested step.
 	Excluded []string
 	// ShareRecovered, when non-nil, observes every tsk share a member
 	// rebuilds from its hand-off envelopes (core's key-usage audit).
@@ -85,16 +87,21 @@ type Spec struct {
 	Phase comm.Phase
 	Cat   comm.Category
 	Label string
+	// Unattested steps post no proof and accept every posting: the readers'
+	// decoding corrects a lie (core's robust μ layers, Berlekamp–Welch).
+	Unattested bool
 	// openings and values are what TskStep reports on the step span: the
 	// partial decryptions each member computes and the values they carry.
 	openings, values int
 }
 
-// Post is one verified member contribution.
+// Post is one accepted member contribution.
 type Post[T Payload] struct {
 	// Index is the member's 1-based committee slot.
 	Index   int
 	Payload T
+	// Wire is the posting's bytes, the slice the board holds.
+	Wire []byte
 }
 
 // CtBundle is a broadcast bundle of threshold ciphertexts.
@@ -128,41 +135,45 @@ func (r *Runner) statement(label, roleName string) []byte {
 	return nizk.NewStatement(label).AddString(roleName).Bytes()
 }
 
-// Speak executes one role's speaking step and reports whether its proof
-// verifies. Honest roles post the payload from `honest` with an attested
-// proof; malicious roles post garbage of that payload's encoded length (never
-// consumed — only its metered size matters, and it is an honest posting's)
-// under a forged proof; fail-stop roles post nothing.
-func Speak[T Payload](r *Runner, role *yoso.Role, sp Spec, honest func() (T, error)) (payload T, ok bool, err error) {
+// Speak executes one role's speaking step and reports whether its posting is
+// accepted: its proof verifies, or, at an unattested step, it posted. Honest
+// roles post the payload from `honest` with an attested proof; malicious
+// roles post zero garbage of that payload's encoded length (an honest
+// posting's metered size) under a forged proof — an unattested step hands it
+// to the readers' decoding; fail-stop roles post nothing.
+func Speak[T Payload](r *Runner, role *yoso.Role, sp Spec, honest func() (T, error)) (post Post[T], ok bool, err error) {
+	post.Index = role.Index
 	if role.Behavior == yoso.FailStop {
-		return payload, false, nil
+		return post, false, nil
 	}
-	var enc []byte
-	if payload, err = honest(); err == nil {
-		enc, err = payload.Encode(r)
+	if post.Payload, err = honest(); err == nil {
+		post.Wire, err = post.Payload.Encode(r)
 	}
 	if err != nil {
-		return payload, false, fmt.Errorf("%s at %s: %w", role.Name(), sp.Label, err)
+		return post, false, fmt.Errorf("%s at %s: %w", role.Name(), sp.Label, err)
 	}
 	var proof nizk.Proof
 	if role.Behavior == yoso.Malicious {
 		var zero T
-		payload, enc, proof = zero, make([]byte, len(enc)), r.Auth.Forge()
-	} else {
+		post.Payload, post.Wire, proof = zero, make([]byte, len(post.Wire)), r.Auth.Forge()
+	} else if !sp.Unattested {
 		proof = r.Auth.Attest(r.statement(sp.Label, role.Name()))
 	}
-	role.Post(sp.Phase, sp.Cat, enc)
+	role.Post(sp.Phase, sp.Cat, post.Wire)
+	if sp.Unattested {
+		return post, true, nil
+	}
 	role.Post(sp.Phase, comm.CatProof, proof.Bytes())
-	return payload, r.Auth.Verify(r.statement(sp.Label, role.Name()), proof), nil
+	return post, r.Auth.Verify(r.statement(sp.Label, role.Name()), proof), nil
 }
 
-// Step runs Speak for every member of a committee and returns the verified
-// posts in member order. Members whose proofs fail or who never spoke are
-// recorded in r.Excluded. The first member error cancels the remaining
-// members and aborts the step. Once members have run, the committee
-// receives the Spoke token whether the step succeeded or aborted: its
-// speaking window is over, and an aborted step must not leave roles that
-// could post again or still hold their secret keys.
+// Step runs Speak for every member of a committee and returns the accepted
+// posts in member order. Members whose postings are not accepted, and the
+// malicious members of an unattested step, are recorded in r.Excluded. The
+// first member error cancels the remaining members and aborts the step.
+// Once members have run, the committee receives the Spoke token whether the
+// step succeeded or aborted: its speaking window is over, and an aborted step
+// must not leave roles that could post again or still hold their secret keys.
 func Step[T Payload](r *Runner, c *yoso.Committee, sp Spec, honest func(i int) (T, error)) ([]Post[T], error) {
 	span := r.Span.Child("committee:" + sp.Label)
 	defer span.End()
@@ -175,7 +186,7 @@ func Step[T Payload](r *Runner, c *yoso.Committee, sp Spec, honest func(i int) (
 	// resumes when the step ends.
 	r.Board.SetTraceSpan(span.ID())
 	defer func() { r.Board.SetTraceSpan(r.Span.ID()) }()
-	payloads := make([]T, c.N())
+	posts := make([]Post[T], c.N())
 	ok := make([]bool, c.N())
 	err := parallel.ForWorker(context.TODO(), r.Workers, c.N(), func(worker, idx0 int) error {
 		msp := span.Child("member")
@@ -183,7 +194,7 @@ func Step[T Payload](r *Runner, c *yoso.Committee, sp Spec, honest func(i int) (
 		msp.SetInt("index", int64(idx0+1))
 		msp.SetWorker(worker)
 		var err error
-		payloads[idx0], ok[idx0], err = Speak(r, c.Role(idx0+1), sp,
+		posts[idx0], ok[idx0], err = Speak(r, c.Role(idx0+1), sp,
 			func() (T, error) { return honest(idx0 + 1) })
 		return err
 	}, r.Obs)
@@ -191,16 +202,19 @@ func Step[T Payload](r *Runner, c *yoso.Committee, sp Spec, honest func(i int) (
 	if err != nil {
 		return nil, err
 	}
-	verified := make([]Post[T], 0, c.N())
+	accepted := make([]Post[T], 0, c.N())
 	for idx0, role := range c.Roles {
 		if ok[idx0] {
-			verified = append(verified, Post[T]{Index: idx0 + 1, Payload: payloads[idx0]})
-			continue
+			accepted = append(accepted, posts[idx0])
 		}
-		r.Excluded = append(r.Excluded, fmt.Sprintf("%s@%s (%s)", role.Name(), sp.Label, role.Behavior))
+		if !ok[idx0] || sp.Unattested && !role.Behavior.FollowsProtocol() {
+			r.Excluded = append(r.Excluded, fmt.Sprintf("%s@%s (%s)", role.Name(), sp.Label, role.Behavior))
+		}
 	}
-	span.SetInt("verified", int64(len(verified)))
-	return verified, nil
+	// members − verified is the number excluded at attested steps only: an
+	// unattested step accepts, and excludes, its malicious members' postings.
+	span.SetInt("verified", int64(len(accepted)))
+	return accepted, nil
 }
 
 // EvalTerms is TEval of a linear gate's terms (circuit.Gate.Terms) over the

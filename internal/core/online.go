@@ -189,6 +189,23 @@ func (m muBundle) Encode(*committee.Runner) ([]byte, error) {
 	return field.AppendVecBytes(make([]byte, 0, len(m.vals)*field.ElementSize), m.vals), nil
 }
 
+// decodeMu is Encode's inverse, the one way a reader learns posted μ's: it
+// accepts exactly count canonical elements, count·8 bytes, and refuses any
+// other posting, which the reader then counts as missing.
+func decodeMu(wire []byte, count int) (muBundle, error) {
+	if len(wire)%field.ElementSize != 0 || len(wire)/field.ElementSize != count {
+		return muBundle{}, fmt.Errorf("μ posting of %d bytes, want %d values", len(wire), count)
+	}
+	vals := make([]field.Element, count)
+	for i := range vals {
+		var err error
+		if vals[i], err = field.FromBytes(wire[i*field.ElementSize:]); err != nil {
+			return muBundle{}, err
+		}
+	}
+	return muBundle{vals: vals}, nil
+}
+
 // onlineInput has every client open λ^α for each of its input wires (with
 // its setup key) and publish μ^α = v^α − λ^α.
 func (r *run) onlineInput(inputs map[int][]field.Element) error {
@@ -208,21 +225,24 @@ func (r *run) onlineInput(inputs map[int][]field.Element) error {
 			r.audit.Record(comm.PhaseOnline, ValWireLambda, KeyClient)
 			mus[j] = inputs[client][j].Sub(lambdas[j])
 		}
-		_, ok, err := committee.Speak(r.rt, role,
+		post, ok, err := committee.Speak(r.rt, role,
 			committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatInput, Label: "client-input"},
 			func() (muBundle, error) { return muBundle{vals: mus}, nil })
 		if err != nil {
 			return err
 		}
-		if !ok {
-			// A client whose input posting fails verification aborts the
-			// run with ErrNotEnough: no default input stands in for it.
-			// Clients are known parties, never corrupted by the
+		if ok {
+			post.Payload, err = decodeMu(post.Wire, len(inGates))
+		}
+		if !ok || err != nil {
+			// A client whose input posting fails verification or decoding
+			// aborts the run with ErrNotEnough: no default input stands in
+			// for it. Clients are known parties, never corrupted by the
 			// adversary, so honest runs never take this path.
 			return fmt.Errorf("%w: client %d input rejected", ErrNotEnough, client)
 		}
 		for j, gi := range inGates {
-			r.mu[gates[gi].Out] = mus[j]
+			r.mu[gates[gi].Out] = post.Payload.vals[j]
 		}
 	}
 	return nil
@@ -245,7 +265,8 @@ func (r *run) propagateLinear(d int) {
 //	μ_i^γ = μ_i^α·μ_i^β + μ_i^α·λ_i^β + μ_i^β·λ_i^α + λ_i^Γ,
 //
 // and broadcasts one field element per batch; anyone reconstructs μ^γ from
-// t+2(k−1)+1 verified shares.
+// t+2(k−1)+1 verified shares. With Params.Robust the step is unattested and
+// μ^γ is decoded from all the shares by Berlekamp–Welch (§5.3 alternative).
 func (r *run) onlineLayer(l int) error {
 	p := r.p.params
 	c := r.layers[l]
@@ -309,18 +330,18 @@ func (r *run) onlineLayer(l int) error {
 		return muBundle{vals: vals}, nil
 	}
 
-	var posts []committee.Post[muBundle]
-	if p.Robust {
-		// IT-GOD path (§5.3 alternative): bare shares, no proofs;
-		// Berlekamp–Welch decodes up to t lies out.
-		posts = r.layerStepRobust(c, l, computeShares, len(layerBatches))
-	} else {
-		var err error
-		posts, err = committee.Step(r.rt, c,
-			committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatMu, Label: fmt.Sprintf("mu-layer%d", l+1)},
-			computeShares)
-		if err != nil {
-			return err
+	posted, err := committee.Step(r.rt, c,
+		committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatMu, Label: fmt.Sprintf("mu-layer%d", l+1), Unattested: p.Robust},
+		computeShares)
+	if err != nil {
+		return err
+	}
+	// Every reader decodes the shares from the posted bytes; a malformed
+	// posting is a missing share.
+	posts := posted[:0]
+	for _, post := range posted {
+		if post.Payload, err = decodeMu(post.Wire, len(layerBatches)); err == nil {
+			posts = append(posts, post)
 		}
 	}
 
@@ -353,52 +374,6 @@ func (r *run) onlineLayer(l int) error {
 		}
 	}
 	return nil
-}
-
-// layerStepRobust runs a μ layer without proofs: protocol-following roles
-// post their shares, malicious roles post uniformly random lies
-// (type-correct — anything else would be trivially discardable), fail-stop
-// roles post nothing. All posted bundles are returned; decoding sorts them
-// out.
-func (r *run) layerStepRobust(c *yoso.Committee, l int,
-	honest func(i int) (muBundle, error), nBatches int) []committee.Post[muBundle] {
-	posted := make([]*muBundle, c.N())
-	// Members run on the worker pool; results stay slot-indexed. Honest
-	// errors are swallowed (treated as crashes, which decoding tolerates),
-	// so the fan-out itself never fails.
-	_ = r.rt.Pfor(c.N(), func(idx0 int) error {
-		role := c.Roles[idx0]
-		var payload muBundle
-		switch role.Behavior {
-		case yoso.FailStop:
-			return nil
-		case yoso.Malicious:
-			payload.vals = make([]field.Element, nBatches)
-			for j := range payload.vals {
-				payload.vals[j] = field.MustRandom()
-			}
-		default:
-			var err error
-			if payload, err = honest(idx0 + 1); err != nil {
-				return nil
-			}
-		}
-		enc, _ := payload.Encode(r.rt)
-		role.Post(comm.PhaseOnline, comm.CatMu, enc)
-		posted[idx0] = &payload
-		return nil
-	})
-	posts := make([]committee.Post[muBundle], 0, c.N())
-	for idx0, role := range c.Roles {
-		if posted[idx0] != nil {
-			posts = append(posts, committee.Post[muBundle]{Index: idx0 + 1, Payload: *posted[idx0]})
-		}
-		if !role.Behavior.FollowsProtocol() {
-			r.rt.Excluded = append(r.rt.Excluded, fmt.Sprintf("%s@mu-layer%d (%s)", role.Name(), l+1, role.Behavior))
-		}
-	}
-	c.SpeakAll()
-	return posts
 }
 
 // onlineOutput has each client open its output-wire λ's and unmask

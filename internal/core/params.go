@@ -86,9 +86,9 @@ type Params struct {
 	// (see EffectiveWorkers).
 	Workers int
 	// Robust switches the online μ-opening to information-theoretic
-	// guaranteed output delivery: layer roles post bare shares without
-	// proofs and cheaters are *decoded out* by Berlekamp–Welch error
-	// correction instead of filtered by NIZK verification. This saves the
+	// guaranteed output delivery: each layer is an unattested committee
+	// step (no proofs; a malicious member's garbage is decoded like any
+	// share) and Berlekamp–Welch corrects the lies out. This saves the
 	// per-layer proof broadcasts but needs the stronger committee bound
 	// 3T + 2(K−1) + 1 ≤ N (degree + 2·errors + 1 shares to decode).
 	Robust bool

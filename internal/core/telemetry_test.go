@@ -221,6 +221,44 @@ func TestTelemetryStepSpansCountExclusions(t *testing.T) {
 	}
 }
 
+// TestTelemetryRobustLayerIsACommitteeStep: a robust μ layer runs through
+// committee.Step like every other step, so it has its committee span. The
+// span's verified counts the postings the readers decode: all but the
+// fail-stop member's, the malicious member's garbage included. members −
+// verified = excluded therefore holds for attested steps only, as
+// TestTelemetryStepSpansCountExclusions assumes. Result.Excluded lists the
+// fail-stop and the malicious member of every step, the layer's included.
+func TestTelemetryRobustLayerIsACommitteeStep(t *testing.T) {
+	circ, err := circuit.InnerProduct(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := simParams(14, 3, 2, yoso.NewAdversary(1, 1, 97))
+	params.Robust = true
+	params.Trace = telemetry.NewTracer()
+	res := runAndCompare(t, params, circ, inputsOf(map[int][]uint64{0: {1, 2}, 1: {3, 4}}))
+	var layer []map[string]int64
+	for _, sp := range params.Trace.Spans() {
+		if sp.Name == "committee:mu-layer1" {
+			layer = append(layer, sp.Ints)
+		}
+	}
+	if len(layer) != 1 || layer[0]["members"] != 14 || layer[0]["verified"] != 13 {
+		t.Errorf("committee:mu-layer1 spans %v, want one with 14 members and 13 verified", layer)
+	}
+	want := []string{
+		"offR/5@wire-randomness (fail-stop)", "offR/9@wire-randomness (malicious)",
+		"offB/3@beaver-bc (fail-stop)", "offB/9@beaver-bc (malicious)",
+		"offDec/7@offdec-open (malicious)", "offDec/10@offdec-open (fail-stop)",
+		"offRe/11@steps-5-6 (malicious)", "offRe/13@steps-5-6 (fail-stop)",
+		"onC1/3@future-key-distribution (fail-stop)", "onC1/14@future-key-distribution (malicious)",
+		"on-layer1/2@mu-layer1 (fail-stop)", "on-layer1/10@mu-layer1 (malicious)",
+	}
+	if !reflect.DeepEqual(res.Excluded, want) {
+		t.Errorf("Excluded = %q, want %q", res.Excluded, want)
+	}
+}
+
 // TestTelemetryDisabledRunUnchanged: a run with nil Trace/Metrics still
 // works.
 func TestTelemetryDisabledRunUnchanged(t *testing.T) {

@@ -53,7 +53,7 @@ func TestSimSizesMatchEncodings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subEnc, err := te.EncodeSubShare(subs[0])
+	subEnc, err := te.AppendSubShare(nil, subs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,10 +132,6 @@ func (c *codec) DecodePartial(pk PublicKey, data []byte) (PartialDec, error) {
 	return &partial{index: int(fields[0]), epoch: int(fields[1]), v: v, size: p.ctBytes}, nil
 }
 
-// EncodeSubShare is AppendSubShare(nil, sub). It is not part of Codec: a
-// tsk member only ever appends sub-shares into its wiped scratch.
-func (c *codec) EncodeSubShare(sub SubShare) ([]byte, error) { return c.AppendSubShare(nil, sub) }
-
 // AppendSubShare appends sub's encoding to dst.
 func (c *codec) AppendSubShare(dst []byte, sub SubShare) ([]byte, error) {
 	s, ok := sub.(*subShare)

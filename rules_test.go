@@ -218,6 +218,17 @@ var structuralRules = []structuralRule{
 		skip:    []string{skipTests, skipTestdata, `^internal/(pke|paillier)/`, `\.dealer\.Decrypt\(`},
 		hint:    "open envelopes with SecretKey.AppendOpen into one wiped scratch, not with Decrypt or into nil",
 	},
+	// committee.Speak is where a member posts: it runs the honest payload
+	// or the behavior's deviation, attests unless the step is unattested,
+	// and hands the reader the posted bytes. A driver's own post loop is a
+	// second step runtime beside committee.Step.
+	{
+		name:    "members post only through committee.Speak",
+		roots:   []string{"internal", "cmd", "examples", "*.go"},
+		pattern: `\brole\.Post\(`,
+		skip:    []string{skipTests, skipTestdata, `^internal/committee/`},
+		hint:    "post a member's payload through committee.Speak or committee.Step",
+	},
 }
 
 // TestStructuralRules holds the module to its one-mechanism-per-job rules.
