@@ -188,7 +188,7 @@ func (r *run) offline() (map[int]committee.Triple, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.rt.Beaver(r.assign, "bOff2", r.p.params.N, r.p.circ, a[0], 1)
+	return r.rt.Beaver(r.assign, "bOff2", r.p.params.N, r.p.circ, a[0], 1, false)
 }
 
 // online evaluates the circuit gate by gate: clients post encrypted
@@ -251,7 +251,7 @@ func (r *run) online(inputs map[int][]field.Element, shares []tte.KeyShare) (map
 	// Beaver identity.
 	for _, mb := range r.p.circ.MulBatches(r.p.circ.NumMul()) {
 		l := mb.Layer
-		masked, err := r.rt.Masked(r.p.circ, mb.Gates, r.beaver, r.wireCt)
+		masked, err := r.rt.Masked(r.p.circ, mb.Gates, r.beaver, r.wireCt, false)
 		if err != nil {
 			return nil, err
 		}

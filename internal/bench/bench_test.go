@@ -235,11 +235,11 @@ func TestTotalCost(t *testing.T) {
 	}
 	// The preprocessing does not benefit from k (paper's conclusion): the
 	// packed protocol's total grows faster in n than the baseline's: at
-	// n = 16 it is within 0.5 % of it, and from n = 32 it exceeds it — the
-	// win is *where* the bytes are spent, not how many. Sim totals are
-	// exact: these are the Limitation rows of testdata/experiments.golden,
-	// ratios 0.93 and 1.00.
-	want := []TotalCostPoint{{N: 8, CoreTotal: 417547, BaselineTotal: 450619}, {N: 16, CoreTotal: 956939, BaselineTotal: 961083}}
+	// n = 16 it is 5 % below it, and from n = 32 it exceeds it — the win is
+	// *where* the bytes are spent, not how many. Sim totals are exact: these
+	// are the Limitation rows of testdata/experiments.golden, ratios 0.86
+	// and 0.95.
+	want := []TotalCostPoint{{N: 8, CoreTotal: 388875, BaselineTotal: 450619}, {N: 16, CoreTotal: 915979, BaselineTotal: 961083}}
 	for i, p := range pts {
 		if p.N != want[i].N || p.CoreTotal != want[i].CoreTotal || p.BaselineTotal != want[i].BaselineTotal {
 			t.Errorf("n = %d: totals %d and %d B, want %d and %d B", p.N, p.CoreTotal, p.BaselineTotal, want[i].CoreTotal, want[i].BaselineTotal)

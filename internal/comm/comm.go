@@ -33,11 +33,11 @@ type Category string
 
 // Message categories used by the protocols.
 const (
-	// CatBeaver carries the Beaver b- and c-parts, and the baseline's
-	// a-parts.
+	// CatBeaver carries the product step's masks and c-parts (core's OffB,
+	// the baseline's bOff2), and the baseline's Beaver a-parts.
 	CatBeaver Category = "beaver-triples"
 	// CatLambda carries the packed protocol's one random step: the wire
-	// λ's, the packing helpers and the Beaver a-parts.
+	// λ's and the packing helpers.
 	CatLambda    Category = "wire-randomness"
 	CatPartial   Category = "partial-decryptions"
 	CatReshare   Category = "key-resharing"

@@ -116,26 +116,26 @@ func (r *Runner) extract(posts []Post[CtBundle], rows [][]*big.Int, cells []cell
 	return out, err
 }
 
-// Triple is one multiplication gate's Beaver triple under tpk: the
-// encryptions c^a, c^b of random a, b and c^c of c = a·b.
+// Triple is one multiplication gate's product under tpk: c^a of an operand
+// a, c^b of a random b and c^c of c = a·b, or of c ≡ −a·b with Beaver's neg.
 type Triple struct{ A, B, C tte.Ciphertext }
 
-// Beaver is the b/c step of both drivers' Beaver triples (the packed
-// protocol's offline Step 1, the baseline's preprocessing): it forms the
-// committee name of n members from assign, in the offline phase, and returns
-// one triple per multiplication gate of circ, keyed by gate index, over the
-// a's its caller extracted at m (one per gate in gate order, one block of a
-// RandomStep). A circuit without a multiplication forms no committee.
+// Beaver is the product step of both drivers (the packed protocol's offline
+// Step 1, the baseline's preprocessing): it forms the committee name of n
+// members from assign, in the offline phase, and returns one triple per
+// multiplication gate of circ, keyed by gate index, over the operands a its
+// caller passes, one per gate in gate order (core's right-input λ's, the
+// baseline's random a's). A circuit without a multiplication forms no committee.
 //
 // Gate g's b is extracted at m, all gates one block: each member contributes
-// b-parts and also posts, per gate, its c-part b_i^{(g/m)}·c^{a_g} — its b
-// contribution at b_g's position times a_g — as one bundle b‖c. Applying
-// b_g's row of the Vandermonde matrix to the c-parts gives c_g = a_g·b_g.
+// b-parts and also posts, per gate, its c-part b_i^{(g/m)}·c^{a_g}, or with
+// neg (p − b_i^{(g/m)})·c^{a_g}, as one bundle b‖c. Applying b_g's row of the
+// Vandermonde matrix to the c-parts gives c_g = a_g·b_g, or c_g ≡ −a_g·b_g.
 //
 // TEval bounds that sum by Σ_i M_ji·b_i·Bound(c^a), which would publish the
 // integers b_i; each c^c carries the public bound
-// (p−1)·Bound(c^a)·Σ_{i∈S} M_ji over the verified members S instead.
-func (r *Runner) Beaver(assign *yoso.Assignment, name string, n int, circ *circuit.Circuit, a []tte.Ciphertext, m int) (map[int]Triple, error) {
+// p·Bound(c^a)·Σ_{i∈S} M_ji over the verified members S instead.
+func (r *Runner) Beaver(assign *yoso.Assignment, name string, n int, circ *circuit.Circuit, a []tte.Ciphertext, m int, neg bool) (map[int]Triple, error) {
 	muls := circ.MulGates()
 	count := len(muls)
 	if count == 0 {
@@ -152,6 +152,11 @@ func (r *Runner) Beaver(assign *yoso.Assignment, name string, n int, circ *circu
 			return nil, err
 		}
 		defer ms.Wipe()
+		if neg {
+			for _, b := range ms.Ints {
+				b.Sub(BoundP, b)
+			}
+		}
 		coeff := make([]*big.Int, 1)
 		for g := range count {
 			coeff[0] = ms.Ints[g/m]
@@ -182,14 +187,14 @@ func (r *Runner) Beaver(assign *yoso.Assignment, name string, n int, circ *circu
 		return nil, err
 	}
 	b, c := bc[:count], bc[count:]
-	// scale[j] is (p−1)·Σ_{i∈S} M_ji, the public factor of row j's c bound.
+	// scale[j] is p·Σ_{i∈S} M_ji, the public factor of row j's c bound.
 	scale := make([]*big.Int, m)
 	for j, row := range rows {
 		scale[j] = new(big.Int)
 		for _, coeff := range row {
 			scale[j].Add(scale[j], coeff)
 		}
-		scale[j].Mul(scale[j], pMinus1)
+		scale[j].Mul(scale[j], BoundP)
 	}
 	triples := make(map[int]Triple, count)
 	for g, gi := range muls {
@@ -202,28 +207,37 @@ func (r *Runner) Beaver(assign *yoso.Assignment, name string, n int, circ *circu
 	return triples, nil
 }
 
-// Masked returns the ciphertexts of the masks ε = x + a and δ = y + b of the
-// multiplication gates gates of circ, interleaved ε, δ in gate order: x and y
-// are a gate's input wires in cts, a and b its triple's.
-func (r *Runner) Masked(circ *circuit.Circuit, gates []int, triples map[int]Triple, cts []tte.Ciphertext) ([]tte.Ciphertext, error) {
+// Masked returns the ciphertexts of the masks a driver opens for the
+// multiplication gates gates of circ, x and y being a gate's input wires in
+// cts: over Beaver triples ε = x + a and δ = y + b, interleaved in gate
+// order; over products made with neg (a = y), ε = x + b alone, b the gate's
+// extracted e.
+func (r *Runner) Masked(circ *circuit.Circuit, gates []int, triples map[int]Triple, cts []tte.Ciphertext, neg bool) ([]tte.Ciphertext, error) {
 	all := circ.Gates()
 	ones := []*big.Int{big.NewInt(1), big.NewInt(1)}
-	out := make([]tte.Ciphertext, 2*len(gates))
-	err := r.Pfor(len(gates), func(m int) error {
-		g, t := all[gates[m]], triples[gates[m]]
-		var err error
-		if out[2*m], err = r.TE.Eval(r.TPK, []tte.Ciphertext{cts[g.A], t.A}, ones); err != nil {
-			return err
+	per := 2
+	if neg {
+		per = 1
+	}
+	out := make([]tte.Ciphertext, per*len(gates))
+	err := r.Pfor(len(out), func(j int) error {
+		g, t := all[gates[j/per]], triples[gates[j/per]]
+		x, mask := cts[g.A], t.A
+		if neg {
+			mask = t.B
+		} else if j%2 == 1 {
+			x, mask = cts[g.B], t.B
 		}
-		out[2*m+1], err = r.TE.Eval(r.TPK, []tte.Ciphertext{cts[g.B], t.B}, ones)
+		var err error
+		out[j], err = r.TE.Eval(r.TPK, []tte.Ciphertext{x, mask}, ones)
 		return err
 	})
 	return out, err
 }
 
-// Product returns TEval's terms for the ciphertext of x·y once a gate's
-// masks are open, ε·c^y + (p−δ)·c^a + c^c: the Beaver identity, with y the
-// gate's right input ciphertext.
+// Product returns TEval's terms for the ciphertext of x·y once a Beaver
+// triple's masks are open, ε·c^y + (p−δ)·c^a + c^c: the Beaver identity, with
+// y the gate's right input ciphertext.
 func (t Triple) Product(eps, del field.Element, y tte.Ciphertext) ([]tte.Ciphertext, []*big.Int) {
 	return []tte.Ciphertext{y, t.A, t.C}, []*big.Int{FieldCoeff(eps), FieldCoeff(del.Neg()), big.NewInt(1)}
 }

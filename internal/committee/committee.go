@@ -276,6 +276,3 @@ func (p Plaintexts) Wipe() {
 
 // BoundP is the public bound on a single field-element plaintext.
 var BoundP = new(big.Int).SetUint64(field.Modulus)
-
-// pMinus1 is p − 1, the largest field element as an integer.
-var pMinus1 = new(big.Int).SetUint64(field.Modulus - 1)

@@ -657,19 +657,24 @@ func (f *fixture) beaverA(t *testing.T, circ *circuit.Circuit, m int) []tte.Ciph
 	return blocks[0]
 }
 
-// At every extraction m the triples hold c = a·b: m = 1 sums the
-// contributions, m = 2 leaves the last a and b contributions' second row
-// unused, and m = 3 extracts all three gates from one position.
+// At every extraction m the triples hold c = a·b, or c ≡ −a·b when Beaver
+// negates its c-parts (core's OffB): m = 1 sums the contributions, m = 2
+// leaves the last a and b contributions' second row unused, and m = 3
+// extracts all three gates from one position.
 func TestBeaverTriples(t *testing.T) {
 	for _, m := range []int{1, 2, 3} {
-		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) { testBeaverTriples(t, m) })
+		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) {
+			for _, neg := range []bool{false, true} {
+				testBeaverTriples(t, m, neg)
+			}
+		})
 	}
 }
 
-func testBeaverTriples(t *testing.T, m int) {
+func testBeaverTriples(t *testing.T, m int, neg bool) {
 	f, dealt := newFixture(t)
 	circ := beaverCircuit(t)
-	triples, err := f.Beaver(f.assign, "b", testN, circ, f.beaverA(t, circ, m), m)
+	triples, err := f.Beaver(f.assign, "b", testN, circ, f.beaverA(t, circ, m), m, neg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -692,8 +697,13 @@ func testBeaverTriples(t *testing.T, m int) {
 		t.Fatal(err)
 	}
 	for g, gi := range muls {
-		if a, b, c := vals[3*g], vals[3*g+1], vals[3*g+2]; a.Mul(b) != c {
-			t.Errorf("triple of gate %d: %v · %v ≠ %v", gi, a, b, c)
+		a, b, c := vals[3*g], vals[3*g+1], vals[3*g+2]
+		want := a.Mul(b)
+		if neg {
+			want = want.Neg()
+		}
+		if c != want {
+			t.Errorf("neg %t, triple of gate %d: c = %v, want %v", neg, gi, c, want)
 		}
 	}
 	// Each member of a posts ⌈3/m⌉ a-parts, and each of b as many b-parts
@@ -722,7 +732,7 @@ func testBeaverTriples(t *testing.T, m int) {
 		t.Fatal(err)
 	}
 	formed := f.assign.Committees()
-	if triples, err := f.Beaver(f.assign, "l", testN, linear, nil, m); err != nil || len(triples) != 0 {
+	if triples, err := f.Beaver(f.assign, "l", testN, linear, nil, m, neg); err != nil || len(triples) != 0 {
 		t.Errorf("linear circuit: %d triples, err %v", len(triples), err)
 	}
 	if f.assign.Committees() != formed {
@@ -730,13 +740,14 @@ func testBeaverTriples(t *testing.T, m int) {
 	}
 }
 
-// Masked and Product compute x·y: once ε = x + a and δ = y + b are open,
-// the Beaver identity over a gate's triple and right input encrypts the
-// product of its inputs.
+// Both drivers' products of x and y. The baseline's: once ε = x + a and
+// δ = y + b are open, the Beaver identity over a gate's triple and right
+// input encrypts x·y. Core's: Beaver over the right inputs themselves gives
+// e and C ≡ −e·y; once ε = x + e is open, ε·c^y + C encrypts x·y.
 func TestBeaverProduct(t *testing.T) {
 	f, dealt := newFixture(t)
 	circ := beaverCircuit(t)
-	triples, err := f.Beaver(f.assign, "b", testN, circ, f.beaverA(t, circ, 2), 2)
+	triples, err := f.Beaver(f.assign, "b", testN, circ, f.beaverA(t, circ, 2), 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -749,68 +760,86 @@ func TestBeaverProduct(t *testing.T) {
 			cts[g.Out] = f.encrypt(t, vals[g.Out])
 		}
 	}
+	muls := circ.MulGates()
+	var right []tte.Ciphertext
+	for _, gi := range muls {
+		right = append(right, cts[gates[gi].B])
+	}
+	products, err := f.Beaver(f.assign, "e", testN, circ, right, 2, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dec1, dec2 := f.form(t, "dec1"), f.form(t, "dec2")
 	tsk, err := f.DealShares(dec1, dealt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	muls := circ.MulGates()
-	masks, err := f.Masked(circ, muls, triples, cts)
+	// Per gate ε = x + a and δ = y + b, then core's ε = x + e.
+	beaverMasks, err := f.Masked(circ, muls, triples, cts, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opened, err := f.decryptStep(tsk, dec1, Spec{Phase: comm.PhaseOnline, Cat: comm.CatPartial, Label: "masks"}, masks, dec2)
+	productMasks, err := f.Masked(circ, muls, products, cts, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	products := make([]tte.Ciphertext, len(muls))
+	opened := append(beaverMasks, productMasks...)
+	open, err := f.decryptStep(tsk, dec1, Spec{Phase: comm.PhaseOnline, Cat: comm.CatPartial, Label: "masks"}, opened, dec2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]tte.Ciphertext, 2*len(muls))
 	for m, gi := range muls {
-		terms, coeffs := triples[gi].Product(opened[2*m], opened[2*m+1], cts[gates[gi].B])
-		if products[m], err = f.TE.Eval(f.TPK, terms, coeffs); err != nil {
+		terms, coeffs := triples[gi].Product(open[2*m], open[2*m+1], cts[gates[gi].B])
+		if got[m], err = f.TE.Eval(f.TPK, terms, coeffs); err != nil {
+			t.Fatal(err)
+		}
+		eps := FieldCoeff(open[2*len(muls)+m])
+		if got[len(muls)+m], err = f.TE.Eval(f.TPK, []tte.Ciphertext{cts[gates[gi].B], products[gi].C}, []*big.Int{eps, big.NewInt(1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := f.decryptStep(tsk, dec2, Spec{Phase: comm.PhaseOnline, Cat: comm.CatPartial, Label: "products"}, products, nil)
+	prods, err := f.decryptStep(tsk, dec2, Spec{Phase: comm.PhaseOnline, Cat: comm.CatPartial, Label: "products"}, got, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for m, gi := range muls {
-		g := gates[gi]
-		if want := field.New(uint64(vals[g.A] * vals[g.B])); got[m] != want {
-			t.Errorf("gate %d: product %v, want %v", gi, got[m], want)
+	for i, v := range prods {
+		g := gates[muls[i%len(muls)]]
+		if want := field.New(uint64(vals[g.A] * vals[g.B])); v != want {
+			t.Errorf("product %d (gate %d): %v, want %v", i, muls[i%len(muls)], v, want)
 		}
 	}
 }
 
 // Every c^c carries a bound computed from public data alone,
-// (p−1)·Bound(c^a)·Σ_{i∈S} M_ji over the verified b members S and b's row j,
-// and not TEval's Σ M_ji·b_i·Bound(c^a), which would publish b: two runs
-// with the same corruption pattern and different randomness report the same
-// bounds.
+// p·Bound(c^a)·Σ_{i∈S} M_ji over the verified b members S and b's row j,
+// and not TEval's Σ M_ji·b_i·Bound(c^a) (or Σ M_ji·(p − b_i)·Bound(c^a)),
+// which would publish b: two runs with the same corruption pattern and
+// different randomness report the same bounds.
 func TestBeaverBoundsArePublic(t *testing.T) {
 	for _, m := range []int{1, 3} {
-		circ := beaverCircuit(t)
-		first := map[int]*big.Int{}
-		for run := 0; run < 2; run++ {
-			f, _ := newFixture(t)
-			triples, err := f.Beaver(f.assign, "b", testN, circ, f.beaverA(t, circ, m), m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, gi := range circ.MulGates() {
-				tr := triples[gi]
-				// Bound(c^b) is p·Σ_{i∈S} M_ji: BoundP per verified b
-				// member, weighted by its column of b's row.
-				col := new(big.Int).Quo(tr.B.Bound(), BoundP)
-				want := new(big.Int).Mul(col, pMinus1)
-				want.Mul(want, tr.A.Bound())
-				if tr.C.Bound().Cmp(want) != 0 {
-					t.Errorf("m %d, run %d, gate %d: Bound(c^c) = %v, want (p−1)·Bound(c^a)·Σ M_ji = %v", m, run, gi, tr.C.Bound(), want)
+		for _, neg := range []bool{false, true} {
+			circ := beaverCircuit(t)
+			first := map[int]*big.Int{}
+			for run := 0; run < 2; run++ {
+				f, _ := newFixture(t)
+				triples, err := f.Beaver(f.assign, "b", testN, circ, f.beaverA(t, circ, m), m, neg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if run == 0 {
-					first[gi] = tr.C.Bound()
-				} else if tr.C.Bound().Cmp(first[gi]) != 0 {
-					t.Errorf("m %d, gate %d: Bound(c^c) %v in one run and %v in another", m, gi, first[gi], tr.C.Bound())
+				for _, gi := range circ.MulGates() {
+					tr := triples[gi]
+					// Bound(c^b) is p·Σ_{i∈S} M_ji: BoundP per verified b
+					// member, weighted by its column of b's row.
+					want := new(big.Int).Mul(tr.B.Bound(), tr.A.Bound())
+					if tr.C.Bound().Cmp(want) != 0 {
+						t.Errorf("m %d, neg %t, run %d, gate %d: Bound(c^c) = %v, want p·Bound(c^a)·Σ M_ji = %v", m, neg, run, gi, tr.C.Bound(), want)
+					}
+					if run == 0 {
+						first[gi] = tr.C.Bound()
+					} else if tr.C.Bound().Cmp(first[gi]) != 0 {
+						t.Errorf("m %d, neg %t, gate %d: Bound(c^c) %v in one run and %v in another", m, neg, gi, first[gi], tr.C.Bound())
+					}
 				}
 			}
 		}
@@ -970,13 +999,13 @@ func determinant(a [][]field.Element) field.Element {
 // Extraction at the fail-stop margin. With k = 2 a committee of testN = 7
 // and t = 2 tolerates F = n − (t + 2(k−1) + 1) = 2 fail-stops, which with
 // the t malicious members leaves 2k − 1 = 3 verified contributions: exactly
-// m′ = 3. One RandomStep extracts λ-blocks and the Beaver a's together, as
-// OffR does, and Beaver completes the triples over those a's; c = a·b, and
-// every bound stays within its static one: p·Σ_{i≤n} i^{m′−1} for an
-// extracted value, (p−1)·that·Σ_{i≤n} i^{m′−1} for a c part. Blocks start
-// at positions of their own, so blocks of 2 and 4 values and 3 a's take
-// 1 + 2 + 1 contributions, not ⌈9/3⌉. One fail-stop more leaves 2
-// contributions for 3 values a position.
+// m′ = 3. One RandomStep extracts λ-blocks, as OffR does, and Beaver
+// multiplies the last block's λ's by extracted e's, as OffB does;
+// C ≡ −e·λ, and every bound stays within its static one: p·Σ_{i≤n} i^{m′−1}
+// for an extracted value, that squared for a C. Blocks start at positions of
+// their own, so blocks of 2, 4 and 3 values take 1 + 2 + 1 contributions,
+// not ⌈9/3⌉. One fail-stop more leaves 2 contributions for 3 values a
+// position.
 func TestExtractionAtFailStopMargin(t *testing.T) {
 	const k, m = 2, 3
 	margin := testN - (testT + 2*(k-1) + 1)
@@ -985,8 +1014,7 @@ func TestExtractionAtFailStopMargin(t *testing.T) {
 		col.Add(col, big.NewInt(i*i))
 	}
 	fresh := new(big.Int).Mul(BoundP, col)
-	prod := new(big.Int).Mul(pMinus1, fresh)
-	prod.Mul(prod, col)
+	prod := new(big.Int).Mul(fresh, fresh)
 	within := func(what string, ct tte.Ciphertext, bound *big.Int) {
 		if ct.Bound().Cmp(bound) > 0 {
 			t.Errorf("%s: bound %v exceeds the static %v", what, ct.Bound(), bound)
@@ -1023,7 +1051,7 @@ func TestExtractionAtFailStopMargin(t *testing.T) {
 		t.Errorf("%d members posted and %d were excluded, want %d and %d", posted, len(f.Excluded), testN-margin, testT+margin)
 	}
 
-	triples, err := f.Beaver(f.assign, "b", testN, circ, blocks[2], m)
+	triples, err := f.Beaver(f.assign, "b", testN, circ, blocks[2], m, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1035,9 +1063,9 @@ func TestExtractionAtFailStopMargin(t *testing.T) {
 	var cts []tte.Ciphertext
 	for _, gi := range circ.MulGates() {
 		tr := triples[gi]
-		within(fmt.Sprintf("gate %d a", gi), tr.A, fresh)
-		within(fmt.Sprintf("gate %d b", gi), tr.B, fresh)
-		within(fmt.Sprintf("gate %d c", gi), tr.C, prod)
+		within(fmt.Sprintf("gate %d λ", gi), tr.A, fresh)
+		within(fmt.Sprintf("gate %d e", gi), tr.B, fresh)
+		within(fmt.Sprintf("gate %d C", gi), tr.C, prod)
 		cts = append(cts, tr.A, tr.B, tr.C)
 	}
 	vals, err := f.decryptStep(tsk, dec, Spec{Phase: comm.PhaseOffline, Cat: comm.CatPartial, Label: "open"}, cts, nil)
@@ -1045,8 +1073,8 @@ func TestExtractionAtFailStopMargin(t *testing.T) {
 		t.Fatal(err)
 	}
 	for g := range circ.MulGates() {
-		if a, b, c := vals[3*g], vals[3*g+1], vals[3*g+2]; a.Mul(b) != c {
-			t.Errorf("triple %d: %v · %v ≠ %v", g, a, b, c)
+		if lambda, e, c := vals[3*g], vals[3*g+1], vals[3*g+2]; lambda.Mul(e).Neg() != c {
+			t.Errorf("gate %d: −%v · %v ≠ %v", g, lambda, e, c)
 		}
 	}
 

@@ -27,7 +27,7 @@ const (
 	ValTskShare    ValueClass = "tsk-share"
 	ValWireLambda  ValueClass = "wire-lambda"
 	ValPackedShare ValueClass = "packed-share"
-	ValBeaverOpen  ValueClass = "beaver-opening"
+	ValProductOpen ValueClass = "product-opening"
 	ValOutput      ValueClass = "output-lambda"
 )
 

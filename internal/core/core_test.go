@@ -173,6 +173,72 @@ func TestStatisticsSim(t *testing.T) {
 	}
 }
 
+// OffB multiplies each gate's own λ^β, whatever feeds the gate: a λ^β that
+// is a linear combination (Statistics' sum·sum, a difference), a squaring
+// gate (α = β), and a wire several gates read, each gate with its own e.
+// With t malicious members and the rest of the §5.4 fail-stop margin crashed
+// in every committee, the outputs are circuit.Eval's.
+func TestProductOperandsSim(t *testing.T) {
+	b := circuit.NewBuilder()
+	x, y, z := b.Input(0), b.Input(1), b.Input(1)
+	b.Output(b.Mul(b.Sub(x, y), b.Add(x, z)), 0) // linear α and β
+	b.Output(b.Mul(x, x), 0)                     // squaring
+	b.Output(b.Mul(y, x), 1)                     // x read by four gates
+	b.Output(b.Mul(z, x), 1)
+	shared, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := circuit.Statistics(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := circuit.InnerProduct(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, tt, k = 10, 2, 2
+	margin := n - (tt + 2*(k-1) + 1)
+	for name, circ := range map[string]*circuit.Circuit{"shared": shared, "stats": stats, "inner-product": inner} {
+		t.Run(name, func(t *testing.T) {
+			proto, err := New(simParams(n, tt, k, yoso.NewAdversary(tt, margin-tt, 61)), circ, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prep, err := proto.Prepare()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// No two gates share a mask e, not even gates reading one λ^β.
+			seen := map[string]int{}
+			for _, gi := range circ.MulGates() {
+				enc, err := prep.r.p.params.TE.AppendCiphertext(nil, prep.r.products[gi].B)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if other, ok := seen[string(enc)]; ok {
+					t.Errorf("gates %d and %d share a mask", other, gi)
+				}
+				seen[string(enc)] = gi
+			}
+			in := propertyInputs(circ, 7)
+			res, err := prep.Execute(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := circ.Eval(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for client, vals := range want {
+				if !field.EqualVec(res.Outputs[client], vals) {
+					t.Errorf("client %d outputs = %v, want %v", client, res.Outputs[client], vals)
+				}
+			}
+		})
+	}
+}
+
 func TestRandomCircuitsSim(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		circ, err := circuit.Random(6, 30, seed)
@@ -442,7 +508,7 @@ func TestKeyUsageFlowAudit(t *testing.T) {
 			}
 		}
 	}
-	for _, val := range []ValueClass{ValPackedShare, ValWireLambda, ValKFFSecret, ValTskShare, ValOutput, ValBeaverOpen} {
+	for _, val := range []ValueClass{ValPackedShare, ValWireLambda, ValKFFSecret, ValTskShare, ValOutput, ValProductOpen} {
 		if counts[val] == 0 {
 			t.Errorf("no audit events for %s", val)
 		}
@@ -618,15 +684,15 @@ func TestRunsReportTheirOwnBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Report.Total != 55131 || len(res.Audit) != 37 {
-			t.Errorf("run %d: %d bytes and %d audit events, want 55131 and 37", run, res.Report.Total, len(res.Audit))
+		if res.Report.Total != 53595 || len(res.Audit) != 37 {
+			t.Errorf("run %d: %d bytes and %d audit events, want 53595 and 37", run, res.Report.Total, len(res.Audit))
 		}
 	}
 	if prepared[0] != prepared[1] {
 		t.Errorf("OfflineReport after each Prepare: %v bytes, want equal", prepared)
 	}
-	if got := proto.Board().Report().Total; got != 2*55131 {
-		t.Errorf("the board holds %d bytes after two runs, want %d", got, 2*55131)
+	if got := proto.Board().Report().Total; got != 2*53595 {
+		t.Errorf("the board holds %d bytes after two runs, want %d", got, 2*53595)
 	}
 }
 
@@ -711,8 +777,9 @@ func TestEndToEndProperty(t *testing.T) {
 }
 
 func TestRobustModeCorrectsLies(t *testing.T) {
-	// IT-GOD: μ shares carry no proofs; t malicious roles post uniformly
-	// random lies; Berlekamp–Welch decodes the truth.
+	// IT-GOD: μ shares carry no proofs; t malicious roles post zeros of the
+	// honest length, which decode as μ-shares of 0, lies; Berlekamp–Welch
+	// decodes the truth.
 	circ, err := circuit.InnerProduct(4)
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ func (r *run) initWireState() {
 }
 
 // offline executes the whole of Π_YOSO-Offline: Steps 1–4, the OffDec
-// committee's speak (ε/δ decryption + tsk resharing), and the OffRe
+// committee's speak (ε decryption + tsk resharing), and the OffRe
 // committee's speak (Steps 5–6: re-encryption of the packed shares to the
 // layer roles' KFFs, and of the input-wire λ's and the early clients'
 // output-wire λ's to their clients' setup keys). Nothing here depends on
@@ -36,20 +36,18 @@ func (r *run) initWireState() {
 func (r *run) offline() error {
 	p := r.p.params
 	r.buildBatches()
-	// Step 2 and Step 1's a's: OffR's one step extracts every fresh value
-	// the offline phase needs beyond the Beaver b's.
-	var a []tte.Ciphertext
-	err := r.offlineStep("wire-randomness", "step 2 (wire randomness)", func() (err error) {
-		a, err = r.offlineWireRandomness()
-		return err
-	})
-	if err != nil {
+	if err := r.offlineStep("wire-randomness", "step 2 (wire randomness)", r.offlineWireRandomness); err != nil {
 		return err
 	}
-	// Step 1: committee OffB completes one Beaver triple under tpk per
-	// multiplication gate over OffR's a's, b extracted at the run's m′.
-	err = r.offlineStep("beaver", "step 1 (Beaver)", func() (err error) {
-		r.beaver, err = r.rt.Beaver(r.assign, "offB", p.N, r.p.circ, a, r.lists.Extract)
+	// Step 1: committee OffB multiplies each multiplication gate's λ^β by a
+	// fresh e extracted at the run's m′, giving c^e and C ≡ −e·λ^β.
+	err := r.offlineStep("beaver", "step 1 (products)", func() (err error) {
+		gates, muls := r.p.circ.Gates(), r.p.circ.MulGates()
+		right := make([]tte.Ciphertext, len(muls))
+		for m, gi := range muls {
+			right[m] = r.wireCt[gates[gi].B]
+		}
+		r.products, err = r.rt.Beaver(r.assign, "offB", p.N, r.p.circ, right, r.lists.Extract, true)
 		return err
 	})
 	if err != nil {
@@ -99,26 +97,27 @@ func (r *run) buildBatches() {
 	}
 }
 
-// offlineWireRandomness is Step 2 plus the helper encryptions of Step 4
-// and the a's of Step 1: it forms committee OffR, whose contributions give,
-// extracted at the run's m′, fresh randomness for every output wire of an
-// input or multiplication gate, t extra random values per packed vector (3
-// vectors per batch: left λ, right λ, Γ) and one Beaver a per
-// multiplication gate, which it returns. The values come in the blocks of
-// the run's lists (Lists.Random): each client's input λ's in gate order,
-// then per batch its gates' λ's and its helpers, vector kind (0=left,
-// 1=right, 2=Γ) by vector kind, then the a's in gate order.
-func (r *run) offlineWireRandomness() ([]tte.Ciphertext, error) {
+// offlineWireRandomness is Step 2 plus the helper encryptions of Step 4: it
+// forms committee OffR, whose contributions give, extracted at the run's m′,
+// fresh randomness for every output wire of an input or multiplication gate
+// and t extra random values per packed vector (3 vectors per batch: left λ,
+// right λ, Γ). The values come in the blocks of the run's lists
+// (Lists.Random): each client's input λ's in gate order, then per batch its
+// gates' λ's and its helpers, vector kind (0=left, 1=right, 2=Γ) by vector
+// kind. Everyone then derives the linear gates' λ's locally, depth by depth
+// (a Const's λ is 0, the empty sum), so every wire's λ is fixed once OffR
+// has spoken.
+func (r *run) offlineWireRandomness() error {
 	p := r.p.params
 	gates := r.p.circ.Gates()
 	offR, err := r.assign.FormCommittee("offR", p.N, comm.PhaseOffline)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	blocks, err := r.rt.RandomStep(offR,
 		committee.Spec{Phase: comm.PhaseOffline, Cat: comm.CatLambda, Label: "wire-randomness"}, r.lists.Random, r.lists.Extract)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	clients := r.p.circ.Clients()
 	for c, client := range clients {
@@ -137,55 +136,49 @@ func (r *run) offlineWireRandomness() ([]tte.Ciphertext, error) {
 			b.helpers[kind] = helpers[kind*p.T : (kind+1)*p.T]
 		}
 	}
-	return blocks[len(blocks)-1], nil
+	for d := 0; d <= r.p.circ.Depth(); d++ {
+		for _, gi := range r.p.circ.LinearAt(d) {
+			terms, _ := gates[gi].Terms()
+			if r.wireCt[gates[gi].Out], err = r.rt.EvalTerms(terms, r.wireCt); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
-// offlineDependentWires is Step 3: everyone locally derives λ-ciphertexts
-// for linear gates; the OffDec committee threshold-decrypts the Beaver
-// openings ε = λ^α + λ^x and δ = λ^β + λ^y for every multiplication gate
-// and reshares tsk to OffRe; everyone then forms c^Γ per gate.
+// offlineDependentWires is Step 3: the OffDec committee threshold-decrypts
+// ε = λ^α + e for every multiplication gate and reshares tsk to OffRe;
+// everyone then forms c^Γ per gate.
 func (r *run) offlineDependentWires() error {
 	p := r.p.params
 	te := p.TE
 	gates := r.p.circ.Gates()
 
-	// Local: λ-ciphertexts for linear gates, depth by depth. A Const's λ is
-	// 0, the empty sum.
-	for d := 0; d <= r.p.circ.Depth(); d++ {
-		for _, gi := range r.p.circ.LinearAt(d) {
-			terms, _ := gates[gi].Terms()
-			ct, err := r.rt.EvalTerms(terms, r.wireCt)
-			if err != nil {
-				return err
-			}
-			r.wireCt[gates[gi].Out] = ct
-		}
-	}
-
-	// ε/δ per mul gate, opened by OffDec; without a multiplication OffDec
+	// ε per mul gate, opened by OffDec; without a multiplication OffDec
 	// only hands tsk onward.
 	muls := r.p.circ.MulGates()
-	open, err := r.rt.Masked(r.p.circ, muls, r.beaver, r.wireCt)
+	open, err := r.rt.Masked(r.p.circ, muls, r.products, r.wireCt, true)
 	if err != nil {
 		return err
 	}
-	openings, err := r.offDecSpeak(open)
+	eps, err := r.offDecSpeak(open)
 	if err != nil {
 		return err
 	}
 
-	// Everyone: c^Γ = ε·c^β + (p−δ)·c^x + c^z + (p−1)·c^γ, the Beaver
-	// product λ^α·λ^β (Triple.Product) less λ^γ. Gates are independent;
+	// Everyone: c^Γ = ε·c^β + C + (p−1)·c^γ, which encrypts
+	// (λ^α + e)·λ^β − e·λ^β − λ^γ = λ^α·λ^β − λ^γ. Gates are independent;
 	// results land in a slot-indexed slice and the gammaCt map is filled
 	// serially afterwards (map writes are not concurrency-safe).
-	pm1 := new(big.Int).SetUint64(field.Modulus - 1)
+	one, pm1 := big.NewInt(1), new(big.Int).SetUint64(field.Modulus-1)
 	gammas := make([]tte.Ciphertext, len(muls))
 	if err := r.rt.Pfor(len(muls), func(m int) error {
 		g := gates[muls[m]]
-		r.audit.Record(comm.PhaseOffline, ValBeaverOpen, KeyTPK)
-		cts, coeffs := r.beaver[muls[m]].Product(openings[2*m], openings[2*m+1], r.wireCt[g.B])
+		r.audit.Record(comm.PhaseOffline, ValProductOpen, KeyTPK)
 		var err error
-		gammas[m], err = te.Eval(r.rt.TPK, append(cts, r.wireCt[g.Out]), append(coeffs, pm1))
+		gammas[m], err = te.Eval(r.rt.TPK, []tte.Ciphertext{r.wireCt[g.B], r.products[muls[m]].C, r.wireCt[g.Out]},
+			[]*big.Int{committee.FieldCoeff(eps[m]), one, pm1})
 		return err
 	}); err != nil {
 		return err
@@ -199,13 +192,13 @@ func (r *run) offlineDependentWires() error {
 	return nil
 }
 
-// offDecSpeak runs the OffDec committee: Decrypt the ε/δ ciphertexts `open`
+// offDecSpeak runs the OffDec committee: Decrypt the ε ciphertexts `open`
 // (none in a circuit without multiplications), slot-packed by their static
 // widths, and reshare tsk to OffRe. It returns the opened values reduced into
 // the field.
 func (r *run) offDecSpeak(open []tte.Ciphertext) ([]field.Element, error) {
 	sp := committee.Spec{Phase: comm.PhaseOffline, Cat: comm.CatPartial, Label: "offdec-open"}
-	packed, err := r.packGroups(sp.Label, []openList{{cts: open, widths: slotpack.Expand(r.lists.EpsDelta)}})
+	packed, err := r.packGroups(sp.Label, []openList{{cts: open, widths: slotpack.Expand(r.lists.Eps)}})
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +209,7 @@ func (r *run) offDecSpeak(open []tte.Ciphertext) ([]field.Element, error) {
 	}
 	out := make([]field.Element, 0, len(open))
 	for g, v := range ints {
-		vals, err := splitGroup(v, groups[g].widths) //yosolint:vartime ε and δ are opened to everyone; the branch is Split's refusal of an integer that runs past its slots
+		vals, err := splitGroup(v, groups[g].widths) //yosolint:vartime ε is opened to everyone; the branch is Split's refusal of an integer that runs past its slots
 		if err != nil {
 			return nil, fmt.Errorf("%s: group %d: %w", sp.Label, g, err)
 		}

@@ -294,10 +294,26 @@ func TestLayoutIndependentOfBackendAndAdversary(t *testing.T) {
 	}
 }
 
-// countingTE counts the threshold operations slot-packing is there to save.
+// countingTE counts the threshold operations slot-packing is there to save,
+// and the values encrypted and the Eval calls the offline phase spends.
 type countingTE struct {
 	TE
-	partials, combines atomic.Int64
+	partials, combines, encrypted, evals atomic.Int64
+}
+
+func (c *countingTE) Encrypt(pk tte.PublicKey, m, bound *big.Int) (tte.Ciphertext, error) {
+	c.encrypted.Add(1)
+	return c.TE.Encrypt(pk, m, bound)
+}
+
+func (c *countingTE) EncryptMany(pk tte.PublicKey, ms []*big.Int, bound *big.Int, workers int) ([]tte.Ciphertext, error) {
+	c.encrypted.Add(int64(len(ms)))
+	return c.TE.EncryptMany(pk, ms, bound, workers)
+}
+
+func (c *countingTE) Eval(pk tte.PublicKey, cts []tte.Ciphertext, coeffs []*big.Int) (tte.Ciphertext, error) {
+	c.evals.Add(1)
+	return c.TE.Eval(pk, cts, coeffs)
 }
 
 func (c *countingTE) PartialDecrypt(pk tte.PublicKey, sh tte.KeyShare, ct tte.Ciphertext) (tte.PartialDec, error) {
@@ -337,10 +353,14 @@ func (c *countingPKE) SecretKeyFromBytes(data []byte) (pke.SecretKey, error) {
 }
 
 // TestOperationCountsNeverExceedParent counts, per phase, the partial
-// decryptions, Combine calls and envelope openings of an honest run on every
-// benchmark workload's parameters. Each equals what the planner predicts and
-// is at most the closed form of the protocol before slot-packing — one
-// opening per value — so neither phase has a mechanism to get slower.
+// decryptions, Combine calls, envelope openings, values encrypted and Eval
+// calls of an honest run on every benchmark workload's parameters. Each of
+// the first four equals what the planner predicts and is at most the closed
+// form of the protocol before slot-packing and extraction — one opening per
+// value, one contribution per random value and a Beaver triple per
+// multiplication — and the Eval calls are at most those measured with Beaver
+// triples (evals), so neither phase has a mechanism to get slower. Prepare
+// counts setup's KFF encryptions with the offline phase's.
 func TestOperationCountsNeverExceedParent(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -348,11 +368,12 @@ func TestOperationCountsNeverExceedParent(t *testing.T) {
 		n, t, k      int
 		bits         int
 		long         bool
+		evals        int64
 	}{
-		{name: "real2048_wide", width: 2, depth: 1, n: 8, t: 2, k: 2, bits: 2047},
-		{name: "real512_deep", width: 4, depth: 6, n: 16, t: 3, k: 4, bits: 511},
-		{name: "sim_boardd_n64", width: 128, depth: 2, n: 64, t: 15, k: 8, bits: 2048, long: true},
-		{name: "sim_wide_n256", width: 128, depth: 1, n: 256, t: 63, k: 32, bits: 2048, long: true},
+		{name: "real2048_wide", width: 2, depth: 1, n: 8, t: 2, k: 2, bits: 2047, evals: 82},
+		{name: "real512_deep", width: 4, depth: 6, n: 16, t: 3, k: 4, bits: 511, evals: 1135},
+		{name: "sim_boardd_n64", width: 128, depth: 2, n: 64, t: 15, k: 8, bits: 2048, long: true, evals: 32256},
+		{name: "sim_wide_n256", width: 128, depth: 1, n: 256, t: 63, k: 32, bits: 2048, long: true, evals: 40927},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.long && testing.Short() {
@@ -376,8 +397,10 @@ func TestOperationCountsNeverExceedParent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			type counts struct{ partials, combines, opened int64 }
-			read := func() counts { return counts{te.partials.Load(), te.combines.Load(), enc.opened.Load()} }
+			type counts struct{ partials, combines, opened, encrypted, evals int64 }
+			read := func() counts {
+				return counts{te.partials.Load(), te.combines.Load(), enc.opened.Load(), te.encrypted.Load(), te.evals.Load()}
+			}
 			offline := read()
 			res, err := prep.Execute(in)
 			if err != nil {
@@ -388,7 +411,8 @@ func TestOperationCountsNeverExceedParent(t *testing.T) {
 				t.Fatalf("outputs %v, want %v", res.Outputs[0], want[0])
 			}
 			total := read()
-			online := counts{total.partials - offline.partials, total.combines - offline.combines, total.opened - offline.opened}
+			online := counts{total.partials - offline.partials, total.combines - offline.combines, total.opened - offline.opened,
+				total.encrypted - offline.encrypted, total.evals - offline.evals}
 
 			var (
 				n, q    = int64(tc.n), int64(tc.t + 1)
@@ -405,7 +429,8 @@ func TestOperationCountsNeverExceedParent(t *testing.T) {
 				handoff = n * q
 			)
 			parent := map[string]counts{
-				"offline": {partials: n * (2*muls + inputs + 3*batches*n + outputs), combines: 2 * muls, opened: handoff},
+				"offline": {partials: n * (2*muls + inputs + 3*batches*n + outputs), combines: 2 * muls, opened: handoff,
+					encrypted: kffs + n*(inputs+3*int64(tc.t)*batches+3*muls), evals: tc.evals},
 				"online": {partials: n * parentKFFs, combines: parentKFFs + inputs + 3*batches*n + outputs,
 					opened: handoff + q*(parentKFFs+inputs+3*batches*n+outputs)},
 			}
@@ -417,9 +442,11 @@ func TestOperationCountsNeverExceedParent(t *testing.T) {
 				}
 				return total
 			}
-			dec, ins, layers, outs := groups(ls.EpsDelta), groups(ls.Inputs...), groups(ls.Layers...), groups(ls.Outputs...)
+			dec, ins, layers, outs := groups(ls.Eps), groups(ls.Inputs...), groups(ls.Layers...), groups(ls.Outputs...)
+			random, beaver := ls.Contributions()
 			planned := map[string]counts{
-				"offline": {partials: n * (dec + ins + layers*n + outs), combines: dec, opened: handoff},
+				"offline": {partials: n * (dec + ins + layers*n + outs), combines: dec, opened: handoff,
+					encrypted: kffs + n*int64(random+beaver), evals: offline.evals},
 				"online": {partials: n * kffs, combines: kffs + ins + layers*n + outs,
 					opened: handoff + q*(kffs+ins+layers*n+outs)},
 			}
@@ -428,7 +455,8 @@ func TestOperationCountsNeverExceedParent(t *testing.T) {
 					t.Errorf("%s: counted %+v, the plan gives %+v", phase, got, planned[phase])
 				}
 				p := parent[phase]
-				if got.partials > p.partials || got.combines > p.combines || got.opened > p.opened {
+				if got.partials > p.partials || got.combines > p.combines || got.opened > p.opened ||
+					got.encrypted > p.encrypted || got.evals > p.evals {
 					t.Errorf("%s: counted %+v, one opening per value was %+v", phase, got, p)
 				}
 			}

@@ -8,10 +8,10 @@
 //
 // Committee schedule (one broadcast per role, per the YOSO model):
 //
-//	offline:  OffR (wire randomness, packing helpers and Beaver a-parts)
-//	          → OffB (Beaver b/c-parts), formed only when the circuit has a
-//	            multiplication gate
-//	          → OffDec (holds tsk epoch 0: decrypts ε/δ, reshares tsk)
+//	offline:  OffR (wire randomness and packing helpers)
+//	          → OffB (masks e and products into each gate's λ^β), formed
+//	            only when the circuit has a multiplication gate
+//	          → OffDec (holds tsk epoch 0: decrypts ε, reshares tsk)
 //	          → OffRe (re-encrypts λ/Γ packed shares to the layer roles'
 //	            KFFs, and the input-wire λ's and the early clients'
 //	            output-wire λ's to their clients' setup keys, reshares tsk

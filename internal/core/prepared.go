@@ -14,7 +14,7 @@ import (
 // through it whenever the network is idle), and once inputs arrive only
 // the cheap online phase runs. Prepare/Execute expose that split: one
 // Prepare produces the correlated randomness for exactly one Execute
-// (λ-values and Beaver triples are one-time pads — reuse would leak
+// (λ-values and the product masks are one-time pads — reuse would leak
 // linear relations between executions, so Execute enforces single use).
 
 // ErrAlreadyExecuted rejects a second Execute on the same preprocessing.

@@ -145,8 +145,9 @@ type run struct {
 	// per-wire λ ciphertexts under tpk
 	wireCt []tte.Ciphertext
 
-	// per-mul-gate Beaver triples (indexed by gate index in circ.Gates())
-	beaver map[int]committee.Triple
+	// per-mul-gate products from OffB, over the gate's λ^β: A = c^{λ^β},
+	// B = c^e and C ≡ −e·λ^β (indexed by gate index in circ.Gates())
+	products map[int]committee.Triple
 
 	// per-mul-gate Γ ciphertexts (λ^α·λ^β − λ^γ under tpk)
 	gammaCt map[int]tte.Ciphertext

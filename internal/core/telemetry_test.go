@@ -157,7 +157,7 @@ func TestTelemetryPhaseSpansCoverWallClock(t *testing.T) {
 // each member computes in the step, and values, the slots they carry — the
 // achieved packing factor is their ratio. The run extracts m′ = 5 values
 // per contribution position (slotpack.ListsOf), so on 510-bit openings:
-// 96 ε/δ of 78 bits go 6 to an opening; each client's 8 input λ's of 77 bits
+// 48 ε of 78 bits go 6 to an opening; each client's 8 input λ's of 77 bits
 // take 2 and each of the 3·12 layer members' 6 batches one per batch
 // (141 + 141 + 217 bits); the 16 outputs take 3, sealed in the same OffRe
 // step. KFF secrets are never packed; committees without tsk open nothing.
@@ -173,7 +173,7 @@ func TestTelemetryStepSpansReportOpenings(t *testing.T) {
 	got := stepOpenings(t, simParams(12, 2, 3, nil), circ, in)
 	want := map[string][2]int64{
 		"beaver-bc": {}, "wire-randomness": {},
-		"offdec-open":             {16, 96},
+		"offdec-open":             {8, 48},
 		"steps-5-6":               {4 + 3*12*6 + 3, 16 + 3*12*18 + 16},
 		"future-key-distribution": {3 * 12, 3 * 12},
 		"mu-layer1":               {}, "mu-layer2": {}, "mu-layer3": {},

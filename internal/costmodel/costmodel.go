@@ -164,7 +164,7 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 		}
 		return total
 	}
-	decGroups := groups(shape.Opened.EpsDelta)
+	decGroups := groups(shape.Opened.Eps)
 	inGroups := groups(shape.Opened.Inputs...)
 	layerGroups := N * groups(shape.Opened.Layers...)
 	var earlyGroups, lateGroups int64 // output groups OffRe and OnC1 seal
@@ -176,7 +176,7 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 		}
 	}
 	// One member's contributions at the run's m′: random to OffR (the wire
-	// randomness and the Beaver a's), beaver to OffB.
+	// randomness and the packing helpers), beaver to OffB (the masks e).
 	random, beaver := shape.Opened.Contributions()
 
 	var setup int64
@@ -196,7 +196,7 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 		// OffB: role keys, b-parts and one c-part per gate.
 		offline += N*int64(z.RoleKey) + N*(int64(beaver)+muls)*int64(z.Ciphertext) + N*int64(z.Proof)
 	}
-	offline += N*int64(random)*int64(z.Ciphertext) + N*int64(z.Proof) // wire randomness, helpers and Beaver a-parts
+	offline += N*int64(random)*int64(z.Ciphertext) + N*int64(z.Proof) // wire randomness and helpers
 	// OffDec: partials for the ε/δ groups + resharing to OffRe.
 	offline += N*(decGroups*int64(z.Partial)+key+N*envS) + N*int64(z.Proof)
 	// OffRe: one envelope per input-wire λ group and per early output group

@@ -11,9 +11,9 @@ import (
 // the static slot widths of what it opens, in opening order. They are the
 // input of Plan (core) and Count (costmodel).
 type Lists struct {
-	// EpsDelta is what everyone opens from OffDec: per multiplication gate in
-	// gate order, ε then δ.
-	EpsDelta []Run
+	// Eps is what everyone opens from OffDec: per multiplication gate in
+	// gate order, its ε.
+	Eps []Run
 	// Inputs[c] and Outputs[c] are the input-wire and output-wire λ's of the
 	// c-th client, in gate order; a client without any has an empty list.
 	Inputs, Outputs [][]Run
@@ -27,7 +27,7 @@ type Lists struct {
 	Extract int
 	// Random is the blocks of OffR's step in layout order (Layout): each
 	// client's input λ's, then per batch of every layer its gates' output λ's
-	// and its 3t helpers, then the Beaver a's, one per multiplication gate.
+	// and its 3t helpers.
 	Random []int
 }
 
@@ -35,7 +35,7 @@ type Lists struct {
 // ciphertexts for committee size n, corruption bound t and extraction m:
 // every committee counted as n verified contributors, every extracted value
 // taken as the widest row of the Vandermonde matrix (chooseExtraction), and
-// every coefficient that is opened or derived at run time (ε, δ, the packing
+// every coefficient that is opened or derived at run time (ε, the packing
 // rows) taken as p − 1. The recurrences are the ones TEval applies to
 // Bound(), so a run-time bound never exceeds its static one.
 type bounds struct {
@@ -43,12 +43,10 @@ type bounds struct {
 	// m is the extraction the bounds are for.
 	m int
 	// fresh bounds an extracted value Σ_{i≤n} i^{m−1}·x_i of n encrypted
-	// field elements: an input or multiplication output wire's λ, a Beaver a
-	// or b part, a packing helper.
+	// field elements: an input or multiplication output wire's λ, a gate's
+	// mask e, a packing helper.
 	fresh *big.Int
-	// prod bounds a Beaver c part: Σ_{i≤n} i^{m−1}·b_i·c^a with b_i ≤ p − 1.
-	prod *big.Int
-	pm1  *big.Int
+	pm1   *big.Int
 }
 
 // extractionBounds returns the bounds for committee size n and corruption
@@ -73,22 +71,20 @@ func extractionBounds(n, t int) func() *bounds {
 		}
 		fresh := new(big.Int).SetUint64(field.Modulus)
 		fresh.Mul(fresh, col)
-		prod := new(big.Int).Mul(pm1, fresh)
-		prod.Mul(prod, col)
-		return &bounds{t: int64(t), m: m, fresh: fresh, prod: prod, pm1: pm1}
+		return &bounds{t: int64(t), m: m, fresh: fresh, pm1: pm1}
 	}
 }
 
-// opening bounds ε = λ^α + a (or δ = λ^β + b) for an input wire bounded by in.
+// opening bounds ε = λ^α + e for a left input bounded by in.
 func (b *bounds) opening(in *big.Int) *big.Int { return new(big.Int).Add(in, b.fresh) }
 
-// gamma bounds c^Γ = ε·c^β + (p−δ)·c^a + c^c + (p−1)·c^γ for a right input
-// bounded by right.
+// gamma bounds c^Γ = ε·c^β + C + (p−1)·c^γ for a right input bounded by
+// right, where C ≡ −e·λ^β is Σ_{i≤n} i^{m−1}·(p − e_i)·c^β, below
+// fresh·right.
 func (b *bounds) gamma(right *big.Int) *big.Int {
-	g := new(big.Int).Add(right, b.fresh) // ε·c^β + (p−δ)·c^a
-	g.Add(g, b.fresh)                     // (p−1)·c^γ
+	g := new(big.Int).Add(right, b.fresh) // ε·c^β + (p−1)·c^γ
 	g.Mul(g, b.pm1)
-	return g.Add(g, b.prod)
+	return g.Add(g, new(big.Int).Mul(b.fresh, right))
 }
 
 // packed bounds one packed share: a row of coefficients below p over a
@@ -127,9 +123,7 @@ func listsOf(c *circuit.Circuit, k int, b *bounds) Lists {
 	}
 	ls := Lists{Extract: b.m}
 	for _, gi := range c.MulGates() {
-		g := gates[gi]
-		ls.EpsDelta = appendRun(ls.EpsDelta, b.opening(wire[g.A]).BitLen())
-		ls.EpsDelta = appendRun(ls.EpsDelta, b.opening(wire[g.B]).BitLen())
+		ls.Eps = appendRun(ls.Eps, b.opening(wire[gates[gi].A]).BitLen())
 	}
 	for _, client := range c.Clients() {
 		var in, out []Run
@@ -158,7 +152,6 @@ func listsOf(c *circuit.Circuit, k int, b *bounds) Lists {
 			ls.Layers[l] = appendRun(ls.Layers[l], b.packed(sum).BitLen())
 		}
 	}
-	ls.Random = append(ls.Random, c.NumMul())
 	return ls
 }
 
@@ -195,13 +188,11 @@ func freshLists(k int, b *bounds, inputs, outputs, muls []int) Lists {
 		}
 	}
 	full := batch(k)
-	total := 0
 	for l, m := range muls {
-		total += m
 		if m == 0 {
 			continue
 		}
-		ls.EpsDelta = append(ls.EpsDelta, Run{Width: opening, Count: 2 * int64(m)})
+		ls.Eps = append(ls.Eps, Run{Width: opening, Count: int64(m)})
 		ls.Layers[l] = make([]Run, 0, len(full)*((m+k-1)/k))
 		for i := 0; i < m/k; i++ {
 			ls.Layers[l] = append(ls.Layers[l], full...)
@@ -212,14 +203,13 @@ func freshLists(k int, b *bounds, inputs, outputs, muls []int) Lists {
 			ls.Random = append(ls.Random, m%k+3*int(b.t))
 		}
 	}
-	ls.Random = append(ls.Random, total)
 	return ls
 }
 
 // chooseExtraction chooses m′ for a run and returns the run's lists at it;
 // at(b) derives the lists under the bounds of one extraction. Every random
-// value of the offline phase — a wire's λ, a packing helper, a Beaver a or
-// b — is one row of the m′ × n Vandermonde matrix M_ji = i^{j−1} applied to
+// value of the offline phase — a wire's λ, a packing helper, a gate's mask
+// e — is one row of the m′ × n Vandermonde matrix M_ji = i^{j−1} applied to
 // one position of the committee's n contributions (Damgård–Nielsen), so each
 // member encrypts about count/m′ values instead of count (Layout). The values
 // are uniform mod p whenever m′ of the contributions are honest, since any m′
@@ -241,7 +231,7 @@ func freshLists(k int, b *bounds, inputs, outputs, muls []int) Lists {
 //     for its reader, so no reader's openings move;
 //
 // and keeps the m′ that minimises the offline objects a member posts: its
-// contributions plus its partials for the ε/δ groups, the only opened groups
+// contributions plus its partials for the ε groups, the only opened groups
 // left to move.
 func chooseExtraction(n, t, k, capacity int, at func(b *bounds) Lists) Lists {
 	next := extractionBounds(n, t)
@@ -256,7 +246,7 @@ func chooseExtraction(n, t, k, capacity int, at func(b *bounds) Lists) Lists {
 	// extraction that can move with it.
 	objects := func(ls Lists) int64 {
 		random, beaver := ls.Contributions()
-		return int64(random+beaver) + Count(ls.EpsDelta, capacity)
+		return int64(random+beaver) + Count(ls.Eps, capacity)
 	}
 	fixed, least := recipients(best), objects(best)
 	// Contributions fall with m to at least floor, at the largest m.
@@ -270,9 +260,9 @@ func chooseExtraction(n, t, k, capacity int, at func(b *bounds) Lists) Lists {
 			break
 		}
 		// Every width only grows with m and Plan's count only grows with
-		// the widths, so no larger m opens fewer ε/δ groups: once these and
+		// the widths, so no larger m opens fewer ε groups: once these and
 		// the fewest contributions reach least, nothing beats it.
-		if Count(ls.EpsDelta, capacity)+floor >= least {
+		if Count(ls.Eps, capacity)+floor >= least {
 			break
 		}
 		if objs := objects(ls); objs < least {
@@ -299,11 +289,15 @@ func Layout(blocks []int, m int) (at []int, positions int) {
 }
 
 // Contributions is how many values one member contributes at the lists'
-// extraction: random in OffR's step, beaver in the Beaver b/c step (a b per
-// multiplication gate, one block as large as Random's last, the a's).
+// extraction: random in OffR's step, beaver in OffB's (an e per
+// multiplication gate, one block, as many as Eps's ε's).
 func (ls Lists) Contributions() (random, beaver int) {
 	_, random = Layout(ls.Random, ls.Extract)
-	_, beaver = Layout(ls.Random[len(ls.Random)-1:], ls.Extract)
+	muls := 0
+	for _, r := range ls.Eps {
+		muls += int(r.Count)
+	}
+	_, beaver = Layout([]int{muls}, ls.Extract)
 	return random, beaver
 }
 
@@ -318,7 +312,7 @@ func groups(lists [][]Run, capacity int) (total int64) {
 // widest is the widest slot of any list.
 func widest(ls Lists) int {
 	w := 0
-	for _, lists := range [][][]Run{{ls.EpsDelta}, ls.Inputs, ls.Outputs, ls.Layers} {
+	for _, lists := range [][][]Run{{ls.Eps}, ls.Inputs, ls.Outputs, ls.Layers} {
 		for _, runs := range lists {
 			for _, r := range runs {
 				w = max(w, r.Width)

@@ -13,7 +13,7 @@
 // bit lengths of static worst-case bounds (Bounds, Lists), Plan fills groups
 // greedily up to the key's capacity, and every party recomputes the same
 // plan. Widths are never taken from a ciphertext's run-time Bound(): that
-// depends on how many members' contributions verified and on opened ε/δ
+// depends on how many members' contributions verified and on opened ε
 // values, and a layout that moved with them would make routing, byte counts
 // and the cost model depend on the run. The run-time bound is only checked
 // against the static width (Pack), because a slot overflow is a wrong answer.

@@ -257,7 +257,7 @@ func TestListsOfBenchmarkWorkloads(t *testing.T) {
 		n, t, k       int
 		capacity      int
 		extract       int
-		epsDelta      int // every ε/δ
+		eps           int // every ε
 		batch         []int
 		perLayerCount int64
 	}{
@@ -291,12 +291,11 @@ func TestListsOfBenchmarkWorkloads(t *testing.T) {
 			for range c.MulBatches(tc.k) {
 				blocks = append(blocks, tc.k+3*tc.t)
 			}
-			blocks = append(blocks, c.NumMul()) // the Beaver a's
 			if !reflect.DeepEqual(ls.Random, blocks) {
 				t.Errorf("wire-randomness blocks %v, want %v", ls.Random, blocks)
 			}
-			if want := []Run{{Width: tc.epsDelta, Count: int64(2 * c.NumMul())}}; !reflect.DeepEqual(ls.EpsDelta, want) {
-				t.Errorf("ε/δ widths %v, want %v", ls.EpsDelta, want)
+			if want := []Run{{Width: tc.eps, Count: int64(c.NumMul())}}; !reflect.DeepEqual(ls.Eps, want) {
+				t.Errorf("ε widths %v, want %v", ls.Eps, want)
 			}
 			if len(ls.Layers) != tc.depth {
 				t.Fatalf("%d layers, want %d", len(ls.Layers), tc.depth)
@@ -326,7 +325,7 @@ func TestListsOfBenchmarkWorkloads(t *testing.T) {
 			if fresh.Extract != ls.Extract || !reflect.DeepEqual(fresh.Random, ls.Random) {
 				t.Errorf("shape-only m′ = %d and blocks %v, the circuit's %d and %v", fresh.Extract, fresh.Random, ls.Extract, ls.Random)
 			}
-			for _, pair := range [][2][]Run{{fresh.EpsDelta, ls.EpsDelta}, {fresh.Inputs[0], ls.Inputs[0]},
+			for _, pair := range [][2][]Run{{fresh.Eps, ls.Eps}, {fresh.Inputs[0], ls.Inputs[0]},
 				{fresh.Inputs[1], ls.Inputs[1]}, {fresh.Outputs[0], ls.Outputs[0]}, {fresh.Layers[0], ls.Layers[0]}} {
 				if !reflect.DeepEqual(Expand(pair[0]), Expand(pair[1])) {
 					t.Errorf("shape-only list %v, circuit's %v", pair[0], pair[1])
@@ -357,9 +356,9 @@ func TestListsOfLinearGates(t *testing.T) {
 	if got, want := Expand(ls.Outputs[1]), []int{63}; !reflect.DeepEqual(got, want) {
 		t.Errorf("client 1 output widths %v, want %v", got, want)
 	}
-	// ε = (x − y) + a, δ = (x + y) + b.
-	if got, want := Expand(ls.EpsDelta), []int{124, 65}; !reflect.DeepEqual(got, want) {
-		t.Errorf("ε/δ widths %v, want %v", got, want)
+	// ε = (x − y) + e.
+	if got, want := Expand(ls.Eps), []int{124}; !reflect.DeepEqual(got, want) {
+		t.Errorf("ε widths %v, want %v", got, want)
 	}
 }
 

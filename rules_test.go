@@ -125,13 +125,14 @@ var structuralRules = []structuralRule{
 	},
 	// committee.Runner.RandomStep is the one step that posts fresh random
 	// contributions, and each driver runs it once: core's OffR extracts the
-	// wire randomness and the Beaver a's together, the baseline's bOff1 the
-	// a's alone. committee.Runner.Beaver is the b/c step over those a's: it
-	// forms one committee and returns one Triple per multiplication gate;
-	// Runner.Masked is the one ε = x + a, δ = y + b and Triple.Product the
-	// one Beaver identity. Result.Rounds counts the committees a run formed
-	// plus the client round, so a constant plus Depth() is a second copy of
-	// the schedule that drifts when the schedule does.
+	// wire randomness, the baseline's bOff1 the Beaver a's.
+	// committee.Runner.Beaver is the product step over given operands (core's
+	// right-input λ's, the baseline's a's): it forms one committee and
+	// returns one Triple per multiplication gate; Runner.Masked forms every
+	// mask a driver opens and Triple.Product is the one Beaver identity.
+	// Result.Rounds counts the committees a run formed plus the client round,
+	// so a constant plus Depth() is a second copy of the schedule that drifts
+	// when the schedule does.
 	{
 		name:    "one Beaver step: masks, product and rounds only in package committee",
 		roots:   []string{"internal", "cmd", "examples", "*.go"},
