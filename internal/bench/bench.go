@@ -147,8 +147,9 @@ var Experiments = []Experiment{
 		b.WriteString("\n=== Ablation: keys-for-future on/off (§3.2 naive) ===\n")
 		// KFF moves the re-encryption of every layer member's shares offline.
 		// Slot-packed, that is ⌈3·batches·width/capacity⌉ openings per member:
-		// one at 4 batches per layer — then the naive mode costs the same
-		// online — and 15 at 64.
+		// one at 4 batches per layer — where the measured run mints no KFF
+		// and OnC1 delivers the one group directly, so the rows agree — and
+		// 15 at 64.
 		for _, width := range []int{16, 256} {
 			kff, err := KFFAblation(16, 3, 4, width)
 			if err != nil {
@@ -665,7 +666,10 @@ func RobustComparison(n, t, k, width int) (*RobustRow, error) {
 // through the offline phase and the first online committee re-encrypts them
 // to the then-known role keys, paying the Θ(n²·batches) re-encryption
 // online. Input λ's go offline to the clients' setup keys in both rows: a
-// KFF buys only the reaching of a role whose key is not yet known. The KFF row is a measured run. The naive row is
+// KFF buys only the reaching of a role whose key is not yet known. The KFF
+// row is a measured run, which mints KFFs only where a layer member's shares
+// take more than one group (slotpack.Lists.NeedsKFF) and delivers a one-group
+// layer the naive way, so at such a width the rows agree. The naive row is
 // costmodel.CoreWith's naive variant on the same shape; the terms it moves
 // are checked against a measured KFF run by core's TestNaiveModelFromKFFRun.
 func KFFAblation(n, t, k, width int) ([]AblationRow, error) {

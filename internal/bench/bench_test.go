@@ -235,11 +235,12 @@ func TestTotalCost(t *testing.T) {
 	}
 	// The preprocessing does not benefit from k (paper's conclusion): the
 	// packed protocol's total grows faster in n than the baseline's: at
-	// n = 16 it is 5 % below it, and from n = 32 it exceeds it — the win is
+	// n = 16 it is 20 % below it, and from n = 32 it exceeds it — the win is
 	// *where* the bytes are spent, not how many. Sim totals are exact: these
 	// are the Limitation rows of testdata/experiments.golden, ratios 0.86
-	// and 0.95.
-	want := []TotalCostPoint{{N: 8, CoreTotal: 388875, BaselineTotal: 450619}, {N: 16, CoreTotal: 915979, BaselineTotal: 961083}}
+	// and 0.80 (at n = 16 a layer member's shares fit one group, so the run
+	// mints no KFF).
+	want := []TotalCostPoint{{N: 8, CoreTotal: 388875, BaselineTotal: 450619}, {N: 16, CoreTotal: 772107, BaselineTotal: 961083}}
 	for i, p := range pts {
 		if p.N != want[i].N || p.CoreTotal != want[i].CoreTotal || p.BaselineTotal != want[i].BaselineTotal {
 			t.Errorf("n = %d: totals %d and %d B, want %d and %d B", p.N, p.CoreTotal, p.BaselineTotal, want[i].CoreTotal, want[i].BaselineTotal)
@@ -269,8 +270,8 @@ func TestRobustComparison(t *testing.T) {
 
 func TestKFFAblation(t *testing.T) {
 	// 64 batches per layer: a layer member's 192 shares slot-pack into 15
-	// openings (at 4 batches they fit one, and the two modes cost the same
-	// online).
+	// openings (at 4 batches they fit one, so the measured run delivers
+	// them without KFFs and the two rows are the same).
 	rows, err := KFFAblation(16, 3, 4, 256)
 	if err != nil {
 		t.Fatal(err)

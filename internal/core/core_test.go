@@ -481,27 +481,47 @@ func TestOnlineCommunicationIndependentOfN(t *testing.T) {
 	}
 }
 
-func TestKeyUsageFlowAudit(t *testing.T) {
-	// E7: the Fig. 1 key-usage flow. Packed shares are only ever opened
-	// under KFF keys; KFF secrets only under role keys; tsk shares only
-	// under role keys; input λ's and outputs only under client keys.
-	circ, err := circuit.InnerProduct(3)
+// mixedLayers is a circuit whose first multiplication layer takes two
+// batches at k = 2 and its second one: at n = 10, t = 2 under a 512-bit key
+// a member of layer 1 opens its six shares in two groups, one of layer 2
+// its three in one.
+func mixedLayers(t *testing.T) *circuit.Circuit {
+	t.Helper()
+	b := circuit.NewBuilder()
+	x0, x1, y0, y1 := b.Input(0), b.Input(0), b.Input(1), b.Input(1)
+	a, c := b.Mul(x0, y0), b.Mul(x1, y1)
+	b.Output(b.Mul(a, c), 0)
+	b.Output(b.Mul(x0, y1), 1)
+	circ, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := inputsOf(map[int][]uint64{0: {1, 2, 3}, 1: {4, 5, 6}})
-	res := runAndCompare(t, simParams(8, 2, 2, nil), circ, in)
+	return circ
+}
+
+func TestKeyUsageFlowAudit(t *testing.T) {
+	// E7: the Fig. 1 key-usage flow. Packed shares are only ever opened
+	// under KFF keys where their layer has KFFs and under role keys where
+	// it has none; KFF secrets only under role keys; tsk shares only under
+	// role keys; input λ's and outputs only under client keys.
+	circ := mixedLayers(t)
+	const n = 10
+	res := runAndCompare(t, simParams(n, 2, 2, nil), circ, propertyInputs(circ, 3))
 
 	forbidden := map[ValueClass][]KeyClass{
-		ValPackedShare: {KeyTPK, KeyRole, KeyClient},
+		ValPackedShare: {KeyTPK, KeyClient},
 		ValWireLambda:  {KeyTPK, KeyRole, KeyKFF},
 		ValKFFSecret:   {KeyTPK, KeyKFF, KeyClient},
 		ValTskShare:    {KeyKFF, KeyClient, KeyTPK},
 		ValOutput:      {KeyKFF, KeyRole, KeyTPK},
 	}
 	counts := map[ValueClass]int{}
+	packed := map[KeyClass]int{}
 	for _, e := range res.Audit {
 		counts[e.Value]++
+		if e.Value == ValPackedShare {
+			packed[e.Key]++
+		}
 		for _, bad := range forbidden[e.Value] {
 			if e.Key == bad {
 				t.Errorf("audit violation: %v", e)
@@ -512,6 +532,110 @@ func TestKeyUsageFlowAudit(t *testing.T) {
 		if counts[val] == 0 {
 			t.Errorf("no audit events for %s", val)
 		}
+	}
+	// Every member of layer 1 opens its KFF and its two batches' shares
+	// under it; every member of layer 2 its one batch's under its role key.
+	if want := (map[KeyClass]int{KeyKFF: 2 * n, KeyRole: n}); !reflect.DeepEqual(packed, want) {
+		t.Errorf("packed shares opened per key class %v, want %v", packed, want)
+	}
+	if counts[ValKFFSecret] != n {
+		t.Errorf("%d KFF secrets opened, want %d (layer 1's roles)", counts[ValKFFSecret], n)
+	}
+}
+
+// TestKFFsOnlyForMultiGroupLayers runs a circuit with one layer whose
+// members open their shares in two groups and one whose members open them
+// in one, on Sim with malicious and fail-stop members at the §5.4 margin
+// and on the 512-bit test key. Setup mints KFFs for the first layer's roles
+// only; OffRe seals the first layer's groups and none of the second's,
+// which OnC1 seals straight to the role keys, one ciphertext per layer role
+// as for a KFF secret; the outputs are the circuit's.
+func TestKFFsOnlyForMultiGroupLayers(t *testing.T) {
+	circ := mixedLayers(t)
+	const n, tt, k = 10, 2, 2
+	margin := n - (tt + 2*(k-1) + 1)
+	for name, params := range map[string]Params{
+		"sim adversarial": simParams(n, tt, k, yoso.NewAdversary(tt, margin-tt, 53)),
+		"real 512-bit":    realParams(t, n, tt, k, nil),
+	} {
+		t.Run(name, func(t *testing.T) {
+			params.Trace = telemetry.NewTracer()
+			proto, err := New(params, circ, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prep, err := proto.Prepare()
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := propertyInputs(circ, 5)
+			res, err := prep.Execute(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := circ.Eval(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for client, vals := range want {
+				if !field.EqualVec(res.Outputs[client], vals) {
+					t.Errorf("client %d outputs = %v, want %v", client, res.Outputs[client], vals)
+				}
+			}
+
+			capacity := slotpack.Capacity(prep.r.rt.TPK.MaxPlaintext())
+			ls := slotpack.ListsOf(circ, n, tt, k, capacity)
+			if !ls.NeedsKFF(0, capacity) || ls.NeedsKFF(1, capacity) {
+				t.Fatalf("layers take %d and %d groups at %d bits, want 2 and 1",
+					slotpack.Count(ls.Layers[0], capacity), slotpack.Count(ls.Layers[1], capacity), capacity)
+			}
+			kffs := 0
+			for _, e := range proto.Board().Entries(0) {
+				if e.Category == comm.CatKFF && e.Phase == comm.PhaseSetup {
+					kffs++
+				}
+			}
+			if kffs != n {
+				t.Errorf("setup posted %d KFFs, want %d (layer 1's roles)", kffs, n)
+			}
+			// Steps 5–6 seal the input λ's, the early outputs and layer 1's
+			// groups; OnC1 a KFF secret per layer-1 role, a group per
+			// layer-2 role and the late outputs.
+			var ins, early, late int64
+			for c, client := range circ.Clients() {
+				ins += slotpack.Count(ls.Inputs[c], capacity)
+				if circ.EarlyOutputs()[client] {
+					early += slotpack.Count(ls.Outputs[c], capacity)
+				} else {
+					late += slotpack.Count(ls.Outputs[c], capacity)
+				}
+			}
+			openings := map[string]int64{}
+			for _, sp := range params.Trace.Spans() {
+				if strings.HasPrefix(sp.Name, "committee:") {
+					openings[strings.TrimPrefix(sp.Name, "committee:")] = sp.Ints["openings"]
+				}
+			}
+			if got, want := openings["steps-5-6"], ins+early+2*n; got != want {
+				t.Errorf("OffRe sealed %d groups, want %d: none of layer 2's", got, want)
+			}
+			if got, want := openings["future-key-distribution"], 2*n+late; got != want {
+				t.Errorf("OnC1 sealed %d groups, want %d: one per layer role", got, want)
+			}
+
+			packed := map[KeyClass]int{}
+			for _, e := range res.Audit {
+				if e.Value == ValPackedShare {
+					packed[e.Key]++
+				}
+			}
+			// Layer 1's two batches are opened under KFFs, layer 2's one
+			// under role keys, by the members that speak, at most n a layer.
+			if len(packed) != 2 || packed[KeyKFF] == 0 || packed[KeyKFF]%2 != 0 || packed[KeyKFF] > 2*n ||
+				packed[KeyRole] == 0 || packed[KeyRole] > n {
+				t.Errorf("packed shares opened per key class %v, want 2 per layer-1 member under a KFF and 1 per layer-2 member under its role key", packed)
+			}
+		})
 	}
 }
 
@@ -879,9 +1003,12 @@ func TestPrepareExecuteSplit(t *testing.T) {
 // and output λ's from what Prepare left, with its setup key alone; OffRe's
 // postings all precede the first client input; μ plus those input λ's are
 // the inputs, and Execute's outputs are μ plus exactly those output λ's.
-// Keys-for-future go only to the layer roles, whose keys the online phase
-// posts: setup mints depth·n and OnC1 opens depth·n. tsk is recovered from
-// a hand-off by two committees only: OffRe offline and OnC1 online.
+// Keys-for-future go only to the roles of the layers whose shares take more
+// than one group (slotpack's NeedsKFF): setup mints n per such layer. Every
+// other layer's groups are packed in Prepare and sealed by no one before
+// OnC1, which opens one ciphertext per layer role either way. tsk is
+// recovered from a hand-off by two committees only: OffRe offline and OnC1
+// online.
 func TestPrepareIsOfflineAndOutputsSealedBeforeInputs(t *testing.T) {
 	circ, err := circuit.PolyEval(3)
 	if err != nil {
@@ -923,8 +1050,21 @@ func TestPrepareIsOfflineAndOutputsSealedBeforeInputs(t *testing.T) {
 	if onC1Keys != 0 {
 		t.Fatalf("Prepare's postings lack OnC1's manifest or %d of its role keys", onC1Keys)
 	}
-	if kffs != layerRoles {
-		t.Errorf("setup posted %d KFFs, want one per layer role, %d", kffs, layerRoles)
+	capacity := slotpack.Capacity(prep.r.rt.TPK.MaxPlaintext())
+	wantKFFs := 0
+	for l, groups := range prep.r.layerOpen {
+		if prep.r.lists.NeedsKFF(l, capacity) {
+			wantKFFs += n
+			continue
+		}
+		for i, g := range groups {
+			if len(g) != 1 || g[0].ct == nil || g[0].envs.Size() != 0 {
+				t.Errorf("layer %d role %d: Prepare left %d groups, want one, packed and not yet sealed", l+1, i+1, len(g))
+			}
+		}
+	}
+	if kffs != wantKFFs {
+		t.Errorf("setup posted %d KFFs, want %d", kffs, wantKFFs)
 	}
 	masks := map[int][]field.Element{}
 	for ci, client := range circ.Clients() {

@@ -14,13 +14,17 @@ import (
 // (bench.KFFAblation) reads it from there. This test derives the naive
 // bytes from one measured KFF run and holds the model to them. A client's
 // key is known at setup, so both designs seal its input λ's offline (Step
-// 5); what a KFF buys is reaching a layer role. Without KFFs setup mints
-// none, OffRe seals no Step 6 envelope, and OnC1 seals those same groups to
-// the layer roles' keys in place of the KFF secrets. So the naive run posts
-// the KFF run's setup less its KFF bytes, its offline bytes less S, and its
-// online bytes less K plus S, where S and K are the bytes of the envelopes
-// answering Step 6 and the KFF distribution, summed over the envelope views
-// the run's layer groups and KFF entries hold.
+// 5); what a KFF buys is reaching a layer role. The driver gives KFFs only
+// to the layers whose shares take more than one group (slotpack's
+// NeedsKFF); the naive approach gives none. Without KFFs setup mints none,
+// OffRe seals no Step 6 envelope, and OnC1 seals those same groups to the
+// layer roles' keys in place of the KFF secrets, as the driver already does
+// for a one-group layer. So the naive run posts the KFF run's setup less its
+// KFF bytes, its offline bytes less S, and its online bytes less K plus S,
+// where S and K are the bytes of the envelopes answering Step 6 and the KFF
+// distribution, summed over the envelope views the groups and KFF entries
+// of the run's layers with KFFs hold. At width 16 no layer has them, and
+// the naive run is the measured one.
 func TestNaiveModelFromKFFRun(t *testing.T) {
 	build := func(c *circuit.Circuit, err error) *circuit.Circuit {
 		if err != nil {
@@ -33,19 +37,25 @@ func TestNaiveModelFromKFFRun(t *testing.T) {
 		circ    *circuit.Circuit
 		n, t, k int
 		robust  bool
+		bits    int   // the Sim key's modulus, 2048 where 0
 		s, kff  int64 // pinned S and K, 0 where not pinned
 	}{
 		{name: "width 16", circ: build(circuit.WideMul(16, 1)), n: 16, t: 3, k: 4},
 		{name: "width 256", circ: build(circuit.WideMul(256, 1)), n: 16, t: 3, k: 4, s: 2_027_520, kff: 135_168},
 		{name: "depth 2", circ: build(circuit.WideMul(8, 2)), n: 14, t: 3, k: 3},
 		{name: "depth 2 robust", circ: build(circuit.WideMul(8, 2)), n: 14, t: 3, k: 3, robust: true},
+		// Under a 512-bit key layer 1 has KFFs, layer 2 none.
+		{name: "mixed layers", circ: mixedLayers(t), n: 10, t: 2, k: 2, bits: 512, s: 28_800, kff: 14_400},
 		// Every client receives Σxᵢ, so no output is early: OnC1 seals
 		// the output λ's beside the KFF secrets.
 		{name: "late outputs", circ: build(circuit.Statistics(4)), n: 14, t: 3, k: 3},
 	}
-	const bits = 2048
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			bits := c.bits
+			if bits == 0 {
+				bits = 2048
+			}
 			params := simParams(c.n, c.t, c.k, nil)
 			params.TE, params.Robust = tte.NewSim(bits), c.robust
 			proto, err := New(params, c.circ, nil)
@@ -67,13 +77,11 @@ func TestNaiveModelFromKFFRun(t *testing.T) {
 					s += int64(g.envs.Size())
 				}
 			}
-			for _, layer := range r.layerOpen {
-				for _, groups := range layer {
-					sealed(groups)
+			for l, entries := range r.kff {
+				for i, entry := range entries {
+					sealed(r.layerOpen[l][i])
+					kff += int64(entry.secret[0].envs.Size())
 				}
-			}
-			for _, entry := range r.kff {
-				kff += int64(entry.delivered[0].envs.Size())
 			}
 			if c.s != 0 && (s != c.s || kff != c.kff) {
 				t.Errorf("S = %d B and K = %d B, want %d and %d", s, kff, c.s, c.kff)

@@ -99,11 +99,12 @@ func (r *run) layerBatches(l int) []*batchState {
 
 // offReSpeak runs the OffRe committee, which reshares tsk to OnC1 and
 // seals, slot-packed per reader, every input client's λ's to the client's
-// setup key (offline Step 5), per layer that has batches each member's
-// 3·(batches of the layer) packed left/right/Γ shares to the KFF of its role
-// (Step 6), and the early clients' output λ's to their setup keys. Every
-// target key is posted at setup, so OffRe speaks before any input exists (it
-// is called from offline()).
+// setup key (offline Step 5), per layer that has batches and needs KFFs each
+// member's 3·(batches of the layer) packed left/right/Γ shares to the KFF of
+// its role (Step 6), and the early clients' output λ's to their setup keys.
+// Every target key is posted at setup, so OffRe speaks before any input
+// exists (it is called from offline()). A layer without KFFs is packed here
+// too, so the online phase evaluates nothing, and OnC1 seals its groups.
 func (r *run) offReSpeak() error {
 	n := r.p.params.N
 	gates := r.p.circ.Gates()
@@ -132,34 +133,47 @@ func (r *run) offReSpeak() error {
 			for _, b := range batches {
 				cts = append(cts, b.packedLeft[i], b.packedRight[i], b.packedGamma[i])
 			}
-			lists = append(lists, openList{cts: cts, widths: widths, key: r.kff[l*n+i].pub, into: &r.layerOpen[l][i]})
+			list := openList{cts: cts, widths: widths, into: &r.layerOpen[l][i]}
+			if r.kff[l] != nil {
+				list.key = r.kff[l][i].pub
+			}
+			lists = append(lists, list)
 		}
 	}
-	err := r.reencryptLists(r.offRe, committee.Spec{Phase: comm.PhaseOffline, Cat: comm.CatReencrypt, Label: "steps-5-6"},
-		append(lists, r.outputLists(true)...), r.onC1)
+	sp := committee.Spec{Phase: comm.PhaseOffline, Cat: comm.CatReencrypt, Label: "steps-5-6"}
+	seals, err := r.packLists(sp.Label, append(lists, r.outputLists(true)...))
 	// The per-index share ciphertexts live on in the groups only.
 	for _, b := range r.batches {
 		b.packedLeft, b.packedRight, b.packedGamma = nil, nil, nil
 	}
-	return err
+	if err != nil {
+		return err
+	}
+	return r.reencrypt(r.offRe, sp, seals, r.onC1)
 }
 
 // onC1Speak is the online "future key distribution", run once every input
-// is posted: OnC1 re-encrypts each layer role's KFF secret key, one
-// ciphertext in one slot, towards the role's now-posted key, and the output
-// λ's of the clients whose outputs are not early (circuit.EarlyOutputs) to
-// their setup keys. It is the last tsk holder: OffRe made every other
-// opening the run needs.
+// is posted: OnC1 re-encrypts to each layer role's now-posted key either its
+// KFF secret key or, where the layer has no KFFs, the one group of its
+// packed shares, and the output λ's of the clients whose outputs are not
+// early (circuit.EarlyOutputs) to their setup keys. It is the last tsk
+// holder: OffRe made every other opening the run needs.
 func (r *run) onC1Speak() error {
-	n := r.p.params.N
-	width := []int{kffSecretBound.BitLen()}
-	lists := make([]openList, len(r.kff))
-	for j := range r.kff {
-		lists[j] = openList{cts: []tte.Ciphertext{r.kff[j].secretCt}, widths: width,
-			key: r.layers[j/n].Role(j%n + 1).PublicKey(), into: &r.kff[j].delivered}
+	sp := committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatKFF, Label: "future-key-distribution"}
+	var seals []sealing
+	for l, layer := range r.layers {
+		for i, groups := range r.layerOpen[l] {
+			if r.kff[l] != nil {
+				groups = r.kff[l][i].secret
+			}
+			seals = append(seals, sealing{groups: groups, key: layer.Role(i + 1).PublicKey()})
+		}
 	}
-	return r.reencryptLists(r.onC1, committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatKFF, Label: "future-key-distribution"},
-		append(lists, r.outputLists(false)...), nil)
+	late, err := r.packLists(sp.Label, r.outputLists(false))
+	if err != nil {
+		return err
+	}
+	return r.reencrypt(r.onC1, sp, append(seals, late...), nil)
 }
 
 // openKFF recovers a layer role's KFF secret key from the group OnC1 sealed
@@ -167,7 +181,7 @@ func (r *run) onC1Speak() error {
 // secret key itself; both backends copy the encoding, so both are wiped
 // once the key is built.
 func (r *run) openKFF(entry *kffEntry, ownerSK pke.SecretKey) (pke.SecretKey, error) {
-	g := entry.delivered[0]
+	g := entry.secret[0]
 	v, err := r.rt.CombineSealed(ownerSK, g.envs, g.ct)
 	if err != nil {
 		return nil, err
@@ -300,18 +314,24 @@ func (r *run) onlineLayer(l int) error {
 	}
 
 	computeShares := func(i int) (muBundle, error) {
-		kffSK, err := r.openKFF(&r.kff[l*p.N+i-1], c.Role(i).SecretKey())
-		if err != nil {
-			return muBundle{}, err
+		// The member's shares are sealed to its KFF or, where the layer has
+		// none, to its role key.
+		sk, key := c.Role(i).SecretKey(), KeyRole
+		if r.kff[l] != nil {
+			var err error
+			if sk, err = r.openKFF(&r.kff[l][i-1], sk); err != nil {
+				return muBundle{}, err
+			}
+			key = KeyKFF
 		}
 		// The member's left/right/Γ shares of every batch, in batch order.
-		lams, err := r.openGroups(kffSK, r.layerOpen[l][i-1])
+		lams, err := r.openGroups(sk, r.layerOpen[l][i-1])
 		if err != nil {
 			return muBundle{}, err
 		}
 		vals := make([]field.Element, len(layerBatches))
 		for bi := range layerBatches {
-			r.audit.Record(comm.PhaseOnline, ValPackedShare, KeyKFF)
+			r.audit.Record(comm.PhaseOnline, ValPackedShare, key)
 			la, lb, lg := lams[3*bi], lams[3*bi+1], lams[3*bi+2]
 			sa, err := constDoms[bi].Share(muLeft[bi], i)
 			if err != nil {

@@ -19,17 +19,23 @@ import (
 // from the run's static width lists (r.lists) and the key's capacity, both
 // public, so every party derives the same one. A KFF secret (one 256-bit
 // secret per distinct recipient) has nothing to share a plaintext with: it is
-// a list of its own, one ciphertext in one slot, whose one group is the
-// ciphertext itself.
+// one ciphertext in one slot, a group that is the ciphertext itself.
 
-// openList is what one reader opens in one step, with the static slot widths
-// of r.lists in the same order, the key a Re-encrypt seals it to, and where
-// the Re-encrypt stores the groups answering it.
+// openList is what one reader opens, with the static slot widths of r.lists
+// in the same order, the key a Re-encrypt seals it to (nil: a later step
+// seals it), and where its groups are kept.
 type openList struct {
 	cts    []tte.Ciphertext
 	widths []int
 	key    pke.PublicKey
 	into   *[]group
+}
+
+// sealing is one reader's packed groups and the key a Re-encrypt seals them
+// to.
+type sealing struct {
+	groups []group
+	key    pke.PublicKey
 }
 
 // group is one slot-packed opening.
@@ -91,29 +97,40 @@ func appendOpenings(open []committee.Opening, groups []group, key pke.PublicKey)
 	return open
 }
 
-// reencryptLists slot-packs every list, has committee c Re-encrypt each
-// list's groups to its key (and reshare tsk to next, when non-nil), and
-// stores the groups, each holding the envelopes that answer it, in the
-// list's into.
-func (r *run) reencryptLists(c *yoso.Committee, sp committee.Spec, lists []openList, next *yoso.Committee) error {
-	groups, err := r.packGroups(sp.Label, lists)
+// packLists slot-packs every list into the groups its into keeps and
+// returns the sealings of those with a key.
+func (r *run) packLists(step string, lists []openList) ([]sealing, error) {
+	groups, err := r.packGroups(step, lists)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var open []committee.Opening
+	var seals []sealing
 	for j, gs := range groups {
-		open = appendOpenings(open, gs, lists[j].key)
+		*lists[j].into = gs
+		if lists[j].key != nil {
+			seals = append(seals, sealing{groups: gs, key: lists[j].key})
+		}
+	}
+	return seals, nil
+}
+
+// reencrypt has committee c Re-encrypt each sealing's groups to its key (and
+// reshare tsk to next, when non-nil), storing in each group the envelopes
+// that answer it.
+func (r *run) reencrypt(c *yoso.Committee, sp committee.Spec, seals []sealing, next *yoso.Committee) error {
+	var open []committee.Opening
+	for _, s := range seals {
+		open = appendOpenings(open, s.groups, s.key)
 	}
 	res, err := r.rt.TskStep(r.tsk, c, sp, open, next)
 	if err != nil {
 		return err
 	}
 	sealed := res.Sealed
-	for j, gs := range groups {
-		for g := range gs {
-			gs[g].envs, sealed = sealed[0], sealed[1:]
+	for _, s := range seals {
+		for g := range s.groups {
+			s.groups[g].envs, sealed = sealed[0], sealed[1:]
 		}
-		*lists[j].into = gs
 	}
 	return nil
 }

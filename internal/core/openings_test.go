@@ -360,7 +360,9 @@ func (c *countingPKE) SecretKeyFromBytes(data []byte) (pke.SecretKey, error) {
 // value, one contribution per random value and a Beaver triple per
 // multiplication — and the Eval calls are at most those measured with Beaver
 // triples (evals), so neither phase has a mechanism to get slower. Prepare
-// counts setup's KFF encryptions with the offline phase's.
+// counts setup's KFF encryptions with the offline phase's. Which layers get
+// KFFs, and so which layer groups OffRe seals and which OnC1 seals, is
+// slotpack's NeedsKFF.
 func TestOperationCountsNeverExceedParent(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -420,9 +422,9 @@ func TestOperationCountsNeverExceedParent(t *testing.T) {
 				batches = int64(len(circ.MulBatches(tc.k)))
 				inputs  = int64(circ.InputCount(0) + circ.InputCount(1))
 				outputs = int64(len(circ.OutputGates(0)))
-				kffs    = int64(tc.depth) * n // every layer role
-				// One opening per value also gave each input client a KFF.
-				parentKFFs = kffs + 2
+				// One opening per value gave every layer role and each input
+				// client a KFF.
+				parentKFFs = int64(tc.depth)*n + 2
 				// A committee recovering its tsk shares from a hand-off opens a
 				// quorum of envelopes per member: OffRe in the offline phase,
 				// OnC1 in the online phase.
@@ -430,7 +432,7 @@ func TestOperationCountsNeverExceedParent(t *testing.T) {
 			)
 			parent := map[string]counts{
 				"offline": {partials: n * (2*muls + inputs + 3*batches*n + outputs), combines: 2 * muls, opened: handoff,
-					encrypted: kffs + n*(inputs+3*int64(tc.t)*batches+3*muls), evals: tc.evals},
+					encrypted: int64(tc.depth)*n + n*(inputs+3*int64(tc.t)*batches+3*muls), evals: tc.evals},
 				"online": {partials: n * parentKFFs, combines: parentKFFs + inputs + 3*batches*n + outputs,
 					opened: handoff + q*(parentKFFs+inputs+3*batches*n+outputs)},
 			}
@@ -442,13 +444,26 @@ func TestOperationCountsNeverExceedParent(t *testing.T) {
 				}
 				return total
 			}
-			dec, ins, layers, outs := groups(ls.Eps), groups(ls.Inputs...), groups(ls.Layers...), groups(ls.Outputs...)
+			dec, ins, outs := groups(ls.Eps), groups(ls.Inputs...), groups(ls.Outputs...)
+			// A layer whose member's shares take more than one group gives
+			// each of its roles a KFF, and OffRe seals the groups to it; OnC1
+			// seals every other layer's groups straight to the role keys.
+			var kffs, sealedOff, sealedOn int64
+			for l, layer := range ls.Layers {
+				if ls.NeedsKFF(l, capacity) {
+					kffs += n
+					sealedOff += n * groups(layer)
+				} else {
+					sealedOn += n * groups(layer)
+				}
+			}
+			layers := sealedOff + sealedOn
 			random, beaver := ls.Contributions()
 			planned := map[string]counts{
-				"offline": {partials: n * (dec + ins + layers*n + outs), combines: dec, opened: handoff,
+				"offline": {partials: n * (dec + ins + sealedOff + outs), combines: dec, opened: handoff,
 					encrypted: kffs + n*int64(random+beaver), evals: offline.evals},
-				"online": {partials: n * kffs, combines: kffs + ins + layers*n + outs,
-					opened: handoff + q*(kffs+ins+layers*n+outs)},
+				"online": {partials: n * (kffs + sealedOn), combines: kffs + ins + layers + outs,
+					opened: handoff + q*(kffs+ins+layers+outs)},
 			}
 			for phase, got := range map[string]counts{"offline": offline, "online": online} {
 				if got != planned[phase] {

@@ -138,9 +138,9 @@ type run struct {
 	dealt []tte.KeyShare
 	tsk   *committee.Tsk
 
-	// keys-for-future, one per online mul-layer role: role i+1 of layer
-	// l+1 owns kff[l·n + i]
-	kff []kffEntry
+	// keys-for-future: role i+1 of layer l+1 owns kff[l][i], and kff[l] is
+	// nil where the layer's shares fit one group (slotpack.Lists.NeedsKFF)
+	kff [][]kffEntry
 
 	// per-wire λ ciphertexts under tpk
 	wireCt []tte.Ciphertext
@@ -162,10 +162,11 @@ type run struct {
 	// inputOpen[ci] are the slot-packed Re-encrypt openings of the input-wire
 	// λ's of circ.Clients()[ci], sealed to its setup key (offline Step 5),
 	// and layerOpen[l][i] those of the packed left/right/Γ shares of layer
-	// l+1's batches, addressed to the KFF of its role i+1 (Step 6).
-	// outputOpen[ci] are those of the client's output-wire λ's, sealed to
-	// its setup key by OffRe or, for a client whose outputs are not early,
-	// by OnC1.
+	// l+1's batches, sealed to the KFF of its role i+1 by OffRe (Step 6) or,
+	// where kff[l] is nil, packed offline and sealed to the role's key by
+	// OnC1. outputOpen[ci] are those of the client's output-wire λ's, sealed
+	// to its setup key by OffRe or, for a client whose outputs are not
+	// early, by OnC1.
 	inputOpen  [][]group
 	layerOpen  [][][]group
 	outputOpen [][]group
@@ -178,13 +179,12 @@ type run struct {
 	rootSp *telemetry.Span
 }
 
-// kffEntry is one key-for-future: the public key, the TEnc of the secret,
-// and (after OnC1's step) the one group re-encrypting the secret to the
-// owner's role key.
+// kffEntry is one key-for-future: the public key and the TEnc of the
+// secret, one ciphertext in one slot, as the one group OnC1 re-encrypts to
+// the owner's role key (its envelopes once OnC1 has spoken).
 type kffEntry struct {
-	pub       pke.PublicKey
-	secretCt  tte.Ciphertext
-	delivered []group
+	pub    pke.PublicKey
+	secret []group
 }
 
 // --- shared helpers ---------------------------------------------------

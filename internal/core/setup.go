@@ -7,6 +7,7 @@ import (
 
 	"yosompc/internal/comm"
 	"yosompc/internal/pke"
+	"yosompc/internal/slotpack"
 	"yosompc/internal/yoso"
 )
 
@@ -17,9 +18,11 @@ var kffSecretBound = new(big.Int).Lsh(big.NewInt(1), 8*pke.SecretKeySize)
 // setup executes Π_YOSO-Setup (paper §5.1):
 //
 //  1. generate keys-for-future for every role of every online mul-layer
-//     committee, publishing the public halves and TEnc'ing the secret
-//     halves under tpk (clients are known parties with setup keys of their
-//     own, and need none);
+//     committee whose packed shares take more than one group
+//     (slotpack.Lists.NeedsKFF), publishing the public halves and TEnc'ing
+//     the secret halves under tpk (clients are known parties with setup keys
+//     of their own, and a role whose shares fit one group gets that group
+//     from OnC1 directly, so neither needs one);
 //  2. publish the NIZK CRS (the attestation authority stands in for it);
 //  3. run TKGen; the epoch-0 shares are handed to the first tsk-holding
 //     offline committee when the offline phase forms it.
@@ -58,36 +61,36 @@ func (r *run) setup() error {
 		r.clients[id] = role
 	}
 
-	// Keys for future: one per online mul-layer role, whose key is unknown
-	// until the online phase forms the layer. A client's key is posted
-	// above, so OffRe seals its λ's to that key directly.
-	depth := r.p.circ.Depth()
-	var owners []string
-	for l := 0; l < depth; l++ {
-		for i := 0; i < p.N; i++ {
-			owners = append(owners, fmt.Sprintf("on-layer%d/%d", l+1, i+1))
+	r.initWireState()
+
+	// Keys for future: one per role of an online mul-layer whose shares
+	// take more than one group, as its key is unknown until the online
+	// phase forms the layer. A client's key is posted above, so OffRe seals
+	// its λ's to that key directly.
+	capacity := slotpack.Capacity(tpk.MaxPlaintext())
+	r.kff = make([][]kffEntry, len(r.lists.Layers))
+	for l := range r.kff {
+		if r.lists.NeedsKFF(l, capacity) {
+			if r.kff[l], err = r.mintKFFs(l + 1); err != nil {
+				return err
+			}
 		}
 	}
-	if r.kff, err = r.mintKFFs(owners); err != nil {
-		return err
-	}
-
-	r.initWireState()
 	return nil
 }
 
-// mintKFFs mints one key-for-future per owner — publish pk, TEnc(tpk, sk)
-// — posting in owner order. The key pairs are generated first so that the
-// TEncs, the only big-integer work in setup, run as one batch over the
-// worker pool.
-func (r *run) mintKFFs(owners []string) ([]kffEntry, error) {
+// mintKFFs mints one key-for-future per role of layer — publish pk,
+// TEnc(tpk, sk) — posting in role order. The key pairs are generated first
+// so that the TEncs, the only big-integer work in setup, run as one batch
+// over the worker pool.
+func (r *run) mintKFFs(layer int) ([]kffEntry, error) {
 	p := r.p.params
-	entries := make([]kffEntry, len(owners))
-	secrets := make([]*big.Int, len(owners))
-	for i, owner := range owners {
+	entries := make([]kffEntry, p.N)
+	secrets := make([]*big.Int, p.N)
+	for i := range entries {
 		pub, sec, err := p.PKE.GenerateKey()
 		if err != nil {
-			return nil, fmt.Errorf("KFF keygen for %s: %w", owner, err)
+			return nil, fmt.Errorf("KFF keygen for on-layer%d/%d: %w", layer, i+1, err)
 		}
 		skBytes := sec.Bytes()
 		secrets[i] = new(big.Int).SetBytes(skBytes)
@@ -99,11 +102,12 @@ func (r *run) mintKFFs(owners []string) ([]kffEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("TEnc of KFF secrets: %w", err)
 	}
-	for i, owner := range owners {
-		entries[i].secretCt = cts[i]
+	width := []int{kffSecretBound.BitLen()}
+	for i := range entries {
+		entries[i].secret = []group{{ct: cts[i], widths: width}}
 		enc, err := p.TE.AppendCiphertext(entries[i].pub.Bytes(), cts[i])
 		if err != nil {
-			return nil, fmt.Errorf("encoding KFF ciphertext for %s: %w", owner, err)
+			return nil, fmt.Errorf("encoding KFF ciphertext for on-layer%d/%d: %w", layer, i+1, err)
 		}
 		r.p.board.Post("setup", comm.PhaseSetup, comm.CatKFF, enc)
 	}

@@ -17,9 +17,12 @@ import (
 // contract: a traced small-committee run produces a Chrome-loadable trace
 // whose setup/offline/online phase spans sum to within 5% of the measured
 // wall clock, with board bytes bridged onto the spans and worker-pool
-// metrics populated.
+// metrics populated. Only the time outside the phase spans counts against
+// the bound, and a descheduling there costs a few milliseconds however long
+// the run, so the run is made long enough (≈ 250 ms on a 2-CPU box) that
+// such a pause stays well inside 5 %.
 func TestTelemetryPhaseSpansCoverWallClock(t *testing.T) {
-	circ, err := circuit.WideMul(16, 3)
+	circ, err := circuit.WideMul(1024, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,10 +35,7 @@ func TestTelemetryPhaseSpansCoverWallClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := inputsOf(map[int][]uint64{
-		0: {2, 3, 4, 5, 2, 3, 4, 5},
-		1: {6, 7, 2, 3, 6, 7, 2, 3},
-	})
+	in := propertyInputs(circ, 1)
 	start := time.Now()
 	res, err := proto.Run(in)
 	wall := time.Since(start)

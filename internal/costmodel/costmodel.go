@@ -129,12 +129,13 @@ type Phases struct {
 
 // CoreOptions selects protocol variants for the prediction.
 type CoreOptions struct {
-	// NoKFF models the §3.2 naive approach, which the driver does not run:
-	// no KFFs, and OnC1 re-encrypts the packed shares online to the layer
-	// roles' keys in place of the KFF secrets. The input λ's go offline to
-	// the clients' setup keys in both designs. core's
-	// TestNaiveModelFromKFFRun checks it against the terms it moves,
-	// measured on a KFF run.
+	// NoKFF models the §3.2 naive approach for every layer: no KFFs, and
+	// OnC1 re-encrypts the packed shares online to the layer roles' keys in
+	// place of the KFF secrets. The driver does so only for a layer whose
+	// shares fit one group (slotpack.Lists.NeedsKFF), where it costs the
+	// same online. The input λ's go offline to the clients' setup keys in
+	// both designs. core's TestNaiveModelFromKFFRun checks it against the
+	// terms it moves, measured on a KFF run.
 	NoKFF bool
 	// Robust models IT-GOD μ layers (no per-layer proofs).
 	Robust bool
@@ -155,9 +156,10 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 	muls := int64(shape.Muls)
 	depth := int64(shape.Depth)
 	// Slot-packed opening counts, from the driver's own planner: OffDec's
-	// ε/δ groups, the groups Step 5 seals to the input clients, those Step 6
-	// re-encrypts (one member's shares per layer, times n members), and the
-	// output groups.
+	// ε groups, the groups Step 5 seals to the input clients, the layer
+	// members' groups (one member's shares per layer, times n members) that
+	// Step 6 seals to KFFs and those OnC1 seals to role keys, and the output
+	// groups.
 	groups := func(lists ...[]slotpack.Run) (total int64) {
 		for _, l := range lists {
 			total += slotpack.Count(l, z.SlotBits)
@@ -166,7 +168,18 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 	}
 	decGroups := groups(shape.Opened.Eps)
 	inGroups := groups(shape.Opened.Inputs...)
-	layerGroups := N * groups(shape.Opened.Layers...)
+	// kffCount counts the KFFs, one per role of a layer whose shares take
+	// more than one group (slotpack.Lists.NeedsKFF); the naive approach
+	// mints none.
+	var kffGroups, directGroups, kffCount int64
+	for l, layer := range shape.Opened.Layers {
+		if !opts.NoKFF && shape.Opened.NeedsKFF(l, z.SlotBits) {
+			kffGroups += N * groups(layer)
+			kffCount += N
+		} else {
+			directGroups += N * groups(layer)
+		}
+	}
 	var earlyGroups, lateGroups int64 // output groups OffRe and OnC1 seal
 	for c, l := range shape.Opened.Outputs {
 		if c < len(shape.Late) && shape.Late[c] {
@@ -180,13 +193,10 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 	random, beaver := shape.Opened.Contributions()
 
 	var setup int64
-	setup += int64(z.Ciphertext)/2 + 32              // tpk + crs
-	setup += int64(shape.Clients) * int64(z.RoleKey) // client role keys
-	kffCount := depth * N                            // one per layer role
-	if !opts.NoKFF {
-		setup += kffCount * int64(z.RoleKey+z.Ciphertext) // KFF publications
-	}
-	setup += key + N*int64(z.PKEOverhead+z.KeyShare) // dealer tsk delivery (one posting of sealed envelopes)
+	setup += int64(z.Ciphertext)/2 + 32               // tpk + crs
+	setup += int64(shape.Clients) * int64(z.RoleKey)  // client role keys
+	setup += kffCount * int64(z.RoleKey+z.Ciphertext) // KFF publications
+	setup += key + N*int64(z.PKEOverhead+z.KeyShare)  // dealer tsk delivery (one posting of sealed envelopes)
 
 	// Every offline and online tsk step below reshares or seals, so each of
 	// its N postings carries a posting key.
@@ -197,26 +207,20 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 		offline += N*int64(z.RoleKey) + N*(int64(beaver)+muls)*int64(z.Ciphertext) + N*int64(z.Proof)
 	}
 	offline += N*int64(random)*int64(z.Ciphertext) + N*int64(z.Proof) // wire randomness and helpers
-	// OffDec: partials for the ε/δ groups + resharing to OffRe.
+	// OffDec: partials for the ε groups + resharing to OffRe.
 	offline += N*(decGroups*int64(z.Partial)+key+N*envS) + N*int64(z.Proof)
 	// OffRe: one envelope per input-wire λ group and per early output group
-	// to its client and tsk resharing to OnC1; Step 6 adds one envelope per
-	// packed-share group of every layer member, unless the naive approach
-	// leaves them to OnC1.
-	sealedOffline := inGroups + earlyGroups
-	if !opts.NoKFF {
-		sealedOffline += layerGroups
-	}
+	// to its client, one per packed-share group of every member of a layer
+	// with KFFs (Step 6), and tsk resharing to OnC1.
+	sealedOffline := inGroups + earlyGroups + kffGroups
 	offline += N*(key+sealedOffline*envP+N*envS) + N*int64(z.Proof)
 
 	var online int64
 	online += depth * N * int64(z.RoleKey) // layer committees' role keys
-	// OnC1: future key distribution, or in the naive mode the packed shares
-	// re-encrypted under role keys, and one envelope per late output group.
-	sealedOnC1 := kffCount + lateGroups
-	if opts.NoKFF {
-		sealedOnC1 = layerGroups + lateGroups
-	}
+	// OnC1: future key distribution — a KFF secret per role of a layer with
+	// KFFs, the packed-share groups of every other layer member under its
+	// role key — and one envelope per late output group.
+	sealedOnC1 := kffCount + directGroups + lateGroups
 	online += N*(keyIf(sealedOnC1, key)+sealedOnC1*envP) + N*int64(z.Proof)
 	// Client inputs: μ per input wire + one proof per input client.
 	online += int64(shape.Inputs)*int64(z.Element) + int64(shape.InputClients)*int64(z.Proof)

@@ -249,7 +249,8 @@ func TestPackRefusesAnOverBoundCiphertext(t *testing.T) {
 // and never raises the group count of a list a client or a layer member
 // opens, as the output λ's are opened online and the input λ's and shares
 // too without KFFs. The wire-randomness blocks are each client's inputs, then
-// per batch its k gates and 3t helpers.
+// per batch its k gates and 3t helpers. A layer member's shares fit one group
+// on every layer but sim_boardd_n64's, so only that shape's layers need KFFs.
 func TestListsOfBenchmarkWorkloads(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
@@ -260,11 +261,12 @@ func TestListsOfBenchmarkWorkloads(t *testing.T) {
 		eps           int // every ε
 		batch         []int
 		perLayerCount int64
+		kffs          bool
 	}{
-		{"real2048_wide", 2, 1, 8, 2, 2, 2045, 3, 70, []int{132, 132, 200}, 3},
-		{"real512_deep", 4, 6, 16, 3, 4, 509, 5, 80, []int{143, 143, 221}, 3},
-		{"sim_wide_n256", 128, 1, 256, 63, 32, 2046, 2, 78, []int{144, 144, 219}, 12},
-		{"sim_boardd_n64", 128, 2, 64, 15, 8, 2046, 3, 79, []int{143, 143, 219}, 48},
+		{"real2048_wide", 2, 1, 8, 2, 2, 2045, 3, 70, []int{132, 132, 200}, 3, false},
+		{"real512_deep", 4, 6, 16, 3, 4, 509, 5, 80, []int{143, 143, 221}, 3, false},
+		{"sim_wide_n256", 128, 1, 256, 63, 32, 2046, 2, 78, []int{144, 144, 219}, 12, false},
+		{"sim_boardd_n64", 128, 2, 64, 15, 8, 2046, 3, 79, []int{143, 143, 219}, 48, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := circuit.WideMul(tc.width, tc.depth)
@@ -309,6 +311,9 @@ func TestListsOfBenchmarkWorkloads(t *testing.T) {
 					if w != tc.batch[j%3] {
 						t.Errorf("layer %d share %d is %d bits, want %d", l+1, j, w, tc.batch[j%3])
 					}
+				}
+				if got := ls.NeedsKFF(l, tc.capacity); got != tc.kffs {
+					t.Errorf("layer %d needs KFFs: %v, want %v (%d groups)", l+1, got, tc.kffs, Count(runs, tc.capacity))
 				}
 			}
 			// A WideMul circuit has only fresh wires, so the shape-only lists

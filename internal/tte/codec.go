@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"slices"
 )
 
@@ -277,18 +278,38 @@ func bigLen(pad, nFields int, v *big.Int) int {
 	return max(pad, 1+4*nFields+1+4+byteLen(v))
 }
 
-// appendAbs appends |v| as exactly n big-endian bytes; n must cover v. The
-// leading zeros are cleared here and FillBytes writes only v's own bytes: it
-// scans what it fills byte by byte, and a Sim ciphertext is a few value
-// bytes in a Size()-wide field.
+// appendAbs appends |v| as exactly n big-endian bytes; n must cover v. It
+// writes v's words whole, from the last byte back, and only the top word's
+// bytes one by one, since big.Int's FillBytes scans every byte it fills and
+// OnC1 encodes a packed group's Sim partial per layer role online; then it
+// clears the leading zeros: a Sim ciphertext is a few value bytes in a
+// Size()-wide field.
 func appendAbs(dst []byte, v *big.Int, n int) []byte {
 	off := len(dst)
 	dst = slices.Grow(dst, n)[:off+n]
-	lead := off + n - byteLen(v)
+	i := off + n
+	lead := i - byteLen(v)
+	for _, w := range v.Bits() {
+		if i-wordBytes < lead {
+			for ; i > lead; w >>= 8 {
+				i--
+				dst[i] = byte(w)
+			}
+			break
+		}
+		i -= wordBytes
+		if wordBytes == 8 {
+			binary.BigEndian.PutUint64(dst[i:], uint64(w))
+		} else {
+			binary.BigEndian.PutUint32(dst[i:], uint32(w))
+		}
+	}
 	clear(dst[off:lead])
-	v.FillBytes(dst[lead:])
 	return dst
 }
+
+// wordBytes is the size of a big.Word.
+const wordBytes = bits.UintSize / 8
 
 // maxFields is the most u32 fields a message carries (a sub-share's three).
 const maxFields = 3

@@ -1,6 +1,7 @@
 package tte
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math/big"
@@ -231,5 +232,31 @@ func TestPublicKeyInfoRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// appendAbs writes whole words itself; FillBytes is the reference, for every
+// value length from 0 to three words and then some, behind a prefix it must
+// leave alone and in a field up to 9 bytes wider.
+func TestAppendAbsMatchesFillBytes(t *testing.T) {
+	prefix := []byte{0xAA, 0xBB, 0xCC}
+	for size := 0; size <= 3*wordBytes+3; size++ {
+		raw := make([]byte, size)
+		for i := range raw {
+			raw[i] = byte(0xF1 ^ i*37)
+		}
+		if size > 0 {
+			raw[0] |= 0x80
+		}
+		v := new(big.Int).SetBytes(raw)
+		for pad := 0; pad <= 9; pad++ {
+			n := size + pad
+			want := append(append([]byte(nil), prefix...), v.FillBytes(make([]byte, n))...)
+			// The field is dirty spare capacity, which must not show.
+			dirty := append(append([]byte(nil), prefix...), bytes.Repeat([]byte{0xEE}, n)...)
+			if got := appendAbs(dirty[:len(prefix)], v, n); !bytes.Equal(got, want) {
+				t.Fatalf("%d value bytes in a %d-byte field: %x, want %x", size, n, got, want)
+			}
+		}
 	}
 }
