@@ -145,11 +145,12 @@ var Experiments = []Experiment{
 				r.Name, r.OnlineBytes, r.OnlinePerGate, r.RelativeToFull)
 		}
 		b.WriteString("\n=== Ablation: keys-for-future on/off (§3.2 naive) ===\n")
-		// KFF moves the re-encryption of every layer member's shares offline.
-		// Slot-packed, that is ⌈3·batches·width/capacity⌉ openings per member:
-		// one at 4 batches per layer — where the measured run mints no KFF
-		// and OnC1 delivers the one group directly, so the rows agree — and
-		// 15 at 64.
+		// KFF moves the re-encryption of every layer member's shares offline,
+		// to an OffRe committee formed for it. Slot-packed, that is
+		// ⌈3·batches·width/capacity⌉ openings per member: one at 4 batches
+		// per layer — where the measured run mints no KFF, forms no OffRe and
+		// OnC1 delivers the one group directly, so the rows agree — and 15
+		// at 64.
 		for _, width := range []int{16, 256} {
 			kff, err := KFFAblation(16, 3, 4, width)
 			if err != nil {
@@ -669,9 +670,11 @@ func RobustComparison(n, t, k, width int) (*RobustRow, error) {
 // KFF buys only the reaching of a role whose key is not yet known. The KFF
 // row is a measured run, which mints KFFs only where a layer member's shares
 // take more than one group (slotpack.Lists.NeedsKFF) and delivers a one-group
-// layer the naive way, so at such a width the rows agree. The naive row is
-// costmodel.CoreWith's naive variant on the same shape; the terms it moves
-// are checked against a measured KFF run by core's TestNaiveModelFromKFFRun.
+// layer the naive way, so at such a width the rows agree. A KFF also costs
+// the OffRe committee offline, formed only to seal the KFF layers' groups;
+// the naive row has none. The naive row is costmodel.CoreWith's naive
+// variant on the same shape; the terms it moves are checked against a
+// measured KFF run by core's TestNaiveModelFromKFFRun.
 func KFFAblation(n, t, k, width int) ([]AblationRow, error) {
 	circ, err := circuit.WideMul(width, 1)
 	if err != nil {

@@ -254,23 +254,33 @@ func (r *Runner) tskPost(sh tte.KeyShare, open []Opening, next *yoso.Committee) 
 	return post, nil
 }
 
-// DecryptStep is TskStep for a list that is all Decrypts: everyone combines
-// a quorum of each ciphertext's verified partial decryptions, and it returns
-// the integer plaintexts, which the caller reduces into the field.
+// DecryptStep is TskStep followed by Decrypted, for a caller that needs no
+// envelope of the step: it returns the integer plaintexts of the Decrypts in
+// open, which the caller reduces into the field.
 func (r *Runner) DecryptStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, next *yoso.Committee) ([]*big.Int, error) {
 	res, err := r.TskStep(tsk, c, sp, open, next)
 	if err != nil {
 		return nil, err
 	}
-	// Positions are independent, so the TDec fan-in runs on the worker
-	// pool, slot-indexed. The workers only read the shared postings.
+	return r.Decrypted(sp.Label, open, res)
+}
+
+// Decrypted combines, for each Decrypt of the list open that res answers, a
+// quorum of its verified partial decryptions into the integer plaintext; a
+// Re-encrypt's position stays nil. Positions are independent, so the TDec
+// fan-in runs on the worker pool, slot-indexed. The workers only read the
+// shared postings.
+func (r *Runner) Decrypted(label string, open []Opening, res *Opened) ([]*big.Int, error) {
 	out := make([]*big.Int, len(open))
-	err = r.Pfor(len(open), func(j int) error {
+	err := r.Pfor(len(open), func(j int) error {
+		if open[j].Key != nil {
+			return nil
+		}
 		parts, err := quorum(r, res.Partials[j], r.TE.DecodePartial)
 		if err != nil {
 			// Nothing is skipped in the clear, so the partial that failed
 			// is the one after those that decoded.
-			return fmt.Errorf("%s: verified partial %d of member %d: %w", sp.Label, j, res.members[len(parts)], err)
+			return fmt.Errorf("%s: verified partial %d of member %d: %w", label, j, res.members[len(parts)], err)
 		}
 		if out[j], err = r.TE.Combine(r.TPK, open[j].Ct, parts); err != nil {
 			return fmt.Errorf("%w: opening %d: %v", ErrNotEnough, j, err)

@@ -547,9 +547,11 @@ func TestKeyUsageFlowAudit(t *testing.T) {
 // members open their shares in two groups and one whose members open them
 // in one, on Sim with malicious and fail-stop members at the §5.4 margin
 // and on the 512-bit test key. Setup mints KFFs for the first layer's roles
-// only; OffRe seals the first layer's groups and none of the second's,
-// which OnC1 seals straight to the role keys, one ciphertext per layer role
-// as for a KFF secret; the outputs are the circuit's.
+// only, so OffRe is formed; it seals the first layer's groups and nothing
+// else: none of the second layer's, which OnC1 seals straight to the role
+// keys, one ciphertext per layer role as for a KFF secret, and none of the
+// clients', which OffDec seals beside its ε partials. The outputs are the
+// circuit's.
 func TestKFFsOnlyForMultiGroupLayers(t *testing.T) {
 	circ := mixedLayers(t)
 	const n, tt, k = 10, 2, 2
@@ -598,9 +600,13 @@ func TestKFFsOnlyForMultiGroupLayers(t *testing.T) {
 			if kffs != n {
 				t.Errorf("setup posted %d KFFs, want %d (layer 1's roles)", kffs, n)
 			}
-			// Steps 5–6 seal the input λ's, the early outputs and layer 1's
-			// groups; OnC1 a KFF secret per layer-1 role, a group per
-			// layer-2 role and the late outputs.
+			// OffDec opens the ε groups and seals the input λ's and the early
+			// outputs, OffRe seals layer 1's groups (Step 6), and OnC1 a KFF
+			// secret per layer-1 role, a group per layer-2 role and the late
+			// outputs.
+			if names := manifestNames(t, proto.Board()); !slices.Contains(names, "offRe") {
+				t.Errorf("committees %v: OffRe was not formed", names)
+			}
 			var ins, early, late int64
 			for c, client := range circ.Clients() {
 				ins += slotpack.Count(ls.Inputs[c], capacity)
@@ -616,8 +622,11 @@ func TestKFFsOnlyForMultiGroupLayers(t *testing.T) {
 					openings[strings.TrimPrefix(sp.Name, "committee:")] = sp.Ints["openings"]
 				}
 			}
-			if got, want := openings["steps-5-6"], ins+early+2*n; got != want {
-				t.Errorf("OffRe sealed %d groups, want %d: none of layer 2's", got, want)
+			if got, want := openings["step-6"], int64(2*n); got != want {
+				t.Errorf("OffRe sealed %d groups, want %d: layer 1's alone", got, want)
+			}
+			if got, want := openings["offdec-open"], slotpack.Count(ls.Eps, capacity)+ins+early; got != want {
+				t.Errorf("OffDec opened %d groups, want %d: the ε, input and early output groups", got, want)
 			}
 			if got, want := openings["future-key-distribution"], 2*n+late; got != want {
 				t.Errorf("OnC1 sealed %d groups, want %d: one per layer role", got, want)
@@ -634,6 +643,125 @@ func TestKFFsOnlyForMultiGroupLayers(t *testing.T) {
 			if len(packed) != 2 || packed[KeyKFF] == 0 || packed[KeyKFF]%2 != 0 || packed[KeyKFF] > 2*n ||
 				packed[KeyRole] == 0 || packed[KeyRole] > n {
 				t.Errorf("packed shares opened per key class %v, want 2 per layer-1 member under a KFF and 1 per layer-2 member under its role key", packed)
+			}
+		})
+	}
+}
+
+// TestNoOffReWithoutKFFLayers runs a circuit none of whose layers takes
+// KFFs — WideMul(4, 2) at n = 16, t = 3, k = 4, whose layer members' shares
+// fit one 509- or 510-bit group, as on real512_deep — on Sim with t
+// malicious and margin − t fail-stop members per committee and on the
+// 512-bit test key. No OffRe is formed and no role of it posts, so the run
+// takes 5 + depth rounds. OffDec opens the ε groups and seals the input and
+// early output groups in one posting per member, its span counting all of
+// them; each client opens its input λ's from OffDec's envelopes; and OnC1,
+// the next tsk holder, recovers its shares from OffDec's hand-off, online
+// and only there. The outputs are the circuit's.
+func TestNoOffReWithoutKFFLayers(t *testing.T) {
+	circ, err := circuit.WideMul(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, tt, k = 16, 3, 4
+	margin := n - (tt + 2*(k-1) + 1)
+	for name, params := range map[string]Params{
+		"sim adversarial": simParams(n, tt, k, yoso.NewAdversary(tt, margin-tt, 54)),
+		"real 512-bit":    realParams(t, n, tt, k, nil),
+	} {
+		t.Run(name, func(t *testing.T) {
+			params.Trace = telemetry.NewTracer()
+			proto, err := New(params, circ, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prep, err := proto.Prepare()
+			if err != nil {
+				t.Fatal(err)
+			}
+			capacity := slotpack.Capacity(prep.r.rt.TPK.MaxPlaintext())
+			ls := slotpack.ListsOf(circ, n, tt, k, capacity)
+			for l := range ls.Layers {
+				if ls.NeedsKFF(l, capacity) {
+					t.Fatalf("layer %d takes %d groups at %d bits, want 1", l+1, slotpack.Count(ls.Layers[l], capacity), capacity)
+				}
+			}
+			// Each client opens its input λ's under a key that logs the
+			// envelopes it opens: each is a part of an OffDec posting.
+			entries := proto.Board().Entries(0)
+			for ci, client := range circ.Clients() {
+				sk := &loggingSK{SecretKey: prep.r.clients[client].SecretKey()}
+				if _, err := prep.r.openGroups(sk, prep.r.inputOpen[ci]); err != nil {
+					t.Fatalf("client %d cannot open its input λ's after Prepare: %v", client, err)
+				}
+				if len(sk.envs) == 0 {
+					t.Fatalf("client %d opened no input envelope", client)
+				}
+				for i, env := range sk.envs {
+					if e, ok := postingOf(entries, env); !ok || !strings.HasPrefix(e.From, "offDec/") {
+						t.Errorf("client %d: input envelope %d is a part of %q's posting, want OffDec's", client, i, e.From)
+					}
+				}
+			}
+
+			in := propertyInputs(circ, 7)
+			res, err := prep.Execute(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := circ.Eval(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Outputs, want) {
+				t.Errorf("outputs %v, want %v", res.Outputs, want)
+			}
+			if res.Rounds != 5+circ.Depth() {
+				t.Errorf("rounds = %d, want 5 + depth = %d", res.Rounds, 5+circ.Depth())
+			}
+			if names := manifestNames(t, proto.Board()); slices.Contains(names, "offRe") {
+				t.Errorf("committees %v: OffRe was formed", names)
+			}
+			for _, e := range proto.Board().Entries(0) {
+				if strings.HasPrefix(e.From, "offRe/") {
+					t.Errorf("#%d: %s posted", e.Seq, e.From)
+				}
+			}
+
+			var dec, ins, early int64 = slotpack.Count(ls.Eps, capacity), 0, 0
+			for c, client := range circ.Clients() {
+				ins += slotpack.Count(ls.Inputs[c], capacity)
+				if circ.EarlyOutputs()[client] {
+					early += slotpack.Count(ls.Outputs[c], capacity)
+				}
+			}
+			var opened int64 = -1
+			for _, sp := range params.Trace.Spans() {
+				if sp.Name == "committee:offdec-open" {
+					opened = sp.Ints["openings"]
+				}
+			}
+			if opened != dec+ins+early || ins == 0 || early == 0 {
+				t.Errorf("OffDec's span reports %d openings, want %d ε + %d input + %d early output groups", opened, dec, ins, early)
+			}
+
+			// Only OnC1 recovers tsk shares, each member that does not
+			// crash once: OffDec, holding the dealer's shares, handed them
+			// to it.
+			crashed := 0
+			for _, role := range prep.r.onC1.Roles {
+				if role.Behavior == yoso.FailStop {
+					crashed++
+				}
+			}
+			recovered := map[comm.Phase]int{}
+			for _, e := range res.Audit {
+				if e.Value == ValTskShare {
+					recovered[e.Phase]++
+				}
+			}
+			if want := map[comm.Phase]int{comm.PhaseOnline: n - crashed}; !reflect.DeepEqual(recovered, want) {
+				t.Errorf("tsk shares recovered per phase %v, want %v (OnC1 alone)", recovered, want)
 			}
 		})
 	}
@@ -682,12 +810,16 @@ func linearCircuit(t *testing.T) *circuit.Circuit {
 }
 
 func TestRoundsAccounting(t *testing.T) {
-	// The YOSO round structure: 4 offline committees, one client round,
-	// OnC1 (formed offline, speaking after the client round) and one
-	// committee per multiplication layer — 6 + depth sequential broadcast
-	// rounds, whether OffRe sealed every output λ (PolyEval's output is a
-	// product) or OnC1 seals some after the inputs (every client of
-	// Statistics receives Σxᵢ).
+	// The YOSO round structure: OffR, OffB and OffDec offline, OffRe where
+	// some layer takes KFFs, one client round, OnC1 (formed offline,
+	// speaking after the client round) and one committee per multiplication
+	// layer — 5 + depth sequential broadcast rounds without KFFs and 6 +
+	// depth with them, whether OffDec sealed every output λ (PolyEval's
+	// output is a product) or OnC1 seals some after the inputs (every
+	// client of Statistics receives Σxᵢ). Under a 512-bit key PolyEval's
+	// layer members' shares fit one group at n = 8; Statistics' take more,
+	// as do those of mixedLayers' first layer at n = 10
+	// (TestKFFsOnlyForMultiGroupLayers).
 	poly, err := circuit.PolyEval(3) // depth 3
 	if err != nil {
 		t.Fatal(err)
@@ -696,60 +828,68 @@ func TestRoundsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mixed := mixedLayers(t)
 	for _, tc := range []struct {
-		name  string
-		circ  *circuit.Circuit
-		in    map[int][]field.Element
-		depth int
+		name        string
+		circ        *circuit.Circuit
+		n           int
+		in          map[int][]field.Element
+		depth, want int
 	}{
-		{"poly-eval", poly, inputsOf(map[int][]uint64{0: {1, 2, 3, 4}, 1: {2}}), 3},
-		{"statistics", stats, inputsOf(map[int][]uint64{0: {3}, 1: {4}, 2: {5}, 3: {6}}), 1},
+		{"poly-eval", poly, 8, inputsOf(map[int][]uint64{0: {1, 2, 3, 4}, 1: {2}}), 3, 5 + 3},
+		{"statistics", stats, 8, inputsOf(map[int][]uint64{0: {3}, 1: {4}, 2: {5}, 3: {6}}), 1, 6 + 1},
+		{"mixed layers", mixed, 10, propertyInputs(mixed, 2), 2, 6 + 2},
 	} {
-		res := runAndCompare(t, simParams(8, 2, 2, nil), tc.circ, tc.in)
-		if want := 6 + tc.depth; res.Rounds != want {
-			t.Errorf("%s: rounds = %d, want %d for depth %d", tc.name, res.Rounds, want, tc.depth)
+		res := runAndCompare(t, simParams(tc.n, 2, 2, nil), tc.circ, tc.in)
+		if res.Rounds != tc.want {
+			t.Errorf("%s: rounds = %d, want %d for depth %d", tc.name, res.Rounds, tc.want, tc.depth)
 		}
 	}
 
 	// Without a multiplication there is no Beaver step: OffB is never
-	// formed. The output x₀ + x₁ may not reach client 0 before client 1's
-	// input is posted, so OnC1 seals it after the client round: OffR,
-	// OffDec, OffRe, the client round and OnC1 make 5 rounds, and the
-	// offline phase publishes 4·n role keys, OnC1's among them.
+	// formed, and no layer takes KFFs. The output x₀ + x₁ may not reach
+	// client 0 before client 1's input is posted, so OnC1 seals it after
+	// the client round: OffR, OffDec, the client round and OnC1 make 4
+	// rounds, and the offline phase publishes 3·n role keys, OnC1's among
+	// them.
 	const n = 8
 	res := runAndCompare(t, simParams(n, 2, 2, nil), linearCircuit(t), inputsOf(map[int][]uint64{0: {3}, 1: {4}}))
-	if res.Rounds != 5 {
-		t.Errorf("linear circuit: rounds = %d, want 5", res.Rounds)
+	if res.Rounds != 4 {
+		t.Errorf("linear circuit: rounds = %d, want 4", res.Rounds)
 	}
-	if got, want := res.Report.ByCat[comm.PhaseOffline][comm.CatRoleKeys], int64(4*n*pke.PublicKeySize); got != want {
-		t.Errorf("linear circuit: %d offline role-key bytes, want %d (4 committees of %d)", got, want, n)
+	if got, want := res.Report.ByCat[comm.PhaseOffline][comm.CatRoleKeys], int64(3*n*pke.PublicKeySize); got != want {
+		t.Errorf("linear circuit: %d offline role-key bytes, want %d (3 committees of %d)", got, want, n)
 	}
 }
 
 // The schedule, read off the board: the committee manifests a run posts name
 // its committees in the order they were formed, and Rounds is one per
-// manifest plus the client round. A linear circuit forms no OffB, and its
-// output, x₀ + x₁ to client 0, which OnC1 seals after the inputs, needs no
-// committee of its own.
+// manifest plus the client round. OffRe is formed only where some layer
+// takes KFFs (mixedLayers' first), and OffDec hands tsk straight to OnC1
+// elsewhere. A linear circuit forms no OffB, and its output, x₀ + x₁ to
+// client 0, which OnC1 seals after the inputs, needs no committee of its
+// own.
 func TestScheduleOnTheBoard(t *testing.T) {
 	poly, err := circuit.PolyEval(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// formed whether the circuit multiplies or not
-	shared := []string{"offDec", "offRe", "onC1"}
+	mixed := mixedLayers(t)
 	for _, tc := range []struct {
 		name string
 		circ *circuit.Circuit
+		n    int
 		in   map[int][]field.Element
 		want []string
 	}{
-		{"depth 3", poly, inputsOf(map[int][]uint64{0: {1, 2, 3, 4}, 1: {2}}),
-			append(append([]string{"offR", "offB"}, shared...), "on-layer1", "on-layer2", "on-layer3")},
-		{"linear", linearCircuit(t), inputsOf(map[int][]uint64{0: {3}, 1: {4}}),
-			append([]string{"offR"}, shared...)},
+		{"depth 3", poly, 8, inputsOf(map[int][]uint64{0: {1, 2, 3, 4}, 1: {2}}),
+			[]string{"offR", "offB", "offDec", "onC1", "on-layer1", "on-layer2", "on-layer3"}},
+		{"mixed layers", mixed, 10, propertyInputs(mixed, 2),
+			[]string{"offR", "offB", "offDec", "offRe", "onC1", "on-layer1", "on-layer2"}},
+		{"linear", linearCircuit(t), 8, inputsOf(map[int][]uint64{0: {3}, 1: {4}}),
+			[]string{"offR", "offDec", "onC1"}},
 	} {
-		proto, err := New(simParams(8, 2, 2, nil), tc.circ, nil)
+		proto, err := New(simParams(tc.n, 2, 2, nil), tc.circ, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -998,17 +1138,17 @@ func TestPrepareExecuteSplit(t *testing.T) {
 }
 
 // Prepare is the whole offline phase: it posts nothing under the online
-// phase, and OnC1's manifest and role keys are among its postings, so OffRe
+// phase, and OnC1's manifest and role keys are among its postings, so OffDec
 // hands tsk over before any input exists. Each client can open its input
-// and output λ's from what Prepare left, with its setup key alone; OffRe's
+// and output λ's from what Prepare left, with its setup key alone; OffDec's
 // postings all precede the first client input; μ plus those input λ's are
 // the inputs, and Execute's outputs are μ plus exactly those output λ's.
 // Keys-for-future go only to the roles of the layers whose shares take more
-// than one group (slotpack's NeedsKFF): setup mints n per such layer. Every
-// other layer's groups are packed in Prepare and sealed by no one before
-// OnC1, which opens one ciphertext per layer role either way. tsk is
-// recovered from a hand-off by two committees only: OffRe offline and OnC1
-// online.
+// than one group (slotpack's NeedsKFF): setup mints n per such layer, and
+// PolyEval at n = 8 has none. Every other layer's groups are packed in
+// Prepare and sealed by no one before OnC1, which opens one ciphertext per
+// layer role either way. With no layer taking KFFs no OffRe is formed, and
+// tsk is recovered from a hand-off by OnC1 alone, online.
 func TestPrepareIsOfflineAndOutputsSealedBeforeInputs(t *testing.T) {
 	circ, err := circuit.PolyEval(3)
 	if err != nil {
@@ -1093,17 +1233,17 @@ func TestPrepareIsOfflineAndOutputsSealedBeforeInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	firstInput, offRe := -1, 0
+	firstInput, offDec := -1, 0
 	for _, e := range proto.Board().Entries(0) {
 		if e.Category == comm.CatInput && firstInput < 0 {
 			firstInput = e.Seq
 		}
-		if e.Category == comm.CatReencrypt && strings.HasPrefix(e.From, "offRe/") && firstInput < 0 {
-			offRe++
+		if e.Category == comm.CatPartial && strings.HasPrefix(e.From, "offDec/") && firstInput < 0 {
+			offDec++
 		}
 	}
-	if firstInput < 0 || offRe != n {
-		t.Fatalf("first input at #%d after %d OffRe Re-encrypt postings, want one after all %d", firstInput, offRe, n)
+	if firstInput < 0 || offDec != n {
+		t.Fatalf("first input at #%d after %d OffDec postings, want one after all %d", firstInput, offDec, n)
 	}
 	gates := circ.Gates()
 	for client, lambdas := range masks {
@@ -1136,14 +1276,14 @@ func TestPrepareIsOfflineAndOutputsSealedBeforeInputs(t *testing.T) {
 			recovered[e.Phase]++
 		}
 	}
-	if want := map[comm.Phase]int{comm.PhaseOffline: n, comm.PhaseOnline: n}; !reflect.DeepEqual(recovered, want) {
-		t.Errorf("tsk shares recovered per phase %v, want %v (OffRe, then OnC1)", recovered, want)
+	if want := map[comm.Phase]int{comm.PhaseOnline: n}; !reflect.DeepEqual(recovered, want) {
+		t.Errorf("tsk shares recovered per phase %v, want %v (OnC1 alone)", recovered, want)
 	}
 }
 
 // An output that is not early (circuit.EarlyOutputs) reaches its client
 // only after the inputs are posted: OnC1 seals it once the input round is
-// over, while OffRe seals the early outputs in Prepare, and no output
+// over, while OffDec seals the early outputs in Prepare, and no output
 // committee is formed. Client 0 receives x₀·x₁, client 1 receives x₀ + x₁,
 // from which its λ would hand client 1 the mask of x₀ before the input
 // round.
@@ -1217,8 +1357,8 @@ func TestLateOutputsSealedAfterInputs(t *testing.T) {
 			recovered[e.Phase]++
 		}
 	}
-	if want := map[comm.Phase]int{comm.PhaseOffline: n, comm.PhaseOnline: n}; !reflect.DeepEqual(recovered, want) {
-		t.Errorf("tsk shares recovered per phase %v, want %v (OffRe, then OnC1)", recovered, want)
+	if want := map[comm.Phase]int{comm.PhaseOnline: n}; !reflect.DeepEqual(recovered, want) {
+		t.Errorf("tsk shares recovered per phase %v, want %v (OnC1 alone: no layer takes KFFs)", recovered, want)
 	}
 }
 

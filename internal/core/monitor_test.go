@@ -92,8 +92,8 @@ func TestMonitorCompleteWithoutMultiplication(t *testing.T) {
 	if !s.Complete || s.Fraction != 1 {
 		t.Fatalf("run without a multiplication not complete: %+v", s)
 	}
-	if len(s.Committees) != 4 {
-		t.Errorf("%d committees, want 4 (OffR, OffDec, OffRe, OnC1)", len(s.Committees))
+	if len(s.Committees) != 3 {
+		t.Errorf("%d committees, want 3 (OffR, OffDec, OnC1)", len(s.Committees))
 	}
 	for _, c := range s.Committees {
 		if c.Posted != c.N {

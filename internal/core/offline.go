@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/big"
+	"slices"
 
 	"yosompc/internal/comm"
 	"yosompc/internal/committee"
@@ -25,14 +26,15 @@ func (r *run) initWireState() {
 }
 
 // offline executes the whole of Π_YOSO-Offline: Steps 1–4, the OffDec
-// committee's speak (ε decryption + tsk resharing), and the OffRe
-// committee's speak (Steps 5–6: re-encryption of the packed shares to the
-// layer roles' KFFs, and of the input-wire λ's and the early clients'
-// output-wire λ's to their clients' setup keys). Nothing here depends on
-// inputs or on online role keys: OnC1 is formed here, so OffRe reshares
-// tsk to its role keys, and it speaks after the input round (see
-// online.go). The offline committees are formed in schedule order, so the
-// adversary samples them in that order.
+// committee's speak (ε decryption, Step 5's re-encryption of the input-wire
+// λ's and of the early clients' output-wire λ's to their clients' setup
+// keys, and tsk resharing), and, where some layer takes keys-for-future, the
+// OffRe committee's speak (Step 6: re-encryption of those layers' packed
+// shares to their roles' KFFs). Nothing here depends on inputs or on online
+// role keys: OnC1 is formed here, so the last offline tsk holder reshares
+// tsk to its role keys, and it speaks after the input round (see online.go).
+// The offline committees are formed in schedule order, so the adversary
+// samples them in that order.
 func (r *run) offline() error {
 	p := r.p.params
 	r.buildBatches()
@@ -56,8 +58,10 @@ func (r *run) offline() error {
 	if r.offDec, err = r.assign.FormCommittee("offDec", p.N, comm.PhaseOffline); err != nil {
 		return err
 	}
-	if r.offRe, err = r.assign.FormCommittee("offRe", p.N, comm.PhaseOffline); err != nil {
-		return err
+	if slices.ContainsFunc(r.kff, func(kff []kffEntry) bool { return kff != nil }) {
+		if r.offRe, err = r.assign.FormCommittee("offRe", p.N, comm.PhaseOffline); err != nil {
+			return err
+		}
 	}
 	if r.onC1, err = r.assign.FormCommittee("onC1", p.N, comm.PhaseOffline); err != nil {
 		return err
@@ -73,7 +77,7 @@ func (r *run) offline() error {
 	if err := r.offlineStep("packing", "step 4 (packing)", r.offlinePack); err != nil {
 		return err
 	}
-	if err := r.offlineStep("reencrypt-to-kffs", "steps 5-6 (re-encrypt to KFFs and clients)", r.offReSpeak); err != nil {
+	if err := r.offlineStep("reencrypt-to-kffs", "step 6 (re-encrypt to KFFs)", r.offReSpeak); err != nil {
 		return err
 	}
 	return nil
@@ -148,8 +152,8 @@ func (r *run) offlineWireRandomness() error {
 }
 
 // offlineDependentWires is Step 3: the OffDec committee threshold-decrypts
-// ε = λ^α + e for every multiplication gate and reshares tsk to OffRe;
-// everyone then forms c^Γ per gate.
+// ε = λ^α + e for every multiplication gate beside its Step 5 sealings (see
+// offDecSpeak); everyone then forms c^Γ per gate.
 func (r *run) offlineDependentWires() error {
 	p := r.p.params
 	te := p.TE
@@ -192,18 +196,26 @@ func (r *run) offlineDependentWires() error {
 	return nil
 }
 
-// offDecSpeak runs the OffDec committee: Decrypt the ε ciphertexts `open`
-// (none in a circuit without multiplications), slot-packed by their static
-// widths, and reshare tsk to OffRe. It returns the opened values reduced into
-// the field.
+// offDecSpeak runs the OffDec committee, the first tsk holder, which makes
+// every opening that does not depend on ε in one posting per member, each
+// list slot-packed by its static widths: it Decrypts the ε ciphertexts
+// `open` (none in a circuit without multiplications) and seals every input
+// client's λ's (Step 5) and each early client's output λ's to the client's
+// setup key, which setup posted. It reshares tsk to OffRe where OffRe was
+// formed and to OnC1 otherwise, and returns ε reduced into the field.
 func (r *run) offDecSpeak(open []tte.Ciphertext) ([]field.Element, error) {
 	sp := committee.Spec{Phase: comm.PhaseOffline, Cat: comm.CatPartial, Label: "offdec-open"}
-	packed, err := r.packGroups(sp.Label, []openList{{cts: open, widths: slotpack.Expand(r.lists.Eps)}})
+	var groups []group
+	lists := append([]openList{{cts: open, widths: slotpack.Expand(r.lists.Eps), into: &groups}}, r.inputLists()...)
+	seals, err := r.packLists(sp.Label, append(lists, r.outputLists(true)...))
 	if err != nil {
 		return nil, err
 	}
-	groups := packed[0]
-	ints, err := r.rt.DecryptStep(r.tsk, r.offDec, sp, appendOpenings(nil, groups, nil), r.offRe)
+	next := r.onC1
+	if r.offRe != nil {
+		next = r.offRe
+	}
+	ints, err := r.tskStep(r.offDec, sp, groups, seals, next)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@ import (
 // online executes Π_YOSO-Online: inputs, OnC1's future key distribution
 // beside its sealing of the output λ's that may not reach their clients
 // before the inputs are posted, layer by layer multiplication, and output
-// delivery: each client unmasks its outputs with the λ's OffRe or OnC1
+// delivery: each client unmasks its outputs with the λ's OffDec or OnC1
 // sealed to it.
 func (r *run) online(inputs map[int][]field.Element) (map[int][]field.Element, error) {
 	p := r.p.params
@@ -65,6 +65,26 @@ func (r *run) online(inputs map[int][]field.Element) (map[int][]field.Element, e
 	return r.onlineOutput()
 }
 
+// inputLists returns every input client's input-wire λ's, slot-packed per
+// client and sealed to its setup key (offline Step 5).
+func (r *run) inputLists() []openList {
+	gates := r.p.circ.Gates()
+	var lists []openList
+	for ci, client := range r.p.circ.Clients() {
+		inGates := r.p.circ.InputGates(client)
+		if len(inGates) == 0 {
+			continue
+		}
+		cts := make([]tte.Ciphertext, len(inGates))
+		for j, gi := range inGates {
+			cts[j] = r.wireCt[gates[gi].Out]
+		}
+		lists = append(lists, openList{cts: cts, widths: slotpack.Expand(r.lists.Inputs[ci]),
+			key: r.clients[client].PublicKey(), into: &r.inputOpen[ci]})
+	}
+	return lists
+}
+
 // outputLists returns the output-wire λ's of the clients whose outputs are
 // early (circuit.EarlyOutputs) or, with early false, of the others,
 // slot-packed per client and sealed to its setup key.
@@ -97,30 +117,17 @@ func (r *run) layerBatches(l int) []*batchState {
 	return out
 }
 
-// offReSpeak runs the OffRe committee, which reshares tsk to OnC1 and
-// seals, slot-packed per reader, every input client's λ's to the client's
-// setup key (offline Step 5), per layer that has batches and needs KFFs each
-// member's 3·(batches of the layer) packed left/right/Γ shares to the KFF of
-// its role (Step 6), and the early clients' output λ's to their setup keys.
-// Every target key is posted at setup, so OffRe speaks before any input
-// exists (it is called from offline()). A layer without KFFs is packed here
-// too, so the online phase evaluates nothing, and OnC1 seals its groups.
+// offReSpeak packs each layer member's 3·(batches of the layer) packed
+// left/right/Γ shares into its groups, so the online phase evaluates
+// nothing, and, where some layer needs KFFs (slotpack.Lists.NeedsKFF), runs
+// the OffRe committee, which seals those layers' groups to the KFF of each
+// member's role (Step 6) and reshares tsk to OnC1. The Γ shares depend on ε,
+// so OffDec cannot seal them; every KFF is posted at setup, so OffRe speaks
+// before any input exists (it is called from offline()). OnC1 seals the
+// groups of every other layer.
 func (r *run) offReSpeak() error {
 	n := r.p.params.N
-	gates := r.p.circ.Gates()
 	var lists []openList
-	for ci, client := range r.p.circ.Clients() {
-		inGates := r.p.circ.InputGates(client)
-		if len(inGates) == 0 {
-			continue
-		}
-		cts := make([]tte.Ciphertext, len(inGates))
-		for j, gi := range inGates {
-			cts[j] = r.wireCt[gates[gi].Out]
-		}
-		lists = append(lists, openList{cts: cts, widths: slotpack.Expand(r.lists.Inputs[ci]),
-			key: r.clients[client].PublicKey(), into: &r.inputOpen[ci]})
-	}
 	for l := range r.lists.Layers {
 		batches := r.layerBatches(l)
 		if len(batches) == 0 {
@@ -140,16 +147,17 @@ func (r *run) offReSpeak() error {
 			lists = append(lists, list)
 		}
 	}
-	sp := committee.Spec{Phase: comm.PhaseOffline, Cat: comm.CatReencrypt, Label: "steps-5-6"}
-	seals, err := r.packLists(sp.Label, append(lists, r.outputLists(true)...))
+	sp := committee.Spec{Phase: comm.PhaseOffline, Cat: comm.CatReencrypt, Label: "step-6"}
+	seals, err := r.packLists(sp.Label, lists)
 	// The per-index share ciphertexts live on in the groups only.
 	for _, b := range r.batches {
 		b.packedLeft, b.packedRight, b.packedGamma = nil, nil, nil
 	}
-	if err != nil {
+	if err != nil || r.offRe == nil {
 		return err
 	}
-	return r.reencrypt(r.offRe, sp, seals, r.onC1)
+	_, err = r.tskStep(r.offRe, sp, nil, seals, r.onC1)
+	return err
 }
 
 // onC1Speak is the online "future key distribution", run once every input
@@ -157,7 +165,7 @@ func (r *run) offReSpeak() error {
 // KFF secret key or, where the layer has no KFFs, the one group of its
 // packed shares, and the output λ's of the clients whose outputs are not
 // early (circuit.EarlyOutputs) to their setup keys. It is the last tsk
-// holder: OffRe made every other opening the run needs.
+// holder: OffDec and OffRe made every other opening the run needs.
 func (r *run) onC1Speak() error {
 	sp := committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatKFF, Label: "future-key-distribution"}
 	var seals []sealing
@@ -173,7 +181,8 @@ func (r *run) onC1Speak() error {
 	if err != nil {
 		return err
 	}
-	return r.reencrypt(r.onC1, sp, append(seals, late...), nil)
+	_, err = r.tskStep(r.onC1, sp, nil, append(seals, late...), nil)
+	return err
 }
 
 // openKFF recovers a layer role's KFF secret key from the group OnC1 sealed

@@ -22,8 +22,8 @@ import (
 // one ciphertext in one slot, a group that is the ciphertext itself.
 
 // openList is what one reader opens, with the static slot widths of r.lists
-// in the same order, the key a Re-encrypt seals it to (nil: a later step
-// seals it), and where its groups are kept.
+// in the same order, the key a Re-encrypt seals it to (nil: it is opened to
+// everyone, or a later step seals it), and where its groups are kept.
 type openList struct {
 	cts    []tte.Ciphertext
 	widths []int
@@ -114,25 +114,26 @@ func (r *run) packLists(step string, lists []openList) ([]sealing, error) {
 	return seals, nil
 }
 
-// reencrypt has committee c Re-encrypt each sealing's groups to its key (and
-// reshare tsk to next, when non-nil), storing in each group the envelopes
-// that answer it.
-func (r *run) reencrypt(c *yoso.Committee, sp committee.Spec, seals []sealing, next *yoso.Committee) error {
-	var open []committee.Opening
+// tskStep has committee c Decrypt the groups dec to everyone and Re-encrypt
+// each sealing's groups to its key, in that order, in one posting per member
+// (and reshare tsk to next, when non-nil). It stores in each sealed group the
+// envelopes that answer it and returns dec's opened integers.
+func (r *run) tskStep(c *yoso.Committee, sp committee.Spec, dec []group, seals []sealing, next *yoso.Committee) ([]*big.Int, error) {
+	open := appendOpenings(nil, dec, nil)
 	for _, s := range seals {
 		open = appendOpenings(open, s.groups, s.key)
 	}
 	res, err := r.rt.TskStep(r.tsk, c, sp, open, next)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	sealed := res.Sealed
+	sealed := res.Sealed[len(dec):]
 	for _, s := range seals {
 		for g := range s.groups {
 			s.groups[g].envs, sealed = sealed[0], sealed[1:]
 		}
 	}
-	return nil
+	return r.rt.Decrypted(sp.Label, open[:len(dec)], res)
 }
 
 // splitGroup cuts a group's opened integer into its slots' field values.

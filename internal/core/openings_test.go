@@ -1,19 +1,24 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"yosompc/internal/circuit"
+	"yosompc/internal/comm"
 	"yosompc/internal/field"
 	"yosompc/internal/pke"
 	"yosompc/internal/slotpack"
 	"yosompc/internal/telemetry"
+	"yosompc/internal/transport"
 	"yosompc/internal/tte"
 	"yosompc/internal/yoso"
 )
@@ -105,20 +110,22 @@ func (l looseBoundTE) EncryptMany(pk tte.PublicKey, ms []*big.Int, bound *big.In
 }
 
 // A ciphertext whose run-time bound exceeds the static width of its slot is
-// refused with an error naming the step and the slot — never wrapped into its
-// neighbour, never re-planned.
+// refused with an error naming the step, the list and the slot — never
+// wrapped into its neighbour, never re-planned. OffDec's list 0 is the ε
+// list, empty without a multiplication, and list 1 the first client's input
+// λ's.
 func TestOverBoundCiphertextRefused(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		circ func() (*circuit.Circuit, error)
-		step string
+		name  string
+		circ  func() (*circuit.Circuit, error)
+		where string
 	}{
-		{"multiplications", func() (*circuit.Circuit, error) { return circuit.InnerProduct(2) }, "offdec-open"},
+		{"multiplications", func() (*circuit.Circuit, error) { return circuit.InnerProduct(2) }, "offdec-open: list 0, group 0"},
 		{"linear only", func() (*circuit.Circuit, error) {
 			b := circuit.NewBuilder()
 			b.Output(b.Add(b.Input(0), b.Input(0)), 0)
 			return b.Build()
-		}, "steps-5-6"},
+		}, "offdec-open: list 1, group 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			circ, err := tc.circ()
@@ -139,8 +146,8 @@ func TestOverBoundCiphertextRefused(t *testing.T) {
 			if !errors.Is(err, slotpack.ErrSlotOverflow) {
 				t.Fatalf("err = %v, want ErrSlotOverflow", err)
 			}
-			if msg := err.Error(); !strings.Contains(msg, tc.step+": list 0, group 0") || !strings.Contains(msg, "slot 0 is") {
-				t.Errorf("error %q does not name step %q and the slot", msg, tc.step)
+			if msg := err.Error(); !strings.Contains(msg, tc.where) || !strings.Contains(msg, "slot 0 is") {
+				t.Errorf("error %q does not name %q and the slot", msg, tc.where)
 			}
 		})
 	}
@@ -282,8 +289,8 @@ func TestLayoutIndependentOfBackendAndAdversary(t *testing.T) {
 	sim := simParams(n, tt, k, nil)
 	sim.TE = tte.NewSim(511)
 	want := stepOpenings(t, real, circ, in)
-	if len(want) == 0 || want["steps-5-6"][0] == 0 || want["steps-5-6"][0] == want["steps-5-6"][1] {
-		t.Fatalf("real run reports %v: expected packed openings on steps 5-6", want)
+	if len(want) == 0 || want["step-6"][0] == 0 || want["step-6"][0] == want["step-6"][1] {
+		t.Fatalf("real run reports %v: expected packed openings on step 6", want)
 	}
 	if got := stepOpenings(t, sim, circ, in); !reflect.DeepEqual(got, want) {
 		t.Errorf("sim steps report %v, real %v", got, want)
@@ -326,10 +333,13 @@ func (c *countingTE) Combine(pk tte.PublicKey, ct tte.Ciphertext, parts []tte.Pa
 	return c.TE.Combine(pk, ct, parts)
 }
 
-// countingPKE counts envelope openings.
+// countingPKE counts envelope openings, and keeps the id of every Sim key it
+// generates so that sealedOn can count the envelopes sealed to them.
 type countingPKE struct {
 	pke.Scheme
 	opened atomic.Int64
+	mu     sync.Mutex
+	ids    map[uint64]bool
 }
 
 type countingSK struct {
@@ -344,7 +354,47 @@ func (s countingSK) AppendOpen(dst, key []byte, part int, env []byte) ([]byte, e
 
 func (c *countingPKE) GenerateKey() (pke.PublicKey, pke.SecretKey, error) {
 	pub, sk, err := c.Scheme.GenerateKey()
-	return pub, countingSK{sk, &c.opened}, err
+	if err != nil {
+		return nil, nil, err
+	}
+	c.mu.Lock()
+	if c.ids == nil {
+		c.ids = map[uint64]bool{}
+	}
+	c.ids[binary.BigEndian.Uint64(pub.Bytes())] = true
+	c.mu.Unlock()
+	return pub, countingSK{sk, &c.opened}, nil
+}
+
+// sealedOn counts, per phase, the envelopes sealed in the postings of the
+// dealer and of the tsk-holding committees on b, the setup phase's counted
+// as offline. Sealing happens inside package pke, out of a wrapper's reach,
+// so the envelopes are counted where they land: such a posting is its
+// posting key, then its parts, each either a partial decryption in the
+// clear, partialLen bytes, or an envelope. A Sim envelope starts with its
+// recipient's key id and its message's length, EnvelopeOverhead bytes of
+// header in all, and every recipient's key is one c generated.
+func (c *countingPKE) sealedOn(b *transport.Board, partialLen int) map[comm.Phase]int64 {
+	out := map[comm.Phase]int64{}
+	for _, e := range b.Entries(0) {
+		holder, _, _ := strings.Cut(e.From, "/")
+		if e.Category == comm.CatProof || !slices.Contains([]string{"setup-dealer", "offDec", "offRe", "onC1"}, holder) {
+			continue
+		}
+		phase := e.Phase
+		if phase == comm.PhaseSetup {
+			phase = comm.PhaseOffline
+		}
+		for p := e.Payload[pke.PostingKeySize:]; len(p) > 0; {
+			if len(p) >= pke.EnvelopeOverhead && c.ids[binary.BigEndian.Uint64(p)] {
+				p = p[pke.EnvelopeOverhead+int(binary.BigEndian.Uint32(p[8:])):]
+				out[phase]++
+			} else {
+				p = p[partialLen:]
+			}
+		}
+	}
+	return out
 }
 
 func (c *countingPKE) SecretKeyFromBytes(data []byte) (pke.SecretKey, error) {
@@ -353,16 +403,17 @@ func (c *countingPKE) SecretKeyFromBytes(data []byte) (pke.SecretKey, error) {
 }
 
 // TestOperationCountsNeverExceedParent counts, per phase, the partial
-// decryptions, Combine calls, envelope openings, values encrypted and Eval
-// calls of an honest run on every benchmark workload's parameters. Each of
-// the first four equals what the planner predicts and is at most the closed
-// form of the protocol before slot-packing and extraction — one opening per
-// value, one contribution per random value and a Beaver triple per
-// multiplication — and the Eval calls are at most those measured with Beaver
-// triples (evals), so neither phase has a mechanism to get slower. Prepare
-// counts setup's KFF encryptions with the offline phase's. Which layers get
-// KFFs, and so which layer groups OffRe seals and which OnC1 seals, is
-// slotpack's NeedsKFF.
+// decryptions, Combine calls, envelope openings, envelopes sealed, values
+// encrypted and Eval calls of an honest run on every benchmark workload's
+// parameters. Each of the first five equals what the planner predicts and is
+// at most the closed form of the protocol before slot-packing and
+// extraction — one opening per value, one contribution per random value, a
+// Beaver triple per multiplication and two offline tsk hand-offs — and the
+// Eval calls are at most those measured with Beaver triples (evals), so
+// neither phase has a mechanism to get slower. Prepare counts setup's KFF
+// encryptions and the dealer's envelopes with the offline phase's. Which
+// layers get KFFs, and so whether OffRe is formed, which layer groups it
+// seals and which OnC1 seals, is slotpack's NeedsKFF.
 func TestOperationCountsNeverExceedParent(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -399,9 +450,9 @@ func TestOperationCountsNeverExceedParent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			type counts struct{ partials, combines, opened, encrypted, evals int64 }
+			type counts struct{ partials, combines, opened, sealed, encrypted, evals int64 }
 			read := func() counts {
-				return counts{te.partials.Load(), te.combines.Load(), enc.opened.Load(), te.encrypted.Load(), te.evals.Load()}
+				return counts{te.partials.Load(), te.combines.Load(), enc.opened.Load(), 0, te.encrypted.Load(), te.evals.Load()}
 			}
 			offline := read()
 			res, err := prep.Execute(in)
@@ -413,8 +464,10 @@ func TestOperationCountsNeverExceedParent(t *testing.T) {
 				t.Fatalf("outputs %v, want %v", res.Outputs[0], want[0])
 			}
 			total := read()
-			online := counts{total.partials - offline.partials, total.combines - offline.combines, total.opened - offline.opened,
+			online := counts{total.partials - offline.partials, total.combines - offline.combines, total.opened - offline.opened, 0,
 				total.encrypted - offline.encrypted, total.evals - offline.evals}
+			sealed := enc.sealedOn(proto.Board(), tte.NewSim(tc.bits).PartialSize())
+			offline.sealed, online.sealed = sealed[comm.PhaseOffline], sealed[comm.PhaseOnline]
 
 			var (
 				n, q    = int64(tc.n), int64(tc.t + 1)
@@ -426,15 +479,18 @@ func TestOperationCountsNeverExceedParent(t *testing.T) {
 				// client a KFF.
 				parentKFFs = int64(tc.depth)*n + 2
 				// A committee recovering its tsk shares from a hand-off opens a
-				// quorum of envelopes per member: OffRe in the offline phase,
-				// OnC1 in the online phase.
-				handoff = n * q
+				// quorum of envelopes per member: OffRe, where it is formed, in
+				// the offline phase, OnC1 in the online phase. A hand-off seals
+				// an envelope from each member to each next one, the dealer's
+				// one to each member of the first holder.
+				handoff, handoffSeals, dealt = n * q, n * n, n
 			)
 			parent := map[string]counts{
 				"offline": {partials: n * (2*muls + inputs + 3*batches*n + outputs), combines: 2 * muls, opened: handoff,
+					sealed:    dealt + 2*handoffSeals + n*(inputs+3*batches*n+outputs),
 					encrypted: int64(tc.depth)*n + n*(inputs+3*int64(tc.t)*batches+3*muls), evals: tc.evals},
 				"online": {partials: n * parentKFFs, combines: parentKFFs + inputs + 3*batches*n + outputs,
-					opened: handoff + q*(parentKFFs+inputs+3*batches*n+outputs)},
+					opened: handoff + q*(parentKFFs+inputs+3*batches*n+outputs), sealed: n * parentKFFs},
 			}
 			capacity := slotpack.Capacity(tte.NewSim(tc.bits).MaxPlaintext())
 			ls := slotpack.ListsOf(circ, tc.n, tc.t, tc.k, capacity)
@@ -446,8 +502,9 @@ func TestOperationCountsNeverExceedParent(t *testing.T) {
 			}
 			dec, ins, outs := groups(ls.Eps), groups(ls.Inputs...), groups(ls.Outputs...)
 			// A layer whose member's shares take more than one group gives
-			// each of its roles a KFF, and OffRe seals the groups to it; OnC1
-			// seals every other layer's groups straight to the role keys.
+			// each of its roles a KFF, and OffRe, formed only then, seals the
+			// groups to it; OnC1 seals every other layer's groups straight to
+			// the role keys. OffDec seals the clients' groups.
 			var kffs, sealedOff, sealedOn int64
 			for l, layer := range ls.Layers {
 				if ls.NeedsKFF(l, capacity) {
@@ -457,13 +514,18 @@ func TestOperationCountsNeverExceedParent(t *testing.T) {
 					sealedOn += n * groups(layer)
 				}
 			}
+			var offRe int64
+			if kffs > 0 {
+				offRe = 1
+			}
 			layers := sealedOff + sealedOn
 			random, beaver := ls.Contributions()
 			planned := map[string]counts{
-				"offline": {partials: n * (dec + ins + sealedOff + outs), combines: dec, opened: handoff,
+				"offline": {partials: n * (dec + ins + sealedOff + outs), combines: dec, opened: offRe * handoff,
+					sealed:    dealt + (1+offRe)*handoffSeals + n*(ins+sealedOff+outs),
 					encrypted: kffs + n*int64(random+beaver), evals: offline.evals},
 				"online": {partials: n * (kffs + sealedOn), combines: kffs + ins + layers + outs,
-					opened: handoff + q*(kffs+ins+layers+outs)},
+					opened: handoff + q*(kffs+ins+layers+outs), sealed: n * (kffs + sealedOn)},
 			}
 			for phase, got := range map[string]counts{"offline": offline, "online": online} {
 				if got != planned[phase] {
@@ -471,7 +533,7 @@ func TestOperationCountsNeverExceedParent(t *testing.T) {
 				}
 				p := parent[phase]
 				if got.partials > p.partials || got.combines > p.combines || got.opened > p.opened ||
-					got.encrypted > p.encrypted || got.evals > p.evals {
+					got.sealed > p.sealed || got.encrypted > p.encrypted || got.evals > p.evals {
 					t.Errorf("%s: counted %+v, one opening per value was %+v", phase, got, p)
 				}
 			}

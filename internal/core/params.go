@@ -11,16 +11,18 @@
 //	offline:  OffR (wire randomness and packing helpers)
 //	          → OffB (masks e and products into each gate's λ^β), formed
 //	            only when the circuit has a multiplication gate
-//	          → OffDec (holds tsk epoch 0: decrypts ε, reshares tsk)
-//	          → OffRe (re-encrypts λ/Γ packed shares to the layer roles'
-//	            KFFs, and the input-wire λ's and the early clients'
-//	            output-wire λ's to their clients' setup keys, reshares tsk
-//	            to OnC1)
+//	          → OffDec (holds tsk epoch 0: decrypts ε, re-encrypts the
+//	            input-wire λ's and the early clients' output-wire λ's to
+//	            their clients' setup keys, reshares tsk to OffRe, or to OnC1
+//	            where OffRe is not formed)
+//	          → OffRe, formed only when some layer takes KFFs
+//	            (re-encrypts those layers' λ/Γ packed shares to their roles'
+//	            KFFs, reshares tsk to OnC1)
 //	online:   clients publish μ for their input wires
-//	          → OnC1, formed offline (re-encrypts KFF secret keys to the
-//	            layer roles' keys, and the output λ's of the clients they
-//	            may not reach before the inputs are posted
-//	            (circuit.EarlyOutputs) to those clients; the last tsk
+//	          → OnC1, formed offline (re-encrypts to each layer role's key
+//	            its KFF secret key or its one share group, and the output
+//	            λ's of the clients they may not reach before the inputs are
+//	            posted (circuit.EarlyOutputs) to those clients; the last tsk
 //	            holder)
 //	          → one committee per multiplication layer publishes μ-shares
 //	          → each client unmasks its outputs v = μ + λ

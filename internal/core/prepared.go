@@ -29,8 +29,8 @@ type Prepared struct {
 }
 
 // Prepare runs Π_YOSO-Setup and Π_YOSO-Offline through Steps 5–6,
-// OffRe's sealing of the early output λ's included (everything that can happen
-// before inputs exist). The returned Prepared supports exactly one Execute.
+// OffDec's sealing of the early output λ's included (everything that can
+// happen before inputs exist). The returned Prepared supports exactly one Execute.
 func (p *Protocol) Prepare() (*Prepared, error) {
 	r := p.newRun()
 	r.initTelemetry()

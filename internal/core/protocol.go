@@ -25,7 +25,7 @@ type Protocol struct {
 	circ   *circuit.Circuit
 	board  *transport.Board
 	auth   *nizk.Authority
-	// early marks the clients whose output λ's OffRe seals to them in
+	// early marks the clients whose output λ's OffDec seals to them in
 	// preprocessing (circuit.EarlyOutputs); OnC1 seals the others' once
 	// the inputs are posted.
 	early map[int]bool
@@ -122,10 +122,11 @@ type run struct {
 	audit *Auditor
 
 	// committees (see the schedule in the package comment; OffR and OffB
-	// live only inside their offline steps). OnC1 is formed offline, so
-	// OffRe reshares tsk to its role keys before any input exists; it
-	// speaks after the input round, once the layers' role keys are posted,
-	// and is the last tsk holder.
+	// live only inside their offline steps). offRe is nil unless some layer
+	// takes KFFs. OnC1 is formed offline, so the last offline tsk holder
+	// reshares tsk to its role keys before any input exists; it speaks
+	// after the input round, once the layers' role keys are posted, and is
+	// the last tsk holder.
 	offDec, offRe, onC1 *yoso.Committee
 	layers              []*yoso.Committee
 
@@ -160,13 +161,13 @@ type run struct {
 	lists slotpack.Lists
 
 	// inputOpen[ci] are the slot-packed Re-encrypt openings of the input-wire
-	// λ's of circ.Clients()[ci], sealed to its setup key (offline Step 5),
-	// and layerOpen[l][i] those of the packed left/right/Γ shares of layer
-	// l+1's batches, sealed to the KFF of its role i+1 by OffRe (Step 6) or,
-	// where kff[l] is nil, packed offline and sealed to the role's key by
-	// OnC1. outputOpen[ci] are those of the client's output-wire λ's, sealed
-	// to its setup key by OffRe or, for a client whose outputs are not
-	// early, by OnC1.
+	// λ's of circ.Clients()[ci], sealed to its setup key by OffDec (offline
+	// Step 5), and layerOpen[l][i] those of the packed left/right/Γ shares of
+	// layer l+1's batches, sealed to the KFF of its role i+1 by OffRe (Step
+	// 6) or, where kff[l] is nil, packed offline and sealed to the role's key
+	// by OnC1. outputOpen[ci] are those of the client's output-wire λ's,
+	// sealed to its setup key by OffDec or, for a client whose outputs are
+	// not early, by OnC1.
 	inputOpen  [][]group
 	layerOpen  [][][]group
 	outputOpen [][]group

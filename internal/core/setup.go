@@ -65,7 +65,7 @@ func (r *run) setup() error {
 
 	// Keys for future: one per role of an online mul-layer whose shares
 	// take more than one group, as its key is unknown until the online
-	// phase forms the layer. A client's key is posted above, so OffRe seals
+	// phase forms the layer. A client's key is posted above, so OffDec seals
 	// its λ's to that key directly.
 	capacity := slotpack.Capacity(tpk.MaxPlaintext())
 	r.kff = make([][]kffEntry, len(r.lists.Layers))

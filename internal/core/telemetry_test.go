@@ -10,6 +10,7 @@ import (
 
 	"yosompc/internal/circuit"
 	"yosompc/internal/telemetry"
+	"yosompc/internal/tte"
 	"yosompc/internal/yoso"
 )
 
@@ -158,9 +159,10 @@ func TestTelemetryPhaseSpansCoverWallClock(t *testing.T) {
 // achieved packing factor is their ratio. The run extracts m′ = 5 values
 // per contribution position (slotpack.ListsOf), so on 510-bit openings:
 // 48 ε of 78 bits go 6 to an opening; each client's 8 input λ's of 77 bits
-// take 2 and each of the 3·12 layer members' 6 batches one per batch
-// (141 + 141 + 217 bits); the 16 outputs take 3, sealed in the same OffRe
-// step. KFF secrets are never packed; committees without tsk open nothing.
+// take 2 and the 16 outputs 3, sealed in the same OffDec step; each of the
+// 3·12 layer members' 6 batches takes one group per batch (141 + 141 + 217
+// bits), sealed by OffRe. KFF secrets are never packed; committees without
+// tsk open nothing.
 func TestTelemetryStepSpansReportOpenings(t *testing.T) {
 	circ, err := circuit.WideMul(16, 3)
 	if err != nil {
@@ -173,13 +175,63 @@ func TestTelemetryStepSpansReportOpenings(t *testing.T) {
 	got := stepOpenings(t, simParams(12, 2, 3, nil), circ, in)
 	want := map[string][2]int64{
 		"beaver-bc": {}, "wire-randomness": {},
-		"offdec-open":             {8, 48},
-		"steps-5-6":               {4 + 3*12*6 + 3, 16 + 3*12*18 + 16},
+		"offdec-open":             {8 + 4 + 3, 48 + 16 + 16},
+		"step-6":                  {3 * 12 * 6, 3 * 12 * 18},
 		"future-key-distribution": {3 * 12, 3 * 12},
 		"mu-layer1":               {}, "mu-layer2": {}, "mu-layer3": {},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("step spans report openings/values %v, want %v", got, want)
+	}
+}
+
+// TestTelemetryReencryptStepOnEveryCircuit: the offline step span
+// offline:reencrypt-to-kffs, which the benchmark reads as
+// core.offline_reencrypt_s, opens once on every circuit, and OffRe's
+// committee step runs inside it where OffRe is formed: WideMul(16, 1) at
+// n = 16 under a 2048-bit key has no layer with KFFs, mixedLayers' first
+// layer at n = 10 under a 512-bit key has them.
+func TestTelemetryReencryptStepOnEveryCircuit(t *testing.T) {
+	wide, err := circuit.WideMul(16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name      string
+		circ      *circuit.Circuit
+		n, t, k   int
+		bits      int
+		withOffRe bool
+	}{
+		{"no KFF layer", wide, 16, 3, 4, 2048, false},
+		{"mixed layers", mixedLayers(t), 10, 2, 2, 512, true},
+	} {
+		params := simParams(tc.n, tc.t, tc.k, nil)
+		params.TE = tte.NewSim(tc.bits)
+		params.Trace = telemetry.NewTracer()
+		runAndCompare(t, params, tc.circ, propertyInputs(tc.circ, 4))
+		spans := params.Trace.Spans()
+		var steps []telemetry.SpanRecord
+		offRe := -1
+		for i, sp := range spans {
+			switch sp.Name {
+			case "offline:reencrypt-to-kffs":
+				steps = append(steps, sp)
+			case "committee:step-6":
+				offRe = i
+			}
+		}
+		if len(steps) != 1 {
+			t.Errorf("%s: %d offline:reencrypt-to-kffs spans, want 1", tc.name, len(steps))
+			continue
+		}
+		step := steps[0]
+		within := func(sp telemetry.SpanRecord) bool {
+			return sp.StartUS >= step.StartUS && sp.StartUS+sp.DurUS <= step.StartUS+step.DurUS
+		}
+		if (offRe >= 0) != tc.withOffRe || offRe >= 0 && !within(spans[offRe]) {
+			t.Errorf("%s: OffRe's step found %v, inside the span %v; want found %v and inside", tc.name, offRe >= 0, offRe >= 0 && within(spans[offRe]), tc.withOffRe)
+		}
 	}
 }
 
@@ -228,6 +280,7 @@ func TestTelemetryStepSpansCountExclusions(t *testing.T) {
 // verified = excluded therefore holds for attested steps only, as
 // TestTelemetryStepSpansCountExclusions assumes. Result.Excluded lists the
 // fail-stop and the malicious member of every step, the layer's included.
+// No layer takes KFFs, so no OffRe is formed.
 func TestTelemetryRobustLayerIsACommitteeStep(t *testing.T) {
 	circ, err := circuit.InnerProduct(2)
 	if err != nil {
@@ -250,9 +303,8 @@ func TestTelemetryRobustLayerIsACommitteeStep(t *testing.T) {
 		"offR/5@wire-randomness (fail-stop)", "offR/9@wire-randomness (malicious)",
 		"offB/3@beaver-bc (fail-stop)", "offB/9@beaver-bc (malicious)",
 		"offDec/7@offdec-open (malicious)", "offDec/10@offdec-open (fail-stop)",
-		"offRe/11@steps-5-6 (malicious)", "offRe/13@steps-5-6 (fail-stop)",
-		"onC1/3@future-key-distribution (fail-stop)", "onC1/14@future-key-distribution (malicious)",
-		"on-layer1/2@mu-layer1 (fail-stop)", "on-layer1/10@mu-layer1 (malicious)",
+		"onC1/11@future-key-distribution (malicious)", "onC1/13@future-key-distribution (fail-stop)",
+		"on-layer1/3@mu-layer1 (fail-stop)", "on-layer1/14@mu-layer1 (malicious)",
 	}
 	if !reflect.DeepEqual(res.Excluded, want) {
 		t.Errorf("Excluded = %q, want %q", res.Excluded, want)

@@ -129,13 +129,14 @@ type Phases struct {
 
 // CoreOptions selects protocol variants for the prediction.
 type CoreOptions struct {
-	// NoKFF models the §3.2 naive approach for every layer: no KFFs, and
-	// OnC1 re-encrypts the packed shares online to the layer roles' keys in
-	// place of the KFF secrets. The driver does so only for a layer whose
-	// shares fit one group (slotpack.Lists.NeedsKFF), where it costs the
-	// same online. The input λ's go offline to the clients' setup keys in
-	// both designs. core's TestNaiveModelFromKFFRun checks it against the
-	// terms it moves, measured on a KFF run.
+	// NoKFF models the §3.2 naive approach for every layer: no KFFs, so no
+	// OffRe committee, and OnC1 re-encrypts the packed shares online to the
+	// layer roles' keys in place of the KFF secrets. The driver does so only
+	// for a layer whose shares fit one group (slotpack.Lists.NeedsKFF),
+	// where it costs the same online, and forms OffRe only when some layer
+	// has KFFs. The input λ's go offline to the clients' setup keys in both
+	// designs. core's TestNaiveModelFromKFFRun checks it against the terms
+	// it moves, measured on a KFF run.
 	NoKFF bool
 	// Robust models IT-GOD μ layers (no per-layer proofs).
 	Robust bool
@@ -180,7 +181,7 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 			directGroups += N * groups(layer)
 		}
 	}
-	var earlyGroups, lateGroups int64 // output groups OffRe and OnC1 seal
+	var earlyGroups, lateGroups int64 // output groups OffDec and OnC1 seal
 	for c, l := range shape.Opened.Outputs {
 		if c < len(shape.Late) && shape.Late[c] {
 			lateGroups += groups(l)
@@ -199,21 +200,24 @@ func CoreWith(n, t, k int, shape Shape, z Sizes, opts CoreOptions) Phases {
 	setup += key + N*int64(z.PKEOverhead+z.KeyShare)  // dealer tsk delivery (one posting of sealed envelopes)
 
 	// Every offline and online tsk step below reshares or seals, so each of
-	// its N postings carries a posting key.
+	// its N postings carries a posting key. OffRe is formed only when some
+	// layer has KFFs; OffDec hands tsk to it, or straight to OnC1.
+	offRe := kffCount > 0
 	var offline int64
-	offline += 4 * N * int64(z.RoleKey) // OffR, OffDec, OffRe and OnC1's role keys
+	offline += 3 * N * int64(z.RoleKey) // OffR, OffDec and OnC1's role keys
 	if muls > 0 {
 		// OffB: role keys, b-parts and one c-part per gate.
 		offline += N*int64(z.RoleKey) + N*(int64(beaver)+muls)*int64(z.Ciphertext) + N*int64(z.Proof)
 	}
 	offline += N*int64(random)*int64(z.Ciphertext) + N*int64(z.Proof) // wire randomness and helpers
-	// OffDec: partials for the ε groups + resharing to OffRe.
-	offline += N*(decGroups*int64(z.Partial)+key+N*envS) + N*int64(z.Proof)
-	// OffRe: one envelope per input-wire λ group and per early output group
-	// to its client, one per packed-share group of every member of a layer
-	// with KFFs (Step 6), and tsk resharing to OnC1.
-	sealedOffline := inGroups + earlyGroups + kffGroups
-	offline += N*(key+sealedOffline*envP+N*envS) + N*int64(z.Proof)
+	// OffDec: partials for the ε groups, one envelope per input-wire λ group
+	// and per early output group to its client (Step 5), and tsk resharing.
+	offline += N*(decGroups*int64(z.Partial)+key+(inGroups+earlyGroups)*envP+N*envS) + N*int64(z.Proof)
+	if offRe {
+		// OffRe: role keys, one envelope per packed-share group of every
+		// member of a layer with KFFs (Step 6), and tsk resharing to OnC1.
+		offline += N*int64(z.RoleKey) + N*(key+kffGroups*envP+N*envS) + N*int64(z.Proof)
+	}
 
 	var online int64
 	online += depth * N * int64(z.RoleKey) // layer committees' role keys

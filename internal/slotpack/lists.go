@@ -225,9 +225,9 @@ func freshLists(k int, b *bounds, inputs, outputs, muls []int) Lists {
 //   - before an m′ that would raise the group count of a list a client or a
 //     layer member opens — the layers' shares, which OffRe seals to the
 //     roles' KFFs or, where they fit one group (NeedsKFF), OnC1 to the
-//     roles' keys, the input λ's, which OffRe seals to their client's setup
-//     key, and the output λ's, which OffRe or, for a client whose outputs are
-//     not early, OnC1 seals to their client — since each such group is n
+//     roles' keys, the input λ's, which OffDec seals to their client's setup
+//     key, and the output λ's, which OffDec or, for a client whose outputs
+//     are not early, OnC1 seals to their client — since each such group is n
 //     envelopes on its sealing committee's postings plus one online Combine
 //     for its reader, so no reader's openings move (nor which layers get
 //     KFFs);
@@ -308,8 +308,9 @@ func (ls Lists) Contributions() (random, beaver int) {
 // key-for-future save an online ciphertext: OffRe seals the groups to the
 // role's KFF and OnC1 re-encrypts the KFF secret to the role's key. A role
 // whose shares fit one group gets that group from OnC1 directly, which posts
-// the same bytes online. Core, the cost model and the operation counts all
-// read the rule from here.
+// the same bytes online, and a run none of whose layers needs KFFs forms no
+// OffRe. Core, the cost model and the operation counts all read the rule
+// from here.
 func (ls Lists) NeedsKFF(l, capacity int) bool { return Count(ls.Layers[l], capacity) > 1 }
 
 // groups is the number of groups a set of lists is planned into.
