@@ -238,19 +238,32 @@ func (r *run) offlinePack() error {
 	p := r.p.params
 	te := p.TE
 	gates := r.p.circ.Gates()
+	// rows[k] is every member's l_j(i) coefficient row for a batch of width
+	// k, member i's k + t of them from i·(k+t) on: built once per width from
+	// the cached evaluation domain and read by every batch of that width,
+	// for left, right and Γ alike.
+	rows := map[int][]*big.Int{}
 	for bi, b := range r.batches {
 		sp := r.stepSpan("pack-batch")
 		sp.SetInt("batch", int64(bi))
 		sp.SetInt("gates", int64(b.k))
 		sp.SetInt("layer", int64(b.Layer))
-		// The l_j(i) coefficient rows come straight from the cached
-		// evaluation domain — shared across batches of the same width and
-		// across runs, with no per-batch clone. Validate guarantees
-		// t + 2(k−1) + 1 ≤ n, so the packed degree t + b.k − 1 fits.
+		// Validate guarantees t + 2(k−1) + 1 ≤ n, so the packed degree
+		// t + b.k − 1 fits.
 		dom, err := sharing.GetDomain(b.k, p.T+b.k-1, p.N)
 		if err != nil {
 			sp.End()
 			return err
+		}
+		m := b.k + p.T
+		row, ok := rows[b.k]
+		if !ok {
+			flat := make([]field.Element, 0, p.N*m)
+			for i := range p.N {
+				flat = append(flat, dom.ShareRow(i + 1)[:m]...)
+			}
+			row = committee.FieldCoeffs(flat).Ints
+			rows[b.k] = row
 		}
 		left := make([]tte.Ciphertext, b.k)
 		right := make([]tte.Ciphertext, b.k)
@@ -267,9 +280,8 @@ func (r *run) offlinePack() error {
 			// One homomorphic interpolation per share index — the
 			// packing-helper hot loop, fanned out slot-indexed per index.
 			err := r.rt.Pfor(p.N, func(i int) error {
-				coeffs := committee.FieldCoeffs(dom.ShareRow(i + 1)[:len(points)])
 				var err error
-				out[i], err = te.Eval(r.rt.TPK, points, coeffs.Ints)
+				out[i], err = te.Eval(r.rt.TPK, points, row[i*m:(i+1)*m])
 				return err
 			})
 			return out, err

@@ -10,6 +10,7 @@ import (
 	"yosompc/internal/circuit"
 	"yosompc/internal/field"
 	"yosompc/internal/paillier"
+	"yosompc/internal/sharing"
 	"yosompc/internal/tte"
 )
 
@@ -239,6 +240,91 @@ func TestPackRefusesAnOverBoundCiphertext(t *testing.T) {
 	}
 	if _, err := Split(big.NewInt(1<<16), []int{8, 8}); !errors.Is(err, ErrSlotOverflow) {
 		t.Errorf("an integer past the last slot: err = %v, want ErrSlotOverflow", err)
+	}
+}
+
+// TEval's bound is one computation for both backends, and byte counts and
+// slot widths rest on it: Sim and the 512-bit Threshold key give the same
+// Bound(), the plain math/big Σ cᵢ·boundᵢ, along the protocol's three kinds
+// of sum — an extraction row (coefficients i^j over n field-sized
+// contributions), a packing row (k + t Lagrange coefficients l_j(i) over the
+// extracted values) and a Pack of the packed shares (coefficients 1 and
+// 2^w).
+func TestBackendsAgreeOnBounds(t *testing.T) {
+	const n, th, k = 16, 3, 4
+	dom, err := sharing.GetDomain(k, th+k-1, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	field1 := new(big.Int).SetUint64(field.Modulus - 1)
+	bounds := map[string][]*big.Int{}
+	for name, te := range fixedBackends(t) {
+		pk, _, err := te.KeyGen(n, th)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eval := func(cts []tte.Ciphertext, coeffs []*big.Int) tte.Ciphertext {
+			t.Helper()
+			want := new(big.Int)
+			for i, ct := range cts {
+				want.Add(want, new(big.Int).Mul(coeffs[i], ct.Bound()))
+			}
+			out, err := te.Eval(pk, cts, coeffs)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if out.Bound().Cmp(want) != 0 {
+				t.Fatalf("%s: TEval bound %v, math/big %v", name, out.Bound(), want)
+			}
+			bounds[name] = append(bounds[name], out.Bound())
+			return out
+		}
+		contribs := make([]tte.Ciphertext, n)
+		for i := range contribs {
+			if contribs[i], err = te.Encrypt(pk, big.NewInt(int64(i)), field1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Rows 0 and 3 of the Vandermonde matrix, one value per point.
+		points := make([]tte.Ciphertext, k+th)
+		for j := range points {
+			row := make([]*big.Int, n)
+			for i := range row {
+				row[i] = new(big.Int).Exp(big.NewInt(int64(i+1)), big.NewInt(int64(3*(j%2))), nil)
+			}
+			points[j] = eval(contribs, row)
+		}
+		shares := make([]tte.Ciphertext, 3)
+		widths := make([]int, len(shares))
+		for i := range shares {
+			row := make([]*big.Int, k+th)
+			for j, e := range dom.ShareRow(i + 1)[:k+th] {
+				row[j] = new(big.Int).SetUint64(e.Uint64())
+			}
+			shares[i] = eval(points, row)
+			widths[i] = shares[i].Bound().BitLen()
+		}
+		packed, err := Pack(te, pk, shares, widths)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := new(big.Int)
+		for l := len(shares) - 1; l >= 0; l-- {
+			want.Lsh(want, uint(widths[l])).Add(want, shares[l].Bound())
+		}
+		if packed.Bound().Cmp(want) != 0 {
+			t.Fatalf("%s: packed bound %v, math/big %v", name, packed.Bound(), want)
+		}
+		bounds[name] = append(bounds[name], packed.Bound())
+	}
+	sim, thr := bounds["sim"], bounds["threshold-512"]
+	if len(sim) != len(thr) {
+		t.Fatalf("%d Sim bounds, %d Threshold bounds", len(sim), len(thr))
+	}
+	for i := range sim {
+		if sim[i].Cmp(thr[i]) != 0 {
+			t.Errorf("sum %d: Sim bound %v, Threshold bound %v", i, sim[i], thr[i])
+		}
 	}
 }
 

@@ -88,7 +88,7 @@ func deltaPowerNaive(s *Threshold, tpk *publicKey, epoch int) *big.Int {
 // sequential fold — every non-zero term its own ScalarMul, one included,
 // multiplied in order with Add.
 func (s *Threshold) EvalNaive(pk PublicKey, cts []Ciphertext, coeffs []*big.Int) (Ciphertext, error) {
-	p, err := s.evalBound(pk, cts, coeffs, new(big.Int))
+	p, err := s.evalSums(pk, cts, coeffs, new(big.Int), nil)
 	if err != nil {
 		return nil, err
 	}

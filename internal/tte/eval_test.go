@@ -246,12 +246,9 @@ func TestSimEncryptManyAllocations(t *testing.T) {
 	}
 }
 
-// A Sim TEval result is one object plus the words of its value and bound,
-// with no scratch: a one-term product (a Beaver c-part) costs 3
-// allocations, and a 64-term all-one sum (a contribution sum) 5, because
-// math/big gives a one-word integer no spare capacity and each of the two
-// sums reallocates once when it outgrows a word. Separate ciphertext,
-// value, bound and scratch objects cost 7 in either case.
+// A Sim TEval result is one object plus one slab for the words of its
+// value and bound, at any number of terms: evalSums accumulates in place, so
+// a per-term temporary or a sum outgrowing its words shows here.
 func TestSimEvalAllocations(t *testing.T) {
 	s := NewSim(512)
 	pk, _, err := s.KeyGen(3, 1)
@@ -274,8 +271,8 @@ func TestSimEvalAllocations(t *testing.T) {
 		coeffs []*big.Int
 		budget float64
 	}{
-		{"one term", cts[:1], []*big.Int{big.NewInt(1<<60 + 3)}, 3},
-		{"64-term sum", cts, ones, 5},
+		{"one term", cts[:1], []*big.Int{big.NewInt(1<<60 + 3)}, 2},
+		{"64-term sum", cts, ones, 2},
 	} {
 		allocs := testing.AllocsPerRun(50, func() {
 			if _, err := s.Eval(pk, tc.cts, tc.coeffs); err != nil {

@@ -101,3 +101,77 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEvalSum pins TEval's multiply-accumulate kernel to math/big: over
+// 0–300 terms whose operands have 0–64 words, with zero, one, single-bit
+// (up to 4 096 bits) and arbitrary coefficients, addProduct of every term
+// into one word more than the longest termLen equals the plain Σ Mul/Add. The input is read as
+// a term count and, per term, a coefficient kind, operand lengths and
+// words; past its end every byte reads 0xff, so a short input sums operands
+// of all-ones words, the longest carry chains.
+func FuzzEvalSum(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x01, 0x2c})                         // 300 terms of all-ones operands
+	f.Add([]byte{0x00, 0x03, 1, 2, 2, 0x0f, 0xff, 1}) // one, then a 2^4095 coefficient
+	f.Add([]byte{0x00, 0x40, 0, 0, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := fuzzReader(data)
+		n := int(r.next())<<8 | int(r.next())
+		n %= 301
+		cs, xs := make([]*big.Int, n), make([]*big.Int, n)
+		for i := range n {
+			switch kind := r.next(); kind % 4 {
+			case 0:
+				cs[i] = new(big.Int)
+			case 1:
+				cs[i] = big.NewInt(1)
+			case 2:
+				bit := (int(r.next())<<8 | int(r.next())) % 4096
+				cs[i] = new(big.Int).SetBit(new(big.Int), bit, 1)
+			default:
+				cs[i] = r.bigInt(int(kind/4) % 65)
+			}
+			xs[i] = r.bigInt(int(r.next()) % 65)
+		}
+		want := new(big.Int)
+		for i := range cs {
+			want.Add(want, new(big.Int).Mul(cs[i], xs[i]))
+		}
+		longest := 0
+		for i := range cs {
+			longest = max(longest, termLen(cs[i], xs[i]))
+		}
+		z := make([]big.Word, longest+1)
+		for i := range cs {
+			addProduct(z, cs[i], xs[i])
+		}
+		got := new(big.Int).SetBits(z)
+		if got.Cmp(want) != 0 {
+			t.Fatalf("%d terms: kernel sum %x, math/big %x", n, got, want)
+		}
+	})
+}
+
+// fuzzReader hands out a fuzz input's bytes, then 0xff forever.
+type fuzzReader []byte
+
+func (r *fuzzReader) next() byte {
+	if len(*r) == 0 {
+		return 0xff
+	}
+	b := (*r)[0]
+	*r = (*r)[1:]
+	return b
+}
+
+// bigInt reads an integer of the given number of words, most significant
+// byte first within each word.
+func (r *fuzzReader) bigInt(words int) *big.Int {
+	ws := make([]big.Word, words)
+	for i := range ws {
+		for range wordBytes {
+			ws[i] = ws[i]<<8 | big.Word(r.next())
+		}
+	}
+	return new(big.Int).SetBits(ws)
+}

@@ -176,10 +176,12 @@ func Widen(pk PublicKey, ct Ciphertext, bound *big.Int) (Ciphertext, error) {
 	return &ciphertext{value: x.value, bound: new(big.Int).Set(bound), size: x.size}, nil
 }
 
-// evalBound is TEval's input check: one non-negative coefficient per
-// ciphertext, and a result bound Σ coeffs[i]·bound_i within the key's
-// capacity, which it computes into bound.
-func (c *codec) evalBound(pk PublicKey, cts []Ciphertext, coeffs []*big.Int, bound *big.Int) (*publicKey, error) {
+// evalSums is TEval's input check and its sums: one non-negative
+// coefficient per ciphertext, and a result bound Σ coeffs[i]·bound_i within
+// the key's capacity, which it sets bound to. A non-nil value is set to
+// Σ coeffs[i]·value_i (Sim's TEval) in the same pass. The sums' words come
+// from one slab.
+func (c *codec) evalSums(pk PublicKey, cts []Ciphertext, coeffs []*big.Int, bound, value *big.Int) (*publicKey, error) {
 	p, err := c.pub(pk)
 	if err != nil {
 		return nil, err
@@ -187,7 +189,7 @@ func (c *codec) evalBound(pk PublicKey, cts []Ciphertext, coeffs []*big.Int, bou
 	if len(cts) != len(coeffs) {
 		return nil, fmt.Errorf("tte: eval: %d ciphertexts vs %d coefficients", len(cts), len(coeffs))
 	}
-	var term big.Int
+	nb, nv := 0, 0
 	for i, ct := range cts {
 		x, ok := ct.(*ciphertext)
 		if !ok {
@@ -196,28 +198,28 @@ func (c *codec) evalBound(pk PublicKey, cts []Ciphertext, coeffs []*big.Int, bou
 		if coeffs[i].Sign() < 0 {
 			return nil, fmt.Errorf("%w: coefficient %d", ErrNegativeCoeff, i)
 		}
-		addScaled(bound, &term, coeffs[i], x.bound)
+		nb = max(nb, termLen(coeffs[i], x.bound)+1)
+		if value != nil {
+			nv = max(nv, termLen(coeffs[i], x.value)+1)
+		}
+	}
+	z := make([]big.Word, nb+nv)
+	zb, zv := z[:nb:nb], z[nb:]
+	for i, ct := range cts {
+		x := ct.(*ciphertext)
+		addProduct(zb, coeffs[i], x.bound)
+		if value != nil {
+			addProduct(zv, coeffs[i], x.value)
+		}
+	}
+	bound.SetBits(zb)
+	if value != nil {
+		value.SetBits(zv)
 	}
 	if bound.Cmp(p.maxPlain) > 0 {
 		return nil, fmt.Errorf("%w: combined bound %v", ErrPlaintextTooBig, bound)
 	}
 	return p, nil
-}
-
-// addScaled sets acc to acc + c·x, with term as scratch; c must be
-// non-negative. A coefficient of one adds x itself: the n-term contribution
-// sums have all-one coefficients, and adding is what multiplying by one
-// costs there. Into a zero acc the product is computed in place: a
-// one-term TEval (a Beaver c-part b_i·c^a) needs no scratch.
-func addScaled(acc, term, c, x *big.Int) {
-	switch {
-	case c.BitLen() == 1:
-		acc.Add(acc, x)
-	case acc.Sign() == 0:
-		acc.Mul(c, x)
-	default:
-		acc.Add(acc, term.Mul(c, x))
-	}
 }
 
 // partials is TDec's input check: the non-nil partials, all of one epoch

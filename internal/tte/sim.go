@@ -11,7 +11,9 @@ import (
 // communication sweeps at committee sizes in the thousands measure the
 // same byte counts the real backend would produce, without big-integer
 // exponentiations dominating wall clock. Its messages and codec are the
-// real backend's; its encodings are zero-padded to the modelled sizes.
+// real backend's; its encodings are zero-padded to the modelled sizes. A
+// TEval's value and bound are word sums (evalSums), in one result object
+// and one slab of words, whatever the number of terms.
 //
 // Sim provides no confidentiality. It exists for scaling experiments and is
 // cross-checked against Threshold at small n by the test suite.
@@ -101,7 +103,7 @@ func (s *Sim) EncryptMany(pk PublicKey, ms []*big.Int, bound *big.Int, _ int) ([
 }
 
 // evaluated is a Sim TEval result in one allocation: the ciphertext and
-// the value and bound it points to.
+// the value and bound it points to. Their words are one more.
 type evaluated struct {
 	ct           ciphertext
 	value, bound big.Int
@@ -110,13 +112,9 @@ type evaluated struct {
 // Eval implements TEval.
 func (s *Sim) Eval(pk PublicKey, cts []Ciphertext, coeffs []*big.Int) (Ciphertext, error) {
 	out := new(evaluated)
-	p, err := s.evalBound(pk, cts, coeffs, &out.bound)
+	p, err := s.evalSums(pk, cts, coeffs, &out.bound, &out.value)
 	if err != nil {
 		return nil, err
-	}
-	var term big.Int
-	for i, ct := range cts {
-		addScaled(&out.value, &term, coeffs[i], ct.(*ciphertext).value)
 	}
 	out.ct = ciphertext{value: &out.value, bound: &out.bound, size: p.ctBytes}
 	return &out.ct, nil

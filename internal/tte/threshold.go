@@ -121,7 +121,7 @@ func (s *Threshold) EncryptMany(pk PublicKey, ms []*big.Int, bound *big.Int, wor
 // one squaring chain as long as their longest coefficient.
 func (s *Threshold) Eval(pk PublicKey, cts []Ciphertext, coeffs []*big.Int) (Ciphertext, error) {
 	bound := new(big.Int)
-	p, err := s.evalBound(pk, cts, coeffs, bound)
+	p, err := s.evalSums(pk, cts, coeffs, bound, nil)
 	if err != nil {
 		return nil, err
 	}
