@@ -23,6 +23,7 @@ import (
 	"yosompc/internal/field"
 	"yosompc/internal/nizk"
 	"yosompc/internal/pke"
+	"yosompc/internal/postlen"
 	"yosompc/internal/transport"
 	"yosompc/internal/tte"
 	"yosompc/internal/yoso"
@@ -141,7 +142,7 @@ func (p *Protocol) Run(inputs map[int][]field.Element) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.rt.TPK = tpk
+	r.rt.SetKey(tpk)
 	tpkEnc, err := p.params.TE.EncodePublicKey(tpk)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: encoding tpk announcement: %w", err)
@@ -209,7 +210,8 @@ func (r *run) online(inputs map[int][]field.Element, shares []tte.KeyShare) (map
 			ms[j] = committee.FieldCoeff(inputs[client][j])
 		}
 		in, ok, err := committee.Speak(r.rt, r.clients[client],
-			committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatInput, Label: "input"},
+			committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatInput, Label: "input",
+				Len: postlen.Posting{Ciphertexts: len(inGates)}.Len(r.rt.Sizes)},
 			func() (committee.CtBundle, error) {
 				return te.EncryptMany(r.rt.TPK, ms, committee.BoundP, r.rt.Workers)
 			})

@@ -114,6 +114,9 @@ func TestRealBackend(t *testing.T) {
 	}
 }
 
+// Malicious members are excluded, and their postings are garbage of the
+// step's posting length, so the run posts exactly the honest run's bytes,
+// phase by phase: only the proofs and the contents differ.
 func TestMaliciousExcluded(t *testing.T) {
 	circ, err := circuit.InnerProduct(3)
 	if err != nil {
@@ -124,6 +127,12 @@ func TestMaliciousExcluded(t *testing.T) {
 	res := runAndCompare(t, simParams(6, 2, adv), circ, in)
 	if len(res.Excluded) == 0 {
 		t.Error("no roles excluded despite adversary")
+	}
+	honest := runAndCompare(t, simParams(6, 2, nil), circ, in)
+	for _, phase := range []comm.Phase{comm.PhaseSetup, comm.PhaseOffline, comm.PhaseOnline} {
+		if got, want := res.Report.Phase(phase), honest.Report.Phase(phase); got != want {
+			t.Errorf("%s: malicious run posted %d B, honest run %d B", phase, got, want)
+		}
 	}
 }
 

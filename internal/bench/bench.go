@@ -22,6 +22,7 @@ import (
 	"yosompc/internal/costmodel"
 	"yosompc/internal/field"
 	"yosompc/internal/pke"
+	"yosompc/internal/postlen"
 	"yosompc/internal/sortition"
 	"yosompc/internal/tte"
 	"yosompc/internal/yoso"
@@ -350,7 +351,7 @@ type ImprovementRow struct {
 // O(n)-per-role KFF delivery amortizes. Costs come from the validated
 // costmodel.
 func ImprovementFactors(widthMult int) ([]ImprovementRow, error) {
-	z := costmodel.SimSizes(ModelBits)
+	z := postlen.SimSizes(ModelBits)
 	var rows []ImprovementRow
 	for _, row := range sortition.Table1() {
 		if !row.Feasible {
@@ -684,7 +685,7 @@ func KFFAblation(n, t, k, width int) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	z := costmodel.SimSizes(ModelBits)
+	z := postlen.SimSizes(ModelBits)
 	// WideMul's inputs alternate between clients 0 and 1, and client 0
 	// receives every output.
 	shape := costmodel.FreshShape(n, t, k, z.SlotBits, []int{(width + 1) / 2, width / 2}, []int{width, 0}, []int{width})

@@ -9,6 +9,7 @@ import (
 	"yosompc/internal/comm"
 	"yosompc/internal/field"
 	"yosompc/internal/parallel"
+	"yosompc/internal/postlen"
 	"yosompc/internal/slotpack"
 	"yosompc/internal/tte"
 	"yosompc/internal/yoso"
@@ -40,6 +41,7 @@ func (r *Runner) EncryptRandom(count int) (Plaintexts, CtBundle, error) {
 // position at[b] + j/m (slotpack.ListsOf chooses m).
 func (r *Runner) RandomStep(c *yoso.Committee, sp Spec, blocks []int, m int) ([][]tte.Ciphertext, error) {
 	at, per := slotpack.Layout(blocks, m)
+	sp.Len = postlen.Posting{Ciphertexts: per}.Len(r.Sizes)
 	posts, err := Step(r, c, sp, func(int) (CtBundle, error) {
 		ms, cts, err := r.EncryptRandom(per)
 		ms.Wipe()
@@ -146,7 +148,9 @@ func (r *Runner) Beaver(assign *yoso.Assignment, name string, n int, circ *circu
 		return nil, err
 	}
 	_, per := slotpack.Layout([]int{count}, m)
-	posts, err := Step(r, com, Spec{Phase: comm.PhaseOffline, Cat: comm.CatBeaver, Label: "beaver-bc"}, func(int) (CtBundle, error) {
+	sp := Spec{Phase: comm.PhaseOffline, Cat: comm.CatBeaver, Label: "beaver-bc",
+		Len: postlen.Posting{Ciphertexts: per + count}.Len(r.Sizes)}
+	posts, err := Step(r, com, sp, func(int) (CtBundle, error) {
 		ms, bc, err := r.EncryptRandom(per)
 		if err != nil {
 			return nil, err

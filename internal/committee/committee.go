@@ -14,10 +14,12 @@
 // Three payload shapes cross the board (docs/WIRE.md): CtBundle, TskPost
 // and core's μ bundle. Their encodings carry no header and no addressing —
 // routing is positional, and what the board meters is len() of the one
-// encoding. The board holds that encoding and nothing else: a step hands its
-// accepted postings' bytes to its caller (Post.Wire), core decodes every μ
-// from them, and a TskPost is its posting, which the readers open through
-// sub-slice views, a quorum of t+1 contributions at a time (quorum in tsk.go).
+// encoding, a length each step sets in its Spec from internal/postlen's
+// functions of the step's public counts. The board holds that encoding and
+// nothing else: a step hands its accepted postings' bytes to its caller
+// (Post.Wire), core decodes every μ from them, and a TskPost is its
+// posting, which the readers open through sub-slice views, a quorum of t+1
+// contributions at a time (quorum in tsk.go).
 package committee
 
 import (
@@ -32,6 +34,7 @@ import (
 	"yosompc/internal/field"
 	"yosompc/internal/nizk"
 	"yosompc/internal/parallel"
+	"yosompc/internal/postlen"
 	"yosompc/internal/telemetry"
 	"yosompc/internal/transport"
 	"yosompc/internal/tte"
@@ -56,8 +59,10 @@ type Runner struct {
 	Board *transport.Board
 	Auth  *nizk.Authority
 	TE    TE
-	// TPK is the threshold public key of the run.
-	TPK tte.PublicKey
+	// TPK is the threshold public key of the run and Sizes the widths of
+	// its postings under it; SetKey sets both.
+	TPK   tte.PublicKey
+	Sizes postlen.Sizes
 	// Workers is the resolved worker-pool size and Obs its (optional)
 	// per-task observer.
 	Workers int
@@ -73,6 +78,10 @@ type Runner struct {
 	// rebuilds from its hand-off envelopes (core's key-usage audit).
 	ShareRecovered func(comm.Phase)
 }
+
+// SetKey fixes the run's threshold public key and, with it, the widths its
+// postings are laid out in (postlen.Of).
+func (r *Runner) SetKey(tpk tte.PublicKey) { r.TPK, r.Sizes = tpk, postlen.Of(tpk) }
 
 // Payload is a step message; Encode produces the bytes that go on the
 // board, whose length is what the board meters. The board keeps the returned
@@ -90,6 +99,10 @@ type Spec struct {
 	// Unattested steps post no proof and accept every posting: the readers'
 	// decoding corrects a lie (core's robust μ layers, Berlekamp–Welch).
 	Unattested bool
+	// Len is every posting's length at the step, postlen's of its public
+	// counts: an honest encoding's (nominally, for a real tsk posting) and
+	// that of the zeros a malicious member posts.
+	Len int
 	// openings and values are what TskStep reports on the step span: the
 	// partial decryptions each member computes and the values they carry.
 	openings, values int
@@ -107,16 +120,12 @@ type Post[T Payload] struct {
 // CtBundle is a broadcast bundle of threshold ciphertexts.
 type CtBundle []tte.Ciphertext
 
-// Encode implements Payload.
+// Encode implements Payload: make clears the posting once, and each
+// ciphertext writes only its value's bytes into its slot.
 func (b CtBundle) Encode(r *Runner) ([]byte, error) {
-	size := 0
-	for _, ct := range b {
-		size += ct.Size()
-	}
-	out := make([]byte, 0, size)
-	for _, ct := range b {
-		var err error
-		if out, err = r.TE.AppendCiphertext(out, ct); err != nil {
+	out, w := make([]byte, postlen.Posting{Ciphertexts: len(b)}.Len(r.Sizes)), r.Sizes.Ciphertext
+	for i, ct := range b {
+		if err := r.TE.PutCiphertext(out[i*w:(i+1)*w], ct); err != nil {
 			return nil, err
 		}
 	}
@@ -137,34 +146,38 @@ func (r *Runner) statement(label, roleName string) []byte {
 
 // Speak executes one role's speaking step and reports whether its posting is
 // accepted: its proof verifies, or, at an unattested step, it posted. Honest
-// roles post the payload from `honest` with an attested proof; malicious
-// roles post zero garbage of that payload's encoded length (an honest
-// posting's metered size) under a forged proof — an unattested step hands it
-// to the readers' decoding; fail-stop roles post nothing.
+// roles post the payload from `honest` with an attested proof. Malicious
+// roles never call honest: they post sp.Len zero bytes, the step's public
+// posting length, under a forged proof, or at an unattested step under none,
+// handing the garbage to the readers' decoding. Fail-stop roles post nothing.
 func Speak[T Payload](r *Runner, role *yoso.Role, sp Spec, honest func() (T, error)) (post Post[T], ok bool, err error) {
 	post.Index = role.Index
-	if role.Behavior == yoso.FailStop {
+	switch role.Behavior {
+	case yoso.FailStop:
 		return post, false, nil
-	}
-	if post.Payload, err = honest(); err == nil {
-		post.Wire, err = post.Payload.Encode(r)
-	}
-	if err != nil {
-		return post, false, fmt.Errorf("%s at %s: %w", role.Name(), sp.Label, err)
-	}
-	var proof nizk.Proof
-	if role.Behavior == yoso.Malicious {
-		var zero T
-		post.Payload, post.Wire, proof = zero, make([]byte, len(post.Wire)), r.Auth.Forge()
-	} else if !sp.Unattested {
-		proof = r.Auth.Attest(r.statement(sp.Label, role.Name()))
+	case yoso.Malicious:
+		post.Wire = make([]byte, sp.Len)
+	default:
+		if post.Payload, err = honest(); err == nil {
+			post.Wire, err = post.Payload.Encode(r)
+		}
+		if err != nil {
+			return post, false, fmt.Errorf("%s at %s: %w", role.Name(), sp.Label, err)
+		}
 	}
 	role.Post(sp.Phase, sp.Cat, post.Wire)
 	if sp.Unattested {
 		return post, true, nil
 	}
+	statement := r.statement(sp.Label, role.Name())
+	var proof nizk.Proof
+	if role.Behavior == yoso.Malicious {
+		proof = r.Auth.Forge()
+	} else {
+		proof = r.Auth.Attest(statement)
+	}
 	role.Post(sp.Phase, comm.CatProof, proof.Bytes())
-	return post, r.Auth.Verify(r.statement(sp.Label, role.Name()), proof), nil
+	return post, r.Auth.Verify(statement, proof), nil
 }
 
 // Step runs Speak for every member of a committee and returns the accepted

@@ -6,6 +6,7 @@ import (
 
 	"yosompc/internal/comm"
 	"yosompc/internal/pke"
+	"yosompc/internal/postlen"
 	"yosompc/internal/tte"
 	"yosompc/internal/yoso"
 )
@@ -23,13 +24,12 @@ type Opening struct {
 }
 
 // TskPost is the single message a tsk-holding member posts, held as the
-// posting itself. A posting that seals anything starts with its posting key
-// (pke.PostingKeySize bytes); its parts follow. Routing is positional: part
-// j answers opening j of the step's list, a partial in the clear for a
-// Decrypt and an envelope for a Re-encrypt, and the resharing envelopes
-// follow, slot j sealed to member j+1 of the next committee. Each envelope
-// is sealed at its part index, which every reader knows from the step's
-// public layout.
+// posting itself. A posting that seals anything starts with its posting
+// key; its parts follow. Routing is positional: part j answers opening j of
+// the step's list, a partial in the clear for a Decrypt and an envelope for
+// a Re-encrypt, and the resharing envelopes follow, slot j sealed to member
+// j+1 of the next committee. Each envelope is sealed at its part index,
+// which every reader knows from the step's public layout.
 type TskPost struct {
 	buf []byte
 	// ends[0] is where the posting key ends (0 when nothing is sealed) and
@@ -105,19 +105,25 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 	if len(shares) != c.N() {
 		return nil, fmt.Errorf("%s: committee %s was handed no tsk shares", sp.Label, c.Name)
 	}
-	nNext := 0
+	var size postlen.Posting
 	sp.openings = len(open)
 	for _, o := range open {
 		sp.values += max(o.Slots, 1)
+		if o.Key == nil {
+			size.Partials++
+		} else {
+			size.Sealed++
+		}
 	}
 	if next != nil {
-		nNext = next.N()
+		size.SubShares = next.N()
 	}
+	sp.Len = size.Len(r.Sizes)
 	posts, err := Step(r, c, sp, func(i int) (TskPost, error) {
 		if shares[i-1] == nil {
 			return TskPost{}, fmt.Errorf("role %d has no tsk share", i)
 		}
-		return r.tskPost(shares[i-1], open, next)
+		return r.tskPost(shares[i-1], open, next, sp.Len)
 	})
 	if err != nil {
 		return nil, err
@@ -126,7 +132,7 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 	// Transpose the verified postings into per-opening and per-recipient
 	// views beside one posting-key view per member; one backing array
 	// serves all of them.
-	views := make([][]byte, (1+len(open)+nNext)*len(posts))
+	views := make([][]byte, (1+len(open)+size.SubShares)*len(posts))
 	column := func(view func(TskPost) []byte) [][]byte {
 		col := views[:len(posts):len(posts)]
 		views = views[len(posts):]
@@ -154,7 +160,7 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 	}
 	tsk.shares, tsk.handoff = nil, nil
 	if next != nil {
-		tsk.handoff = make([]Envelopes, nNext)
+		tsk.handoff = make([]Envelopes, size.SubShares)
 		for j := range tsk.handoff {
 			tsk.handoff[j] = Envelopes{envs: part(len(open) + j), keys: keys, part: len(open) + j}
 		}
@@ -162,30 +168,27 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 	return res, nil
 }
 
-// tskPost writes one member's whole posting into a single buffer sized
-// exactly up front, from the encoders' own lengths: the posting key when
-// anything is sealed, then the partial decryptions of open — encoded in
-// place when in the clear, sealed in place to the opening's key otherwise —
-// followed by the resharing of sh to next's role keys. One pke.Sealer seals
-// every envelope, so the posting carries one posting key and each envelope
-// costs one key agreement. What gets sealed is encoded into one plaintext
-// scratch, as large as the largest of those encodings, that is wiped after
-// every use: the raw bytes carry the same secret as what they encode.
-func (r *Runner) tskPost(sh tte.KeyShare, open []Opening, next *yoso.Committee) (TskPost, error) {
+// tskPost writes one member's whole posting into a single buffer of the
+// step's posting length size: the posting key when anything is sealed, then
+// the partial decryptions of open — encoded in place when in the clear,
+// sealed in place to the opening's key otherwise — followed by the
+// resharing of sh to next's role keys. One pke.Sealer seals every envelope,
+// so the posting carries one posting key and each envelope costs one key
+// agreement. What gets sealed is encoded into one plaintext scratch, wiped
+// after every use: the raw bytes carry the same secret as what they encode.
+// On the real backend, whose widths are nominal, the buffers grow as the
+// encodings need.
+func (r *Runner) tskPost(sh tte.KeyShare, open []Opening, next *yoso.Committee, size int) (TskPost, error) {
 	parts := make([]tte.PartialDec, len(open))
 	var subs []tte.SubShare
 	var to pke.PublicKey // any recipient: it picks the posting key's backend
-	size, plainSize := 0, 0
 	for j, o := range open {
 		var err error
 		if parts[j], err = r.TE.PartialDecrypt(r.TPK, sh, o.Ct); err != nil {
 			return TskPost{}, err
 		}
-		n := r.TE.PartialLen(parts[j])
-		size += n
 		if o.Key != nil {
-			size += pke.EnvelopeOverhead
-			plainSize, to = max(plainSize, n), o.Key
+			to = o.Key
 		}
 	}
 	if next != nil {
@@ -196,20 +199,12 @@ func (r *Runner) tskPost(sh tte.KeyShare, open []Opening, next *yoso.Committee) 
 		if len(subs) != next.N() {
 			return TskPost{}, fmt.Errorf("resharing has %d sub-shares for %d next members", len(subs), next.N())
 		}
-		for _, sub := range subs {
-			n := r.TE.SubShareLen(sub)
-			size += n + pke.EnvelopeOverhead
-			plainSize = max(plainSize, n)
-		}
 		if len(subs) > 0 {
 			to = next.Role(1).PublicKey()
 		}
 	}
-	if to != nil {
-		size += pke.PostingKeySize
-	}
 	post := TskPost{buf: make([]byte, 0, size), ends: make([]int, 1, 1+len(open)+len(subs))}
-	plain := make([]byte, 0, plainSize)
+	plain := make([]byte, 0, max(r.Sizes.Partial, r.Sizes.SubShare))
 	var seal pke.Sealer
 	if to != nil {
 		var err error
@@ -292,32 +287,23 @@ func (r *Runner) Decrypted(label string, open []Opening, res *Opened) ([]*big.In
 
 // DealShares is the trusted dealer's delivery of the epoch-0 tsk shares to
 // the first tsk-holding committee (the paper's "give tsk_i to C_{1,i}"):
-// one posting, metered as setup bytes, in which one pke.Sealer seals share
-// i as part i under the receiving role's key, sized exactly from the
-// shares' encodings. The driver additionally hands the shares over
-// in-process.
+// one posting, metered as setup bytes and sized by postlen, in which one
+// pke.Sealer seals share i as part i under the receiving role's key. Each
+// share's encoding is wiped once sealed. The caller additionally hands the
+// shares over in-process.
 func (r *Runner) DealShares(c *yoso.Committee, shares []tte.KeyShare) (*Tsk, error) {
-	data := make([][]byte, len(shares))
-	defer func() {
-		for _, d := range data {
-			clear(d)
-		}
-	}()
-	size := pke.PostingKeySize
-	for i, sh := range shares {
-		var err error
-		if data[i], err = r.TE.EncodeKeyShare(sh); err != nil {
-			return nil, fmt.Errorf("encoding dealer tsk share %d: %w", i+1, err)
-		}
-		size += pke.EnvelopeOverhead + len(data[i])
-	}
 	var seal pke.Sealer
-	posting, err := seal.AppendKey(make([]byte, 0, size), c.Role(1).PublicKey())
+	posting, err := seal.AppendKey(make([]byte, 0, postlen.Posting{KeyShares: len(shares)}.Len(r.Sizes)), c.Role(1).PublicKey())
 	if err != nil {
 		return nil, fmt.Errorf("sealing the dealer's delivery: %w", err)
 	}
-	for i := range shares {
-		if posting, err = seal.AppendEncrypt(posting, i, c.Role(i+1).PublicKey(), data[i]); err != nil {
+	for i, sh := range shares {
+		data, err := r.TE.EncodeKeyShare(sh)
+		if err == nil {
+			posting, err = seal.AppendEncrypt(posting, i, c.Role(i+1).PublicKey(), data)
+		}
+		clear(data)
+		if err != nil {
 			return nil, fmt.Errorf("sealing dealer tsk share %d: %w", i+1, err)
 		}
 	}

@@ -543,6 +543,36 @@ func TestKeyUsageFlowAudit(t *testing.T) {
 	}
 }
 
+// A corrupt role posts garbage of its step's public length without running
+// the honest computation, so only members that follow the protocol open
+// anything: on a robust run with two malicious and one crashed member in
+// each committee of 14, 11 members per layer open a KFF secret and their
+// four batches' packed shares (28 and 112 in the all-honest run). Every
+// member that did not crash still recovers its tsk share, because recovery
+// precedes the step: OffRe's and OnC1's 13 each.
+func TestCorruptRolesOpenNothing(t *testing.T) {
+	circ, err := circuit.WideMul(8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := simParams(14, 3, 2, yoso.NewAdversary(2, 1, 7))
+	params.Robust = true
+	res := runAndCompare(t, params, circ, propertyInputs(circ, 1))
+	counts := map[ValueClass]int{}
+	for _, e := range res.Audit {
+		counts[e.Value]++
+	}
+	want := map[ValueClass]int{ValKFFSecret: 22, ValPackedShare: 88, ValTskShare: 26}
+	for val, n := range want {
+		if counts[val] != n {
+			t.Errorf("%s opened %d times, want %d", val, counts[val], n)
+		}
+	}
+	if len(res.Audit) != 168 {
+		t.Errorf("%d audit events, want 168", len(res.Audit))
+	}
+}
+
 // TestKFFsOnlyForMultiGroupLayers runs a circuit with one layer whose
 // members open their shares in two groups and one whose members open them
 // in one, on Sim with malicious and fail-stop members at the §5.4 margin

@@ -6,7 +6,9 @@ import (
 	"math"
 	"testing"
 
+	"yosompc/internal/committee"
 	"yosompc/internal/field"
+	"yosompc/internal/postlen"
 )
 
 // FuzzMuDecode: decodeMu is how every reader learns posted μ's, and what it
@@ -23,6 +25,8 @@ func FuzzMuDecode(f *testing.F) {
 	// 8·count wraps to 0.
 	f.Add([]byte{}, (math.MaxInt/field.ElementSize+1)*2)
 	f.Add(make([]byte, 8), -1)
+	z := postlen.SimSizes(512)
+	rt := &committee.Runner{Sizes: z}
 	f.Fuzz(func(t *testing.T, wire []byte, count int) {
 		// Encode followed by decode round-trips, for the elements the
 		// wire's 8-byte words reduce to.
@@ -30,17 +34,17 @@ func FuzzMuDecode(f *testing.F) {
 		for i := range vals {
 			vals[i] = field.New(binary.BigEndian.Uint64(wire[i*field.ElementSize:]))
 		}
-		enc, err := muBundle{vals: vals}.Encode(nil)
+		enc, err := muBundle{vals: vals}.Encode(rt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := decodeMu(enc, len(vals))
+		back, err := decodeMu(z, enc, len(vals))
 		if err != nil || !field.EqualVec(back.vals, vals) {
 			t.Fatalf("Encode then decode of %v gave %v, %v", vals, back.vals, err)
 		}
 
 		// The raw wire decodes exactly when it is count canonical words.
-		got, err := decodeMu(wire, count)
+		got, err := decodeMu(z, wire, count)
 		canonical := len(wire)%field.ElementSize == 0 && len(wire)/field.ElementSize == count
 		for i := 0; canonical && i < count; i++ {
 			canonical = binary.BigEndian.Uint64(wire[i*field.ElementSize:]) < field.Modulus
@@ -51,7 +55,7 @@ func FuzzMuDecode(f *testing.F) {
 		case !canonical && err == nil:
 			t.Fatalf("%d bytes accepted as %d elements", len(wire), count)
 		case canonical:
-			if re, _ := got.Encode(nil); !bytes.Equal(re, wire) {
+			if re, _ := got.Encode(rt); !bytes.Equal(re, wire) {
 				t.Fatalf("decoded %x re-encodes to %x", wire, re)
 			}
 		}

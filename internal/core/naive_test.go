@@ -8,6 +8,7 @@ import (
 	"yosompc/internal/comm"
 	"yosompc/internal/costmodel"
 	"yosompc/internal/pke"
+	"yosompc/internal/postlen"
 	"yosompc/internal/tte"
 )
 
@@ -103,7 +104,7 @@ func TestNaiveModelFromKFFRun(t *testing.T) {
 			if c.s != 0 && (o != c.o || s != c.s || kff != c.kff) {
 				t.Errorf("O = %d B, S = %d B and K = %d B, want %d, %d and %d", o, s, kff, c.o, c.s, c.kff)
 			}
-			z := costmodel.SimSizes(bits)
+			z := postlen.SimSizes(bits)
 			shape := modelShape(r)
 			rep := res.Report
 			measured := costmodel.Phases{

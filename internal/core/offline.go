@@ -21,7 +21,7 @@ func (r *run) initWireState() {
 	clients := len(r.p.circ.Clients())
 	r.inputOpen = make([][]group, clients)
 	r.outputOpen = make([][]group, clients)
-	r.lists = slotpack.ListsOf(r.p.circ, r.p.params.N, r.p.params.T, r.p.params.K, slotpack.Capacity(r.rt.TPK.MaxPlaintext()))
+	r.lists = slotpack.ListsOf(r.p.circ, r.p.params.N, r.p.params.T, r.p.params.K, r.rt.Sizes.SlotBits)
 	r.layerOpen = make([][][]group, len(r.lists.Layers))
 }
 

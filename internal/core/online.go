@@ -7,6 +7,7 @@ import (
 	"yosompc/internal/committee"
 	"yosompc/internal/field"
 	"yosompc/internal/pke"
+	"yosompc/internal/postlen"
 	"yosompc/internal/sharing"
 	"yosompc/internal/slotpack"
 	"yosompc/internal/tte"
@@ -208,21 +209,23 @@ func (r *run) openKFF(entry *kffEntry, ownerSK pke.SecretKey) (pke.SecretKey, er
 type muBundle struct{ vals []field.Element }
 
 // Encode implements committee.Payload.
-func (m muBundle) Encode(*committee.Runner) ([]byte, error) {
-	return field.AppendVecBytes(make([]byte, 0, len(m.vals)*field.ElementSize), m.vals), nil
+func (m muBundle) Encode(r *committee.Runner) ([]byte, error) {
+	return field.AppendVecBytes(make([]byte, 0, postlen.Posting{Elements: len(m.vals)}.Len(r.Sizes)), m.vals), nil
 }
 
 // decodeMu is Encode's inverse, the one way a reader learns posted μ's: it
-// accepts exactly count canonical elements, count·8 bytes, and refuses any
-// other posting, which the reader then counts as missing.
-func decodeMu(wire []byte, count int) (muBundle, error) {
-	if len(wire)%field.ElementSize != 0 || len(wire)/field.ElementSize != count {
+// accepts exactly count canonical elements, a posting of the length z gives
+// them, and refuses any other posting, which the reader then counts as
+// missing.
+func decodeMu(z postlen.Sizes, wire []byte, count int) (muBundle, error) {
+	// A count above the posting's length is refused before Len can wrap.
+	if count < 0 || count > len(wire) || len(wire) != (postlen.Posting{Elements: count}).Len(z) {
 		return muBundle{}, fmt.Errorf("μ posting of %d bytes, want %d values", len(wire), count)
 	}
 	vals := make([]field.Element, count)
 	for i := range vals {
 		var err error
-		if vals[i], err = field.FromBytes(wire[i*field.ElementSize:]); err != nil {
+		if vals[i], err = field.FromBytes(wire[i*z.Element:]); err != nil {
 			return muBundle{}, err
 		}
 	}
@@ -249,13 +252,13 @@ func (r *run) onlineInput(inputs map[int][]field.Element) error {
 			mus[j] = inputs[client][j].Sub(lambdas[j])
 		}
 		post, ok, err := committee.Speak(r.rt, role,
-			committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatInput, Label: "client-input"},
+			committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatInput, Label: "client-input", Len: postlen.Posting{Elements: len(inGates)}.Len(r.rt.Sizes)},
 			func() (muBundle, error) { return muBundle{vals: mus}, nil })
 		if err != nil {
 			return err
 		}
 		if ok {
-			post.Payload, err = decodeMu(post.Wire, len(inGates))
+			post.Payload, err = decodeMu(r.rt.Sizes, post.Wire, len(inGates))
 		}
 		if !ok || err != nil {
 			// A client whose input posting fails verification or decoding
@@ -360,7 +363,8 @@ func (r *run) onlineLayer(l int) error {
 	}
 
 	posted, err := committee.Step(r.rt, c,
-		committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatMu, Label: fmt.Sprintf("mu-layer%d", l+1), Unattested: p.Robust},
+		committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatMu, Label: fmt.Sprintf("mu-layer%d", l+1), Unattested: p.Robust,
+			Len: postlen.Posting{Elements: len(layerBatches)}.Len(r.rt.Sizes)},
 		computeShares)
 	if err != nil {
 		return err
@@ -369,7 +373,7 @@ func (r *run) onlineLayer(l int) error {
 	// posting is a missing share.
 	posts := posted[:0]
 	for _, post := range posted {
-		if post.Payload, err = decodeMu(post.Wire, len(layerBatches)); err == nil {
+		if post.Payload, err = decodeMu(r.rt.Sizes, post.Wire, len(layerBatches)); err == nil {
 			posts = append(posts, post)
 		}
 	}

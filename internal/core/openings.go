@@ -53,7 +53,6 @@ type group struct {
 // names the first such group in opening order, whichever worker met it
 // first.
 func (r *run) packGroups(step string, lists []openList) ([][]group, error) {
-	capacity := slotpack.Capacity(r.rt.TPK.MaxPlaintext())
 	type task struct {
 		list, group int
 		cts         []tte.Ciphertext
@@ -64,7 +63,7 @@ func (r *run) packGroups(step string, lists []openList) ([][]group, error) {
 		if len(l.cts) != len(l.widths) {
 			return nil, fmt.Errorf("%s: list %d has %d ciphertexts for %d planned slots", step, i, len(l.cts), len(l.widths))
 		}
-		plan := slotpack.Plan(l.widths, capacity)
+		plan := slotpack.Plan(l.widths, r.rt.Sizes.SlotBits)
 		out[i] = make([]group, len(plan))
 		for g, pg := range plan {
 			out[i][g].widths = pg.Widths

@@ -7,7 +7,6 @@ import (
 
 	"yosompc/internal/comm"
 	"yosompc/internal/pke"
-	"yosompc/internal/slotpack"
 	"yosompc/internal/yoso"
 )
 
@@ -35,7 +34,7 @@ func (r *run) setup() error {
 	if err != nil {
 		return fmt.Errorf("TKGen: %w", err)
 	}
-	r.rt.TPK = tpk
+	r.rt.SetKey(tpk)
 	r.dealt = shares
 	// Publishing tpk: the public key's real board announcement bytes.
 	tpkEnc, err := te.EncodePublicKey(tpk)
@@ -67,10 +66,9 @@ func (r *run) setup() error {
 	// take more than one group, as its key is unknown until the online
 	// phase forms the layer. A client's key is posted above, so OffDec seals
 	// its λ's to that key directly.
-	capacity := slotpack.Capacity(tpk.MaxPlaintext())
 	r.kff = make([][]kffEntry, len(r.lists.Layers))
 	for l := range r.kff {
-		if r.lists.NeedsKFF(l, capacity) {
+		if r.lists.NeedsKFF(l, r.rt.Sizes.SlotBits) {
 			if r.kff[l], err = r.mintKFFs(l + 1); err != nil {
 				return err
 			}

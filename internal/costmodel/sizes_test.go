@@ -4,21 +4,22 @@ import (
 	"math/big"
 	"testing"
 
-	"yosompc/internal/costmodel"
 	"yosompc/internal/field"
 	"yosompc/internal/nizk"
 	"yosompc/internal/pke"
+	"yosompc/internal/postlen"
 	"yosompc/internal/tte"
 )
 
 // TestSimSizesMatchEncodings pins every SimSizes field to the length of the
-// corresponding backend encoding. The cost model's closed-form predictions
-// are validated byte-for-byte against measured runs, so a drift between a
-// Sizes field and the real codec would silently skew every Table-1-scale
-// projection; this test makes that drift a failure at the source.
+// corresponding backend encoding. The cost model's predictions, sums of
+// postlen's posting lengths, are validated byte-for-byte against measured
+// runs, so a drift between a Sizes field and the real codec would silently
+// skew every Table-1-scale projection; this test makes that drift a failure
+// at the source.
 func TestSimSizesMatchEncodings(t *testing.T) {
 	const bits = 512
-	z := costmodel.SimSizes(bits)
+	z := postlen.SimSizes(bits)
 	te := tte.NewSim(bits)
 	pk, shares, err := te.KeyGen(5, 1)
 	if err != nil {
@@ -77,7 +78,7 @@ func TestSimSizesMatchEncodings(t *testing.T) {
 	if len(pub.Bytes()) != z.RoleKey {
 		t.Errorf("role key is %d bytes, SimSizes.RoleKey = %d", len(pub.Bytes()), z.RoleKey)
 	}
-	// Envelope overhead must hold for every payload length: costmodel terms
+	// Envelope overhead must hold for every payload length: postlen terms
 	// of the form PostingKey + m·(PKEOverhead+X) assume a posting is its key
 	// and then exactly PKEOverhead+len(msg) per envelope.
 	var seal pke.Sealer

@@ -43,16 +43,14 @@ type Codec interface {
 	DecodePartial(pk PublicKey, data []byte) (PartialDec, error)
 	AppendSubShare(dst []byte, s SubShare) ([]byte, error)
 	DecodeSubShare(pk PublicKey, data []byte) (SubShare, error)
-	// PartialLen and SubShareLen are the exact lengths AppendPartial and
-	// AppendSubShare write (0 for another backend's message), so a poster
-	// sizes its posting before writing it.
-	PartialLen(p PartialDec) int
-	SubShareLen(s SubShare) int
 	// EncodeCiphertext serializes a ciphertext as exactly Size() bytes;
 	// DecodeCiphertext re-attaches the public plaintext bound (nil means
-	// pk.MaxPlaintext()).
+	// pk.MaxPlaintext()). PutCiphertext writes the same bytes into dst,
+	// exactly Size() bytes that are already zero (a fresh posting's slot),
+	// writing only the value's.
 	EncodeCiphertext(ct Ciphertext) ([]byte, error)
 	AppendCiphertext(dst []byte, ct Ciphertext) ([]byte, error)
+	PutCiphertext(dst []byte, ct Ciphertext) error
 	DecodeCiphertext(pk PublicKey, bound *big.Int, data []byte) (Ciphertext, error)
 	// EncodeKeyShare serializes a key share for hand-off inside a PKE
 	// envelope.
@@ -74,8 +72,7 @@ var (
 // codec is the one Codec, embedded by both backends. scheme is the
 // backend's name, which its public keys carry. The pads are the sizes Sim
 // zero-extends its encodings to (zero on Threshold); valued says the key
-// shares and sub-shares carry values (Threshold's do, Sim's do not). It
-// also builds those two messages, whose wire size is the padded one.
+// shares and sub-shares carry values (Threshold's do, Sim's do not).
 type codec struct {
 	scheme                               string
 	partialPad, subSharePad, keySharePad int
@@ -84,20 +81,6 @@ type codec struct {
 
 // Name implements Scheme.
 func (c *codec) Name() string { return c.scheme }
-
-func (c *codec) newShare(index, epoch int, d *big.Int) *keyShare {
-	return &keyShare{index: index, epoch: epoch, d: d, size: max(c.keySharePad, byteLen(d))}
-}
-
-func (c *codec) newSub(from, to, epoch int, v *big.Int) *subShare {
-	sub := c.makeSub(from, to, epoch, v)
-	return &sub
-}
-
-// makeSub is newSub by value, for a slab of sub-shares.
-func (c *codec) makeSub(from, to, epoch int, v *big.Int) subShare {
-	return subShare{from: from, to: to, epoch: epoch, v: v, size: max(c.subSharePad, byteLen(v))}
-}
 
 // EncodePartial serializes a partial decryption.
 func (c *codec) EncodePartial(p PartialDec) ([]byte, error) { return c.AppendPartial(nil, p) }
@@ -111,26 +94,16 @@ func (c *codec) AppendPartial(dst []byte, p PartialDec) ([]byte, error) {
 	return appendBig(dst, c.partialPad, tagPartial, m.v, uint32(m.index), uint32(m.epoch)), nil //yosolint:vartime length-prefixed encoding is value-length dependent by construction; the envelope ciphertext size on the board reveals the same length
 }
 
-// PartialLen implements Codec.
-func (c *codec) PartialLen(p PartialDec) int {
-	m, ok := p.(*partial)
-	if !ok {
-		return 0
-	}
-	return bigLen(c.partialPad, 2, m.v)
-}
-
 // DecodePartial parses a partial decryption serialized by EncodePartial.
 func (c *codec) DecodePartial(pk PublicKey, data []byte) (PartialDec, error) {
-	p, err := c.pub(pk)
-	if err != nil {
+	if _, err := c.pub(pk); err != nil {
 		return nil, err
 	}
 	fields, v, err := decodeBig(tagPartial, 2, data)
 	if err != nil {
 		return nil, err
 	}
-	return &partial{index: int(fields[0]), epoch: int(fields[1]), v: v, size: p.ctBytes}, nil
+	return &partial{index: int(fields[0]), epoch: int(fields[1]), v: v}, nil
 }
 
 // AppendSubShare appends sub's encoding to dst.
@@ -142,15 +115,6 @@ func (c *codec) AppendSubShare(dst []byte, sub SubShare) ([]byte, error) {
 	return appendBig(dst, c.subSharePad, tagSubShare, s.v, uint32(s.from), uint32(s.to), uint32(s.epoch)), nil //yosolint:vartime length-prefixed encoding is value-length dependent by construction; the envelope ciphertext size on the board reveals the same length
 }
 
-// SubShareLen implements Codec.
-func (c *codec) SubShareLen(sub SubShare) int {
-	s, ok := sub.(*subShare)
-	if !ok {
-		return 0
-	}
-	return bigLen(c.subSharePad, 3, s.v)
-}
-
 // DecodeSubShare parses a sub-share serialized by AppendSubShare.
 func (c *codec) DecodeSubShare(pk PublicKey, data []byte) (SubShare, error) {
 	if _, err := c.pub(pk); err != nil {
@@ -160,22 +124,37 @@ func (c *codec) DecodeSubShare(pk PublicKey, data []byte) (SubShare, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.newSub(int(fields[0]), int(fields[1]), int(fields[2]), v), nil
+	return &subShare{from: int(fields[0]), to: int(fields[1]), epoch: int(fields[2]), v: v}, nil
 }
 
 // EncodeCiphertext serializes a ciphertext as Size() fixed-width bytes.
 func (c *codec) EncodeCiphertext(ct Ciphertext) ([]byte, error) { return c.AppendCiphertext(nil, ct) }
 
-// AppendCiphertext appends ct's Size() fixed-width bytes to dst.
+// AppendCiphertext appends ct's Size() fixed-width bytes to dst, whose
+// spare capacity may hold old bytes: it clears them, then puts ct.
 func (c *codec) AppendCiphertext(dst []byte, ct Ciphertext) ([]byte, error) {
 	x, err := asCiphertext(ct)
 	if err != nil {
 		return dst, err
 	}
-	if x.value.Sign() < 0 || x.value.BitLen() > 8*x.size {
-		return dst, fmt.Errorf("%w: ciphertext value exceeds %d bytes", ErrMalformedMessage, x.size)
+	out := slices.Grow(dst, x.size)[:len(dst)+x.size]
+	clear(out[len(dst):])
+	if err := c.PutCiphertext(out[len(dst):], ct); err != nil {
+		return dst, err
 	}
-	return appendAbs(dst, x.value, x.size), nil
+	return out, nil
+}
+
+// PutCiphertext writes ct into dst, Size() zero bytes.
+func (c *codec) PutCiphertext(dst []byte, ct Ciphertext) error {
+	x, err := asCiphertext(ct)
+	if err == nil && (len(dst) != x.size || x.value.Sign() < 0 || x.value.BitLen() > 8*x.size) {
+		err = fmt.Errorf("%w: ciphertext of %d bytes at most, in a %d-byte slot", ErrMalformedMessage, x.size, len(dst))
+	}
+	if err == nil {
+		putAbs(dst, x.value)
+	}
+	return err
 }
 
 // DecodeCiphertext parses a fixed-width ciphertext. bound is the public
@@ -259,7 +238,7 @@ func appendBig(dst []byte, pad int, tag byte, v *big.Int, fields ...uint32) []by
 		v = new(big.Int)
 	}
 	start, vlen := len(dst), byteLen(v)
-	dst = slices.Grow(dst, bigLen(pad, len(fields), v))
+	dst = slices.Grow(dst, max(pad, 1+4*len(fields)+1+4+vlen))
 	dst = append(dst, tag)
 	for _, f := range fields {
 		dst = binary.BigEndian.AppendUint32(dst, f)
@@ -273,21 +252,25 @@ func appendBig(dst []byte, pad int, tag byte, v *big.Int, fields ...uint32) []by
 	return padTo(appendAbs(dst, v, vlen), start+pad)
 }
 
-// bigLen is the length of appendBig's encoding of v with nFields fields.
-func bigLen(pad, nFields int, v *big.Int) int {
-	return max(pad, 1+4*nFields+1+4+byteLen(v))
-}
-
 // appendAbs appends |v| as exactly n big-endian bytes; n must cover v. It
-// writes v's words whole, from the last byte back, and only the top word's
-// bytes one by one, since big.Int's FillBytes scans every byte it fills and
-// OnC1 encodes a packed group's Sim partial per layer role online; then it
-// clears the leading zeros: a Sim ciphertext is a few value bytes in a
-// Size()-wide field.
+// clears the leading zeros, since dst's spare capacity may hold old bytes (a
+// reused scratch), then writes v with putAbs.
 func appendAbs(dst []byte, v *big.Int, n int) []byte {
 	off := len(dst)
 	dst = slices.Grow(dst, n)[:off+n]
-	i := off + n
+	clear(dst[off : off+n-byteLen(v)])
+	putAbs(dst[off:], v)
+	return dst
+}
+
+// putAbs writes |v| big-endian into the last bytes of dst, which must cover
+// it, and leaves the bytes before them as they are: a Sim ciphertext is a
+// few value bytes in a Size()-wide field. It writes v's words whole, from
+// the last byte back, and only the top word's bytes one by one, since
+// big.Int's FillBytes scans every byte it fills and OnC1 encodes a packed
+// group's Sim partial per layer role online.
+func putAbs(dst []byte, v *big.Int) {
+	i := len(dst)
 	lead := i - byteLen(v)
 	for _, w := range v.Bits() {
 		if i-wordBytes < lead {
@@ -304,8 +287,6 @@ func appendAbs(dst []byte, v *big.Int, n int) []byte {
 			binary.BigEndian.PutUint32(dst[i:], uint32(w))
 		}
 	}
-	clear(dst[off:lead])
-	return dst
 }
 
 // wordBytes is the size of a big.Word.

@@ -32,7 +32,7 @@ func (s *Threshold) PartialDecryptNaive(pk PublicKey, sh KeyShare, ct Ciphertext
 	if err != nil {
 		return nil, err
 	}
-	return &partial{index: tsh.index, epoch: tsh.epoch, v: v, size: tpk.ctBytes}, nil
+	return &partial{index: tsh.index, epoch: tsh.epoch, v: v}, nil
 }
 
 // CombineNaive is the reference for Combine: one exponentiation per

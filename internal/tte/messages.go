@@ -6,8 +6,9 @@ import (
 	"slices"
 )
 
-// The TE messages, one type per kind for both backends: metadata, the value
-// the real scheme computes with, and the wire size. On Sim a ciphertext's
+// The TE messages, one type per kind for both backends: metadata and the
+// value the real scheme computes with, and a ciphertext's wire size (the
+// other messages' widths are internal/postlen's). On Sim a ciphertext's
 // and a partial's value is the plaintext itself, and key shares and
 // sub-shares carry none (nil). A ciphertext's value and bound are never
 // modified once it exists, so they are shared: one bound serves an
@@ -42,33 +43,27 @@ func (c *ciphertext) Size() int       { return c.size }
 type keyShare struct {
 	index, epoch int
 	d            *big.Int //yosolint:secret key-share evaluation d_i = F(i); signed after resharing
-	size         int
 }
 
 func (s *keyShare) Index() int { return s.index }
 func (s *keyShare) Epoch() int { return s.epoch }
-func (s *keyShare) Size() int  { return s.size }
 
 type partial struct {
 	index, epoch int
 	v            *big.Int //yosolint:secret partial decryption c^(2Δ·d_i) mod N² (Sim: the plaintext), secret until intentionally combined
-	size         int
 }
 
 func (p *partial) Index() int { return p.index }
 func (p *partial) Epoch() int { return p.epoch }
-func (p *partial) Size() int  { return p.size }
 
 type subShare struct {
 	from, to int
 	epoch    int      // epoch of the share being reshared
 	v        *big.Int //yosolint:secret resharing evaluation f_from(to), blinds the next-epoch share
-	size     int
 }
 
 func (s *subShare) From() int { return s.from }
 func (s *subShare) To() int   { return s.to }
-func (s *subShare) Size() int { return s.size }
 
 // byteLen is the big-endian length of |v|, 0 for no value.
 func byteLen(v *big.Int) int {

@@ -34,7 +34,7 @@ func NewSim(modulusBits int) *Sim {
 }
 
 // The modelled wire sizes in bytes — the one table of them: the codec
-// pads every encoding to these and costmodel.SimSizes reads them.
+// pads every encoding to these and postlen.SimSizes reads them.
 
 // CiphertextSize is an element of Z_{N²}.
 func (s *Sim) CiphertextSize() int { return s.ModulusBits / 4 }
@@ -63,7 +63,7 @@ func (s *Sim) KeyGen(n, t int) (PublicKey, []KeyShare, error) {
 	}
 	shares := make([]KeyShare, n)
 	for i := range shares {
-		shares[i] = s.newShare(i+1, 0, nil)
+		shares[i] = &keyShare{index: i + 1}
 	}
 	return &publicKey{scheme: s.scheme, n: n, t: t, maxPlain: s.MaxPlaintext(), ctBytes: s.CiphertextSize()}, shares, nil
 }
@@ -123,11 +123,11 @@ func (s *Sim) Eval(pk PublicKey, cts []Ciphertext, coeffs []*big.Int) (Ciphertex
 // PartialDecrypt implements TPDec. The partial holds the ciphertext's
 // value, which neither ever modifies.
 func (s *Sim) PartialDecrypt(pk PublicKey, sh KeyShare, ct Ciphertext) (PartialDec, error) {
-	p, k, c, err := s.operands(pk, sh, ct)
+	_, k, c, err := s.operands(pk, sh, ct)
 	if err != nil {
 		return nil, err
 	}
-	return &partial{index: k.index, epoch: k.epoch, v: c.value, size: p.ctBytes}, nil
+	return &partial{index: k.index, epoch: k.epoch, v: c.value}, nil
 }
 
 // Combine implements TDec: the majority value among > t partials with
@@ -172,7 +172,7 @@ func (s *Sim) Reshare(pk PublicKey, sh KeyShare) ([]SubShare, error) {
 	subs := make([]SubShare, p.n)
 	slab := make([]subShare, p.n)
 	for j := range subs {
-		slab[j] = s.makeSub(k.index, j+1, k.epoch, nil)
+		slab[j] = subShare{from: k.index, to: j + 1, epoch: k.epoch}
 		subs[j] = &slab[j]
 	}
 	return subs, nil
@@ -184,15 +184,14 @@ func (s *Sim) RecoverShare(pk PublicKey, index int, subs []SubShare) (KeyShare, 
 	if err != nil {
 		return nil, err
 	}
-	return s.newShare(index, epoch+1, nil), nil
+	return &keyShare{index: index, epoch: epoch + 1}, nil
 }
 
 // SimPartialDecrypt implements the Simulator hook trivially: the ideal
 // functionality can always open to the target.
 func (s *Sim) SimPartialDecrypt(pk PublicKey, _ Ciphertext, target *big.Int,
 	corrupt []KeyShare, honest []int) ([]PartialDec, error) {
-	p, err := s.pub(pk)
-	if err != nil {
+	if _, err := s.pub(pk); err != nil {
 		return nil, err
 	}
 	epoch := 0
@@ -202,7 +201,7 @@ func (s *Sim) SimPartialDecrypt(pk PublicKey, _ Ciphertext, target *big.Int,
 	sort.Ints(honest)
 	out := make([]PartialDec, len(honest))
 	for i, j := range honest {
-		out[i] = &partial{index: j, epoch: epoch, v: new(big.Int).Set(target), size: p.ctBytes}
+		out[i] = &partial{index: j, epoch: epoch, v: new(big.Int).Set(target)}
 	}
 	return out, nil
 }

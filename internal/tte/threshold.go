@@ -67,7 +67,7 @@ func (s *Threshold) KeyGen(n, t int) (PublicKey, []KeyShare, error) {
 	}
 	shares := make([]KeyShare, n)
 	for i := 1; i <= n; i++ {
-		shares[i-1] = s.newShare(i, 0, evalIntPoly(coeffs, i, nm)) //yosolint:vartime dealer-side keygen evaluation of the key-sharing polynomial; stdlib math/big only
+		shares[i-1] = &keyShare{index: i, d: evalIntPoly(coeffs, i, nm)} //yosolint:vartime dealer-side keygen evaluation of the key-sharing polynomial; stdlib math/big only
 	}
 	return &publicKey{scheme: s.scheme, n: n, t: t, delta: factorial(n),
 		maxPlain: new(big.Int).Rsh(s.dealer.N, 2), ctBytes: (s.dealer.N2.BitLen() + 7) / 8}, shares, nil
@@ -165,7 +165,7 @@ func (s *Threshold) PartialDecrypt(pk PublicKey, sh KeyShare, ct Ciphertext) (Pa
 	if err != nil {
 		return nil, err
 	}
-	return &partial{index: k.index, epoch: k.epoch, v: v, size: p.ctBytes}, nil
+	return &partial{index: k.index, epoch: k.epoch, v: v}, nil
 }
 
 // Combine implements TDec: c' = Π v_i^(2Λ_i) where Λ_i = Δ·λ_i(0), then the
@@ -263,7 +263,7 @@ func (s *Threshold) Reshare(pk PublicKey, sh KeyShare) ([]SubShare, error) {
 	}
 	subs := make([]SubShare, p.n)
 	for j := 1; j <= p.n; j++ {
-		subs[j-1] = s.newSub(k.index, j, k.epoch, evalIntPoly(coeffs, j, nil)) //yosolint:vartime role-side resharing of its own key share; stdlib math/big only, residual risk documented in docs/STATIC_ANALYSIS.md
+		subs[j-1] = &subShare{from: k.index, to: j, epoch: k.epoch, v: evalIntPoly(coeffs, j, nil)} //yosolint:vartime role-side resharing of its own key share; stdlib math/big only, residual risk documented in docs/STATIC_ANALYSIS.md
 	}
 	return subs, nil
 }
@@ -290,7 +290,7 @@ func (s *Threshold) RecoverShare(pk PublicKey, index int, subs []SubShare) (KeyS
 	for i, sub := range ss {
 		d.Add(d, term.Mul(lambdas[i], sub.v))
 	}
-	return s.newShare(index, epoch+1, d), nil
+	return &keyShare{index: index, epoch: epoch + 1, d: d}, nil
 }
 
 // SimPartialDecrypt implements SimTPDec (Definition 2). Given the true
@@ -373,7 +373,7 @@ func (s *Threshold) SimPartialDecrypt(pk PublicKey, ct Ciphertext, target *big.I
 		if err != nil {
 			return nil, err
 		}
-		out[i] = &partial{index: j, epoch: epoch, v: v, size: p.ctBytes}
+		out[i] = &partial{index: j, epoch: epoch, v: v}
 	}
 	return out, nil
 }

@@ -50,8 +50,6 @@ type KeyShare interface {
 	Index() int
 	// Epoch returns how many resharings this share has been through.
 	Epoch() int
-	// Size returns the share's size in bytes on the wire.
-	Size() int
 }
 
 // PartialDec is one party's partial decryption of a ciphertext.
@@ -60,8 +58,6 @@ type PartialDec interface {
 	Index() int
 	// Epoch returns the key epoch the partial was produced under.
 	Epoch() int
-	// Size returns the partial's size in bytes on the wire.
-	Size() int
 }
 
 // SubShare is one resharing message: party i's contribution to party j's
@@ -71,8 +67,6 @@ type SubShare interface {
 	From() int
 	// To returns the receiving party's index.
 	To() int
-	// Size returns the subshare's size in bytes on the wire.
-	Size() int
 }
 
 // PublicKey is the threshold public key together with the committee

@@ -230,6 +230,17 @@ var structuralRules = []structuralRule{
 		skip:    []string{skipTests, skipTestdata, `^internal/committee/`},
 		hint:    "post a member's payload through committee.Speak or committee.Step",
 	},
+	// A posting's length is a function of public counts and the backend's
+	// widths (internal/postlen): the writers, the μ reader, a malicious
+	// member's garbage and internal/costmodel all take it from there. A
+	// width constant read anywhere else is a second length model.
+	{
+		name:    "one length model",
+		roots:   []string{"internal", "cmd", "examples", "*.go"},
+		pattern: `pke\.(PostingKeySize|EnvelopeOverhead)|field\.ElementSize`,
+		skip:    []string{skipTests, skipTestdata, `^internal/(postlen|pke|field)/`},
+		hint:    "take a posting's length from postlen.Posting.Len and a width from postlen.Sizes",
+	},
 }
 
 // TestStructuralRules holds the module to its one-mechanism-per-job rules.
