@@ -1,6 +1,7 @@
 // Command yosompc runs the packed YOSO MPC protocol (or the CDN baseline)
 // end to end on a chosen workload and prints the outputs and the
-// communication report.
+// communication report. It checks the outputs against the plaintext
+// evaluation of the circuit and exits with status 1 when they differ.
 //
 // Usage:
 //
@@ -14,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"yosompc"
 )
@@ -121,6 +123,10 @@ func main() {
 			fmt.Printf("client %d outputs: %v\n", client, vals)
 		}
 	}
+	wrong := checkOutputs(circ, inputs, res.Outputs)
+	if wrong != nil {
+		fmt.Fprintf(os.Stderr, "yosompc: %v\n", wrong)
+	}
 	if len(res.Excluded) > 0 {
 		fmt.Printf("excluded roles: %v\n", res.Excluded)
 	}
@@ -135,12 +141,30 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("\n%s\n", buf)
-		return
+	} else {
+		fmt.Printf("\ncommunication:\n%s", res.Report.String())
+		if m := circ.NumMul(); m > 0 {
+			fmt.Printf("online per gate: %.1f B\n", res.Report.PerGate("online", m))
+		}
 	}
-	fmt.Printf("\ncommunication:\n%s", res.Report.String())
-	if m := circ.NumMul(); m > 0 {
-		fmt.Printf("online per gate: %.1f B\n", res.Report.PerGate("online", m))
+	if wrong != nil {
+		os.Exit(1)
 	}
+}
+
+// checkOutputs compares every client's outputs with the plaintext
+// evaluation of circ on inputs.
+func checkOutputs(circ *yosompc.Circuit, inputs, outputs map[int][]yosompc.Value) error {
+	want, err := circ.Eval(inputs)
+	if err != nil {
+		return fmt.Errorf("plaintext evaluation: %w", err)
+	}
+	for _, client := range circ.Clients() {
+		if !slices.Equal(outputs[client], want[client]) {
+			return fmt.Errorf("client %d outputs %v, the plaintext evaluation gives %v", client, outputs[client], want[client])
+		}
+	}
+	return nil
 }
 
 // loadWorkload parses a circuit file and synthesizes deterministic inputs.

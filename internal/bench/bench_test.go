@@ -240,10 +240,10 @@ func TestTotalCost(t *testing.T) {
 	// packed protocol's total grows faster in n than the baseline's, whose
 	// offline phase has no Θ(n²) hand-off — the win is *where* the bytes
 	// are spent, not how many. Sim totals are exact: these are the
-	// Limitation rows of testdata/experiments.golden, ratios 0.86 and 0.66
+	// Limitation rows of testdata/experiments.golden, ratios 0.81 and 0.60
 	// (at n = 16 a layer member's shares fit one group, so the run mints no
 	// KFF and forms no OffRe; at n = 8 it does).
-	want := []TotalCostPoint{{N: 8, CoreTotal: 388875, BaselineTotal: 450619}, {N: 16, CoreTotal: 630260, BaselineTotal: 961083}}
+	want := []TotalCostPoint{{N: 8, CoreTotal: 363531, BaselineTotal: 450619}, {N: 16, CoreTotal: 579572, BaselineTotal: 961083}}
 	for i, p := range pts {
 		if p.N != want[i].N || p.CoreTotal != want[i].CoreTotal || p.BaselineTotal != want[i].BaselineTotal {
 			t.Errorf("n = %d: totals %d and %d B, want %d and %d B", p.N, p.CoreTotal, p.BaselineTotal, want[i].CoreTotal, want[i].BaselineTotal)

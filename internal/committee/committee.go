@@ -63,6 +63,12 @@ type Runner struct {
 	// its postings under it; SetKey sets both.
 	TPK   tte.PublicKey
 	Sizes postlen.Sizes
+	// Quorum is the speaker count the committees the run's role-addressed
+	// Re-encrypts reach need (core: the packed reconstruction threshold).
+	// A tsk committee of n answers each such opening from the window of
+	// postlen.Window(n, t, Quorum) members its role is owed (TskStep). Zero
+	// is t+1: every member answers.
+	Quorum int
 	// Workers is the resolved worker-pool size and Obs its (optional)
 	// per-task observer.
 	Workers int
@@ -104,7 +110,7 @@ type Spec struct {
 	// that of the zeros a malicious member posts.
 	Len int
 	// openings and values are what TskStep reports on the step span: the
-	// partial decryptions each member computes and the values they carry.
+	// openings the step answers and the values they carry.
 	openings, values int
 }
 

@@ -517,7 +517,7 @@ func TestTskPostIsExactlySized(t *testing.T) {
 			}
 			for _, to := range []*yoso.Committee{nil, next} {
 				size := postingLen(f.Sizes, open, to)
-				post, err := f.tskPost(dealt[0], open, to, size)
+				post, err := f.tskPost(1, dealt[0], open, testN, testN, to, size)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -916,7 +916,7 @@ func TestTskPostAllocations(t *testing.T) {
 		open[j] = Opening{Ct: f.encrypt(t, int64(j)), Key: pub}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := f.tskPost(dealt[0], open, next, postingLen(f.Sizes, open, next)); err != nil {
+		if _, err := f.tskPost(1, dealt[0], open, testN, testN, next, postingLen(f.Sizes, open, next)); err != nil {
 			t.Fatal(err)
 		}
 	})

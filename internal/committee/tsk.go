@@ -17,18 +17,42 @@ import (
 type Opening struct {
 	Ct  tte.Ciphertext
 	Key pke.PublicKey
+	// Role is the 1-based slot of the role Key belongs to when the opening
+	// is addressed to a role of a committee the size of the tsk committee,
+	// which then answers it from that role's window only (see window); 0,
+	// and always for a Decrypt, has every member answer.
+	Role int
 	// Slots is how many values Ct carries when its caller slot-packed it
 	// (internal/slotpack), 0 for a plain ciphertext. The step does not look
 	// inside: it only reports the count on its span.
 	Slots int
 }
 
+// window gives the members that answer an opening addressed to role of a
+// committee of n, in the order its reader walks them: member first and
+// the size − 1 after it, cyclically. A role's window is W_role = {role, …,
+// role+s−1} mod n, so every member answers exactly s of any n roles; an
+// opening addressed to no role is answered by all n, from member 1.
+func window(n, s, role int) (first, size int) {
+	if role == 0 {
+		return 1, n
+	}
+	return role, s
+}
+
+// answers reports whether member of a committee of n answers an opening
+// addressed to role under windows of s.
+func answers(n, s, role, member int) bool { return role == 0 || (member-role+n)%n < s }
+
 // TskPost is the single message a tsk-holding member posts, held as the
 // posting itself. A posting that seals anything starts with its posting
-// key; its parts follow. Routing is positional: part j answers opening j of
-// the step's list, a partial in the clear for a Decrypt and an envelope for
-// a Re-encrypt, and the resharing envelopes follow, slot j sealed to member
-// j+1 of the next committee. Each envelope is sealed at its part index,
+// key; its parts follow. Routing is positional: the member's parts answer,
+// in the step's order, the openings it answers — every Decrypt and every
+// Re-encrypt addressed to no role, and those addressed to a role whose
+// window holds the member — a partial in the clear for a Decrypt and an
+// envelope for a Re-encrypt; the resharing envelopes follow, slot j sealed
+// to member j+1 of the next committee. Each envelope is sealed at its
+// index in the step (opening j at j, sub-share j after the last opening),
 // which every reader knows from the step's public layout.
 type TskPost struct {
 	buf []byte
@@ -49,13 +73,16 @@ func (p TskPost) key() []byte { return p.buf[:p.ends[0]:p.ends[0]] }
 func (p TskPost) part(j int) []byte { return p.buf[p.ends[j]:p.ends[j+1]:p.ends[j+1]] }
 
 // Envelopes is one column of a tsk step's sealed parts: the envelope each
-// verified member sealed as part part of its posting, in member order, and
-// the posting key each sealed it under — views of the postings, the keys
-// shared by every column of the step.
+// verified member that answers it sealed at index part, in window order,
+// and the posting key each sealed it under — views of the postings, the
+// keys a slice of one column the whole step shares.
 type Envelopes struct {
 	envs, keys [][]byte
 	part       int
 }
+
+// Len is how many envelopes the column holds.
+func (e Envelopes) Len() int { return len(e.envs) }
 
 // Size is the bytes the column's envelopes take on the board.
 func (e Envelopes) Size() int {
@@ -85,16 +112,21 @@ type Opened struct {
 	Partials [][][]byte
 	Sealed   []Envelopes
 	// members[m] is the committee slot of the member whose posting view m of
-	// every opening lies in.
+	// every Decrypt lies in: every member answers a Decrypt.
 	members []int
 }
 
 // TskStep is the one thing a tsk-holding committee ever does: every member
-// partially decrypts each opening with its share — in the clear, or sealed
-// to the opening's key — and, when next is non-nil, reshares its tsk share
-// to next's role keys. The committee DealShares served uses the dealer's
-// shares; every later one first recovers its shares from the hand-off the
-// previous TskStep left.
+// partially decrypts each opening it answers with its share — in the
+// clear, or sealed to the opening's key — and, when next is non-nil,
+// reshares its tsk share to next's role keys. A Re-encrypt addressed to a
+// role is answered by that role's window of postlen.Window(n, t, r.Quorum)
+// members (window), every other opening by all n; the hand-off is never
+// windowed, since every recipient must recover its share from one set of
+// senders. The openings addressed to roles must give every member as many
+// to answer, so that every posting has the step's one length. The
+// committee DealShares served uses the dealer's shares; every later one
+// first recovers its shares from the hand-off the previous TskStep left.
 func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, next *yoso.Committee) (*Opened, error) {
 	if tsk.handoff != nil {
 		if err := r.recoverShares(tsk, c, sp.Phase); err != nil {
@@ -105,15 +137,14 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 	if len(shares) != c.N() {
 		return nil, fmt.Errorf("%s: committee %s was handed no tsk shares", sp.Label, c.Name)
 	}
-	var size postlen.Posting
+	n, s := c.N(), postlen.Window(c.N(), r.TPK.T(), r.Quorum)
+	size, err := answered(open, n, s)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", sp.Label, err)
+	}
 	sp.openings = len(open)
 	for _, o := range open {
 		sp.values += max(o.Slots, 1)
-		if o.Key == nil {
-			size.Partials++
-		} else {
-			size.Sealed++
-		}
 	}
 	if next != nil {
 		size.SubShares = next.N()
@@ -123,26 +154,50 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 		if shares[i-1] == nil {
 			return TskPost{}, fmt.Errorf("role %d has no tsk share", i)
 		}
-		return r.tskPost(shares[i-1], open, next, sp.Len)
+		return r.tskPost(i, shares[i-1], open, n, s, next, sp.Len)
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Transpose the verified postings into per-opening and per-recipient
-	// views beside one posting-key view per member; one backing array
-	// serves all of them.
-	views := make([][]byte, (1+len(open)+size.SubShares)*len(posts))
-	column := func(view func(TskPost) []byte) [][]byte {
-		col := views[:len(posts):len(posts)]
-		views = views[len(posts):]
-		for m, p := range posts {
-			col[m] = view(p.Payload)
-		}
-		return col
+	// Transpose the verified postings into one column per opening and per
+	// hand-off recipient. at[m] is where member m's posting is in posts
+	// (−1: not verified) and read[x] the next part of posting x no column
+	// holds yet: each column walks its members in window order and takes
+	// each one's next part, so every member's parts are taken in the order
+	// it wrote them. A window's verified members follow each other
+	// cyclically in posts, so keys, the posting-key column twice over,
+	// holds any column's keys as one slice. One backing array serves every
+	// column.
+	at := make([]int, n+1)
+	for m := range at {
+		at[m] = -1
 	}
-	part := func(j int) [][]byte { return column(func(p TskPost) []byte { return p.part(j) }) }
-	keys := column(TskPost.key)
+	keys := make([][]byte, 2*len(posts))
+	for x, p := range posts {
+		at[p.Index] = x
+		keys[x], keys[len(posts)+x] = p.Payload.key(), p.Payload.key()
+	}
+	views := make([][]byte, 0, (size.Partials+size.Sealed+size.SubShares)*len(posts))
+	read := make([]int, len(posts))
+	column := func(role int) (col [][]byte, from int) {
+		first, members := window(n, s, role)
+		start := len(views)
+		for d := range members {
+			if x := at[(first-1+d)%n+1]; x >= 0 {
+				if len(views) == start {
+					from = x
+				}
+				views = append(views, posts[x].Payload.part(read[x]))
+				read[x]++
+			}
+		}
+		return views[start:len(views):len(views)], from
+	}
+	sealed := func(role, part int) Envelopes {
+		col, from := column(role)
+		return Envelopes{envs: col, keys: keys[from : from+len(col)], part: part}
+	}
 	res := &Opened{
 		Partials: make([][][]byte, len(open)),
 		Sealed:   make([]Envelopes, len(open)),
@@ -153,24 +208,62 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 	}
 	for j, o := range open {
 		if o.Key == nil {
-			res.Partials[j] = part(j)
+			res.Partials[j], _ = column(0)
 		} else {
-			res.Sealed[j] = Envelopes{envs: part(j), keys: keys, part: j}
+			res.Sealed[j] = sealed(o.Role, j)
 		}
 	}
 	tsk.shares, tsk.handoff = nil, nil
 	if next != nil {
 		tsk.handoff = make([]Envelopes, size.SubShares)
 		for j := range tsk.handoff {
-			tsk.handoff[j] = Envelopes{envs: part(len(open) + j), keys: keys, part: len(open) + j}
+			tsk.handoff[j] = sealed(0, len(open)+j)
 		}
 	}
 	return res, nil
 }
 
-// tskPost writes one member's whole posting into a single buffer of the
+// answered counts what each member of a committee of n answers of open
+// under windows of s: the Decrypts in the clear, the Re-encrypts sealed.
+// It refuses a Decrypt addressed to a role, a role outside the committee,
+// and openings whose windows would give two members different counts.
+func answered(open []Opening, n, s int) (postlen.Posting, error) {
+	var size postlen.Posting
+	perRole := make([]int, n+1)
+	for j, o := range open {
+		switch {
+		case o.Role < 0 || o.Role > n:
+			return size, fmt.Errorf("opening %d is addressed to role %d of a committee of %d", j, o.Role, n)
+		case o.Key == nil && o.Role != 0:
+			return size, fmt.Errorf("opening %d is a Decrypt addressed to role %d", j, o.Role)
+		case o.Key == nil:
+			size.Partials++
+		default:
+			perRole[o.Role]++
+		}
+	}
+	// Member m answers the roles m, m−1, …, m−s+1 (mod n): slide that
+	// window over the members and keep every count equal to member 1's.
+	first := 0
+	for m := 1; m <= n; m++ {
+		count := perRole[0]
+		for d := range s {
+			count += perRole[(m-1-d+n)%n+1]
+		}
+		if m == 1 {
+			first = count
+		} else if count != first {
+			return size, fmt.Errorf("member %d would answer %d Re-encrypts and member 1 %d: the openings addressed to roles are unbalanced", m, count, first)
+		}
+	}
+	size.Sealed = first
+	return size, nil
+}
+
+// tskPost writes member i's whole posting into a single buffer of the
 // step's posting length size: the posting key when anything is sealed, then
-// the partial decryptions of open — encoded in place when in the clear,
+// the partial decryptions of the openings it answers (answers, under
+// windows of s in a committee of n) — encoded in place when in the clear,
 // sealed in place to the opening's key otherwise — followed by the
 // resharing of sh to next's role keys. One pke.Sealer seals every envelope,
 // so the posting carries one posting key and each envelope costs one key
@@ -178,17 +271,23 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 // after every use: the raw bytes carry the same secret as what they encode.
 // On the real backend, whose widths are nominal, the buffers grow as the
 // encodings need.
-func (r *Runner) tskPost(sh tte.KeyShare, open []Opening, next *yoso.Committee, size int) (TskPost, error) {
-	parts := make([]tte.PartialDec, len(open))
+func (r *Runner) tskPost(i int, sh tte.KeyShare, open []Opening, n, s int, next *yoso.Committee, size int) (TskPost, error) {
+	mine := make([]int, 0, len(open)) // the openings member i answers
+	for j, o := range open {
+		if answers(n, s, o.Role, i) {
+			mine = append(mine, j)
+		}
+	}
+	parts := make([]tte.PartialDec, len(mine))
 	var subs []tte.SubShare
 	var to pke.PublicKey // any recipient: it picks the posting key's backend
-	for j, o := range open {
+	for p, j := range mine {
 		var err error
-		if parts[j], err = r.TE.PartialDecrypt(r.TPK, sh, o.Ct); err != nil {
+		if parts[p], err = r.TE.PartialDecrypt(r.TPK, sh, open[j].Ct); err != nil {
 			return TskPost{}, err
 		}
-		if o.Key != nil {
-			to = o.Key
+		if open[j].Key != nil {
+			to = open[j].Key
 		}
 	}
 	if next != nil {
@@ -203,7 +302,7 @@ func (r *Runner) tskPost(sh tte.KeyShare, open []Opening, next *yoso.Committee, 
 			to = next.Role(1).PublicKey()
 		}
 	}
-	post := TskPost{buf: make([]byte, 0, size), ends: make([]int, 1, 1+len(open)+len(subs))}
+	post := TskPost{buf: make([]byte, 0, size), ends: make([]int, 1, 1+len(mine)+len(subs))}
 	plain := make([]byte, 0, max(r.Sizes.Partial, r.Sizes.SubShare))
 	var seal pke.Sealer
 	if to != nil {
@@ -214,17 +313,17 @@ func (r *Runner) tskPost(sh tte.KeyShare, open []Opening, next *yoso.Committee, 
 		post.ends[0] = len(post.buf)
 	}
 
-	// Opening j is part j; an envelope is sealed at its part index.
-	for j, o := range open {
+	// An envelope answering opening j is sealed at j.
+	for p, j := range mine {
 		var err error
-		if o.Key != nil {
-			plain, err = r.TE.AppendPartial(plain[:0], parts[j])
+		if key := open[j].Key; key != nil {
+			plain, err = r.TE.AppendPartial(plain[:0], parts[p])
 			if err == nil {
-				post.buf, err = seal.AppendEncrypt(post.buf, j, o.Key, plain)
+				post.buf, err = seal.AppendEncrypt(post.buf, j, key, plain)
 			}
 			clear(plain)
 		} else {
-			post.buf, err = r.TE.AppendPartial(post.buf, parts[j]) //yosolint:owner a Decrypt opens to everyone: the partial is the public posting
+			post.buf, err = r.TE.AppendPartial(post.buf, parts[p]) //yosolint:owner a Decrypt opens to everyone: the partial is the public posting
 		}
 		if err != nil {
 			return TskPost{}, err
@@ -238,7 +337,7 @@ func (r *Runner) tskPost(sh tte.KeyShare, open []Opening, next *yoso.Committee, 
 		var err error
 		plain, err = r.TE.AppendSubShare(plain[:0], sub)
 		if err == nil {
-			post.buf, err = seal.AppendEncrypt(post.buf, len(post.ends)-1, next.Role(j+1).PublicKey(), plain)
+			post.buf, err = seal.AppendEncrypt(post.buf, len(open)+j, next.Role(j+1).PublicKey(), plain)
 		}
 		clear(plain)
 		if err != nil {

@@ -48,11 +48,11 @@ func TestNaiveModelFromKFFRun(t *testing.T) {
 		o, s, kff int64
 	}{
 		{name: "width 16", circ: build(circuit.WideMul(16, 1)), n: 16, t: 3, k: 4},
-		{name: "width 256", circ: build(circuit.WideMul(256, 1)), n: 16, t: 3, k: 4, o: 2_169_344, s: 2_027_520, kff: 135_168},
+		{name: "width 256", circ: build(circuit.WideMul(256, 1)), n: 16, t: 3, k: 4, o: 1_409_024, s: 1_267_200, kff: 84_480},
 		{name: "depth 2", circ: build(circuit.WideMul(8, 2)), n: 14, t: 3, k: 3},
 		{name: "depth 2 robust", circ: build(circuit.WideMul(8, 2)), n: 14, t: 3, k: 3, robust: true},
 		// Under a 512-bit key layer 1 has KFFs, layer 2 none.
-		{name: "mixed layers", circ: mixedLayers(t), n: 10, t: 2, k: 2, bits: 512, o: 46_760, s: 28_800, kff: 14_400},
+		{name: "mixed layers", circ: mixedLayers(t), n: 10, t: 2, k: 2, bits: 512, o: 41_000, s: 23_040, kff: 11_520},
 		// Every client receives Σxᵢ, so no output is early: OnC1 seals
 		// the output λ's beside the KFF secrets.
 		{name: "late outputs", circ: build(circuit.Statistics(4)), n: 14, t: 3, k: 3},

@@ -122,10 +122,11 @@ func (r *run) layerBatches(l int) []*batchState {
 // left/right/Γ shares into its groups, so the online phase evaluates
 // nothing, and, where some layer needs KFFs (slotpack.Lists.NeedsKFF), runs
 // the OffRe committee, which seals those layers' groups to the KFF of each
-// member's role (Step 6) and reshares tsk to OnC1. The Γ shares depend on ε,
-// so OffDec cannot seal them; every KFF is posted at setup, so OffRe speaks
-// before any input exists (it is called from offline()). OnC1 seals the
-// groups of every other layer.
+// member's role (Step 6), each from the role's window (committee.TskStep),
+// and reshares tsk to OnC1. The Γ shares depend on ε, so OffDec cannot
+// seal them; every KFF is posted at setup, so OffRe speaks before any
+// input exists (it is called from offline()). OnC1 seals the groups of
+// every other layer.
 func (r *run) offReSpeak() error {
 	n := r.p.params.N
 	var lists []openList
@@ -143,7 +144,7 @@ func (r *run) offReSpeak() error {
 			}
 			list := openList{cts: cts, widths: widths, into: &r.layerOpen[l][i]}
 			if r.kff[l] != nil {
-				list.key = r.kff[l][i].pub
+				list.key, list.role = r.kff[l][i].pub, i+1
 			}
 			lists = append(lists, list)
 		}
@@ -164,9 +165,11 @@ func (r *run) offReSpeak() error {
 // onC1Speak is the online "future key distribution", run once every input
 // is posted: OnC1 re-encrypts to each layer role's now-posted key either its
 // KFF secret key or, where the layer has no KFFs, the one group of its
-// packed shares, and the output λ's of the clients whose outputs are not
-// early (circuit.EarlyOutputs) to their setup keys. It is the last tsk
-// holder: OffDec and OffRe made every other opening the run needs.
+// packed shares, each from the role's window of n − 2(k−1) members
+// (committee.TskStep), and the output λ's of the clients whose outputs are
+// not early (circuit.EarlyOutputs) to their setup keys, from every member.
+// It is the last tsk holder: OffDec and OffRe made every other opening the
+// run needs.
 func (r *run) onC1Speak() error {
 	sp := committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatKFF, Label: "future-key-distribution"}
 	var seals []sealing
@@ -175,7 +178,7 @@ func (r *run) onC1Speak() error {
 			if r.kff[l] != nil {
 				groups = r.kff[l][i].secret
 			}
-			seals = append(seals, sealing{groups: groups, key: layer.Role(i + 1).PublicKey()})
+			seals = append(seals, sealing{groups: groups, key: layer.Role(i + 1).PublicKey(), role: i + 1})
 		}
 	}
 	late, err := r.packLists(sp.Label, r.outputLists(false))

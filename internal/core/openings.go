@@ -28,14 +28,18 @@ type openList struct {
 	cts    []tte.Ciphertext
 	widths []int
 	key    pke.PublicKey
-	into   *[]group
+	// role is the reader's slot when it is a layer role, whose Re-encrypts
+	// its window answers (committee.Opening.Role), 0 for a client.
+	role int
+	into *[]group
 }
 
-// sealing is one reader's packed groups and the key a Re-encrypt seals them
-// to.
+// sealing is one reader's packed groups, the key a Re-encrypt seals them
+// to and the reader's role slot (0: a client).
 type sealing struct {
 	groups []group
 	key    pke.PublicKey
+	role   int
 }
 
 // group is one slot-packed opening.
@@ -88,10 +92,11 @@ func (r *run) packGroups(step string, lists []openList) ([][]group, error) {
 	return out, err
 }
 
-// appendOpenings lists groups as a step's openings, to key (nil: to everyone).
-func appendOpenings(open []committee.Opening, groups []group, key pke.PublicKey) []committee.Opening {
+// appendOpenings lists groups as a step's openings, to key (nil: to
+// everyone) of role slot role (0: no role).
+func appendOpenings(open []committee.Opening, groups []group, key pke.PublicKey, role int) []committee.Opening {
 	for _, g := range groups {
-		open = append(open, committee.Opening{Ct: g.ct, Key: key, Slots: len(g.widths)})
+		open = append(open, committee.Opening{Ct: g.ct, Key: key, Role: role, Slots: len(g.widths)})
 	}
 	return open
 }
@@ -107,7 +112,7 @@ func (r *run) packLists(step string, lists []openList) ([]sealing, error) {
 	for j, gs := range groups {
 		*lists[j].into = gs
 		if lists[j].key != nil {
-			seals = append(seals, sealing{groups: gs, key: lists[j].key})
+			seals = append(seals, sealing{groups: gs, key: lists[j].key, role: lists[j].role})
 		}
 	}
 	return seals, nil
@@ -118,9 +123,9 @@ func (r *run) packLists(step string, lists []openList) ([]sealing, error) {
 // (and reshare tsk to next, when non-nil). It stores in each sealed group the
 // envelopes that answer it and returns dec's opened integers.
 func (r *run) tskStep(c *yoso.Committee, sp committee.Spec, dec []group, seals []sealing, next *yoso.Committee) ([]*big.Int, error) {
-	open := appendOpenings(nil, dec, nil)
+	open := appendOpenings(nil, dec, nil, 0)
 	for _, s := range seals {
-		open = appendOpenings(open, s.groups, s.key)
+		open = appendOpenings(open, s.groups, s.key, s.role)
 	}
 	res, err := r.rt.TskStep(r.tsk, c, sp, open, next)
 	if err != nil {

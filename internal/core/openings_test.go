@@ -422,11 +422,14 @@ func TestOperationCountsNeverExceedParent(t *testing.T) {
 		bits         int
 		long         bool
 		evals        int64
+		// seals pins the Re-encrypts addressed to layer roles, offline and
+		// online: each is partially decrypted and sealed once.
+		seals [2]int64
 	}{
-		{name: "real2048_wide", width: 2, depth: 1, n: 8, t: 2, k: 2, bits: 2047, evals: 82},
-		{name: "real512_deep", width: 4, depth: 6, n: 16, t: 3, k: 4, bits: 511, evals: 1135},
-		{name: "sim_boardd_n64", width: 128, depth: 2, n: 64, t: 15, k: 8, bits: 2048, long: true, evals: 32256},
-		{name: "sim_wide_n256", width: 128, depth: 1, n: 256, t: 63, k: 32, bits: 2048, long: true, evals: 40927},
+		{name: "real2048_wide", width: 2, depth: 1, n: 8, t: 2, k: 2, bits: 2047, evals: 82, seals: [2]int64{0, 48}},
+		{name: "real512_deep", width: 4, depth: 6, n: 16, t: 3, k: 4, bits: 511, evals: 1135, seals: [2]int64{0, 960}},
+		{name: "sim_boardd_n64", width: 128, depth: 2, n: 64, t: 15, k: 8, bits: 2048, long: true, evals: 32256, seals: [2]int64{25600, 6400}},
+		{name: "sim_wide_n256", width: 128, depth: 1, n: 256, t: 63, k: 32, bits: 2048, long: true, evals: 40927, seals: [2]int64{0, 49664}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.long && testing.Short() {
@@ -504,7 +507,11 @@ func TestOperationCountsNeverExceedParent(t *testing.T) {
 			// A layer whose member's shares take more than one group gives
 			// each of its roles a KFF, and OffRe, formed only then, seals the
 			// groups to it; OnC1 seals every other layer's groups straight to
-			// the role keys. OffDec seals the clients' groups.
+			// the role keys. OffDec seals the clients' groups. A tsk member
+			// answers a layer role only in the role's window, the
+			// n − 2(k−1) members the layer's quorum t + 2(k−1) + 1 leaves
+			// t + 1 of, so it seals s of every n roles' groups.
+			s := int64(tc.n - 2*(tc.k-1))
 			var kffs, sealedOff, sealedOn int64
 			for l, layer := range ls.Layers {
 				if ls.NeedsKFF(l, capacity) {
@@ -519,13 +526,16 @@ func TestOperationCountsNeverExceedParent(t *testing.T) {
 				offRe = 1
 			}
 			layers := sealedOff + sealedOn
+			if got := [2]int64{s * sealedOff, s * (kffs + sealedOn)}; got != tc.seals {
+				t.Errorf("the plan seals %v to layer roles offline and online, want %v", got, tc.seals)
+			}
 			random, beaver := ls.Contributions()
 			planned := map[string]counts{
-				"offline": {partials: n * (dec + ins + sealedOff + outs), combines: dec, opened: offRe * handoff,
-					sealed:    dealt + (1+offRe)*handoffSeals + n*(ins+sealedOff+outs),
+				"offline": {partials: n*(dec+ins+outs) + s*sealedOff, combines: dec, opened: offRe * handoff,
+					sealed:    dealt + (1+offRe)*handoffSeals + n*(ins+outs) + s*sealedOff,
 					encrypted: kffs + n*int64(random+beaver), evals: offline.evals},
-				"online": {partials: n * (kffs + sealedOn), combines: kffs + ins + layers + outs,
-					opened: handoff + q*(kffs+ins+layers+outs), sealed: n * (kffs + sealedOn)},
+				"online": {partials: s * (kffs + sealedOn), combines: kffs + ins + layers + outs,
+					opened: handoff + q*(kffs+ins+layers+outs), sealed: s * (kffs + sealedOn)},
 			}
 			for phase, got := range map[string]counts{"offline": offline, "online": online} {
 				if got != planned[phase] {

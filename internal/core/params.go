@@ -27,6 +27,11 @@
 //	          → one committee per multiplication layer publishes μ-shares
 //	          → each client unmasks its outputs v = μ + λ
 //
+// A Re-encrypt addressed to a layer role (OffRe's and OnC1's) is answered
+// by the role's window of n − 2(k−1) tsk members, not by all n: the layer
+// needs t + 2(k−1) + 1 speakers, so it tolerates no more absences than the
+// window leaves t + 1 answers through (committee.TskStep).
+//
 // All "everyone computes" steps (homomorphic evaluation over public
 // ciphertexts, share reconstruction from public postings) are executed once
 // by the driver, as any bulletin-board observer could.

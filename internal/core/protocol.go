@@ -196,13 +196,16 @@ type kffEntry struct {
 func (p *Protocol) newRun() *run {
 	assign := yoso.NewAssignment(p.board, p.params.PKE, p.params.Adversary)
 	// Committee manifests advertise the packed reconstruction quorum, so a
-	// board observer knows how many fail-stops each committee tolerates.
+	// board observer knows how many fail-stops each committee tolerates; a
+	// layer role's Re-encrypts need survive no more absences than that, so
+	// they are answered from its window (committee.Runner.Quorum).
 	assign.Quorum = p.params.ReconstructionThreshold()
 	audit := &Auditor{}
 	return &run{p: p, assign: assign, start: p.board.Report(), audit: audit, rt: &committee.Runner{
 		Board:   p.board,
 		Auth:    p.auth,
 		TE:      p.params.TE,
+		Quorum:  assign.Quorum,
 		Workers: p.params.EffectiveWorkers(),
 		ShareRecovered: func(phase comm.Phase) {
 			audit.Record(phase, ValTskShare, KeyRole)

@@ -120,14 +120,19 @@ func CoreWith(n, t, k int, shape Shape, z postlen.Sizes, opts CoreOptions) Phase
 	inGroups := groups(shape.Opened.Inputs...)
 	// kffCount counts the KFFs, one per role of a layer whose shares take
 	// more than one group (slotpack.Lists.NeedsKFF); the naive approach
-	// mints none.
-	var kffGroups, directGroups, kffCount int
+	// mints none. A tsk member answers a layer role's Re-encrypts only in
+	// that role's window, s of the layer's n roles, so what it seals to a
+	// layer is s roles' worth: kffGroups and kffSeals for OffRe and OnC1
+	// where the layer has KFFs, directGroups for OnC1 where it has none.
+	s := postlen.Window(n, t, t+2*(k-1)+1)
+	var kffGroups, kffSeals, directGroups, kffCount int
 	for l, layer := range shape.Opened.Layers {
 		if !opts.NoKFF && shape.Opened.NeedsKFF(l, z.SlotBits) {
-			kffGroups += n * groups(layer)
+			kffGroups += s * groups(layer)
+			kffSeals += s
 			kffCount += n
 		} else {
-			directGroups += n * groups(layer)
+			directGroups += s * groups(layer)
 		}
 	}
 	var earlyGroups, lateGroups int // output groups OffDec and OnC1 seal
@@ -160,15 +165,16 @@ func CoreWith(n, t, k int, shape Shape, z postlen.Sizes, opts CoreOptions) Phase
 	offline += attested(n, postlen.Posting{Partials: decGroups, Sealed: inGroups + earlyGroups, SubShares: n}, z)
 	if kffCount > 0 {
 		// OffRe: role keys, one envelope per packed-share group of every
-		// member of a layer with KFFs (Step 6), and tsk resharing to OnC1.
+		// member of a layer with KFFs in its window (Step 6), and tsk
+		// resharing to OnC1.
 		offline += N*int64(z.RoleKey) + attested(n, postlen.Posting{Sealed: kffGroups, SubShares: n}, z)
 	}
 
 	online := int64(shape.Depth) * N * int64(z.RoleKey) // layer committees' role keys
 	// OnC1: future key distribution — a KFF secret per role of a layer with
 	// KFFs, the packed-share groups of every other layer member under its
-	// role key — and one envelope per late output group.
-	online += attested(n, postlen.Posting{Sealed: kffCount + directGroups + lateGroups}, z)
+	// role key, each in its window — and one envelope per late output group.
+	online += attested(n, postlen.Posting{Sealed: kffSeals + directGroups + lateGroups}, z)
 	// Client inputs: μ per input wire + one proof per input client.
 	online += int64(postlen.Posting{Elements: shape.Inputs}.Len(z) + shape.InputClients*z.Proof)
 	// μ layers: one element per batch per role, plus one proof per role

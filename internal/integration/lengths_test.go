@@ -28,9 +28,13 @@ import (
 // On Sim every step of both protocols is covered: core's OffR, OffB, OffDec,
 // OffRe (the circuit has a layer with keys-for-future and one without),
 // OnC1 and μ layers, attested and robust, and the baseline's bOff1, bOff2,
-// layer and output committees. On the 512-bit key, whose tsk postings are
-// laid out in nominal widths, the ciphertext bundles and μ postings are
-// checked; their widths are exact there too.
+// layer and output committees. OffRe and OnC1 answer each layer role from
+// its window, s = n − 2(k−1) = 8 of the 10 members, so a member of either
+// seals 8 roles' worth: OffRe layer 1's two groups per role beside its
+// hand-off, OnC1 a KFF secret per layer-1 role and a group per layer-2 role
+// beside the late outputs. On the 512-bit key, whose tsk postings are laid
+// out in nominal widths, the ciphertext bundles and μ postings are checked;
+// their widths are exact there too.
 func TestPostingsHaveTheirScheduledLength(t *testing.T) {
 	b := circuit.NewBuilder()
 	x0, x1, y0, y1 := b.Input(0), b.Input(0), b.Input(1), b.Input(1)
@@ -47,6 +51,17 @@ func TestPostingsHaveTheirScheduledLength(t *testing.T) {
 	z := postlen.SimSizes(512)
 	mu := func(count int) postlen.Posting { return postlen.Posting{Elements: count} }
 	coreSteps := []string{"offR", "offB", "offDec", "offRe", "onC1", "on-layer1", "on-layer2"}
+	const s = n - 2*(k-1)
+	late := 0 // each client's outputs are one group
+	for _, client := range circ.Clients() {
+		if len(circ.OutputGates(client)) > 0 && !circ.EarlyOutputs()[client] {
+			late++
+		}
+	}
+	windowed := map[string]postlen.Posting{
+		"offRe " + string(comm.CatReencrypt): {Sealed: 2 * s, SubShares: n},
+		"onC1 " + string(comm.CatKFF):        {Sealed: 2*s + late},
+	}
 
 	runCore := func(params core.Params) *transport.Board {
 		params.Adversary = adversary()
@@ -120,10 +135,21 @@ func TestPostingsHaveTheirScheduledLength(t *testing.T) {
 						break
 					}
 				}
+				if p, ok := windowed[key]; ok && c.cats == nil {
+					seen[key] = true
+					if ls[0] != p.Len(z) {
+						t.Errorf("%s: postings of %d B, want %d: %d sealed in the windows", key, ls[0], p.Len(z), p.Sealed)
+					}
+				}
 			}
 			for _, step := range c.steps {
 				if !seen[step] {
 					t.Errorf("no posting of %s checked", step)
+				}
+			}
+			for key := range windowed {
+				if strings.HasPrefix(c.name, "core sim") && !seen[key] {
+					t.Errorf("no posting of %s checked against its window", key)
 				}
 			}
 		})

@@ -81,6 +81,14 @@ type Posting struct {
 	Partials, Sealed, SubShares, KeyShares int
 }
 
+// Window is how many members of a tsk committee of n answer a Re-encrypt
+// addressed to one role of a committee whose reconstruction needs quorum
+// speakers: n − quorum + t + 1, so that the n − quorum absences such a
+// committee tolerates still leave t + 1 answers. A quorum below t + 1 is
+// t + 1, where every member answers. Each member answers s of any n roles,
+// so what a tsk posting seals to a committee's roles is s/n of the whole.
+func Window(n, t, quorum int) int { return n - max(quorum, t+1) + t + 1 }
+
 // Len is the posting's length in bytes under z.
 func (p Posting) Len(z Sizes) int {
 	n := p.Ciphertexts*z.Ciphertext + p.Elements*z.Element + p.Partials*z.Partial +

@@ -191,7 +191,7 @@ func (s *Server) handle(conn net.Conn) {
 			if err != io.EOF {
 				// Past a frame it cannot read, the stream is out of step.
 				s.rejects.Inc()
-				writeAnswer(bw, 0, err)
+				writeAnswer(bw, 0, err, true)
 			}
 			return
 		}
@@ -225,7 +225,9 @@ func (s *Server) handle(conn net.Conn) {
 		if err != nil {
 			s.rejects.Inc()
 		}
-		if !writeAnswer(bw, seq, err) {
+		// A Mirror pipelines its post frames: while the next one is already
+		// buffered, its answer joins this one in the same write.
+		if !writeAnswer(bw, seq, err, br.Buffered() == 0) {
 			return
 		}
 	}
@@ -276,13 +278,13 @@ func (s *Server) dump(bw *bufio.Writer, since int) bool {
 	return bw.Flush() == nil
 }
 
-// writeAnswer writes and flushes the answer to one post frame: seq when
-// err is nil, and err's message otherwise.
-func writeAnswer(bw *bufio.Writer, seq int, err error) bool {
+// writeAnswer writes the answer to one post frame, seq when err is nil and
+// err's message otherwise, and flushes it when flush is set.
+func writeAnswer(bw *bufio.Writer, seq int, err error, flush bool) bool {
 	if _, err := bw.Write(appendAnswer(nil, seq, err)); err != nil {
 		return false
 	}
-	return bw.Flush() == nil
+	return !flush || bw.Flush() == nil
 }
 
 // appendAnswer appends a post answer frame: status ok and the entry's Seq

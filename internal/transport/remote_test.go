@@ -146,6 +146,70 @@ func TestRemotePostClaimedSizeMismatchRejected(t *testing.T) {
 	}
 }
 
+// Post frames sent back to back, as a Mirror pipelines them, are answered
+// in the order they were sent, a rejected one in its place, though the
+// server flushes its answers only once no further frame is buffered. The
+// deadline turns an answer left unflushed into a failure, not a hang.
+func TestPipelinedPostsAnsweredInOrder(t *testing.T) {
+	s := startServer(t)
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	const posts, liar = 64, 17
+	var frames []byte
+	for i := range posts {
+		claimed := 3
+		if i == liar {
+			claimed = 4
+		}
+		frames = append(frames, rawPostFrame(fmt.Sprintf("m/%d", i), "offline", "beaver", claimed, []byte{1, 2, byte(i)})...)
+	}
+	if _, err := conn.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	for i := range posts {
+		status, rest := readRawResponse(t, conn)
+		if i == liar {
+			if status != statusErr {
+				t.Fatalf("post %d: status %d, want the lie rejected", i, status)
+			}
+			continue
+		}
+		if status != statusOK || binary.BigEndian.Uint32(rest) != uint32(next) {
+			t.Fatalf("post %d: status %d, seq bytes %v; want Seq %d", i, status, rest, next)
+		}
+		next++
+	}
+	if s.Len() != posts-1 {
+		t.Errorf("server holds %d entries, want %d", s.Len(), posts-1)
+	}
+}
+
+// A lone post, with nothing behind it on the connection, still has its
+// answer flushed at once: a Client waits for it before posting again.
+func TestLonePostAnswered(t *testing.T) {
+	s := startServer(t)
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	for want := range 3 {
+		if seq, err := c.Post("c/1", comm.PhaseOnline, comm.CatMu, []byte{byte(want)}); err != nil || seq != want {
+			t.Fatalf("post %d: Seq %d, %v", want, seq, err)
+		}
+	}
+}
+
 // A frame is delimited by its length, so a post whose body does not
 // decode is refused like any other rejected post: answered with an error
 // and counted, and the connection stays usable for the next post.

@@ -58,7 +58,13 @@ func (a *Assignment) FormCommittee(name string, n int, phase comm.Phase) (*Commi
 		return nil, fmt.Errorf("yoso: encoding manifest for %q: %w", name, err)
 	}
 	a.board.Post("role-assignment", comm.PhaseSystem, comm.CatManifest, manWire)
-	behaviors := a.adv.Sample(n)
+	behaviors, chosen := a.adv.Chosen[name]
+	switch {
+	case !chosen:
+		behaviors = a.adv.Sample(n)
+	case len(behaviors) != n:
+		return nil, fmt.Errorf("yoso: %d behaviors chosen for committee %q of %d", len(behaviors), name, n)
+	}
 	c := &Committee{Name: name, Roles: make([]*Role, n)}
 	for i := 1; i <= n; i++ {
 		pub, sec, err := a.pke.GenerateKey()
@@ -117,6 +123,11 @@ type Adversary struct {
 	Leaky int
 	// Seed makes corruption patterns reproducible; 0 uses a fixed seed.
 	Seed int64
+	// Chosen, when it names a committee, gives that committee's behaviors
+	// in slot order in place of a sample: corruptions placed where they
+	// hurt most, as a test of a worst case beyond Definition 1's random
+	// ones. A committee it names draws nothing from the sampler.
+	Chosen map[string][]Behavior
 	// rng drives which roles the simulated adversary corrupts. This is
 	// environment modelling (Definition 1), not protocol randomness: a
 	// deterministic, seedable source is required so experiments reproduce,

@@ -211,6 +211,43 @@ func TestAdversarySampleClamps(t *testing.T) {
 	}
 }
 
+// A committee the adversary chose behaviors for takes exactly those, and
+// draws nothing from the sampler: the committees it does not name get the
+// patterns they get without it. A choice of the wrong length is refused.
+func TestAdversaryChosen(t *testing.T) {
+	chosen := []Behavior{Malicious, Malicious, FailStop, Honest, Honest}
+	sampled := func(adv *Adversary) [][]Behavior {
+		a, _ := newTestAssignment(adv)
+		var out [][]Behavior
+		for _, name := range []string{"a", "b", "c"} {
+			c, err := a.FormCommittee(name, 5, comm.PhaseOffline)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var bs []Behavior
+			for _, r := range c.Roles {
+				bs = append(bs, r.Behavior)
+			}
+			out = append(out, bs)
+		}
+		return out
+	}
+	plain := sampled(NewAdversary(1, 1, 7))
+	adv := NewAdversary(1, 1, 7)
+	adv.Chosen = map[string][]Behavior{"b": chosen}
+	got := sampled(adv)
+	if fmt.Sprint(got[1]) != fmt.Sprint(chosen) {
+		t.Errorf("committee b has %v, chosen %v", got[1], chosen)
+	}
+	if fmt.Sprint(got[0]) != fmt.Sprint(plain[0]) || fmt.Sprint(got[2]) != fmt.Sprint(plain[1]) {
+		t.Errorf("sampled committees %v and %v, want %v and %v", got[0], got[2], plain[0], plain[1])
+	}
+	a, _ := newTestAssignment(&Adversary{Chosen: map[string][]Behavior{"short": chosen[:4]}})
+	if _, err := a.FormCommittee("short", 5, comm.PhaseOffline); err == nil {
+		t.Error("4 behaviors chosen for a committee of 5 were accepted")
+	}
+}
+
 func TestAdversaryReproducible(t *testing.T) {
 	a1 := NewAdversary(2, 1, 42)
 	a2 := NewAdversary(2, 1, 42)
