@@ -106,8 +106,8 @@ type Spec struct {
 	// decoding corrects a lie (core's robust μ layers, Berlekamp–Welch).
 	Unattested bool
 	// Len is every posting's length at the step, postlen's of its public
-	// counts: an honest encoding's (nominally, for a real tsk posting) and
-	// that of the zeros a malicious member posts.
+	// counts: an honest encoding's, which Speak enforces, and that of the
+	// zeros a malicious member posts.
 	Len int
 	// openings and values are what TskStep reports on the step span: the
 	// openings the step answers and the values they carry.
@@ -152,7 +152,9 @@ func (r *Runner) statement(label, roleName string) []byte {
 
 // Speak executes one role's speaking step and reports whether its posting is
 // accepted: its proof verifies, or, at an unattested step, it posted. Honest
-// roles post the payload from `honest` with an attested proof. Malicious
+// roles post the payload from `honest` with an attested proof; an encoding
+// other than sp.Len bytes is refused, since readers lay every posting out
+// by the step's length. Malicious
 // roles never call honest: they post sp.Len zero bytes, the step's public
 // posting length, under a forged proof, or at an unattested step under none,
 // handing the garbage to the readers' decoding. Fail-stop roles post nothing.
@@ -166,6 +168,9 @@ func Speak[T Payload](r *Runner, role *yoso.Role, sp Spec, honest func() (T, err
 	default:
 		if post.Payload, err = honest(); err == nil {
 			post.Wire, err = post.Payload.Encode(r)
+		}
+		if err == nil && len(post.Wire) != sp.Len {
+			err = fmt.Errorf("posting is %d bytes, the step's length is %d", len(post.Wire), sp.Len)
 		}
 		if err != nil {
 			return post, false, fmt.Errorf("%s at %s: %w", role.Name(), sp.Label, err)

@@ -155,9 +155,9 @@ func TestTskStep(t *testing.T) {
 			// that member's own partial decryption or sub-share, sealed at
 			// its part index, and a malicious one is garbage of an honest
 			// posting's length.
-			// On Sim every part has its modelled size (pinned to the
-			// encodings by costmodel's TestSimSizesMatchEncodings).
-			partSize, subSize := f.Sizes.Partial, f.Sizes.SubShare
+			// Every part has its key-pinned width (pinned to the encodings
+			// by costmodel's TestSimSizesMatchEncodings).
+			partSize, subSize := f.Sizes.Ciphertext, f.Sizes.SubShare(0)
 			nSealed := strings.Count(tc.kinds, "r")
 			garbSize := (len(open)-nSealed)*partSize + nSealed*(partSize+pke.EnvelopeOverhead)
 			if next != nil {
@@ -248,10 +248,10 @@ func TestTskStep(t *testing.T) {
 							part++
 							continue // its key is gone with it
 						}
-						sub, err := openEnvelope(f.Runner, to.SecretKey(), key, part, env, f.TE.DecodeSubShare)
+						_, err := openEnvelope(f.Runner, to.SecretKey(), key, part, env, i+1, 0, f.subSharesTo(j+1))
 						part++
-						if err != nil || sub.From() != i+1 || sub.To() != j+1 {
-							t.Errorf("%s: resharing slot %d opens to %v, %v", role.Name(), j, sub, err)
+						if err != nil {
+							t.Errorf("%s: resharing slot %d does not open to a sub-share: %v", role.Name(), j, err)
 						}
 					}
 				}
@@ -305,7 +305,7 @@ func TestTskStep(t *testing.T) {
 					}
 					parts := make([]tte.PartialDec, len(verified))
 					for m, view := range res.Partials[j] {
-						if parts[m], err = f.TE.DecodePartial(f.TPK, view); err != nil {
+						if parts[m], err = f.TE.DecodePartial(f.TPK, res.members[m], 0, view); err != nil {
 							t.Fatalf("opening %d: partial %d: %v", j, m, err)
 						}
 						if parts[m].Index() != verified[m] || res.members[m] != verified[m] {
@@ -344,7 +344,7 @@ func TestTskStep(t *testing.T) {
 						if role.Behavior == yoso.FailStop {
 							continue
 						}
-						_, err := openEnvelope(f.Runner, role.SecretKey(), slot.keys[0], slot.part, slot.envs[0], f.TE.DecodeSubShare)
+						_, err := openEnvelope(f.Runner, role.SecretKey(), slot.keys[0], slot.part, slot.envs[0], slot.from[0], slot.epoch, f.subSharesTo(i+1))
 						if (err == nil) != (i == j) {
 							t.Errorf("member %d opening slot %d: err = %v", i+1, j, err)
 						}
@@ -501,38 +501,63 @@ func TestTskStepOneEphemeralKeyPerPosting(t *testing.T) {
 // backend's partials and sub-shares are not padded to the nominal widths,
 // so there the buffer grows as the encodings need.)
 func TestTskPostIsExactlySized(t *testing.T) {
-	t.Run("sim", func(t *testing.T) {
-		f, dealt := newFixtureOn(t, tte.NewSim(512), pke.NewSim(), nil)
-		next := f.form(t, "next")
-		for _, kinds := range []string{"dddd", "rrrr", "drdrdrdr", ""} {
-			open := make([]Opening, len(kinds))
-			for j, kind := range kinds {
-				open[j].Ct = f.encrypt(t, int64(j))
-				if kind == 'r' {
-					var err error
-					if open[j].Key, _, err = f.PKE.GenerateKey(); err != nil {
-						t.Fatal(err)
+	real, err := tte.NewThreshold(paillier.FixedTestKey(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []struct {
+		name   string
+		te     TE
+		scheme pke.Scheme
+	}{
+		{"sim", tte.NewSim(512), pke.NewSim()},
+		{"real", real, pke.NewECIES()},
+	} {
+		t.Run(b.name, func(t *testing.T) {
+			f, dealt := newFixtureOn(t, b.te, b.scheme, nil)
+			c, next := f.form(t, "c"), f.form(t, "next")
+			// A dealt share, and one recovered from a hand-off (epoch 1).
+			tsk, err := f.DealShares(c, dealt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.TskStep(tsk, c, Spec{Phase: comm.PhaseOnline, Cat: comm.CatReshare, Label: "reshare"}, nil, next); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.recoverShares(tsk, next, comm.PhaseOnline); err != nil {
+				t.Fatal(err)
+			}
+			for _, sh := range []tte.KeyShare{dealt[0], tsk.shares[0]} {
+				for _, kinds := range []string{"dddd", "rrrr", "drdrdrdr", ""} {
+					open := make([]Opening, len(kinds))
+					for j, kind := range kinds {
+						open[j].Ct = f.encrypt(t, int64(j))
+						if kind == 'r' {
+							if open[j].Key, _, err = f.PKE.GenerateKey(); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					for _, to := range []*yoso.Committee{nil, next} {
+						size := postingLen(f.Sizes, open, to, sh.Epoch())
+						post, err := f.tskPost(1, sh, open, testN, testN, to, size)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(post.buf) != size || cap(post.buf) != size {
+							t.Errorf("epoch %d, openings %q, resharing %v: posting of %d bytes has capacity %d, want both %d",
+								sh.Epoch(), kinds, to != nil, len(post.buf), cap(post.buf), size)
+						}
 					}
 				}
 			}
-			for _, to := range []*yoso.Committee{nil, next} {
-				size := postingLen(f.Sizes, open, to)
-				post, err := f.tskPost(1, dealt[0], open, testN, testN, to, size)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(post.buf) != size || cap(post.buf) != size {
-					t.Errorf("openings %q, resharing %v: posting of %d bytes has capacity %d, want both %d",
-						kinds, to != nil, len(post.buf), cap(post.buf), size)
-				}
-			}
-		}
-	})
+		})
+	}
 }
 
 // postingLen is the length of a tsk posting that answers open and, when next
-// is non-nil, reshares to next, under z.
-func postingLen(z postlen.Sizes, open []Opening, next *yoso.Committee) int {
+// is non-nil, reshares a key share of epoch to next, under z.
+func postingLen(z postlen.Sizes, open []Opening, next *yoso.Committee, epoch int) int {
 	var p postlen.Posting
 	for _, o := range open {
 		if o.Key == nil {
@@ -542,7 +567,7 @@ func postingLen(z postlen.Sizes, open []Opening, next *yoso.Committee) int {
 		}
 	}
 	if next != nil {
-		p.SubShares = next.N()
+		p.SubShares, p.Epoch = next.N(), epoch
 	}
 	return p.Len(z)
 }
@@ -553,7 +578,7 @@ func postingLen(z postlen.Sizes, open []Opening, next *yoso.Committee) int {
 // aborted step leaves no role able to post again or holding its key.
 func TestStepLeavesCommitteeSpoken(t *testing.T) {
 	f, _ := newFixtureOn(t, tte.NewSim(512), pke.NewSim(), nil)
-	sp := Spec{Phase: comm.PhaseOnline, Cat: comm.CatLambda, Label: "spoken"}
+	sp := Spec{Phase: comm.PhaseOnline, Cat: comm.CatLambda, Label: "spoken", Len: f.Sizes.Ciphertext}
 	for _, failAt := range []int{0, 3} {
 		c := f.form(t, fmt.Sprintf("spoken%d", failAt))
 		boom := fmt.Errorf("member %d cannot compute", failAt)
@@ -585,7 +610,7 @@ func TestStepLeavesCommitteeSpoken(t *testing.T) {
 func TestAuthoritiesKeepProtocolsApart(t *testing.T) {
 	core, _ := newFixtureOn(t, tte.NewSim(512), pke.NewSim(), nil)
 	base, _ := newFixtureOn(t, tte.NewSim(512), pke.NewSim(), nil)
-	sp := Spec{Phase: comm.PhaseOnline, Cat: comm.CatOutput, Label: "output"}
+	sp := Spec{Phase: comm.PhaseOnline, Cat: comm.CatOutput, Label: "output", Len: core.Sizes.Ciphertext}
 	role := core.form(t, "out").Role(1)
 	_, ok, err := Speak(core.Runner, role, sp, func() (CtBundle, error) { return CtBundle{core.encrypt(t, 5)}, nil })
 	if err != nil || !ok {
@@ -916,7 +941,7 @@ func TestTskPostAllocations(t *testing.T) {
 		open[j] = Opening{Ct: f.encrypt(t, int64(j)), Key: pub}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := f.tskPost(1, dealt[0], open, testN, testN, next, postingLen(f.Sizes, open, next)); err != nil {
+		if _, err := f.tskPost(1, dealt[0], open, testN, testN, next, postingLen(f.Sizes, open, next, 0)); err != nil {
 			t.Fatal(err)
 		}
 	})

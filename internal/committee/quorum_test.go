@@ -74,14 +74,21 @@ func spoil(t *testing.T, col Envelopes, which ...int) Envelopes {
 // openEnvelope opens one envelope, sealed under posting key key at part
 // part, into a fresh buffer and decodes it: a reader's step without the
 // quorum walk or its scratch.
-func openEnvelope[T any](r *Runner, sk pke.SecretKey, key []byte, part int, env []byte, decode func(tte.PublicKey, []byte) (T, error)) (T, error) {
+func openEnvelope[T any](r *Runner, sk pke.SecretKey, key []byte, part int, env []byte, from, epoch int, decode decoder[T]) (T, error) {
 	data, err := sk.AppendOpen(nil, key, part, env)
 	if err != nil {
 		var none T
 		return none, err
 	}
 	defer clear(data)
-	return decode(r.TPK, data)
+	return decode(r.TPK, from, epoch, data)
+}
+
+// subSharesTo decodes sub-shares as member to of the next committee does.
+func (f *fixture) subSharesTo(to int) decoder[tte.SubShare] {
+	return func(pk tte.PublicKey, from, epoch int, data []byte) (tte.SubShare, error) {
+		return f.TE.DecodeSubShare(pk, from, to, epoch, data)
+	}
 }
 
 // upTo returns 0, 1, …, n-1.
@@ -160,6 +167,7 @@ func TestQuorumDecryptCalls(t *testing.T) {
 	recovered := 0
 	f.ShareRecovered = func(comm.Phase) { recovered++ }
 	f.Workers = 1
+	spoiled := tsk.handoff
 	if err := f.recoverShares(tsk, next, sp.Phase); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +183,9 @@ func TestQuorumDecryptCalls(t *testing.T) {
 			t.Errorf("next/%d: %d opens to recover its share, want %d", i+1, *got, want)
 		}
 	}
-	// A member left with t openable sub-shares stops the step.
+	// A member left with t openable sub-shares stops the step. Recovering
+	// consumed the hand-off: put it back, at its epoch.
+	tsk.handoff, tsk.epoch = spoiled, 0
 	tsk.handoff[4] = spoil(t, handoff[4], upTo(testN)[testT:]...)
 	*nextOpened[4] = 0
 	_, err = f.TskStep(tsk, next, sp, nil, nil)
@@ -195,9 +205,9 @@ type probeTE struct {
 	bad     int
 }
 
-func (p *probeTE) DecodePartial(pk tte.PublicKey, data []byte) (tte.PartialDec, error) {
+func (p *probeTE) DecodePartial(pk tte.PublicKey, index, epoch int, data []byte) (tte.PartialDec, error) {
 	p.decoded.Add(1)
-	part, err := p.TE.DecodePartial(pk, data)
+	part, err := p.TE.DecodePartial(pk, index, epoch, data)
 	if err == nil && part.Index() == p.bad {
 		return nil, errors.New("probe: undecodable")
 	}
@@ -324,7 +334,7 @@ func TestQuorumMatchesOpeningEveryone(t *testing.T) {
 				var got *big.Int
 				if kind == 'r' {
 					for m := range res.Sealed[j].envs {
-						part, err := openEnvelope(f.Runner, recipients[j], res.Sealed[j].keys[m], res.Sealed[j].part, res.Sealed[j].envs[m], f.TE.DecodePartial)
+						part, err := openEnvelope(f.Runner, recipients[j], res.Sealed[j].keys[m], res.Sealed[j].part, res.Sealed[j].envs[m], res.Sealed[j].from[m], 0, f.TE.DecodePartial)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -333,14 +343,14 @@ func TestQuorumMatchesOpeningEveryone(t *testing.T) {
 					quorate = openSealed(f.Runner, recipients[j], res.Sealed[j], f.TE.DecodePartial)
 					got, err = f.CombineSealed(recipients[j], res.Sealed[j], open[j].Ct)
 				} else {
-					for _, view := range res.Partials[j] {
-						part, err := f.TE.DecodePartial(f.TPK, view)
+					for m, view := range res.Partials[j] {
+						part, err := f.TE.DecodePartial(f.TPK, res.members[m], 0, view)
 						if err != nil {
 							t.Fatal(err)
 						}
 						all = append(all, part)
 					}
-					if quorate, err = quorum(f.Runner, res.Partials[j], f.TE.DecodePartial); err == nil {
+					if quorate, err = quorum(f.Runner, res.Partials[j], res.members, 0, f.TE.DecodePartial); err == nil {
 						got, err = f.TE.Combine(f.TPK, open[j].Ct, quorate)
 					}
 				}
@@ -360,6 +370,7 @@ func TestQuorumMatchesOpeningEveryone(t *testing.T) {
 			}
 
 			// Recovered tsk shares, against TKRec over every sub-share.
+			handoff := tsk.handoff
 			if err := f.recoverShares(tsk, next, sp.Phase); err != nil {
 				t.Fatal(err)
 			}
@@ -372,8 +383,8 @@ func TestQuorumMatchesOpeningEveryone(t *testing.T) {
 					continue
 				}
 				var all []tte.SubShare
-				for m := range tsk.handoff[i].envs {
-					sub, err := openEnvelope(f.Runner, role.SecretKey(), tsk.handoff[i].keys[m], tsk.handoff[i].part, tsk.handoff[i].envs[m], f.TE.DecodeSubShare)
+				for m := range handoff[i].envs {
+					sub, err := openEnvelope(f.Runner, role.SecretKey(), handoff[i].keys[m], handoff[i].part, handoff[i].envs[m], handoff[i].from[m], 0, f.subSharesTo(i+1))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -504,10 +515,10 @@ func (k scratchKey) AppendOpen(dst, key []byte, part int, env []byte) ([]byte, e
 
 // freshWalk is a sealed walk without the scratch: the first t+1 envelopes
 // that open, each into a buffer of its own.
-func freshWalk[T any](r *Runner, sk pke.SecretKey, col Envelopes, decode func(tte.PublicKey, []byte) (T, error)) []T {
+func freshWalk[T any](r *Runner, sk pke.SecretKey, col Envelopes, decode decoder[T]) []T {
 	var got []T
 	for m := range col.envs {
-		if v, err := openEnvelope(r, sk, col.keys[m], col.part, col.envs[m], decode); err == nil && len(got) <= r.TPK.T() {
+		if v, err := openEnvelope(r, sk, col.keys[m], col.part, col.envs[m], col.from[m], col.epoch, decode); err == nil && len(got) <= r.TPK.T() {
 			got = append(got, v)
 		}
 	}
@@ -517,7 +528,7 @@ func freshWalk[T any](r *Runner, sk pke.SecretKey, col Envelopes, decode func(tt
 // scratchWalk is openSealed through a scratchKey, checking the scratch:
 // every open is handed one that is all zero, and so is every byte it ever
 // held once the walk is over.
-func scratchWalk[T any](t *testing.T, what string, r *Runner, sk pke.SecretKey, col Envelopes, decode func(tte.PublicKey, []byte) (T, error)) []T {
+func scratchWalk[T any](t *testing.T, what string, r *Runner, sk pke.SecretKey, col Envelopes, decode decoder[T]) []T {
 	t.Helper()
 	var bufs [][]byte
 	dirty := 0
@@ -585,11 +596,11 @@ func TestQuorumWalkWipesItsScratch(t *testing.T) {
 			// TKRec: member j+1 of next skips j mod (n−t) envelopes first.
 			for j, role := range next.Roles {
 				envs := spoil(t, tsk.handoff[j], upTo(j%(testN-testT))...)
-				wantSh, err := f.TE.RecoverShare(f.TPK, j+1, freshWalk(f.Runner, role.SecretKey(), envs, f.TE.DecodeSubShare))
+				wantSh, err := f.TE.RecoverShare(f.TPK, j+1, freshWalk(f.Runner, role.SecretKey(), envs, f.subSharesTo(j+1)))
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotSh, err := f.TE.RecoverShare(f.TPK, j+1, scratchWalk(t, role.Name(), f.Runner, role.SecretKey(), envs, f.TE.DecodeSubShare))
+				gotSh, err := f.TE.RecoverShare(f.TPK, j+1, scratchWalk(t, role.Name(), f.Runner, role.SecretKey(), envs, f.subSharesTo(j+1)))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -53,32 +53,23 @@ func answers(n, s, role, member int) bool { return role == 0 || (member-role+n)%
 // envelope for a Re-encrypt; the resharing envelopes follow, slot j sealed
 // to member j+1 of the next committee. Each envelope is sealed at its
 // index in the step (opening j at j, sub-share j after the last opening),
-// which every reader knows from the step's public layout.
-type TskPost struct {
-	buf []byte
-	// ends[0] is where the posting key ends (0 when nothing is sealed) and
-	// ends[j+1] where part j ends (part j+1 starts there). The offsets are
-	// the writer's in-memory bookkeeping and never cross the wire.
-	ends []int
-}
+// which every reader knows from the step's public layout, as it knows
+// every part's width (postlen.Sizes): where a part starts is the layout's,
+// never the posting's.
+type TskPost struct{ buf []byte }
 
 // Encode implements Payload: the member wrote its posting in place.
 func (p TskPost) Encode(*Runner) ([]byte, error) { return p.buf, nil }
 
-// key returns a view of the posting key, and part a view of part j. Their
-// capacities are clipped, so appending to a view can never write into its
-// neighbour.
-func (p TskPost) key() []byte { return p.buf[:p.ends[0]:p.ends[0]] }
-
-func (p TskPost) part(j int) []byte { return p.buf[p.ends[j]:p.ends[j+1]:p.ends[j+1]] }
-
 // Envelopes is one column of a tsk step's sealed parts: the envelope each
-// verified member that answers it sealed at index part, in window order,
-// and the posting key each sealed it under — views of the postings, the
-// keys a slice of one column the whole step shares.
+// verified member that answers it sealed at index part under a key share of
+// epoch, in window order, with its posting key and committee slot — views
+// of the postings, keys and slots slices of columns the step shares.
 type Envelopes struct {
 	envs, keys [][]byte
+	from       []int
 	part       int
+	epoch      int
 }
 
 // Len is how many envelopes the column holds.
@@ -100,6 +91,9 @@ type Tsk struct {
 	// resharing envelopes that step left for member j+1 of the next.
 	shares  []tte.KeyShare
 	handoff []Envelopes
+	// epoch, the hand-offs so far, is that of shares or of what handoff
+	// reshares: public, it sizes and decodes the tsk messages.
+	epoch int
 }
 
 // Opened is what a tsk step's verified members left on the board, transposed
@@ -112,8 +106,10 @@ type Opened struct {
 	Partials [][][]byte
 	Sealed   []Envelopes
 	// members[m] is the committee slot of the member whose posting view m of
-	// every Decrypt lies in: every member answers a Decrypt.
+	// every Decrypt lies in: every member answers a Decrypt. epoch is that
+	// of the members' key shares.
 	members []int
+	epoch   int
 }
 
 // TskStep is the one thing a tsk-holding committee ever does: every member
@@ -147,7 +143,7 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 		sp.values += max(o.Slots, 1)
 	}
 	if next != nil {
-		size.SubShares = next.N()
+		size.SubShares, size.Epoch = next.N(), tsk.epoch
 	}
 	sp.Len = size.Len(r.Sizes)
 	posts, err := Step(r, c, sp, func(i int) (TskPost, error) {
@@ -162,25 +158,28 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 
 	// Transpose the verified postings into one column per opening and per
 	// hand-off recipient. at[m] is where member m's posting is in posts
-	// (−1: not verified) and read[x] the next part of posting x no column
-	// holds yet: each column walks its members in window order and takes
-	// each one's next part, so every member's parts are taken in the order
-	// it wrote them. A window's verified members follow each other
-	// cyclically in posts, so keys, the posting-key column twice over,
-	// holds any column's keys as one slice. One backing array serves every
-	// column.
+	// (−1: not verified) and off[x] where posting x's next part starts: each
+	// column walks its members in window order and takes each one's next
+	// part, of the layout's width for it, so every member's parts are taken
+	// in the order it wrote them. A window's verified members follow each
+	// other cyclically in posts, so keys and slots, the posting-key and
+	// committee-slot columns twice over, hold any column's as one slice. One
+	// backing array serves every column; each view's capacity is clipped.
+	keyLen := min(1, size.Sealed+size.SubShares) * r.Sizes.PostingKey // a key when anything is sealed
 	at := make([]int, n+1)
 	for m := range at {
 		at[m] = -1
 	}
-	keys := make([][]byte, 2*len(posts))
+	keys, slots := make([][]byte, 2*len(posts)), make([]int, 2*len(posts))
+	off := make([]int, len(posts))
 	for x, p := range posts {
-		at[p.Index] = x
-		keys[x], keys[len(posts)+x] = p.Payload.key(), p.Payload.key()
+		at[p.Index], off[x] = x, keyLen
+		keys[x], slots[x] = p.Wire[:keyLen:keyLen], p.Index
 	}
+	copy(keys[len(posts):], keys)
+	copy(slots[len(posts):], slots)
 	views := make([][]byte, 0, (size.Partials+size.Sealed+size.SubShares)*len(posts))
-	read := make([]int, len(posts))
-	column := func(role int) (col [][]byte, from int) {
+	column := func(role, width int) (col [][]byte, from int) {
 		first, members := window(n, s, role)
 		start := len(views)
 		for d := range members {
@@ -188,36 +187,35 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 				if len(views) == start {
 					from = x
 				}
-				views = append(views, posts[x].Payload.part(read[x]))
-				read[x]++
+				end := off[x] + width
+				views = append(views, posts[x].Wire[off[x]:end:end])
+				off[x] = end
 			}
 		}
 		return views[start:len(views):len(views)], from
 	}
-	sealed := func(role, part int) Envelopes {
-		col, from := column(role)
-		return Envelopes{envs: col, keys: keys[from : from+len(col)], part: part}
+	sealed := func(role, part, width int) Envelopes {
+		col, from := column(role, r.Sizes.PKEOverhead+width)
+		return Envelopes{envs: col, keys: keys[from : from+len(col)], from: slots[from : from+len(col)], part: part, epoch: tsk.epoch}
 	}
 	res := &Opened{
 		Partials: make([][][]byte, len(open)),
 		Sealed:   make([]Envelopes, len(open)),
-		members:  make([]int, len(posts)),
-	}
-	for m, p := range posts {
-		res.members[m] = p.Index
+		members:  slots[:len(posts)],
+		epoch:    tsk.epoch,
 	}
 	for j, o := range open {
 		if o.Key == nil {
-			res.Partials[j], _ = column(0)
+			res.Partials[j], _ = column(0, r.Sizes.Ciphertext)
 		} else {
-			res.Sealed[j] = sealed(o.Role, j)
+			res.Sealed[j] = sealed(o.Role, j, r.Sizes.Ciphertext)
 		}
 	}
 	tsk.shares, tsk.handoff = nil, nil
 	if next != nil {
 		tsk.handoff = make([]Envelopes, size.SubShares)
 		for j := range tsk.handoff {
-			tsk.handoff[j] = sealed(0, len(open)+j)
+			tsk.handoff[j] = sealed(0, len(open)+j, r.Sizes.SubShare(tsk.epoch))
 		}
 	}
 	return res, nil
@@ -269,8 +267,7 @@ func answered(open []Opening, n, s int) (postlen.Posting, error) {
 // so the posting carries one posting key and each envelope costs one key
 // agreement. What gets sealed is encoded into one plaintext scratch, wiped
 // after every use: the raw bytes carry the same secret as what they encode.
-// On the real backend, whose widths are nominal, the buffers grow as the
-// encodings need.
+// Every encoding is its key-pinned width, so neither buffer ever grows.
 func (r *Runner) tskPost(i int, sh tte.KeyShare, open []Opening, n, s int, next *yoso.Committee, size int) (TskPost, error) {
 	mine := make([]int, 0, len(open)) // the openings member i answers
 	for j, o := range open {
@@ -302,15 +299,14 @@ func (r *Runner) tskPost(i int, sh tte.KeyShare, open []Opening, n, s int, next 
 			to = next.Role(1).PublicKey()
 		}
 	}
-	post := TskPost{buf: make([]byte, 0, size), ends: make([]int, 1, 1+len(mine)+len(subs))}
-	plain := make([]byte, 0, max(r.Sizes.Partial, r.Sizes.SubShare))
+	post := TskPost{buf: make([]byte, 0, size)}
+	plain := make([]byte, 0, max(r.Sizes.Ciphertext, r.Sizes.SubShare(sh.Epoch())))
 	var seal pke.Sealer
 	if to != nil {
 		var err error
 		if post.buf, err = seal.AppendKey(post.buf, to); err != nil {
 			return TskPost{}, err
 		}
-		post.ends[0] = len(post.buf)
 	}
 
 	// An envelope answering opening j is sealed at j.
@@ -328,7 +324,6 @@ func (r *Runner) tskPost(i int, sh tte.KeyShare, open []Opening, n, s int, next 
 		if err != nil {
 			return TskPost{}, err
 		}
-		post.ends = append(post.ends, len(post.buf))
 	}
 	for j, sub := range subs {
 		if sub.To() != j+1 {
@@ -343,7 +338,6 @@ func (r *Runner) tskPost(i int, sh tte.KeyShare, open []Opening, n, s int, next 
 		if err != nil {
 			return TskPost{}, err
 		}
-		post.ends = append(post.ends, len(post.buf))
 	}
 	return post, nil
 }
@@ -370,7 +364,7 @@ func (r *Runner) Decrypted(label string, open []Opening, res *Opened) ([]*big.In
 		if open[j].Key != nil {
 			return nil
 		}
-		parts, err := quorum(r, res.Partials[j], r.TE.DecodePartial)
+		parts, err := quorum(r, res.Partials[j], res.members, res.epoch, r.TE.DecodePartial)
 		if err != nil {
 			// Nothing is skipped in the clear, so the partial that failed
 			// is the one after those that decoded.
@@ -412,9 +406,11 @@ func (r *Runner) DealShares(c *yoso.Committee, shares []tte.KeyShare) (*Tsk, err
 
 // recoverShares lets each member of c rebuild its tsk share from a quorum of
 // the envelopes the previous TskStep handed off (TKRec after decrypting with
-// the role secret key). Crashed members recover nothing. Members are
-// independent, so they run on the worker pool, slot-indexed; the error
-// reported is the lowest-index member's whatever the worker count.
+// the role secret key), which consumes the hand-off and takes the tsk one
+// epoch on. Crashed members
+// recover nothing. Members are independent, so they run on the worker pool,
+// slot-indexed; the error reported is the lowest-index member's whatever
+// the worker count.
 func (r *Runner) recoverShares(tsk *Tsk, c *yoso.Committee, phase comm.Phase) error {
 	tsk.shares = make([]tte.KeyShare, c.N())
 	errs := make([]error, c.N())
@@ -423,7 +419,9 @@ func (r *Runner) recoverShares(tsk *Tsk, c *yoso.Committee, phase comm.Phase) er
 		if role.Behavior == yoso.FailStop {
 			return nil // crashed before reading
 		}
-		subs := openSealed(r, role.SecretKey(), tsk.handoff[i], r.TE.DecodeSubShare)
+		subs := openSealed(r, role.SecretKey(), tsk.handoff[i], func(pk tte.PublicKey, from, epoch int, data []byte) (tte.SubShare, error) {
+			return r.TE.DecodeSubShare(pk, from, i+1, epoch, data)
+		})
 		sh, err := r.TE.RecoverShare(r.TPK, i+1, subs)
 		if err != nil {
 			errs[i] = fmt.Errorf("%w: recovering tsk share for %s: %v", ErrNotEnough, role.Name(), err)
@@ -442,6 +440,7 @@ func (r *Runner) recoverShares(tsk *Tsk, c *yoso.Committee, phase comm.Phase) er
 			return err
 		}
 	}
+	tsk.handoff, tsk.epoch = nil, tsk.epoch+1
 	return nil
 }
 
@@ -453,17 +452,18 @@ func (r *Runner) recoverShares(tsk *Tsk, c *yoso.Committee, phase comm.Phase) er
 // TE.Combine and TE.RecoverShare would keep out of all n. Contributions
 // beyond the quorum are never decrypted or parsed.
 //
-// quorum walks views — one verified posting's clear part each — which are
-// public encodings under a verified proof, so one that fails to decode
-// before the quorum is full is the error returned, beside the contributions
-// that decoded before it. openSealed is the walk over envelopes, which never
+// quorum walks views — one verified posting's clear part each, view m that
+// of member from[m] under a key share of epoch — which are public encodings
+// under a verified proof, so one that fails to decode before the quorum is
+// full is the error returned, beside the contributions that decoded before
+// it. openSealed is the walk over envelopes, which never
 // fails. Fewer than t+1 opened is not an error here: the caller's Combine or
 // RecoverShare reports ErrTooFewPartials, which the caller wraps in
 // ErrNotEnough.
-func quorum[T any](r *Runner, views [][]byte, decode func(tte.PublicKey, []byte) (T, error)) ([]T, error) {
+func quorum[T any](r *Runner, views [][]byte, from []int, epoch int, decode decoder[T]) ([]T, error) {
 	got := make([]T, 0, r.TPK.T()+1)
-	for _, view := range views[:min(len(views), cap(got))] {
-		v, err := decode(r.TPK, view)
+	for m, view := range views[:min(len(views), cap(got))] {
+		v, err := decode(r.TPK, from[m], epoch, view)
 		if err != nil {
 			return got, err
 		}
@@ -474,8 +474,9 @@ func quorum[T any](r *Runner, views [][]byte, decode func(tte.PublicKey, []byte)
 
 // openSealed is quorum's sealed walk: it returns what the envelopes sealed
 // to sk open and decode to, up to t+1 of them. Each is opened under its
-// poster's posting key at the column's part index, which the reader knows
-// from the step's layout and never takes from the bytes. One that does not
+// poster's posting key at the column's part index and decoded as its
+// poster's, which the reader knows from the step's layout and never takes
+// from the bytes. One that does not
 // open — wrong key, truncated, failed tag, undecodable plaintext — is
 // skipped and the walk goes on: the proof cannot vouch for what only the
 // recipient reads. Every envelope is opened into one plaintext scratch,
@@ -483,7 +484,7 @@ func quorum[T any](r *Runner, views [][]byte, decode func(tte.PublicKey, []byte)
 // partial decryption or key sub-share they encode — and over its whole
 // capacity when the walk ends, so the walk allocates nothing but what it
 // decodes.
-func openSealed[T any](r *Runner, sk pke.SecretKey, col Envelopes, decode func(tte.PublicKey, []byte) (T, error)) []T {
+func openSealed[T any](r *Runner, sk pke.SecretKey, col Envelopes, decode decoder[T]) []T {
 	got := make([]T, 0, r.TPK.T()+1)
 	var plain []byte
 	for m, env := range col.envs {
@@ -495,7 +496,7 @@ func openSealed[T any](r *Runner, sk pke.SecretKey, col Envelopes, decode func(t
 		if err != nil {
 			continue
 		}
-		v, err := decode(r.TPK, plain)
+		v, err := decode(r.TPK, col.from[m], col.epoch, plain)
 		clear(plain)
 		if err == nil {
 			got = append(got, v)
@@ -504,6 +505,10 @@ func openSealed[T any](r *Runner, sk pke.SecretKey, col Envelopes, decode func(t
 	wipeCapacity(plain)
 	return got
 }
+
+// decoder decodes what member from posted under a key share of epoch, both
+// of which the reader takes from the step's layout (tte.Codec.DecodePartial).
+type decoder[T any] func(pk tte.PublicKey, from, epoch int, data []byte) (T, error)
 
 // wipeCapacity clears b up to its capacity, so no byte an open wrote into a
 // scratch's spare room outlives it.

@@ -139,9 +139,9 @@ func TestWindowedPostingLayout(t *testing.T) {
 	z := f.Sizes
 	length := func(o Opening) int {
 		if o.Key == nil {
-			return z.Partial
+			return z.Ciphertext
 		}
-		return z.PKEOverhead + z.Partial
+		return z.PKEOverhead + z.Ciphertext
 	}
 	// offset is where member m's part answering opening j starts, by count.
 	offset := func(m, j int) int {
@@ -184,7 +184,7 @@ func TestWindowedPostingLayout(t *testing.T) {
 			if !bytes.Equal(keys[x], posting[:z.PostingKey]) {
 				t.Errorf("opening %d, member %d: the column's key is not the posting's", j, m)
 			}
-			if _, err := openEnvelope(f.Runner, recipient(o), keys[x], j, col[x], f.TE.DecodePartial); err != nil {
+			if _, err := openEnvelope(f.Runner, recipient(o), keys[x], j, col[x], m, 0, f.TE.DecodePartial); err != nil {
 				t.Errorf("opening %d, member %d: envelope does not open at part %d: %v", j, m, j, err)
 			}
 		}
@@ -200,8 +200,8 @@ func TestWindowedPostingLayout(t *testing.T) {
 			t.Fatalf("hand-off %d: %d envelopes at part %d", j, len(col.envs), col.part)
 		}
 		for x, m := range verified {
-			off := offset(m, len(open)) + j*(z.PKEOverhead+z.SubShare)
-			if !bytes.Equal(col.envs[x], postings[m][off:off+z.PKEOverhead+z.SubShare]) {
+			off := offset(m, len(open)) + j*(z.PKEOverhead+z.SubShare(0))
+			if !bytes.Equal(col.envs[x], postings[m][off:off+z.PKEOverhead+z.SubShare(0)]) {
 				t.Errorf("hand-off %d, member %d: the column's envelope is not the posting's bytes at %d", j, m, off)
 			}
 		}

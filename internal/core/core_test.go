@@ -289,18 +289,23 @@ func TestMaliciousRolesExcludedGOD(t *testing.T) {
 // a run with t malicious members per committee posts exactly the honest
 // run's bytes, phase by phase: only the proofs and the contents differ.
 func TestMaliciousPostingsHonestSized(t *testing.T) {
-	for name, build := range map[string]func() (*circuit.Circuit, error){
-		"wide":       func() (*circuit.Circuit, error) { return circuit.WideMul(8, 2) },
-		"statistics": func() (*circuit.Circuit, error) { return circuit.Statistics(4) },
+	for _, c := range []struct {
+		name   string
+		build  func() (*circuit.Circuit, error)
+		params func(*yoso.Adversary) Params
+	}{
+		{"wide", func() (*circuit.Circuit, error) { return circuit.WideMul(8, 2) }, func(adv *yoso.Adversary) Params { return simParams(9, 2, 2, adv) }},
+		{"statistics", func() (*circuit.Circuit, error) { return circuit.Statistics(4) }, func(adv *yoso.Adversary) Params { return simParams(9, 2, 2, adv) }},
+		{"512-bit key", func() (*circuit.Circuit, error) { return circuit.WideMul(8, 2) }, func(adv *yoso.Adversary) Params { return realParams(t, 9, 2, 2, adv) }},
 	} {
-		t.Run(name, func(t *testing.T) {
-			circ, err := build()
+		t.Run(c.name, func(t *testing.T) {
+			circ, err := c.build()
 			if err != nil {
 				t.Fatal(err)
 			}
 			in := propertyInputs(circ, 1)
-			honest := runAndCompare(t, simParams(9, 2, 2, nil), circ, in)
-			malicious := runAndCompare(t, simParams(9, 2, 2, yoso.NewAdversary(2, 0, 7)), circ, in)
+			honest := runAndCompare(t, c.params(nil), circ, in)
+			malicious := runAndCompare(t, c.params(yoso.NewAdversary(2, 0, 7)), circ, in)
 			if len(malicious.Excluded) == 0 {
 				t.Fatal("no member excluded: the adversary corrupted no one")
 			}

@@ -469,7 +469,7 @@ func TestOperationCountsNeverExceedParent(t *testing.T) {
 			total := read()
 			online := counts{total.partials - offline.partials, total.combines - offline.combines, total.opened - offline.opened, 0,
 				total.encrypted - offline.encrypted, total.evals - offline.evals}
-			sealed := enc.sealedOn(proto.Board(), tte.NewSim(tc.bits).PartialSize())
+			sealed := enc.sealedOn(proto.Board(), tte.NewSim(tc.bits).CiphertextSize())
 			offline.sealed, online.sealed = sealed[comm.PhaseOffline], sealed[comm.PhaseOnline]
 
 			var (

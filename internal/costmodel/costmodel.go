@@ -161,13 +161,14 @@ func CoreWith(n, t, k int, shape Shape, z postlen.Sizes, opts CoreOptions) Phase
 	}
 	offline += attested(n, postlen.Posting{Ciphertexts: random}, z) // wire randomness and helpers
 	// OffDec: partials for the ε groups, one envelope per input-wire λ group
-	// and per early output group to its client (Step 5), and tsk resharing.
+	// and per early output group to its client (Step 5), and the resharing
+	// of the dealt tsk (epoch 0).
 	offline += attested(n, postlen.Posting{Partials: decGroups, Sealed: inGroups + earlyGroups, SubShares: n}, z)
 	if kffCount > 0 {
 		// OffRe: role keys, one envelope per packed-share group of every
 		// member of a layer with KFFs in its window (Step 6), and tsk
-		// resharing to OnC1.
-		offline += N*int64(z.RoleKey) + attested(n, postlen.Posting{Sealed: kffGroups, SubShares: n}, z)
+		// resharing to OnC1 (epoch 1).
+		offline += N*int64(z.RoleKey) + attested(n, postlen.Posting{Sealed: kffGroups, SubShares: n, Epoch: 1}, z)
 	}
 
 	online := int64(shape.Depth) * N * int64(z.RoleKey) // layer committees' role keys
@@ -210,9 +211,9 @@ func Baseline(n, t int, shape Shape, z postlen.Sizes) Phases {
 	// Client inputs: one ciphertext per input wire + one proof per
 	// client with inputs.
 	online += int64(postlen.Posting{Ciphertexts: shape.Inputs}.Len(z) + shape.InputClients*z.Proof)
-	// Each layer: 2 partials per gate per role and the resharing.
-	for _, lm := range shape.BatchesPerLayer {
-		online += attested(n, postlen.Posting{Partials: 2 * lm, SubShares: n}, z)
+	// Layer l+1: 2 partials per gate per role, and the resharing at epoch l.
+	for l, lm := range shape.BatchesPerLayer {
+		online += attested(n, postlen.Posting{Partials: 2 * lm, SubShares: n, Epoch: l}, z)
 	}
 	// Output committee: one envelope per output per role.
 	online += attested(n, postlen.Posting{Sealed: shape.Outputs}, z)

@@ -9,16 +9,37 @@ import (
 	"yosompc/internal/comm"
 	"yosompc/internal/core"
 	"yosompc/internal/field"
+	"yosompc/internal/paillier"
 	"yosompc/internal/pke"
+	"yosompc/internal/postlen"
 	"yosompc/internal/slotpack"
 	"yosompc/internal/tte"
 )
 
 const modelBits = 512
 
-func coreMeasured(t *testing.T, bits, n, tt, k int, circ *circuit.Circuit, in map[int][]field.Element) comm.Report {
+// backends are what a row measures with, and the widths the model takes:
+// the Sim backends modelling bits, or, for a real row, the real 512-bit test
+// key, whose widths are those of a key it deals to the row's committee.
+func backends(t *testing.T, real bool, bits, n, tt int) (core.TE, pke.Scheme, postlen.Sizes) {
 	t.Helper()
-	params := core.Params{N: n, T: tt, K: k, TE: tte.NewSim(bits), PKE: pke.NewSim()}
+	if !real {
+		return tte.NewSim(bits), pke.NewSim(), SimSizes(bits)
+	}
+	te, err := tte.NewThreshold(paillier.FixedTestKey(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpk, _, err := te.KeyGen(n, tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return te, pke.NewECIES(), postlen.Of(tpk)
+}
+
+func coreMeasured(t *testing.T, te core.TE, scheme pke.Scheme, n, tt, k int, circ *circuit.Circuit, in map[int][]field.Element) comm.Report {
+	t.Helper()
+	params := core.Params{N: n, T: tt, K: k, TE: te, PKE: scheme}
 	proto, err := core.New(params, circ, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -30,9 +51,9 @@ func coreMeasured(t *testing.T, bits, n, tt, k int, circ *circuit.Circuit, in ma
 	return res.Report
 }
 
-func baselineMeasured(t *testing.T, n, tt int, circ *circuit.Circuit, in map[int][]field.Element) comm.Report {
+func baselineMeasured(t *testing.T, te core.TE, scheme pke.Scheme, n, tt int, circ *circuit.Circuit, in map[int][]field.Element) comm.Report {
 	t.Helper()
-	params := baseline.Params{N: n, T: tt, TE: tte.NewSim(modelBits), PKE: pke.NewSim()}
+	params := baseline.Params{N: n, T: tt, TE: te, PKE: scheme}
 	proto, err := baseline.New(params, circ, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -79,37 +100,45 @@ func TestCoreModelMatchesMeasured(t *testing.T) {
 		extract     int
 		layerGroups []int64
 		outGroups   []int64
+		// real measures on the real 512-bit key instead of Sim.
+		real bool
 	}{
-		{"inner-product", mk(func() (*circuit.Circuit, error) { return circuit.InnerProduct(4) }), 8, 2, 2, modelBits, 3, []int64{2}, nil},
-		{"poly-eval", mk(func() (*circuit.Circuit, error) { return circuit.PolyEval(3) }), 10, 2, 3, modelBits, 4, []int64{1, 1, 1}, nil},
-		{"wide", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(8, 2) }), 12, 3, 3, modelBits, 4, []int64{3, 3}, nil},
-		{"stats", mk(func() (*circuit.Circuit, error) { return circuit.Statistics(4) }), 9, 2, 2, modelBits, 3, []int64{3}, nil},
-		{"k1", mk(func() (*circuit.Circuit, error) { return circuit.InnerProduct(3) }), 6, 1, 1, modelBits, 1, []int64{3}, nil},
+		{"inner-product", mk(func() (*circuit.Circuit, error) { return circuit.InnerProduct(4) }), 8, 2, 2, modelBits, 3, []int64{2}, nil, false},
+		{"poly-eval", mk(func() (*circuit.Circuit, error) { return circuit.PolyEval(3) }), 10, 2, 3, modelBits, 4, []int64{1, 1, 1}, nil, false},
+		{"wide", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(8, 2) }), 12, 3, 3, modelBits, 4, []int64{3, 3}, nil, false},
+		{"stats", mk(func() (*circuit.Circuit, error) { return circuit.Statistics(4) }), 9, 2, 2, modelBits, 3, []int64{3}, nil, false},
+		{"k1", mk(func() (*circuit.Circuit, error) { return circuit.InnerProduct(3) }), 6, 1, 1, modelBits, 1, []int64{3}, nil, false},
 		// k = 1 allows no extraction: 2k − 1 = 1, whatever the committee.
-		{"k1 wide", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(4, 2) }), 9, 2, 1, 2048, 1, []int64{1, 1}, nil},
+		{"k1 wide", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(4, 2) }), 9, 2, 1, 2048, 1, []int64{1, 1}, nil, false},
 		// A layer's shares split over several openings: 5 batches of 133 +
 		// 133 + 201 bits in 510-bit openings, one batch each.
-		{"512-bit split layer", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(10, 1) }), 9, 2, 2, modelBits, 3, []int64{5}, nil},
+		{"512-bit split layer", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(10, 1) }), 9, 2, 2, modelBits, 3, []int64{5}, nil, false},
 		// ≥ 4 batches per layer, several in one opening: 6 batches of 146 +
 		// 146 + 227 bits in 2046-bit openings go 11 + 7 shares; m′ = 6 is
 		// even, below 2k − 1 = 7.
-		{"2048-bit wide layers", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(24, 2) }), 14, 3, 4, 2048, 6, []int64{2, 2}, nil},
-		{"2048-bit random", mk(func() (*circuit.Circuit, error) { return circuit.Random(6, 60, 3) }), 10, 2, 3, 2048, 5, []int64{1, 1, 1, 1, 1}, nil},
+		{"2048-bit wide layers", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(24, 2) }), 14, 3, 4, 2048, 6, []int64{2, 2}, nil, false},
+		{"2048-bit random", mk(func() (*circuit.Circuit, error) { return circuit.Random(6, 60, 3) }), 10, 2, 3, 2048, 5, []int64{1, 1, 1, 1, 1}, nil, false},
 		// real2048_wide's shape at the largest extraction, m′ = 2k − 1.
-		{"extracted at 2k − 1", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(2, 1) }), 8, 2, 2, 2048, 3, []int64{1}, nil},
+		{"extracted at 2k − 1", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(2, 1) }), 8, 2, 2, 2048, 3, []int64{1}, nil, false},
 		// One recipient, several groups under one posting key: every output
 		// member seals three envelopes to the one output client, as every
 		// OffRe member seals eight to each layer member.
-		{"one client, several output groups", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(16, 1) }), 9, 2, 2, modelBits, 3, []int64{8}, []int64{3, 0}},
+		{"one client, several output groups", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(16, 1) }), 9, 2, 2, modelBits, 3, []int64{8}, []int64{3, 0}, false},
 		// No multiplication: no Beaver committee is formed, and one input λ
 		// per client takes a position of its own at any m′, so m′ = 1.
-		{"linear", mk(linearCircuit), 8, 2, 2, modelBits, 1, nil, nil},
+		{"linear", mk(linearCircuit), 8, 2, 2, modelBits, 1, nil, nil, false},
+		// The real key: every width exact, sub-shares at epochs 0 (OffDec)
+		// and 1 (OffRe, formed for layer 1's keys-for-future).
+		{"512-bit key", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(16, 2) }), 9, 2, 2, modelBits, 3, []int64{8, 8}, nil, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			if c.real && testing.Short() {
+				t.Skip("real backend")
+			}
 			in := inputsFor(c.circ)
-			measured := coreMeasured(t, c.bits, c.n, c.t, c.k, c.circ, in)
-			z := SimSizes(c.bits)
+			te, scheme, z := backends(t, c.real, c.bits, c.n, c.t)
+			measured := coreMeasured(t, te, scheme, c.n, c.t, c.k, c.circ, in)
 			shape := packedShape(c.circ, c.n, c.t, c.k, z.SlotBits)
 			opened := shape.Opened
 			if opened.Extract != c.extract {
@@ -152,17 +181,24 @@ func TestBaselineModelMatchesMeasured(t *testing.T) {
 		name string
 		circ *circuit.Circuit
 		n, t int
+		real bool
 	}{
-		{"inner-product", mk(func() (*circuit.Circuit, error) { return circuit.InnerProduct(4) }), 5, 2},
-		{"poly-eval", mk(func() (*circuit.Circuit, error) { return circuit.PolyEval(3) }), 7, 3},
-		{"wide", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(6, 2) }), 9, 4},
-		{"linear", mk(linearCircuit), 5, 2},
+		{"inner-product", mk(func() (*circuit.Circuit, error) { return circuit.InnerProduct(4) }), 5, 2, false},
+		{"poly-eval", mk(func() (*circuit.Circuit, error) { return circuit.PolyEval(3) }), 7, 3, false},
+		{"wide", mk(func() (*circuit.Circuit, error) { return circuit.WideMul(6, 2) }), 9, 4, false},
+		{"linear", mk(linearCircuit), 5, 2, false},
+		// Depth 3 on the real key: the layers reshare at epochs 0, 1 and 2.
+		{"512-bit key", mk(func() (*circuit.Circuit, error) { return circuit.PolyEval(3) }), 7, 3, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			if c.real && testing.Short() {
+				t.Skip("real backend")
+			}
 			in := inputsFor(c.circ)
-			measured := baselineMeasured(t, c.n, c.t, c.circ, in)
-			predicted := Baseline(c.n, c.t, ShapeOf(c.circ, c.n, c.t, 1), SimSizes(modelBits))
+			te, scheme, z := backends(t, c.real, modelBits, c.n, c.t)
+			measured := baselineMeasured(t, te, scheme, c.n, c.t, c.circ, in)
+			predicted := Baseline(c.n, c.t, ShapeOf(c.circ, c.n, c.t, 1), z)
 			if got, want := measured.Phase(comm.PhaseSetup), predicted.Setup; got != want {
 				t.Errorf("setup: measured %d, model %d", got, want)
 			}

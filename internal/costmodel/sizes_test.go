@@ -46,8 +46,8 @@ func TestSimSizesMatchEncodings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(partEnc) != z.Partial {
-		t.Errorf("partial encodes to %d bytes, SimSizes.Partial = %d", len(partEnc), z.Partial)
+	if len(partEnc) != z.Ciphertext {
+		t.Errorf("partial encodes to %d bytes, SimSizes.Ciphertext = %d", len(partEnc), z.Ciphertext)
 	}
 
 	subs, err := te.Reshare(pk, shares[0])
@@ -58,16 +58,16 @@ func TestSimSizesMatchEncodings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(subEnc) != z.SubShare {
-		t.Errorf("subshare encodes to %d bytes, SimSizes.SubShare = %d", len(subEnc), z.SubShare)
+	if len(subEnc) != z.SubShare(0) {
+		t.Errorf("subshare encodes to %d bytes, SimSizes.SubShare(0) = %d", len(subEnc), z.SubShare(0))
 	}
 
 	shareEnc, err := te.EncodeKeyShare(shares[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(shareEnc) != z.KeyShare {
-		t.Errorf("key share encodes to %d bytes, SimSizes.KeyShare = %d", len(shareEnc), z.KeyShare)
+	if len(shareEnc) != z.Ciphertext {
+		t.Errorf("key share encodes to %d bytes, SimSizes.Ciphertext = %d", len(shareEnc), z.Ciphertext)
 	}
 
 	scheme := pke.NewSim()
@@ -89,7 +89,7 @@ func TestSimSizesMatchEncodings(t *testing.T) {
 	if len(posting) != z.PostingKey {
 		t.Errorf("posting key is %d bytes, SimSizes.PostingKey = %d", len(posting), z.PostingKey)
 	}
-	for part, msgLen := range []int{0, 1, z.SubShare, z.Partial} {
+	for part, msgLen := range []int{0, 1, z.SubShare(0), z.Ciphertext} {
 		before := len(posting)
 		if posting, err = seal.AppendEncrypt(posting, part, pub, make([]byte, msgLen)); err != nil {
 			t.Fatal(err)

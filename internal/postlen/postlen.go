@@ -13,16 +13,15 @@ import (
 	"yosompc/internal/tte"
 )
 
-// Sizes are the wire sizes (bytes) of one backend configuration.
+// Sizes are the wire sizes (bytes) of one backend configuration, the
+// widths its threshold key pins.
 type Sizes struct {
-	// Ciphertext is a threshold-encryption ciphertext (≈ |N²|).
+	// Ciphertext is a threshold-encryption ciphertext (≈ |N²|), and also a
+	// partial decryption and a dealt tsk key share.
 	Ciphertext int
-	// Partial is a partial decryption (≈ |N²|).
-	Partial int
-	// SubShare is a tsk resharing subshare.
-	SubShare int
-	// KeyShare is a tsk key share.
-	KeyShare int
+	// SubShare is a tsk resharing sub-share at the epoch of the key share
+	// it reshares (tte.PublicKey.SubShareSize).
+	SubShare func(epoch int) int
 	// PostingKey is the posting key a posting that seals anything carries
 	// once, and PKEOverhead what each envelope in it adds to its message.
 	PostingKey  int
@@ -39,34 +38,26 @@ type Sizes struct {
 }
 
 // SimSizes returns the sizes of the ideal backends for a modelled
-// threshold-Paillier modulus of the given bit length, matching
-// tte.NewSim(bits) + pke.NewSim().
+// threshold-Paillier modulus of the given bit length: Of a tte.NewSim(bits)
+// key, beside pke.NewSim().
 func SimSizes(bits int) Sizes {
-	te := tte.NewSim(bits)
+	tpk, _, _ := tte.NewSim(bits).KeyGen(1, 0) // a one-member committee is always dealt
+	return Of(tpk)
+}
+
+// Of returns the sizes of a run under the threshold public key tpk, exact
+// on both backends.
+func Of(tpk tte.PublicKey) Sizes {
 	return Sizes{
-		Ciphertext:  te.CiphertextSize(),
-		Partial:     te.PartialSize(),
-		SubShare:    te.SubShareSize(),
-		KeyShare:    te.KeyShareSize(),
+		Ciphertext:  tpk.CiphertextSize(),
+		SubShare:    tpk.SubShareSize,
 		PostingKey:  pke.PostingKeySize,
 		PKEOverhead: pke.EnvelopeOverhead,
 		RoleKey:     pke.PublicKeySize,
 		Proof:       nizk.AttestedProofSize,
 		Element:     field.ElementSize,
-		SlotBits:    slotpack.Capacity(te.MaxPlaintext()),
+		SlotBits:    slotpack.Capacity(tpk.MaxPlaintext()),
 	}
-}
-
-// Of returns the sizes of a run under the threshold public key tpk. On the
-// Sim backend they are exact. The real backend pads nothing: its partials,
-// sub-shares and key shares carry their integers behind a length prefix,
-// so there those three are the key's nominal widths, the ones Sim models
-// for its modulus. The ciphertext, element, posting-key and envelope
-// widths are exact on both.
-func Of(tpk tte.PublicKey) Sizes {
-	z := SimSizes(4 * tpk.CiphertextSize())
-	z.SlotBits = slotpack.Capacity(tpk.MaxPlaintext())
-	return z
 }
 
 // Posting counts what one posting carries.
@@ -79,6 +70,8 @@ type Posting struct {
 	// delivery) take an envelope each, and a posting that seals anything
 	// starts with its posting key.
 	Partials, Sealed, SubShares, KeyShares int
+	// Epoch is that of the key shares the SubShares reshare.
+	Epoch int
 }
 
 // Window is how many members of a tsk committee of n answer a Re-encrypt
@@ -91,8 +84,11 @@ func Window(n, t, quorum int) int { return n - max(quorum, t+1) + t + 1 }
 
 // Len is the posting's length in bytes under z.
 func (p Posting) Len(z Sizes) int {
-	n := p.Ciphertexts*z.Ciphertext + p.Elements*z.Element + p.Partials*z.Partial +
-		p.Sealed*(z.PKEOverhead+z.Partial) + p.SubShares*(z.PKEOverhead+z.SubShare) + p.KeyShares*(z.PKEOverhead+z.KeyShare)
+	n := (p.Ciphertexts+p.Partials)*z.Ciphertext + p.Elements*z.Element +
+		(p.Sealed+p.KeyShares)*(z.PKEOverhead+z.Ciphertext)
+	if p.SubShares > 0 {
+		n += p.SubShares * (z.PKEOverhead + z.SubShare(p.Epoch))
+	}
 	if p.Sealed+p.SubShares+p.KeyShares > 0 {
 		n += z.PostingKey
 	}

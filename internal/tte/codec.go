@@ -1,6 +1,7 @@
 package tte
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"math/big"
@@ -9,30 +10,22 @@ import (
 )
 
 // Wire encodings of the TE messages (docs/WIRE.md): one codec for both
-// backends, which differ only in padding. Partials, sub-shares and key
-// shares travel inside PKE envelopes in one length-prefixed layout
-// (big-endian), which Sim zero-extends to its modelled sizes so that
-// measured bytes equal modelled bytes:
-//
-//	partial:   u8 tag | u32 index | u32 epoch | u8 sign | u32 len | value
-//	sub-share: u8 tag | u32 from | u32 to | u32 epoch | u8 sign | u32 len | value
-//	key share: u8 tag | u32 index | u32 epoch | u8 sign | u32 len | value
-//
-// A ciphertext is its value as exactly Size() big-endian bytes with no
-// header: the size is pinned by the public key, and the plaintext bound is
-// public context re-supplied at decode. The public key's board announcement
-// is its metadata, zero-padded to half a ciphertext.
+// backends. Every message is one big-endian integer, with no header, in a
+// width its key pins: a ciphertext, a partial and a dealt key share are
+// their value in CiphertextSize() bytes; a sub-share and a recovered key
+// share are a sign byte (1: negative) and their magnitude in
+// SubShareSize(epoch). What a message is about — a partial's index and
+// epoch, a sub-share's from, to and epoch, a ciphertext's plaintext bound —
+// is public context the reader passes to the decoder, never taken from the
+// bytes. The public key's board announcement is its metadata, zero-padded
+// to half a ciphertext.
 //
 // Append* writes behind dst (a member's posting buffer, or its wiped
 // plaintext scratch) and returns the extended slice, dst unchanged on
 // error; Encode* is Append*(nil, …).
 
-const (
-	tagPartial  = 0x01
-	tagSubShare = 0x02
-	tagKeyShare = 0x03
-	tagPubInfo  = 0x04
-)
+// tagPubInfo heads the public-key announcement.
+const tagPubInfo = 0x04
 
 // Codec is the serialization surface both backends provide; the protocol
 // layer uses it to move TE messages through PKE envelopes and to put
@@ -40,9 +33,11 @@ const (
 type Codec interface {
 	EncodePartial(p PartialDec) ([]byte, error)
 	AppendPartial(dst []byte, p PartialDec) ([]byte, error)
-	DecodePartial(pk PublicKey, data []byte) (PartialDec, error)
+	// DecodePartial parses member index's partial under an epoch's share.
+	DecodePartial(pk PublicKey, index, epoch int, data []byte) (PartialDec, error)
 	AppendSubShare(dst []byte, s SubShare) ([]byte, error)
-	DecodeSubShare(pk PublicKey, data []byte) (SubShare, error)
+	// DecodeSubShare parses what member from sent to, resharing an epoch.
+	DecodeSubShare(pk PublicKey, from, to, epoch int, data []byte) (SubShare, error)
 	// EncodeCiphertext serializes a ciphertext as exactly Size() bytes;
 	// DecodeCiphertext re-attaches the public plaintext bound (nil means
 	// pk.MaxPlaintext()). PutCiphertext writes the same bytes into dst,
@@ -70,13 +65,11 @@ var (
 )
 
 // codec is the one Codec, embedded by both backends. scheme is the
-// backend's name, which its public keys carry. The pads are the sizes Sim
-// zero-extends its encodings to (zero on Threshold); valued says the key
-// shares and sub-shares carry values (Threshold's do, Sim's do not).
+// backend's name, which its public keys carry; valued says the key shares
+// and sub-shares carry values (Threshold's do, Sim's do not).
 type codec struct {
-	scheme                               string
-	partialPad, subSharePad, keySharePad int
-	valued                               bool
+	scheme string
+	valued bool
 }
 
 // Name implements Scheme.
@@ -91,19 +84,20 @@ func (c *codec) AppendPartial(dst []byte, p PartialDec) ([]byte, error) {
 	if !ok {
 		return dst, fmt.Errorf("%w: partial", ErrWrongKey)
 	}
-	return appendBig(dst, c.partialPad, tagPartial, m.v, uint32(m.index), uint32(m.epoch)), nil //yosolint:vartime length-prefixed encoding is value-length dependent by construction; the envelope ciphertext size on the board reveals the same length
+	return appendInt(dst, m.v, m.size, false)
 }
 
 // DecodePartial parses a partial decryption serialized by EncodePartial.
-func (c *codec) DecodePartial(pk PublicKey, data []byte) (PartialDec, error) {
-	if _, err := c.pub(pk); err != nil {
-		return nil, err
-	}
-	fields, v, err := decodeBig(tagPartial, 2, data)
+func (c *codec) DecodePartial(pk PublicKey, index, epoch int, data []byte) (PartialDec, error) {
+	p, err := c.pub(pk)
 	if err != nil {
 		return nil, err
 	}
-	return &partial{index: int(fields[0]), epoch: int(fields[1]), v: v}, nil
+	v, err := decodeInt(data, p.ctBytes, false)
+	if err != nil {
+		return nil, err
+	}
+	return &partial{index: index, epoch: epoch, size: p.ctBytes, v: v}, nil
 }
 
 // AppendSubShare appends sub's encoding to dst.
@@ -112,19 +106,21 @@ func (c *codec) AppendSubShare(dst []byte, sub SubShare) ([]byte, error) {
 	if !ok {
 		return dst, fmt.Errorf("%w: subshare", ErrWrongKey)
 	}
-	return appendBig(dst, c.subSharePad, tagSubShare, s.v, uint32(s.from), uint32(s.to), uint32(s.epoch)), nil //yosolint:vartime length-prefixed encoding is value-length dependent by construction; the envelope ciphertext size on the board reveals the same length
+	return appendInt(dst, s.v, s.size, true)
 }
 
 // DecodeSubShare parses a sub-share serialized by AppendSubShare.
-func (c *codec) DecodeSubShare(pk PublicKey, data []byte) (SubShare, error) {
-	if _, err := c.pub(pk); err != nil {
-		return nil, err
-	}
-	fields, v, err := decodeBig(tagSubShare, 3, data)
+func (c *codec) DecodeSubShare(pk PublicKey, from, to, epoch int, data []byte) (SubShare, error) {
+	p, err := c.pub(pk)
 	if err != nil {
 		return nil, err
 	}
-	return &subShare{from: int(fields[0]), to: int(fields[1]), epoch: int(fields[2]), v: v}, nil
+	size := p.SubShareSize(epoch)
+	v, err := decodeInt(data, size, true)
+	if err != nil {
+		return nil, err
+	}
+	return &subShare{from: from, to: to, epoch: epoch, size: size, v: v}, nil
 }
 
 // EncodeCiphertext serializes a ciphertext as Size() fixed-width bytes.
@@ -137,12 +133,7 @@ func (c *codec) AppendCiphertext(dst []byte, ct Ciphertext) ([]byte, error) {
 	if err != nil {
 		return dst, err
 	}
-	out := slices.Grow(dst, x.size)[:len(dst)+x.size]
-	clear(out[len(dst):])
-	if err := c.PutCiphertext(out[len(dst):], ct); err != nil {
-		return dst, err
-	}
-	return out, nil
+	return appendInt(dst, x.value, x.size, false)
 }
 
 // PutCiphertext writes ct into dst, Size() zero bytes.
@@ -165,13 +156,14 @@ func (c *codec) DecodeCiphertext(pk PublicKey, bound *big.Int, data []byte) (Cip
 	if err != nil {
 		return nil, err
 	}
-	if len(data) != p.ctBytes {
-		return nil, fmt.Errorf("%w: ciphertext must be %d bytes, got %d", ErrMalformedMessage, p.ctBytes, len(data))
+	v, err := decodeInt(data, p.ctBytes, false)
+	if err != nil {
+		return nil, err
 	}
 	if bound == nil {
 		bound = p.maxPlain
 	}
-	return &ciphertext{value: new(big.Int).SetBytes(data), bound: new(big.Int).Set(bound), size: p.ctBytes}, nil
+	return &ciphertext{value: v, bound: new(big.Int).Set(bound), size: p.ctBytes}, nil
 }
 
 // EncodeKeyShare serializes a key share (it travels only inside PKE
@@ -181,7 +173,7 @@ func (c *codec) EncodeKeyShare(sh KeyShare) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return appendBig(nil, c.keySharePad, tagKeyShare, k.d, uint32(k.index), uint32(k.epoch)), nil //yosolint:vartime length-prefixed encoding is value-length dependent by construction; the PKE envelope size reveals the same length
+	return appendInt(nil, k.d, k.size, k.epoch > 0)
 }
 
 // pubInfoHeader is the announcement's fixed part: tag, n, t, ciphertext
@@ -197,12 +189,12 @@ func (c *codec) EncodePublicKey(pk PublicKey) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, max(pubInfoHeader, p.ctBytes/2))
-	buf = append(buf, tagPubInfo)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(p.n))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(p.t))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(p.ctBytes))
-	return padTo(buf, p.ctBytes/2), nil
+	buf := make([]byte, max(pubInfoHeader, p.ctBytes/2))
+	buf[0] = tagPubInfo
+	binary.BigEndian.PutUint32(buf[1:], uint32(p.n))
+	binary.BigEndian.PutUint32(buf[5:], uint32(p.t))
+	binary.BigEndian.PutUint32(buf[9:], uint32(p.ctBytes))
+	return buf, nil
 }
 
 // DecodePublicKeyInfo parses a public-key announcement into its metadata
@@ -230,110 +222,86 @@ func DecodePublicKeyInfo(data []byte) (n, t, ctBytes int, err error) {
 	return n, t, ctBytes, nil
 }
 
-// appendBig appends tag | fields | sign | u32 len | value, zero-extended to
-// pad bytes in all, writing the value in place so no intermediate copy of it
-// exists. A nil value encodes as zero.
-func appendBig(dst []byte, pad int, tag byte, v *big.Int, fields ...uint32) []byte {
+// appendInt appends v in a field of size bytes: |v| big-endian, behind a
+// sign byte when signed. A nil v is zero. A value the field cannot hold —
+// too long, or negative in an unsigned field — is an error, never
+// truncated; the key's bounds make every value its scheme computes fit, so
+// the check is public and constant-time. Every word of the field is written
+// from a field-wide copy of v's words: the work depends on the width alone.
+func appendInt(dst []byte, v *big.Int, size int, signed bool) ([]byte, error) {
 	if v == nil {
 		v = new(big.Int)
 	}
-	start, vlen := len(dst), byteLen(v)
-	dst = slices.Grow(dst, max(pad, 1+4*len(fields)+1+4+vlen))
-	dst = append(dst, tag)
-	for _, f := range fields {
-		dst = binary.BigEndian.AppendUint32(dst, f)
+	n, neg, unsigned := size, v.Sign()>>1&1, 1
+	if signed {
+		n, unsigned = size-1, 0
 	}
-	sign := byte(0)
-	if v.Sign() < 0 {
-		sign = 1
+	if n < 0 || subtle.ConstantTimeLessOrEq(v.BitLen(), 8*n)&subtle.ConstantTimeEq(int32(neg&unsigned), 0) == 0 {
+		return dst, fmt.Errorf("%w: value does not fit its %d-byte field", ErrMalformedMessage, size)
 	}
-	dst = append(dst, sign)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(vlen))
-	return padTo(appendAbs(dst, v, vlen), start+pad)
+	off := len(dst)
+	dst = slices.Grow(dst, size)[:off+size]
+	if signed {
+		dst[off] = byte(neg)
+	}
+	var stack [80]big.Word
+	words := stack[:]
+	if nw := (n + wordBytes - 1) / wordBytes; nw > len(stack) {
+		words = make([]big.Word, nw)
+	}
+	copy(words, v.Bits())
+	putWords(dst[off+size-n:], words)
+	return dst, nil
 }
 
-// appendAbs appends |v| as exactly n big-endian bytes; n must cover v. It
-// clears the leading zeros, since dst's spare capacity may hold old bytes (a
-// reused scratch), then writes v with putAbs.
-func appendAbs(dst []byte, v *big.Int, n int) []byte {
-	off := len(dst)
-	dst = slices.Grow(dst, n)[:off+n]
-	clear(dst[off : off+n-byteLen(v)])
-	putAbs(dst[off:], v)
-	return dst
+// decodeInt parses appendInt's field, which must be exactly size bytes.
+func decodeInt(data []byte, size int, signed bool) (*big.Int, error) {
+	if len(data) != size {
+		return nil, fmt.Errorf("%w: %d bytes, want %d", ErrMalformedMessage, len(data), size)
+	}
+	mag := data
+	if signed {
+		if data[0] > 1 {
+			return nil, fmt.Errorf("%w: sign byte %d", ErrMalformedMessage, data[0])
+		}
+		mag = data[1:]
+	}
+	// Skipping zero words keeps a Sim value from allocating its whole field.
+	for len(mag) >= 8 && binary.BigEndian.Uint64(mag) == 0 {
+		mag = mag[8:]
+	}
+	v := new(big.Int).SetBytes(mag)
+	if signed && data[0] == 1 {
+		v.Neg(v)
+	}
+	return v, nil
 }
 
 // putAbs writes |v| big-endian into the last bytes of dst, which must cover
 // it, and leaves the bytes before them as they are: a Sim ciphertext is a
-// few value bytes in a Size()-wide field. It writes v's words whole, from
-// the last byte back, and only the top word's bytes one by one, since
-// big.Int's FillBytes scans every byte it fills and OnC1 encodes a packed
-// group's Sim partial per layer role online.
-func putAbs(dst []byte, v *big.Int) {
-	i := len(dst)
-	lead := i - byteLen(v)
-	for _, w := range v.Bits() {
-		if i-wordBytes < lead {
-			for ; i > lead; w >>= 8 {
+// few value bytes in a Size()-wide field, and FillBytes would scan them all.
+func putAbs(dst []byte, v *big.Int) { putWords(dst[len(dst)-byteLen(v):], v.Bits()) }
+
+// putWords writes words, least significant first, big-endian into all of
+// dst, which they must cover: whole words from the last byte back, then
+// the leading bytes from the next word. Its work depends on len(dst) alone.
+func putWords(dst []byte, words []big.Word) {
+	for k, i := 0, len(dst); i > 0; k++ {
+		if i < wordBytes {
+			for w := words[k]; i > 0; w >>= 8 {
 				i--
 				dst[i] = byte(w)
 			}
-			break
+			return
 		}
 		i -= wordBytes
 		if wordBytes == 8 {
-			binary.BigEndian.PutUint64(dst[i:], uint64(w))
+			binary.BigEndian.PutUint64(dst[i:], uint64(words[k]))
 		} else {
-			binary.BigEndian.PutUint32(dst[i:], uint32(w))
+			binary.BigEndian.PutUint32(dst[i:], uint32(words[k]))
 		}
 	}
 }
 
 // wordBytes is the size of a big.Word.
 const wordBytes = bits.UintSize / 8
-
-// maxFields is the most u32 fields a message carries (a sub-share's three).
-const maxFields = 3
-
-// decodeBig parses appendBig's layout with nFields ≤ maxFields fields, which
-// it returns by value: the value is the only thing it allocates.
-func decodeBig(tag byte, nFields int, data []byte) ([maxFields]uint32, *big.Int, error) {
-	var fields [maxFields]uint32
-	min := 1 + 4*nFields + 1 + 4
-	if len(data) < min {
-		return fields, nil, fmt.Errorf("%w: short message", ErrMalformedMessage)
-	}
-	if data[0] != tag {
-		return fields, nil, fmt.Errorf("%w: tag %d, want %d", ErrMalformedMessage, data[0], tag)
-	}
-	off := 1
-	for i := range nFields {
-		fields[i] = binary.BigEndian.Uint32(data[off:])
-		off += 4
-	}
-	sign := data[off]
-	off++
-	vlen := int(binary.BigEndian.Uint32(data[off:]))
-	off += 4
-	if len(data) < off+vlen {
-		return fields, nil, fmt.Errorf("%w: truncated value", ErrMalformedMessage)
-	}
-	v := new(big.Int).SetBytes(data[off : off+vlen])
-	if sign == 1 {
-		v.Neg(v)
-	}
-	return fields, v, nil
-}
-
-// padTo zero-extends buf to size bytes; a buf already that long is returned
-// as is. The padding is written explicitly: buf's spare capacity may be a
-// reused scratch.
-func padTo(buf []byte, size int) []byte {
-	if len(buf) >= size {
-		return buf
-	}
-	n := len(buf)
-	buf = slices.Grow(buf, size-n)[:size]
-	clear(buf[n:])
-	return buf
-}

@@ -50,7 +50,10 @@ func TestPartialEncodeDecodeRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				p2, err := s.DecodePartial(pk, buf)
+				if len(buf) != pk.CiphertextSize() {
+					t.Errorf("partial encodes to %d bytes, want the key's %d", len(buf), pk.CiphertextSize())
+				}
+				p2, err := s.DecodePartial(pk, p.Index(), p.Epoch(), buf)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -94,7 +97,10 @@ func TestSubShareEncodeDecodeRoundTrip(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sub2, err := s.DecodeSubShare(pk, buf)
+					if len(buf) != pk.SubShareSize(0) {
+						t.Errorf("sub-share encodes to %d bytes, want the key's %d", len(buf), pk.SubShareSize(0))
+					}
+					sub2, err := s.DecodeSubShare(pk, sub.From(), sub.To(), 0, buf)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -127,18 +133,22 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, bad := range [][]byte{nil, {1}, {9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9}} {
-				if _, err := s.DecodePartial(pk, bad); err == nil {
-					t.Errorf("DecodePartial accepted %v", bad)
-				}
-				if _, err := s.DecodeSubShare(pk, bad); err == nil {
-					t.Errorf("DecodeSubShare accepted %v", bad)
+			part, sub := pk.CiphertextSize(), pk.SubShareSize(0)
+			for _, bad := range [][]byte{nil, {1}, make([]byte, part-1), make([]byte, part+1)} {
+				if _, err := s.DecodePartial(pk, 1, 0, bad); err == nil {
+					t.Errorf("DecodePartial accepted %d bytes", len(bad))
 				}
 			}
-			// Truncated value length.
-			trunc := appendBig(nil, 0, tagPartial, big.NewInt(1), 1, 0)
-			if _, err := s.DecodePartial(pk, trunc[:len(trunc)-1]); err == nil {
-				t.Error("DecodePartial accepted truncated value")
+			for _, bad := range [][]byte{nil, {0}, make([]byte, sub-1), make([]byte, sub+1)} {
+				if _, err := s.DecodeSubShare(pk, 1, 2, 0, bad); err == nil {
+					t.Errorf("DecodeSubShare accepted %d bytes", len(bad))
+				}
+			}
+			// A sign byte is 0 or 1.
+			signed := make([]byte, sub)
+			signed[0] = 2
+			if _, err := s.DecodeSubShare(pk, 1, 2, 0, signed); !errors.Is(err, ErrMalformedMessage) {
+				t.Errorf("DecodeSubShare accepted sign byte 2: %v", err)
 			}
 		})
 	}
@@ -162,23 +172,36 @@ func TestSimEncodingPadsToModelledSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(buf) != s.PartialSize() {
-		t.Errorf("encoded sim partial is %d bytes, want modelled %d", len(buf), s.PartialSize())
+	if len(buf) != s.CiphertextSize() {
+		t.Errorf("encoded sim partial is %d bytes, want modelled %d", len(buf), s.CiphertextSize())
 	}
 }
 
+// TestEncodeBigNegative round-trips signed values through a sign byte and a
+// fixed-width magnitude, and refuses what its field cannot hold rather than
+// truncating it.
 func TestEncodeBigNegative(t *testing.T) {
-	v := big.NewInt(-123456)
-	buf := appendBig(nil, 0, tagSubShare, v, 1, 2, 3)
-	fields, got, err := decodeBig(tagSubShare, 3, buf)
-	if err != nil {
-		t.Fatal(err)
+	for _, v := range []*big.Int{big.NewInt(-123456), big.NewInt(123456), new(big.Int)} {
+		buf, err := appendInt([]byte{0xAA}, v, 5, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(buf) != 6 || buf[0] != 0xAA {
+			t.Fatalf("%v: %x, want the prefix and a 5-byte field", v, buf)
+		}
+		got, err := decodeInt(buf[1:], 5, true)
+		if err != nil || got.Cmp(v) != 0 {
+			t.Errorf("%v round-trips to %v (%v)", v, got, err)
+		}
 	}
-	if got.Cmp(v) != 0 {
-		t.Errorf("negative value round trip = %v, want %v", got, v)
-	}
-	if fields[0] != 1 || fields[1] != 2 || fields[2] != 3 {
-		t.Errorf("fields = %v", fields)
+	for _, tc := range []struct {
+		v      int64
+		size   int
+		signed bool
+	}{{1 << 32, 4, true}, {1 << 32, 4, false}, {-1, 8, false}, {0, 0, true}} {
+		if _, err := appendInt(nil, big.NewInt(tc.v), tc.size, tc.signed); !errors.Is(err, ErrMalformedMessage) {
+			t.Errorf("%d in %d bytes (signed %v): err = %v, want ErrMalformedMessage", tc.v, tc.size, tc.signed, err)
+		}
 	}
 }
 
@@ -213,7 +236,7 @@ func TestPublicKeyInfoRoundTrip(t *testing.T) {
 				return out
 			}
 			wrongTag := append([]byte(nil), buf...)
-			wrongTag[0] = tagKeyShare
+			wrongTag[0] = tagPubInfo + 1
 			bad := map[string][]byte{
 				"empty":       nil,
 				"truncated":   buf[:pubInfoHeader-1],
@@ -235,11 +258,12 @@ func TestPublicKeyInfoRoundTrip(t *testing.T) {
 	}
 }
 
-// appendAbs writes whole words itself; FillBytes is the reference, for every
-// value length from 0 to three words and then some, behind a prefix it must
-// leave alone and in a field up to 9 bytes wider.
-func TestAppendAbsMatchesFillBytes(t *testing.T) {
-	prefix := []byte{0xAA, 0xBB, 0xCC}
+// putAbs and appendInt write whole words themselves; FillBytes is the
+// reference, for every value length from 0 to three words and then some, in
+// a field up to 9 bytes wider: putAbs's zeroed between neighbours it must
+// leave alone, appendInt's behind a prefix in dirty spare capacity.
+func TestPutAbsMatchesFillBytes(t *testing.T) {
+	prefix, suffix := []byte{0xAA, 0xBB, 0xCC}, []byte{0xDD}
 	for size := 0; size <= 3*wordBytes+3; size++ {
 		raw := make([]byte, size)
 		for i := range raw {
@@ -251,11 +275,16 @@ func TestAppendAbsMatchesFillBytes(t *testing.T) {
 		v := new(big.Int).SetBytes(raw)
 		for pad := 0; pad <= 9; pad++ {
 			n := size + pad
-			want := append(append([]byte(nil), prefix...), v.FillBytes(make([]byte, n))...)
-			// The field is dirty spare capacity, which must not show.
-			dirty := append(append([]byte(nil), prefix...), bytes.Repeat([]byte{0xEE}, n)...)
-			if got := appendAbs(dirty[:len(prefix)], v, n); !bytes.Equal(got, want) {
+			want := append(append(append([]byte(nil), prefix...), v.FillBytes(make([]byte, n))...), suffix...)
+			got := append(append(append([]byte(nil), prefix...), make([]byte, n)...), suffix...)
+			putAbs(got[len(prefix):len(prefix)+n], v)
+			if !bytes.Equal(got, want) {
 				t.Fatalf("%d value bytes in a %d-byte field: %x, want %x", size, n, got, want)
+			}
+			dirty := append(append([]byte(nil), prefix...), bytes.Repeat([]byte{0xEE}, n)...)
+			got, err := appendInt(dirty[:len(prefix)], v, n, false)
+			if want := want[:len(want)-len(suffix)]; err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("appendInt, %d value bytes in a %d-byte field: %x, want %x (%v)", size, n, got, want, err)
 			}
 		}
 	}

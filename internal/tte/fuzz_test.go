@@ -12,7 +12,8 @@ import (
 func bigOne() *big.Int { return big.NewInt(1) }
 
 // FuzzDecode checks the wire decoders of both backends on arbitrary bytes:
-// partials and sub-shares (envelope contents), ciphertexts and public-key
+// partials and sub-shares (envelope contents, decoded as member 2's at
+// epoch 0 and as sub-shares of epochs 0 and 1), ciphertexts and public-key
 // announcements (board bytes) are all attacker-controlled. No decoder may
 // panic; a ciphertext that decodes re-encodes to the same bytes, and a
 // partial or sub-share that decodes survives a re-encode unchanged.
@@ -55,7 +56,10 @@ func FuzzDecode(f *testing.F) {
 		if err := errors.Join(err1, err2, err3, err4); err != nil {
 			f.Fatal(err)
 		}
-		for _, b := range [][]byte{partEnc, subEnc, ctEnc, pubEnc} {
+		// A wrong length, a sign byte other than 0 or 1, and a sub-share
+		// one byte past its epoch's width.
+		badSign := append([]byte{2}, subEnc[1:]...)
+		for _, b := range [][]byte{partEnc, subEnc, ctEnc, pubEnc, partEnc[1:], badSign, append(subEnc, 0)} {
 			f.Add(b)
 		}
 	}
@@ -70,26 +74,30 @@ func FuzzDecode(f *testing.F) {
 					t.Fatalf("%s: ciphertext %x re-encodes to %x (%v)", s.Name(), data, got, err)
 				}
 			}
-			if p, err := s.DecodePartial(pk, data); err == nil {
+			if p, err := s.DecodePartial(pk, 2, 0, data); err == nil {
 				enc, err := s.EncodePartial(p)
 				if err != nil {
 					t.Fatalf("%s: decoded partial does not encode: %v", s.Name(), err)
 				}
-				q, err := s.DecodePartial(pk, enc)
+				q, err := s.DecodePartial(pk, 2, 0, enc)
 				if err != nil {
 					t.Fatalf("%s: re-encoded partial does not decode: %v", s.Name(), err)
 				}
 				a, b := p.(*partial), q.(*partial)
-				if a.index != b.index || a.epoch != b.epoch || a.v.Cmp(b.v) != 0 {
+				if len(enc) != len(data) || a.index != b.index || a.epoch != b.epoch || a.v.Cmp(b.v) != 0 {
 					t.Fatalf("%s: partial %+v became %+v across a re-encode", s.Name(), a, b)
 				}
 			}
-			if sub, err := s.DecodeSubShare(pk, data); err == nil {
+			for epoch := range 2 {
+				sub, err := s.DecodeSubShare(pk, 1, 2, epoch, data)
+				if err != nil {
+					continue
+				}
 				enc, err := s.AppendSubShare(nil, sub)
 				if err != nil {
 					t.Fatalf("%s: decoded sub-share does not encode: %v", s.Name(), err)
 				}
-				again, err := s.DecodeSubShare(pk, enc)
+				again, err := s.DecodeSubShare(pk, 1, 2, epoch, enc)
 				if err != nil {
 					t.Fatalf("%s: re-encoded sub-share does not decode: %v", s.Name(), err)
 				}

@@ -6,15 +6,14 @@ import (
 	"slices"
 )
 
-// The TE messages, one type per kind for both backends: metadata and the
-// value the real scheme computes with, and a ciphertext's wire size (the
-// other messages' widths are internal/postlen's). On Sim a ciphertext's
-// and a partial's value is the plaintext itself, and key shares and
-// sub-shares carry none (nil). A ciphertext's value and bound are never
-// modified once it exists, so they are shared: one bound serves an
-// EncryptMany batch, and a Sim partial holds its ciphertext's value. The
-// input checks below are the ones both backends run; each backend adds only
-// its arithmetic.
+// The TE messages, one type per kind for both backends: metadata, the
+// value the real scheme computes with, and the wire width the key pins for
+// it (codec.go). On Sim a ciphertext's and a partial's value is the
+// plaintext itself, and key shares and sub-shares carry none (nil). A
+// ciphertext's value and bound are never modified once it exists, so they
+// are shared: one bound serves an EncryptMany batch, and a Sim partial
+// holds its ciphertext's value. The input checks below are the ones both
+// backends run; each backend adds only its arithmetic.
 
 // publicKey is either backend's public key; scheme names the backend that
 // dealt it, so that each refuses the other's keys.
@@ -24,12 +23,51 @@ type publicKey struct {
 	delta    *big.Int // n!, Threshold's Lagrange scale; nil on Sim
 	maxPlain *big.Int
 	ctBytes  int
+	// dealt bounds a dealt key share, N·⌊N/4⌋ > N·m (Threshold); nil on
+	// Sim, whose shares carry no value.
+	dealt *big.Int
 }
 
 func (p *publicKey) N() int                 { return p.n }
 func (p *publicKey) T() int                 { return p.t }
 func (p *publicKey) CiphertextSize() int    { return p.ctBytes }
 func (p *publicKey) MaxPlaintext() *big.Int { return p.maxPlain }
+
+// SubShareSize is the width of a sub-share resharing a key share of the
+// given epoch, and of a key share recovered at that epoch: a sign byte and
+// the magnitude of the epoch's bound (bounds). Sim models it as a key share
+// plus the masking slack.
+func (p *publicKey) SubShareSize(epoch int) int {
+	if p.dealt == nil {
+		return p.ctBytes + statSecurity/8
+	}
+	_, sub := p.bounds(epoch)
+	return 1 + byteLen(sub)
+}
+
+// bounds returns TKRes's public bounds on key shares of epoch e, whose
+// magnitudes are below d_e: its coefficients are below mask = d_e·Δ·2^σ and
+// its sub-shares below sub = d_e + mask·Σ_{k=1..t} n^k. A dealt share is
+// below d_0 = N·⌊N/4⌋ > N·m; TKRec weights t+1 sub-shares by Δ·λ_i(0), and
+// any t+1 of 1..n have Σ|λ_i(0)| ≤ n!/(n−t)!·Σ_i 1/(i!(t−i)!) = C(n,t)·2^t,
+// so d_{e+1} = Δ·C(n,t)·2^t·sub_e (< sub_{e+1}). No bound reads a secret.
+func (p *publicKey) bounds(epoch int) (mask, sub *big.Int) {
+	powers, pow, n := new(big.Int), big.NewInt(1), big.NewInt(int64(p.n))
+	for range p.t {
+		powers.Add(powers, pow.Mul(pow, n))
+	}
+	lebesgue := new(big.Int).Binomial(int64(p.n), int64(p.t))
+	lebesgue.Mul(lebesgue.Lsh(lebesgue, uint(p.t)), p.delta)
+	d := p.dealt
+	for e := 0; ; e++ {
+		mask = new(big.Int).Lsh(new(big.Int).Mul(d, p.delta), statSecurity)
+		sub = new(big.Int).Add(d, new(big.Int).Mul(mask, powers))
+		if e >= epoch {
+			return mask, sub
+		}
+		d = new(big.Int).Mul(lebesgue, sub)
+	}
+}
 
 type ciphertext struct {
 	value *big.Int // the Paillier residue mod N² (Sim: the plaintext)
@@ -42,6 +80,7 @@ func (c *ciphertext) Size() int       { return c.size }
 
 type keyShare struct {
 	index, epoch int
+	size         int      // CiphertextSize() when dealt, SubShareSize(epoch) after
 	d            *big.Int //yosolint:secret key-share evaluation d_i = F(i); signed after resharing
 }
 
@@ -50,6 +89,7 @@ func (s *keyShare) Epoch() int { return s.epoch }
 
 type partial struct {
 	index, epoch int
+	size         int      // CiphertextSize()
 	v            *big.Int //yosolint:secret partial decryption c^(2Δ·d_i) mod N² (Sim: the plaintext), secret until intentionally combined
 }
 
@@ -59,19 +99,15 @@ func (p *partial) Epoch() int { return p.epoch }
 type subShare struct {
 	from, to int
 	epoch    int      // epoch of the share being reshared
+	size     int      // SubShareSize(epoch)
 	v        *big.Int //yosolint:secret resharing evaluation f_from(to), blinds the next-epoch share
 }
 
 func (s *subShare) From() int { return s.from }
 func (s *subShare) To() int   { return s.to }
 
-// byteLen is the big-endian length of |v|, 0 for no value.
-func byteLen(v *big.Int) int {
-	if v == nil {
-		return 0
-	}
-	return (v.BitLen() + 7) / 8
-}
+// byteLen is the big-endian length of |v|.
+func byteLen(v *big.Int) int { return (v.BitLen() + 7) / 8 }
 
 // first unwraps a batch of one.
 func first(cts []Ciphertext, err error) (Ciphertext, error) {

@@ -1,9 +1,13 @@
 package tte
 
 import (
+	"bytes"
+	"errors"
 	"math/big"
 	"testing"
 	"testing/quick"
+
+	"yosompc/internal/paillier"
 )
 
 // Property-based tests on the TE homomorphism, run on the ideal backend
@@ -164,5 +168,64 @@ func TestReshareIsTransparentProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSubShareWidthsHoldEveryRecovery runs the real backend's resharing
+// four times over, epochs 0 to 3, for every committee n ≤ 16 and every
+// threshold t < n. Each epoch's shares are recovered twice: from the first
+// t+1 senders, and from the last t+1, the points farthest from 0, whose Λ_i
+// are the largest and so grow a share the most; the next epoch reshares the
+// latter. Every sub-share and every recovered key share must encode to its
+// key's width, and a value one bit past a width is refused, not truncated.
+func TestSubShareWidthsHoldEveryRecovery(t *testing.T) {
+	s, err := NewThreshold(paillier.FixedTestKey(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 1; n <= 16; n++ {
+		for th := 0; th < n; th++ {
+			pk, shares, err := s.KeyGen(n, th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for epoch := range 4 {
+				width := pk.SubShareSize(epoch)
+				byTarget := make([][]SubShare, n)
+				for _, sh := range shares {
+					subs, err := s.Reshare(pk, sh)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for j, sub := range subs {
+						enc, err := s.AppendSubShare(nil, sub)
+						if err != nil || len(enc) != width {
+							t.Fatalf("n=%d t=%d epoch %d: sub-share %d→%d encodes to %d bytes, width %d (%v)",
+								n, th, epoch, sub.From(), sub.To(), len(enc), width, err)
+						}
+						byTarget[j] = append(byTarget[j], sub)
+					}
+				}
+				next := make([]KeyShare, n)
+				for j, subs := range byTarget {
+					for _, from := range [][]SubShare{subs[:th+1], subs[n-th-1:]} {
+						sh, err := s.RecoverShare(pk, j+1, from)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if enc, err := s.EncodeKeyShare(sh); err != nil || len(enc) != pk.SubShareSize(epoch+1) {
+							t.Fatalf("n=%d t=%d epoch %d: recovered share %d encodes to %d bytes, width %d (%v)",
+								n, th, epoch+1, j+1, len(enc), pk.SubShareSize(epoch+1), err)
+						}
+						next[j] = sh
+					}
+				}
+				shares = next
+			}
+			over := &subShare{from: 1, to: 1, size: pk.SubShareSize(0), v: new(big.Int).Lsh(big.NewInt(-1), uint(8*(pk.SubShareSize(0)-1)))}
+			if got, err := s.AppendSubShare([]byte{7}, over); !errors.Is(err, ErrMalformedMessage) || !bytes.Equal(got, []byte{7}) {
+				t.Fatalf("n=%d t=%d: a sub-share one bit past its width gives %x, %v", n, th, got, err)
+			}
+		}
 	}
 }

@@ -11,7 +11,8 @@ import (
 // communication sweeps at committee sizes in the thousands measure the
 // same byte counts the real backend would produce, without big-integer
 // exponentiations dominating wall clock. Its messages and codec are the
-// real backend's; its encodings are zero-padded to the modelled sizes. A
+// real backend's, in widths its keys pin for the modelled modulus (a
+// sub-share's is a constant, its key share plus the masking slack). A
 // TEval's value and bound are word sums (evalSums), in one result object
 // and one slab of words, whatever the number of terms.
 //
@@ -28,26 +29,12 @@ func NewSim(modulusBits int) *Sim {
 	if modulusBits <= 0 {
 		modulusBits = 2048
 	}
-	s := &Sim{ModulusBits: modulusBits}
-	s.codec = codec{scheme: "sim", partialPad: s.PartialSize(), subSharePad: s.SubShareSize(), keySharePad: s.KeyShareSize()}
-	return s
+	return &Sim{ModulusBits: modulusBits, codec: codec{scheme: "sim"}}
 }
 
-// The modelled wire sizes in bytes — the one table of them: the codec
-// pads every encoding to these and postlen.SimSizes reads them.
-
-// CiphertextSize is an element of Z_{N²}.
+// CiphertextSize is the modelled width of an element of Z_{N²}, which its
+// keys pin for every message but a sub-share (publicKey.SubShareSize).
 func (s *Sim) CiphertextSize() int { return s.ModulusBits / 4 }
-
-// KeyShareSize is a tsk key share, ≈ |Nm|.
-func (s *Sim) KeyShareSize() int { return s.ModulusBits / 4 }
-
-// PartialSize is a partial decryption, an element of Z_{N²}.
-func (s *Sim) PartialSize() int { return s.ModulusBits / 4 }
-
-// SubShareSize is a resharing subshare: a key share plus the
-// statistical masking slack.
-func (s *Sim) SubShareSize() int { return s.ModulusBits/4 + statSecurity/8 }
 
 // MaxPlaintext is the largest plaintext bound of the modelled key, ≈ N/4 —
 // what its public keys report and what costmodel sizes slot-packed openings
@@ -63,7 +50,7 @@ func (s *Sim) KeyGen(n, t int) (PublicKey, []KeyShare, error) {
 	}
 	shares := make([]KeyShare, n)
 	for i := range shares {
-		shares[i] = &keyShare{index: i + 1}
+		shares[i] = &keyShare{index: i + 1, size: s.CiphertextSize()}
 	}
 	return &publicKey{scheme: s.scheme, n: n, t: t, maxPlain: s.MaxPlaintext(), ctBytes: s.CiphertextSize()}, shares, nil
 }
@@ -123,11 +110,11 @@ func (s *Sim) Eval(pk PublicKey, cts []Ciphertext, coeffs []*big.Int) (Ciphertex
 // PartialDecrypt implements TPDec. The partial holds the ciphertext's
 // value, which neither ever modifies.
 func (s *Sim) PartialDecrypt(pk PublicKey, sh KeyShare, ct Ciphertext) (PartialDec, error) {
-	_, k, c, err := s.operands(pk, sh, ct)
+	p, k, c, err := s.operands(pk, sh, ct)
 	if err != nil {
 		return nil, err
 	}
-	return &partial{index: k.index, epoch: k.epoch, v: c.value}, nil
+	return &partial{index: k.index, epoch: k.epoch, size: p.ctBytes, v: c.value}, nil
 }
 
 // Combine implements TDec: the majority value among > t partials with
@@ -171,8 +158,9 @@ func (s *Sim) Reshare(pk PublicKey, sh KeyShare) ([]SubShare, error) {
 	}
 	subs := make([]SubShare, p.n)
 	slab := make([]subShare, p.n)
+	size := p.SubShareSize(k.epoch)
 	for j := range subs {
-		slab[j] = subShare{from: k.index, to: j + 1, epoch: k.epoch}
+		slab[j] = subShare{from: k.index, to: j + 1, epoch: k.epoch, size: size}
 		subs[j] = &slab[j]
 	}
 	return subs, nil
@@ -180,18 +168,19 @@ func (s *Sim) Reshare(pk PublicKey, sh KeyShare) ([]SubShare, error) {
 
 // RecoverShare implements TKRec.
 func (s *Sim) RecoverShare(pk PublicKey, index int, subs []SubShare) (KeyShare, error) {
-	_, _, epoch, err := s.subShares(pk, index, subs)
+	p, _, epoch, err := s.subShares(pk, index, subs)
 	if err != nil {
 		return nil, err
 	}
-	return &keyShare{index: index, epoch: epoch + 1}, nil
+	return &keyShare{index: index, epoch: epoch + 1, size: p.SubShareSize(epoch + 1)}, nil
 }
 
 // SimPartialDecrypt implements the Simulator hook trivially: the ideal
 // functionality can always open to the target.
 func (s *Sim) SimPartialDecrypt(pk PublicKey, _ Ciphertext, target *big.Int,
 	corrupt []KeyShare, honest []int) ([]PartialDec, error) {
-	if _, err := s.pub(pk); err != nil {
+	p, err := s.pub(pk)
+	if err != nil {
 		return nil, err
 	}
 	epoch := 0
@@ -201,7 +190,7 @@ func (s *Sim) SimPartialDecrypt(pk PublicKey, _ Ciphertext, target *big.Int,
 	sort.Ints(honest)
 	out := make([]PartialDec, len(honest))
 	for i, j := range honest {
-		out[i] = &partial{index: j, epoch: epoch, v: new(big.Int).Set(target)}
+		out[i] = &partial{index: j, epoch: epoch, size: p.ctBytes, v: new(big.Int).Set(target)}
 	}
 	return out, nil
 }

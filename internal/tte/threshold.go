@@ -65,12 +65,14 @@ func (s *Threshold) KeyGen(n, t int) (PublicKey, []KeyShare, error) {
 		}
 		coeffs[i] = c
 	}
+	pk := &publicKey{scheme: s.scheme, n: n, t: t, delta: factorial(n),
+		maxPlain: new(big.Int).Rsh(s.dealer.N, 2), ctBytes: (s.dealer.N2.BitLen() + 7) / 8}
+	pk.dealt = new(big.Int).Mul(s.dealer.N, pk.maxPlain)
 	shares := make([]KeyShare, n)
 	for i := 1; i <= n; i++ {
-		shares[i-1] = &keyShare{index: i, d: evalIntPoly(coeffs, i, nm)} //yosolint:vartime dealer-side keygen evaluation of the key-sharing polynomial; stdlib math/big only
+		shares[i-1] = &keyShare{index: i, size: pk.ctBytes, d: evalIntPoly(coeffs, i, nm)} //yosolint:vartime dealer-side keygen evaluation of the key-sharing polynomial; stdlib math/big only
 	}
-	return &publicKey{scheme: s.scheme, n: n, t: t, delta: factorial(n),
-		maxPlain: new(big.Int).Rsh(s.dealer.N, 2), ctBytes: (s.dealer.N2.BitLen() + 7) / 8}, shares, nil
+	return pk, shares, nil
 }
 
 // evalIntPoly evaluates the polynomial at x, reducing modulo mod when mod is
@@ -165,7 +167,7 @@ func (s *Threshold) PartialDecrypt(pk PublicKey, sh KeyShare, ct Ciphertext) (Pa
 	if err != nil {
 		return nil, err
 	}
-	return &partial{index: k.index, epoch: k.epoch, v: v}, nil
+	return &partial{index: k.index, epoch: k.epoch, size: p.ctBytes, v: v}, nil
 }
 
 // Combine implements TDec: c' = Π v_i^(2Λ_i) where Λ_i = Δ·λ_i(0), then the
@@ -231,8 +233,9 @@ func (s *Threshold) lowestPartials(pk PublicKey, parts []PartialDec) (*publicKey
 }
 
 // Reshare implements TKRes: share d_i with a fresh degree-t integer
-// polynomial whose non-constant coefficients carry statSecurity bits of
-// statistical masking.
+// polynomial whose non-constant coefficients are drawn below the epoch's
+// public masking bound, statSecurity bits past |d_i|·Δ (publicKey.bounds),
+// so every sub-share fits the width the same bounds set.
 func (s *Threshold) Reshare(pk PublicKey, sh KeyShare) ([]SubShare, error) {
 	p, err := s.pub(pk)
 	if err != nil {
@@ -242,16 +245,8 @@ func (s *Threshold) Reshare(pk PublicKey, sh KeyShare) ([]SubShare, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Masking bound: |d_i|·Δ·2^statSecurity, |d_i| taken as at least
-	// N·⌊N/4⌋. That floor is public key data, at least epoch 0's N·m and of
-	// its bit length, so a resharing member reads no dealer secret.
-	mag := new(big.Int).Abs(k.d)
-	floor := new(big.Int).Mul(s.dealer.N, p.maxPlain)
-	if mag.Cmp(floor) < 0 { //yosolint:vartime sizes the masking bound; reveals only the share's magnitude class, which its wire-encoding length reveals regardless
-		mag = floor
-	}
-	bound := new(big.Int).Lsh(mag.Mul(mag, p.delta), statSecurity)
-
+	bound, _ := p.bounds(k.epoch)
+	size := p.SubShareSize(k.epoch)
 	coeffs := make([]*big.Int, p.t+1)
 	coeffs[0] = k.d
 	for i := 1; i <= p.t; i++ {
@@ -263,7 +258,7 @@ func (s *Threshold) Reshare(pk PublicKey, sh KeyShare) ([]SubShare, error) {
 	}
 	subs := make([]SubShare, p.n)
 	for j := 1; j <= p.n; j++ {
-		subs[j-1] = &subShare{from: k.index, to: j, epoch: k.epoch, v: evalIntPoly(coeffs, j, nil)} //yosolint:vartime role-side resharing of its own key share; stdlib math/big only, residual risk documented in docs/STATIC_ANALYSIS.md
+		subs[j-1] = &subShare{from: k.index, to: j, epoch: k.epoch, size: size, v: evalIntPoly(coeffs, j, nil)} //yosolint:vartime role-side resharing of its own key share; stdlib math/big only, residual risk documented in docs/STATIC_ANALYSIS.md
 	}
 	return subs, nil
 }
@@ -290,7 +285,7 @@ func (s *Threshold) RecoverShare(pk PublicKey, index int, subs []SubShare) (KeyS
 	for i, sub := range ss {
 		d.Add(d, term.Mul(lambdas[i], sub.v))
 	}
-	return &keyShare{index: index, epoch: epoch + 1, d: d}, nil
+	return &keyShare{index: index, epoch: epoch + 1, size: p.SubShareSize(epoch + 1), d: d}, nil
 }
 
 // SimPartialDecrypt implements SimTPDec (Definition 2). Given the true
@@ -373,7 +368,7 @@ func (s *Threshold) SimPartialDecrypt(pk PublicKey, ct Ciphertext, target *big.I
 		if err != nil {
 			return nil, err
 		}
-		out[i] = &partial{index: j, epoch: epoch, v: v}
+		out[i] = &partial{index: j, epoch: epoch, size: p.ctBytes, v: v}
 	}
 	return out, nil
 }

@@ -77,8 +77,12 @@ type PublicKey interface {
 	// T returns the reconstruction threshold: any T+1 partial
 	// decryptions suffice, any T reveal nothing.
 	T() int
-	// CiphertextSize returns the wire size of a fresh ciphertext.
+	// CiphertextSize returns the wire size of a ciphertext, which is also
+	// that of a partial decryption and of a dealt key share.
 	CiphertextSize() int
+	// SubShareSize returns the wire size of a sub-share resharing a key
+	// share of the given epoch, the width of the key's public bound on it.
+	SubShareSize(epoch int) int
 	// MaxPlaintext returns the largest plaintext bound TEval accepts.
 	MaxPlaintext() *big.Int
 }
