@@ -496,10 +496,10 @@ func TestTskStepOneEphemeralKeyPerPosting(t *testing.T) {
 }
 
 // A member writes its posting into one buffer of the step's posting length,
-// and on Sim that is exactly what it writes: the posting the board keeps has
-// that length, no spare capacity, and needed no reallocation. (The real
-// backend's partials and sub-shares are not padded to the nominal widths,
-// so there the buffer grows as the encodings need.)
+// and on both backends that is exactly what it writes: the posting the board
+// keeps has that length, no spare capacity, and needed no reallocation. The
+// cases cover a dealt share (epoch 0) and one recovered from a hand-off
+// (epoch 1).
 func TestTskPostIsExactlySized(t *testing.T) {
 	real, err := tte.NewThreshold(paillier.FixedTestKey(0))
 	if err != nil {

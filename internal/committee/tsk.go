@@ -214,8 +214,9 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 	tsk.shares, tsk.handoff = nil, nil
 	if next != nil {
 		tsk.handoff = make([]Envelopes, size.SubShares)
+		width := r.Sizes.SubShare(tsk.epoch)
 		for j := range tsk.handoff {
-			tsk.handoff[j] = sealed(0, len(open)+j, r.Sizes.SubShare(tsk.epoch))
+			tsk.handoff[j] = sealed(0, len(open)+j, width)
 		}
 	}
 	return res, nil

@@ -227,10 +227,11 @@ func DecodePublicKeyInfo(data []byte) (n, t, ctBytes int, err error) {
 // too long, or negative in an unsigned field — is an error, never
 // truncated; the key's bounds make every value its scheme computes fit, so
 // the check is public and constant-time. Every word of the field is written
-// from a field-wide copy of v's words: the work depends on the width alone.
+// straight from v's words (putWords), so no copy of a secret value is left
+// behind, and the work depends on the width alone.
 func appendInt(dst []byte, v *big.Int, size int, signed bool) ([]byte, error) {
 	if v == nil {
-		v = new(big.Int)
+		v = &zero
 	}
 	n, neg, unsigned := size, v.Sign()>>1&1, 1
 	if signed {
@@ -244,15 +245,12 @@ func appendInt(dst []byte, v *big.Int, size int, signed bool) ([]byte, error) {
 	if signed {
 		dst[off] = byte(neg)
 	}
-	var stack [80]big.Word
-	words := stack[:]
-	if nw := (n + wordBytes - 1) / wordBytes; nw > len(stack) {
-		words = make([]big.Word, nw)
-	}
-	copy(words, v.Bits())
-	putWords(dst[off+size-n:], words)
+	putWords(dst[off+size-n:], v.Bits())
 	return dst, nil
 }
+
+// zero is the value a nil message value encodes; it is only read.
+var zero big.Int
 
 // decodeInt parses appendInt's field, which must be exactly size bytes.
 func decodeInt(data []byte, size int, signed bool) (*big.Int, error) {
@@ -282,13 +280,19 @@ func decodeInt(data []byte, size int, signed bool) (*big.Int, error) {
 // few value bytes in a Size()-wide field, and FillBytes would scan them all.
 func putAbs(dst []byte, v *big.Int) { putWords(dst[len(dst)-byteLen(v):], v.Bits()) }
 
-// putWords writes words, least significant first, big-endian into all of
-// dst, which they must cover: whole words from the last byte back, then
-// the leading bytes from the next word. Its work depends on len(dst) alone.
+// putWords writes the value whose words, least significant first, are
+// words big-endian into all of dst, which must hold it: whole words from
+// the last byte back, then the leading bytes from the next word, zero
+// words once words runs out. It reads words in place and its work depends
+// on len(dst) alone.
 func putWords(dst []byte, words []big.Word) {
 	for k, i := 0, len(dst); i > 0; k++ {
+		var w big.Word
+		if k < len(words) {
+			w = words[k]
+		}
 		if i < wordBytes {
-			for w := words[k]; i > 0; w >>= 8 {
+			for ; i > 0; w >>= 8 {
 				i--
 				dst[i] = byte(w)
 			}
@@ -296,9 +300,9 @@ func putWords(dst []byte, words []big.Word) {
 		}
 		i -= wordBytes
 		if wordBytes == 8 {
-			binary.BigEndian.PutUint64(dst[i:], uint64(words[k]))
+			binary.BigEndian.PutUint64(dst[i:], uint64(w))
 		} else {
-			binary.BigEndian.PutUint32(dst[i:], uint32(words[k]))
+			binary.BigEndian.PutUint32(dst[i:], uint32(w))
 		}
 	}
 }

@@ -289,3 +289,27 @@ func TestPutAbsMatchesFillBytes(t *testing.T) {
 		}
 	}
 }
+
+// appendInt writes a value straight from its words: encoding one, secret
+// or not, into a buffer with room allocates nothing, so no copy of it
+// outlives the encode — also for a field wider than 640 bytes, here a
+// 3072-bit key's ciphertext width, and for a nil (Sim) value.
+func TestAppendIntMakesNoCopy(t *testing.T) {
+	const size = 2 * 3072 / 8
+	v := new(big.Int).Lsh(big.NewInt(3), 8*(size-2))
+	neg := new(big.Int).Neg(v)
+	buf := make([]byte, 0, size)
+	for _, tc := range []struct {
+		name   string
+		v      *big.Int
+		signed bool
+	}{{"unsigned", v, false}, {"signed", neg, true}, {"nil", nil, true}} {
+		if allocs := testing.AllocsPerRun(10, func() {
+			if _, err := appendInt(buf[:0], tc.v, size, tc.signed); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: appendInt of a %d-byte field allocated %v times", tc.name, size, allocs)
+		}
+	}
+}
