@@ -153,11 +153,11 @@ func (r *Runner) statement(label, roleName string) []byte {
 // Speak executes one role's speaking step and reports whether its posting is
 // accepted: its proof verifies, or, at an unattested step, it posted. Honest
 // roles post the payload from `honest` with an attested proof; an encoding
-// other than sp.Len bytes is refused, since readers lay every posting out
-// by the step's length. Malicious
-// roles never call honest: they post sp.Len zero bytes, the step's public
-// posting length, under a forged proof, or at an unattested step under none,
-// handing the garbage to the readers' decoding. Fail-stop roles post nothing.
+// other than sp.Len bytes is refused, since readers lay every posting out by
+// the step's length. Malicious roles never call honest: they post sp.Len
+// zero bytes, the step's public posting length, under a forged proof, or at
+// an unattested step under none, handing the garbage to the readers'
+// decoding. Fail-stop roles post nothing.
 func Speak[T Payload](r *Runner, role *yoso.Role, sp Spec, honest func() (T, error)) (post Post[T], ok bool, err error) {
 	post.Index = role.Index
 	switch role.Behavior {

@@ -157,7 +157,7 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 	}
 
 	// Transpose the verified postings into one column per opening and per
-	// hand-off recipient. at[m] is where member m's posting is in posts
+	// hand-off recipient. at[m] − 1 is where member m's posting is in posts
 	// (−1: not verified) and off[x] where posting x's next part starts: each
 	// column walks its members in window order and takes each one's next
 	// part, of the layout's width for it, so every member's parts are taken
@@ -167,13 +167,10 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 	// backing array serves every column; each view's capacity is clipped.
 	keyLen := min(1, size.Sealed+size.SubShares) * r.Sizes.PostingKey // a key when anything is sealed
 	at := make([]int, n+1)
-	for m := range at {
-		at[m] = -1
-	}
 	keys, slots := make([][]byte, 2*len(posts)), make([]int, 2*len(posts))
 	off := make([]int, len(posts))
 	for x, p := range posts {
-		at[p.Index], off[x] = x, keyLen
+		at[p.Index], off[x] = x+1, keyLen
 		keys[x], slots[x] = p.Wire[:keyLen:keyLen], p.Index
 	}
 	copy(keys[len(posts):], keys)
@@ -183,7 +180,7 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 		first, members := window(n, s, role)
 		start := len(views)
 		for d := range members {
-			if x := at[(first-1+d)%n+1]; x >= 0 {
+			if x := at[(first-1+d)%n+1] - 1; x >= 0 {
 				if len(views) == start {
 					from = x
 				}
@@ -270,26 +267,19 @@ func answered(open []Opening, n, s int) (postlen.Posting, error) {
 // after every use: the raw bytes carry the same secret as what they encode.
 // Every encoding is its key-pinned width, so neither buffer ever grows.
 func (r *Runner) tskPost(i int, sh tte.KeyShare, open []Opening, n, s int, next *yoso.Committee, size int) (TskPost, error) {
+	var err error
 	mine := make([]int, 0, len(open)) // the openings member i answers
+	var to pke.PublicKey              // any recipient: it picks the posting key's backend
 	for j, o := range open {
 		if answers(n, s, o.Role, i) {
 			mine = append(mine, j)
+			if o.Key != nil {
+				to = o.Key
+			}
 		}
 	}
-	parts := make([]tte.PartialDec, len(mine))
 	var subs []tte.SubShare
-	var to pke.PublicKey // any recipient: it picks the posting key's backend
-	for p, j := range mine {
-		var err error
-		if parts[p], err = r.TE.PartialDecrypt(r.TPK, sh, open[j].Ct); err != nil {
-			return TskPost{}, err
-		}
-		if open[j].Key != nil {
-			to = open[j].Key
-		}
-	}
 	if next != nil {
-		var err error
 		if subs, err = r.TE.Reshare(r.TPK, sh); err != nil {
 			return TskPost{}, err
 		}
@@ -304,23 +294,25 @@ func (r *Runner) tskPost(i int, sh tte.KeyShare, open []Opening, n, s int, next 
 	plain := make([]byte, 0, max(r.Sizes.Ciphertext, r.Sizes.SubShare(sh.Epoch())))
 	var seal pke.Sealer
 	if to != nil {
-		var err error
 		if post.buf, err = seal.AppendKey(post.buf, to); err != nil {
 			return TskPost{}, err
 		}
 	}
 
 	// An envelope answering opening j is sealed at j.
-	for p, j := range mine {
-		var err error
+	for _, j := range mine {
+		var part tte.PartialDec
+		if part, err = r.TE.PartialDecrypt(r.TPK, sh, open[j].Ct); err != nil {
+			return TskPost{}, err
+		}
 		if key := open[j].Key; key != nil {
-			plain, err = r.TE.AppendPartial(plain[:0], parts[p])
+			plain, err = r.TE.AppendPartial(plain[:0], part)
 			if err == nil {
 				post.buf, err = seal.AppendEncrypt(post.buf, j, key, plain)
 			}
 			clear(plain)
 		} else {
-			post.buf, err = r.TE.AppendPartial(post.buf, parts[p]) //yosolint:owner a Decrypt opens to everyone: the partial is the public posting
+			post.buf, err = r.TE.AppendPartial(post.buf, part) //yosolint:owner a Decrypt opens to everyone: the partial is the public posting
 		}
 		if err != nil {
 			return TskPost{}, err
@@ -330,7 +322,6 @@ func (r *Runner) tskPost(i int, sh tte.KeyShare, open []Opening, n, s int, next 
 		if sub.To() != j+1 {
 			return TskPost{}, fmt.Errorf("sub-share %d is addressed to member %d", j+1, sub.To())
 		}
-		var err error
 		plain, err = r.TE.AppendSubShare(plain[:0], sub)
 		if err == nil {
 			post.buf, err = seal.AppendEncrypt(post.buf, len(open)+j, next.Role(j+1).PublicKey(), plain)
@@ -408,10 +399,9 @@ func (r *Runner) DealShares(c *yoso.Committee, shares []tte.KeyShare) (*Tsk, err
 // recoverShares lets each member of c rebuild its tsk share from a quorum of
 // the envelopes the previous TskStep handed off (TKRec after decrypting with
 // the role secret key), which consumes the hand-off and takes the tsk one
-// epoch on. Crashed members
-// recover nothing. Members are independent, so they run on the worker pool,
-// slot-indexed; the error reported is the lowest-index member's whatever
-// the worker count.
+// epoch on. Crashed members recover nothing. Members are independent, so
+// they run on the worker pool, slot-indexed; the error reported is the
+// lowest-index member's whatever the worker count.
 func (r *Runner) recoverShares(tsk *Tsk, c *yoso.Committee, phase comm.Phase) error {
 	tsk.shares = make([]tte.KeyShare, c.N())
 	errs := make([]error, c.N())
@@ -457,10 +447,9 @@ func (r *Runner) recoverShares(tsk *Tsk, c *yoso.Committee, phase comm.Phase) er
 // of member from[m] under a key share of epoch — which are public encodings
 // under a verified proof, so one that fails to decode before the quorum is
 // full is the error returned, beside the contributions that decoded before
-// it. openSealed is the walk over envelopes, which never
-// fails. Fewer than t+1 opened is not an error here: the caller's Combine or
-// RecoverShare reports ErrTooFewPartials, which the caller wraps in
-// ErrNotEnough.
+// it. openSealed is the walk over envelopes, which never fails. Fewer than
+// t+1 opened is not an error here: the caller's Combine or RecoverShare
+// reports ErrTooFewPartials, which the caller wraps in ErrNotEnough.
 func quorum[T any](r *Runner, views [][]byte, from []int, epoch int, decode decoder[T]) ([]T, error) {
 	got := make([]T, 0, r.TPK.T()+1)
 	for m, view := range views[:min(len(views), cap(got))] {
@@ -477,14 +466,13 @@ func quorum[T any](r *Runner, views [][]byte, from []int, epoch int, decode deco
 // to sk open and decode to, up to t+1 of them. Each is opened under its
 // poster's posting key at the column's part index and decoded as its
 // poster's, which the reader knows from the step's layout and never takes
-// from the bytes. One that does not
-// open — wrong key, truncated, failed tag, undecodable plaintext — is
-// skipped and the walk goes on: the proof cannot vouch for what only the
-// recipient reads. Every envelope is opened into one plaintext scratch,
-// wiped after each decode — the raw bytes carry the same secret as the
-// partial decryption or key sub-share they encode — and over its whole
-// capacity when the walk ends, so the walk allocates nothing but what it
-// decodes.
+// from the bytes. One that does not open — wrong key, truncated, failed
+// tag, undecodable plaintext — is skipped and the walk goes on: the proof
+// cannot vouch for what only the recipient reads. Every envelope is opened
+// into one plaintext scratch, wiped after each decode — the raw bytes carry
+// the same secret as the partial decryption or key sub-share they encode —
+// and over its whole capacity when the walk ends, so the walk allocates
+// nothing but what it decodes.
 func openSealed[T any](r *Runner, sk pke.SecretKey, col Envelopes, decode decoder[T]) []T {
 	got := make([]T, 0, r.TPK.T()+1)
 	var plain []byte

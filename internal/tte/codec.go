@@ -249,9 +249,6 @@ func appendInt(dst []byte, v *big.Int, size int, signed bool) ([]byte, error) {
 	return dst, nil
 }
 
-// zero is the value a nil message value encodes; it is only read.
-var zero big.Int
-
 // decodeInt parses appendInt's field, which must be exactly size bytes.
 func decodeInt(data []byte, size int, signed bool) (*big.Int, error) {
 	if len(data) != size {
@@ -279,6 +276,8 @@ func decodeInt(data []byte, size int, signed bool) (*big.Int, error) {
 // it, and leaves the bytes before them as they are: a Sim ciphertext is a
 // few value bytes in a Size()-wide field, and FillBytes would scan them all.
 func putAbs(dst []byte, v *big.Int) { putWords(dst[len(dst)-byteLen(v):], v.Bits()) }
+
+var zero big.Int // what a nil value encodes; only read
 
 // putWords writes the value whose words, least significant first, are
 // words big-endian into all of dst, which must hold it: whole words from

@@ -27,9 +27,9 @@ type publicKey struct {
 	// dealt bounds a dealt key share, N·⌊N/4⌋ > N·m (Threshold); nil on
 	// Sim, whose shares carry no value.
 	dealt *big.Int
-	// epochs memoises bounds: those of epochs 0..len−1, under mu.
-	mu     sync.Mutex
-	epochs []epochBounds
+	// masks and subs memoise bounds, epoch by epoch, under mu.
+	mu          sync.Mutex
+	masks, subs []*big.Int
 }
 
 func (p *publicKey) N() int                 { return p.n }
@@ -45,14 +45,8 @@ func (p *publicKey) SubShareSize(epoch int) int {
 	if p.dealt == nil {
 		return p.ctBytes + statSecurity/8
 	}
-	return p.bounds(epoch).size
-}
-
-// epochBounds are TKRes's public bounds for one epoch and the sub-share
-// width they set.
-type epochBounds struct {
-	mask, sub *big.Int
-	size      int
+	_, sub := p.bounds(epoch)
+	return 1 + byteLen(sub)
 }
 
 // bounds returns TKRes's public bounds on key shares of epoch e, whose
@@ -61,31 +55,25 @@ type epochBounds struct {
 // below d_0 = N·⌊N/4⌋ > N·m; TKRec weights t+1 sub-shares by Δ·λ_i(0), and
 // any t+1 of 1..n have Σ|λ_i(0)| ≤ n!/(n−t)!·Σ_i 1/(i!(t−i)!) = C(n,t)·2^t,
 // so d_{e+1} = Δ·C(n,t)·2^t·sub_e (< sub_{e+1}). No bound reads a secret.
-// Each epoch's bounds are computed once, on first use, and kept on the key;
-// the returned values are only read.
-func (p *publicKey) bounds(epoch int) epochBounds {
-	epoch = max(epoch, 0)
+// Each epoch's are computed once, on first use, and kept on the key: the
+// values returned are only read.
+func (p *publicKey) bounds(epoch int) (mask, sub *big.Int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.epochs) > epoch {
-		return p.epochs[epoch]
-	}
-	powers, pow, n := new(big.Int), big.NewInt(1), big.NewInt(int64(p.n))
-	for range p.t {
-		powers.Add(powers, pow.Mul(pow, n))
-	}
-	lebesgue := new(big.Int).Binomial(int64(p.n), int64(p.t))
-	lebesgue.Mul(lebesgue.Lsh(lebesgue, uint(p.t)), p.delta)
-	for e := len(p.epochs); e <= epoch; e++ {
+	for e := len(p.subs); e <= epoch; e++ {
+		powers, pow, n := new(big.Int), big.NewInt(1), big.NewInt(int64(p.n))
+		for range p.t {
+			powers.Add(powers, pow.Mul(pow, n))
+		}
 		d := p.dealt
 		if e > 0 {
-			d = new(big.Int).Mul(lebesgue, p.epochs[e-1].sub)
+			d = new(big.Int).Binomial(int64(p.n), int64(p.t))
+			d.Mul(d.Mul(d.Lsh(d, uint(p.t)), p.delta), p.subs[e-1])
 		}
-		mask := new(big.Int).Lsh(new(big.Int).Mul(d, p.delta), statSecurity)
-		sub := new(big.Int).Add(d, new(big.Int).Mul(mask, powers))
-		p.epochs = append(p.epochs, epochBounds{mask: mask, sub: sub, size: 1 + byteLen(sub)})
+		mask = new(big.Int).Lsh(new(big.Int).Mul(d, p.delta), statSecurity)
+		p.masks, p.subs = append(p.masks, mask), append(p.subs, new(big.Int).Add(d, new(big.Int).Mul(mask, powers)))
 	}
-	return p.epochs[epoch]
+	return p.masks[max(epoch, 0)], p.subs[max(epoch, 0)]
 }
 
 type ciphertext struct {

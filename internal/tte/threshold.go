@@ -245,11 +245,12 @@ func (s *Threshold) Reshare(pk PublicKey, sh KeyShare) ([]SubShare, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := p.bounds(k.epoch)
+	mask, _ := p.bounds(k.epoch)
+	size := p.SubShareSize(k.epoch)
 	coeffs := make([]*big.Int, p.t+1)
 	coeffs[0] = k.d
 	for i := 1; i <= p.t; i++ {
-		c, err := rand.Int(s.random, b.mask)
+		c, err := rand.Int(s.random, mask)
 		if err != nil {
 			return nil, fmt.Errorf("tte: sampling reshare polynomial: %w", err)
 		}
@@ -257,7 +258,7 @@ func (s *Threshold) Reshare(pk PublicKey, sh KeyShare) ([]SubShare, error) {
 	}
 	subs := make([]SubShare, p.n)
 	for j := 1; j <= p.n; j++ {
-		subs[j-1] = &subShare{from: k.index, to: j, epoch: k.epoch, size: b.size, v: evalIntPoly(coeffs, j, nil)} //yosolint:vartime role-side resharing of its own key share; stdlib math/big only, residual risk documented in docs/STATIC_ANALYSIS.md
+		subs[j-1] = &subShare{from: k.index, to: j, epoch: k.epoch, size: size, v: evalIntPoly(coeffs, j, nil)} //yosolint:vartime role-side resharing of its own key share; stdlib math/big only, residual risk documented in docs/STATIC_ANALYSIS.md
 	}
 	return subs, nil
 }
