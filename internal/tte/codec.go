@@ -226,9 +226,8 @@ func DecodePublicKeyInfo(data []byte) (n, t, ctBytes int, err error) {
 // sign byte when signed. A nil v is zero. A value the field cannot hold —
 // too long, or negative in an unsigned field — is an error, never
 // truncated; the key's bounds make every value its scheme computes fit, so
-// the check is public and constant-time. Every word of the field is written
-// straight from v's words (putWords), so no copy of a secret value is left
-// behind, and the work depends on the width alone.
+// the check is public and constant-time. putWords writes the field straight
+// from v's words, so no copy of a secret value is left behind.
 func appendInt(dst []byte, v *big.Int, size int, signed bool) ([]byte, error) {
 	if v == nil {
 		v = &zero
@@ -262,7 +261,11 @@ func decodeInt(data []byte, size int, signed bool) (*big.Int, error) {
 		mag = data[1:]
 	}
 	// Skipping zero words keeps a Sim value from allocating its whole field.
-	for len(mag) >= 8 && binary.BigEndian.Uint64(mag) == 0 {
+	le := binary.LittleEndian
+	for len(mag) >= 32 && le.Uint64(mag)|le.Uint64(mag[8:])|le.Uint64(mag[16:])|le.Uint64(mag[24:]) == 0 {
+		mag = mag[32:]
+	}
+	for len(mag) >= 8 && le.Uint64(mag) == 0 {
 		mag = mag[8:]
 	}
 	v := new(big.Int).SetBytes(mag)
@@ -281,15 +284,11 @@ var zero big.Int // what a nil value encodes; only read
 
 // putWords writes the value whose words, least significant first, are
 // words big-endian into all of dst, which must hold it: whole words from
-// the last byte back, then the leading bytes from the next word, zero
-// words once words runs out. It reads words in place and its work depends
-// on len(dst) alone.
+// the last byte back, then the leading bytes from the next word, and zeros
+// in front of the value. It reads words in place.
 func putWords(dst []byte, words []big.Word) {
-	for k, i := 0, len(dst); i > 0; k++ {
-		var w big.Word
-		if k < len(words) {
-			w = words[k]
-		}
+	i := len(dst)
+	for _, w := range words {
 		if i < wordBytes {
 			for ; i > 0; w >>= 8 {
 				i--
@@ -304,6 +303,7 @@ func putWords(dst []byte, words []big.Word) {
 			binary.BigEndian.PutUint32(dst[i:], uint32(w))
 		}
 	}
+	clear(dst[:i])
 }
 
 // wordBytes is the size of a big.Word.
