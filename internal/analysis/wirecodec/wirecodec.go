@@ -24,9 +24,10 @@
 // []byte(string) conversion or fmt.Append* result as an argument is a
 // codec-less payload and is reported at the call.
 //
-// The protocol drivers' step payloads implement committee.Payload, whose
-// single Encode result is both what is posted and what is metered — they
-// never implement the pair and are out of scope here. A type that is wire-
+// The protocol drivers' step postings are the bytes a member's honest
+// callback returns to committee.Speak, both what is posted and what is
+// metered, and each reader decodes them with the step's public layout —
+// they are no named types and are out of scope here. A type that is wire-
 // adjacent but deliberately outside the discipline is acknowledged with
 // `//yosolint:wireok <why>` on its declaration (or the offending call);
 // the justification is mandatory and audited via cmd/yosolint -json.

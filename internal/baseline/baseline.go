@@ -212,17 +212,18 @@ func (r *run) online(inputs map[int][]field.Element, shares []tte.KeyShare) (map
 		in, ok, err := committee.Speak(r.rt, r.clients[client],
 			committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatInput, Label: "input",
 				Len: postlen.Posting{Ciphertexts: len(inGates)}.Len(r.rt.Sizes)},
-			func() (committee.CtBundle, error) {
-				return te.EncryptMany(r.rt.TPK, ms, committee.BoundP, r.rt.Workers)
+			func() ([]byte, error) {
+				return r.rt.CtPosting(te.EncryptMany(r.rt.TPK, ms, committee.BoundP, r.rt.Workers))
 			})
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
+		cts, err := te.DecodeCiphertexts(r.rt.TPK, committee.FieldBounds(len(inGates)), in.Wire)
+		if !ok || err != nil {
 			return nil, fmt.Errorf("%w: client %d input rejected", ErrNotEnough, client)
 		}
 		for j, gi := range inGates {
-			r.wireCt[gates[gi].Out] = in.Payload[j]
+			r.wireCt[gates[gi].Out] = cts[j]
 		}
 	}
 

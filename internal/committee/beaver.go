@@ -18,8 +18,8 @@ import (
 // EncryptRandom draws count fresh field elements in one read and encrypts
 // them under tpk: one member's contribution to a jointly random vector. The
 // plaintexts are the member's secret: the caller wipes them once it has
-// built its bundle.
-func (r *Runner) EncryptRandom(count int) (Plaintexts, CtBundle, error) {
+// built its posting.
+func (r *Runner) EncryptRandom(count int) (Plaintexts, []tte.Ciphertext, error) {
 	rnd, err := field.RandomVec(count)
 	if err != nil {
 		return Plaintexts{}, nil, err
@@ -38,14 +38,15 @@ func (r *Runner) EncryptRandom(count int) (Plaintexts, CtBundle, error) {
 // elements and returns, per block of blocks, that many values extracted from
 // the verified contributions at extraction m, laid out by slotpack.Layout:
 // value j of block b is row j mod m of the Vandermonde matrix applied to
-// position at[b] + j/m (slotpack.ListsOf chooses m).
+// position at[b] + j/m (slotpack.ListsOf chooses m). Every contribution is
+// read under the public bound p.
 func (r *Runner) RandomStep(c *yoso.Committee, sp Spec, blocks []int, m int) ([][]tte.Ciphertext, error) {
 	at, per := slotpack.Layout(blocks, m)
 	sp.Len = postlen.Posting{Ciphertexts: per}.Len(r.Sizes)
-	posts, err := Step(r, c, sp, func(int) (CtBundle, error) {
+	posts, err := Step(r, c, sp, func(int) ([]byte, error) {
 		ms, cts, err := r.EncryptRandom(per)
 		ms.Wipe()
-		return cts, err
+		return r.CtPosting(cts, err)
 	})
 	if err != nil {
 		return nil, err
@@ -60,7 +61,7 @@ func (r *Runner) RandomStep(c *yoso.Committee, sp Spec, blocks []int, m int) ([]
 			cells = append(cells, cell{pos: at[b] + j/m, row: j % m})
 		}
 	}
-	vals, err := r.extract(posts, rows, cells)
+	vals, err := r.extract(posts, FieldBounds(per), rows, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +77,7 @@ func (r *Runner) RandomStep(c *yoso.Committee, sp Spec, blocks []int, m int) ([]
 // 1-based committee index: rows[j][s] = posts[s].Index^j. A member missing
 // from posts drops out. The values M extracts are uniform mod p when m of
 // the posters are honest, so fewer than m posters is an error.
-func vandermonde(posts []Post[CtBundle], m int) ([][]*big.Int, error) {
+func vandermonde(posts []Post, m int) ([][]*big.Int, error) {
 	if len(posts) < m {
 		return nil, fmt.Errorf("%w: %d verified contributions for %d extracted values per position", ErrNotEnough, len(posts), m)
 	}
@@ -98,18 +99,26 @@ func vandermonde(posts []Post[CtBundle], m int) ([][]*big.Int, error) {
 // matrix applied to one position of the contributions.
 type cell struct{ pos, row int }
 
-// extract forms one value per cell from the verified posts:
-// TEval(Σ_s rows[row][s]·posts[s][pos]). Values are independent, so the loop
-// fans out over the worker pool; each worker gathers a value's terms into its
-// own scratch.
-func (r *Runner) extract(posts []Post[CtBundle], rows [][]*big.Int, cells []cell) ([]tte.Ciphertext, error) {
-	out := make([]tte.Ciphertext, len(cells))
+// extract decodes the verified posts, slot k of each under the public
+// bound bounds[k], and forms one value per cell from them:
+// TEval(Σ_s rows[row][s]·posts[s][pos]). Postings decode one per task and
+// values are independent, so both fan out over the worker pool; each worker
+// gathers a value's terms into its own scratch.
+func (r *Runner) extract(posts []Post, bounds []*big.Int, rows [][]*big.Int, cells []cell) ([]tte.Ciphertext, error) {
 	s := len(posts)
+	cts := make([][]tte.Ciphertext, s)
+	if err := r.Pfor(s, func(i int) (err error) {
+		cts[i], err = r.TE.DecodeCiphertexts(r.TPK, bounds, posts[i].Wire)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	out := make([]tte.Ciphertext, len(cells))
 	scratch := make([]tte.Ciphertext, min(parallel.Normalize(r.Workers), len(cells))*s)
 	err := parallel.ForWorker(context.TODO(), r.Workers, len(cells), func(worker, v int) error {
 		parts := scratch[worker*s : (worker+1)*s]
-		for i, p := range posts {
-			parts[i] = p.Payload[cells[v].pos]
+		for i, ct := range cts {
+			parts[i] = ct[cells[v].pos]
 		}
 		var err error
 		out[v], err = r.TE.Eval(r.TPK, parts, rows[cells[v].row])
@@ -131,12 +140,13 @@ type Triple struct{ A, B, C tte.Ciphertext }
 //
 // Gate g's b is extracted at m, all gates one block: each member contributes
 // b-parts and also posts, per gate, its c-part b_i^{(g/m)}·c^{a_g}, or with
-// neg (p − b_i^{(g/m)})·c^{a_g}, as one bundle b‖c. Applying b_g's row of the
+// neg (p − b_i^{(g/m)})·c^{a_g}, as one posting b‖c. Applying b_g's row of the
 // Vandermonde matrix to the c-parts gives c_g = a_g·b_g, or c_g ≡ −a_g·b_g.
 //
-// TEval bounds that sum by Σ_i M_ji·b_i·Bound(c^a), which would publish the
-// integers b_i; each c^c carries the public bound
-// p·Bound(c^a)·Σ_{i∈S} M_ji over the verified members S instead.
+// Its writer bounds a c-part by b_i·Bound(c^a), which would publish the
+// integer b_i; every reader decodes it under the public p·Bound(c^{a_g})
+// instead, so each c^c carries p·Bound(c^a)·Σ_{i∈S} M_ji over the verified
+// members S.
 func (r *Runner) Beaver(assign *yoso.Assignment, name string, n int, circ *circuit.Circuit, a []tte.Ciphertext, m int, neg bool) (map[int]Triple, error) {
 	muls := circ.MulGates()
 	count := len(muls)
@@ -150,7 +160,7 @@ func (r *Runner) Beaver(assign *yoso.Assignment, name string, n int, circ *circu
 	_, per := slotpack.Layout([]int{count}, m)
 	sp := Spec{Phase: comm.PhaseOffline, Cat: comm.CatBeaver, Label: "beaver-bc",
 		Len: postlen.Posting{Ciphertexts: per + count}.Len(r.Sizes)}
-	posts, err := Step(r, com, sp, func(int) (CtBundle, error) {
+	posts, err := Step(r, com, sp, func(int) ([]byte, error) {
 		ms, bc, err := r.EncryptRandom(per)
 		if err != nil {
 			return nil, err
@@ -170,7 +180,7 @@ func (r *Runner) Beaver(assign *yoso.Assignment, name string, n int, circ *circu
 			}
 			bc = append(bc, ct)
 		}
-		return bc, nil
+		return r.CtPosting(bc, nil)
 	})
 	if err != nil {
 		return nil, err
@@ -182,31 +192,19 @@ func (r *Runner) Beaver(assign *yoso.Assignment, name string, n int, circ *circu
 	// b_g is row g mod m at position g/m; c_g applies the same row to
 	// gate g's c-parts, which follow the per b-parts.
 	cells := make([]cell, 2*count)
+	bounds := FieldBounds(per + count)
 	for g := range count {
 		cells[g] = cell{pos: g / m, row: g % m}
 		cells[count+g] = cell{pos: per + g, row: g % m}
+		bounds[per+g] = new(big.Int).Mul(BoundP, a[g].Bound())
 	}
-	bc, err := r.extract(posts, rows, cells)
+	bc, err := r.extract(posts, bounds, rows, cells)
 	if err != nil {
 		return nil, err
 	}
-	b, c := bc[:count], bc[count:]
-	// scale[j] is p·Σ_{i∈S} M_ji, the public factor of row j's c bound.
-	scale := make([]*big.Int, m)
-	for j, row := range rows {
-		scale[j] = new(big.Int)
-		for _, coeff := range row {
-			scale[j].Add(scale[j], coeff)
-		}
-		scale[j].Mul(scale[j], BoundP)
-	}
 	triples := make(map[int]Triple, count)
 	for g, gi := range muls {
-		cg, err := tte.Widen(r.TPK, c[g], new(big.Int).Mul(scale[g%m], a[g].Bound()))
-		if err != nil {
-			return nil, err
-		}
-		triples[gi] = Triple{A: a[g], B: b[g], C: cg}
+		triples[gi] = Triple{A: a[g], B: bc[g], C: bc[count+g]}
 	}
 	return triples, nil
 }

@@ -11,15 +11,16 @@
 // shares runs the one TskStep: Decrypt (paper Protocol 2) and Re-encrypt
 // (Protocol 1) a list of openings, then reshare tsk onward.
 //
-// Three payload shapes cross the board (docs/WIRE.md): CtBundle, TskPost
-// and core's μ bundle. Their encodings carry no header and no addressing —
-// routing is positional, and what the board meters is len() of the one
-// encoding, a length each step sets in its Spec from internal/postlen's
-// functions of the step's public counts. The board holds that encoding and
-// nothing else: a step hands its accepted postings' bytes to its caller
-// (Post.Wire), core decodes every μ from them, and a TskPost is its
-// posting, which the readers open through sub-slice views, a quorum of t+1
-// contributions at a time (quorum in tsk.go).
+// Three posting shapes cross the board (docs/WIRE.md): ciphertexts, a tsk
+// member's partials and envelopes, and core's μ's. They carry no header and
+// no addressing — routing is positional, and what the board meters is
+// len() of the posting, a length each step sets in its Spec from
+// internal/postlen's functions of the step's public counts. The board holds
+// that posting and nothing else, and a step hands its caller the accepted
+// postings' bytes (Post.Wire) and nothing else: the readers decode every
+// ciphertext and μ from them, attaching the public bounds themselves, and
+// open a tsk posting through sub-slice views, a quorum of t+1 contributions
+// at a time (quorum in tsk.go).
 package committee
 
 import (
@@ -89,13 +90,6 @@ type Runner struct {
 // postings are laid out in (postlen.Of).
 func (r *Runner) SetKey(tpk tte.PublicKey) { r.TPK, r.Sizes = tpk, postlen.Of(tpk) }
 
-// Payload is a step message; Encode produces the bytes that go on the
-// board, whose length is what the board meters. The board keeps the returned
-// slice, so it must not be modified afterwards.
-type Payload interface {
-	Encode(r *Runner) ([]byte, error)
-}
-
 // Spec names one speaking step: where its postings are metered and the
 // label its proofs bind.
 type Spec struct {
@@ -115,22 +109,22 @@ type Spec struct {
 }
 
 // Post is one accepted member contribution.
-type Post[T Payload] struct {
+type Post struct {
 	// Index is the member's 1-based committee slot.
-	Index   int
-	Payload T
+	Index int
 	// Wire is the posting's bytes, the slice the board holds.
 	Wire []byte
 }
 
-// CtBundle is a broadcast bundle of threshold ciphertexts.
-type CtBundle []tte.Ciphertext
-
-// Encode implements Payload: make clears the posting once, and each
-// ciphertext writes only its value's bytes into its slot.
-func (b CtBundle) Encode(r *Runner) ([]byte, error) {
-	out, w := make([]byte, postlen.Posting{Ciphertexts: len(b)}.Len(r.Sizes)), r.Sizes.Ciphertext
-	for i, ct := range b {
+// CtPosting is the posting of cts: make clears it once, and each
+// ciphertext writes only its value's bytes into its slot. A non-nil err is
+// returned as is, so CtPosting wraps the call that makes cts.
+func (r *Runner) CtPosting(cts []tte.Ciphertext, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	out, w := make([]byte, postlen.Posting{Ciphertexts: len(cts)}.Len(r.Sizes)), r.Sizes.Ciphertext
+	for i, ct := range cts {
 		if err := r.TE.PutCiphertext(out[i*w:(i+1)*w], ct); err != nil {
 			return nil, err
 		}
@@ -152,13 +146,14 @@ func (r *Runner) statement(label, roleName string) []byte {
 
 // Speak executes one role's speaking step and reports whether its posting is
 // accepted: its proof verifies, or, at an unattested step, it posted. Honest
-// roles post the payload from `honest` with an attested proof; an encoding
+// roles post the bytes `honest` returns with an attested proof; a posting
 // other than sp.Len bytes is refused, since readers lay every posting out by
-// the step's length. Malicious roles never call honest: they post sp.Len
+// the step's length. The board keeps those bytes, so honest must not modify
+// them afterwards. Malicious roles never call honest: they post sp.Len
 // zero bytes, the step's public posting length, under a forged proof, or at
 // an unattested step under none, handing the garbage to the readers'
 // decoding. Fail-stop roles post nothing.
-func Speak[T Payload](r *Runner, role *yoso.Role, sp Spec, honest func() (T, error)) (post Post[T], ok bool, err error) {
+func Speak(r *Runner, role *yoso.Role, sp Spec, honest func() ([]byte, error)) (post Post, ok bool, err error) {
 	post.Index = role.Index
 	switch role.Behavior {
 	case yoso.FailStop:
@@ -166,9 +161,7 @@ func Speak[T Payload](r *Runner, role *yoso.Role, sp Spec, honest func() (T, err
 	case yoso.Malicious:
 		post.Wire = make([]byte, sp.Len)
 	default:
-		if post.Payload, err = honest(); err == nil {
-			post.Wire, err = post.Payload.Encode(r)
-		}
+		post.Wire, err = honest()
 		if err == nil && len(post.Wire) != sp.Len {
 			err = fmt.Errorf("posting is %d bytes, the step's length is %d", len(post.Wire), sp.Len)
 		}
@@ -198,7 +191,7 @@ func Speak[T Payload](r *Runner, role *yoso.Role, sp Spec, honest func() (T, err
 // Once members have run, the committee receives the Spoke token whether the
 // step succeeded or aborted: its speaking window is over, and an aborted step
 // must not leave roles that could post again or still hold their secret keys.
-func Step[T Payload](r *Runner, c *yoso.Committee, sp Spec, honest func(i int) (T, error)) ([]Post[T], error) {
+func Step(r *Runner, c *yoso.Committee, sp Spec, honest func(i int) ([]byte, error)) ([]Post, error) {
 	span := r.Span.Child("committee:" + sp.Label)
 	defer span.End()
 	span.SetStr("committee", c.Name)
@@ -210,7 +203,7 @@ func Step[T Payload](r *Runner, c *yoso.Committee, sp Spec, honest func(i int) (
 	// resumes when the step ends.
 	r.Board.SetTraceSpan(span.ID())
 	defer func() { r.Board.SetTraceSpan(r.Span.ID()) }()
-	posts := make([]Post[T], c.N())
+	posts := make([]Post, c.N())
 	ok := make([]bool, c.N())
 	err := parallel.ForWorker(context.TODO(), r.Workers, c.N(), func(worker, idx0 int) error {
 		msp := span.Child("member")
@@ -219,14 +212,14 @@ func Step[T Payload](r *Runner, c *yoso.Committee, sp Spec, honest func(i int) (
 		msp.SetWorker(worker)
 		var err error
 		posts[idx0], ok[idx0], err = Speak(r, c.Role(idx0+1), sp,
-			func() (T, error) { return honest(idx0 + 1) })
+			func() ([]byte, error) { return honest(idx0 + 1) })
 		return err
 	}, r.Obs)
 	c.SpeakAll()
 	if err != nil {
 		return nil, err
 	}
-	accepted := make([]Post[T], 0, c.N())
+	accepted := make([]Post, 0, c.N())
 	for idx0, role := range c.Roles {
 		if ok[idx0] {
 			accepted = append(accepted, posts[idx0])
@@ -300,3 +293,13 @@ func (p Plaintexts) Wipe() {
 
 // BoundP is the public bound on a single field-element plaintext.
 var BoundP = new(big.Int).SetUint64(field.Modulus)
+
+// FieldBounds is n copies of BoundP: the public bounds of a posting of n
+// fresh field-element ciphertexts.
+func FieldBounds(n int) []*big.Int {
+	bounds := make([]*big.Int, n)
+	for i := range bounds {
+		bounds[i] = BoundP
+	}
+	return bounds
+}

@@ -544,9 +544,9 @@ func TestTskPostIsExactlySized(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if len(post.buf) != size || cap(post.buf) != size {
+						if len(post) != size || cap(post) != size {
 							t.Errorf("epoch %d, openings %q, resharing %v: posting of %d bytes has capacity %d, want both %d",
-								sh.Epoch(), kinds, to != nil, len(post.buf), cap(post.buf), size)
+								sh.Epoch(), kinds, to != nil, len(post), cap(post), size)
 						}
 					}
 				}
@@ -582,11 +582,11 @@ func TestStepLeavesCommitteeSpoken(t *testing.T) {
 	for _, failAt := range []int{0, 3} {
 		c := f.form(t, fmt.Sprintf("spoken%d", failAt))
 		boom := fmt.Errorf("member %d cannot compute", failAt)
-		posts, err := Step(f.Runner, c, sp, func(i int) (CtBundle, error) {
+		posts, err := Step(f.Runner, c, sp, func(i int) ([]byte, error) {
 			if i == failAt {
 				return nil, boom
 			}
-			return CtBundle{f.encrypt(t, int64(i))}, nil
+			return f.CtPosting([]tte.Ciphertext{f.encrypt(t, int64(i))}, nil)
 		})
 		if failAt == 0 && (err != nil || len(posts) == 0) {
 			t.Fatalf("clean step: %d posts, err %v", len(posts), err)
@@ -612,7 +612,7 @@ func TestAuthoritiesKeepProtocolsApart(t *testing.T) {
 	base, _ := newFixtureOn(t, tte.NewSim(512), pke.NewSim(), nil)
 	sp := Spec{Phase: comm.PhaseOnline, Cat: comm.CatOutput, Label: "output", Len: core.Sizes.Ciphertext}
 	role := core.form(t, "out").Role(1)
-	_, ok, err := Speak(core.Runner, role, sp, func() (CtBundle, error) { return CtBundle{core.encrypt(t, 5)}, nil })
+	_, ok, err := Speak(core.Runner, role, sp, func() ([]byte, error) { return core.CtPosting([]tte.Ciphertext{core.encrypt(t, 5)}, nil) })
 	if err != nil || !ok {
 		t.Fatalf("honest speak: ok=%v err=%v", ok, err)
 	}
@@ -876,6 +876,84 @@ func TestBeaverBoundsArePublic(t *testing.T) {
 	}
 }
 
+// plusOneTE posts every ciphertext's value plus one, so what a reader
+// extracts from the board differs from what the writers held.
+type plusOneTE struct{ TE }
+
+func (p plusOneTE) PutCiphertext(dst []byte, ct tte.Ciphertext) error {
+	if err := p.TE.PutCiphertext(dst, ct); err != nil {
+		return err
+	}
+	for i := len(dst) - 1; i >= 0; i-- {
+		if dst[i]++; dst[i] != 0 {
+			break
+		}
+	}
+	return nil
+}
+
+// RandomStep and Beaver extract from the posted bytes, never from the
+// ciphertexts their writers held: on a Sim backend whose postings carry
+// each value plus one, every extracted a, b and c is the Vandermonde rows
+// applied to the posted values.
+func TestExtractionReadsThePostedBytes(t *testing.T) {
+	const m = 2
+	sim := tte.NewSim(512)
+	f, _ := newFixtureOn(t, plusOneTE{sim}, pke.NewSim(), nil)
+	circ := beaverCircuit(t)
+	w := f.Sizes.Ciphertext
+	// posted[i][k] is the value member i+1 of committee com posted in slot k.
+	posted := func(com string) [][]*big.Int {
+		byName := map[string][]byte{}
+		for _, e := range f.Board.Entries(0) {
+			if e.Category != comm.CatProof {
+				byName[e.From] = e.Payload
+			}
+		}
+		out := make([][]*big.Int, testN)
+		for i := range out {
+			wire := byName[fmt.Sprintf("%s/%d", com, i+1)]
+			if len(wire) == 0 {
+				t.Fatalf("member %d of %s posted nothing", i+1, com)
+			}
+			for k := 0; k < len(wire); k += w {
+				out[i] = append(out[i], new(big.Int).SetBytes(wire[k:k+w]))
+			}
+		}
+		return out
+	}
+	// check compares ct's value with Σ_i i^row·posted[i−1][pos].
+	check := func(what string, ct tte.Ciphertext, posted [][]*big.Int, pos, row int) {
+		t.Helper()
+		want := new(big.Int)
+		for i, vals := range posted {
+			pow := new(big.Int).Exp(big.NewInt(int64(i+1)), big.NewInt(int64(row)), nil)
+			want.Add(want, pow.Mul(pow, vals[pos]))
+		}
+		enc, err := sim.EncodeCiphertext(ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := new(big.Int).SetBytes(enc); got.Cmp(want) != 0 {
+			t.Errorf("%s is %v, want %v from the posted values", what, got, want)
+		}
+	}
+	a := f.beaverA(t, circ, m)
+	aPosted := posted("a")
+	for j, ct := range a {
+		check(fmt.Sprintf("a %d", j), ct, aPosted, j/m, j%m)
+	}
+	triples, err := f.Beaver(f.assign, "b", testN, circ, a, m, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bcPosted, per := posted("b"), (len(a)+m-1)/m
+	for g, gi := range circ.MulGates() {
+		check(fmt.Sprintf("gate %d b", gi), triples[gi].B, bcPosted, g/m, g%m)
+		check(fmt.Sprintf("gate %d c", gi), triples[gi].C, bcPosted, per+g, g%m)
+	}
+}
+
 // A member's random contribution costs a constant number of allocations,
 // whatever its length: one read of randomness, one slab each for the
 // plaintexts and for the Sim ciphertexts. Wipe zeroes the plaintexts.
@@ -960,7 +1038,7 @@ func TestTskPostAllocations(t *testing.T) {
 // has a non-zero determinant in field arithmetic.
 func TestVandermondeColumnsInvertible(t *testing.T) {
 	for n := 1; n <= 12; n++ {
-		posts := make([]Post[CtBundle], n)
+		posts := make([]Post, n)
 		for i := range posts {
 			posts[i].Index = i + 1
 		}
@@ -994,7 +1072,7 @@ func TestVandermondeColumnsInvertible(t *testing.T) {
 		}
 	}
 	// Fewer verified posts than values per position is refused.
-	if _, err := vandermonde(make([]Post[CtBundle], 2), 3); !errors.Is(err, ErrNotEnough) {
+	if _, err := vandermonde(make([]Post, 2), 3); !errors.Is(err, ErrNotEnough) {
 		t.Errorf("2 posts for m′ = 3: err = %v, want ErrNotEnough", err)
 	}
 }

@@ -44,23 +44,6 @@ func window(n, s, role int) (first, size int) {
 // addressed to role under windows of s.
 func answers(n, s, role, member int) bool { return role == 0 || (member-role+n)%n < s }
 
-// TskPost is the single message a tsk-holding member posts, held as the
-// posting itself. A posting that seals anything starts with its posting
-// key; its parts follow. Routing is positional: the member's parts answer,
-// in the step's order, the openings it answers — every Decrypt and every
-// Re-encrypt addressed to no role, and those addressed to a role whose
-// window holds the member — a partial in the clear for a Decrypt and an
-// envelope for a Re-encrypt; the resharing envelopes follow, slot j sealed
-// to member j+1 of the next committee. Each envelope is sealed at its
-// index in the step (opening j at j, sub-share j after the last opening),
-// which every reader knows from the step's public layout, as it knows
-// every part's width (postlen.Sizes): where a part starts is the layout's,
-// never the posting's.
-type TskPost struct{ buf []byte }
-
-// Encode implements Payload: the member wrote its posting in place.
-func (p TskPost) Encode(*Runner) ([]byte, error) { return p.buf, nil }
-
 // Envelopes is one column of a tsk step's sealed parts: the envelope each
 // verified member that answers it sealed at index part under a key share of
 // epoch, in window order, with its posting key and committee slot — views
@@ -146,9 +129,9 @@ func (r *Runner) TskStep(tsk *Tsk, c *yoso.Committee, sp Spec, open []Opening, n
 		size.SubShares, size.Epoch = next.N(), tsk.epoch
 	}
 	sp.Len = size.Len(r.Sizes)
-	posts, err := Step(r, c, sp, func(i int) (TskPost, error) {
+	posts, err := Step(r, c, sp, func(i int) ([]byte, error) {
 		if shares[i-1] == nil {
-			return TskPost{}, fmt.Errorf("role %d has no tsk share", i)
+			return nil, fmt.Errorf("role %d has no tsk share", i)
 		}
 		return r.tskPost(i, shares[i-1], open, n, s, next, sp.Len)
 	})
@@ -257,16 +240,21 @@ func answered(open []Opening, n, s int) (postlen.Posting, error) {
 }
 
 // tskPost writes member i's whole posting into a single buffer of the
-// step's posting length size: the posting key when anything is sealed, then
-// the partial decryptions of the openings it answers (answers, under
-// windows of s in a committee of n) — encoded in place when in the clear,
-// sealed in place to the opening's key otherwise — followed by the
-// resharing of sh to next's role keys. One pke.Sealer seals every envelope,
-// so the posting carries one posting key and each envelope costs one key
-// agreement. What gets sealed is encoded into one plaintext scratch, wiped
-// after every use: the raw bytes carry the same secret as what they encode.
-// Every encoding is its key-pinned width, so neither buffer ever grows.
-func (r *Runner) tskPost(i int, sh tte.KeyShare, open []Opening, n, s int, next *yoso.Committee, size int) (TskPost, error) {
+// step's posting length size and returns it: the posting key when anything
+// is sealed, then the partial decryptions of the openings it answers
+// (answers, under windows of s in a committee of n) — encoded in place when
+// in the clear, sealed in place to the opening's key otherwise — followed
+// by the resharing of sh to next's role keys, slot j sealed to member j+1
+// of next. Routing is positional: each envelope is sealed at its index in
+// the step (opening j at j, sub-share j after the last opening), which
+// every reader knows from the step's public layout, as it knows every
+// part's width (postlen.Sizes): where a part starts is the layout's, never
+// the posting's. One pke.Sealer seals every envelope, so the posting
+// carries one posting key and each envelope costs one key agreement. What
+// gets sealed is encoded into one plaintext scratch, wiped after every use:
+// the raw bytes carry the same secret as what they encode. Every encoding
+// is its key-pinned width, so neither buffer ever grows.
+func (r *Runner) tskPost(i int, sh tte.KeyShare, open []Opening, n, s int, next *yoso.Committee, size int) ([]byte, error) {
 	var err error
 	mine := make([]int, 0, len(open)) // the openings member i answers
 	var to pke.PublicKey              // any recipient: it picks the posting key's backend
@@ -281,21 +269,21 @@ func (r *Runner) tskPost(i int, sh tte.KeyShare, open []Opening, n, s int, next 
 	var subs []tte.SubShare
 	if next != nil {
 		if subs, err = r.TE.Reshare(r.TPK, sh); err != nil {
-			return TskPost{}, err
+			return nil, err
 		}
 		if len(subs) != next.N() {
-			return TskPost{}, fmt.Errorf("resharing has %d sub-shares for %d next members", len(subs), next.N())
+			return nil, fmt.Errorf("resharing has %d sub-shares for %d next members", len(subs), next.N())
 		}
 		if len(subs) > 0 {
 			to = next.Role(1).PublicKey()
 		}
 	}
-	post := TskPost{buf: make([]byte, 0, size)}
+	post := make([]byte, 0, size)
 	plain := make([]byte, 0, max(r.Sizes.Ciphertext, r.Sizes.SubShare(sh.Epoch())))
 	var seal pke.Sealer
 	if to != nil {
-		if post.buf, err = seal.AppendKey(post.buf, to); err != nil {
-			return TskPost{}, err
+		if post, err = seal.AppendKey(post, to); err != nil {
+			return nil, err
 		}
 	}
 
@@ -303,35 +291,35 @@ func (r *Runner) tskPost(i int, sh tte.KeyShare, open []Opening, n, s int, next 
 	for _, j := range mine {
 		var part tte.PartialDec
 		if part, err = r.TE.PartialDecrypt(r.TPK, sh, open[j].Ct); err != nil {
-			return TskPost{}, err
+			return nil, err
 		}
 		if key := open[j].Key; key != nil {
 			plain, err = r.TE.AppendPartial(plain[:0], part)
 			if err == nil {
-				post.buf, err = seal.AppendEncrypt(post.buf, j, key, plain)
+				post, err = seal.AppendEncrypt(post, j, key, plain)
 			}
 			clear(plain)
 		} else {
-			post.buf, err = r.TE.AppendPartial(post.buf, part) //yosolint:owner a Decrypt opens to everyone: the partial is the public posting
+			post, err = r.TE.AppendPartial(post, part) //yosolint:owner a Decrypt opens to everyone: the partial is the public posting
 		}
 		if err != nil {
-			return TskPost{}, err
+			return nil, err
 		}
 	}
 	for j, sub := range subs {
 		if sub.To() != j+1 {
-			return TskPost{}, fmt.Errorf("sub-share %d is addressed to member %d", j+1, sub.To())
+			return nil, fmt.Errorf("sub-share %d is addressed to member %d", j+1, sub.To())
 		}
 		plain, err = r.TE.AppendSubShare(plain[:0], sub)
 		if err == nil {
-			post.buf, err = seal.AppendEncrypt(post.buf, len(open)+j, next.Role(j+1).PublicKey(), plain)
+			post, err = seal.AppendEncrypt(post, len(open)+j, next.Role(j+1).PublicKey(), plain)
 		}
 		clear(plain)
 		if err != nil {
-			return TskPost{}, err
+			return nil, err
 		}
 	}
-	return post, nil
+	return post, nil //yosolint:owner the posting: its partials open to everyone, the rest is sealed
 }
 
 // DecryptStep is TskStep followed by Decrypted, for a caller that needs no

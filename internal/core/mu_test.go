@@ -6,13 +6,12 @@ import (
 	"math"
 	"testing"
 
-	"yosompc/internal/committee"
 	"yosompc/internal/field"
 	"yosompc/internal/postlen"
 )
 
 // FuzzMuDecode: decodeMu is how every reader learns posted μ's, and what it
-// reads is a poster's untrusted bytes. An encoded bundle decodes to itself;
+// reads is a poster's untrusted bytes. A μ posting decodes to its values;
 // a posting of any length other than 8·count, or holding an element ≥ p, is
 // refused, and nothing panics.
 func FuzzMuDecode(f *testing.F) {
@@ -26,7 +25,6 @@ func FuzzMuDecode(f *testing.F) {
 	f.Add([]byte{}, (math.MaxInt/field.ElementSize+1)*2)
 	f.Add(make([]byte, 8), -1)
 	z := postlen.SimSizes(512)
-	rt := &committee.Runner{Sizes: z}
 	f.Fuzz(func(t *testing.T, wire []byte, count int) {
 		// Encode followed by decode round-trips, for the elements the
 		// wire's 8-byte words reduce to.
@@ -34,13 +32,9 @@ func FuzzMuDecode(f *testing.F) {
 		for i := range vals {
 			vals[i] = field.New(binary.BigEndian.Uint64(wire[i*field.ElementSize:]))
 		}
-		enc, err := muBundle{vals: vals}.Encode(rt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := decodeMu(z, enc, len(vals))
-		if err != nil || !field.EqualVec(back.vals, vals) {
-			t.Fatalf("Encode then decode of %v gave %v, %v", vals, back.vals, err)
+		back, err := decodeMu(z, muPosting(z, vals), len(vals))
+		if err != nil || !field.EqualVec(back, vals) {
+			t.Fatalf("Encode then decode of %v gave %v, %v", vals, back, err)
 		}
 
 		// The raw wire decodes exactly when it is count canonical words.
@@ -55,7 +49,7 @@ func FuzzMuDecode(f *testing.F) {
 		case !canonical && err == nil:
 			t.Fatalf("%d bytes accepted as %d elements", len(wire), count)
 		case canonical:
-			if re, _ := got.Encode(rt); !bytes.Equal(re, wire) {
+			if re := muPosting(z, got); !bytes.Equal(re, wire) {
 				t.Fatalf("decoded %x re-encodes to %x", wire, re)
 			}
 		}

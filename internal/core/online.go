@@ -208,31 +208,29 @@ func (r *run) openKFF(entry *kffEntry, ownerSK pke.SecretKey) (pke.SecretKey, er
 	return sk, err
 }
 
-// muBundle is a client's or layer role's broadcast of μ openings/shares.
-type muBundle struct{ vals []field.Element }
-
-// Encode implements committee.Payload.
-func (m muBundle) Encode(r *committee.Runner) ([]byte, error) {
-	return field.AppendVecBytes(make([]byte, 0, postlen.Posting{Elements: len(m.vals)}.Len(r.Sizes)), m.vals), nil
+// muPosting is a client's or layer role's posting of its μ openings or
+// shares.
+func muPosting(z postlen.Sizes, vals []field.Element) []byte {
+	return field.AppendVecBytes(make([]byte, 0, postlen.Posting{Elements: len(vals)}.Len(z)), vals)
 }
 
-// decodeMu is Encode's inverse, the one way a reader learns posted μ's: it
-// accepts exactly count canonical elements, a posting of the length z gives
-// them, and refuses any other posting, which the reader then counts as
-// missing.
-func decodeMu(z postlen.Sizes, wire []byte, count int) (muBundle, error) {
+// decodeMu is muPosting's inverse, the one way a reader learns posted μ's:
+// it accepts exactly count canonical elements, a posting of the length z
+// gives them, and refuses any other posting, which the reader then counts
+// as missing.
+func decodeMu(z postlen.Sizes, wire []byte, count int) ([]field.Element, error) {
 	// A count above the posting's length is refused before Len can wrap.
 	if count < 0 || count > len(wire) || len(wire) != (postlen.Posting{Elements: count}).Len(z) {
-		return muBundle{}, fmt.Errorf("μ posting of %d bytes, want %d values", len(wire), count)
+		return nil, fmt.Errorf("μ posting of %d bytes, want %d values", len(wire), count)
 	}
 	vals := make([]field.Element, count)
 	for i := range vals {
 		var err error
 		if vals[i], err = field.FromBytes(wire[i*z.Element:]); err != nil {
-			return muBundle{}, err
+			return nil, err
 		}
 	}
-	return muBundle{vals: vals}, nil
+	return vals, nil
 }
 
 // onlineInput has every client open λ^α for each of its input wires (with
@@ -256,13 +254,11 @@ func (r *run) onlineInput(inputs map[int][]field.Element) error {
 		}
 		post, ok, err := committee.Speak(r.rt, role,
 			committee.Spec{Phase: comm.PhaseOnline, Cat: comm.CatInput, Label: "client-input", Len: postlen.Posting{Elements: len(inGates)}.Len(r.rt.Sizes)},
-			func() (muBundle, error) { return muBundle{vals: mus}, nil })
+			func() ([]byte, error) { return muPosting(r.rt.Sizes, mus), nil })
 		if err != nil {
 			return err
 		}
-		if ok {
-			post.Payload, err = decodeMu(r.rt.Sizes, post.Wire, len(inGates))
-		}
+		mus, err = decodeMu(r.rt.Sizes, post.Wire, len(inGates))
 		if !ok || err != nil {
 			// A client whose input posting fails verification or decoding
 			// aborts the run with ErrNotEnough: no default input stands in
@@ -271,7 +267,7 @@ func (r *run) onlineInput(inputs map[int][]field.Element) error {
 			return fmt.Errorf("%w: client %d input rejected", ErrNotEnough, client)
 		}
 		for j, gi := range inGates {
-			r.mu[gates[gi].Out] = post.Payload.vals[j]
+			r.mu[gates[gi].Out] = mus[j]
 		}
 	}
 	return nil
@@ -328,21 +324,21 @@ func (r *run) onlineLayer(l int) error {
 		constDoms[bi] = cd
 	}
 
-	computeShares := func(i int) (muBundle, error) {
+	computeShares := func(i int) ([]byte, error) {
 		// The member's shares are sealed to its KFF or, where the layer has
 		// none, to its role key.
 		sk, key := c.Role(i).SecretKey(), KeyRole
 		if r.kff[l] != nil {
 			var err error
 			if sk, err = r.openKFF(&r.kff[l][i-1], sk); err != nil {
-				return muBundle{}, err
+				return nil, err
 			}
 			key = KeyKFF
 		}
 		// The member's left/right/Γ shares of every batch, in batch order.
 		lams, err := r.openGroups(sk, r.layerOpen[l][i-1])
 		if err != nil {
-			return muBundle{}, err
+			return nil, err
 		}
 		vals := make([]field.Element, len(layerBatches))
 		for bi := range layerBatches {
@@ -350,11 +346,11 @@ func (r *run) onlineLayer(l int) error {
 			la, lb, lg := lams[3*bi], lams[3*bi+1], lams[3*bi+2]
 			sa, err := constDoms[bi].Share(muLeft[bi], i)
 			if err != nil {
-				return muBundle{}, err
+				return nil, err
 			}
 			sb, err := constDoms[bi].Share(muRight[bi], i)
 			if err != nil {
-				return muBundle{}, err
+				return nil, err
 			}
 			// μ_i^γ = μ_i^α·μ_i^β + μ_i^α·λ_i^β + μ_i^β·λ_i^α + λ_i^Γ.
 			vals[bi] = sa.Value.Mul(sb.Value).
@@ -362,7 +358,7 @@ func (r *run) onlineLayer(l int) error {
 				Add(sb.Value.Mul(la)).
 				Add(lg)
 		}
-		return muBundle{vals: vals}, nil
+		return muPosting(r.rt.Sizes, vals), nil
 	}
 
 	posted, err := committee.Step(r.rt, c,
@@ -375,9 +371,10 @@ func (r *run) onlineLayer(l int) error {
 	// Every reader decodes the shares from the posted bytes; a malformed
 	// posting is a missing share.
 	posts := posted[:0]
+	vals := make([][]field.Element, 0, len(posted))
 	for _, post := range posted {
-		if post.Payload, err = decodeMu(r.rt.Sizes, post.Wire, len(layerBatches)); err == nil {
-			posts = append(posts, post)
+		if v, err := decodeMu(r.rt.Sizes, post.Wire, len(layerBatches)); err == nil {
+			posts, vals = append(posts, post), append(vals, v)
 		}
 	}
 
@@ -388,7 +385,7 @@ func (r *run) onlineLayer(l int) error {
 		bsp.SetInt("gates", int64(b.k))
 		shares := make([]sharing.Share, len(posts))
 		for m, post := range posts {
-			shares[m] = sharing.Share{Index: post.Index, Value: post.Payload.vals[bi]}
+			shares[m] = sharing.Share{Index: post.Index, Value: vals[m][bi]}
 		}
 		degree := p.T + 2*(b.k-1)
 		var muGamma []field.Element

@@ -97,16 +97,18 @@ func TestConstWireStraightToOutput(t *testing.T) {
 	}
 }
 
-// looseBoundTE declares every fresh ciphertext four times wider than the
-// protocol does, so run-time bounds outgrow the static slot widths.
+// looseBoundTE reads every posted ciphertext under a bound four times wider
+// than the protocol's, so run-time bounds outgrow the static slot widths.
+// The widening is the reader's: a ciphertext's bound is what its reader
+// attaches at decode, never what its writer held.
 type looseBoundTE struct{ TE }
 
-func (l looseBoundTE) Encrypt(pk tte.PublicKey, m, bound *big.Int) (tte.Ciphertext, error) {
-	return l.TE.Encrypt(pk, m, new(big.Int).Lsh(bound, 2))
-}
-
-func (l looseBoundTE) EncryptMany(pk tte.PublicKey, ms []*big.Int, bound *big.Int, workers int) ([]tte.Ciphertext, error) {
-	return l.TE.EncryptMany(pk, ms, new(big.Int).Lsh(bound, 2), workers)
+func (l looseBoundTE) DecodeCiphertexts(pk tte.PublicKey, bounds []*big.Int, data []byte) ([]tte.Ciphertext, error) {
+	wide := make([]*big.Int, len(bounds))
+	for i, b := range bounds {
+		wide[i] = new(big.Int).Lsh(b, 2)
+	}
+	return l.TE.DecodeCiphertexts(pk, wide, data)
 }
 
 // A ciphertext whose run-time bound exceeds the static width of its slot is

@@ -62,8 +62,8 @@ func Of(tpk tte.PublicKey) Sizes {
 
 // Posting counts what one posting carries.
 type Posting struct {
-	// Ciphertexts are threshold ciphertexts (a committee.CtBundle) and
-	// Elements field elements (a μ bundle).
+	// Ciphertexts are threshold ciphertexts (committee.Runner.CtPosting)
+	// and Elements field elements (core's μ's).
 	Ciphertexts, Elements int
 	// Partials are partial decryptions in the clear. Sealed partial
 	// decryptions, SubShares (a tsk hand-off) and KeyShares (the dealer's

@@ -1,6 +1,7 @@
 package tte
 
 import (
+	"cmp"
 	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
@@ -39,14 +40,16 @@ type Codec interface {
 	// DecodeSubShare parses what member from sent to, resharing an epoch.
 	DecodeSubShare(pk PublicKey, from, to, epoch int, data []byte) (SubShare, error)
 	// EncodeCiphertext serializes a ciphertext as exactly Size() bytes;
-	// DecodeCiphertext re-attaches the public plaintext bound (nil means
-	// pk.MaxPlaintext()). PutCiphertext writes the same bytes into dst,
-	// exactly Size() bytes that are already zero (a fresh posting's slot),
-	// writing only the value's.
+	// PutCiphertext writes the same bytes into dst, exactly Size() bytes
+	// that are already zero (a fresh posting's slot), writing only the
+	// value's. DecodeCiphertexts parses len(bounds) of them laid end to end
+	// and attaches to each the public plaintext bound its reader passes
+	// (nil means pk.MaxPlaintext()); DecodeCiphertext is its batch of one.
 	EncodeCiphertext(ct Ciphertext) ([]byte, error)
 	AppendCiphertext(dst []byte, ct Ciphertext) ([]byte, error)
 	PutCiphertext(dst []byte, ct Ciphertext) error
 	DecodeCiphertext(pk PublicKey, bound *big.Int, data []byte) (Ciphertext, error)
+	DecodeCiphertexts(pk PublicKey, bounds []*big.Int, data []byte) ([]Ciphertext, error)
 	// EncodeKeyShare serializes a key share for hand-off inside a PKE
 	// envelope.
 	EncodeKeyShare(sh KeyShare) ([]byte, error)
@@ -148,22 +151,45 @@ func (c *codec) PutCiphertext(dst []byte, ct Ciphertext) error {
 	return err
 }
 
-// DecodeCiphertext parses a fixed-width ciphertext. bound is the public
-// plaintext bound under which the ciphertext was produced; nil defaults to
-// pk.MaxPlaintext().
+// DecodeCiphertext parses one fixed-width ciphertext under bound.
 func (c *codec) DecodeCiphertext(pk PublicKey, bound *big.Int, data []byte) (Ciphertext, error) {
+	return first(c.DecodeCiphertexts(pk, []*big.Int{bound}, data))
+}
+
+// DecodeCiphertexts parses len(bounds) fixed-width ciphertexts laid end to
+// end, ciphertext i under the public plaintext bound bounds[i], which is
+// shared, never copied, and must be within the key's capacity; nil is
+// pk.MaxPlaintext(). The ciphertexts and their values come from one slab
+// each, as EncryptMany's do, and the values' words from one sized for all
+// of them at the first one's width: a wider value left over opens another.
+func (c *codec) DecodeCiphertexts(pk PublicKey, bounds []*big.Int, data []byte) ([]Ciphertext, error) {
 	p, err := c.pub(pk)
 	if err != nil {
 		return nil, err
 	}
-	v, err := decodeInt(data, p.ctBytes, false)
-	if err != nil {
-		return nil, err
+	if len(data) != len(bounds)*p.ctBytes {
+		return nil, fmt.Errorf("%w: %d bytes, want %d ciphertexts of %d", ErrMalformedMessage, len(data), len(bounds), p.ctBytes)
 	}
-	if bound == nil {
-		bound = p.maxPlain
+	vals := make([]big.Int, len(bounds))
+	cts := make([]ciphertext, len(bounds))
+	out := make([]Ciphertext, len(bounds))
+	var ws []big.Word
+	for i, b := range bounds {
+		if b != nil && b.Cmp(p.maxPlain) > 0 {
+			return nil, fmt.Errorf("%w: bound %v", ErrPlaintextTooBig, b)
+		}
+		mag := skipZeros(data[i*p.ctBytes : (i+1)*p.ctBytes])
+		w := wordsOf(mag)
+		if len(ws) < w {
+			ws = make([]big.Word, w*(len(bounds)-i))
+		}
+		// SetBytes fills the w words of capacity SetBits hands it.
+		vals[i].SetBits(ws[:0:w]).SetBytes(mag)
+		ws = ws[w:]
+		cts[i] = ciphertext{value: &vals[i], bound: cmp.Or(b, p.maxPlain), size: p.ctBytes}
+		out[i] = &cts[i]
 	}
-	return &ciphertext{value: v, bound: new(big.Int).Set(bound), size: p.ctBytes}, nil
+	return out, nil
 }
 
 // EncodeKeyShare serializes a key share (it travels only inside PKE
@@ -260,7 +286,16 @@ func decodeInt(data []byte, size int, signed bool) (*big.Int, error) {
 		}
 		mag = data[1:]
 	}
-	// Skipping zero words keeps a Sim value from allocating its whole field.
+	v := new(big.Int).SetBytes(skipZeros(mag))
+	if signed && data[0] == 1 {
+		v.Neg(v)
+	}
+	return v, nil
+}
+
+// skipZeros drops mag's leading zero words, four at a time while it can:
+// it keeps a Sim value from allocating, or being read over, its whole field.
+func skipZeros(mag []byte) []byte {
 	le := binary.LittleEndian
 	for len(mag) >= 32 && le.Uint64(mag)|le.Uint64(mag[8:])|le.Uint64(mag[16:])|le.Uint64(mag[24:]) == 0 {
 		mag = mag[32:]
@@ -268,12 +303,11 @@ func decodeInt(data []byte, size int, signed bool) (*big.Int, error) {
 	for len(mag) >= 8 && le.Uint64(mag) == 0 {
 		mag = mag[8:]
 	}
-	v := new(big.Int).SetBytes(mag)
-	if signed && data[0] == 1 {
-		v.Neg(v)
-	}
-	return v, nil
+	return mag
 }
+
+// wordsOf is how many big.Words hold the big-endian magnitude mag.
+func wordsOf(mag []byte) int { return (len(mag) + wordBytes - 1) / wordBytes }
 
 // putAbs writes |v| big-endian into the last bytes of dst, which must cover
 // it, and leaves the bytes before them as they are: a Sim ciphertext is a

@@ -313,3 +313,35 @@ func TestAppendIntMakesNoCopy(t *testing.T) {
 		}
 	}
 }
+
+// A posting of ciphertexts decodes into four slabs — ciphertexts, their
+// interfaces, values and words — however many it holds, on both backends:
+// each value's words are filled in place, never allocated per value.
+func TestDecodeCiphertextsAllocations(t *testing.T) {
+	for name, s := range codecBackends(t) {
+		pk, _, err := s.KeyGen(3, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct, err := s.Encrypt(pk, big.NewInt(1<<40), big.NewInt(1<<41))
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := s.EncodeCiphertext(ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, count := range []int{1, 64} {
+			data := bytes.Repeat(enc, count)
+			bounds := make([]*big.Int, count)
+			if allocs := testing.AllocsPerRun(10, func() {
+				cts, err := s.DecodeCiphertexts(pk, bounds, data)
+				if err != nil || len(cts) != count {
+					t.Fatalf("%s: %d of %d decoded: %v", name, len(cts), count, err)
+				}
+			}); allocs > 4 {
+				t.Errorf("%s: decoding %d ciphertexts allocated %v times, want at most 4", name, count, allocs)
+			}
+		}
+	}
+}

@@ -307,51 +307,6 @@ func TestSimReshareAllocations(t *testing.T) {
 	}
 }
 
-// Widen re-attaches a larger public bound and nothing else: the value,
-// the encoding and the decryption stay, and the bound is the caller's,
-// copied. It refuses to narrow a bound or to exceed the key's capacity.
-func TestWiden(t *testing.T) {
-	for name, s := range testBackends(t) {
-		t.Run(name, func(t *testing.T) {
-			pk, shares, err := s.KeyGen(3, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ct, err := s.Encrypt(pk, big.NewInt(77), big.NewInt(100))
-			if err != nil {
-				t.Fatal(err)
-			}
-			before := snapshot([]Ciphertext{ct})
-			bound := big.NewInt(5000)
-			wide, err := Widen(pk, ct, bound)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bound.SetInt64(1)
-			unchanged(t, "Widen", []Ciphertext{ct}, before)
-			if wide.Bound().Int64() != 5000 {
-				t.Errorf("widened bound %v, want 5000", wide.Bound())
-			}
-			codec := s.(Codec)
-			a, errA := codec.EncodeCiphertext(ct)
-			b, errB := codec.EncodeCiphertext(wide)
-			if errA != nil || errB != nil || string(a) != string(b) {
-				t.Errorf("widening changed the encoding (%v, %v)", errA, errB)
-			}
-			if m := decryptVia(t, s, pk, shares, wide, []int{1, 2}); m.Int64() != 77 {
-				t.Errorf("widened ciphertext decrypts to %v, want 77", m)
-			}
-			if _, err := Widen(pk, ct, big.NewInt(99)); !errors.Is(err, ErrBoundNarrowed) {
-				t.Errorf("narrowing to 99: %v, want ErrBoundNarrowed", err)
-			}
-			over := new(big.Int).Add(pk.MaxPlaintext(), big.NewInt(1))
-			if _, err := Widen(pk, ct, over); !errors.Is(err, ErrPlaintextTooBig) {
-				t.Errorf("widening past capacity: %v, want ErrPlaintextTooBig", err)
-			}
-		})
-	}
-}
-
 // distinct still refuses a repeated party wherever it sits — first, last,
 // inside the stack bitset or beyond it — and a mixed epoch, and reports the
 // first problem in input order.

@@ -16,7 +16,11 @@ func bigOne() *big.Int { return big.NewInt(1) }
 // epoch 0 and as sub-shares of epochs 0 and 1), ciphertexts and public-key
 // announcements (board bytes) are all attacker-controlled. No decoder may
 // panic; a ciphertext that decodes re-encodes to the same bytes, and a
-// partial or sub-share that decodes survives a re-encode unchanged.
+// partial or sub-share that decodes survives a re-encode unchanged. The
+// batch decoder reads data as count%64 ciphertexts under mixed bounds, the
+// last one above the key's capacity when count ≥ 128: it refuses exactly a
+// wrong length or that bound, and otherwise equals DecodeCiphertext slot by
+// slot, each slot re-encoding byte-exact through PutCiphertext.
 func FuzzDecode(f *testing.F) {
 	real, err := NewThreshold(paillier.FixedTestKey(1))
 	if err != nil {
@@ -60,12 +64,18 @@ func FuzzDecode(f *testing.F) {
 		// one byte past its epoch's width.
 		badSign := append([]byte{2}, subEnc[1:]...)
 		for _, b := range [][]byte{partEnc, subEnc, ctEnc, pubEnc, partEnc[1:], badSign, append(subEnc, 0)} {
-			f.Add(b)
+			f.Add(b, uint8(1))
 		}
+		// Batches: two ciphertexts one byte short, none, an all-0xff slot,
+		// and a slot bound above the key's capacity.
+		f.Add(append(bytes.Clone(ctEnc), ctEnc[1:]...), uint8(2))
+		f.Add([]byte{}, uint8(0))
+		f.Add(bytes.Repeat([]byte{0xff}, len(ctEnc)), uint8(1))
+		f.Add(ctEnc, uint8(129))
 	}
-	f.Add([]byte{})
-	f.Add([]byte{1, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{}, uint8(1))
+	f.Add([]byte{1, 0, 0, 0}, uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, count uint8) {
 		_, _, _, _ = DecodePublicKeyInfo(data)
 		for _, k := range keys {
 			s, pk := k.s, k.pk
@@ -74,6 +84,7 @@ func FuzzDecode(f *testing.F) {
 					t.Fatalf("%s: ciphertext %x re-encodes to %x (%v)", s.Name(), data, got, err)
 				}
 			}
+			fuzzBatch(t, s, pk, data, count)
 			if p, err := s.DecodePartial(pk, 2, 0, data); err == nil {
 				enc, err := s.EncodePartial(p)
 				if err != nil {
@@ -108,6 +119,49 @@ func FuzzDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzBatch is FuzzDecode's batch-decoder check.
+func fuzzBatch(t *testing.T, s Codec, pk PublicKey, data []byte, count uint8) {
+	n, w := int(count%64), pk.CiphertextSize()
+	bounds := make([]*big.Int, n)
+	for i := 1; i < n; i += 2 {
+		bounds[i] = big.NewInt(int64(i))
+	}
+	over := count >= 128 && n > 0
+	if over {
+		bounds[n-1] = new(big.Int).Add(pk.MaxPlaintext(), bigOne())
+	}
+	cts, err := s.DecodeCiphertexts(pk, bounds, data)
+	switch {
+	case len(data) != n*w:
+		if err == nil {
+			t.Fatalf("%d bytes decoded as %d ciphertexts of %d", len(data), n, w)
+		}
+		return
+	case over:
+		if !errors.Is(err, ErrPlaintextTooBig) {
+			t.Fatalf("a bound above capacity: %v, want ErrPlaintextTooBig", err)
+		}
+		return
+	case err != nil || len(cts) != n:
+		t.Fatalf("%d ciphertexts of %d bytes: %d decoded, %v", n, w, len(cts), err)
+	}
+	for i, ct := range cts {
+		slot := data[i*w : (i+1)*w]
+		one, err := s.DecodeCiphertext(pk, bounds[i], slot)
+		if err != nil {
+			t.Fatalf("slot %d: DecodeCiphertext refuses what the batch decoded: %v", i, err)
+		}
+		a, b := ct.(*ciphertext), one.(*ciphertext)
+		if a.value.Cmp(b.value) != 0 || a.bound.Cmp(b.bound) != 0 || a.size != b.size {
+			t.Fatalf("slot %d: batch %+v, single %+v", i, a, b)
+		}
+		put := make([]byte, w)
+		if err := s.PutCiphertext(put, ct); err != nil || !bytes.Equal(put, slot) {
+			t.Fatalf("slot %d: %x re-encodes to %x (%v)", i, slot, put, err)
+		}
+	}
 }
 
 // FuzzEvalSum pins TEval's multiply-accumulate kernel to math/big: over

@@ -190,30 +190,6 @@ func (c *codec) plaintexts(pk PublicKey, bound *big.Int, ms []*big.Int) (*public
 	return p, nil
 }
 
-// Widen returns a ciphertext of ct's value under the public plaintext
-// bound `bound`, which must be at least ct's own and within pk's capacity.
-// TEval's bound Σ coeffs[i]·bound_i is public only when its coefficients
-// are: a sum of Beaver c-parts b_i·c^a is bounded by Σ b_i·Bound(c^a), which
-// publishes the secret b, and the protocol widens it to a bound computed
-// from public data alone. The value is shared, the bound copied.
-func Widen(pk PublicKey, ct Ciphertext, bound *big.Int) (Ciphertext, error) {
-	p, ok := pk.(*publicKey)
-	if !ok {
-		return nil, fmt.Errorf("%w: public key", ErrWrongKey)
-	}
-	x, err := asCiphertext(ct)
-	if err != nil {
-		return nil, err
-	}
-	if bound.Cmp(p.maxPlain) > 0 {
-		return nil, fmt.Errorf("%w: bound %v", ErrPlaintextTooBig, bound)
-	}
-	if bound.Cmp(x.bound) < 0 {
-		return nil, ErrBoundNarrowed
-	}
-	return &ciphertext{value: x.value, bound: new(big.Int).Set(bound), size: x.size}, nil
-}
-
 // evalSums is TEval's input check and its sums: one non-negative
 // coefficient per ciphertext, and a result bound Σ coeffs[i]·bound_i within
 // the key's capacity, which it sets bound to. A non-nil value is set to

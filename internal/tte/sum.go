@@ -12,8 +12,8 @@ import (
 // the math/big arithmetic it replaces, the kernel's time depends on the
 // operands' lengths, on which coefficient words are zero or one, and on
 // carries; it runs on public bounds, Sim's in-the-clear values, and the
-// bound of a Threshold sum, which the protocol widens to a public one where
-// its coefficients are secret (Widen).
+// bound a writer gives its Beaver c-part, whose coefficient is secret: that
+// bound never leaves the writer, whose readers attach a public one.
 
 // termLen is the number of words the product c·x can take, none when
 // either is zero. A sum needs its longest term's plus one, for the carries

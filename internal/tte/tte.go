@@ -150,7 +150,4 @@ var (
 	ErrEpochMismatch    = errors.New("tte: mixed key epochs")
 	ErrDuplicateIndex   = errors.New("tte: duplicate party index")
 	ErrMalformedMessage = errors.New("tte: malformed message")
-	// ErrBoundNarrowed refuses a Widen below the ciphertext's own bound.
-	// The message is constant: that bound may depend on a secret.
-	ErrBoundNarrowed = errors.New("tte: widened bound below the ciphertext's own")
 )
