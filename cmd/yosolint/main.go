@@ -1,10 +1,11 @@
-// Command yosolint runs the repo's static-analysis suite: six custom
+// Command yosolint runs the repo's static-analysis suite: five custom
 // analyzers enforcing the crypto and YOSO invariants the compiler cannot
 // check (crypto/rand for secret randomness, handled board errors,
 // secretflow's and sidechannel's interprocedural secret taint — two
 // policies over one taint run, flagging disclosures and trace-shaping
-// uses — zeroize's secret-buffer wiping, and wirecodec's codec-pair
-// hygiene).
+// uses — and zeroize's secret-buffer wiping). The codec rule for the
+// types that cross the board is a subtest of TestStructuralRules
+// (rules_test.go), not an analyzer.
 //
 // Usage:
 //

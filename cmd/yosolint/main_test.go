@@ -35,12 +35,12 @@ func runYosolint(t *testing.T, args ...string) (string, int) {
 // fixture violates every one of them.
 var suiteNames = []string{
 	"cryptorand", "postcheck", "secretflow",
-	"sidechannel", "wirecodec", "zeroize",
+	"sidechannel", "zeroize",
 }
 
 // TestDriverFlagsFixture is the end-to-end regression test for the whole
 // driver: yosolint run against a fixture package containing one violation
-// of each analyzer must exit non-zero and report all six.
+// of each analyzer must exit non-zero and report all five.
 func TestDriverFlagsFixture(t *testing.T) {
 	out, code := runYosolint(t, "./cmd/yosolint/testdata/e2e/sharing")
 	if code != 1 {
@@ -53,9 +53,10 @@ func TestDriverFlagsFixture(t *testing.T) {
 	}
 }
 
-// TestDriverMalformedDirectives asserts that an unknown directive name, a
-// retired analyzer's directive and a justification-less suppression each
-// fail the run on their own.
+// TestDriverMalformedDirectives asserts that an unknown directive name,
+// the directives of retired analyzers (lockscope's blocking, wirecodec's
+// wireok) and a justification-less suppression each fail the run on their
+// own.
 func TestDriverMalformedDirectives(t *testing.T) {
 	out, code := runYosolint(t, "./cmd/yosolint/testdata/e2e/baddirective")
 	if code != 1 {
@@ -66,6 +67,9 @@ func TestDriverMalformedDirectives(t *testing.T) {
 	}
 	if !strings.Contains(out, `directive "blocking"`) {
 		t.Errorf("output missing the retired blocking directive:\n%s", out)
+	}
+	if !strings.Contains(out, `directive "wireok"`) {
+		t.Errorf("output missing the retired wireok directive:\n%s", out)
 	}
 	if !strings.Contains(out, "requires a justifying comment") {
 		t.Errorf("output missing missing-justification finding:\n%s", out)

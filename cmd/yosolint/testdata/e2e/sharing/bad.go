@@ -1,6 +1,6 @@
 // Package sharing is the end-to-end regression fixture for cmd/yosolint:
 // one compiling file violating every analyzer in the suite. The driver
-// must exit non-zero and name all six analyzers when pointed here. The
+// must exit non-zero and name all five analyzers when pointed here. The
 // directory is named "sharing" so the cryptorand and zeroize
 // protected-segment rules apply; testdata placement keeps it out of
 // ./... wildcard runs.
@@ -44,9 +44,3 @@ func BadUnwiped() field.Element {
 	v := field.MustRandomVec(4)
 	return v[0].Add(v[1])
 }
-
-// BadWire violates wirecodec: half a codec, bytes nothing can decode.
-type BadWire struct{}
-
-// MarshalBinary is the codec half that gates the pair rule.
-func (BadWire) MarshalBinary() ([]byte, error) { return nil, nil }

@@ -31,7 +31,7 @@ func FuzzDirectiveParse(f *testing.F) {
 		"package p\n\nvar x = 1 //yosolint:ignore trailing at EOF",
 		"package p\n\n//yosolint:owner the session wipes the buffer it was handed\nvar x = 1\n",
 		"package p\n\nvar x = 1 //yosolint:daemon debug endpoint lives for the process lifetime\n",
-		"package p\n\ntype T struct{} //yosolint:wireok local snapshot, never posted\n",
+		"package p\n\ntype T struct{} //yosolint:owner the caller wipes the returned buffer\n",
 		"package p\n\nvar x = 1 //yosolint:vartime reconstruction-side: the decoder learns the secrets anyway\n",
 		"package p\n\n//yosolint:vartime dealer-side one-time keygen\nvar x = 1\n",
 		"package p\n\nvar x = 1 //yosolint:owner caller wipes the sampled vector after use\n",

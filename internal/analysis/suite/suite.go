@@ -8,7 +8,6 @@ import (
 	"yosompc/internal/analysis/cryptorand"
 	"yosompc/internal/analysis/postcheck"
 	"yosompc/internal/analysis/secretflow"
-	"yosompc/internal/analysis/wirecodec"
 	"yosompc/internal/analysis/zeroize"
 )
 
@@ -19,7 +18,6 @@ func Analyzers() []*analysis.Analyzer {
 		postcheck.Analyzer,
 		secretflow.Analyzer,
 		secretflow.SideChannel,
-		wirecodec.Analyzer,
 		zeroize.Analyzer,
 	}
 }

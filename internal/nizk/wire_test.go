@@ -23,7 +23,7 @@ func TestProofEncodedSize(t *testing.T) {
 
 // FuzzProofRoundTrip feeds arbitrary bytes through the Proof decoder:
 // only exact-size inputs are accepted, and accepted inputs round-trip
-// identically.
+// identically, as many bytes as EncodedSize says.
 func FuzzProofRoundTrip(f *testing.F) {
 	f.Add(make([]byte, AttestedProofSize))
 	f.Add([]byte{1, 2, 3})
@@ -44,6 +44,9 @@ func FuzzProofRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(enc, data) {
 			t.Fatalf("round trip changed bytes")
+		}
+		if len(enc) != p.EncodedSize() {
+			t.Fatalf("Proof encoded to %d bytes, EncodedSize says %d", len(enc), p.EncodedSize())
 		}
 	})
 }

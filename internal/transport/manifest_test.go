@@ -59,7 +59,7 @@ func TestManifestDecodeRejectsMalformed(t *testing.T) {
 
 // FuzzManifestRoundTrip feeds arbitrary bytes through the Manifest decoder:
 // it must never panic, and anything it accepts must re-encode to the exact
-// same bytes (canonical encoding).
+// same bytes (canonical encoding), as many as EncodedSize says.
 func FuzzManifestRoundTrip(f *testing.F) {
 	seed, _ := Manifest{Committee: "offB2", Phase: "offline", N: 20, Quorum: 11}.MarshalBinary()
 	f.Add(seed)
@@ -78,6 +78,9 @@ func FuzzManifestRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(re, data) {
 			t.Fatalf("decode/encode not byte-identical:\n in %x\nout %x", data, re)
+		}
+		if len(re) != m.EncodedSize() {
+			t.Fatalf("EncodedSize = %d, encoded %d bytes", m.EncodedSize(), len(re))
 		}
 	})
 }

@@ -85,7 +85,7 @@ func TestTraceContextDecodeRejectsMalformed(t *testing.T) {
 
 // FuzzTraceContextRoundTrip feeds arbitrary bytes through the TraceContext
 // decoder: it must never panic, and anything it accepts must re-encode to
-// the exact same bytes (canonical encoding).
+// the exact same bytes (canonical encoding), as many as EncodedSize says.
 func FuzzTraceContextRoundTrip(f *testing.F) {
 	seed, _ := TraceContext{Proc: "p", Span: 7, PostUS: 11, RecvUS: 13}.MarshalBinary()
 	f.Add(seed)
@@ -104,6 +104,9 @@ func FuzzTraceContextRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(re, data) {
 			t.Fatalf("decode/encode not byte-identical:\n in %x\nout %x", data, re)
+		}
+		if len(re) != tc.EncodedSize() {
+			t.Fatalf("EncodedSize = %d, encoded %d bytes", tc.EncodedSize(), len(re))
 		}
 	})
 }

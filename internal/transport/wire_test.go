@@ -118,7 +118,7 @@ func TestEntryDecodeRejectsMalformed(t *testing.T) {
 // as a stream through wire.ReadFrame and the entry, post and answer
 // decoders: none may panic, and every frame a decoder accepts must
 // re-encode to the exact same bytes (a canonical encoding, so measured
-// sizes are reproducible).
+// sizes are reproducible), an entry to as many as its EncodedSize says.
 func FuzzWireRoundTrip(f *testing.F) {
 	seed, _ := Entry{Seq: 3, From: "off1/2", Phase: "offline", Category: "reshare",
 		Trace: TraceContext{Proc: "p", Span: 1, PostUS: 2, RecvUS: 3},
@@ -135,9 +135,34 @@ func FuzzWireRoundTrip(f *testing.F) {
 	stream = appendAnswer(stream, 0, errors.New("missing poster"))
 	f.Add(append(stream, seed...))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// checkFrame checks that a decoded entry re-encodes to exactly the
+		// frame it came from, through MarshalBinary and through WriteTo, and
+		// that EncodedSize counts its bytes.
+		checkFrame := func(e Entry, frame []byte) {
+			if e.Size != len(e.Payload) {
+				t.Fatalf("decoded Size %d != len(Payload) %d", e.Size, len(e.Payload))
+			}
+			re, err := e.MarshalBinary()
+			if err != nil {
+				t.Fatalf("re-encoding accepted entry: %v", err)
+			}
+			if !bytes.Equal(re, frame) {
+				t.Fatalf("decode/encode not byte-identical:\n in %x\nout %x", frame, re)
+			}
+			if len(re) != e.EncodedSize() {
+				t.Fatalf("EncodedSize = %d, encoded %d bytes", e.EncodedSize(), len(re))
+			}
+			// The stream writer sends header and payload separately; the
+			// bytes must be MarshalBinary's.
+			var streamed bytes.Buffer
+			n, err := e.WriteTo(&streamed)
+			if err != nil || n != int64(len(re)) || !bytes.Equal(streamed.Bytes(), re) {
+				t.Fatalf("WriteTo (n=%d, err=%v) differs from MarshalBinary:\nstream %x\nmarshal %x", n, err, streamed.Bytes(), re)
+			}
+		}
 		var e Entry
 		if err := e.UnmarshalBinary(data); err == nil {
-			checkEntryFrame(t, e, data)
+			checkFrame(e, data)
 		}
 		r := bytes.NewReader(data)
 		for {
@@ -148,7 +173,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 			}
 			frame := data[start : len(data)-r.Len()]
 			if err := e.decode(body); err == nil {
-				checkEntryFrame(t, e, frame)
+				checkFrame(e, frame)
 			}
 			if len(body) > 0 && body[0] == opPost {
 				if e, err := decodePost(body[1:]); err == nil {
@@ -172,29 +197,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 			}
 		}
 	})
-}
-
-// checkEntryFrame checks that a decoded entry re-encodes to exactly the
-// frame it came from, through MarshalBinary and through WriteTo.
-func checkEntryFrame(t *testing.T, e Entry, frame []byte) {
-	t.Helper()
-	if e.Size != len(e.Payload) {
-		t.Fatalf("decoded Size %d != len(Payload) %d", e.Size, len(e.Payload))
-	}
-	re, err := e.MarshalBinary()
-	if err != nil {
-		t.Fatalf("re-encoding accepted entry: %v", err)
-	}
-	if !bytes.Equal(re, frame) {
-		t.Fatalf("decode/encode not byte-identical:\n in %x\nout %x", frame, re)
-	}
-	// The stream writer sends header and payload separately; the bytes
-	// must be MarshalBinary's.
-	var streamed bytes.Buffer
-	n, err := e.WriteTo(&streamed)
-	if err != nil || n != int64(len(re)) || !bytes.Equal(streamed.Bytes(), re) {
-		t.Fatalf("WriteTo (n=%d, err=%v) differs from MarshalBinary:\nstream %x\nmarshal %x", n, err, streamed.Bytes(), re)
-	}
 }
 
 // WriteTo sends the payload slice itself: streaming a 64 KiB posting

@@ -3,12 +3,18 @@ package yosompc
 import (
 	"bufio"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+	"testing/fstest"
 )
 
 // A structural rule is a regexp over the module's Go source, one line at a
@@ -241,6 +247,17 @@ var structuralRules = []structuralRule{
 		skip:    []string{skipTests, skipTestdata, `^internal/(postlen|pke|field)/`},
 		hint:    "take a posting's length from postlen.Posting.Len and a width from postlen.Sizes",
 	},
+	// Every byte on the board comes from a codec: a step's writer, whose
+	// reader decodes it with the step's public layout, or a type's
+	// MarshalBinary (codecGaps below). Text converted or formatted into a
+	// payload has no decoder.
+	{
+		name:    "board payloads come from codecs",
+		roots:   []string{"internal", "cmd", "examples", "*.go"},
+		pattern: `\.(Post|PostCtx|Publish|Broadcast)\(.*(\[\]byte\(|fmt\.Append)`,
+		skip:    []string{skipTests, skipTestdata},
+		hint:    "encode a posting with its codec, not from text",
+	},
 }
 
 // TestStructuralRules holds the module to its one-mechanism-per-job rules.
@@ -267,6 +284,26 @@ func TestStructuralRules(t *testing.T) {
 				len(hits), strings.Join(hits, "\n"))
 		}
 	})
+	t.Run("codec types: the pair, a size model and a size-checking fuzz target", func(t *testing.T) {
+		gaps, err := codecGaps(os.DirFS("."))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(gaps) > 0 {
+			t.Errorf("%d codec types break the rule: declare MarshalBinary, UnmarshalBinary and EncodedSize, and check len(MarshalBinary()) == EncodedSize() in a Fuzz* target that names the type\n%s",
+				len(gaps), strings.Join(gaps, "\n"))
+		}
+	})
+	t.Run("every fuzz target runs in fuzz-smoke", func(t *testing.T) {
+		missing, err := unsmokedFuzzTargets(".github/workflows/ci.yml")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(missing) > 0 {
+			t.Errorf("%d fuzz targets have no fuzz-smoke step: add `go test -run=^$ -fuzz=<Name> -fuzztime=20s ./<dir>` to ci.yml\n%s",
+				len(missing), strings.Join(missing, "\n"))
+		}
+	})
 	t.Run("PROTOCOL.md names identifiers that exist", func(t *testing.T) {
 		hits, err := deadIdentifiers("docs/PROTOCOL.md")
 		if err != nil {
@@ -277,6 +314,62 @@ func TestStructuralRules(t *testing.T) {
 				len(hits), strings.Join(hits, "\n"))
 		}
 	})
+}
+
+// TestCodecGaps holds codecGaps to the codec rule on in-memory packages:
+// each half of the pair alone, a missing size model, a type no fuzz target
+// names, a fuzz target that never checks the size, and a clean type fuzzed
+// in-package or from the external test package.
+func TestCodecGaps(t *testing.T) {
+	const (
+		pair   = "package w\ntype T struct{}\nfunc (T) MarshalBinary() ([]byte, error) { return nil, nil }\nfunc (*T) UnmarshalBinary([]byte) error { return nil }\n"
+		sized  = pair + "func (T) EncodedSize() int { return 0 }\n"
+		fuzzIn = "package w\nimport \"testing\"\nfunc FuzzT(f *testing.F) {\n\tf.Fuzz(func(t *testing.T, b []byte) {\n\t\tvar v T\n\t\t_ = v.UnmarshalBinary(b)\n\t\t_ = v.EncodedSize()\n\t})\n}\n"
+	)
+	for _, c := range []struct {
+		name  string
+		files map[string]string
+		want  []string
+	}{
+		{"clean", map[string]string{"w/w.go": sized, "w/w_test.go": fuzzIn}, nil},
+		{"external test package", map[string]string{
+			"w/w.go":          sized,
+			"w/w_ext_test.go": "package w_test\nimport (\n\t\"testing\"\n\t\"m/w\"\n)\nfunc FuzzT(f *testing.F) {\n\tf.Fuzz(func(t *testing.T, b []byte) {\n\t\tvar v w.T\n\t\tif v.UnmarshalBinary(b) == nil && len(b) != v.EncodedSize() {\n\t\t\tt.Fatal(b)\n\t\t}\n\t})\n}\n",
+		}, nil},
+		{"marshal only", map[string]string{
+			"w/w.go":      "package w\ntype T struct{}\nfunc (T) MarshalBinary() ([]byte, error) { return nil, nil }\nfunc (T) EncodedSize() int { return 0 }\n",
+			"w/w_test.go": fuzzIn,
+		}, []string{"w: T has no UnmarshalBinary"}},
+		{"unmarshal only", map[string]string{
+			"w/w.go":      "package w\ntype T struct{}\nfunc (*T) UnmarshalBinary([]byte) error { return nil }\nfunc (T) EncodedSize() int { return 0 }\n",
+			"w/w_test.go": fuzzIn,
+		}, []string{"w: T has no MarshalBinary"}},
+		{"no size model", map[string]string{"w/w.go": pair, "w/w_test.go": fuzzIn}, []string{"w: T has no EncodedSize"}},
+		{"no fuzz target", map[string]string{
+			"w/w.go":      sized,
+			"w/w_test.go": "package w\nimport \"testing\"\nfunc TestT(t *testing.T) {\n\tvar v T\n\t_ = v.EncodedSize()\n}\n",
+		}, []string{"w: T has no Fuzz* target that names it and calls EncodedSize"}},
+		{"fuzz target never sizes", map[string]string{
+			"w/w.go":      sized,
+			"w/w_test.go": "package w\nimport \"testing\"\nfunc FuzzT(f *testing.F) {\n\tf.Fuzz(func(t *testing.T, b []byte) {\n\t\tvar v T\n\t\t_ = v.UnmarshalBinary(b)\n\t})\n}\n",
+		}, []string{"w: T has no Fuzz* target that names it and calls EncodedSize"}},
+		{"another package's fuzz target", map[string]string{"w/w.go": sized, "v/v_test.go": fuzzIn}, []string{"w: T has no Fuzz* target that names it and calls EncodedSize"}},
+		{"fixtures are not scanned", map[string]string{"w/testdata/w.go": pair}, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fsys := fstest.MapFS{}
+			for name, src := range c.files {
+				fsys[name] = &fstest.MapFile{Data: []byte(src)}
+			}
+			got, err := codecGaps(fsys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, c.want) {
+				t.Errorf("codecGaps = %q, want %q", got, c.want)
+			}
+		})
+	}
 }
 
 // citedDocs are the documents whose test citations must resolve.
@@ -400,6 +493,154 @@ func deadIdentifiers(doc string) ([]string, error) {
 		}
 	})
 	return dead, err
+}
+
+// codecGaps returns, as "dir: message", every type declared in the non-test
+// Go files of fsys (testdata/ and dot-directories skipped) that has a
+// MarshalBinary or UnmarshalBinary method but not both, no EncodedSize
+// method, or no Fuzz* function in its directory's tests (in-package or
+// external) whose body names the type and calls EncodedSize. Bytes nothing
+// decodes are write-only, the size model is the board's byte accounting,
+// and a fuzz target that checks the size holds the model to every value
+// hostile bytes decode to. Files are parsed, not type-checked, so a name
+// is matched by spelling.
+func codecGaps(fsys fs.FS) ([]string, error) {
+	type ident struct{ dir, name string }
+	methods := map[ident]map[string]bool{} // a type's method names
+	fuzzed := map[ident]bool{}             // names in a size-checking Fuzz* body
+	fset := token.NewFileSet()
+	err := fs.WalkDir(fsys, ".", func(name string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && name != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
+			return fs.SkipDir
+		case d.IsDir() || !strings.HasSuffix(name, ".go"):
+			return nil
+		}
+		src, err := fs.ReadFile(fsys, name)
+		if err != nil {
+			return err
+		}
+		f, err := parser.ParseFile(fset, name, src, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir, test := path.Dir(name), strings.HasSuffix(name, "_test.go")
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			switch {
+			case !ok:
+			case !test && fn.Recv != nil:
+				typ := ident{dir, receiverType(fn.Recv.List[0].Type)}
+				if methods[typ] == nil {
+					methods[typ] = map[string]bool{}
+				}
+				methods[typ][fn.Name.Name] = true
+			case test && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Fuzz") && fn.Body != nil:
+				names, sized := map[string]bool{}, false
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					switch x := n.(type) {
+					case *ast.Ident:
+						names[x.Name] = true
+					case *ast.CallExpr:
+						if sel, ok := x.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "EncodedSize" {
+							sized = true
+						}
+					}
+					return true
+				})
+				for n := range names {
+					if sized {
+						fuzzed[ident{dir, n}] = true
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var gaps []string
+	for typ, has := range methods {
+		if !has["MarshalBinary"] && !has["UnmarshalBinary"] {
+			continue
+		}
+		var missing []string
+		for _, m := range []string{"MarshalBinary", "UnmarshalBinary", "EncodedSize"} {
+			if !has[m] {
+				missing = append(missing, m)
+			}
+		}
+		if !fuzzed[typ] {
+			missing = append(missing, "Fuzz* target that names it and calls EncodedSize")
+		}
+		if len(missing) > 0 {
+			gaps = append(gaps, fmt.Sprintf("%s: %s has no %s", typ.dir, typ.name, strings.Join(missing, ", no ")))
+		}
+	}
+	slices.Sort(gaps)
+	return gaps, nil
+}
+
+// receiverType is the name of the type a method's receiver expression
+// declares it on, through a pointer and type parameters.
+func receiverType(x ast.Expr) string {
+	for {
+		switch t := x.(type) {
+		case *ast.StarExpr:
+			x = t.X
+		case *ast.IndexExpr:
+			x = t.X
+		case *ast.IndexListExpr:
+			x = t.X
+		case *ast.Ident:
+			return t.Name
+		default:
+			return ""
+		}
+	}
+}
+
+// fuzzStep is a workflow line that runs one fuzz target in one package:
+// `go test … -fuzz=Name … ./dir`.
+var fuzzStep = regexp.MustCompile(`-fuzz=([\pL\pN_]+)[[:space:]].*[[:space:]](\.[^[:space:]]*)[[:space:]]*$`)
+
+// unsmokedFuzzTargets returns, as "dir:Name", every Fuzz* function in a
+// _test.go file of the tree, outside testdata/ and the benchmark module,
+// that no line of the workflow at ci runs with -fuzz=Name in its package.
+// A fuzz target no CI step runs is one more seed-corpus unit test.
+func unsmokedFuzzTargets(ci string) ([]string, error) {
+	steps := map[string]bool{}
+	if err := scanLines(ci, func(_ int, line string) {
+		if m := fuzzStep.FindStringSubmatch(line); m != nil {
+			steps[path.Clean(m[2])+":"+m[1]] = true
+		}
+	}); err != nil {
+		return nil, err
+	}
+	var missing []string
+	err := filepath.WalkDir(".", func(name string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && name != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || name == "benchmark"):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(name, "_test.go"):
+			return nil
+		}
+		return scanLines(name, func(_ int, line string) {
+			m := testFunc.FindStringSubmatch(line)
+			if m == nil || m[2] != "Fuzz" {
+				return
+			}
+			if target := filepath.ToSlash(filepath.Dir(name)) + ":" + m[1]; !steps[target] {
+				missing = append(missing, target)
+			}
+		})
+	})
+	return missing, err
 }
 
 // scanLines calls line for every line of the file at path, numbered from 1.
